@@ -1,13 +1,12 @@
 //! The basic PARITY policy: RAID-style fixed parity groups.
 
-use std::collections::VecDeque;
-
-use rmp_parity::basic::BasicRecovery;
-use rmp_parity::xor::reconstruct;
+use rmp_parity::xor::xor_reduce;
 use rmp_parity::BasicParityMap;
 use rmp_types::{Page, PageId, Result, RmpError, ServerId, StoreKey};
 
-use crate::engine::{Ctx, Engine};
+use std::collections::VecDeque;
+
+use crate::engine::{rebuild_step, Ctx, Engine, Unit};
 use crate::recovery::RecoveryStep;
 
 /// Fixed-layout parity (Section 2.2, "Parity"): page `(i, j)` is bound to
@@ -17,21 +16,26 @@ use crate::recovery::RecoveryStep;
 /// overhead is `1/S`.
 ///
 /// Recovery rebuilds lost pages *in place*: the crashed workstation must
-/// rejoin (rebooted, empty) before [`Engine::recover`] runs, mirroring a
-/// RAID rebuild onto a replaced disk. This rigidity is exactly why the
-/// paper moves on to parity logging.
+/// rejoin (rebooted, empty) before recovery runs, mirroring a RAID
+/// rebuild onto a replaced disk. This rigidity is exactly why the paper
+/// moves on to parity logging.
+///
+/// What is this engine's alone is the layout and the server-side delta
+/// protocol; reading a stripe's pieces, the dead-holder check and the
+/// recovery stepping are the shared [`Ctx`] and [`rebuild_step`].
 pub struct BasicParity {
     map: BasicParityMap,
-    rebuild_queue: VecDeque<BasicWork>,
+    rebuild: VecDeque<StripeRebuild>,
 }
 
-/// One planned rebuild item: a lost data page, or a lost parity page.
-enum BasicWork {
-    Data(BasicRecovery),
-    Parity {
-        key: StoreKey,
-        members: Vec<(ServerId, StoreKey)>,
-    },
+/// One planned rebuild item: the XOR of `pieces` is the page lost under
+/// `key` on the crashed server.
+struct StripeRebuild {
+    key: StoreKey,
+    /// For a lost data page, its stripe's survivors plus the parity page;
+    /// for a lost parity page, every member of its stripe.
+    pieces: Vec<Unit>,
+    parity: bool,
 }
 
 impl BasicParity {
@@ -43,7 +47,7 @@ impl BasicParity {
     pub fn new(data_servers: Vec<ServerId>, parity_server: ServerId) -> Result<Self> {
         Ok(BasicParity {
             map: BasicParityMap::new(data_servers, parity_server)?,
-            rebuild_queue: VecDeque::new(),
+            rebuild: VecDeque::new(),
         })
     }
 
@@ -59,8 +63,9 @@ impl BasicParity {
     /// later reconstruction of a *sibling* page would turn into garbage
     /// bytes. Whenever a delta/XOR call was retried or failed, the caller
     /// abandons incremental maintenance for this stripe and rebuilds its
-    /// parity from ground truth instead. Costs `S` fetches plus one
-    /// store — the price of certainty, paid only on ambiguous retries.
+    /// parity from ground truth instead. Costs `S` fetches (one batched
+    /// pass) plus one store — the price of certainty, paid only on
+    /// ambiguous retries.
     fn resync_parity(&mut self, ctx: &mut Ctx<'_>, parity_key: StoreKey) -> Result<()> {
         let members = self
             .map
@@ -69,51 +74,17 @@ impl BasicParity {
             .find(|(key, _)| *key == parity_key)
             .map(|(_, members)| members)
             .unwrap_or_default();
-        let mut acc = Page::zeroed();
-        for &(s, k) in &members {
-            let piece = ctx.pool.page_in(s, k)?;
-            ctx.stats.net_fetches += 1;
-            acc.xor_with(&piece);
-        }
+        let parity = xor_reduce(&ctx.fetch_batch(&members)?);
         ctx.pool
-            .page_out(self.map.parity_server(), parity_key, &acc)?;
+            .page_out(self.map.parity_server(), parity_key, &parity)?;
         ctx.stats.net_parity_transfers += 1;
         ctx.count("engine_parity_resyncs_total");
         Ok(())
-    }
-
-    /// Fetches every surviving member of `plan`'s stripe plus its parity
-    /// page and solves the XOR equation for the lost page.
-    fn reconstruct_one(&self, ctx: &mut Ctx<'_>, plan: &BasicRecovery) -> Result<(Page, u64)> {
-        let mut transfers = 0;
-        let mut survivors = Vec::with_capacity(plan.fetch.len());
-        for &(s, k) in &plan.fetch {
-            if !ctx.pool.view().is_alive(s) {
-                return Err(RmpError::Unrecoverable(format!(
-                    "stripe of {} lost two members ({s} is down too)",
-                    plan.page_id
-                )));
-            }
-            survivors.push(ctx.pool.page_in(s, k)?);
-            ctx.stats.net_fetches += 1;
-            transfers += 1;
-        }
-        if !ctx.pool.view().is_alive(plan.parity.0) {
-            return Err(RmpError::Unrecoverable(format!(
-                "stripe of {} lost its parity server {} too",
-                plan.page_id, plan.parity.0
-            )));
-        }
-        let parity = ctx.pool.page_in(plan.parity.0, plan.parity.1)?;
-        ctx.stats.net_fetches += 1;
-        transfers += 1;
-        Ok((reconstruct(&parity, survivors.iter()), transfers))
     }
 }
 
 impl Engine for BasicParity {
     fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
-        ctx.stats.pageouts += 1;
         // Overwrites reuse the page's frame; only first-time assignments
         // consume a grant (otherwise rewrites leak the server's grant
         // budget and eventually hit a spurious denial).
@@ -158,17 +129,13 @@ impl Engine for BasicParity {
             // cancels it) or failed (it may or may not have been applied
             // before the failure): the parity state is unknowable from
             // here, so recompute it.
-            Ok(()) => self.resync_parity(ctx, slot.parity_key),
-            Err(_) => self.resync_parity(ctx, slot.parity_key),
+            _ => self.resync_parity(ctx, slot.parity_key),
         }
     }
 
     fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
-        ctx.stats.pageins += 1;
         let slot = self.map.location(id).ok_or(RmpError::PageNotFound(id))?;
-        let page = ctx.pool.page_in(slot.server, slot.key)?;
-        ctx.stats.net_fetches += 1;
-        Ok(page)
+        ctx.read_unit((slot.server, slot.key), true)
     }
 
     fn free(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<()> {
@@ -208,50 +175,59 @@ impl Engine for BasicParity {
 
     fn degraded_read(&mut self, ctx: &mut Ctx<'_>, id: PageId, dead: ServerId) -> Result<Page> {
         let slot = self.map.location(id).ok_or(RmpError::PageNotFound(id))?;
-        if slot.server != dead && ctx.pool.view().is_alive(slot.server) {
+        if slot.server != dead && ctx.alive(slot.server) {
             // The page's own server survived the crash; read it directly.
-            let page = ctx.pool.page_in(slot.server, slot.key)?;
-            ctx.stats.net_fetches += 1;
-            return Ok(page);
+            return ctx.read_unit((slot.server, slot.key), true);
         }
         // Reconstruct only the requested page from its stripe — the full
         // column rebuild runs separately.
-        let plan = self
+        let mut plan = self
             .map
             .recovery_plan(slot.server)?
             .into_iter()
             .find(|p| p.page_id == id)
             .ok_or(RmpError::PageNotFound(id))?;
-        let (page, _transfers) = self.reconstruct_one(ctx, &plan)?;
+        plan.fetch.push(plan.parity);
+        let page = xor_reduce(&ctx.fetch_group(&plan.fetch, &format_args!("stripe of {id}"))?);
         ctx.count("engine_parity_reconstructions_total");
         Ok(page)
     }
 
-    fn primary_location(&self, id: PageId) -> Option<(ServerId, StoreKey)> {
+    fn primary_location(&self, id: PageId) -> Option<Unit> {
         let slot = self.map.location(id)?;
         Some((slot.server, slot.key))
     }
 
     fn plan_recovery(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {
-        if !ctx.pool.view().is_alive(server) {
+        if !ctx.alive(server) {
             return Err(RmpError::Unrecoverable(format!(
                 "basic parity rebuilds in place: reconnect {server} (rebooted) first"
             )));
         }
-        self.rebuild_queue.clear();
-        if server == self.map.parity_server() {
+        self.rebuild = if server == self.map.parity_server() {
             // Parity-server crash: recompute every parity page from its
             // members.
-            for (key, members) in self.map.parity_rebuild_plan() {
-                self.rebuild_queue
-                    .push_back(BasicWork::Parity { key, members });
-            }
+            let stripes = self.map.parity_rebuild_plan().into_iter();
+            stripes
+                .map(|(key, pieces)| StripeRebuild {
+                    key,
+                    pieces,
+                    parity: true,
+                })
+                .collect()
         } else {
-            for plan in self.map.recovery_plan(server)? {
-                self.rebuild_queue.push_back(BasicWork::Data(plan));
-            }
-        }
-        Ok(self.rebuild_queue.len() as u64)
+            let lost = self.map.recovery_plan(server)?.into_iter();
+            lost.map(|mut plan| {
+                plan.fetch.push(plan.parity);
+                StripeRebuild {
+                    key: plan.lost.key,
+                    pieces: plan.fetch,
+                    parity: false,
+                }
+            })
+            .collect()
+        };
+        Ok(self.rebuild.len() as u64)
     }
 
     fn recovery_step(
@@ -260,71 +236,23 @@ impl Engine for BasicParity {
         server: ServerId,
         page_budget: usize,
     ) -> Result<RecoveryStep> {
-        let mut step = RecoveryStep::default();
-        while ((step.pages_rebuilt + step.parity_rebuilt) as usize) < page_budget {
-            let Some(work) = self.rebuild_queue.pop_front() else {
-                break;
-            };
-            match work {
-                BasicWork::Data(plan) => {
-                    let (rebuilt, transfers) = match self.reconstruct_one(ctx, &plan) {
-                        Ok(ok) => ok,
-                        Err(e) => {
-                            self.rebuild_queue.push_front(BasicWork::Data(plan));
-                            return Err(e);
-                        }
-                    };
-                    step.transfers += transfers;
-                    if let Err(e) = ctx.reserve_and_page_out(server, plan.lost.key, &rebuilt) {
-                        self.rebuild_queue.push_front(BasicWork::Data(plan));
-                        return Err(e);
-                    }
+        rebuild_step(&mut self.rebuild, page_budget, |claimed, step| {
+            while let Some(work) = claimed.front() {
+                let stripe = format_args!("stripe {} of {server}", work.key);
+                let page = xor_reduce(&ctx.fetch_group(&work.pieces, &stripe)?);
+                ctx.reserve_and_page_out(server, work.key, &page)?;
+                step.transfers += work.pieces.len() as u64 + 1;
+                if work.parity {
+                    ctx.stats.net_parity_transfers += 1;
+                    step.parity_rebuilt += 1;
+                } else {
                     ctx.stats.net_data_transfers += 1;
-                    step.transfers += 1;
                     step.pages_rebuilt += 1;
                 }
-                BasicWork::Parity { key, members } => {
-                    let mut acc = Page::zeroed();
-                    let mut fetched = 0;
-                    let mut failed = None;
-                    for &(s, k) in &members {
-                        if !ctx.pool.view().is_alive(s) {
-                            failed = Some(RmpError::Unrecoverable(format!(
-                                "parity stripe {key} lost member server {s} too"
-                            )));
-                            break;
-                        }
-                        match ctx.pool.page_in(s, k) {
-                            Ok(piece) => {
-                                ctx.stats.net_fetches += 1;
-                                fetched += 1;
-                                acc.xor_with(&piece);
-                            }
-                            Err(e) => {
-                                failed = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    step.transfers += fetched;
-                    if let Some(e) = failed {
-                        self.rebuild_queue
-                            .push_front(BasicWork::Parity { key, members });
-                        return Err(e);
-                    }
-                    if let Err(e) = ctx.reserve_and_page_out(server, key, &acc) {
-                        self.rebuild_queue
-                            .push_front(BasicWork::Parity { key, members });
-                        return Err(e);
-                    }
-                    ctx.stats.net_parity_transfers += 1;
-                    step.transfers += 1;
-                    step.parity_rebuilt += 1;
-                }
+                claimed.pop_front();
             }
-        }
-        step.remaining = self.rebuild_queue.len() as u64;
-        Ok(step)
+            Ok(())
+        })
     }
 
     fn migrate_from(&mut self, _ctx: &mut Ctx<'_>, _server: ServerId) -> Result<u64> {

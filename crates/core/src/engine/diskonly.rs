@@ -15,23 +15,14 @@ pub struct DiskOnly {
     present: HashSet<PageId>,
 }
 
-impl DiskOnly {
-    /// Creates the engine.
-    pub fn new() -> Self {
-        DiskOnly::default()
-    }
-}
-
 impl Engine for DiskOnly {
     fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
-        ctx.stats.pageouts += 1;
         ctx.disk_write(id, page)?;
         self.present.insert(id);
         Ok(())
     }
 
     fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
-        ctx.stats.pageins += 1;
         if !self.present.contains(&id) {
             return Err(RmpError::PageNotFound(id));
         }

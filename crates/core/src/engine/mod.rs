@@ -1,17 +1,21 @@
 //! Policy engines.
 //!
-//! Each reliability policy of the paper is one [`Engine`] implementation;
-//! the [`crate::Pager`] dispatches pagein/pageout/free/flush to the
-//! configured engine and handles cross-cutting concerns (crash recovery
-//! retry, adaptive disk switching, statistics).
+//! The paper's reliability policies differ only in how many units of a
+//! page go where, so most of them are one engine: [`stripe::Stripe`],
+//! parameterised by a `(k, r)` geometry. [`basic`] and [`paritylog`] keep
+//! what is theirs alone (a fixed layout with server-side deltas; a
+//! client-side log) and [`diskonly`] is the baseline. This module holds
+//! what they all share: the per-call [`Ctx`] with the one read, fetch,
+//! placement and release path, the placement [`Table`], the
+//! [`rebuild_step`] every recovery advances by, and the [`Engine`] trait
+//! the [`crate::Pager`] dispatches through.
 
 pub mod basic;
 pub mod diskonly;
-pub mod erasure;
-pub mod mirror;
-pub mod norel;
 pub mod paritylog;
-pub mod writethrough;
+pub mod stripe;
+
+use std::collections::{HashMap, VecDeque};
 
 use rmp_blockdev::PagingDevice;
 use rmp_cluster::Condition;
@@ -19,20 +23,146 @@ use rmp_types::metrics::{EventKind, MetricsRegistry};
 use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, StoreKey, TransferStats};
 
 use crate::pool::ServerPool;
-use crate::recovery::{RecoveryReport, RecoveryStep};
+use crate::recovery::RecoveryStep;
 
-/// Where a logical page currently lives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Location {
-    /// On a remote memory server under a storage key.
-    Remote {
-        /// Holding server.
-        server: ServerId,
-        /// Storage key of the current version.
-        key: StoreKey,
-    },
-    /// In the local swap file/partition.
-    LocalDisk,
+/// One stored unit of a page — a whole copy, a split or a parity frame:
+/// the holding server and the storage key it sits under.
+pub type Unit = (ServerId, StoreKey);
+
+/// The unit of a [`Table`] row that has not been placed yet. No server
+/// bears this id, so the view reports its holder as not alive.
+pub const VACANT: Unit = (ServerId(u32::MAX), StoreKey(u64::MAX));
+
+/// The placement table: `PageId → {width units on distinct servers |
+/// the local disk}`.
+///
+/// Units sit in one flat arena, `width` to a row, so recording a
+/// placement allocates nothing of its own. Row 0 is the *staging* row: a
+/// fresh placement is assembled there and only then recorded with
+/// [`Table::commit`], so the units a page already has stay readable —
+/// and releasable — until their replacement is complete.
+#[derive(Debug)]
+pub struct Table {
+    width: usize,
+    /// Arena offset of each page's row; `None` for a page on the disk.
+    rows: HashMap<PageId, Option<usize>>,
+    units: Vec<Unit>,
+    /// Offsets of released rows, reused before the arena grows.
+    spare: Vec<usize>,
+}
+
+impl Table {
+    /// Creates a table of `width` units per page.
+    pub fn new(width: usize) -> Self {
+        Table {
+            width,
+            rows: HashMap::new(),
+            units: vec![VACANT; width],
+            spare: Vec::new(),
+        }
+    }
+
+    /// The units of `id`: empty for a page on the local disk, `None` for
+    /// an unknown page.
+    pub fn units(&self, id: PageId) -> Option<&[Unit]> {
+        Some(match *self.rows.get(&id)? {
+            Some(at) => &self.units[at..at + self.width],
+            None => &[],
+        })
+    }
+
+    /// As [`Table::units`], for updating units in place.
+    pub fn units_mut(&mut self, id: PageId) -> Option<&mut [Unit]> {
+        Some(match *self.rows.get(&id)? {
+            Some(at) => &mut self.units[at..at + self.width],
+            None => &mut [],
+        })
+    }
+
+    /// The staging row.
+    pub fn staged(&mut self) -> &mut [Unit] {
+        &mut self.units[..self.width]
+    }
+
+    /// Records the staged units as the placement of `id`, over whatever
+    /// it had.
+    pub fn commit(&mut self, id: PageId) {
+        let at = match self.rows.get(&id) {
+            Some(&Some(at)) => at,
+            _ => {
+                let at = self.spare.pop().unwrap_or_else(|| {
+                    self.units.resize(self.units.len() + self.width, VACANT);
+                    self.units.len() - self.width
+                });
+                self.rows.insert(id, Some(at));
+                at
+            }
+        };
+        self.units.copy_within(..self.width, at);
+    }
+
+    /// Records `id` as held by the local disk, dropping its units.
+    pub fn set_disk(&mut self, id: PageId) {
+        if let Some(Some(at)) = self.rows.insert(id, None) {
+            self.spare.push(at);
+        }
+    }
+
+    /// Forgets `id`.
+    pub fn remove(&mut self, id: PageId) {
+        if let Some(Some(at)) = self.rows.remove(&id) {
+            self.spare.push(at);
+        }
+    }
+
+    /// Pages `keep` accepts the units of, in id order — so that rebuilds,
+    /// migrations and promotions replay identically from run to run.
+    fn pages_where(&self, keep: impl Fn(&[Unit]) -> bool) -> Vec<PageId> {
+        let mut ids: Vec<PageId> = self.rows.keys().copied().collect();
+        ids.retain(|&id| self.units(id).is_some_and(&keep));
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Pages with at least one unit on `server`.
+    pub fn pages_on(&self, server: ServerId) -> Vec<PageId> {
+        self.pages_where(|units| units.iter().any(|&(s, _)| s == server))
+    }
+
+    /// Pages held by the local disk.
+    pub fn on_disk(&self) -> Vec<PageId> {
+        self.pages_where(<[Unit]>::is_empty)
+    }
+}
+
+/// Runs one budget-bounded step over `queue`, the rebuild work an engine
+/// planned for a crash — the one claim / requeue loop behind every
+/// [`Engine::recovery_step`].
+///
+/// Up to `budget` items are claimed and handed to `rebuild`, which pops
+/// each item off the front once it is done with it (an item that needs no
+/// work any more included). Whatever `rebuild` leaves behind — the item
+/// it failed on and everything after it — goes back to the head of the
+/// queue in order, so the retry after a replan or a transient fault skips
+/// nothing.
+///
+/// # Errors
+///
+/// Whatever `rebuild` returns.
+pub fn rebuild_step<W>(
+    queue: &mut VecDeque<W>,
+    budget: usize,
+    rebuild: impl FnOnce(&mut VecDeque<W>, &mut RecoveryStep) -> Result<()>,
+) -> Result<RecoveryStep> {
+    let mut step = RecoveryStep::default();
+    let mut claimed: VecDeque<W> = queue.drain(..budget.min(queue.len())).collect();
+    let outcome = rebuild(&mut claimed, &mut step);
+    while let Some(work) = claimed.pop_back() {
+        queue.push_front(work);
+    }
+    outcome?;
+    step.remaining = queue.len() as u64;
+    Ok(step)
 }
 
 /// Per-call context handed to engines: the connection pool, the optional
@@ -78,6 +208,16 @@ impl Ctx<'_> {
             m.counter(name).inc();
         }
     }
+
+    /// Counts and traces a finished migration of `moved` pages off
+    /// `server`.
+    pub fn note_migration(&self, moved: u64, server: ServerId, policy: Policy) {
+        if moved > 0 {
+            self.count("engine_migrations_total");
+            self.trace(EventKind::Migration, Some(server), Some(policy), "moved");
+        }
+    }
+
     /// Writes `page` to the local disk under the logical id.
     ///
     /// # Errors
@@ -128,15 +268,60 @@ impl Ctx<'_> {
         self.disk.is_some()
     }
 
-    /// Picks the best server to receive a new page, skipping `exclude`.
-    pub fn pick_server(&self, exclude: &[ServerId]) -> Option<ServerId> {
-        self.pool.view().most_promising(exclude)
+    /// Returns `true` when the view holds `server` to be alive.
+    pub fn alive(&self, server: ServerId) -> bool {
+        self.pool.view().is_alive(server)
     }
 
-    /// Fetches many remote pages in as few round trips as possible:
-    /// requests are grouped by holding server and issued as pipelined
-    /// batch frames, so `n` reads off one server cost roughly one round
-    /// trip instead of `n`. Results come back in request order.
+    /// Returns `true` when `server` is alive and has not asked the client
+    /// to stop sending it new pages.
+    pub fn accepting(&self, server: ServerId) -> bool {
+        (self.pool.view().status(server))
+            .is_some_and(|st| !matches!(st.condition, Condition::Dead | Condition::StopSending))
+    }
+
+    /// The dead-holder check of every demand read that has a degraded
+    /// path to fall back on: a holder the view already knows to be dead
+    /// is reported *before* dialling it, so only the read that discovers
+    /// a crash pays the pool's retry, backoff and redial budget; every
+    /// later one goes straight to the redundancy.
+    ///
+    /// # Errors
+    ///
+    /// [`RmpError::ServerCrashed`] naming the dead holder.
+    pub fn holder_alive(&self, server: ServerId) -> Result<()> {
+        if self.alive(server) {
+            Ok(())
+        } else {
+            Err(RmpError::ServerCrashed(server))
+        }
+    }
+
+    /// Demand-reads a unit that holds a whole page, with one plain keyed
+    /// read (no batch frame, no allocation beyond the page). `redundant`
+    /// says the policy can serve the page some other way, which turns the
+    /// dead-holder check on; without redundancy, dialling a holder held
+    /// to be dead is the only way the page — and the holder, should it be
+    /// back — is ever found again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctx::holder_alive`] and [`ServerPool::page_in`].
+    pub fn read_unit(&mut self, (server, key): Unit, redundant: bool) -> Result<Page> {
+        if redundant {
+            self.holder_alive(server)?;
+        }
+        let page = self.pool.page_in(server, key)?;
+        self.stats.net_fetches += 1;
+        Ok(page)
+    }
+
+    /// Fetches many remote pages in as few round trips as possible: the
+    /// holding servers are visited in request order, and a server named
+    /// by several reads gets them as pipelined batch frames, so `n` reads
+    /// off one server cost roughly one round trip instead of `n`. A
+    /// server named once gets a plain keyed read, the cheaper frame.
+    /// Results come back in request order.
     ///
     /// Callers read from placement maps they own, so every key is
     /// expected to exist; a miss is a protocol-level surprise, not a
@@ -144,27 +329,63 @@ impl Ctx<'_> {
     ///
     /// # Errors
     ///
-    /// As [`ServerPool::page_in_batch`]; [`RmpError::Protocol`] when a
-    /// server no longer holds a requested key.
-    pub fn fetch_batch(&mut self, reads: &[(ServerId, StoreKey)]) -> Result<Vec<Page>> {
-        let mut by_server: std::collections::HashMap<ServerId, Vec<(usize, StoreKey)>> =
-            std::collections::HashMap::new();
-        for (i, &(server, key)) in reads.iter().enumerate() {
-            by_server.entry(server).or_default().push((i, key));
-        }
-        let mut out: Vec<Option<Page>> = Vec::new();
-        out.resize_with(reads.len(), || None);
-        for (server, entries) in by_server {
-            let keys: Vec<StoreKey> = entries.iter().map(|&(_, key)| key).collect();
+    /// As [`ServerPool::page_in`] and [`ServerPool::page_in_batch`];
+    /// [`RmpError::Protocol`] when a server no longer holds a requested
+    /// key.
+    pub fn fetch_batch(&mut self, reads: &[Unit]) -> Result<Vec<Page>> {
+        let missing = |(server, key): Unit| {
+            RmpError::Protocol(format!("server {server} no longer holds key {key}"))
+        };
+        let mut out: Vec<Option<Page>> = vec![None; reads.len()];
+        for (first, &(server, key)) in reads.iter().enumerate() {
+            if out[first].is_some() {
+                // Fetched along with an earlier read of the same server.
+                continue;
+            }
+            if !reads[first + 1..].iter().any(|r| r.0 == server) {
+                out[first] = Some(match self.pool.page_in(server, key) {
+                    Err(RmpError::PageNotFound(_)) => Err(missing(reads[first])),
+                    read => read,
+                }?);
+                continue;
+            }
+            let slots: Vec<usize> = (first..reads.len())
+                .filter(|&i| reads[i].0 == server)
+                .collect();
+            let keys: Vec<StoreKey> = slots.iter().map(|&i| reads[i].1).collect();
             let pages = self.pool.page_in_batch(server, &keys)?;
-            for ((i, key), page) in entries.into_iter().zip(pages) {
-                out[i] = Some(page.ok_or_else(|| {
-                    RmpError::Protocol(format!("server {server} no longer holds key {key}"))
-                })?);
+            for (slot, page) in slots.into_iter().zip(pages) {
+                out[slot] = Some(page.ok_or_else(|| missing(reads[slot]))?);
             }
         }
         self.stats.net_fetches += reads.len() as u64;
-        Ok(out.into_iter().map(|p| p.expect("filled above")).collect())
+        Ok(out
+            .into_iter()
+            .map(|page| page.expect("each read was fetched with its server"))
+            .collect())
+    }
+
+    /// Fetches every listed piece of `group` — the survivors of a
+    /// redundancy group and its parity — in one batched pass, for the
+    /// caller to XOR or decode. A piece whose holder is already known to
+    /// be dead means the group lost more than its redundancy covers.
+    ///
+    /// # Errors
+    ///
+    /// [`RmpError::Unrecoverable`] for a piece on a dead server; otherwise
+    /// as [`Ctx::fetch_batch`] (a holder found dead *during* the fetch
+    /// surfaces as [`RmpError::ServerCrashed`], and the caller replans).
+    pub fn fetch_group(
+        &mut self,
+        pieces: &[Unit],
+        group: &dyn std::fmt::Display,
+    ) -> Result<Vec<Page>> {
+        if let Some(&(dead, _)) = pieces.iter().find(|&&(s, _)| !self.alive(s)) {
+            return Err(RmpError::Unrecoverable(format!(
+                "{group} lost a second piece with {dead}"
+            )));
+        }
+        self.fetch_batch(pieces)
     }
 
     /// Reserves a frame on `server` and ships `page` under `key`,
@@ -191,60 +412,62 @@ impl Ctx<'_> {
         }
     }
 
-    /// Stores a page remotely with full Section 2.1 dynamics: start from
-    /// `preferred` (if given and healthy), fall back through the other
-    /// servers by promise order on allocation denial or crash, and
-    /// finally to the local disk. Returns where the page landed.
+    /// Stores `frame` under a fresh key with the Section 2.1 dynamics:
+    /// start from `preferred` (if given, healthy and accepting), then
+    /// walk the other servers by promise order whenever one denies the
+    /// allocation, crashes or times out. Servers in `exclude` are never
+    /// tried, and every server tried joins it — so consecutive calls
+    /// with one list put their frames on distinct servers. `None` when no
+    /// server takes the frame, or the adaptive switch routes new pages to
+    /// the disk; the caller falls back to it.
     ///
     /// # Errors
     ///
-    /// [`RmpError::ClusterFull`] when no server accepts the page and no
-    /// disk is configured.
-    pub fn store_with_fallback(
+    /// Propagates storage failures other than denial, crash and timeout.
+    pub fn place(
         &mut self,
-        id: PageId,
-        key: StoreKey,
-        page: &Page,
+        frame: &Page,
         preferred: Option<ServerId>,
-        exclude: &[ServerId],
-    ) -> Result<Location> {
-        if !self.prefer_disk {
-            let mut tried: Vec<ServerId> = exclude.to_vec();
-            let mut candidate = preferred
-                .filter(|s| {
-                    !tried.contains(s)
-                        && self.pool.view().is_alive(*s)
-                        && self
-                            .pool
-                            .view()
-                            .status(*s)
-                            .is_some_and(|st| st.condition != Condition::StopSending)
-                })
-                .or_else(|| self.pick_server(&tried));
-            while let Some(server) = candidate {
-                match self.reserve_and_page_out(server, key, page) {
-                    Ok(_hint) => {
-                        self.stats.net_data_transfers += 1;
-                        return Ok(Location::Remote { server, key });
-                    }
-                    Err(
-                        RmpError::NoSpace(_) | RmpError::ServerCrashed(_) | RmpError::Timeout(_),
-                    ) => {
-                        tried.push(server);
-                        candidate = self.pick_server(&tried);
-                    }
-                    Err(e) => return Err(e),
+        exclude: &mut Vec<ServerId>,
+    ) -> Result<Option<Unit>> {
+        if self.prefer_disk {
+            return Ok(None);
+        }
+        let mut candidate = preferred
+            .filter(|s| !exclude.contains(s) && self.accepting(*s))
+            .or_else(|| self.pool.view().most_promising(exclude));
+        while let Some(server) = candidate {
+            let key = self.pool.fresh_key();
+            exclude.push(server);
+            match self.reserve_and_page_out(server, key, frame) {
+                Ok(_hint) => return Ok(Some((server, key))),
+                Err(RmpError::NoSpace(_) | RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => {
+                    candidate = self.pool.view().most_promising(exclude);
                 }
+                Err(e) => return Err(e),
             }
         }
-        // "If no server having enough free memory can be found the
-        // client's local disk will be used to house these pages."
-        if self.has_disk() {
-            self.disk_write(id, page)?;
-            Ok(Location::LocalDisk)
-        } else {
-            Err(RmpError::ClusterFull)
+        Ok(None)
+    }
+
+    /// Best-effort release of stored units: a dead holder is skipped, and
+    /// one that crashes or times out under the call took the unit with
+    /// it; everything else propagates.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage failures other than crash and timeout.
+    pub fn release(&mut self, units: &[Unit]) -> Result<()> {
+        for &(server, key) in units {
+            if !self.alive(server) {
+                continue;
+            }
+            match self.pool.free(server, key) {
+                Ok(()) | Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => {}
+                Err(e) => return Err(e),
+            }
         }
+        Ok(())
     }
 }
 
@@ -306,7 +529,7 @@ pub trait Engine: Send {
     /// Where the engine reads `id` from first (the primary copy), for
     /// routing around a corrupt copy. `None` when the page is unknown or
     /// lives only on the local disk.
-    fn primary_location(&self, _id: PageId) -> Option<(ServerId, StoreKey)> {
+    fn primary_location(&self, _id: PageId) -> Option<Unit> {
         None
     }
 
@@ -328,7 +551,7 @@ pub trait Engine: Send {
     /// the primary copy; engines whose placement unit is smaller than a
     /// page (erasure coding) return `None` — no single key yields the
     /// page, so read-ahead must go through the demand path.
-    fn prefetch_location(&self, id: PageId) -> Option<(ServerId, StoreKey)> {
+    fn prefetch_location(&self, id: PageId) -> Option<Unit> {
         self.primary_location(id)
     }
 
@@ -344,8 +567,8 @@ pub trait Engine: Send {
     /// more than one fault hit the same redundancy group.
     fn plan_recovery(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64>;
 
-    /// Executes planned recovery work, rebuilding at most `page_budget`
-    /// pages, and reports how many items remain.
+    /// Executes planned recovery work, claiming at most `page_budget`
+    /// items, and reports how many remain.
     ///
     /// # Errors
     ///
@@ -359,34 +582,6 @@ pub trait Engine: Send {
         server: ServerId,
         page_budget: usize,
     ) -> Result<RecoveryStep>;
-
-    /// Recovers from the crash of `server` in one synchronous pass,
-    /// reconstructing lost pages onto the surviving servers (or the same
-    /// server after it rejoined, for the fixed-layout basic parity).
-    /// Provided: drains [`Engine::plan_recovery`] /
-    /// [`Engine::recovery_step`] to completion.
-    ///
-    /// # Errors
-    ///
-    /// [`RmpError::Unrecoverable`] when the policy keeps no redundancy or
-    /// more than one fault hit the same redundancy group.
-    fn recover(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<RecoveryReport> {
-        let start = std::time::Instant::now();
-        let mut report = RecoveryReport::new(server);
-        if self.plan_recovery(ctx, server)? > 0 {
-            loop {
-                let step = self.recovery_step(ctx, server, usize::MAX)?;
-                report.pages_rebuilt += step.pages_rebuilt;
-                report.parity_rebuilt += step.parity_rebuilt;
-                report.transfers += step.transfers;
-                if step.remaining == 0 {
-                    break;
-                }
-            }
-        }
-        report.elapsed = start.elapsed();
-        Ok(report)
-    }
 
     /// Moves every page off `server` (which asked us to stop sending) to
     /// other servers or the local disk. Returns pages moved.

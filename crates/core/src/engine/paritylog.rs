@@ -1,13 +1,14 @@
 //! PARITY LOGGING — the paper's novel policy.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
-use rmp_parity::xor::reconstruct;
-use rmp_parity::{GroupTable, ParityBuffer, SealedGroup};
+use rmp_parity::group::ReclaimedGroup;
+use rmp_parity::xor::xor_reduce;
+use rmp_parity::{GroupMember, GroupTable, ParityBuffer, SealedGroup};
 use rmp_types::metrics::EventKind;
-use rmp_types::{GroupId, Page, PageId, Policy, Result, RmpError, ServerId, StoreKey};
+use rmp_types::{GroupId, Page, PageId, Policy, Result, RmpError, ServerId};
 
-use crate::engine::{Ctx, Engine, Location};
+use crate::engine::{rebuild_step, Ctx, Engine, Table, Unit};
 use crate::recovery::RecoveryStep;
 
 /// Active-fraction threshold below which garbage collection compacts a
@@ -19,20 +20,26 @@ const GC_ACTIVE_FRACTION: f64 = 0.5;
 /// servers; every `S` pages the buffer goes to the parity server, costing
 /// `1 + 1/S` transfers per pageout. Old versions stay on their servers
 /// (inside the overflow memory) until their whole group goes inactive.
+///
+/// What is this engine's alone is the log: the client-side buffer, the
+/// group table with its inactive marking, and garbage collection.
+/// Reading a group's pieces, the dead-holder check, the current-version
+/// table and the recovery stepping are the shared [`Ctx`], [`Table`] and
+/// [`rebuild_step`].
 pub struct ParityLogging {
     data_servers: Vec<ServerId>,
     parity_server: ServerId,
     buffer: ParityBuffer,
     groups: GroupTable,
-    /// Current-version location per page (pending and sealed alike).
-    location: HashMap<PageId, Location>,
+    /// Current version of each page (pending and sealed alike): one unit,
+    /// or the local disk.
+    table: Table,
     /// Pages freed while still pending in the buffer; dropped from the
     /// group table right after their group seals.
     freed_pending: HashSet<PageId>,
     cursor: usize,
     gc_in_progress: bool,
-    /// Rebuild work planned by [`Engine::plan_recovery`].
-    rebuild_queue: VecDeque<PlWork>,
+    rebuild: VecDeque<PlWork>,
 }
 
 /// One planned rebuild item of the parity log.
@@ -81,27 +88,21 @@ impl ParityLogging {
             parity_server,
             buffer: ParityBuffer::new(group_size),
             groups: GroupTable::new(),
-            location: HashMap::new(),
+            table: Table::new(1),
             freed_pending: HashSet::new(),
             cursor: 0,
             gc_in_progress: false,
-            rebuild_queue: VecDeque::new(),
+            rebuild: VecDeque::new(),
         })
     }
 
-    /// Live groups currently in the log.
-    pub fn live_groups(&self) -> usize {
-        self.groups.live_groups()
+    /// Whether `m` is still the current version of its page.
+    fn is_current(&self, m: &GroupMember) -> bool {
+        (self.table.units(m.page_id)).is_some_and(|units| units == [(m.server, m.key)])
     }
 
-    /// Fraction of stored versions that are stale (inactive).
-    pub fn fragmentation(&self) -> f64 {
-        self.groups.fragmentation()
-    }
-
-    /// Groups reclaimed so far.
-    pub fn reclaimed_groups(&self) -> u64 {
-        self.groups.reclaimed_groups()
+    fn is_pending(&self, id: PageId) -> bool {
+        self.buffer.members().iter().any(|m| m.page_id == id)
     }
 
     /// The next data server in round-robin order that is alive and
@@ -111,19 +112,8 @@ impl ParityLogging {
         for _ in 0..n {
             let s = self.data_servers[self.cursor % n];
             self.cursor += 1;
-            if exclude.contains(&s) {
-                continue;
-            }
-            if ctx.pool.view().is_alive(s) {
-                use rmp_cluster::Condition;
-                let stopped = ctx
-                    .pool
-                    .view()
-                    .status(s)
-                    .is_some_and(|st| st.condition == Condition::StopSending);
-                if !stopped {
-                    return Some(s);
-                }
+            if !exclude.contains(&s) && ctx.accepting(s) {
+                return Some(s);
             }
         }
         None
@@ -140,36 +130,35 @@ impl ParityLogging {
         let (_gid, reclaimed) = self
             .groups
             .register(sealed.members, self.parity_server, pkey);
-        self.release_reclaimed(ctx, reclaimed)?;
+        Self::release_reclaimed(ctx, reclaimed)?;
         // Pages freed while pending are dropped now that their group is
         // sealed and registered.
         for page in members {
             if self.freed_pending.remove(&page) {
-                let reclaimed = self.groups.drop_page(page).into_iter().collect();
-                self.release_reclaimed(ctx, reclaimed)?;
+                Self::release_reclaimed(ctx, self.groups.drop_page(page))?;
             }
         }
         Ok(())
     }
 
     fn release_reclaimed(
-        &mut self,
         ctx: &mut Ctx<'_>,
-        reclaimed: Vec<rmp_parity::group::ReclaimedGroup>,
+        reclaimed: impl IntoIterator<Item = ReclaimedGroup>,
     ) -> Result<()> {
         for group in reclaimed {
-            for (server, key) in group.member_storage {
-                if ctx.pool.view().is_alive(server) {
-                    ctx.pool.free(server, key)?;
-                }
-            }
-            let (pserver, pkey) = group.parity_storage;
-            if ctx.pool.view().is_alive(pserver) {
-                ctx.pool.free(pserver, pkey)?;
-            }
+            ctx.release(&group.member_storage)?;
+            ctx.release(&[group.parity_storage])?;
             ctx.stats.groups_reclaimed += 1;
         }
         Ok(())
+    }
+
+    /// Seals the partial group, if any.
+    fn seal_pending(&mut self, ctx: &mut Ctx<'_>) -> Result<()> {
+        match self.buffer.flush() {
+            Some(sealed) => self.commit_group(ctx, sealed),
+            None => Ok(()),
+        }
     }
 
     /// Garbage collection: re-log the active pages of fragmented groups so
@@ -193,20 +182,10 @@ impl ParityLogging {
         // the rest with batched frames, one chunk at a time so client
         // memory stays bounded. Re-logging one member never invalidates
         // another's current version, so chunked prefetching is safe.
-        let relog: Vec<_> = plan
-            .relog
-            .into_iter()
-            .filter(|member| {
-                matches!(
-                    self.location.get(&member.page_id),
-                    Some(Location::Remote { server, key }) if *server == member.server && *key == member.key
-                )
-            })
-            .collect();
-        let chunk_size = ctx.pool.batch_max_pages().max(1);
-        for chunk in relog.chunks(chunk_size) {
-            let reads: Vec<(ServerId, StoreKey)> =
-                chunk.iter().map(|m| (m.server, m.key)).collect();
+        let mut relog = plan.relog;
+        relog.retain(|member| self.is_current(member));
+        for chunk in relog.chunks(ctx.pool.batch_max_pages().max(1)) {
+            let reads: Vec<Unit> = chunk.iter().map(|m| (m.server, m.key)).collect();
             let pages = ctx.fetch_batch(&reads)?;
             for (member, page) in chunk.iter().zip(pages) {
                 self.page_out_inner(ctx, member.page_id, &page, &[])?;
@@ -216,9 +195,7 @@ impl ParityLogging {
         if relogged > 0 {
             // Seal the partial group so the re-logged pages supersede
             // their old versions and the victims actually drain.
-            if let Some(sealed) = self.buffer.flush() {
-                self.commit_group(ctx, sealed)?;
-            }
+            self.seal_pending(ctx)?;
             ctx.stats.gc_passes += 1;
             ctx.count("engine_gc_passes_total");
             ctx.trace(EventKind::Gc, None, Some(Policy::ParityLogging), "relogged");
@@ -234,12 +211,7 @@ impl ParityLogging {
         exclude: &[ServerId],
     ) -> Result<()> {
         if ctx.prefer_disk {
-            if ctx.has_disk() {
-                ctx.disk_write(id, page)?;
-                self.set_location(ctx, id, Location::LocalDisk)?;
-                return Ok(());
-            }
-            return Err(RmpError::Unsupported("no local disk configured"));
+            return self.log_to_disk(ctx, id, page);
         }
         let mut tried: Vec<ServerId> = exclude.to_vec();
         // Keep every member of the pending group on a distinct server —
@@ -249,30 +221,10 @@ impl ParityLogging {
         let mut refreshed = false;
         while let Some(server) = self.next_server(ctx, &tried) {
             let key = ctx.pool.fresh_key();
-            let stored = ctx.reserve_and_page_out(server, key, page);
-            match stored {
+            match ctx.reserve_and_page_out(server, key, page) {
                 Ok(_hint) => {
                     ctx.stats.net_data_transfers += 1;
-                    self.set_location(ctx, id, Location::Remote { server, key })?;
-                    if let Some(sealed) = self.buffer.absorb(id, key, server, page) {
-                        self.commit_group(ctx, sealed)?;
-                    } else {
-                        // With fewer live servers than the configured
-                        // group size the buffer could never fill; seal at
-                        // the effective stripe width so the log keeps
-                        // making progress on a degraded cluster.
-                        let live = self
-                            .data_servers
-                            .iter()
-                            .filter(|s| ctx.pool.view().is_alive(**s))
-                            .count();
-                        if live > 0 && self.buffer.pending() >= live.min(self.buffer.group_size()) {
-                            if let Some(sealed) = self.buffer.flush() {
-                                self.commit_group(ctx, sealed)?;
-                            }
-                        }
-                    }
-                    return Ok(());
+                    return self.log_remote(ctx, id, page, (server, key));
                 }
                 Err(RmpError::NoSpace(_)) => {
                     // Try to make room before writing this server off.
@@ -297,28 +249,61 @@ impl ParityLogging {
             }
         }
         if ctx.has_disk() {
-            ctx.disk_write(id, page)?;
-            self.set_location(ctx, id, Location::LocalDisk)?;
-            Ok(())
+            self.log_to_disk(ctx, id, page)
         } else {
             Err(RmpError::ClusterFull)
         }
     }
 
-    /// Updates the location map; a page that moves to disk drops out of
-    /// the parity log (the disk is stable storage and needs no parity).
-    fn set_location(&mut self, ctx: &mut Ctx<'_>, id: PageId, loc: Location) -> Result<()> {
-        let old = self.location.insert(id, loc);
-        if loc == Location::LocalDisk {
-            let reclaimed = self.groups.drop_page(id).into_iter().collect();
-            self.release_reclaimed(ctx, reclaimed)?;
-            if self.buffer.members().iter().any(|m| m.page_id == id) {
-                // A pending version exists; drop it from the group table
-                // right after its group seals.
-                self.freed_pending.insert(id);
-            }
-        } else if old == Some(Location::LocalDisk) {
+    /// Records the version of `id` just stored as `unit` and absorbs it
+    /// into the pending group, sealing the group when it is complete.
+    fn log_remote(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page, unit: Unit) -> Result<()> {
+        let was_on_disk = self.table.units(id).is_some_and(<[Unit]>::is_empty);
+        self.table.staged()[0] = unit;
+        self.table.commit(id);
+        if was_on_disk {
             ctx.disk_free(id)?;
+        }
+        if let Some(sealed) = self.buffer.absorb(id, unit.1, unit.0, page) {
+            return self.commit_group(ctx, sealed);
+        }
+        // With fewer live servers than the configured group size the
+        // buffer could never fill; seal at the effective stripe width so
+        // the log keeps making progress on a degraded cluster.
+        let live = self.data_servers.iter().filter(|s| ctx.alive(**s)).count();
+        if live > 0 && self.buffer.pending() >= live.min(self.buffer.group_size()) {
+            self.seal_pending(ctx)?;
+        }
+        Ok(())
+    }
+
+    /// Writes `id` to the local disk. The page drops out of the parity
+    /// log: the disk is stable storage and needs no parity.
+    fn log_to_disk(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+        ctx.disk_write(id, page)?;
+        self.table.set_disk(id);
+        Self::release_reclaimed(ctx, self.groups.drop_page(id))?;
+        if self.is_pending(id) {
+            // A pending version exists; drop it from the group table
+            // right after its group seals.
+            self.freed_pending.insert(id);
+        }
+        Ok(())
+    }
+
+    /// Re-logs `m`'s page as `page` through a fresh group, keeping it off
+    /// `crashed`, if `m` still is its current version.
+    fn relog(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        m: &GroupMember,
+        page: &Page,
+        crashed: ServerId,
+        step: &mut RecoveryStep,
+    ) -> Result<()> {
+        if self.is_current(m) && !self.freed_pending.contains(&m.page_id) {
+            self.page_out_inner(ctx, m.page_id, page, &[crashed])?;
+            step.transfers += 1;
         }
         Ok(())
     }
@@ -333,64 +318,34 @@ impl ParityLogging {
         crashed: ServerId,
         step: &mut RecoveryStep,
     ) -> Result<()> {
-        let pending: Vec<_> = self.buffer.members().to_vec();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let lost: Vec<_> = pending.iter().filter(|m| m.server == crashed).collect();
+        let pending: Vec<GroupMember> = self.buffer.members().to_vec();
+        let (lost, survivors): (Vec<_>, Vec<_>) =
+            pending.into_iter().partition(|m| m.server == crashed);
         if lost.len() > 1 {
             return Err(RmpError::Unrecoverable(format!(
                 "{} pending pages lost with {crashed} in one unsealed group",
                 lost.len()
             )));
         }
-        // Fetch the surviving pending contents — one pipelined batch per
-        // holding server instead of a round trip per member — and
+        // Fetch the surviving pending contents in one batched pass and
         // reconstruct the lost one (if any) from the buffer's accumulator.
-        let survivors: Vec<rmp_parity::GroupMember> = pending
-            .iter()
-            .filter(|m| m.server != crashed)
-            .copied()
-            .collect();
-        for m in &survivors {
-            if !ctx.pool.view().is_alive(m.server) {
-                return Err(RmpError::Unrecoverable(format!(
-                    "unsealed group lost two members ({crashed} and {})",
-                    m.server
-                )));
-            }
-        }
-        let reads: Vec<(ServerId, StoreKey)> =
-            survivors.iter().map(|m| (m.server, m.key)).collect();
-        let pieces = ctx.fetch_batch(&reads)?;
+        let reads: Vec<Unit> = survivors.iter().map(|m| (m.server, m.key)).collect();
+        let pieces = ctx.fetch_group(&reads, &"the unsealed group")?;
         step.transfers += pieces.len() as u64;
-        let mut contents: Vec<(rmp_parity::GroupMember, Page)> = Vec::new();
         let mut rebuilt = self.buffer.accumulated().clone();
-        for (m, piece) in survivors.into_iter().zip(pieces) {
-            rebuilt.xor_with(&piece);
-            contents.push((m, piece));
-        }
-        if let Some(&&lost) = lost.first() {
-            step.pages_rebuilt += 1;
-            contents.push((lost, rebuilt));
-        }
+        pieces.iter().for_each(|piece| rebuilt.xor_with(piece));
+        step.pages_rebuilt += lost.len() as u64;
         // Re-log the current version of each pending page and release the
         // old copies.
         self.buffer.reset();
+        let contents = survivors
+            .iter()
+            .zip(&pieces)
+            .chain(lost.iter().map(|m| (m, &rebuilt)));
         for (m, page) in contents {
-            let is_current = self.location.get(&m.page_id)
-                == Some(&Location::Remote {
-                    server: m.server,
-                    key: m.key,
-                });
-            if is_current && !self.freed_pending.contains(&m.page_id) {
-                self.page_out_inner(ctx, m.page_id, &page, &[crashed])?;
-                step.transfers += 1;
-            }
+            self.relog(ctx, m, page, crashed, step)?;
             self.freed_pending.remove(&m.page_id);
-            if m.server != crashed && ctx.pool.view().is_alive(m.server) {
-                ctx.pool.free(m.server, m.key)?;
-            }
+            ctx.release(&[(m.server, m.key)])?;
         }
         Ok(())
     }
@@ -416,58 +371,31 @@ impl ParityLogging {
             return Ok(());
         };
         // Fetch the survivors (all slots except the lost one) plus the
-        // parity page in one batched pass.
-        let mut slots: Vec<usize> = Vec::new();
-        let mut reads: Vec<(ServerId, StoreKey)> = Vec::new();
-        for (slot, m) in state.members.iter().enumerate() {
-            if slot == lost_slot {
-                continue;
-            }
-            if !ctx.pool.view().is_alive(m.server) {
-                return Err(RmpError::Unrecoverable(format!(
-                    "group {gid:?} lost two members ({crashed} and {})",
-                    m.server
-                )));
-            }
-            slots.push(slot);
-            reads.push((m.server, m.key));
-        }
-        if !ctx.pool.view().is_alive(state.parity_server) {
-            return Err(RmpError::Unrecoverable(format!(
-                "group {gid:?} lost a member and its parity ({crashed} and {})",
-                state.parity_server
-            )));
-        }
+        // parity page in one batched pass; their XOR is the lost member.
+        let others = state
+            .members
+            .iter()
+            .enumerate()
+            .filter(|(slot, _)| *slot != lost_slot);
+        let mut reads: Vec<Unit> = others.map(|(_, m)| (m.server, m.key)).collect();
         reads.push((state.parity_server, state.parity_key));
-        let mut fetched = ctx.fetch_batch(&reads)?;
+        let fetched = ctx.fetch_group(&reads, &format_args!("group {gid:?}"))?;
         step.transfers += fetched.len() as u64;
-        let parity = fetched.pop().expect("parity pushed last");
-        let mut contents: Vec<Option<Page>> = vec![None; state.members.len()];
-        for (slot, piece) in slots.into_iter().zip(fetched) {
-            contents[slot] = Some(piece);
-        }
-        let rebuilt = reconstruct(&parity, contents.iter().flatten());
-        contents[lost_slot] = Some(rebuilt);
+        let rebuilt = xor_reduce(&fetched);
         step.pages_rebuilt += 1;
         // Restore full redundancy by re-logging the *current* version of
         // every active member through fresh parity groups; the damaged
         // group drains to fully-inactive and is reclaimed (freeing the
         // survivors' old copies and the parity page).
+        let mut survivors = fetched.iter();
         for (slot, m) in state.members.iter().enumerate() {
-            if !m.active {
-                continue;
+            let page = match slot == lost_slot {
+                true => &rebuilt,
+                false => survivors.next().expect("one piece per survivor"),
+            };
+            if m.active {
+                self.relog(ctx, m, page, crashed, step)?;
             }
-            let is_current = self.location.get(&m.page_id)
-                == Some(&Location::Remote {
-                    server: m.server,
-                    key: m.key,
-                });
-            if !is_current {
-                continue;
-            }
-            let page = contents[slot].as_ref().expect("fetched or rebuilt");
-            self.page_out_inner(ctx, m.page_id, page, &[crashed])?;
-            step.transfers += 1;
         }
         Ok(())
     }
@@ -480,205 +408,124 @@ impl ParityLogging {
         gid: GroupId,
         step: &mut RecoveryStep,
     ) -> Result<()> {
-        let Some(state) = self.groups.group(gid).cloned() else {
+        let Some(state) = self.groups.group(gid) else {
             return Ok(());
         };
-        if ctx.pool.view().is_alive(state.parity_server) {
+        if ctx.alive(state.parity_server) {
             // Already relocated (a replanned step ran this item before).
             return Ok(());
         }
-        let replacement = self.parity_server;
-        for m in &state.members {
-            if !ctx.pool.view().is_alive(m.server) {
-                return Err(RmpError::Unrecoverable(format!(
-                    "group {gid:?} lost its parity and a member ({})",
-                    m.server
-                )));
-            }
-        }
         // All members in one batched fetch, then XOR client-side.
-        let reads: Vec<(ServerId, StoreKey)> =
-            state.members.iter().map(|m| (m.server, m.key)).collect();
-        let pieces = ctx.fetch_batch(&reads)?;
-        step.transfers += pieces.len() as u64;
-        let mut acc = Page::zeroed();
-        for piece in &pieces {
-            acc.xor_with(piece);
-        }
+        let reads: Vec<Unit> = state.members.iter().map(|m| (m.server, m.key)).collect();
+        let parity = xor_reduce(&ctx.fetch_group(&reads, &format_args!("group {gid:?}"))?);
         let pkey = ctx.pool.fresh_key();
-        ctx.reserve_and_page_out(replacement, pkey, &acc)?;
+        ctx.reserve_and_page_out(self.parity_server, pkey, &parity)?;
         ctx.stats.net_parity_transfers += 1;
-        step.transfers += 1;
+        step.transfers += reads.len() as u64 + 1;
         step.parity_rebuilt += 1;
-        self.groups.relocate_parity(gid, replacement, pkey)?;
-        Ok(())
+        self.groups.relocate_parity(gid, self.parity_server, pkey)
     }
 }
 
 impl Engine for ParityLogging {
     fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
-        ctx.stats.pageouts += 1;
         self.freed_pending.remove(&id);
         self.page_out_inner(ctx, id, page, &[])
     }
 
     fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
-        ctx.stats.pageins += 1;
-        match self.location.get(&id).copied() {
-            Some(Location::Remote { server, key }) => {
-                let page = ctx.pool.page_in(server, key)?;
-                ctx.stats.net_fetches += 1;
-                Ok(page)
-            }
-            Some(Location::LocalDisk) => ctx.disk_read(id),
+        match self.table.units(id) {
+            Some(&[unit]) => ctx.read_unit(unit, true),
+            Some(_) => ctx.disk_read(id),
             None => Err(RmpError::PageNotFound(id)),
         }
     }
 
     fn free(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<()> {
-        match self.location.remove(&id) {
-            None => Ok(()),
-            Some(Location::LocalDisk) => ctx.disk_free(id),
-            Some(Location::Remote { .. }) => {
-                if self.buffer.members().iter().any(|m| m.page_id == id) {
-                    // Still pending: its storage must survive until the
-                    // group seals (other pending pages recover through it).
-                    self.freed_pending.insert(id);
-                    Ok(())
-                } else {
-                    let reclaimed = self.groups.drop_page(id).into_iter().collect();
-                    self.release_reclaimed(ctx, reclaimed)
-                }
-            }
+        let Some(units) = self.table.units(id) else {
+            return Ok(());
+        };
+        let on_disk = units.is_empty();
+        self.table.remove(id);
+        if on_disk {
+            ctx.disk_free(id)
+        } else if self.is_pending(id) {
+            // Still pending: its storage must survive until the group
+            // seals (other pending pages recover through it).
+            self.freed_pending.insert(id);
+            Ok(())
+        } else {
+            Self::release_reclaimed(ctx, self.groups.drop_page(id))
         }
     }
 
     fn contains(&self, id: PageId) -> bool {
-        self.location.contains_key(&id)
+        self.table.units(id).is_some()
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_>) -> Result<()> {
-        if let Some(sealed) = self.buffer.flush() {
-            self.commit_group(ctx, sealed)?;
-        }
-        Ok(())
+        self.seal_pending(ctx)
     }
 
     fn degraded_read(&mut self, ctx: &mut Ctx<'_>, id: PageId, dead: ServerId) -> Result<Page> {
-        let loc = self
-            .location
-            .get(&id)
-            .copied()
-            .ok_or(RmpError::PageNotFound(id))?;
-        let (server, key) = match loc {
-            Location::LocalDisk => return ctx.disk_read(id),
-            Location::Remote { server, key } => (server, key),
+        let unit = match self.table.units(id) {
+            Some(&[unit]) => unit,
+            Some(_) => return ctx.disk_read(id),
+            None => return Err(RmpError::PageNotFound(id)),
         };
-        if server != dead && ctx.pool.view().is_alive(server) {
+        if unit.0 != dead && ctx.alive(unit.0) {
             // The page's own server survived the crash; read it directly.
-            let page = ctx.pool.page_in(server, key)?;
-            ctx.stats.net_fetches += 1;
-            return Ok(page);
+            return ctx.read_unit(unit, true);
         }
-        // Pending (unsealed) pages reconstruct from the client-side
-        // accumulator XOR the other pending members, fetched as one
-        // batched pass.
-        if self.buffer.members().iter().any(|m| m.page_id == id) {
-            let others: Vec<_> = self
-                .buffer
-                .members()
+        // A pending (unsealed) page is the client-side accumulator XOR
+        // the other pending members; a sealed page solves its group's XOR
+        // equation from the other members and the parity page. Either
+        // way the pieces come in one batched fetch, nothing else.
+        let (mut page, reads) = if self.is_pending(id) {
+            let others = self.buffer.members().iter().filter(|m| m.page_id != id);
+            let reads: Vec<Unit> = others.map(|m| (m.server, m.key)).collect();
+            (self.buffer.accumulated().clone(), reads)
+        } else {
+            let loc = (self.groups.location_of(id)).ok_or(RmpError::PageNotFound(id))?;
+            let state = (self.groups.group(loc.group)).ok_or(RmpError::PageNotFound(id))?;
+            let others = state
+                .members
                 .iter()
-                .filter(|m| m.page_id != id)
-                .copied()
-                .collect();
-            for m in &others {
-                if !ctx.pool.view().is_alive(m.server) {
-                    return Err(RmpError::Unrecoverable(format!(
-                        "unsealed group of {id} lost two members"
-                    )));
-                }
-            }
-            let reads: Vec<(ServerId, StoreKey)> =
-                others.iter().map(|m| (m.server, m.key)).collect();
-            let mut rebuilt = self.buffer.accumulated().clone();
-            for piece in ctx.fetch_batch(&reads)? {
-                rebuilt.xor_with(&piece);
-            }
-            return Ok(rebuilt);
-        }
-        // Sealed pages solve their group's XOR equation — fetch the other
-        // members and the parity page, nothing else.
-        let loc = self
-            .groups
-            .location_of(id)
-            .ok_or(RmpError::PageNotFound(id))?;
-        let state = self
-            .groups
-            .group(loc.group)
-            .cloned()
-            .ok_or(RmpError::PageNotFound(id))?;
-        let mut reads: Vec<(ServerId, StoreKey)> = Vec::with_capacity(state.members.len());
-        for (slot, m) in state.members.iter().enumerate() {
-            if slot == loc.slot {
-                continue;
-            }
-            if !ctx.pool.view().is_alive(m.server) {
-                return Err(RmpError::Unrecoverable(format!(
-                    "group of {id} lost two members ({dead} and {})",
-                    m.server
-                )));
-            }
-            reads.push((m.server, m.key));
-        }
-        if !ctx.pool.view().is_alive(state.parity_server) {
-            return Err(RmpError::Unrecoverable(format!(
-                "group of {id} lost a member and its parity"
-            )));
-        }
-        reads.push((state.parity_server, state.parity_key));
-        // The whole XOR equation — survivors plus parity — in one
-        // batched fetch: S round trips collapse to roughly one.
-        let mut fetched = ctx.fetch_batch(&reads)?;
-        let parity = fetched.pop().expect("parity pushed last");
-        Ok(reconstruct(&parity, fetched.iter()))
+                .enumerate()
+                .filter(|(slot, _)| *slot != loc.slot);
+            let mut reads: Vec<Unit> = others.map(|(_, m)| (m.server, m.key)).collect();
+            reads.push((state.parity_server, state.parity_key));
+            (Page::zeroed(), reads)
+        };
+        let pieces = ctx.fetch_group(&reads, &format_args!("the group of {id}"))?;
+        pieces.iter().for_each(|piece| page.xor_with(piece));
+        Ok(page)
     }
 
-    fn primary_location(&self, id: PageId) -> Option<(ServerId, StoreKey)> {
-        match self.location.get(&id)? {
-            Location::Remote { server, key } => Some((*server, *key)),
-            Location::LocalDisk => None,
-        }
+    fn primary_location(&self, id: PageId) -> Option<Unit> {
+        self.table.units(id)?.first().copied()
     }
 
     fn plan_recovery(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {
-        self.rebuild_queue.clear();
         // Pending pages first — the unsealed group's parity lives in the
         // client's buffer.
-        if !self.buffer.members().is_empty() {
-            self.rebuild_queue.push_back(PlWork::Pending);
-        }
+        let pending = (!self.buffer.members().is_empty()).then_some(PlWork::Pending);
         let (recoveries, rebuilds) = self.groups.recovery_plan(server)?;
-        for plan in recoveries {
-            self.rebuild_queue.push_back(PlWork::Group(plan.group));
-        }
         if !rebuilds.is_empty() {
             // The parity server died: pick a replacement now so re-logged
             // groups seal onto a live server; each group's parity page is
             // recomputed step by step.
-            let replacement = ctx
-                .pool
-                .view()
+            let view = ctx.pool.view();
+            self.parity_server = view
                 .most_promising(&[server])
                 .filter(|s| !self.data_servers.contains(s))
-                .or_else(|| ctx.pool.view().most_promising(&[server]))
+                .or_else(|| view.most_promising(&[server]))
                 .ok_or_else(|| RmpError::Unrecoverable("no live server to host parity".into()))?;
-            self.parity_server = replacement;
-            for plan in rebuilds {
-                self.rebuild_queue
-                    .push_back(PlWork::ParityGroup(plan.group));
-            }
         }
-        Ok(self.rebuild_queue.len() as u64)
+        let groups = recoveries.iter().map(|plan| PlWork::Group(plan.group));
+        let parities = rebuilds.iter().map(|plan| PlWork::ParityGroup(plan.group));
+        self.rebuild = pending.into_iter().chain(groups).chain(parities).collect();
+        Ok(self.rebuild.len() as u64)
     }
 
     fn recovery_step(
@@ -687,55 +534,45 @@ impl Engine for ParityLogging {
         server: ServerId,
         page_budget: usize,
     ) -> Result<RecoveryStep> {
-        let mut step = RecoveryStep::default();
-        while ((step.pages_rebuilt + step.parity_rebuilt) as usize) < page_budget {
-            let Some(work) = self.rebuild_queue.pop_front() else {
-                break;
-            };
-            let outcome = match work {
-                PlWork::Pending => self.recover_pending(ctx, server, &mut step),
-                PlWork::Group(gid) => self.recover_group(ctx, server, gid, &mut step),
-                PlWork::ParityGroup(gid) => self.rebuild_parity(ctx, gid, &mut step),
-            };
-            if let Err(e) = outcome {
-                self.rebuild_queue.push_front(work);
-                return Err(e);
+        let mut rebuild = std::mem::take(&mut self.rebuild);
+        let step = rebuild_step(&mut rebuild, page_budget, |claimed, step| {
+            while let Some(&work) = claimed.front() {
+                match work {
+                    PlWork::Pending => self.recover_pending(ctx, server, step),
+                    PlWork::Group(gid) => self.recover_group(ctx, server, gid, step),
+                    PlWork::ParityGroup(gid) => self.rebuild_parity(ctx, gid, step),
+                }?;
+                claimed.pop_front();
             }
-        }
-        if self.rebuild_queue.is_empty() {
+            Ok(())
+        });
+        self.rebuild = rebuild;
+        if self.rebuild.is_empty() && step.is_ok() {
             // Seal whatever the re-logging left pending so the damaged
             // groups drain out of the table before the next fault.
-            self.flush(ctx)?;
+            self.seal_pending(ctx)?;
         }
-        step.remaining = self.rebuild_queue.len() as u64;
-        Ok(step)
+        step
     }
 
     fn migrate_from(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {
         // Re-log every current page living on `server`; old versions drain
-        // as their groups go inactive.
-        let pages: Vec<PageId> = self
-            .location
-            .iter()
-            .filter_map(|(&id, loc)| match loc {
-                Location::Remote { server: s, .. } if *s == server => Some(id),
-                _ => None,
-            })
-            .collect();
+        // as their groups go inactive. Chunked batch fetches off the
+        // loaded server: one pipelined frame per chunk instead of a round
+        // trip per page.
         let mut moved = 0;
-        // Chunked batch fetches off the loaded server: one pipelined
-        // frame per chunk instead of a round trip per page.
-        let chunk_size = ctx.pool.batch_max_pages().max(1);
-        for chunk in pages.chunks(chunk_size) {
-            let work: Vec<(PageId, StoreKey)> = chunk
+        let pages = self.table.pages_on(server);
+        for chunk in pages.chunks(ctx.pool.batch_max_pages().max(1)) {
+            // Skip pages an earlier re-log (or the GC it triggered)
+            // already moved.
+            let work: Vec<(PageId, Unit)> = chunk
                 .iter()
-                .filter_map(|&id| match self.location.get(&id).copied() {
-                    Some(Location::Remote { server: s, key }) if s == server => Some((id, key)),
+                .filter_map(|&id| match self.table.units(id)? {
+                    &[unit] if unit.0 == server => Some((id, unit)),
                     _ => None,
                 })
                 .collect();
-            let reads: Vec<(ServerId, StoreKey)> =
-                work.iter().map(|&(_, key)| (server, key)).collect();
+            let reads: Vec<Unit> = work.iter().map(|&(_, unit)| unit).collect();
             let fetched = ctx.fetch_batch(&reads)?;
             for ((id, _), page) in work.into_iter().zip(fetched) {
                 self.page_out_inner(ctx, id, &page, &[server])?;
@@ -745,33 +582,21 @@ impl Engine for ParityLogging {
         }
         // Seal so the re-logged versions supersede the old ones.
         if moved > 0 {
-            self.flush(ctx)?;
-            ctx.count("engine_migrations_total");
-            ctx.trace(
-                EventKind::Migration,
-                Some(server),
-                Some(Policy::ParityLogging),
-                "relogged",
-            );
+            self.seal_pending(ctx)?;
         }
+        ctx.note_migration(moved, server, Policy::ParityLogging);
         Ok(moved)
     }
 
     fn rebalance(&mut self, ctx: &mut Ctx<'_>) -> Result<u64> {
-        let disk_pages: Vec<PageId> = self
-            .location
-            .iter()
-            .filter(|(_, loc)| matches!(loc, Location::LocalDisk))
-            .map(|(&id, _)| id)
-            .collect();
         let mut promoted = 0;
-        for id in disk_pages {
+        for id in self.table.on_disk() {
             if ctx.pool.view().server_with_capacity(1, &[]).is_none() {
                 break;
             }
             let page = ctx.disk_read(id)?;
             self.page_out_inner(ctx, id, &page, &[])?;
-            if matches!(self.location.get(&id), Some(Location::Remote { .. })) {
+            if self.table.units(id).is_some_and(|units| !units.is_empty()) {
                 promoted += 1;
             }
         }

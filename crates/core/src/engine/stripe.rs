@@ -1,0 +1,509 @@
+//! The stripe engine: every per-page placement policy as one `(k, r)`
+//! geometry.
+//!
+//! A page is cut into `k` data units of `PAGE_SIZE / k` bytes, `r`
+//! redundancy units are derived from them, and the `k + r` units go to
+//! `k + r` *distinct* servers, so no single crash takes more than one
+//! unit of any page and any `k` survivors rebuild it:
+//!
+//! | policy         | (k, r) | unit             | redundancy                |
+//! |----------------|--------|------------------|---------------------------|
+//! | NoReliability  | (1, 0) | the page         | none                      |
+//! | Mirroring      | (1, 1) | the page         | a second copy             |
+//! | WriteThrough   | (1, 0) | the page         | the local disk (its *leg*) |
+//! | ErasureCoded   | (k, r) | `PAGE_SIZE / k`  | `r` Reed–Solomon units    |
+//!
+//! Units travel and rest inside ordinary page frames (the wire and the
+//! servers know nothing about sub-page objects); a unit's payload
+//! occupies its frame's prefix. When the cluster cannot hold a full
+//! placement the whole page goes to the local disk instead.
+//!
+//! Two things follow from `k` alone. With `k == 1` every unit *is* the
+//! page: a rewrite overwrites each copy in its own frame (a stale copy is
+//! still a whole page), reads and prefetches are plain keyed reads, and
+//! new pages take the round-robin cursor so they spread over the cluster
+//! instead of piling onto the one most promising server. With `k > 1` a
+//! half-overwritten stripe would decode to garbage, so a rewrite places a
+//! fresh stripe and only then releases the old one; a stripe already
+//! spans `k + r` servers and follows promise order alone.
+
+use rmp_parity::rs::{join_splits, split_page, RsCode};
+use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, PAGE_SIZE};
+
+use std::collections::VecDeque;
+
+use crate::engine::{rebuild_step, Ctx, Engine, Table, Unit, VACANT};
+use crate::recovery::RecoveryStep;
+
+/// The frame of each unit of one page: the page itself where units are
+/// whole pages (or one frame is all that moves), else the `k + r` encoded
+/// frames.
+struct Frames<'a>(&'a Page, Vec<Page>);
+
+impl Frames<'_> {
+    fn get(&self, unit: usize) -> &Page {
+        self.1.get(unit).unwrap_or(self.0)
+    }
+}
+
+/// Names the units of a row that are not placed yet.
+fn vacant(_: &Ctx<'_>, server: ServerId) -> bool {
+    server == VACANT.0
+}
+
+/// Pads a unit payload out to a page frame.
+fn frame_of(payload: &[u8]) -> Page {
+    let mut frame = Page::zeroed();
+    frame.as_mut()[..payload.len()].copy_from_slice(payload);
+    frame
+}
+
+/// The stripe engine. See the module docs for the geometry table.
+#[derive(Debug)]
+pub struct Stripe {
+    policy: Policy,
+    k: usize,
+    r: usize,
+    /// The codec over the `k + r` units; `None` when `k == 1`, where
+    /// every unit is a copy of the page.
+    code: Option<RsCode>,
+    /// Write-through: every page is also on the local disk, which then is
+    /// the redundancy — remote units are a read cache.
+    disk_leg: bool,
+    table: Table,
+    cursor: usize,
+    /// Pages awaiting the rebuild of their lost units after a crash.
+    rebuild: VecDeque<PageId>,
+}
+
+impl Stripe {
+    /// Creates the engine of `policy` for `k` data and `r` redundancy
+    /// units per page.
+    ///
+    /// # Errors
+    ///
+    /// [`RmpError::Config`] for a `k` that does not divide the page size
+    /// or a geometry the codec rejects.
+    pub fn new(policy: Policy, k: usize, r: usize) -> Result<Self> {
+        if k == 0 || !PAGE_SIZE.is_multiple_of(k) {
+            return Err(RmpError::Config(format!(
+                "{k} data units per page must divide the page size ({PAGE_SIZE})"
+            )));
+        }
+        let code = match k {
+            1 => None,
+            _ => Some(RsCode::new(k, r).map_err(|e| RmpError::Config(e.to_string()))?),
+        };
+        Ok(Stripe {
+            policy,
+            k,
+            r,
+            code,
+            disk_leg: policy == Policy::WriteThrough,
+            table: Table::new(k + r),
+            cursor: 0,
+            rebuild: VecDeque::new(),
+        })
+    }
+
+    /// Cuts and encodes `page` into its `k + r` unit frames; none when
+    /// every unit is the page itself.
+    fn encode(&self, ctx: &Ctx<'_>, page: &Page) -> Result<Vec<Page>> {
+        let Some(code) = &self.code else {
+            return Ok(Vec::new());
+        };
+        let data = split_page(page, self.k);
+        let parity = code
+            .encode(&data)
+            .map_err(|e| RmpError::Unrecoverable(e.to_string()))?;
+        ctx.count("engine_ec_encodes_total");
+        Ok(data.iter().chain(&parity).map(|u| frame_of(u)).collect())
+    }
+
+    /// Re-homes every unit of a row whose holder `lost` names, each onto
+    /// a server that holds none of the row's other units (nor is
+    /// `avoid`), and counts the transfers. The row is `id`'s, or the
+    /// staging row. Returns the units placed and whether a parity unit
+    /// was among them, or `None` as soon as a unit finds no taker — units
+    /// placed until then stay recorded.
+    fn place_lost(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: Option<PageId>,
+        frames: &Frames<'_>,
+        lost: &dyn Fn(&Ctx<'_>, ServerId) -> bool,
+        avoid: Option<ServerId>,
+        spread: bool,
+    ) -> Result<Option<(u64, bool)>> {
+        let units = match id {
+            Some(id) => self.table.units_mut(id).expect("caller holds the row"),
+            None => self.table.staged(),
+        };
+        let mut exclude: Vec<ServerId> = avoid
+            .into_iter()
+            .chain(units.iter().map(|u| u.0).filter(|&s| !lost(ctx, s)))
+            .collect();
+        let live = if spread {
+            ctx.pool.view().live_servers()
+        } else {
+            Vec::new()
+        };
+        let (mut placed, mut parity) = (0, false);
+        for (i, unit) in units.iter_mut().enumerate() {
+            if !lost(ctx, unit.0) {
+                continue;
+            }
+            let preferred = (!live.is_empty()).then(|| {
+                self.cursor += 1;
+                live[(self.cursor - 1) % live.len()]
+            });
+            let Some(taker) = ctx.place(frames.get(i), preferred, &mut exclude)? else {
+                return Ok(None);
+            };
+            *unit = taker;
+            placed += 1;
+            // Copies of the page are data; only a coded stripe has parity.
+            if self.k > 1 && i >= self.k {
+                ctx.stats.net_parity_transfers += 1;
+                parity = true;
+            } else {
+                ctx.stats.net_data_transfers += 1;
+            }
+        }
+        Ok(Some((placed, parity)))
+    }
+
+    /// Assembles a full placement of `frames` in the staging row.
+    /// `false` when the cluster cannot hold one; a partial placement is
+    /// released either way.
+    fn place_fresh(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        frames: &Frames<'_>,
+        spread: bool,
+    ) -> Result<bool> {
+        self.table.staged().fill(VACANT);
+        match self.place_lost(ctx, None, frames, &vacant, None, spread) {
+            Ok(Some(_)) => Ok(true),
+            outcome => {
+                ctx.release(self.table.staged())?;
+                outcome.map(|_| false)
+            }
+        }
+    }
+
+    /// Moves the whole page to the local disk, releasing the units it
+    /// still has — the fallback of every geometry when the cluster
+    /// cannot hold a full placement. (Write-through pages are on the
+    /// disk already; their fallback rewrites the same bytes, which is
+    /// rare and idempotent.)
+    fn park(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+        if !ctx.has_disk() {
+            return Err(RmpError::ClusterFull);
+        }
+        ctx.disk_write(id, page)?;
+        if let Some(units) = self.table.units(id) {
+            ctx.release(units)?;
+        }
+        self.table.set_disk(id);
+        Ok(())
+    }
+
+    /// Rewrites a page of whole-page units, each copy in its own frame; a
+    /// copy whose holder is gone or refuses is re-homed.
+    fn overwrite(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+        let units = self.table.units_mut(id).expect("caller checked");
+        let mut vacated = false;
+        for unit in units {
+            if ctx.alive(unit.0) {
+                match ctx.pool.page_out(unit.0, unit.1, page) {
+                    Ok(_) => {
+                        ctx.stats.net_data_transfers += 1;
+                        continue;
+                    }
+                    Err(
+                        RmpError::ServerCrashed(_) | RmpError::Timeout(_) | RmpError::NoSpace(_),
+                    ) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            *unit = VACANT;
+            vacated = true;
+        }
+        if !vacated {
+            return Ok(());
+        }
+        match self.place_lost(
+            ctx,
+            Some(id),
+            &Frames(page, Vec::new()),
+            &vacant,
+            None,
+            true,
+        )? {
+            Some(_) => Ok(()),
+            None => self.park(ctx, id, page),
+        }
+    }
+
+    /// Rebuilds page `id` from any `k` of its units, never reading
+    /// `avoid` or a dead server. Returns the page and, for a coded
+    /// stripe, all `k + r` unit payloads for callers that re-place lost
+    /// units afterwards.
+    fn reconstruct(
+        &self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        avoid: ServerId,
+    ) -> Result<(Page, Vec<Vec<u8>>)> {
+        let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
+        if self.disk_leg || units.is_empty() {
+            return Ok((ctx.disk_read(id)?, Vec::new()));
+        }
+        // Data units first keeps the common case decode-free.
+        let chosen: Vec<usize> = (0..units.len())
+            .filter(|&i| units[i].0 != avoid && ctx.alive(units[i].0))
+            .take(self.k)
+            .collect();
+        if chosen.len() < self.k {
+            return Err(RmpError::Unrecoverable(format!(
+                "{id}: only {} of the {} units needed to rebuild it remain",
+                chosen.len(),
+                self.k
+            )));
+        }
+        let reads: Vec<Unit> = chosen.iter().map(|&i| units[i]).collect();
+        let mut fetched = ctx.fetch_batch(&reads)?;
+        let Some(code) = &self.code else {
+            return Ok((fetched.remove(0), Vec::new()));
+        };
+        let len = PAGE_SIZE / self.k;
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; units.len()];
+        for (&i, frame) in chosen.iter().zip(&fetched) {
+            shards[i] = Some(frame.as_ref()[..len].to_vec());
+        }
+        if shards[..self.k].iter().any(Option::is_none) {
+            ctx.count("engine_ec_reconstructs_total");
+        }
+        code.reconstruct(&mut shards)
+            .map_err(|e| RmpError::Unrecoverable(format!("{id}: erasure decode failed: {e}")))?;
+        let shards: Vec<Vec<u8>> = shards
+            .into_iter()
+            .map(|s| s.expect("reconstruct fills every slot"))
+            .collect();
+        Ok((join_splits(&shards[..self.k]), shards))
+    }
+
+    /// Rebuilds the units of `id` lost with `crashed` — or with *any*
+    /// dead server, so a second crash leaves no half-healed page behind.
+    /// `crashed` may have rejoined (alive but empty) by now: its units
+    /// are gone either way.
+    fn rebuild_page(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        crashed: ServerId,
+        step: &mut RecoveryStep,
+    ) -> Result<()> {
+        let lost = move |ctx: &Ctx<'_>, s: ServerId| s == crashed || !ctx.alive(s);
+        // Overwritten, parked or freed since planning: nothing to do.
+        let units = self.table.units(id).unwrap_or_default();
+        if !units.iter().any(|u| lost(ctx, u.0)) {
+            return Ok(());
+        }
+        let (page, shards) = self.reconstruct(ctx, id, crashed)?;
+        if !self.disk_leg {
+            step.transfers += self.k as u64;
+        }
+        let frames = Frames(&page, shards.iter().map(|s| frame_of(s)).collect());
+        match self.place_lost(ctx, Some(id), &frames, &lost, Some(crashed), false)? {
+            Some((placed, parity)) => {
+                step.transfers += placed;
+                step.parity_rebuilt += u64::from(parity);
+            }
+            // No server can take a unit without doubling up.
+            None => self.park(ctx, id, &page)?,
+        }
+        step.pages_rebuilt += 1;
+        Ok(())
+    }
+}
+
+impl Engine for Stripe {
+    fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+        if self.disk_leg {
+            // The disk copy is unconditional — that is the "write through".
+            ctx.disk_write(id, page)?;
+        }
+        let held = self.table.units(id);
+        if self.k == 1 && !ctx.prefer_disk && held.is_some_and(|units| !units.is_empty()) {
+            return self.overwrite(ctx, id, page);
+        }
+        let frames = Frames(page, self.encode(ctx, page)?);
+        if !self.place_fresh(ctx, &frames, self.k == 1)? {
+            return self.park(ctx, id, page);
+        }
+        match self.table.units(id) {
+            Some([]) if !self.disk_leg => ctx.disk_free(id)?,
+            Some(old) => ctx.release(old)?,
+            None => {}
+        }
+        self.table.commit(id);
+        Ok(())
+    }
+
+    fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
+        let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
+        if units.is_empty() {
+            return ctx.disk_read(id);
+        }
+        if self.k > 1 {
+            let data = &units[..self.k];
+            data.iter().try_for_each(|u| ctx.holder_alive(u.0))?;
+            let len = PAGE_SIZE / self.k;
+            let mut page = Page::zeroed();
+            for (i, frame) in ctx.fetch_batch(data)?.iter().enumerate() {
+                page.as_mut()[i * len..(i + 1) * len].copy_from_slice(&frame.as_ref()[..len]);
+            }
+            return Ok(page);
+        }
+        match ctx.read_unit(units[0], self.r > 0 || self.disk_leg) {
+            // Write-through: a holder that restarted empty is a plain
+            // cache miss; drop the stale unit, the disk has the page.
+            Err(RmpError::PageNotFound(_)) if self.disk_leg => {
+                self.table.set_disk(id);
+                ctx.disk_read(id)
+            }
+            read => read,
+        }
+    }
+
+    fn free(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<()> {
+        let Some(units) = self.table.units(id) else {
+            return Ok(());
+        };
+        if units.is_empty() || self.disk_leg {
+            ctx.disk_free(id)?;
+        }
+        ctx.release(units)?;
+        self.table.remove(id);
+        Ok(())
+    }
+
+    fn contains(&self, id: PageId) -> bool {
+        self.table.units(id).is_some()
+    }
+
+    fn degraded_read(&mut self, ctx: &mut Ctx<'_>, id: PageId, dead: ServerId) -> Result<Page> {
+        if self.r == 0 && !self.disk_leg {
+            return Err(RmpError::Unsupported("policy keeps no redundancy"));
+        }
+        Ok(self.reconstruct(ctx, id, dead)?.0)
+    }
+
+    fn primary_location(&self, id: PageId) -> Option<Unit> {
+        self.table.units(id)?.first().copied()
+    }
+
+    fn fault_domains(&self, id: PageId) -> Vec<ServerId> {
+        // A demand read joins only the data units, so when the joined
+        // page fails the writer's checksum the bad bytes sit under one
+        // of their holders.
+        let units = self.table.units(id).unwrap_or_default();
+        units.iter().take(self.k).map(|u| u.0).collect()
+    }
+
+    fn prefetch_location(&self, id: PageId) -> Option<Unit> {
+        // A keyed read of a sub-page unit returns one split frame, which
+        // must never enter the whole-page prefetch cache.
+        self.primary_location(id).filter(|_| self.k == 1)
+    }
+
+    fn plan_recovery(&mut self, _ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {
+        let lost = self.table.pages_on(server);
+        if self.r == 0 && !self.disk_leg && !lost.is_empty() {
+            // Purge the lost placements so later pageins fail cleanly.
+            lost.iter().for_each(|&id| self.table.remove(id));
+            return Err(RmpError::Unrecoverable(format!(
+                "{} lost {} page(s) with {server}",
+                self.policy.label(),
+                lost.len()
+            )));
+        }
+        self.rebuild = lost.into();
+        Ok(self.rebuild.len() as u64)
+    }
+
+    fn recovery_step(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        server: ServerId,
+        page_budget: usize,
+    ) -> Result<RecoveryStep> {
+        let mut rebuild = std::mem::take(&mut self.rebuild);
+        let step = rebuild_step(&mut rebuild, page_budget, |claimed, step| {
+            while let Some(&id) = claimed.front() {
+                self.rebuild_page(ctx, id, server, step)?;
+                claimed.pop_front();
+            }
+            Ok(())
+        });
+        self.rebuild = rebuild;
+        step
+    }
+
+    fn migrate_from(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {
+        let mut moved = 0;
+        let leaving = |_: &Ctx<'_>, s: ServerId| s == server;
+        let ids = self.table.pages_on(server);
+        // One pipelined frame per chunk fetches every leaving unit off
+        // the loaded server (write-through reads its disk instead).
+        for chunk in ids.chunks(ctx.pool.batch_max_pages().max(1)) {
+            let old: Vec<Unit> = chunk
+                .iter()
+                .filter_map(|&id| self.table.units(id)?.iter().find(|u| u.0 == server))
+                .copied()
+                .collect();
+            let fetched = if self.disk_leg {
+                chunk.iter().map(|&id| ctx.disk_read(id)).collect()
+            } else {
+                ctx.fetch_batch(&old)
+            }?;
+            for ((&id, old), frame) in chunk.iter().zip(old).zip(&fetched) {
+                let frames = Frames(frame, Vec::new());
+                match self.place_lost(ctx, Some(id), &frames, &leaving, Some(server), false)? {
+                    Some(_) => ctx.release(&[old])?,
+                    // Nowhere to move the unit without doubling up. A
+                    // whole page can still go to the disk; a split stays
+                    // — migration is advisory, not durability.
+                    None if self.k == 1 && ctx.has_disk() => self.park(ctx, id, frame)?,
+                    None => continue,
+                }
+                ctx.stats.migrations += 1;
+                moved += 1;
+            }
+        }
+        ctx.note_migration(moved, server, self.policy);
+        Ok(moved)
+    }
+
+    fn rebalance(&mut self, ctx: &mut Ctx<'_>) -> Result<u64> {
+        let mut promoted = 0;
+        for id in self.table.on_disk() {
+            if ctx.pool.view().server_with_capacity(1, &[]).is_none() {
+                break;
+            }
+            let page = ctx.disk_read(id)?;
+            let frames = Frames(&page, self.encode(ctx, &page)?);
+            if !self.place_fresh(ctx, &frames, false)? {
+                break;
+            }
+            if !self.disk_leg {
+                ctx.disk_free(id)?;
+            }
+            self.table.commit(id);
+            promoted += 1;
+        }
+        Ok(promoted)
+    }
+}

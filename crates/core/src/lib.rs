@@ -4,8 +4,8 @@
 //! [`rmp_blockdev::PagingDevice`], so the virtual-memory layer (standing in
 //! for the DEC OSF/1 kernel) pages through it transparently, while the
 //! pager forwards requests to remote memory servers over the wire
-//! protocol, to the local disk, or both — under one of the six policies of
-//! the paper:
+//! protocol, to the local disk, or both — under one of seven policies
+//! (the paper's six and an erasure-coded generalisation):
 //!
 //! * **No reliability** — pages stripe over servers, one transfer per
 //!   pageout, no redundancy (a server crash loses pages).
@@ -15,6 +15,11 @@
 //! * **Write-through** — remote memory as a write-through cache of the
 //!   local disk (Section 4.7).
 //! * **Disk** — traditional local-disk paging, the baseline.
+//! * **Erasure coded** — `k` data plus `r` Reed–Solomon units per page on
+//!   `k + r` servers; any `k` rebuild it.
+//!
+//! No reliability, mirroring, write-through and erasure coding are one
+//! [`engine::stripe::Stripe`] engine under different `(k, r)` geometries.
 //!
 //! The pager detects server crashes (connection failures), reconstructs
 //! the lost pages from redundancy, and keeps running — the property the

@@ -11,8 +11,7 @@ use rmp_types::{
 };
 
 use crate::engine::{
-    basic::BasicParity, diskonly::DiskOnly, erasure::ErasureCoded, mirror::Mirroring,
-    norel::NoReliability, paritylog::ParityLogging, writethrough::WriteThrough, Ctx, Engine,
+    basic::BasicParity, diskonly::DiskOnly, paritylog::ParityLogging, stripe::Stripe, Ctx, Engine,
 };
 use crate::pool::ServerPool;
 use crate::prefetch::{PrefetchCache, StrideDetector};
@@ -246,13 +245,13 @@ impl Pager {
                         ids.len()
                     )));
                 }
-                Box::new(NoReliability::new())
+                Box::new(Stripe::new(config.policy, 1, 0)?)
             }
             Policy::Mirroring => {
                 if ids.len() < 2 {
                     return Err(RmpError::Config("mirroring needs two servers".into()));
                 }
-                Box::new(Mirroring::new())
+                Box::new(Stripe::new(config.policy, 1, 1)?)
             }
             Policy::BasicParity | Policy::ParityLogging => {
                 // A group of S data pages plus its parity page spans
@@ -270,18 +269,19 @@ impl Pager {
                 if disk.is_none() {
                     return Err(RmpError::Config("write-through needs a local disk".into()));
                 }
-                Box::new(WriteThrough::new())
+                Box::new(Stripe::new(config.policy, 1, 0)?)
             }
             Policy::DiskOnly => {
                 if disk.is_none() {
                     return Err(RmpError::Config("disk paging needs a local disk".into()));
                 }
-                Box::new(DiskOnly::new())
+                Box::new(DiskOnly::default())
             }
             Policy::ErasureCoded => {
                 let width = config.ec_data_splits + config.ec_parity_splits;
                 check_stripe_width(config.policy, width, live.len())?;
-                Box::new(ErasureCoded::new(
+                Box::new(Stripe::new(
+                    config.policy,
                     config.ec_data_splits,
                     config.ec_parity_splits,
                 )?)
@@ -919,9 +919,8 @@ impl Pager {
             // check as a wire read; a corrupt one is dropped here and
             // the demand path below refetches (degrading if need be).
             if self.check_sum(id, &page).is_none() {
-                // A hit is still a logical pagein; it just cost no round
-                // trip (the wire fetch was counted when it was issued).
-                self.stats.pageins += 1;
+                // A hit cost no round trip (the wire fetch was counted
+                // when it was issued).
                 self.metrics.prefetch_hits.inc();
                 self.maybe_prefetch(id, stride);
                 return Ok(page);
@@ -1077,6 +1076,7 @@ impl PagingDevice for Pager {
                 // A successful pageout may have *created* the placement;
                 // the post-call location is the one that took the page.
                 let server = self.engine.primary_location(id).map(|(s, _)| s);
+                self.stats.pageouts += 1;
                 self.metrics.pageouts.inc();
                 self.metrics.pageout_latency.record(started.elapsed());
                 self.metrics.registry.trace(
@@ -1111,6 +1111,7 @@ impl PagingDevice for Pager {
         let result = self.page_in_inner(id);
         match &result {
             Ok(_) => {
+                self.stats.pageins += 1;
                 self.metrics.pageins.inc();
                 self.metrics.pagein_latency.record(started.elapsed());
                 self.metrics.registry.trace(

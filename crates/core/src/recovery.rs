@@ -1,15 +1,13 @@
 //! Recovery planning, incremental execution, and reporting.
 //!
-//! Recovery used to be one monolithic call: [`crate::engine::Engine::recover`]
-//! walked every lost page in a single pass, blocking the paging path for
-//! the whole rebuild. It is now a state machine: the engine *plans* the
-//! rebuild (enumerating work items against its current maps), then
-//! executes it in budget-bounded *steps*, each touching at most
-//! `page_budget` pages. [`crate::Pager::periodic_maintenance`] drives one
-//! step per tick so paging continues — degraded reads serve requests for
-//! not-yet-rebuilt pages — while [`crate::Pager::recover_from_crash`]
-//! drains the same machine to completion for callers that want the old
-//! synchronous behaviour.
+//! Recovery is a state machine, so that a rebuild never blocks the paging
+//! path for its whole length: the engine *plans* the rebuild (enumerating
+//! work items against its current maps), then executes it in
+//! budget-bounded *steps*, each claiming at most `page_budget` items.
+//! [`crate::Pager::periodic_maintenance`] drives one step per tick so
+//! paging continues — degraded reads serve requests for not-yet-rebuilt
+//! pages — while [`crate::Pager::recover_from_crash`] drains the same
+//! machine to completion for callers that want the rebuild done now.
 //!
 //! A second crash (or timeout) in the middle of a step does not abort the
 //! rebuild: the pager marks the new server dead, calls
