@@ -1,167 +1,29 @@
-//! Pipelined batch transport vs. one-frame-per-page, measured.
+//! Pipelined batch reads vs. one-frame-per-page, measured.
 //!
-//! Drives the pool's batch APIs and the pager's stride prefetcher over an
-//! in-memory transport with a fixed per-burst delay (a synthetic round
-//! trip), so the pipelining win is deterministic: a pipelined burst pays
-//! the round trip once plus a small per-frame serialization cost, while
-//! single-page calls pay the round trip every time.
+//! Drives the pool's batch read API and the pager's stride prefetcher
+//! over an in-memory transport with a fixed per-burst delay (a synthetic
+//! round trip), so the pipelining win is deterministic: a pipelined burst
+//! pays the round trip once plus a small per-frame serialization cost,
+//! while single-page calls pay the round trip every time.
 //!
 //! Writes the `rmp-batching-bench-v1` JSON document (`BENCH_batching.json`,
 //! or the path in `BENCH_OUT`) for CI to schema-check and archive, and
-//! asserts the tentpole claim in-process: batched pageout throughput is at
-//! least 2x the unbatched baseline for every batch size >= 8.
+//! asserts the claim in-process: batched pagein throughput is at least 2x
+//! the unbatched baseline for every batch size >= 8, and the prefetcher
+//! wins every policy's sequential scan.
 //!
 //! `BENCH_PAGES` overrides the workload size; `FRAME_DELAY_US` the
 //! synthetic round trip (default 200 us).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
+use bench::delay_pool;
 use rmp_blockdev::PagingDevice;
-use rmp_core::transport::ServerTransport;
-use rmp_core::{Pager, ServerPool};
-use rmp_proto::{BatchItem, LoadHint, Message};
-use rmp_types::{Page, PageId, PagerConfig, Policy, Result, ServerId, StoreKey};
+use rmp_core::Pager;
+use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId, StoreKey};
 
 /// Wire serialization cost charged per frame inside a pipelined burst.
-const PER_FRAME_US: u64 = 20;
-
-struct DelayState {
-    pages: HashMap<StoreKey, Page>,
-    round_trip: Duration,
-}
-
-impl DelayState {
-    fn serve(&mut self, msg: &Message) -> Message {
-        match msg.clone() {
-            Message::Alloc { pages } => Message::AllocReply {
-                granted: pages,
-                hint: LoadHint::Ok,
-            },
-            Message::PageOut { id, page, .. } => {
-                self.pages.insert(id, page);
-                Message::PageOutAck {
-                    id,
-                    hint: LoadHint::Ok,
-                }
-            }
-            Message::PageIn { id } => match self.pages.get(&id) {
-                Some(p) => Message::PageInReply {
-                    id,
-                    checksum: p.checksum(),
-                    page: p.clone(),
-                },
-                None => Message::PageInMiss { id },
-            },
-            Message::Free { id } => {
-                self.pages.remove(&id);
-                Message::FreeAck { id }
-            }
-            Message::PageOutDelta { id, page, .. } => {
-                let mut delta = page.clone();
-                if let Some(old) = self.pages.insert(id, page) {
-                    delta.xor_with(&old);
-                }
-                Message::PageOutDeltaReply {
-                    id,
-                    delta,
-                    hint: LoadHint::Ok,
-                }
-            }
-            Message::XorInto { id, page } => {
-                match self.pages.get_mut(&id) {
-                    Some(stored) => stored.xor_with(&page),
-                    None => {
-                        self.pages.insert(id, page);
-                    }
-                }
-                Message::XorAck { id }
-            }
-            Message::LoadQuery => Message::LoadReport {
-                free_pages: 1 << 20,
-                stored_pages: self.pages.len() as u64,
-                cpu_permille: 0,
-                hint: LoadHint::Ok,
-            },
-            Message::PageOutBatch { seq, pages } => {
-                let items = pages
-                    .into_iter()
-                    .map(|entry| {
-                        self.pages.insert(entry.id, entry.page);
-                        BatchItem::Ack
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
-            Message::PageInBatch { seq, ids } => {
-                let items = ids
-                    .iter()
-                    .map(|id| match self.pages.get(id) {
-                        Some(p) => BatchItem::Page {
-                            checksum: p.checksum(),
-                            page: p.clone(),
-                        },
-                        None => BatchItem::Miss,
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
-            other => Message::Error {
-                code: rmp_types::ErrorCode::Internal,
-                message: format!("delay fake: unhandled {:?}", other.opcode()),
-            },
-        }
-    }
-}
-
-struct DelayTransport(Rc<RefCell<DelayState>>);
-
-// SAFETY: the bench is single-threaded; the pool's `Send` bound is never
-// exercised across threads here.
-unsafe impl Send for DelayTransport {}
-
-impl ServerTransport for DelayTransport {
-    fn call(&mut self, msg: &Message) -> Result<Message> {
-        let mut st = self.0.borrow_mut();
-        std::thread::sleep(st.round_trip + Duration::from_micros(PER_FRAME_US));
-        Ok(st.serve(msg))
-    }
-
-    fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
-        let mut st = self.0.borrow_mut();
-        // One round trip for the whole burst: every frame is on the wire
-        // before the first reply is read. Each frame still pays its
-        // serialization cost.
-        std::thread::sleep(st.round_trip + Duration::from_micros(PER_FRAME_US * msgs.len() as u64));
-        Ok(msgs.iter().map(|m| st.serve(m)).collect())
-    }
-
-    fn send_only(&mut self, _msg: &Message) -> Result<()> {
-        Ok(())
-    }
-}
-
-fn delay_pool(n: usize, round_trip: Duration) -> ServerPool {
-    let mut pool = ServerPool::new();
-    for i in 0..n {
-        let state = Rc::new(RefCell::new(DelayState {
-            pages: HashMap::new(),
-            round_trip,
-        }));
-        pool.add_transport(ServerId(i as u32), Box::new(DelayTransport(state)), 1.0);
-    }
-    pool
-}
+const PER_FRAME: Duration = Duration::from_micros(20);
 
 fn pages_per_sec(pages: usize, elapsed: Duration) -> f64 {
     pages as f64 / elapsed.as_secs_f64()
@@ -169,52 +31,45 @@ fn pages_per_sec(pages: usize, elapsed: Duration) -> f64 {
 
 struct BatchRow {
     batch: usize,
-    pageout_pps: f64,
     pagein_pps: f64,
-    pageout_speedup: f64,
     pagein_speedup: f64,
 }
 
-/// Pool-level comparison: `pages` single-frame calls vs. one pipelined
-/// batch call per direction, across batch sizes.
-fn bench_pool(pages: usize, round_trip: Duration) -> (f64, f64, Vec<BatchRow>) {
-    let work: Vec<(StoreKey, Page)> = (0..pages as u64)
-        .map(|i| (StoreKey(i), Page::deterministic(i)))
-        .collect();
+/// Pool-level comparison: `pages` single-frame pageins vs. one pipelined
+/// batch read, across batch sizes.
+fn bench_pool(pages: usize, round_trip: Duration) -> (f64, Vec<BatchRow>) {
+    let keys: Vec<StoreKey> = (0..pages as u64).map(StoreKey).collect();
+    let preloaded = |batch: usize| {
+        let mut pool = delay_pool(1, round_trip, PER_FRAME);
+        pool.set_batch_max_pages(batch);
+        for key in &keys {
+            pool.page_out(ServerId(0), *key, &Page::deterministic(key.0))
+                .expect("page_out");
+        }
+        pool
+    };
 
-    let mut pool = delay_pool(1, round_trip);
+    let mut pool = preloaded(1);
     let started = Instant::now();
-    for (key, page) in &work {
-        pool.page_out(ServerId(0), *key, page).expect("page_out");
-    }
-    let unbatched_out = pages_per_sec(pages, started.elapsed());
-    let started = Instant::now();
-    for (key, _) in &work {
+    for key in &keys {
         pool.page_in(ServerId(0), *key).expect("page_in");
     }
-    let unbatched_in = pages_per_sec(pages, started.elapsed());
+    let unbatched = pages_per_sec(pages, started.elapsed());
 
     let mut rows = Vec::new();
     for batch in [1usize, 2, 4, 8, 16, 32] {
-        let mut pool = delay_pool(1, round_trip);
-        pool.set_batch_max_pages(batch);
-        let started = Instant::now();
-        pool.page_out_batch(ServerId(0), &work).expect("batch out");
-        let out_pps = pages_per_sec(pages, started.elapsed());
-        let keys: Vec<StoreKey> = work.iter().map(|&(k, _)| k).collect();
+        let mut pool = preloaded(batch);
         let started = Instant::now();
         let got = pool.page_in_batch(ServerId(0), &keys).expect("batch in");
-        let in_pps = pages_per_sec(pages, started.elapsed());
+        let pagein_pps = pages_per_sec(pages, started.elapsed());
         assert!(got.iter().all(|p| p.is_some()), "every page came back");
         rows.push(BatchRow {
             batch,
-            pageout_pps: out_pps,
-            pagein_pps: in_pps,
-            pageout_speedup: out_pps / unbatched_out,
-            pagein_speedup: in_pps / unbatched_in,
+            pagein_pps,
+            pagein_speedup: pagein_pps / unbatched,
         });
     }
-    (unbatched_out, unbatched_in, rows)
+    (unbatched, rows)
 }
 
 struct PolicyRow {
@@ -235,7 +90,7 @@ fn bench_policy(policy: Policy, pages: usize, round_trip: Duration) -> PolicyRow
         _ => data_servers,
     };
     let scan = |window: usize| -> (Duration, u64) {
-        let pool = delay_pool(cluster_n, round_trip);
+        let pool = delay_pool(cluster_n, round_trip, PER_FRAME);
         let mut pager = Pager::builder(
             PagerConfig::new(policy)
                 .with_servers(data_servers)
@@ -287,31 +142,25 @@ fn main() {
         .unwrap_or(200);
     let round_trip = Duration::from_micros(delay_us);
     println!(
-        "Pipelined batch transport vs. single frames \
+        "Pipelined batch reads vs. single frames \
          ({pages} pages, {delay_us} us synthetic round trip)\n"
     );
 
-    let (unbatched_out, unbatched_in, rows) = bench_pool(pages, round_trip);
+    let (unbatched, rows) = bench_pool(pages, round_trip);
     println!("-- pool level: one server, one page per frame vs. pipelined batches --");
-    println!(
-        "{:<10} {:>14} {:>10} {:>14} {:>10}",
-        "batch", "pageout p/s", "speedup", "pagein p/s", "speedup"
-    );
-    println!(
-        "{:<10} {:>14.0} {:>9.2}x {:>14.0} {:>9.2}x",
-        "single", unbatched_out, 1.0, unbatched_in, 1.0
-    );
+    println!("{:<10} {:>14} {:>10}", "batch", "pagein p/s", "speedup");
+    println!("{:<10} {:>14.0} {:>9.2}x", "single", unbatched, 1.0);
     for r in &rows {
         println!(
-            "{:<10} {:>14.0} {:>9.2}x {:>14.0} {:>9.2}x",
-            r.batch, r.pageout_pps, r.pageout_speedup, r.pagein_pps, r.pagein_speedup
+            "{:<10} {:>14.0} {:>9.2}x",
+            r.batch, r.pagein_pps, r.pagein_speedup
         );
         if r.batch >= 8 {
             assert!(
-                r.pageout_speedup >= 2.0,
-                "batch {} pageout speedup {:.2}x fell below the 2x floor",
+                r.pagein_speedup >= 2.0,
+                "batch {} pagein speedup {:.2}x fell below the 2x floor",
                 r.batch,
-                r.pageout_speedup
+                r.pagein_speedup
             );
         }
     }
@@ -356,12 +205,8 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                concat!(
-                    "{{\"batch\": {}, \"pageout_pages_per_sec\": {:.1}, ",
-                    "\"pageout_speedup\": {:.3}, \"pagein_pages_per_sec\": {:.1}, ",
-                    "\"pagein_speedup\": {:.3}}}"
-                ),
-                r.batch, r.pageout_pps, r.pageout_speedup, r.pagein_pps, r.pagein_speedup
+                "{{\"batch\": {}, \"pagein_pages_per_sec\": {:.1}, \"pagein_speedup\": {:.3}}}",
+                r.batch, r.pagein_pps, r.pagein_speedup
             )
         })
         .collect();
@@ -386,14 +231,12 @@ fn main() {
         concat!(
             "{{\"schema\": \"rmp-batching-bench-v1\", \"pages\": {}, ",
             "\"frame_delay_us\": {}, ",
-            "\"unbatched\": {{\"pageout_pages_per_sec\": {:.1}, ",
-            "\"pagein_pages_per_sec\": {:.1}}}, ",
+            "\"unbatched\": {{\"pagein_pages_per_sec\": {:.1}}}, ",
             "\"batched\": [{}], \"policies\": [{}]}}"
         ),
         pages,
         delay_us,
-        unbatched_out,
-        unbatched_in,
+        unbatched,
         batch_json.join(", "),
         policy_json.join(", ")
     );

@@ -21,142 +21,34 @@
 //! schema-check and archive. `BENCH_PAGES` overrides the total workload
 //! size; `FRAME_DELAY_US` the synthetic round trip (default 200 us).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rmp_core::transport::ServerTransport;
-use rmp_core::{ServerPool, ShardedPager};
-use rmp_proto::{BatchItem, LoadHint, Message};
-use rmp_types::{Page, PageId, PagerConfig, Policy, Result, ServerId, StoreKey};
+use bench::delay_pool;
+use rmp_core::ShardedPager;
+use rmp_types::{Page, PageId, PagerConfig, Policy};
 
 /// Shard count for every configuration; 16 leaves headroom over the
 /// largest thread count so the partitioned series stays collision-free.
 const SHARDS: usize = 16;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// An in-memory server that charges one synthetic round trip per call.
-/// Each transport owns its page store outright — the pool serializes
-/// calls per server, and different shards use different transports — so
-/// the sleep happens with no lock shared across threads.
-struct DelayTransport {
-    pages: HashMap<StoreKey, Page>,
-    round_trip: Duration,
-}
-
-impl DelayTransport {
-    fn serve(&mut self, msg: &Message) -> Message {
-        match msg.clone() {
-            Message::Alloc { pages } => Message::AllocReply {
-                granted: pages,
-                hint: LoadHint::Ok,
-            },
-            Message::PageOut { id, page, .. } => {
-                self.pages.insert(id, page);
-                Message::PageOutAck {
-                    id,
-                    hint: LoadHint::Ok,
-                }
-            }
-            Message::PageIn { id } => match self.pages.get(&id) {
-                Some(p) => Message::PageInReply {
-                    id,
-                    checksum: p.checksum(),
-                    page: p.clone(),
-                },
-                None => Message::PageInMiss { id },
-            },
-            Message::Free { id } => {
-                self.pages.remove(&id);
-                Message::FreeAck { id }
-            }
-            Message::LoadQuery => Message::LoadReport {
-                free_pages: 1 << 20,
-                stored_pages: self.pages.len() as u64,
-                cpu_permille: 0,
-                hint: LoadHint::Ok,
-            },
-            Message::PageOutBatch { seq, pages } => {
-                let items = pages
-                    .into_iter()
-                    .map(|entry| {
-                        self.pages.insert(entry.id, entry.page);
-                        BatchItem::Ack
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
-            Message::PageInBatch { seq, ids } => {
-                let items = ids
-                    .iter()
-                    .map(|id| match self.pages.get(id) {
-                        Some(p) => BatchItem::Page {
-                            checksum: p.checksum(),
-                            page: p.clone(),
-                        },
-                        None => BatchItem::Miss,
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
-            other => Message::Error {
-                code: rmp_types::ErrorCode::Internal,
-                message: format!("delay fake: unhandled {:?}", other.opcode()),
-            },
-        }
-    }
-}
-
-impl ServerTransport for DelayTransport {
-    fn call(&mut self, msg: &Message) -> Result<Message> {
-        std::thread::sleep(self.round_trip);
-        Ok(self.serve(msg))
-    }
-
-    fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
-        std::thread::sleep(self.round_trip);
-        Ok(msgs.iter().map(|m| self.serve(m)).collect())
-    }
-
-    fn send_only(&mut self, _msg: &Message) -> Result<()> {
-        Ok(())
-    }
-}
-
 /// Builds a sharded pager over `SHARDS` shards, each with its own pool
-/// of two delay-fake servers.
+/// of two in-memory servers that charge one synthetic round trip per
+/// call. Every pool owns its servers outright, so a sleeping thread
+/// shares no lock with another shard's.
 fn sharded_pager(round_trip: Duration) -> Arc<ShardedPager> {
     let config = PagerConfig::new(Policy::NoReliability)
         .with_servers(2)
         .with_shard_count(SHARDS)
         .with_prefetch_window(0);
-    let pools: Vec<ServerPool> = (0..SHARDS)
-        .map(|_| {
-            let mut pool = ServerPool::new();
-            for s in 0..2u32 {
-                pool.add_transport(
-                    ServerId(s),
-                    Box::new(DelayTransport {
-                        pages: HashMap::new(),
-                        round_trip,
-                    }),
-                    1.0,
-                );
-            }
-            pool
-        })
-        .collect();
     Arc::new(
         ShardedPager::builder(config)
-            .pools(pools)
+            .pools(
+                (0..SHARDS)
+                    .map(|_| delay_pool(2, round_trip, Duration::ZERO))
+                    .collect(),
+            )
             .build()
             .expect("build sharded pager"),
     )

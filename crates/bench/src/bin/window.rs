@@ -1,6 +1,6 @@
 //! Request-window endurance: single-thread pagein throughput vs. window.
 //!
-//! The blocking transport pays one full round trip per pagein, so a
+//! A request/response socket pays one full round trip per pagein, so a
 //! single client thread can never fetch faster than `1 / RTT`. The
 //! windowed reactor transport keeps up to `window_max_inflight`
 //! seq-tagged frames on the wire at once, so the link's propagation
@@ -10,9 +10,9 @@
 //! (default 1 ms — conservative next to the paper's ~10 ms Ethernet
 //! transfer time per 8 KB page; `BENCH_LINK_DELAY_US` overrides it):
 //!
-//! * **blocking** — [`TcpTransport`], one `PageIn` per call: the baseline
-//!   the tentpole claim is made against. Every call is its own wire
-//!   burst, so every call pays the link delay.
+//! * **blocking** — a bare [`Framed`] socket, one `PageIn` sent and its
+//!   reply awaited per call: the baseline the claim is made against.
+//!   Every call is its own wire burst, so every call pays the link delay.
 //! * **windowed** — [`WindowedTransport`] at windows 1, 4, 16, and 32:
 //!   the thread keeps the pipe full by double-buffering window-sized
 //!   bursts — burst N+1 is submitted before burst N's replies are
@@ -38,7 +38,7 @@
 //!
 //! Asserted in-process, failing the run when violated:
 //!
-//! * window >= 16 pagein throughput >= 4x the blocking transport's;
+//! * window >= 16 pagein throughput >= 4x the blocking baseline's;
 //! * p99 amortized per-page latency at every window <= 2x the
 //!   windowed transport's own window=1 baseline.
 //!
@@ -52,9 +52,8 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rmp_core::transport::{ServerTransport, TcpTransport};
-use rmp_core::{PendingReplies, WindowedTransport};
-use rmp_proto::Message;
+use rmp_core::{PendingReplies, ServerTransport, WindowedTransport};
+use rmp_proto::{Framed, Message};
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
 use rmp_types::{Page, StoreKey, TransportConfig};
 
@@ -145,10 +144,11 @@ fn spawn_delay_link(upstream: SocketAddr, delay: Duration) -> SocketAddr {
     addr
 }
 
-/// Stores `pages` deterministic pages through `t` (setup, untimed), in
-/// pipelined chunks so it stays quick. Store keys are scoped per session
-/// server-side, so every run preloads over its *own* connection.
-fn preload(t: &mut dyn ServerTransport, pages: usize) {
+/// Stores `pages` deterministic pages (setup, untimed) in pipelined
+/// chunks so it stays quick; `exchange` puts one chunk on the wire and
+/// returns its replies in request order. Store keys are scoped per
+/// session server-side, so every run preloads over its *own* connection.
+fn preload(pages: usize, mut exchange: impl FnMut(&[Message]) -> Vec<Message>) {
     let msgs: Vec<Message> = (0..pages as u64)
         .map(|i| {
             let page = Page::deterministic(i);
@@ -160,8 +160,7 @@ fn preload(t: &mut dyn ServerTransport, pages: usize) {
         })
         .collect();
     for chunk in msgs.chunks(64) {
-        let replies = t.call_pipelined(chunk).expect("preload store");
-        for r in replies {
+        for r in exchange(chunk) {
             assert!(
                 matches!(r, Message::PageOutAck { .. }),
                 "preload ack, got {r:?}"
@@ -198,8 +197,19 @@ struct Run {
 
 /// Blocking baseline: one `PageIn` per round trip, `pages` of them.
 fn run_blocking(addr: &str, pages: usize) -> Run {
-    let mut t = TcpTransport::connect(addr).expect("connect");
-    preload(&mut t, pages);
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut t = Framed::new(stream);
+    // Bare frames are answered in arrival order.
+    preload(pages, |chunk| {
+        for msg in chunk {
+            t.send(msg).expect("preload send");
+        }
+        chunk
+            .iter()
+            .map(|_| t.recv().expect("preload reply"))
+            .collect()
+    });
     let mut latencies: Vec<u64> = Vec::with_capacity(pages);
     let mut replies: Vec<Message> = Vec::with_capacity(pages);
     let started = Instant::now();
@@ -237,7 +247,9 @@ fn run_windowed(addr: &str, pages: usize, window: usize) -> Run {
     let mut t = WindowedTransport::connect_with(addr, &cfg).expect("connect");
     let granted = t.granted_window();
     assert_eq!(granted, window, "server granted the full window");
-    preload(&mut t, pages);
+    preload(pages, |chunk| {
+        t.call_pipelined(chunk).expect("preload store")
+    });
 
     let mut latencies: Vec<u64> = Vec::with_capacity(pages / window + 1);
     let mut done: Vec<(u64, Vec<Message>)> = Vec::with_capacity(pages / window + 1);

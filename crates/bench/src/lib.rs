@@ -6,9 +6,15 @@
 //! cluster, converting real transfer counts into 1996-scale completion
 //! times with the models in `rmp-sim`, and printing aligned tables.
 
+use std::sync::Arc;
+use std::time::Duration;
+
 use rmp_blockdev::{ModeledDisk, RamDisk};
+use rmp_core::chaos::{ChaosCluster, ChaosTransport, FaultPlan};
+use rmp_core::{ServerPool, ServerTransport};
+use rmp_proto::Message;
 use rmp_sim::{CompletionModel, PolicyCosts, RunBreakdown};
-use rmp_types::Policy;
+use rmp_types::{Policy, Result, ServerId};
 use rmp_vm::{FaultStats, PagedMemory, VmConfig};
 use rmp_workloads::{Workload, WorkloadReport};
 
@@ -90,6 +96,53 @@ pub fn measure_disk_time<W: Workload>(workload: &W, frames: usize) -> (CostedRun
         },
         disk_s,
     )
+}
+
+/// The library's in-memory server behind a synthetic, deterministic link:
+/// a single call pays `round_trip + per_frame`; a pipelined burst pays
+/// the round trip once — every frame is on the wire before the first
+/// reply is read — plus `per_frame` of serialization for each frame. The
+/// sleeping thread holds no lock, so callers on different pools overlap
+/// their round trips as they would on real sockets.
+pub struct DelayTransport {
+    inner: ChaosTransport,
+    round_trip: Duration,
+    per_frame: Duration,
+}
+
+impl ServerTransport for DelayTransport {
+    fn call(&mut self, msg: &Message) -> Result<Message> {
+        std::thread::sleep(self.round_trip + self.per_frame);
+        self.inner.call(msg)
+    }
+
+    fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
+        std::thread::sleep(self.round_trip + self.per_frame * msgs.len() as u32);
+        self.inner.call_pipelined(msgs)
+    }
+
+    fn send_only(&mut self, msg: &Message) -> Result<()> {
+        self.inner.send_only(msg)
+    }
+}
+
+/// A pool onto `n` private in-memory servers, each behind a
+/// [`DelayTransport`].
+pub fn delay_pool(n: usize, round_trip: Duration, per_frame: Duration) -> ServerPool {
+    // The plan is never armed: the servers serve faithfully.
+    let cluster = ChaosCluster::new(n, FaultPlan::seeded(0));
+    let mut pool = ServerPool::new();
+    for i in 0..n {
+        let id = ServerId(i as u32);
+        let inner = ChaosTransport::new(id, Arc::clone(cluster.plan()), cluster.server(i).clone());
+        let transport = DelayTransport {
+            inner,
+            round_trip,
+            per_frame,
+        };
+        pool.add_transport(id, Box::new(transport), 1.0);
+    }
+    pool
 }
 
 /// Frames that give the paper's memory-pressure ratio: the working set

@@ -549,20 +549,6 @@ impl ChaosServer {
                 }
                 Message::XorAck { id }
             }
-            Message::PageOutBatch { seq, pages } => {
-                let items = pages
-                    .into_iter()
-                    .map(|entry| {
-                        st.pages.insert((sid, entry.id), entry.page);
-                        BatchItem::Ack
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
             Message::PageInBatch { seq, ids } => {
                 let items = ids
                     .iter()

@@ -67,13 +67,8 @@ impl BasicParity {
     /// pass) plus one store — the price of certainty, paid only on
     /// ambiguous retries.
     fn resync_parity(&mut self, ctx: &mut Ctx<'_>, parity_key: StoreKey) -> Result<()> {
-        let members = self
-            .map
-            .parity_rebuild_plan()
-            .into_iter()
-            .find(|(key, _)| *key == parity_key)
-            .map(|(_, members)| members)
-            .unwrap_or_default();
+        // The parity page of stripe `j` is stored under key `j`.
+        let members = self.map.stripe_members(parity_key.0, None);
         let parity = xor_reduce(&ctx.fetch_batch(&members)?);
         ctx.pool
             .page_out(self.map.parity_server(), parity_key, &parity)?;
@@ -181,14 +176,9 @@ impl Engine for BasicParity {
         }
         // Reconstruct only the requested page from its stripe — the full
         // column rebuild runs separately.
-        let mut plan = self
-            .map
-            .recovery_plan(slot.server)?
-            .into_iter()
-            .find(|p| p.page_id == id)
-            .ok_or(RmpError::PageNotFound(id))?;
-        plan.fetch.push(plan.parity);
-        let page = xor_reduce(&ctx.fetch_group(&plan.fetch, &format_args!("stripe of {id}"))?);
+        let mut pieces = self.map.stripe_members(slot.slot, Some(slot.server));
+        pieces.push((self.map.parity_server(), slot.parity_key));
+        let page = xor_reduce(&ctx.fetch_group(&pieces, &format_args!("stripe of {id}"))?);
         ctx.count("engine_parity_reconstructions_total");
         Ok(page)
     }

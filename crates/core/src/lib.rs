@@ -50,4 +50,4 @@ pub use pool::{PendingPageIn, ServerPool};
 pub use reactor::{PendingReplies, WindowStats, WindowedTransport};
 pub use recovery::RecoveryReport;
 pub use sharded::{ShardedPager, ShardedPagerBuilder};
-pub use transport::{ServerTransport, TcpTransport};
+pub use transport::ServerTransport;

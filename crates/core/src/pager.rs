@@ -780,10 +780,11 @@ impl Pager {
     /// Issues one best-effort batched prefetch of the next
     /// `prefetch_window` pages along `stride`: predictions are grouped by
     /// the server that holds their primary copy and fetched with a single
-    /// batch per server instead of one round trip per page. On windowed
-    /// transports the batch is only *submitted* here — it rides the
+    /// batch per server instead of one round trip per page. On a windowed
+    /// transport the batch is only *submitted* here — it rides the
     /// request window alongside demand traffic and is harvested when
-    /// ready — while blocking transports fetch synchronously as before.
+    /// ready — while in-process fakes, which have no window, fetch
+    /// synchronously.
     /// Failures are swallowed — a wrong guess must never fail the demand
     /// fault that triggered it.
     fn maybe_prefetch(&mut self, id: PageId, stride: Option<i64>) {
@@ -827,6 +828,11 @@ impl Pager {
             let Some((server, key)) = self.engine.prefetch_location(pid) else {
                 continue;
             };
+            // Nor is a copy on a server the view already holds dead: the
+            // demand path reads around it without dialling it again.
+            if !self.pool.view().is_alive(server) {
+                continue;
+            }
             by_server.entry(server).or_default().push((pid, key));
         }
         for (server, mut entries) in by_server {
@@ -852,12 +858,19 @@ impl Pager {
             }
             let keys: Vec<StoreKey> = entries.iter().map(|&(_, key)| key).collect();
             self.metrics.prefetch_issued.add(keys.len() as u64);
-            if let Some(handle) = self.pool.spawn_page_in_batch(server, &keys) {
-                self.pending_prefetch
-                    .push(PendingPrefetch { entries, handle });
-                continue;
+            match self.pool.spawn_page_in_batch(server, &keys) {
+                Ok(Some(handle)) => {
+                    self.pending_prefetch
+                        .push(PendingPrefetch { entries, handle });
+                    continue;
+                }
+                // No request window on this transport: fetch synchronously.
+                Ok(None) => {}
+                // The window refused the frame. The synchronous path would
+                // spend the pool's whole retry budget, inside a demand
+                // fault, on a guess.
+                Err(_) => continue,
             }
-            // No request window on this transport: fetch synchronously.
             let Ok(pages) = self.pool.page_in_batch(server, &keys) else {
                 continue;
             };
@@ -940,11 +953,11 @@ impl Pager {
     /// serve the read through the policy's degraded path instead of
     /// queueing behind the slow server.
     ///
-    /// With blocking transports the race resolves at dispatch time: the
-    /// predicted-slow primary loses before it is even asked, and the
-    /// degraded path runs alone. A hedge that fails returns `None` and
-    /// the demand path proceeds against the primary as usual — hedging
-    /// can only trade latency, never correctness. The decision and its
+    /// The race resolves at dispatch time: the predicted-slow primary
+    /// loses before it is even asked, and the degraded path runs alone. A
+    /// hedge that fails returns `None` and the demand path proceeds
+    /// against the primary as usual — hedging can only trade latency,
+    /// never correctness. The decision and its
     /// outcome land in `pool_hedged_pageins_total` / `pool_hedge_wins_total`
     /// and the trace ring ([`EventKind::Hedge`]).
     fn maybe_hedged_read(&mut self, id: PageId) -> Option<Page> {

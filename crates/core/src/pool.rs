@@ -1,17 +1,18 @@
 //! The client's pool of server connections.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rmp_cluster::{ClusterView, Condition, Registry};
-use rmp_proto::{BatchItem, BatchPage, LoadHint, Message, MAX_BATCH_PAGES};
+use rmp_proto::{BatchItem, LoadHint, Message, MAX_BATCH_PAGES};
 use rmp_types::metrics::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
 use rmp_types::{ErrorCode, Page, Result, RmpError, ServerId, StoreKey, TransportConfig};
 
 use crate::detector::{FailureDetector, Verdict};
 use crate::reactor::{PendingReplies, WindowedTransport};
-use crate::transport::{ServerTransport, TcpTransport};
+use crate::transport::ServerTransport;
 
 /// Frames requested per allocation round-trip; the client consumes the
 /// grant locally so most pageouts need no extra allocation message.
@@ -37,12 +38,6 @@ struct PoolMetrics {
     /// Submissions that found a request window full and had to wait.
     window_stalls: Arc<Counter>,
     call_latency: Arc<Histogram>,
-    /// Per-server latency histograms (`pool_call_latency_us{srvN}`),
-    /// resolved on first use so only servers that take traffic appear.
-    per_server_latency: HashMap<ServerId, Arc<Histogram>>,
-    /// Per-server suspicion gauges (`detector_suspicion{srvN}`), the
-    /// detector score in milli-units (score × 1000, gauges are integral).
-    per_server_suspicion: HashMap<ServerId, Arc<Gauge>>,
 }
 
 impl PoolMetrics {
@@ -60,24 +55,61 @@ impl PoolMetrics {
             window_depth: registry.gauge("pool_window_depth"),
             window_stalls: registry.counter("pool_window_stalls_total"),
             call_latency: registry.histogram("pool_call_latency_us"),
-            per_server_latency: HashMap::new(),
-            per_server_suspicion: HashMap::new(),
             registry,
         }
     }
+}
 
-    fn server_latency(&mut self, id: ServerId) -> &Arc<Histogram> {
-        self.per_server_latency.entry(id).or_insert_with(|| {
-            self.registry
-                .histogram(&format!("pool_call_latency_us{{{id}}}"))
-        })
+/// Everything the pool keeps about one server, in one place so that no
+/// transition can reset part of it and forget the rest.
+struct Peer {
+    transport: Box<dyn ServerTransport>,
+    /// Where to redial; `None` for a transport handed in ready-made.
+    addr: Option<String>,
+    /// Frames the server granted that no pageout has consumed yet.
+    grants: u32,
+    /// The transport's window stalls already mirrored into
+    /// `pool_window_stalls_total` (its counter is cumulative; the metric
+    /// only takes deltas).
+    stalls_seen: u64,
+    /// `pool_call_latency_us{srvN}`, resolved on first use so only
+    /// servers that take traffic appear.
+    latency: Option<Arc<Histogram>>,
+    /// `detector_suspicion{srvN}`: the detector score in milli-units
+    /// (score × 1000, gauges are integral).
+    suspicion: Option<Arc<Gauge>>,
+}
+
+impl Peer {
+    fn new(transport: Box<dyn ServerTransport>, addr: Option<String>) -> Self {
+        Peer {
+            transport,
+            addr,
+            grants: 0,
+            stalls_seen: 0,
+            latency: None,
+            suspicion: None,
+        }
     }
 
-    fn server_suspicion(&mut self, id: ServerId) -> &Arc<Gauge> {
-        self.per_server_suspicion
-            .entry(id)
-            .or_insert_with(|| self.registry.gauge(&format!("detector_suspicion{{{id}}}")))
+    /// Drops what was learnt over the connection so far. Grants never
+    /// survive: a redialled or restarted server has lost them and a dead
+    /// one's are worthless. The stall baseline restarts only together
+    /// with the transport's own counters — on a `new_connection` — or the
+    /// delta mirror in `publish_window_stats` would swallow every stall
+    /// below the old total (fresh counters, stale baseline) or count the
+    /// old total twice (old counters, zeroed baseline).
+    fn reset(&mut self, new_connection: bool) {
+        self.grants = 0;
+        if new_connection {
+            self.stalls_seen = 0;
+        }
     }
+}
+
+/// The typed error for a reply of the wrong kind.
+fn unexpected_reply(to: &str, reply: &Message) -> RmpError {
+    RmpError::Protocol(format!("unexpected reply to {to}: {:?}", reply.opcode()))
 }
 
 fn hint_condition(hint: LoadHint) -> Condition {
@@ -101,10 +133,8 @@ fn hint_condition(hint: LoadHint) -> Condition {
 /// adaptive-policy statistics, so a degraded cluster looks slow, not
 /// idle.
 pub struct ServerPool {
-    transports: BTreeMap<ServerId, Box<dyn ServerTransport>>,
+    peers: BTreeMap<ServerId, Peer>,
     view: ClusterView,
-    addrs: HashMap<ServerId, String>,
-    grants: HashMap<ServerId, u32>,
     next_key: u64,
     /// Total page-sized transfers (in either direction), for reports.
     wire_transfers: u64,
@@ -140,10 +170,6 @@ pub struct ServerPool {
     /// Tag for the next batch frame, echoed by its reply so replies can
     /// be matched even if a transport delivers them out of order.
     next_batch_seq: u32,
-    /// Per-server windowed-transport stall counts already mirrored into
-    /// `pool_window_stalls_total` (transport stats are cumulative; the
-    /// metric only takes deltas). Entries reset on reconnect/replace.
-    window_stalls_seen: HashMap<ServerId, u64>,
     /// Observability hooks; `None` (the default) records nothing.
     metrics: Option<PoolMetrics>,
 }
@@ -189,17 +215,6 @@ impl PendingPageIn {
     }
 }
 
-/// Dials `addr` with the transport the config selects: the windowed
-/// reactor when more than one in-flight frame is allowed, the blocking
-/// one-frame-at-a-time transport otherwise.
-fn dial_transport(addr: &str, cfg: &TransportConfig) -> Result<Box<dyn ServerTransport>> {
-    if cfg.window_max_inflight > 1 {
-        Ok(Box::new(WindowedTransport::connect_with(addr, cfg)?))
-    } else {
-        Ok(Box::new(TcpTransport::connect_with(addr, cfg)?))
-    }
-}
-
 impl ServerPool {
     /// Creates an empty pool with default transport deadlines.
     pub fn new() -> Self {
@@ -209,10 +224,8 @@ impl ServerPool {
     /// Creates an empty pool with explicit deadlines and retry policy.
     pub fn with_transport_config(transport_cfg: TransportConfig) -> Self {
         ServerPool {
-            transports: BTreeMap::new(),
+            peers: BTreeMap::new(),
             view: ClusterView::new(),
-            addrs: HashMap::new(),
-            grants: HashMap::new(),
             next_key: 1,
             wire_transfers: 0,
             service_total_ms: 0.0,
@@ -226,7 +239,6 @@ impl ServerPool {
             verify_checksums: true,
             batch_max_pages: 16,
             next_batch_seq: 1,
-            window_stalls_seen: HashMap::new(),
             metrics: None,
         }
     }
@@ -236,6 +248,11 @@ impl ServerPool {
     /// counters, and crash/rejoin/retry trace events land in the event
     /// ring. The pager shares its registry with the pool through here.
     pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
+        // Per-server handles belong to the registry they were resolved in.
+        for peer in self.peers.values_mut() {
+            peer.latency = None;
+            peer.suspicion = None;
+        }
         self.metrics = Some(PoolMetrics::new(registry));
     }
 
@@ -282,9 +299,10 @@ impl ServerPool {
     pub fn connect_with(registry: &Registry, transport_cfg: TransportConfig) -> Result<Self> {
         let mut pool = ServerPool::with_transport_config(transport_cfg);
         for info in registry.iter() {
-            let transport = dial_transport(&info.addr, &pool.transport_cfg)?;
-            pool.addrs.insert(info.id, info.addr.clone());
-            pool.add_transport(info.id, transport, info.link_cost);
+            let transport = WindowedTransport::connect_with(&info.addr, &pool.transport_cfg)?;
+            let peer = Peer::new(Box::new(transport), Some(info.addr.clone()));
+            pool.peers.insert(info.id, peer);
+            pool.view.register(info.id, info.link_cost);
         }
         Ok(pool)
     }
@@ -307,7 +325,7 @@ impl ServerPool {
         transport: Box<dyn ServerTransport>,
         link_cost: f64,
     ) {
-        self.transports.insert(id, transport);
+        self.peers.insert(id, Peer::new(transport, None));
         self.view.register(id, link_cost);
     }
 
@@ -320,16 +338,12 @@ impl ServerPool {
     /// known address) or is still unreachable.
     pub fn reconnect(&mut self, id: ServerId) -> Result<()> {
         let addr = self
-            .addrs
+            .peers
             .get(&id)
+            .and_then(|peer| peer.addr.as_deref())
             .ok_or_else(|| RmpError::Config(format!("no known address for {id}")))?;
-        let transport = dial_transport(addr, &self.transport_cfg)?;
-        self.transports.insert(id, transport);
-        self.grants.remove(&id);
-        self.window_stalls_seen.remove(&id);
-        self.detector.reset(id);
-        self.publish_suspicion(id);
-        self.view.mark_alive(id);
+        let transport = WindowedTransport::connect_with(addr, &self.transport_cfg)?;
+        self.replace_transport(id, Box::new(transport));
         if let Some(m) = &self.metrics {
             m.reconnects.inc();
             m.registry.trace(EventKind::Rejoin, Some(id), None, "ok");
@@ -339,12 +353,13 @@ impl ServerPool {
 
     /// Replaces the transport of a server (test hooks and non-TCP pools).
     pub fn replace_transport(&mut self, id: ServerId, transport: Box<dyn ServerTransport>) {
-        self.transports.insert(id, transport);
-        self.grants.remove(&id);
-        self.window_stalls_seen.remove(&id);
-        self.detector.reset(id);
-        self.publish_suspicion(id);
-        self.view.mark_alive(id);
+        match self.peers.entry(id) {
+            Entry::Occupied(mut peer) => peer.get_mut().transport = transport,
+            Entry::Vacant(slot) => {
+                slot.insert(Peer::new(transport, None));
+            }
+        }
+        self.forgive(id, true);
     }
 
     /// Forgives `id` without touching its transport: detector state is
@@ -353,15 +368,38 @@ impl ServerPool {
     /// transport, where there is no socket to redial but the server's
     /// history (a scripted fault burst) says nothing about its future.
     pub fn absolve(&mut self, id: ServerId) {
-        self.grants.remove(&id);
+        self.forgive(id, false);
+    }
+
+    /// Wipes `id`'s slate: connection-scoped state, detector history and
+    /// the view's verdict.
+    fn forgive(&mut self, id: ServerId, new_connection: bool) {
+        if let Some(peer) = self.peers.get_mut(&id) {
+            peer.reset(new_connection);
+        }
         self.detector.reset(id);
         self.publish_suspicion(id);
         self.view.mark_alive(id);
     }
 
+    /// Holds `id` dead from here on — in the view, the detector, the
+    /// metrics and the trace ring (`why` is the trace detail).
+    fn declare_dead(&mut self, id: ServerId, why: &'static str) {
+        self.view.mark_dead(id);
+        self.detector.on_death(id);
+        self.publish_suspicion(id);
+        if let Some(peer) = self.peers.get_mut(&id) {
+            peer.reset(false);
+        }
+        if let Some(m) = &self.metrics {
+            m.deaths.inc();
+            m.registry.trace(EventKind::Crash, Some(id), None, why);
+        }
+    }
+
     /// Registered server ids, ascending.
     pub fn server_ids(&self) -> Vec<ServerId> {
-        self.transports.keys().copied().collect()
+        self.peers.keys().copied().collect()
     }
 
     /// The live load view.
@@ -433,14 +471,13 @@ impl ServerPool {
     /// sampled yet (callers treat that as "no basis to hedge").
     pub fn hedge_delay_us(&self, exclude: ServerId) -> f64 {
         let mut best = f64::INFINITY;
-        for (&id, _) in self.transports.iter() {
+        for (&id, peer) in self.peers.iter() {
             if id == exclude || !self.view.is_alive(id) {
                 continue;
             }
-            let p99 = self
-                .metrics
+            let p99 = peer
+                .latency
                 .as_ref()
-                .and_then(|m| m.per_server_latency.get(&id))
                 .map(|h| h.snapshot().p99_us())
                 .filter(|&p| p > 0.0);
             let est =
@@ -502,9 +539,14 @@ impl ServerPool {
         self.service_total_ms += ms;
         self.service_count += 1;
         self.view.record_service_time(id, ms);
-        if let Some(m) = &mut self.metrics {
+        if let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) {
             m.call_latency.record(elapsed);
-            m.server_latency(id).record(elapsed);
+            peer.latency
+                .get_or_insert_with(|| {
+                    m.registry
+                        .histogram(&format!("pool_call_latency_us{{{id}}}"))
+                })
+                .record(elapsed);
         }
         self.publish_window_stats();
         elapsed.as_secs_f64() * 1_000_000.0
@@ -516,18 +558,19 @@ impl ServerPool {
     /// transport's counters are cumulative and the metric only grows).
     /// A no-op when no metrics are attached or no transport has a window.
     fn publish_window_stats(&mut self) {
-        let Some(m) = &mut self.metrics else { return };
+        let Some(m) = &self.metrics else { return };
         let mut depth = 0u64;
         let mut any = false;
-        for (id, t) in self.transports.iter() {
-            let Some(ws) = t.window_stats() else { continue };
+        for peer in self.peers.values_mut() {
+            let Some(ws) = peer.transport.window_stats() else {
+                continue;
+            };
             any = true;
             depth += ws.inflight as u64;
-            let seen = self.window_stalls_seen.entry(*id).or_insert(0);
-            if ws.stalls > *seen {
-                m.window_stalls.add(ws.stalls - *seen);
+            if ws.stalls > peer.stalls_seen {
+                m.window_stalls.add(ws.stalls - peer.stalls_seen);
             }
-            *seen = ws.stalls;
+            peer.stalls_seen = ws.stalls;
         }
         if any {
             m.window_depth.set(depth);
@@ -537,9 +580,11 @@ impl ServerPool {
     /// Mirrors the detector's current score for `id` into its
     /// `detector_suspicion{srvN}` gauge (milli-units), when attached.
     fn publish_suspicion(&mut self, id: ServerId) {
-        if let Some(m) = &mut self.metrics {
+        if let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) {
             let score = self.detector.suspicion(id);
-            m.server_suspicion(id).set((score * 1000.0) as u64);
+            peer.suspicion
+                .get_or_insert_with(|| m.registry.gauge(&format!("detector_suspicion{{{id}}}")))
+                .set((score * 1000.0) as u64);
         }
     }
 
@@ -603,10 +648,11 @@ impl ServerPool {
         let data_path = msgs.iter().any(Message::is_data_op);
         for attempt in 0..max_attempts {
             self.last_attempts = attempt + 1;
-            let transport = self
-                .transports
+            let transport = &mut self
+                .peers
                 .get_mut(&id)
-                .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?;
+                .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?
+                .transport;
             let start = Instant::now();
             let outcome = if msgs.len() == 1 {
                 transport.call(&msgs[0]).map(|reply| vec![reply])
@@ -633,15 +679,9 @@ impl ServerPool {
                     ..
                 } => {
                     // Retrying a draining server only delays the failover.
-                    self.view.mark_dead(id);
-                    self.detector.on_death(id);
-                    self.publish_suspicion(id);
-                    self.grants.remove(&id);
+                    self.declare_dead(id, "shutting_down");
                     if let Some(m) = &self.metrics {
-                        m.deaths.inc();
                         m.call_errors.inc();
-                        m.registry
-                            .trace(EventKind::Crash, Some(id), None, "shutting_down");
                     }
                     return Err(RmpError::ServerCrashed(id));
                 }
@@ -694,24 +734,14 @@ impl ServerPool {
                             std::thread::sleep(sleep);
                         }
                     }
-                    // A restarted server lost this client's grants; drop
-                    // them so the next reserve re-allocates.
-                    self.grants.remove(&id);
-                    if let Some(t) = self.transports.get_mut(&id) {
+                    if let Some(peer) = self.peers.get_mut(&id) {
                         // Best-effort: an unsupported or failed redial
-                        // leaves the old transport in place, and the next
-                        // attempt decides whether the server is back.
-                        if t.reconnect().is_ok() {
-                            // A fresh connection restarts the transport's
-                            // cumulative window counters at zero; drop the
-                            // old stall baseline with it, or every stall on
-                            // the new connection below the old total would
-                            // be silently swallowed by the delta mirror in
-                            // `publish_window_stats`. A failed redial keeps
-                            // the old transport *and* its counters, so the
-                            // baseline must survive too.
-                            self.window_stalls_seen.remove(&id);
-                        }
+                        // leaves the old transport (and its counters) in
+                        // place, and the next attempt decides whether the
+                        // server is back. Either way a restarted server
+                        // lost this client's grants.
+                        let redialled = peer.transport.reconnect().is_ok();
+                        peer.reset(redialled);
                     }
                 }
                 e => {
@@ -723,19 +753,9 @@ impl ServerPool {
             }
         }
         // Out of attempts: the failure is no longer transient.
-        self.view.mark_dead(id);
-        self.detector.on_death(id);
-        self.publish_suspicion(id);
-        self.grants.remove(&id);
+        self.declare_dead(id, if saw_timeout { "timeout" } else { "dead" });
         if let Some(m) = &self.metrics {
-            m.deaths.inc();
             m.call_errors.inc();
-            m.registry.trace(
-                EventKind::Crash,
-                Some(id),
-                None,
-                if saw_timeout { "timeout" } else { "dead" },
-            );
         }
         Err(if saw_timeout {
             RmpError::Timeout(id)
@@ -771,9 +791,9 @@ impl ServerPool {
     /// Returns [`RmpError::NoSpace`] when the server denies the
     /// allocation, after marking it stop-sending in the view.
     pub fn reserve_frame(&mut self, id: ServerId) -> Result<()> {
-        if let Some(g) = self.grants.get_mut(&id) {
-            if *g > 0 {
-                *g -= 1;
+        if let Some(peer) = self.peers.get_mut(&id) {
+            if peer.grants > 0 {
+                peer.grants -= 1;
                 return Ok(());
             }
         }
@@ -789,13 +809,12 @@ impl ServerPool {
                     }
                     return Err(RmpError::NoSpace(id));
                 }
-                self.grants.insert(id, granted - 1);
+                if let Some(peer) = self.peers.get_mut(&id) {
+                    peer.grants = granted - 1;
+                }
                 Ok(())
             }
-            other => Err(RmpError::Protocol(format!(
-                "unexpected reply to Alloc: {:?}",
-                other.opcode()
-            ))),
+            other => Err(unexpected_reply("Alloc", &other)),
         }
     }
 
@@ -808,13 +827,15 @@ impl ServerPool {
         // A dead server's grants died with it (they are cleared on
         // reconnect); only live servers get the frame back.
         if self.view.is_alive(id) {
-            *self.grants.entry(id).or_insert(0) += 1;
+            if let Some(peer) = self.peers.get_mut(&id) {
+                peer.grants += 1;
+            }
         }
     }
 
     /// Granted-but-unused frames held locally for `id` (test hook).
     pub fn granted_frames(&self, id: ServerId) -> u32 {
-        self.grants.get(&id).copied().unwrap_or(0)
+        self.peers.get(&id).map_or(0, |peer| peer.grants)
     }
 
     /// Ships a page to `id` under `key`.
@@ -838,10 +859,7 @@ impl ServerPool {
                 self.apply_hint(id, hint);
                 Ok(hint)
             }
-            Ok(other) => Err(RmpError::Protocol(format!(
-                "unexpected reply to PageOut: {:?}",
-                other.opcode()
-            ))),
+            Ok(other) => Err(unexpected_reply("PageOut", &other)),
             Err(e) => Err(e),
         }
     }
@@ -865,10 +883,7 @@ impl ServerPool {
                 Ok(page)
             }
             Message::PageInMiss { .. } => Err(RmpError::PageNotFound(rmp_types::PageId(key.0))),
-            other => Err(RmpError::Protocol(format!(
-                "unexpected reply to PageIn: {:?}",
-                other.opcode()
-            ))),
+            other => Err(unexpected_reply("PageIn", &other)),
         }
     }
 
@@ -879,123 +894,97 @@ impl ServerPool {
         seq
     }
 
-    /// Issues a pipelined burst of batch frames and hands back each
-    /// frame's items, matched to its request by the echoed `seq` (so a
-    /// transport delivering replies out of order still works). The last
-    /// frame's load hint is applied to the view.
-    ///
-    /// `expected` maps each frame's seq to its item count.
-    fn exchange_batches(
+    /// Decodes the replies to a burst of [`Message::PageInBatch`] frames
+    /// into pages in request order, misses as `None` — the one reader of
+    /// the batch reply frame, behind both the synchronous and the
+    /// spawned fetch. `sent` lists each frame's seq with the keys it
+    /// asked for; replies are matched by the echoed seq, so a transport
+    /// delivering them out of order still works. The last reply's load
+    /// hint is applied to the view, and every page is verified against
+    /// the server's checksum.
+    fn decode_batch_replies(
         &mut self,
         id: ServerId,
-        frames: &[Message],
-        expected: &[(u32, usize)],
-    ) -> Result<(Vec<Vec<BatchItem>>, LoadHint)> {
-        let replies = self.call_many(id, frames)?;
-        let mut by_seq: HashMap<u32, Vec<BatchItem>> = HashMap::new();
+        mut replies: Vec<Message>,
+        sent: &[(u32, &[StoreKey])],
+    ) -> Result<Vec<Option<Page>>> {
+        // Bursts are a handful of frames: matching by scanning them costs
+        // less than a map would, and allocates nothing.
+        let seq_of = |reply: &Message| match reply {
+            Message::BatchReply { seq, .. } => Some(*seq),
+            _ => None,
+        };
         let mut last_hint = LoadHint::Ok;
-        for reply in replies {
-            match reply {
-                Message::BatchReply { seq, hint, items } => {
-                    last_hint = hint;
-                    if by_seq.insert(seq, items).is_some() {
-                        // A second reply bearing the same seq means the
-                        // server (or a buggy transport) duplicated a
-                        // frame; silently letting the later copy win
-                        // would hide the divergence, so fail the call.
-                        return Err(RmpError::Protocol(format!(
-                            "duplicate reply for batch seq {seq}"
-                        )));
-                    }
-                }
-                other => {
-                    return Err(RmpError::Protocol(format!(
-                        "unexpected reply to batch frame: {:?}",
-                        other.opcode()
-                    )))
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(expected.len());
-        for &(seq, count) in expected {
-            let items = by_seq
-                .remove(&seq)
-                .ok_or_else(|| RmpError::Protocol(format!("no reply for batch seq {seq}")))?;
-            if items.len() != count {
+        for (i, reply) in replies.iter().enumerate() {
+            let Message::BatchReply { seq, hint, .. } = reply else {
+                return Err(unexpected_reply("PageInBatch", reply));
+            };
+            if replies[..i]
+                .iter()
+                .any(|earlier| seq_of(earlier) == Some(*seq))
+            {
+                // A second reply bearing the same seq means the server (or
+                // a buggy transport) duplicated a frame; silently letting
+                // either copy win would hide the divergence, so fail the
+                // call.
                 return Err(RmpError::Protocol(format!(
-                    "batch seq {seq}: {} items for {count} requests",
-                    items.len()
+                    "duplicate reply for batch seq {seq}"
                 )));
             }
-            out.push(items);
+            last_hint = *hint;
         }
         self.apply_hint(id, last_hint);
-        Ok((out, last_hint))
-    }
-
-    /// Maps an item-level error code from a batch reply to the same typed
-    /// errors [`ServerPool::call`] produces for whole-call refusals.
-    fn map_item_error(id: ServerId, key: StoreKey, code: ErrorCode) -> RmpError {
-        match code {
-            ErrorCode::OutOfMemory => RmpError::NoSpace(id),
-            ErrorCode::Corrupt => RmpError::CorruptPage { server: id, key },
-            code => RmpError::Remote {
-                code,
-                message: format!("batch item {key} refused"),
-            },
-        }
-    }
-
-    /// Ships many pages to `id` in pipelined batch frames: up to
-    /// [`ServerPool::batch_max_pages`] checksummed pages per frame, every
-    /// frame written before the first reply is read, so `n` pages cost
-    /// roughly one round trip instead of `n`.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures as [`ServerPool::page_out`]; the first item
-    /// refused inside a reply surfaces typed (out-of-memory becomes
-    /// [`RmpError::NoSpace`]). Pages acknowledged before the failing item
-    /// are stored on the server either way — batch writes are idempotent
-    /// overwrites, so callers simply retry or fall back per page.
-    pub fn page_out_batch(&mut self, id: ServerId, pages: &[(StoreKey, Page)]) -> Result<LoadHint> {
-        let mut frames = Vec::new();
-        let mut expected = Vec::new();
-        for chunk in pages.chunks(self.batch_max_pages) {
-            let seq = self.batch_seq();
-            expected.push((seq, chunk.len()));
-            frames.push(Message::PageOutBatch {
-                seq,
-                pages: chunk
-                    .iter()
-                    .map(|(key, page)| BatchPage {
-                        id: *key,
-                        checksum: page.checksum(),
-                        page: page.clone(),
-                    })
-                    .collect(),
-            });
-        }
-        let (batches, hint) = self.exchange_batches(id, &frames, &expected)?;
-        for (items, chunk) in batches.iter().zip(pages.chunks(self.batch_max_pages)) {
-            for (item, (key, _)) in items.iter().zip(chunk) {
+        let mut out = Vec::with_capacity(sent.iter().map(|(_, keys)| keys.len()).sum());
+        for &(seq, keys) in sent {
+            let items = replies
+                .iter()
+                .position(|reply| seq_of(reply) == Some(seq))
+                .and_then(|at| match replies.swap_remove(at) {
+                    Message::BatchReply { items, .. } => Some(items),
+                    _ => None,
+                })
+                .ok_or_else(|| RmpError::Protocol(format!("no reply for batch seq {seq}")))?;
+            if items.len() != keys.len() {
+                return Err(RmpError::Protocol(format!(
+                    "batch seq {seq}: {} items for {} requests",
+                    items.len(),
+                    keys.len()
+                )));
+            }
+            for (item, &key) in items.into_iter().zip(keys) {
                 match item {
-                    BatchItem::Ack => self.note_wire_transfer(),
-                    BatchItem::Err(code) => return Err(Self::map_item_error(id, *key, *code)),
-                    other => {
-                        return Err(RmpError::Protocol(format!(
-                            "unexpected batch write outcome {other:?}"
-                        )))
+                    BatchItem::Page { checksum, page } => {
+                        self.note_wire_transfer();
+                        if self.verify_checksums && page.checksum() != checksum {
+                            return Err(RmpError::CorruptPage { server: id, key });
+                        }
+                        out.push(Some(page));
+                    }
+                    BatchItem::Miss => out.push(None),
+                    // The same typed errors `call` produces for
+                    // whole-call refusals.
+                    BatchItem::Err(ErrorCode::OutOfMemory) => return Err(RmpError::NoSpace(id)),
+                    BatchItem::Err(ErrorCode::Corrupt) => {
+                        return Err(RmpError::CorruptPage { server: id, key })
+                    }
+                    BatchItem::Err(code) => {
+                        return Err(RmpError::Remote {
+                            code,
+                            message: format!("batch item {key} refused"),
+                        })
                     }
                 }
             }
         }
-        Ok(hint)
+        Ok(out)
     }
 
-    /// Fetches many pages from `id` in pipelined batch frames, verifying
-    /// each returned page against the server's checksum. Missing pages
-    /// come back as `None`, in request order.
+    /// Fetches many pages from `id` in pipelined batch frames — up to
+    /// [`ServerPool::batch_max_pages`] keys per frame, every frame written
+    /// before the first reply is read, so `n` pages cost roughly one
+    /// round trip instead of `n` — verifying each returned page against
+    /// the server's checksum. Missing pages come back as `None`, in
+    /// request order.
     ///
     /// # Errors
     ///
@@ -1004,41 +993,17 @@ impl ServerPool {
     /// first item-level refusal surfaces typed.
     pub fn page_in_batch(&mut self, id: ServerId, keys: &[StoreKey]) -> Result<Vec<Option<Page>>> {
         let mut frames = Vec::new();
-        let mut expected = Vec::new();
+        let mut sent = Vec::new();
         for chunk in keys.chunks(self.batch_max_pages) {
             let seq = self.batch_seq();
-            expected.push((seq, chunk.len()));
+            sent.push((seq, chunk));
             frames.push(Message::PageInBatch {
                 seq,
                 ids: chunk.to_vec(),
             });
         }
-        let (batches, _hint) = self.exchange_batches(id, &frames, &expected)?;
-        let mut out = Vec::with_capacity(keys.len());
-        for (items, chunk) in batches.into_iter().zip(keys.chunks(self.batch_max_pages)) {
-            for (item, key) in items.into_iter().zip(chunk) {
-                match item {
-                    BatchItem::Page { checksum, page } => {
-                        self.note_wire_transfer();
-                        if self.verify_checksums && page.checksum() != checksum {
-                            return Err(RmpError::CorruptPage {
-                                server: id,
-                                key: *key,
-                            });
-                        }
-                        out.push(Some(page));
-                    }
-                    BatchItem::Miss => out.push(None),
-                    BatchItem::Err(code) => return Err(Self::map_item_error(id, *key, code)),
-                    BatchItem::Ack => {
-                        return Err(RmpError::Protocol(
-                            "unexpected batch read outcome Ack".into(),
-                        ))
-                    }
-                }
-            }
-        }
-        Ok(out)
+        let replies = self.call_many(id, &frames)?;
+        self.decode_batch_replies(id, replies, &sent)
     }
 
     /// Starts a batch fetch on `id`'s request window without waiting for
@@ -1047,19 +1012,28 @@ impl ServerPool {
     /// overlaps the fetch with whatever it does next — including demand
     /// faults on the *same* connection.
     ///
-    /// Returns `None` when it cannot run asynchronously — the transport
-    /// has no request window (blocking TCP, test fakes, chaos wrappers),
-    /// the submission failed, or `keys` is empty — and the caller falls
-    /// back to the synchronous [`ServerPool::page_in_batch`]. At most
+    /// `Ok(None)` means the fetch cannot run asynchronously — the
+    /// transport has no request window (test fakes, chaos wrappers) or
+    /// `keys` is empty — and the caller may fall back to the synchronous
+    /// [`ServerPool::page_in_batch`]. At most
     /// [`ServerPool::batch_max_pages`] keys are taken; excess keys are
     /// ignored rather than split (a prefetch is best-effort by nature).
+    ///
+    /// # Errors
+    ///
+    /// The submission's own failure (dead connection, stalled window),
+    /// surfaced directly — no retry, no redial, no death sentence, and no
+    /// reason to try the synchronous path, which would spend the whole
+    /// retry budget on a speculative fetch. The miss feeds the failure
+    /// detector; the demand path exercises the full retry machinery if
+    /// the server really is in trouble.
     pub fn spawn_page_in_batch(
         &mut self,
         id: ServerId,
         keys: &[StoreKey],
-    ) -> Option<PendingPageIn> {
+    ) -> Result<Option<PendingPageIn>> {
         if keys.is_empty() {
-            return None;
+            return Ok(None);
         }
         let keys: Vec<StoreKey> = keys.iter().take(self.batch_max_pages).copied().collect();
         let seq = self.batch_seq();
@@ -1067,22 +1041,24 @@ impl ServerPool {
             seq,
             ids: keys.clone(),
         };
-        let transport = self.transports.get_mut(&id)?;
-        let pending = match transport.submit(std::slice::from_ref(&frame))? {
-            Ok(pending) => pending,
-            // A failed submission (dead connection, stalled window) is not
-            // worth a retry storm for a speculative fetch; the demand path
-            // will exercise the full retry machinery if the server really
-            // is in trouble.
-            Err(_) => return None,
+        let Some(peer) = self.peers.get_mut(&id) else {
+            return Ok(None);
         };
-        Some(PendingPageIn {
-            server: id,
-            seq,
-            keys,
-            issued: Instant::now(),
-            pending,
-        })
+        match peer.transport.submit(std::slice::from_ref(&frame)) {
+            None => Ok(None),
+            Some(Ok(pending)) => Ok(Some(PendingPageIn {
+                server: id,
+                seq,
+                keys,
+                issued: Instant::now(),
+                pending,
+            })),
+            Some(Err(e)) => {
+                self.detector.on_miss(id);
+                self.publish_suspicion(id);
+                Err(e)
+            }
+        }
     }
 
     /// Collects a fetch started by [`ServerPool::spawn_page_in_batch`],
@@ -1107,64 +1083,15 @@ impl ServerPool {
         } = pending;
         let outcome = pending.wait_all();
         let latency_us = issued.elapsed().as_secs_f64() * 1_000_000.0;
-        let replies = match outcome {
-            Ok(replies) => replies,
-            Err(e) => {
+        match &outcome {
+            Ok(_) => self.note_reply(id, latency_us, true),
+            Err(_) => {
                 self.detector.on_miss(id);
                 self.publish_suspicion(id);
-                self.publish_window_stats();
-                return Err(e);
             }
-        };
-        self.note_reply(id, latency_us, true);
+        }
         self.publish_window_stats();
-        let mut replies = replies.into_iter();
-        let (reply_seq, hint, items) = match replies.next() {
-            Some(Message::BatchReply { seq, hint, items }) => (seq, hint, items),
-            Some(other) => {
-                return Err(RmpError::Protocol(format!(
-                    "unexpected reply to batch frame: {:?}",
-                    other.opcode()
-                )))
-            }
-            None => return Err(RmpError::Protocol("batch fetch yielded no reply".into())),
-        };
-        if reply_seq != seq {
-            return Err(RmpError::Protocol(format!(
-                "batch seq mismatch: sent {seq}, got {reply_seq}"
-            )));
-        }
-        if items.len() != keys.len() {
-            return Err(RmpError::Protocol(format!(
-                "batch seq {seq}: {} items for {} requests",
-                items.len(),
-                keys.len()
-            )));
-        }
-        self.apply_hint(id, hint);
-        let mut out = Vec::with_capacity(keys.len());
-        for (item, key) in items.into_iter().zip(&keys) {
-            match item {
-                BatchItem::Page { checksum, page } => {
-                    self.note_wire_transfer();
-                    if self.verify_checksums && page.checksum() != checksum {
-                        return Err(RmpError::CorruptPage {
-                            server: id,
-                            key: *key,
-                        });
-                    }
-                    out.push(Some(page));
-                }
-                BatchItem::Miss => out.push(None),
-                BatchItem::Err(code) => return Err(Self::map_item_error(id, *key, code)),
-                BatchItem::Ack => {
-                    return Err(RmpError::Protocol(
-                        "unexpected batch read outcome Ack".into(),
-                    ))
-                }
-            }
-        }
-        Ok(out)
+        self.decode_batch_replies(id, outcome?, &[(seq, keys.as_slice())])
     }
 
     /// Releases the page stored under `key` on `id`.
@@ -1175,10 +1102,7 @@ impl ServerPool {
     pub fn free(&mut self, id: ServerId, key: StoreKey) -> Result<()> {
         match self.call(id, &Message::Free { id: key })? {
             Message::FreeAck { .. } => Ok(()),
-            other => Err(RmpError::Protocol(format!(
-                "unexpected reply to Free: {:?}",
-                other.opcode()
-            ))),
+            other => Err(unexpected_reply("Free", &other)),
         }
     }
 
@@ -1207,10 +1131,7 @@ impl ServerPool {
                 self.apply_hint(id, hint);
                 Ok((delta, hint))
             }
-            Ok(other) => Err(RmpError::Protocol(format!(
-                "unexpected reply to PageOutDelta: {:?}",
-                other.opcode()
-            ))),
+            Ok(other) => Err(unexpected_reply("PageOutDelta", &other)),
             Err(e) => Err(e),
         }
     }
@@ -1233,10 +1154,7 @@ impl ServerPool {
                 self.note_wire_transfer();
                 Ok(())
             }
-            Ok(other) => Err(RmpError::Protocol(format!(
-                "unexpected reply to XorInto: {:?}",
-                other.opcode()
-            ))),
+            Ok(other) => Err(unexpected_reply("XorInto", &other)),
             Err(e) => Err(e),
         }
     }
@@ -1264,10 +1182,7 @@ impl ServerPool {
                 );
                 Ok((free_pages, stored_pages, cpu_permille, hint))
             }
-            other => Err(RmpError::Protocol(format!(
-                "unexpected reply to LoadQuery: {:?}",
-                other.opcode()
-            ))),
+            other => Err(unexpected_reply("LoadQuery", &other)),
         }
     }
 
@@ -1310,12 +1225,7 @@ impl ServerPool {
                         return Ok(keys);
                     }
                 }
-                other => {
-                    return Err(RmpError::Protocol(format!(
-                        "unexpected reply to ListPages: {:?}",
-                        other.opcode()
-                    )))
-                }
+                other => return Err(unexpected_reply("ListPages", &other)),
             }
         }
     }
@@ -1326,17 +1236,10 @@ impl ServerPool {
     ///
     /// Propagates send failures (an already-dead server).
     pub fn inject_crash(&mut self, id: ServerId) -> Result<()> {
-        if let Some(t) = self.transports.get_mut(&id) {
-            t.send_only(&Message::InjectCrash)?;
+        if let Some(peer) = self.peers.get_mut(&id) {
+            peer.transport.send_only(&Message::InjectCrash)?;
         }
-        self.view.mark_dead(id);
-        self.detector.on_death(id);
-        self.publish_suspicion(id);
-        if let Some(m) = &self.metrics {
-            m.deaths.inc();
-            m.registry
-                .trace(EventKind::Crash, Some(id), None, "injected");
-        }
+        self.declare_dead(id, "injected");
         Ok(())
     }
 
@@ -1350,10 +1253,7 @@ impl ServerPool {
     pub fn get_stats(&mut self, id: ServerId) -> Result<String> {
         match self.call(id, &Message::GetStats)? {
             Message::StatsReply { json } => Ok(json),
-            other => Err(RmpError::Protocol(format!(
-                "unexpected reply to GetStats: {:?}",
-                other.opcode()
-            ))),
+            other => Err(unexpected_reply("GetStats", &other)),
         }
     }
 }

@@ -1,9 +1,9 @@
-//! Nonblocking windowed transport: one reactor thread per connection.
+//! The windowed transport: one reactor thread per connection.
 //!
-//! The blocking [`crate::transport::TcpTransport`] parks an OS thread for
-//! every in-flight request, so a single client thread can never keep more
-//! than one frame on the wire. The windowed transport replaces that with
-//! an event-driven reactor: requests are wrapped in seq-tagged
+//! A request/response socket parks the calling thread for every in-flight
+//! request, so a single client thread can never keep more than one frame
+//! on the wire. Every pool connection is instead an event-driven reactor:
+//! requests are wrapped in seq-tagged
 //! [`Message::Windowed`] envelopes, the submitting thread reserves window
 //! slots under the shared lock and writes the frames itself (one vectored
 //! write per burst, outside the lock), and a per-connection driver thread
@@ -14,7 +14,7 @@
 //! demand pageins, prefetch batches, recovery fetches, and pageouts all
 //! overlap on one connection while `Pager`'s synchronous API stays
 //! untouched: a caller that wants its reply simply blocks on the slot's
-//! condition variable (the waker handoff; see `DESIGN.md` §13).
+//! condition variable (the waker handoff; see `DESIGN.md` §10).
 //!
 //! The window itself is negotiated at connect time: the client sends
 //! [`Message::Hello`] asking for [`rmp_types::TransportConfig::window_max_inflight`]
@@ -450,12 +450,10 @@ impl Drop for PendingReplies {
     }
 }
 
-/// Event-driven replacement for [`crate::transport::TcpTransport`]: a
-/// sliding window of seq-tagged frames kept in flight on one nonblocking
-/// connection (see the [module docs](self)).
-///
-/// Selected by the pool whenever
-/// [`rmp_types::TransportConfig::window_max_inflight`] is above 1.
+/// The pool's transport: a sliding window of seq-tagged frames kept in
+/// flight on one connection (see the [module docs](self)), sized by
+/// [`rmp_types::TransportConfig::window_max_inflight`] — 1 is a window of
+/// one, not a different transport.
 pub struct WindowedTransport {
     addr: String,
     config: TransportConfig,
@@ -484,15 +482,14 @@ impl WindowedTransport {
         WindowedTransport::connect_with(addr, &TransportConfig::default())
     }
 
-    /// Dials `addr`, performs the `Hello` handshake on the still-blocking
-    /// socket, then switches it nonblocking and starts the driver thread.
+    /// Dials `addr`, performs the `Hello` handshake on the socket, then
+    /// starts the driver thread.
     ///
     /// Only dial failures error out. A failed *handshake* (the server
     /// refused with a typed `Error`, timed out, or spoke garbage) yields
-    /// a transport whose calls all return that failure — mirroring the
-    /// blocking transport, where an accept-time refusal surfaces on the
-    /// first call, so the pool's retry/reconnect logic sees identical
-    /// shapes from both transports.
+    /// a transport whose calls all return that failure, so an accept-time
+    /// refusal or a silent server reaches the pool's retry/reconnect
+    /// logic as an ordinary failed call.
     ///
     /// # Errors
     ///
@@ -537,7 +534,7 @@ impl WindowedTransport {
         let handshake = framed
             .send(&Message::Hello { window: requested })
             .and_then(|()| framed.recv());
-        match handshake {
+        let refusal = match handshake {
             Ok(Message::HelloReply { window }) => {
                 let granted = (window.max(1) as usize).min(requested as usize);
                 let stream = framed.into_inner();
@@ -556,32 +553,20 @@ impl WindowedTransport {
                 self.stream = Some(stream);
                 self.driver = Some(driver);
                 self.granted = granted;
-                Ok(())
+                return Ok(());
             }
-            Ok(Message::Error { code, message }) => {
-                self.install_dead(Dead::Remote(code, message));
-                Ok(())
+            Ok(Message::Error { code, message }) | Err(RmpError::Remote { code, message }) => {
+                Dead::Remote(code, message)
             }
-            Ok(other) => {
-                self.install_dead(Dead::Io(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected {:?} handshake reply", other.opcode()),
-                ));
-                Ok(())
-            }
-            Err(RmpError::Remote { code, message }) => {
-                self.install_dead(Dead::Remote(code, message));
-                Ok(())
-            }
-            Err(RmpError::Io(e)) => {
-                self.install_dead(Dead::Io(e.kind(), e.to_string()));
-                Ok(())
-            }
-            Err(other) => {
-                self.install_dead(Dead::Io(io::ErrorKind::InvalidData, other.to_string()));
-                Ok(())
-            }
-        }
+            Ok(other) => Dead::Io(
+                io::ErrorKind::InvalidData,
+                format!("unexpected {:?} handshake reply", other.opcode()),
+            ),
+            Err(RmpError::Io(e)) => Dead::Io(e.kind(), e.to_string()),
+            Err(other) => Dead::Io(io::ErrorKind::InvalidData, other.to_string()),
+        };
+        self.install_dead(refusal);
+        Ok(())
     }
 
     fn teardown(&mut self) {
@@ -663,12 +648,6 @@ impl WindowedTransport {
                     return Err(dead.to_error());
                 }
             }
-            // Skip sequence numbers still occupied by an in-flight
-            // (possibly abandoned) request: after the u32 counter wraps,
-            // reusing a live seq would overwrite its pending slot and
-            // let the *old* request's reply complete the new slot with
-            // the wrong payload. Terminates because `pending` never
-            // holds more than `window` entries.
             // Skip sequence numbers still occupied by an in-flight
             // (possibly abandoned) request: after the u32 counter wraps,
             // reusing a live seq would overwrite its pending slot and

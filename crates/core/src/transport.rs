@@ -2,13 +2,14 @@
 
 use std::net::{TcpStream, ToSocketAddrs};
 
-use rmp_proto::{Framed, Message};
+use rmp_proto::Message;
 use rmp_types::{Result, RmpError, TransportConfig};
 
 /// A request/response channel to one server.
 ///
-/// Production uses [`TcpTransport`] (a TCP socket, as in the paper); tests
-/// may plug in in-process fakes.
+/// Production uses [`crate::reactor::WindowedTransport`] (a TCP socket, as
+/// in the paper, carrying a request window); tests may plug in in-process
+/// fakes.
 pub trait ServerTransport: Send {
     /// Sends `msg` and returns the server's reply.
     ///
@@ -61,75 +62,26 @@ pub trait ServerTransport: Send {
     /// Submits `msgs` onto this transport's request window without
     /// waiting for the replies, returning a handle the caller completes
     /// later (see [`crate::reactor::PendingReplies`]). `None` when the
-    /// transport has no window — blocking TCP, in-process fakes — in
-    /// which case callers fall back to the synchronous paths.
+    /// transport has no window — in-process fakes — in which case
+    /// callers fall back to the synchronous paths.
     fn submit(&mut self, msgs: &[Message]) -> Option<Result<crate::reactor::PendingReplies>> {
         let _ = msgs;
         None
     }
 
     /// Cumulative request-window counters, when this transport runs a
-    /// reactor; `None` for blocking transports and fakes.
+    /// reactor; `None` for fakes.
     fn window_stats(&self) -> Option<crate::reactor::WindowStats> {
         None
     }
 }
 
-/// TCP transport — "the RMP connects to the remote memory servers using
-/// sockets over TCP/IP" (Section 3.1).
-///
-/// Every socket operation runs under the deadlines of its
-/// [`TransportConfig`]: connects use `connect_timeout`, each blocking
-/// read/write uses `read_timeout`/`write_timeout`. The paper's pager
-/// relied on kernel TCP timeouts (minutes); a page fault cannot wait
+/// Opens the socket every connection starts from — "the RMP connects to
+/// the remote memory servers using sockets over TCP/IP" (Section 3.1) —
+/// under the deadlines of `config`: the connect uses `connect_timeout`,
+/// each blocking read/write `read_timeout`/`write_timeout`. The paper's
+/// pager relied on kernel TCP timeouts (minutes); a page fault cannot wait
 /// that long, so deadlines here are what keeps the paging path bounded.
-pub struct TcpTransport {
-    framed: Framed<TcpStream>,
-    addr: String,
-    config: TransportConfig,
-}
-
-impl std::fmt::Debug for TcpTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpTransport")
-            .field("addr", &self.addr)
-            .field("config", &self.config)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TcpTransport {
-    /// Connects to `addr` (`host:port`) with default deadlines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect(addr: &str) -> Result<Self> {
-        TcpTransport::connect_with(addr, &TransportConfig::default())
-    }
-
-    /// Connects to `addr` under `config.connect_timeout` and arms the
-    /// per-operation read/write deadlines.
-    ///
-    /// # Errors
-    ///
-    /// `TimedOut` when no connection is established within the deadline;
-    /// otherwise propagates resolution and connection failures.
-    pub fn connect_with(addr: &str, config: &TransportConfig) -> Result<Self> {
-        let stream = dial(addr, config)?;
-        Ok(TcpTransport {
-            framed: Framed::new(stream),
-            addr: addr.to_string(),
-            config: config.clone(),
-        })
-    }
-
-    /// The address this transport dials.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-}
-
 pub(crate) fn dial(addr: &str, config: &TransportConfig) -> Result<TcpStream> {
     let socket_addr = addr
         .to_socket_addrs()?
@@ -142,41 +94,10 @@ pub(crate) fn dial(addr: &str, config: &TransportConfig) -> Result<TcpStream> {
     Ok(stream)
 }
 
-impl ServerTransport for TcpTransport {
-    fn call(&mut self, msg: &Message) -> Result<Message> {
-        self.framed.call(msg)
-    }
-
-    fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
-        // Write every frame before reading the first reply: the server
-        // answers in order, so the socket carries all requests while the
-        // earliest response is still being produced.
-        for msg in msgs {
-            self.framed.send(msg)?;
-        }
-        let mut replies = Vec::with_capacity(msgs.len());
-        for _ in msgs {
-            match self.framed.recv()? {
-                Message::Error { code, message } => return Err(RmpError::Remote { code, message }),
-                reply => replies.push(reply),
-            }
-        }
-        Ok(replies)
-    }
-
-    fn send_only(&mut self, msg: &Message) -> Result<()> {
-        self.framed.send(msg)
-    }
-
-    fn reconnect(&mut self) -> Result<()> {
-        self.framed = Framed::new(dial(&self.addr, &self.config)?);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::WindowedTransport;
     use std::io::Read;
     use std::net::TcpListener;
     use std::time::{Duration, Instant};
@@ -203,8 +124,11 @@ mod tests {
             while matches!(sock.read(&mut sink), Ok(n) if n > 0) {}
         });
 
-        let mut transport = TcpTransport::connect_with(&addr, &quick_config()).expect("connect");
+        // The handshake is the first request to go unanswered: the read
+        // deadline bounds it, and every call then reports that timeout.
         let start = Instant::now();
+        let mut transport =
+            WindowedTransport::connect_with(&addr, &quick_config()).expect("connect");
         let err = transport.call(&Message::LoadQuery).expect_err("deadline");
         assert!(err.is_timeout(), "expected timeout, got {err:?}");
         assert!(
@@ -223,7 +147,7 @@ mod tests {
         // answer — the invariant under test is the *bound*, not the
         // outcome.
         let start = Instant::now();
-        let _ = TcpTransport::connect_with("192.0.2.1:9", &quick_config());
+        let _ = WindowedTransport::connect_with("192.0.2.1:9", &quick_config());
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "connect returned in bounded time"
@@ -241,7 +165,8 @@ mod tests {
                 drop(sock);
             }
         });
-        let mut transport = TcpTransport::connect_with(&addr, &quick_config()).expect("connect");
+        let mut transport =
+            WindowedTransport::connect_with(&addr, &quick_config()).expect("connect");
         transport.reconnect().expect("redial");
         guard.join().expect("listener thread");
     }

@@ -19,11 +19,11 @@ use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, S
 
 struct BatchState {
     pages: HashMap<StoreKey, Page>,
-    /// Max pages stored; inserts past it answer `Err(OutOfMemory)`.
-    capacity: Option<usize>,
     /// When set, batch pagein items for this key carry a checksum over
     /// different bytes than the page — wire corruption.
     flip_key: Option<StoreKey>,
+    /// When set, the batch pagein item for this key is a typed refusal.
+    refuse_key: Option<(StoreKey, rmp_types::ErrorCode)>,
     /// Frames handled (each batch frame counts once).
     frames: u64,
     /// `call_pipelined` invocations.
@@ -42,8 +42,8 @@ impl BatchServer {
     fn new() -> Self {
         BatchServer(Rc::new(RefCell::new(BatchState {
             pages: HashMap::new(),
-            capacity: None,
             flip_key: None,
+            refuse_key: None,
             frames: 0,
             pipelined: 0,
             reverse_replies: false,
@@ -104,31 +104,12 @@ impl ServerTransport for BatchTransport {
                 cpu_permille: 0,
                 hint: LoadHint::Ok,
             },
-            Message::PageOutBatch { seq, pages } => {
-                let items = pages
-                    .into_iter()
-                    .map(|entry| {
-                        let full = st.capacity.is_some_and(|cap| st.pages.len() >= cap)
-                            && !st.pages.contains_key(&entry.id);
-                        if full {
-                            BatchItem::Err(rmp_types::ErrorCode::OutOfMemory)
-                        } else {
-                            st.pages.insert(entry.id, entry.page);
-                            BatchItem::Ack
-                        }
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
             Message::PageInBatch { seq, ids } => {
                 let items = ids
                     .iter()
-                    .map(|id| match st.pages.get(id) {
-                        Some(p) => {
+                    .map(|id| match (st.pages.get(id), st.refuse_key) {
+                        (Some(_), Some((key, code))) if key == *id => BatchItem::Err(code),
+                        (Some(p), _) => {
                             let mut checksum = p.checksum();
                             if st.flip_key == Some(*id) {
                                 checksum ^= 1;
@@ -138,7 +119,7 @@ impl ServerTransport for BatchTransport {
                                 page: p.clone(),
                             }
                         }
-                        None => BatchItem::Miss,
+                        (None, _) => BatchItem::Miss,
                     })
                     .collect();
                 Message::BatchReply {
@@ -188,17 +169,18 @@ fn batch_pool(n: usize) -> (Vec<BatchServer>, ServerPool) {
     (servers, pool)
 }
 
-fn pages(n: u64) -> Vec<(StoreKey, Page)> {
-    (0..n)
-        .map(|i| (StoreKey(i), Page::deterministic(i)))
-        .collect()
+/// Stores pages `0..n` on server 0, one frame per page.
+fn preload(pool: &mut ServerPool, n: u64) {
+    for i in 0..n {
+        pool.page_out(ServerId(0), StoreKey(i), &Page::deterministic(i))
+            .expect("preload");
+    }
 }
 
 #[test]
 fn batch_round_trip_and_misses() {
     let (fakes, mut pool) = batch_pool(1);
-    pool.page_out_batch(ServerId(0), &pages(6))
-        .expect("batch out");
+    preload(&mut pool, 6);
     assert_eq!(fakes[0].stored(), 6);
     let keys = [StoreKey(0), StoreKey(99), StoreKey(5)];
     let got = pool.page_in_batch(ServerId(0), &keys).expect("batch in");
@@ -211,12 +193,10 @@ fn batch_round_trip_and_misses() {
 fn out_of_order_batch_replies_are_rematched_by_seq() {
     let (fakes, mut pool) = batch_pool(1);
     pool.set_batch_max_pages(4);
+    preload(&mut pool, 10);
     fakes[0].0.borrow_mut().reverse_replies = true;
-    // 10 pages over a 4-page frame cap: three frames per direction, and
-    // the fake answers each pipelined burst in reverse order.
-    pool.page_out_batch(ServerId(0), &pages(10))
-        .expect("batch out");
-    assert_eq!(fakes[0].stored(), 10);
+    // 10 pages over a 4-page frame cap: three frames, and the fake
+    // answers the pipelined burst in reverse order.
     let keys: Vec<StoreKey> = (0..10).map(StoreKey).collect();
     let got = pool.page_in_batch(ServerId(0), &keys).expect("batch in");
     for (i, page) in got.into_iter().enumerate() {
@@ -227,7 +207,7 @@ fn out_of_order_batch_replies_are_rematched_by_seq() {
         );
     }
     assert!(
-        fakes[0].pipelined() >= 2,
+        fakes[0].pipelined() >= 1,
         "multi-frame batches went down the pipelined path"
     );
 }
@@ -238,22 +218,7 @@ fn duplicate_batch_seq_is_a_protocol_error() {
     // it answered; the earlier reply must not be silently overwritten.
     let (fakes, mut pool) = batch_pool(1);
     pool.set_batch_max_pages(4);
-    fakes[0].0.borrow_mut().duplicate_seq = true;
-    let err = pool
-        .page_out_batch(ServerId(0), &pages(10))
-        .expect_err("duplicated reply seq must fail the call");
-    match err {
-        RmpError::Protocol(m) => {
-            assert!(m.contains("duplicate"), "got protocol error: {m}")
-        }
-        other => panic!("expected Protocol error, got {other:?}"),
-    }
-
-    // Same misbehavior on the read path.
-    let (fakes, mut pool) = batch_pool(1);
-    pool.set_batch_max_pages(4);
-    pool.page_out_batch(ServerId(0), &pages(10))
-        .expect("batch out");
+    preload(&mut pool, 10);
     fakes[0].0.borrow_mut().duplicate_seq = true;
     let keys: Vec<StoreKey> = (0..10).map(StoreKey).collect();
     let err = pool
@@ -267,22 +232,22 @@ fn duplicate_batch_seq_is_a_protocol_error() {
 
 #[test]
 fn one_bad_page_fails_the_batch_with_a_typed_error() {
-    // Allocation refusal inside a batch maps to the same NoSpace the
-    // single-page path produces.
+    // A refused item maps to the same typed error the single-page path
+    // produces for a whole-call refusal.
     let (fakes, mut pool) = batch_pool(1);
-    fakes[0].0.borrow_mut().capacity = Some(8);
+    preload(&mut pool, 4);
+    fakes[0].0.borrow_mut().refuse_key = Some((StoreKey(1), rmp_types::ErrorCode::OutOfMemory));
+    let keys: Vec<StoreKey> = (0..4).map(StoreKey).collect();
     let err = pool
-        .page_out_batch(ServerId(0), &pages(10))
-        .expect_err("two pages over capacity");
+        .page_in_batch(ServerId(0), &keys)
+        .expect_err("refused item");
     assert!(matches!(err, RmpError::NoSpace(ServerId(0))), "got {err:?}");
-    assert_eq!(fakes[0].stored(), 8, "the good pages still landed");
 
     // Wire corruption of a single item maps to CorruptPage against that
     // key, exactly like the single-page frame verification.
     let (fakes, mut pool) = batch_pool(1);
     pool.set_verify_checksums(true);
-    pool.page_out_batch(ServerId(0), &pages(4))
-        .expect("batch out");
+    preload(&mut pool, 4);
     fakes[0].0.borrow_mut().flip_key = Some(StoreKey(2));
     let keys: Vec<StoreKey> = (0..4).map(StoreKey).collect();
     let err = pool
@@ -303,23 +268,31 @@ fn one_bad_page_fails_the_batch_with_a_typed_error() {
 #[test]
 fn batching_collapses_frame_counts() {
     let (single, mut pool) = batch_pool(1);
-    for (key, page) in pages(16) {
-        pool.page_out(ServerId(0), key, &page).expect("single out");
+    preload(&mut pool, 16);
+    let stored = single[0].frames();
+    for i in 0..16 {
+        pool.page_in(ServerId(0), StoreKey(i)).expect("single in");
     }
-    assert_eq!(single[0].frames(), 16, "one frame per single-page call");
+    assert_eq!(
+        single[0].frames() - stored,
+        16,
+        "one frame per single-page call"
+    );
 
     let (batched, mut pool) = batch_pool(1);
     pool.set_batch_max_pages(8);
-    pool.page_out_batch(ServerId(0), &pages(16))
-        .expect("batch out");
+    preload(&mut pool, 16);
+    let stored = batched[0].frames();
+    let keys: Vec<StoreKey> = (0..16).map(StoreKey).collect();
+    pool.page_in_batch(ServerId(0), &keys).expect("batch in");
     assert_eq!(
-        batched[0].frames(),
+        batched[0].frames() - stored,
         2,
         "16 pages at 8 per frame need exactly two frames"
     );
     // Wire-transfer accounting counts *pages*, not frames, so the two
     // paths agree on how much data moved.
-    assert_eq!(pool.wire_transfers(), 16);
+    assert_eq!(pool.wire_transfers(), 16 + 16);
 }
 
 // --- prefetching ------------------------------------------------------------

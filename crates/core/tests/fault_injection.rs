@@ -185,20 +185,6 @@ impl ServerTransport for FakeTransport {
                 }
                 Message::XorAck { id }
             }
-            Message::PageOutBatch { seq, pages } => {
-                let items = pages
-                    .into_iter()
-                    .map(|entry| {
-                        st.pages.insert(entry.id, entry.page);
-                        BatchItem::Ack
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
             Message::PageInBatch { seq, ids } => {
                 let items = ids
                     .iter()

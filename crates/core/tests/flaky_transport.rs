@@ -15,8 +15,8 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use rmp_blockdev::{PagingDevice, RamDisk};
-use rmp_core::transport::{ServerTransport, TcpTransport};
-use rmp_core::{Pager, ServerPool};
+use rmp_core::transport::ServerTransport;
+use rmp_core::{Pager, ServerPool, WindowedTransport};
 use rmp_proto::{BatchItem, LoadHint, Message};
 use rmp_types::{
     ErrorCode, Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId,
@@ -186,20 +186,6 @@ impl ServerTransport for FlakyTransport {
                     }
                 }
                 Message::XorAck { id }
-            }
-            Message::PageOutBatch { seq, pages } => {
-                let items = pages
-                    .into_iter()
-                    .map(|entry| {
-                        st.pages.insert(entry.id, entry.page);
-                        BatchItem::Ack
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
             }
             Message::PageInBatch { seq, ids } => {
                 let items = ids
@@ -734,7 +720,9 @@ fn silent_server_cannot_block_the_paging_path() {
         ..TransportConfig::default()
     };
     let mut pool = ServerPool::with_transport_config(cfg.clone());
-    let transport = TcpTransport::connect_with(&addr, &cfg).expect("connect");
+    // The handshake is the first request to go unanswered; it must cost
+    // one read deadline, not hang the connect.
+    let transport = WindowedTransport::connect_with(&addr, &cfg).expect("connect");
     pool.add_transport(ServerId(0), Box::new(transport), 1.0);
 
     let start = Instant::now();

@@ -173,3 +173,38 @@ fn a_known_dead_holder_is_not_dialled_again() {
         "server 0 was dialled although the view holds it dead"
     );
 }
+
+#[test]
+fn prefetch_is_not_aimed_at_a_known_dead_holder() {
+    // Two mirrors, so nothing can be re-replicated away from the dead one
+    // and the pages it was primary for keep pointing at it. A fast server
+    // that dies keeps its tens-of-µs latency estimate, so it never looks
+    // gray: only the view says it is gone.
+    let cluster = ChaosCluster::new(2, FaultPlan::seeded(7));
+    let config = PagerConfig::new(Policy::Mirroring)
+        .with_prefetch_window(8)
+        .with_hedge_suspicion_threshold(f64::INFINITY);
+    let mut pager = pager(&cluster, config);
+    fill(&mut pager, 48);
+    cluster.server(0).crash();
+    // A load probe notices the crash and pays the pool's retry budget.
+    assert_eq!(pager.pool_mut().refresh_loads(), vec![ServerId(0)]);
+    let retries = pager.metrics().counter("pool_retries_total").get();
+    // From here on every call that reaches server 0's transport leaves
+    // an event behind.
+    cluster
+        .plan()
+        .inject(FaultRule::new(FaultAction::Drop).on_server(ServerId(0)));
+    cluster.plan().arm();
+    assert_eq!(read(&mut pager, 0..48), 48);
+    assert_eq!(
+        cluster.plan().events(),
+        Vec::new(),
+        "read-ahead dialled server 0 although the view holds it dead"
+    );
+    assert_eq!(
+        pager.metrics().counter("pool_retries_total").get(),
+        retries,
+        "a speculative fetch spent the retry budget"
+    );
+}

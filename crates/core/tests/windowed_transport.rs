@@ -207,16 +207,17 @@ fn pool_batches_ride_the_window() {
         })
         .expect("register");
     let mut pool = ServerPool::connect(&registry).expect("connect");
-    let pages: Vec<(StoreKey, Page)> = (0..40u64)
-        .map(|i| (pool.fresh_key(), Page::deterministic(i)))
-        .collect();
-    pool.page_out_batch(ServerId(0), &pages).expect("batch out");
-    let keys: Vec<StoreKey> = pages.iter().map(|(k, _)| *k).collect();
+    let keys: Vec<StoreKey> = (0..40).map(|_| pool.fresh_key()).collect();
+    for (i, key) in keys.iter().enumerate() {
+        pool.page_out(ServerId(0), *key, &Page::deterministic(i as u64))
+            .expect("store");
+    }
 
     // Async spawn/finish: the fetch overlaps with this thread's other
     // work (here, a demand call on the same connection).
     let pending = pool
         .spawn_page_in_batch(ServerId(0), &keys)
+        .expect("submitted")
         .expect("windowed transport accepts async batches");
     assert_eq!(pending.server(), ServerId(0));
     assert!(pending.contains(keys[0]));
@@ -230,6 +231,95 @@ fn pool_batches_ride_the_window() {
             "page {i} contents"
         );
     }
+    server.shutdown();
+}
+
+fn single_server_registry(server: &ServerHandle) -> Registry {
+    let mut registry = Registry::new();
+    registry
+        .add(ServerInfo {
+            id: ServerId(0),
+            addr: server.addr().to_string(),
+            link_cost: 1.0,
+        })
+        .expect("register");
+    registry
+}
+
+#[test]
+fn a_window_of_one_is_a_window_not_another_transport() {
+    let server = spawn_server(64);
+    let cfg = TransportConfig {
+        window_max_inflight: 1,
+        ..TransportConfig::default()
+    };
+    let mut pool =
+        ServerPool::connect_with(&single_server_registry(&server), cfg).expect("connect");
+    let metrics = std::sync::Arc::new(rmp_types::metrics::MetricsRegistry::new());
+    pool.set_metrics(std::sync::Arc::clone(&metrics));
+    let keys: Vec<StoreKey> = (0..8).map(StoreKey).collect();
+    for key in &keys {
+        pool.page_out(ServerId(0), *key, &Page::deterministic(key.0))
+            .expect("store");
+    }
+    for key in &keys {
+        let page = pool.page_in(ServerId(0), *key).expect("fetch");
+        assert_eq!(page, Page::deterministic(key.0));
+    }
+    // The connection takes submissions: it is the reactor.
+    let pending = pool
+        .spawn_page_in_batch(ServerId(0), &keys)
+        .expect("submitted")
+        .expect("a window of one is still a window");
+    let fetched = pool.finish_page_in_batch(pending).expect("collect");
+    assert!(fetched.iter().all(Option::is_some));
+    // Four two-page frames in one burst stall on the window, which they
+    // would not on any granted window of four or more.
+    pool.set_batch_max_pages(2);
+    let fetched = pool.page_in_batch(ServerId(0), &keys).expect("batch in");
+    for (key, page) in keys.iter().zip(fetched) {
+        assert_eq!(page, Some(Page::deterministic(key.0)));
+    }
+    assert!(
+        metrics.counter("pool_window_stalls_total").get() >= 1,
+        "the granted window is smaller than the burst"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_refused_prefetch_submission_is_an_error_not_a_fallback() {
+    let server = spawn_server(64);
+    let mut pool = ServerPool::connect(&single_server_registry(&server)).expect("connect");
+    let metrics = std::sync::Arc::new(rmp_types::metrics::MetricsRegistry::new());
+    pool.set_metrics(std::sync::Arc::clone(&metrics));
+    let keys: Vec<StoreKey> = (0..4).map(StoreKey).collect();
+    for key in &keys {
+        pool.page_out(ServerId(0), *key, &Page::deterministic(key.0))
+            .expect("store");
+    }
+    server.crash();
+    // The reactor notices the severed socket on its own thread; until it
+    // has, a submission is still accepted and its handle fails instead.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let err = loop {
+        match pool.spawn_page_in_batch(ServerId(0), &keys) {
+            Err(e) => break e,
+            Ok(Some(handle)) => {
+                pool.finish_page_in_batch(handle)
+                    .expect_err("the server is gone");
+            }
+            Ok(None) => panic!("a windowed transport always has a window"),
+        }
+        assert!(Instant::now() < deadline, "the dead connection was noticed");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(err.is_server_failure(), "got {err:?}");
+    // "Refused" and "no window" are different answers: the caller of a
+    // speculative fetch drops it on the first and may go synchronous on
+    // the second. Neither spends the retry budget or sentences the server.
+    assert_eq!(metrics.counter("pool_retries_total").get(), 0);
+    assert!(pool.view().is_alive(ServerId(0)));
     server.shutdown();
 }
 
@@ -363,10 +453,10 @@ fn window_metrics_surface_depth_and_stalls() {
     let mut pool = ServerPool::connect(&registry).expect("connect");
     let metrics = std::sync::Arc::new(rmp_types::metrics::MetricsRegistry::new());
     pool.set_metrics(std::sync::Arc::clone(&metrics));
-    let pages: Vec<(StoreKey, Page)> = (0..20u64)
-        .map(|i| (StoreKey(i), Page::deterministic(i)))
-        .collect();
-    pool.page_out_batch(ServerId(0), &pages).expect("batch");
+    for i in 0..20u64 {
+        pool.page_out(ServerId(0), StoreKey(i), &Page::deterministic(i))
+            .expect("store");
+    }
     let json = metrics.snapshot_json();
     assert!(
         json.contains("pool_window_depth"),

@@ -159,6 +159,22 @@ impl BasicParityMap {
         self.assignments.len()
     }
 
+    /// The occupied members of stripe `slot` as `(server, key)`, in
+    /// data-server order, leaving out the one on `except` — the one place
+    /// the layout of a stripe is read. With the parity page they are what
+    /// rebuilds `except`'s member; with `except = None` they are what the
+    /// parity page is the XOR of.
+    pub fn stripe_members(&self, slot: u64, except: Option<ServerId>) -> Vec<(ServerId, StoreKey)> {
+        let Some(row) = self.occupancy.get(&slot) else {
+            return Vec::new();
+        };
+        row.iter()
+            .zip(&self.servers)
+            .filter(|&(occ, &server)| occ.is_some() && Some(server) != except)
+            .map(|(_, &server)| (server, StoreKey(slot)))
+            .collect()
+    }
+
     /// Builds recovery plans for a crash of `server`.
     ///
     /// # Errors
@@ -177,22 +193,19 @@ impl BasicParityMap {
             .iter()
             .position(|&s| s == server)
             .ok_or_else(|| RmpError::Unrecoverable(format!("unknown server {server}")))?;
-        let mut plans = Vec::new();
-        for (&j, row) in &self.occupancy {
-            let Some(page_id) = row[idx] else { continue };
-            let fetch: Vec<(ServerId, StoreKey)> = row
-                .iter()
-                .enumerate()
-                .filter(|&(i, occ)| i != idx && occ.is_some())
-                .map(|(i, _)| (self.servers[i], StoreKey(j)))
-                .collect();
-            plans.push(BasicRecovery {
-                page_id,
-                lost: self.assignments[&page_id],
-                fetch,
-                parity: (self.parity_server, StoreKey(j)),
-            });
-        }
+        let mut plans: Vec<BasicRecovery> = self
+            .occupancy
+            .iter()
+            .filter_map(|(&j, row)| {
+                let page_id = row[idx]?;
+                Some(BasicRecovery {
+                    page_id,
+                    lost: self.assignments[&page_id],
+                    fetch: self.stripe_members(j, Some(server)),
+                    parity: (self.parity_server, StoreKey(j)),
+                })
+            })
+            .collect();
         plans.sort_by_key(|p| p.lost.slot);
         Ok(plans)
     }
@@ -202,20 +215,9 @@ impl BasicParityMap {
     pub fn parity_rebuild_plan(&self) -> Vec<(StoreKey, Vec<(ServerId, StoreKey)>)> {
         let mut plans: Vec<_> = self
             .occupancy
-            .iter()
-            .filter_map(|(&j, row)| {
-                let members: Vec<(ServerId, StoreKey)> = row
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, occ)| occ.is_some())
-                    .map(|(i, _)| (self.servers[i], StoreKey(j)))
-                    .collect();
-                if members.is_empty() {
-                    None
-                } else {
-                    Some((StoreKey(j), members))
-                }
-            })
+            .keys()
+            .map(|&j| (StoreKey(j), self.stripe_members(j, None)))
+            .filter(|(_, members)| !members.is_empty())
             .collect();
         plans.sort_by_key(|(k, _)| *k);
         plans
@@ -345,6 +347,31 @@ mod tests {
         assert_eq!(rebuilds.len(), 2, "stripe slots 0 and 1 in use");
         assert_eq!(rebuilds[0].1.len(), 3);
         assert_eq!(rebuilds[1].1.len(), 1);
+    }
+
+    #[test]
+    fn stripe_members_is_the_matching_row_of_each_full_plan() {
+        let mut m = map3();
+        for p in 0..8 {
+            m.assign(PageId(p));
+        }
+        m.free(PageId(4)); // A hole in stripe 1.
+        for server in [ServerId(0), ServerId(1), ServerId(2)] {
+            for plan in m.recovery_plan(server).expect("recoverable") {
+                assert_eq!(
+                    m.stripe_members(plan.lost.slot, Some(server)),
+                    plan.fetch,
+                    "survivors of stripe {} without {server}",
+                    plan.lost.slot
+                );
+            }
+        }
+        let rebuilds = m.parity_rebuild_plan();
+        assert_eq!(rebuilds.len(), 3);
+        for (key, members) in rebuilds {
+            assert_eq!(m.stripe_members(key.0, None), members, "stripe {key}");
+        }
+        assert!(m.stripe_members(99, None).is_empty(), "unoccupied stripe");
     }
 
     #[test]

@@ -8,22 +8,23 @@
 //! raw page — no per-byte encoding overhead, matching the paper's emphasis
 //! on minimal protocol-processing time.
 //!
-//! The protocol is strictly request/response per connection by default.
 //! Server load advisories — the paper's "note advising the client to send
 //! no more pages" — piggy-back on every acknowledgement as a [`LoadHint`],
 //! so the client learns about server memory pressure without an
 //! out-of-band channel.
 //!
-//! A client may upgrade a connection to a *windowed session* by sending
-//! [`Message::Hello`]: after the server's [`Message::HelloReply`] grants a
-//! window, requests travel as seq-tagged [`Message::Windowed`] envelopes
-//! and replies may come back out of order, up to the granted number
-//! outstanding at once (see `DESIGN.md` §13).
+//! The pager opens every connection as a *windowed session* by sending
+//! [`Message::Hello`] first: after the server's [`Message::HelloReply`]
+//! grants a window, requests travel as seq-tagged [`Message::Windowed`]
+//! envelopes and replies may come back out of order, up to the granted
+//! number outstanding at once (see `DESIGN.md` §10). Bare frames — a
+//! stats probe, crash injection — are plain request/response and are
+//! answered in arrival order.
 
 pub mod message;
 pub mod transport;
 pub mod wire;
 
-pub use message::{BatchItem, BatchPage, LoadHint, Message, MAX_STATS_JSON};
+pub use message::{BatchItem, LoadHint, Message, MAX_STATS_JSON};
 pub use transport::{FrameAccumulator, Framed};
 pub use wire::{FrameHeader, Opcode, MAGIC, MAX_BATCH_PAGES, MAX_PAYLOAD, VERSION};

@@ -41,27 +41,14 @@ impl LoadHint {
     }
 }
 
-/// One checksummed page travelling in a [`Message::PageOutBatch`].
-#[derive(Clone, PartialEq, Debug)]
-pub struct BatchPage {
-    /// Page identifier within this client's swap space.
-    pub id: StoreKey,
-    /// FNV checksum of `page`, stamped by the writer.
-    pub checksum: u64,
-    /// Page contents.
-    pub page: Page,
-}
-
 /// Per-item outcome inside a [`Message::BatchReply`].
 ///
 /// A batch frame succeeds or fails as a unit at the transport layer, but
-/// each page inside it has its own result: a store can run out of room
-/// half-way through a batch, and a batched read can hit pages the server
-/// never held. Item-level errors ride here instead of aborting the frame.
+/// each page inside it has its own result: a batched read can hit pages
+/// the server never held. Item-level outcomes ride here instead of
+/// aborting the frame.
 #[derive(Clone, PartialEq, Debug)]
 pub enum BatchItem {
-    /// The write for this slot was applied.
-    Ack,
     /// The read for this slot found the page.
     Page {
         /// FNV checksum of `page` over the stored bytes.
@@ -76,9 +63,10 @@ pub enum BatchItem {
 }
 
 impl BatchItem {
+    /// Wire tag of the outcome; 0 is reserved (it was the write
+    /// acknowledgement) and rejected on decode.
     fn tag(&self) -> u8 {
         match self {
-            BatchItem::Ack => 0,
             BatchItem::Page { .. } => 1,
             BatchItem::Miss => 2,
             BatchItem::Err(_) => 3,
@@ -233,21 +221,12 @@ pub enum Message {
         /// The JSON snapshot text.
         json: String,
     },
-    /// Store up to [`MAX_BATCH_PAGES`] checksummed pages in one frame.
-    ///
-    /// The server applies the whole batch under a single occupancy check
-    /// and answers with one [`Message::BatchReply`] echoing `seq`.
-    PageOutBatch {
+    /// Fetch up to [`MAX_BATCH_PAGES`] pages in one frame; the server
+    /// answers with one [`Message::BatchReply`] echoing `seq`.
+    PageInBatch {
         /// Client-chosen tag echoed by the reply, so a client keeping
         /// several batch frames outstanding on one connection can match
         /// replies arriving out of order.
-        seq: u32,
-        /// The pages to store.
-        pages: Vec<BatchPage>,
-    },
-    /// Fetch up to [`MAX_BATCH_PAGES`] pages in one frame.
-    PageInBatch {
-        /// Client-chosen tag echoed by the reply.
         seq: u32,
         /// Page identifiers to fetch.
         ids: Vec<StoreKey>,
@@ -318,7 +297,6 @@ impl Message {
             Message::XorAck { .. } => Opcode::XorAck,
             Message::GetStats => Opcode::GetStats,
             Message::StatsReply { .. } => Opcode::StatsReply,
-            Message::PageOutBatch { .. } => Opcode::PageOutBatch,
             Message::PageInBatch { .. } => Opcode::PageInBatch,
             Message::BatchReply { .. } => Opcode::BatchReply,
             Message::Hello { .. } => Opcode::Hello,
@@ -346,7 +324,6 @@ impl Message {
                 | Message::Free { .. }
                 | Message::PageOutDelta { .. }
                 | Message::XorInto { .. }
-                | Message::PageOutBatch { .. }
                 | Message::PageInBatch { .. }
         )
     }
@@ -468,16 +445,6 @@ impl Message {
                 payload.put_u32_le(bytes.len() as u32);
                 payload.put_slice(bytes);
             }
-            Message::PageOutBatch { seq, pages } => {
-                payload.reserve(6 + pages.len() * (16 + PAGE_SIZE));
-                payload.put_u32_le(*seq);
-                payload.put_u16_le(pages.len() as u16);
-                for entry in pages {
-                    payload.put_u64_le(entry.id.0);
-                    payload.put_u64_le(entry.checksum);
-                    payload.put_slice(entry.page.as_ref());
-                }
-            }
             Message::PageInBatch { seq, ids } => {
                 payload.put_u32_le(*seq);
                 payload.put_u16_le(ids.len() as u16);
@@ -493,7 +460,7 @@ impl Message {
                 for item in items {
                     payload.put_u8(item.tag());
                     match item {
-                        BatchItem::Ack | BatchItem::Miss => {}
+                        BatchItem::Miss => {}
                         BatchItem::Page { checksum, page } => {
                             payload.put_u64_le(*checksum);
                             payload.put_slice(page.as_ref());
@@ -705,23 +672,6 @@ impl Message {
                     .map_err(|_| RmpError::Protocol("stats json not UTF-8".into()))?;
                 Message::StatsReply { json }
             }
-            Opcode::PageOutBatch => {
-                need(&buf, 6, "PageOutBatch")?;
-                let seq = buf.get_u32_le();
-                let count = batch_count(buf.get_u16_le())?;
-                let mut pages = Vec::with_capacity(count);
-                for _ in 0..count {
-                    need(&buf, 16, "PageOutBatch entry")?;
-                    let id = StoreKey(buf.get_u64_le());
-                    let checksum = buf.get_u64_le();
-                    pages.push(BatchPage {
-                        id,
-                        checksum,
-                        page: get_page(&mut buf)?,
-                    });
-                }
-                Message::PageOutBatch { seq, pages }
-            }
             Opcode::PageInBatch => {
                 need(&buf, 6, "PageInBatch")?;
                 let seq = buf.get_u32_le();
@@ -742,7 +692,6 @@ impl Message {
                 for _ in 0..count {
                     need(&buf, 1, "BatchReply item")?;
                     items.push(match buf.get_u8() {
-                        0 => BatchItem::Ack,
                         1 => {
                             need(&buf, 8, "BatchReply page item")?;
                             let checksum = buf.get_u64_le();
@@ -906,25 +855,6 @@ mod tests {
         round_trip(Message::StatsReply {
             json: String::new(),
         });
-        round_trip(Message::PageOutBatch {
-            seq: 7,
-            pages: vec![
-                BatchPage {
-                    id: StoreKey(1),
-                    checksum: Page::deterministic(1).checksum(),
-                    page: Page::deterministic(1),
-                },
-                BatchPage {
-                    id: StoreKey(2),
-                    checksum: Page::deterministic(2).checksum(),
-                    page: Page::deterministic(2),
-                },
-            ],
-        });
-        round_trip(Message::PageOutBatch {
-            seq: 0,
-            pages: Vec::new(),
-        });
         round_trip(Message::PageInBatch {
             seq: 99,
             ids: vec![StoreKey(4), StoreKey(5), StoreKey(6)],
@@ -933,7 +863,6 @@ mod tests {
             seq: 7,
             hint: LoadHint::Pressure,
             items: vec![
-                BatchItem::Ack,
                 BatchItem::Page {
                     checksum: Page::deterministic(3).checksum(),
                     page: Page::deterministic(3),
@@ -966,14 +895,14 @@ mod tests {
     fn windowed_full_batch_fits_one_frame() {
         use crate::wire::{MAX_BATCH_PAGES, MAX_PAYLOAD};
         // The envelope must be able to carry the largest inner frame (a
-        // full pageout batch) without tripping the payload cap.
+        // full batch reply) without tripping the payload cap.
         let msg = Message::Windowed {
             seq: 3,
-            inner: Box::new(Message::PageOutBatch {
+            inner: Box::new(Message::BatchReply {
                 seq: 3,
-                pages: (0..MAX_BATCH_PAGES as u64)
-                    .map(|i| BatchPage {
-                        id: StoreKey(i),
+                hint: LoadHint::Ok,
+                items: (0..MAX_BATCH_PAGES as u64)
+                    .map(|i| BatchItem::Page {
                         checksum: Page::deterministic(i).checksum(),
                         page: Page::deterministic(i),
                     })
@@ -1028,21 +957,6 @@ mod tests {
     #[test]
     fn full_batch_fits_one_frame() {
         use crate::wire::{MAX_BATCH_PAGES, MAX_PAYLOAD};
-        let msg = Message::PageOutBatch {
-            seq: 1,
-            pages: (0..MAX_BATCH_PAGES as u64)
-                .map(|i| BatchPage {
-                    id: StoreKey(i),
-                    checksum: Page::deterministic(i).checksum(),
-                    page: Page::deterministic(i),
-                })
-                .collect(),
-        };
-        let bytes = msg.encode();
-        assert!(bytes.len() - HEADER_LEN <= MAX_PAYLOAD);
-        let mut buf = bytes.clone();
-        let hdr = FrameHeader::decode(&mut buf).expect("header");
-        assert_eq!(Message::decode(hdr.opcode, buf).expect("payload"), msg);
         let reply = Message::BatchReply {
             seq: 1,
             hint: LoadHint::Ok,
@@ -1053,7 +967,11 @@ mod tests {
                 })
                 .collect(),
         };
-        assert!(reply.encode().len() - HEADER_LEN <= MAX_PAYLOAD);
+        let bytes = reply.encode();
+        assert!(bytes.len() - HEADER_LEN <= MAX_PAYLOAD);
+        let mut buf = bytes.clone();
+        let hdr = FrameHeader::decode(&mut buf).expect("header");
+        assert_eq!(Message::decode(hdr.opcode, buf).expect("payload"), reply);
     }
 
     #[test]
@@ -1077,10 +995,10 @@ mod tests {
 
     #[test]
     fn truncated_batch_entry_rejected() {
-        let msg = Message::PageOutBatch {
+        let msg = Message::BatchReply {
             seq: 3,
-            pages: vec![BatchPage {
-                id: StoreKey(1),
+            hint: LoadHint::Ok,
+            items: vec![BatchItem::Page {
                 checksum: Page::zeroed().checksum(),
                 page: Page::zeroed(),
             }],

@@ -78,9 +78,9 @@ pub enum Opcode {
     GetStats = 21,
     /// Server returns a JSON metrics snapshot (schema `rmp-metrics-v1`).
     StatsReply = 22,
-    /// Client ships up to [`MAX_BATCH_PAGES`] checksummed pages in one
-    /// frame (the pipelined batch write path).
-    PageOutBatch = 23,
+    // 23 is reserved and must not be reassigned: a peer built before its
+    // removal may still send it. It decodes to a typed `Protocol` error
+    // like any unknown opcode.
     /// Client requests up to [`MAX_BATCH_PAGES`] pages in one frame.
     PageInBatch = 24,
     /// Server answers a batch request with per-item results.
@@ -127,7 +127,6 @@ impl Opcode {
             20 => Opcode::XorAck,
             21 => Opcode::GetStats,
             22 => Opcode::StatsReply,
-            23 => Opcode::PageOutBatch,
             24 => Opcode::PageInBatch,
             25 => Opcode::BatchReply,
             26 => Opcode::Hello,
@@ -250,10 +249,11 @@ mod tests {
 
     #[test]
     fn all_opcodes_round_trip() {
-        for code in 1..=28u8 {
+        for code in (1..=28u8).filter(|&c| c != 23) {
             let op = Opcode::from_u8(code).expect("valid opcode");
             assert_eq!(op as u8, code);
         }
+        assert!(Opcode::from_u8(23).is_err(), "reserved");
         assert!(Opcode::from_u8(29).is_err());
     }
 }

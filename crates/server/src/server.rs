@@ -266,114 +266,33 @@ fn refuse(stream: TcpStream, code: ErrorCode, message: &str) {
     });
 }
 
-fn session_loop(stream: TcpStream, shared: Arc<Shared>, sid: u64) {
-    let _ = stream.set_nodelay(true);
-    let scope = SessionScope { sid };
-    let mut framed = Framed::new(stream);
-    loop {
-        if shared.crashed.load(Ordering::SeqCst) || shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let msg = match framed.recv() {
-            Ok(m) => m,
-            Err(_) => break,
-        };
-        if let Message::Hello { window } = msg {
-            // Upgrade to a windowed session: grant at most our cap, then
-            // switch to the burst-draining loop that may answer frames
-            // out of order.
-            let granted = window.max(1).min(shared.config.window_cap.max(1) as u32);
-            if framed
-                .send(&Message::HelloReply { window: granted })
-                .is_ok()
-            {
-                session_loop_windowed(framed.into_inner(), &shared, scope);
-            }
-            shared.sessions.lock().remove(&sid);
-            return;
-        }
-        match serve_one(&shared, scope, msg) {
-            SessionAction::Reply(reply) => {
-                if framed.send(&reply).is_err() {
-                    break;
-                }
-            }
-            SessionAction::Close => break,
-            SessionAction::Crash => {
-                crash_now(&shared);
-                break;
-            }
-        }
-    }
-    // The session is over (client hung up, shutdown, or crash): release
-    // its tracked stream so long-lived servers don't accumulate one fd
-    // per client that ever connected.
-    shared.sessions.lock().remove(&sid);
-}
-
-/// Serves one decoded request: applies the configured stall, bumps the
-/// data-path metrics, dispatches, and accounts the service time. Shared
-/// by the blocking and windowed session loops (the windowed loop hands
-/// in the *inner* message, already unwrapped from its envelope).
-fn serve_one(shared: &Shared, scope: SessionScope, msg: Message) -> SessionAction {
-    let start = Instant::now();
-    // The stall lands inside the timed window on purpose: a gray
-    // server's own busy fraction and latency histogram should show
-    // the degradation, exactly as a thrashing host's would.
-    let stall = shared.stall_nanos.load(Ordering::Relaxed);
-    if stall > 0 {
-        std::thread::sleep(std::time::Duration::from_nanos(stall));
-    }
-    match &msg {
-        Message::PageOut { .. } | Message::PageOutDelta { .. } => {
-            shared.metrics.pageouts.inc();
-        }
-        Message::PageIn { .. } => shared.metrics.pageins.inc(),
-        Message::PageOutBatch { pages, .. } => {
-            shared.metrics.pageouts.add(pages.len() as u64);
-        }
-        Message::PageInBatch { ids, .. } => {
-            shared.metrics.pageins.add(ids.len() as u64);
-        }
-        _ => {}
-    }
-    let reply = handle_message(shared, scope, msg);
-    // One sample serves both sinks: sampling `elapsed()` twice made
-    // busy-fraction accounting and the latency histogram disagree
-    // about the same request.
-    let elapsed = start.elapsed();
-    shared
-        .busy_nanos
-        .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    shared.served_requests.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.requests.inc();
-    shared.metrics.latency.record(elapsed);
-    if matches!(&reply, SessionAction::Reply(Message::Error { .. })) {
-        shared.metrics.error_replies.inc();
-    }
-    reply
-}
-
-/// Windowed session mode: after the `Hello`/`HelloReply` handshake the
-/// client ships seq-tagged [`Message::Windowed`] envelopes and is owed
-/// one enveloped reply per seq — in whatever order the server produces
-/// them. The loop drains the socket in bursts (blocking for the first
-/// byte, then nonblocking until dry) through a [`FrameAccumulator`], and
-/// answers control frames before data frames within each burst: legal
-/// because every frame is seq-tagged, and it keeps a cheap `LoadQuery`
-/// or `GetStats` from queueing behind a 64-page batch. Relative order
-/// *within* each class is preserved, so same-key data operations never
-/// reorder. Bare (unenveloped) frames are still served and answered
-/// bare — crash injection uses them.
-/// Replies accumulated before the windowed session loop flushes them to
-/// the socket mid-burst. Small enough to keep completions flowing back
-/// (so the client refills the window while the burst is still being
+/// Replies accumulated before the session loop flushes them to the
+/// socket mid-burst. Small enough to keep completions flowing back (so a
+/// windowed client refills its window while the burst is still being
 /// served), large enough to amortize the per-write syscall and client
 /// reactor wakeup over several frames.
 const REPLY_FLUSH_FRAMES: usize = 8;
 
-fn session_loop_windowed(mut stream: TcpStream, shared: &Shared, scope: SessionScope) {
+/// Serves one connection. The loop drains the socket in bursts (blocking
+/// for the first byte, then nonblocking until dry) through a
+/// [`FrameAccumulator`] and answers every frame of the burst:
+///
+/// * A bare [`Message::Hello`] as the connection's first frame is the
+///   window handshake; anywhere else it is an ordinary unexpected request
+///   and draws a typed error.
+/// * Seq-tagged [`Message::Windowed`] envelopes are owed one enveloped
+///   reply per seq, in whatever order the server produces them. Enveloped
+///   control frames are answered first: legal because the reply carries
+///   the seq, and it keeps a cheap `LoadQuery` or `GetStats` from queueing
+///   behind a 64-page batch.
+/// * Everything else — enveloped data frames and bare frames — is served
+///   in arrival order, so same-key data operations never reorder and a
+///   bare pipelined client (`rmpstat`, crash injection), which has nothing
+///   but order to match replies by, gets its replies in request order.
+fn session_loop(mut stream: TcpStream, shared: Arc<Shared>, sid: u64) {
     use std::io::{Read, Write};
+    let _ = stream.set_nodelay(true);
+    let scope = SessionScope { sid };
     let mut acc = FrameAccumulator::new();
     let mut rbuf = vec![0u8; 256 * 1024];
     // Replies for the whole burst accumulate here and leave in one
@@ -381,6 +300,7 @@ fn session_loop_windowed(mut stream: TcpStream, shared: &Shared, scope: SessionS
     // wakeup each (~4-6 µs per frame on loopback), which starves this
     // thread's read loop and caps the whole windowed data path.
     let mut wbuf: Vec<u8> = Vec::new();
+    let mut opening = true;
     'session: loop {
         if shared.crashed.load(Ordering::SeqCst) || shared.shutting_down.load(Ordering::SeqCst) {
             break;
@@ -421,16 +341,28 @@ fn session_loop_windowed(mut stream: TcpStream, shared: &Shared, scope: SessionS
                 Err(_) => break 'session,
             }
         }
-        let (data, control): (Vec<_>, Vec<_>) = burst.into_iter().partition(|m| m.is_data_op());
         wbuf.clear();
+        if opening && !burst.is_empty() {
+            opening = false;
+            if let Message::Hello { window } = burst[0] {
+                // Grant at most our cap; the reply leaves with the rest
+                // of the burst's.
+                let granted = window.max(1).min(shared.config.window_cap.max(1) as u32);
+                wbuf.extend_from_slice(&Message::HelloReply { window: granted }.encode());
+                burst.remove(0);
+            }
+        }
+        let (overtaking, in_order): (Vec<_>, Vec<_>) = burst
+            .into_iter()
+            .partition(|m| matches!(m, Message::Windowed { .. }) && !m.is_data_op());
         let mut served_since_flush = 0usize;
         let mut action_after_flush: Option<SessionAction> = None;
-        for msg in control.into_iter().chain(data) {
+        for msg in overtaking.into_iter().chain(in_order) {
             let (seq, inner) = match msg {
                 Message::Windowed { seq, inner } => (Some(seq), *inner),
                 bare => (None, bare),
             };
-            match serve_one(shared, scope, inner) {
+            match serve_one(&shared, scope, inner) {
                 SessionAction::Reply(reply) => {
                     let reply = match seq {
                         Some(seq) => Message::Windowed {
@@ -455,8 +387,7 @@ fn session_loop_windowed(mut stream: TcpStream, shared: &Shared, scope: SessionS
                     }
                 }
                 // Replies already produced this burst still go out
-                // before the session ends — matching the per-reply
-                // write behavior this batch replaced.
+                // before the session ends.
                 action => {
                     action_after_flush = Some(action);
                     break;
@@ -468,7 +399,7 @@ fn session_loop_windowed(mut stream: TcpStream, shared: &Shared, scope: SessionS
         }
         match action_after_flush {
             Some(SessionAction::Crash) => {
-                crash_now(shared);
+                crash_now(&shared);
                 break;
             }
             Some(_) => break,
@@ -478,6 +409,50 @@ fn session_loop_windowed(mut stream: TcpStream, shared: &Shared, scope: SessionS
             break;
         }
     }
+    // The session is over (client hung up, shutdown, or crash): release
+    // its tracked stream so long-lived servers don't accumulate one fd
+    // per client that ever connected.
+    shared.sessions.lock().remove(&sid);
+}
+
+/// Serves one decoded request: applies the configured stall, bumps the
+/// data-path metrics, dispatches, and accounts the service time. The
+/// session loop hands in the *inner* message, already unwrapped from its
+/// envelope.
+fn serve_one(shared: &Shared, scope: SessionScope, msg: Message) -> SessionAction {
+    let start = Instant::now();
+    // The stall lands inside the timed window on purpose: a gray
+    // server's own busy fraction and latency histogram should show
+    // the degradation, exactly as a thrashing host's would.
+    let stall = shared.stall_nanos.load(Ordering::Relaxed);
+    if stall > 0 {
+        std::thread::sleep(std::time::Duration::from_nanos(stall));
+    }
+    match &msg {
+        Message::PageOut { .. } | Message::PageOutDelta { .. } => {
+            shared.metrics.pageouts.inc();
+        }
+        Message::PageIn { .. } => shared.metrics.pageins.inc(),
+        Message::PageInBatch { ids, .. } => {
+            shared.metrics.pageins.add(ids.len() as u64);
+        }
+        _ => {}
+    }
+    let reply = handle_message(shared, scope, msg);
+    // One sample serves both sinks: sampling `elapsed()` twice made
+    // busy-fraction accounting and the latency histogram disagree
+    // about the same request.
+    let elapsed = start.elapsed();
+    shared
+        .busy_nanos
+        .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    shared.served_requests.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.requests.inc();
+    shared.metrics.latency.record(elapsed);
+    if matches!(&reply, SessionAction::Reply(Message::Error { .. })) {
+        shared.metrics.error_replies.inc();
+    }
+    reply
 }
 
 enum SessionAction {
@@ -615,33 +590,6 @@ fn handle_message(shared: &Shared, scope: SessionScope, msg: Message) -> Session
                 json
             };
             SessionAction::Reply(Message::StatsReply { json })
-        }
-        Message::PageOutBatch { seq, pages } => {
-            // One lock acquisition and one occupancy check serve the whole
-            // batch; per-page outcomes (corrupt payload, the store filling
-            // up mid-batch) ride back as typed items instead of aborting
-            // the frame. Bind the items first — holding the store lock
-            // across the `hint()` call below would self-deadlock.
-            let items: Vec<rmp_proto::BatchItem> = {
-                let mut store = shared.store.lock();
-                pages
-                    .into_iter()
-                    .map(|entry| {
-                        if entry.page.checksum() != entry.checksum {
-                            rmp_proto::BatchItem::Err(ErrorCode::Corrupt)
-                        } else if store.insert(scope.scope(entry.id), entry.page) {
-                            rmp_proto::BatchItem::Ack
-                        } else {
-                            rmp_proto::BatchItem::Err(ErrorCode::OutOfMemory)
-                        }
-                    })
-                    .collect()
-            };
-            SessionAction::Reply(Message::BatchReply {
-                seq,
-                hint: shared.hint(),
-                items,
-            })
         }
         Message::PageInBatch { seq, ids } => {
             let items: Vec<rmp_proto::BatchItem> = {
@@ -1150,26 +1098,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_pageout_and_pagein_round_trip() {
-        use rmp_proto::{BatchItem, BatchPage};
+    fn batch_pagein_round_trip() {
+        use rmp_proto::BatchItem;
         let server = small_server();
         let mut c = connect(&server);
-        let batch = Message::PageOutBatch {
-            seq: 41,
-            pages: (0..3u64)
-                .map(|i| BatchPage {
-                    id: StoreKey(i),
-                    checksum: Page::deterministic(i).checksum(),
-                    page: Page::deterministic(i),
-                })
-                .collect(),
-        };
-        let Message::BatchReply { seq, items, .. } = c.call(&batch).expect("batch out") else {
-            panic!("expected BatchReply");
-        };
-        assert_eq!(seq, 41);
-        assert_eq!(items, vec![BatchItem::Ack; 3]);
-        assert_eq!(server.stored_pages(), 3);
+        for i in 0..3u64 {
+            c.call(&page_out(StoreKey(i), Page::deterministic(i)))
+                .expect("store");
+        }
         let Message::BatchReply { seq, items, .. } = c
             .call(&Message::PageInBatch {
                 seq: 42,
@@ -1193,44 +1129,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_failures_are_per_item_not_per_frame() {
-        use rmp_proto::{BatchItem, BatchPage};
-        let server = small_server(); // 8-page capacity
-        let mut c = connect(&server);
-        let mut pages: Vec<BatchPage> = (0..10u64)
-            .map(|i| BatchPage {
-                id: StoreKey(i),
-                checksum: Page::deterministic(i).checksum(),
-                page: Page::deterministic(i),
-            })
-            .collect();
-        pages[1].checksum ^= 1; // One page arrives corrupted.
-        let Message::BatchReply { items, .. } = c
-            .call(&Message::PageOutBatch { seq: 1, pages })
-            .expect("the frame itself succeeds")
-        else {
-            panic!("expected BatchReply");
-        };
-        assert_eq!(items[0], BatchItem::Ack);
-        assert_eq!(
-            items[1],
-            BatchItem::Err(ErrorCode::Corrupt),
-            "corrupt page rejected without aborting the batch"
-        );
-        // 9 valid pages against 8 frames: the last one is refused.
-        assert_eq!(items[2..9], vec![BatchItem::Ack; 7]);
-        assert_eq!(
-            items[9],
-            BatchItem::Err(ErrorCode::OutOfMemory),
-            "store filled up mid-batch"
-        );
-        assert_eq!(server.stored_pages(), 8);
-        server.shutdown();
-    }
-
-    #[test]
     fn pipelined_batches_answer_in_order() {
-        use rmp_proto::BatchPage;
         let server = MemoryServer::spawn(ServerConfig {
             capacity_pages: 64,
             overflow_fraction: 0.0,
@@ -1238,20 +1137,17 @@ mod tests {
         })
         .expect("spawn");
         let mut c = connect(&server);
-        // Write several frames before reading any reply — the pipelined
-        // pattern TcpTransport::call_pipelined uses.
+        for key in 0..16u64 {
+            c.call(&page_out(StoreKey(key), Page::deterministic(key)))
+                .expect("store");
+        }
+        // Write several bare frames before reading any reply: a pipelined
+        // client without seq envelopes matches replies by order alone.
         for frame in 0..4u32 {
-            c.send(&Message::PageOutBatch {
+            c.send(&Message::PageInBatch {
                 seq: frame,
-                pages: (0..4u64)
-                    .map(|i| {
-                        let key = u64::from(frame) * 4 + i;
-                        BatchPage {
-                            id: StoreKey(key),
-                            checksum: Page::deterministic(key).checksum(),
-                            page: Page::deterministic(key),
-                        }
-                    })
+                ids: (0..4u64)
+                    .map(|i| StoreKey(u64::from(frame) * 4 + i))
                     .collect(),
             })
             .expect("send");
@@ -1263,7 +1159,6 @@ mod tests {
             assert_eq!(seq, frame, "replies echo their request's seq in order");
             assert_eq!(items.len(), 4);
         }
-        assert_eq!(server.stored_pages(), 16);
         server.shutdown();
     }
 
@@ -1644,6 +1539,56 @@ mod tests {
         // Session still serves afterwards.
         let reply = c.call(&windowed(1, Message::LoadQuery)).expect("still up");
         assert!(matches!(reply, Message::Windowed { .. }));
+        server.shutdown();
+    }
+
+    #[test]
+    fn bare_and_enveloped_frames_interleave_on_one_session() {
+        use std::io::Write;
+        let server = small_server();
+        let (c, _) = windowed_connect(&server, 8);
+        let mut stream = c.into_inner();
+        let page = Page::deterministic(5);
+        let mut burst = Vec::new();
+        for frame in [
+            page_out(StoreKey(1), page.clone()),
+            windowed(7, Message::PageIn { id: StoreKey(1) }),
+            Message::LoadQuery,
+            windowed(8, Message::LoadQuery),
+            Message::Hello { window: 4 },
+            Message::PageIn { id: StoreKey(1) },
+        ] {
+            burst.extend_from_slice(&frame.encode());
+        }
+        stream.write_all(&burst).expect("burst write");
+        let mut c = Framed::new(stream);
+        let mut bare = Vec::new();
+        for _ in 0..6 {
+            match c.recv().expect("reply") {
+                // Enveloped replies are matched by seq, wherever they land.
+                Message::Windowed { seq: 7, inner } => {
+                    let Message::PageInReply { page: got, .. } = *inner else {
+                        panic!("seq 7 asked for a page, got {inner:?}");
+                    };
+                    assert_eq!(got, page, "the read stayed behind the bare write");
+                }
+                Message::Windowed { seq: 8, inner } => {
+                    assert!(matches!(*inner, Message::LoadReport { .. }));
+                }
+                other => bare.push(other),
+            }
+        }
+        // Bare replies have only their order to be matched by.
+        assert!(matches!(bare[0], Message::PageOutAck { .. }), "{bare:?}");
+        assert!(matches!(bare[1], Message::LoadReport { .. }), "{bare:?}");
+        assert!(
+            matches!(bare[2], Message::Error { .. }),
+            "a second Hello is a typed error: {bare:?}"
+        );
+        assert!(matches!(bare[3], Message::PageInReply { .. }), "{bare:?}");
+        // ...and not fatal: the session still serves.
+        let reply = c.call(&Message::LoadQuery).expect("still up");
+        assert!(matches!(reply, Message::LoadReport { .. }));
         server.shutdown();
     }
 }

@@ -80,8 +80,8 @@ pub struct TransportConfig {
     pub retry: RetryPolicy,
     /// Request window per server connection: how many seq-tagged frames
     /// the windowed (reactor) transport keeps outstanding at once. The
-    /// server may grant less (its per-session cap). `1` falls back to
-    /// the blocking request/response transport.
+    /// server may grant less (its per-session cap). `1` is a window of
+    /// one on the same transport; `0` is rejected by validation.
     pub window_max_inflight: usize,
     /// Total wall-clock budget for one logical pool call, spanning every
     /// retry attempt, backoff sleep, and reconnect dial. `None` derives a
@@ -368,7 +368,7 @@ impl PagerConfig {
     }
 
     /// Sets the per-connection request window of the windowed transport
-    /// (`1` falls back to the blocking request/response transport).
+    /// (`1` is a window of one frame at a time, not another transport).
     pub fn with_window_max_inflight(mut self, window: usize) -> Self {
         self.transport.window_max_inflight = window;
         self
