@@ -37,11 +37,7 @@ fn main() {
         })
         .expect("cluster");
         let mut pager = cluster
-            .pager(
-                PagerConfig::new(Policy::ParityLogging)
-                    .with_servers(4)
-                    .with_overflow_fraction(overflow),
-            )
+            .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
             .expect("pager");
         let fetches_before_gc = |p: &rmp_core::Pager| p.stats().net_fetches;
         let mut gc_fetches = 0;

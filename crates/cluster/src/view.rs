@@ -34,9 +34,6 @@ pub struct ServerStatus {
     pub cpu_permille: u16,
     /// Current condition.
     pub condition: Condition,
-    /// Exponentially-smoothed service time of recent requests, ms — the
-    /// signal the adaptive network-load policy thresholds on (Section 5).
-    pub avg_service_ms: f64,
     /// Relative link cost from the registry.
     pub link_cost: f64,
 }
@@ -105,17 +102,6 @@ impl ClusterView {
             // that says "stop sending" is believed immediately.
             Condition::Suspect if condition != Condition::StopSending => {}
             _ => entry.condition = condition,
-        }
-    }
-
-    /// Folds one request's service time into the smoothed average
-    /// (EWMA with factor 1/8, the classic TCP RTT estimator weight).
-    pub fn record_service_time(&mut self, id: ServerId, ms: f64) {
-        let entry = self.servers.entry(id).or_default();
-        if entry.avg_service_ms == 0.0 {
-            entry.avg_service_ms = ms;
-        } else {
-            entry.avg_service_ms += (ms - entry.avg_service_ms) / 8.0;
         }
     }
 
@@ -360,17 +346,5 @@ mod tests {
         v.mark_suspect(ServerId(0));
         assert!(!v.is_alive(ServerId(0)));
         assert_eq!(v.status(ServerId(0)).unwrap().condition, Condition::Dead);
-    }
-
-    #[test]
-    fn service_time_ewma_converges() {
-        let mut v = view3();
-        v.record_service_time(ServerId(0), 10.0);
-        assert!((v.status(ServerId(0)).unwrap().avg_service_ms - 10.0).abs() < 1e-12);
-        for _ in 0..200 {
-            v.record_service_time(ServerId(0), 30.0);
-        }
-        let avg = v.status(ServerId(0)).unwrap().avg_service_ms;
-        assert!((avg - 30.0).abs() < 0.5, "EWMA converged to {avg}");
     }
 }

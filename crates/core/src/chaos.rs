@@ -9,7 +9,7 @@
 //! sequence depends only on the order of calls reaching it, never on
 //! wall-clock time.
 //!
-//! The injectable faults cover the failure model of `DESIGN.md` §12:
+//! The injectable faults cover the failure model of `DESIGN.md` §7:
 //!
 //! * [`FaultAction::Delay`] — gray server: the reply arrives, late.
 //! * [`FaultAction::Drop`] — the request never reaches the server.
@@ -438,11 +438,22 @@ struct ChaosState {
 
 /// Handle to one in-process chaos server; cloning shares the state, so a
 /// crash observed through one shard's transport is a crash for all.
+///
+/// It is also the one in-process implementation of the server side of the
+/// protocol: test transports that script their own failures keep the
+/// script and [`serve`](ChaosServer::serve) requests through one of these.
 #[derive(Clone)]
 pub struct ChaosServer(Arc<Mutex<ChaosState>>);
 
+impl Default for ChaosServer {
+    fn default() -> Self {
+        ChaosServer::new()
+    }
+}
+
 impl ChaosServer {
-    fn new() -> Self {
+    /// A server that is up and stores nothing.
+    pub fn new() -> Self {
         ChaosServer(Arc::new(Mutex::new(ChaosState {
             pages: HashMap::new(),
             crashed: false,
@@ -478,9 +489,12 @@ impl ChaosServer {
         self.0.lock().pages.len()
     }
 
-    /// Serves one request faithfully (fault handling lives in the
-    /// transport; by the time a request gets here it executes for real).
-    fn serve(&self, sid: u64, msg: &Message) -> Message {
+    /// Serves one request of session `sid` faithfully (fault handling
+    /// lives in the transport; by the time a request gets here it executes
+    /// for real, whether or not the server counts as crashed). Sessions
+    /// are separate key namespaces; a transport that is its server's only
+    /// client can use any fixed one.
+    pub fn serve(&self, sid: u64, msg: &Message) -> Message {
         let mut st = self.0.lock();
         match msg.clone() {
             Message::Alloc { pages } => Message::AllocReply {

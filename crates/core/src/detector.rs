@@ -40,39 +40,37 @@
 //! The score also drives **hedged pageins** (`Pager::maybe_hedged_read`):
 //! above `hedge_suspicion_threshold` the pager may race a redundant
 //! policy's degraded path instead of queueing behind a gray primary,
-//! using [`FailureDetector::expected_latency_us`] (an EWMA over *all*
-//! replies, slow ones included) to predict what waiting would cost.
-
+//! using [`Health::expected_latency_us`] (an EWMA over *every* attempt,
+//! slow and failed ones included) to predict what waiting would cost.
+//!
+//! The detector holds the rules and their one tunable; each server's
+//! state is a [`Health`] value the pool keeps inline in its per-server
+//! record, so resetting that record resets the detector's memory too.
 //!
 //! # Examples
 //!
 //! ```
-//! use rmp_core::FailureDetector;
-//! use rmp_types::ServerId;
+//! use rmp_core::detector::{FailureDetector, Health};
 //!
-//! let mut d = FailureDetector::new();
-//! let s = ServerId(0);
+//! let d = FailureDetector::new();
+//! let mut s = Health::default();
 //! // Twenty clean data-path replies at ~100µs establish a baseline.
 //! for _ in 0..20 {
-//!     d.on_reply(s, 100.0, true);
+//!     d.on_reply(&mut s, 100.0, true);
 //! }
-//! assert!(!d.is_suspect(s));
+//! assert!(!s.is_suspect());
 //!
 //! // One deadline miss is strong evidence: the server turns Suspect.
-//! d.on_miss(s);
-//! assert!(d.is_suspect(s));
+//! d.on_miss(&mut s, 100.0);
+//! assert!(s.is_suspect());
 //!
 //! // Clean data-path replies decay the score back below the exit
 //! // threshold — hysteresis, not a fixed clean-call count.
 //! for _ in 0..10 {
-//!     d.on_reply(s, 100.0, true);
+//!     d.on_reply(&mut s, 100.0, true);
 //! }
-//! assert!(!d.is_suspect(s));
+//! assert!(!s.is_suspect());
 //! ```
-
-use std::collections::HashMap;
-
-use rmp_types::ServerId;
 
 /// Suspicion score at which a Healthy server becomes Suspect.
 pub const SUSPECT_ENTER: f64 = 2.0;
@@ -111,9 +109,19 @@ pub const SLOW_MULT: f64 = 4.0;
 /// should accrue suspicion.
 pub const DEFAULT_SLOW_FLOOR_US: f64 = 200.0;
 
-/// EWMA smoothing factor for both latency estimates (1/8, TCP's classic
+/// EWMA smoothing factor of every latency estimate (1/8, TCP's classic
 /// SRTT gain).
 const EWMA_ALPHA: f64 = 0.125;
+
+/// Folds `sample` into the decaying mean `estimate`; a zero estimate has
+/// seen nothing yet and takes the sample whole.
+pub(crate) fn ewma(estimate: &mut f64, sample: f64) {
+    if *estimate == 0.0 {
+        *estimate = sample;
+    } else {
+        *estimate += EWMA_ALPHA * (sample - *estimate);
+    }
+}
 
 /// What a sample did to a server's health state, so the pool can mirror
 /// the transition into its `ClusterView` (and metrics) exactly once.
@@ -127,13 +135,14 @@ pub enum Verdict {
     BecameHealthy,
 }
 
-/// Per-server accrual state.
-#[derive(Clone, Debug)]
-struct ServerHealth {
+/// One server's accrual state: all zeroes (the `Default`) for a server
+/// nothing is known about.
+#[derive(Clone, Debug, Default)]
+pub struct Health {
     /// The accrued suspicion score.
     suspicion: f64,
-    /// EWMA over *all* reply latencies, µs — what the next call is
-    /// expected to cost. 0 until the first reply.
+    /// EWMA over the latency of *every* attempt, failed ones included, µs
+    /// — what the next call is expected to cost. 0 until the first sample.
     expected_us: f64,
     /// EWMA over non-slow reply latencies, µs — the server's fast
     /// baseline that slow detection compares against.
@@ -144,15 +153,37 @@ struct ServerHealth {
     suspect: bool,
 }
 
-impl ServerHealth {
-    fn new() -> Self {
-        ServerHealth {
-            suspicion: 0.0,
-            expected_us: 0.0,
-            baseline_us: 0.0,
-            clean_data_streak: 0,
-            suspect: false,
+impl Health {
+    /// The state of a server declared dead: the score pinned to the cap,
+    /// so a later rejoin that keeps this record starts from maximum
+    /// distrust. Latency history does not outlive the death.
+    pub fn dead() -> Self {
+        Health {
+            suspicion: SUSPICION_CAP,
+            suspect: true,
+            ..Health::default()
         }
+    }
+
+    /// Current suspicion score (0 when never sampled).
+    pub fn suspicion(&self) -> f64 {
+        self.suspicion
+    }
+
+    /// Whether the server is currently latched Suspect.
+    pub fn is_suspect(&self) -> bool {
+        self.suspect
+    }
+
+    /// EWMA over every attempt's latency, µs — what the next call is
+    /// expected to cost (0 when never sampled).
+    pub fn expected_latency_us(&self) -> f64 {
+        self.expected_us
+    }
+
+    /// The fast baseline latency, µs (0 when never sampled).
+    pub fn baseline_us(&self) -> f64 {
+        self.baseline_us
     }
 
     /// Applies the hysteresis rules after a score/streak update.
@@ -173,29 +204,28 @@ impl ServerHealth {
     }
 }
 
-/// Accrual failure detector over a set of servers.
+/// The accrual rules, applied to whichever server's [`Health`] the caller
+/// hands in.
 ///
-/// Owned by [`crate::ServerPool`], which feeds it one sample per call
-/// attempt and mirrors the returned [`Verdict`] into its cluster view.
+/// Owned by [`crate::ServerPool`], which feeds it one sample per attempt
+/// and mirrors the returned [`Verdict`] into its cluster view.
 ///
 /// # Examples
 ///
 /// ```
-/// use rmp_core::detector::{FailureDetector, Verdict};
-/// use rmp_types::ServerId;
+/// use rmp_core::detector::{FailureDetector, Health, Verdict};
 ///
-/// let mut d = FailureDetector::new();
-/// let srv = ServerId(0);
+/// let d = FailureDetector::new();
+/// let mut srv = Health::default();
 /// // One miss crosses the Suspect threshold...
-/// assert_eq!(d.on_miss(srv), Verdict::BecameSuspect);
+/// assert_eq!(d.on_miss(&mut srv, 100.0), Verdict::BecameSuspect);
 /// // ...and three clean data replies (with the score decayed) recover it.
-/// assert_eq!(d.on_reply(srv, 100.0, true), Verdict::Unchanged);
-/// assert_eq!(d.on_reply(srv, 100.0, true), Verdict::Unchanged);
-/// assert_eq!(d.on_reply(srv, 100.0, true), Verdict::BecameHealthy);
+/// assert_eq!(d.on_reply(&mut srv, 100.0, true), Verdict::Unchanged);
+/// assert_eq!(d.on_reply(&mut srv, 100.0, true), Verdict::Unchanged);
+/// assert_eq!(d.on_reply(&mut srv, 100.0, true), Verdict::BecameHealthy);
 /// ```
 #[derive(Debug)]
 pub struct FailureDetector {
-    servers: HashMap<ServerId, ServerHealth>,
     slow_floor_us: f64,
 }
 
@@ -209,7 +239,6 @@ impl FailureDetector {
     /// Creates a detector with the default slow floor.
     pub fn new() -> Self {
         FailureDetector {
-            servers: HashMap::new(),
             slow_floor_us: DEFAULT_SLOW_FLOOR_US,
         }
     }
@@ -222,32 +251,19 @@ impl FailureDetector {
         self.slow_floor_us = floor;
     }
 
-    fn health(&mut self, id: ServerId) -> &mut ServerHealth {
-        self.servers.entry(id).or_insert_with(ServerHealth::new)
-    }
-
     /// Feeds one successful reply: `latency_us` spent, `data_path` when
     /// the call carried page data (stores/fetches/frees, not stats or
     /// load chatter). Returns the state transition, if any.
-    pub fn on_reply(&mut self, id: ServerId, latency_us: f64, data_path: bool) -> Verdict {
-        let floor = self.slow_floor_us;
-        let h = self.health(id);
-        let slow = h.baseline_us > 0.0 && latency_us > (SLOW_MULT * h.baseline_us).max(floor);
-        if h.expected_us == 0.0 {
-            h.expected_us = latency_us;
-        } else {
-            h.expected_us += EWMA_ALPHA * (latency_us - h.expected_us);
-        }
+    pub fn on_reply(&self, h: &mut Health, latency_us: f64, data_path: bool) -> Verdict {
+        let slow =
+            h.baseline_us > 0.0 && latency_us > (SLOW_MULT * h.baseline_us).max(self.slow_floor_us);
+        ewma(&mut h.expected_us, latency_us);
         if slow {
             h.suspicion = (h.suspicion + SLOW_WEIGHT).min(SUSPICION_CAP);
             // A slow reply is still correct data: the streak survives, but
             // does not grow — promotion needs *fast* clean evidence.
         } else {
-            if h.baseline_us == 0.0 {
-                h.baseline_us = latency_us;
-            } else {
-                h.baseline_us += EWMA_ALPHA * (latency_us - h.baseline_us);
-            }
+            ewma(&mut h.baseline_us, latency_us);
             h.suspicion *= CLEAN_DECAY;
             if data_path {
                 h.clean_data_streak += 1;
@@ -256,49 +272,14 @@ impl FailureDetector {
         h.transition()
     }
 
-    /// Feeds one deadline miss or transport failure.
-    pub fn on_miss(&mut self, id: ServerId) -> Verdict {
-        let h = self.health(id);
+    /// Feeds one deadline miss or transport failure that took
+    /// `latency_us` to surface: waiting on a server that fails slowly
+    /// costs that time too, so it counts toward the expected latency.
+    pub fn on_miss(&self, h: &mut Health, latency_us: f64) -> Verdict {
+        ewma(&mut h.expected_us, latency_us);
         h.suspicion = (h.suspicion + MISS_WEIGHT).min(SUSPICION_CAP);
         h.clean_data_streak = 0;
         h.transition()
-    }
-
-    /// The pool declared `id` dead: pin the score to the cap so a later
-    /// rejoin starts from maximum distrust.
-    pub fn on_death(&mut self, id: ServerId) {
-        let h = self.health(id);
-        h.suspicion = SUSPICION_CAP;
-        h.clean_data_streak = 0;
-        h.suspect = true;
-    }
-
-    /// Forgets everything about `id` — used when its transport is
-    /// replaced or explicitly reconnected (the old latency baseline
-    /// described a connection that no longer exists).
-    pub fn reset(&mut self, id: ServerId) {
-        self.servers.remove(&id);
-    }
-
-    /// Current suspicion score of `id` (0 when never sampled).
-    pub fn suspicion(&self, id: ServerId) -> f64 {
-        self.servers.get(&id).map_or(0.0, |h| h.suspicion)
-    }
-
-    /// Whether `id` is currently latched Suspect.
-    pub fn is_suspect(&self, id: ServerId) -> bool {
-        self.servers.get(&id).is_some_and(|h| h.suspect)
-    }
-
-    /// EWMA over all of `id`'s reply latencies, µs — what the next call
-    /// is expected to cost (0 when never sampled).
-    pub fn expected_latency_us(&self, id: ServerId) -> f64 {
-        self.servers.get(&id).map_or(0.0, |h| h.expected_us)
-    }
-
-    /// `id`'s fast baseline latency, µs (0 when never sampled).
-    pub fn baseline_us(&self, id: ServerId) -> f64 {
-        self.servers.get(&id).map_or(0.0, |h| h.baseline_us)
     }
 }
 
@@ -306,157 +287,183 @@ impl FailureDetector {
 mod tests {
     use super::*;
 
-    const SRV: ServerId = ServerId(7);
-
     #[test]
     fn one_miss_suspects_immediately() {
-        let mut d = FailureDetector::new();
-        assert_eq!(d.on_miss(SRV), Verdict::BecameSuspect);
-        assert!(d.is_suspect(SRV));
-        assert!(d.suspicion(SRV) >= SUSPECT_ENTER);
+        let d = FailureDetector::new();
+        let mut h = Health::default();
+        assert_eq!(d.on_miss(&mut h, 100.0), Verdict::BecameSuspect);
+        assert!(h.is_suspect());
+        assert!(h.suspicion() >= SUSPECT_ENTER);
     }
 
     #[test]
     fn clean_data_replies_recover_a_suspect() {
-        let mut d = FailureDetector::new();
-        d.on_miss(SRV);
+        let d = FailureDetector::new();
+        let mut h = Health::default();
+        d.on_miss(&mut h, 100.0);
         // Two clean data replies: score decayed below exit but streak short.
-        assert_eq!(d.on_reply(SRV, 100.0, true), Verdict::Unchanged);
-        assert_eq!(d.on_reply(SRV, 100.0, true), Verdict::Unchanged);
-        assert!(d.is_suspect(SRV));
+        assert_eq!(d.on_reply(&mut h, 100.0, true), Verdict::Unchanged);
+        assert_eq!(d.on_reply(&mut h, 100.0, true), Verdict::Unchanged);
+        assert!(h.is_suspect());
         // Third completes the streak.
-        assert_eq!(d.on_reply(SRV, 100.0, true), Verdict::BecameHealthy);
-        assert!(!d.is_suspect(SRV));
+        assert_eq!(d.on_reply(&mut h, 100.0, true), Verdict::BecameHealthy);
+        assert!(!h.is_suspect());
     }
 
     #[test]
     fn control_replies_do_not_recover_a_suspect() {
-        let mut d = FailureDetector::new();
-        d.on_miss(SRV);
+        let d = FailureDetector::new();
+        let mut h = Health::default();
+        d.on_miss(&mut h, 100.0);
         for _ in 0..20 {
-            assert_eq!(d.on_reply(SRV, 100.0, false), Verdict::Unchanged);
+            assert_eq!(d.on_reply(&mut h, 100.0, false), Verdict::Unchanged);
         }
-        assert!(d.is_suspect(SRV), "stats chatter must not promote");
+        assert!(h.is_suspect(), "stats chatter must not promote");
         // Data replies still work afterwards.
         for _ in 0..2 {
-            d.on_reply(SRV, 100.0, true);
+            d.on_reply(&mut h, 100.0, true);
         }
-        assert_eq!(d.on_reply(SRV, 100.0, true), Verdict::BecameHealthy);
+        assert_eq!(d.on_reply(&mut h, 100.0, true), Verdict::BecameHealthy);
     }
 
     #[test]
     fn a_miss_resets_the_clean_streak() {
-        let mut d = FailureDetector::new();
-        d.on_miss(SRV);
-        d.on_reply(SRV, 100.0, true);
-        d.on_reply(SRV, 100.0, true);
-        d.on_miss(SRV); // Streak back to zero.
-        d.on_reply(SRV, 100.0, true);
-        d.on_reply(SRV, 100.0, true);
-        assert!(d.is_suspect(SRV), "streak must restart after a new miss");
-        assert_eq!(d.on_reply(SRV, 100.0, true), Verdict::BecameHealthy);
+        let d = FailureDetector::new();
+        let mut h = Health::default();
+        d.on_miss(&mut h, 100.0);
+        d.on_reply(&mut h, 100.0, true);
+        d.on_reply(&mut h, 100.0, true);
+        d.on_miss(&mut h, 100.0); // Streak back to zero.
+        d.on_reply(&mut h, 100.0, true);
+        d.on_reply(&mut h, 100.0, true);
+        assert!(h.is_suspect(), "streak must restart after a new miss");
+        assert_eq!(d.on_reply(&mut h, 100.0, true), Verdict::BecameHealthy);
     }
 
     #[test]
     fn slow_replies_accrue_to_suspect_without_any_miss() {
-        let mut d = FailureDetector::new();
+        let d = FailureDetector::new();
+        let mut h = Health::default();
         // Establish a ~500 µs baseline.
         for _ in 0..20 {
-            assert_eq!(d.on_reply(SRV, 500.0, true), Verdict::Unchanged);
+            assert_eq!(d.on_reply(&mut h, 500.0, true), Verdict::Unchanged);
         }
         // Now the server gray-fails: 10× latency, still answering.
         let mut became_suspect = false;
         for _ in 0..6 {
-            if d.on_reply(SRV, 5_000.0, true) == Verdict::BecameSuspect {
+            if d.on_reply(&mut h, 5_000.0, true) == Verdict::BecameSuspect {
                 became_suspect = true;
             }
         }
         assert!(became_suspect, "persistent slowness must suspect");
         // The fast baseline must not have been dragged up to the slow
         // latency (else the server launders its own grayness)...
-        assert!(d.baseline_us(SRV) < 1_000.0, "{}", d.baseline_us(SRV));
+        assert!(h.baseline_us() < 1_000.0, "{}", h.baseline_us());
         // ...while the expected latency has moved toward it.
-        assert!(d.expected_latency_us(SRV) > 1_000.0);
+        assert!(h.expected_latency_us() > 1_000.0);
         // And the score holds (slow replies keep out-accruing decay).
         for _ in 0..50 {
-            d.on_reply(SRV, 5_000.0, true);
+            d.on_reply(&mut h, 5_000.0, true);
         }
-        assert!(d.is_suspect(SRV), "gray server must stay suspect");
-        assert!(d.suspicion(SRV) >= SUSPECT_ENTER);
+        assert!(h.is_suspect(), "gray server must stay suspect");
+        assert!(h.suspicion() >= SUSPECT_ENTER);
     }
 
     #[test]
     fn fast_jitter_below_floor_is_not_slow() {
-        let mut d = FailureDetector::new();
+        let d = FailureDetector::new();
+        let mut h = Health::default();
         // 2 µs baseline, 40 µs spikes: 20× the baseline but under the
         // 200 µs floor — loopback noise, not grayness.
         for _ in 0..10 {
-            d.on_reply(SRV, 2.0, true);
+            d.on_reply(&mut h, 2.0, true);
         }
         for _ in 0..100 {
-            d.on_reply(SRV, 40.0, true);
+            d.on_reply(&mut h, 40.0, true);
         }
-        assert!(!d.is_suspect(SRV));
-        assert!(d.suspicion(SRV) < SUSPECT_EXIT);
+        assert!(!h.is_suspect());
+        assert!(h.suspicion() < SUSPECT_EXIT);
     }
 
     #[test]
     fn infinite_floor_disables_slow_accrual() {
         let mut d = FailureDetector::new();
+        let mut h = Health::default();
         d.set_slow_floor_us(f64::INFINITY);
         for _ in 0..10 {
-            d.on_reply(SRV, 500.0, true);
+            d.on_reply(&mut h, 500.0, true);
         }
         for _ in 0..100 {
-            assert_eq!(d.on_reply(SRV, 1_000_000.0, true), Verdict::Unchanged);
+            assert_eq!(d.on_reply(&mut h, 1_000_000.0, true), Verdict::Unchanged);
         }
-        assert_eq!(d.suspicion(SRV), 0.0);
+        assert_eq!(h.suspicion(), 0.0);
     }
 
     #[test]
     fn score_caps_and_recovery_is_bounded() {
-        let mut d = FailureDetector::new();
+        let d = FailureDetector::new();
+        let mut h = Health::default();
         for _ in 0..1000 {
-            d.on_miss(SRV);
+            d.on_miss(&mut h, 100.0);
         }
-        assert!(d.suspicion(SRV) <= SUSPICION_CAP);
+        assert!(h.suspicion() <= SUSPICION_CAP);
         // From the cap, a bounded number of clean replies recovers:
         // 8 * 0.5^n < 0.5 within 5 decays, then the streak gate.
         let mut verdicts = Vec::new();
         for _ in 0..10 {
-            verdicts.push(d.on_reply(SRV, 100.0, true));
+            verdicts.push(d.on_reply(&mut h, 100.0, true));
         }
         assert!(verdicts.contains(&Verdict::BecameHealthy));
     }
 
     #[test]
-    fn death_pins_the_score_and_reset_forgets() {
-        let mut d = FailureDetector::new();
-        d.on_reply(SRV, 100.0, true);
-        d.on_death(SRV);
-        assert_eq!(d.suspicion(SRV), SUSPICION_CAP);
-        assert!(d.is_suspect(SRV));
-        d.reset(SRV);
-        assert_eq!(d.suspicion(SRV), 0.0);
-        assert!(!d.is_suspect(SRV));
-        assert_eq!(d.expected_latency_us(SRV), 0.0);
+    fn death_pins_the_score_and_a_fresh_record_forgets() {
+        let d = FailureDetector::new();
+        let mut h = Health::dead();
+        assert_eq!(h.suspicion(), SUSPICION_CAP);
+        assert!(h.is_suspect());
+        // A rejoin that keeps the record works its way back from the cap.
+        assert_eq!(d.on_reply(&mut h, 100.0, true), Verdict::Unchanged);
+        assert!(h.is_suspect());
+        h = Health::default();
+        assert_eq!(h.suspicion(), 0.0);
+        assert!(!h.is_suspect());
+        assert_eq!(h.expected_latency_us(), 0.0);
+    }
+
+    #[test]
+    fn failed_attempts_count_toward_the_expected_latency() {
+        let d = FailureDetector::new();
+        let mut h = Health::default();
+        for _ in 0..20 {
+            d.on_reply(&mut h, 100.0, true);
+        }
+        // A server that burns its deadline before failing is expensive to
+        // wait on, and the estimate says so; its fast baseline (fed by
+        // clean replies only) does not move.
+        for _ in 0..8 {
+            d.on_miss(&mut h, 50_000.0);
+        }
+        assert!(h.expected_latency_us() > 10_000.0);
+        assert!((h.baseline_us() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn hysteresis_blocks_flapping() {
-        let mut d = FailureDetector::new();
+        let d = FailureDetector::new();
+        let mut h = Health::default();
         // Alternate miss / clean-data forever: the score oscillates
         // between ~2 and ~1+, never below SUSPECT_EXIT, and the streak
         // never reaches 3 — the server must stay Suspect, not flap.
-        d.on_miss(SRV);
+        d.on_miss(&mut h, 100.0);
         let mut promotions = 0;
         for _ in 0..100 {
-            if d.on_reply(SRV, 100.0, true) == Verdict::BecameHealthy {
+            if d.on_reply(&mut h, 100.0, true) == Verdict::BecameHealthy {
                 promotions += 1;
             }
-            d.on_miss(SRV);
+            d.on_miss(&mut h, 100.0);
         }
         assert_eq!(promotions, 0, "flapping server must not be promoted");
-        assert!(d.is_suspect(SRV));
+        assert!(h.is_suspect());
     }
 }

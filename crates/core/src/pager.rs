@@ -1,6 +1,6 @@
 //! The pager: policy dispatch, crash handling, adaptive switching.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,13 +33,6 @@ fn check_stripe_width(policy: Policy, needed: usize, live: usize) -> Result<()> 
     }
     Ok(())
 }
-
-/// Floor on the expected-latency gate of a hedged pagein, µs. Even a
-/// maximally suspect primary is not worth hedging around when it is
-/// expected to answer in under half a millisecond — the degraded path
-/// costs at least one transfer itself (and in-memory test transports
-/// would otherwise hedge on microsecond noise).
-const HEDGE_MIN_EXPECTED_US: f64 = 500.0;
 
 /// Builder for [`Pager`].
 ///
@@ -143,12 +136,19 @@ impl PagerBuilder {
     }
 }
 
-/// One prefetch batch in flight on a server's request window: the page
-/// ids it will fill (paired with their store keys, in reply order) and
+/// One prefetch batch submitted to a server: the page each reply item
+/// will fill (paired with its store key, in reply order) — `None` once a
+/// write or free has made that copy stale while the batch was out — and
 /// the pool handle to collect it.
 struct PendingPrefetch {
-    entries: Vec<(PageId, StoreKey)>,
+    entries: Vec<(Option<PageId>, StoreKey)>,
     handle: crate::pool::PendingPageIn,
+}
+
+impl PendingPrefetch {
+    fn carries(&self, pid: PageId) -> bool {
+        self.entries.iter().any(|&(page, _)| page == Some(pid))
+    }
 }
 
 /// The Remote Memory Pager client (Section 3.1).
@@ -180,10 +180,9 @@ pub struct Pager {
     stride: StrideDetector,
     /// Pages fetched ahead of demand along the detected stride.
     prefetch: PrefetchCache,
-    /// Prefetch batches in flight on windowed transports: issued without
+    /// Prefetch batches submitted and not yet collected: issued without
     /// waiting, harvested when ready (or when a demand fault needs one of
-    /// their pages). Empty when the pool's transports have no request
-    /// window — those prefetches run synchronously as before.
+    /// their pages).
     pending_prefetch: Vec<PendingPrefetch>,
     /// Useless-prefetch count already forwarded to the metrics counter
     /// (the cache tracks a running total; counters only add).
@@ -262,7 +261,7 @@ impl Pager {
                 if config.policy == Policy::BasicParity {
                     Box::new(BasicParity::new(data, parity)?)
                 } else {
-                    Box::new(ParityLogging::new(data, parity, config.group_size)?)
+                    Box::new(ParityLogging::new(data, parity, config.servers)?)
                 }
             }
             Policy::WriteThrough => {
@@ -397,20 +396,14 @@ impl Pager {
     /// redundancy, the full rebuild is queued for the maintenance driver.
     pub fn note_crash(&mut self, server: ServerId) {
         if self.config.policy != Policy::BasicParity {
-            self.pool.view_mut().mark_dead(server);
+            self.pool.declare_dead(server, "reported");
         }
-        if self.config.policy.survives_single_crash() {
-            self.enqueue_recovery(server);
-        }
-    }
-
-    fn enqueue_recovery(&mut self, server: ServerId) {
         let queued = self.pending_recovery.contains(&server)
             || self
                 .active_plan
                 .as_ref()
                 .is_some_and(|p| p.crashed() == server);
-        if !queued {
+        if self.config.policy.survives_single_crash() && !queued {
             self.pending_recovery.push_back(server);
         }
     }
@@ -521,21 +514,12 @@ impl Pager {
     /// [`RmpError::Unrecoverable`] when the policy cannot restore the
     /// data (no-reliability, or multiple faults in one redundancy group).
     pub fn recover_from_crash(&mut self, server: ServerId) -> Result<RecoveryReport> {
-        // Basic parity rebuilds in place onto the rebooted workstation, so
-        // the server must stay usable; every other policy treats it as
-        // gone until it reconnects.
-        if self.config.policy != Policy::BasicParity {
-            self.pool.view_mut().mark_dead(server);
-        }
+        self.note_crash(server);
         self.pending_recovery.retain(|&s| s != server);
-        let mut plan = match self.active_plan.take() {
-            Some(p) if p.crashed() == server => p,
-            Some(other) => {
-                self.active_plan = Some(other);
-                RecoveryPlan::new(server)
-            }
-            None => RecoveryPlan::new(server),
-        };
+        let mut plan = self
+            .active_plan
+            .take_if(|p| p.crashed() == server)
+            .unwrap_or_else(|| RecoveryPlan::new(server));
         while !self.drive_plan(&mut plan, usize::MAX)? {}
         // Placement changed wholesale under the rebuild: drop the fault
         // trace and any read-ahead rather than predict against the old
@@ -664,9 +648,8 @@ impl Pager {
         let page = match result {
             Ok(page) => page,
             Err(e) => {
-                // `Unsupported` is routing, not failure: the caller falls
-                // back to recover-then-retry without a degraded read ever
-                // having been attempted for real.
+                // `Unsupported` is routing, not failure: the policy keeps
+                // no redundancy, so no degraded read was attempted.
                 if !matches!(e, RmpError::Unsupported(_)) {
                     self.metrics.registry.trace(
                         EventKind::DegradedRead,
@@ -703,13 +686,22 @@ impl Pager {
         if page.checksum() == expect {
             return None;
         }
-        self.stats.checksum_failures += 1;
-        self.metrics.checksum_failures.inc();
         let err = match self.engine.primary_location(id) {
             Some((server, key)) => RmpError::CorruptPage { server, key },
             None => RmpError::Corrupt(id),
         };
-        let server = match &err {
+        self.note_checksum_failure(&err, "store_corruption");
+        Some(err)
+    }
+
+    /// Counts one page that failed verification — in [`TransferStats`],
+    /// the registry and the trace ring at once, so the ledgers agree
+    /// whether the writer's checksum caught it (`store_corruption`) or
+    /// the pool did on the wire (`wire_corruption`).
+    fn note_checksum_failure(&mut self, err: &RmpError, how: &'static str) {
+        self.stats.checksum_failures += 1;
+        self.metrics.checksum_failures.inc();
+        let server = match err {
             RmpError::CorruptPage { server, .. } => Some(*server),
             _ => None,
         };
@@ -717,9 +709,25 @@ impl Pager {
             EventKind::ChecksumFailure,
             server,
             Some(self.config.policy),
-            "store_corruption",
+            how,
         );
-        Some(err)
+    }
+
+    /// Forgets every read-ahead copy of `id` — the cached one, and the one
+    /// a batch that is still out will bring: a fresher copy is being
+    /// written (or the page freed), so both are stale from here on.
+    fn invalidate_prefetched(&mut self, id: PageId) {
+        self.prefetch.invalidate(id);
+        for (page, _) in self
+            .pending_prefetch
+            .iter_mut()
+            .flat_map(|b| &mut b.entries)
+        {
+            if *page == Some(id) {
+                *page = None;
+            }
+        }
+        self.sync_useless();
     }
 
     /// Forwards newly-useless prefetch drops from the cache's running
@@ -735,9 +743,12 @@ impl Pager {
 
     /// Whether `pid` is being fetched by an in-flight prefetch batch.
     fn prefetch_inflight(&self, pid: PageId) -> bool {
-        self.pending_prefetch
-            .iter()
-            .any(|p| p.entries.iter().any(|&(e, _)| e == pid))
+        self.pending_prefetch.iter().any(|p| p.carries(pid))
+    }
+
+    /// Whether read-ahead already has `pid`, cached or on its way.
+    fn prefetch_covers(&self, pid: PageId) -> bool {
+        self.prefetch.contains(pid) || self.prefetch_inflight(pid)
     }
 
     /// Collects finished prefetch batches into the cache. Ready batches
@@ -751,26 +762,22 @@ impl Pager {
     fn harvest_prefetches(&mut self, need: Option<PageId>) {
         let mut i = 0;
         while i < self.pending_prefetch.len() {
-            let wanted = need.is_some_and(|id| {
-                self.pending_prefetch[i]
-                    .entries
-                    .iter()
-                    .any(|&(pid, _)| pid == id)
-            });
+            let wanted = need.is_some_and(|id| self.pending_prefetch[i].carries(id));
             if !wanted && !self.pending_prefetch[i].handle.is_ready() {
                 i += 1;
                 continue;
             }
             let PendingPrefetch { entries, handle } = self.pending_prefetch.swap_remove(i);
-            let Ok(pages) = self.pool.finish_page_in_batch(handle) else {
+            let Ok(fetched) = self.pool.finish_page_in_batch(handle) else {
                 continue;
             };
-            for ((pid, _), page) in entries.into_iter().zip(pages) {
-                if let Some(page) = page {
-                    // Each page that came back is a real wire fetch; the
-                    // stats stay honest about transfer counts even when
-                    // the fetch ran ahead of demand.
-                    self.stats.net_fetches += 1;
+            for ((pid, _), page) in entries.into_iter().zip(fetched) {
+                let Some(page) = page else { continue };
+                // Each page that came back is a real wire fetch; the
+                // stats stay honest about transfer counts even when the
+                // fetch ran ahead of demand, or was overtaken by a write.
+                self.stats.net_fetches += 1;
+                if let Some(pid) = pid {
                     self.prefetch.insert(pid, page);
                 }
             }
@@ -780,46 +787,34 @@ impl Pager {
     /// Issues one best-effort batched prefetch of the next
     /// `prefetch_window` pages along `stride`: predictions are grouped by
     /// the server that holds their primary copy and fetched with a single
-    /// batch per server instead of one round trip per page. On a windowed
-    /// transport the batch is only *submitted* here — it rides the
-    /// request window alongside demand traffic and is harvested when
-    /// ready — while in-process fakes, which have no window, fetch
-    /// synchronously.
+    /// batch per server instead of one round trip per page. The batch is
+    /// only *submitted* here — on a windowed transport it rides the
+    /// request window alongside demand traffic — and is harvested when
+    /// ready.
     /// Failures are swallowed — a wrong guess must never fail the demand
     /// fault that triggered it.
     fn maybe_prefetch(&mut self, id: PageId, stride: Option<i64>) {
         let Some(stride) = stride else { return };
-        let window = self.config.prefetch_window;
-        if window == 0 {
-            return;
-        }
+        let hedge_threshold = self.config.hedge_suspicion_threshold;
         // Pull in whatever read-ahead has landed since the last fault.
         self.harvest_prefetches(None);
         // Refill the window only once the runway is gone: while the next
         // predicted page is still cached (or already on the wire), topping
         // up one page per access would pay a round trip per pagein and
         // erase the batching win.
-        if let Some(next) = (id.0 as i64).checked_add(stride) {
-            if next >= 0 {
-                let pid = PageId(next as u64);
-                if self.prefetch.contains(pid) || self.prefetch_inflight(pid) {
-                    return;
-                }
-            }
+        let predicted = |step: i64| {
+            let next = (id.0 as i64).checked_add(stride.checked_mul(step)?)?;
+            (next >= 0).then_some(PageId(next as u64))
+        };
+        if predicted(1).is_some_and(|pid| self.prefetch_covers(pid)) {
+            return;
         }
-        let mut by_server: HashMap<ServerId, Vec<(PageId, StoreKey)>> = HashMap::new();
-        for step in 1..=window as i64 {
-            let Some(offset) = stride.checked_mul(step) else {
-                break;
-            };
-            let Some(next) = (id.0 as i64).checked_add(offset) else {
-                break;
-            };
-            if next < 0 {
-                break;
-            }
-            let pid = PageId(next as u64);
-            if self.prefetch.contains(pid) || self.prefetch_inflight(pid) {
+        // Ordered, so a seeded fault schedule sees the same submissions
+        // in the same order on every run.
+        let mut by_server: BTreeMap<ServerId, Vec<(Option<PageId>, StoreKey)>> = BTreeMap::new();
+        for step in 1..=self.config.prefetch_window as i64 {
+            let Some(pid) = predicted(step) else { break };
+            if self.prefetch_covers(pid) {
                 continue;
             }
             // Only pages with a whole-page copy in remote memory are
@@ -833,7 +828,7 @@ impl Pager {
             if !self.pool.view().is_alive(server) {
                 continue;
             }
-            by_server.entry(server).or_default().push((pid, key));
+            by_server.entry(server).or_default().push((Some(pid), key));
         }
         for (server, mut entries) in by_server {
             // The async path submits a single frame; keep the issue list
@@ -843,7 +838,7 @@ impl Pager {
             // batch at a gray server would stall the very fault this
             // prefetch is trying to hide. Those pages fall through to
             // (hedged) demand reads instead.
-            if self.looks_gray(server) {
+            if self.pool.looks_gray(server, hedge_threshold) {
                 self.metrics.prefetch_skipped_gray.add(entries.len() as u64);
                 continue;
             }
@@ -858,27 +853,11 @@ impl Pager {
             }
             let keys: Vec<StoreKey> = entries.iter().map(|&(_, key)| key).collect();
             self.metrics.prefetch_issued.add(keys.len() as u64);
-            match self.pool.spawn_page_in_batch(server, &keys) {
-                Ok(Some(handle)) => {
-                    self.pending_prefetch
-                        .push(PendingPrefetch { entries, handle });
-                    continue;
-                }
-                // No request window on this transport: fetch synchronously.
-                Ok(None) => {}
-                // The window refused the frame. The synchronous path would
-                // spend the pool's whole retry budget, inside a demand
-                // fault, on a guess.
-                Err(_) => continue,
-            }
-            let Ok(pages) = self.pool.page_in_batch(server, &keys) else {
-                continue;
-            };
-            for ((pid, _), page) in entries.into_iter().zip(pages) {
-                if let Some(page) = page {
-                    self.stats.net_fetches += 1;
-                    self.prefetch.insert(pid, page);
-                }
+            // A refused submission is dropped like any wrong guess: the
+            // pool sampled the miss, and the demand path owns retries.
+            if let Ok(handle) = self.pool.spawn_page_in_batch(server, &keys) {
+                self.pending_prefetch
+                    .push(PendingPrefetch { entries, handle });
             }
         }
         self.sync_useless();
@@ -887,10 +866,7 @@ impl Pager {
 
 impl Pager {
     fn page_out_inner(&mut self, id: PageId, page: &Page) -> Result<()> {
-        // A fresher copy is being written: any prefetched copy is stale
-        // the moment the write lands, so drop it up front.
-        self.prefetch.invalidate(id);
-        self.sync_useless();
+        self.invalidate_prefetched(id);
         self.update_adaptive();
         // Writes must not race an in-flight rebuild: a pageout landing in
         // a half-rebuilt stripe would leave its parity wrong, and plans
@@ -970,7 +946,8 @@ impl Pager {
             // rebuild), which the demand loop below already handles.
             return None;
         }
-        if !self.looks_gray(primary) {
+        let threshold = self.config.hedge_suspicion_threshold;
+        if !self.pool.looks_gray(primary, threshold) {
             return None;
         }
         self.pool.note_hedged_pagein(primary);
@@ -981,21 +958,6 @@ impl Pager {
             }
             Err(_) => None,
         }
-    }
-
-    /// Whether `server` currently looks *gray*: detector suspicion at or
-    /// above [`PagerConfig::hedge_suspicion_threshold`] with an expected
-    /// reply slower than a healthy replica's tail. The shared gate of
-    /// every latency-motivated bypass — hedged pageins and prefetch
-    /// issuance — so no optional work queues behind a predicted-slow
-    /// server while it is still (correctly) considered alive.
-    fn looks_gray(&self, server: ServerId) -> bool {
-        let threshold = self.config.hedge_suspicion_threshold;
-        if !threshold.is_finite() || self.pool.suspicion(server) < threshold {
-            return false;
-        }
-        let expected = self.pool.expected_latency_us(server);
-        expected >= self.pool.hedge_delay_us(server).max(HEDGE_MIN_EXPECTED_US)
     }
 
     fn demand_page_in(&mut self, id: PageId) -> Result<Page> {
@@ -1014,7 +976,7 @@ impl Pager {
                 },
                 Err(e) => {
                     if matches!(e, RmpError::CorruptPage { .. }) {
-                        self.stats.checksum_failures += 1;
+                        self.note_checksum_failure(&e, "wire_corruption");
                     }
                     e
                 }
@@ -1028,14 +990,6 @@ impl Pager {
                     self.note_crash(dead);
                     match self.degraded_read(id, dead) {
                         Ok(page) => return Ok(page),
-                        // No redundancy path for this page (disk copy,
-                        // unsupported): fall back to recover-then-retry.
-                        Err(RmpError::Unsupported(_)) => {
-                            if retries == 0 || !self.try_recover(&err) {
-                                return Err(err);
-                            }
-                            retries -= 1;
-                        }
                         // Another server died under the degraded read;
                         // loop and route around it too.
                         Err(e @ (RmpError::ServerCrashed(_) | RmpError::Timeout(_))) => {
@@ -1150,8 +1104,7 @@ impl PagingDevice for Pager {
 
     fn free(&mut self, id: PageId) -> Result<()> {
         self.drain_recovery_queue()?;
-        self.prefetch.invalidate(id);
-        self.sync_useless();
+        self.invalidate_prefetched(id);
         // Drop the writer-side checksum only once the engine actually
         // released the page: a failed free leaves the page (and its
         // verification) in force, so later reads stay checked.

@@ -10,9 +10,16 @@ use rmp_proto::{BatchItem, LoadHint, Message, MAX_BATCH_PAGES};
 use rmp_types::metrics::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
 use rmp_types::{ErrorCode, Page, Result, RmpError, ServerId, StoreKey, TransportConfig};
 
-use crate::detector::{FailureDetector, Verdict};
+use crate::detector::{ewma, FailureDetector, Health, Verdict, SLOW_MULT};
 use crate::reactor::{PendingReplies, WindowedTransport};
 use crate::transport::ServerTransport;
+
+/// Floor on the expected-latency gate of [`ServerPool::looks_gray`], µs.
+/// Even a maximally suspect primary is not worth hedging around when it
+/// is expected to answer in under half a millisecond — the degraded path
+/// costs at least one transfer itself (and in-memory test transports
+/// would otherwise hedge on microsecond noise).
+const HEDGE_MIN_EXPECTED_US: f64 = 500.0;
 
 /// Frames requested per allocation round-trip; the client consumes the
 /// grant locally so most pageouts need no extra allocation message.
@@ -60,8 +67,9 @@ impl PoolMetrics {
     }
 }
 
-/// Everything the pool keeps about one server, in one place so that no
-/// transition can reset part of it and forget the rest.
+/// Everything the pool keeps about one server — connection, grants and
+/// health — in one place so that no transition can reset part of it and
+/// forget the rest.
 struct Peer {
     transport: Box<dyn ServerTransport>,
     /// Where to redial; `None` for a transport handed in ready-made.
@@ -75,6 +83,10 @@ struct Peer {
     /// `pool_call_latency_us{srvN}`, resolved on first use so only
     /// servers that take traffic appear.
     latency: Option<Arc<Histogram>>,
+    /// The failure detector's state for this server: suspicion score,
+    /// Suspect latch and latency estimates (see [`crate::detector`]).
+    /// Written by [`ServerPool::sample`] and [`Peer::reset`] only.
+    health: Health,
     /// `detector_suspicion{srvN}`: the detector score in milli-units
     /// (score × 1000, gauges are integral).
     suspicion: Option<Arc<Gauge>>,
@@ -88,23 +100,50 @@ impl Peer {
             grants: 0,
             stalls_seen: 0,
             latency: None,
+            health: Health::default(),
             suspicion: None,
         }
     }
 
-    /// Drops what was learnt over the connection so far. Grants never
-    /// survive: a redialled or restarted server has lost them and a dead
-    /// one's are worthless. The stall baseline restarts only together
-    /// with the transport's own counters — on a `new_connection` — or the
-    /// delta mirror in `publish_window_stats` would swallow every stall
-    /// below the old total (fresh counters, stale baseline) or count the
-    /// old total twice (old counters, zeroed baseline).
-    fn reset(&mut self, new_connection: bool) {
+    /// The one reset: drops what was learnt over the connection so far
+    /// and, given a `health`, replaces the detector's record with it (a
+    /// clean slate on forgiveness, [`Health::dead`] on death; a mid-call
+    /// redial keeps the record, the miss behind it being the news).
+    /// Grants never survive: a redialled or restarted server has lost
+    /// them and a dead one's are worthless. The stall baseline restarts
+    /// only together with the transport's own counters — on a
+    /// `new_connection` — or the delta mirror in `publish_window_stats`
+    /// would swallow every stall below the old total (fresh counters,
+    /// stale baseline) or count the old total twice (old counters, zeroed
+    /// baseline).
+    fn reset(&mut self, new_connection: bool, health: Option<Health>) {
         self.grants = 0;
         if new_connection {
             self.stalls_seen = 0;
         }
+        if let Some(health) = health {
+            self.health = health;
+        }
     }
+
+    /// Mirrors the current suspicion score into the server's
+    /// `detector_suspicion{srvN}` gauge (milli-units), when attached.
+    fn publish_suspicion(&mut self, id: ServerId, metrics: Option<&PoolMetrics>) {
+        if let Some(m) = metrics {
+            self.suspicion
+                .get_or_insert_with(|| m.registry.gauge(&format!("detector_suspicion{{{id}}}")))
+                .set((self.health.suspicion() * 1000.0) as u64);
+        }
+    }
+}
+
+/// What one attempt against a server came to, as far as its health is
+/// concerned (see [`ServerPool::sample`]).
+enum Outcome {
+    /// It answered; `data_path` when the exchange carried page data.
+    Reply { data_path: bool },
+    /// Deadline miss or transport failure.
+    Miss,
 }
 
 /// The typed error for a reply of the wrong kind.
@@ -130,7 +169,7 @@ fn hint_condition(hint: LoadHint) -> Condition {
 /// attempt is exhausted is the server declared dead and the error
 /// surfaced as [`RmpError::Timeout`] or [`RmpError::ServerCrashed`].
 /// Service times of all attempts — including failed ones — feed the
-/// adaptive-policy statistics, so a degraded cluster looks slow, not
+/// adaptive-policy estimate, so a degraded cluster looks slow, not
 /// idle.
 pub struct ServerPool {
     peers: BTreeMap<ServerId, Peer>,
@@ -138,14 +177,15 @@ pub struct ServerPool {
     next_key: u64,
     /// Total page-sized transfers (in either direction), for reports.
     wire_transfers: u64,
-    /// Sum and count of service times, ms.
-    service_total_ms: f64,
-    service_count: u64,
+    /// Decaying mean of every call attempt's service time across the
+    /// pool, ms (0 until the first attempt) — the Section 5 signal.
+    service_ms: f64,
     /// Deadlines and retry policy applied to every call.
     transport_cfg: TransportConfig,
-    /// Accrual failure detector: per-server suspicion scores fed by reply
-    /// latencies and deadline misses (see [`crate::detector`]). Drives
-    /// Suspect entry/exit with hysteresis and the hedged-pagein decision.
+    /// The accrual rules applied to each peer's [`Health`]: suspicion fed
+    /// by reply latencies and deadline misses (see [`crate::detector`]).
+    /// Drives Suspect entry/exit with hysteresis and the hedged-pagein
+    /// decision.
     detector: FailureDetector,
     /// Attempts consumed by the most recent call (1 = first try clean).
     /// Callers with non-idempotent wire operations (basic parity's
@@ -174,11 +214,11 @@ pub struct ServerPool {
     metrics: Option<PoolMetrics>,
 }
 
-/// A batch fetch in flight on a server's request window, started by
+/// A batch fetch submitted to a server, started by
 /// [`ServerPool::spawn_page_in_batch`] and collected by
 /// [`ServerPool::finish_page_in_batch`]. The prefetcher holds these while
-/// the pager keeps faulting: the fetch and the demand traffic share one
-/// windowed connection.
+/// the pager keeps faulting: on a windowed connection the fetch and the
+/// demand traffic share the request window.
 ///
 /// Dropping the handle abandons the fetch — the window slot frees and the
 /// reply is discarded on arrival.
@@ -194,18 +234,6 @@ impl PendingPageIn {
     /// The server this fetch is running against.
     pub fn server(&self) -> ServerId {
         self.server
-    }
-
-    /// The keys requested, in reply order.
-    pub fn keys(&self) -> &[StoreKey] {
-        &self.keys
-    }
-
-    /// Whether `key` is among the requested keys — the demand path checks
-    /// this before blocking on an overlapping prefetch instead of
-    /// re-fetching the page itself.
-    pub fn contains(&self, key: StoreKey) -> bool {
-        self.keys.contains(&key)
     }
 
     /// Whether the reply has arrived: `finish_page_in_batch` will not
@@ -228,8 +256,7 @@ impl ServerPool {
             view: ClusterView::new(),
             next_key: 1,
             wire_transfers: 0,
-            service_total_ms: 0.0,
-            service_count: 0,
+            service_ms: 0.0,
             transport_cfg,
             detector: FailureDetector::new(),
             last_attempts: 0,
@@ -362,8 +389,8 @@ impl ServerPool {
         self.forgive(id, true);
     }
 
-    /// Forgives `id` without touching its transport: detector state is
-    /// forgotten and the server is marked alive in the view. The chaos
+    /// Forgives `id` without touching its transport: its health record is
+    /// wiped and the server is marked alive in the view. The chaos
     /// harness uses this after disarming a fault plan over an in-process
     /// transport, where there is no socket to redial but the server's
     /// history (a scripted fault burst) says nothing about its future.
@@ -371,25 +398,29 @@ impl ServerPool {
         self.forgive(id, false);
     }
 
-    /// Wipes `id`'s slate: connection-scoped state, detector history and
-    /// the view's verdict.
+    /// Wipes `id`'s slate: connection-scoped state, health record and the
+    /// view's verdict.
     fn forgive(&mut self, id: ServerId, new_connection: bool) {
         if let Some(peer) = self.peers.get_mut(&id) {
-            peer.reset(new_connection);
+            peer.reset(new_connection, Some(Health::default()));
+            peer.publish_suspicion(id, self.metrics.as_ref());
         }
-        self.detector.reset(id);
-        self.publish_suspicion(id);
         self.view.mark_alive(id);
     }
 
-    /// Holds `id` dead from here on — in the view, the detector, the
-    /// metrics and the trace ring (`why` is the trace detail).
-    fn declare_dead(&mut self, id: ServerId, why: &'static str) {
+    /// Holds `id` dead from here on — in the view, its record (grants
+    /// dropped, suspicion pinned), the metrics and the trace ring (`why`
+    /// is the trace detail). The only way a server dies, whether the
+    /// retry ladder, a shutdown notice, crash injection or the pager
+    /// noticed. A server already held dead counts one death.
+    pub fn declare_dead(&mut self, id: ServerId, why: &'static str) {
+        if !self.view.is_alive(id) {
+            return;
+        }
         self.view.mark_dead(id);
-        self.detector.on_death(id);
-        self.publish_suspicion(id);
         if let Some(peer) = self.peers.get_mut(&id) {
-            peer.reset(false);
+            peer.reset(false, Some(Health::dead()));
+            peer.publish_suspicion(id, self.metrics.as_ref());
         }
         if let Some(m) = &self.metrics {
             m.deaths.inc();
@@ -424,13 +455,11 @@ impl ServerPool {
         self.wire_transfers
     }
 
-    /// Mean observed service time over all requests, ms (0 when none).
+    /// Service time per call attempt across the pool, ms (0 when none
+    /// yet): a decaying mean over every attempt, failed ones included, so
+    /// it follows the network however long the pool has been up.
     pub fn avg_service_ms(&self) -> f64 {
-        if self.service_count == 0 {
-            0.0
-        } else {
-            self.service_total_ms / self.service_count as f64
-        }
+        self.service_ms
     }
 
     /// Current detector suspicion score of `id` — 0 for a server that has
@@ -438,13 +467,23 @@ impl ServerPool {
     /// declared dead. The pager compares this against
     /// `hedge_suspicion_threshold` before hedging a pagein.
     pub fn suspicion(&self, id: ServerId) -> f64 {
-        self.detector.suspicion(id)
+        self.peers.get(&id).map_or(0.0, |p| p.health.suspicion())
     }
 
-    /// What the next call to `id` is expected to cost, µs (EWMA over all
-    /// replies, slow ones included; 0 when never sampled).
-    pub fn expected_latency_us(&self, id: ServerId) -> f64 {
-        self.detector.expected_latency_us(id)
+    /// Whether `id` currently looks *gray*: suspicion at or above
+    /// `suspicion_threshold` (the pager's `hedge_suspicion_threshold`;
+    /// infinite disables) with an expected reply slower than a healthy
+    /// replica's tail. The shared gate of every latency-motivated bypass
+    /// — hedged pageins and prefetch issuance — so no optional work queues
+    /// behind a predicted-slow server while it is still (correctly)
+    /// considered alive.
+    pub fn looks_gray(&self, id: ServerId, suspicion_threshold: f64) -> bool {
+        self.peers.get(&id).is_some_and(|peer| {
+            suspicion_threshold.is_finite()
+                && peer.health.suspicion() >= suspicion_threshold
+                && peer.health.expected_latency_us()
+                    >= self.hedge_delay_us(id).max(HEDGE_MIN_EXPECTED_US)
+        })
     }
 
     /// Attempts consumed by the most recent call on this pool (1 = clean
@@ -465,11 +504,11 @@ impl ServerPool {
     /// The dynamic hedge delay, µs: the best (lowest) tail-latency
     /// estimate among live servers other than `exclude` — the p99 of the
     /// server's call histogram when metrics are attached, else
-    /// [`crate::detector::SLOW_MULT`]× its fast baseline. A pagein whose
+    /// [`SLOW_MULT`]× its fast baseline. A pagein whose
     /// primary is expected to take longer than this is cheaper to serve
     /// through the degraded path. Returns 0 when no other server has been
     /// sampled yet (callers treat that as "no basis to hedge").
-    pub fn hedge_delay_us(&self, exclude: ServerId) -> f64 {
+    fn hedge_delay_us(&self, exclude: ServerId) -> f64 {
         let mut best = f64::INFINITY;
         for (&id, peer) in self.peers.iter() {
             if id == exclude || !self.view.is_alive(id) {
@@ -480,8 +519,7 @@ impl ServerPool {
                 .as_ref()
                 .map(|h| h.snapshot().p99_us())
                 .filter(|&p| p > 0.0);
-            let est =
-                p99.unwrap_or_else(|| crate::detector::SLOW_MULT * self.detector.baseline_us(id));
+            let est = p99.unwrap_or_else(|| SLOW_MULT * peer.health.baseline_us());
             if est > 0.0 {
                 best = best.min(est);
             }
@@ -529,16 +567,13 @@ impl ServerPool {
         1.0 - jitter + 2.0 * jitter * unit
     }
 
-    /// Folds one attempt's elapsed time into the service statistics and
-    /// returns it in microseconds. Failed and timed-out attempts count
-    /// too: a flaky cluster must look *slow* to the adaptive policy, not
-    /// invisible.
-    fn record_attempt(&mut self, id: ServerId, start: Instant) -> f64 {
+    /// Folds one call attempt's elapsed time into the service-time
+    /// estimate and the latency histograms, and returns it. Failed and
+    /// timed-out attempts count too: a flaky cluster must look *slow* to
+    /// the adaptive policy, not invisible.
+    fn record_attempt(&mut self, id: ServerId, start: Instant) -> Duration {
         let elapsed = start.elapsed();
-        let ms = elapsed.as_secs_f64() * 1000.0;
-        self.service_total_ms += ms;
-        self.service_count += 1;
-        self.view.record_service_time(id, ms);
+        ewma(&mut self.service_ms, elapsed.as_secs_f64() * 1000.0);
         if let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) {
             m.call_latency.record(elapsed);
             peer.latency
@@ -549,7 +584,7 @@ impl ServerPool {
                 .record(elapsed);
         }
         self.publish_window_stats();
-        elapsed.as_secs_f64() * 1_000_000.0
+        elapsed
     }
 
     /// Mirrors the windowed transports' counters into the pool metrics:
@@ -577,27 +612,31 @@ impl ServerPool {
         }
     }
 
-    /// Mirrors the detector's current score for `id` into its
-    /// `detector_suspicion{srvN}` gauge (milli-units), when attached.
-    fn publish_suspicion(&mut self, id: ServerId) {
-        if let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) {
-            let score = self.detector.suspicion(id);
-            peer.suspicion
-                .get_or_insert_with(|| m.registry.gauge(&format!("detector_suspicion{{{id}}}")))
-                .set((score * 1000.0) as u64);
-        }
-    }
-
-    /// Feeds one successful reply to the detector and mirrors any state
-    /// transition into the cluster view. Only clean *data-path* replies
-    /// (page stores/fetches/frees — anything [`Message::is_data_op`])
-    /// count toward re-promoting a Suspect server: a server that answers
-    /// `GetStats` promptly has proven nothing about its paging path.
-    /// Persistent slowness can also suspect a server *here*, on a
-    /// successful call — that is the gray-failure case the old binary
-    /// heuristic missed.
-    fn note_reply(&mut self, id: ServerId, latency_us: f64, data_path: bool) {
-        match self.detector.on_reply(id, latency_us, data_path) {
+    /// Takes one health sample of `id` — what an attempt that took
+    /// `elapsed` came to — and is the only code that moves a server
+    /// between Healthy and Suspect: the detector's latch, the view's
+    /// condition, `pool_suspect_transitions_total` and the suspicion gauge
+    /// change here, together. Every attempt ends up here: a call (first
+    /// try or retry), a read-ahead refused, a read-ahead collected.
+    ///
+    /// Only clean *data-path* replies ([`Message::is_data_op`]) count
+    /// toward re-promoting a Suspect server: one that answers `GetStats`
+    /// promptly has proven nothing about its paging path. Persistent
+    /// slowness can also suspect a server on a successful call — the
+    /// gray-failure case a binary heuristic misses.
+    fn sample(&mut self, id: ServerId, elapsed: Duration, outcome: Outcome) {
+        let Some(peer) = self.peers.get_mut(&id) else {
+            return;
+        };
+        let latency_us = elapsed.as_secs_f64() * 1_000_000.0;
+        let verdict = match outcome {
+            Outcome::Reply { data_path } => {
+                self.detector
+                    .on_reply(&mut peer.health, latency_us, data_path)
+            }
+            Outcome::Miss => self.detector.on_miss(&mut peer.health, latency_us),
+        };
+        match verdict {
             Verdict::BecameSuspect => {
                 self.view.mark_suspect(id);
                 if let Some(m) = &self.metrics {
@@ -607,7 +646,7 @@ impl ServerPool {
             Verdict::BecameHealthy => self.view.mark_alive(id),
             Verdict::Unchanged => {}
         }
-        self.publish_suspicion(id);
+        peer.publish_suspicion(id, self.metrics.as_ref());
     }
 
     /// The single failure-handling point of the paging path.
@@ -659,10 +698,10 @@ impl ServerPool {
             } else {
                 transport.call_pipelined(msgs)
             };
-            let latency_us = self.record_attempt(id, start);
+            let elapsed = self.record_attempt(id, start);
             let err = match outcome {
                 Ok(replies) => {
-                    self.note_reply(id, latency_us, data_path);
+                    self.sample(id, elapsed, Outcome::Reply { data_path });
                     return Ok(replies);
                 }
                 Err(e) => e,
@@ -692,8 +731,9 @@ impl ServerPool {
                     // the call fails as Timeout, steering the pager to
                     // other servers without declaring this one crashed.
                     saw_timeout |= e.is_timeout() || e.is_overload();
-                    self.detector.on_miss(id);
-                    self.publish_suspicion(id);
+                    // Transient until proven otherwise: the miss
+                    // deprioritizes the server while it proves itself.
+                    self.sample(id, elapsed, Outcome::Miss);
                     if attempt + 1 >= max_attempts {
                         break;
                     }
@@ -704,11 +744,8 @@ impl ServerPool {
                         saw_timeout = true;
                         break;
                     }
-                    // Transient until proven otherwise: deprioritize the
-                    // server, give it a moment, and redial.
-                    self.view.mark_suspect(id);
+                    // Give it a moment, and redial.
                     if let Some(m) = &self.metrics {
-                        m.suspect_transitions.inc();
                         m.retries.inc();
                         m.registry.trace(
                             EventKind::Retry,
@@ -741,7 +778,7 @@ impl ServerPool {
                         // server is back. Either way a restarted server
                         // lost this client's grants.
                         let redialled = peer.transport.reconnect().is_ok();
-                        peer.reset(redialled);
+                        peer.reset(redialled, None);
                     }
                 }
                 e => {
@@ -803,10 +840,7 @@ impl ServerPool {
                 if granted == 0 {
                     // The denial the paper describes: stop considering this
                     // server for new pages.
-                    if let Some(st) = self.view.status(id) {
-                        let (f, s, c) = (st.free_pages, st.stored_pages, st.cpu_permille);
-                        self.view.update_load(id, f, s, c, Condition::StopSending);
-                    }
+                    self.apply_hint(id, LoadHint::StopSending);
                     return Err(RmpError::NoSpace(id));
                 }
                 if let Some(peer) = self.peers.get_mut(&id) {
@@ -845,22 +879,18 @@ impl ServerPool {
     /// [`RmpError::ServerCrashed`] on connection failure;
     /// [`RmpError::NoSpace`] when the server is out of memory.
     pub fn page_out(&mut self, id: ServerId, key: StoreKey, page: &Page) -> Result<LoadHint> {
-        let reply = self.call(
-            id,
-            &Message::PageOut {
-                id: key,
-                checksum: page.checksum(),
-                page: page.clone(),
-            },
-        );
-        match reply {
-            Ok(Message::PageOutAck { hint, .. }) => {
+        let request = Message::PageOut {
+            id: key,
+            checksum: page.checksum(),
+            page: page.clone(),
+        };
+        match self.call(id, &request)? {
+            Message::PageOutAck { hint, .. } => {
                 self.note_wire_transfer();
                 self.apply_hint(id, hint);
                 Ok(hint)
             }
-            Ok(other) => Err(unexpected_reply("PageOut", &other)),
-            Err(e) => Err(e),
+            other => Err(unexpected_reply("PageOut", &other)),
         }
     }
 
@@ -1006,56 +1036,50 @@ impl ServerPool {
         self.decode_batch_replies(id, replies, &sent)
     }
 
-    /// Starts a batch fetch on `id`'s request window without waiting for
-    /// the reply: the frame is submitted onto the windowed transport and a
-    /// handle comes back immediately, so the caller (the prefetcher)
-    /// overlaps the fetch with whatever it does next — including demand
-    /// faults on the *same* connection.
-    ///
-    /// `Ok(None)` means the fetch cannot run asynchronously — the
-    /// transport has no request window (test fakes, chaos wrappers) or
-    /// `keys` is empty — and the caller may fall back to the synchronous
-    /// [`ServerPool::page_in_batch`]. At most
-    /// [`ServerPool::batch_max_pages`] keys are taken; excess keys are
+    /// Starts a batch fetch on `id` without waiting for the reply: the
+    /// frame is submitted onto the transport and a handle comes back, so
+    /// the caller (the prefetcher) overlaps the fetch with whatever it
+    /// does next — including demand faults on the *same* connection. At
+    /// most [`ServerPool::batch_max_pages`] keys are taken; excess keys are
     /// ignored rather than split (a prefetch is best-effort by nature).
     ///
     /// # Errors
     ///
     /// The submission's own failure (dead connection, stalled window),
-    /// surfaced directly — no retry, no redial, no death sentence, and no
-    /// reason to try the synchronous path, which would spend the whole
-    /// retry budget on a speculative fetch. The miss feeds the failure
-    /// detector; the demand path exercises the full retry machinery if
-    /// the server really is in trouble.
+    /// surfaced directly — no retry, no redial, no death sentence: a full
+    /// retry budget is not spent on a speculative fetch. The miss is
+    /// sampled like any other; the demand path exercises the full retry
+    /// machinery if the server really is in trouble.
     pub fn spawn_page_in_batch(
         &mut self,
         id: ServerId,
         keys: &[StoreKey],
-    ) -> Result<Option<PendingPageIn>> {
-        if keys.is_empty() {
-            return Ok(None);
-        }
+    ) -> Result<PendingPageIn> {
         let keys: Vec<StoreKey> = keys.iter().take(self.batch_max_pages).copied().collect();
         let seq = self.batch_seq();
         let frame = Message::PageInBatch {
             seq,
             ids: keys.clone(),
         };
-        let Some(peer) = self.peers.get_mut(&id) else {
-            return Ok(None);
-        };
-        match peer.transport.submit(std::slice::from_ref(&frame)) {
-            None => Ok(None),
-            Some(Ok(pending)) => Ok(Some(PendingPageIn {
+        let peer = self
+            .peers
+            .get_mut(&id)
+            .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?;
+        let issued = Instant::now();
+        let submitted = peer
+            .transport
+            .submit(std::slice::from_ref(&frame))
+            .unwrap_or(Err(RmpError::Unsupported("transport takes no submissions")));
+        match submitted {
+            Ok(pending) => Ok(PendingPageIn {
                 server: id,
                 seq,
                 keys,
-                issued: Instant::now(),
+                issued,
                 pending,
-            })),
-            Some(Err(e)) => {
-                self.detector.on_miss(id);
-                self.publish_suspicion(id);
+            }),
+            Err(e) => {
+                self.sample(id, issued.elapsed(), Outcome::Miss);
                 Err(e)
             }
         }
@@ -1071,27 +1095,17 @@ impl ServerPool {
     ///
     /// Transport and protocol failures surface directly — no retry, no
     /// redial, no death sentence: a speculative fetch that fails is simply
-    /// dropped, and the reply latency (or miss) still feeds the failure
-    /// detector so sustained trouble shows up where it matters.
-    pub fn finish_page_in_batch(&mut self, pending: PendingPageIn) -> Result<Vec<Option<Page>>> {
-        let PendingPageIn {
-            server: id,
-            seq,
-            keys,
-            issued,
-            pending,
-        } = pending;
-        let outcome = pending.wait_all();
-        let latency_us = issued.elapsed().as_secs_f64() * 1_000_000.0;
-        match &outcome {
-            Ok(_) => self.note_reply(id, latency_us, true),
-            Err(_) => {
-                self.detector.on_miss(id);
-                self.publish_suspicion(id);
-            }
-        }
+    /// dropped, and the reply latency (or miss) is sampled like any
+    /// attempt's, so sustained trouble shows up where it matters.
+    pub fn finish_page_in_batch(&mut self, fetch: PendingPageIn) -> Result<Vec<Option<Page>>> {
+        let replies = fetch.pending.wait_all();
+        let outcome = match &replies {
+            Ok(_) => Outcome::Reply { data_path: true },
+            Err(_) => Outcome::Miss,
+        };
+        self.sample(fetch.server, fetch.issued.elapsed(), outcome);
         self.publish_window_stats();
-        self.decode_batch_replies(id, outcome?, &[(seq, keys.as_slice())])
+        self.decode_batch_replies(fetch.server, replies?, &[(fetch.seq, &fetch.keys)])
     }
 
     /// Releases the page stored under `key` on `id`.
@@ -1117,22 +1131,18 @@ impl ServerPool {
         key: StoreKey,
         page: &Page,
     ) -> Result<(Page, LoadHint)> {
-        let reply = self.call(
-            id,
-            &Message::PageOutDelta {
-                id: key,
-                checksum: page.checksum(),
-                page: page.clone(),
-            },
-        );
-        match reply {
-            Ok(Message::PageOutDeltaReply { delta, hint, .. }) => {
+        let request = Message::PageOutDelta {
+            id: key,
+            checksum: page.checksum(),
+            page: page.clone(),
+        };
+        match self.call(id, &request)? {
+            Message::PageOutDeltaReply { delta, hint, .. } => {
                 self.note_wire_transfer();
                 self.apply_hint(id, hint);
                 Ok((delta, hint))
             }
-            Ok(other) => Err(unexpected_reply("PageOutDelta", &other)),
-            Err(e) => Err(e),
+            other => Err(unexpected_reply("PageOutDelta", &other)),
         }
     }
 
@@ -1142,20 +1152,16 @@ impl ServerPool {
     ///
     /// As [`ServerPool::page_out`].
     pub fn xor_into(&mut self, id: ServerId, key: StoreKey, delta: &Page) -> Result<()> {
-        let reply = self.call(
-            id,
-            &Message::XorInto {
-                id: key,
-                page: delta.clone(),
-            },
-        );
-        match reply {
-            Ok(Message::XorAck { .. }) => {
+        let request = Message::XorInto {
+            id: key,
+            page: delta.clone(),
+        };
+        match self.call(id, &request)? {
+            Message::XorAck { .. } => {
                 self.note_wire_transfer();
                 Ok(())
             }
-            Ok(other) => Err(unexpected_reply("XorInto", &other)),
-            Err(e) => Err(e),
+            other => Err(unexpected_reply("XorInto", &other)),
         }
     }
 

@@ -362,6 +362,30 @@ pub struct PendingReplies {
 }
 
 impl PendingReplies {
+    /// A handle born complete, for transports that answer inside
+    /// `call_pipelined` instead of running a window (the provided
+    /// [`ServerTransport::submit`]): `wait_all` hands `outcome` back
+    /// without blocking. It owns no window slot; its `Shared` is empty.
+    pub(crate) fn ready(outcome: Result<Vec<Message>>) -> Self {
+        let results = match outcome {
+            Ok(replies) => replies.into_iter().map(Ok).collect(),
+            Err(e) => vec![Err(e)],
+        };
+        PendingReplies {
+            shared: Arc::new(Shared::new(0)),
+            read_timeout: Duration::ZERO,
+            slots: (0u32..)
+                .zip(results)
+                .map(|(seq, result)| {
+                    let slot = Slot::default();
+                    slot.complete(result);
+                    (seq, Arc::new(slot))
+                })
+                .collect(),
+            taken: 0,
+        }
+    }
+
     /// Whether every reply has already arrived: `wait_all` will not block.
     pub fn is_ready(&self) -> bool {
         self.slots[self.taken..]

@@ -8,8 +8,8 @@ use rmp_types::{Result, RmpError, TransportConfig};
 /// A request/response channel to one server.
 ///
 /// Production uses [`crate::reactor::WindowedTransport`] (a TCP socket, as
-/// in the paper, carrying a request window); tests may plug in in-process
-/// fakes.
+/// in the paper, carrying a request window); tests plug in in-process
+/// fakes, which need only `call` and `send_only`.
 pub trait ServerTransport: Send {
     /// Sends `msg` and returns the server's reply.
     ///
@@ -59,14 +59,17 @@ pub trait ServerTransport: Send {
         Err(RmpError::Unsupported("transport cannot reconnect"))
     }
 
-    /// Submits `msgs` onto this transport's request window without
-    /// waiting for the replies, returning a handle the caller completes
-    /// later (see [`crate::reactor::PendingReplies`]). `None` when the
-    /// transport has no window — in-process fakes — in which case
-    /// callers fall back to the synchronous paths.
+    /// Submits `msgs` without waiting for the replies, returning a handle
+    /// the caller completes later (see [`crate::reactor::PendingReplies`]).
+    /// A transport with a request window returns at once; the provided
+    /// version, for transports without one, runs the burst through
+    /// [`ServerTransport::call_pipelined`] here and returns a handle that
+    /// is already complete — a failure included, which surfaces from
+    /// `wait_all`. Callers drive one submit-then-collect path either way;
+    /// no in-tree transport returns `None`.
     fn submit(&mut self, msgs: &[Message]) -> Option<Result<crate::reactor::PendingReplies>> {
-        let _ = msgs;
-        None
+        let outcome = self.call_pipelined(msgs);
+        Some(Ok(crate::reactor::PendingReplies::ready(outcome)))
     }
 
     /// Cumulative request-window counters, when this transport runs a

@@ -7,18 +7,18 @@
 //! frame counts, and the stride prefetcher serves sequential workloads
 //! from its cache (and drops entries the moment they could go stale).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rmp_blockdev::PagingDevice;
 use rmp_core::transport::ServerTransport;
-use rmp_core::{Pager, ServerPool};
-use rmp_proto::{BatchItem, LoadHint, Message};
+use rmp_core::{ChaosServer, Pager, ServerPool};
+use rmp_proto::{BatchItem, Message};
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey};
 
-struct BatchState {
-    pages: HashMap<StoreKey, Page>,
+/// What the fake does to the traffic of the faithful server behind it,
+/// and what it counted.
+#[derive(Default)]
+struct BatchScript {
     /// When set, batch pagein items for this key carry a checksum over
     /// different bytes than the page — wire corruption.
     flip_key: Option<StoreKey>,
@@ -35,113 +35,63 @@ struct BatchState {
     duplicate_seq: bool,
 }
 
-#[derive(Clone)]
-struct BatchServer(Rc<RefCell<BatchState>>);
+#[derive(Clone, Default)]
+struct BatchServer {
+    server: ChaosServer,
+    script: Arc<Mutex<BatchScript>>,
+}
 
 impl BatchServer {
-    fn new() -> Self {
-        BatchServer(Rc::new(RefCell::new(BatchState {
-            pages: HashMap::new(),
-            flip_key: None,
-            refuse_key: None,
-            frames: 0,
-            pipelined: 0,
-            reverse_replies: false,
-            duplicate_seq: false,
-        })))
+    fn script(&self) -> MutexGuard<'_, BatchScript> {
+        self.script.lock().expect("script lock")
     }
 
     fn frames(&self) -> u64 {
-        self.0.borrow().frames
+        self.script().frames
     }
 
     fn pipelined(&self) -> u64 {
-        self.0.borrow().pipelined
+        self.script().pipelined
     }
 
     fn stored(&self) -> usize {
-        self.0.borrow().pages.len()
+        self.server.stored_pages()
     }
 }
 
-struct BatchTransport(Rc<RefCell<BatchState>>);
-
-// SAFETY: the pool requires `ServerTransport: Send`, but every test here
-// drives the pool from one thread and the `Rc` never crosses threads.
-unsafe impl Send for BatchTransport {}
+struct BatchTransport(BatchServer);
 
 impl ServerTransport for BatchTransport {
     fn call(&mut self, msg: &Message) -> Result<Message> {
-        let mut st = self.0.borrow_mut();
-        st.frames += 1;
-        Ok(match msg.clone() {
-            Message::Alloc { pages } => Message::AllocReply {
-                granted: pages,
-                hint: LoadHint::Ok,
-            },
-            Message::PageOut { id, page, .. } => {
-                st.pages.insert(id, page);
-                Message::PageOutAck {
-                    id,
-                    hint: LoadHint::Ok,
+        let mut script = self.0.script();
+        script.frames += 1;
+        let mut reply = self.0.server.serve(0, msg);
+        if let (Message::PageInBatch { ids, .. }, Message::BatchReply { items, .. }) =
+            (msg, &mut reply)
+        {
+            for (id, item) in ids.iter().zip(items) {
+                let BatchItem::Page { checksum, .. } = item else {
+                    continue;
+                };
+                if script.flip_key == Some(*id) {
+                    *checksum ^= 1;
+                }
+                if let Some((_, code)) = script.refuse_key.filter(|(key, _)| key == id) {
+                    *item = BatchItem::Err(code);
                 }
             }
-            Message::PageIn { id } => match st.pages.get(&id) {
-                Some(p) => Message::PageInReply {
-                    id,
-                    checksum: p.checksum(),
-                    page: p.clone(),
-                },
-                None => Message::PageInMiss { id },
-            },
-            Message::Free { id } => {
-                st.pages.remove(&id);
-                Message::FreeAck { id }
-            }
-            Message::LoadQuery => Message::LoadReport {
-                free_pages: 1 << 20,
-                stored_pages: st.pages.len() as u64,
-                cpu_permille: 0,
-                hint: LoadHint::Ok,
-            },
-            Message::PageInBatch { seq, ids } => {
-                let items = ids
-                    .iter()
-                    .map(|id| match (st.pages.get(id), st.refuse_key) {
-                        (Some(_), Some((key, code))) if key == *id => BatchItem::Err(code),
-                        (Some(p), _) => {
-                            let mut checksum = p.checksum();
-                            if st.flip_key == Some(*id) {
-                                checksum ^= 1;
-                            }
-                            BatchItem::Page {
-                                checksum,
-                                page: p.clone(),
-                            }
-                        }
-                        (None, _) => BatchItem::Miss,
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
-            other => Message::Error {
-                code: rmp_types::ErrorCode::Internal,
-                message: format!("batch fake: unhandled {:?}", other.opcode()),
-            },
-        })
+        }
+        Ok(reply)
     }
 
     fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
-        self.0.borrow_mut().pipelined += 1;
+        self.0.script().pipelined += 1;
         let mut replies: Vec<Message> = msgs.iter().map(|m| self.call(m)).collect::<Result<_>>()?;
-        if self.0.borrow().reverse_replies {
+        let script = self.0.script();
+        if script.reverse_replies {
             replies.reverse();
         }
-        if self.0.borrow().duplicate_seq && replies.len() >= 2 {
+        if script.duplicate_seq && replies.len() >= 2 {
             let first = replies[0].clone();
             let last = replies.len() - 1;
             replies[last] = first;
@@ -158,10 +108,10 @@ fn batch_pool(n: usize) -> (Vec<BatchServer>, ServerPool) {
     let mut pool = ServerPool::new();
     let mut servers = Vec::new();
     for i in 0..n {
-        let server = BatchServer::new();
+        let server = BatchServer::default();
         pool.add_transport(
             ServerId(i as u32),
-            Box::new(BatchTransport(Rc::clone(&server.0))),
+            Box::new(BatchTransport(server.clone())),
             1.0,
         );
         servers.push(server);
@@ -194,7 +144,7 @@ fn out_of_order_batch_replies_are_rematched_by_seq() {
     let (fakes, mut pool) = batch_pool(1);
     pool.set_batch_max_pages(4);
     preload(&mut pool, 10);
-    fakes[0].0.borrow_mut().reverse_replies = true;
+    fakes[0].script().reverse_replies = true;
     // 10 pages over a 4-page frame cap: three frames, and the fake
     // answers the pipelined burst in reverse order.
     let keys: Vec<StoreKey> = (0..10).map(StoreKey).collect();
@@ -219,7 +169,7 @@ fn duplicate_batch_seq_is_a_protocol_error() {
     let (fakes, mut pool) = batch_pool(1);
     pool.set_batch_max_pages(4);
     preload(&mut pool, 10);
-    fakes[0].0.borrow_mut().duplicate_seq = true;
+    fakes[0].script().duplicate_seq = true;
     let keys: Vec<StoreKey> = (0..10).map(StoreKey).collect();
     let err = pool
         .page_in_batch(ServerId(0), &keys)
@@ -236,7 +186,7 @@ fn one_bad_page_fails_the_batch_with_a_typed_error() {
     // produces for a whole-call refusal.
     let (fakes, mut pool) = batch_pool(1);
     preload(&mut pool, 4);
-    fakes[0].0.borrow_mut().refuse_key = Some((StoreKey(1), rmp_types::ErrorCode::OutOfMemory));
+    fakes[0].script().refuse_key = Some((StoreKey(1), rmp_types::ErrorCode::OutOfMemory));
     let keys: Vec<StoreKey> = (0..4).map(StoreKey).collect();
     let err = pool
         .page_in_batch(ServerId(0), &keys)
@@ -248,7 +198,7 @@ fn one_bad_page_fails_the_batch_with_a_typed_error() {
     let (fakes, mut pool) = batch_pool(1);
     pool.set_verify_checksums(true);
     preload(&mut pool, 4);
-    fakes[0].0.borrow_mut().flip_key = Some(StoreKey(2));
+    fakes[0].script().flip_key = Some(StoreKey(2));
     let keys: Vec<StoreKey> = (0..4).map(StoreKey).collect();
     let err = pool
         .page_in_batch(ServerId(0), &keys)
@@ -340,19 +290,28 @@ fn prefetched_pages_are_invalidated_by_writes_and_frees() {
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
-    // Scan far enough that the cache holds read-ahead past page 19.
+    // Scan, overwriting each page two ahead of the read cursor: whether
+    // its old copy sits in the cache or in a batch that is still out, the
+    // read must return the new contents, never the stale prefetched copy.
     for i in 0..20u64 {
-        pager.page_in(PageId(i)).expect("read");
+        let expected = if i < 2 { i } else { 1000 + i };
+        assert_eq!(
+            pager.page_in(PageId(i)).expect("read"),
+            Page::deterministic(expected),
+            "a write invalidates any prefetched copy of page {i}"
+        );
+        pager
+            .page_out(PageId(i + 2), &Page::deterministic(1000 + i + 2))
+            .expect("overwrite");
     }
-    // Overwrite a page the prefetcher likely holds: the next read must
-    // return the new contents, never the stale prefetched copy.
-    pager
-        .page_out(PageId(21), &Page::deterministic(2121))
-        .expect("overwrite");
+    assert!(
+        pager.metrics().counter("pager_prefetch_hits_total").get() > 0,
+        "the scan ran on read-ahead"
+    );
     assert_eq!(
-        pager.page_in(PageId(21)).expect("read back"),
-        Page::deterministic(2121),
-        "a write invalidates any prefetched copy"
+        pager.stats().checksum_failures,
+        0,
+        "stale copies were forgotten, not cached and then caught by their checksums"
     );
     // Freeing a page drops its cached copy too.
     pager.free(PageId(22)).expect("free");

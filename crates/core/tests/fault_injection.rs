@@ -6,22 +6,19 @@
 //! garbage, or flap between dead and alive — failure shapes a real
 //! cluster produces and the wire tests cannot stage deterministically.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::transport::ServerTransport;
-use rmp_core::{Pager, ServerPool};
+use rmp_core::{ChaosServer, Pager, ServerPool};
 use rmp_proto::{BatchItem, LoadHint, Message};
-use rmp_types::{
-    ErrorCode, Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey,
-};
+use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey};
 
 /// Scripted failure modes.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 enum Fault {
     /// Healthy operation.
+    #[default]
     None,
     /// Connection failures on every call (a crashed workstation).
     Dead,
@@ -41,189 +38,107 @@ enum Fault {
     BitFlipWire,
 }
 
-/// Shared mutable state of one fake server.
-struct FakeState {
-    pages: HashMap<StoreKey, Page>,
+/// The failure mode in force and the calls seen so far.
+#[derive(Default)]
+struct FakeScript {
     fault: Fault,
     calls: u64,
 }
 
-#[derive(Clone)]
-struct FakeServer(Rc<RefCell<FakeState>>);
+/// Handle the test keeps on one fake: a faithful server and the script
+/// the transport in front of it plays.
+#[derive(Clone, Default)]
+struct FakeServer {
+    server: ChaosServer,
+    script: Arc<Mutex<FakeScript>>,
+}
 
 impl FakeServer {
-    fn new() -> Self {
-        FakeServer(Rc::new(RefCell::new(FakeState {
-            pages: HashMap::new(),
-            fault: Fault::None,
-            calls: 0,
-        })))
+    fn script(&self) -> MutexGuard<'_, FakeScript> {
+        self.script.lock().expect("script lock")
     }
 
     fn set_fault(&self, fault: Fault) {
-        self.0.borrow_mut().fault = fault;
+        self.script().fault = fault;
     }
 
     fn stored(&self) -> usize {
-        self.0.borrow().pages.len()
+        self.server.stored_pages()
     }
 
     fn calls(&self) -> u64 {
-        self.0.borrow().calls
+        self.script().calls
     }
 
     fn wipe(&self) {
-        self.0.borrow_mut().pages.clear();
+        self.server.crash();
+        self.server.restart();
     }
 }
 
-/// The fake transport: interprets the protocol against the shared state.
-struct FakeTransport(Rc<RefCell<FakeState>>);
+/// Flips one bit of `page` as `fault` prescribes and returns the checksum
+/// the reply should carry: recomputed for corruption at rest, the stored
+/// page's own for corruption on the wire.
+fn flip(fault: Fault, page: &mut Page, checksum: u64) -> u64 {
+    page.as_mut()[0] ^= 0x01;
+    if fault == Fault::BitFlipStore {
+        page.checksum()
+    } else {
+        checksum
+    }
+}
 
-// SAFETY: `ServerTransport: Send` is required by the pool, but every test
-// in this file drives the pager from a single thread and the `Rc` inside
-// never crosses a thread boundary, so no data race is possible.
-unsafe impl Send for FakeTransport {}
+/// The fake transport: serves the protocol through the shared server and
+/// bends the replies to the scripted fault.
+struct FakeTransport(FakeServer);
 
 impl ServerTransport for FakeTransport {
     fn call(&mut self, msg: &Message) -> Result<Message> {
-        let mut st = self.0.borrow_mut();
-        st.calls += 1;
-        match st.fault {
+        let mut script = self.0.script();
+        script.calls += 1;
+        let fault = script.fault;
+        match fault {
             Fault::Dead => {
                 return Err(RmpError::Io(std::io::Error::new(
                     std::io::ErrorKind::ConnectionReset,
                     "fake crash",
                 )))
             }
-            Fault::Garbage => {
-                return Ok(Message::FreeAck { id: StoreKey(0) });
+            Fault::Garbage => return Ok(Message::FreeAck { id: StoreKey(0) }),
+            _ => {}
+        }
+        let mut reply = self.0.server.serve(0, msg);
+        match (fault, &mut reply) {
+            (Fault::DenyAlloc, Message::AllocReply { granted, .. }) => *granted = 0,
+            (
+                Fault::DenyAlloc,
+                Message::LoadReport {
+                    free_pages, hint, ..
+                },
+            ) => {
+                *free_pages = 0;
+                *hint = LoadHint::StopSending;
+            }
+            (Fault::Amnesia, Message::PageInReply { id, .. }) => {
+                reply = Message::PageInMiss { id: *id };
+            }
+            (Fault::Amnesia, Message::BatchReply { items, .. }) => {
+                items.iter_mut().for_each(|item| *item = BatchItem::Miss);
+            }
+            (
+                Fault::BitFlipStore | Fault::BitFlipWire,
+                Message::PageInReply { checksum, page, .. },
+            ) => *checksum = flip(fault, page, *checksum),
+            (Fault::BitFlipStore | Fault::BitFlipWire, Message::BatchReply { items, .. }) => {
+                for item in items {
+                    if let BatchItem::Page { checksum, page } = item {
+                        *checksum = flip(fault, page, *checksum);
+                    }
+                }
             }
             _ => {}
         }
-        Ok(match msg.clone() {
-            Message::Alloc { pages } => Message::AllocReply {
-                granted: if st.fault == Fault::DenyAlloc {
-                    0
-                } else {
-                    pages
-                },
-                hint: LoadHint::Ok,
-            },
-            Message::PageOut { id, page, .. } => {
-                st.pages.insert(id, page);
-                Message::PageOutAck {
-                    id,
-                    hint: LoadHint::Ok,
-                }
-            }
-            Message::PageIn { id } => {
-                if st.fault == Fault::Amnesia {
-                    Message::PageInMiss { id }
-                } else {
-                    match st.pages.get(&id) {
-                        Some(p) => {
-                            let mut page = p.clone();
-                            let checksum = match st.fault {
-                                Fault::BitFlipStore => {
-                                    page.as_mut()[0] ^= 0x01;
-                                    page.checksum()
-                                }
-                                Fault::BitFlipWire => {
-                                    let original = page.checksum();
-                                    page.as_mut()[0] ^= 0x01;
-                                    original
-                                }
-                                _ => page.checksum(),
-                            };
-                            Message::PageInReply { id, checksum, page }
-                        }
-                        None => Message::PageInMiss { id },
-                    }
-                }
-            }
-            Message::Free { id } => {
-                st.pages.remove(&id);
-                Message::FreeAck { id }
-            }
-            Message::LoadQuery => Message::LoadReport {
-                free_pages: if st.fault == Fault::DenyAlloc {
-                    0
-                } else {
-                    1 << 20
-                },
-                stored_pages: st.pages.len() as u64,
-                cpu_permille: 0,
-                hint: if st.fault == Fault::DenyAlloc {
-                    LoadHint::StopSending
-                } else {
-                    LoadHint::Ok
-                },
-            },
-            Message::PageOutDelta { id, page, .. } => {
-                let delta = match st.pages.get(&id) {
-                    Some(old) => {
-                        let mut d = old.clone();
-                        d.xor_with(&page);
-                        d
-                    }
-                    None => page.clone(),
-                };
-                st.pages.insert(id, page);
-                Message::PageOutDeltaReply {
-                    id,
-                    delta,
-                    hint: LoadHint::Ok,
-                }
-            }
-            Message::XorInto { id, page } => {
-                match st.pages.get_mut(&id) {
-                    Some(existing) => existing.xor_with(&page),
-                    None => {
-                        st.pages.insert(id, page);
-                    }
-                }
-                Message::XorAck { id }
-            }
-            Message::PageInBatch { seq, ids } => {
-                let items = ids
-                    .iter()
-                    .map(|id| {
-                        if st.fault == Fault::Amnesia {
-                            return BatchItem::Miss;
-                        }
-                        match st.pages.get(id) {
-                            Some(p) => {
-                                let mut page = p.clone();
-                                let checksum = match st.fault {
-                                    Fault::BitFlipStore => {
-                                        page.as_mut()[0] ^= 0x01;
-                                        page.checksum()
-                                    }
-                                    Fault::BitFlipWire => {
-                                        let original = page.checksum();
-                                        page.as_mut()[0] ^= 0x01;
-                                        original
-                                    }
-                                    _ => page.checksum(),
-                                };
-                                BatchItem::Page { checksum, page }
-                            }
-                            None => BatchItem::Miss,
-                        }
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
-            other => Message::Error {
-                code: ErrorCode::Internal,
-                message: format!("fake server: unhandled {:?}", other.opcode()),
-            },
-        })
+        Ok(reply)
     }
 
     fn send_only(&mut self, _msg: &Message) -> Result<()> {
@@ -236,10 +151,10 @@ fn fake_pager(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, Pag
     let mut pool = ServerPool::new();
     let mut fakes = Vec::new();
     for i in 0..n {
-        let fake = FakeServer::new();
+        let fake = FakeServer::default();
         pool.add_transport(
             ServerId(i as u32),
-            Box::new(FakeTransport(Rc::clone(&fake.0))),
+            Box::new(FakeTransport(fake.clone())),
             1.0,
         );
         fakes.push(fake);

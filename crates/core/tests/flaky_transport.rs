@@ -9,15 +9,14 @@
 //! not Dead), permanent death falls through to the existing crash
 //! recovery, and no call path can block without a deadline.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::transport::ServerTransport;
-use rmp_core::{Pager, ServerPool, WindowedTransport};
-use rmp_proto::{BatchItem, LoadHint, Message};
+use rmp_core::{ChaosServer, Pager, ServerPool, WindowedTransport};
+use rmp_proto::Message;
 use rmp_types::{
     ErrorCode, Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId,
     StoreKey, TransportConfig,
@@ -38,8 +37,9 @@ enum Step {
     Refuse(ErrorCode),
 }
 
-struct FlakyState {
-    pages: HashMap<StoreKey, Page>,
+/// The state of the link to the server, and what went over it.
+#[derive(Default)]
+struct FlakyLink {
     script: VecDeque<Step>,
     disconnected: bool,
     dead: bool,
@@ -47,58 +47,52 @@ struct FlakyState {
     reconnects: u64,
 }
 
-/// Handle the test keeps; the transport shares the same state, so pages
-/// survive disconnects and death exactly like a real server's memory.
-#[derive(Clone)]
-struct FlakyServer(Rc<RefCell<FlakyState>>);
+/// Handle the test keeps; the transport shares the same server and link,
+/// so pages survive disconnects and death exactly like a real server's
+/// memory.
+#[derive(Clone, Default)]
+struct FlakyServer {
+    server: ChaosServer,
+    link: Arc<Mutex<FlakyLink>>,
+}
 
 impl FlakyServer {
-    fn new() -> Self {
-        FlakyServer(Rc::new(RefCell::new(FlakyState {
-            pages: HashMap::new(),
-            script: VecDeque::new(),
-            disconnected: false,
-            dead: false,
-            calls: 0,
-            reconnects: 0,
-        })))
+    fn link(&self) -> MutexGuard<'_, FlakyLink> {
+        self.link.lock().expect("link lock")
     }
 
     fn script(&self, steps: &[Step]) {
-        self.0.borrow_mut().script.extend(steps.iter().copied());
+        self.link().script.extend(steps.iter().copied());
     }
 
     fn kill(&self) {
-        self.0.borrow_mut().dead = true;
+        self.link().dead = true;
     }
 
     /// Reboot with memory intact (a network partition healing).
     fn revive(&self) {
-        let mut st = self.0.borrow_mut();
-        st.dead = false;
-        st.disconnected = false;
+        let mut link = self.link();
+        link.dead = false;
+        link.disconnected = false;
     }
 
     /// Reboot with memory wiped (a real workstation restart).
     fn revive_empty(&self) {
         self.revive();
-        self.0.borrow_mut().pages.clear();
+        self.server.crash();
+        self.server.restart();
     }
 
     fn calls(&self) -> u64 {
-        self.0.borrow().calls
+        self.link().calls
     }
 
     fn reconnects(&self) -> u64 {
-        self.0.borrow().reconnects
+        self.link().reconnects
     }
 }
 
-struct FlakyTransport(Rc<RefCell<FlakyState>>);
-
-// SAFETY: the pool requires `ServerTransport: Send`, but every test here
-// drives the pager from one thread and the `Rc` never crosses threads.
-unsafe impl Send for FlakyTransport {}
+struct FlakyTransport(FlakyServer);
 
 fn io_err(kind: std::io::ErrorKind, msg: &str) -> RmpError {
     RmpError::Io(std::io::Error::new(kind, msg))
@@ -106,109 +100,30 @@ fn io_err(kind: std::io::ErrorKind, msg: &str) -> RmpError {
 
 impl ServerTransport for FlakyTransport {
     fn call(&mut self, msg: &Message) -> Result<Message> {
-        let mut st = self.0.borrow_mut();
-        st.calls += 1;
-        if st.dead {
+        let mut link = self.0.link();
+        link.calls += 1;
+        if link.dead {
             return Err(io_err(std::io::ErrorKind::ConnectionRefused, "dead"));
         }
-        if st.disconnected {
+        if link.disconnected {
             return Err(io_err(std::io::ErrorKind::BrokenPipe, "disconnected"));
         }
-        match st.script.pop_front().unwrap_or(Step::Serve) {
-            Step::Serve => {}
+        match link.script.pop_front().unwrap_or(Step::Serve) {
+            Step::Serve => Ok(self.0.server.serve(0, msg)),
             Step::SlowTimeout(d) => {
                 std::thread::sleep(d);
-                return Err(io_err(std::io::ErrorKind::TimedOut, "deadline"));
+                Err(io_err(std::io::ErrorKind::TimedOut, "deadline"))
             }
-            Step::TimedOut => return Err(io_err(std::io::ErrorKind::TimedOut, "deadline")),
+            Step::TimedOut => Err(io_err(std::io::ErrorKind::TimedOut, "deadline")),
             Step::Disconnect => {
-                st.disconnected = true;
-                return Err(io_err(std::io::ErrorKind::ConnectionReset, "dropped"));
+                link.disconnected = true;
+                Err(io_err(std::io::ErrorKind::ConnectionReset, "dropped"))
             }
-            Step::Refuse(code) => {
-                return Err(RmpError::Remote {
-                    code,
-                    message: "scripted refusal".into(),
-                })
-            }
+            Step::Refuse(code) => Err(RmpError::Remote {
+                code,
+                message: "scripted refusal".into(),
+            }),
         }
-        Ok(match msg.clone() {
-            Message::Alloc { pages } => Message::AllocReply {
-                granted: pages,
-                hint: LoadHint::Ok,
-            },
-            Message::PageOut { id, page, .. } => {
-                st.pages.insert(id, page);
-                Message::PageOutAck {
-                    id,
-                    hint: LoadHint::Ok,
-                }
-            }
-            Message::PageIn { id } => match st.pages.get(&id) {
-                Some(p) => Message::PageInReply {
-                    id,
-                    checksum: p.checksum(),
-                    page: p.clone(),
-                },
-                None => Message::PageInMiss { id },
-            },
-            Message::Free { id } => {
-                st.pages.remove(&id);
-                Message::FreeAck { id }
-            }
-            Message::LoadQuery => Message::LoadReport {
-                free_pages: 1 << 20,
-                stored_pages: st.pages.len() as u64,
-                cpu_permille: 0,
-                hint: LoadHint::Ok,
-            },
-            Message::PageOutDelta { id, page, .. } => {
-                let delta = match st.pages.get(&id) {
-                    Some(old) => {
-                        let mut d = old.clone();
-                        d.xor_with(&page);
-                        d
-                    }
-                    None => page.clone(),
-                };
-                st.pages.insert(id, page);
-                Message::PageOutDeltaReply {
-                    id,
-                    delta,
-                    hint: LoadHint::Ok,
-                }
-            }
-            Message::XorInto { id, page } => {
-                match st.pages.get_mut(&id) {
-                    Some(existing) => existing.xor_with(&page),
-                    None => {
-                        st.pages.insert(id, page);
-                    }
-                }
-                Message::XorAck { id }
-            }
-            Message::PageInBatch { seq, ids } => {
-                let items = ids
-                    .iter()
-                    .map(|id| match st.pages.get(id) {
-                        Some(p) => BatchItem::Page {
-                            checksum: p.checksum(),
-                            page: p.clone(),
-                        },
-                        None => BatchItem::Miss,
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
-            other => Message::Error {
-                code: ErrorCode::Internal,
-                message: format!("flaky server: unhandled {:?}", other.opcode()),
-            },
-        })
     }
 
     fn send_only(&mut self, _msg: &Message) -> Result<()> {
@@ -216,12 +131,12 @@ impl ServerTransport for FlakyTransport {
     }
 
     fn reconnect(&mut self) -> Result<()> {
-        let mut st = self.0.borrow_mut();
-        st.reconnects += 1;
-        if st.dead {
+        let mut link = self.0.link();
+        link.reconnects += 1;
+        if link.dead {
             Err(io_err(std::io::ErrorKind::ConnectionRefused, "still dead"))
         } else {
-            st.disconnected = false;
+            link.disconnected = false;
             Ok(())
         }
     }
@@ -244,10 +159,10 @@ fn flaky_pool(n: usize) -> (Vec<FlakyServer>, ServerPool) {
     let mut pool = ServerPool::with_transport_config(test_transport_config());
     let mut servers = Vec::new();
     for i in 0..n {
-        let server = FlakyServer::new();
+        let server = FlakyServer::default();
         pool.add_transport(
             ServerId(i as u32),
-            Box::new(FlakyTransport(Rc::clone(&server.0))),
+            Box::new(FlakyTransport(server.clone())),
             1.0,
         );
         servers.push(server);
@@ -303,6 +218,14 @@ fn assert_timeout_retried(policy: Policy, servers: usize, transports: usize) {
     assert!(
         pager.pool().view().is_alive(ServerId(0)),
         "{policy:?}: a server that recovered within the retry budget is not dead"
+    );
+    assert_eq!(
+        pager
+            .metrics()
+            .counter("pool_suspect_transitions_total")
+            .get(),
+        1,
+        "{policy:?}: two misses in a row are one Healthy→Suspect transition"
     );
 }
 
@@ -369,6 +292,9 @@ fn parity_logging_disconnect_reconnects_and_reuses_server() {
 #[test]
 fn flaky_server_goes_suspect_then_earns_healthy_back() {
     let (flaky, mut pool) = flaky_pool(1);
+    // Count replies, not microseconds: on a loaded machine a clean reply
+    // can look slow and stretch the streak this test counts.
+    pool.set_detector_slow_floor_us(f64::INFINITY);
     flaky[0].script(&[Step::TimedOut]);
     pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
         .expect("retried");

@@ -205,6 +205,33 @@ fn mirroring_survives_crash_and_remirrors() {
 }
 
 #[test]
+fn a_reported_crash_is_a_death_like_any_other() {
+    let (handles, mut pager) = pager(Policy::Mirroring, 3, 4096);
+    fill(&mut pager, 30);
+    let victim = ServerId(0);
+    assert!(pager.pool().granted_frames(victim) > 0, "an unused grant");
+    handles[0].crash();
+    // The pool has not touched the server since and still holds it
+    // healthy; the pager is told of the crash from outside.
+    pager.note_crash(victim);
+    assert!(!pager.pool().view().is_alive(victim));
+    assert_eq!(
+        pager.pool().granted_frames(victim),
+        0,
+        "grants die with the server, whoever noticed the death"
+    );
+    assert_eq!(
+        pager.pool().suspicion(victim),
+        rmp_core::detector::SUSPICION_CAP
+    );
+    let deaths = pager.metrics().counter("pool_deaths_total");
+    assert_eq!(deaths.get(), 1);
+    pager.note_crash(victim);
+    assert_eq!(deaths.get(), 1, "an already-dead server dies once");
+    verify(&mut pager, 30);
+}
+
+#[test]
 fn basic_parity_rebuilds_in_place_after_restart() {
     let (handles, mut pager) = pager(Policy::BasicParity, 4, 4096);
     fill(&mut pager, 100);

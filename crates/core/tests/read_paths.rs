@@ -10,6 +10,7 @@ use std::time::Duration;
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
 use rmp_core::Pager;
+use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
 
 fn fast_transport() -> TransportConfig {
@@ -62,10 +63,11 @@ fn hedged_pageins_are_counted() {
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 32);
     // Warm the latency baselines, then turn server 0 gray: every data
-    // call is served, 3 ms late.
+    // call is served, 20 ms late — far enough from in-process latencies
+    // that an oversubscribed test machine cannot blur the two.
     let mut served = read(&mut pager, 0..32);
     cluster.plan().inject(
-        FaultRule::new(FaultAction::Delay(Duration::from_millis(3)))
+        FaultRule::new(FaultAction::Delay(Duration::from_millis(20)))
             .on_server(ServerId(0))
             .on_ops(OpFilter::DataOps),
     );
@@ -98,13 +100,53 @@ fn degraded_pageins_are_counted_once() {
 #[test]
 fn prefetch_hits_are_counted_once() {
     let cluster = ChaosCluster::new(2, FaultPlan::seeded(3));
-    let mut pager = pager(&cluster, PagerConfig::new(Policy::NoReliability));
+    let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
+    let mut pager = pager(&cluster, config);
     fill(&mut pager, 64);
+    // Reordering is a fault of bursts only, and harmless to a burst of
+    // one frame: it fires on whatever arrives through `call_pipelined` —
+    // where a transport without a window completes a `submit` — and on
+    // nothing the pool sends through `call`.
+    cluster
+        .plan()
+        .inject(FaultRule::new(FaultAction::ReorderBurst));
+    cluster.plan().arm();
     let served = read(&mut pager, 0..64);
     assert_eq!(served, 64);
     let hits = pager.metrics().counter("pager_prefetch_hits_total").get();
     assert!(hits > 0, "a sequential scan hits the prefetch cache");
     assert_eq!(pager.stats().pageins, served);
+    let events = cluster.plan().events();
+    assert!(
+        !events.is_empty() && events.iter().all(|e| e.opcode == Opcode::PageInBatch),
+        "read-ahead, and only read-ahead, was submitted: {events:?}"
+    );
+}
+
+#[test]
+fn wire_corruption_is_counted_once_in_both_ledgers() {
+    let cluster = ChaosCluster::new(2, FaultPlan::seeded(8));
+    let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(0);
+    let mut pager = pager(&cluster, config);
+    fill(&mut pager, 4);
+    cluster.plan().inject(
+        FaultRule::new(FaultAction::CorruptReply { byte: 100, bit: 3 })
+            .on_ops(OpFilter::Op(Opcode::PageIn))
+            .times(1),
+    );
+    cluster.plan().arm();
+    // The pool catches the flipped bit on the wire; the mirror serves it.
+    assert_eq!(read(&mut pager, 0..4), 4);
+    assert_eq!(cluster.plan().events().len(), 1, "the flip fired");
+    assert_eq!(pager.stats().checksum_failures, 1);
+    assert_eq!(
+        pager
+            .metrics()
+            .counter("pager_checksum_failures_total")
+            .get(),
+        pager.stats().checksum_failures,
+        "the registry and the transfer stats tell one story"
+    );
 }
 
 #[test]

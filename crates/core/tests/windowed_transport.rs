@@ -217,10 +217,8 @@ fn pool_batches_ride_the_window() {
     // work (here, a demand call on the same connection).
     let pending = pool
         .spawn_page_in_batch(ServerId(0), &keys)
-        .expect("submitted")
         .expect("windowed transport accepts async batches");
     assert_eq!(pending.server(), ServerId(0));
-    assert!(pending.contains(keys[0]));
     let reply = pool.query_load(ServerId(0)).expect("demand call overlaps");
     assert!(reply.1 > 0, "server reports stored pages");
     let fetched = pool.finish_page_in_batch(pending).expect("collect");
@@ -269,7 +267,6 @@ fn a_window_of_one_is_a_window_not_another_transport() {
     // The connection takes submissions: it is the reactor.
     let pending = pool
         .spawn_page_in_batch(ServerId(0), &keys)
-        .expect("submitted")
         .expect("a window of one is still a window");
     let fetched = pool.finish_page_in_batch(pending).expect("collect");
     assert!(fetched.iter().all(Option::is_some));
@@ -288,7 +285,7 @@ fn a_window_of_one_is_a_window_not_another_transport() {
 }
 
 #[test]
-fn a_refused_prefetch_submission_is_an_error_not_a_fallback() {
+fn a_refused_prefetch_submission_is_a_sampled_miss_not_a_retry() {
     let server = spawn_server(64);
     let mut pool = ServerPool::connect(&single_server_registry(&server)).expect("connect");
     let metrics = std::sync::Arc::new(rmp_types::metrics::MetricsRegistry::new());
@@ -305,21 +302,30 @@ fn a_refused_prefetch_submission_is_an_error_not_a_fallback() {
     let err = loop {
         match pool.spawn_page_in_batch(ServerId(0), &keys) {
             Err(e) => break e,
-            Ok(Some(handle)) => {
+            Ok(handle) => {
                 pool.finish_page_in_batch(handle)
                     .expect_err("the server is gone");
             }
-            Ok(None) => panic!("a windowed transport always has a window"),
         }
         assert!(Instant::now() < deadline, "the dead connection was noticed");
         std::thread::sleep(Duration::from_millis(5));
     };
     assert!(err.is_server_failure(), "got {err:?}");
-    // "Refused" and "no window" are different answers: the caller of a
-    // speculative fetch drops it on the first and may go synchronous on
-    // the second. Neither spends the retry budget or sentences the server.
+    // The caller of a speculative fetch drops it: a refusal neither
+    // spends the retry budget nor sentences the server.
     assert_eq!(metrics.counter("pool_retries_total").get(), 0);
     assert!(pool.view().is_alive(ServerId(0)));
+    // It is a miss like any other, though, and the detector and the view
+    // hear of it together: latched in one means Suspect in the other.
+    assert!(pool.suspicion(ServerId(0)) >= rmp_core::detector::SUSPECT_ENTER);
+    assert_eq!(
+        pool.view()
+            .status(ServerId(0))
+            .expect("registered")
+            .condition,
+        rmp_cluster::Condition::Suspect
+    );
+    assert_eq!(metrics.counter("pool_suspect_transitions_total").get(), 1);
     server.shutdown();
 }
 

@@ -166,10 +166,11 @@ impl TransportConfig {
 
 /// Configuration of the remote memory pager client.
 ///
-/// Mirrors the knobs the paper describes: the reliability policy, the number
-/// of data servers (`S` in Section 2.2), the overflow-memory fraction each
-/// server devotes to parity logging (10 % in the paper's experiments), and
-/// whether a local-disk fallback exists.
+/// Mirrors the knobs the paper describes: the reliability policy and the
+/// number of data servers (`S` in Section 2.2, also the parity group size:
+/// one page per server per group). The overflow memory parity logging needs
+/// is the *server's* setting (`ServerConfig::overflow_fraction`), and the
+/// local-disk fallback exists exactly when the pager is given a disk.
 ///
 /// # Examples
 ///
@@ -178,7 +179,7 @@ impl TransportConfig {
 ///
 /// let cfg = PagerConfig::new(Policy::ParityLogging)
 ///     .with_servers(4)
-///     .with_overflow_fraction(0.10);
+///     .with_prefetch_window(4);
 /// assert!(cfg.validate().is_ok());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -187,14 +188,6 @@ pub struct PagerConfig {
     pub policy: Policy,
     /// Number of data servers used for striping (`S`).
     pub servers: usize,
-    /// Extra memory fraction each server devotes to parity-logging overflow.
-    pub overflow_fraction: f64,
-    /// Whether the client may fall back to the local disk when the cluster
-    /// is full (Section 2.1).
-    pub disk_fallback: bool,
-    /// Parity group size; defaults to `servers` as in the paper (one page
-    /// per server per group).
-    pub group_size: usize,
     /// Adaptive network-load switching threshold, ms per request
     /// (Section 5, "Network load"); `None` disables the adaptive switch.
     pub adaptive_threshold_ms: Option<f64>,
@@ -249,8 +242,7 @@ pub struct PagerConfig {
 
 impl PagerConfig {
     /// Creates a configuration for `policy` with the paper's defaults:
-    /// two servers for plain policies, 4 + 1 with 10 % overflow for parity
-    /// logging.
+    /// two servers for plain policies, 4 + 1 for the parity policies.
     pub fn new(policy: Policy) -> Self {
         let servers = match policy {
             Policy::ParityLogging | Policy::BasicParity => 4,
@@ -259,9 +251,6 @@ impl PagerConfig {
         PagerConfig {
             policy,
             servers,
-            overflow_fraction: 0.10,
-            disk_fallback: true,
-            group_size: servers,
             adaptive_threshold_ms: None,
             transport: TransportConfig::default(),
             recovery_page_budget: 64,
@@ -275,29 +264,9 @@ impl PagerConfig {
         }
     }
 
-    /// Sets the number of data servers (and resets the parity group size to
-    /// match, the paper's arrangement).
+    /// Sets the number of data servers.
     pub fn with_servers(mut self, servers: usize) -> Self {
         self.servers = servers;
-        self.group_size = servers;
-        self
-    }
-
-    /// Sets the parity-logging overflow fraction.
-    pub fn with_overflow_fraction(mut self, f: f64) -> Self {
-        self.overflow_fraction = f;
-        self
-    }
-
-    /// Enables or disables the local-disk fallback.
-    pub fn with_disk_fallback(mut self, enabled: bool) -> Self {
-        self.disk_fallback = enabled;
-        self
-    }
-
-    /// Sets an explicit parity group size (pages per group).
-    pub fn with_group_size(mut self, size: usize) -> Self {
-        self.group_size = size;
         self
     }
 
@@ -387,7 +356,7 @@ impl PagerConfig {
     ///
     /// Returns [`RmpError::Config`] when the combination of policy and
     /// parameters cannot work (zero servers for a remote policy, mirroring
-    /// with a single server, out-of-range overflow fraction, ...).
+    /// with a single server, an erasure-code geometry that cannot stripe, ...).
     pub fn validate(&self) -> Result<()> {
         if self.policy != Policy::DiskOnly && self.servers == 0 {
             return Err(RmpError::Config(
@@ -397,19 +366,6 @@ impl PagerConfig {
         if self.policy == Policy::Mirroring && self.servers < 2 {
             return Err(RmpError::Config(
                 "mirroring needs at least two servers".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.overflow_fraction) {
-            return Err(RmpError::Config(format!(
-                "overflow fraction {} outside [0, 1]",
-                self.overflow_fraction
-            )));
-        }
-        if matches!(self.policy, Policy::ParityLogging | Policy::BasicParity)
-            && self.group_size == 0
-        {
-            return Err(RmpError::Config(
-                "parity group size must be positive".into(),
             ));
         }
         if self.policy == Policy::ErasureCoded {
@@ -479,7 +435,6 @@ mod tests {
         let cfg = PagerConfig::default();
         assert_eq!(cfg.policy, Policy::ParityLogging);
         assert_eq!(cfg.servers, 4);
-        assert!((cfg.overflow_fraction - 0.10).abs() < 1e-12);
         assert!(cfg.validate().is_ok());
     }
 
@@ -502,22 +457,6 @@ mod tests {
     fn rejects_single_server_mirroring() {
         let cfg = PagerConfig::new(Policy::Mirroring).with_servers(1);
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_bad_overflow_fraction() {
-        assert!(PagerConfig::default()
-            .with_overflow_fraction(1.5)
-            .validate()
-            .is_err());
-        assert!(PagerConfig::default()
-            .with_overflow_fraction(-0.1)
-            .validate()
-            .is_err());
-        assert!(PagerConfig::default()
-            .with_overflow_fraction(0.0)
-            .validate()
-            .is_ok());
     }
 
     #[test]
@@ -652,12 +591,6 @@ mod tests {
             .with_ec_splits(0, 0)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn with_servers_resets_group_size() {
-        let cfg = PagerConfig::new(Policy::ParityLogging).with_servers(8);
-        assert_eq!(cfg.group_size, 8);
     }
 
     #[test]

@@ -149,3 +149,64 @@ fn adaptive_switch_recovers_when_network_improves() {
     let disk_writes = pager.stats().disk_writes;
     assert!(disk_writes > 0);
 }
+
+#[test]
+fn adaptive_switch_follows_a_long_healthy_pool_both_ways() {
+    use rmp::core::chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
+    use std::time::Duration;
+
+    let cluster = ChaosCluster::new(2, FaultPlan::seeded(16));
+    let config = PagerConfig::new(Policy::NoReliability)
+        .with_servers(2)
+        .with_prefetch_window(0)
+        .with_adaptive_threshold_ms(5.0);
+    let mut pager = Pager::builder(config.clone())
+        .pool(cluster.pool(&config.transport))
+        .disk(Box::new(RamDisk::unbounded()))
+        .build()
+        .expect("pager");
+    let write = |pager: &mut Pager, id: u64| {
+        pager
+            .page_out(PageId(id), &Page::deterministic(id))
+            .expect("pageout");
+    };
+    // A long healthy history: well over a thousand calls at in-process
+    // speed. An all-time mean would now take thousands of slow calls to
+    // move; the switch has to follow the network as it is.
+    for round in 0..40u64 {
+        for i in 0..16 {
+            write(&mut pager, i);
+            pager.page_in(PageId(i)).expect("read");
+        }
+        assert!(!pager.prefers_disk(), "round {round}: the network is fast");
+    }
+    // Congestion: every data call now takes 15 ms. The switch is
+    // re-evaluated on pageouts, so sixteen slow reads, then one write.
+    cluster.plan().inject(
+        FaultRule::new(FaultAction::Delay(Duration::from_millis(15))).on_ops(OpFilter::DataOps),
+    );
+    cluster.plan().arm();
+    for i in 0..16 {
+        pager.page_in(PageId(i)).expect("slow read");
+    }
+    write(&mut pager, 0);
+    assert!(
+        pager.prefers_disk(),
+        "sixteen 15 ms attempts put the estimate ({} ms) over the 5 ms threshold",
+        pager.pool().avg_service_ms()
+    );
+    // The congestion clears; reads of the pages still in remote memory are
+    // fast again and pull the estimate back under half the threshold.
+    cluster.plan().disarm();
+    for _ in 0..4 {
+        for i in 1..16 {
+            pager.page_in(PageId(i)).expect("fast read");
+        }
+    }
+    write(&mut pager, 1);
+    assert!(
+        !pager.prefers_disk(),
+        "fast replies pull the estimate ({} ms) back down",
+        pager.pool().avg_service_ms()
+    );
+}
