@@ -6,6 +6,11 @@
 //! the shared `rmp-metrics-v1` histogram snapshot schema — the same
 //! [`rmp_types::metrics::Histogram`] the pager exports at runtime.
 //!
+//! The probes run over loopback, where a fan-out that visits its servers
+//! one after another costs microseconds; [`bench::round_trips`] measures
+//! each policy's pageout and pagein again over an emulated link and adds
+//! `round_trips_per_pageout` / `round_trips_per_pagein` to every row.
+//!
 //! `PROBE_PAGES` overrides the per-policy workload size for smoke runs.
 
 use rmp::stat::{probe_all, probes_to_json};
@@ -16,12 +21,20 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(64);
     println!("Reliability cost table, measured ({pages} pages per policy)\n");
-    let probes = probe_all(pages).expect("probe");
+    let mut probes = probe_all(pages).expect("probe");
     println!(
-        "{:<16} {:>14} {:>9} {:>15} {:>9}",
-        "policy", "xfers/pageout", "expected", "degraded xfers", "expected"
+        "{:<16} {:>14} {:>9} {:>15} {:>9} {:>13} {:>12}",
+        "policy",
+        "xfers/pageout",
+        "expected",
+        "degraded xfers",
+        "expected",
+        "RTTs/pageout",
+        "RTTs/pagein"
     );
-    for p in &probes {
+    for p in &mut probes {
+        let (trips_out, trips_in) = bench::round_trips(p.policy).expect("round trips");
+        p.round_trips = Some((trips_out, trips_in));
         let expected_degraded = match p.expected_degraded_transfers {
             Some(v) => format!("{v:.2}"),
             None => "-".into(),
@@ -32,12 +45,14 @@ fn main() {
             "-".into()
         };
         println!(
-            "{:<16} {:>14.2} {:>9.2} {:>15} {:>9}",
+            "{:<16} {:>14.2} {:>9.2} {:>15} {:>9} {:>13.2} {:>12.2}",
             p.policy.label(),
             p.measured_transfers_per_pageout,
             p.expected_transfers_per_pageout,
             degraded,
             expected_degraded,
+            trips_out,
+            trips_in,
         );
         assert!(
             (p.measured_transfers_per_pageout - p.expected_transfers_per_pageout).abs() < 0.05,

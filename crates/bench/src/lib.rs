@@ -6,15 +6,16 @@
 //! cluster, converting real transfer counts into 1996-scale completion
 //! times with the models in `rmp-sim`, and printing aligned tables.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use rmp_blockdev::{ModeledDisk, RamDisk};
+use rmp_blockdev::{ModeledDisk, PagingDevice, RamDisk};
 use rmp_core::chaos::{ChaosCluster, ChaosTransport, FaultPlan};
-use rmp_core::{ServerPool, ServerTransport};
+use rmp_core::{Completion, Pager, PendingReplies, ServerPool, ServerTransport};
 use rmp_proto::Message;
 use rmp_sim::{CompletionModel, PolicyCosts, RunBreakdown};
-use rmp_types::{Policy, Result, ServerId};
+use rmp_types::{Page, PageId, PagerConfig, Policy, Result, ServerId, TransportConfig};
 use rmp_vm::{FaultStats, PagedMemory, VmConfig};
 use rmp_workloads::{Workload, WorkloadReport};
 
@@ -98,31 +99,89 @@ pub fn measure_disk_time<W: Workload>(workload: &W, frames: usize) -> (CostedRun
     )
 }
 
+/// A burst on the emulated link: when its replies are due, the handle
+/// that delivers them, and what the server answered.
+type InFlight = (Instant, Completion, Result<Vec<Message>>);
+
 /// The library's in-memory server behind a synthetic, deterministic link:
 /// a single call pays `round_trip + per_frame`; a pipelined burst pays
 /// the round trip once — every frame is on the wire before the first
 /// reply is read — plus `per_frame` of serialization for each frame. The
 /// sleeping thread holds no lock, so callers on different pools overlap
 /// their round trips as they would on real sockets.
+///
+/// A submitted burst is served at once and answered when its delay has
+/// passed, by the link's own thread (one sleep per burst): bursts
+/// submitted to different servers before any is collected overlap, so a
+/// wave costs one round trip here as it does on a real link.
 pub struct DelayTransport {
     inner: ChaosTransport,
     round_trip: Duration,
     per_frame: Duration,
+    /// The way onto the link, and the thread that answers what is on it;
+    /// taken apart on drop.
+    link: Option<(mpsc::Sender<InFlight>, JoinHandle<()>)>,
+}
+
+impl DelayTransport {
+    fn new(inner: ChaosTransport, round_trip: Duration, per_frame: Duration) -> Self {
+        let (onto_link, link) = mpsc::channel::<InFlight>();
+        // A link delivers in order: the thread sleeps until the head
+        // burst is due, answers it, and takes the next.
+        let deliver = std::thread::spawn(move || {
+            for (due, completion, outcome) in link {
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                completion.complete(outcome);
+            }
+        });
+        DelayTransport {
+            inner,
+            round_trip,
+            per_frame,
+            link: Some((onto_link, deliver)),
+        }
+    }
+
+    fn delay(&self, frames: usize) -> Duration {
+        self.round_trip + self.per_frame * frames as u32
+    }
+}
+
+impl Drop for DelayTransport {
+    fn drop(&mut self) {
+        if let Some((onto_link, deliver)) = self.link.take() {
+            // Hanging up ends the thread once the link has drained.
+            drop(onto_link);
+            let _ = deliver.join();
+        }
+    }
 }
 
 impl ServerTransport for DelayTransport {
     fn call(&mut self, msg: &Message) -> Result<Message> {
-        std::thread::sleep(self.round_trip + self.per_frame);
+        std::thread::sleep(self.delay(1));
         self.inner.call(msg)
     }
 
     fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
-        std::thread::sleep(self.round_trip + self.per_frame * msgs.len() as u32);
+        std::thread::sleep(self.delay(msgs.len()));
         self.inner.call_pipelined(msgs)
     }
 
     fn send_only(&mut self, msg: &Message) -> Result<()> {
         self.inner.send_only(msg)
+    }
+
+    fn submit(&mut self, msgs: &[Message]) -> Option<Result<PendingReplies>> {
+        let due = Instant::now() + self.delay(msgs.len());
+        let outcome = self.inner.call_pipelined(msgs);
+        let read_timeout = TransportConfig::default().read_timeout;
+        let (pending, completion) = PendingReplies::deferred(msgs.len(), read_timeout);
+        let (onto_link, _) = self.link.as_ref().expect("the link lives until drop");
+        // A send can only fail once the thread is gone; the dropped
+        // completion then fails the burst as a lost connection.
+        let _ = onto_link.send((due, completion, outcome));
+        Some(Ok(pending))
     }
 }
 
@@ -135,14 +194,50 @@ pub fn delay_pool(n: usize, round_trip: Duration, per_frame: Duration) -> Server
     for i in 0..n {
         let id = ServerId(i as u32);
         let inner = ChaosTransport::new(id, Arc::clone(cluster.plan()), cluster.server(i).clone());
-        let transport = DelayTransport {
-            inner,
-            round_trip,
-            per_frame,
-        };
+        let transport = DelayTransport::new(inner, round_trip, per_frame);
         pool.add_transport(id, Box::new(transport), 1.0);
     }
     pool
+}
+
+/// Link round trips one steady-state pageout and one pagein cost under
+/// `policy`: every page of a small set is rewritten, then read back, over
+/// a [`delay_pool`] with read-ahead off, and the elapsed time is divided
+/// by the configured round trip. A fan-out that goes server by server
+/// costs a round trip per unit; one that goes out as a wave costs one.
+/// Parity groups are three pages (`S = 3`), stripes four splits and one
+/// parity.
+///
+/// # Errors
+///
+/// Propagates paging failures.
+pub fn round_trips(policy: Policy) -> Result<(f64, f64)> {
+    const ROUND_TRIP: Duration = Duration::from_millis(5);
+    const PAGES: u64 = 24;
+    let config = PagerConfig::new(policy)
+        .with_servers(3)
+        .with_ec_splits(4, 1)
+        .with_prefetch_window(0);
+    let mut pager = Pager::builder(config)
+        .pool(delay_pool(5, ROUND_TRIP, Duration::ZERO))
+        .disk(Box::new(RamDisk::unbounded()))
+        .build()?;
+    for id in 0..PAGES {
+        pager.page_out(PageId(id), &Page::deterministic(id))?;
+    }
+    pager.flush()?;
+    let per_op =
+        |elapsed: Duration| elapsed.as_secs_f64() / PAGES as f64 / ROUND_TRIP.as_secs_f64();
+    let start = Instant::now();
+    for id in 0..PAGES {
+        pager.page_out(PageId(id), &Page::deterministic(PAGES + id))?;
+    }
+    let pageout = per_op(start.elapsed());
+    let start = Instant::now();
+    for id in 0..PAGES {
+        assert_eq!(pager.page_in(PageId(id))?, Page::deterministic(PAGES + id));
+    }
+    Ok((pageout, per_op(start.elapsed())))
 }
 
 /// Frames that give the paper's memory-pressure ratio: the working set

@@ -165,6 +165,16 @@ pub fn rebuild_step<W>(
     Ok(step)
 }
 
+/// Whether a store failed the way that sends its frame on to the next
+/// server — the holder denied it, crashed or timed out — rather than in
+/// a way the caller has to hear about.
+pub(crate) fn gave_way(e: &RmpError) -> bool {
+    matches!(
+        e,
+        RmpError::NoSpace(_) | RmpError::ServerCrashed(_) | RmpError::Timeout(_)
+    )
+}
+
 /// Per-call context handed to engines: the connection pool, the optional
 /// local disk, shared statistics, and routing preferences.
 pub struct Ctx<'a> {
@@ -316,11 +326,11 @@ impl Ctx<'_> {
         Ok(page)
     }
 
-    /// Fetches many remote pages in as few round trips as possible: the
-    /// holding servers are visited in request order, and a server named
-    /// by several reads gets them as pipelined batch frames, so `n` reads
-    /// off one server cost roughly one round trip instead of `n`. A
-    /// server named once gets a plain keyed read, the cheaper frame.
+    /// Fetches many remote pages in one round trip: every holder's reads
+    /// leave as one burst — pipelined batch frames for a server named
+    /// several times, a plain keyed read, the cheaper frame, for one
+    /// named once — and all bursts are on the wire before any reply is
+    /// awaited ([`ServerPool::page_in_wave`]). A lone read is one call.
     /// Results come back in request order.
     ///
     /// Callers read from placement maps they own, so every key is
@@ -329,46 +339,32 @@ impl Ctx<'_> {
     ///
     /// # Errors
     ///
-    /// As [`ServerPool::page_in`] and [`ServerPool::page_in_batch`];
+    /// As [`ServerPool::page_in`] and [`ServerPool::page_in_wave`];
     /// [`RmpError::Protocol`] when a server no longer holds a requested
     /// key.
     pub fn fetch_batch(&mut self, reads: &[Unit]) -> Result<Vec<Page>> {
         let missing = |(server, key): Unit| {
             RmpError::Protocol(format!("server {server} no longer holds key {key}"))
         };
-        let mut out: Vec<Option<Page>> = vec![None; reads.len()];
-        for (first, &(server, key)) in reads.iter().enumerate() {
-            if out[first].is_some() {
-                // Fetched along with an earlier read of the same server.
-                continue;
-            }
-            if !reads[first + 1..].iter().any(|r| r.0 == server) {
-                out[first] = Some(match self.pool.page_in(server, key) {
-                    Err(RmpError::PageNotFound(_)) => Err(missing(reads[first])),
-                    read => read,
-                }?);
-                continue;
-            }
-            let slots: Vec<usize> = (first..reads.len())
-                .filter(|&i| reads[i].0 == server)
-                .collect();
-            let keys: Vec<StoreKey> = slots.iter().map(|&i| reads[i].1).collect();
-            let pages = self.pool.page_in_batch(server, &keys)?;
-            for (slot, page) in slots.into_iter().zip(pages) {
-                out[slot] = Some(page.ok_or_else(|| missing(reads[slot]))?);
-            }
-        }
+        let pages = match *reads {
+            [(server, key)] => match self.pool.page_in(server, key) {
+                Ok(page) => vec![Some(page)],
+                Err(RmpError::PageNotFound(_)) => vec![None],
+                Err(e) => return Err(e),
+            },
+            _ => self.pool.page_in_wave(reads)?,
+        };
+        let pages = (pages.into_iter().zip(reads))
+            .map(|(page, &read)| page.ok_or_else(|| missing(read)))
+            .collect::<Result<Vec<Page>>>()?;
         self.stats.net_fetches += reads.len() as u64;
-        Ok(out
-            .into_iter()
-            .map(|page| page.expect("each read was fetched with its server"))
-            .collect())
+        Ok(pages)
     }
 
     /// Fetches every listed piece of `group` — the survivors of a
-    /// redundancy group and its parity — in one batched pass, for the
-    /// caller to XOR or decode. A piece whose holder is already known to
-    /// be dead means the group lost more than its redundancy covers.
+    /// redundancy group and its parity — in one wave, for the caller to
+    /// XOR or decode. A piece whose holder is already known to be dead
+    /// means the group lost more than its redundancy covers.
     ///
     /// # Errors
     ///
@@ -412,62 +408,199 @@ impl Ctx<'_> {
         }
     }
 
-    /// Stores `frame` under a fresh key with the Section 2.1 dynamics:
-    /// start from `preferred` (if given, healthy and accepting), then
-    /// walk the other servers by promise order whenever one denies the
-    /// allocation, crashes or times out. Servers in `exclude` are never
-    /// tried, and every server tried joins it — so consecutive calls
-    /// with one list put their frames on distinct servers. `None` when no
-    /// server takes the frame, or the adaptive switch routes new pages to
-    /// the disk; the caller falls back to it.
+    /// One wave: ships every page in `stores` to its unit and releases
+    /// every unit in `frees`, all frames on the wire before any reply is
+    /// awaited; `through` — a write-through's disk leg — is written while
+    /// they are in flight. The frees are awaited like the stores, so a
+    /// caller that returns has nothing left ageing on the wire to be
+    /// counted as stored; riding the same wave they cost no round trip of
+    /// their own.
     ///
-    /// # Errors
-    ///
-    /// Propagates storage failures other than denial, crash and timeout.
-    pub fn place(
+    /// Returns each store's outcome for the caller to weigh, and what
+    /// became of the rest: the frees are best-effort as in
+    /// [`Ctx::release`], the disk write as [`Ctx::disk_write`].
+    pub fn ship(
         &mut self,
-        frame: &Page,
+        stores: &[(Unit, &Page)],
+        frees: &[Unit],
+        through: Option<(PageId, &Page)>,
+    ) -> (Vec<Result<()>>, Result<()>) {
+        let frees: Vec<Unit> = (frees.iter().copied())
+            .filter(|&(server, _)| self.alive(server))
+            .collect();
+        if stores.is_empty() && frees.is_empty() {
+            let rest = through.map_or(Ok(()), |(id, page)| self.disk_write(id, page));
+            return (Vec::new(), rest);
+        }
+        let wave = self.pool.begin_stores(stores, &frees);
+        let mut rest = through.map_or(Ok(()), |(id, page)| self.disk_write(id, page));
+        let mut outcomes = self.pool.finish_stores(wave);
+        for freed in outcomes.drain(stores.len()..) {
+            match freed {
+                Ok(()) | Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => {}
+                Err(e) => rest = rest.and(Err(e)),
+            }
+        }
+        (outcomes, rest)
+    }
+
+    /// The server the next frame should be offered to: `preferred` (if
+    /// given, not excluded, healthy and accepting), else the most
+    /// promising server outside `exclude`.
+    fn candidate(&self, preferred: Option<ServerId>, exclude: &[ServerId]) -> Option<ServerId> {
+        preferred
+            .filter(|s| !exclude.contains(s) && self.accepting(*s))
+            .or_else(|| self.pool.view().most_promising(exclude))
+    }
+
+    /// Finds a taker for one frame — the Section 2.1 dynamics: start from
+    /// `preferred`, then walk the other servers by promise order whenever
+    /// one denies the allocation, crashes or times out — and reserves a
+    /// frame grant on it. Every server tried joins `exclude`. `None` when
+    /// no server is left.
+    fn reserve_taker(
+        &mut self,
         preferred: Option<ServerId>,
         exclude: &mut Vec<ServerId>,
     ) -> Result<Option<Unit>> {
-        if self.prefer_disk {
-            return Ok(None);
-        }
-        let mut candidate = preferred
-            .filter(|s| !exclude.contains(s) && self.accepting(*s))
-            .or_else(|| self.pool.view().most_promising(exclude));
+        let mut candidate = self.candidate(preferred, exclude);
         while let Some(server) = candidate {
-            let key = self.pool.fresh_key();
             exclude.push(server);
-            match self.reserve_and_page_out(server, key, frame) {
-                Ok(_hint) => return Ok(Some((server, key))),
-                Err(RmpError::NoSpace(_) | RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => {
-                    candidate = self.pool.view().most_promising(exclude);
-                }
+            match self.pool.reserve_frame(server) {
+                Ok(()) => return Ok(Some((server, self.pool.fresh_key()))),
+                Err(e) if gave_way(&e) => candidate = self.pool.view().most_promising(exclude),
                 Err(e) => return Err(e),
             }
         }
         Ok(None)
     }
 
-    /// Best-effort release of stored units: a dead holder is skipped, and
-    /// one that crashes or times out under the call took the unit with
-    /// it; everything else propagates.
+    /// The serial walk: offers `frame` to one taker after another until
+    /// one stores it.
+    fn walk(
+        &mut self,
+        frame: &Page,
+        mut preferred: Option<ServerId>,
+        exclude: &mut Vec<ServerId>,
+    ) -> Result<Option<Unit>> {
+        while let Some((server, key)) = self.reserve_taker(preferred.take(), exclude)? {
+            match self.pool.page_out(server, key, frame) {
+                Ok(_hint) => return Ok(Some((server, key))),
+                Err(e) => {
+                    self.pool.return_frame(server);
+                    if !gave_way(&e) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Stores each frame of `wanted` under a fresh key on a server of its
+    /// own, in one wave: a taker is picked for every frame up front — its
+    /// preferred server if it has one, else by promise order, exactly the
+    /// servers the serial walk would have reached on a healthy cluster —
+    /// a grant is reserved on each, and all the pageouts leave together.
+    /// Only a frame whose taker then denied it, crashed or timed out falls
+    /// through to the walk, one server after another. Servers in `exclude`
+    /// are never tried, and every server tried joins it — so the frames of
+    /// one call, and of consecutive calls with one list, land on distinct
+    /// servers. A lone frame is the walk alone: one call, no wave.
+    ///
+    /// Returns the unit of each frame, `None` where no server took it —
+    /// all `None` when the adaptive switch routes new pages to the disk;
+    /// the caller falls back to it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage failures other than denial, crash and timeout;
+    /// what the call had stored by then is released.
+    pub fn place(
+        &mut self,
+        wanted: &[(&Page, Option<ServerId>)],
+        exclude: &mut Vec<ServerId>,
+    ) -> Result<Vec<Option<Unit>>> {
+        let mut placed = vec![None; wanted.len()];
+        if self.prefer_disk {
+            return Ok(placed);
+        }
+        let outcome = self.place_into(&mut placed, wanted, exclude);
+        if outcome.is_err() {
+            let landed: Vec<Unit> = placed.iter().flatten().copied().collect();
+            let _ = self.release(&landed);
+        }
+        outcome.map(|()| placed)
+    }
+
+    /// [`Ctx::place`], recording in `placed` what is stored so far.
+    fn place_into(
+        &mut self,
+        placed: &mut [Option<Unit>],
+        wanted: &[(&Page, Option<ServerId>)],
+        exclude: &mut Vec<ServerId>,
+    ) -> Result<()> {
+        if let [(frame, preferred)] = *wanted {
+            placed[0] = self.walk(frame, preferred, exclude)?;
+            return Ok(());
+        }
+        let mut takers = Vec::with_capacity(wanted.len());
+        for (slot, &(frame, preferred)) in wanted.iter().enumerate() {
+            match self.reserve_taker(preferred, exclude) {
+                Ok(Some(taker)) => takers.push((slot, (taker, frame))),
+                Ok(None) => {}
+                Err(e) => {
+                    for (_, ((server, _), _)) in takers {
+                        self.pool.return_frame(server);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        let stores: Vec<(Unit, &Page)> = takers.iter().map(|&(_, store)| store).collect();
+        let (outcomes, _) = self.ship(&stores, &[], None);
+        let mut fatal = None;
+        let mut refused = Vec::new();
+        for ((slot, (taker, _)), outcome) in takers.into_iter().zip(outcomes) {
+            match outcome {
+                Ok(()) => placed[slot] = Some(taker),
+                Err(e) => {
+                    self.pool.return_frame(taker.0);
+                    match gave_way(&e) {
+                        true => refused.push(slot),
+                        false => fatal = fatal.or(Some(e)),
+                    }
+                }
+            }
+        }
+        if let Some(e) = fatal {
+            return Err(e);
+        }
+        for slot in refused {
+            placed[slot] = self.walk(wanted[slot].0, None, exclude)?;
+        }
+        Ok(())
+    }
+
+    /// Best-effort release of stored units, in one wave: a dead holder is
+    /// skipped, and one that crashes or times out under the call took the
+    /// unit with it; everything else propagates. The frees are awaited
+    /// before this returns (see [`Ctx::ship`]). A lone unit is one call.
     ///
     /// # Errors
     ///
     /// Propagates storage failures other than crash and timeout.
     pub fn release(&mut self, units: &[Unit]) -> Result<()> {
-        for &(server, key) in units {
+        if let [(server, key)] = *units {
             if !self.alive(server) {
-                continue;
+                return Ok(());
             }
-            match self.pool.free(server, key) {
-                Ok(()) | Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => {}
-                Err(e) => return Err(e),
-            }
+            return match self.pool.free(server, key) {
+                Ok(()) | Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => Ok(()),
+                Err(e) => Err(e),
+            };
         }
-        Ok(())
+        self.ship(&[], units, None).1
     }
 }
 

@@ -119,38 +119,71 @@ impl ParityLogging {
         None
     }
 
-    /// Ships a sealed group's parity and registers the group, freeing any
-    /// storage whose groups went fully inactive.
+    /// Registers a sealed group and ships its parity page, in one wave
+    /// with the frees of every group the registration left fully
+    /// inactive — the reclaiming costs the seal no round trip of its own.
+    ///
+    /// The group is registered *before* anything ships: a seal that then
+    /// fails on the wire leaves a group whose parity the recovery of the
+    /// parity server recomputes, where shipping first would drop the
+    /// group and leave its members — whose own pageouts were acked — with
+    /// nothing covering them.
     fn commit_group(&mut self, ctx: &mut Ctx<'_>, sealed: SealedGroup) -> Result<()> {
-        let pkey = ctx.pool.fresh_key();
-        ctx.reserve_and_page_out(self.parity_server, pkey, &sealed.parity)?;
-        ctx.stats.net_parity_transfers += 1;
-        ctx.count("engine_groups_sealed_total");
+        let parity = (self.parity_server, ctx.pool.fresh_key());
         let members: Vec<PageId> = sealed.members.iter().map(|m| m.page_id).collect();
-        let (_gid, reclaimed) = self
-            .groups
-            .register(sealed.members, self.parity_server, pkey);
-        Self::release_reclaimed(ctx, reclaimed)?;
+        let (_gid, reclaimed) = self.groups.register(sealed.members, parity.0, parity.1);
+        let frees = Self::storage_of(ctx, reclaimed);
+        // A parity server that grants no frame still leaves the frees to
+        // send.
+        let reserved = ctx.pool.reserve_frame(parity.0);
+        let store = [(parity, &sealed.parity)];
+        let stores = if reserved.is_ok() { &store[..] } else { &[] };
+        let (stored, freed) = ctx.ship(stores, &frees, None);
+        let shipped = match (reserved, stored.into_iter().next()) {
+            (Err(e), _) => Err(e),
+            (Ok(()), Some(Err(e))) => {
+                ctx.pool.return_frame(parity.0);
+                Err(e)
+            }
+            (Ok(()), _) => {
+                ctx.stats.net_parity_transfers += 1;
+                ctx.count("engine_groups_sealed_total");
+                Ok(())
+            }
+        };
         // Pages freed while pending are dropped now that their group is
         // sealed and registered.
+        let mut dropped = Ok(());
         for page in members {
             if self.freed_pending.remove(&page) {
-                Self::release_reclaimed(ctx, self.groups.drop_page(page))?;
+                let reclaimed = self.groups.drop_page(page);
+                dropped = dropped.and(Self::release_reclaimed(ctx, reclaimed));
             }
         }
-        Ok(())
+        shipped.and(freed).and(dropped)
+    }
+
+    /// The storage of `reclaimed` groups — members and parity page — for
+    /// the caller to free, counting the groups.
+    fn storage_of(
+        ctx: &mut Ctx<'_>,
+        reclaimed: impl IntoIterator<Item = ReclaimedGroup>,
+    ) -> Vec<Unit> {
+        let mut units = Vec::new();
+        for group in reclaimed {
+            units.extend(group.member_storage);
+            units.push(group.parity_storage);
+            ctx.stats.groups_reclaimed += 1;
+        }
+        units
     }
 
     fn release_reclaimed(
         ctx: &mut Ctx<'_>,
         reclaimed: impl IntoIterator<Item = ReclaimedGroup>,
     ) -> Result<()> {
-        for group in reclaimed {
-            ctx.release(&group.member_storage)?;
-            ctx.release(&[group.parity_storage])?;
-            ctx.stats.groups_reclaimed += 1;
-        }
-        Ok(())
+        let units = Self::storage_of(ctx, reclaimed);
+        ctx.release(&units)
     }
 
     /// Seals the partial group, if any.
@@ -515,10 +548,13 @@ impl Engine for ParityLogging {
             // The parity server died: pick a replacement now so re-logged
             // groups seal onto a live server; each group's parity page is
             // recomputed step by step.
+            // One that holds no members if there is one: parity beside a
+            // member loses both to one crash.
             let view = ctx.pool.view();
+            let mut taken = self.data_servers.clone();
+            taken.push(server);
             self.parity_server = view
-                .most_promising(&[server])
-                .filter(|s| !self.data_servers.contains(s))
+                .most_promising(&taken)
                 .or_else(|| view.most_promising(&[server]))
                 .ok_or_else(|| RmpError::Unrecoverable("no live server to host parity".into()))?;
         }

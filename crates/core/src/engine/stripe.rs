@@ -32,7 +32,7 @@ use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, PAGE_SIZE};
 
 use std::collections::VecDeque;
 
-use crate::engine::{rebuild_step, Ctx, Engine, Table, Unit, VACANT};
+use crate::engine::{gave_way, rebuild_step, Ctx, Engine, Table, Unit, VACANT};
 use crate::recovery::RecoveryStep;
 
 /// The frame of each unit of one page: the page itself where units are
@@ -49,6 +49,17 @@ impl Frames<'_> {
 /// Names the units of a row that are not placed yet.
 fn vacant(_: &Ctx<'_>, server: ServerId) -> bool {
     server == VACANT.0
+}
+
+/// Books the outcome of rewriting one copy in place: a transfer, or a
+/// copy to re-home when its holder refused or is gone.
+fn settle_copy(ctx: &mut Ctx<'_>, unit: &mut Unit, outcome: Result<()>) -> Result<()> {
+    match outcome {
+        Ok(()) => ctx.stats.net_data_transfers += 1,
+        Err(e) if gave_way(&e) => *unit = VACANT,
+        Err(e) => return Err(e),
+    }
+    Ok(())
 }
 
 /// Pads a unit payload out to a page frame.
@@ -122,10 +133,10 @@ impl Stripe {
 
     /// Re-homes every unit of a row whose holder `lost` names, each onto
     /// a server that holds none of the row's other units (nor is
-    /// `avoid`), and counts the transfers. The row is `id`'s, or the
-    /// staging row. Returns the units placed and whether a parity unit
-    /// was among them, or `None` as soon as a unit finds no taker — units
-    /// placed until then stay recorded.
+    /// `avoid`), all in one wave, and counts the transfers. The row is
+    /// `id`'s, or the staging row. Returns the units placed and whether a
+    /// parity unit was among them, or `None` when a unit found no taker —
+    /// the units that did stay recorded.
     fn place_lost(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -148,19 +159,23 @@ impl Stripe {
         } else {
             Vec::new()
         };
+        let slots: Vec<usize> = (0..units.len())
+            .filter(|&i| lost(ctx, units[i].0))
+            .collect();
+        let wanted: Vec<(&Page, Option<ServerId>)> = (slots.iter())
+            .map(|&i| {
+                let preferred = (!live.is_empty()).then(|| {
+                    self.cursor += 1;
+                    live[(self.cursor - 1) % live.len()]
+                });
+                (frames.get(i), preferred)
+            })
+            .collect();
+        let takers = ctx.place(&wanted, &mut exclude)?;
         let (mut placed, mut parity) = (0, false);
-        for (i, unit) in units.iter_mut().enumerate() {
-            if !lost(ctx, unit.0) {
-                continue;
-            }
-            let preferred = (!live.is_empty()).then(|| {
-                self.cursor += 1;
-                live[(self.cursor - 1) % live.len()]
-            });
-            let Some(taker) = ctx.place(frames.get(i), preferred, &mut exclude)? else {
-                return Ok(None);
-            };
-            *unit = taker;
+        for (&i, taker) in slots.iter().zip(&takers) {
+            let Some(taker) = *taker else { continue };
+            units[i] = taker;
             placed += 1;
             // Copies of the page are data; only a coded stripe has parity.
             if self.k > 1 && i >= self.k {
@@ -170,7 +185,7 @@ impl Stripe {
                 ctx.stats.net_data_transfers += 1;
             }
         }
-        Ok(Some((placed, parity)))
+        Ok((placed == slots.len() as u64).then_some((placed, parity)))
     }
 
     /// Assembles a full placement of `frames` in the staging row.
@@ -209,28 +224,36 @@ impl Stripe {
         Ok(())
     }
 
-    /// Rewrites a page of whole-page units, each copy in its own frame; a
-    /// copy whose holder is gone or refuses is re-homed.
+    /// Rewrites a page of whole-page units, each copy in its own frame
+    /// and all copies in one wave — with a write-through's disk write
+    /// under way while the frames are in flight; a copy whose holder is
+    /// gone or refuses is re-homed.
     fn overwrite(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
         let units = self.table.units_mut(id).expect("caller checked");
-        let mut vacated = false;
-        for unit in units {
-            if ctx.alive(unit.0) {
-                match ctx.pool.page_out(unit.0, unit.1, page) {
-                    Ok(_) => {
-                        ctx.stats.net_data_transfers += 1;
-                        continue;
-                    }
-                    Err(
-                        RmpError::ServerCrashed(_) | RmpError::Timeout(_) | RmpError::NoSpace(_),
-                    ) => {}
-                    Err(e) => return Err(e),
+        for unit in units.iter_mut().filter(|u| !ctx.alive(u.0)) {
+            *unit = VACANT;
+        }
+        match units {
+            // A lone copy and no disk leg to overlap: the wave is one call.
+            [unit] if !self.disk_leg => {
+                if *unit != VACANT {
+                    let outcome = ctx.pool.page_out(unit.0, unit.1, page).map(drop);
+                    settle_copy(ctx, unit, outcome)?;
                 }
             }
-            *unit = VACANT;
-            vacated = true;
+            _ => {
+                let stores: Vec<(Unit, &Page)> = (units.iter())
+                    .filter(|u| **u != VACANT)
+                    .map(|&u| (u, page))
+                    .collect();
+                let (outcomes, rest) = ctx.ship(&stores, &[], self.disk_leg.then_some((id, page)));
+                rest?;
+                for (unit, outcome) in (units.iter_mut().filter(|u| **u != VACANT)).zip(outcomes) {
+                    settle_copy(ctx, unit, outcome)?;
+                }
+            }
         }
-        if !vacated {
+        if !units.contains(&VACANT) {
             return Ok(());
         }
         match self.place_lost(
@@ -331,13 +354,13 @@ impl Stripe {
 
 impl Engine for Stripe {
     fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
-        if self.disk_leg {
-            // The disk copy is unconditional — that is the "write through".
-            ctx.disk_write(id, page)?;
-        }
         let held = self.table.units(id);
         if self.k == 1 && !ctx.prefer_disk && held.is_some_and(|units| !units.is_empty()) {
             return self.overwrite(ctx, id, page);
+        }
+        if self.disk_leg {
+            // The disk copy is unconditional — that is the "write through".
+            ctx.disk_write(id, page)?;
         }
         let frames = Frames(page, self.encode(ctx, page)?);
         if !self.place_fresh(ctx, &frames, self.k == 1)? {

@@ -2,6 +2,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -11,7 +12,7 @@ use rmp_types::metrics::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
 use rmp_types::{ErrorCode, Page, Result, RmpError, ServerId, StoreKey, TransportConfig};
 
 use crate::detector::{ewma, FailureDetector, Health, Verdict, SLOW_MULT};
-use crate::reactor::{PendingReplies, WindowedTransport};
+use crate::reactor::{lost_with_its_burst, PendingReplies, WindowedTransport};
 use crate::transport::ServerTransport;
 
 /// Floor on the expected-latency gate of [`ServerPool::looks_gray`], µs.
@@ -31,6 +32,10 @@ const ALLOC_CHUNK: u32 = 64;
 struct PoolMetrics {
     registry: Arc<MetricsRegistry>,
     calls: Arc<Counter>,
+    /// Waves put on the wire by [`ServerPool::scatter`], and the frames
+    /// they carried; legs ÷ waves is the fan-out a wave buys.
+    scatters: Arc<Counter>,
+    scatter_legs: Arc<Counter>,
     call_errors: Arc<Counter>,
     retries: Arc<Counter>,
     suspect_transitions: Arc<Counter>,
@@ -51,6 +56,8 @@ impl PoolMetrics {
     fn new(registry: Arc<MetricsRegistry>) -> Self {
         PoolMetrics {
             calls: registry.counter("pool_calls_total"),
+            scatters: registry.counter("pool_scatters_total"),
+            scatter_legs: registry.counter("pool_scatter_legs_total"),
             call_errors: registry.counter("pool_call_errors_total"),
             retries: registry.counter("pool_retries_total"),
             suspect_transitions: registry.counter("pool_suspect_transitions_total"),
@@ -144,6 +151,48 @@ enum Outcome {
     Reply { data_path: bool },
     /// Deadline miss or transport failure.
     Miss,
+}
+
+/// Whether `e` is the kind of failure the retry ladder exists for — a
+/// deadline miss, a broken connection, an admission-control refusal —
+/// rather than an answer.
+fn is_transient(e: &RmpError) -> bool {
+    e.is_timeout() || e.is_server_failure() || e.is_overload()
+}
+
+/// One server's share of a [`Wave`]: the frames it was sent as one burst
+/// and the replies it owes.
+struct Burst {
+    server: ServerId,
+    /// This burst's frames, as positions in the wave's grouped order.
+    at: Range<usize>,
+    submitted: Instant,
+    /// The handle on the burst's replies, or why it never left.
+    pending: Result<PendingReplies>,
+}
+
+/// Requests on the wire to several servers at once, started by
+/// [`ServerPool::begin_scatter`] and collected by
+/// [`ServerPool::finish_scatter`].
+struct Wave {
+    /// The caller's leg indices grouped by server — servers in order of
+    /// first appearance, a server's legs in the caller's order.
+    order: Vec<usize>,
+    /// The requests, in `order`.
+    msgs: Vec<Message>,
+    bursts: Vec<Burst>,
+    /// Taken before the first submit: the one read deadline and the one
+    /// retry budget of the whole wave count from here.
+    started: Instant,
+}
+
+/// A wave of stores and frees on the wire, between
+/// [`ServerPool::begin_stores`] and [`ServerPool::finish_stores`].
+/// Dropping it abandons the replies.
+pub struct StoreWave {
+    wave: Wave,
+    /// The server of each store, in the caller's order.
+    takers: Vec<ServerId>,
 }
 
 /// The typed error for a reply of the wrong kind.
@@ -567,12 +616,11 @@ impl ServerPool {
         1.0 - jitter + 2.0 * jitter * unit
     }
 
-    /// Folds one call attempt's elapsed time into the service-time
-    /// estimate and the latency histograms, and returns it. Failed and
-    /// timed-out attempts count too: a flaky cluster must look *slow* to
-    /// the adaptive policy, not invisible.
-    fn record_attempt(&mut self, id: ServerId, start: Instant) -> Duration {
-        let elapsed = start.elapsed();
+    /// Folds the elapsed time of one attempt against `id` — a call, or a
+    /// wave's burst — into the service-time estimate and the latency
+    /// histograms. Failed and timed-out attempts count too: a flaky
+    /// cluster must look *slow* to the adaptive policy, not invisible.
+    fn record_attempt(&mut self, id: ServerId, elapsed: Duration) {
         ewma(&mut self.service_ms, elapsed.as_secs_f64() * 1000.0);
         if let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) {
             m.call_latency.record(elapsed);
@@ -583,8 +631,6 @@ impl ServerPool {
                 })
                 .record(elapsed);
         }
-        self.publish_window_stats();
-        elapsed
     }
 
     /// Mirrors the windowed transports' counters into the pool metrics:
@@ -676,35 +722,59 @@ impl ServerPool {
         if let Some(m) = &self.metrics {
             m.calls.inc();
         }
-        let max_attempts = self.transport_cfg.retry.max_attempts.max(1);
         // The whole call — every attempt, backoff, and redial — runs
         // against one budget resolved *now*, at entry. (An earlier version
         // re-derived the deadline from `Instant::now()` on each attempt,
         // so each retry inherited a fresh budget and a slow-failing server
         // could hold a caller far past the intended bound.)
         let deadline = Instant::now() + self.transport_cfg.effective_call_budget();
+        self.ladder(id, msgs, None, deadline)
+    }
+
+    /// The retry ladder every exchange ends in: attempt, and on a
+    /// transient failure sample the miss, back off, redial and attempt
+    /// again, until the attempts or `deadline` run out and the server is
+    /// declared dead. `ran` is the first attempt when the caller already
+    /// made it — a leg of a wave that came back failed, with how long it
+    /// took: the ladder then starts at what follows a failed attempt, so a
+    /// call and a scattered leg share every rung.
+    fn ladder(
+        &mut self,
+        id: ServerId,
+        msgs: &[Message],
+        mut ran: Option<(RmpError, Duration)>,
+        deadline: Instant,
+    ) -> Result<Vec<Message>> {
+        let max_attempts = self.transport_cfg.retry.max_attempts.max(1);
         let mut saw_timeout = false;
         let data_path = msgs.iter().any(Message::is_data_op);
         for attempt in 0..max_attempts {
             self.last_attempts = attempt + 1;
-            let transport = &mut self
-                .peers
-                .get_mut(&id)
-                .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?
-                .transport;
-            let start = Instant::now();
-            let outcome = if msgs.len() == 1 {
-                transport.call(&msgs[0]).map(|reply| vec![reply])
-            } else {
-                transport.call_pipelined(msgs)
-            };
-            let elapsed = self.record_attempt(id, start);
-            let err = match outcome {
-                Ok(replies) => {
-                    self.sample(id, elapsed, Outcome::Reply { data_path });
-                    return Ok(replies);
+            let (err, elapsed) = match ran.take() {
+                Some(failed) => failed,
+                None => {
+                    let transport = &mut self
+                        .peers
+                        .get_mut(&id)
+                        .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?
+                        .transport;
+                    let start = Instant::now();
+                    let outcome = if msgs.len() == 1 {
+                        transport.call(&msgs[0]).map(|reply| vec![reply])
+                    } else {
+                        transport.call_pipelined(msgs)
+                    };
+                    let elapsed = start.elapsed();
+                    self.record_attempt(id, elapsed);
+                    self.publish_window_stats();
+                    match outcome {
+                        Ok(replies) => {
+                            self.sample(id, elapsed, Outcome::Reply { data_path });
+                            return Ok(replies);
+                        }
+                        Err(e) => (e, elapsed),
+                    }
                 }
-                Err(e) => e,
             };
             match err {
                 // The server answered: the transport is healthy, the
@@ -724,7 +794,7 @@ impl ServerPool {
                     }
                     return Err(RmpError::ServerCrashed(id));
                 }
-                e if e.is_timeout() || e.is_server_failure() || e.is_overload() => {
+                e if is_transient(&e) => {
                     // Overload is a typed refusal from a live server: the
                     // worker pool is saturated. Back off and redial like a
                     // timeout — if the storm outlasts the attempt budget
@@ -801,6 +871,148 @@ impl ServerPool {
         })
     }
 
+    /// The first half of [`ServerPool::scatter`]: groups the legs by server
+    /// and submits every server's burst, waiting for nothing. What the
+    /// caller does before [`ServerPool::finish_scatter`] overlaps the wire.
+    fn begin_scatter(&mut self, mut legs: Vec<(ServerId, Message)>) -> Wave {
+        let mut order: Vec<usize> = (0..legs.len()).collect();
+        // Waves are a handful of legs: ranking each by a scan costs less
+        // than a map would, and the stable sort allocates nothing.
+        order.sort_by_key(|&leg| legs.iter().position(|l| l.0 == legs[leg].0));
+        let msgs: Vec<Message> = order
+            .iter()
+            .map(|&leg| std::mem::replace(&mut legs[leg].1, Message::LoadQuery))
+            .collect();
+        if let Some(m) = &self.metrics {
+            m.scatters.inc();
+            m.scatter_legs.add(legs.len() as u64);
+        }
+        let started = Instant::now();
+        let mut bursts: Vec<Burst> = Vec::new();
+        let mut at = 0;
+        while at < order.len() {
+            let server = legs[order[at]].0;
+            let end = at
+                + order[at..]
+                    .iter()
+                    .take_while(|&&leg| legs[leg].0 == server)
+                    .count();
+            if let Some(m) = &self.metrics {
+                m.calls.inc();
+            }
+            let submitted = Instant::now();
+            let pending = match self.peers.get_mut(&server) {
+                Some(peer) => (peer.transport.submit(&msgs[at..end]))
+                    .unwrap_or(Err(RmpError::Unsupported("transport takes no submissions"))),
+                None => Err(RmpError::Config(format!("unknown server {server}"))),
+            };
+            bursts.push(Burst {
+                server,
+                at: at..end,
+                submitted,
+                pending,
+            });
+            at = end;
+        }
+        Wave {
+            order,
+            msgs,
+            bursts,
+            started,
+        }
+    }
+
+    /// The second half of [`ServerPool::scatter`]: collects each leg's
+    /// reply against the wave's one deadline, samples each burst, and
+    /// walks the ladder for the legs that came back failed.
+    fn finish_scatter(&mut self, wave: Wave) -> Vec<Result<Message>> {
+        let Wave {
+            order,
+            msgs,
+            bursts,
+            started,
+        } = wave;
+        let read_deadline = started + self.transport_cfg.read_timeout;
+        let budget = started + self.transport_cfg.effective_call_budget();
+        let mut out: Vec<Result<Message>> = (order.iter())
+            .map(|_| Err(RmpError::Unsupported("leg left uncollected")))
+            .collect();
+        for burst in bursts {
+            let id = burst.server;
+            let mut arrived = burst.submitted;
+            match burst.pending {
+                Ok(mut pending) => {
+                    for at in burst.at.clone() {
+                        let (reply, when) = pending.next_by(read_deadline).unwrap_or_else(|| {
+                            let short = "transport owes one reply per frame";
+                            (Err(RmpError::Protocol(short.into())), Instant::now())
+                        });
+                        arrived = arrived.max(when);
+                        out[order[at]] = reply;
+                    }
+                }
+                Err(refused) => {
+                    // Nothing left: the first leg carries why, the rest
+                    // take the ladder's second look like any lost frame.
+                    arrived = Instant::now();
+                    let mut refused = Some(refused);
+                    for at in burst.at.clone() {
+                        out[order[at]] = Err(refused.take().unwrap_or_else(lost_with_its_burst));
+                    }
+                }
+            }
+            let elapsed = arrived - burst.submitted;
+            self.record_attempt(id, elapsed);
+            if !(burst.at.clone()).any(|at| matches!(&out[order[at]], Err(e) if is_transient(e))) {
+                let data_path = msgs[burst.at.clone()].iter().any(Message::is_data_op);
+                self.sample(id, elapsed, Outcome::Reply { data_path });
+            }
+            // One walk down the ladder per burst: it backs off and redials
+            // for the first lost leg; the rest find the connection fresh —
+            // or the server declared dead, and do not dial it again.
+            let mut walked = false;
+            for at in burst.at {
+                let Err(e) = &mut out[order[at]] else {
+                    continue;
+                };
+                let failed = std::mem::replace(e, RmpError::ServerCrashed(id));
+                let request = std::slice::from_ref(&msgs[at]);
+                let retried = if walked && is_transient(&failed) {
+                    match self.view.is_alive(id) {
+                        true => self.call_many(id, request),
+                        false => continue,
+                    }
+                } else {
+                    walked |= is_transient(&failed);
+                    self.ladder(id, request, Some((failed, elapsed)), budget)
+                };
+                out[order[at]] = retried.map(|mut replies| replies.remove(0));
+            }
+        }
+        self.publish_window_stats();
+        out
+    }
+
+    /// Scatter/gather: puts every leg on the wire before waiting for any,
+    /// and returns each leg's reply in the order the legs were given — a
+    /// wave costs one round trip, not one per leg.
+    ///
+    /// Legs are grouped by server (servers in order of first appearance)
+    /// and each server's frames leave as one burst. Every server is then
+    /// waited for against **one** read deadline counted from the first
+    /// submit: `n` silent servers hold the caller for one deadline, not
+    /// `n`. A burst is sampled with its own submit-to-last-reply time, so
+    /// a fast server collected after a slow one is not charged the wait.
+    /// A leg that came back failed enters the retry ladder every single
+    /// call ends in, at its second attempt: typed refusals map as there, a transient failure is backed off, redialled and retried
+    /// within the wave's one call budget, and only the ladder declares a
+    /// server dead. Legs share no fate: the replies the other servers
+    /// gave are kept.
+    pub fn scatter(&mut self, legs: Vec<(ServerId, Message)>) -> Vec<Result<Message>> {
+        let wave = self.begin_scatter(legs);
+        self.finish_scatter(wave)
+    }
+
     /// Counts one page-sized wire transfer in the running total and, when
     /// attached, the `pool_wire_transfers_total` metric.
     fn note_wire_transfer(&mut self) {
@@ -872,19 +1084,18 @@ impl ServerPool {
         self.peers.get(&id).map_or(0, |peer| peer.grants)
     }
 
-    /// Ships a page to `id` under `key`.
-    ///
-    /// # Errors
-    ///
-    /// [`RmpError::ServerCrashed`] on connection failure;
-    /// [`RmpError::NoSpace`] when the server is out of memory.
-    pub fn page_out(&mut self, id: ServerId, key: StoreKey, page: &Page) -> Result<LoadHint> {
-        let request = Message::PageOut {
+    fn store_request(key: StoreKey, page: &Page) -> Message {
+        Message::PageOut {
             id: key,
             checksum: page.checksum(),
             page: page.clone(),
-        };
-        match self.call(id, &request)? {
+        }
+    }
+
+    /// Reads the reply to a `PageOut`: counts the transfer and takes the
+    /// load hint.
+    fn stored(&mut self, id: ServerId, reply: Message) -> Result<LoadHint> {
+        match reply {
             Message::PageOutAck { hint, .. } => {
                 self.note_wire_transfer();
                 self.apply_hint(id, hint);
@@ -892,6 +1103,72 @@ impl ServerPool {
             }
             other => Err(unexpected_reply("PageOut", &other)),
         }
+    }
+
+    /// Reads the reply to a `PageIn` of `key`: counts the transfer and
+    /// verifies the page against the server's checksum.
+    fn fetched(&mut self, id: ServerId, key: StoreKey, reply: Message) -> Result<Option<Page>> {
+        match reply {
+            Message::PageInReply { checksum, page, .. } => {
+                self.note_wire_transfer();
+                if self.verify_checksums && page.checksum() != checksum {
+                    return Err(RmpError::CorruptPage { server: id, key });
+                }
+                Ok(Some(page))
+            }
+            Message::PageInMiss { .. } => Ok(None),
+            other => Err(unexpected_reply("PageIn", &other)),
+        }
+    }
+
+    fn freed(reply: Message) -> Result<()> {
+        match reply {
+            Message::FreeAck { .. } => Ok(()),
+            other => Err(unexpected_reply("Free", &other)),
+        }
+    }
+
+    /// Ships a page to `id` under `key`.
+    ///
+    /// # Errors
+    ///
+    /// [`RmpError::ServerCrashed`] on connection failure;
+    /// [`RmpError::NoSpace`] when the server is out of memory.
+    pub fn page_out(&mut self, id: ServerId, key: StoreKey, page: &Page) -> Result<LoadHint> {
+        let reply = self.call(id, &Self::store_request(key, page))?;
+        self.stored(id, reply)
+    }
+
+    /// Starts one wave that ships every page in `stores` to its unit and
+    /// releases every unit in `frees`. Nothing is waited for: what the
+    /// caller does before [`ServerPool::finish_stores`] — a write-through's
+    /// disk write — overlaps the wire.
+    pub fn begin_stores(
+        &mut self,
+        stores: &[((ServerId, StoreKey), &Page)],
+        frees: &[(ServerId, StoreKey)],
+    ) -> StoreWave {
+        let legs = (stores.iter())
+            .map(|&((server, key), page)| (server, Self::store_request(key, page)))
+            .chain(frees.iter().map(|&(s, key)| (s, Message::Free { id: key })))
+            .collect();
+        StoreWave {
+            takers: stores.iter().map(|&((server, _), _)| server).collect(),
+            wave: self.begin_scatter(legs),
+        }
+    }
+
+    /// Collects a wave of [`ServerPool::begin_stores`]: one outcome per
+    /// store, then one per free, each as [`ServerPool::page_out`] or
+    /// [`ServerPool::free`] would report it.
+    pub fn finish_stores(&mut self, wave: StoreWave) -> Vec<Result<()>> {
+        let mut replies = self.finish_scatter(wave.wave).into_iter();
+        let mut outcomes = Vec::with_capacity(replies.len());
+        for (server, reply) in wave.takers.into_iter().zip(replies.by_ref()) {
+            outcomes.push(reply.and_then(|reply| self.stored(server, reply).map(drop)));
+        }
+        outcomes.extend(replies.map(|reply| reply.and_then(Self::freed)));
+        outcomes
     }
 
     /// Fetches the page stored under `key` on `id`, verifying the
@@ -904,17 +1181,9 @@ impl ServerPool {
     /// bytes fail their checksum (wire-level corruption — the server
     /// stays alive in the view).
     pub fn page_in(&mut self, id: ServerId, key: StoreKey) -> Result<Page> {
-        match self.call(id, &Message::PageIn { id: key })? {
-            Message::PageInReply { checksum, page, .. } => {
-                self.note_wire_transfer();
-                if self.verify_checksums && page.checksum() != checksum {
-                    return Err(RmpError::CorruptPage { server: id, key });
-                }
-                Ok(page)
-            }
-            Message::PageInMiss { .. } => Err(RmpError::PageNotFound(rmp_types::PageId(key.0))),
-            other => Err(unexpected_reply("PageIn", &other)),
-        }
+        let reply = self.call(id, &Message::PageIn { id: key })?;
+        self.fetched(id, key, reply)?
+            .ok_or(RmpError::PageNotFound(rmp_types::PageId(key.0)))
     }
 
     /// Hands out the tag for the next batch frame.
@@ -1036,6 +1305,81 @@ impl ServerPool {
         self.decode_batch_replies(id, replies, &sent)
     }
 
+    /// Fetches `reads` off all their holders in one wave. Each holder gets
+    /// one burst — a plain keyed read when it is named once, the cheaper
+    /// frame, else the batch frames of [`ServerPool::page_in_batch`] —
+    /// and every burst is on the wire before any reply is awaited, so the
+    /// gather costs one round trip however many servers it spans. Pages
+    /// come back in request order, misses as `None`.
+    ///
+    /// # Errors
+    ///
+    /// The failure of the holder that appears first in `reads`, of those
+    /// that failed (every reply is still read, so transfers that happened
+    /// are counted); kinds as [`ServerPool::page_in`] and
+    /// [`ServerPool::page_in_batch`].
+    pub fn page_in_wave(&mut self, reads: &[(ServerId, StoreKey)]) -> Result<Vec<Option<Page>>> {
+        // The first read of each holder and how many reads name it, in
+        // order of first appearance: what is sent, and how it is read.
+        let holders = || {
+            let firsts =
+                (0..reads.len()).filter(|&i| !reads[..i].iter().any(|r| r.0 == reads[i].0));
+            firsts.map(|i| (i, reads[i..].iter().filter(|r| r.0 == reads[i].0).count()))
+        };
+        let keys_on = |server: ServerId| -> Vec<StoreKey> {
+            let named = reads.iter().filter(|r| r.0 == server);
+            named.map(|r| r.1).collect()
+        };
+        let mut seq = self.next_batch_seq;
+        let mut legs = Vec::with_capacity(reads.len());
+        for (first, named) in holders() {
+            let (server, key) = reads[first];
+            if named == 1 {
+                legs.push((server, Message::PageIn { id: key }));
+                continue;
+            }
+            for chunk in keys_on(server).chunks(self.batch_max_pages) {
+                let (seq, ids) = (self.batch_seq(), chunk.to_vec());
+                legs.push((server, Message::PageInBatch { seq, ids }));
+            }
+        }
+        let mut replies = self.scatter(legs).into_iter();
+        let mut out: Vec<Option<Page>> = vec![None; reads.len()];
+        let mut failed = None;
+        for (first, named) in holders() {
+            let (server, key) = reads[first];
+            let mut read_holder = || -> Result<()> {
+                if named == 1 {
+                    let reply = replies.next().expect("scatter answers every leg")?;
+                    out[first] = self.fetched(server, key, reply)?;
+                    return Ok(());
+                }
+                let keys = keys_on(server);
+                let sent: Vec<(u32, &[StoreKey])> = (keys.chunks(self.batch_max_pages))
+                    .map(|chunk| {
+                        seq = seq.wrapping_add(1);
+                        (seq.wrapping_sub(1), chunk)
+                    })
+                    .collect();
+                // Take the burst whole before looking into it: a failed
+                // frame must not leave its successors for the next holder.
+                let burst: Vec<Result<Message>> = replies.by_ref().take(sent.len()).collect();
+                let burst = burst.into_iter().collect::<Result<Vec<_>>>()?;
+                let pages = self.decode_batch_replies(server, burst, &sent)?;
+                let slots = (first..reads.len()).filter(|&i| reads[i].0 == server);
+                slots.zip(pages).for_each(|(slot, page)| out[slot] = page);
+                Ok(())
+            };
+            if let Err(e) = read_holder() {
+                failed.get_or_insert(e);
+            }
+        }
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
+    }
+
     /// Starts a batch fetch on `id` without waiting for the reply: the
     /// frame is submitted onto the transport and a handle comes back, so
     /// the caller (the prefetcher) overlaps the fetch with whatever it
@@ -1114,10 +1458,7 @@ impl ServerPool {
     ///
     /// [`RmpError::ServerCrashed`] on connection failure.
     pub fn free(&mut self, id: ServerId, key: StoreKey) -> Result<()> {
-        match self.call(id, &Message::Free { id: key })? {
-            Message::FreeAck { .. } => Ok(()),
-            other => Err(unexpected_reply("Free", &other)),
-        }
+        Self::freed(self.call(id, &Message::Free { id: key })?)
     }
 
     /// Basic-parity pageout: stores the page and returns `old XOR new`.
@@ -1172,7 +1513,13 @@ impl ServerPool {
     ///
     /// [`RmpError::ServerCrashed`] on connection failure.
     pub fn query_load(&mut self, id: ServerId) -> Result<(u64, u64, u16, LoadHint)> {
-        match self.call(id, &Message::LoadQuery)? {
+        let reply = self.call(id, &Message::LoadQuery)?;
+        self.load_reported(id, reply)
+    }
+
+    /// Reads the reply to a `LoadQuery` into the view.
+    fn load_reported(&mut self, id: ServerId, reply: Message) -> Result<(u64, u64, u16, LoadHint)> {
+        match reply {
             Message::LoadReport {
                 free_pages,
                 stored_pages,
@@ -1192,22 +1539,20 @@ impl ServerPool {
         }
     }
 
-    /// Refreshes the load view of every live server; dead servers are
-    /// skipped, newly unreachable ones get marked dead. Returns the
-    /// servers that died during this refresh, so the caller can enqueue
-    /// their recovery proactively instead of waiting for a pagein to
-    /// trip over them.
+    /// Refreshes the load view of every live server with one wave of
+    /// load queries; dead servers are skipped, newly unreachable ones get
+    /// marked dead. Returns the servers that died during this refresh, in
+    /// id order, so the caller can enqueue their recovery proactively
+    /// instead of waiting for a pagein to trip over them.
     pub fn refresh_loads(&mut self) -> Vec<ServerId> {
-        let mut newly_dead = Vec::new();
-        for id in self.server_ids() {
-            if self.view.is_alive(id) {
-                let _ = self.query_load(id);
-                if !self.view.is_alive(id) {
-                    newly_dead.push(id);
-                }
-            }
+        let mut live = self.server_ids();
+        live.retain(|&id| self.view.is_alive(id));
+        let queries = live.iter().map(|&id| (id, Message::LoadQuery)).collect();
+        for (&id, reply) in live.iter().zip(self.scatter(queries)) {
+            let _ = reply.and_then(|reply| self.load_reported(id, reply));
         }
-        newly_dead
+        live.retain(|&id| !self.view.is_alive(id));
+        live
     }
 
     /// Enumerates every storage key the server currently holds, following

@@ -113,16 +113,18 @@ impl Dead {
 }
 
 /// One call's completion slot: the waker handed from the submitting
-/// thread to the driver.
+/// thread to the driver. The result is stamped with its arrival time, so
+/// a waiter that collects it late — it was waiting on another server's
+/// reply — still learns how long *this* server took.
 #[derive(Default)]
 struct Slot {
-    state: Mutex<Option<Result<Message>>>,
+    state: Mutex<Option<(Result<Message>, Instant)>>,
     cv: Condvar,
 }
 
 impl Slot {
     fn complete(&self, result: Result<Message>) {
-        *self.state.lock().expect("slot lock") = Some(result);
+        *self.state.lock().expect("slot lock") = Some((result, Instant::now()));
         self.cv.notify_all();
     }
 }
@@ -171,6 +173,15 @@ impl Shared {
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("reactor lock")
     }
+}
+
+/// The error of a frame that has no reply of its own because the burst it
+/// left in failed first: transient, like the dropped connection it is.
+pub(crate) fn lost_with_its_burst() -> RmpError {
+    RmpError::Io(io::Error::new(
+        io::ErrorKind::ConnectionAborted,
+        "burst failed before this frame was answered",
+    ))
 }
 
 /// Fails every pending slot and refuses future submissions. Idempotent.
@@ -361,29 +372,87 @@ pub struct PendingReplies {
     taken: usize,
 }
 
-impl PendingReplies {
-    /// A handle born complete, for transports that answer inside
-    /// `call_pipelined` instead of running a window (the provided
-    /// [`ServerTransport::submit`]): `wait_all` hands `outcome` back
-    /// without blocking. It owns no window slot; its `Shared` is empty.
-    pub(crate) fn ready(outcome: Result<Vec<Message>>) -> Self {
-        let results = match outcome {
+/// The delivering side of [`PendingReplies::deferred`]. Dropped without
+/// [`Completion::complete`], it fails every reply still owed.
+pub struct Completion {
+    shared: Arc<Shared>,
+    frames: u32,
+}
+
+impl Completion {
+    /// Delivers the burst's outcome and wakes whoever waits on the
+    /// handle. A failed burst hands its error to the first frame; that
+    /// frame's successors — like the frames a short reply vector leaves
+    /// out — fail as a dropped connection. Replies to frames the handle
+    /// has given up on are discarded.
+    pub fn complete(self, outcome: Result<Vec<Message>>) {
+        let mut results = match outcome {
             Ok(replies) => replies.into_iter().map(Ok).collect(),
             Err(e) => vec![Err(e)],
-        };
-        PendingReplies {
-            shared: Arc::new(Shared::new(0)),
-            read_timeout: Duration::ZERO,
-            slots: (0u32..)
-                .zip(results)
-                .map(|(seq, result)| {
-                    let slot = Slot::default();
-                    slot.complete(result);
-                    (seq, Arc::new(slot))
-                })
-                .collect(),
-            taken: 0,
         }
+        .into_iter();
+        let mut inner = self.shared.lock();
+        for seq in 0..self.frames {
+            let result = results.next().unwrap_or_else(|| Err(lost_with_its_burst()));
+            if let Some(slot) = inner.pending.remove(&seq) {
+                inner.inflight -= 1;
+                slot.complete(result);
+            }
+        }
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        mark_dead(
+            &mut self.shared.lock(),
+            Dead::Io(
+                io::ErrorKind::ConnectionAborted,
+                "completion dropped".into(),
+            ),
+            &self.shared.space_cv,
+        );
+    }
+}
+
+impl PendingReplies {
+    /// A handle owed `frames` replies with no connection behind it, and
+    /// the [`Completion`] that delivers them — for transports that answer
+    /// some other way than a request window (an emulated link, a scripted
+    /// test double) and still want their callers to overlap bursts.
+    /// `read_timeout` is what [`PendingReplies::wait_all`] allows.
+    pub fn deferred(frames: usize, read_timeout: Duration) -> (PendingReplies, Completion) {
+        let shared = Arc::new(Shared::new(frames));
+        let slots: Vec<(u32, Arc<Slot>)> = (0..frames as u32)
+            .map(|seq| (seq, Arc::new(Slot::default())))
+            .collect();
+        {
+            let mut inner = shared.lock();
+            inner.inflight = frames;
+            inner
+                .pending
+                .extend(slots.iter().map(|(seq, slot)| (*seq, Arc::clone(slot))));
+        }
+        let completion = Completion {
+            shared: Arc::clone(&shared),
+            frames: frames as u32,
+        };
+        let pending = PendingReplies {
+            shared,
+            read_timeout,
+            slots,
+            taken: 0,
+        };
+        (pending, completion)
+    }
+
+    /// A handle born complete, for transports that answer `frames`
+    /// requests inside `call_pipelined` instead of running a window (the
+    /// provided [`ServerTransport::submit`]): no wait on it blocks.
+    pub(crate) fn ready(frames: usize, outcome: Result<Vec<Message>>) -> Self {
+        let (pending, completion) = PendingReplies::deferred(frames, Duration::ZERO);
+        completion.complete(outcome);
+        pending
     }
 
     /// Whether every reply has already arrived: `wait_all` will not block.
@@ -394,7 +463,8 @@ impl PendingReplies {
     }
 
     /// Blocks until every submitted frame has its reply, returning them
-    /// in submission order.
+    /// in submission order. The read deadline starts now and covers the
+    /// whole batch, however many frames it has.
     ///
     /// # Errors
     ///
@@ -404,27 +474,39 @@ impl PendingReplies {
     /// it, and a protocol `Error` reply [`RmpError::Remote`]. Remaining
     /// outstanding seqs are abandoned.
     pub fn wait_all(mut self) -> Result<Vec<Message>> {
+        let deadline = Instant::now() + self.read_timeout;
         let mut replies = Vec::with_capacity(self.slots.len() - self.taken);
-        while self.taken < self.slots.len() {
-            let (seq, slot) = {
-                let (seq, ref slot) = self.slots[self.taken];
-                (seq, Arc::clone(slot))
-            };
-            self.taken += 1;
-            match self.wait_slot(seq, &slot)? {
-                Message::Error { code, message } => return Err(RmpError::Remote { code, message }),
-                reply => replies.push(reply),
-            }
+        while let Some((reply, _)) = self.next_by(deadline) {
+            replies.push(reply?);
         }
         Ok(replies)
     }
 
-    fn wait_slot(&self, seq: u32, slot: &Slot) -> Result<Message> {
-        let deadline = Instant::now() + self.read_timeout;
+    /// Blocks until `deadline` — the caller's, so that several handles
+    /// can share one and a gather over `n` silent servers gives up after
+    /// one read deadline, not `n` — for the next reply in submission
+    /// order, and returns it with its arrival time: how long *this*
+    /// frame's server took, however long the caller was busy elsewhere. A
+    /// protocol `Error` reply comes back as [`RmpError::Remote`]. A frame
+    /// failing does not abandon its successors. `None` once every frame
+    /// is taken.
+    pub(crate) fn next_by(&mut self, deadline: Instant) -> Option<(Result<Message>, Instant)> {
+        let (seq, slot) = self.slots.get(self.taken)?;
+        let (seq, slot) = (*seq, Arc::clone(slot));
+        self.taken += 1;
+        let (result, at) = self.wait_slot(seq, &slot, deadline);
+        let result = result.and_then(|reply| match reply {
+            Message::Error { code, message } => Err(RmpError::Remote { code, message }),
+            reply => Ok(reply),
+        });
+        Some((result, at))
+    }
+
+    fn wait_slot(&self, seq: u32, slot: &Slot, deadline: Instant) -> (Result<Message>, Instant) {
         let mut state = slot.state.lock().expect("slot lock");
         loop {
-            if let Some(result) = state.take() {
-                return result;
+            if let Some(arrived) = state.take() {
+                return arrived;
             }
             let now = Instant::now();
             if now >= deadline {
@@ -435,10 +517,11 @@ impl PendingReplies {
                     // ever comes) is dropped as late.
                     inner.inflight -= 1;
                     self.shared.space_cv.notify_all();
-                    return Err(RmpError::Io(io::Error::new(
+                    let timed_out = RmpError::Io(io::Error::new(
                         io::ErrorKind::TimedOut,
                         "windowed call timed out",
-                    )));
+                    ));
+                    return (Err(timed_out), now);
                 }
                 drop(inner);
                 // The driver completed this seq between our timeout and

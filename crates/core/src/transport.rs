@@ -69,7 +69,10 @@ pub trait ServerTransport: Send {
     /// no in-tree transport returns `None`.
     fn submit(&mut self, msgs: &[Message]) -> Option<Result<crate::reactor::PendingReplies>> {
         let outcome = self.call_pipelined(msgs);
-        Some(Ok(crate::reactor::PendingReplies::ready(outcome)))
+        Some(Ok(crate::reactor::PendingReplies::ready(
+            msgs.len(),
+            outcome,
+        )))
     }
 
     /// Cumulative request-window counters, when this transport runs a

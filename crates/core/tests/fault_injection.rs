@@ -472,3 +472,58 @@ fn dead_server_calls_stop_quickly() {
         calls_after_death
     );
 }
+
+/// Parity logging over data servers 0..=2 with the parity page on 4 and
+/// 3 spare; the pageout of page 2 seals the first group.
+fn pager_about_to_seal(parity_fault: Fault) -> (Vec<FakeServer>, Pager) {
+    let (fakes, mut pager) = fake_pager(Policy::ParityLogging, 3, 5);
+    fakes[4].set_fault(parity_fault);
+    for i in 0..2u64 {
+        pager
+            .page_out(PageId(i), &Page::deterministic(i))
+            .expect("a pending member needs no parity server");
+    }
+    (fakes, pager)
+}
+
+/// Server 0 — holder of page 0, the first member of the group whose seal
+/// failed — dies with its memory; every page must still read back.
+fn assert_sealed_members_survive_a_data_crash(fakes: &[FakeServer], pager: &mut Pager) {
+    fakes[0].set_fault(Fault::Dead);
+    fakes[0].wipe();
+    for i in 0..3u64 {
+        assert_eq!(
+            pager
+                .page_in(PageId(i))
+                .expect("the group of the failed seal still covers its members"),
+            Page::deterministic(i)
+        );
+    }
+}
+
+#[test]
+fn parity_crash_on_the_sealing_pageout_keeps_the_group_covered() {
+    let (fakes, mut pager) = pager_about_to_seal(Fault::Dead);
+    // The parity page finds its server dead; the pager recovers that
+    // server — which has to rebuild the parity of the group being sealed
+    // — and retries the pageout.
+    pager
+        .page_out(PageId(2), &Page::deterministic(2))
+        .expect("recovered and retried");
+    assert_sealed_members_survive_a_data_crash(&fakes, &mut pager);
+}
+
+#[test]
+fn parity_refusal_on_the_sealing_pageout_keeps_the_group_covered() {
+    let (fakes, mut pager) = pager_about_to_seal(Fault::DenyAlloc);
+    let err = pager
+        .page_out(PageId(2), &Page::deterministic(2))
+        .expect_err("the parity server takes no frame");
+    assert!(matches!(err, RmpError::NoSpace(ServerId(4))), "got {err}");
+    // Moving the parity off the refusing server recomputes the page the
+    // failed seal never stored.
+    pager
+        .recover_from_crash(ServerId(4))
+        .expect("parity rebuilt elsewhere");
+    assert_sealed_members_survive_a_data_crash(&fakes, &mut pager);
+}

@@ -1,0 +1,545 @@
+//! Waves, counted not timed: every leg of a stripe operation is on the
+//! wire before any reply is awaited.
+//!
+//! The pool talks to scripted transports whose bursts complete only when
+//! the test says so ([`PendingReplies::deferred`]). The operation under
+//! test runs on its own thread while the test thread plays the wire: it
+//! waits until exactly the expected number of frames is outstanding —
+//! which can only happen if the operation submitted them all without
+//! waiting for the first — and then answers them. An operation that
+//! waited between two legs would leave the wire short of the expected
+//! width until its own read deadline failed it, so no assertion here
+//! compares a duration against a threshold.
+
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
+
+use rmp_blockdev::{PagingDevice, RamDisk};
+use rmp_core::{ChaosServer, Completion, Pager, PendingReplies, ServerPool, ServerTransport};
+use rmp_proto::{Message, Opcode};
+use rmp_types::{
+    ErrorCode, Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId,
+    TransportConfig,
+};
+
+/// How long the test thread waits for a wave to assemble before it
+/// declares the operation stuck. Only ever reached by a failing test.
+const STUCK: Duration = Duration::from_secs(10);
+
+/// What one wave carried: the request opcodes, per burst.
+type WaveLog = Vec<(ServerId, Vec<Opcode>)>;
+
+/// One burst on the wire: already served, not yet answered.
+struct Flight {
+    server: ServerId,
+    completion: Completion,
+    replies: Vec<Message>,
+}
+
+#[derive(Default)]
+struct WireState {
+    flying: Vec<Flight>,
+    /// Opcodes of blocking single calls since the last wave, for tests
+    /// that check what went *outside* a wave.
+    calls: Vec<(ServerId, Opcode)>,
+    /// Servers whose next `PageOut` is refused as out of memory.
+    refuse_store: Vec<ServerId>,
+    /// Servers that die with their next burst on the wire: it was served
+    /// but is never answered.
+    dying: Vec<ServerId>,
+    /// Servers that are down: calls, submissions and redials are refused.
+    dead: Vec<ServerId>,
+    /// Redials attempted, per dead server.
+    redials: Vec<ServerId>,
+}
+
+/// The wire all transports of one pool share.
+#[derive(Default)]
+struct Wire {
+    state: Mutex<WireState>,
+    changed: Condvar,
+}
+
+impl Wire {
+    fn state(&self) -> MutexGuard<'_, WireState> {
+        self.state.lock().expect("wire lock")
+    }
+
+    /// Waits until exactly `frames` frames are outstanding.
+    fn wait_for(&self, frames: usize) -> MutexGuard<'_, WireState> {
+        let outstanding = |st: &WireState| st.flying.iter().map(|f| f.replies.len()).sum::<usize>();
+        let (st, timeout) = self
+            .changed
+            .wait_timeout_while(self.state(), STUCK, |st| outstanding(st) < frames)
+            .expect("wire lock");
+        assert!(
+            !timeout.timed_out(),
+            "the operation waited with {} of {frames} frames on the wire",
+            outstanding(&st)
+        );
+        assert_eq!(outstanding(&st), frames, "the wave is wider than expected");
+        st
+    }
+
+    /// Waits until exactly `frames` frames are outstanding, then answers
+    /// them all. Returns the opcodes the wave carried, per burst.
+    fn release_wave(&self, frames: usize) -> WaveLog {
+        let mut st = self.wait_for(frames);
+        let dying = std::mem::take(&mut st.dying);
+        let mut wave = Vec::new();
+        for flight in std::mem::take(&mut st.flying) {
+            let ops = flight.replies.iter().map(reply_to).collect();
+            wave.push((flight.server, ops));
+            flight
+                .completion
+                .complete(if dying.contains(&flight.server) {
+                    st.dead.push(flight.server);
+                    Err(refused("died mid-wave"))
+                } else {
+                    Ok(flight.replies)
+                });
+        }
+        wave
+    }
+
+    fn calls(&self) -> Vec<(ServerId, Opcode)> {
+        std::mem::take(&mut self.state().calls)
+    }
+}
+
+/// The request opcode a reply answers (all the waves here carry).
+fn reply_to(reply: &Message) -> Opcode {
+    match reply {
+        Message::PageOutAck { .. } | Message::Error { .. } => Opcode::PageOut,
+        Message::FreeAck { .. } => Opcode::Free,
+        Message::PageInReply { .. } | Message::PageInMiss { .. } => Opcode::PageIn,
+        Message::LoadReport { .. } => Opcode::LoadQuery,
+        other => panic!("unexpected {:?} in a wave", other.opcode()),
+    }
+}
+
+fn refused(why: &'static str) -> RmpError {
+    RmpError::Io(std::io::Error::new(
+        std::io::ErrorKind::ConnectionRefused,
+        why,
+    ))
+}
+
+struct WaveTransport {
+    id: ServerId,
+    server: ChaosServer,
+    wire: Arc<Wire>,
+}
+
+impl WaveTransport {
+    /// Serves `msg`, bent to the script.
+    fn serve(&self, st: &mut WireState, msg: &Message) -> Message {
+        let refusing = st.refuse_store.iter().position(|&s| s == self.id);
+        if let (Message::PageOut { .. }, Some(at)) = (msg, refusing) {
+            st.refuse_store.remove(at);
+            return Message::Error {
+                code: ErrorCode::OutOfMemory,
+                message: "scripted refusal".into(),
+            };
+        }
+        self.server.serve(0, msg)
+    }
+}
+
+impl ServerTransport for WaveTransport {
+    fn call(&mut self, msg: &Message) -> Result<Message> {
+        let mut st = self.wire.state();
+        if st.dead.contains(&self.id) {
+            return Err(refused("down"));
+        }
+        st.calls.push((self.id, msg.opcode()));
+        match self.serve(&mut st, msg) {
+            Message::Error { code, message } => Err(RmpError::Remote { code, message }),
+            reply => Ok(reply),
+        }
+    }
+
+    fn send_only(&mut self, _msg: &Message) -> Result<()> {
+        Ok(())
+    }
+
+    fn reconnect(&mut self) -> Result<()> {
+        let mut st = self.wire.state();
+        if st.dead.contains(&self.id) {
+            st.redials.push(self.id);
+            return Err(refused("still down"));
+        }
+        Ok(())
+    }
+
+    fn submit(&mut self, msgs: &[Message]) -> Option<Result<PendingReplies>> {
+        let mut st = self.wire.state();
+        if st.dead.contains(&self.id) {
+            return Some(Err(refused("down")));
+        }
+        let replies = msgs.iter().map(|m| self.serve(&mut st, m)).collect();
+        let (pending, completion) = PendingReplies::deferred(msgs.len(), STUCK);
+        st.flying.push(Flight {
+            server: self.id,
+            completion,
+            replies,
+        });
+        self.wire.changed.notify_all();
+        Some(Ok(pending))
+    }
+}
+
+/// A pool of `n` scripted servers on one wire.
+fn wave_pool(n: usize) -> (Arc<Wire>, Vec<ChaosServer>, ServerPool) {
+    let wire = Arc::new(Wire::default());
+    // The read deadline only ever fails a broken operation; the retry
+    // ladder is kept short so the death test walks it quickly.
+    let mut pool = ServerPool::with_transport_config(TransportConfig {
+        read_timeout: STUCK / 2,
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(1),
+            jitter: 0.0,
+        },
+        ..TransportConfig::default()
+    });
+    let mut servers = Vec::new();
+    for i in 0..n {
+        let id = ServerId(i as u32);
+        let server = ChaosServer::new();
+        let transport = WaveTransport {
+            id,
+            server: server.clone(),
+            wire: Arc::clone(&wire),
+        };
+        pool.add_transport(id, Box::new(transport), 1.0);
+        servers.push(server);
+    }
+    (wire, servers, pool)
+}
+
+fn wave_pager(config: PagerConfig, n: usize) -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
+    let (wire, servers, pool) = wave_pool(n);
+    let transport = pool.transport_config().clone();
+    // No read-ahead: its submissions are not part of any operation.
+    let config = config.with_prefetch_window(0).with_transport(transport);
+    let pager = Pager::builder(config)
+        .pool(pool)
+        .disk(Box::new(RamDisk::unbounded()))
+        .build()
+        .expect("pager");
+    (wire, servers, pager)
+}
+
+/// Runs `op` while the test thread answers exactly the waves of `widths`
+/// frames, in that order, and checks that nothing else was submitted.
+/// Returns `op`'s result and what each wave carried.
+fn in_waves<R: Send>(
+    wire: &Wire,
+    widths: &[usize],
+    op: impl FnOnce() -> R + Send,
+) -> (R, Vec<WaveLog>) {
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(op);
+        let waves = widths.iter().map(|&w| wire.release_wave(w)).collect();
+        let done = worker.join().expect("operation thread");
+        assert!(
+            wire.state().flying.is_empty(),
+            "the operation submitted a wave beyond the expected ones"
+        );
+        (done, waves)
+    })
+}
+
+/// The servers a wave reached, sorted, and the opcodes it carried, sorted.
+fn shape(wave: &WaveLog) -> (Vec<u32>, Vec<Opcode>) {
+    let mut servers: Vec<u32> = wave.iter().map(|(s, _)| s.0).collect();
+    servers.sort_unstable();
+    let mut ops: Vec<Opcode> = wave.iter().flat_map(|(_, ops)| ops.clone()).collect();
+    ops.sort_by_key(|op| *op as u8);
+    (servers, ops)
+}
+
+fn ec_config() -> PagerConfig {
+    PagerConfig::new(Policy::ErasureCoded).with_ec_splits(4, 1)
+}
+
+#[test]
+fn erasure_coded_write_rewrite_and_read_are_waves() {
+    let (wire, servers, mut pager) = wave_pager(ec_config(), 5);
+    let page = Page::deterministic(1);
+
+    // First write: the five units leave together.
+    let (done, waves) = in_waves(&wire, &[5], || pager.page_out(PageId(1), &page));
+    done.expect("first write");
+    assert_eq!(
+        shape(&waves[0]),
+        (vec![0, 1, 2, 3, 4], vec![Opcode::PageOut; 5])
+    );
+
+    // Rewrite: the fresh stripe in one wave, then the old one's frees in
+    // another (a half-overwritten stripe would decode to garbage).
+    let page = Page::deterministic(2);
+    let (done, waves) = in_waves(&wire, &[5, 5], || pager.page_out(PageId(1), &page));
+    done.expect("rewrite");
+    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageOut; 5]);
+    assert_eq!(shape(&waves[1]).1, vec![Opcode::Free; 5]);
+    let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
+    assert_eq!(stored, 5, "the frees were awaited inside the rewrite");
+
+    // Pagein: the four data units gathered at once.
+    let (read, waves) = in_waves(&wire, &[4], || pager.page_in(PageId(1)));
+    assert_eq!(read.expect("pagein"), page);
+    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 4]);
+    // Outside the waves: one allocation per server, nothing else.
+    let calls = wire.calls();
+    assert!(
+        calls.iter().all(|(_, op)| *op == Opcode::Alloc),
+        "{calls:?}"
+    );
+}
+
+#[test]
+fn mirroring_writes_both_copies_in_one_wave() {
+    let (wire, _servers, mut pager) = wave_pager(PagerConfig::new(Policy::Mirroring), 3);
+    let (done, _) = in_waves(&wire, &[2], || {
+        pager.page_out(PageId(7), &Page::deterministic(7))
+    });
+    done.expect("first write");
+    let (done, waves) = in_waves(&wire, &[2], || {
+        pager.page_out(PageId(7), &Page::deterministic(8))
+    });
+    done.expect("overwrite");
+    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageOut; 2]);
+    let (read, _) = in_waves(&wire, &[], || pager.page_in(PageId(7)));
+    assert_eq!(
+        read.expect("a single copy is one call"),
+        Page::deterministic(8)
+    );
+}
+
+#[test]
+fn write_through_overlaps_its_remote_leg() {
+    let config = PagerConfig::new(Policy::WriteThrough);
+    let (wire, _servers, mut pager) = wave_pager(config, 2);
+    let (done, _) = in_waves(&wire, &[], || {
+        pager.page_out(PageId(3), &Page::deterministic(3))
+    });
+    done.expect("first write places by the walk");
+    // The rewrite's remote frame is submitted, not called: the disk write
+    // runs while the test thread still holds the reply back.
+    let (done, waves) = in_waves(&wire, &[1], || {
+        pager.page_out(PageId(3), &Page::deterministic(4))
+    });
+    done.expect("rewrite");
+    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageOut]);
+    assert_eq!(pager.stats().disk_writes, 2);
+}
+
+/// Parity logging over data servers 0..=2 and parity server 3.
+fn plog_pager() -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
+    wave_pager(PagerConfig::new(Policy::ParityLogging).with_servers(3), 4)
+}
+
+#[test]
+fn parity_logging_seal_is_data_then_one_wave() {
+    let (wire, servers, mut pager) = plog_pager();
+    // The first group seals with nothing to reclaim: its third pageout is
+    // the data call, then a wave that is the parity page alone.
+    for i in 0..2u64 {
+        let (done, _) = in_waves(&wire, &[], || {
+            pager.page_out(PageId(i), &Page::deterministic(i))
+        });
+        done.expect("a pending member is one call");
+    }
+    let (done, waves) = in_waves(&wire, &[1], || {
+        pager.page_out(PageId(2), &Page::deterministic(2))
+    });
+    done.expect("first seal");
+    assert_eq!(shape(&waves[0]), (vec![3], vec![Opcode::PageOut]));
+
+    // Rewriting the three pages supersedes the whole first group: the
+    // second seal ships its parity and the S + 1 frees in one wave.
+    wire.calls();
+    for i in 0..2u64 {
+        let (done, _) = in_waves(&wire, &[], || {
+            pager.page_out(PageId(i), &Page::deterministic(10 + i))
+        });
+        done.expect("pending");
+    }
+    let (done, waves) = in_waves(&wire, &[5], || {
+        pager.page_out(PageId(2), &Page::deterministic(12))
+    });
+    done.expect("second seal");
+    let (reached, ops) = shape(&waves[0]);
+    assert_eq!(reached, vec![0, 1, 2, 3], "one burst per server");
+    assert_eq!(
+        ops,
+        vec![
+            Opcode::PageOut,
+            Opcode::Free,
+            Opcode::Free,
+            Opcode::Free,
+            Opcode::Free
+        ]
+    );
+    let data_calls = wire.calls();
+    assert_eq!(
+        data_calls.iter().map(|c| c.1).collect::<Vec<_>>(),
+        vec![Opcode::PageOut; 3],
+        "each pageout's data leg is one call before the wave"
+    );
+    let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
+    assert_eq!(stored, 4, "three current versions and one parity page");
+}
+
+#[test]
+fn parity_logging_degraded_read_and_group_rebuild_gather_at_once() {
+    let (wire, _servers, mut pager) = plog_pager();
+    for i in 0..3u64 {
+        let widths: &[usize] = if i == 2 { &[1] } else { &[] };
+        let (done, _) = in_waves(&wire, widths, || {
+            pager.page_out(PageId(i), &Page::deterministic(i))
+        });
+        done.expect("pageout");
+    }
+    // Page 0 sits on server 0; without it the read solves the group's
+    // equation from the two other members and the parity page.
+    pager.note_crash(ServerId(0));
+    let (read, waves) = in_waves(&wire, &[3], || pager.page_in(PageId(0)));
+    assert_eq!(read.expect("degraded read"), Page::deterministic(0));
+    assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
+    // The rebuild fetches the same three pieces at once, then re-logs the
+    // group's members: with two data servers left, two pageouts to a
+    // group, each seal a wave of its parity page — the second with the
+    // old group's surviving storage (two members and the parity page).
+    let (report, waves) = in_waves(&wire, &[3, 1, 4], || pager.recover_from_crash(ServerId(0)));
+    assert_eq!(report.expect("recovery").pages_rebuilt, 1);
+    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 3]);
+    for i in 0..3u64 {
+        let (read, _) = in_waves(&wire, &[], || pager.page_in(PageId(i)));
+        assert_eq!(read.expect("read"), Page::deterministic(i));
+    }
+}
+
+#[test]
+fn basic_parity_degraded_read_gathers_the_stripe_at_once() {
+    let config = PagerConfig::new(Policy::BasicParity).with_servers(3);
+    let (wire, _servers, mut pager) = wave_pager(config, 4);
+    for i in 0..3u64 {
+        let (done, _) = in_waves(&wire, &[], || {
+            pager.page_out(PageId(i), &Page::deterministic(i))
+        });
+        done.expect("a delta and its fold are two calls");
+    }
+    // Page 0 sits on server 0. Basic parity rebuilds in place, so the
+    // pager leaves the view to the test.
+    pager.pool_mut().declare_dead(ServerId(0), "test");
+    let (read, waves) = in_waves(&wire, &[3], || pager.page_in(PageId(0)));
+    assert_eq!(read.expect("degraded read"), Page::deterministic(0));
+    assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
+}
+
+#[test]
+fn a_refused_leg_is_replaced_alone() {
+    // Six servers for a five-unit stripe: one spare.
+    let (wire, servers, mut pager) = wave_pager(ec_config(), 6);
+    wire.state().refuse_store.push(ServerId(2));
+    let page = Page::deterministic(9);
+    let (done, _) = in_waves(&wire, &[5], || pager.page_out(PageId(9), &page));
+    done.expect("the refused unit finds the spare");
+    // The four units that landed stayed where they were; the fifth went,
+    // by one call of the walk, to the one server holding none.
+    let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+    assert_eq!(stored, [1, 1, 0, 1, 1, 1]);
+    let walk: Vec<_> = (wire.calls().into_iter())
+        .filter(|(_, op)| *op == Opcode::PageOut)
+        .collect();
+    assert_eq!(walk, [(ServerId(5), Opcode::PageOut)]);
+    // The grant reserved on the refusing server went back to the pool.
+    let pool = pager.pool();
+    assert_eq!(
+        pool.granted_frames(ServerId(2)),
+        pool.granted_frames(ServerId(0)) + 1
+    );
+    let (read, _) = in_waves(&wire, &[4], || pager.page_in(PageId(9)));
+    assert_eq!(read.expect("pagein"), page);
+}
+
+#[test]
+fn a_leg_whose_server_dies_walks_the_ladder_once() {
+    let (wire, servers, mut pager) = wave_pager(ec_config(), 6);
+    // Latency is the test thread's to decide here, so only a miss may
+    // raise suspicion.
+    pager.pool_mut().set_detector_slow_floor_us(f64::INFINITY);
+    // Server 1 takes its frame and dies before answering.
+    wire.state().dying.push(ServerId(1));
+    let page = Page::deterministic(4);
+    let (done, _) = in_waves(&wire, &[5], || pager.page_out(PageId(4), &page));
+    done.expect("the lost unit finds the spare");
+    servers[1].crash();
+
+    // The ladder ran once, for that leg alone: two redials and two more
+    // attempts use up the three-attempt budget, then the server is dead.
+    assert_eq!(wire.state().redials, [ServerId(1), ServerId(1)]);
+    let metrics = pager.metrics();
+    assert_eq!(metrics.counter("pool_retries_total").get(), 2);
+    assert_eq!(metrics.counter("pool_deaths_total").get(), 1);
+    assert!(!pager.pool().view().is_alive(ServerId(1)));
+    // The four replies that did come were kept — no frame was sent twice
+    // — and the lost unit went to the spare by one call of the walk.
+    let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+    assert_eq!(stored, [1, 0, 1, 1, 1, 1]);
+    let stores: Vec<_> = (wire.calls().into_iter())
+        .filter(|(_, op)| *op == Opcode::PageOut)
+        .collect();
+    assert_eq!(stores, [(ServerId(5), Opcode::PageOut)]);
+    for id in [0, 2, 3, 4, 5] {
+        let suspicion = pager.pool().suspicion(ServerId(id));
+        assert_eq!(suspicion, 0.0, "srv{id} shared none of the dead leg's fate");
+    }
+    let (read, _) = in_waves(&wire, &[4], || pager.page_in(PageId(4)));
+    assert_eq!(read.expect("pagein"), page);
+}
+
+#[test]
+fn a_fast_leg_collected_behind_a_slow_one_keeps_its_own_time() {
+    let (wire, _servers, mut pool) = wave_pool(3);
+    let metrics = Arc::new(rmp_types::metrics::MetricsRegistry::new());
+    pool.set_metrics(Arc::clone(&metrics));
+    // Server 0 — the leg the gather waits on first — answers `held`
+    // after the two others have.
+    let held = Duration::from_millis(100);
+    std::thread::scope(|scope| {
+        let legs = (0..3).map(|id| (ServerId(id), Message::LoadQuery));
+        let worker = scope.spawn(|| pool.scatter(legs.collect()));
+        let mut flights = std::mem::take(&mut wire.wait_for(3).flying);
+        flights.sort_by_key(|f| std::cmp::Reverse(f.server));
+        for flight in flights {
+            if flight.server == ServerId(0) {
+                std::thread::sleep(held);
+            }
+            flight.completion.complete(Ok(flight.replies));
+        }
+        let replies = worker.join().expect("operation thread");
+        assert!(replies.iter().all(Result::is_ok), "{replies:?}");
+    });
+    // Servers 1 and 2 had answered before the sleep began and server 0
+    // answered after it ended, so — whatever the machine's load — their
+    // samples differ by the sleep, unless a reply is timed when it is
+    // collected rather than when it arrived.
+    let sampled_us = |id: u32| {
+        let name = format!("pool_call_latency_us{{srv{id}}}");
+        metrics.histogram(&name).snapshot().max_us
+    };
+    let held_us = held.as_micros() as u64;
+    for fast in [1, 2] {
+        assert!(
+            sampled_us(fast) + held_us <= sampled_us(0) + 1,
+            "srv{fast} sampled {} us against srv0's {} us",
+            sampled_us(fast),
+            sampled_us(0)
+        );
+    }
+}

@@ -658,3 +658,76 @@ fn window_stall_counter_survives_midcall_reconnect() {
          by the stale baseline"
     );
 }
+
+/// A server that shakes hands and then never answers: it swallows every
+/// request and holds the socket open until the client hangs up.
+fn silent_after_hello() -> (String, std::thread::JoinHandle<()>) {
+    use std::io::Read;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut framed = rmp_proto::Framed::new(stream);
+        let hello = framed.recv().expect("hello");
+        assert!(matches!(hello, Message::Hello { .. }), "got {hello:?}");
+        framed
+            .send(&Message::HelloReply { window: 8 })
+            .expect("hello reply");
+        let mut stream = framed.into_inner();
+        let mut sink = [0u8; 4096];
+        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    });
+    (addr, peer)
+}
+
+#[test]
+fn a_gather_over_silent_servers_waits_one_read_deadline() {
+    // Regression: the wait restarted the read deadline for every reply it
+    // collected, so a gather over n silent servers held a fault for n
+    // read deadlines. One attempt, no backoff: the gather is all there is
+    // to time.
+    let read_timeout = Duration::from_millis(400);
+    let cfg = TransportConfig {
+        read_timeout,
+        retry: RetryPolicy::no_retry(),
+        ..TransportConfig::default()
+    };
+    let mut pool = ServerPool::with_transport_config(cfg.clone());
+    let metrics = std::sync::Arc::new(rmp_types::metrics::MetricsRegistry::new());
+    pool.set_metrics(std::sync::Arc::clone(&metrics));
+    let mut peers = Vec::new();
+    for id in 0..3 {
+        let (addr, peer) = silent_after_hello();
+        let transport = WindowedTransport::connect_with(&addr, &cfg).expect("connect");
+        pool.add_transport(ServerId(id), Box::new(transport), 1.0);
+        peers.push(peer);
+    }
+
+    let start = Instant::now();
+    let legs = (0..3).map(|id| (ServerId(id), Message::LoadQuery));
+    let replies = pool.scatter(legs.collect());
+    let elapsed = start.elapsed();
+
+    assert!(
+        elapsed >= read_timeout && elapsed < 2 * read_timeout,
+        "three silent servers cost one read deadline, not three: {elapsed:?}"
+    );
+    for (id, reply) in (0..3).zip(&replies) {
+        assert!(
+            matches!(reply, Err(RmpError::Timeout(s)) if *s == ServerId(id)),
+            "leg {id} fails as its server's typed timeout: {reply:?}"
+        );
+        let latency = metrics.histogram(&format!("pool_call_latency_us{{srv{id}}}"));
+        assert_eq!(latency.count(), 1, "leg {id} is one sampled attempt");
+    }
+    assert_eq!(
+        metrics.counter("pool_suspect_transitions_total").get(),
+        3,
+        "each silent server took its own miss"
+    );
+    drop(pool);
+    for peer in peers {
+        peer.join().expect("peer");
+    }
+}

@@ -76,6 +76,11 @@ pub struct PolicyProbe {
     /// server id. The crashed server reports the pinned cap; survivors
     /// report their (near-zero) steady-state score.
     pub server_suspicion: Vec<(u32, f64)>,
+    /// Link round trips per steady-state pageout and per pagein. The
+    /// loopback cluster of the probe has no link to count them on:
+    /// `bench --bin policies` measures them over an emulated one and
+    /// fills them in; `None` (JSON `null`) from the probe alone.
+    pub round_trips: Option<(f64, f64)>,
 }
 
 /// Expected wire transfers per degraded read for `policy` with `s` data
@@ -205,6 +210,7 @@ pub fn probe_policy(policy: Policy, pages: usize) -> Result<PolicyProbe> {
         hedge_wins,
         hedge_win_rate,
         server_suspicion,
+        round_trips: None,
     })
 }
 
@@ -240,6 +246,10 @@ pub fn probe_to_json(p: &PolicyProbe) -> String {
         .iter()
         .map(|(id, s)| format!("\"srv{id}\": {s:.3}"))
         .collect();
+    let (trips_out, trips_in) = match p.round_trips {
+        Some((pageout, pagein)) => (format!("{pageout:.2}"), format!("{pagein:.2}")),
+        None => ("null".into(), "null".into()),
+    };
     format!(
         concat!(
             "{{\"policy\": \"{}\", \"servers\": {}, \"pageouts\": {}, ",
@@ -248,6 +258,7 @@ pub fn probe_to_json(p: &PolicyProbe) -> String {
             "\"degraded_reads\": {}, ",
             "\"measured_degraded_transfers\": {:.4}, ",
             "\"expected_degraded_transfers\": {}, ",
+            "\"round_trips_per_pageout\": {}, \"round_trips_per_pagein\": {}, ",
             "\"prefetch\": {{\"issued\": {}, \"hits\": {}, \"useless\": {}, ",
             "\"hit_rate\": {:.4}}}, ",
             "\"detector\": {{\"hedged_pageins\": {}, \"hedge_wins\": {}, ",
@@ -262,6 +273,8 @@ pub fn probe_to_json(p: &PolicyProbe) -> String {
         p.degraded_reads,
         p.measured_degraded_transfers,
         expected_degraded,
+        trips_out,
+        trips_in,
         p.prefetch_issued,
         p.prefetch_hits,
         p.prefetch_useless,
