@@ -874,7 +874,7 @@ impl Pager {
         self.drain_recovery_queue()?;
         // Each failed attempt can take down at most one server, so the
         // pool size bounds how many recover-and-retry rounds make sense.
-        let mut retries = self.pool.server_ids().len().max(1);
+        let mut retries = self.pool.server_count().max(1);
         loop {
             match self.with_engine(|engine, ctx| engine.page_out(ctx, id, page)) {
                 Ok(()) => {
@@ -964,7 +964,7 @@ impl Pager {
         if let Some(page) = self.maybe_hedged_read(id) {
             return Ok(page);
         }
-        let mut retries = self.pool.server_ids().len().max(1);
+        let mut retries = self.pool.server_count().max(1);
         loop {
             // `check_sum` counts the failures it detects itself; corruption
             // the pool caught on the wire arrives as an error and is

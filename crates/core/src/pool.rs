@@ -44,8 +44,8 @@ struct PoolMetrics {
     wire_transfers: Arc<Counter>,
     hedged_pageins: Arc<Counter>,
     hedge_wins: Arc<Counter>,
-    /// Sum of in-flight windowed frames across all connections, sampled
-    /// after each call.
+    /// Sum of in-flight windowed frames across all connections, each as
+    /// of the pool's last exchange with it.
     window_depth: Arc<Gauge>,
     /// Submissions that found a request window full and had to wait.
     window_stalls: Arc<Counter>,
@@ -87,6 +87,9 @@ struct Peer {
     /// `pool_window_stalls_total` (its counter is cumulative; the metric
     /// only takes deltas).
     stalls_seen: u64,
+    /// The in-flight frames of this connection at the pool's last
+    /// exchange with it: its share of `pool_window_depth`.
+    depth_seen: u64,
     /// `pool_call_latency_us{srvN}`, resolved on first use so only
     /// servers that take traffic appear.
     latency: Option<Arc<Histogram>>,
@@ -106,6 +109,7 @@ impl Peer {
             addr,
             grants: 0,
             stalls_seen: 0,
+            depth_seen: 0,
             latency: None,
             health: Health::default(),
             suspicion: None,
@@ -482,6 +486,11 @@ impl ServerPool {
         self.peers.keys().copied().collect()
     }
 
+    /// How many servers are registered.
+    pub fn server_count(&self) -> usize {
+        self.peers.len()
+    }
+
     /// The live load view.
     pub fn view(&self) -> &ClusterView {
         &self.view
@@ -633,29 +642,27 @@ impl ServerPool {
         }
     }
 
-    /// Mirrors the windowed transports' counters into the pool metrics:
-    /// `pool_window_depth` (sum of in-flight frames across connections)
-    /// and `pool_window_stalls_total` (per-server stall deltas, since the
-    /// transport's counters are cumulative and the metric only grows).
-    /// A no-op when no metrics are attached or no transport has a window.
-    fn publish_window_stats(&mut self) {
-        let Some(m) = &self.metrics else { return };
-        let mut depth = 0u64;
-        let mut any = false;
-        for peer in self.peers.values_mut() {
-            let Some(ws) = peer.transport.window_stats() else {
-                continue;
-            };
-            any = true;
-            depth += ws.inflight as u64;
-            if ws.stalls > peer.stalls_seen {
-                m.window_stalls.add(ws.stalls - peer.stalls_seen);
-            }
-            peer.stalls_seen = ws.stalls;
+    /// Mirrors the counters of `id`'s windowed transport — the one an
+    /// exchange just ran on; no other connection's reactor is disturbed
+    /// for it — into the pool metrics: `pool_window_depth` (the sum of
+    /// every connection's in-flight frames, each as of the last exchange
+    /// with it) and `pool_window_stalls_total` (stall deltas, since the
+    /// transport's counter is cumulative and the metric only grows).
+    /// A no-op when no metrics are attached or the transport has no window.
+    fn publish_window_stats(&mut self, id: ServerId) {
+        let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) else {
+            return;
+        };
+        let Some(ws) = peer.transport.window_stats() else {
+            return;
+        };
+        if ws.stalls > peer.stalls_seen {
+            m.window_stalls.add(ws.stalls - peer.stalls_seen);
         }
-        if any {
-            m.window_depth.set(depth);
-        }
+        peer.stalls_seen = ws.stalls;
+        peer.depth_seen = ws.inflight as u64;
+        m.window_depth
+            .set(self.peers.values().map(|peer| peer.depth_seen).sum());
     }
 
     /// Takes one health sample of `id` — what an attempt that took
@@ -705,20 +712,6 @@ impl ServerPool {
     /// out-of-memory becomes [`RmpError::NoSpace`], shutting-down becomes
     /// [`RmpError::ServerCrashed`] (with the server marked dead).
     fn call(&mut self, id: ServerId, msg: &Message) -> Result<Message> {
-        self.call_many(id, std::slice::from_ref(msg))
-            .map(|mut replies| replies.remove(0))
-    }
-
-    /// [`ServerPool::call`] generalized to a pipelined burst: every frame
-    /// in `msgs` is written before the first reply is read, so the whole
-    /// burst costs one round trip. The retry/Suspect/backoff machinery is
-    /// identical — a transient failure retries the *entire* burst against
-    /// a fresh connection (batch frames are idempotent: stores overwrite,
-    /// reads have no side effects).
-    fn call_many(&mut self, id: ServerId, msgs: &[Message]) -> Result<Vec<Message>> {
-        if msgs.is_empty() {
-            return Ok(Vec::new());
-        }
         if let Some(m) = &self.metrics {
             m.calls.inc();
         }
@@ -728,7 +721,27 @@ impl ServerPool {
         // so each retry inherited a fresh budget and a slow-failing server
         // could hold a caller far past the intended bound.)
         let deadline = Instant::now() + self.transport_cfg.effective_call_budget();
-        self.ladder(id, msgs, None, deadline)
+        self.ladder(id, msg.is_data_op(), None, deadline, |t| t.call(msg))
+    }
+
+    /// [`ServerPool::call`] generalized to a pipelined burst: every frame
+    /// in `msgs` is written before the first reply is read, so the whole
+    /// burst costs one round trip. The retry/Suspect/backoff machinery is
+    /// identical — a transient failure retries the *entire* burst against
+    /// a fresh connection (batch frames are idempotent: stores overwrite,
+    /// reads have no side effects). A burst of one is a call.
+    fn call_many(&mut self, id: ServerId, msgs: &[Message]) -> Result<Vec<Message>> {
+        match msgs {
+            [] => return Ok(Vec::new()),
+            [msg] => return self.call(id, msg).map(|reply| vec![reply]),
+            _ => {}
+        }
+        if let Some(m) = &self.metrics {
+            m.calls.inc();
+        }
+        let deadline = Instant::now() + self.transport_cfg.effective_call_budget();
+        let data_path = msgs.iter().any(Message::is_data_op);
+        self.ladder(id, data_path, None, deadline, |t| t.call_pipelined(msgs))
     }
 
     /// The retry ladder every exchange ends in: attempt, and on a
@@ -737,17 +750,19 @@ impl ServerPool {
     /// declared dead. `ran` is the first attempt when the caller already
     /// made it — a leg of a wave that came back failed, with how long it
     /// took: the ladder then starts at what follows a failed attempt, so a
-    /// call and a scattered leg share every rung.
-    fn ladder(
+    /// call and a scattered leg share every rung. `exchange` is the
+    /// attempt itself — one frame or a burst, which is all that differs
+    /// between them — and `data_path` whether it moves page data.
+    fn ladder<R>(
         &mut self,
         id: ServerId,
-        msgs: &[Message],
+        data_path: bool,
         mut ran: Option<(RmpError, Duration)>,
         deadline: Instant,
-    ) -> Result<Vec<Message>> {
+        mut exchange: impl FnMut(&mut dyn ServerTransport) -> Result<R>,
+    ) -> Result<R> {
         let max_attempts = self.transport_cfg.retry.max_attempts.max(1);
         let mut saw_timeout = false;
-        let data_path = msgs.iter().any(Message::is_data_op);
         for attempt in 0..max_attempts {
             self.last_attempts = attempt + 1;
             let (err, elapsed) = match ran.take() {
@@ -759,18 +774,14 @@ impl ServerPool {
                         .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?
                         .transport;
                     let start = Instant::now();
-                    let outcome = if msgs.len() == 1 {
-                        transport.call(&msgs[0]).map(|reply| vec![reply])
-                    } else {
-                        transport.call_pipelined(msgs)
-                    };
+                    let outcome = exchange(transport.as_mut());
                     let elapsed = start.elapsed();
                     self.record_attempt(id, elapsed);
-                    self.publish_window_stats();
+                    self.publish_window_stats(id);
                     match outcome {
-                        Ok(replies) => {
+                        Ok(replied) => {
                             self.sample(id, elapsed, Outcome::Reply { data_path });
-                            return Ok(replies);
+                            return Ok(replied);
                         }
                         Err(e) => (e, elapsed),
                     }
@@ -976,20 +987,20 @@ impl ServerPool {
                     continue;
                 };
                 let failed = std::mem::replace(e, RmpError::ServerCrashed(id));
-                let request = std::slice::from_ref(&msgs[at]);
-                let retried = if walked && is_transient(&failed) {
+                let request = &msgs[at];
+                out[order[at]] = if walked && is_transient(&failed) {
                     match self.view.is_alive(id) {
-                        true => self.call_many(id, request),
+                        true => self.call(id, request),
                         false => continue,
                     }
                 } else {
                     walked |= is_transient(&failed);
-                    self.ladder(id, request, Some((failed, elapsed)), budget)
+                    let ran = Some((failed, elapsed));
+                    self.ladder(id, request.is_data_op(), ran, budget, |t| t.call(request))
                 };
-                out[order[at]] = retried.map(|mut replies| replies.remove(0));
             }
+            self.publish_window_stats(id);
         }
-        self.publish_window_stats();
         out
     }
 
@@ -1448,7 +1459,7 @@ impl ServerPool {
             Err(_) => Outcome::Miss,
         };
         self.sample(fetch.server, fetch.issued.elapsed(), outcome);
-        self.publish_window_stats();
+        self.publish_window_stats(fetch.server);
         self.decode_batch_replies(fetch.server, replies?, &[(fetch.seq, &fetch.keys)])
     }
 

@@ -4,9 +4,10 @@
 //! request, so a single client thread can never keep more than one frame
 //! on the wire. Every pool connection is instead an event-driven reactor:
 //! requests are wrapped in seq-tagged
-//! [`Message::Windowed`] envelopes, the submitting thread reserves window
-//! slots under the shared lock and writes the frames itself (one vectored
-//! write per burst, outside the lock), and a per-connection driver thread
+//! [`Message::Windowed`] envelopes, the submitting thread encodes a burst
+//! into the transport's one reusable buffer, reserves window slots under
+//! the shared lock and writes the burst itself (one `write`, outside the
+//! lock), and a per-connection driver thread
 //! does nothing but read: it blocks in `read(2)` so the kernel wakes it
 //! the instant reply bytes arrive, decodes the burst, and matches each
 //! reply — which may arrive out of order — back to its per-call
@@ -49,14 +50,14 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use rmp_proto::wire::HEADER_LEN;
 use rmp_proto::{FrameAccumulator, Framed, Message};
 use rmp_types::{ErrorCode, Result, RmpError, TransportConfig};
 
@@ -112,10 +113,15 @@ impl Dead {
     }
 }
 
-/// One call's completion slot: the waker handed from the submitting
+/// One frame's completion slot: the waker handed from the submitting
 /// thread to the driver. The result is stamped with its arrival time, so
 /// a waiter that collects it late — it was waiting on another server's
 /// reply — still learns how long *this* server took.
+///
+/// A slot is written through the clone in [`Inner::pending`] and through
+/// nothing else, and that clone is gone once the frame is answered,
+/// abandoned or failed with its connection — which is what lets
+/// [`WindowedTransport::call`] use one slot for every call.
 #[derive(Default)]
 struct Slot {
     state: Mutex<Option<(Result<Message>, Instant)>>,
@@ -173,6 +179,51 @@ impl Shared {
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("reactor lock")
     }
+
+    /// Blocks until `slot` — the one registered under `seq` — holds its
+    /// result or `deadline` passes, in which case the seq is abandoned:
+    /// its window slot frees now and the reply, if it ever comes, is
+    /// dropped as late.
+    fn wait_slot(&self, seq: u32, slot: &Slot, deadline: Instant) -> (Result<Message>, Instant) {
+        let mut state = slot.state.lock().expect("slot lock");
+        loop {
+            if let Some(arrived) = state.take() {
+                return arrived;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                drop(state);
+                let mut inner = self.lock();
+                if inner.pending.remove(&seq).is_some() {
+                    inner.inflight -= 1;
+                    self.space_cv.notify_all();
+                    let timed_out = RmpError::Io(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "windowed call timed out",
+                    ));
+                    return (Err(timed_out), now);
+                }
+                drop(inner);
+                // The driver completed this seq between our timeout and
+                // the abandon attempt; the result is there now.
+                state = slot.state.lock().expect("slot lock");
+                continue;
+            }
+            let (guard, _) = slot
+                .cv
+                .wait_timeout(state, deadline - now)
+                .expect("slot lock");
+            state = guard;
+        }
+    }
+}
+
+/// A protocol `Error` reply as the [`RmpError::Remote`] callers branch on.
+fn typed(reply: Message) -> Result<Message> {
+    match reply {
+        Message::Error { code, message } => Err(RmpError::Remote { code, message }),
+        reply => Ok(reply),
+    }
 }
 
 /// The error of a frame that has no reply of its own because the burst it
@@ -197,41 +248,25 @@ fn mark_dead(inner: &mut Inner, reason: Dead, space_cv: &Condvar) {
     space_cv.notify_all();
 }
 
-/// Writes every segment to the blocking socket as a sequence of vectored
-/// writes — a full window of frames (each a 12-byte envelope prefix plus
-/// its body) leaves in one `writev(2)` instead of two syscalls per frame.
+/// Writes a burst of encoded frames to the blocking socket — one
+/// `write(2)` unless the send buffer takes it in pieces.
 ///
 /// Called by the submitting thread only, never while holding
 /// [`Shared::inner`]: a blocking write that stalled on a full send buffer
 /// while holding the lock would wedge the driver (which needs the lock to
 /// complete replies) and deadlock the connection. The socket's
 /// `SO_SNDTIMEO` bounds the stall; hitting it surfaces as `TimedOut`.
-fn write_segments(stream: &TcpStream, segments: &[Bytes]) -> io::Result<()> {
-    /// Segments gathered per `writev`; 64 covers a 32-frame window.
-    const WRITEV_BATCH: usize = 64;
-    let mut seg = 0;
-    let mut off = 0;
-    while seg < segments.len() {
-        let slices: Vec<io::IoSlice<'_>> = std::iter::once(io::IoSlice::new(&segments[seg][off..]))
-            .chain(segments[seg + 1..].iter().map(|b| io::IoSlice::new(b)))
-            .take(WRITEV_BATCH)
-            .collect();
-        match (&*stream).write_vectored(&slices) {
+fn write_burst(mut stream: &TcpStream, mut frames: &[u8]) -> io::Result<()> {
+    while !frames.is_empty() {
+        match stream.write(frames) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
                     "socket accepted no bytes",
                 ));
             }
-            Ok(written) => {
-                let mut n = written + off;
-                while seg < segments.len() && n >= segments[seg].len() {
-                    n -= segments[seg].len();
-                    seg += 1;
-                }
-                off = n;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Ok(written) => frames = &frames[written..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -246,19 +281,47 @@ fn write_segments(stream: &TcpStream, segments: &[Bytes]) -> io::Result<()> {
     Ok(())
 }
 
+/// Releases the lock, writes `frames` to the socket, and re-acquires the
+/// lock; a write failure kills the connection (the caller observes
+/// `inner.dead`). See [`write_burst`] for why the write must not happen
+/// under the lock.
+fn flush<'a>(
+    shared: &'a Shared,
+    stream: Option<&TcpStream>,
+    inner: MutexGuard<'a, Inner>,
+    frames: &[u8],
+) -> MutexGuard<'a, Inner> {
+    drop(inner);
+    let result = match stream {
+        Some(stream) => write_burst(stream, frames),
+        // No stream means the handshake failed and `dead` is already
+        // installed; the caller's dead-check surfaces it.
+        None => Ok(()),
+    };
+    let mut inner = shared.lock();
+    if let Err(e) = result {
+        mark_dead(
+            &mut inner,
+            Dead::Io(e.kind(), e.to_string()),
+            &shared.space_cv,
+        );
+    }
+    inner
+}
+
 /// Routes one inbound frame: enveloped replies complete their seq's slot;
 /// a bare `Error` (e.g. an accept-time overload refusal) concerns the
 /// whole connection and fails everything.
-fn complete_frame(inner: &mut Inner, msg: Message, space_cv: &Condvar) {
-    match msg {
-        Message::Windowed { seq, inner: reply } => match inner.pending.remove(&seq) {
+fn complete_frame(inner: &mut Inner, frame: (Option<u32>, Message), space_cv: &Condvar) {
+    match frame {
+        (Some(seq), reply) => match inner.pending.remove(&seq) {
             Some(slot) => {
                 inner.inflight -= 1;
                 inner.completed += 1;
-                slot.complete(Ok(*reply));
+                slot.complete(Ok(reply));
                 // Hysteresis: wake stalled submitters only once half the
                 // window has drained, so each wakeup injects half a
-                // window of frames in one vectored write. Waking on
+                // window of frames in one write. Waking on
                 // every completion costs a condvar-and-scheduler round
                 // trip per frame — the submitter trickles in one frame
                 // per reply and the pipeline collapses to lockstep.
@@ -271,10 +334,10 @@ fn complete_frame(inner: &mut Inner, msg: Message, space_cv: &Condvar) {
             }
             None => inner.late_replies += 1,
         },
-        Message::Error { code, message } => {
+        (None, Message::Error { code, message }) => {
             mark_dead(inner, Dead::Remote(code, message), space_cv);
         }
-        other => {
+        (None, other) => {
             mark_dead(
                 inner,
                 Dead::Io(
@@ -296,39 +359,38 @@ fn complete_frame(inner: &mut Inner, msg: Message, space_cv: &Condvar) {
 /// shuts down (teardown also shuts the socket down, turning a parked
 /// read into an immediate EOF).
 fn drive(stream: TcpStream, shared: Arc<Shared>) {
+    // Reads land in the accumulator's own buffer, sized to take a full
+    // 32-frame burst of page replies (the server writes each burst's
+    // replies as one block) in one read.
     let mut acc = FrameAccumulator::new();
-    // Large enough to take a full 32-frame burst of page replies (the
-    // server writes each burst's replies as one block) in one read.
-    let mut rbuf = vec![0u8; 256 * 1024];
+    // The frames of one read; emptied by every turn, reused by the next.
+    let mut burst: Vec<(Option<u32>, Message)> = Vec::new();
     loop {
         let mut fatal: Option<Dead> = None;
-        let mut read = 0;
-        match (&stream).read(&mut rbuf) {
+        match acc.fill_from(&mut &stream) {
             Ok(0) => {
                 fatal = Some(Dead::Io(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection".into(),
                 ));
             }
-            Ok(n) => read = n,
+            Ok(_) => {}
             // An SO_RCVTIMEO tick (EAGAIN on Linux, TimedOut elsewhere):
             // no data yet; fall through to the shutdown check below.
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => fatal = Some(Dead::Io(e.kind(), e.to_string())),
         }
         shared.wakeups.fetch_add(1, Ordering::Relaxed);
-        acc.extend(&rbuf[..read]);
 
         // Decode the burst before taking the lock — deserializing a page
-        // reply copies 4 KiB, and submitters need the lock to refill the
-        // window while we work through a burst.
-        let mut burst = Vec::new();
+        // reply copies its 8 KiB out of the read buffer, and submitters
+        // need the lock to refill the window while we work through a
+        // burst.
         loop {
-            match acc.next_frame() {
-                Ok(Some(msg)) => burst.push(msg),
+            match acc.next_enveloped() {
+                Ok(Some(frame)) => burst.push(frame),
                 Ok(None) => break,
                 Err(e) => {
                     fatal = Some(Dead::Io(io::ErrorKind::InvalidData, e.to_string()));
@@ -338,8 +400,8 @@ fn drive(stream: TcpStream, shared: Arc<Shared>) {
         }
 
         let mut inner = shared.lock();
-        for msg in burst {
-            complete_frame(&mut inner, msg, &shared.space_cv);
+        for frame in burst.drain(..) {
+            complete_frame(&mut inner, frame, &shared.space_cv);
         }
         if let Some(reason) = fatal {
             mark_dead(&mut inner, reason, &shared.space_cv);
@@ -492,49 +554,9 @@ impl PendingReplies {
     /// is taken.
     pub(crate) fn next_by(&mut self, deadline: Instant) -> Option<(Result<Message>, Instant)> {
         let (seq, slot) = self.slots.get(self.taken)?;
-        let (seq, slot) = (*seq, Arc::clone(slot));
         self.taken += 1;
-        let (result, at) = self.wait_slot(seq, &slot, deadline);
-        let result = result.and_then(|reply| match reply {
-            Message::Error { code, message } => Err(RmpError::Remote { code, message }),
-            reply => Ok(reply),
-        });
-        Some((result, at))
-    }
-
-    fn wait_slot(&self, seq: u32, slot: &Slot, deadline: Instant) -> (Result<Message>, Instant) {
-        let mut state = slot.state.lock().expect("slot lock");
-        loop {
-            if let Some(arrived) = state.take() {
-                return arrived;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(state);
-                let mut inner = self.shared.lock();
-                if inner.pending.remove(&seq).is_some() {
-                    // Abandoned: the slot frees now, the reply (if it
-                    // ever comes) is dropped as late.
-                    inner.inflight -= 1;
-                    self.shared.space_cv.notify_all();
-                    let timed_out = RmpError::Io(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "windowed call timed out",
-                    ));
-                    return (Err(timed_out), now);
-                }
-                drop(inner);
-                // The driver completed this seq between our timeout and
-                // the abandon attempt; the result is there now.
-                state = slot.state.lock().expect("slot lock");
-                continue;
-            }
-            let (guard, _) = slot
-                .cv
-                .wait_timeout(state, deadline - now)
-                .expect("slot lock");
-            state = guard;
-        }
+        let (result, at) = self.shared.wait_slot(*seq, slot, deadline);
+        Some((result.and_then(typed), at))
     }
 }
 
@@ -568,6 +590,16 @@ pub struct WindowedTransport {
     stream: Option<TcpStream>,
     driver: Option<JoinHandle<()>>,
     granted: usize,
+    /// The burst being submitted, envelopes and all: encoded here before
+    /// the lock is taken, given its seqs under it, written from here
+    /// after. One buffer for the connection's life, so a submission
+    /// allocates nothing for its frames.
+    wbuf: Vec<u8>,
+    /// The slot every [`ServerTransport::call`] waits on. `call` takes
+    /// `&mut self` and returns only once its frame is answered, abandoned
+    /// or failed with the connection — no clone of the slot is left in
+    /// `pending` to write a stale result into the next call.
+    call_slot: Arc<Slot>,
 }
 
 impl std::fmt::Debug for WindowedTransport {
@@ -610,6 +642,8 @@ impl WindowedTransport {
             stream: None,
             driver: None,
             granted: 1,
+            wbuf: Vec::new(),
+            call_slot: Arc::new(Slot::default()),
         };
         transport.establish()?;
         Ok(transport)
@@ -707,17 +741,39 @@ impl WindowedTransport {
     /// enqueued before a mid-batch failure stay in flight and their
     /// replies are discarded on arrival.
     pub fn submit(&mut self, msgs: &[Message]) -> Result<PendingReplies> {
+        let mut slots: Vec<(u32, Arc<Slot>)> = (msgs.iter())
+            .map(|_| (0, Arc::new(Slot::default())))
+            .collect();
+        self.put_on_window(msgs, &mut slots)?;
+        Ok(PendingReplies {
+            shared: Arc::clone(&self.shared),
+            read_timeout: self.config.read_timeout,
+            slots,
+            taken: 0,
+        })
+    }
+
+    /// The one way onto the wire: encodes `msgs` as windowed frames into
+    /// the transport's buffer, registers `slots[i].1` to be completed by
+    /// the reply to `msgs[i]` under a fresh seq (left in `slots[i].0`),
+    /// and writes the burst — one `write`, unless the window fills midway
+    /// and what is queued has to leave for it to drain.
+    fn put_on_window(&mut self, msgs: &[Message], slots: &mut [(u32, Arc<Slot>)]) -> Result<()> {
         let write_deadline = Instant::now() + self.config.write_timeout;
-        // Encode before taking the lock: a page-carrying frame costs a
-        // 4 KiB copy, and the driver needs the lock to complete replies
+        // Encode before taking the lock: a page-carrying frame costs an
+        // 8 KiB copy, and the driver needs the lock to complete replies
         // — encoding under it would stall completions for the whole
-        // batch. The envelope prefix (which needs the seq) is built
-        // under the lock, but that is 12 bytes, not a page.
-        let encoded: Vec<Bytes> = msgs.iter().map(Message::encode).collect();
-        let mut slots = Vec::with_capacity(msgs.len());
-        let mut queued: Vec<Bytes> = Vec::with_capacity(msgs.len().min(self.granted) * 2);
-        let mut inner = self.shared.lock();
-        for frame in encoded {
+        // batch. Only the seq (four bytes of the envelope, zero for now)
+        // is filled in under the lock.
+        self.wbuf.clear();
+        for msg in msgs {
+            Message::encode_windowed_into(0, msg, &mut self.wbuf);
+        }
+        let (shared, stream) = (&*self.shared, self.stream.as_ref());
+        // `wbuf[written..at]` is queued: given its seqs, not yet written.
+        let (mut written, mut at) = (0, 0);
+        let mut inner = shared.lock();
+        for (seq_out, slot) in slots.iter_mut() {
             if let Some(dead) = &inner.dead {
                 return Err(dead.to_error());
             }
@@ -731,8 +787,9 @@ impl WindowedTransport {
                 // so the server can drain it, then sleep until a
                 // completion frees a slot. The flush drops the lock for
                 // the write, so re-test everything afterwards.
-                if !queued.is_empty() {
-                    inner = self.flush(inner, &mut queued);
+                if written < at {
+                    inner = flush(shared, stream, inner, &self.wbuf[written..at]);
+                    written = at;
                     if let Some(dead) = &inner.dead {
                         return Err(dead.to_error());
                     }
@@ -745,8 +802,7 @@ impl WindowedTransport {
                         "request window stalled past the write deadline",
                     )));
                 }
-                let (guard, _) = self
-                    .shared
+                let (guard, _) = shared
                     .space_cv
                     .wait_timeout(inner, write_deadline - now)
                     .expect("reactor lock");
@@ -766,56 +822,24 @@ impl WindowedTransport {
                 seq = seq.wrapping_add(1);
             }
             inner.next_seq = seq.wrapping_add(1);
-            let slot = Arc::new(Slot::default());
-            inner.pending.insert(seq, Arc::clone(&slot));
+            inner.pending.insert(seq, Arc::clone(slot));
             inner.inflight += 1;
             inner.submitted += 1;
-            let [prefix, body] = Message::windowed_segments(seq, frame);
-            queued.push(prefix);
-            queued.push(body);
-            slots.push((seq, slot));
+            *seq_out = seq;
+            // An envelope is its header, then the seq, then the inner
+            // frame; the header's length field says where the next starts.
+            let frame = &mut self.wbuf[at..];
+            let len = u32::from_le_bytes(frame[4..HEADER_LEN].try_into().expect("four bytes"));
+            frame[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&seq.to_le_bytes());
+            at += HEADER_LEN + len as usize;
         }
-        if !queued.is_empty() {
-            inner = self.flush(inner, &mut queued);
+        if written < at {
+            inner = flush(shared, stream, inner, &self.wbuf[written..at]);
             if let Some(dead) = &inner.dead {
                 return Err(dead.to_error());
             }
         }
-        drop(inner);
-        Ok(PendingReplies {
-            shared: Arc::clone(&self.shared),
-            read_timeout: self.config.read_timeout,
-            slots,
-            taken: 0,
-        })
-    }
-
-    /// Releases the lock, writes the queued segments to the socket, and
-    /// re-acquires the lock; a write failure kills the connection (the
-    /// caller observes `inner.dead`). See [`write_segments`] for why the
-    /// write must not happen under the lock.
-    fn flush<'a>(
-        &'a self,
-        inner: MutexGuard<'a, Inner>,
-        queued: &mut Vec<Bytes>,
-    ) -> MutexGuard<'a, Inner> {
-        drop(inner);
-        let result = match &self.stream {
-            Some(stream) => write_segments(stream, queued),
-            // No stream means the handshake failed and `dead` is already
-            // installed; the caller's dead-check surfaces it.
-            None => Ok(()),
-        };
-        queued.clear();
-        let mut inner = self.shared.lock();
-        if let Err(e) = result {
-            mark_dead(
-                &mut inner,
-                Dead::Io(e.kind(), e.to_string()),
-                &self.shared.space_cv,
-            );
-        }
-        inner
+        Ok(())
     }
 
     /// Pins the next sequence number, so tests can stage a wrap-around
@@ -842,11 +866,19 @@ impl WindowedTransport {
 
 impl ServerTransport for WindowedTransport {
     fn call(&mut self, msg: &Message) -> Result<Message> {
-        let replies = self.submit(std::slice::from_ref(msg))?.wait_all()?;
-        replies
-            .into_iter()
-            .next()
-            .ok_or_else(|| RmpError::Protocol("windowed call yielded no reply".into()))
+        // A submission of one that allocates nothing: the frame goes
+        // through the transport's buffer and the reply through its slot.
+        // Whatever an earlier call that failed with its connection left
+        // in the slot is discarded first.
+        let mut slot = [(0, Arc::clone(&self.call_slot))];
+        *slot[0].1.state.lock().expect("slot lock") = None;
+        self.put_on_window(std::slice::from_ref(msg), &mut slot)?;
+        let [(seq, slot)] = slot;
+        let deadline = Instant::now() + self.config.read_timeout;
+        self.shared
+            .wait_slot(seq, &slot, deadline)
+            .0
+            .and_then(typed)
     }
 
     fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
@@ -865,7 +897,9 @@ impl ServerTransport for WindowedTransport {
         let Some(stream) = &self.stream else {
             return Err(RmpError::Protocol("no stream on a live transport".into()));
         };
-        if let Err(e) = write_segments(stream, &[msg.encode()]) {
+        self.wbuf.clear();
+        msg.encode_into(&mut self.wbuf);
+        if let Err(e) = write_burst(stream, &self.wbuf) {
             let mut inner = self.shared.lock();
             let dead = Dead::Io(e.kind(), e.to_string());
             mark_dead(&mut inner, dead, &self.shared.space_cv);

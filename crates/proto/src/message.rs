@@ -1,6 +1,6 @@
 //! Protocol messages and their binary encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use rmp_types::{ErrorCode, Page, Result, RmpError, StoreKey, PAGE_SIZE};
 
 use crate::wire::{FrameHeader, Opcode, HEADER_LEN, MAX_BATCH_PAGES};
@@ -367,126 +367,151 @@ impl Message {
 
     /// Encodes the message (header + payload) into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut payload = BytesMut::with_capacity(64);
-        match self {
-            Message::Alloc { pages } => payload.put_u32_le(*pages),
-            Message::AllocReply { granted, hint } => {
-                payload.put_u32_le(*granted);
-                payload.put_u8(hint.to_u8());
+        let mut frame = Vec::new();
+        self.encode_into(&mut frame);
+        Bytes::from(frame)
+    }
+
+    /// Bytes [`Message::encode_into`] is about to append, to within a few
+    /// for the small frames: what it reserves before the first one.
+    fn frame_len_hint(&self) -> usize {
+        HEADER_LEN
+            + match self {
+                Message::PageOut { .. }
+                | Message::PageInReply { .. }
+                | Message::PageOutDelta { .. }
+                | Message::PageOutDeltaReply { .. }
+                | Message::XorInto { .. } => 17 + PAGE_SIZE,
+                Message::ListPagesReply { ids, .. } | Message::PageInBatch { ids, .. } => {
+                    6 + ids.len() * 8
+                }
+                Message::Error { message: text, .. } | Message::StatsReply { json: text } => {
+                    5 + text.len()
+                }
+                Message::BatchReply { items, .. } => 7 + items.len() * (9 + PAGE_SIZE),
+                Message::Windowed { inner, .. } => 4 + inner.frame_len_hint(),
+                _ => 24,
             }
-            Message::PageOut { id, checksum, page } => {
-                payload.reserve(16 + PAGE_SIZE);
-                payload.put_u64_le(id.0);
-                payload.put_u64_le(*checksum);
-                payload.put_slice(page.as_ref());
+    }
+
+    /// Appends the encoded frame (header + payload) to `out`: the one
+    /// encoder. Every byte is written once, straight into the caller's
+    /// buffer — the header goes first with its length left open and is
+    /// patched when the payload's end is known, and an envelope encodes
+    /// its inner frame in place — so a buffer reused from frame to frame
+    /// makes encoding allocation-free.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.frame_len_hint());
+        let frame = open_frame(self.opcode(), out);
+        match self {
+            Message::Alloc { pages } => out.put_u32_le(*pages),
+            Message::AllocReply { granted, hint } => {
+                out.put_u32_le(*granted);
+                out.put_u8(hint.to_u8());
+            }
+            Message::PageOut { id, checksum, page }
+            | Message::PageInReply { id, checksum, page }
+            | Message::PageOutDelta { id, checksum, page } => {
+                out.put_u64_le(id.0);
+                out.put_u64_le(*checksum);
+                out.put_slice(page.as_ref());
             }
             Message::PageOutAck { id, hint } => {
-                payload.put_u64_le(id.0);
-                payload.put_u8(hint.to_u8());
+                out.put_u64_le(id.0);
+                out.put_u8(hint.to_u8());
             }
-            Message::PageIn { id } | Message::PageInMiss { id } => payload.put_u64_le(id.0),
-            Message::PageInReply { id, checksum, page } => {
-                payload.reserve(16 + PAGE_SIZE);
-                payload.put_u64_le(id.0);
-                payload.put_u64_le(*checksum);
-                payload.put_slice(page.as_ref());
-            }
-            Message::Free { id } | Message::FreeAck { id } => payload.put_u64_le(id.0),
-            Message::LoadQuery | Message::InjectCrash | Message::Shutdown => {}
+            Message::PageIn { id }
+            | Message::PageInMiss { id }
+            | Message::Free { id }
+            | Message::FreeAck { id }
+            | Message::XorAck { id } => out.put_u64_le(id.0),
+            Message::LoadQuery | Message::InjectCrash | Message::Shutdown | Message::GetStats => {}
             Message::LoadReport {
                 free_pages,
                 stored_pages,
                 cpu_permille,
                 hint,
             } => {
-                payload.put_u64_le(*free_pages);
-                payload.put_u64_le(*stored_pages);
-                payload.put_u16_le(*cpu_permille);
-                payload.put_u8(hint.to_u8());
+                out.put_u64_le(*free_pages);
+                out.put_u64_le(*stored_pages);
+                out.put_u16_le(*cpu_permille);
+                out.put_u8(hint.to_u8());
             }
             Message::ListPages { start, limit } => {
-                payload.put_u64_le(start.0);
-                payload.put_u32_le(*limit);
+                out.put_u64_le(start.0);
+                out.put_u32_le(*limit);
             }
             Message::ListPagesReply { ids, more } => {
-                payload.put_u32_le(ids.len() as u32);
-                payload.put_u8(u8::from(*more));
+                out.put_u32_le(ids.len() as u32);
+                out.put_u8(u8::from(*more));
                 for id in ids {
-                    payload.put_u64_le(id.0);
+                    out.put_u64_le(id.0);
                 }
             }
             Message::Error { code, message } => {
                 let bytes = message.as_bytes();
-                payload.put_u8(code.to_u8());
-                payload.put_u32_le(bytes.len() as u32);
-                payload.put_slice(bytes);
-            }
-            Message::PageOutDelta { id, checksum, page } => {
-                payload.reserve(16 + PAGE_SIZE);
-                payload.put_u64_le(id.0);
-                payload.put_u64_le(*checksum);
-                payload.put_slice(page.as_ref());
+                out.put_u8(code.to_u8());
+                out.put_u32_le(bytes.len() as u32);
+                out.put_slice(bytes);
             }
             Message::XorInto { id, page } => {
-                payload.reserve(8 + PAGE_SIZE);
-                payload.put_u64_le(id.0);
-                payload.put_slice(page.as_ref());
+                out.put_u64_le(id.0);
+                out.put_slice(page.as_ref());
             }
             Message::PageOutDeltaReply { id, delta, hint } => {
-                payload.reserve(9 + PAGE_SIZE);
-                payload.put_u64_le(id.0);
-                payload.put_u8(hint.to_u8());
-                payload.put_slice(delta.as_ref());
+                out.put_u64_le(id.0);
+                out.put_u8(hint.to_u8());
+                out.put_slice(delta.as_ref());
             }
-            Message::XorAck { id } => payload.put_u64_le(id.0),
-            Message::GetStats => {}
             Message::StatsReply { json } => {
                 let bytes = json.as_bytes();
-                payload.put_u32_le(bytes.len() as u32);
-                payload.put_slice(bytes);
+                out.put_u32_le(bytes.len() as u32);
+                out.put_slice(bytes);
             }
             Message::PageInBatch { seq, ids } => {
-                payload.put_u32_le(*seq);
-                payload.put_u16_le(ids.len() as u16);
+                out.put_u32_le(*seq);
+                out.put_u16_le(ids.len() as u16);
                 for id in ids {
-                    payload.put_u64_le(id.0);
+                    out.put_u64_le(id.0);
                 }
             }
             Message::BatchReply { seq, hint, items } => {
-                payload.reserve(7 + items.len() * (9 + PAGE_SIZE));
-                payload.put_u32_le(*seq);
-                payload.put_u8(hint.to_u8());
-                payload.put_u16_le(items.len() as u16);
+                out.put_u32_le(*seq);
+                out.put_u8(hint.to_u8());
+                out.put_u16_le(items.len() as u16);
                 for item in items {
-                    payload.put_u8(item.tag());
+                    out.put_u8(item.tag());
                     match item {
                         BatchItem::Miss => {}
                         BatchItem::Page { checksum, page } => {
-                            payload.put_u64_le(*checksum);
-                            payload.put_slice(page.as_ref());
+                            out.put_u64_le(*checksum);
+                            out.put_slice(page.as_ref());
                         }
-                        BatchItem::Err(code) => payload.put_u8(code.to_u8()),
+                        BatchItem::Err(code) => out.put_u8(code.to_u8()),
                     }
                 }
             }
             Message::Hello { window } | Message::HelloReply { window } => {
-                payload.put_u32_le(*window);
+                out.put_u32_le(*window);
             }
             Message::Windowed { seq, inner } => {
-                let inner_frame = inner.encode();
-                payload.reserve(4 + inner_frame.len());
-                payload.put_u32_le(*seq);
-                payload.put_slice(&inner_frame);
+                out.put_u32_le(*seq);
+                inner.encode_into(out);
             }
         }
-        let mut frame = BytesMut::with_capacity(HEADER_LEN + payload.len());
-        FrameHeader {
-            opcode: self.opcode(),
-            len: payload.len() as u32,
-        }
-        .encode(&mut frame);
-        frame.extend_from_slice(&payload);
-        frame.freeze()
+        close_frame(frame, out);
+    }
+
+    /// Appends the windowed envelope of `inner` under `seq` to `out` —
+    /// what [`Message::encode_into`] writes for the equivalent
+    /// [`Message::Windowed`], without building (and boxing) one. The
+    /// session loop and the reactor put every frame on the wire this way.
+    pub fn encode_windowed_into(seq: u32, inner: &Message, out: &mut Vec<u8>) {
+        out.reserve(HEADER_LEN + 4 + inner.frame_len_hint());
+        let frame = open_frame(Opcode::Windowed, out);
+        out.put_u32_le(seq);
+        inner.encode_into(out);
+        close_frame(frame, out);
     }
 
     /// Decodes a message payload of kind `opcode` from `buf`.
@@ -494,25 +519,31 @@ impl Message {
     /// # Errors
     ///
     /// Returns [`RmpError::Protocol`] on truncated or malformed payloads.
-    pub fn decode(opcode: Opcode, mut buf: Bytes) -> Result<Message> {
-        fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-            if buf.remaining() < n {
-                return Err(RmpError::Protocol(format!(
-                    "truncated {what}: need {n} bytes, have {}",
-                    buf.remaining()
-                )));
-            }
-            Ok(())
+    pub fn decode(opcode: Opcode, buf: Bytes) -> Result<Message> {
+        Message::decode_from(opcode, &buf)
+    }
+
+    /// Decodes a message payload of kind `opcode` from a borrowed slice:
+    /// the one decoder. Nothing is copied but what the message keeps — a
+    /// page goes from `payload` into its [`Page`] in one pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RmpError::Protocol`] on truncated or malformed payloads.
+    pub fn decode_from(opcode: Opcode, payload: &[u8]) -> Result<Message> {
+        fn get_page(buf: &mut &[u8]) -> Result<Page> {
+            let page = (buf.get(..PAGE_SIZE).and_then(Page::from_slice)).ok_or_else(|| {
+                RmpError::Protocol(format!("truncated page payload: {} bytes", buf.len()))
+            })?;
+            buf.advance(PAGE_SIZE);
+            Ok(page)
         }
-        fn get_page(buf: &mut Bytes) -> Result<Page> {
-            if buf.remaining() < PAGE_SIZE {
-                return Err(RmpError::Protocol(format!(
-                    "truncated page payload: {} bytes",
-                    buf.remaining()
-                )));
-            }
-            let bytes = buf.copy_to_bytes(PAGE_SIZE);
-            Page::from_slice(&bytes).ok_or_else(|| RmpError::Protocol("bad page size".into()))
+        fn get_text(buf: &mut &[u8], len: usize, what: &str) -> Result<String> {
+            need(buf, len, what)?;
+            let text = String::from_utf8(buf[..len].to_vec())
+                .map_err(|_| RmpError::Protocol(format!("{what} not UTF-8")))?;
+            buf.advance(len);
+            Ok(text)
         }
         fn batch_count(raw: u16) -> Result<usize> {
             let count = raw as usize;
@@ -523,22 +554,23 @@ impl Message {
             }
             Ok(count)
         }
+        let mut buf = payload;
         let msg = match opcode {
             Opcode::Alloc => {
-                need(&buf, 4, "Alloc")?;
+                need(buf, 4, "Alloc")?;
                 Message::Alloc {
                     pages: buf.get_u32_le(),
                 }
             }
             Opcode::AllocReply => {
-                need(&buf, 5, "AllocReply")?;
+                need(buf, 5, "AllocReply")?;
                 Message::AllocReply {
                     granted: buf.get_u32_le(),
                     hint: LoadHint::from_u8(buf.get_u8())?,
                 }
             }
             Opcode::PageOut => {
-                need(&buf, 16, "PageOut")?;
+                need(buf, 16, "PageOut")?;
                 let id = StoreKey(buf.get_u64_le());
                 let checksum = buf.get_u64_le();
                 Message::PageOut {
@@ -548,20 +580,20 @@ impl Message {
                 }
             }
             Opcode::PageOutAck => {
-                need(&buf, 9, "PageOutAck")?;
+                need(buf, 9, "PageOutAck")?;
                 Message::PageOutAck {
                     id: StoreKey(buf.get_u64_le()),
                     hint: LoadHint::from_u8(buf.get_u8())?,
                 }
             }
             Opcode::PageIn => {
-                need(&buf, 8, "PageIn")?;
+                need(buf, 8, "PageIn")?;
                 Message::PageIn {
                     id: StoreKey(buf.get_u64_le()),
                 }
             }
             Opcode::PageInReply => {
-                need(&buf, 16, "PageInReply")?;
+                need(buf, 16, "PageInReply")?;
                 let id = StoreKey(buf.get_u64_le());
                 let checksum = buf.get_u64_le();
                 Message::PageInReply {
@@ -571,26 +603,26 @@ impl Message {
                 }
             }
             Opcode::PageInMiss => {
-                need(&buf, 8, "PageInMiss")?;
+                need(buf, 8, "PageInMiss")?;
                 Message::PageInMiss {
                     id: StoreKey(buf.get_u64_le()),
                 }
             }
             Opcode::Free => {
-                need(&buf, 8, "Free")?;
+                need(buf, 8, "Free")?;
                 Message::Free {
                     id: StoreKey(buf.get_u64_le()),
                 }
             }
             Opcode::FreeAck => {
-                need(&buf, 8, "FreeAck")?;
+                need(buf, 8, "FreeAck")?;
                 Message::FreeAck {
                     id: StoreKey(buf.get_u64_le()),
                 }
             }
             Opcode::LoadQuery => Message::LoadQuery,
             Opcode::LoadReport => {
-                need(&buf, 19, "LoadReport")?;
+                need(buf, 19, "LoadReport")?;
                 Message::LoadReport {
                     free_pages: buf.get_u64_le(),
                     stored_pages: buf.get_u64_le(),
@@ -599,17 +631,17 @@ impl Message {
                 }
             }
             Opcode::ListPages => {
-                need(&buf, 12, "ListPages")?;
+                need(buf, 12, "ListPages")?;
                 Message::ListPages {
                     start: StoreKey(buf.get_u64_le()),
                     limit: buf.get_u32_le(),
                 }
             }
             Opcode::ListPagesReply => {
-                need(&buf, 5, "ListPagesReply")?;
+                need(buf, 5, "ListPagesReply")?;
                 let count = buf.get_u32_le() as usize;
                 let more = buf.get_u8() != 0;
-                need(&buf, count * 8, "ListPagesReply ids")?;
+                need(buf, count * 8, "ListPagesReply ids")?;
                 let mut ids = Vec::with_capacity(count);
                 for _ in 0..count {
                     ids.push(StoreKey(buf.get_u64_le()));
@@ -619,17 +651,14 @@ impl Message {
             Opcode::InjectCrash => Message::InjectCrash,
             Opcode::Shutdown => Message::Shutdown,
             Opcode::Error => {
-                need(&buf, 5, "Error")?;
+                need(buf, 5, "Error")?;
                 let code = ErrorCode::from_u8(buf.get_u8());
                 let len = buf.get_u32_le() as usize;
-                need(&buf, len, "Error message")?;
-                let bytes = buf.copy_to_bytes(len);
-                let message = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| RmpError::Protocol("error message not UTF-8".into()))?;
+                let message = get_text(&mut buf, len, "error message")?;
                 Message::Error { code, message }
             }
             Opcode::PageOutDelta => {
-                need(&buf, 16, "PageOutDelta")?;
+                need(buf, 16, "PageOutDelta")?;
                 let id = StoreKey(buf.get_u64_le());
                 let checksum = buf.get_u64_le();
                 Message::PageOutDelta {
@@ -639,7 +668,7 @@ impl Message {
                 }
             }
             Opcode::PageOutDeltaReply => {
-                need(&buf, 9, "PageOutDeltaReply")?;
+                need(buf, 9, "PageOutDeltaReply")?;
                 let id = StoreKey(buf.get_u64_le());
                 let hint = LoadHint::from_u8(buf.get_u8())?;
                 Message::PageOutDeltaReply {
@@ -649,7 +678,7 @@ impl Message {
                 }
             }
             Opcode::XorInto => {
-                need(&buf, 8, "XorInto")?;
+                need(buf, 8, "XorInto")?;
                 let id = StoreKey(buf.get_u64_le());
                 Message::XorInto {
                     id,
@@ -657,26 +686,23 @@ impl Message {
                 }
             }
             Opcode::XorAck => {
-                need(&buf, 8, "XorAck")?;
+                need(buf, 8, "XorAck")?;
                 Message::XorAck {
                     id: StoreKey(buf.get_u64_le()),
                 }
             }
             Opcode::GetStats => Message::GetStats,
             Opcode::StatsReply => {
-                need(&buf, 4, "StatsReply")?;
+                need(buf, 4, "StatsReply")?;
                 let len = buf.get_u32_le() as usize;
-                need(&buf, len, "StatsReply json")?;
-                let bytes = buf.copy_to_bytes(len);
-                let json = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| RmpError::Protocol("stats json not UTF-8".into()))?;
+                let json = get_text(&mut buf, len, "stats json")?;
                 Message::StatsReply { json }
             }
             Opcode::PageInBatch => {
-                need(&buf, 6, "PageInBatch")?;
+                need(buf, 6, "PageInBatch")?;
                 let seq = buf.get_u32_le();
                 let count = batch_count(buf.get_u16_le())?;
-                need(&buf, count * 8, "PageInBatch ids")?;
+                need(buf, count * 8, "PageInBatch ids")?;
                 let mut ids = Vec::with_capacity(count);
                 for _ in 0..count {
                     ids.push(StoreKey(buf.get_u64_le()));
@@ -684,16 +710,16 @@ impl Message {
                 Message::PageInBatch { seq, ids }
             }
             Opcode::BatchReply => {
-                need(&buf, 7, "BatchReply")?;
+                need(buf, 7, "BatchReply")?;
                 let seq = buf.get_u32_le();
                 let hint = LoadHint::from_u8(buf.get_u8())?;
                 let count = batch_count(buf.get_u16_le())?;
                 let mut items = Vec::with_capacity(count);
                 for _ in 0..count {
-                    need(&buf, 1, "BatchReply item")?;
+                    need(buf, 1, "BatchReply item")?;
                     items.push(match buf.get_u8() {
                         1 => {
-                            need(&buf, 8, "BatchReply page item")?;
+                            need(buf, 8, "BatchReply page item")?;
                             let checksum = buf.get_u64_le();
                             BatchItem::Page {
                                 checksum,
@@ -702,7 +728,7 @@ impl Message {
                         }
                         2 => BatchItem::Miss,
                         3 => {
-                            need(&buf, 1, "BatchReply error item")?;
+                            need(buf, 1, "BatchReply error item")?;
                             BatchItem::Err(ErrorCode::from_u8(buf.get_u8()))
                         }
                         other => {
@@ -713,27 +739,20 @@ impl Message {
                 Message::BatchReply { seq, hint, items }
             }
             Opcode::Hello => {
-                need(&buf, 4, "Hello")?;
+                need(buf, 4, "Hello")?;
                 Message::Hello {
                     window: buf.get_u32_le(),
                 }
             }
             Opcode::HelloReply => {
-                need(&buf, 4, "HelloReply")?;
+                need(buf, 4, "HelloReply")?;
                 Message::HelloReply {
                     window: buf.get_u32_le(),
                 }
             }
             Opcode::Windowed => {
-                need(&buf, 4 + HEADER_LEN, "Windowed")?;
-                let seq = buf.get_u32_le();
-                let hdr = FrameHeader::decode(&mut buf)?;
-                if hdr.opcode == Opcode::Windowed {
-                    return Err(RmpError::Protocol("nested windowed envelope".into()));
-                }
-                need(&buf, hdr.len as usize, "Windowed inner payload")?;
-                let inner_payload = buf.copy_to_bytes(hdr.len as usize);
-                let inner = Message::decode(hdr.opcode, inner_payload)?;
+                let (seq, inner) = Message::decode_windowed(buf)?;
+                buf = &[];
                 Message::Windowed {
                     seq,
                     inner: Box::new(inner),
@@ -750,29 +769,65 @@ impl Message {
         Ok(msg)
     }
 
-    /// Builds a windowed envelope around an already-encoded inner frame
-    /// as two segments that share the inner frame's storage: a 12-byte
-    /// envelope prefix (outer header + seq) and the inner frame itself,
-    /// to be written back to back. This is the reactor's zero-copy
-    /// submission path — encoding the equivalent [`Message::Windowed`]
-    /// via [`Message::encode`] would copy the inner frame into the
-    /// envelope payload.
-    pub fn windowed_segments(seq: u32, inner_frame: Bytes) -> [Bytes; 2] {
-        let mut prefix = BytesMut::with_capacity(HEADER_LEN + 4);
-        FrameHeader {
-            opcode: Opcode::Windowed,
-            len: (4 + inner_frame.len()) as u32,
+    /// Decodes the payload of a [`Opcode::Windowed`] frame into its seq
+    /// and the message it envelopes — the envelope opened without being
+    /// built, which is how the session loop and the reactor read every
+    /// frame ([`Message::decode_from`] boxes the same pair into a
+    /// [`Message::Windowed`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RmpError::Protocol`] on a truncated, malformed or nested
+    /// envelope, and whatever the inner payload fails with.
+    pub fn decode_windowed(mut payload: &[u8]) -> Result<(u32, Message)> {
+        need(payload, 4 + HEADER_LEN, "Windowed")?;
+        let seq = payload.get_u32_le();
+        let hdr = FrameHeader::decode(&mut payload)?;
+        if hdr.opcode == Opcode::Windowed {
+            return Err(RmpError::Protocol("nested windowed envelope".into()));
         }
-        .encode(&mut prefix);
-        prefix.put_u32_le(seq);
-        [prefix.freeze(), inner_frame]
+        if payload.len() != hdr.len as usize {
+            return Err(RmpError::Protocol(format!(
+                "Windowed inner frame announces {} payload bytes, envelope holds {}",
+                hdr.len,
+                payload.len()
+            )));
+        }
+        Ok((seq, Message::decode_from(hdr.opcode, payload)?))
     }
+}
+
+/// Fails unless `buf` still holds the `n` bytes `what` needs.
+fn need(buf: &[u8], n: usize, what: &str) -> Result<()> {
+    if buf.len() < n {
+        return Err(RmpError::Protocol(format!(
+            "truncated {what}: need {n} bytes, have {}",
+            buf.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Starts a frame of kind `opcode` at the end of `out`: the header, its
+/// length field left at zero for [`close_frame`]. Returns where the frame
+/// starts.
+fn open_frame(opcode: Opcode, out: &mut Vec<u8>) -> usize {
+    let frame = out.len();
+    FrameHeader { opcode, len: 0 }.encode(out);
+    frame
+}
+
+/// Patches the length of the frame [`open_frame`] started at `frame` now
+/// that its payload ends where `out` does.
+fn close_frame(frame: usize, out: &mut [u8]) {
+    let len = (out.len() - frame - HEADER_LEN) as u32;
+    out[frame + 4..frame + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::HEADER_LEN;
+    use bytes::BytesMut;
 
     fn round_trip(msg: Message) {
         let bytes = msg.encode();
@@ -929,16 +984,19 @@ mod tests {
     }
 
     #[test]
-    fn windowed_segments_match_envelope_encoding() {
+    fn windowed_encoder_matches_envelope_encoding() {
         let inner = Message::PageIn { id: StoreKey(41) };
         let envelope = Message::Windowed {
             seq: 9,
             inner: Box::new(inner.clone()),
         };
-        let [prefix, body] = Message::windowed_segments(9, inner.encode());
-        let mut joined = Vec::from(&prefix[..]);
-        joined.extend_from_slice(&body);
-        assert_eq!(&joined[..], &envelope.encode()[..]);
+        // Behind another frame, as in a session's reply buffer: the
+        // length patch must find its own header, not the buffer's start.
+        let mut out = Message::LoadQuery.encode().to_vec();
+        Message::encode_windowed_into(9, &inner, &mut out);
+        assert_eq!(&out[HEADER_LEN..], &envelope.encode()[..]);
+        let (seq, opened) = Message::decode_windowed(&out[2 * HEADER_LEN..]).expect("envelope");
+        assert_eq!((seq, opened), (9, inner));
     }
 
     #[test]

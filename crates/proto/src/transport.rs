@@ -1,12 +1,11 @@
 //! Framed message transport over any byte stream.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
-use bytes::BytesMut;
 use rmp_types::{Result, RmpError};
 
 use crate::message::Message;
-use crate::wire::{FrameHeader, HEADER_LEN};
+use crate::wire::{FrameHeader, Opcode, HEADER_LEN, MAX_PAYLOAD};
 
 /// A blocking framed transport that reads and writes [`Message`]s over any
 /// `Read + Write` stream (a `TcpStream` in production, an in-memory pipe in
@@ -28,7 +27,9 @@ use crate::wire::{FrameHeader, HEADER_LEN};
 /// ```
 pub struct Framed<S> {
     stream: S,
-    header_buf: [u8; HEADER_LEN],
+    /// The frame being sent, then the payload being received: one
+    /// buffer, reused from message to message.
+    buf: Vec<u8>,
 }
 
 impl<S: Read + Write> Framed<S> {
@@ -36,7 +37,7 @@ impl<S: Read + Write> Framed<S> {
     pub fn new(stream: S) -> Self {
         Framed {
             stream,
-            header_buf: [0u8; HEADER_LEN],
+            buf: Vec::new(),
         }
     }
 
@@ -57,8 +58,9 @@ impl<S: Read + Write> Framed<S> {
     /// Propagates I/O failures; callers treat connection errors as a
     /// server crash (see [`RmpError::is_server_failure`]).
     pub fn send(&mut self, msg: &Message) -> Result<()> {
-        let bytes = msg.encode();
-        self.stream.write_all(&bytes)?;
+        self.buf.clear();
+        msg.encode_into(&mut self.buf);
+        self.stream.write_all(&self.buf)?;
         self.stream.flush()?;
         Ok(())
     }
@@ -70,12 +72,13 @@ impl<S: Read + Write> Framed<S> {
     /// Returns [`RmpError::Io`] on stream failure or EOF, and
     /// [`RmpError::Protocol`] on malformed frames.
     pub fn recv(&mut self) -> Result<Message> {
-        self.stream.read_exact(&mut self.header_buf)?;
-        let mut hdr_slice: &[u8] = &self.header_buf;
-        let hdr = FrameHeader::decode(&mut hdr_slice)?;
-        let mut payload = BytesMut::zeroed(hdr.len as usize);
-        self.stream.read_exact(&mut payload)?;
-        Message::decode(hdr.opcode, payload.freeze())
+        let mut header = [0u8; HEADER_LEN];
+        self.stream.read_exact(&mut header)?;
+        let hdr = FrameHeader::decode(&mut &header[..])?;
+        self.buf.clear();
+        self.buf.resize(hdr.len as usize, 0);
+        self.stream.read_exact(&mut self.buf)?;
+        Message::decode_from(hdr.opcode, &self.buf)
     }
 
     /// Sends `msg` and waits for the reply — the request/response pattern
@@ -98,15 +101,26 @@ impl<S: Read + Write> Framed<S> {
     }
 }
 
-/// Incremental frame decoder for nonblocking streams.
+/// The read buffer's size until a frame outgrows it: room for a full
+/// 32-frame burst of page frames, which is how a peer writes them, so a
+/// burst is one `read`.
+const READ_CHUNK: usize = 256 * 1024;
+
+/// The least room a `read` is worth making: below this the partial frame
+/// at the buffer's end is first moved to its front.
+const MIN_READ: usize = 16 * 1024;
+
+/// Incremental frame decoder: the read buffer of a connection.
 ///
-/// A nonblocking socket hands back bytes in arbitrary chunks — half a
-/// header here, three frames and a tail there. [`Framed::recv`] cannot be
-/// used on such a stream: its `read_exact` would corrupt the decode state
-/// when a partial frame arrives. `FrameAccumulator` buffers whatever
-/// bytes are available and yields complete [`Message`]s as soon as they
-/// materialize; both the client reactor and the server's windowed session
-/// loop drain their sockets through one of these.
+/// A socket hands back bytes in arbitrary chunks — half a header here,
+/// three frames and a tail there. [`Framed::recv`] cannot be used on a
+/// stream that is read as bytes arrive: its `read_exact` would corrupt the
+/// decode state when a partial frame arrives. `FrameAccumulator` reads
+/// whatever is available straight into its buffer
+/// ([`FrameAccumulator::fill_from`]) and decodes complete frames from
+/// where they lie, so an inbound page is copied once — out of this buffer
+/// into its [`rmp_types::Page`]. Both the client reactor and the server's
+/// session loop read their sockets through one of these.
 ///
 /// # Examples
 ///
@@ -123,8 +137,11 @@ impl<S: Read + Write> Framed<S> {
 /// ```
 #[derive(Default)]
 pub struct FrameAccumulator {
+    /// Storage, initialised end to end so a `read` can be handed any
+    /// part of it; `pos..end` holds the bytes not yet decoded.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
 }
 
 impl FrameAccumulator {
@@ -133,23 +150,80 @@ impl FrameAccumulator {
         FrameAccumulator::default()
     }
 
-    /// Appends freshly-read bytes to the internal buffer.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        // Reclaim consumed prefix before growing, bounding the buffer to
-        // the unconsumed tail plus this read.
-        if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= 64 * 1024) {
-            self.buf.drain(..self.pos);
+    /// Room for at least `want` more bytes after the buffered ones: the
+    /// consumed prefix is reclaimed first (free when nothing is buffered,
+    /// else a move of the partial frame at the end), and the storage
+    /// grows only when one frame or one `extend` is larger than all of it.
+    fn spare(&mut self, want: usize) -> &mut [u8] {
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end < want && self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.end < want {
+            // Fresh zeroed storage comes untouched from the allocator, so
+            // only the part of it that bytes land in is ever resident.
+            let mut grown = vec![0u8; (self.end + want).max(READ_CHUNK)];
+            grown[..self.end].copy_from_slice(&self.buf[..self.end]);
+            self.buf = grown;
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// Bytes still missing from the frame at the front of the buffer, as
+    /// far as its header (if it is here yet) tells.
+    fn missing(&self) -> usize {
+        let buffered = &self.buf[self.pos..self.end];
+        if buffered.len() < HEADER_LEN {
+            return HEADER_LEN - buffered.len();
+        }
+        let len = u32::from_le_bytes(buffered[4..HEADER_LEN].try_into().expect("four bytes"));
+        // A length over the cap fails in `next_enveloped`; it must not
+        // size the buffer first.
+        (HEADER_LEN + (len as usize).min(MAX_PAYLOAD)).saturating_sub(buffered.len())
+    }
+
+    /// Reads once from `source` straight into the buffer and returns how
+    /// many bytes arrived; `Ok(0)` is the source's end of stream. A read
+    /// cut short by a signal ([`io::ErrorKind::Interrupted`]) is retried
+    /// here, for every caller alike.
+    ///
+    /// # Errors
+    ///
+    /// Whatever else the source's `read` fails with — a timeout or
+    /// `WouldBlock` included, which leave the buffered bytes as they were.
+    pub fn fill_from<R: Read>(&mut self, source: &mut R) -> io::Result<usize> {
+        let room = self.spare(self.missing().max(MIN_READ));
+        loop {
+            match source.read(room) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Appends bytes read elsewhere to the buffer.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.spare(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
     /// Number of buffered bytes not yet consumed by a decoded frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
-    /// Decodes the next complete frame, if one is fully buffered.
+    /// Decodes the next complete frame, if one is fully buffered, with a
+    /// windowed envelope already opened: `(Some(seq), inner)` for a
+    /// [`Opcode::Windowed`] frame, `(None, message)` for a bare one.
     ///
     /// Returns `Ok(None)` when more bytes are needed. Header validation
     /// (magic, version, opcode, payload cap) happens as soon as the
@@ -160,20 +234,40 @@ impl FrameAccumulator {
     ///
     /// Returns [`RmpError::Protocol`] on malformed headers or payloads;
     /// the stream is unrecoverable after an error.
-    pub fn next_frame(&mut self) -> Result<Option<Message>> {
+    pub fn next_enveloped(&mut self) -> Result<Option<(Option<u32>, Message)>> {
         if self.buffered() < HEADER_LEN {
             return Ok(None);
         }
-        let mut hdr_slice: &[u8] = &self.buf[self.pos..self.pos + HEADER_LEN];
-        let hdr = FrameHeader::decode(&mut hdr_slice)?;
+        let hdr = FrameHeader::decode(&mut &self.buf[self.pos..self.pos + HEADER_LEN])?;
         let frame_len = HEADER_LEN + hdr.len as usize;
         if self.buffered() < frame_len {
             return Ok(None);
         }
-        let payload_start = self.pos + HEADER_LEN;
-        let payload = bytes::Bytes::copy_from_slice(&self.buf[payload_start..self.pos + frame_len]);
+        let payload = &self.buf[self.pos + HEADER_LEN..self.pos + frame_len];
         self.pos += frame_len;
-        Message::decode(hdr.opcode, payload).map(Some)
+        Ok(Some(match hdr.opcode {
+            Opcode::Windowed => {
+                let (seq, inner) = Message::decode_windowed(payload)?;
+                (Some(seq), inner)
+            }
+            opcode => (None, Message::decode_from(opcode, payload)?),
+        }))
+    }
+
+    /// [`FrameAccumulator::next_enveloped`] with the envelope put back: a
+    /// windowed frame comes out as the [`Message::Windowed`] it encodes.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameAccumulator::next_enveloped`].
+    pub fn next_frame(&mut self) -> Result<Option<Message>> {
+        Ok(self.next_enveloped()?.map(|frame| match frame {
+            (Some(seq), inner) => Message::Windowed {
+                seq,
+                inner: Box::new(inner),
+            },
+            (None, bare) => bare,
+        }))
     }
 }
 

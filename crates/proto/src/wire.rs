@@ -7,8 +7,12 @@ use rmp_types::{Result, RmpError, PAGE_SIZE};
 pub const MAGIC: u16 = 0x524D;
 
 /// Protocol version carried by every frame. Version 2 added the
-/// end-to-end page checksum to `PageOut`/`PageInReply`/`PageOutDelta`.
-pub const VERSION: u8 = 2;
+/// end-to-end page checksum to `PageOut`/`PageInReply`/`PageOutDelta`;
+/// version 3 changed the function behind it ([`rmp_types::Page::checksum`]
+/// became four interleaved lanes), which both ends must agree on — a
+/// version-2 peer's sums would fail every check, so it is refused at the
+/// first header instead.
+pub const VERSION: u8 = 3;
 
 /// Size of the encoded frame header in bytes.
 pub const HEADER_LEN: usize = 8;

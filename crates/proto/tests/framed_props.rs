@@ -1,13 +1,13 @@
-//! Property test: `Framed` must round-trip any message sequence over a
-//! stream that delivers data in arbitrarily small pieces — short reads,
-//! short writes, and spurious `Interrupted` errors, the worst a real
-//! socket is allowed to behave under POSIX.
+//! Property tests: `Framed` and `FrameAccumulator` must carry any message
+//! sequence over a stream that delivers data in arbitrarily small pieces
+//! — short reads, short writes, and spurious `Interrupted` errors, the
+//! worst a real socket is allowed to behave under POSIX.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 use proptest::prelude::*;
-use rmp_proto::{Framed, Message};
+use rmp_proto::{BatchItem, FrameAccumulator, FrameHeader, Framed, LoadHint, Message};
 use rmp_types::{ErrorCode, Page, StoreKey};
 
 /// A duplex in-memory stream that never moves more than `read_chunk` /
@@ -95,8 +95,137 @@ fn message_for(seed: u64) -> Message {
     }
 }
 
+/// A message per seed for the accumulator's stream: control frames, the
+/// two page-carrying frames of a fault, a batch reply, and each of those
+/// inside a windowed envelope.
+fn stream_message(seed: u64) -> Message {
+    let page = Page::deterministic(seed);
+    let bare = match seed % 5 {
+        0 => Message::PageIn { id: StoreKey(seed) },
+        1 => Message::PageOut {
+            id: StoreKey(seed),
+            checksum: page.checksum(),
+            page,
+        },
+        2 => Message::PageInReply {
+            id: StoreKey(seed),
+            checksum: page.checksum(),
+            page,
+        },
+        3 => Message::BatchReply {
+            seq: seed as u32,
+            hint: LoadHint::Pressure,
+            items: vec![
+                BatchItem::Page {
+                    checksum: page.checksum(),
+                    page,
+                },
+                BatchItem::Miss,
+                BatchItem::Err(ErrorCode::OutOfMemory),
+            ],
+        },
+        _ => Message::LoadQuery,
+    };
+    match (seed / 5) % 2 {
+        0 => bare,
+        _ => Message::Windowed {
+            seq: (seed >> 8) as u32,
+            inner: Box::new(bare),
+        },
+    }
+}
+
+/// Plays back a script of `read` outcomes, then reports end of stream.
+struct Scripted(VecDeque<io::Result<Vec<u8>>>);
+
+impl Read for Scripted {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.0.pop_front() {
+            Some(Ok(bytes)) => {
+                buf[..bytes.len()].copy_from_slice(&bytes);
+                Ok(bytes.len())
+            }
+            Some(Err(e)) => Err(e),
+            None => Ok(0),
+        }
+    }
+}
+
+/// Regression: the server's session loop took any failed `read` for the
+/// end of its session, so a signal delivered to the thread (`EINTR`) tore
+/// down a healthy connection. The accumulator's fill is where the server
+/// and the client driver both read, and it retries an interrupted read.
+#[test]
+fn an_interrupted_read_is_retried_not_the_end_of_the_stream() {
+    let sent = [stream_message(1), stream_message(7)];
+    let mut wire = Vec::new();
+    for msg in &sent {
+        msg.encode_into(&mut wire);
+    }
+    let interrupted = || Err(io::Error::new(io::ErrorKind::Interrupted, "signal"));
+    let mut source = Scripted(VecDeque::from([
+        interrupted(),
+        Ok(wire[..4].to_vec()),
+        interrupted(),
+        Ok(wire[4..].to_vec()),
+    ]));
+    let mut acc = FrameAccumulator::new();
+    assert_eq!(acc.fill_from(&mut source).expect("half a header"), 4);
+    assert_eq!(acc.next_frame().expect("valid so far"), None);
+    assert_eq!(
+        acc.fill_from(&mut source).expect("the rest"),
+        wire.len() - 4
+    );
+    for msg in &sent {
+        assert_eq!(acc.next_frame().expect("valid"), Some(msg.clone()));
+    }
+    assert_eq!(acc.next_frame().expect("drained"), None);
+    assert_eq!(acc.fill_from(&mut source).expect("end of stream"), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Decode equivalence: however a stream of frames is cut into reads,
+    /// the accumulator — filling itself from the reader and decoding from
+    /// its own buffer — yields exactly the messages `Message::decode`
+    /// yields from the whole frames; and the frames `encode_into` appends
+    /// to one growing buffer are the frames `encode` builds one by one.
+    #[test]
+    fn any_chunking_decodes_as_the_whole_frames_do(
+        seeds in prop::collection::vec(any::<u64>(), 1..10),
+        cuts in prop::collection::vec(1usize..12_000, 1..24),
+    ) {
+        let messages: Vec<Message> = seeds.iter().map(|&s| stream_message(s)).collect();
+        let mut wire = vec![0xAAu8; 3];
+        let mut whole = Vec::new();
+        for msg in &messages {
+            let frame = msg.encode();
+            let at = wire.len();
+            msg.encode_into(&mut wire);
+            prop_assert_eq!(&wire[at..], &frame[..]);
+            let mut payload = frame.clone();
+            let hdr = FrameHeader::decode(&mut payload).expect("own header");
+            whole.push(Message::decode(hdr.opcode, payload).expect("own payload"));
+        }
+        prop_assert_eq!(&whole, &messages);
+
+        let mut reads = cuts.iter().cycle();
+        let mut rest = &wire[3..];
+        let mut acc = FrameAccumulator::new();
+        let mut streamed = Vec::new();
+        while !rest.is_empty() {
+            let (chunk, later) = rest.split_at(rest.len().min(*reads.next().expect("cycle")));
+            rest = later;
+            let read = acc.fill_from(&mut &chunk[..]).expect("a slice reads clean");
+            prop_assert_eq!(read, chunk.len());
+            while let Some(msg) = acc.next_frame().expect("valid stream") {
+                streamed.push(msg);
+            }
+        }
+        prop_assert_eq!(acc.buffered(), 0);
+        prop_assert_eq!(&streamed, &whole);
+    }
 
     /// Whatever the chunk sizes and interrupt cadence, a sequence written
     /// through `Framed::send` and read back through `Framed::recv` over

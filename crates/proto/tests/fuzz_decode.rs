@@ -3,8 +3,33 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rmp_proto::{FrameHeader, Framed, Message, Opcode};
+use rmp_proto::{FrameAccumulator, FrameHeader, Framed, Message, Opcode};
 use rmp_types::{Page, StoreKey};
+
+/// Runs `data` through both entry points of the decoder — the
+/// whole-frame wrapper over an owned payload, cut short where `data` is,
+/// and the accumulator's borrowed-slice path. Neither may panic, and when
+/// `data` holds a whole frame both must make the same thing of it.
+fn decode_both_ways(data: &[u8]) {
+    let mut acc = FrameAccumulator::new();
+    acc.extend(data);
+    let streamed = acc.next_frame();
+    let mut buf: &[u8] = data;
+    let Ok(hdr) = FrameHeader::decode(&mut buf) else {
+        assert!(
+            streamed.is_err() || data.len() < rmp_proto::wire::HEADER_LEN,
+            "the accumulator passed a header the decoder refused"
+        );
+        return;
+    };
+    let take = (hdr.len as usize).min(buf.len());
+    let whole = Message::decode(hdr.opcode, Bytes::copy_from_slice(&buf[..take]));
+    if take == hdr.len as usize {
+        assert_eq!(streamed.ok().flatten(), whole.ok());
+    } else {
+        assert_eq!(streamed.expect("an incomplete frame waits"), None);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -14,12 +39,7 @@ proptest! {
     /// a message — no panics, no unbounded allocations.
     #[test]
     fn arbitrary_bytes_never_panic(data in prop::collection::vec(any::<u8>(), 0..9000)) {
-        let mut buf: &[u8] = &data;
-        if let Ok(hdr) = FrameHeader::decode(&mut buf) {
-            let take = (hdr.len as usize).min(buf.len());
-            let payload = Bytes::copy_from_slice(&buf[..take]);
-            let _ = Message::decode(hdr.opcode, payload);
-        }
+        decode_both_ways(&data);
     }
 
     /// Corrupting any single byte of a valid frame is detected (either a
@@ -40,11 +60,7 @@ proptest! {
         let mut bytes = msg.encode().to_vec();
         let at = corrupt_at.index(bytes.len());
         bytes[at] ^= xor;
-        let mut buf: &[u8] = &bytes;
-        if let Ok(hdr) = FrameHeader::decode(&mut buf) {
-            let take = (hdr.len as usize).min(buf.len());
-            let _ = Message::decode(hdr.opcode, Bytes::copy_from_slice(&buf[..take]));
-        }
+        decode_both_ways(&bytes);
     }
 
     /// A pipelined stream of valid frames decodes identically however the

@@ -273,9 +273,11 @@ fn refuse(stream: TcpStream, code: ErrorCode, message: &str) {
 /// reactor wakeup over several frames.
 const REPLY_FLUSH_FRAMES: usize = 8;
 
-/// Serves one connection. The loop drains the socket in bursts (blocking
-/// for the first byte, then nonblocking until dry) through a
-/// [`FrameAccumulator`] and answers every frame of the burst:
+/// Serves one connection. Each turn of the loop takes what one `read`
+/// returns — a windowed client writes a burst as one block, so one read
+/// is one burst — through a [`FrameAccumulator`], blocks again only while
+/// that holds nothing but a partial frame, and answers every complete
+/// frame:
 ///
 /// * A bare [`Message::Hello`] as the connection's first frame is the
 ///   window handshake; anywhere else it is an ordinary unexpected request
@@ -290,12 +292,14 @@ const REPLY_FLUSH_FRAMES: usize = 8;
 ///   bare pipelined client (`rmpstat`, crash injection), which has nothing
 ///   but order to match replies by, gets its replies in request order.
 fn session_loop(mut stream: TcpStream, shared: Arc<Shared>, sid: u64) {
-    use std::io::{Read, Write};
+    use std::io::Write;
     let _ = stream.set_nodelay(true);
     let scope = SessionScope { sid };
     let mut acc = FrameAccumulator::new();
-    let mut rbuf = vec![0u8; 256 * 1024];
-    // Replies for the whole burst accumulate here and leave in one
+    // The frames of one read, each with its envelope's seq; emptied by
+    // every turn and reused by the next.
+    let mut burst: Vec<(Option<u32>, Message)> = Vec::new();
+    // Replies are encoded straight into this buffer and leave in one
     // write: per-reply write_all costs a syscall *and* a client-reactor
     // wakeup each (~4-6 µs per frame on loopback), which starves this
     // thread's read loop and caps the whole windowed data path.
@@ -305,38 +309,15 @@ fn session_loop(mut stream: TcpStream, shared: Arc<Shared>, sid: u64) {
         if shared.crashed.load(Ordering::SeqCst) || shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
-        // Block until the burst's first bytes arrive...
-        let n = match stream.read(&mut rbuf) {
+        // A read a signal interrupted is retried inside `fill_from`; any
+        // other failure, like the end of the stream, ends the session.
+        match acc.fill_from(&mut stream) {
             Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        acc.extend(&rbuf[..n]);
-        // ...then opportunistically drain whatever else is already here.
-        let mut eof = false;
-        if stream.set_nonblocking(true).is_ok() {
-            loop {
-                match stream.read(&mut rbuf) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => acc.extend(&rbuf[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        eof = true;
-                        break;
-                    }
-                }
-            }
-            if stream.set_nonblocking(false).is_err() {
-                break;
-            }
+            Ok(_) => {}
         }
-        let mut burst = Vec::new();
         loop {
-            match acc.next_frame() {
-                Ok(Some(m)) => burst.push(m),
+            match acc.next_enveloped() {
+                Ok(Some(frame)) => burst.push(frame),
                 Ok(None) => break,
                 Err(_) => break 'session,
             }
@@ -344,34 +325,26 @@ fn session_loop(mut stream: TcpStream, shared: Arc<Shared>, sid: u64) {
         wbuf.clear();
         if opening && !burst.is_empty() {
             opening = false;
-            if let Message::Hello { window } = burst[0] {
+            if let (None, Message::Hello { window }) = burst[0] {
                 // Grant at most our cap; the reply leaves with the rest
                 // of the burst's.
                 let granted = window.max(1).min(shared.config.window_cap.max(1) as u32);
-                wbuf.extend_from_slice(&Message::HelloReply { window: granted }.encode());
+                Message::HelloReply { window: granted }.encode_into(&mut wbuf);
                 burst.remove(0);
             }
         }
-        let (overtaking, in_order): (Vec<_>, Vec<_>) = burst
-            .into_iter()
-            .partition(|m| matches!(m, Message::Windowed { .. }) && !m.is_data_op());
+        // Enveloped control frames overtake; the sort is stable, so
+        // everything else keeps its arrival order.
+        burst.sort_by_key(|(seq, msg)| seq.is_none() || msg.is_data_op());
         let mut served_since_flush = 0usize;
         let mut action_after_flush: Option<SessionAction> = None;
-        for msg in overtaking.into_iter().chain(in_order) {
-            let (seq, inner) = match msg {
-                Message::Windowed { seq, inner } => (Some(seq), *inner),
-                bare => (None, bare),
-            };
-            match serve_one(&shared, scope, inner) {
+        for (seq, msg) in burst.drain(..) {
+            match serve_one(&shared, scope, msg) {
                 SessionAction::Reply(reply) => {
-                    let reply = match seq {
-                        Some(seq) => Message::Windowed {
-                            seq,
-                            inner: Box::new(reply),
-                        },
-                        None => reply,
-                    };
-                    wbuf.extend_from_slice(&reply.encode());
+                    match seq {
+                        Some(seq) => Message::encode_windowed_into(seq, &reply, &mut wbuf),
+                        None => reply.encode_into(&mut wbuf),
+                    }
                     served_since_flush += 1;
                     // Flush every few replies instead of at burst end:
                     // replies flowing back mid-burst let the client free
@@ -404,9 +377,6 @@ fn session_loop(mut stream: TcpStream, shared: Arc<Shared>, sid: u64) {
             }
             Some(_) => break,
             None => {}
-        }
-        if eof {
-            break;
         }
     }
     // The session is over (client hung up, shutdown, or crash): release
@@ -502,17 +472,22 @@ fn handle_message(shared: &Shared, scope: SessionScope, msg: Message) -> Session
                 })
             }
         }
-        Message::PageIn { id } => match shared.store.lock().get(scope.scope(id)) {
-            // The checksum is recomputed over the *stored* bytes, so a
-            // client comparing it against the writer's checksum detects
-            // store-level corruption, not just wire damage.
-            Some(page) => SessionAction::Reply(Message::PageInReply {
-                id,
-                checksum: page.checksum(),
-                page,
-            }),
-            None => SessionAction::Reply(Message::PageInMiss { id }),
-        },
+        Message::PageIn { id } => {
+            // Bound first: the store hands out a reference to the page,
+            // and the lock is gone before the sum is taken over it.
+            let stored = shared.store.lock().get(scope.scope(id));
+            match stored {
+                // The checksum is recomputed over the *stored* bytes, so a
+                // client comparing it against the writer's checksum detects
+                // store-level corruption, not just wire damage.
+                Some(page) => SessionAction::Reply(Message::PageInReply {
+                    id,
+                    checksum: page.checksum(),
+                    page,
+                }),
+                None => SessionAction::Reply(Message::PageInMiss { id }),
+            }
+        }
         Message::Free { id } => {
             shared.store.lock().remove(scope.scope(id));
             SessionAction::Reply(Message::FreeAck { id })
@@ -554,12 +529,13 @@ fn handle_message(shared: &Shared, scope: SessionScope, msg: Message) -> Session
                 });
             }
             // Bind the result first: holding the store lock across the
-            // `hint()` call below would self-deadlock.
-            let delta = shared.store.lock().replace_delta(scope.scope(id), page);
-            match delta {
-                Some(delta) => SessionAction::Reply(Message::PageOutDeltaReply {
+            // `hint()` call below would self-deadlock — and the XOR is
+            // taken outside it.
+            let replaced = shared.store.lock().replace(scope.scope(id), page.clone());
+            match replaced {
+                Some(old) => SessionAction::Reply(Message::PageOutDeltaReply {
                     id,
-                    delta,
+                    delta: crate::store::delta_of(old, page),
                     hint: shared.hint(),
                 }),
                 None => SessionAction::Reply(Message::Error {
@@ -592,18 +568,20 @@ fn handle_message(shared: &Shared, scope: SessionScope, msg: Message) -> Session
             SessionAction::Reply(Message::StatsReply { json })
         }
         Message::PageInBatch { seq, ids } => {
-            let items: Vec<rmp_proto::BatchItem> = {
+            // References under the lock, sums over them outside it.
+            let stored: Vec<Option<rmp_types::Page>> = {
                 let store = shared.store.lock();
-                ids.into_iter()
-                    .map(|id| match store.get(scope.scope(id)) {
-                        Some(page) => rmp_proto::BatchItem::Page {
-                            checksum: page.checksum(),
-                            page,
-                        },
-                        None => rmp_proto::BatchItem::Miss,
-                    })
-                    .collect()
+                ids.iter().map(|&id| store.get(scope.scope(id))).collect()
             };
+            let items = (stored.into_iter())
+                .map(|page| match page {
+                    Some(page) => rmp_proto::BatchItem::Page {
+                        checksum: page.checksum(),
+                        page,
+                    },
+                    None => rmp_proto::BatchItem::Miss,
+                })
+                .collect();
             SessionAction::Reply(Message::BatchReply {
                 seq,
                 hint: shared.hint(),

@@ -87,14 +87,12 @@ impl PageStore {
     /// Returns `false` (storing nothing) when the store is full —
     /// overwrites of existing keys always succeed.
     pub fn insert(&mut self, key: StoreKey, page: Page) -> bool {
-        if !self.pages.contains_key(&key) && self.pages.len() >= self.hard_capacity() {
-            return false;
-        }
-        self.pages.insert(key, page);
-        true
+        self.replace(key, page).is_some()
     }
 
-    /// Fetches a copy of the page under `key`.
+    /// Fetches the page under `key`: a reference to the stored buffer
+    /// (pages are copy-on-write), so the caller can sum and encode it
+    /// after letting go of whatever lock guards the store.
     pub fn get(&self, key: StoreKey) -> Option<Page> {
         self.pages.get(&key).cloned()
     }
@@ -114,22 +112,22 @@ impl PageStore {
         true
     }
 
+    /// Stores `page` under `key` and returns what it replaced, if
+    /// anything. Returns `None` (storing nothing) when the store is full
+    /// and `key` was absent.
+    pub fn replace(&mut self, key: StoreKey, page: Page) -> Option<Option<Page>> {
+        if !self.pages.contains_key(&key) && self.pages.len() >= self.hard_capacity() {
+            return None;
+        }
+        Some(self.pages.insert(key, page))
+    }
+
     /// Replaces the page under `key` and returns `old XOR new` (equals the
     /// new page when no old version existed). Returns `None` when the
     /// store is full and `key` was absent.
     pub fn replace_delta(&mut self, key: StoreKey, page: Page) -> Option<Page> {
-        if let Some(existing) = self.pages.get_mut(&key) {
-            let mut delta = existing.clone();
-            delta.xor_with(&page);
-            *existing = page;
-            return Some(delta);
-        }
-        if self.pages.len() >= self.hard_capacity() {
-            return None;
-        }
-        let delta = page.clone();
-        self.pages.insert(key, page);
-        Some(delta)
+        let old = self.replace(key, page.clone())?;
+        Some(delta_of(old, page))
     }
 
     /// Removes the page under `key`, returning the grant its frame
@@ -190,6 +188,19 @@ impl PageStore {
             return 0.0;
         }
         (cap.saturating_sub(self.pages.len())) as f64 / cap as f64
+    }
+}
+
+/// The delta a basic-parity pageout answers with: `old XOR new`, or
+/// `new` itself when the key held nothing. A page-sized pass, kept out of
+/// [`PageStore::replace`] so that a server can take it after unlocking.
+pub fn delta_of(old: Option<Page>, new: Page) -> Page {
+    match old {
+        Some(mut delta) => {
+            delta.xor_with(&new);
+            delta
+        }
+        None => new,
     }
 }
 

@@ -9,10 +9,12 @@
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
-/// A cheaply cloneable, immutable view into shared byte storage.
+/// A cheaply cloneable, immutable view into shared byte storage. The
+/// storage is the `Vec` the view was built from, so — as in the real
+/// crate — `Bytes::from(vec)` and `BytesMut::freeze` copy nothing.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -76,7 +78,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end,
         }

@@ -5,16 +5,31 @@
 //! values of exactly [`PAGE_SIZE`] bytes.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Size of an operating-system page in bytes (8 KB on DEC OSF/1 Alpha).
 pub const PAGE_SIZE: usize = 8192;
 
-/// An owned, heap-allocated page of exactly [`PAGE_SIZE`] bytes.
+/// Bytes one step of [`Page::checksum`] folds: one 64-bit word into each
+/// of its four lanes.
+const CHECKSUM_BLOCK: usize = 32;
+
+// The checksum walks whole blocks and nothing else: a page that did not
+// divide into them would leave its tail unsummed.
+const _: () = assert!(PAGE_SIZE.is_multiple_of(CHECKSUM_BLOCK));
+
+/// A heap-allocated page of exactly [`PAGE_SIZE`] bytes.
 ///
 /// `Page` is the unit of every pager operation: pageouts ship a `Page` to a
 /// remote memory server, pageins retrieve one, and the parity policies XOR
-/// pages together to build redundancy. The buffer is boxed so that moving a
-/// `Page` is cheap and collections of pages do not blow the stack.
+/// pages together to build redundancy.
+///
+/// The buffer is reference-counted and copied on write: `clone` shares it,
+/// and the first mutation of a shared page ([`AsMut::as_mut`],
+/// [`Page::xor_with`], [`Page::clear`]) gives the writer a copy of its own
+/// first. A page handed to a frame to be encoded, kept in a server's store
+/// or parked in a read-ahead cache therefore costs a counter, not 8 KiB;
+/// a value still behaves as if it owned its bytes.
 ///
 /// # Examples
 ///
@@ -28,37 +43,42 @@ pub const PAGE_SIZE: usize = 8192;
 /// x.xor_with(&b);
 /// assert_eq!(x.as_ref()[0], 0); // 0xAB ^ 0xAB
 /// assert_eq!(x.as_ref()[1], 0xAB); // 0 ^ 0xAB
+/// assert_eq!(a.as_ref()[0], 0xAB); // the clone wrote to its own copy
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    buf: Box<[u8; PAGE_SIZE]>,
+    buf: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
     /// Returns a page with every byte set to zero.
     pub fn zeroed() -> Self {
-        Page {
-            buf: Box::new([0u8; PAGE_SIZE]),
-        }
+        Page::filled(0)
     }
 
     /// Returns a page with every byte set to `byte`.
     pub fn filled(byte: u8) -> Self {
         Page {
-            buf: Box::new([byte; PAGE_SIZE]),
+            buf: Arc::new([byte; PAGE_SIZE]),
         }
     }
 
-    /// Builds a page from a full-size slice.
+    /// Builds a page from a full-size slice, in one pass over it.
     ///
     /// Returns `None` when `bytes` is not exactly [`PAGE_SIZE`] long.
     pub fn from_slice(bytes: &[u8]) -> Option<Self> {
         if bytes.len() != PAGE_SIZE {
             return None;
         }
-        let mut page = Page::zeroed();
-        page.buf.copy_from_slice(bytes);
-        Some(page)
+        // `Arc<[u8]>: From<&[u8]>` allocates and copies once; the
+        // conversion to the sized array only checks the length.
+        let buf = Arc::<[u8]>::from(bytes).try_into().ok()?;
+        Some(Page { buf })
+    }
+
+    /// The page's bytes for writing, unshared first if need be.
+    fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        Arc::make_mut(&mut self.buf)
     }
 
     /// Builds a page whose contents are a deterministic function of `seed`.
@@ -68,7 +88,7 @@ impl Page {
     pub fn deterministic(seed: u64) -> Self {
         let mut page = Page::zeroed();
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        for chunk in page.buf.chunks_mut(8) {
+        for chunk in page.bytes_mut().chunks_mut(8) {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
@@ -87,7 +107,8 @@ impl Page {
     /// survivors with the parity.
     pub fn xor_with(&mut self, other: &Page) {
         // Process 8 bytes at a time; the optimizer vectorizes this loop.
-        for (dst, src) in self.buf.chunks_exact_mut(8).zip(other.buf.chunks_exact(8)) {
+        let dst = self.bytes_mut();
+        for (dst, src) in dst.chunks_exact_mut(8).zip(other.buf.chunks_exact(8)) {
             let a = u64::from_ne_bytes(dst.try_into().expect("chunk is 8 bytes"));
             let b = u64::from_ne_bytes(src.try_into().expect("chunk is 8 bytes"));
             dst.copy_from_slice(&(a ^ b).to_ne_bytes());
@@ -103,33 +124,56 @@ impl Page {
 
     /// Resets every byte of the page to zero.
     pub fn clear(&mut self) {
-        self.buf.fill(0);
+        match Arc::get_mut(&mut self.buf) {
+            Some(bytes) => bytes.fill(0),
+            // Shared: a fresh zero page is one pass, unsharing first two.
+            None => *self = Page::zeroed(),
+        }
     }
 
-    /// Returns a 64-bit FNV-style checksum of the page contents,
-    /// folded one little-endian word at a time.
+    /// Returns a 64-bit checksum of the page contents: four interleaved
+    /// FNV-1a lanes over little-endian 64-bit words, folded into one.
     ///
-    /// Used for end-to-end integrity checks in tests and recovery
-    /// verification; it is not a cryptographic hash. The word-wide fold
-    /// matters: the server computes a checksum for every `PageIn` reply
-    /// and verifies one for every `PageOut`, and a byte-serial FNV chain
-    /// (4096 dependent multiplies) costs ~10 µs per page — enough to cap
-    /// the whole data path. Eight bytes per multiply keeps the same
-    /// single-bit diffusion while cutting the chain to 512 steps.
+    /// Word `4i + l` of the page goes into lane `l` (`h = (h ^ word) *
+    /// prime`, each lane from a seed of its own), and the four lane values
+    /// are folded through the same step at the end. The server computes
+    /// this sum for every `PageIn` reply and verifies it on every
+    /// `PageOut`, the pool verifies it on every inbound page and the pager
+    /// checks the writer's stamp, so it runs three times per fault: one
+    /// chain of 1,024 dependent multiplies costs 1.2 µs a pass, four
+    /// independent chains of 256 let the multiplies pipeline and cost a
+    /// quarter of that.
+    ///
+    /// What it guarantees: changing any single word of a page — so any
+    /// single bit or byte — always changes the sum, because every step is
+    /// a bijection of the running value for a fixed input, in the lanes
+    /// and in the fold alike. Beyond that it is a hash: words that trade
+    /// places across lanes or blocks change it with overwhelming
+    /// probability, not by construction (the lanes' distinct seeds and
+    /// the order-dependent chain are what make a swap show). It is not a
+    /// cryptographic hash. Both ends of a connection must compute the same
+    /// function; it is part of the wire protocol's version.
     pub fn checksum(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut chunks = self.buf.chunks_exact(8);
-        for chunk in &mut chunks {
-            h ^= u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes"));
-            h = h.wrapping_mul(FNV_PRIME);
+        // The FNV offset basis, and three more constants with no
+        // structure in common with it (fractional bits of √2, √3, √5).
+        const LANE_SEEDS: [u64; 4] = [
+            FNV_OFFSET,
+            0x6a09_e667_f3bc_c908,
+            0xbb67_ae85_84ca_a73b,
+            0x3c6e_f372_fe94_f82b,
+        ];
+        let mut lanes = LANE_SEEDS;
+        for block in self.buf.chunks_exact(CHECKSUM_BLOCK) {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane ^= u64::from_le_bytes(word.try_into().expect("chunk is 8 bytes"));
+                *lane = lane.wrapping_mul(FNV_PRIME);
+            }
         }
-        for &b in chunks.remainder() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        lanes
+            .iter()
+            .fold(FNV_OFFSET, |h, lane| (h ^ lane).wrapping_mul(FNV_PRIME))
     }
 }
 
@@ -147,7 +191,7 @@ impl AsRef<[u8]> for Page {
 
 impl AsMut<[u8]> for Page {
     fn as_mut(&mut self) -> &mut [u8] {
-        &mut self.buf[..]
+        &mut self.bytes_mut()[..]
     }
 }
 
@@ -211,6 +255,65 @@ mod tests {
         assert_eq!(a.checksum(), b.checksum());
         b.as_mut()[100] ^= 0xFF;
         assert_ne!(a.checksum(), b.checksum());
+    }
+
+    /// Every single-bit flip of `page` must change its checksum.
+    fn every_bit_flip_shows(mut page: Page) {
+        let clean = page.checksum();
+        for bit in 0..PAGE_SIZE * 8 {
+            page.as_mut()[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(page.checksum(), clean, "flip of bit {bit} went unseen");
+            page.as_mut()[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(page.checksum(), clean);
+    }
+
+    #[test]
+    fn checksum_sees_every_single_bit_flip() {
+        every_bit_flip_shows(Page::zeroed());
+        every_bit_flip_shows(Page::deterministic(11));
+    }
+
+    #[test]
+    fn checksum_sees_words_and_blocks_trading_places() {
+        let page = Page::deterministic(23);
+        let clean = page.checksum();
+        // Two unequal words of one block sit in different lanes.
+        for block in [0, 17, PAGE_SIZE / CHECKSUM_BLOCK - 1] {
+            for (a, b) in [(0, 1), (0, 3), (1, 2), (2, 3)] {
+                let (a, b) = (block * 4 + a, block * 4 + b);
+                let mut swapped = page.clone();
+                let bytes = swapped.as_mut();
+                assert_ne!(bytes[a * 8..a * 8 + 8], bytes[b * 8..b * 8 + 8]);
+                for i in 0..8 {
+                    bytes.swap(a * 8 + i, b * 8 + i);
+                }
+                assert_ne!(swapped.checksum(), clean, "words {a} and {b} swapped");
+            }
+        }
+        // Two unequal blocks feed the same lanes in a different order.
+        for (a, b) in [(0, 1), (5, 200), (0, PAGE_SIZE / CHECKSUM_BLOCK - 1)] {
+            let mut swapped = page.clone();
+            let bytes = swapped.as_mut();
+            for i in 0..CHECKSUM_BLOCK {
+                bytes.swap(a * CHECKSUM_BLOCK + i, b * CHECKSUM_BLOCK + i);
+            }
+            assert_ne!(swapped, page);
+            assert_ne!(swapped.checksum(), clean, "blocks {a} and {b} swapped");
+        }
+    }
+
+    #[test]
+    fn clones_share_until_one_is_written() {
+        let a = Page::deterministic(3);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.buf, &b.buf), "a clone is a reference");
+        b.as_mut()[0] ^= 1;
+        assert!(!Arc::ptr_eq(&a.buf, &b.buf), "a write unshares first");
+        assert_eq!(a, Page::deterministic(3), "and leaves the original be");
+        let mut c = a.clone();
+        c.clear();
+        assert!(c.is_zero() && !a.is_zero());
     }
 
     #[test]
