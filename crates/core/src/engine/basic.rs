@@ -6,7 +6,7 @@ use rmp_types::{Page, PageId, Result, RmpError, ServerId, StoreKey};
 
 use std::collections::VecDeque;
 
-use crate::engine::{rebuild_step, Ctx, Engine, Unit};
+use crate::engine::{rebuild_step, Ctx, Engine, Reading, Unit};
 use crate::recovery::RecoveryStep;
 
 /// Fixed-layout parity (Section 2.2, "Parity"): page `(i, j)` is bound to
@@ -128,9 +128,11 @@ impl Engine for BasicParity {
         }
     }
 
-    fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
-        let slot = self.map.location(id).ok_or(RmpError::PageNotFound(id))?;
-        ctx.read_unit((slot.server, slot.key), true)
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
+        match self.map.location(id) {
+            Some(slot) => ctx.begin_read((slot.server, slot.key), true),
+            None => Reading::Done(Err(RmpError::PageNotFound(id))),
+        }
     }
 
     fn free(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<()> {

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use rmp_types::{Page, PageId, Result, RmpError, ServerId};
 
-use crate::engine::{Ctx, Engine};
+use crate::engine::{Ctx, Engine, Reading};
 use crate::recovery::RecoveryStep;
 
 /// Pass-through to the local disk — the configuration the paper's figures
@@ -22,11 +22,11 @@ impl Engine for DiskOnly {
         Ok(())
     }
 
-    fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
-        if !self.present.contains(&id) {
-            return Err(RmpError::PageNotFound(id));
-        }
-        ctx.disk_read(id)
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
+        Reading::Done(match self.present.contains(&id) {
+            true => ctx.disk_read(id),
+            false => Err(RmpError::PageNotFound(id)),
+        })
     }
 
     fn free(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<()> {

@@ -15,14 +15,16 @@ pub mod diskonly;
 pub mod paritylog;
 pub mod stripe;
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use rmp_blockdev::PagingDevice;
 use rmp_cluster::Condition;
-use rmp_types::metrics::{EventKind, MetricsRegistry};
+use rmp_types::metrics::{Counter, EventKind, MetricsRegistry};
 use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, StoreKey, TransferStats};
 
-use crate::pool::ServerPool;
+use crate::pool::{Flight, ServerPool, StoreWave, Wave};
 use crate::recovery::RecoveryStep;
 
 /// One stored unit of a page — a whole copy, a split or a parity frame:
@@ -175,6 +177,52 @@ pub(crate) fn gave_way(e: &RmpError) -> bool {
     )
 }
 
+/// The engines' handles into the shared metrics registry: the registry
+/// for traces, and their counters, each resolved by name the first time
+/// it is bumped and kept — so counting takes no registry lock, and a
+/// counter is registered only once its event has happened.
+pub struct EngineMetrics {
+    pub(crate) registry: Arc<MetricsRegistry>,
+    pub(crate) counters: Vec<(&'static str, Arc<Counter>)>,
+}
+
+/// An engine operation between its begin and its complete.
+pub enum Begun<T, W> {
+    /// Nothing on the wire: served or refused before it, or run whole.
+    Done(Result<T>),
+    /// One frame: the read of a unit that holds the whole page, the
+    /// rewrite of a lone copy in its frame.
+    One(Flight),
+    /// One wave: the gather of a page's data units, the rewrite of every
+    /// copy in its frame.
+    Many(W),
+}
+
+/// A demand read between [`Engine::begin_page_in`] and
+/// [`Engine::complete_page_in`].
+pub type Reading = Begun<Page, Wave>;
+
+/// A pageout between [`Engine::begin_page_out`] and
+/// [`Engine::complete_page_out`].
+pub type Writing = Begun<(), StoreWave>;
+
+impl<T, W: Borrow<Wave>> Begun<T, W> {
+    /// Whether replies are owed: whether there is anything to park on.
+    pub fn on_wire(&self) -> bool {
+        !matches!(self, Begun::Done(_))
+    }
+
+    /// Waits for the replies owed, taking none — the one step of an
+    /// operation that needs no lock on the pager.
+    pub fn park(&self) {
+        match self {
+            Begun::Done(_) => {}
+            Begun::One(flight) => flight.park(),
+            Begun::Many(wave) => wave.borrow().park(),
+        }
+    }
+}
+
 /// Per-call context handed to engines: the connection pool, the optional
 /// local disk, shared statistics, and routing preferences.
 pub struct Ctx<'a> {
@@ -191,7 +239,7 @@ pub struct Ctx<'a> {
     /// `None` records nothing. Hot-path counting stays in
     /// [`Ctx::stats`] — this hook is for the rare, interesting moments
     /// (degraded reads, GC passes, group seals, migrations, recovery).
-    pub metrics: Option<&'a MetricsRegistry>,
+    pub metrics: Option<&'a mut EngineMetrics>,
 }
 
 impl Ctx<'_> {
@@ -205,23 +253,28 @@ impl Ctx<'_> {
         policy: Option<Policy>,
         outcome: &'static str,
     ) {
-        if let Some(m) = self.metrics {
-            m.trace(kind, server, policy, outcome);
+        if let Some(m) = &self.metrics {
+            m.registry.trace(kind, server, policy, outcome);
         }
     }
 
-    /// Bumps the cold-path counter `name` by one, if metrics are
-    /// attached. Resolves the handle by name on each call, so reserve it
-    /// for events that are rare by construction (GC, seals, migrations).
-    pub fn count(&self, name: &str) {
-        if let Some(m) = self.metrics {
-            m.counter(name).inc();
-        }
+    /// Bumps the counter `name` by one, if metrics are attached: by a
+    /// scan of the few handles resolved so far, through the registry
+    /// only the first time.
+    pub fn count(&mut self, name: &'static str) {
+        let Some(m) = self.metrics.as_deref_mut() else {
+            return;
+        };
+        let at = (m.counters.iter().position(|c| c.0 == name)).unwrap_or_else(|| {
+            m.counters.push((name, m.registry.counter(name)));
+            m.counters.len() - 1
+        });
+        m.counters[at].1.inc();
     }
 
     /// Counts and traces a finished migration of `moved` pages off
     /// `server`.
-    pub fn note_migration(&self, moved: u64, server: ServerId, policy: Policy) {
+    pub fn note_migration(&mut self, moved: u64, server: ServerId, policy: Policy) {
         if moved > 0 {
             self.count("engine_migrations_total");
             self.trace(EventKind::Migration, Some(server), Some(policy), "moved");
@@ -317,13 +370,32 @@ impl Ctx<'_> {
     /// # Errors
     ///
     /// As [`Ctx::holder_alive`] and [`ServerPool::page_in`].
-    pub fn read_unit(&mut self, (server, key): Unit, redundant: bool) -> Result<Page> {
-        if redundant {
-            self.holder_alive(server)?;
+    pub fn read_unit(&mut self, unit: Unit, redundant: bool) -> Result<Page> {
+        let reading = self.begin_read(unit, redundant);
+        self.finish_read(reading)
+    }
+
+    /// The first half of [`Ctx::read_unit`]: the read is on the wire,
+    /// unless the dead-holder check refused it.
+    pub fn begin_read(&mut self, (server, key): Unit, redundant: bool) -> Reading {
+        match redundant.then(|| self.holder_alive(server)) {
+            Some(Err(dead)) => Reading::Done(Err(dead)),
+            _ => Reading::One(self.pool.begin_page_in(server, key)),
         }
-        let page = self.pool.page_in(server, key)?;
-        self.stats.net_fetches += 1;
-        Ok(page)
+    }
+
+    /// The second half of [`Ctx::read_unit`]; a read that never took
+    /// the wire passes through.
+    pub fn finish_read(&mut self, reading: Reading) -> Result<Page> {
+        match reading {
+            Reading::Done(done) => done,
+            Reading::One(flight) => {
+                let page = self.pool.finish_page_in(flight)?;
+                self.stats.net_fetches += 1;
+                Ok(page)
+            }
+            Reading::Many(_) => Err(RmpError::Unsupported("a gather is not one unit")),
+        }
     }
 
     /// Fetches many remote pages in one round trip: every holder's reads
@@ -343,18 +415,30 @@ impl Ctx<'_> {
     /// [`RmpError::Protocol`] when a server no longer holds a requested
     /// key.
     pub fn fetch_batch(&mut self, reads: &[Unit]) -> Result<Vec<Page>> {
+        let pages = match *reads {
+            [(server, key)] => match self.pool.page_in(server, key) {
+                Ok(page) => Ok(vec![Some(page)]),
+                Err(RmpError::PageNotFound(_)) => Ok(vec![None]),
+                Err(e) => Err(e),
+            },
+            _ => self.pool.page_in_wave(reads),
+        };
+        self.fetched(pages, reads)
+    }
+
+    /// Collects a gather of `reads` begun with
+    /// [`ServerPool::begin_page_in_wave`], as [`Ctx::fetch_batch`] would.
+    pub fn finish_fetch(&mut self, wave: Wave, reads: &[Unit]) -> Result<Vec<Page>> {
+        let pages = self.pool.finish_page_in_wave(wave, reads);
+        self.fetched(pages, reads)
+    }
+
+    /// Counts what a fetch of `reads` brought; a miss is an error.
+    fn fetched(&mut self, pages: Result<Vec<Option<Page>>>, reads: &[Unit]) -> Result<Vec<Page>> {
         let missing = |(server, key): Unit| {
             RmpError::Protocol(format!("server {server} no longer holds key {key}"))
         };
-        let pages = match *reads {
-            [(server, key)] => match self.pool.page_in(server, key) {
-                Ok(page) => vec![Some(page)],
-                Err(RmpError::PageNotFound(_)) => vec![None],
-                Err(e) => return Err(e),
-            },
-            _ => self.pool.page_in_wave(reads)?,
-        };
-        let pages = (pages.into_iter().zip(reads))
+        let pages = (pages?.into_iter().zip(reads))
             .map(|(page, &read)| page.ok_or_else(|| missing(read)))
             .collect::<Result<Vec<Page>>>()?;
         self.stats.net_fetches += reads.len() as u64;
@@ -606,7 +690,7 @@ impl Ctx<'_> {
 
 /// A reliability-policy engine.
 pub trait Engine: Send {
-    /// Services one pageout.
+    /// Services one pageout, whole.
     ///
     /// # Errors
     ///
@@ -614,14 +698,56 @@ pub trait Engine: Send {
     /// are retried internally across servers where the policy allows.
     fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()>;
 
-    /// Services one pagein.
+    /// Starts one pageout and returns with its frames on the wire; the
+    /// caller may [`Begun::park`] on them holding no lock. An engine that
+    /// keeps the operation whole (DESIGN.md §11 lists which, and why)
+    /// runs it here, under the caller's lock.
+    fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
+        Writing::Done(self.page_out(ctx, id, page))
+    }
+
+    /// Collects what [`Engine::begin_page_out`] left on the wire and
+    /// commits the pageout. Until it has, the engine's record of `id`
+    /// must stay as `begin_page_out` left it.
+    fn complete_page_out(
+        &mut self,
+        _ctx: &mut Ctx<'_>,
+        _id: PageId,
+        _page: &Page,
+        writing: Writing,
+    ) -> Result<()> {
+        match writing {
+            Writing::Done(done) => done,
+            _ => Err(RmpError::Unsupported("no pageout of this engine waits")),
+        }
+    }
+
+    /// Services one pagein: [`Engine::begin_page_in`] and
+    /// [`Engine::complete_page_in`] back to back.
     ///
     /// # Errors
     ///
     /// [`RmpError::PageNotFound`] for unknown pages;
     /// [`RmpError::ServerCrashed`] when the holding server died (the pager
     /// then runs recovery and retries).
-    fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page>;
+    fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
+        let reading = self.begin_page_in(ctx, id);
+        self.complete_page_in(ctx, id, reading)
+    }
+
+    /// Looks `id` up and puts its demand read on the wire; the caller may
+    /// [`Begun::park`] on it holding no lock.
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading;
+
+    /// Collects the read [`Engine::begin_page_in`] started.
+    fn complete_page_in(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        _id: PageId,
+        reading: Reading,
+    ) -> Result<Page> {
+        ctx.finish_read(reading)
+    }
 
     /// Releases a page everywhere it is stored.
     ///

@@ -8,7 +8,7 @@ use rmp_parity::{GroupMember, GroupTable, ParityBuffer, SealedGroup};
 use rmp_types::metrics::EventKind;
 use rmp_types::{GroupId, Page, PageId, Policy, Result, RmpError, ServerId};
 
-use crate::engine::{rebuild_step, Ctx, Engine, Table, Unit};
+use crate::engine::{rebuild_step, Ctx, Engine, Reading, Table, Unit};
 use crate::recovery::RecoveryStep;
 
 /// Active-fraction threshold below which garbage collection compacts a
@@ -466,11 +466,11 @@ impl Engine for ParityLogging {
         self.page_out_inner(ctx, id, page, &[])
     }
 
-    fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
         match self.table.units(id) {
-            Some(&[unit]) => ctx.read_unit(unit, true),
-            Some(_) => ctx.disk_read(id),
-            None => Err(RmpError::PageNotFound(id)),
+            Some(&[unit]) => ctx.begin_read(unit, true),
+            Some(_) => Reading::Done(ctx.disk_read(id)),
+            None => Reading::Done(Err(RmpError::PageNotFound(id))),
         }
     }
 

@@ -32,7 +32,7 @@ use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, PAGE_SIZE};
 
 use std::collections::VecDeque;
 
-use crate::engine::{gave_way, rebuild_step, Ctx, Engine, Table, Unit, VACANT};
+use crate::engine::{gave_way, rebuild_step, Ctx, Engine, Reading, Table, Unit, Writing, VACANT};
 use crate::recovery::RecoveryStep;
 
 /// The frame of each unit of one page: the page itself where units are
@@ -119,7 +119,7 @@ impl Stripe {
 
     /// Cuts and encodes `page` into its `k + r` unit frames; none when
     /// every unit is the page itself.
-    fn encode(&self, ctx: &Ctx<'_>, page: &Page) -> Result<Vec<Page>> {
+    fn encode(&self, ctx: &mut Ctx<'_>, page: &Page) -> Result<Vec<Page>> {
         let Some(code) = &self.code else {
             return Ok(Vec::new());
         };
@@ -224,46 +224,62 @@ impl Stripe {
         Ok(())
     }
 
-    /// Rewrites a page of whole-page units, each copy in its own frame
-    /// and all copies in one wave — with a write-through's disk write
-    /// under way while the frames are in flight; a copy whose holder is
-    /// gone or refuses is re-homed.
-    fn overwrite(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+    /// Places `page` afresh, on every unit of a new row, and releases the
+    /// row it replaces.
+    fn place_page(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+        if self.disk_leg {
+            // The disk copy is unconditional — that is the "write through".
+            ctx.disk_write(id, page)?;
+        }
+        let frames = Frames(page, self.encode(ctx, page)?);
+        if !self.place_fresh(ctx, &frames, self.k == 1)? {
+            return self.park(ctx, id, page);
+        }
+        match self.table.units(id) {
+            Some([]) if !self.disk_leg => ctx.disk_free(id)?,
+            Some(old) => ctx.release(old)?,
+            None => {}
+        }
+        self.table.commit(id);
+        Ok(())
+    }
+
+    /// Starts the rewrite of a page of whole-page units, each copy in its
+    /// own frame and all copies in one wave — with a write-through's disk
+    /// write under way while the frames are in flight.
+    fn begin_overwrite(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
         let units = self.table.units_mut(id).expect("caller checked");
         for unit in units.iter_mut().filter(|u| !ctx.alive(u.0)) {
             *unit = VACANT;
         }
-        match units {
-            // A lone copy and no disk leg to overlap: the wave is one call.
-            [unit] if !self.disk_leg => {
-                if *unit != VACANT {
-                    let outcome = ctx.pool.page_out(unit.0, unit.1, page).map(drop);
-                    settle_copy(ctx, unit, outcome)?;
-                }
+        let live = || units.iter().filter(|u| **u != VACANT);
+        let writing = match *units {
+            // No copy left to rewrite: what remains is to re-home.
+            _ if live().next().is_none() => Writing::Done(Ok(())),
+            // A lone copy and no disk leg to overlap: the wave is one
+            // frame, and its flight allocates nothing.
+            [(server, key)] if !self.disk_leg => {
+                Writing::One(ctx.pool.begin_page_out(server, key, page))
             }
             _ => {
-                let stores: Vec<(Unit, &Page)> = (units.iter())
-                    .filter(|u| **u != VACANT)
-                    .map(|&u| (u, page))
-                    .collect();
-                let (outcomes, rest) = ctx.ship(&stores, &[], self.disk_leg.then_some((id, page)));
-                rest?;
-                for (unit, outcome) in (units.iter_mut().filter(|u| **u != VACANT)).zip(outcomes) {
-                    settle_copy(ctx, unit, outcome)?;
-                }
+                let stores: Vec<(Unit, &Page)> = live().map(|&u| (u, page)).collect();
+                Writing::Many(ctx.pool.begin_stores(&stores, &[]))
             }
+        };
+        match self.disk_leg.then(|| ctx.disk_write(id, page)) {
+            Some(Err(e)) => Writing::Done(Err(e)),
+            _ => writing,
         }
-        if !units.contains(&VACANT) {
+    }
+
+    /// Places the copies of `id` that have no holder, if any; when the
+    /// cluster cannot take them the page goes to the disk.
+    fn rehome(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+        if !(self.table.units(id)).is_some_and(|units| units.contains(&VACANT)) {
             return Ok(());
         }
-        match self.place_lost(
-            ctx,
-            Some(id),
-            &Frames(page, Vec::new()),
-            &vacant,
-            None,
-            true,
-        )? {
+        let frames = Frames(page, Vec::new());
+        match self.place_lost(ctx, Some(id), &frames, &vacant, None, true)? {
             Some(_) => Ok(()),
             None => self.park(ctx, id, page),
         }
@@ -354,43 +370,76 @@ impl Stripe {
 
 impl Engine for Stripe {
     fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
-        let held = self.table.units(id);
-        if self.k == 1 && !ctx.prefer_disk && held.is_some_and(|units| !units.is_empty()) {
-            return self.overwrite(ctx, id, page);
-        }
-        if self.disk_leg {
-            // The disk copy is unconditional — that is the "write through".
-            ctx.disk_write(id, page)?;
-        }
-        let frames = Frames(page, self.encode(ctx, page)?);
-        if !self.place_fresh(ctx, &frames, self.k == 1)? {
-            return self.park(ctx, id, page);
-        }
-        match self.table.units(id) {
-            Some([]) if !self.disk_leg => ctx.disk_free(id)?,
-            Some(old) => ctx.release(old)?,
-            None => {}
-        }
-        self.table.commit(id);
-        Ok(())
+        let writing = self.begin_page_out(ctx, id, page);
+        self.complete_page_out(ctx, id, page, writing)
     }
 
-    fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
-        let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
+    fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
+        let held = self.table.units(id);
+        if self.k == 1 && !ctx.prefer_disk && held.is_some_and(|units| !units.is_empty()) {
+            return self.begin_overwrite(ctx, id, page);
+        }
+        // A first placement — and a coded stripe's rewrite, which is one —
+        // runs whole: its takers, grants and cursor are chosen against
+        // the view as it stands, and its walk depends on each reply.
+        Writing::Done(self.place_page(ctx, id, page))
+    }
+
+    fn complete_page_out(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        page: &Page,
+        writing: Writing,
+    ) -> Result<()> {
+        // What `begin_overwrite` left on the wire: each live copy's
+        // outcome, in the row's order. A copy whose holder refused or is
+        // gone is re-homed.
+        let (one, many) = match writing {
+            Writing::Done(done) => return done.and_then(|()| self.rehome(ctx, id, page)),
+            Writing::One(flight) => (Some(ctx.pool.finish_page_out(flight).map(drop)), Vec::new()),
+            Writing::Many(wave) => (None, ctx.pool.finish_stores(wave)),
+        };
+        let units = (self.table.units_mut(id)).ok_or(RmpError::PageNotFound(id))?;
+        (units.iter_mut().filter(|u| **u != VACANT))
+            .zip(one.into_iter().chain(many))
+            .try_for_each(|(unit, outcome)| settle_copy(ctx, unit, outcome))?;
+        self.rehome(ctx, id, page)
+    }
+
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
+        let Some(units) = self.table.units(id) else {
+            return Reading::Done(Err(RmpError::PageNotFound(id)));
+        };
         if units.is_empty() {
-            return ctx.disk_read(id);
+            return Reading::Done(ctx.disk_read(id));
         }
         if self.k > 1 {
             let data = &units[..self.k];
-            data.iter().try_for_each(|u| ctx.holder_alive(u.0))?;
+            return match data.iter().try_for_each(|u| ctx.holder_alive(u.0)) {
+                Ok(()) => Reading::Many(ctx.pool.begin_page_in_wave(data)),
+                Err(dead) => Reading::Done(Err(dead)),
+            };
+        }
+        ctx.begin_read(units[0], self.r > 0 || self.disk_leg)
+    }
+
+    fn complete_page_in(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        reading: Reading,
+    ) -> Result<Page> {
+        if let Reading::Many(wave) = reading {
+            let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
             let len = PAGE_SIZE / self.k;
             let mut page = Page::zeroed();
-            for (i, frame) in ctx.fetch_batch(data)?.iter().enumerate() {
+            for (i, frame) in (ctx.finish_fetch(wave, &units[..self.k])?.iter()).enumerate() {
                 page.as_mut()[i * len..(i + 1) * len].copy_from_slice(&frame.as_ref()[..len]);
             }
             return Ok(page);
         }
-        match ctx.read_unit(units[0], self.r > 0 || self.disk_leg) {
+        match ctx.finish_read(reading) {
             // Write-through: a holder that restarted empty is a plain
             // cache miss; drop the stale unit, the disk has the page.
             Err(RmpError::PageNotFound(_)) if self.disk_leg => {

@@ -1,6 +1,7 @@
 //! The pager: policy dispatch, crash handling, adaptive switching.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -12,6 +13,7 @@ use rmp_types::{
 
 use crate::engine::{
     basic::BasicParity, diskonly::DiskOnly, paritylog::ParityLogging, stripe::Stripe, Ctx, Engine,
+    EngineMetrics, Reading, Unit, Writing,
 };
 use crate::pool::ServerPool;
 use crate::prefetch::{PrefetchCache, StrideDetector};
@@ -75,6 +77,7 @@ struct PagerMetrics {
     prefetch_hits: Arc<Counter>,
     prefetch_useless: Arc<Counter>,
     prefetch_skipped_gray: Arc<Counter>,
+    flight_waits: Arc<Counter>,
     pageout_latency: Arc<Histogram>,
     pagein_latency: Arc<Histogram>,
     degraded_latency: Arc<Histogram>,
@@ -98,6 +101,7 @@ impl PagerMetrics {
             prefetch_hits: registry.counter("pager_prefetch_hits_total"),
             prefetch_useless: registry.counter("pager_prefetch_useless_total"),
             prefetch_skipped_gray: registry.counter("pager_prefetch_skipped_gray_total"),
+            flight_waits: registry.counter("pager_flight_waits_total"),
             pageout_latency: registry.histogram("pager_pageout_latency_us"),
             pagein_latency: registry.histogram("pager_pagein_latency_us"),
             degraded_latency: registry.histogram("pager_degraded_read_latency_us"),
@@ -151,6 +155,40 @@ impl PendingPrefetch {
     }
 }
 
+/// A pagein between [`Pager::begin_page_in`] and
+/// [`Pager::complete_page_in`].
+pub(crate) struct PageInFlight {
+    id: PageId,
+    started: Instant,
+    /// The primary copy as the read was issued: whom the trace names,
+    /// and what a miss is checked against.
+    at: Option<Unit>,
+    stride: Option<i64>,
+    /// Whether `reading` is a page that passed its checks already (a
+    /// read-ahead hit, a hedged read): nothing is left but the books.
+    served: bool,
+    /// What to [`park`](crate::engine::Begun::park) on, holding no lock.
+    pub(crate) reading: Reading,
+}
+
+/// A pageout between [`Pager::begin_page_out`] and
+/// [`Pager::complete_page_out`].
+pub(crate) struct PageOutFlight {
+    op: PageOut,
+    /// As [`PageInFlight::reading`].
+    pub(crate) writing: Writing,
+}
+
+/// What a pageout knows from its begin to its books.
+pub(crate) struct PageOut {
+    id: PageId,
+    started: Instant,
+    /// The primary copy's holder before the attempt, for the trace.
+    before: Option<ServerId>,
+    /// Recover-and-retry rounds left.
+    retries: usize,
+}
+
 /// The Remote Memory Pager client (Section 3.1).
 ///
 /// Implements [`PagingDevice`], so any [`rmp_vm::PagedMemory`] — or any
@@ -190,6 +228,8 @@ pub struct Pager {
     /// Observability: latency histograms, counters, and the trace-event
     /// ring — shared with the pool and exposed via [`Pager::metrics`].
     metrics: PagerMetrics,
+    /// The engines' handles into the same registry.
+    engine_metrics: EngineMetrics,
 }
 
 impl Pager {
@@ -304,6 +344,10 @@ impl Pager {
             prefetch: PrefetchCache::new(prefetch_capacity),
             pending_prefetch: Vec::new(),
             prefetch_useless_reported: 0,
+            engine_metrics: EngineMetrics {
+                registry: Arc::clone(&registry),
+                counters: Vec::new(),
+            },
             metrics: PagerMetrics::new(registry),
         })
     }
@@ -336,6 +380,12 @@ impl Pager {
         )
     }
 
+    /// Counts one caller of a shared pager that found a flight in its way
+    /// and had to wait for it to land (see [`crate::sharded`]).
+    pub(crate) fn note_flight_wait(&self) {
+        self.metrics.flight_waits.inc();
+    }
+
     /// Runs `f` with the engine and a context over the pager's fields.
     fn with_engine<R>(&mut self, f: impl FnOnce(&mut dyn Engine, &mut Ctx<'_>) -> R) -> R {
         let mut ctx = Ctx {
@@ -343,7 +393,7 @@ impl Pager {
             disk: self.disk.as_mut(),
             stats: &mut self.stats,
             prefer_disk: self.prefer_disk,
-            metrics: Some(&self.metrics.registry),
+            metrics: Some(&mut self.engine_metrics),
         };
         f(self.engine.as_mut(), &mut ctx)
     }
@@ -630,14 +680,17 @@ impl Pager {
     /// marked the server dead, so both variants mean the same thing:
     /// that server is gone until an operator reconnects it.
     fn try_recover(&mut self, err: &RmpError) -> bool {
-        let server = match err {
-            RmpError::ServerCrashed(s) | RmpError::Timeout(s) => *s,
-            _ => return false,
-        };
-        if !self.config.policy.survives_single_crash() {
-            return false;
+        (self.recoverable(err)).is_some_and(|server| self.recover_from_crash(server).is_ok())
+    }
+
+    /// The server to recover from when `err` is one the policy survives.
+    fn recoverable(&self, err: &RmpError) -> Option<ServerId> {
+        match err {
+            RmpError::ServerCrashed(s) | RmpError::Timeout(s) => {
+                self.config.policy.survives_single_crash().then_some(*s)
+            }
+            _ => None,
         }
-        self.recover_from_crash(server).is_ok()
     }
 
     /// Serves `id` from the policy's redundancy without touching `dead`,
@@ -865,61 +918,188 @@ impl Pager {
 }
 
 impl Pager {
-    fn page_out_inner(&mut self, id: PageId, page: &Page) -> Result<()> {
+    /// The first half of a pageout, under whatever lock guards the
+    /// pager: reads ahead no more of `id`, lets queued rebuilds finish —
+    /// a write landing in a half-rebuilt stripe would leave its parity
+    /// wrong, and plans snapshot the placement they saw at plan time —
+    /// and has the engine put the frames on the wire.
+    pub(crate) fn begin_page_out(&mut self, id: PageId, page: &Page) -> PageOutFlight {
+        let started = Instant::now();
+        // Resolve attribution before the attempt: after a failure the id
+        // may map to a different (or no) placement, and the trace should
+        // blame the server the operation actually ran against.
+        let before = self.engine.primary_location(id).map(|(s, _)| s);
         self.invalidate_prefetched(id);
         self.update_adaptive();
-        // Writes must not race an in-flight rebuild: a pageout landing in
-        // a half-rebuilt stripe would leave its parity wrong, and plans
-        // snapshot the placement they saw at plan time.
-        self.drain_recovery_queue()?;
         // Each failed attempt can take down at most one server, so the
-        // pool size bounds how many recover-and-retry rounds make sense.
-        let mut retries = self.pool.server_count().max(1);
-        loop {
-            match self.with_engine(|engine, ctx| engine.page_out(ctx, id, page)) {
-                Ok(()) => {
-                    if self.config.verify_checksums {
-                        self.page_sums.insert(id, page.checksum());
-                    }
-                    return Ok(());
-                }
-                Err(e) => {
-                    if retries == 0 || !self.try_recover(&e) {
-                        return Err(e);
-                    }
-                    retries -= 1;
-                }
+        // pool size bounds how many recover-and-retry rounds make sense;
+        // a rebuild that cannot finish fails the pageout outright.
+        let (retries, writing) = match self.drain_recovery_queue() {
+            Ok(()) => (
+                self.pool.server_count().max(1),
+                self.with_engine(|e, ctx| e.begin_page_out(ctx, id, page)),
+            ),
+            Err(e) => (0, Writing::Done(Err(e))),
+        };
+        let op = PageOut {
+            id,
+            started,
+            before,
+            retries,
+        };
+        PageOutFlight { op, writing }
+    }
+
+    /// The second half of a pageout: collects the replies, commits and
+    /// books. `Continue` hands the pageout back, with its failure, when
+    /// a server failed under it and the policy can recover: recovery
+    /// plans against the whole placement table, so a caller that shares
+    /// the pager first lets every other flight land, then calls
+    /// [`Pager::retry_page_out`].
+    pub(crate) fn complete_page_out(
+        &mut self,
+        out: PageOutFlight,
+        page: &Page,
+    ) -> ControlFlow<Result<()>, (PageOut, RmpError)> {
+        let PageOutFlight { op, writing } = out;
+        match self.with_engine(|e, ctx| e.complete_page_out(ctx, op.id, page, writing)) {
+            Err(e) if op.retries > 0 && self.recoverable(&e).is_some() => {
+                ControlFlow::Continue((op, e))
             }
+            done => ControlFlow::Break(self.book_page_out(&op, page, done)),
         }
     }
 
-    fn page_in_inner(&mut self, id: PageId) -> Result<Page> {
-        if self.config.prefetch_window == 0 {
-            return self.demand_page_in(id);
+    /// Recovers from the failure `out` came back with and runs the
+    /// pageout again, whole, as long as attempts keep taking servers down.
+    pub(crate) fn retry_page_out(
+        &mut self,
+        (mut out, failed): (PageOut, RmpError),
+        page: &Page,
+    ) -> Result<()> {
+        let mut done = Err(failed);
+        while let Err(e) = &done {
+            if out.retries == 0 || !self.try_recover(e) {
+                break;
+            }
+            out.retries -= 1;
+            done = self.with_engine(|engine, ctx| engine.page_out(ctx, out.id, page));
         }
-        let stride = self.stride.observe(id);
-        // A demand fault overlapping an in-flight prefetch waits for that
-        // one fetch (it is already on the wire) instead of duplicating it.
-        if self.prefetch_inflight(id) {
-            self.harvest_prefetches(Some(id));
+        self.book_page_out(&out, page, done)
+    }
+
+    /// Records the outcome of a pageout: the writer's checksum, the
+    /// counters, the latency from its begin, and the trace.
+    fn book_page_out(&mut self, out: &PageOut, page: &Page, done: Result<()>) -> Result<()> {
+        let mut server = out.before;
+        if done.is_ok() {
+            if self.config.verify_checksums {
+                self.page_sums.insert(out.id, page.checksum());
+            }
+            // A successful pageout may have *created* the placement;
+            // the post-call location is the one that took the page.
+            server = self.engine.primary_location(out.id).map(|(s, _)| s);
+            self.stats.pageouts += 1;
         }
-        if let Some(page) = self.prefetch.take(id) {
+        self.book(EventKind::PageOut, out.started, server, done)
+    }
+
+    /// Counts one finished operation, times it from `started` and traces
+    /// it. Failed attempts cost wall-clock too; a histogram that only sees
+    /// successes understates tail latency exactly when the system
+    /// degrades.
+    fn book<T>(
+        &mut self,
+        kind: EventKind,
+        started: Instant,
+        server: Option<ServerId>,
+        done: Result<T>,
+    ) -> Result<T> {
+        let m = &self.metrics;
+        let (ok, errors, latency) = match kind {
+            EventKind::PageOut => (&m.pageouts, &m.pageout_errors, &m.pageout_latency),
+            _ => (&m.pageins, &m.pagein_errors, &m.pagein_latency),
+        };
+        let outcome = match &done {
+            Ok(_) => {
+                ok.inc();
+                "ok"
+            }
+            Err(_) => {
+                errors.inc();
+                "error"
+            }
+        };
+        latency.record(started.elapsed());
+        (m.registry).trace(kind, server, Some(self.config.policy), outcome);
+        done
+    }
+
+    /// The first half of a pagein, under whatever lock guards the
+    /// pager: everything up to the wait — the fault's vote on the stride,
+    /// the read-ahead cache (a fault that meets its page in a batch still
+    /// on the wire waits for that one fetch here, rather than send a
+    /// second), the hedge around a gray primary, the engine's lookup and
+    /// dead-holder check, the submit.
+    pub(crate) fn begin_page_in(&mut self, id: PageId) -> PageInFlight {
+        let started = Instant::now();
+        let at = self.engine.primary_location(id);
+        let (mut stride, mut served) = (None, None);
+        if self.config.prefetch_window > 0 {
+            stride = self.stride.observe(id);
+            if self.prefetch_inflight(id) {
+                self.harvest_prefetches(Some(id));
+            }
             // A prefetched copy is held to the same store-corruption
             // check as a wire read; a corrupt one is dropped here and
-            // the demand path below refetches (degrading if need be).
-            if self.check_sum(id, &page).is_none() {
-                // A hit cost no round trip (the wire fetch was counted
-                // when it was issued).
+            // the demand read refetches (degrading if need be). A hit
+            // cost no round trip (the wire fetch was counted when it was
+            // issued).
+            served = (self.prefetch.take(id)).filter(|page| self.check_sum(id, page).is_none());
+            if served.is_some() {
                 self.metrics.prefetch_hits.inc();
-                self.maybe_prefetch(id, stride);
-                return Ok(page);
             }
         }
-        let result = self.demand_page_in(id);
-        if result.is_ok() {
-            self.maybe_prefetch(id, stride);
+        let served = served.or_else(|| self.maybe_hedged_read(id));
+        PageInFlight {
+            id,
+            started,
+            at,
+            stride,
+            served: served.is_some(),
+            reading: match served {
+                Some(page) => Reading::Done(Ok(page)),
+                None => self.with_engine(|e, ctx| e.begin_page_in(ctx, id)),
+            },
         }
-        result
+    }
+
+    /// The second half of a pagein: collects the read and does what
+    /// follows the wait — verify, fall back, read ahead, book.
+    pub(crate) fn complete_page_in(&mut self, flight: PageInFlight) -> Result<Page> {
+        let (id, at) = (flight.id, flight.at);
+        let done = match flight.reading {
+            Reading::Done(done) if flight.served => done,
+            reading => {
+                let mut first = self.with_engine(|e, ctx| e.complete_page_in(ctx, id, reading));
+                // A miss at a unit the page has left since (a whole
+                // operation re-logged it while the read was out) says
+                // nothing about the page: read it where it is now.
+                if matches!(first, Err(RmpError::PageNotFound(_)))
+                    && self.engine.primary_location(id) != at
+                {
+                    first = self.with_engine(|engine, ctx| engine.page_in(ctx, id));
+                }
+                self.demand_page_in(id, first)
+            }
+        };
+        if done.is_ok() {
+            self.stats.pageins += 1;
+            self.maybe_prefetch(id, flight.stride);
+        }
+        // As in `book_page_out`: attribute to the placement the read was
+        // issued against, not whatever recovery re-homed the id to.
+        self.book(EventKind::PageIn, flight.started, at.map(|(s, _)| s), done)
     }
 
     /// Hedged pagein: when the primary holder of `id` looks *gray* —
@@ -960,16 +1140,16 @@ impl Pager {
         }
     }
 
-    fn demand_page_in(&mut self, id: PageId) -> Result<Page> {
-        if let Some(page) = self.maybe_hedged_read(id) {
-            return Ok(page);
-        }
+    /// What follows a demand read's wait: `first` is what the engine's
+    /// read came to; every further attempt runs whole.
+    fn demand_page_in(&mut self, id: PageId, first: Result<Page>) -> Result<Page> {
         let mut retries = self.pool.server_count().max(1);
+        let mut attempt = first;
         loop {
             // `check_sum` counts the failures it detects itself; corruption
             // the pool caught on the wire arrives as an error and is
             // counted here.
-            let err = match self.with_engine(|engine, ctx| engine.page_in(ctx, id)) {
+            let err = match attempt {
                 Ok(page) => match self.check_sum(id, &page) {
                     None => return Ok(page),
                     Some(e) => e,
@@ -1026,80 +1206,25 @@ impl Pager {
                 }
                 e => return Err(e),
             }
+            attempt = self.with_engine(|engine, ctx| engine.page_in(ctx, id));
         }
     }
 }
 
 impl PagingDevice for Pager {
     fn page_out(&mut self, id: PageId, page: &Page) -> Result<()> {
-        let started = Instant::now();
-        // Resolve attribution before the attempt: after a failure the id
-        // may map to a different (or no) placement, and the trace should
-        // blame the server the operation actually ran against.
-        let before = self.engine.primary_location(id).map(|(s, _)| s);
-        let result = self.page_out_inner(id, page);
-        match &result {
-            Ok(()) => {
-                // A successful pageout may have *created* the placement;
-                // the post-call location is the one that took the page.
-                let server = self.engine.primary_location(id).map(|(s, _)| s);
-                self.stats.pageouts += 1;
-                self.metrics.pageouts.inc();
-                self.metrics.pageout_latency.record(started.elapsed());
-                self.metrics.registry.trace(
-                    EventKind::PageOut,
-                    server,
-                    Some(self.config.policy),
-                    "ok",
-                );
-            }
-            Err(_) => {
-                self.metrics.pageout_errors.inc();
-                // Failed attempts cost wall-clock too; a histogram that
-                // only sees successes understates tail latency exactly
-                // when the system degrades.
-                self.metrics.pageout_latency.record(started.elapsed());
-                self.metrics.registry.trace(
-                    EventKind::PageOut,
-                    before,
-                    Some(self.config.policy),
-                    "error",
-                );
-            }
+        let out = self.begin_page_out(id, page);
+        out.writing.park();
+        match self.complete_page_out(out, page) {
+            ControlFlow::Break(done) => done,
+            ControlFlow::Continue(failed) => self.retry_page_out(failed, page),
         }
-        result
     }
 
     fn page_in(&mut self, id: PageId) -> Result<Page> {
-        let started = Instant::now();
-        // As in `page_out`: attribute to the placement the read was
-        // issued against, not whatever recovery re-homed the id to.
-        let server = self.engine.primary_location(id).map(|(s, _)| s);
-        let result = self.page_in_inner(id);
-        match &result {
-            Ok(_) => {
-                self.stats.pageins += 1;
-                self.metrics.pageins.inc();
-                self.metrics.pagein_latency.record(started.elapsed());
-                self.metrics.registry.trace(
-                    EventKind::PageIn,
-                    server,
-                    Some(self.config.policy),
-                    "ok",
-                );
-            }
-            Err(_) => {
-                self.metrics.pagein_errors.inc();
-                self.metrics.pagein_latency.record(started.elapsed());
-                self.metrics.registry.trace(
-                    EventKind::PageIn,
-                    server,
-                    Some(self.config.policy),
-                    "error",
-                );
-            }
-        }
-        result
+        let flight = self.begin_page_in(id);
+        flight.reading.park();
+        self.complete_page_in(flight)
     }
 
     fn free(&mut self, id: PageId) -> Result<()> {

@@ -175,10 +175,12 @@ struct Burst {
     pending: Result<PendingReplies>,
 }
 
-/// Requests on the wire to several servers at once, started by
-/// [`ServerPool::begin_scatter`] and collected by
-/// [`ServerPool::finish_scatter`].
-struct Wave {
+/// Requests on the wire to several servers at once: a
+/// [`ServerPool::scatter`] between its halves (for a gather,
+/// [`ServerPool::begin_page_in_wave`] and
+/// [`ServerPool::finish_page_in_wave`]). Dropping it abandons the
+/// replies.
+pub struct Wave {
     /// The caller's leg indices grouped by server — servers in order of
     /// first appearance, a server's legs in the caller's order.
     order: Vec<usize>,
@@ -188,6 +190,44 @@ struct Wave {
     /// Taken before the first submit: the one read deadline and the one
     /// retry budget of the whole wave count from here.
     started: Instant,
+    read_deadline: Instant,
+    /// The tag of a gather's first batch frame.
+    first_seq: u32,
+}
+
+impl Wave {
+    /// Blocks until every reply is in or the read deadline passes,
+    /// taking none: the collecting half then does not wait, so a caller
+    /// that parks first can hold no lock meanwhile.
+    pub fn park(&self) {
+        for pending in self.bursts.iter().flat_map(|b| &b.pending) {
+            pending.park(self.read_deadline);
+        }
+    }
+}
+
+/// One frame on the wire to one server — a wave of one that allocates
+/// nothing — between [`ServerPool::begin_page_in`] or
+/// [`ServerPool::begin_page_out`] and its `finish`. Dropping it abandons
+/// the reply.
+pub struct Flight {
+    server: ServerId,
+    key: StoreKey,
+    request: Message,
+    submitted: Instant,
+    /// The read deadline, counted from the submit.
+    deadline: Instant,
+    /// The handle on the reply, or why the frame never left.
+    pending: Result<PendingReplies>,
+}
+
+impl Flight {
+    /// As [`Wave::park`]; a frame that never left is not waited for.
+    pub fn park(&self) {
+        if let Ok(pending) = &self.pending {
+            pending.park(self.deadline);
+        }
+    }
 }
 
 /// A wave of stores and frees on the wire, between
@@ -197,6 +237,24 @@ pub struct StoreWave {
     wave: Wave,
     /// The server of each store, in the caller's order.
     takers: Vec<ServerId>,
+}
+
+impl std::borrow::Borrow<Wave> for StoreWave {
+    fn borrow(&self) -> &Wave {
+        &self.wave
+    }
+}
+
+/// The first read of each holder in `reads` and how many reads name it,
+/// in order of first appearance: what a gather sends, and how it is read.
+fn holders(reads: &[(ServerId, StoreKey)]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let firsts = (0..reads.len()).filter(|&i| !reads[..i].iter().any(|r| r.0 == reads[i].0));
+    firsts.map(|i| (i, reads[i..].iter().filter(|r| r.0 == reads[i].0).count()))
+}
+
+fn keys_on(reads: &[(ServerId, StoreKey)], server: ServerId) -> Vec<StoreKey> {
+    let named = reads.iter().filter(|r| r.0 == server);
+    named.map(|r| r.1).collect()
 }
 
 /// The typed error for a reply of the wrong kind.
@@ -882,6 +940,64 @@ impl ServerPool {
         })
     }
 
+    /// Puts `msgs` on `id`'s window as one burst, waiting for nothing.
+    fn submit_to(&mut self, id: ServerId, msgs: &[Message]) -> Result<PendingReplies> {
+        match self.peers.get_mut(&id) {
+            Some(peer) => (peer.transport.submit(msgs))
+                .unwrap_or(Err(RmpError::Unsupported("transport takes no submissions"))),
+            None => Err(RmpError::Config(format!("unknown server {id}"))),
+        }
+    }
+
+    /// The first half of a call: submits `request` and returns. What the
+    /// caller does before [`ServerPool::settle`] — let go of a lock, say —
+    /// overlaps the wire.
+    fn begin_call(&mut self, id: ServerId, key: StoreKey, request: Message) -> Flight {
+        if let Some(m) = &self.metrics {
+            m.calls.inc();
+        }
+        let submitted = Instant::now();
+        Flight {
+            pending: self.submit_to(id, std::slice::from_ref(&request)),
+            server: id,
+            key,
+            request,
+            submitted,
+            deadline: submitted + self.transport_cfg.read_timeout,
+        }
+    }
+
+    /// The second half of a call: collects the reply, samples the attempt
+    /// with the reply's own submit-to-arrival time — never with how long
+    /// the caller took to come back for it: a wait for a lock is not a
+    /// slow server, nor spent call budget — and hands a failed one to the
+    /// ladder at its second rung, as [`ServerPool::finish_scatter`] does.
+    fn settle(&mut self, flight: Flight) -> Result<Message> {
+        let id = flight.server;
+        let (reply, arrived) = match flight.pending {
+            Ok(mut pending) => (pending.next_by(flight.deadline)).expect("one frame, one reply"),
+            Err(refused) => (Err(refused), flight.submitted),
+        };
+        let elapsed = (arrived.min(flight.deadline)).saturating_duration_since(flight.submitted);
+        self.record_attempt(id, elapsed);
+        self.publish_window_stats(id);
+        let data_path = flight.request.is_data_op();
+        match reply {
+            Ok(reply) => {
+                self.last_attempts = 1;
+                self.sample(id, elapsed, Outcome::Reply { data_path });
+                Ok(reply)
+            }
+            Err(failed) => {
+                let left = (self.transport_cfg.effective_call_budget()).saturating_sub(elapsed);
+                let ran = Some((failed, elapsed));
+                self.ladder(id, data_path, ran, Instant::now() + left, |t| {
+                    t.call(&flight.request)
+                })
+            }
+        }
+    }
+
     /// The first half of [`ServerPool::scatter`]: groups the legs by server
     /// and submits every server's burst, waiting for nothing. What the
     /// caller does before [`ServerPool::finish_scatter`] overlaps the wire.
@@ -912,11 +1028,7 @@ impl ServerPool {
                 m.calls.inc();
             }
             let submitted = Instant::now();
-            let pending = match self.peers.get_mut(&server) {
-                Some(peer) => (peer.transport.submit(&msgs[at..end]))
-                    .unwrap_or(Err(RmpError::Unsupported("transport takes no submissions"))),
-                None => Err(RmpError::Config(format!("unknown server {server}"))),
-            };
+            let pending = self.submit_to(server, &msgs[at..end]);
             bursts.push(Burst {
                 server,
                 at: at..end,
@@ -930,6 +1042,8 @@ impl ServerPool {
             msgs,
             bursts,
             started,
+            read_deadline: started + self.transport_cfg.read_timeout,
+            first_seq: 0,
         }
     }
 
@@ -942,8 +1056,9 @@ impl ServerPool {
             msgs,
             bursts,
             started,
+            read_deadline,
+            ..
         } = wave;
-        let read_deadline = started + self.transport_cfg.read_timeout;
         let budget = started + self.transport_cfg.effective_call_budget();
         let mut out: Vec<Result<Message>> = (order.iter())
             .map(|_| Err(RmpError::Unsupported("leg left uncollected")))
@@ -1150,6 +1265,19 @@ impl ServerPool {
         self.stored(id, reply)
     }
 
+    /// The first half of [`ServerPool::page_out`]: the store is on the
+    /// wire, and the caller may let go of a lock meanwhile.
+    pub fn begin_page_out(&mut self, id: ServerId, key: StoreKey, page: &Page) -> Flight {
+        self.begin_call(id, key, Self::store_request(key, page))
+    }
+
+    /// The second half of [`ServerPool::page_out`].
+    pub fn finish_page_out(&mut self, flight: Flight) -> Result<LoadHint> {
+        let id = flight.server;
+        let reply = self.settle(flight)?;
+        self.stored(id, reply)
+    }
+
     /// Starts one wave that ships every page in `stores` to its unit and
     /// releases every unit in `frees`. Nothing is waited for: what the
     /// caller does before [`ServerPool::finish_stores`] — a write-through's
@@ -1193,6 +1321,19 @@ impl ServerPool {
     /// stays alive in the view).
     pub fn page_in(&mut self, id: ServerId, key: StoreKey) -> Result<Page> {
         let reply = self.call(id, &Message::PageIn { id: key })?;
+        self.fetched(id, key, reply)?
+            .ok_or(RmpError::PageNotFound(rmp_types::PageId(key.0)))
+    }
+
+    /// The first half of [`ServerPool::page_in`].
+    pub fn begin_page_in(&mut self, id: ServerId, key: StoreKey) -> Flight {
+        self.begin_call(id, key, Message::PageIn { id: key })
+    }
+
+    /// The second half of [`ServerPool::page_in`].
+    pub fn finish_page_in(&mut self, flight: Flight) -> Result<Page> {
+        let (id, key) = (flight.server, flight.key);
+        let reply = self.settle(flight)?;
         self.fetched(id, key, reply)?
             .ok_or(RmpError::PageNotFound(rmp_types::PageId(key.0)))
     }
@@ -1330,34 +1471,44 @@ impl ServerPool {
     /// are counted); kinds as [`ServerPool::page_in`] and
     /// [`ServerPool::page_in_batch`].
     pub fn page_in_wave(&mut self, reads: &[(ServerId, StoreKey)]) -> Result<Vec<Option<Page>>> {
-        // The first read of each holder and how many reads name it, in
-        // order of first appearance: what is sent, and how it is read.
-        let holders = || {
-            let firsts =
-                (0..reads.len()).filter(|&i| !reads[..i].iter().any(|r| r.0 == reads[i].0));
-            firsts.map(|i| (i, reads[i..].iter().filter(|r| r.0 == reads[i].0).count()))
-        };
-        let keys_on = |server: ServerId| -> Vec<StoreKey> {
-            let named = reads.iter().filter(|r| r.0 == server);
-            named.map(|r| r.1).collect()
-        };
-        let mut seq = self.next_batch_seq;
+        let wave = self.begin_page_in_wave(reads);
+        self.finish_page_in_wave(wave, reads)
+    }
+
+    /// The first half of [`ServerPool::page_in_wave`]: every burst is on
+    /// the wire when this returns.
+    pub fn begin_page_in_wave(&mut self, reads: &[(ServerId, StoreKey)]) -> Wave {
+        let first_seq = self.next_batch_seq;
         let mut legs = Vec::with_capacity(reads.len());
-        for (first, named) in holders() {
+        for (first, named) in holders(reads) {
             let (server, key) = reads[first];
             if named == 1 {
                 legs.push((server, Message::PageIn { id: key }));
                 continue;
             }
-            for chunk in keys_on(server).chunks(self.batch_max_pages) {
+            for chunk in keys_on(reads, server).chunks(self.batch_max_pages) {
                 let (seq, ids) = (self.batch_seq(), chunk.to_vec());
                 legs.push((server, Message::PageInBatch { seq, ids }));
             }
         }
-        let mut replies = self.scatter(legs).into_iter();
+        Wave {
+            first_seq,
+            ..self.begin_scatter(legs)
+        }
+    }
+
+    /// The second half of [`ServerPool::page_in_wave`], given the `reads`
+    /// the wave was begun with.
+    pub fn finish_page_in_wave(
+        &mut self,
+        wave: Wave,
+        reads: &[(ServerId, StoreKey)],
+    ) -> Result<Vec<Option<Page>>> {
+        let mut seq = wave.first_seq;
+        let mut replies = self.finish_scatter(wave).into_iter();
         let mut out: Vec<Option<Page>> = vec![None; reads.len()];
         let mut failed = None;
-        for (first, named) in holders() {
+        for (first, named) in holders(reads) {
             let (server, key) = reads[first];
             let mut read_holder = || -> Result<()> {
                 if named == 1 {
@@ -1365,7 +1516,7 @@ impl ServerPool {
                     out[first] = self.fetched(server, key, reply)?;
                     return Ok(());
                 }
-                let keys = keys_on(server);
+                let keys = keys_on(reads, server);
                 let sent: Vec<(u32, &[StoreKey])> = (keys.chunks(self.batch_max_pages))
                     .map(|chunk| {
                         seq = seq.wrapping_add(1);
@@ -1416,16 +1567,8 @@ impl ServerPool {
             seq,
             ids: keys.clone(),
         };
-        let peer = self
-            .peers
-            .get_mut(&id)
-            .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?;
         let issued = Instant::now();
-        let submitted = peer
-            .transport
-            .submit(std::slice::from_ref(&frame))
-            .unwrap_or(Err(RmpError::Unsupported("transport takes no submissions")));
-        match submitted {
+        match self.submit_to(id, std::slice::from_ref(&frame)) {
             Ok(pending) => Ok(PendingPageIn {
                 server: id,
                 seq,

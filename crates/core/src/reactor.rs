@@ -121,7 +121,8 @@ impl Dead {
 /// A slot is written through the clone in [`Inner::pending`] and through
 /// nothing else, and that clone is gone once the frame is answered,
 /// abandoned or failed with its connection — which is what lets
-/// [`WindowedTransport::call`] use one slot for every call.
+/// [`WindowedTransport::spare_slot`] hand a slot out again as soon as
+/// its handle is dropped.
 #[derive(Default)]
 struct Slot {
     state: Mutex<Option<(Result<Message>, Instant)>>,
@@ -132,6 +133,19 @@ impl Slot {
     fn complete(&self, result: Result<Message>) {
         *self.state.lock().expect("slot lock") = Some((result, Instant::now()));
         self.cv.notify_all();
+    }
+
+    /// Blocks until the slot holds its result or `deadline` passes.
+    fn settled(&self, deadline: Instant) -> MutexGuard<'_, Option<(Result<Message>, Instant)>> {
+        let mut state = self.state.lock().expect("slot lock");
+        while state.is_none() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            state = self.cv.wait_timeout(state, left).expect("slot lock").0;
+        }
+        state
     }
 }
 
@@ -185,35 +199,22 @@ impl Shared {
     /// its window slot frees now and the reply, if it ever comes, is
     /// dropped as late.
     fn wait_slot(&self, seq: u32, slot: &Slot, deadline: Instant) -> (Result<Message>, Instant) {
-        let mut state = slot.state.lock().expect("slot lock");
         loop {
-            if let Some(arrived) = state.take() {
+            if let Some(arrived) = slot.settled(deadline).take() {
                 return arrived;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(state);
-                let mut inner = self.lock();
-                if inner.pending.remove(&seq).is_some() {
-                    inner.inflight -= 1;
-                    self.space_cv.notify_all();
-                    let timed_out = RmpError::Io(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "windowed call timed out",
-                    ));
-                    return (Err(timed_out), now);
-                }
-                drop(inner);
-                // The driver completed this seq between our timeout and
-                // the abandon attempt; the result is there now.
-                state = slot.state.lock().expect("slot lock");
-                continue;
+            let mut inner = self.lock();
+            if inner.pending.remove(&seq).is_some() {
+                inner.inflight -= 1;
+                self.space_cv.notify_all();
+                let timed_out = RmpError::Io(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "windowed call timed out",
+                ));
+                return (Err(timed_out), Instant::now());
             }
-            let (guard, _) = slot
-                .cv
-                .wait_timeout(state, deadline - now)
-                .expect("slot lock");
-            state = guard;
+            // The driver completed this seq between our timeout and the
+            // abandon attempt; the result is there now.
         }
     }
 }
@@ -430,8 +431,26 @@ fn drive(stream: TcpStream, shared: Arc<Shared>) {
 pub struct PendingReplies {
     shared: Arc<Shared>,
     read_timeout: Duration,
-    slots: Vec<(u32, Arc<Slot>)>,
+    slots: Slots,
     taken: usize,
+}
+
+/// The seq and slot of each frame of a handle. A lone frame — a fault —
+/// keeps its pair inline, so its handle allocates nothing.
+enum Slots {
+    One([(u32, Arc<Slot>); 1]),
+    Many(Vec<(u32, Arc<Slot>)>),
+}
+
+impl std::ops::Deref for Slots {
+    type Target = [(u32, Arc<Slot>)];
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Slots::One(slot) => slot,
+            Slots::Many(slots) => slots,
+        }
+    }
 }
 
 /// The delivering side of [`PendingReplies::deferred`]. Dropped without
@@ -502,7 +521,7 @@ impl PendingReplies {
         let pending = PendingReplies {
             shared,
             read_timeout,
-            slots,
+            slots: Slots::Many(slots),
             taken: 0,
         };
         (pending, completion)
@@ -542,6 +561,18 @@ impl PendingReplies {
             replies.push(reply?);
         }
         Ok(replies)
+    }
+
+    /// Blocks until every reply still owed has arrived or `deadline`
+    /// passes, taking none: the wait a caller does while it holds no
+    /// lock. Whatever [`PendingReplies::next_by`] then finds, it finds
+    /// without blocking.
+    pub(crate) fn park(&self, deadline: Instant) {
+        for (_, slot) in &self.slots[self.taken..] {
+            if slot.settled(deadline).is_none() {
+                return;
+            }
+        }
     }
 
     /// Blocks until `deadline` — the caller's, so that several handles
@@ -595,11 +626,9 @@ pub struct WindowedTransport {
     /// after. One buffer for the connection's life, so a submission
     /// allocates nothing for its frames.
     wbuf: Vec<u8>,
-    /// The slot every [`ServerTransport::call`] waits on. `call` takes
-    /// `&mut self` and returns only once its frame is answered, abandoned
-    /// or failed with the connection — no clone of the slot is left in
-    /// `pending` to write a stale result into the next call.
-    call_slot: Arc<Slot>,
+    /// The slots of one-frame submissions, at most a window of them,
+    /// handed out again and again (see [`WindowedTransport::spare_slot`]).
+    slots: Vec<Arc<Slot>>,
 }
 
 impl std::fmt::Debug for WindowedTransport {
@@ -643,7 +672,7 @@ impl WindowedTransport {
             driver: None,
             granted: 1,
             wbuf: Vec::new(),
-            call_slot: Arc::new(Slot::default()),
+            slots: Vec::new(),
         };
         transport.establish()?;
         Ok(transport)
@@ -741,16 +770,39 @@ impl WindowedTransport {
     /// enqueued before a mid-batch failure stay in flight and their
     /// replies are discarded on arrival.
     pub fn submit(&mut self, msgs: &[Message]) -> Result<PendingReplies> {
-        let mut slots: Vec<(u32, Arc<Slot>)> = (msgs.iter())
-            .map(|_| (0, Arc::new(Slot::default())))
-            .collect();
-        self.put_on_window(msgs, &mut slots)?;
+        let slots = if let [_] = msgs {
+            let mut one = [(0, self.spare_slot())];
+            self.put_on_window(msgs, &mut one)?;
+            Slots::One(one)
+        } else {
+            let mut many: Vec<_> = msgs.iter().map(|_| (0, Arc::default())).collect();
+            self.put_on_window(msgs, &mut many)?;
+            Slots::Many(many)
+        };
         Ok(PendingReplies {
             shared: Arc::clone(&self.shared),
             read_timeout: self.config.read_timeout,
             slots,
             taken: 0,
         })
+    }
+
+    /// A slot for a one-frame submission that allocates nothing once the
+    /// pool is warm: one of the transport's own that nobody else holds —
+    /// its last frame was answered, abandoned or failed, so no clone is
+    /// left in `pending`, and the handle that waited on it is gone. Only
+    /// this method clones a pooled slot, so a count of one stays one.
+    fn spare_slot(&mut self) -> Arc<Slot> {
+        if let Some(slot) = self.slots.iter().find(|s| Arc::strong_count(s) == 1) {
+            // A handle dropped uncollected leaves its reply behind.
+            *slot.state.lock().expect("slot lock") = None;
+            return Arc::clone(slot);
+        }
+        let slot = Arc::new(Slot::default());
+        if self.slots.len() < self.granted {
+            self.slots.push(Arc::clone(&slot));
+        }
+        slot
     }
 
     /// The one way onto the wire: encodes `msgs` as windowed frames into
@@ -866,19 +918,12 @@ impl WindowedTransport {
 
 impl ServerTransport for WindowedTransport {
     fn call(&mut self, msg: &Message) -> Result<Message> {
-        // A submission of one that allocates nothing: the frame goes
-        // through the transport's buffer and the reply through its slot.
-        // Whatever an earlier call that failed with its connection left
-        // in the slot is discarded first.
-        let mut slot = [(0, Arc::clone(&self.call_slot))];
-        *slot[0].1.state.lock().expect("slot lock") = None;
-        self.put_on_window(std::slice::from_ref(msg), &mut slot)?;
-        let [(seq, slot)] = slot;
+        // A submission of one, waited for at once: the frame goes through
+        // the transport's buffer and the reply through a pooled slot.
+        let mut pending = WindowedTransport::submit(self, std::slice::from_ref(msg))?;
         let deadline = Instant::now() + self.config.read_timeout;
-        self.shared
-            .wait_slot(seq, &slot, deadline)
-            .0
-            .and_then(typed)
+        let (reply, _) = pending.next_by(deadline).expect("one frame, one reply");
+        reply
     }
 
     fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {

@@ -180,7 +180,7 @@ impl RecoveryPlan {
         self.report.pages_rebuilt += step.pages_rebuilt;
         self.report.parity_rebuilt += step.parity_rebuilt;
         self.report.transfers += step.transfers;
-        if let Some(m) = ctx.metrics {
+        if let Some(m) = ctx.metrics.as_deref().map(|m| &m.registry) {
             m.histogram("pager_recovery_step_latency_us")
                 .record(step_started.elapsed());
             m.counter("pager_recovery_pages_rebuilt_total")

@@ -5,11 +5,12 @@
 //! a fixed power-of-two number of *shards*. Each shard is a complete
 //! single-threaded [`Pager`] — its own page table, checksum map, engine
 //! bookkeeping, prefetcher, and its own [`ServerPool`] with private TCP
-//! connections to every server — behind one `parking_lot` mutex. Threads
-//! faulting on different shards proceed in parallel end to end: they
-//! neither share a lock nor serialize on a socket. (Server-side, each
-//! shard's connection gets a private key namespace, so shards cannot
-//! collide on store keys.)
+//! connections to every server — behind one mutex. Threads faulting on
+//! different shards proceed in parallel end to end: they neither share a
+//! lock nor serialize on a socket; threads faulting on one shard share
+//! its lock and its sockets, and neither across a round trip (below).
+//! (Server-side, each shard's connection gets a private key namespace,
+//! so shards cannot collide on store keys.)
 //!
 //! # Shard map
 //!
@@ -18,16 +19,47 @@
 //! shard, and each shard observes a constant stride of `shard_count` —
 //! which its stride prefetcher detects just like stride 1.
 //!
-//! # Lock order and quiesce protocol
+//! # Begin, park, complete
 //!
-//! Fast-path operations (`page_out`, `page_in`, `free`, `contains`) lock
-//! exactly one shard, so they cannot deadlock. Maintenance operations
-//! that must observe every shard (`flush`, `recover_from_crash`,
-//! `periodic_maintenance`) *quiesce*: they acquire every shard lock in
-//! ascending index order — the one global lock order — holding all of
-//! them while they work, so no application thread can interleave a write
-//! with a half-done recovery pass. Anything locking more than one shard
-//! must take them in ascending order.
+//! No shard lock is held across the wire. `page_in` and `page_out` are
+//! the three steps a lone [`Pager`] runs back to back: *begin*, under the
+//! shard lock, does everything up to the wait and leaves the frames on
+//! the connection's request window; the caller then *parks* on the
+//! replies holding no lock; *complete* re-takes the lock to verify,
+//! fall back, commit and book. Two callers on one shard therefore share
+//! its link delay instead of queueing for it. An operation with nothing
+//! on the wire (a read-ahead hit, a disk read, the operations DESIGN.md
+//! §11 lists as kept whole) runs begin and complete under one
+//! acquisition. `free`, `contains` and the accessors never leave the
+//! lock.
+//!
+//! Two rules stand in for "the lock is held":
+//!
+//! - **One operation per page.** A shard keeps the set of pages between
+//!   a begin and the end of its complete; `page_in`, `page_out` and
+//!   `free` of a page in that set wait for it to leave. So no read is
+//!   verified against a newer write's checksum, and two rewrites of one
+//!   page commit in the order they went out.
+//! - **Planners wait for the wire to empty.** Whatever plans against the
+//!   placement table as a whole — `flush`, `recover_from_crash`,
+//!   `periodic_maintenance`, `reconnect`, and within one shard the
+//!   queued rebuild a pageout or free drains first and the recovery a
+//!   pageout runs when a server fails under it — first lets every
+//!   flight of the shard land, and no new operation begins while a
+//!   planner waits.
+//!
+//! # Lock order
+//!
+//! Shard → that shard's connection windows → a reply slot; a parked
+//! caller holds only the last. Operations on pages lock exactly one
+//! shard, so they cannot deadlock. The planners that must observe every
+//! shard *quiesce*: they take the shards in ascending index order — the
+//! one global lock order — emptying each one's wire as they go and
+//! holding all of them while they work, so no application thread can
+//! interleave a write with a half-done recovery pass. A flight landing
+//! needs only its own shard's lock, which a quiescer waiting for it has
+//! let go of, so the wait cannot deadlock either. Anything locking more
+//! than one shard must take them in ascending order.
 //!
 //! # Examples
 //!
@@ -61,7 +93,9 @@
 //! assert_eq!(pager.page_in(PageId(2)).unwrap(), Page::filled(4));
 //! ```
 
-use parking_lot::Mutex;
+use std::ops::ControlFlow;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
 use rmp_blockdev::PagingDevice;
 use rmp_cluster::Registry;
 use rmp_types::{Page, PageId, PagerConfig, Result, RmpError, ServerId, TransferStats};
@@ -129,12 +163,160 @@ impl ShardedPagerBuilder {
         let mut built = Vec::with_capacity(shards);
         for pool in pools {
             let disk = disks.remove(0);
-            built.push(Mutex::new(Pager::new(config.clone(), pool, disk)?));
+            built.push(Shard {
+                state: Mutex::new((Pager::new(config.clone(), pool, disk)?, Flights::default())),
+                landed: Condvar::new(),
+            });
         }
         Ok(ShardedPager {
             shards: built,
             mask: (shards - 1) as u64,
         })
+    }
+}
+
+/// What a shard has between a begin and its complete.
+#[derive(Default)]
+struct Flights {
+    /// Pages with an operation under way, from before its begin to the
+    /// end of its complete.
+    busy: Vec<PageId>,
+    /// Operations parked: begun, and not yet back under the lock.
+    on_wire: usize,
+    /// Planners waiting for `on_wire` to reach zero; while there is one,
+    /// no operation begins.
+    planners: usize,
+    /// Threads blocked on [`Shard::landed`], so that a landing nobody
+    /// waits for costs no wake-up call.
+    waiting: usize,
+}
+
+type ShardGuard<'a> = MutexGuard<'a, (Pager, Flights)>;
+
+/// One shard: its pager and flights under one lock, and the condition
+/// every change to the flights is announced on.
+struct Shard {
+    state: Mutex<(Pager, Flights)>,
+    landed: Condvar,
+}
+
+impl Shard {
+    /// Locks the shard. A panic under the lock leaves the pager as
+    /// consistent as a panic in a lone `Pager` would: carry on.
+    fn lock(&self) -> ShardGuard<'_> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Lets go of the lock until `blocked` no longer holds of the
+    /// flights, counting the wait — once, however often it is woken — in
+    /// `pager_flight_waits_total`.
+    fn wait_while<'a>(
+        &self,
+        mut guard: ShardGuard<'a>,
+        blocked: impl Fn(&Flights) -> bool,
+    ) -> ShardGuard<'a> {
+        if blocked(&guard.1) {
+            guard.0.note_flight_wait();
+        }
+        while blocked(&guard.1) {
+            guard.1.waiting += 1;
+            guard = (self.landed.wait(guard)).unwrap_or_else(PoisonError::into_inner);
+            guard.1.waiting -= 1;
+        }
+        guard
+    }
+
+    fn announce(&self, guard: &ShardGuard<'_>) {
+        if guard.1.waiting > 0 {
+            self.landed.notify_all();
+        }
+    }
+
+    /// Locks the shard for an operation on `id`, once no other operation
+    /// on `id` is under way and no planner is waiting.
+    fn enter(&self, id: PageId) -> Turn<'_> {
+        let mut guard = self.wait_while(self.lock(), |f| f.planners > 0 || f.busy.contains(&id));
+        guard.1.busy.push(id);
+        Turn {
+            shard: self,
+            id,
+            guard: Some(guard),
+        }
+    }
+
+    /// As [`Shard::enter`], for an operation that changes placements:
+    /// the pager drains its queued rebuilds first, and a rebuild plans —
+    /// so if any is queued, the wire is emptied for it.
+    fn enter_to_write(&self, id: PageId) -> Turn<'_> {
+        let mut turn = self.enter(id);
+        if turn.pager().recovery_backlog() > 0 {
+            turn.quiet();
+        }
+        turn
+    }
+
+    /// Returns once nothing of this shard is on the wire, holding the
+    /// lock — so nothing takes off until the caller lets go. Nothing
+    /// between the two counts can unwind: the waits recover a poisoned
+    /// lock.
+    fn quiet<'a>(&self, mut guard: ShardGuard<'a>) -> ShardGuard<'a> {
+        guard.1.planners += 1;
+        guard = self.wait_while(guard, |f| f.on_wire > 0);
+        guard.1.planners -= 1;
+        self.announce(&guard);
+        guard
+    }
+}
+
+/// One operation's turn on a shard: its page's entry in the busy set,
+/// and the lock except while parked. Dropping it gives both back — on an
+/// unwind too, so a panic under it leaves no page busy for ever and no
+/// flight counted on a wire it has left.
+struct Turn<'a> {
+    shard: &'a Shard,
+    id: PageId,
+    /// `None` exactly while parked, and then counted in `on_wire`.
+    guard: Option<ShardGuard<'a>>,
+}
+
+impl Turn<'_> {
+    fn pager(&mut self) -> &mut Pager {
+        &mut self.guard.as_mut().expect("not parked").0
+    }
+
+    /// Runs `park` with the lock released.
+    fn parked(&mut self, park: impl FnOnce()) {
+        let mut guard = self.guard.take().expect("not parked");
+        guard.1.on_wire += 1;
+        drop(guard);
+        park();
+        self.land();
+    }
+
+    /// Takes the lock again, off the wire.
+    fn land(&mut self) {
+        let mut guard = self.shard.lock();
+        guard.1.on_wire -= 1;
+        self.shard.announce(&guard);
+        self.guard = Some(guard);
+    }
+
+    /// As [`Shard::quiet`], in mid-turn.
+    fn quiet(&mut self) {
+        let guard = self.guard.take().expect("not parked");
+        self.guard = Some(self.shard.quiet(guard));
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        if self.guard.is_none() {
+            self.land();
+        }
+        if let Some(guard) = &mut self.guard {
+            guard.1.busy.retain(|&busy| busy != self.id);
+            self.shard.announce(guard);
+        }
     }
 }
 
@@ -172,7 +354,7 @@ impl ShardedPagerBuilder {
 /// }
 /// ```
 pub struct ShardedPager {
-    shards: Vec<Mutex<Pager>>,
+    shards: Vec<Shard>,
     /// `shard_count - 1`; the shard of `id` is `id & mask`.
     mask: u64,
 }
@@ -221,32 +403,50 @@ impl ShardedPager {
     }
 
     /// The shard holding `id`.
-    fn shard(&self, id: PageId) -> &Mutex<Pager> {
+    fn shard(&self, id: PageId) -> &Shard {
         &self.shards[(id.0 & self.mask) as usize]
     }
 
     /// Runs `f` on shard `index`'s pager — an escape hatch for tests and
     /// tools that inspect per-shard state (metrics, pool views).
     pub fn with_shard<R>(&self, index: usize, f: impl FnOnce(&mut Pager) -> R) -> R {
-        f(&mut self.shards[index].lock())
+        f(&mut self.shards[index].lock().0)
     }
 
-    /// Stores `page` under `id`, locking only `id`'s shard.
+    /// Stores `page` under `id`, locking only `id`'s shard, and that not
+    /// while the frames are on the wire.
     ///
     /// # Errors
     ///
     /// As [`Pager::page_out`](PagingDevice::page_out).
     pub fn page_out(&self, id: PageId, page: &Page) -> Result<()> {
-        self.shard(id).lock().page_out(id, page)
+        let mut turn = self.shard(id).enter_to_write(id);
+        let out = turn.pager().begin_page_out(id, page);
+        if out.writing.on_wire() {
+            turn.parked(|| out.writing.park());
+        }
+        match turn.pager().complete_page_out(out, page) {
+            ControlFlow::Break(done) => done,
+            ControlFlow::Continue(failed) => {
+                turn.quiet();
+                turn.pager().retry_page_out(failed, page)
+            }
+        }
     }
 
-    /// Fetches the page stored under `id`, locking only `id`'s shard.
+    /// Fetches the page stored under `id`, locking only `id`'s shard, and
+    /// that not while the read is on the wire.
     ///
     /// # Errors
     ///
     /// As [`Pager::page_in`](PagingDevice::page_in).
     pub fn page_in(&self, id: PageId) -> Result<Page> {
-        self.shard(id).lock().page_in(id)
+        let mut turn = self.shard(id).enter(id);
+        let flight = turn.pager().begin_page_in(id);
+        if flight.reading.on_wire() {
+            turn.parked(|| flight.reading.park());
+        }
+        turn.pager().complete_page_in(flight)
     }
 
     /// Releases the page stored under `id`, locking only `id`'s shard.
@@ -255,12 +455,12 @@ impl ShardedPager {
     ///
     /// As [`Pager::free`](PagingDevice::free).
     pub fn free(&self, id: PageId) -> Result<()> {
-        self.shard(id).lock().free(id)
+        self.shard(id).enter_to_write(id).pager().free(id)
     }
 
     /// Returns `true` when a page is stored under `id`.
     pub fn contains(&self, id: PageId) -> bool {
-        self.shard(id).lock().contains(id)
+        self.shard(id).lock().0.contains(id)
     }
 
     /// Quiesces all shards and flushes each (seals partial parity
@@ -271,8 +471,8 @@ impl ShardedPager {
     /// The first shard failure; earlier shards stay flushed.
     pub fn flush(&self) -> Result<()> {
         let mut guards = self.quiesce();
-        for pager in guards.iter_mut() {
-            pager.flush()?;
+        for guard in guards.iter_mut() {
+            guard.0.flush()?;
         }
         Ok(())
     }
@@ -281,7 +481,7 @@ impl ShardedPager {
     pub fn stats(&self) -> TransferStats {
         let mut total = TransferStats::default();
         for shard in &self.shards {
-            total += shard.lock().stats();
+            total += shard.lock().0.stats();
         }
         total
     }
@@ -291,7 +491,7 @@ impl ShardedPager {
     /// [`Pager::note_crash`] does.
     pub fn note_crash(&self, server: ServerId) {
         for shard in &self.shards {
-            shard.lock().note_crash(server);
+            shard.lock().0.note_crash(server);
         }
     }
 
@@ -299,7 +499,7 @@ impl ShardedPager {
     pub fn recovery_backlog(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().recovery_backlog())
+            .map(|s| s.lock().0.recovery_backlog())
             .sum()
     }
 
@@ -314,8 +514,8 @@ impl ShardedPager {
     pub fn recover_from_crash(&self, server: ServerId) -> Result<Vec<RecoveryReport>> {
         let mut guards = self.quiesce();
         let mut reports = Vec::with_capacity(guards.len());
-        for pager in guards.iter_mut() {
-            reports.push(pager.recover_from_crash(server)?);
+        for guard in guards.iter_mut() {
+            reports.push(guard.0.recover_from_crash(server)?);
         }
         Ok(reports)
     }
@@ -330,8 +530,8 @@ impl ShardedPager {
     pub fn periodic_maintenance(&self) -> Result<(u64, u64)> {
         let mut guards = self.quiesce();
         let (mut migrated, mut rebuilt) = (0, 0);
-        for pager in guards.iter_mut() {
-            let (m, r) = pager.periodic_maintenance()?;
+        for guard in guards.iter_mut() {
+            let (m, r) = guard.0.periodic_maintenance()?;
             migrated += m;
             rebuilt += r;
         }
@@ -347,8 +547,8 @@ impl ShardedPager {
     /// reconnected.
     pub fn reconnect(&self, server: ServerId) -> Result<()> {
         let mut guards = self.quiesce();
-        for pager in guards.iter_mut() {
-            pager.pool_mut().reconnect(server)?;
+        for guard in guards.iter_mut() {
+            guard.0.pool_mut().reconnect(server)?;
         }
         Ok(())
     }
@@ -360,14 +560,14 @@ impl ShardedPager {
     pub fn suspicion(&self, server: ServerId) -> f64 {
         self.shards
             .iter()
-            .map(|s| s.lock().pool().suspicion(server))
+            .map(|s| s.lock().0.pool().suspicion(server))
             .fold(0.0, f64::max)
     }
 
     /// Summed `(hedged pageins, hedge wins)` across every shard's pool.
     pub fn hedge_stats(&self) -> (u64, u64) {
         self.shards.iter().fold((0, 0), |(h, w), s| {
-            let (sh, sw) = s.lock().pool().hedge_stats();
+            let (sh, sw) = s.lock().0.pool().hedge_stats();
             (h + sh, w + sw)
         })
     }
@@ -377,7 +577,7 @@ impl ShardedPager {
         let shards: Vec<String> = self
             .shards
             .iter()
-            .map(|s| s.lock().metrics_snapshot_json())
+            .map(|s| s.lock().0.metrics_snapshot_json())
             .collect();
         format!(
             "{{\"schema\": \"rmp-sharded-pager-v1\", \"shard_count\": {}, \"shards\": [{}]}}",
@@ -387,9 +587,10 @@ impl ShardedPager {
     }
 
     /// Acquires every shard lock in ascending index order — the global
-    /// lock order that makes multi-shard operations deadlock-free.
-    fn quiesce(&self) -> Vec<parking_lot::MutexGuard<'_, Pager>> {
-        self.shards.iter().map(|s| s.lock()).collect()
+    /// lock order that makes multi-shard operations deadlock-free — each
+    /// once its flights have landed.
+    fn quiesce(&self) -> Vec<ShardGuard<'_>> {
+        self.shards.iter().map(|s| s.quiet(s.lock())).collect()
     }
 }
 
@@ -424,6 +625,7 @@ impl PagingDevice for ShardedPager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosCluster, FaultPlan};
     use rmp_types::Policy;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -434,6 +636,29 @@ mod tests {
         // threads. A compile-time property, asserted explicitly so a
         // future non-Send field fails here instead of in user code.
         assert_send_sync::<ShardedPager>();
+    }
+
+    #[test]
+    fn a_panic_in_mid_turn_gives_the_page_and_the_wire_back() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let config = PagerConfig::new(Policy::NoReliability).with_shard_count(1);
+        let cluster = ChaosCluster::new(2, FaultPlan::seeded(1));
+        let pager = (ShardedPager::builder(config).pools(vec![cluster.pool(&Default::default())]))
+            .build()
+            .expect("one shard");
+        let shard = &pager.shards[0];
+        let on_the_wire = || shard.enter(PageId(7)).parked(|| panic!("parked"));
+        assert!(catch_unwind(AssertUnwindSafe(on_the_wire)).is_err());
+        let under_the_lock = || {
+            let _turn = shard.enter(PageId(7));
+            panic!("holding the lock");
+        };
+        assert!(catch_unwind(AssertUnwindSafe(under_the_lock)).is_err());
+        let guard = shard.lock();
+        assert!(guard.1.busy.is_empty() && guard.1.on_wire == 0);
+        // Neither a planner nor the page's next operation hangs.
+        drop(shard.quiet(guard));
+        drop(shard.enter(PageId(7)));
     }
 
     #[test]

@@ -348,9 +348,16 @@ fn disabled_prefetch_window_never_prefetches() {
         0,
         "prefetch_window = 0 disables the prefetcher"
     );
+    // Each demand read is a submission of its own one frame — on these
+    // fakes a `call_pipelined` of one — and nothing else was submitted.
     assert_eq!(
         fakes.iter().map(|f| f.pipelined()).sum::<u64>(),
-        0,
-        "no batch frames without a prefetcher"
+        20,
+        "one submission per demand read"
+    );
+    assert_eq!(
+        fakes.iter().map(|f| f.frames()).sum::<u64>(),
+        40 + 2,
+        "no batch frames without a prefetcher: one frame per operation, and the two allocations"
     );
 }

@@ -198,3 +198,61 @@ fn crash_during_concurrent_traffic_keeps_pages_readable() {
     );
     assert_eq!(stats.checksum_failures, 0);
 }
+
+#[test]
+fn eight_threads_meet_on_two_shards() {
+    // Two shards for eight threads: four callers to a shard at any
+    // moment, each on pages of its own, so their flights share the
+    // shard's connections instead of queueing for its lock — rewrites
+    // (a wave to both copies), reads, frees, and a flush now and then
+    // that has to wait for the wire to empty.
+    let config = PagerConfig::new(Policy::Mirroring)
+        .with_servers(3)
+        .with_shard_count(2)
+        .with_retry(fast_retry());
+    let (_handles, pager) = sharded_cluster(3, 4096, config);
+
+    const PAGES: u64 = 60;
+    const ROUNDS: u64 = 4;
+    let version = |t: u64, i: u64, round: u64| Page::deterministic((round << 32) | (t * 1000 + i));
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let pager = Arc::clone(&pager);
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    for i in 0..PAGES {
+                        pager
+                            .page_out(pid(t, i), &version(t, i, round))
+                            .unwrap_or_else(|e| panic!("thread {t} round {round} write {i}: {e}"));
+                        if i % 16 == t {
+                            pager.flush().expect("flush under traffic");
+                        }
+                    }
+                    for i in 0..PAGES {
+                        let page = pager
+                            .page_in(pid(t, i))
+                            .unwrap_or_else(|e| panic!("thread {t} round {round} read {i}: {e}"));
+                        assert_eq!(page, version(t, i, round), "thread {t} page {i}");
+                    }
+                    for i in (0..PAGES).step_by(5) {
+                        pager.free(pid(t, i)).expect("free");
+                        assert!(!pager.contains(pid(t, i)));
+                    }
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("worker thread");
+    }
+    let stats = pager.stats();
+    assert_eq!(stats.pageouts, THREADS * ROUNDS * PAGES);
+    assert_eq!(stats.pageins, THREADS * ROUNDS * PAGES);
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+    for t in 0..THREADS {
+        for i in (0..PAGES).filter(|i| i % 5 != 0) {
+            let page = pager.page_in(pid(t, i)).expect("main-thread read");
+            assert_eq!(page, version(t, i, ROUNDS - 1), "thread {t} page {i}");
+        }
+    }
+}

@@ -105,8 +105,9 @@ fn prefetch_hits_are_counted_once() {
     fill(&mut pager, 64);
     // Reordering is a fault of bursts only, and harmless to a burst of
     // one frame: it fires on whatever arrives through `call_pipelined` —
-    // where a transport without a window completes a `submit` — and on
-    // nothing the pool sends through `call`.
+    // where a transport without a window completes a `submit`, so on
+    // read-ahead and on the demand reads' flights — and on nothing the
+    // pool sends through `call`.
     cluster
         .plan()
         .inject(FaultRule::new(FaultAction::ReorderBurst));
@@ -117,10 +118,13 @@ fn prefetch_hits_are_counted_once() {
     assert!(hits > 0, "a sequential scan hits the prefetch cache");
     assert_eq!(pager.stats().pageins, served);
     let events = cluster.plan().events();
+    let submitted = |op| events.iter().filter(|e| e.opcode == op).count() as u64;
+    let (batches, demand) = (submitted(Opcode::PageInBatch), submitted(Opcode::PageIn));
     assert!(
-        !events.is_empty() && events.iter().all(|e| e.opcode == Opcode::PageInBatch),
-        "read-ahead, and only read-ahead, was submitted: {events:?}"
+        batches > 0 && batches + demand == events.len() as u64,
+        "read-ahead and demand reads, and only those, were submitted: {events:?}"
     );
+    assert_eq!(demand, served - hits, "each demand miss is submitted once");
 }
 
 #[test]

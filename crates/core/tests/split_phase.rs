@@ -1,0 +1,223 @@
+//! Split-phase faults: no shard lock is held across the wire.
+//!
+//! A [`ShardedPager`] runs over the scripted wire of `support`, so the
+//! test thread decides when each reply arrives and sees what else reaches
+//! the wire meanwhile. Every interleaving is forced by what is on the
+//! wire or by `pager_flight_waits_total` — a caller that had to wait for
+//! a flight says so before it blocks — never by a sleep; the one sleep
+//! here *is* the stimulus (a lock held for a known time).
+
+mod support;
+
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use rmp_core::{Pager, RecoveryReport, ShardedPager};
+use rmp_types::{Page, PageId, PagerConfig, Policy, Result, ServerId};
+
+use support::*;
+
+/// Runs `op` on a thread of its own; the receiver yields its result, or
+/// nothing within [`STUCK`] if it deadlocked.
+fn spawn<R: Send + 'static>(
+    pager: &Arc<ShardedPager>,
+    op: impl FnOnce(&ShardedPager) -> R + Send + 'static,
+) -> Receiver<R> {
+    let (done, result) = channel();
+    let pager = Arc::clone(pager);
+    std::thread::spawn(move || done.send(op(&pager)));
+    result
+}
+
+fn joined<R>(result: Receiver<R>) -> R {
+    result.recv_timeout(STUCK).expect("the operation is stuck")
+}
+
+/// Takes the one burst on the wire off it, unanswered.
+fn held_back(wire: &Wire) -> Flight {
+    wire.wait_for(1).flying.pop().expect("one burst")
+}
+
+fn answer(flight: Flight) {
+    flight.completion.complete(Ok(flight.replies));
+}
+
+/// Answers whatever reaches the wire, as it does, until `result` is in.
+fn pumped<R>(wire: &Wire, result: &Receiver<R>) -> R {
+    let stuck = Instant::now() + STUCK;
+    loop {
+        let flying = std::mem::take(&mut wire.state().flying);
+        flying.into_iter().for_each(answer);
+        if let Ok(result) = result.try_recv() {
+            return result;
+        }
+        assert!(Instant::now() < stuck, "the operation is stuck");
+        std::thread::yield_now();
+    }
+}
+
+/// Callers of shard 0 that have had to wait for a flight so far.
+fn flight_waits(pager: &ShardedPager) -> u64 {
+    let waits = |p: &mut Pager| p.metrics().counter("pager_flight_waits_total").get();
+    pager.with_shard(0, waits)
+}
+
+/// Yields until `waiting` callers of shard 0 are blocked behind a flight.
+fn until_waiting(pager: &ShardedPager, waiting: u64) {
+    let stuck = Instant::now() + STUCK;
+    while flight_waits(pager) < waiting {
+        assert!(Instant::now() < stuck, "nobody came to wait for the flight");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn two_faults_on_one_shard_share_the_wire() {
+    let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
+    for id in [0, 2] {
+        (pager.page_out(PageId(id), &Page::deterministic(id))).expect("first placement");
+    }
+    let readers = [0, 2].map(|id| spawn(&pager, move |p| p.page_in(PageId(id))));
+    // Both reads are out before either is answered: the second caller did
+    // not sleep out the first one's round trip behind the shard lock.
+    let mut flights = std::mem::take(&mut wire.wait_for(2).flying);
+    flights.reverse();
+    flights.into_iter().for_each(answer);
+    for (id, reader) in [0, 2].into_iter().zip(readers) {
+        assert_eq!(joined(reader).expect("pagein"), Page::deterministic(id));
+    }
+    assert_eq!(pager.stats().pageins, 2);
+    assert_eq!(flight_waits(&pager), 0, "distinct pages wait for nothing");
+}
+
+#[test]
+fn a_read_waits_for_the_rewrite_of_its_page_to_land() {
+    let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
+    pager.page_out(PageId(4), &Page::filled(1)).expect("write");
+    let writer = spawn(&pager, |p| p.page_out(PageId(4), &Page::filled(2)));
+    // The server has the new bytes; the client has not heard so yet.
+    let ack = held_back(&wire);
+    let reader = spawn(&pager, |p| p.page_in(PageId(4)));
+    until_waiting(&pager, 1);
+    assert!(wire.state().flying.is_empty(), "the read went out early");
+    answer(ack);
+    joined(writer).expect("rewrite");
+    // Only now does the read leave — to be checked against the checksum
+    // the rewrite committed, not the one it replaced.
+    answer(held_back(&wire));
+    assert_eq!(joined(reader).expect("pagein"), Page::filled(2));
+    let stats = pager.stats();
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
+#[test]
+fn planners_wait_for_the_flight_to_land() {
+    // Parity logging: a flush seals the pending group, in a wave.
+    let config = PagerConfig::new(Policy::ParityLogging).with_servers(3);
+    let (wire, _servers, pager) = wave_sharded(config, 4);
+    for id in [0, 2] {
+        (pager.page_out(PageId(id), &Page::deterministic(id))).expect("a pending member");
+    }
+    wire.calls();
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    let read = held_back(&wire);
+    let flush = spawn(&pager, |p| p.flush());
+    // Server 2 holds neither page: its rebuild moves nothing, but the
+    // view shows whether it has been planned yet.
+    let recovery = spawn(&pager, |p| p.recover_from_crash(ServerId(2)));
+    until_waiting(&pager, 2);
+    assert!(wire.state().flying.is_empty(), "the flush sealed early");
+    assert!(wire.calls().is_empty(), "a planner called early");
+    assert!(
+        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(2))),
+        "the recovery planned early"
+    );
+    answer(read);
+    assert_eq!(joined(reader).expect("pagein"), Page::deterministic(0));
+    // Neither deadlocked: in whichever order they now run, the pending
+    // group is sealed (by the flush, or by the recovery re-logging it)
+    // and both return.
+    pumped(&wire, &flush).expect("flush");
+    let reports: Result<Vec<RecoveryReport>> = pumped(&wire, &recovery);
+    assert_eq!(reports.expect("recovery")[0].pages_rebuilt, 0);
+    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(2))));
+    let sealed = |p: &mut Pager| p.metrics().counter("engine_groups_sealed_total").get();
+    assert!(pager.with_shard(0, sealed) >= 1);
+    for id in [0, 2] {
+        let reader = spawn(&pager, move |p| p.page_in(PageId(id)));
+        assert_eq!(
+            pumped(&wire, &reader).expect("pagein"),
+            Page::deterministic(id)
+        );
+    }
+}
+
+#[test]
+fn a_flight_lost_with_its_server_lands_on_the_degraded_path() {
+    let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::Mirroring), 3);
+    let page = Page::deterministic(6);
+    let placed = spawn(&pager, move |p| p.page_out(PageId(6), &page));
+    wire.release_wave(2);
+    joined(placed).expect("both copies");
+    let primary = pager.with_shard(0, |p| {
+        // Latency is the test thread's to decide, so only a miss may
+        // raise suspicion.
+        p.pool_mut().set_detector_slow_floor_us(f64::INFINITY);
+        let server = p.pool().server_ids().into_iter().find(|&s| {
+            p.metrics()
+                .histogram(&format!("pool_call_latency_us{{{s}}}"))
+                .snapshot()
+                .count
+                > 0
+        });
+        server.expect("a server took the first copy")
+    });
+    let reader = spawn(&pager, |p| p.page_in(PageId(6)));
+    // The primary dies with the read on the wire.
+    wire.state().dying.push(primary);
+    wire.release_wave(1);
+    // The ladder finds it down, declares it dead, and the read completes
+    // from the other copy — one blocking call, nothing on the window.
+    assert_eq!(joined(reader).expect("pagein"), Page::deterministic(6));
+    assert!(wire.state().flying.is_empty());
+    let stats = pager.stats();
+    assert_eq!((stats.pageins, stats.degraded_reads), (1, 1));
+    assert_eq!(stats.checksum_failures, 0);
+    assert_eq!(pager.recovery_backlog(), 1, "the rebuild is queued, once");
+    let deaths = pager.with_shard(0, |p| p.metrics().counter("pool_deaths_total").get());
+    assert_eq!(deaths, 1);
+}
+
+#[test]
+fn a_wait_for_the_shard_lock_is_not_server_latency() {
+    let config = PagerConfig::new(Policy::Mirroring).with_hedge_suspicion_threshold(0.1);
+    let (wire, _servers, pager) = wave_sharded(config, 2);
+    let held = Duration::from_millis(200);
+    // A reply half as late as the lock is held would count as slow.
+    let half = held.as_secs_f64() * 1e6 / 2.0;
+    pager.with_shard(0, |p| p.pool_mut().set_detector_slow_floor_us(half));
+    let page = Page::deterministic(8);
+    let placed = spawn(&pager, move |p| p.page_out(PageId(8), &page));
+    wire.release_wave(2);
+    joined(placed).expect("both copies");
+    for _ in 0..3 {
+        let reader = spawn(&pager, |p| p.page_in(PageId(8)));
+        let read = held_back(&wire);
+        // The reply arrives — and is stamped — at once; the reader then
+        // cannot get back under the shard lock for `held`.
+        pager.with_shard(0, |_| {
+            answer(read);
+            std::thread::sleep(held);
+        });
+        assert_eq!(joined(reader).expect("pagein"), Page::deterministic(8));
+    }
+    for server in [ServerId(0), ServerId(1)] {
+        assert_eq!(
+            pager.suspicion(server),
+            0.0,
+            "{server} was charged the wait"
+        );
+    }
+    assert_eq!(pager.hedge_stats().0, 0, "no read was hedged for it");
+}

@@ -1,0 +1,275 @@
+//! The scripted wire of `scatter_waves.rs` and `split_phase.rs`: a pool
+//! talks to transports whose submissions complete only when the test
+//! says so ([`PendingReplies::deferred`]), so a test can hold a reply
+//! back, see what else reaches the wire meanwhile, and answer in any
+//! order — no assertion compares a duration against a threshold.
+#![allow(dead_code)]
+
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
+
+use rmp_blockdev::RamDisk;
+use rmp_core::{
+    ChaosServer, Completion, Pager, PendingReplies, ServerPool, ServerTransport, ShardedPager,
+};
+use rmp_proto::{Message, Opcode};
+use rmp_types::{ErrorCode, PagerConfig, Result, RetryPolicy, RmpError, ServerId, TransportConfig};
+
+/// How long the test thread waits for a wave to assemble before it
+/// declares the operation stuck. Only ever reached by a failing test.
+pub const STUCK: Duration = Duration::from_secs(10);
+
+/// What one wave carried: the request opcodes, per burst.
+pub type WaveLog = Vec<(ServerId, Vec<Opcode>)>;
+
+/// One burst on the wire: already served, not yet answered.
+pub struct Flight {
+    pub server: ServerId,
+    pub completion: Completion,
+    pub replies: Vec<Message>,
+}
+
+#[derive(Default)]
+pub struct WireState {
+    pub flying: Vec<Flight>,
+    /// Opcodes of blocking single calls since the last wave, for tests
+    /// that check what went *outside* a wave.
+    pub calls: Vec<(ServerId, Opcode)>,
+    /// Servers whose next `PageOut` is refused as out of memory.
+    pub refuse_store: Vec<ServerId>,
+    /// Servers that die with their next burst on the wire: it was served
+    /// but is never answered.
+    pub dying: Vec<ServerId>,
+    /// Servers that are down: calls, submissions and redials are refused.
+    pub dead: Vec<ServerId>,
+    /// Redials attempted, per dead server.
+    pub redials: Vec<ServerId>,
+}
+
+/// The wire all transports of one pool share.
+#[derive(Default)]
+pub struct Wire {
+    state: Mutex<WireState>,
+    pub changed: Condvar,
+}
+
+impl Wire {
+    pub fn state(&self) -> MutexGuard<'_, WireState> {
+        self.state.lock().expect("wire lock")
+    }
+
+    /// Waits until exactly `frames` frames are outstanding.
+    pub fn wait_for(&self, frames: usize) -> MutexGuard<'_, WireState> {
+        let outstanding = |st: &WireState| st.flying.iter().map(|f| f.replies.len()).sum::<usize>();
+        let (st, timeout) = self
+            .changed
+            .wait_timeout_while(self.state(), STUCK, |st| outstanding(st) < frames)
+            .expect("wire lock");
+        assert!(
+            !timeout.timed_out(),
+            "the operation waited with {} of {frames} frames on the wire",
+            outstanding(&st)
+        );
+        assert_eq!(outstanding(&st), frames, "the wave is wider than expected");
+        st
+    }
+
+    /// Waits until exactly `frames` frames are outstanding, then answers
+    /// them all. Returns the opcodes the wave carried, per burst.
+    pub fn release_wave(&self, frames: usize) -> WaveLog {
+        let mut st = self.wait_for(frames);
+        let dying = std::mem::take(&mut st.dying);
+        let mut wave = Vec::new();
+        for flight in std::mem::take(&mut st.flying) {
+            let ops = flight.replies.iter().map(reply_to).collect();
+            wave.push((flight.server, ops));
+            flight
+                .completion
+                .complete(if dying.contains(&flight.server) {
+                    st.dead.push(flight.server);
+                    Err(refused("died mid-wave"))
+                } else {
+                    Ok(flight.replies)
+                });
+        }
+        wave
+    }
+
+    pub fn calls(&self) -> Vec<(ServerId, Opcode)> {
+        std::mem::take(&mut self.state().calls)
+    }
+}
+
+/// The request opcode a reply answers (all the waves here carry).
+pub fn reply_to(reply: &Message) -> Opcode {
+    match reply {
+        Message::PageOutAck { .. } | Message::Error { .. } => Opcode::PageOut,
+        Message::FreeAck { .. } => Opcode::Free,
+        Message::PageInReply { .. } | Message::PageInMiss { .. } => Opcode::PageIn,
+        Message::LoadReport { .. } => Opcode::LoadQuery,
+        other => panic!("unexpected {:?} in a wave", other.opcode()),
+    }
+}
+
+pub fn refused(why: &'static str) -> RmpError {
+    RmpError::Io(std::io::Error::new(
+        std::io::ErrorKind::ConnectionRefused,
+        why,
+    ))
+}
+
+pub struct WaveTransport {
+    id: ServerId,
+    server: ChaosServer,
+    wire: Arc<Wire>,
+}
+
+impl WaveTransport {
+    /// Serves `msg`, bent to the script.
+    fn serve(&self, st: &mut WireState, msg: &Message) -> Message {
+        let refusing = st.refuse_store.iter().position(|&s| s == self.id);
+        if let (Message::PageOut { .. }, Some(at)) = (msg, refusing) {
+            st.refuse_store.remove(at);
+            return Message::Error {
+                code: ErrorCode::OutOfMemory,
+                message: "scripted refusal".into(),
+            };
+        }
+        self.server.serve(0, msg)
+    }
+}
+
+impl ServerTransport for WaveTransport {
+    fn call(&mut self, msg: &Message) -> Result<Message> {
+        let mut st = self.wire.state();
+        if st.dead.contains(&self.id) {
+            return Err(refused("down"));
+        }
+        st.calls.push((self.id, msg.opcode()));
+        match self.serve(&mut st, msg) {
+            Message::Error { code, message } => Err(RmpError::Remote { code, message }),
+            reply => Ok(reply),
+        }
+    }
+
+    fn send_only(&mut self, _msg: &Message) -> Result<()> {
+        Ok(())
+    }
+
+    fn reconnect(&mut self) -> Result<()> {
+        let mut st = self.wire.state();
+        if st.dead.contains(&self.id) {
+            st.redials.push(self.id);
+            return Err(refused("still down"));
+        }
+        Ok(())
+    }
+
+    fn submit(&mut self, msgs: &[Message]) -> Option<Result<PendingReplies>> {
+        let mut st = self.wire.state();
+        if st.dead.contains(&self.id) {
+            return Some(Err(refused("down")));
+        }
+        let replies = msgs.iter().map(|m| self.serve(&mut st, m)).collect();
+        let (pending, completion) = PendingReplies::deferred(msgs.len(), STUCK);
+        st.flying.push(Flight {
+            server: self.id,
+            completion,
+            replies,
+        });
+        self.wire.changed.notify_all();
+        Some(Ok(pending))
+    }
+}
+
+/// A pool of `n` scripted servers on one wire.
+pub fn wave_pool(n: usize) -> (Arc<Wire>, Vec<ChaosServer>, ServerPool) {
+    let wire = Arc::new(Wire::default());
+    // The read deadline only ever fails a broken operation; the retry
+    // ladder is kept short so the death test walks it quickly.
+    let mut pool = ServerPool::with_transport_config(TransportConfig {
+        read_timeout: STUCK / 2,
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(1),
+            jitter: 0.0,
+        },
+        ..TransportConfig::default()
+    });
+    let mut servers = Vec::new();
+    for i in 0..n {
+        let id = ServerId(i as u32);
+        let server = ChaosServer::new();
+        let transport = WaveTransport {
+            id,
+            server: server.clone(),
+            wire: Arc::clone(&wire),
+        };
+        pool.add_transport(id, Box::new(transport), 1.0);
+        servers.push(server);
+    }
+    (wire, servers, pool)
+}
+
+pub fn wave_pager(config: PagerConfig, n: usize) -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
+    let (wire, servers, pool) = wave_pool(n);
+    let transport = pool.transport_config().clone();
+    // No read-ahead: its submissions are not part of any operation.
+    let config = config.with_prefetch_window(0).with_transport(transport);
+    let pager = Pager::builder(config)
+        .pool(pool)
+        .disk(Box::new(RamDisk::unbounded()))
+        .build()
+        .expect("pager");
+    (wire, servers, pager)
+}
+
+/// A two-shard pager, each shard over `n` scripted servers and a wire of
+/// its own. Returns the wire and servers of shard 0, where every even
+/// page lives; shard 1 sees no traffic unless a test sends it some.
+pub fn wave_sharded(
+    config: PagerConfig,
+    n: usize,
+) -> (Arc<Wire>, Vec<ChaosServer>, Arc<ShardedPager>) {
+    let (wire, servers, pool) = wave_pool(n);
+    let (_, _, idle) = wave_pool(n);
+    let transport = pool.transport_config().clone();
+    let config = (config.with_prefetch_window(0))
+        .with_transport(transport)
+        .with_shard_count(2);
+    let pager = ShardedPager::builder(config)
+        .pools(vec![pool, idle])
+        .build()
+        .expect("sharded pager");
+    (wire, servers, Arc::new(pager))
+}
+
+/// Runs `op` while the test thread answers exactly the waves of `widths`
+/// frames, in that order, and checks that nothing else was submitted.
+/// Returns `op`'s result and what each wave carried.
+pub fn in_waves<R: Send>(
+    wire: &Wire,
+    widths: &[usize],
+    op: impl FnOnce() -> R + Send,
+) -> (R, Vec<WaveLog>) {
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(op);
+        let waves = widths.iter().map(|&w| wire.release_wave(w)).collect();
+        let done = worker.join().expect("operation thread");
+        assert!(
+            wire.state().flying.is_empty(),
+            "the operation submitted a wave beyond the expected ones"
+        );
+        (done, waves)
+    })
+}
+
+/// The servers a wave reached, sorted, and the opcodes it carried, sorted.
+pub fn shape(wave: &WaveLog) -> (Vec<u32>, Vec<Opcode>) {
+    let mut servers: Vec<u32> = wave.iter().map(|(s, _)| s.0).collect();
+    servers.sort_unstable();
+    let mut ops: Vec<Opcode> = wave.iter().flat_map(|(_, ops)| ops.clone()).collect();
+    ops.sort_by_key(|op| *op as u8);
+    (servers, ops)
+}

@@ -499,6 +499,16 @@ impl Default for MetricsRegistry {
     }
 }
 
+/// Looks `name` up in `table`, registering it on a miss — the only time
+/// the name is copied: a hit allocates nothing.
+fn resolve<T: Default>(table: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = table.lock().expect("metric table poisoned");
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
 impl MetricsRegistry {
     /// Creates a registry with the default event-ring capacity.
     pub fn new() -> Self {
@@ -524,20 +534,17 @@ impl MetricsRegistry {
 
     /// Returns (registering if needed) the counter called `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("counter table poisoned");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        resolve(&self.counters, name)
     }
 
     /// Returns (registering if needed) the gauge called `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("gauge table poisoned");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        resolve(&self.gauges, name)
     }
 
     /// Returns (registering if needed) the histogram called `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("histogram table poisoned");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        resolve(&self.histograms, name)
     }
 
     /// Appends a trace event with no detail text.
