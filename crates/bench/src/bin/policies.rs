@@ -61,6 +61,14 @@ fn main() {
             p.measured_transfers_per_pageout,
             p.expected_transfers_per_pageout
         );
+        // One wave per pageout — but for basic parity, whose delta comes
+        // back to the client to be folded into the parity page (ROADMAP
+        // item 3).
+        assert!(
+            trips_out <= 1.15 || p.policy == rmp_types::Policy::BasicParity,
+            "{}: a pageout waited {trips_out:.2} link round trips, more than one wave",
+            p.policy.label()
+        );
         if let Some(expected) = p.expected_degraded_transfers {
             assert!(
                 p.degraded_reads > 0,

@@ -590,26 +590,32 @@ impl Ctx<'_> {
     /// through to the walk, one server after another. Servers in `exclude`
     /// are never tried, and every server tried joins it — so the frames of
     /// one call, and of consecutive calls with one list, land on distinct
-    /// servers. A lone frame is the walk alone: one call, no wave.
+    /// servers. A lone frame with nothing to release is the walk alone:
+    /// one call, no wave. `frees` — the units this placement supersedes —
+    /// ride the same wave; a taker that denies its frame beside the free
+    /// of its own old unit has just made the room, and is offered the
+    /// frame once more before the walk moves on.
     ///
     /// Returns the unit of each frame, `None` where no server took it —
-    /// all `None` when the adaptive switch routes new pages to the disk;
-    /// the caller falls back to it.
+    /// all `None`, and nothing released, when the adaptive switch routes
+    /// new pages to the disk; the caller falls back to it.
     ///
     /// # Errors
     ///
     /// Propagates storage failures other than denial, crash and timeout;
-    /// what the call had stored by then is released.
+    /// what the call had stored by then is released. `frees` may or may
+    /// not have been.
     pub fn place(
         &mut self,
         wanted: &[(&Page, Option<ServerId>)],
         exclude: &mut Vec<ServerId>,
+        frees: &[Unit],
     ) -> Result<Vec<Option<Unit>>> {
         let mut placed = vec![None; wanted.len()];
         if self.prefer_disk {
             return Ok(placed);
         }
-        let outcome = self.place_into(&mut placed, wanted, exclude);
+        let outcome = self.place_into(&mut placed, wanted, exclude, frees);
         if outcome.is_err() {
             let landed: Vec<Unit> = placed.iter().flatten().copied().collect();
             let _ = self.release(&landed);
@@ -623,9 +629,10 @@ impl Ctx<'_> {
         placed: &mut [Option<Unit>],
         wanted: &[(&Page, Option<ServerId>)],
         exclude: &mut Vec<ServerId>,
+        frees: &[Unit],
     ) -> Result<()> {
-        if let [(frame, preferred)] = *wanted {
-            placed[0] = self.walk(frame, preferred, exclude)?;
+        if let ([(frame, preferred)], []) = (wanted, frees) {
+            placed[0] = self.walk(frame, *preferred, exclude)?;
             return Ok(());
         }
         let mut takers = Vec::with_capacity(wanted.len());
@@ -642,16 +649,18 @@ impl Ctx<'_> {
             }
         }
         let stores: Vec<(Unit, &Page)> = takers.iter().map(|&(_, store)| store).collect();
-        let (outcomes, _) = self.ship(&stores, &[], None);
-        let mut fatal = None;
+        let (outcomes, freed) = self.ship(&stores, frees, None);
+        let mut fatal = freed.err();
         let mut refused = Vec::new();
         for ((slot, (taker, _)), outcome) in takers.into_iter().zip(outcomes) {
             match outcome {
                 Ok(()) => placed[slot] = Some(taker),
                 Err(e) => {
                     self.pool.return_frame(taker.0);
+                    let made_room = matches!(e, RmpError::NoSpace(_))
+                        && frees.iter().any(|&(server, _)| server == taker.0);
                     match gave_way(&e) {
-                        true => refused.push(slot),
+                        true => refused.push((slot, made_room.then_some(taker))),
                         false => fatal = fatal.or(Some(e)),
                     }
                 }
@@ -660,8 +669,12 @@ impl Ctx<'_> {
         if let Some(e) = fatal {
             return Err(e);
         }
-        for slot in refused {
-            placed[slot] = self.walk(wanted[slot].0, None, exclude)?;
+        for (slot, again) in refused {
+            let frame = wanted[slot].0;
+            placed[slot] = match again {
+                Some((s, key)) if self.reserve_and_page_out(s, key, frame).is_ok() => again,
+                _ => self.walk(frame, None, exclude)?,
+            };
         }
         Ok(())
     }

@@ -54,6 +54,16 @@ enum PlWork {
     ParityGroup(GroupId),
 }
 
+/// What a sealing wave left behind, its data frame's own outcome apart.
+struct Sealing {
+    /// The group, the slot of the member whose frame rode the wave (the
+    /// last) and the parity page as stored; `None` when the parity page
+    /// found no server: the seal is undone and the member pending.
+    group: Option<(GroupId, usize, Page)>,
+    /// Of the parity page, the frees and the pages dropped while pending.
+    rest: Result<()>,
+}
+
 impl ParityLogging {
     /// Creates the engine over `data_servers` (the stripe) plus a
     /// dedicated `parity_server`, sealing groups of `group_size` pages.
@@ -119,48 +129,88 @@ impl ParityLogging {
         None
     }
 
-    /// Registers a sealed group and ships its parity page, in one wave
-    /// with the frees of every group the registration left fully
-    /// inactive — the reclaiming costs the seal no round trip of its own.
+    /// Registers a sealed group and ships its parity page — and `riding`,
+    /// the frame of the member whose absorb sealed it — in one wave with
+    /// the frees of every group the registration left fully inactive.
+    /// Returns the riding frame's outcome (its grant given back if it
+    /// failed) and the rest of the wave's.
     ///
-    /// The group is registered *before* anything ships: a seal that then
-    /// fails on the wire leaves a group whose parity the recovery of the
-    /// parity server recomputes, where shipping first would drop the
-    /// group and leave its members — whose own pageouts were acked — with
-    /// nothing covering them.
-    fn commit_group(&mut self, ctx: &mut Ctx<'_>, sealed: SealedGroup) -> Result<()> {
+    /// Keys are minted here, so the group is registered — and its frees
+    /// known — *before* anything ships. If the parity page then finds no
+    /// server the seal is undone: the members, whose own pageouts were
+    /// acked, are pending again under the client-side accumulator, and
+    /// the next pageout or flush seals them anew.
+    fn commit_group(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        sealed: SealedGroup,
+        riding: Option<(Unit, &Page)>,
+    ) -> (Result<()>, Sealing) {
         let parity = (self.parity_server, ctx.pool.fresh_key());
         let members: Vec<PageId> = sealed.members.iter().map(|m| m.page_id).collect();
-        let (_gid, reclaimed) = self.groups.register(sealed.members, parity.0, parity.1);
+        let (group, reclaimed) = self.groups.register(sealed.members, parity.0, parity.1);
         let frees = Self::storage_of(ctx, reclaimed);
-        // A parity server that grants no frame still leaves the frees to
-        // send.
+        // A parity server that grants no frame still leaves the data frame
+        // and the frees to send.
         let reserved = ctx.pool.reserve_frame(parity.0);
-        let store = [(parity, &sealed.parity)];
-        let stores = if reserved.is_ok() { &store[..] } else { &[] };
+        let parity_store = (parity, &sealed.parity);
+        let both = [riding.unwrap_or(parity_store), parity_store];
+        let stores = &both[usize::from(riding.is_none())..1 + usize::from(reserved.is_ok())];
         let (stored, freed) = ctx.ship(stores, &frees, None);
-        let shipped = match (reserved, stored.into_iter().next()) {
-            (Err(e), _) => Err(e),
-            (Ok(()), Some(Err(e))) => {
-                ctx.pool.return_frame(parity.0);
-                Err(e)
-            }
-            (Ok(()), _) => {
-                ctx.stats.net_parity_transfers += 1;
-                ctx.count("engine_groups_sealed_total");
-                Ok(())
-            }
-        };
+        let mut stored = stored.into_iter();
+        let data = riding.map_or(Ok(()), |((server, _), _)| {
+            let data = stored.next().expect("one outcome per store");
+            data.inspect_err(|_| ctx.pool.return_frame(server))
+        });
+        let shipped = reserved.and_then(|()| {
+            let shipped = stored.next().expect("one outcome per store");
+            shipped.inspect_err(|_| ctx.pool.return_frame(parity.0))
+        });
+        if let Err(e) = shipped {
+            let members = self.groups.unregister(group);
+            let parity = sealed.parity;
+            self.buffer.unseal(SealedGroup { parity, members });
+            let rest = Err(e);
+            return (data, Sealing { group: None, rest });
+        }
+        ctx.stats.net_parity_transfers += 1;
+        ctx.count("engine_groups_sealed_total");
         // Pages freed while pending are dropped now that their group is
         // sealed and registered.
         let mut dropped = Ok(());
-        for page in members {
-            if self.freed_pending.remove(&page) {
-                let reclaimed = self.groups.drop_page(page);
+        for page in &members {
+            if self.freed_pending.remove(page) {
+                let reclaimed = self.groups.drop_page(*page);
                 dropped = dropped.and(Self::release_reclaimed(ctx, reclaimed));
             }
         }
-        shipped.and(freed).and(dropped)
+        let group = Some((group, members.len() - 1, sealed.parity));
+        let rest = freed.and(dropped);
+        (data, Sealing { group, rest })
+    }
+
+    /// Takes `page`, its last member, back out of `group` — sealed around
+    /// it by a wave whose data frame no server would then hold: the group
+    /// stops naming it and `parity`, the page that wave stored, is stored
+    /// again without it (an overwrite: a retry cannot fold it out twice).
+    fn cancel_member(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        page: &Page,
+        group: GroupId,
+        mut parity: Page,
+    ) -> Result<()> {
+        match (self.groups.retract_last(group), self.groups.group(group)) {
+            // It was the group's only active member: the parity page goes.
+            (Some(emptied), _) => Self::release_reclaimed(ctx, Some(emptied)),
+            (None, Some(state)) => {
+                parity.xor_with(page);
+                let (server, key) = (state.parity_server, state.parity_key);
+                let stored = ctx.pool.page_out(server, key, &parity);
+                stored.map(|_hint| ctx.stats.net_parity_transfers += 1)
+            }
+            (None, None) => Ok(()),
+        }
     }
 
     /// The storage of `reclaimed` groups — members and parity page — for
@@ -189,7 +239,7 @@ impl ParityLogging {
     /// Seals the partial group, if any.
     fn seal_pending(&mut self, ctx: &mut Ctx<'_>) -> Result<()> {
         match self.buffer.flush() {
-            Some(sealed) => self.commit_group(ctx, sealed),
+            Some(sealed) => self.commit_group(ctx, sealed, None).1.rest,
             None => Ok(()),
         }
     }
@@ -221,7 +271,7 @@ impl ParityLogging {
             let reads: Vec<Unit> = chunk.iter().map(|m| (m.server, m.key)).collect();
             let pages = ctx.fetch_batch(&reads)?;
             for (member, page) in chunk.iter().zip(pages) {
-                self.page_out_inner(ctx, member.page_id, &page, &[])?;
+                self.page_out_inner(ctx, member.page_id, &page, &[], false)?;
                 relogged += 1;
             }
         }
@@ -236,16 +286,89 @@ impl ParityLogging {
         Ok(relogged)
     }
 
+    /// Logs `page` as the new version of `id`, off the servers in
+    /// `exclude`. `merged` lets a pageout that seals the pending group
+    /// leave in the sealing wave, which registers the group before the
+    /// frame has landed — so one that then fails has already superseded
+    /// the version before it. The caller's own pageout may (the chaos
+    /// model's `ambiguous`); a re-log — GC, recovery, migration, promotion
+    /// — holds the only copy of an *acked* version: store first, seal after.
     fn page_out_inner(
         &mut self,
         ctx: &mut Ctx<'_>,
         id: PageId,
         page: &Page,
         exclude: &[ServerId],
+        merged: bool,
     ) -> Result<()> {
         if ctx.prefer_disk {
             return self.log_to_disk(ctx, id, page);
         }
+        // A group a failed seal put back seals before it can grow.
+        if self.buffer.pending() >= self.seal_width(ctx) {
+            self.seal_pending(ctx)?;
+        }
+        let mut sealing = None;
+        let offered = self.offer(ctx, (id, page), exclude, merged, &mut sealing);
+        if let Ok(Some(unit)) = offered {
+            return self.log_remote(ctx, id, page, unit, sealing);
+        }
+        let park = |this: &mut Self, ctx: &mut Ctx<'_>| match ctx.has_disk() {
+            true => this.log_to_disk(ctx, id, page),
+            false => Err(RmpError::ClusterFull),
+        };
+        let Some(Sealing {
+            group: Some((group, _, parity)),
+            rest,
+        }) = sealing
+        else {
+            return offered.and_then(|_| park(self, ctx));
+        };
+        // No server holds the frame of a page its group names already:
+        // the group has to stop, and the disk takes the page if there is
+        // one — whatever else went wrong on the way here.
+        let cancelled = rest.and(self.cancel_member(ctx, page, group, parity));
+        cancelled.and(park(self, ctx))
+    }
+
+    /// How many pending pages seal the group: the configured group size,
+    /// or — the buffer could never fill with fewer live servers, and the
+    /// log has to make progress on a degraded cluster — the stripe width.
+    fn seal_width(&self, ctx: &Ctx<'_>) -> usize {
+        let live = self.data_servers.iter().filter(|s| ctx.alive(**s)).count();
+        live.clamp(1, self.buffer.group_size())
+    }
+
+    /// Absorbs the version of `id` stored (or about to be) as `unit`;
+    /// returns the group if that sealed it.
+    fn absorb(
+        &mut self,
+        ctx: &Ctx<'_>,
+        id: PageId,
+        unit: Unit,
+        page: &Page,
+    ) -> Option<SealedGroup> {
+        let full = self.buffer.absorb(id, unit.1, unit.0, page);
+        let seals = self.buffer.pending() >= self.seal_width(ctx);
+        full.or_else(|| seals.then(|| self.buffer.flush()).flatten())
+    }
+
+    /// Finds a data server for `page` — round-robin, collecting garbage
+    /// when one is full and refreshing the load view once before giving
+    /// up — and stores it there; `None` when no server took it. A `merged`
+    /// pageout whose absorb seals the pending group is the sealing wave
+    /// itself ([`Self::commit_group`] with the frame riding). `sealing`
+    /// then holds the rest of that wave's outcome: the page is a member
+    /// of a sealed group wherever its frame ends up, and a frame the wave
+    /// did not land is offered on as a plain store.
+    fn offer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        (id, page): (PageId, &Page),
+        exclude: &[ServerId],
+        merged: bool,
+        sealing: &mut Option<Sealing>,
+    ) -> Result<Option<Unit>> {
         let mut tried: Vec<ServerId> = exclude.to_vec();
         // Keep every member of the pending group on a distinct server —
         // two members co-located would break single-crash recovery.
@@ -253,11 +376,33 @@ impl ParityLogging {
         let base_tried = tried.clone();
         let mut refreshed = false;
         while let Some(server) = self.next_server(ctx, &tried) {
-            let key = ctx.pool.fresh_key();
-            match ctx.reserve_and_page_out(server, key, page) {
-                Ok(_hint) => {
+            let unit = (server, ctx.pool.fresh_key());
+            let seals = self.buffer.pending() + 1 >= self.seal_width(ctx);
+            let stored = if merged && sealing.is_none() && seals {
+                ctx.pool.reserve_frame(server).and_then(|()| {
+                    let sealed = self.absorb(ctx, id, unit, page).expect("it seals");
+                    let (stored, wave) = self.commit_group(ctx, sealed, Some((unit, page)));
+                    if stored.is_err() && matches!(self.table.units(id), Some([_])) {
+                        // The registration superseded the version the
+                        // table names, and the wave may have released it.
+                        self.table.remove(id);
+                    }
+                    match (&stored, &wave.group) {
+                        // Neither frame landed and the seal is undone:
+                        // with the page taken back out, the pageout is
+                        // where it started.
+                        (Err(_), None) => drop(self.buffer.retract_last(page)),
+                        _ => *sealing = Some(wave),
+                    }
+                    stored
+                })
+            } else {
+                ctx.reserve_and_page_out(server, unit.1, page).map(drop)
+            };
+            match stored {
+                Ok(()) => {
                     ctx.stats.net_data_transfers += 1;
-                    return self.log_remote(ctx, id, page, (server, key));
+                    return Ok(Some(unit));
                 }
                 Err(RmpError::NoSpace(_)) => {
                     // Try to make room before writing this server off.
@@ -270,6 +415,9 @@ impl ParityLogging {
                     tried.push(server);
                 }
                 Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => tried.push(server),
+                // A page its group already names has to land somewhere:
+                // whatever this server's reason, the next one is asked.
+                Err(_) if sealing.is_some() => tried.push(server),
                 Err(e) => return Err(e),
             }
             if self.next_server(ctx, &tried).is_none() && !refreshed {
@@ -281,33 +429,40 @@ impl ParityLogging {
                 tried = base_tried.clone();
             }
         }
-        if ctx.has_disk() {
-            self.log_to_disk(ctx, id, page)
-        } else {
-            Err(RmpError::ClusterFull)
-        }
+        Ok(None)
     }
 
-    /// Records the version of `id` just stored as `unit` and absorbs it
-    /// into the pending group, sealing the group when it is complete.
-    fn log_remote(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page, unit: Unit) -> Result<()> {
+    /// Records the version of `id` just stored as `unit`: as the member
+    /// of the group `sealing` registered — which names the unit the wave
+    /// offered, not necessarily the one that took the frame — or, with no
+    /// seal, absorbed into the pending group.
+    fn log_remote(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        page: &Page,
+        unit: Unit,
+        sealing: Option<Sealing>,
+    ) -> Result<()> {
+        let sealed = match sealing {
+            Some(Sealing { group, rest }) => {
+                let moved = group.map_or(Ok(()), |(group, slot, _)| {
+                    (self.groups).relocate_member(group, slot, unit.0, unit.1)
+                });
+                moved.and(rest)
+            }
+            None => match self.absorb(ctx, id, unit, page) {
+                Some(full) => self.commit_group(ctx, full, None).1.rest,
+                None => Ok(()),
+            },
+        };
         let was_on_disk = self.table.units(id).is_some_and(<[Unit]>::is_empty);
         self.table.staged()[0] = unit;
         self.table.commit(id);
         if was_on_disk {
             ctx.disk_free(id)?;
         }
-        if let Some(sealed) = self.buffer.absorb(id, unit.1, unit.0, page) {
-            return self.commit_group(ctx, sealed);
-        }
-        // With fewer live servers than the configured group size the
-        // buffer could never fill; seal at the effective stripe width so
-        // the log keeps making progress on a degraded cluster.
-        let live = self.data_servers.iter().filter(|s| ctx.alive(**s)).count();
-        if live > 0 && self.buffer.pending() >= live.min(self.buffer.group_size()) {
-            self.seal_pending(ctx)?;
-        }
-        Ok(())
+        sealed
     }
 
     /// Writes `id` to the local disk. The page drops out of the parity
@@ -335,7 +490,7 @@ impl ParityLogging {
         step: &mut RecoveryStep,
     ) -> Result<()> {
         if self.is_current(m) && !self.freed_pending.contains(&m.page_id) {
-            self.page_out_inner(ctx, m.page_id, page, &[crashed])?;
+            self.page_out_inner(ctx, m.page_id, page, &[crashed], false)?;
             step.transfers += 1;
         }
         Ok(())
@@ -463,7 +618,7 @@ impl ParityLogging {
 impl Engine for ParityLogging {
     fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
         self.freed_pending.remove(&id);
-        self.page_out_inner(ctx, id, page, &[])
+        self.page_out_inner(ctx, id, page, &[], true)
     }
 
     fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
@@ -544,7 +699,7 @@ impl Engine for ParityLogging {
         // client's buffer.
         let pending = (!self.buffer.members().is_empty()).then_some(PlWork::Pending);
         let (recoveries, rebuilds) = self.groups.recovery_plan(server)?;
-        if !rebuilds.is_empty() {
+        if !rebuilds.is_empty() || server == self.parity_server {
             // The parity server died: pick a replacement now so re-logged
             // groups seal onto a live server; each group's parity page is
             // recomputed step by step.
@@ -611,7 +766,7 @@ impl Engine for ParityLogging {
             let reads: Vec<Unit> = work.iter().map(|&(_, unit)| unit).collect();
             let fetched = ctx.fetch_batch(&reads)?;
             for ((id, _), page) in work.into_iter().zip(fetched) {
-                self.page_out_inner(ctx, id, &page, &[server])?;
+                self.page_out_inner(ctx, id, &page, &[server], false)?;
                 ctx.stats.migrations += 1;
                 moved += 1;
             }
@@ -631,7 +786,7 @@ impl Engine for ParityLogging {
                 break;
             }
             let page = ctx.disk_read(id)?;
-            self.page_out_inner(ctx, id, &page, &[])?;
+            self.page_out_inner(ctx, id, &page, &[], false)?;
             if self.table.units(id).is_some_and(|units| !units.is_empty()) {
                 promoted += 1;
             }

@@ -24,8 +24,10 @@
 //! new pages take the round-robin cursor so they spread over the cluster
 //! instead of piling onto the one most promising server. With `k > 1` a
 //! half-overwritten stripe would decode to garbage, so a rewrite places a
-//! fresh stripe and only then releases the old one; a stripe already
-//! spans `k + r` servers and follows promise order alone.
+//! fresh stripe under fresh keys — in the wave that releases the old one,
+//! so a rewrite is one round trip, and one that *fails* may already have
+//! released the previous version, as an in-place overwrite always could.
+//! A stripe already spans `k + r` servers and follows promise order alone.
 
 use rmp_parity::rs::{join_splits, split_page, RsCode};
 use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, PAGE_SIZE};
@@ -133,10 +135,11 @@ impl Stripe {
 
     /// Re-homes every unit of a row whose holder `lost` names, each onto
     /// a server that holds none of the row's other units (nor is
-    /// `avoid`), all in one wave, and counts the transfers. The row is
-    /// `id`'s, or the staging row. Returns the units placed and whether a
-    /// parity unit was among them, or `None` when a unit found no taker —
-    /// the units that did stay recorded.
+    /// `avoid`), all in one wave with `frees`, and counts the transfers.
+    /// The row is `id`'s, or the staging row. Returns the units placed and
+    /// whether a parity unit was among them, or `None` when a unit found
+    /// no taker — the units that did stay recorded.
+    #[allow(clippy::too_many_arguments)]
     fn place_lost(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -145,6 +148,7 @@ impl Stripe {
         lost: &dyn Fn(&Ctx<'_>, ServerId) -> bool,
         avoid: Option<ServerId>,
         spread: bool,
+        frees: &[Unit],
     ) -> Result<Option<(u64, bool)>> {
         let units = match id {
             Some(id) => self.table.units_mut(id).expect("caller holds the row"),
@@ -171,7 +175,7 @@ impl Stripe {
                 (frames.get(i), preferred)
             })
             .collect();
-        let takers = ctx.place(&wanted, &mut exclude)?;
+        let takers = ctx.place(&wanted, &mut exclude, frees)?;
         let (mut placed, mut parity) = (0, false);
         for (&i, taker) in slots.iter().zip(&takers) {
             let Some(taker) = *taker else { continue };
@@ -188,17 +192,18 @@ impl Stripe {
         Ok((placed == slots.len() as u64).then_some((placed, parity)))
     }
 
-    /// Assembles a full placement of `frames` in the staging row.
-    /// `false` when the cluster cannot hold one; a partial placement is
-    /// released either way.
+    /// Assembles a full placement of `frames` in the staging row, in a
+    /// wave that also releases `frees`. `false` when the cluster cannot
+    /// hold one; a partial placement is released either way.
     fn place_fresh(
         &mut self,
         ctx: &mut Ctx<'_>,
         frames: &Frames<'_>,
         spread: bool,
+        frees: &[Unit],
     ) -> Result<bool> {
         self.table.staged().fill(VACANT);
-        match self.place_lost(ctx, None, frames, &vacant, None, spread) {
+        match self.place_lost(ctx, None, frames, &vacant, None, spread, frees) {
             Ok(Some(_)) => Ok(true),
             outcome => {
                 ctx.release(self.table.staged())?;
@@ -224,21 +229,28 @@ impl Stripe {
         Ok(())
     }
 
-    /// Places `page` afresh, on every unit of a new row, and releases the
-    /// row it replaces.
+    /// Places `page` afresh, on every unit of a new row, in the wave that
+    /// releases the row it replaces.
     fn place_page(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
         if self.disk_leg {
             // The disk copy is unconditional — that is the "write through".
             ctx.disk_write(id, page)?;
         }
         let frames = Frames(page, self.encode(ctx, page)?);
-        if !self.place_fresh(ctx, &frames, self.k == 1)? {
-            return self.park(ctx, id, page);
+        let old = self.table.units(id).unwrap_or_default().to_vec();
+        let placed = self.place_fresh(ctx, &frames, self.k == 1, &old);
+        if !matches!(placed, Ok(true)) {
+            if !ctx.has_disk() && !old.is_empty() {
+                // The wave may already have released the row it was to
+                // replace: the page is forgotten, not left naming units
+                // that are gone.
+                ctx.release(&old)?;
+                self.table.remove(id);
+            }
+            return self.park(ctx, id, page).and(placed.map(drop));
         }
-        match self.table.units(id) {
-            Some([]) if !self.disk_leg => ctx.disk_free(id)?,
-            Some(old) => ctx.release(old)?,
-            None => {}
+        if !self.disk_leg && self.table.units(id).is_some_and(<[Unit]>::is_empty) {
+            ctx.disk_free(id)?;
         }
         self.table.commit(id);
         Ok(())
@@ -279,7 +291,7 @@ impl Stripe {
             return Ok(());
         }
         let frames = Frames(page, Vec::new());
-        match self.place_lost(ctx, Some(id), &frames, &vacant, None, true)? {
+        match self.place_lost(ctx, Some(id), &frames, &vacant, None, true, &[])? {
             Some(_) => Ok(()),
             None => self.park(ctx, id, page),
         }
@@ -355,7 +367,7 @@ impl Stripe {
             step.transfers += self.k as u64;
         }
         let frames = Frames(&page, shards.iter().map(|s| frame_of(s)).collect());
-        match self.place_lost(ctx, Some(id), &frames, &lost, Some(crashed), false)? {
+        match self.place_lost(ctx, Some(id), &frames, &lost, Some(crashed), false, &[])? {
             Some((placed, parity)) => {
                 step.transfers += placed;
                 step.parity_rebuilt += u64::from(parity);
@@ -543,7 +555,7 @@ impl Engine for Stripe {
             }?;
             for ((&id, old), frame) in chunk.iter().zip(old).zip(&fetched) {
                 let frames = Frames(frame, Vec::new());
-                match self.place_lost(ctx, Some(id), &frames, &leaving, Some(server), false)? {
+                match self.place_lost(ctx, Some(id), &frames, &leaving, Some(server), false, &[])? {
                     Some(_) => ctx.release(&[old])?,
                     // Nowhere to move the unit without doubling up. A
                     // whole page can still go to the disk; a split stays
@@ -567,7 +579,7 @@ impl Engine for Stripe {
             }
             let page = ctx.disk_read(id)?;
             let frames = Frames(&page, self.encode(ctx, &page)?);
-            if !self.place_fresh(ctx, &frames, false)? {
+            if !self.place_fresh(ctx, &frames, false, &[])? {
                 break;
             }
             if !self.disk_leg {

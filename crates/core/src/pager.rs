@@ -208,6 +208,11 @@ pub struct Pager {
     /// a server recomputes its checksum over whatever bytes it holds, so
     /// a bit flipped at rest still produces a self-consistent reply.
     page_sums: HashMap<PageId, u64>,
+    /// What the pageouts of a page that *failed* since its last acked one
+    /// hashed to: such a pageout may still have committed its bytes (one
+    /// copy of two overwritten, a seal whose parity page was refused), and
+    /// reading those back is no corruption. Cleared by the next ack.
+    unacked_sums: HashMap<PageId, Vec<u64>>,
     /// Crashed servers whose full rebuild has been deferred: degraded
     /// reads serve requests in the meantime, and `periodic_maintenance`
     /// works the queue off in budgeted steps.
@@ -338,6 +343,7 @@ impl Pager {
             stats: TransferStats::default(),
             prefer_disk: false,
             page_sums: HashMap::new(),
+            unacked_sums: HashMap::new(),
             pending_recovery: VecDeque::new(),
             active_plan: None,
             stride: StrideDetector::new(),
@@ -736,7 +742,8 @@ impl Pager {
             return None;
         }
         let expect = *self.page_sums.get(&id)?;
-        if page.checksum() == expect {
+        let sum = page.checksum();
+        if sum == expect || (self.unacked_sums.get(&id)).is_some_and(|s| s.contains(&sum)) {
             return None;
         }
         let err = match self.engine.primary_location(id) {
@@ -992,10 +999,16 @@ impl Pager {
     /// counters, the latency from its begin, and the trace.
     fn book_page_out(&mut self, out: &PageOut, page: &Page, done: Result<()>) -> Result<()> {
         let mut server = out.before;
-        if done.is_ok() {
-            if self.config.verify_checksums {
-                self.page_sums.insert(out.id, page.checksum());
+        if self.config.verify_checksums {
+            match done {
+                Ok(()) => {
+                    self.page_sums.insert(out.id, page.checksum());
+                    self.unacked_sums.remove(&out.id);
+                }
+                Err(_) => (self.unacked_sums.entry(out.id).or_default()).push(page.checksum()),
             }
+        }
+        if done.is_ok() {
             // A successful pageout may have *created* the placement;
             // the post-call location is the one that took the page.
             server = self.engine.primary_location(out.id).map(|(s, _)| s);
@@ -1235,6 +1248,7 @@ impl PagingDevice for Pager {
         // verification) in force, so later reads stay checked.
         self.with_engine(|engine, ctx| engine.free(ctx, id))?;
         self.page_sums.remove(&id);
+        self.unacked_sums.remove(&id);
         Ok(())
     }
 

@@ -436,9 +436,12 @@ pub struct PendingReplies {
 }
 
 /// The seq and slot of each frame of a handle. A lone frame — a fault —
-/// keeps its pair inline, so its handle allocates nothing.
+/// and a pair — a store and the free of the unit it supersedes, a
+/// server's whole share of a sealing wave or a coded rewrite — keep
+/// theirs inline, so their handles allocate nothing.
 enum Slots {
     One([(u32, Arc<Slot>); 1]),
+    Two([(u32, Arc<Slot>); 2]),
     Many(Vec<(u32, Arc<Slot>)>),
 }
 
@@ -448,6 +451,17 @@ impl std::ops::Deref for Slots {
     fn deref(&self) -> &Self::Target {
         match self {
             Slots::One(slot) => slot,
+            Slots::Two(slots) => slots,
+            Slots::Many(slots) => slots,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Slots {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Slots::One(slot) => slot,
+            Slots::Two(slots) => slots,
             Slots::Many(slots) => slots,
         }
     }
@@ -626,8 +640,8 @@ pub struct WindowedTransport {
     /// after. One buffer for the connection's life, so a submission
     /// allocates nothing for its frames.
     wbuf: Vec<u8>,
-    /// The slots of one-frame submissions, at most a window of them,
-    /// handed out again and again (see [`WindowedTransport::spare_slot`]).
+    /// The slots of submissions, at most a window of them, handed out
+    /// again and again (see [`WindowedTransport::spare_slot`]).
     slots: Vec<Arc<Slot>>,
 }
 
@@ -770,15 +784,13 @@ impl WindowedTransport {
     /// enqueued before a mid-batch failure stay in flight and their
     /// replies are discarded on arrival.
     pub fn submit(&mut self, msgs: &[Message]) -> Result<PendingReplies> {
-        let slots = if let [_] = msgs {
-            let mut one = [(0, self.spare_slot())];
-            self.put_on_window(msgs, &mut one)?;
-            Slots::One(one)
-        } else {
-            let mut many: Vec<_> = msgs.iter().map(|_| (0, Arc::default())).collect();
-            self.put_on_window(msgs, &mut many)?;
-            Slots::Many(many)
+        let mut spare = || (0, self.spare_slot());
+        let mut slots = match msgs.len() {
+            1 => Slots::One([spare()]),
+            2 => Slots::Two([spare(), spare()]),
+            _ => Slots::Many(msgs.iter().map(|_| spare()).collect()),
         };
+        self.put_on_window(msgs, &mut slots)?;
         Ok(PendingReplies {
             shared: Arc::clone(&self.shared),
             read_timeout: self.config.read_timeout,
@@ -787,11 +799,12 @@ impl WindowedTransport {
         })
     }
 
-    /// A slot for a one-frame submission that allocates nothing once the
-    /// pool is warm: one of the transport's own that nobody else holds —
-    /// its last frame was answered, abandoned or failed, so no clone is
+    /// A slot for one frame of a submission that allocates nothing once
+    /// the pool is warm: one of the transport's own that nobody else holds
+    /// — its last frame was answered, abandoned or failed, so no clone is
     /// left in `pending`, and the handle that waited on it is gone. Only
-    /// this method clones a pooled slot, so a count of one stays one.
+    /// this method clones a pooled slot, so a count of one stays one — and
+    /// a burst that draws several gets a different one each time.
     fn spare_slot(&mut self) -> Arc<Slot> {
         if let Some(slot) = self.slots.iter().find(|s| Arc::strong_count(s) == 1) {
             // A handle dropped uncollected leaves its reply behind.

@@ -11,6 +11,10 @@
 //! that puts a page-sized buffer or a per-call `Vec` back on the data
 //! path fails here, by the number it added.
 //!
+//! The same test then holds the waves of ISSUE 21 to their counts: a warm
+//! two-frame burst against two one-frame submits, a sealing parity-log
+//! pageout, an erasure-coded (4, 1) rewrite.
+//!
 //! The counting allocator is the binary's global allocator, so this file
 //! holds exactly one test: a second one running beside it would be
 //! counted too.
@@ -19,8 +23,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use rmp_cluster::{Registry, ServerInfo};
-use rmp_core::ShardedPager;
-use rmp_server::{MemoryServer, ServerConfig};
+use rmp_core::{ShardedPager, WindowedTransport};
+use rmp_proto::Message;
+use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
 use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId};
 
 struct Counting;
@@ -84,28 +89,50 @@ fn per_op(ops: u64, mut op: impl FnMut(u64)) -> (f64, f64) {
     )
 }
 
+/// Runs `op` uncounted inside a [`per_op`] closure: what sets the counted
+/// operation up. Every operation here has collected all its replies by
+/// the time it returns, so no other thread is mid-allocation.
+fn uncounted<R>(op: impl FnOnce() -> R) -> R {
+    ARMED.store(false, Ordering::Relaxed);
+    let done = op();
+    ARMED.store(true, Ordering::Relaxed);
+    done
+}
+
+/// `n` memory servers and a one-shard pager of `config` over them. No
+/// read-ahead: which reads it would turn into batches, and when a batch
+/// is harvested, depends on what has arrived by then — the one thing here
+/// that would not count the same twice.
+fn cluster(config: PagerConfig, n: u32) -> (Vec<ServerHandle>, ShardedPager) {
+    let mut registry = Registry::new();
+    let servers: Vec<ServerHandle> = (0..n)
+        .map(|id| {
+            let server = MemoryServer::spawn(ServerConfig::default()).expect("spawn server");
+            let addr = server.addr().to_string();
+            let info = ServerInfo {
+                id: ServerId(id),
+                addr,
+                link_cost: 1.0,
+            };
+            registry.add(info).expect("register");
+            server
+        })
+        .collect();
+    let config = config.with_shard_count(1).with_prefetch_window(0);
+    let pager = ShardedPager::connect(config, &registry).expect("connect pager");
+    (servers, pager)
+}
+
+const PAGES: u64 = 64;
+const OPS: u64 = 1000;
+
 #[test]
 fn a_fault_stays_within_its_allocation_budget() {
-    const PAGES: u64 = 64;
-    const OPS: u64 = 1000;
+    a_burst_of_two_allocates_no_more_than_two_submits_of_one();
+    a_sealing_pageout_and_a_coded_rewrite_keep_their_counts();
 
-    let server = MemoryServer::spawn(ServerConfig::default()).expect("spawn server");
-    let mut registry = Registry::new();
-    registry
-        .add(ServerInfo {
-            id: ServerId(0),
-            addr: server.addr().to_string(),
-            link_cost: 1.0,
-        })
-        .expect("register");
-    // No read-ahead: which reads it would turn into batches, and when a
-    // batch is harvested, depends on what has arrived by then — the one
-    // thing here that would not count the same twice.
-    let config = PagerConfig::new(Policy::NoReliability)
-        .with_servers(1)
-        .with_shard_count(1)
-        .with_prefetch_window(0);
-    let pager = ShardedPager::connect(config, &registry).expect("connect pager");
+    let config = PagerConfig::new(Policy::NoReliability).with_servers(1);
+    let (servers, pager) = cluster(config, 1);
 
     // Everything that grows once — the placement table, the store's map,
     // the connection's buffers, the trace ring — grows here, uncounted.
@@ -145,5 +172,74 @@ fn a_fault_stays_within_its_allocation_budget() {
     assert!(kib <= 9.0, "a rewrite allocated {kib} KiB");
 
     drop(pager);
+    servers.into_iter().for_each(ServerHandle::shutdown);
+}
+
+/// The slots of a burst come from the connection's pool like a lone
+/// frame's, and a pair keeps them inline: once warm, what is left is the
+/// reply vector `wait_all` hands back — one for the burst, two for the
+/// two submits.
+fn a_burst_of_two_allocates_no_more_than_two_submits_of_one() {
+    let server = MemoryServer::spawn(ServerConfig::default()).expect("spawn server");
+    let mut wire = WindowedTransport::connect(&server.addr().to_string()).expect("connect");
+    let two = [Message::LoadQuery, Message::LoadQuery];
+    let mut submit = |msgs: &[Message]| {
+        let replies = wire
+            .submit(msgs)
+            .expect("submit")
+            .wait_all()
+            .expect("replies");
+        assert_eq!(replies.len(), msgs.len());
+    };
+    (0..8).for_each(|_| submit(&two));
+    let (singles, _) = per_op(OPS, |_| two.chunks(1).for_each(&mut submit));
+    let (burst, _) = per_op(OPS, |_| submit(&two));
+    println!("two submits of one: {singles:.3} allocations, a burst of two: {burst:.3}");
+    assert!(burst <= singles, "a burst of two made {burst} allocations");
+    drop(wire);
     server.shutdown();
+}
+
+/// The two waves that store new units and release the superseded ones.
+/// Counts, so the bound on e2ebench's `allocs_per_op` (9.5 on
+/// `gauss_plog_lan`, 40.1 on `write_heavy_ec_loopback`) is held here too.
+fn a_sealing_pageout_and_a_coded_rewrite_keep_their_counts() {
+    let pages: Vec<Page> = (0..PAGES + 1).map(Page::deterministic).collect();
+    let content = |id: u64, i: u64| &pages[((id + i) % (PAGES + 1)) as usize];
+
+    // Parity logging, groups of two: every second rewrite seals — its
+    // data frame, the parity page and the frees of the group the pair
+    // superseded in one wave — and only that one is counted.
+    let config = PagerConfig::new(Policy::ParityLogging).with_servers(2);
+    let (servers, pager) = cluster(config, 3);
+    let rewrite = |id: u64, i: u64| pager.page_out(PageId(id), content(id, i)).expect("rewrite");
+    (0..2 * PAGES).for_each(|i| rewrite(i % PAGES, i / PAGES));
+    let (allocs, kib) = per_op(OPS, |i| {
+        let id = 2 * (i % (PAGES / 2));
+        uncounted(|| rewrite(id, i + 2));
+        rewrite(id + 1, i + 2);
+    });
+    // Measured: 19.429 allocations and 25.87 KiB — the two pages the
+    // servers keep and the buffer's fresh accumulator. One allocation
+    // more per op fails.
+    println!("sealing pageout: {allocs:.3} allocations, {kib:.3} KiB per op");
+    assert!(allocs < 20.4, "a sealing pageout made {allocs} allocations");
+    assert!(kib <= 26.5, "a sealing pageout allocated {kib} KiB");
+    drop(pager);
+    servers.into_iter().for_each(ServerHandle::shutdown);
+
+    // Erasure coding (4, 1): five stores and five frees, one burst of two
+    // per server.
+    let config = PagerConfig::new(Policy::ErasureCoded).with_ec_splits(4, 1);
+    let (servers, pager) = cluster(config, 5);
+    let rewrite = |id: u64, i: u64| pager.page_out(PageId(id), content(id, i)).expect("rewrite");
+    (0..2 * PAGES).for_each(|i| rewrite(i % PAGES, i / PAGES));
+    let (allocs, kib) = per_op(OPS, |i| rewrite(i % PAGES, i + 2));
+    // Measured: 37.717 allocations and 94.19 KiB (five padded unit
+    // frames, encoded and stored). One allocation more per op fails.
+    println!("coded rewrite: {allocs:.3} allocations, {kib:.3} KiB per op");
+    assert!(allocs < 38.7, "a coded rewrite made {allocs} allocations");
+    assert!(kib <= 95.0, "a coded rewrite allocated {kib} KiB");
+    drop(pager);
+    servers.into_iter().for_each(ServerHandle::shutdown);
 }

@@ -84,6 +84,20 @@ fn endurance_schedules_hold_invariants_across_policies() {
     );
 }
 
+/// Schedules that caught a bug once, replayed whatever `CHAOS_SEEDS`
+/// says. 128487: a sealing wave whose data frame failed returned before
+/// the group it had announced was registered ("pg0 unreadable after
+/// heal"). 609656: a seal whose parity page timed out left a registered
+/// group naming a key no server held, and the recovery that needed it
+/// stuck on "no longer holds key".
+#[test]
+fn schedules_that_once_failed_stay_fixed() {
+    for seed in [128_487, 609_656] {
+        let outcome = run_schedule(Policy::ParityLogging, seed);
+        assert!(outcome.passed(), "{:?}", outcome.violations);
+    }
+}
+
 // --- crash during quiesce (flush / recover_from_crash) ---------------------
 
 fn absolve_all(pager: &ShardedPager, shards: usize, servers: u32) {

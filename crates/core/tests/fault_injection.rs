@@ -10,9 +10,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::transport::ServerTransport;
-use rmp_core::{ChaosServer, Pager, ServerPool};
+use rmp_core::{ChaosServer, Pager, PagerBuilder, ServerPool};
 use rmp_proto::{BatchItem, LoadHint, Message};
-use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey};
+use rmp_types::{
+    ErrorCode, Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey,
+};
 
 /// Scripted failure modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -24,6 +26,8 @@ enum Fault {
     Dead,
     /// Deny all allocation requests (out of memory).
     DenyAlloc,
+    /// Grant frames, then refuse every store as out of memory.
+    RefuseStore,
     /// Answer every pagein with a miss (lost its store).
     Amnesia,
     /// Reply with a nonsensical message (protocol violation).
@@ -107,6 +111,12 @@ impl ServerTransport for FakeTransport {
             Fault::Garbage => return Ok(Message::FreeAck { id: StoreKey(0) }),
             _ => {}
         }
+        if let (Fault::RefuseStore, Message::PageOut { id, .. }) = (fault, msg) {
+            return Err(RmpError::Remote {
+                code: ErrorCode::OutOfMemory,
+                message: format!("out of memory storing {id}"),
+            });
+        }
         let mut reply = self.0.server.serve(0, msg);
         match (fault, &mut reply) {
             (Fault::DenyAlloc, Message::AllocReply { granted, .. }) => *granted = 0,
@@ -148,6 +158,13 @@ impl ServerTransport for FakeTransport {
 
 /// Builds a pager over `n` fake servers, returning the handles.
 fn fake_pager(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, Pager) {
+    let (fakes, builder) = fake_builder(policy, servers, n);
+    let disk = Box::new(RamDisk::unbounded());
+    (fakes, builder.disk(disk).build().expect("pager"))
+}
+
+/// [`fake_pager`] short of its disk, which a test may leave out.
+fn fake_builder(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, PagerBuilder) {
     let mut pool = ServerPool::new();
     let mut fakes = Vec::new();
     for i in 0..n {
@@ -159,12 +176,8 @@ fn fake_pager(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, Pag
         );
         fakes.push(fake);
     }
-    let pager = Pager::builder(PagerConfig::new(policy).with_servers(servers))
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("pager");
-    (fakes, pager)
+    let builder = Pager::builder(PagerConfig::new(policy).with_servers(servers)).pool(pool);
+    (fakes, builder)
 }
 
 #[test]
@@ -489,14 +502,20 @@ fn pager_about_to_seal(parity_fault: Fault) -> (Vec<FakeServer>, Pager) {
 /// Server 0 — holder of page 0, the first member of the group whose seal
 /// failed — dies with its memory; every page must still read back.
 fn assert_sealed_members_survive_a_data_crash(fakes: &[FakeServer], pager: &mut Pager) {
+    assert_pages_survive_a_data_crash(fakes, pager, &[0, 1, 2]);
+}
+
+/// Server 0 dies with its memory; page `i` must still read back as
+/// `Page::deterministic(fills[i])`.
+fn assert_pages_survive_a_data_crash(fakes: &[FakeServer], pager: &mut Pager, fills: &[u64]) {
     fakes[0].set_fault(Fault::Dead);
     fakes[0].wipe();
-    for i in 0..3u64 {
+    for (i, &fill) in fills.iter().enumerate() {
         assert_eq!(
             pager
-                .page_in(PageId(i))
+                .page_in(PageId(i as u64))
                 .expect("the group of the failed seal still covers its members"),
-            Page::deterministic(i)
+            Page::deterministic(fill)
         );
     }
 }
@@ -526,4 +545,91 @@ fn parity_refusal_on_the_sealing_pageout_keeps_the_group_covered() {
         .recover_from_crash(ServerId(4))
         .expect("parity rebuilt elsewhere");
     assert_sealed_members_survive_a_data_crash(&fakes, &mut pager);
+}
+
+#[test]
+fn a_sealing_rewrite_whose_parity_is_refused_reads_back_what_it_committed() {
+    let (fakes, mut pager) = fake_pager(Policy::ParityLogging, 3, 5);
+    // Every third pageout seals a group and takes one of the parity
+    // server's granted frames; rewrite until the next seal must ask for
+    // more.
+    let mut fill = 0;
+    let mut round = |pager: &mut Pager| -> Vec<Result<()>> {
+        fill += 10;
+        let rewrite = |i| pager.page_out(PageId(i), &Page::deterministic(fill + i));
+        (0..3).map(rewrite).collect()
+    };
+    while pager.pool().granted_frames(ServerId(4)) > 0 || pager.stats().pageouts == 0 {
+        let acked = round(&mut pager);
+        assert!(acked.iter().all(Result::is_ok), "{acked:?}");
+    }
+    fakes[4].set_fault(Fault::DenyAlloc);
+    let outcomes = round(&mut pager);
+    assert!(outcomes[0].is_ok() && outcomes[1].is_ok(), "{outcomes:?}");
+    let refused = outcomes[2]
+        .as_ref()
+        .expect_err("no frame for the parity page");
+    assert!(
+        matches!(refused, RmpError::NoSpace(ServerId(4))),
+        "{refused}"
+    );
+    // The data frame landed before the parity page was refused: the page
+    // reads back as the bytes that pageout committed — verified against
+    // the sum it took, not flagged against the one acked before it.
+    let current = [fill, fill + 1, fill + 2];
+    for (i, &fill) in current.iter().enumerate() {
+        let read = pager.page_in(PageId(i as u64)).expect("pagein");
+        assert_eq!(read, Page::deterministic(fill));
+    }
+    assert_eq!(pager.stats().checksum_failures, 0);
+    assert_eq!(pager.stats().degraded_reads, 0);
+    // The seal was undone, so the three versions are pending — covered by
+    // the client's accumulator until the parity finds another server.
+    pager
+        .recover_from_crash(ServerId(4))
+        .expect("parity moved off the refusing server");
+    assert_pages_survive_a_data_crash(&fakes, &mut pager, &current);
+}
+
+#[test]
+fn a_sealing_pageout_no_server_takes_leaves_the_group_without_it() {
+    let (fakes, mut pager) = pager_about_to_seal(Fault::None);
+    // Servers 0 and 1 hold the group's other members, so the frame server
+    // 2 refuses has nowhere to go but the disk — after the wave that
+    // carried it has stored a parity page that includes it.
+    fakes[2].set_fault(Fault::RefuseStore);
+    pager
+        .page_out(PageId(2), &Page::deterministic(2))
+        .expect("the disk takes the page");
+    assert_eq!(pager.stats().disk_writes, 1);
+    assert_eq!((fakes[2].stored(), fakes[4].stored()), (0, 1));
+    // Server 2 granted its first chunk of frames to this pageout, and
+    // every refused store gave its frame back.
+    let chunk = pager.pool().granted_frames(ServerId(0)) + 1;
+    assert_eq!(pager.pool().granted_frames(ServerId(2)), chunk);
+    // The parity page was stored again without page 2: page 0 is rebuilt
+    // from page 1 and it alone.
+    assert_sealed_members_survive_a_data_crash(&fakes, &mut pager);
+}
+
+#[test]
+fn a_sealing_pageout_with_nowhere_to_go_fails_typed_and_spares_the_group() {
+    let (fakes, builder) = fake_builder(Policy::ParityLogging, 3, 5);
+    let mut pager = builder.build().expect("pager without a disk");
+    for i in 0..2u64 {
+        pager
+            .page_out(PageId(i), &Page::deterministic(i))
+            .expect("pending");
+    }
+    fakes[2].set_fault(Fault::RefuseStore);
+    let err = pager
+        .page_out(PageId(2), &Page::deterministic(2))
+        .expect_err("no server and no disk");
+    assert!(matches!(err, RmpError::ClusterFull), "got {err}");
+    let err = pager.page_in(PageId(2)).expect_err("never stored");
+    assert!(
+        matches!(err, RmpError::PageNotFound(PageId(2))),
+        "got {err}"
+    );
+    assert_pages_survive_a_data_crash(&fakes, &mut pager, &[0, 1]);
 }

@@ -40,13 +40,18 @@ fn erasure_coded_write_rewrite_and_read_are_waves() {
         (vec![0, 1, 2, 3, 4], vec![Opcode::PageOut; 5])
     );
 
-    // Rewrite: the fresh stripe in one wave, then the old one's frees in
-    // another (a half-overwritten stripe would decode to garbage).
+    // Rewrite: the fresh stripe (under fresh keys — a half-overwritten
+    // stripe would decode to garbage) and the old one's frees in one
+    // wave, each server's burst its new unit and its old one.
     let page = Page::deterministic(2);
-    let (done, waves) = in_waves(&wire, &[5, 5], || pager.page_out(PageId(1), &page));
+    let (done, waves) = in_waves(&wire, &[10], || pager.page_out(PageId(1), &page));
     done.expect("rewrite");
-    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageOut; 5]);
-    assert_eq!(shape(&waves[1]).1, vec![Opcode::Free; 5]);
+    assert!(
+        (waves[0].iter()).all(|(_, ops)| *ops == [Opcode::PageOut, Opcode::Free]),
+        "{:?}",
+        waves[0]
+    );
+    assert_eq!(shape(&waves[0]).0, vec![0, 1, 2, 3, 4]);
     let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
     assert_eq!(stored, 5, "the frees were awaited inside the rewrite");
 
@@ -105,33 +110,35 @@ fn plog_pager() -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
     wave_pager(PagerConfig::new(Policy::ParityLogging).with_servers(3), 4)
 }
 
-#[test]
-fn parity_logging_seal_is_data_then_one_wave() {
-    let (wire, servers, mut pager) = plog_pager();
-    // The first group seals with nothing to reclaim: its third pageout is
-    // the data call, then a wave that is the parity page alone.
+/// Pages 0 and 1 go out as `fill` and `fill + 1`: pending members, one
+/// call each and no wave.
+fn two_pending(wire: &Wire, pager: &mut Pager, fill: u64) {
     for i in 0..2u64 {
-        let (done, _) = in_waves(&wire, &[], || {
-            pager.page_out(PageId(i), &Page::deterministic(i))
+        let (done, _) = in_waves(wire, &[], || {
+            pager.page_out(PageId(i), &Page::deterministic(fill + i))
         });
         done.expect("a pending member is one call");
     }
-    let (done, waves) = in_waves(&wire, &[1], || {
+}
+
+#[test]
+fn parity_logging_seal_is_one_wave() {
+    let (wire, servers, mut pager) = plog_pager();
+    // The first group seals with nothing to reclaim: its third pageout is
+    // one wave, the data frame and the parity page.
+    two_pending(&wire, &mut pager, 0);
+    let (done, waves) = in_waves(&wire, &[2], || {
         pager.page_out(PageId(2), &Page::deterministic(2))
     });
     done.expect("first seal");
-    assert_eq!(shape(&waves[0]), (vec![3], vec![Opcode::PageOut]));
+    assert_eq!(shape(&waves[0]), (vec![2, 3], vec![Opcode::PageOut; 2]));
 
     // Rewriting the three pages supersedes the whole first group: the
-    // second seal ships its parity and the S + 1 frees in one wave.
+    // second seal ships its data frame, its parity page and the S + 1
+    // frees in one wave.
     wire.calls();
-    for i in 0..2u64 {
-        let (done, _) = in_waves(&wire, &[], || {
-            pager.page_out(PageId(i), &Page::deterministic(10 + i))
-        });
-        done.expect("pending");
-    }
-    let (done, waves) = in_waves(&wire, &[5], || {
+    two_pending(&wire, &mut pager, 10);
+    let (done, waves) = in_waves(&wire, &[6], || {
         pager.page_out(PageId(2), &Page::deterministic(12))
     });
     done.expect("second seal");
@@ -140,6 +147,7 @@ fn parity_logging_seal_is_data_then_one_wave() {
     assert_eq!(
         ops,
         vec![
+            Opcode::PageOut,
             Opcode::PageOut,
             Opcode::Free,
             Opcode::Free,
@@ -150,18 +158,103 @@ fn parity_logging_seal_is_data_then_one_wave() {
     let data_calls = wire.calls();
     assert_eq!(
         data_calls.iter().map(|c| c.1).collect::<Vec<_>>(),
-        vec![Opcode::PageOut; 3],
-        "each pageout's data leg is one call before the wave"
+        vec![Opcode::PageOut; 2],
+        "only a pending member's data frame is a call of its own"
     );
     let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
     assert_eq!(stored, 4, "three current versions and one parity page");
 }
 
 #[test]
+fn a_data_frame_the_sealing_wave_did_not_land_is_re_homed_and_its_group_follows() {
+    let (wire, servers, mut pager) = plog_pager();
+    two_pending(&wire, &mut pager, 0);
+    wire.calls();
+    // Server 2 refuses the sealing wave's data frame; the parity page
+    // lands. Servers 0 and 1 hold the group's other members, so after a
+    // fresh look at the loads (a wave of its own) the frame is offered to
+    // server 2 again, by a plain call and under a new key.
+    wire.state().refuse_store.push(ServerId(2));
+    let (done, waves) = in_waves(&wire, &[2, 4], || {
+        pager.page_out(PageId(2), &Page::deterministic(2))
+    });
+    done.expect("the second offer is taken");
+    assert_eq!(shape(&waves[0]), (vec![2, 3], vec![Opcode::PageOut; 2]));
+    assert_eq!(shape(&waves[1]).1, vec![Opcode::LoadQuery; 4]);
+    let stores: Vec<_> = (wire.calls().into_iter())
+        .filter(|(_, op)| *op == Opcode::PageOut)
+        .collect();
+    assert_eq!(stores, [(ServerId(2), Opcode::PageOut)]);
+    let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+    assert_eq!(stored, [1, 1, 1, 1]);
+    let pool = pager.pool();
+    assert_eq!(
+        pool.granted_frames(ServerId(2)),
+        pool.granted_frames(ServerId(0)),
+        "the refused frame's grant went back before the second offer took one"
+    );
+    // The group names the unit that took the frame, not the one the wave
+    // offered: page 0 is rebuilt from it, page 1 and the parity page.
+    pager.note_crash(ServerId(0));
+    let (read, waves) = in_waves(&wire, &[3], || pager.page_in(PageId(0)));
+    assert_eq!(read.expect("degraded read"), Page::deterministic(0));
+    assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
+}
+
+#[test]
+fn a_parity_server_dying_under_the_sealing_wave_leaves_the_members_pending() {
+    // Data servers 0..=2, the parity page on 4, 3 spare.
+    let config = PagerConfig::new(Policy::ParityLogging).with_servers(3);
+    let (wire, servers, mut pager) = wave_pager(config, 5);
+    two_pending(&wire, &mut pager, 0);
+    // The data frame lands, the parity server dies with its burst. The
+    // seal is undone, so recovery finds three pending pages: it gathers
+    // them at once, re-logs them — stores first, the seal after, its
+    // parity page on the spare — and the pageout runs again.
+    wire.state().dying.push(ServerId(4));
+    let (done, waves) = in_waves(&wire, &[2, 3, 1], || {
+        pager.page_out(PageId(2), &Page::deterministic(2))
+    });
+    done.expect("recovered and retried");
+    assert_eq!(shape(&waves[0]), (vec![2, 4], vec![Opcode::PageOut; 2]));
+    assert_eq!(shape(&waves[1]).1, vec![Opcode::PageIn; 3]);
+    assert_eq!(shape(&waves[2]), (vec![3], vec![Opcode::PageOut]));
+    servers[4].crash();
+    for i in 0..3u64 {
+        let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(i)));
+        assert_eq!(read.expect("read"), Page::deterministic(i));
+    }
+}
+
+#[test]
+fn a_taker_that_refuses_beside_the_free_of_its_own_old_unit_is_asked_again() {
+    let (wire, servers, mut pager) = wave_pager(ec_config(), 5);
+    let (done, _) = in_waves(&wire, &[5], || {
+        pager.page_out(PageId(1), &Page::deterministic(1))
+    });
+    done.expect("first write");
+    wire.calls();
+    let grants = pager.pool().granted_frames(ServerId(2));
+    // Server 2 is full until the free in its burst has made room: it
+    // refuses the new unit, and takes it on the second offer — no other
+    // server could, each holds a unit of this stripe.
+    wire.state().refuse_store.push(ServerId(2));
+    let page = Page::deterministic(2);
+    let (done, _) = in_waves(&wire, &[10], || pager.page_out(PageId(1), &page));
+    done.expect("rewrite");
+    assert_eq!(wire.calls(), [(ServerId(2), Opcode::PageOut)]);
+    let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+    assert_eq!(stored, [1; 5], "exactly k + r units of the page");
+    assert_eq!(pager.pool().granted_frames(ServerId(2)), grants - 1);
+    let (read, _) = in_waves(&wire, &[4], || pager.page_in(PageId(1)));
+    assert_eq!(read.expect("pagein"), page);
+}
+
+#[test]
 fn parity_logging_degraded_read_and_group_rebuild_gather_at_once() {
     let (wire, _servers, mut pager) = plog_pager();
     for i in 0..3u64 {
-        let widths: &[usize] = if i == 2 { &[1] } else { &[] };
+        let widths: &[usize] = if i == 2 { &[2] } else { &[] };
         let (done, _) = in_waves(&wire, widths, || {
             pager.page_out(PageId(i), &Page::deterministic(i))
         });
@@ -174,9 +267,11 @@ fn parity_logging_degraded_read_and_group_rebuild_gather_at_once() {
     assert_eq!(read.expect("degraded read"), Page::deterministic(0));
     assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
     // The rebuild fetches the same three pieces at once, then re-logs the
-    // group's members: with two data servers left, two pageouts to a
-    // group, each seal a wave of its parity page — the second with the
-    // old group's surviving storage (two members and the parity page).
+    // group's members — a re-log stores first and seals after, for it
+    // holds the only copy of an acked version: with two data servers
+    // left, two pageouts to a group, each seal a wave of its parity page
+    // — the second with the old group's surviving storage (two members
+    // and the parity page).
     let (report, waves) = in_waves(&wire, &[3, 1, 4], || pager.recover_from_crash(ServerId(0)));
     assert_eq!(report.expect("recovery").pages_rebuilt, 1);
     assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 3]);

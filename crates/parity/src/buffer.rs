@@ -143,6 +143,28 @@ impl ParityBuffer {
         self.members.clear();
     }
 
+    /// Takes `sealed` back as the pending group — the inverse of the seal
+    /// that produced it, for a caller whose parity page found no server:
+    /// the members are pending again, covered by the accumulator, and the
+    /// next seal ships them anew.
+    ///
+    /// # Panics
+    ///
+    /// Panics if pages have been absorbed since that seal.
+    pub fn unseal(&mut self, sealed: SealedGroup) {
+        assert!(self.members.is_empty(), "unseal into a buffer in use");
+        self.acc = sealed.parity;
+        self.members = sealed.members;
+    }
+
+    /// Takes the last pending member back out — the inverse of the
+    /// absorb that added `page`.
+    pub fn retract_last(&mut self, page: &Page) -> Option<GroupMember> {
+        let member = self.members.pop()?;
+        self.acc.xor_with(page);
+        Some(member)
+    }
+
     fn seal(&mut self) -> SealedGroup {
         let parity = std::mem::take(&mut self.acc);
         let members = std::mem::take(&mut self.members);
@@ -206,6 +228,21 @@ mod tests {
         let g1 = absorb_n(&mut buf, &pages).expect("first group");
         let g2 = absorb_n(&mut buf, &pages).expect("second group");
         assert_eq!(g1.parity, g2.parity);
+    }
+
+    #[test]
+    fn unseal_and_retract_invert_seal_and_absorb() {
+        let pages: Vec<Page> = (20..23).map(Page::deterministic).collect();
+        let mut buf = ParityBuffer::new(3);
+        let sealed = absorb_n(&mut buf, &pages).expect("sealed after 3");
+        buf.unseal(sealed);
+        assert_eq!(buf.pending(), 3);
+        assert_eq!(buf.accumulated(), &xor_reduce(pages.iter()));
+        let last = buf.retract_last(&pages[2]).expect("a member");
+        assert_eq!(last.page_id, PageId(2));
+        assert_eq!(buf.accumulated(), &xor_reduce(pages[..2].iter()));
+        let resealed = buf.flush().expect("two pending");
+        assert_eq!(resealed.members.len(), 2);
     }
 
     #[test]

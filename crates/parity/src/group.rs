@@ -226,17 +226,57 @@ impl GroupTable {
             member.active = false;
             state.active -= 1;
         }
-        if state.active == 0 {
-            let state = self.groups.remove(&group).expect("group exists");
-            self.reclaimed_total += 1;
-            Some(ReclaimedGroup {
-                group,
-                member_storage: state.members.iter().map(|m| (m.server, m.key)).collect(),
-                parity_storage: (state.parity_server, state.parity_key),
-            })
-        } else {
-            None
+        self.reclaim_if_drained(group)
+    }
+
+    /// Removes `group` and returns its storage if no member is active.
+    fn reclaim_if_drained(&mut self, group: GroupId) -> Option<ReclaimedGroup> {
+        if self.groups.get(&group)?.active > 0 {
+            return None;
         }
+        let state = self.groups.remove(&group)?;
+        self.reclaimed_total += 1;
+        Some(ReclaimedGroup {
+            group,
+            member_storage: state.members.iter().map(|m| (m.server, m.key)).collect(),
+            parity_storage: (state.parity_server, state.parity_key),
+        })
+    }
+
+    /// Takes the registration of `group` back: its parity page found no
+    /// server. Returns the members, all active again, for the caller to
+    /// keep pending; the versions the registration superseded stay
+    /// superseded — the members returned are the current ones.
+    pub fn unregister(&mut self, group: GroupId) -> Vec<GroupMember> {
+        let Some(state) = self.groups.remove(&group) else {
+            return Vec::new();
+        };
+        let mut members = state.members;
+        for member in &mut members {
+            if member.active {
+                self.current.remove(&member.page_id);
+            }
+            member.active = true;
+        }
+        members
+    }
+
+    /// Takes the last member of `group` back out of it: the group was
+    /// registered ahead of that member's store, and no server took the
+    /// frame. The group is left as if it had sealed without the member —
+    /// the caller rewrites the parity page to match — and the member's
+    /// page has no active version: the one this registration superseded
+    /// is not brought back.
+    ///
+    /// Returns the reclaimed group if it has no active member left.
+    pub fn retract_last(&mut self, group: GroupId) -> Option<ReclaimedGroup> {
+        let state = self.groups.get_mut(&group)?;
+        let member = state.members.pop()?;
+        if member.active {
+            state.active -= 1;
+            self.current.remove(&member.page_id);
+        }
+        self.reclaim_if_drained(group)
     }
 
     /// Returns the location of the active version of `page_id`, if it is
@@ -499,6 +539,39 @@ mod tests {
         assert_eq!(reclaimed.group, g1);
         assert!(t.location_of(PageId(1)).is_none());
         assert!(t.drop_page(PageId(1)).is_none(), "idempotent");
+    }
+
+    #[test]
+    fn unregister_returns_the_members_and_forgets_the_group() {
+        let mut t = GroupTable::new();
+        register_group(&mut t, &[(1, 101, 0)], 9, 900);
+        let (g2, reclaimed) = register_group(&mut t, &[(1, 201, 0), (1, 202, 1)], 9, 901);
+        assert_eq!(reclaimed.len(), 1);
+        let members = t.unregister(g2);
+        assert_eq!(members.len(), 2);
+        assert!(members.iter().all(|m| m.active), "ready to register again");
+        assert!(t.group(g2).is_none());
+        assert!(t.location_of(PageId(1)).is_none(), "pending, not sealed");
+        assert_eq!(t.live_groups(), 0);
+    }
+
+    #[test]
+    fn retract_last_leaves_the_group_as_if_sealed_without_the_member() {
+        let mut t = GroupTable::new();
+        register_group(&mut t, &[(3, 103, 2)], 9, 900);
+        let (g2, reclaimed) = register_group(&mut t, &[(1, 201, 0), (3, 203, 1)], 9, 901);
+        assert_eq!(reclaimed.len(), 1, "page 3's first version went");
+        assert!(t.retract_last(g2).is_none(), "page 1 still pins the group");
+        // The group names one member, page 3 has no version at all, and
+        // the recovery of page 1's server reads nothing of page 3's.
+        assert_eq!(t.group(g2).expect("live").members.len(), 1);
+        assert!(t.location_of(PageId(3)).is_none());
+        let (recoveries, _) = t.recovery_plan(ServerId(0)).expect("recoverable");
+        assert!(recoveries[0].fetch.is_empty());
+        // Retracting the last active member reclaims the group.
+        let gone = t.retract_last(g2).expect("no member left");
+        assert_eq!(gone.parity_storage, (ServerId(9), StoreKey(901)));
+        assert!(gone.member_storage.is_empty());
     }
 
     #[test]
