@@ -867,6 +867,8 @@ fn endurance_transport_config() -> TransportConfig {
 ///    panics or garbage data.
 /// 3. **Recovery converges** — after healing, the recovery backlog
 ///    drains to zero within a bounded number of maintenance ticks.
+/// 4. **The read-ahead ledger balances** — on every shard, pages issued
+///    equal hits plus useless plus those still held.
 ///
 /// The returned [`ScheduleOutcome`] lists every violation with enough
 /// context to replay from `seed`.
@@ -1045,6 +1047,21 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
                     "seed {seed} {policy:?}: pg{id} unreadable after heal: {e}"
                 ));
             }
+        }
+    }
+
+    // The read-ahead ledger balances whatever happened: a page issued
+    // is a hit, useless, or still held.
+    for shard in 0..shards {
+        let (issued, accounted) = pager.with_shard(shard, |p| {
+            let count = |what| (p.metrics().counter(&format!("pager_prefetch_{what}_total"))).get();
+            let accounted = count("hits") + count("useless") + p.read_ahead_held() as u64;
+            (count("issued"), accounted)
+        });
+        if issued != accounted {
+            outcome.violations.push(format!(
+                "seed {seed} {policy:?}: shard {shard} accounts for {accounted} of {issued} read-aheads"
+            ));
         }
     }
     outcome

@@ -46,7 +46,7 @@ pub use chaos::{
 };
 pub use detector::FailureDetector;
 pub use pager::{Pager, PagerBuilder};
-pub use pool::{PendingPageIn, ServerPool};
+pub use pool::ServerPool;
 pub use reactor::{Completion, PendingReplies, WindowStats, WindowedTransport};
 pub use recovery::RecoveryReport;
 pub use sharded::{ShardedPager, ShardedPagerBuilder};

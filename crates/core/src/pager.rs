@@ -1,22 +1,20 @@
 //! The pager: policy dispatch, crash handling, adaptive switching.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use rmp_blockdev::PagingDevice;
 use rmp_types::metrics::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
-use rmp_types::{
-    Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey, TransferStats,
-};
+use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, TransferStats};
 
 use crate::engine::{
     basic::BasicParity, diskonly::DiskOnly, paritylog::ParityLogging, stripe::Stripe, Ctx, Engine,
     EngineMetrics, Reading, Unit, Writing,
 };
-use crate::pool::ServerPool;
-use crate::prefetch::{PrefetchCache, StrideDetector};
+use crate::pool::{Flight, ServerPool};
+use crate::prefetch::{Planner, PrefetchCache};
 use crate::recovery::{RecoveryPlan, RecoveryReport};
 
 /// Checks, at construction time, that a striping policy's redundancy
@@ -140,19 +138,17 @@ impl PagerBuilder {
     }
 }
 
-/// One prefetch batch submitted to a server: the page each reply item
-/// will fill (paired with its store key, in reply order) — `None` once a
-/// write or free has made that copy stale while the batch was out — and
-/// the pool handle to collect it.
+/// One read-ahead on the wire: the page its reply will fill — `None`
+/// once a write or free has made that copy stale while it was out, and
+/// then already counted useless — and the read to collect.
 struct PendingPrefetch {
-    entries: Vec<(Option<PageId>, StoreKey)>,
-    handle: crate::pool::PendingPageIn,
+    page: Option<PageId>,
+    flight: Flight,
 }
 
-impl PendingPrefetch {
-    fn carries(&self, pid: PageId) -> bool {
-        self.entries.iter().any(|&(page, _)| page == Some(pid))
-    }
+/// Whether `pid` is being fetched by a read-ahead still out.
+fn inflight(pending: &[PendingPrefetch], pid: PageId) -> bool {
+    pending.iter().any(|p| p.page == Some(pid))
 }
 
 /// A pagein between [`Pager::begin_page_in`] and
@@ -163,7 +159,8 @@ pub(crate) struct PageInFlight {
     /// The primary copy as the read was issued: whom the trace names,
     /// and what a miss is checked against.
     at: Option<Unit>,
-    stride: Option<i64>,
+    /// Whether read-ahead served it: what the planner is told.
+    pub(crate) hit: bool,
     /// Whether `reading` is a page that passed its checks already (a
     /// read-ahead hit, a hedged read): nothing is left but the books.
     served: bool,
@@ -219,13 +216,15 @@ pub struct Pager {
     pending_recovery: VecDeque<ServerId>,
     /// The rebuild currently in flight, if any.
     active_plan: Option<RecoveryPlan>,
-    /// Majority-vote stride detector fed by every demand pagein.
-    stride: StrideDetector,
-    /// Pages fetched ahead of demand along the detected stride.
+    /// Decides what [`PagingDevice::page_in`] reads ahead; a front-end
+    /// over several pagers decides for them all with a planner of its
+    /// own (see [`crate::sharded`]) and calls [`Pager::read_ahead`].
+    planner: Planner,
+    /// Pages fetched ahead of demand, whoever planned them.
     prefetch: PrefetchCache,
-    /// Prefetch batches submitted and not yet collected: issued without
-    /// waiting, harvested when ready (or when a demand fault needs one of
-    /// their pages).
+    /// Read-aheads submitted and not yet collected: issued without
+    /// waiting, harvested when ready (or when a demand fault needs the
+    /// page).
     pending_prefetch: Vec<PendingPrefetch>,
     /// Useless-prefetch count already forwarded to the metrics counter
     /// (the cache tracks a running total; counters only add).
@@ -335,6 +334,7 @@ impl Pager {
         // window plus the previous one without evicting entries the
         // stream is about to consume.
         let prefetch_capacity = config.prefetch_window.saturating_mul(2);
+        let planner = Planner::new(config.prefetch_window);
         Ok(Pager {
             config,
             pool,
@@ -346,7 +346,7 @@ impl Pager {
             unacked_sums: HashMap::new(),
             pending_recovery: VecDeque::new(),
             active_plan: None,
-            stride: StrideDetector::new(),
+            planner,
             prefetch: PrefetchCache::new(prefetch_capacity),
             pending_prefetch: Vec::new(),
             prefetch_useless_reported: 0,
@@ -580,11 +580,12 @@ impl Pager {
         // Placement changed wholesale under the rebuild: drop the fault
         // trace and any read-ahead rather than predict against the old
         // layout.
-        self.stride.reset();
+        self.planner.reset();
         self.prefetch.clear();
-        // Dropping the handles abandons the fetches: their window slots
+        // Dropping the flights abandons the fetches: their window slots
         // free immediately and late replies are discarded on arrival.
-        self.pending_prefetch.clear();
+        let abandoned = self.pending_prefetch.drain(..).filter(|p| p.page.is_some());
+        self.metrics.prefetch_useless.add(abandoned.count() as u64);
         self.sync_useless();
         Ok(plan.report())
     }
@@ -774,18 +775,13 @@ impl Pager {
     }
 
     /// Forgets every read-ahead copy of `id` — the cached one, and the one
-    /// a batch that is still out will bring: a fresher copy is being
-    /// written (or the page freed), so both are stale from here on.
+    /// still on the wire: a fresher copy is being written (or the page
+    /// freed), so both are stale from here on.
     fn invalidate_prefetched(&mut self, id: PageId) {
         self.prefetch.invalidate(id);
-        for (page, _) in self
-            .pending_prefetch
-            .iter_mut()
-            .flat_map(|b| &mut b.entries)
-        {
-            if *page == Some(id) {
-                *page = None;
-            }
+        for overtaken in (self.pending_prefetch.iter_mut()).filter(|p| p.page == Some(id)) {
+            overtaken.page = None;
+            self.metrics.prefetch_useless.inc();
         }
         self.sync_useless();
     }
@@ -801,79 +797,67 @@ impl Pager {
         }
     }
 
-    /// Whether `pid` is being fetched by an in-flight prefetch batch.
-    fn prefetch_inflight(&self, pid: PageId) -> bool {
-        self.pending_prefetch.iter().any(|p| p.carries(pid))
+    /// Read-ahead copies held for a fault to come: cached, or on the wire
+    /// and not overtaken by a write. After every operation
+    /// `pager_prefetch_issued_total` equals hits + useless + this.
+    pub fn read_ahead_held(&self) -> usize {
+        let on_the_wire = self.pending_prefetch.iter().filter(|p| p.page.is_some());
+        self.prefetch.len() + on_the_wire.count()
     }
 
     /// Whether read-ahead already has `pid`, cached or on its way.
-    fn prefetch_covers(&self, pid: PageId) -> bool {
-        self.prefetch.contains(pid) || self.prefetch_inflight(pid)
+    pub(crate) fn prefetch_covers(&self, pid: PageId) -> bool {
+        self.prefetch.contains(pid) || inflight(&self.pending_prefetch, pid)
     }
 
-    /// Collects finished prefetch batches into the cache. Ready batches
-    /// always drain without blocking; when `need` names a page, the batch
+    /// Collects finished read-aheads into the cache. Ready ones always
+    /// drain without blocking; when `need` names a page, the read
     /// carrying it is collected even if that means waiting for the reply
-    /// (a demand fault that overlaps an in-flight prefetch waits for the
+    /// (a demand fault that overlaps an in-flight read-ahead waits for the
     /// one fetch rather than issuing a duplicate).
     ///
-    /// A batch that failed is simply dropped — prefetching is speculative,
+    /// One that failed is simply dropped — prefetching is speculative,
     /// and the demand path refetches with full retry if the page matters.
     fn harvest_prefetches(&mut self, need: Option<PageId>) {
         let mut i = 0;
         while i < self.pending_prefetch.len() {
-            let wanted = need.is_some_and(|id| self.pending_prefetch[i].carries(id));
-            if !wanted && !self.pending_prefetch[i].handle.is_ready() {
+            let pending = &self.pending_prefetch[i];
+            let wanted = need.is_some() && pending.page == need;
+            if !wanted && !pending.flight.is_ready() {
                 i += 1;
                 continue;
             }
-            let PendingPrefetch { entries, handle } = self.pending_prefetch.swap_remove(i);
-            let Ok(fetched) = self.pool.finish_page_in_batch(handle) else {
-                continue;
-            };
-            for ((pid, _), page) in entries.into_iter().zip(fetched) {
-                let Some(page) = page else { continue };
-                // Each page that came back is a real wire fetch; the
-                // stats stay honest about transfer counts even when the
-                // fetch ran ahead of demand, or was overtaken by a write.
-                self.stats.net_fetches += 1;
-                if let Some(pid) = pid {
-                    self.prefetch.insert(pid, page);
-                }
+            let PendingPrefetch { page, flight } = self.pending_prefetch.swap_remove(i);
+            let fetched = self.pool.finish_page_in_unretried(flight).ok().flatten();
+            // Each page that came back is a real wire fetch; the stats
+            // stay honest about transfer counts even when the fetch ran
+            // ahead of demand, or was overtaken by a write.
+            self.stats.net_fetches += u64::from(fetched.is_some());
+            match (page, fetched) {
+                (Some(pid), Some(fetched)) => self.prefetch.insert(pid, fetched),
+                (Some(_), None) => self.metrics.prefetch_useless.inc(),
+                (None, _) => {}
             }
         }
+        self.sync_useless();
     }
 
-    /// Issues one best-effort batched prefetch of the next
-    /// `prefetch_window` pages along `stride`: predictions are grouped by
-    /// the server that holds their primary copy and fetched with a single
-    /// batch per server instead of one round trip per page. The batch is
-    /// only *submitted* here — on a windowed transport it rides the
-    /// request window alongside demand traffic — and is harvested when
-    /// ready.
-    /// Failures are swallowed — a wrong guess must never fail the demand
-    /// fault that triggered it.
-    fn maybe_prefetch(&mut self, id: PageId, stride: Option<i64>) {
-        let Some(stride) = stride else { return };
+    /// Fetches ahead of demand those of `pages` that are worth it, each
+    /// with one plain keyed read: submitted here — it rides the request
+    /// window alongside demand traffic — and harvested when ready.
+    /// Whoever planned `pages` leaves out those with an operation under
+    /// way. Failures are swallowed — a wrong guess must never fail, or
+    /// wait for, the demand fault that triggered it.
+    pub(crate) fn read_ahead(&mut self, pages: impl Iterator<Item = PageId>) {
         let hedge_threshold = self.config.hedge_suspicion_threshold;
         // Pull in whatever read-ahead has landed since the last fault.
         self.harvest_prefetches(None);
-        // Refill the window only once the runway is gone: while the next
-        // predicted page is still cached (or already on the wire), topping
-        // up one page per access would pay a round trip per pagein and
-        // erase the batching win.
-        let predicted = |step: i64| {
-            let next = (id.0 as i64).checked_add(stride.checked_mul(step)?)?;
-            (next >= 0).then_some(PageId(next as u64))
-        };
-        if predicted(1).is_some_and(|pid| self.prefetch_covers(pid)) {
-            return;
-        }
-        // Ordered, so a seeded fault schedule sees the same submissions
-        // in the same order on every run.
-        let mut by_server: BTreeMap<ServerId, Vec<(Option<PageId>, StoreKey)>> = BTreeMap::new();
-        for step in 1..=self.config.prefetch_window as i64 {
-            let Some(pid) = predicted(step) else { break };
+        for pid in pages {
+            // No more on the wire than the deepest plan: speculation
+            // takes no more of the request window than that.
+            if self.pending_prefetch.len() >= self.config.prefetch_window {
+                break;
+            }
             if self.prefetch_covers(pid) {
                 continue;
             }
@@ -888,39 +872,20 @@ impl Pager {
             if !self.pool.view().is_alive(server) {
                 continue;
             }
-            by_server.entry(server).or_default().push((Some(pid), key));
-        }
-        for (server, mut entries) in by_server {
-            // The async path submits a single frame; keep the issue list
-            // within one frame's page cap so entries and replies pair 1:1.
-            entries.truncate(self.pool.batch_max_pages());
-            // Prefetching is optional work on the demand path: issuing a
-            // batch at a gray server would stall the very fault this
-            // prefetch is trying to hide. Those pages fall through to
-            // (hedged) demand reads instead.
+            // Prefetching is optional work on the demand path: a read
+            // queued at a gray server would stall the very fault it is
+            // trying to hide. Those pages fall through to (hedged) demand
+            // reads instead.
             if self.pool.looks_gray(server, hedge_threshold) {
-                self.metrics.prefetch_skipped_gray.add(entries.len() as u64);
+                self.metrics.prefetch_skipped_gray.inc();
                 continue;
             }
-            // One outstanding batch per server: issuing a second while the
-            // first is still on the wire would just queue behind it.
-            if self
-                .pending_prefetch
-                .iter()
-                .any(|p| p.handle.server() == server)
-            {
-                continue;
-            }
-            let keys: Vec<StoreKey> = entries.iter().map(|&(_, key)| key).collect();
-            self.metrics.prefetch_issued.add(keys.len() as u64);
-            // A refused submission is dropped like any wrong guess: the
-            // pool sampled the miss, and the demand path owns retries.
-            if let Ok(handle) = self.pool.spawn_page_in_batch(server, &keys) {
-                self.pending_prefetch
-                    .push(PendingPrefetch { entries, handle });
-            }
+            // A refused submission is collected like any failed read: the
+            // pool samples the miss, and the demand path owns retries.
+            let (page, flight) = (Some(pid), self.pool.begin_page_in(server, key));
+            self.metrics.prefetch_issued.inc();
+            self.pending_prefetch.push(PendingPrefetch { page, flight });
         }
-        self.sync_useless();
     }
 }
 
@@ -1049,18 +1014,17 @@ impl Pager {
     }
 
     /// The first half of a pagein, under whatever lock guards the
-    /// pager: everything up to the wait — the fault's vote on the stride,
-    /// the read-ahead cache (a fault that meets its page in a batch still
-    /// on the wire waits for that one fetch here, rather than send a
-    /// second), the hedge around a gray primary, the engine's lookup and
-    /// dead-holder check, the submit.
+    /// pager: everything up to the wait — the read-ahead cache (a fault
+    /// that meets its page in a read-ahead still on the wire waits for
+    /// that one fetch here, rather than send a second), the hedge around
+    /// a gray primary, the engine's lookup and dead-holder check, the
+    /// submit.
     pub(crate) fn begin_page_in(&mut self, id: PageId) -> PageInFlight {
         let started = Instant::now();
         let at = self.engine.primary_location(id);
-        let (mut stride, mut served) = (None, None);
+        let mut served = None;
         if self.config.prefetch_window > 0 {
-            stride = self.stride.observe(id);
-            if self.prefetch_inflight(id) {
+            if inflight(&self.pending_prefetch, id) {
                 self.harvest_prefetches(Some(id));
             }
             // A prefetched copy is held to the same store-corruption
@@ -1068,17 +1032,22 @@ impl Pager {
             // the demand read refetches (degrading if need be). A hit
             // cost no round trip (the wire fetch was counted when it was
             // issued).
-            served = (self.prefetch.take(id)).filter(|page| self.check_sum(id, page).is_none());
-            if served.is_some() {
-                self.metrics.prefetch_hits.inc();
+            if let Some(ahead) = self.prefetch.take(id) {
+                if self.check_sum(id, &ahead).is_none() {
+                    self.metrics.prefetch_hits.inc();
+                    served = Some(ahead);
+                } else {
+                    self.metrics.prefetch_useless.inc();
+                }
             }
         }
+        let hit = served.is_some();
         let served = served.or_else(|| self.maybe_hedged_read(id));
         PageInFlight {
             id,
             started,
             at,
-            stride,
+            hit,
             served: served.is_some(),
             reading: match served {
                 Some(page) => Reading::Done(Ok(page)),
@@ -1088,7 +1057,7 @@ impl Pager {
     }
 
     /// The second half of a pagein: collects the read and does what
-    /// follows the wait — verify, fall back, read ahead, book.
+    /// follows the wait — verify, fall back, book.
     pub(crate) fn complete_page_in(&mut self, flight: PageInFlight) -> Result<Page> {
         let (id, at) = (flight.id, flight.at);
         let done = match flight.reading {
@@ -1106,10 +1075,7 @@ impl Pager {
                 self.demand_page_in(id, first)
             }
         };
-        if done.is_ok() {
-            self.stats.pageins += 1;
-            self.maybe_prefetch(id, flight.stride);
-        }
+        self.stats.pageins += u64::from(done.is_ok());
         // As in `book_page_out`: attribute to the placement the read was
         // issued against, not whatever recovery re-homed the id to.
         self.book(EventKind::PageIn, flight.started, at.map(|(s, _)| s), done)
@@ -1237,7 +1203,16 @@ impl PagingDevice for Pager {
     fn page_in(&mut self, id: PageId) -> Result<Page> {
         let flight = self.begin_page_in(id);
         flight.reading.park();
-        self.complete_page_in(flight)
+        let hit = flight.hit;
+        let done = self.complete_page_in(flight);
+        if done.is_ok() {
+            let (cached, pending) = (&self.prefetch, &self.pending_prefetch);
+            let gone = |next| !cached.contains(next) && !inflight(pending, next);
+            if let Some(plan) = self.planner.plan(id, hit, gone) {
+                self.read_ahead(plan.pages(id));
+            }
+        }
+        done
     }
 
     fn free(&mut self, id: PageId) -> Result<()> {

@@ -228,6 +228,12 @@ impl Flight {
             pending.park(self.deadline);
         }
     }
+
+    /// Whether collecting it will not block: the reply is in, or the
+    /// frame never left.
+    pub fn is_ready(&self) -> bool {
+        (self.pending.as_ref()).map_or(true, PendingReplies::is_ready)
+    }
 }
 
 /// A wave of stores and frees on the wire, between
@@ -323,35 +329,6 @@ pub struct ServerPool {
     next_batch_seq: u32,
     /// Observability hooks; `None` (the default) records nothing.
     metrics: Option<PoolMetrics>,
-}
-
-/// A batch fetch submitted to a server, started by
-/// [`ServerPool::spawn_page_in_batch`] and collected by
-/// [`ServerPool::finish_page_in_batch`]. The prefetcher holds these while
-/// the pager keeps faulting: on a windowed connection the fetch and the
-/// demand traffic share the request window.
-///
-/// Dropping the handle abandons the fetch — the window slot frees and the
-/// reply is discarded on arrival.
-pub struct PendingPageIn {
-    server: ServerId,
-    seq: u32,
-    keys: Vec<StoreKey>,
-    issued: Instant,
-    pending: PendingReplies,
-}
-
-impl PendingPageIn {
-    /// The server this fetch is running against.
-    pub fn server(&self) -> ServerId {
-        self.server
-    }
-
-    /// Whether the reply has arrived: `finish_page_in_batch` will not
-    /// block.
-    pub fn is_ready(&self) -> bool {
-        self.pending.is_ready()
-    }
 }
 
 impl ServerPool {
@@ -967,12 +944,12 @@ impl ServerPool {
         }
     }
 
-    /// The second half of a call: collects the reply, samples the attempt
-    /// with the reply's own submit-to-arrival time — never with how long
-    /// the caller took to come back for it: a wait for a lock is not a
-    /// slow server, nor spent call budget — and hands a failed one to the
-    /// ladder at its second rung, as [`ServerPool::finish_scatter`] does.
-    fn settle(&mut self, flight: Flight) -> Result<Message> {
+    /// Collects a flight's reply and samples it with its own
+    /// submit-to-arrival time — never with how long the caller took to
+    /// come back for it: a wait for a lock is not a slow server, nor spent
+    /// call budget. Returns that time and the request too: a failure is
+    /// not yet sampled, what a miss costs being the caller's to say.
+    fn land(&mut self, flight: Flight) -> (Result<Message>, Duration, Message) {
         let id = flight.server;
         let (reply, arrived) = match flight.pending {
             Ok(mut pending) => (pending.next_by(flight.deadline)).expect("one frame, one reply"),
@@ -981,21 +958,24 @@ impl ServerPool {
         let elapsed = (arrived.min(flight.deadline)).saturating_duration_since(flight.submitted);
         self.record_attempt(id, elapsed);
         self.publish_window_stats(id);
-        let data_path = flight.request.is_data_op();
-        match reply {
-            Ok(reply) => {
-                self.last_attempts = 1;
-                self.sample(id, elapsed, Outcome::Reply { data_path });
-                Ok(reply)
-            }
-            Err(failed) => {
-                let left = (self.transport_cfg.effective_call_budget()).saturating_sub(elapsed);
-                let ran = Some((failed, elapsed));
-                self.ladder(id, data_path, ran, Instant::now() + left, |t| {
-                    t.call(&flight.request)
-                })
-            }
+        if reply.is_ok() {
+            self.last_attempts = 1;
+            let data_path = flight.request.is_data_op();
+            self.sample(id, elapsed, Outcome::Reply { data_path });
         }
+        (reply, elapsed, flight.request)
+    }
+
+    /// The second half of a call: a failed flight goes to the ladder at
+    /// its second rung, as in [`ServerPool::finish_scatter`].
+    fn settle(&mut self, flight: Flight) -> Result<Message> {
+        let id = flight.server;
+        let (reply, elapsed, request) = self.land(flight);
+        reply.or_else(|failed| {
+            let left = (self.transport_cfg.effective_call_budget()).saturating_sub(elapsed);
+            let (ran, by) = (Some((failed, elapsed)), Instant::now() + left);
+            self.ladder(id, request.is_data_op(), ran, by, |t| t.call(&request))
+        })
     }
 
     /// The first half of [`ServerPool::scatter`]: groups the legs by server
@@ -1338,6 +1318,26 @@ impl ServerPool {
             .ok_or(RmpError::PageNotFound(rmp_types::PageId(key.0)))
     }
 
+    /// Collects a read nobody waits for — a read-ahead begun with
+    /// [`ServerPool::begin_page_in`], polled with [`Flight::is_ready`];
+    /// a miss is `None`.
+    ///
+    /// # Errors
+    ///
+    /// Transport and protocol failures surface directly — no retry, no
+    /// redial, no death sentence: a speculative fetch that fails is simply
+    /// dropped, and the miss is sampled like any attempt's, so sustained
+    /// trouble shows up where it matters. The demand path exercises the
+    /// full retry machinery if the server really is in trouble.
+    pub fn finish_page_in_unretried(&mut self, flight: Flight) -> Result<Option<Page>> {
+        let (id, key) = (flight.server, flight.key);
+        let (reply, elapsed, _) = self.land(flight);
+        if reply.is_err() {
+            self.sample(id, elapsed, Outcome::Miss);
+        }
+        self.fetched(id, key, reply?)
+    }
+
     /// Hands out the tag for the next batch frame.
     fn batch_seq(&mut self) -> u32 {
         let seq = self.next_batch_seq;
@@ -1347,9 +1347,9 @@ impl ServerPool {
 
     /// Decodes the replies to a burst of [`Message::PageInBatch`] frames
     /// into pages in request order, misses as `None` — the one reader of
-    /// the batch reply frame, behind both the synchronous and the
-    /// spawned fetch. `sent` lists each frame's seq with the keys it
-    /// asked for; replies are matched by the echoed seq, so a transport
+    /// the batch reply frame, behind both the synchronous fetch and the
+    /// gather. `sent` lists each frame's seq with the keys it asked for;
+    /// replies are matched by the echoed seq, so a transport
     /// delivering them out of order still works. The last reply's load
     /// hint is applied to the view, and every page is verified against
     /// the server's checksum.
@@ -1540,70 +1540,6 @@ impl ServerPool {
             Some(e) => Err(e),
             None => Ok(out),
         }
-    }
-
-    /// Starts a batch fetch on `id` without waiting for the reply: the
-    /// frame is submitted onto the transport and a handle comes back, so
-    /// the caller (the prefetcher) overlaps the fetch with whatever it
-    /// does next — including demand faults on the *same* connection. At
-    /// most [`ServerPool::batch_max_pages`] keys are taken; excess keys are
-    /// ignored rather than split (a prefetch is best-effort by nature).
-    ///
-    /// # Errors
-    ///
-    /// The submission's own failure (dead connection, stalled window),
-    /// surfaced directly — no retry, no redial, no death sentence: a full
-    /// retry budget is not spent on a speculative fetch. The miss is
-    /// sampled like any other; the demand path exercises the full retry
-    /// machinery if the server really is in trouble.
-    pub fn spawn_page_in_batch(
-        &mut self,
-        id: ServerId,
-        keys: &[StoreKey],
-    ) -> Result<PendingPageIn> {
-        let keys: Vec<StoreKey> = keys.iter().take(self.batch_max_pages).copied().collect();
-        let seq = self.batch_seq();
-        let frame = Message::PageInBatch {
-            seq,
-            ids: keys.clone(),
-        };
-        let issued = Instant::now();
-        match self.submit_to(id, std::slice::from_ref(&frame)) {
-            Ok(pending) => Ok(PendingPageIn {
-                server: id,
-                seq,
-                keys,
-                issued,
-                pending,
-            }),
-            Err(e) => {
-                self.sample(id, issued.elapsed(), Outcome::Miss);
-                Err(e)
-            }
-        }
-    }
-
-    /// Collects a fetch started by [`ServerPool::spawn_page_in_batch`],
-    /// blocking if the reply has not arrived yet (poll
-    /// [`PendingPageIn::is_ready`] first to avoid that). Pages come back
-    /// in request order, misses as `None`, exactly like
-    /// [`ServerPool::page_in_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Transport and protocol failures surface directly — no retry, no
-    /// redial, no death sentence: a speculative fetch that fails is simply
-    /// dropped, and the reply latency (or miss) is sampled like any
-    /// attempt's, so sustained trouble shows up where it matters.
-    pub fn finish_page_in_batch(&mut self, fetch: PendingPageIn) -> Result<Vec<Option<Page>>> {
-        let replies = fetch.pending.wait_all();
-        let outcome = match &replies {
-            Ok(_) => Outcome::Reply { data_path: true },
-            Err(_) => Outcome::Miss,
-        };
-        self.sample(fetch.server, fetch.issued.elapsed(), outcome);
-        self.publish_window_stats(fetch.server);
-        self.decode_batch_replies(fetch.server, replies?, &[(fetch.seq, &fetch.keys)])
     }
 
     /// Releases the page stored under `key` on `id`.

@@ -3,22 +3,25 @@
 //! Remote memory hides disk seeks but still pays a full network round
 //! trip per fault. Leap (Al Maruf & Chowdhury, ATC '20) showed that a
 //! *majority-vote* stride detector over the recent fault history finds
-//! the dominant access stride even when interleaved with noise, and that
-//! prefetching along that stride hides most of the remaining latency.
-//! [`StrideDetector`] is that detector; [`PrefetchCache`] is the small
-//! bounded cache the pager serves prefetched pages from.
+//! the dominant access stride even when interleaved with noise, that
+//! prefetching along that stride hides most of the remaining latency,
+//! and that the window should be sized by how the last one did.
+//! [`StrideDetector`] is that detector, [`Planner`] the vote plus the
+//! adaptive depth, and [`PrefetchCache`] the small bounded cache a pager
+//! serves prefetched pages from.
 //!
-//! The pager wires both into `page_in_inner`: every demand fault feeds
-//! the detector, a detected stride triggers one *batched* fetch of the
-//! next `prefetch_window` predicted pages (one pipelined frame per
-//! server instead of `window` round trips), and subsequent faults that
-//! land on a predicted page are served locally without touching the
-//! wire.
+//! The *decision* to read ahead is taken once per fault stream, the
+//! *copies* are kept where the pages live: a lone `Pager` owns one
+//! planner, a `ShardedPager` one for all its shards, and either tells it
+//! every served demand fault. The planner answers nothing or a [`Plan`];
+//! whichever pager holds a planned page fetches it with a plain keyed
+//! read into its own cache, and a later fault that lands on it is served
+//! without touching the wire.
 //!
 //! # Examples
 //!
 //! ```
-//! use rmp_core::prefetch::{PrefetchCache, StrideDetector};
+//! use rmp_core::prefetch::{Planner, PrefetchCache, StrideDetector};
 //! use rmp_types::{Page, PageId};
 //!
 //! // A sequential fault trace: the majority vote locks on stride 1.
@@ -28,6 +31,15 @@
 //!     detected = stride.observe(PageId(i));
 //! }
 //! assert_eq!(detected, Some(1));
+//!
+//! // The planner starts a run with one page and doubles on success.
+//! let mut planner = Planner::new(8);
+//! let mut depths = Vec::new();
+//! for i in 0..6 {
+//!     let plan = planner.plan(PageId(i), i > 2, |_next| true);
+//!     depths.extend(plan.map(|p| p.pages(PageId(i)).count()));
+//! }
+//! assert_eq!(depths, [1, 2, 4, 8]);
 //!
 //! // The cache hands each prefetched page out exactly once.
 //! let mut cache = PrefetchCache::new(4);
@@ -110,6 +122,89 @@ impl StrideDetector {
     pub fn reset(&mut self) {
         self.last = None;
         self.deltas.clear();
+    }
+}
+
+/// What a [`Planner`] asks for: the next `depth` pages along `stride`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Plan {
+    /// The majority stride, in pages; never zero.
+    pub stride: i64,
+    /// Pages to fetch ahead; at least one.
+    pub depth: usize,
+}
+
+impl Plan {
+    /// The planned pages, nearest first, counted from the fault at
+    /// `from`; cut short where the page space ends.
+    pub fn pages(self, from: PageId) -> impl Iterator<Item = PageId> + Clone {
+        (1..=self.depth as i64).map_while(move |step| {
+            let next = (from.0 as i64).checked_add(self.stride.checked_mul(step)?)?;
+            (next >= 0).then_some(PageId(next as u64))
+        })
+    }
+}
+
+/// The decision to read ahead: one stride vote over a whole fault
+/// stream, and Leap's window — a run starts with one page and doubles
+/// each time a read-ahead hit finds the runway used up, so a guess costs
+/// one page until it has paid off and a long run reaches the cap in
+/// four refills.
+///
+/// Pure: it is told whether the runway is gone, and neither holds pages
+/// nor touches a wire.
+#[derive(Debug)]
+pub struct Planner {
+    votes: StrideDetector,
+    /// [`rmp_types::PagerConfig::prefetch_window`]: the deepest plan;
+    /// zero plans nothing.
+    cap: usize,
+    /// The depth of the run's last plan; zero after a miss.
+    depth: usize,
+}
+
+impl Planner {
+    /// Creates a planner whose plans are at most `cap` pages deep.
+    pub fn new(cap: usize) -> Self {
+        Planner {
+            votes: StrideDetector::new(),
+            cap,
+            depth: 0,
+        }
+    }
+
+    /// Feeds one served demand fault — whether read-ahead served it is
+    /// `hit` — and plans the refill, if there is a stride and
+    /// `runway_gone` says the page one stride on is neither cached nor on
+    /// its way. While it is, topping up one page per fault would pay a
+    /// submission per pagein for nothing.
+    pub fn plan(
+        &mut self,
+        id: PageId,
+        hit: bool,
+        runway_gone: impl FnOnce(PageId) -> bool,
+    ) -> Option<Plan> {
+        if self.cap == 0 {
+            return None;
+        }
+        if !hit {
+            self.depth = 0;
+        }
+        let stride = self.votes.observe(id)?;
+        let ahead = Plan { stride, depth: 1 };
+        if !runway_gone(ahead.pages(id).next()?) {
+            return None;
+        }
+        self.depth = (self.depth * 2).clamp(1, self.cap);
+        let depth = self.depth;
+        Some(Plan { stride, depth })
+    }
+
+    /// Forgets the trace and the run (placement changed wholesale, as
+    /// after a crash recovery).
+    pub fn reset(&mut self) {
+        self.votes.reset();
+        self.depth = 0;
     }
 }
 
@@ -280,6 +375,59 @@ mod tests {
         det.reset();
         assert_eq!(det.observe(PageId(4)), None);
         assert_eq!(det.observe(PageId(5)), None, "one delta is no majority");
+    }
+
+    /// A fault that missed, one that hit and found the runway gone, and
+    /// one that hit with the next page still ahead: `(hit, runway_gone)`.
+    const MISS: (bool, bool) = (false, true);
+    const HIT: (bool, bool) = (true, true);
+    const AHEAD: (bool, bool) = (true, false);
+
+    /// The depth planned at each fault of a sequential run (0: no plan).
+    fn depths(cap: usize, run: &[(bool, bool)]) -> Vec<usize> {
+        let mut planner = Planner::new(cap);
+        let faults = (0..).map(PageId).zip(run);
+        let plans = faults.map(|(id, &(hit, gone))| planner.plan(id, hit, |_| gone));
+        plans.map(|plan| plan.map_or(0, |p| p.depth)).collect()
+    }
+
+    #[test]
+    fn depth_doubles_on_hits_and_restarts_at_one_after_a_miss() {
+        // Two faults make no majority; the third plans one page.
+        let run = [MISS, MISS, MISS, HIT, HIT, HIT, HIT, MISS, HIT];
+        assert_eq!(depths(8, &run), [0, 0, 1, 2, 4, 8, 8, 1, 2]);
+    }
+
+    #[test]
+    fn depth_grows_only_when_the_runway_is_gone() {
+        let run = [MISS, MISS, MISS, HIT, AHEAD, AHEAD, HIT];
+        assert_eq!(depths(8, &run), [0, 0, 1, 2, 0, 0, 4]);
+    }
+
+    #[test]
+    fn depth_never_exceeds_the_cap() {
+        let run = [MISS, MISS, MISS, HIT, HIT, HIT, HIT];
+        assert_eq!(depths(3, &run), [0, 0, 1, 2, 3, 3, 3]);
+    }
+
+    #[test]
+    fn a_zero_window_never_plans() {
+        assert_eq!(depths(0, &[HIT; 12]), [0; 12]);
+    }
+
+    #[test]
+    fn a_random_trace_plans_nothing() {
+        let mut planner = Planner::new(8);
+        for id in [7, 92, 3, 41, 88, 15, 60, 2] {
+            assert_eq!(planner.plan(PageId(id), false, |_| true), None);
+        }
+    }
+
+    #[test]
+    fn a_plan_stops_where_the_page_space_ends() {
+        let pages = |stride, depth| Plan { stride, depth }.pages(PageId(5)).collect::<Vec<_>>();
+        assert_eq!(pages(-2, 4), [PageId(3), PageId(1)]);
+        assert_eq!(pages(3, 2), [PageId(8), PageId(11)]);
     }
 
     #[test]

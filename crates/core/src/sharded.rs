@@ -16,8 +16,27 @@
 //!
 //! A page lives on shard `id & (shard_count - 1)`: consecutive pages
 //! round-robin across shards, so a sequential scan spreads over every
-//! shard, and each shard observes a constant stride of `shard_count` —
-//! which its stride prefetcher detects just like stride 1.
+//! shard.
+//!
+//! # Read-ahead
+//!
+//! A shard sees every `shard_count`-th page of a scan, and of a short run
+//! that turns back — 5, 6, 7, 8 reaches two shards as 6, 8 and 5, 7 —
+//! nothing a stride vote can use. So the *decision* to read ahead is
+//! taken here, once, over the whole fault stream: one [`Planner`] behind
+//! a small lock of its own hears every served fault and answers nothing,
+//! or a stride and a depth. The *copies* stay with the shards: once the fault's turn has ended,
+//! the shard of the next page along the stride says whether the runway
+//! is gone, and if so each shard is handed the planned pages it holds
+//! (`Pager::read_ahead`) — fetched, cached, verified and voided by
+//! writes under that shard's lock, like any other copy. Three rules:
+//! **speculation never waits** — a shard is only `try_lock`ed for it and
+//! a busy one skipped, and a planned page with an operation under way is
+//! left out (a pageout that begins later voids the copy on the wire);
+//! **the window adapts** — one page after a miss, doubled each time a hit
+//! finds the runway gone, up to [`PagerConfig::prefetch_window`]; **one
+//! page, one plain read** — a keyed `PageIn` frame of its own on the
+//! request window, which allocates nothing but the page.
 //!
 //! # Begin, park, complete
 //!
@@ -51,7 +70,8 @@
 //! # Lock order
 //!
 //! Shard → that shard's connection windows → a reply slot; a parked
-//! caller holds only the last. Operations on pages lock exactly one
+//! caller holds only the last. Under the planner's lock a shard is only
+//! `try_lock`ed, so it sits in no cycle. Operations on pages lock exactly one
 //! shard, so they cannot deadlock. The planners that must observe every
 //! shard *quiesce*: they take the shards in ascending index order — the
 //! one global lock order — emptying each one's wire as they go and
@@ -94,7 +114,7 @@
 //! ```
 
 use std::ops::ControlFlow;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use rmp_blockdev::PagingDevice;
 use rmp_cluster::Registry;
@@ -102,6 +122,7 @@ use rmp_types::{Page, PageId, PagerConfig, Result, RmpError, ServerId, TransferS
 
 use crate::pager::Pager;
 use crate::pool::ServerPool;
+use crate::prefetch::Planner;
 use crate::recovery::RecoveryReport;
 
 /// Builder for [`ShardedPager`]; supply one pre-dialed [`ServerPool`] per
@@ -171,6 +192,7 @@ impl ShardedPagerBuilder {
         Ok(ShardedPager {
             shards: built,
             mask: (shards - 1) as u64,
+            planner: Mutex::new(Planner::new(config.prefetch_window)),
         })
     }
 }
@@ -205,6 +227,15 @@ impl Shard {
     /// consistent as a panic in a lone `Pager` would: carry on.
     fn lock(&self) -> ShardGuard<'_> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The lock if nobody holds it: all that speculation may ask for.
+    fn try_lock(&self) -> Option<ShardGuard<'_>> {
+        match self.state.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Lets go of the lock until `blocked` no longer holds of the
@@ -357,6 +388,9 @@ pub struct ShardedPager {
     shards: Vec<Shard>,
     /// `shard_count - 1`; the shard of `id` is `id & mask`.
     mask: u64,
+    /// The one decision to read ahead, over every shard's faults (see the
+    /// [module docs](self#read-ahead)).
+    planner: Mutex<Planner>,
 }
 
 impl std::fmt::Debug for ShardedPager {
@@ -446,7 +480,38 @@ impl ShardedPager {
         if flight.reading.on_wire() {
             turn.parked(|| flight.reading.park());
         }
-        turn.pager().complete_page_in(flight)
+        let hit = flight.hit;
+        let done = turn.pager().complete_page_in(flight);
+        drop(turn);
+        if done.is_ok() {
+            self.read_ahead(id, hit);
+        }
+        done
+    }
+
+    /// Tells the planner of the served fault on `id` and, if it plans a
+    /// refill, hands each shard the planned pages it holds. Waits for no
+    /// shard: one that is locked is skipped, and so is a page with an
+    /// operation under way.
+    fn read_ahead(&self, id: PageId, hit: bool) {
+        let runway_gone = |next: PageId| {
+            let ahead = self.shard(next).try_lock();
+            ahead.is_some_and(|guard| !guard.0.prefetch_covers(next))
+        };
+        let mut planner = self.planner.lock().unwrap_or_else(PoisonError::into_inner);
+        let plan = planner.plan(id, hit, runway_gone);
+        drop(planner);
+        let Some(plan) = plan else {
+            return;
+        };
+        for (index, shard) in self.shards.iter().enumerate() {
+            let held = (plan.pages(id)).filter(|p| p.0 & self.mask == index as u64);
+            let Some(mut guard) = held.clone().next().and_then(|_| shard.try_lock()) else {
+                continue;
+            };
+            let (pager, flights) = &mut *guard;
+            pager.read_ahead(held.filter(|p| !flights.busy.contains(p)));
+        }
     }
 
     /// Releases the page stored under `id`, locking only `id`'s shard.
@@ -513,6 +578,7 @@ impl ShardedPager {
     /// their rebuilt state.
     pub fn recover_from_crash(&self, server: ServerId) -> Result<Vec<RecoveryReport>> {
         let mut guards = self.quiesce();
+        (self.planner.lock().unwrap_or_else(PoisonError::into_inner)).reset();
         let mut reports = Vec::with_capacity(guards.len());
         for guard in guards.iter_mut() {
             reports.push(guard.0.recover_from_crash(server)?);

@@ -256,3 +256,90 @@ fn eight_threads_meet_on_two_shards() {
         }
     }
 }
+
+#[test]
+fn two_sweeps_share_one_vote_and_read_back_every_byte() {
+    // One stride vote hears both threads' faults: interleaved it may
+    // find their common stride, a stride between the two ranges, or none
+    // — and whatever it reads ahead, into whichever shard, a fault is
+    // served its own page as last written. Every other run of eight
+    // faults is taken holding `alone`, so that some of each sweep does
+    // reach the vote as a run (the first one always: the other thread
+    // can only be waiting for `alone`), and the rest is free to interleave.
+    let config = PagerConfig::new(Policy::Mirroring)
+        .with_servers(3)
+        .with_shard_count(2)
+        .with_retry(fast_retry());
+    let (_handles, pager) = sharded_cluster(3, 4096, config);
+    const PAGES: u64 = 96;
+    const SWEEPS: u64 = 4;
+    let go = Arc::new(Barrier::new(2));
+    let alone = Arc::new(std::sync::Mutex::new(()));
+    let threads: Vec<_> = (0..2u64)
+        .map(|t| {
+            let (pager, go, alone) = (Arc::clone(&pager), Arc::clone(&go), Arc::clone(&alone));
+            std::thread::spawn(move || {
+                // What thread `t` writes to its page `i`: at its fault in
+                // `sweep` (`early` unset), and three faults before it.
+                let bytes = |sweep: u64, early: bool, i: u64| {
+                    Page::deterministic(sweep << 32 | u64::from(early) << 31 | pid(t, i).0)
+                };
+                for i in 0..PAGES {
+                    (pager.page_out(pid(t, i), &bytes(0, false, i)))
+                        .unwrap_or_else(|e| panic!("thread {t} pageout {i}: {e}"));
+                }
+                go.wait();
+                for (sweep, run) in (1..=SWEEPS).flat_map(|s| (0..PAGES / 8).map(move |r| (s, r))) {
+                    let _alone = (run % 2 == 0).then(|| alone.lock().expect("no panic"));
+                    for i in run * 8..run * 8 + 8 {
+                        let page = pager
+                            .page_in(pid(t, i))
+                            .unwrap_or_else(|e| panic!("thread {t} pagein {i}: {e}"));
+                        // The last write was the early one of this sweep,
+                        // or for the first three pages of the last.
+                        let last = match (i >= 3, sweep) {
+                            (true, _) => bytes(sweep, true, i),
+                            (false, 1) => bytes(0, false, i),
+                            (false, _) => bytes(sweep - 1, true, i),
+                        };
+                        assert_eq!(page, last, "thread {t} page {i} in sweep {sweep}");
+                        // Rewrite it, and a page just ahead of the sweep:
+                        // a copy read ahead of either write must not
+                        // outlive it.
+                        let ahead = (i + 3) % PAGES;
+                        for (id, early) in [(i, false), (ahead, true)] {
+                            (pager.page_out(pid(t, id), &bytes(sweep, early, id)))
+                                .unwrap_or_else(|e| panic!("thread {t} rewrite {id}: {e}"));
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("worker thread");
+    }
+    let stats = pager.stats();
+    assert_eq!(stats.pageins, 2 * SWEEPS * PAGES);
+    assert_eq!(stats.checksum_failures, 0, "no stale copy was even cached");
+    let sum = |name: &str| -> u64 {
+        let of = |shard| pager.with_shard(shard, |p| p.metrics().counter(name).get());
+        (0..2).map(of).sum()
+    };
+    let (issued, hits) = (
+        sum("pager_prefetch_issued_total"),
+        sum("pager_prefetch_hits_total"),
+    );
+    assert!(
+        hits > 0,
+        "a run taken alone rode on read-ahead ({issued} issued)"
+    );
+    let held: usize = (0..2)
+        .map(|s| pager.with_shard(s, |p| p.read_ahead_held()))
+        .sum();
+    assert_eq!(
+        issued,
+        hits + sum("pager_prefetch_useless_total") + held as u64,
+        "the read-ahead ledger balances under concurrency"
+    );
+}

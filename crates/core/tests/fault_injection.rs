@@ -378,6 +378,17 @@ fn assert_bit_flip_healed(policy: Policy, servers: usize, n: usize, fault: Fault
         pager.pool().view().is_alive(ServerId(0)),
         "{policy:?}/{fault:?}: a corrupt page is a data fault, not a crash"
     );
+    // The scan was sequential, so corrupt copies were read ahead too: one
+    // the pool refused on the wire, or the writer's checksum at the
+    // fault, is useless — not gone from the books.
+    let count = |name| pager.metrics().counter(name).get();
+    assert_eq!(
+        count("pager_prefetch_issued_total"),
+        count("pager_prefetch_hits_total")
+            + count("pager_prefetch_useless_total")
+            + pager.read_ahead_held() as u64,
+        "{policy:?}/{fault:?}: the read-ahead ledger balances"
+    );
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Every path an operation can take through the pager — hedged, degraded,
-//! prefetch hit, recover-and-retry — counts it exactly once, and a
-//! demand read never dials a holder it already knows to be dead.
+//! prefetch hit, recover-and-retry — counts it exactly once, a demand
+//! read never dials a holder it already knows to be dead, and the
+//! read-ahead ledger balances after every operation: what was issued is
+//! a hit, useless, or still held for a fault to come.
 //!
 //! All of it runs on the in-process chaos cluster: faults are scripted,
 //! nothing waits on a timer to line events up.
@@ -9,7 +11,7 @@ use std::time::Duration;
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
-use rmp_core::Pager;
+use rmp_core::{Pager, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
 
@@ -39,7 +41,28 @@ fn fill(pager: &mut Pager, pages: u64) {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("fixture write");
+        assert_ledger_balances(pager);
     }
+}
+
+/// `pager_prefetch_{issued, hits, useless}_total`, and the copies held.
+fn ledger(pager: &Pager) -> (u64, u64, u64, u64) {
+    let count = |name| pager.metrics().counter(name).get();
+    (
+        count("pager_prefetch_issued_total"),
+        count("pager_prefetch_hits_total"),
+        count("pager_prefetch_useless_total"),
+        pager.read_ahead_held() as u64,
+    )
+}
+
+fn assert_ledger_balances(pager: &Pager) {
+    let (issued, hits, useless, held) = ledger(pager);
+    assert_eq!(
+        issued,
+        hits + useless + held,
+        "issued = {hits} hits + {useless} useless + {held} cached or on the wire"
+    );
 }
 
 /// Reads `ids`, checking contents; returns how many reads succeeded.
@@ -50,6 +73,7 @@ fn read(pager: &mut Pager, ids: impl IntoIterator<Item = u64>) -> u64 {
             assert_eq!(page, Page::deterministic(i), "page {i}");
             served += 1;
         }
+        assert_ledger_balances(pager);
     }
     served
 }
@@ -106,7 +130,7 @@ fn prefetch_hits_are_counted_once() {
     // Reordering is a fault of bursts only, and harmless to a burst of
     // one frame: it fires on whatever arrives through `call_pipelined` —
     // where a transport without a window completes a `submit`, so on
-    // read-ahead and on the demand reads' flights — and on nothing the
+    // read-ahead's and on the demand reads' flights — and on nothing the
     // pool sends through `call`.
     cluster
         .plan()
@@ -118,13 +142,81 @@ fn prefetch_hits_are_counted_once() {
     assert!(hits > 0, "a sequential scan hits the prefetch cache");
     assert_eq!(pager.stats().pageins, served);
     let events = cluster.plan().events();
-    let submitted = |op| events.iter().filter(|e| e.opcode == op).count() as u64;
-    let (batches, demand) = (submitted(Opcode::PageInBatch), submitted(Opcode::PageIn));
     assert!(
-        batches > 0 && batches + demand == events.len() as u64,
-        "read-ahead and demand reads, and only those, were submitted: {events:?}"
+        events.iter().all(|e| e.opcode == Opcode::PageIn),
+        "read-ahead and demand reads are plain keyed reads: {events:?}"
     );
-    assert_eq!(demand, served - hits, "each demand miss is submitted once");
+    let (issued, ..) = ledger(&pager);
+    assert_eq!(
+        events.len() as u64,
+        issued + (served - hits),
+        "each read-ahead and each demand miss is submitted once, and nothing else"
+    );
+    // One run: a page, then two, four, and eight at a time. Only the
+    // faults before the vote had a majority, and the one that started
+    // the run, went to the wire.
+    assert_eq!((hits, issued), (61, 61));
+}
+
+#[test]
+fn every_way_a_read_ahead_is_lost_counts_it_useless() {
+    let cluster = ChaosCluster::new(2, FaultPlan::seeded(9));
+    let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
+    let mut pager = pager(&cluster, config);
+    fill(&mut pager, 32);
+    // 0, 1, 2 start a run: page 3 is read ahead, and overtaken by a write
+    // before any fault collects it.
+    assert_eq!(read(&mut pager, 0..3), 3);
+    assert_eq!(ledger(&pager), (1, 0, 0, 1));
+    (pager.page_out(PageId(3), &Page::deterministic(3))).expect("overwrite");
+    assert_eq!(ledger(&pager), (1, 0, 1, 0), "voided on the wire");
+    // 3 misses and restarts the run with page 4; 4 hits and plans 5 and
+    // 6 — and the read of 5 is lost on the wire.
+    assert_eq!(read(&mut pager, 3..4), 1);
+    cluster.plan().inject(
+        FaultRule::new(FaultAction::Drop)
+            .on_ops(OpFilter::Op(Opcode::PageIn))
+            .times(1),
+    );
+    cluster.plan().arm();
+    assert_eq!(read(&mut pager, 4..5), 1);
+    assert_eq!(cluster.plan().events().len(), 1, "the drop fired");
+    assert_eq!(
+        ledger(&pager),
+        (4, 1, 1, 2),
+        "a lost read is held until collected"
+    );
+    let retries = pager.metrics().counter("pool_retries_total").get();
+    assert_eq!(read(&mut pager, 5..7), 2);
+    assert_eq!(
+        ledger(&pager),
+        (5, 2, 2, 1),
+        "5 failed, 6 hit and planned 7"
+    );
+    assert_eq!(
+        pager.metrics().counter("pool_retries_total").get(),
+        retries,
+        "a speculative fetch spent the retry budget"
+    );
+    // A cached copy whose page is freed.
+    pager.free(PageId(7)).expect("free");
+    assert_eq!(ledger(&pager), (5, 2, 3, 0));
+}
+
+#[test]
+fn a_recovery_counts_the_copies_it_drops_useless() {
+    let cluster = ChaosCluster::new(3, FaultPlan::seeded(10));
+    let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);
+    let mut pager = pager(&cluster, config);
+    fill(&mut pager, 16);
+    assert_eq!(read(&mut pager, 0..5), 5);
+    let (_, _, useless, held) = ledger(&pager);
+    assert!(held > 0, "a run is under way");
+    cluster.server(1).crash();
+    pager.recover_from_crash(ServerId(1)).expect("rebuilt");
+    assert_eq!(ledger(&pager).2, useless + held);
+    assert_ledger_balances(&pager);
+    assert_eq!(read(&mut pager, 5..16), 11);
 }
 
 #[test]
@@ -253,4 +345,143 @@ fn prefetch_is_not_aimed_at_a_known_dead_holder() {
         retries,
         "a speculative fetch spent the retry budget"
     );
+}
+
+// --- the headline trace ----------------------------------------------------
+
+/// The request stream `gauss_plog_lan` puts to its device: GAUSS of
+/// dimension 96 — 96 × 96 `f64`, row-major, 1,024 to a page, nine pages —
+/// under a three-frame LRU that writes a dirty victim back before it
+/// faults the wanted page in, as `rmp_vm::PagedMemory` does.
+struct GaussTrace {
+    /// Resident pages: id, last-use stamp, dirty.
+    frames: Vec<(u64, u64, bool)>,
+    tick: u64,
+    /// The version of each page's copy on the device, once it has one.
+    stored: [Option<u64>; 9],
+    pageins: u64,
+}
+
+impl GaussTrace {
+    const N: usize = 96;
+
+    fn touch(&mut self, dev: &mut dyn PagingDevice, index: usize, write: bool) {
+        let page = (index / 1024) as u64;
+        self.tick += 1;
+        if let Some(frame) = self.frames.iter_mut().find(|f| f.0 == page) {
+            *frame = (page, self.tick, frame.2 || write);
+            return;
+        }
+        if self.frames.len() == 3 {
+            let lru = (0..3).min_by_key(|&f| self.frames[f].1).expect("frames");
+            let (victim, _, dirty) = self.frames.swap_remove(lru);
+            if dirty {
+                let version = self.stored[victim as usize].map_or(0, |v| v + 1);
+                let written = Page::deterministic(victim << 32 | version);
+                dev.page_out(PageId(victim), &written).expect("write-back");
+                self.stored[victim as usize] = Some(version);
+            }
+        }
+        if let Some(version) = self.stored[page as usize] {
+            let read = dev.page_in(PageId(page)).expect("fault");
+            assert_eq!(
+                read,
+                Page::deterministic(page << 32 | version),
+                "page {page}"
+            );
+            self.pageins += 1;
+        }
+        self.frames.push((page, self.tick, write));
+    }
+
+    /// One whole solve; returns its pageins.
+    fn solve(&mut self, dev: &mut dyn PagingDevice) -> u64 {
+        let (n, before) = (Self::N, self.pageins);
+        for index in 0..n * n {
+            self.touch(dev, index, true);
+        }
+        for k in 0..n {
+            self.touch(dev, k * n + k, false);
+            for i in k + 1..n {
+                self.touch(dev, i * n + k, false);
+                self.touch(dev, i * n + k, true);
+                for j in k + 1..n {
+                    self.touch(dev, k * n + j, false);
+                    self.touch(dev, i * n + j, true);
+                }
+            }
+        }
+        for i in 1..n {
+            (0..i.min(8)).for_each(|j| self.touch(dev, i * n + j, false));
+            self.touch(dev, i * n + i, false);
+        }
+        self.pageins - before
+    }
+}
+
+/// Replays two solves through `dev` — the first has no copy on the
+/// device to fault in until it evicts one, every later one is like the
+/// second — and returns the second's pageins, read-ahead hits and pages
+/// fetched (demand misses and read-ahead), `counters` being the device's
+/// `(issued, hits, useless, held)`.
+fn replay_gauss<D: PagingDevice>(
+    dev: &mut D,
+    counters: impl Fn(&D) -> (u64, u64, u64, u64),
+) -> [u64; 3] {
+    let mut trace = GaussTrace {
+        frames: Vec::new(),
+        tick: 0,
+        stored: [None; 9],
+        pageins: 0,
+    };
+    trace.solve(dev);
+    let (issued_before, hits_before, ..) = counters(dev);
+    let pageins = trace.solve(dev);
+    let (issued, hits, useless, held) = counters(dev);
+    assert_eq!(issued, hits + useless + held, "the ledger balances");
+    let (issued, hits) = (issued - issued_before, hits - hits_before);
+    [pageins, hits, pageins - hits + issued]
+}
+
+#[test]
+fn read_ahead_on_the_gauss_trace_is_the_same_however_many_shards() {
+    let config = PagerConfig::new(Policy::ParityLogging)
+        .with_servers(3)
+        .with_transport(fast_transport());
+    let mut runs = Vec::new();
+    for shards in [1, 2, 4] {
+        let cluster = ChaosCluster::new(4, FaultPlan::seeded(11));
+        let config = config.clone().with_shard_count(shards);
+        let pools = (0..shards).map(|_| cluster.pool(&config.transport));
+        let mut sharded = (ShardedPager::builder(config.clone()).pools(pools.collect()))
+            .build()
+            .expect("sharded pager");
+        runs.push(replay_gauss(&mut sharded, |sharded| {
+            let of_shard = |s| sharded.with_shard(s, |p| ledger(p));
+            (0..shards).map(of_shard).fold((0, 0, 0, 0), |sum, l| {
+                (sum.0 + l.0, sum.1 + l.1, sum.2 + l.2, sum.3 + l.3)
+            })
+        }));
+    }
+    // A lone pager decides for itself, with a planner like the front
+    // door's.
+    let cluster = ChaosCluster::new(4, FaultPlan::seeded(11));
+    runs.push(replay_gauss(&mut pager(&cluster, config), ledger));
+    println!("[pageins, read-ahead hits, pages fetched] a solve: {runs:?}");
+    let [pageins, hits, fetched] = runs[0];
+    assert_eq!(pageins, 395, "the trace is gauss_plog_lan's");
+    // What is left are the sweep starts: the jump from page 8 back to the
+    // pivot row's successor is no stride. Per-shard votes got 178 with
+    // two shards and 3 with four.
+    assert!(
+        hits >= 290,
+        "{hits} of {pageins} pageins rode on read-ahead"
+    );
+    // A window that is always eight fetches 465: it asks for pages the
+    // VM still holds dirty and writes a fault later.
+    assert!(
+        fetched <= 420,
+        "{fetched} pages fetched for {pageins} pageins"
+    );
+    assert!(runs.iter().all(|run| *run == runs[0]), "{runs:?}");
 }

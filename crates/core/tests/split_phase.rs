@@ -6,6 +6,12 @@
 //! wire or by `pager_flight_waits_total` — a caller that had to wait for
 //! a flight says so before it blocks — never by a sleep; the one sleep
 //! here *is* the stimulus (a lock held for a known time).
+//!
+//! Read-ahead is decided at the front door and issued into whichever
+//! shard holds the page; the last three tests pin that it waits for
+//! nothing on the way — not for a sibling shard's lock, not for a page
+//! with an operation under way — and that a write still voids a copy it
+//! overtakes.
 
 mod support;
 
@@ -45,10 +51,17 @@ fn answer(flight: Flight) {
 
 /// Answers whatever reaches the wire, as it does, until `result` is in.
 fn pumped<R>(wire: &Wire, result: &Receiver<R>) -> R {
+    pumped_on(&[wire], result)
+}
+
+/// As [`pumped`], on several wires.
+fn pumped_on<R>(wires: &[&Wire], result: &Receiver<R>) -> R {
     let stuck = Instant::now() + STUCK;
     loop {
-        let flying = std::mem::take(&mut wire.state().flying);
-        flying.into_iter().for_each(answer);
+        for wire in wires {
+            let flying = std::mem::take(&mut wire.state().flying);
+            flying.into_iter().for_each(answer);
+        }
         if let Ok(result) = result.try_recv() {
             return result;
         }
@@ -220,4 +233,116 @@ fn a_wait_for_the_shard_lock_is_not_server_latency() {
         );
     }
     assert_eq!(pager.hedge_stats().0, 0, "no read was hedged for it");
+}
+
+// --- read-ahead across shards ----------------------------------------------
+
+/// A two-shard pager with read-ahead on, pages `0..pages` placed, and
+/// the faults on pages 0 and 1 served: the next fault on page 2 gives the
+/// front door's vote its majority (stride one) and plans page 3 — which
+/// lives on the sibling shard.
+fn two_faults_into_a_run(policy: Policy, pages: u64) -> ([Arc<Wire>; 2], Arc<ShardedPager>) {
+    let (wires, _servers, pager) = wave_shards(PagerConfig::new(policy), 3);
+    let placed = spawn(&pager, move |p| {
+        (0..pages).try_for_each(|id| p.page_out(PageId(id), &Page::deterministic(id)))
+    });
+    pumped_on(&[&wires[0], &wires[1]], &placed).expect("placement");
+    for id in 0..2 {
+        let reader = spawn(&pager, move |p| p.page_in(PageId(id)));
+        let read = pumped_on(&[&wires[0], &wires[1]], &reader);
+        assert_eq!(read.expect("pagein"), Page::deterministic(id));
+    }
+    assert_eq!(read_ahead(&pager, "issued"), [0, 0], "no majority yet");
+    (wires, pager)
+}
+
+/// `pager_prefetch_<what>_total`, per shard.
+fn read_ahead(pager: &ShardedPager, what: &str) -> [u64; 2] {
+    let name = format!("pager_prefetch_{what}_total");
+    [0, 1].map(|shard| pager.with_shard(shard, |p| p.metrics().counter(&name).get()))
+}
+
+/// Faults page `id` in, answering its one demand read on `wire`.
+fn fault(pager: &Arc<ShardedPager>, wire: &Wire, id: u64) {
+    let reader = spawn(pager, move |p| p.page_in(PageId(id)));
+    answer(held_back(wire));
+    assert_eq!(joined(reader).expect("pagein"), Page::deterministic(id));
+}
+
+#[test]
+fn read_ahead_does_not_wait_for_a_sibling_shard() {
+    let (wires, pager) = two_faults_into_a_run(Policy::Mirroring, 9);
+    // A first placement is whole under its shard's lock: both copies of
+    // page 9 are on shard 1's wire, and shard 1 is locked until they land.
+    let page = Page::deterministic(9);
+    let writer = spawn(&pager, move |p| p.page_out(PageId(9), &page));
+    drop(wires[1].wait_for(2));
+    // The fault on page 2 plans page 3, finds its shard taken, and
+    // returns with its page all the same.
+    fault(&pager, &wires[0], 2);
+    drop(wires[1].wait_for(2));
+    wires[1].release_wave(2);
+    joined(writer).expect("placement");
+    assert_eq!(
+        read_ahead(&pager, "issued"),
+        [0, 0],
+        "speculation waited, or went ahead"
+    );
+    // With the sibling free again the run goes on, across the shards: the
+    // fault on 3 reads 4 ahead into shard 0, and the fault on 4 — a hit,
+    // nothing on the wire for it — reads 5 and 6 ahead into both.
+    fault(&pager, &wires[1], 3);
+    assert_eq!(read_ahead(&pager, "issued"), [1, 0]);
+    answer(held_back(&wires[0]));
+    assert_eq!(
+        pager.page_in(PageId(4)).expect("a hit"),
+        Page::deterministic(4)
+    );
+    assert_eq!(read_ahead(&pager, "issued"), [2, 1]);
+    assert_eq!(read_ahead(&pager, "hits"), [1, 0]);
+}
+
+#[test]
+fn read_ahead_leaves_out_a_page_with_an_operation_under_way() {
+    let (wires, pager) = two_faults_into_a_run(Policy::NoReliability, 8);
+    // A fault on page 3 is parked: shard 1 is unlocked, page 3 is busy.
+    let reader = spawn(&pager, |p| p.page_in(PageId(3)));
+    let read = held_back(&wires[1]);
+    // The fault on page 2 plans page 3; shard 1 has no copy on its way
+    // and is free to ask — and is not asked for a page it is reading.
+    fault(&pager, &wires[0], 2);
+    assert!(
+        wires[1].state().flying.is_empty(),
+        "page 3 was requested twice"
+    );
+    assert_eq!(read_ahead(&pager, "issued"), [0, 0]);
+    answer(read);
+    assert_eq!(joined(reader).expect("pagein"), Page::deterministic(3));
+}
+
+#[test]
+fn a_pageout_voids_the_read_ahead_it_overtakes_on_another_shard() {
+    let (wires, pager) = two_faults_into_a_run(Policy::NoReliability, 8);
+    // The fault on page 2 (shard 0) reads page 3 ahead on shard 1's wire,
+    // where the old bytes are now on their way.
+    fault(&pager, &wires[0], 2);
+    let ahead = held_back(&wires[1]);
+    assert_eq!(read_ahead(&pager, "issued"), [0, 1]);
+    let writer = spawn(&pager, |p| p.page_out(PageId(3), &Page::filled(7)));
+    let ack = held_back(&wires[1]);
+    answer(ahead);
+    answer(ack);
+    joined(writer).expect("rewrite");
+    assert_eq!(
+        read_ahead(&pager, "useless"),
+        [0, 1],
+        "the copy was voided on the wire"
+    );
+    // The fault reads the page where it is, and gets the new bytes.
+    let reader = spawn(&pager, |p| p.page_in(PageId(3)));
+    answer(held_back(&wires[1]));
+    assert_eq!(joined(reader).expect("pagein"), Page::filled(7));
+    assert_eq!(read_ahead(&pager, "hits"), [0, 0]);
+    let stats = pager.stats();
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
 }

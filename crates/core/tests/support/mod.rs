@@ -232,17 +232,26 @@ pub fn wave_sharded(
     config: PagerConfig,
     n: usize,
 ) -> (Arc<Wire>, Vec<ChaosServer>, Arc<ShardedPager>) {
+    // No read-ahead: its submissions are not part of any operation.
+    let ([wire, _], servers, pager) = wave_shards(config.with_prefetch_window(0), n);
+    (wire, servers, pager)
+}
+
+/// As [`wave_sharded`], with read-ahead as `config` has it and both
+/// shards' wires.
+pub fn wave_shards(
+    config: PagerConfig,
+    n: usize,
+) -> ([Arc<Wire>; 2], Vec<ChaosServer>, Arc<ShardedPager>) {
     let (wire, servers, pool) = wave_pool(n);
-    let (_, _, idle) = wave_pool(n);
+    let (odd, _, sibling) = wave_pool(n);
     let transport = pool.transport_config().clone();
-    let config = (config.with_prefetch_window(0))
-        .with_transport(transport)
-        .with_shard_count(2);
+    let config = config.with_transport(transport).with_shard_count(2);
     let pager = ShardedPager::builder(config)
-        .pools(vec![pool, idle])
+        .pools(vec![pool, sibling])
         .build()
         .expect("sharded pager");
-    (wire, servers, Arc::new(pager))
+    ([wire, odd], servers, Arc::new(pager))
 }
 
 /// Runs `op` while the test thread answers exactly the waves of `widths`

@@ -213,22 +213,27 @@ fn pool_batches_ride_the_window() {
             .expect("store");
     }
 
-    // Async spawn/finish: the fetch overlaps with this thread's other
-    // work (here, a demand call on the same connection).
-    let pending = pool
-        .spawn_page_in_batch(ServerId(0), &keys)
-        .expect("windowed transport accepts async batches");
-    assert_eq!(pending.server(), ServerId(0));
+    // Begin / finish: the reads overlap with this thread's other work
+    // (here, a demand call on the same connection) — a gather that names
+    // the holder sixteen times, so batch frames, and a read-ahead's one
+    // plain read beside it.
+    let reads: Vec<(ServerId, StoreKey)> = keys[..16].iter().map(|&k| (ServerId(0), k)).collect();
+    let wave = pool.begin_page_in_wave(&reads);
+    let ahead = pool.begin_page_in(ServerId(0), keys[16]);
     let reply = pool.query_load(ServerId(0)).expect("demand call overlaps");
     assert!(reply.1 > 0, "server reports stored pages");
-    let fetched = pool.finish_page_in_batch(pending).expect("collect");
-    for (i, page) in fetched.iter().take(16).enumerate() {
+    let fetched = pool.finish_page_in_wave(wave, &reads).expect("collect");
+    for (i, page) in fetched.iter().enumerate() {
         assert_eq!(
             page.as_ref().expect("present"),
             &Page::deterministic(i as u64),
             "page {i} contents"
         );
     }
+    ahead.park();
+    assert!(ahead.is_ready(), "parked on: collecting will not block");
+    let page = pool.finish_page_in_unretried(ahead).expect("collect");
+    assert_eq!(page, Some(Page::deterministic(16)));
     server.shutdown();
 }
 
@@ -265,11 +270,10 @@ fn a_window_of_one_is_a_window_not_another_transport() {
         assert_eq!(page, Page::deterministic(key.0));
     }
     // The connection takes submissions: it is the reactor.
-    let pending = pool
-        .spawn_page_in_batch(ServerId(0), &keys)
-        .expect("a window of one is still a window");
-    let fetched = pool.finish_page_in_batch(pending).expect("collect");
-    assert!(fetched.iter().all(Option::is_some));
+    let ahead = pool.begin_page_in(ServerId(0), keys[3]);
+    let fetched =
+        (pool.finish_page_in_unretried(ahead)).expect("a window of one is still a window");
+    assert_eq!(fetched, Some(Page::deterministic(3)));
     // Four two-page frames in one burst stall on the window, which they
     // would not on any granted window of four or more.
     pool.set_batch_max_pages(2);
@@ -299,13 +303,13 @@ fn a_refused_prefetch_submission_is_a_sampled_miss_not_a_retry() {
     // The reactor notices the severed socket on its own thread; until it
     // has, a submission is still accepted and its handle fails instead.
     let deadline = Instant::now() + Duration::from_secs(5);
+    // A refused one is ready at once: collecting it waits for nothing.
     let err = loop {
-        match pool.spawn_page_in_batch(ServerId(0), &keys) {
-            Err(e) => break e,
-            Ok(handle) => {
-                pool.finish_page_in_batch(handle)
-                    .expect_err("the server is gone");
-            }
+        let ahead = pool.begin_page_in(ServerId(0), keys[0]);
+        let refused = ahead.is_ready();
+        let err = (pool.finish_page_in_unretried(ahead)).expect_err("the server is gone");
+        if refused {
+            break err;
         }
         assert!(Instant::now() < deadline, "the dead connection was noticed");
         std::thread::sleep(Duration::from_millis(5));

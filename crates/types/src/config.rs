@@ -209,9 +209,11 @@ pub struct PagerConfig {
     /// connection. Clamped to the wire-protocol batch cap; `1` degrades
     /// every batch to single-page frames.
     pub batch_max_pages: usize,
-    /// Stride-prefetch lookahead: on a detected majority stride the pager
-    /// fetches up to this many predicted pages ahead of the faulting one.
-    /// `0` disables prefetching entirely.
+    /// Stride-prefetch lookahead: the *cap* on how many predicted pages a
+    /// refill fetches ahead of the faulting one, not its size — a run
+    /// starts with one page and doubles each time a read-ahead hit finds
+    /// the runway gone, up to this many. Also the most read-aheads a
+    /// pager keeps on the wire. `0` disables prefetching entirely.
     pub prefetch_window: usize,
     /// Number of independent shards the concurrent front-end
     /// (`ShardedPager`) splits the page space into. Each shard owns its
@@ -307,7 +309,8 @@ impl PagerConfig {
         self
     }
 
-    /// Sets the stride-prefetch lookahead (`0` disables prefetching).
+    /// Sets the cap on the stride-prefetch lookahead (`0` disables
+    /// prefetching).
     pub fn with_prefetch_window(mut self, pages: usize) -> Self {
         self.prefetch_window = pages;
         self
