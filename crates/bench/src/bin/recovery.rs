@@ -9,6 +9,17 @@
 //! runs), then pages rebuilt, page transfers, and wall time for the full
 //! recovery — alongside the policy's steady-state overheads.
 //!
+//! The rebuild is then costed twice more per policy: `rebuild_us_per_page`
+//! is the wall time above over the pages rebuilt, and
+//! `round_trips_per_rebuilt_page` is [`bench::rebuild_round_trips`] — the
+//! same rebuild over an emulated 5 ms link, where what counts is how many
+//! times it waits for the wire, not how fast loopback is. The second is
+//! asserted: basic parity gathers a chunk of stripes in one wave and
+//! ships it in another (two round trips per sixteen pages, where a page
+//! at a time cost two each), mirroring gathers a chunk and places page
+//! by page, parity logging gathers a chunk of groups and re-logs member
+//! by member.
+//!
 //! Results are also written as JSON (`BENCH_recovery.json`, or the path
 //! in `BENCH_OUT`) so CI can archive them; `RECOVERY_PAGES` overrides the
 //! resident-page count for smoke runs.
@@ -20,6 +31,22 @@ use rmp_blockdev::PagingDevice;
 use rmp_types::metrics::Histogram;
 use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId};
 
+/// The most link round trips a rebuilt page may cost under `policy` over
+/// [`bench::rebuild_round_trips`]' geometry (48 pages, groups of three,
+/// five servers). Each bound sits between what the policy costs with a
+/// gather per chunk and what it cost with one per page: basic parity 0.20
+/// (two waves and an allocation for sixteen pages) against 2.15, mirroring
+/// 1.14 against 2.06, parity logging 4.76 against 5.69 (its re-logs are
+/// appends either way). Write-through reads its disk: 1.03, unbounded.
+fn most_round_trips(policy: Policy) -> Option<f64> {
+    match policy {
+        Policy::BasicParity => Some(0.25),
+        Policy::Mirroring => Some(1.6),
+        Policy::ParityLogging => Some(5.3),
+        _ => None,
+    }
+}
+
 fn main() {
     let pages: u64 = std::env::var("RECOVERY_PAGES")
         .ok()
@@ -27,7 +54,7 @@ fn main() {
         .unwrap_or(1500);
     println!("Crash recovery cost per reliability policy ({pages} pages resident)\n");
     println!(
-        "{:<15} {:>9} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
+        "{:<15} {:>9} {:>10} {:>10} {:>10} {:>10} {:>12} {:>9} {:>9} {:>10}",
         "policy",
         "xfers/out",
         "mem ovhd",
@@ -35,6 +62,8 @@ fn main() {
         "rebuilt",
         "rec xfers",
         "rec time",
+        "us/page",
+        "RTTs/page",
         "data loss"
     );
     let mut json_rows: Vec<String> = Vec::new();
@@ -121,18 +150,29 @@ fn main() {
                         break;
                     }
                 }
+                let rebuild_us = report.elapsed.as_secs_f64() * 1e6;
+                let us_per_page = rebuild_us / report.total_rebuilt().max(1) as f64;
+                let trips = bench::rebuild_round_trips(policy).expect("rebuild round trips");
                 println!(
-                    "{:<15} {:>9.2} {:>9.2}x {:>10.2} {:>10} {:>10} {:>9.1} ms {:>10}",
+                    "{:<15} {:>9.2} {:>9.2}x {:>10.2} {:>10} {:>10} {:>9.1} ms {:>9.1} {:>9.2} {:>10}",
                     policy.label(),
                     overhead,
                     policy.memory_overhead(servers, 0.10),
                     deg_per_read,
                     report.total_rebuilt(),
                     report.transfers,
-                    report.elapsed.as_secs_f64() * 1000.0,
+                    rebuild_us / 1000.0,
+                    us_per_page,
+                    trips,
                     if intact { "none" } else { "CORRUPT" },
                 );
                 assert!(intact, "{policy}: data intact after recovery");
+                if let Some(most) = most_round_trips(policy) {
+                    assert!(
+                        trips <= most,
+                        "{policy}: {trips:.2} round trips per rebuilt page, at most {most} expected"
+                    );
+                }
                 json_rows.push(format!(
                     "    {{\"policy\": \"{}\", \"transfers_per_pageout\": {:.4}, \
                      \"memory_overhead\": {:.4}, \"degraded_reads\": {}, \
@@ -140,6 +180,8 @@ fn main() {
                      \"degraded_ms_per_read\": {:.4}, \
                      \"degraded_latency_us\": {}, \"pages_rebuilt\": {}, \
                      \"recovery_transfers\": {}, \"recovery_ms\": {:.3}, \
+                     \"rebuild_us_per_page\": {:.3}, \
+                     \"round_trips_per_rebuilt_page\": {:.4}, \
                      \"data_loss\": false}}",
                     policy.label(),
                     overhead,
@@ -150,15 +192,19 @@ fn main() {
                     degraded_snapshot.to_json(),
                     report.total_rebuilt(),
                     report.transfers,
-                    report.elapsed.as_secs_f64() * 1000.0,
+                    rebuild_us / 1000.0,
+                    us_per_page,
+                    trips,
                 ));
             }
             Err(e) => {
                 println!(
-                    "{:<15} {:>9.2} {:>9.2}x {:>10} {:>10} {:>10} {:>12} {:>10}",
+                    "{:<15} {:>9.2} {:>9.2}x {:>10} {:>10} {:>10} {:>12} {:>9} {:>9} {:>10}",
                     policy.label(),
                     overhead,
                     policy.memory_overhead(servers, 0.10),
+                    "-",
+                    "-",
                     "-",
                     "-",
                     "-",

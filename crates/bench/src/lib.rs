@@ -188,6 +188,15 @@ impl ServerTransport for DelayTransport {
 /// A pool onto `n` private in-memory servers, each behind a
 /// [`DelayTransport`].
 pub fn delay_pool(n: usize, round_trip: Duration, per_frame: Duration) -> ServerPool {
+    delay_cluster(n, round_trip, per_frame).1
+}
+
+/// [`delay_pool`], with the servers behind it for the caller to crash.
+fn delay_cluster(
+    n: usize,
+    round_trip: Duration,
+    per_frame: Duration,
+) -> (ChaosCluster, ServerPool) {
     // The plan is never armed: the servers serve faithfully.
     let cluster = ChaosCluster::new(n, FaultPlan::seeded(0));
     let mut pool = ServerPool::new();
@@ -197,7 +206,7 @@ pub fn delay_pool(n: usize, round_trip: Duration, per_frame: Duration) -> Server
         let transport = DelayTransport::new(inner, round_trip, per_frame);
         pool.add_transport(id, Box::new(transport), 1.0);
     }
-    pool
+    (cluster, pool)
 }
 
 /// Link round trips one steady-state pageout and one pagein cost under
@@ -238,6 +247,47 @@ pub fn round_trips(policy: Policy) -> Result<(f64, f64)> {
         assert_eq!(pager.page_in(PageId(id))?, Page::deterministic(PAGES + id));
     }
     Ok((pageout, per_op(start.elapsed())))
+}
+
+/// Link round trips one rebuilt page costs under `policy`: server 0 of a
+/// [`delay_pool`] is lost with its share of a small page set — and, for
+/// basic parity, which rebuilds in place, back empty — and the wall time
+/// of `recover_from_crash` is divided by the round trip and the pages
+/// rebuilt. A rebuild that fetches and stores a page at a time costs two
+/// a page; one that gathers a chunk in a wave and ships it in another
+/// costs two a chunk. Geometry as in [`round_trips`].
+///
+/// # Errors
+///
+/// Propagates paging and recovery failures.
+pub fn rebuild_round_trips(policy: Policy) -> Result<f64> {
+    const ROUND_TRIP: Duration = Duration::from_millis(5);
+    const PAGES: u64 = 48;
+    let config = PagerConfig::new(policy)
+        .with_servers(3)
+        .with_prefetch_window(0);
+    let (cluster, pool) = delay_cluster(5, ROUND_TRIP, Duration::ZERO);
+    let mut pager = Pager::builder(config)
+        .pool(pool)
+        .disk(Box::new(RamDisk::unbounded()))
+        .build()?;
+    for id in 0..PAGES {
+        pager.page_out(PageId(id), &Page::deterministic(id))?;
+    }
+    pager.flush()?;
+    let lost = ServerId(0);
+    cluster.server(0).crash();
+    if policy == Policy::BasicParity {
+        cluster.server(0).restart();
+        pager.pool_mut().absolve(lost);
+    }
+    let start = Instant::now();
+    let report = pager.recover_from_crash(lost)?;
+    let trips = start.elapsed().as_secs_f64() / ROUND_TRIP.as_secs_f64();
+    for id in 0..PAGES {
+        assert_eq!(pager.page_in(PageId(id))?, Page::deterministic(id));
+    }
+    Ok(trips / report.total_rebuilt().max(1) as f64)
 }
 
 /// Frames that give the paper's memory-pressure ratio: the working set

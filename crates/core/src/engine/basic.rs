@@ -228,20 +228,31 @@ impl Engine for BasicParity {
         server: ServerId,
         page_budget: usize,
     ) -> Result<RecoveryStep> {
-        rebuild_step(&mut self.rebuild, page_budget, |claimed, step| {
-            while let Some(work) = claimed.front() {
-                let stripe = format_args!("stripe {} of {server}", work.key);
-                let page = xor_reduce(&ctx.fetch_group(&work.pieces, &stripe)?);
-                ctx.reserve_and_page_out(server, work.key, &page)?;
-                step.transfers += work.pieces.len() as u64 + 1;
-                if work.parity {
-                    ctx.stats.net_parity_transfers += 1;
-                    step.parity_rebuilt += 1;
-                } else {
-                    ctx.stats.net_data_transfers += 1;
-                    step.pages_rebuilt += 1;
+        let chunk = ctx.pool.batch_max_pages();
+        rebuild_step(&mut self.rebuild, page_budget, chunk, |claimed, step| {
+            while let Some(head) = claimed.front() {
+                // One gather for the chunk: every piece of every stripe.
+                let stripes: Vec<&[Unit]> = claimed.iter().map(|w| &w.pieces[..]).collect();
+                let head = format_args!("stripe {} of {server}", head.key);
+                let rebuilt: Vec<Page> = (ctx.fetch_groups(&stripes, &head)?.iter())
+                    .map(xor_reduce)
+                    .collect();
+                // One store wave for the chunk, onto the rebooted server.
+                let stores: Vec<(Unit, &Page)> = (claimed.iter().zip(&rebuilt))
+                    .map(|(work, page)| ((server, work.key), page))
+                    .collect();
+                let (landed, stopped) = ctx.ship_in_order(&stores);
+                for work in claimed.drain(..landed) {
+                    step.transfers += work.pieces.len() as u64 + 1;
+                    if work.parity {
+                        ctx.stats.net_parity_transfers += 1;
+                        step.parity_rebuilt += 1;
+                    } else {
+                        ctx.stats.net_data_transfers += 1;
+                        step.pages_rebuilt += 1;
+                    }
                 }
-                claimed.pop_front();
+                stopped?;
             }
             Ok(())
         })

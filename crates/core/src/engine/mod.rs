@@ -141,28 +141,36 @@ impl Table {
 /// planned for a crash — the one claim / requeue loop behind every
 /// [`Engine::recovery_step`].
 ///
-/// Up to `budget` items are claimed and handed to `rebuild`, which pops
-/// each item off the front once it is done with it (an item that needs no
-/// work any more included). Whatever `rebuild` leaves behind — the item
-/// it failed on and everything after it — goes back to the head of the
-/// queue in order, so the retry after a replan or a transient fault skips
-/// nothing.
+/// Up to `budget` items are claimed, `chunk` at a time, and each chunk is
+/// handed to `rebuild` — which can then gather what the whole chunk needs
+/// in one wave, and ship what it rebuilt in one more, instead of a round
+/// trip or two per item. `rebuild` pops each item off the front once it
+/// is done with it: its store acked, or no work left in it. Whatever it
+/// leaves behind — the item it failed on and everything after it — goes
+/// back to the head of the queue in order, so the retry after a replan
+/// or a transient fault skips nothing.
 ///
 /// # Errors
 ///
-/// Whatever `rebuild` returns.
+/// Whatever `rebuild` returns; the chunks after a failed one are not
+/// claimed.
 pub fn rebuild_step<W>(
     queue: &mut VecDeque<W>,
     budget: usize,
-    rebuild: impl FnOnce(&mut VecDeque<W>, &mut RecoveryStep) -> Result<()>,
+    chunk: usize,
+    mut rebuild: impl FnMut(&mut VecDeque<W>, &mut RecoveryStep) -> Result<()>,
 ) -> Result<RecoveryStep> {
     let mut step = RecoveryStep::default();
-    let mut claimed: VecDeque<W> = queue.drain(..budget.min(queue.len())).collect();
-    let outcome = rebuild(&mut claimed, &mut step);
-    while let Some(work) = claimed.pop_back() {
-        queue.push_front(work);
+    let mut left = budget.min(queue.len());
+    while left > 0 {
+        let mut claimed: VecDeque<W> = queue.drain(..left.min(chunk.max(1))).collect();
+        left -= claimed.len();
+        let outcome = rebuild(&mut claimed, &mut step);
+        while let Some(work) = claimed.pop_back() {
+            queue.push_front(work);
+        }
+        outcome?;
     }
-    outcome?;
     step.remaining = queue.len() as u64;
     Ok(step)
 }
@@ -426,6 +434,26 @@ impl Ctx<'_> {
         self.fetched(pages, reads)
     }
 
+    /// As [`Ctx::fetch_batch`], every read a plain keyed read of its own
+    /// ([`ServerPool::page_in_burst`]): for gathers that name a holder
+    /// many times over — a rebuild's chunk — and would otherwise come
+    /// back in a few frames a chunk of pages long. No read is no wave, and
+    /// a lone read is one call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctx::fetch_batch`].
+    pub fn gather(&mut self, reads: &[Unit]) -> Result<Vec<Page>> {
+        match reads {
+            [] => Ok(Vec::new()),
+            [_] => self.fetch_batch(reads),
+            _ => {
+                let pages = self.pool.page_in_burst(reads);
+                self.fetched(pages, reads)
+            }
+        }
+    }
+
     /// Collects a gather of `reads` begun with
     /// [`ServerPool::begin_page_in_wave`], as [`Ctx::fetch_batch`] would.
     pub fn finish_fetch(&mut self, wave: Wave, reads: &[Unit]) -> Result<Vec<Page>> {
@@ -453,7 +481,7 @@ impl Ctx<'_> {
     /// # Errors
     ///
     /// [`RmpError::Unrecoverable`] for a piece on a dead server; otherwise
-    /// as [`Ctx::fetch_batch`] (a holder found dead *during* the fetch
+    /// as [`Ctx::gather`] (a holder found dead *during* the fetch
     /// surfaces as [`RmpError::ServerCrashed`], and the caller replans).
     pub fn fetch_group(
         &mut self,
@@ -465,7 +493,32 @@ impl Ctx<'_> {
                 "{group} lost a second piece with {dead}"
             )));
         }
-        self.fetch_batch(pieces)
+        self.gather(pieces)
+    }
+
+    /// [`Ctx::fetch_group`] for the groups at the head of a queue, in one
+    /// wave: the first of `groups`, named `first`, and as many of those
+    /// behind it as have every holder alive — a group that lost a second
+    /// piece is left to head a gather of its own, so that its loss is
+    /// reported once the groups before it are served. Returns the pieces
+    /// of each group served.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctx::fetch_group`].
+    pub fn fetch_groups<G: AsRef<[Unit]>>(
+        &mut self,
+        groups: &[G],
+        first: &dyn std::fmt::Display,
+    ) -> Result<Vec<Vec<Page>>> {
+        let whole = |group: &&G| group.as_ref().iter().all(|&(s, _)| self.alive(s));
+        let served = groups.len().min(1) + groups.iter().skip(1).take_while(whole).count();
+        let groups = groups[..served].iter().map(G::as_ref);
+        let pieces: Vec<Unit> = groups.clone().flatten().copied().collect();
+        let mut fetched = self.fetch_group(&pieces, first)?.into_iter();
+        Ok(groups
+            .map(|group| fetched.by_ref().take(group.len()).collect())
+            .collect())
     }
 
     /// Reserves a frame on `server` and ships `page` under `key`,
@@ -490,6 +543,37 @@ impl Ctx<'_> {
                 Err(e)
             }
         }
+    }
+
+    /// [`Ctx::reserve_and_page_out`] for a caller that works a queue in
+    /// order: reserves a frame for each of `stores` and ships them all in
+    /// one wave. Returns how many of the *leading* stores landed and what
+    /// stopped the next one. The grant of every store not counted goes
+    /// back to the pool — that of one that landed behind a failed one
+    /// too: the caller ships it again, under a grant reserved then, into
+    /// the frame it already has.
+    pub fn ship_in_order(&mut self, stores: &[(Unit, &Page)]) -> (usize, Result<()>) {
+        let mut denied = None;
+        let mut reserved = 0;
+        for &((server, _), _) in stores {
+            match self.pool.reserve_frame(server) {
+                Ok(()) => reserved += 1,
+                Err(e) => {
+                    denied = Some(e);
+                    break;
+                }
+            }
+        }
+        let outcomes = match stores[..reserved] {
+            [((server, key), page)] => vec![self.pool.page_out(server, key, page).map(drop)],
+            ref reserved => self.ship(reserved, &[], None).0,
+        };
+        let landed = outcomes.iter().take_while(|stored| stored.is_ok()).count();
+        for &((server, _), _) in &stores[landed..reserved] {
+            self.pool.return_frame(server);
+        }
+        let stopped = outcomes.into_iter().find_map(Result::err).or(denied);
+        (landed, stopped.map_or(Ok(()), Err))
     }
 
     /// One wave: ships every page in `stores` to its unit and releases
@@ -871,4 +955,57 @@ pub trait Engine: Send {
     ///
     /// Propagates storage failures.
     fn rebalance(&mut self, ctx: &mut Ctx<'_>) -> Result<u64>;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A rebuild that pops every item but fails *at* `bad`, logging the
+    /// chunks it was handed.
+    fn stop_at(
+        bad: u32,
+        chunks: &mut Vec<Vec<u32>>,
+    ) -> impl FnMut(&mut VecDeque<u32>, &mut RecoveryStep) -> Result<()> + '_ {
+        move |claimed, step| {
+            chunks.push(claimed.iter().copied().collect());
+            while let Some(&item) = claimed.front() {
+                if item == bad {
+                    return Err(RmpError::NoSpace(ServerId(0)));
+                }
+                step.pages_rebuilt += 1;
+                claimed.pop_front();
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_step_claims_its_budget_a_chunk_at_a_time() {
+        let mut queue: VecDeque<u32> = (0..10).collect();
+        let mut chunks = Vec::new();
+        let step = rebuild_step(&mut queue, 7, 3, stop_at(99, &mut chunks)).expect("step");
+        assert_eq!(chunks, [vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
+        assert_eq!((step.pages_rebuilt, step.remaining), (7, 3));
+        assert_eq!(queue, [7, 8, 9]);
+        // A budget below the chunk is the chunk; no budget claims nothing.
+        let mut chunks = Vec::new();
+        let step = rebuild_step(&mut queue, 2, 16, stop_at(99, &mut chunks)).expect("step");
+        assert_eq!((chunks, step.remaining), (vec![vec![7, 8]], 1));
+        let step = rebuild_step(&mut queue, usize::MAX, 16, stop_at(99, &mut Vec::new()));
+        assert_eq!(step.expect("step").remaining, 0);
+    }
+
+    #[test]
+    fn a_failure_leaves_the_failed_item_and_all_after_it_at_the_head_in_order() {
+        let mut queue: VecDeque<u32> = (0..10).collect();
+        let mut chunks = Vec::new();
+        let failed = rebuild_step(&mut queue, 8, 3, stop_at(4, &mut chunks));
+        assert!(matches!(failed, Err(RmpError::NoSpace(_))));
+        // The second chunk stopped at 4: 3 left the queue, 4 and 5 are
+        // back in front of what was never claimed, and no third chunk
+        // was.
+        assert_eq!(chunks, [vec![0, 1, 2], vec![3, 4, 5]]);
+        assert_eq!(queue, [4, 5, 6, 7, 8, 9]);
+    }
 }

@@ -538,45 +538,74 @@ impl ParityLogging {
         Ok(())
     }
 
-    /// Rebuilds the member of sealed group `gid` lost with `crashed`,
-    /// then re-logs the group's active members so full redundancy is
-    /// restored and the damaged group drains.
+    /// The slot of sealed group `gid` that was lost with `crashed`, and
+    /// what solves its XOR equation: the other members and the parity
+    /// page. `None` for a group reclaimed by an earlier item's re-logging
+    /// — it holds no current data any more — or untouched by the crash.
+    fn lost_member(&self, gid: GroupId, crashed: ServerId) -> Option<(usize, Vec<Unit>)> {
+        let state = self.groups.group(gid)?;
+        let lost_slot = state.members.iter().position(|m| m.server == crashed)?;
+        let others = (state.members.iter().enumerate()).filter(|(slot, _)| *slot != lost_slot);
+        let mut reads: Vec<Unit> = others.map(|(_, m)| (m.server, m.key)).collect();
+        reads.push((state.parity_server, state.parity_key));
+        Some((lost_slot, reads))
+    }
+
+    /// The members of sealed group `gid`, if its parity page is still on
+    /// a dead server: what its new parity page is the XOR of. `None` for
+    /// a group that is gone or already relocated (a replanned step ran
+    /// this item before).
+    fn orphaned_members(&self, ctx: &Ctx<'_>, gid: GroupId) -> Option<Vec<Unit>> {
+        let state = self.groups.group(gid)?;
+        let members = state.members.iter().map(|m| (m.server, m.key));
+        (!ctx.alive(state.parity_server)).then(|| members.collect())
+    }
+
+    /// What `work` gathers before it can run; nothing for an item with
+    /// no work left in it, and for the unsealed group, which gathers for
+    /// itself: it heads the plan, and what it reads is the buffer's to
+    /// say when it runs.
+    fn pieces_of(&self, ctx: &Ctx<'_>, work: PlWork, crashed: ServerId) -> Vec<Unit> {
+        match work {
+            PlWork::Pending => None,
+            PlWork::Group(gid) => self.lost_member(gid, crashed).map(|(_, reads)| reads),
+            PlWork::ParityGroup(gid) => self.orphaned_members(ctx, gid),
+        }
+        .unwrap_or_default()
+    }
+
+    /// Rebuilds the member of sealed group `gid` lost with `crashed` from
+    /// `fetched` — the pieces [`Self::lost_member`] named — then re-logs
+    /// the group's active members so full redundancy is restored and the
+    /// damaged group drains.
     fn recover_group(
         &mut self,
         ctx: &mut Ctx<'_>,
         crashed: ServerId,
         gid: GroupId,
+        fetched: &[Page],
         step: &mut RecoveryStep,
     ) -> Result<()> {
         // Work from the full group state: we need every member's page id
-        // and active flag, not just the storage addresses. A group
-        // reclaimed by an earlier item's re-logging holds no current data
-        // any more — nothing to rebuild from it.
-        let Some(state) = self.groups.group(gid).cloned() else {
+        // and active flag, not just the storage addresses.
+        let Some((lost_slot, _)) = self.lost_member(gid, crashed) else {
             return Ok(());
         };
-        let Some(lost_slot) = state.members.iter().position(|m| m.server == crashed) else {
-            return Ok(());
-        };
-        // Fetch the survivors (all slots except the lost one) plus the
-        // parity page in one batched pass; their XOR is the lost member.
-        let others = state
+        let members = self
+            .groups
+            .group(gid)
+            .expect("it has a lost member")
             .members
-            .iter()
-            .enumerate()
-            .filter(|(slot, _)| *slot != lost_slot);
-        let mut reads: Vec<Unit> = others.map(|(_, m)| (m.server, m.key)).collect();
-        reads.push((state.parity_server, state.parity_key));
-        let fetched = ctx.fetch_group(&reads, &format_args!("group {gid:?}"))?;
+            .clone();
         step.transfers += fetched.len() as u64;
-        let rebuilt = xor_reduce(&fetched);
+        let rebuilt = xor_reduce(fetched);
         step.pages_rebuilt += 1;
         // Restore full redundancy by re-logging the *current* version of
         // every active member through fresh parity groups; the damaged
         // group drains to fully-inactive and is reclaimed (freeing the
         // survivors' old copies and the parity page).
         let mut survivors = fetched.iter();
-        for (slot, m) in state.members.iter().enumerate() {
+        for (slot, m) in members.iter().enumerate() {
             let page = match slot == lost_slot {
                 true => &rebuilt,
                 false => survivors.next().expect("one piece per survivor"),
@@ -588,30 +617,52 @@ impl ParityLogging {
         Ok(())
     }
 
-    /// Recomputes the parity page of sealed group `gid` onto the
+    /// Recomputes the parity page of sealed group `gid` — the XOR of
+    /// `members`, the pages [`Self::orphaned_members`] named — onto the
     /// replacement parity server chosen at plan time.
     fn rebuild_parity(
         &mut self,
         ctx: &mut Ctx<'_>,
         gid: GroupId,
+        members: &[Page],
         step: &mut RecoveryStep,
     ) -> Result<()> {
-        let Some(state) = self.groups.group(gid) else {
-            return Ok(());
-        };
-        if ctx.alive(state.parity_server) {
-            // Already relocated (a replanned step ran this item before).
+        if self.orphaned_members(ctx, gid).is_none() {
             return Ok(());
         }
-        // All members in one batched fetch, then XOR client-side.
-        let reads: Vec<Unit> = state.members.iter().map(|m| (m.server, m.key)).collect();
-        let parity = xor_reduce(&ctx.fetch_group(&reads, &format_args!("group {gid:?}"))?);
+        let parity = xor_reduce(members);
         let pkey = ctx.pool.fresh_key();
         ctx.reserve_and_page_out(self.parity_server, pkey, &parity)?;
         ctx.stats.net_parity_transfers += 1;
-        step.transfers += reads.len() as u64 + 1;
+        step.transfers += members.len() as u64 + 1;
         step.parity_rebuilt += 1;
         self.groups.relocate_parity(gid, self.parity_server, pkey)
+    }
+
+    /// Runs the claimed items: one gather for what the items at the head
+    /// read, then item by item — a re-log is an append, and each may
+    /// seal.
+    fn rebuild_chunk(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        claimed: &mut VecDeque<PlWork>,
+        crashed: ServerId,
+        step: &mut RecoveryStep,
+    ) -> Result<()> {
+        while let Some(&head) = claimed.front() {
+            let pieces: Vec<Vec<Unit>> = (claimed.iter())
+                .map(|&work| self.pieces_of(ctx, work, crashed))
+                .collect();
+            for fetched in ctx.fetch_groups(&pieces, &format_args!("{head:?}"))? {
+                match claimed[0] {
+                    PlWork::Pending => self.recover_pending(ctx, crashed, step),
+                    PlWork::Group(gid) => self.recover_group(ctx, crashed, gid, &fetched, step),
+                    PlWork::ParityGroup(gid) => self.rebuild_parity(ctx, gid, &fetched, step),
+                }?;
+                claimed.pop_front();
+            }
+        }
+        Ok(())
     }
 }
 
@@ -726,16 +777,9 @@ impl Engine for ParityLogging {
         page_budget: usize,
     ) -> Result<RecoveryStep> {
         let mut rebuild = std::mem::take(&mut self.rebuild);
-        let step = rebuild_step(&mut rebuild, page_budget, |claimed, step| {
-            while let Some(&work) = claimed.front() {
-                match work {
-                    PlWork::Pending => self.recover_pending(ctx, server, step),
-                    PlWork::Group(gid) => self.recover_group(ctx, server, gid, step),
-                    PlWork::ParityGroup(gid) => self.rebuild_parity(ctx, gid, step),
-                }?;
-                claimed.pop_front();
-            }
-            Ok(())
+        let chunk = ctx.pool.batch_max_pages();
+        let step = rebuild_step(&mut rebuild, page_budget, chunk, |claimed, step| {
+            self.rebuild_chunk(ctx, claimed, server, step)
         });
         self.rebuild = rebuild;
         if self.rebuild.is_empty() && step.is_ok() {

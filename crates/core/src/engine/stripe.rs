@@ -53,6 +53,13 @@ fn vacant(_: &Ctx<'_>, server: ServerId) -> bool {
     server == VACANT.0
 }
 
+/// Names the units lost with `crashed` — which may have rejoined, alive
+/// but empty, by now — or with *any* dead server, so that a second crash
+/// leaves no half-healed page behind.
+fn lost_with(crashed: ServerId) -> impl Fn(&Ctx<'_>, ServerId) -> bool {
+    move |ctx, server| server == crashed || !ctx.alive(server)
+}
+
 /// Books the outcome of rewriting one copy in place: a transfer, or a
 /// copy to re-home when its holder refused or is gone.
 fn settle_copy(ctx: &mut Ctx<'_>, unit: &mut Unit, outcome: Result<()>) -> Result<()> {
@@ -297,21 +304,11 @@ impl Stripe {
         }
     }
 
-    /// Rebuilds page `id` from any `k` of its units, never reading
-    /// `avoid` or a dead server. Returns the page and, for a coded
-    /// stripe, all `k + r` unit payloads for callers that re-place lost
-    /// units afterwards.
-    fn reconstruct(
-        &self,
-        ctx: &mut Ctx<'_>,
-        id: PageId,
-        avoid: ServerId,
-    ) -> Result<(Page, Vec<Vec<u8>>)> {
+    /// The units a rebuild of `id` reads, as positions in its row: any
+    /// `k`, data units first — which keeps the common case decode-free —
+    /// and never one on `avoid` or on a dead server.
+    fn survivors(&self, ctx: &Ctx<'_>, id: PageId, avoid: ServerId) -> Result<Vec<usize>> {
         let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
-        if self.disk_leg || units.is_empty() {
-            return Ok((ctx.disk_read(id)?, Vec::new()));
-        }
-        // Data units first keeps the common case decode-free.
         let chosen: Vec<usize> = (0..units.len())
             .filter(|&i| units[i].0 != avoid && ctx.alive(units[i].0))
             .take(self.k)
@@ -323,14 +320,25 @@ impl Stripe {
                 self.k
             )));
         }
-        let reads: Vec<Unit> = chosen.iter().map(|&i| units[i]).collect();
-        let mut fetched = ctx.fetch_batch(&reads)?;
+        Ok(chosen)
+    }
+
+    /// Rebuilds page `id` from the frames `fetched` off its `chosen`
+    /// units. Returns the page and, for a coded stripe, all `k + r` unit
+    /// payloads for callers that re-place lost units afterwards.
+    fn decode(
+        &self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        chosen: &[usize],
+        fetched: &[Page],
+    ) -> Result<(Page, Vec<Vec<u8>>)> {
         let Some(code) = &self.code else {
-            return Ok((fetched.remove(0), Vec::new()));
+            return Ok((fetched[0].clone(), Vec::new()));
         };
         let len = PAGE_SIZE / self.k;
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; units.len()];
-        for (&i, frame) in chosen.iter().zip(&fetched) {
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.k + self.r];
+        for (&i, frame) in chosen.iter().zip(fetched) {
             shards[i] = Some(frame.as_ref()[..len].to_vec());
         }
         if shards[..self.k].iter().any(Option::is_none) {
@@ -345,24 +353,46 @@ impl Stripe {
         Ok((join_splits(&shards[..self.k]), shards))
     }
 
-    /// Rebuilds the units of `id` lost with `crashed` — or with *any*
-    /// dead server, so a second crash leaves no half-healed page behind.
-    /// `crashed` may have rejoined (alive but empty) by now: its units
-    /// are gone either way.
+    /// Whether the local disk is where a rebuild of `id` reads it from.
+    fn on_disk(&self, id: PageId) -> bool {
+        self.disk_leg || self.table.units(id).is_some_and(<[Unit]>::is_empty)
+    }
+
+    /// Rebuilds page `id` from any `k` of its units, never reading
+    /// `avoid` or a dead server: [`Self::survivors`], one gather,
+    /// [`Self::decode`].
+    fn reconstruct(
+        &self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        avoid: ServerId,
+    ) -> Result<(Page, Vec<Vec<u8>>)> {
+        let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
+        if self.on_disk(id) {
+            return Ok((ctx.disk_read(id)?, Vec::new()));
+        }
+        let chosen = self.survivors(ctx, id, avoid)?;
+        let reads: Vec<Unit> = chosen.iter().map(|&i| units[i]).collect();
+        let fetched = ctx.fetch_batch(&reads)?;
+        self.decode(ctx, id, &chosen, &fetched)
+    }
+
+    /// Rebuilds the units of `id` lost with `crashed` ([`lost_with`])
+    /// from the frames `fetched` off its `chosen` units (the local disk
+    /// when there are none).
     fn rebuild_page(
         &mut self,
         ctx: &mut Ctx<'_>,
         id: PageId,
         crashed: ServerId,
+        (chosen, fetched): (&[usize], &[Page]),
         step: &mut RecoveryStep,
     ) -> Result<()> {
-        let lost = move |ctx: &Ctx<'_>, s: ServerId| s == crashed || !ctx.alive(s);
-        // Overwritten, parked or freed since planning: nothing to do.
-        let units = self.table.units(id).unwrap_or_default();
-        if !units.iter().any(|u| lost(ctx, u.0)) {
-            return Ok(());
-        }
-        let (page, shards) = self.reconstruct(ctx, id, crashed)?;
+        let lost = lost_with(crashed);
+        let (page, shards) = match chosen {
+            [] => (ctx.disk_read(id)?, Vec::new()),
+            _ => self.decode(ctx, id, chosen, fetched)?,
+        };
         if !self.disk_leg {
             step.transfers += self.k as u64;
         }
@@ -377,6 +407,54 @@ impl Stripe {
         }
         step.pages_rebuilt += 1;
         Ok(())
+    }
+
+    /// Rebuilds a chunk of claimed pages: one gather for what all of
+    /// them read, then page by page — decode, re-home the lost units (a
+    /// wave a page: its takers depend on the view as the page before left
+    /// it), done. A page whose survivors cannot be named stops the chunk
+    /// *at* it: the pages before it are rebuilt first.
+    fn rebuild_chunk(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        claimed: &mut VecDeque<PageId>,
+        crashed: ServerId,
+        step: &mut RecoveryStep,
+    ) -> Result<()> {
+        let lost = lost_with(crashed);
+        // Per page, the units it reads: `None` for one overwritten,
+        // parked or freed since planning, none for one the disk has.
+        let mut sources: Vec<Option<Vec<usize>>> = Vec::with_capacity(claimed.len());
+        let mut reads: Vec<Unit> = Vec::new();
+        let mut stopped = Ok(());
+        for &id in claimed.iter() {
+            let units = self.table.units(id).unwrap_or_default();
+            let chosen = match units.iter().any(|u| lost(ctx, u.0)) {
+                false => None,
+                true if self.on_disk(id) => Some(Vec::new()),
+                true => match self.survivors(ctx, id, crashed) {
+                    Ok(chosen) => Some(chosen),
+                    Err(e) => {
+                        stopped = Err(e);
+                        break;
+                    }
+                },
+            };
+            reads.extend(chosen.iter().flatten().map(|&i| units[i]));
+            sources.push(chosen);
+        }
+        let fetched = ctx.gather(&reads)?;
+        let mut fetched = fetched.as_slice();
+        for chosen in sources {
+            let id = claimed[0];
+            if let Some(chosen) = chosen {
+                let (mine, rest) = fetched.split_at(chosen.len());
+                fetched = rest;
+                self.rebuild_page(ctx, id, crashed, (&chosen, mine), step)?;
+            }
+            claimed.pop_front();
+        }
+        stopped
     }
 }
 
@@ -525,12 +603,9 @@ impl Engine for Stripe {
         page_budget: usize,
     ) -> Result<RecoveryStep> {
         let mut rebuild = std::mem::take(&mut self.rebuild);
-        let step = rebuild_step(&mut rebuild, page_budget, |claimed, step| {
-            while let Some(&id) = claimed.front() {
-                self.rebuild_page(ctx, id, server, step)?;
-                claimed.pop_front();
-            }
-            Ok(())
+        let chunk = ctx.pool.batch_max_pages();
+        let step = rebuild_step(&mut rebuild, page_budget, chunk, |claimed, step| {
+            self.rebuild_chunk(ctx, claimed, server, step)
         });
         self.rebuild = rebuild;
         step

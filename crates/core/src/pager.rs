@@ -497,6 +497,48 @@ impl Pager {
         }
     }
 
+    /// Drives the active plan by one step of at most `page_budget` pages
+    /// and books what came of it — the one place a rebuild's progress is
+    /// counted and traced, whether the maintenance tick or the
+    /// synchronous drain is behind it. A plan that is not finished stays
+    /// the active one, so the backlog keeps counting it: after a step
+    /// that was not the last, and after a failure that may pass (a
+    /// refused frame, a server that timed out once too often). Only
+    /// [`RmpError::Unrecoverable`] drops it — the lost data cannot come
+    /// back, and reads surface the loss. Returns the report of a plan
+    /// that finished.
+    fn advance_plan(&mut self, page_budget: usize) -> Result<Option<RecoveryReport>> {
+        let mut plan = self.active_plan.take().expect("the caller set a plan");
+        let drove = self.drive_plan(&mut plan, page_budget);
+        self.stats.recovery_steps += u64::from(drove.is_ok());
+        let report = match &drove {
+            Ok(true) => {
+                let report = plan.report();
+                self.metrics.recoveries_completed.inc();
+                self.metrics.registry.trace_with(
+                    EventKind::RecoveryStep,
+                    Some(report.crashed),
+                    Some(self.config.policy),
+                    "done",
+                    Some(format!(
+                        "rebuilt {} pages + {} parity",
+                        report.pages_rebuilt, report.parity_rebuilt
+                    )),
+                );
+                Some(report)
+            }
+            Err(RmpError::Unrecoverable(_)) => None,
+            _ => {
+                self.active_plan = Some(plan);
+                None
+            }
+        };
+        self.metrics
+            .recovery_backlog
+            .set(self.recovery_backlog() as u64);
+        drove.map(|_| report)
+    }
+
     /// Advances the background rebuild by at most `page_budget` pages:
     /// picks up the next queued crash when idle, runs one plan step, and
     /// returns the finished report when a plan completes this tick.
@@ -514,39 +556,9 @@ impl Pager {
             };
             self.active_plan = Some(RecoveryPlan::new(next));
         }
-        let mut plan = self.active_plan.take().expect("plan set above");
-        match self.drive_plan(&mut plan, page_budget) {
-            Ok(true) => {
-                self.stats.recovery_steps += 1;
-                let report = plan.report();
-                self.metrics.recoveries_completed.inc();
-                self.metrics.registry.trace_with(
-                    EventKind::RecoveryStep,
-                    Some(report.crashed),
-                    Some(self.config.policy),
-                    "done",
-                    Some(format!(
-                        "rebuilt {} pages + {} parity",
-                        report.pages_rebuilt, report.parity_rebuilt
-                    )),
-                );
-                self.metrics
-                    .recovery_backlog
-                    .set(self.recovery_backlog() as u64);
-                Ok(Some(report))
-            }
-            Ok(false) => {
-                self.stats.recovery_steps += 1;
-                self.active_plan = Some(plan);
-                Ok(None)
-            }
+        match self.advance_plan(page_budget) {
             Err(RmpError::Unrecoverable(_)) => Ok(None),
-            Err(e) => {
-                // Transient failure (disk, space): keep the plan and let a
-                // later tick retry it.
-                self.active_plan = Some(plan);
-                Err(e)
-            }
+            advanced => advanced,
         }
     }
 
@@ -563,20 +575,30 @@ impl Pager {
     /// Recovers from the crash of `server`: reconstructs every lost page
     /// from the policy's redundancy and re-homes it on surviving servers.
     /// Any background rebuild already queued for `server` is subsumed by
-    /// this synchronous drain.
+    /// this synchronous drain; one under way for another server goes back
+    /// to the head of the queue, to be planned afresh — the engine holds
+    /// one plan's items at a time.
     ///
     /// # Errors
     ///
     /// [`RmpError::Unrecoverable`] when the policy cannot restore the
     /// data (no-reliability, or multiple faults in one redundancy group).
+    /// After any other failure the rebuild stays queued where it stopped:
+    /// [`Pager::recovery_backlog`] counts it, and the next pageout, free,
+    /// maintenance tick or call of this takes it up again.
     pub fn recover_from_crash(&mut self, server: ServerId) -> Result<RecoveryReport> {
         self.note_crash(server);
         self.pending_recovery.retain(|&s| s != server);
-        let mut plan = self
-            .active_plan
-            .take_if(|p| p.crashed() == server)
-            .unwrap_or_else(|| RecoveryPlan::new(server));
-        while !self.drive_plan(&mut plan, usize::MAX)? {}
+        if let Some(other) = self.active_plan.take_if(|p| p.crashed() != server) {
+            self.pending_recovery.push_front(other.crashed());
+        }
+        self.active_plan
+            .get_or_insert_with(|| RecoveryPlan::new(server));
+        let report = loop {
+            if let Some(report) = self.advance_plan(usize::MAX)? {
+                break report;
+            }
+        };
         // Placement changed wholesale under the rebuild: drop the fault
         // trace and any read-ahead rather than predict against the old
         // layout.
@@ -587,7 +609,7 @@ impl Pager {
         let abandoned = self.pending_prefetch.drain(..).filter(|p| p.page.is_some());
         self.metrics.prefetch_useless.add(abandoned.count() as u64);
         self.sync_useless();
-        Ok(plan.report())
+        Ok(report)
     }
 
     /// Moves every page off `server` in response to a stop-sending

@@ -327,6 +327,10 @@ pub struct ServerPool {
     /// Tag for the next batch frame, echoed by its reply so replies can
     /// be matched even if a transport delivers them out of order.
     next_batch_seq: u32,
+    /// Servers declared dead and not forgiven since, for whoever runs
+    /// several pools over one cluster to pass the verdict on (see
+    /// [`ServerPool::obituaries`]).
+    obituaries: Vec<ServerId>,
     /// Observability hooks; `None` (the default) records nothing.
     metrics: Option<PoolMetrics>,
 }
@@ -354,6 +358,7 @@ impl ServerPool {
             verify_checksums: true,
             batch_max_pages: 16,
             next_batch_seq: 1,
+            obituaries: Vec::new(),
             metrics: None,
         }
     }
@@ -494,18 +499,23 @@ impl ServerPool {
             peer.publish_suspicion(id, self.metrics.as_ref());
         }
         self.view.mark_alive(id);
+        self.obituaries.retain(|&dead| dead != id);
     }
 
     /// Holds `id` dead from here on — in the view, its record (grants
     /// dropped, suspicion pinned), the metrics and the trace ring (`why`
     /// is the trace detail). The only way a server dies, whether the
     /// retry ladder, a shutdown notice, crash injection or the pager
-    /// noticed. A server already held dead counts one death.
+    /// noticed. A server already held dead counts one death. Each death
+    /// leaves an obituary.
     pub fn declare_dead(&mut self, id: ServerId, why: &'static str) {
         if !self.view.is_alive(id) {
             return;
         }
         self.view.mark_dead(id);
+        if !self.obituaries.contains(&id) {
+            self.obituaries.push(id);
+        }
         if let Some(peer) = self.peers.get_mut(&id) {
             peer.reset(false, Some(Health::dead()));
             peer.publish_suspicion(id, self.metrics.as_ref());
@@ -514,6 +524,17 @@ impl ServerPool {
             m.deaths.inc();
             m.registry.trace(EventKind::Crash, Some(id), None, why);
         }
+    }
+
+    /// The servers this pool has declared dead and not forgiven since,
+    /// until somebody takes them: a front-end over several pools drains
+    /// one pool's list and tells the others, so that a crash costs the
+    /// cluster's clients one retry ladder and not one each. Nothing here
+    /// reads it; a pool on its own keeps at most one entry a server. A
+    /// server whose replies have since re-promoted it is still listed:
+    /// whoever passes a verdict on checks it against the view first.
+    pub fn obituaries(&mut self) -> &mut Vec<ServerId> {
+        &mut self.obituaries
     }
 
     /// Registered server ids, ascending.
@@ -1212,19 +1233,33 @@ impl ServerPool {
     }
 
     /// Reads the reply to a `PageIn` of `key`: counts the transfer and
-    /// verifies the page against the server's checksum.
+    /// verifies the page against the server's checksum. A reply that
+    /// names another key — a burst of reads answered out of order by
+    /// something that is no windowed connection — is refused, not handed
+    /// to the wrong read: a piece of a rebuild has no writer's checksum
+    /// of its own to catch it later.
     fn fetched(&mut self, id: ServerId, key: StoreKey, reply: Message) -> Result<Option<Page>> {
-        match reply {
-            Message::PageInReply { checksum, page, .. } => {
+        let (echoed, page) = match reply {
+            Message::PageInReply {
+                id: echoed,
+                checksum,
+                page,
+            } => {
                 self.note_wire_transfer();
                 if self.verify_checksums && page.checksum() != checksum {
                     return Err(RmpError::CorruptPage { server: id, key });
                 }
-                Ok(Some(page))
+                (echoed, Some(page))
             }
-            Message::PageInMiss { .. } => Ok(None),
-            other => Err(unexpected_reply("PageIn", &other)),
+            Message::PageInMiss { id: echoed } => (echoed, None),
+            other => return Err(unexpected_reply("PageIn", &other)),
+        };
+        if echoed != key {
+            return Err(RmpError::Protocol(format!(
+                "{id} answered the read of key {key} with key {echoed}"
+            )));
         }
+        Ok(page)
     }
 
     fn freed(reply: Message) -> Result<()> {
@@ -1540,6 +1575,35 @@ impl ServerPool {
             Some(e) => Err(e),
             None => Ok(out),
         }
+    }
+
+    /// Fetches `reads` off all their holders in one wave of plain keyed
+    /// reads: a holder named sixteen times answers sixteen page-sized
+    /// frames, a few to a write, where [`ServerPool::page_in_wave`] has it
+    /// answer one frame sixteen pages long — which every buffer on its
+    /// way, the server's and the client's, then grows to hold and keeps.
+    /// The rebuild's gather, the widest there is, comes this way. Pages
+    /// come back in request order, misses as `None`.
+    ///
+    /// # Errors
+    ///
+    /// The failure of the first read that failed (every reply is still
+    /// read, so transfers that happened are counted); kinds as
+    /// [`ServerPool::page_in`].
+    pub fn page_in_burst(&mut self, reads: &[(ServerId, StoreKey)]) -> Result<Vec<Option<Page>>> {
+        let legs = (reads.iter())
+            .map(|&(server, key)| (server, Message::PageIn { id: key }))
+            .collect();
+        let mut pages = Vec::with_capacity(reads.len());
+        let mut failed = None;
+        for (&(server, key), reply) in reads.iter().zip(self.scatter(legs)) {
+            let page = reply.and_then(|reply| self.fetched(server, key, reply));
+            pages.push(page.unwrap_or_else(|e| {
+                failed.get_or_insert(e);
+                None
+            }));
+        }
+        failed.map_or(Ok(pages), Err)
     }
 
     /// Releases the page stored under `key` on `id`.

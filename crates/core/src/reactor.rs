@@ -831,6 +831,7 @@ impl WindowedTransport {
         // batch. Only the seq (four bytes of the envelope, zero for now)
         // is filled in under the lock.
         self.wbuf.clear();
+        (self.wbuf).reserve(msgs.iter().map(Message::windowed_len_hint).sum());
         for msg in msgs {
             Message::encode_windowed_into(0, msg, &mut self.wbuf);
         }

@@ -67,8 +67,24 @@
 //!   flight of the shard land, and no new operation begins while a
 //!   planner waits.
 //!
+//! # One verdict
+//!
+//! Every shard dials every server, so every shard could walk the whole
+//! retry ladder to learn of the same crash. Instead the shard that
+//! declares a server dead leaves an obituary in its pool
+//! ([`ServerPool::obituaries`]), and `page_in`, `page_out` and `free`,
+//! when a turn ends with one there, pass it on: holding no shard lock,
+//! the caller takes each sibling's lock in turn, lets its flights land
+//! (the planners' rule) and has it hold the server dead and queue its
+//! rebuild, as if it had found out for itself. A sibling's first read of
+//! a lost page then goes straight to the policy's redundancy.
+//! [`ShardedPager::reconnect`] forgives on every shard alike; verdicts
+//! and pardons are passed under one mutex, so a verdict reached before a
+//! pardon is never delivered after it.
+//!
 //! # Lock order
 //!
+//! The verdict mutex, taken holding nothing, before everything below.
 //! Shard → that shard's connection windows → a reply slot; a parked
 //! caller holds only the last. Under the planner's lock a shard is only
 //! `try_lock`ed, so it sits in no cycle. Operations on pages lock exactly one
@@ -193,6 +209,7 @@ impl ShardedPagerBuilder {
             shards: built,
             mask: (shards - 1) as u64,
             planner: Mutex::new(Planner::new(config.prefetch_window)),
+            verdicts: Mutex::new(()),
         })
     }
 }
@@ -391,6 +408,11 @@ pub struct ShardedPager {
     /// The one decision to read ahead, over every shard's faults (see the
     /// [module docs](self#read-ahead)).
     planner: Mutex<Planner>,
+    /// Held while a death verdict is passed from one shard to the others
+    /// and while [`ShardedPager::reconnect`] pardons, so that a verdict
+    /// reached before a pardon is never delivered after it. Taken before
+    /// any shard lock, never under one.
+    verdicts: Mutex<()>,
 }
 
 impl std::fmt::Debug for ShardedPager {
@@ -459,13 +481,15 @@ impl ShardedPager {
         if out.writing.on_wire() {
             turn.parked(|| out.writing.park());
         }
-        match turn.pager().complete_page_out(out, page) {
+        let done = match turn.pager().complete_page_out(out, page) {
             ControlFlow::Break(done) => done,
             ControlFlow::Continue(failed) => {
                 turn.quiet();
                 turn.pager().retry_page_out(failed, page)
             }
-        }
+        };
+        self.end_turn(turn);
+        done
     }
 
     /// Fetches the page stored under `id`, locking only `id`'s shard, and
@@ -482,7 +506,7 @@ impl ShardedPager {
         }
         let hit = flight.hit;
         let done = turn.pager().complete_page_in(flight);
-        drop(turn);
+        self.end_turn(turn);
         if done.is_ok() {
             self.read_ahead(id, hit);
         }
@@ -520,7 +544,53 @@ impl ShardedPager {
     ///
     /// As [`Pager::free`](PagingDevice::free).
     pub fn free(&self, id: PageId) -> Result<()> {
-        self.shard(id).enter_to_write(id).pager().free(id)
+        let mut turn = self.shard(id).enter_to_write(id);
+        let done = turn.pager().free(id);
+        self.end_turn(turn);
+        done
+    }
+
+    /// Ends `turn` and, if its shard's pool declared a server dead under
+    /// it, passes the verdict on.
+    fn end_turn(&self, mut turn: Turn<'_>) {
+        let news = !turn.pager().pool_mut().obituaries().is_empty();
+        let from = turn.shard;
+        drop(turn);
+        if news {
+            self.pass_verdicts(from);
+        }
+    }
+
+    /// One verdict for all: tells every other shard of the servers
+    /// `from`'s pool has declared dead — it walked the retry ladder for
+    /// them, and a sibling's connection to the same machine would only
+    /// walk it again to learn the same — so each sibling's next read of a
+    /// lost page goes straight to the policy's redundancy. A sibling is
+    /// told as a planner would be heard: under its lock alone, once its
+    /// flights have landed. The caller holds no shard lock.
+    fn pass_verdicts(&self, from: &Shard) {
+        let _no_pardon_meanwhile = self.verdicts.lock().unwrap_or_else(PoisonError::into_inner);
+        let dead = {
+            let mut guard = from.lock();
+            let pool = guard.0.pool_mut();
+            let mut dead = std::mem::take(pool.obituaries());
+            // Forgiven or re-promoted since: no longer this shard's view.
+            dead.retain(|&server| !pool.view().is_alive(server));
+            dead
+        };
+        if dead.is_empty() {
+            return;
+        }
+        for sibling in self.shards.iter().filter(|s| !std::ptr::eq(*s, from)) {
+            let mut guard = sibling.quiet(sibling.lock());
+            for &server in &dead {
+                guard.0.pool_mut().declare_dead(server, "sibling");
+                guard.0.note_crash(server);
+            }
+            // What it was just told is no news of its own to pass back.
+            let theirs = guard.0.pool_mut().obituaries();
+            theirs.retain(|server| !dead.contains(server));
+        }
     }
 
     /// Returns `true` when a page is stored under `id`.
@@ -612,6 +682,7 @@ impl ShardedPager {
     /// The first shard whose redial fails; earlier shards stay
     /// reconnected.
     pub fn reconnect(&self, server: ServerId) -> Result<()> {
+        let _no_verdict_meanwhile = self.verdicts.lock().unwrap_or_else(PoisonError::into_inner);
         let mut guards = self.quiesce();
         for guard in guards.iter_mut() {
             guard.0.pool_mut().reconnect(server)?;
@@ -725,6 +796,39 @@ mod tests {
         // Neither a planner nor the page's next operation hangs.
         drop(shard.quiet(guard));
         drop(shard.enter(PageId(7)));
+    }
+
+    #[test]
+    fn a_verdict_is_passed_on_once_and_a_pardon_withdraws_it() {
+        let config = PagerConfig::new(Policy::Mirroring).with_shard_count(2);
+        let cluster = ChaosCluster::new(3, FaultPlan::seeded(1));
+        let pools = (0..2).map(|_| cluster.pool(&Default::default()));
+        let pager = (ShardedPager::builder(config).pools(pools.collect()))
+            .build()
+            .expect("two shards");
+        for id in [PageId(0), PageId(1)] {
+            pager.page_out(id, &Page::deterministic(id.0)).expect("out");
+        }
+        let gone = ServerId(2);
+        let dead_on = |shard| pager.with_shard(shard, |p| !p.pool().view().is_alive(gone));
+        // Declared dead and pardoned before a turn has ended: no news.
+        pager.with_shard(0, |p| {
+            p.pool_mut().declare_dead(gone, "test");
+            p.pool_mut().absolve(gone);
+        });
+        pager.page_in(PageId(0)).expect("in");
+        assert!(!dead_on(1));
+        // Declared dead: the next turn to end on shard 0 tells shard 1,
+        // which queues its own rebuild.
+        pager.with_shard(0, |p| p.pool_mut().declare_dead(gone, "test"));
+        pager.page_in(PageId(0)).expect("in");
+        assert!(dead_on(1));
+        assert_eq!(pager.with_shard(1, |p| p.recovery_backlog()), 1);
+        // What shard 1 was told is no news of its own: once shard 0 has
+        // forgiven, a turn ending on shard 1 does not bring it back.
+        pager.with_shard(0, |p| p.pool_mut().absolve(gone));
+        pager.page_in(PageId(1)).expect("in");
+        assert!(!dead_on(0) && dead_on(1));
     }
 
     #[test]

@@ -317,6 +317,90 @@ fn retried_parity_updates_do_not_desync_the_stripe() {
     }
 }
 
+// --- a rebuild that fails stays queued --------------------------------------
+
+/// `recover_from_crash` used to take the server out of the queue, run the
+/// plan and drop it on `?`: a rebuild stopped by a fault that passes was
+/// queued nowhere, the backlog read 0, and the next pageout wrote into a
+/// half-rebuilt stripe. The plan now stays the active one — the very
+/// next pageout finishes it first — and the synchronous drain books its
+/// steps where the maintenance tick does.
+#[test]
+fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
+    let cluster = ChaosCluster::new(3, FaultPlan::seeded(23));
+    let tcfg = fast_transport();
+    let config = PagerConfig::new(Policy::BasicParity)
+        .with_servers(2)
+        .with_batch_max_pages(4)
+        .with_transport(tcfg.clone());
+    let mut pager = Pager::builder(config)
+        .pool(cluster.pool(&tcfg))
+        .build()
+        .expect("pager");
+    for i in 0..24u64 {
+        pager
+            .page_out(PageId(i), &Page::deterministic(i))
+            .expect("fixture writes");
+    }
+    let victim = ServerId(0);
+    cluster.server(0).crash();
+    cluster.server(0).restart();
+    pager.pool_mut().absolve(victim);
+    // The first chunk's store wave lands — a harmless rule spends itself
+    // on it — and the second's is refused until the ladder gives the
+    // rebooted server up again.
+    let stores = |action| {
+        FaultRule::new(action)
+            .on_server(victim)
+            .on_ops(OpFilter::Op(Opcode::PageOut))
+    };
+    cluster
+        .plan()
+        .inject(stores(FaultAction::Delay(Duration::ZERO)).times(1));
+    cluster
+        .plan()
+        .inject(stores(FaultAction::Overload).times(3));
+    cluster.plan().arm();
+    let failed = pager.recover_from_crash(victim);
+    cluster.plan().disarm();
+    assert!(failed.is_err(), "the refused chunk fails the drain");
+    assert_eq!(cluster.server(0).stored_pages(), 4, "one chunk got through");
+    assert_eq!(pager.recovery_backlog(), 1, "and the rebuild stays queued");
+    let steps = pager.stats().recovery_steps;
+    // The server is fine again, and nobody calls for the rebuild: the
+    // next pageout — of a page whose frame on it is still empty — finds
+    // the rebuild queued and finishes it before it writes.
+    pager.pool_mut().absolve(victim);
+    let rewritten = |i: u64| Page::deterministic(if i == 16 { 116 } else { i });
+    pager
+        .page_out(PageId(16), &rewritten(16))
+        .expect("a pageout drains the queued rebuild first");
+    assert_eq!(pager.recovery_backlog(), 0);
+    assert!(pager.stats().recovery_steps > steps, "the drain is booked");
+    let done = pager.metrics().counter("pager_recoveries_completed_total");
+    assert_eq!(done.get(), 1);
+    assert_eq!(
+        cluster.server(0).stored_pages(),
+        12,
+        "every lost page is back"
+    );
+    // Had the write gone into the half-rebuilt stripe, its parity would be
+    // wrong now, and losing the other data server would show it.
+    cluster.server(1).crash();
+    cluster.server(1).restart();
+    pager.pool_mut().absolve(ServerId(1));
+    pager
+        .recover_from_crash(ServerId(1))
+        .expect("second rebuild");
+    for i in 0..24u64 {
+        assert_eq!(
+            pager.page_in(PageId(i)).expect("readable"),
+            rewritten(i),
+            "pg{i} after two rebuilds, the first in two goes"
+        );
+    }
+}
+
 // --- control-path calls must not launder trust -----------------------------
 
 /// A Suspect server that answers `GetStats`/`LoadQuery` promptly while

@@ -200,6 +200,89 @@ fn crash_during_concurrent_traffic_keeps_pages_readable() {
 }
 
 #[test]
+fn one_shard_pays_for_a_crash_and_every_shard_knows() {
+    // Basic parity, data servers 0 and 1 and parity server 2, four
+    // shards: page `s` is shard `s`'s first, so it lies on server 0.
+    const SHARDS: u64 = 4;
+    const PAGES: u64 = 32;
+    let retry = RetryPolicy {
+        max_attempts: 3,
+        ..fast_retry()
+    };
+    let config = PagerConfig::new(Policy::BasicParity)
+        .with_servers(2)
+        .with_shard_count(SHARDS as usize)
+        .with_prefetch_window(0)
+        .with_retry(retry);
+    let (handles, pager) = sharded_cluster(3, 4096, config);
+    for i in 0..PAGES {
+        (pager.page_out(PageId(i), &Page::deterministic(i))).expect("pageout");
+    }
+    let victim = ServerId(0);
+    handles[0].crash();
+    let seen = |shard: u64| {
+        pager.with_shard(shard as usize, |p| {
+            let counter = |name| p.metrics().counter(name).get();
+            let dead = !p.pool().view().is_alive(victim);
+            let (retries, failed) = (
+                counter("pool_retries_total"),
+                counter("pool_call_errors_total"),
+            );
+            (dead, p.recovery_backlog(), retries, failed)
+        })
+    };
+    // Shard 0 reads a lost page: it walks the retry ladder, declares the
+    // server dead and reads around it.
+    assert_eq!(
+        pager.page_in(PageId(0)).expect("read"),
+        Page::deterministic(0)
+    );
+    assert_eq!(seen(0), (true, 1, 2, 1), "one ladder: two retries");
+    // Its siblings were told: each holds the server dead and the rebuild
+    // queued before it has sent it a frame, and its own first read of a
+    // lost page goes straight to the stripe's other pieces.
+    for shard in 1..SHARDS {
+        assert_eq!(seen(shard), (true, 1, 0, 0), "shard {shard} was told");
+        let read = pager.page_in(PageId(shard)).expect("degraded read");
+        assert_eq!(read, Page::deterministic(shard));
+        assert_eq!(
+            seen(shard),
+            (true, 1, 0, 0),
+            "shard {shard} dialled nothing"
+        );
+    }
+    assert_eq!(pager.stats().degraded_reads, SHARDS);
+    for i in 0..PAGES {
+        let read = pager.page_in(PageId(i)).expect("every page reads back");
+        assert_eq!(read, Page::deterministic(i), "pg{i}");
+    }
+    let degraded = pager.stats().degraded_reads;
+    assert_eq!(degraded, SHARDS + PAGES / 2);
+    let retries: u64 = (0..SHARDS).map(|shard| seen(shard).2).sum();
+    assert_eq!(retries, 2, "the crash cost the whole front-end one ladder");
+    // The machine is back, empty: one reconnect forgives it on every
+    // shard, and the in-place rebuild can run.
+    handles[0].restart();
+    pager.reconnect(victim).expect("reconnect");
+    for shard in 0..SHARDS {
+        assert!(!seen(shard).0, "shard {shard} forgave");
+    }
+    let reports = pager.recover_from_crash(victim).expect("rebuild");
+    let rebuilt: u64 = reports.iter().map(|r| r.pages_rebuilt).sum();
+    assert_eq!(rebuilt, PAGES / 2);
+    assert_eq!(pager.recovery_backlog(), 0);
+    for i in 0..PAGES {
+        let read = pager.page_in(PageId(i)).expect("read after the rebuild");
+        assert_eq!(read, Page::deterministic(i), "pg{i}");
+    }
+    assert_eq!(
+        pager.stats().degraded_reads,
+        degraded,
+        "no read is degraded any more"
+    );
+}
+
+#[test]
 fn eight_threads_meet_on_two_shards() {
     // Two shards for eight threads: four callers to a shard at any
     // moment, each on pages of its own, so their flights share the

@@ -299,6 +299,163 @@ fn basic_parity_degraded_read_gathers_the_stripe_at_once() {
     assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
 }
 
+/// Basic parity over data servers 0 and 1 and parity server 2, rebuilt
+/// in chunks of four: twelve pages, six to a data server, and server 0
+/// back from a reboot with nothing.
+fn bparity_rebooted() -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
+    let config = PagerConfig::new(Policy::BasicParity)
+        .with_servers(2)
+        .with_batch_max_pages(4);
+    let (wire, servers, mut pager) = wave_pager(config, 3);
+    for i in 0..12u64 {
+        let (done, _) = in_waves(&wire, &[], || {
+            pager.page_out(PageId(i), &Page::deterministic(i))
+        });
+        done.expect("a delta and its fold are two calls");
+    }
+    servers[0].crash();
+    servers[0].restart();
+    wire.calls();
+    (wire, servers, pager)
+}
+
+fn reads_back(wire: &Wire, pager: &mut Pager, pages: u64) {
+    for i in 0..pages {
+        let (read, _) = in_waves(wire, &[1], || pager.page_in(PageId(i)));
+        assert_eq!(read.expect("read"), Page::deterministic(i), "pg{i}");
+    }
+}
+
+#[test]
+fn basic_parity_rebuilds_a_chunk_in_two_waves() {
+    let (wire, servers, mut pager) = bparity_rebooted();
+    // Six lost pages, chunks of four: a gather of every piece of the
+    // chunk's stripes (a surviving member and the parity page each) and
+    // a wave of its stores — four round trips, where a page at a time is
+    // twelve.
+    let widths = [8, 4, 4, 2];
+    let (report, waves) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
+    let report = report.expect("rebuild");
+    assert_eq!((report.pages_rebuilt, report.transfers), (6, 18));
+    assert_eq!(shape(&waves[0]), (vec![1, 2], vec![Opcode::PageIn; 8]));
+    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 4]));
+    assert_eq!(shape(&waves[2]), (vec![1, 2], vec![Opcode::PageIn; 4]));
+    assert_eq!(shape(&waves[3]), (vec![0], vec![Opcode::PageOut; 2]));
+    assert_eq!(wire.calls(), [], "and nothing outside them");
+    assert_eq!(servers[0].stored_pages(), 6);
+    // The synchronous drain is booked like a maintenance tick's.
+    assert_eq!(pager.stats().recovery_steps, 1);
+    let done = pager.metrics().counter("pager_recoveries_completed_total");
+    assert_eq!(done.get(), 1);
+    reads_back(&wire, &mut pager, 12);
+}
+
+#[test]
+fn a_store_refused_in_mid_rebuild_keeps_the_rest_queued_and_leaks_no_grant() {
+    let (wire, servers, mut pager) = bparity_rebooted();
+    let granted = pager.pool().granted_frames(ServerId(0));
+    // The first chunk lands; of the second chunk's two stores the first
+    // is refused and the second is taken.
+    let stopped = std::thread::scope(|scope| {
+        let rebuild = scope.spawn(|| pager.recover_from_crash(ServerId(0)));
+        wire.release_wave(8);
+        // The first chunk's stores are served when they are submitted:
+        // from here on the next one is the second chunk's first.
+        wire.wait_for(4).refuse_store.push(ServerId(0));
+        for width in [4, 4, 2] {
+            wire.release_wave(width);
+        }
+        rebuild.join().expect("operation thread")
+    });
+    assert!(
+        matches!(stopped, Err(rmp_types::RmpError::NoSpace(ServerId(0)))),
+        "{stopped:?}"
+    );
+    // The refused page and the one behind it are still queued, in that
+    // order, and hold no grant: the one that landed will be shipped
+    // again, into the frame it has.
+    assert_eq!(pager.recovery_backlog(), 1);
+    assert_eq!(servers[0].stored_pages(), 5);
+    assert_eq!(pager.pool().granted_frames(ServerId(0)), granted - 4);
+    // Running it again rebuilds those two and nothing else. (The report
+    // is the plan's, over both goes, but a step that fails reports
+    // nothing of what it had rebuilt by then.)
+    let (report, waves) = in_waves(&wire, &[4, 2], || pager.recover_from_crash(ServerId(0)));
+    assert_eq!(report.expect("the rest").pages_rebuilt, 2);
+    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 2]));
+    assert_eq!(pager.recovery_backlog(), 0);
+    // What the pool spent of its grants is what the server stores.
+    let spent = granted - pager.pool().granted_frames(ServerId(0));
+    assert_eq!(spent as usize, servers[0].stored_pages());
+    assert_eq!(wire.calls(), [], "no allocation, no call outside the waves");
+    reads_back(&wire, &mut pager, 12);
+}
+
+#[test]
+fn a_holder_lost_in_mid_rebuild_stops_it_where_it_is() {
+    let (wire, servers, mut pager) = bparity_rebooted();
+    pager.pool_mut().set_detector_slow_floor_us(f64::INFINITY);
+    // Server 1 — a member of every stripe — dies under the second
+    // chunk's gather. The first chunk is rebuilt; the stripes of the
+    // second have lost two pieces, which basic parity cannot mend.
+    let stopped = std::thread::scope(|scope| {
+        let rebuild = scope.spawn(|| pager.recover_from_crash(ServerId(0)));
+        wire.release_wave(8);
+        wire.release_wave(4);
+        wire.state().dying.push(ServerId(1));
+        wire.release_wave(4);
+        rebuild.join().expect("operation thread")
+    });
+    assert!(
+        matches!(stopped, Err(rmp_types::RmpError::Unrecoverable(_))),
+        "{stopped:?}"
+    );
+    assert!(
+        wire.state().flying.is_empty(),
+        "no store wave for the chunk"
+    );
+    assert_eq!(servers[0].stored_pages(), 4);
+    // It was the connection, not the machine: once it is back the
+    // rebuild, planned afresh, finishes, and every page is intact.
+    wire.state().dead.clear();
+    pager.pool_mut().absolve(ServerId(1));
+    let widths = [8, 4, 4, 2];
+    let (report, _) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
+    assert_eq!(report.expect("rebuild").pages_rebuilt, 6);
+    assert_eq!(servers[0].stored_pages(), 6);
+    reads_back(&wire, &mut pager, 12);
+}
+
+#[test]
+fn mirroring_gathers_a_chunk_of_lost_pages_at_once() {
+    let config = PagerConfig::new(Policy::Mirroring).with_batch_max_pages(4);
+    let (wire, servers, mut pager) = wave_pager(config, 3);
+    for i in 0..8u64 {
+        let (done, _) = in_waves(&wire, &[2], || {
+            pager.page_out(PageId(i), &Page::deterministic(i))
+        });
+        done.expect("both copies in one wave");
+    }
+    // Copies go round the cluster in pairs — (0, 1), (2, 0), (1, 2), … —
+    // so six of the eight pages have one on server 0.
+    servers[0].crash();
+    wire.state().dead.push(ServerId(0));
+    pager.note_crash(ServerId(0));
+    wire.calls();
+    // Chunks of four: one gather a chunk, every read a plain frame; each
+    // page then finds its new holder by the walk, a call of its own.
+    let (report, waves) = in_waves(&wire, &[4, 2], || pager.recover_from_crash(ServerId(0)));
+    assert_eq!(report.expect("rebuild").pages_rebuilt, 6);
+    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 4]);
+    assert_eq!(shape(&waves[1]).1, vec![Opcode::PageIn; 2]);
+    let stores = wire.calls().into_iter().filter(|c| c.1 == Opcode::PageOut);
+    assert_eq!(stores.count(), 6);
+    for i in 0..8u64 {
+        let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(i)));
+        assert_eq!(read.expect("read"), Page::deterministic(i), "pg{i}");
+    }
+}
+
 #[test]
 fn a_refused_leg_is_replaced_alone() {
     // Six servers for a five-unit stripe: one spare.

@@ -394,6 +394,15 @@ impl Message {
             }
     }
 
+    /// Bytes [`Message::encode_windowed_into`] is about to append for this
+    /// message, as closely as [`Message::encode_into`] knows its own: what
+    /// the sender of a burst reserves once for all its frames, so that a
+    /// fresh connection's buffer is allocated at the burst's size and not
+    /// doubled up to it.
+    pub fn windowed_len_hint(&self) -> usize {
+        HEADER_LEN + 4 + self.frame_len_hint()
+    }
+
     /// Appends the encoded frame (header + payload) to `out`: the one
     /// encoder. Every byte is written once, straight into the caller's
     /// buffer — the header goes first with its length left open and is
@@ -507,7 +516,7 @@ impl Message {
     /// [`Message::Windowed`], without building (and boxing) one. The
     /// session loop and the reactor put every frame on the wire this way.
     pub fn encode_windowed_into(seq: u32, inner: &Message, out: &mut Vec<u8>) {
-        out.reserve(HEADER_LEN + 4 + inner.frame_len_hint());
+        out.reserve(inner.windowed_len_hint());
         let frame = open_frame(Opcode::Windowed, out);
         out.put_u32_le(seq);
         inner.encode_into(out);
