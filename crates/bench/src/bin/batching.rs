@@ -1,16 +1,16 @@
-//! Pipelined batch reads vs. one-frame-per-page, measured.
+//! A gather of plain reads vs. one call per page, measured.
 //!
-//! Drives the pool's batch read API and the pager's stride prefetcher
-//! over an in-memory transport with a fixed per-burst delay (a synthetic
-//! round trip), so the pipelining win is deterministic: a pipelined burst
-//! pays the round trip once plus a small per-frame serialization cost,
-//! while single-page calls pay the round trip every time.
+//! Drives the pool's gather and the pager's stride prefetcher over an
+//! in-memory transport with a fixed per-burst delay (a synthetic round
+//! trip), so the win is deterministic: a burst of reads pays the round
+//! trip once plus a small per-frame serialization cost, while single-page
+//! calls pay the round trip every time.
 //!
 //! Writes the `rmp-batching-bench-v1` JSON document (`BENCH_batching.json`,
 //! or the path in `BENCH_OUT`) for CI to schema-check and archive, and
-//! asserts the claim in-process: batched pagein throughput is at least 2x
-//! the unbatched baseline for every batch size >= 8, and the prefetcher
-//! wins every policy's sequential scan.
+//! asserts the claim in-process: gathered pagein throughput is at least
+//! 2x the one-call-a-page baseline for every burst width >= 8 (`batch` in
+//! the document), and the prefetcher wins every policy's sequential scan.
 //!
 //! `BENCH_PAGES` overrides the workload size; `FRAME_DELAY_US` the
 //! synthetic round trip (default 200 us).
@@ -35,34 +35,37 @@ struct BatchRow {
     pagein_speedup: f64,
 }
 
-/// Pool-level comparison: `pages` single-frame pageins vs. one pipelined
-/// batch read, across batch sizes.
+/// Pool-level comparison: `pages` single-frame pageins vs. the same
+/// reads gathered `batch` to a wave, across burst widths.
 fn bench_pool(pages: usize, round_trip: Duration) -> (f64, Vec<BatchRow>) {
-    let keys: Vec<StoreKey> = (0..pages as u64).map(StoreKey).collect();
-    let preloaded = |batch: usize| {
+    let reads: Vec<(ServerId, StoreKey)> = (0..pages as u64)
+        .map(|key| (ServerId(0), StoreKey(key)))
+        .collect();
+    let preloaded = || {
         let mut pool = delay_pool(1, round_trip, PER_FRAME);
-        pool.set_batch_max_pages(batch);
-        for key in &keys {
-            pool.page_out(ServerId(0), *key, &Page::deterministic(key.0))
+        for &(server, key) in &reads {
+            pool.page_out(server, key, &Page::deterministic(key.0))
                 .expect("page_out");
         }
         pool
     };
 
-    let mut pool = preloaded(1);
+    let mut pool = preloaded();
     let started = Instant::now();
-    for key in &keys {
-        pool.page_in(ServerId(0), *key).expect("page_in");
+    for &(server, key) in &reads {
+        pool.page_in(server, key).expect("page_in");
     }
     let unbatched = pages_per_sec(pages, started.elapsed());
 
     let mut rows = Vec::new();
     for batch in [1usize, 2, 4, 8, 16, 32] {
-        let mut pool = preloaded(batch);
+        let mut pool = preloaded();
         let started = Instant::now();
-        let got = pool.page_in_batch(ServerId(0), &keys).expect("batch in");
+        for chunk in reads.chunks(batch) {
+            let got = pool.page_in_wave(chunk).expect("gather");
+            assert!(got.iter().all(|p| p.is_some()), "every page came back");
+        }
         let pagein_pps = pages_per_sec(pages, started.elapsed());
-        assert!(got.iter().all(|p| p.is_some()), "every page came back");
         rows.push(BatchRow {
             batch,
             pagein_pps,
@@ -81,7 +84,7 @@ struct PolicyRow {
 }
 
 /// End-to-end read path per policy: a sequential pagein scan with the
-/// stride prefetcher (batched read-ahead) vs. `prefetch_window = 0`
+/// stride prefetcher (windowed read-ahead) vs. `prefetch_window = 0`
 /// (one demand fetch per page).
 fn bench_policy(policy: Policy, pages: usize, round_trip: Duration) -> PolicyRow {
     let data_servers = 4usize;
@@ -94,7 +97,6 @@ fn bench_policy(policy: Policy, pages: usize, round_trip: Duration) -> PolicyRow
         let mut pager = Pager::builder(
             PagerConfig::new(policy)
                 .with_servers(data_servers)
-                .with_batch_max_pages(32)
                 .with_prefetch_window(window),
         )
         .pool(pool)
@@ -142,13 +144,13 @@ fn main() {
         .unwrap_or(200);
     let round_trip = Duration::from_micros(delay_us);
     println!(
-        "Pipelined batch reads vs. single frames \
+        "Gathered reads vs. one call a page \
          ({pages} pages, {delay_us} us synthetic round trip)\n"
     );
 
     let (unbatched, rows) = bench_pool(pages, round_trip);
-    println!("-- pool level: one server, one page per frame vs. pipelined batches --");
-    println!("{:<10} {:>14} {:>10}", "batch", "pagein p/s", "speedup");
+    println!("-- pool level: one server, one call per page vs. bursts of plain reads --");
+    println!("{:<10} {:>14} {:>10}", "burst", "pagein p/s", "speedup");
     println!("{:<10} {:>14.0} {:>9.2}x", "single", unbatched, 1.0);
     for r in &rows {
         println!(
@@ -158,7 +160,7 @@ fn main() {
         if r.batch >= 8 {
             assert!(
                 r.pagein_speedup >= 2.0,
-                "batch {} pagein speedup {:.2}x fell below the 2x floor",
+                "burst of {} pagein speedup {:.2}x fell below the 2x floor",
                 r.batch,
                 r.pagein_speedup
             );

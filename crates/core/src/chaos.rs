@@ -21,7 +21,8 @@
 //!   flight; frame checksums are left alone so end-to-end verification
 //!   must catch it.
 //! * [`FaultAction::DuplicateReply`] / [`FaultAction::ReorderBurst`] —
-//!   pipelined-burst pathologies exercising the client's seq matching.
+//!   pipelined-burst pathologies: a read answered with another read's
+//!   reply must be refused by the key it echoes, not mis-delivered.
 //! * [`FaultAction::Crash`] / [`FaultAction::Restart`] — fail-stop: the
 //!   server's memory is wiped and connections refuse until restart.
 //!
@@ -70,7 +71,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmp_blockdev::RamDisk;
-use rmp_proto::{BatchItem, LoadHint, Message, Opcode};
+use rmp_proto::{LoadHint, Message, Opcode};
 use rmp_types::{
     ErrorCode, Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId,
     StoreKey, TransportConfig,
@@ -105,10 +106,10 @@ pub enum FaultAction {
         bit: u8,
     },
     /// Pipelined bursts only: one reply in the burst is replaced by a
-    /// clone of another, exercising the client's duplicate-seq defense.
+    /// clone of another, exercising the client's echoed-key check.
     DuplicateReply,
     /// Pipelined bursts only: the replies come back in reverse order,
-    /// exercising the client's seq matching.
+    /// exercising the client's echoed-key check.
     ReorderBurst,
     /// Fail-stop: wipe the server's memory; until [`FaultAction::Restart`]
     /// (or [`ChaosCluster::heal`]) every call and reconnect is refused.
@@ -563,23 +564,6 @@ impl ChaosServer {
                 }
                 Message::XorAck { id }
             }
-            Message::PageInBatch { seq, ids } => {
-                let items = ids
-                    .iter()
-                    .map(|id| match st.pages.get(&(sid, *id)) {
-                        Some(p) => BatchItem::Page {
-                            checksum: p.checksum(),
-                            page: p.clone(),
-                        },
-                        None => BatchItem::Miss,
-                    })
-                    .collect();
-                Message::BatchReply {
-                    seq,
-                    hint: LoadHint::Ok,
-                    items,
-                }
-            }
             Message::GetStats => Message::StatsReply {
                 json: "{\"schema\":\"rmp-metrics-v1\",\"counters\":{},\"gauges\":{},\
                        \"histograms\":{},\"events\":[]}"
@@ -690,8 +674,8 @@ impl ServerTransport for ChaosTransport {
                 }
                 // Replace the last reply with a clone of the first (or
                 // append when the burst has a single frame): same length,
-                // duplicated identity — the client's seq matching must
-                // refuse it rather than mis-deliver.
+                // duplicated identity — the client's echoed-key check
+                // must refuse it rather than mis-deliver.
                 let dup = replies[0].clone();
                 if replies.len() > 1 {
                     *replies.last_mut().expect("non-empty") = dup;

@@ -63,13 +63,13 @@ impl BasicParity {
     /// later reconstruction of a *sibling* page would turn into garbage
     /// bytes. Whenever a delta/XOR call was retried or failed, the caller
     /// abandons incremental maintenance for this stripe and rebuilds its
-    /// parity from ground truth instead. Costs `S` fetches (one batched
-    /// pass) plus one store — the price of certainty, paid only on
+    /// parity from ground truth instead. Costs `S` fetches (one gather)
+    /// plus one store — the price of certainty, paid only on
     /// ambiguous retries.
     fn resync_parity(&mut self, ctx: &mut Ctx<'_>, parity_key: StoreKey) -> Result<()> {
         // The parity page of stripe `j` is stored under key `j`.
         let members = self.map.stripe_members(parity_key.0, None);
-        let parity = xor_reduce(&ctx.fetch_batch(&members)?);
+        let parity = xor_reduce(&ctx.gather(&members)?);
         ctx.pool
             .page_out(self.map.parity_server(), parity_key, &parity)?;
         ctx.stats.net_parity_transfers += 1;

@@ -369,7 +369,7 @@ impl Ctx<'_> {
     }
 
     /// Demand-reads a unit that holds a whole page, with one plain keyed
-    /// read (no batch frame, no allocation beyond the page). `redundant`
+    /// read (no wave, no allocation beyond the page). `redundant`
     /// says the policy can serve the page some other way, which turns the
     /// dead-holder check on; without redundancy, dialling a holder held
     /// to be dead is the only way the page — and the holder, should it be
@@ -406,12 +406,11 @@ impl Ctx<'_> {
         }
     }
 
-    /// Fetches many remote pages in one round trip: every holder's reads
-    /// leave as one burst — pipelined batch frames for a server named
-    /// several times, a plain keyed read, the cheaper frame, for one
-    /// named once — and all bursts are on the wire before any reply is
-    /// awaited ([`ServerPool::page_in_wave`]). A lone read is one call.
-    /// Results come back in request order.
+    /// Fetches many remote pages in one round trip: one plain keyed read
+    /// each, a holder's reads leaving as one burst and all bursts on the
+    /// wire before any reply is awaited ([`ServerPool::page_in_wave`]).
+    /// No read is no wave, and a lone read is one call. Results come back
+    /// in request order.
     ///
     /// Callers read from placement maps they own, so every key is
     /// expected to exist; a miss is a protocol-level surprise, not a
@@ -422,8 +421,9 @@ impl Ctx<'_> {
     /// As [`ServerPool::page_in`] and [`ServerPool::page_in_wave`];
     /// [`RmpError::Protocol`] when a server no longer holds a requested
     /// key.
-    pub fn fetch_batch(&mut self, reads: &[Unit]) -> Result<Vec<Page>> {
+    pub fn gather(&mut self, reads: &[Unit]) -> Result<Vec<Page>> {
         let pages = match *reads {
+            [] => return Ok(Vec::new()),
             [(server, key)] => match self.pool.page_in(server, key) {
                 Ok(page) => Ok(vec![Some(page)]),
                 Err(RmpError::PageNotFound(_)) => Ok(vec![None]),
@@ -434,28 +434,8 @@ impl Ctx<'_> {
         self.fetched(pages, reads)
     }
 
-    /// As [`Ctx::fetch_batch`], every read a plain keyed read of its own
-    /// ([`ServerPool::page_in_burst`]): for gathers that name a holder
-    /// many times over — a rebuild's chunk — and would otherwise come
-    /// back in a few frames a chunk of pages long. No read is no wave, and
-    /// a lone read is one call.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ctx::fetch_batch`].
-    pub fn gather(&mut self, reads: &[Unit]) -> Result<Vec<Page>> {
-        match reads {
-            [] => Ok(Vec::new()),
-            [_] => self.fetch_batch(reads),
-            _ => {
-                let pages = self.pool.page_in_burst(reads);
-                self.fetched(pages, reads)
-            }
-        }
-    }
-
     /// Collects a gather of `reads` begun with
-    /// [`ServerPool::begin_page_in_wave`], as [`Ctx::fetch_batch`] would.
+    /// [`ServerPool::begin_page_in_wave`], as [`Ctx::gather`] would.
     pub fn finish_fetch(&mut self, wave: Wave, reads: &[Unit]) -> Result<Vec<Page>> {
         let pages = self.pool.finish_page_in_wave(wave, reads);
         self.fetched(pages, reads)

@@ -262,14 +262,14 @@ impl ParityLogging {
         let plan = self.groups.gc_plan(GC_ACTIVE_FRACTION);
         let mut relogged = 0;
         // Skip members superseded since the plan was taken, then fetch
-        // the rest with batched frames, one chunk at a time so client
-        // memory stays bounded. Re-logging one member never invalidates
+        // the rest a chunk at a time, one gather each, so client memory
+        // stays bounded. Re-logging one member never invalidates
         // another's current version, so chunked prefetching is safe.
         let mut relog = plan.relog;
         relog.retain(|member| self.is_current(member));
         for chunk in relog.chunks(ctx.pool.batch_max_pages().max(1)) {
             let reads: Vec<Unit> = chunk.iter().map(|m| (m.server, m.key)).collect();
-            let pages = ctx.fetch_batch(&reads)?;
+            let pages = ctx.gather(&reads)?;
             for (member, page) in chunk.iter().zip(pages) {
                 self.page_out_inner(ctx, member.page_id, &page, &[], false)?;
                 relogged += 1;
@@ -515,7 +515,7 @@ impl ParityLogging {
                 lost.len()
             )));
         }
-        // Fetch the surviving pending contents in one batched pass and
+        // Fetch the surviving pending contents in one gather and
         // reconstruct the lost one (if any) from the buffer's accumulator.
         let reads: Vec<Unit> = survivors.iter().map(|m| (m.server, m.key)).collect();
         let pieces = ctx.fetch_group(&reads, &"the unsealed group")?;
@@ -719,7 +719,7 @@ impl Engine for ParityLogging {
         // A pending (unsealed) page is the client-side accumulator XOR
         // the other pending members; a sealed page solves its group's XOR
         // equation from the other members and the parity page. Either
-        // way the pieces come in one batched fetch, nothing else.
+        // way the pieces come in one gather, nothing else.
         let (mut page, reads) = if self.is_pending(id) {
             let others = self.buffer.members().iter().filter(|m| m.page_id != id);
             let reads: Vec<Unit> = others.map(|m| (m.server, m.key)).collect();
@@ -792,9 +792,9 @@ impl Engine for ParityLogging {
 
     fn migrate_from(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {
         // Re-log every current page living on `server`; old versions drain
-        // as their groups go inactive. Chunked batch fetches off the
-        // loaded server: one pipelined frame per chunk instead of a round
-        // trip per page.
+        // as their groups go inactive. Chunked fetches off the loaded
+        // server: one burst of reads per chunk instead of a round trip
+        // per page.
         let mut moved = 0;
         let pages = self.table.pages_on(server);
         for chunk in pages.chunks(ctx.pool.batch_max_pages().max(1)) {
@@ -808,7 +808,7 @@ impl Engine for ParityLogging {
                 })
                 .collect();
             let reads: Vec<Unit> = work.iter().map(|&(_, unit)| unit).collect();
-            let fetched = ctx.fetch_batch(&reads)?;
+            let fetched = ctx.gather(&reads)?;
             for ((id, _), page) in work.into_iter().zip(fetched) {
                 self.page_out_inner(ctx, id, &page, &[server], false)?;
                 ctx.stats.migrations += 1;

@@ -373,7 +373,7 @@ impl Stripe {
         }
         let chosen = self.survivors(ctx, id, avoid)?;
         let reads: Vec<Unit> = chosen.iter().map(|&i| units[i]).collect();
-        let fetched = ctx.fetch_batch(&reads)?;
+        let fetched = ctx.gather(&reads)?;
         self.decode(ctx, id, &chosen, &fetched)
     }
 
@@ -615,7 +615,7 @@ impl Engine for Stripe {
         let mut moved = 0;
         let leaving = |_: &Ctx<'_>, s: ServerId| s == server;
         let ids = self.table.pages_on(server);
-        // One pipelined frame per chunk fetches every leaving unit off
+        // One burst of reads per chunk fetches every leaving unit off
         // the loaded server (write-through reads its disk instead).
         for chunk in ids.chunks(ctx.pool.batch_max_pages().max(1)) {
             let old: Vec<Unit> = chunk
@@ -626,7 +626,7 @@ impl Engine for Stripe {
             let fetched = if self.disk_leg {
                 chunk.iter().map(|&id| ctx.disk_read(id)).collect()
             } else {
-                ctx.fetch_batch(&old)
+                ctx.gather(&old)
             }?;
             for ((&id, old), frame) in chunk.iter().zip(old).zip(&fetched) {
                 let frames = Frames(frame, Vec::new());

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rmp_cluster::{ClusterView, Condition, Registry};
-use rmp_proto::{BatchItem, LoadHint, Message, MAX_BATCH_PAGES};
+use rmp_proto::{LoadHint, Message};
 use rmp_types::metrics::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
 use rmp_types::{ErrorCode, Page, Result, RmpError, ServerId, StoreKey, TransportConfig};
 
@@ -25,6 +25,12 @@ const HEDGE_MIN_EXPECTED_US: f64 = 500.0;
 /// Frames requested per allocation round-trip; the client consumes the
 /// grant locally so most pageouts need no extra allocation message.
 const ALLOC_CHUNK: u32 = 64;
+
+/// Most pages one chunk of a rebuild, a migration or a log clean-up may
+/// be ([`ServerPool::set_batch_max_pages`]): a chunk's reads of one
+/// holder leave as one burst, and no server grants a window wider than
+/// this by default, so a wider burst would only queue behind itself.
+const MAX_CHUNK_PAGES: usize = 64;
 
 /// Pre-resolved metric handles for the pool's hot call path: registered
 /// once in [`ServerPool::set_metrics`], recorded lock-free thereafter.
@@ -191,8 +197,6 @@ pub struct Wave {
     /// retry budget of the whole wave count from here.
     started: Instant,
     read_deadline: Instant,
-    /// The tag of a gather's first batch frame.
-    first_seq: u32,
 }
 
 impl Wave {
@@ -249,18 +253,6 @@ impl std::borrow::Borrow<Wave> for StoreWave {
     fn borrow(&self) -> &Wave {
         &self.wave
     }
-}
-
-/// The first read of each holder in `reads` and how many reads name it,
-/// in order of first appearance: what a gather sends, and how it is read.
-fn holders(reads: &[(ServerId, StoreKey)]) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let firsts = (0..reads.len()).filter(|&i| !reads[..i].iter().any(|r| r.0 == reads[i].0));
-    firsts.map(|i| (i, reads[i..].iter().filter(|r| r.0 == reads[i].0).count()))
-}
-
-fn keys_on(reads: &[(ServerId, StoreKey)], server: ServerId) -> Vec<StoreKey> {
-    let named = reads.iter().filter(|r| r.0 == server);
-    named.map(|r| r.1).collect()
 }
 
 /// The typed error for a reply of the wrong kind.
@@ -321,12 +313,10 @@ pub struct ServerPool {
     /// [`RmpError::CorruptPage`] without marking the server dead (it
     /// answered — the fault is in the data, not the transport).
     verify_checksums: bool,
-    /// Most pages per batch frame on the pipelined paths; requests larger
-    /// than this are split into multiple frames kept outstanding at once.
+    /// Pages per chunk for whoever works through many pages at a time —
+    /// a rebuild, a migration, the parity log's clean-up: a chunk is one
+    /// gather.
     batch_max_pages: usize,
-    /// Tag for the next batch frame, echoed by its reply so replies can
-    /// be matched even if a transport delivers them out of order.
-    next_batch_seq: u32,
     /// Servers declared dead and not forgiven since, for whoever runs
     /// several pools over one cluster to pass the verdict on (see
     /// [`ServerPool::obituaries`]).
@@ -357,7 +347,6 @@ impl ServerPool {
             jitter_state: 0x2545_F491_4F6C_DD1D,
             verify_checksums: true,
             batch_max_pages: 16,
-            next_batch_seq: 1,
             obituaries: Vec::new(),
             metrics: None,
         }
@@ -388,14 +377,14 @@ impl ServerPool {
         self.verify_checksums = enabled;
     }
 
-    /// Sets the per-frame page cap of the batch paths, clamped to the
-    /// wire protocol's [`MAX_BATCH_PAGES`] (the pager wires this to
+    /// Sets the chunk size of rebuild, migration and log clean-up,
+    /// clamped to 1..=64 pages (the pager wires this to
     /// [`rmp_types::PagerConfig::batch_max_pages`]).
     pub fn set_batch_max_pages(&mut self, pages: usize) {
-        self.batch_max_pages = pages.clamp(1, MAX_BATCH_PAGES);
+        self.batch_max_pages = pages.clamp(1, MAX_CHUNK_PAGES);
     }
 
-    /// The per-frame page cap currently in force on the batch paths.
+    /// The chunk size currently in force.
     pub fn batch_max_pages(&self) -> usize {
         self.batch_max_pages
     }
@@ -777,27 +766,7 @@ impl ServerPool {
         // so each retry inherited a fresh budget and a slow-failing server
         // could hold a caller far past the intended bound.)
         let deadline = Instant::now() + self.transport_cfg.effective_call_budget();
-        self.ladder(id, msg.is_data_op(), None, deadline, |t| t.call(msg))
-    }
-
-    /// [`ServerPool::call`] generalized to a pipelined burst: every frame
-    /// in `msgs` is written before the first reply is read, so the whole
-    /// burst costs one round trip. The retry/Suspect/backoff machinery is
-    /// identical — a transient failure retries the *entire* burst against
-    /// a fresh connection (batch frames are idempotent: stores overwrite,
-    /// reads have no side effects). A burst of one is a call.
-    fn call_many(&mut self, id: ServerId, msgs: &[Message]) -> Result<Vec<Message>> {
-        match msgs {
-            [] => return Ok(Vec::new()),
-            [msg] => return self.call(id, msg).map(|reply| vec![reply]),
-            _ => {}
-        }
-        if let Some(m) = &self.metrics {
-            m.calls.inc();
-        }
-        let deadline = Instant::now() + self.transport_cfg.effective_call_budget();
-        let data_path = msgs.iter().any(Message::is_data_op);
-        self.ladder(id, data_path, None, deadline, |t| t.call_pipelined(msgs))
+        self.ladder(id, msg, None, deadline)
     }
 
     /// The retry ladder every exchange ends in: attempt, and on a
@@ -806,17 +775,16 @@ impl ServerPool {
     /// declared dead. `ran` is the first attempt when the caller already
     /// made it — a leg of a wave that came back failed, with how long it
     /// took: the ladder then starts at what follows a failed attempt, so a
-    /// call and a scattered leg share every rung. `exchange` is the
-    /// attempt itself — one frame or a burst, which is all that differs
-    /// between them — and `data_path` whether it moves page data.
-    fn ladder<R>(
+    /// call and a scattered leg share every rung. An attempt is one
+    /// blocking call of `request`.
+    fn ladder(
         &mut self,
         id: ServerId,
-        data_path: bool,
+        request: &Message,
         mut ran: Option<(RmpError, Duration)>,
         deadline: Instant,
-        mut exchange: impl FnMut(&mut dyn ServerTransport) -> Result<R>,
-    ) -> Result<R> {
+    ) -> Result<Message> {
+        let data_path = request.is_data_op();
         let max_attempts = self.transport_cfg.retry.max_attempts.max(1);
         let mut saw_timeout = false;
         for attempt in 0..max_attempts {
@@ -830,7 +798,7 @@ impl ServerPool {
                         .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?
                         .transport;
                     let start = Instant::now();
-                    let outcome = exchange(transport.as_mut());
+                    let outcome = transport.call(request);
                     let elapsed = start.elapsed();
                     self.record_attempt(id, elapsed);
                     self.publish_window_stats(id);
@@ -995,7 +963,7 @@ impl ServerPool {
         reply.or_else(|failed| {
             let left = (self.transport_cfg.effective_call_budget()).saturating_sub(elapsed);
             let (ran, by) = (Some((failed, elapsed)), Instant::now() + left);
-            self.ladder(id, request.is_data_op(), ran, by, |t| t.call(&request))
+            self.ladder(id, &request, ran, by)
         })
     }
 
@@ -1044,7 +1012,6 @@ impl ServerPool {
             bursts,
             started,
             read_deadline: started + self.transport_cfg.read_timeout,
-            first_seq: 0,
         }
     }
 
@@ -1058,7 +1025,6 @@ impl ServerPool {
             bursts,
             started,
             read_deadline,
-            ..
         } = wave;
         let budget = started + self.transport_cfg.effective_call_budget();
         let mut out: Vec<Result<Message>> = (order.iter())
@@ -1112,7 +1078,7 @@ impl ServerPool {
                 } else {
                     walked |= is_transient(&failed);
                     let ran = Some((failed, elapsed));
-                    self.ladder(id, request.is_data_op(), ran, budget, |t| t.call(request))
+                    self.ladder(id, request, ran, budget)
                 };
             }
             self.publish_window_stats(id);
@@ -1256,7 +1222,7 @@ impl ServerPool {
         };
         if echoed != key {
             return Err(RmpError::Protocol(format!(
-                "{id} answered the read of key {key} with key {echoed}"
+                "{id} answered the read of {key} with {echoed}"
             )));
         }
         Ok(page)
@@ -1373,138 +1339,21 @@ impl ServerPool {
         self.fetched(id, key, reply?)
     }
 
-    /// Hands out the tag for the next batch frame.
-    fn batch_seq(&mut self) -> u32 {
-        let seq = self.next_batch_seq;
-        self.next_batch_seq = self.next_batch_seq.wrapping_add(1);
-        seq
-    }
-
-    /// Decodes the replies to a burst of [`Message::PageInBatch`] frames
-    /// into pages in request order, misses as `None` — the one reader of
-    /// the batch reply frame, behind both the synchronous fetch and the
-    /// gather. `sent` lists each frame's seq with the keys it asked for;
-    /// replies are matched by the echoed seq, so a transport
-    /// delivering them out of order still works. The last reply's load
-    /// hint is applied to the view, and every page is verified against
-    /// the server's checksum.
-    fn decode_batch_replies(
-        &mut self,
-        id: ServerId,
-        mut replies: Vec<Message>,
-        sent: &[(u32, &[StoreKey])],
-    ) -> Result<Vec<Option<Page>>> {
-        // Bursts are a handful of frames: matching by scanning them costs
-        // less than a map would, and allocates nothing.
-        let seq_of = |reply: &Message| match reply {
-            Message::BatchReply { seq, .. } => Some(*seq),
-            _ => None,
-        };
-        let mut last_hint = LoadHint::Ok;
-        for (i, reply) in replies.iter().enumerate() {
-            let Message::BatchReply { seq, hint, .. } = reply else {
-                return Err(unexpected_reply("PageInBatch", reply));
-            };
-            if replies[..i]
-                .iter()
-                .any(|earlier| seq_of(earlier) == Some(*seq))
-            {
-                // A second reply bearing the same seq means the server (or
-                // a buggy transport) duplicated a frame; silently letting
-                // either copy win would hide the divergence, so fail the
-                // call.
-                return Err(RmpError::Protocol(format!(
-                    "duplicate reply for batch seq {seq}"
-                )));
-            }
-            last_hint = *hint;
-        }
-        self.apply_hint(id, last_hint);
-        let mut out = Vec::with_capacity(sent.iter().map(|(_, keys)| keys.len()).sum());
-        for &(seq, keys) in sent {
-            let items = replies
-                .iter()
-                .position(|reply| seq_of(reply) == Some(seq))
-                .and_then(|at| match replies.swap_remove(at) {
-                    Message::BatchReply { items, .. } => Some(items),
-                    _ => None,
-                })
-                .ok_or_else(|| RmpError::Protocol(format!("no reply for batch seq {seq}")))?;
-            if items.len() != keys.len() {
-                return Err(RmpError::Protocol(format!(
-                    "batch seq {seq}: {} items for {} requests",
-                    items.len(),
-                    keys.len()
-                )));
-            }
-            for (item, &key) in items.into_iter().zip(keys) {
-                match item {
-                    BatchItem::Page { checksum, page } => {
-                        self.note_wire_transfer();
-                        if self.verify_checksums && page.checksum() != checksum {
-                            return Err(RmpError::CorruptPage { server: id, key });
-                        }
-                        out.push(Some(page));
-                    }
-                    BatchItem::Miss => out.push(None),
-                    // The same typed errors `call` produces for
-                    // whole-call refusals.
-                    BatchItem::Err(ErrorCode::OutOfMemory) => return Err(RmpError::NoSpace(id)),
-                    BatchItem::Err(ErrorCode::Corrupt) => {
-                        return Err(RmpError::CorruptPage { server: id, key })
-                    }
-                    BatchItem::Err(code) => {
-                        return Err(RmpError::Remote {
-                            code,
-                            message: format!("batch item {key} refused"),
-                        })
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Fetches many pages from `id` in pipelined batch frames — up to
-    /// [`ServerPool::batch_max_pages`] keys per frame, every frame written
-    /// before the first reply is read, so `n` pages cost roughly one
-    /// round trip instead of `n` — verifying each returned page against
-    /// the server's checksum. Missing pages come back as `None`, in
-    /// request order.
+    /// Fetches `reads` off all their holders in one wave: one plain keyed
+    /// read each, a holder's reads leaving as one burst and every burst
+    /// on the wire before any reply is awaited, so the gather costs one
+    /// round trip however many servers it spans and however often it
+    /// names one. A holder named sixteen times answers sixteen page-sized
+    /// frames, a few to a write, each its own reply with its own arrival —
+    /// no buffer on the way grows past a few pages. Pages come back in
+    /// request order, misses as `None`.
     ///
     /// # Errors
     ///
-    /// Transport failures as [`ServerPool::page_in`];
-    /// [`RmpError::CorruptPage`] on the first checksum mismatch, and the
-    /// first item-level refusal surfaces typed.
-    pub fn page_in_batch(&mut self, id: ServerId, keys: &[StoreKey]) -> Result<Vec<Option<Page>>> {
-        let mut frames = Vec::new();
-        let mut sent = Vec::new();
-        for chunk in keys.chunks(self.batch_max_pages) {
-            let seq = self.batch_seq();
-            sent.push((seq, chunk));
-            frames.push(Message::PageInBatch {
-                seq,
-                ids: chunk.to_vec(),
-            });
-        }
-        let replies = self.call_many(id, &frames)?;
-        self.decode_batch_replies(id, replies, &sent)
-    }
-
-    /// Fetches `reads` off all their holders in one wave. Each holder gets
-    /// one burst — a plain keyed read when it is named once, the cheaper
-    /// frame, else the batch frames of [`ServerPool::page_in_batch`] —
-    /// and every burst is on the wire before any reply is awaited, so the
-    /// gather costs one round trip however many servers it spans. Pages
-    /// come back in request order, misses as `None`.
-    ///
-    /// # Errors
-    ///
-    /// The failure of the holder that appears first in `reads`, of those
-    /// that failed (every reply is still read, so transfers that happened
-    /// are counted); kinds as [`ServerPool::page_in`] and
-    /// [`ServerPool::page_in_batch`].
+    /// The failure of the first read in `reads` that failed. Every reply
+    /// is read first — those behind a failed read of the same holder too —
+    /// so each page that crossed the wire is counted. Kinds as
+    /// [`ServerPool::page_in`].
     pub fn page_in_wave(&mut self, reads: &[(ServerId, StoreKey)]) -> Result<Vec<Option<Page>>> {
         let wave = self.begin_page_in_wave(reads);
         self.finish_page_in_wave(wave, reads)
@@ -1513,23 +1362,10 @@ impl ServerPool {
     /// The first half of [`ServerPool::page_in_wave`]: every burst is on
     /// the wire when this returns.
     pub fn begin_page_in_wave(&mut self, reads: &[(ServerId, StoreKey)]) -> Wave {
-        let first_seq = self.next_batch_seq;
-        let mut legs = Vec::with_capacity(reads.len());
-        for (first, named) in holders(reads) {
-            let (server, key) = reads[first];
-            if named == 1 {
-                legs.push((server, Message::PageIn { id: key }));
-                continue;
-            }
-            for chunk in keys_on(reads, server).chunks(self.batch_max_pages) {
-                let (seq, ids) = (self.batch_seq(), chunk.to_vec());
-                legs.push((server, Message::PageInBatch { seq, ids }));
-            }
-        }
-        Wave {
-            first_seq,
-            ..self.begin_scatter(legs)
-        }
+        let legs = (reads.iter())
+            .map(|&(server, key)| (server, Message::PageIn { id: key }))
+            .collect();
+        self.begin_scatter(legs)
     }
 
     /// The second half of [`ServerPool::page_in_wave`], given the `reads`
@@ -1539,64 +1375,9 @@ impl ServerPool {
         wave: Wave,
         reads: &[(ServerId, StoreKey)],
     ) -> Result<Vec<Option<Page>>> {
-        let mut seq = wave.first_seq;
-        let mut replies = self.finish_scatter(wave).into_iter();
-        let mut out: Vec<Option<Page>> = vec![None; reads.len()];
-        let mut failed = None;
-        for (first, named) in holders(reads) {
-            let (server, key) = reads[first];
-            let mut read_holder = || -> Result<()> {
-                if named == 1 {
-                    let reply = replies.next().expect("scatter answers every leg")?;
-                    out[first] = self.fetched(server, key, reply)?;
-                    return Ok(());
-                }
-                let keys = keys_on(reads, server);
-                let sent: Vec<(u32, &[StoreKey])> = (keys.chunks(self.batch_max_pages))
-                    .map(|chunk| {
-                        seq = seq.wrapping_add(1);
-                        (seq.wrapping_sub(1), chunk)
-                    })
-                    .collect();
-                // Take the burst whole before looking into it: a failed
-                // frame must not leave its successors for the next holder.
-                let burst: Vec<Result<Message>> = replies.by_ref().take(sent.len()).collect();
-                let burst = burst.into_iter().collect::<Result<Vec<_>>>()?;
-                let pages = self.decode_batch_replies(server, burst, &sent)?;
-                let slots = (first..reads.len()).filter(|&i| reads[i].0 == server);
-                slots.zip(pages).for_each(|(slot, page)| out[slot] = page);
-                Ok(())
-            };
-            if let Err(e) = read_holder() {
-                failed.get_or_insert(e);
-            }
-        }
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Fetches `reads` off all their holders in one wave of plain keyed
-    /// reads: a holder named sixteen times answers sixteen page-sized
-    /// frames, a few to a write, where [`ServerPool::page_in_wave`] has it
-    /// answer one frame sixteen pages long — which every buffer on its
-    /// way, the server's and the client's, then grows to hold and keeps.
-    /// The rebuild's gather, the widest there is, comes this way. Pages
-    /// come back in request order, misses as `None`.
-    ///
-    /// # Errors
-    ///
-    /// The failure of the first read that failed (every reply is still
-    /// read, so transfers that happened are counted); kinds as
-    /// [`ServerPool::page_in`].
-    pub fn page_in_burst(&mut self, reads: &[(ServerId, StoreKey)]) -> Result<Vec<Option<Page>>> {
-        let legs = (reads.iter())
-            .map(|&(server, key)| (server, Message::PageIn { id: key }))
-            .collect();
         let mut pages = Vec::with_capacity(reads.len());
         let mut failed = None;
-        for (&(server, key), reply) in reads.iter().zip(self.scatter(legs)) {
+        for (&(server, key), reply) in reads.iter().zip(self.finish_scatter(wave)) {
             let page = reply.and_then(|reply| self.fetched(server, key, reply));
             pages.push(page.unwrap_or_else(|e| {
                 failed.get_or_insert(e);

@@ -563,11 +563,10 @@ impl PendingReplies {
     ///
     /// # Errors
     ///
-    /// The first failed slot fails the whole batch (the pool retries
-    /// whole batches): a reply outstanding past the read deadline returns
-    /// a `TimedOut` I/O error, a dead connection the error that killed
-    /// it, and a protocol `Error` reply [`RmpError::Remote`]. Remaining
-    /// outstanding seqs are abandoned.
+    /// The first failed slot fails the whole batch: a reply outstanding
+    /// past the read deadline returns a `TimedOut` I/O error, a dead
+    /// connection the error that killed it, and a protocol `Error` reply
+    /// [`RmpError::Remote`]. Remaining outstanding seqs are abandoned.
     pub fn wait_all(mut self) -> Result<Vec<Message>> {
         let deadline = Instant::now() + self.read_timeout;
         let mut replies = Vec::with_capacity(self.slots.len() - self.taken);

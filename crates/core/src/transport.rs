@@ -30,9 +30,10 @@ pub trait ServerTransport: Send {
 
     /// Sends every message in `msgs` before reading any reply, keeping
     /// all frames outstanding on the connection at once, then returns the
-    /// replies in request order. This is the pipelined path batch I/O
-    /// rides on: `n` frames cost one round trip plus `n - 1` serialized
-    /// sends instead of `n` full round trips.
+    /// replies in request order: `n` frames cost one round trip plus
+    /// `n - 1` serialized sends instead of `n` full round trips. The pool
+    /// calls [`ServerTransport::submit`] only; this is what a transport
+    /// without a request window answers it with.
     ///
     /// The default degrades to a serial request/response loop so fakes
     /// and single-frame transports stay correct without changes.
@@ -41,7 +42,7 @@ pub trait ServerTransport: Send {
     ///
     /// Fails on the first transport failure; a protocol `Error` reply to
     /// any frame surfaces as [`rmp_types::RmpError::Remote`] (replies to
-    /// earlier frames are discarded — the pool retries whole batches).
+    /// earlier frames are discarded).
     fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
         msgs.iter().map(|m| self.call(m)).collect()
     }

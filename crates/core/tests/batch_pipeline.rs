@@ -1,38 +1,37 @@
-//! Batched/pipelined transport behavior against in-memory fakes.
+//! Gather and read-ahead behavior against in-memory fakes.
 //!
-//! Covers the contract the TCP tests cannot stage deterministically:
-//! batch replies arriving out of order are re-matched by sequence
-//! number, a single bad page inside a batch surfaces as the same typed
-//! error the single-page path produces, batching actually collapses
-//! frame counts, and the stride prefetcher serves sequential workloads
-//! from its cache (and drops entries the moment they could go stale).
+//! Covers the contract the TCP tests cannot stage deterministically: a
+//! gather that names one holder many times returns misses in their
+//! places, a single bad page in it surfaces as the same typed error the
+//! single-page path produces while the other pages are still counted, a
+//! gather is one submission however many frames it has, a burst answered
+//! out of order by something that runs no window is refused by the keys
+//! the replies echo, and the stride prefetcher serves sequential
+//! workloads from its cache (and drops entries the moment they could go
+//! stale). On a windowed connection replies out of order or late are
+//! matched by window seq, which `windowed_transport.rs` covers.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use rmp_blockdev::PagingDevice;
 use rmp_core::transport::ServerTransport;
 use rmp_core::{ChaosServer, Pager, ServerPool};
-use rmp_proto::{BatchItem, Message};
+use rmp_proto::Message;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey};
 
 /// What the fake does to the traffic of the faithful server behind it,
 /// and what it counted.
 #[derive(Default)]
 struct BatchScript {
-    /// When set, batch pagein items for this key carry a checksum over
+    /// When set, the reply to a read of this key carries a checksum over
     /// different bytes than the page — wire corruption.
     flip_key: Option<StoreKey>,
-    /// When set, the batch pagein item for this key is a typed refusal.
-    refuse_key: Option<(StoreKey, rmp_types::ErrorCode)>,
-    /// Frames handled (each batch frame counts once).
+    /// Frames handled.
     frames: u64,
-    /// `call_pipelined` invocations.
+    /// `call_pipelined` invocations: bursts submitted.
     pipelined: u64,
-    /// Answer pipelined bursts in reverse frame order.
+    /// Answer bursts in reverse frame order.
     reverse_replies: bool,
-    /// Misbehave: replace the burst's last reply with a copy of the
-    /// first, so two replies carry the same seq (and one seq is missing).
-    duplicate_seq: bool,
 }
 
 #[derive(Clone, Default)]
@@ -66,19 +65,9 @@ impl ServerTransport for BatchTransport {
         let mut script = self.0.script();
         script.frames += 1;
         let mut reply = self.0.server.serve(0, msg);
-        if let (Message::PageInBatch { ids, .. }, Message::BatchReply { items, .. }) =
-            (msg, &mut reply)
-        {
-            for (id, item) in ids.iter().zip(items) {
-                let BatchItem::Page { checksum, .. } = item else {
-                    continue;
-                };
-                if script.flip_key == Some(*id) {
-                    *checksum ^= 1;
-                }
-                if let Some((_, code)) = script.refuse_key.filter(|(key, _)| key == id) {
-                    *item = BatchItem::Err(code);
-                }
+        if let Message::PageInReply { id, checksum, .. } = &mut reply {
+            if script.flip_key == Some(*id) {
+                *checksum ^= 1;
             }
         }
         Ok(reply)
@@ -87,14 +76,8 @@ impl ServerTransport for BatchTransport {
     fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
         self.0.script().pipelined += 1;
         let mut replies: Vec<Message> = msgs.iter().map(|m| self.call(m)).collect::<Result<_>>()?;
-        let script = self.0.script();
-        if script.reverse_replies {
+        if self.0.script().reverse_replies {
             replies.reverse();
-        }
-        if script.duplicate_seq && replies.len() >= 2 {
-            let first = replies[0].clone();
-            let last = replies.len() - 1;
-            replies[last] = first;
         }
         Ok(replies)
     }
@@ -127,82 +110,52 @@ fn preload(pool: &mut ServerPool, n: u64) {
     }
 }
 
+/// Reads of `keys`, all off server 0.
+fn reads_of(keys: impl IntoIterator<Item = u64>) -> Vec<(ServerId, StoreKey)> {
+    (keys.into_iter())
+        .map(|key| (ServerId(0), StoreKey(key)))
+        .collect()
+}
+
 #[test]
 fn batch_round_trip_and_misses() {
     let (fakes, mut pool) = batch_pool(1);
     preload(&mut pool, 6);
     assert_eq!(fakes[0].stored(), 6);
-    let keys = [StoreKey(0), StoreKey(99), StoreKey(5)];
-    let got = pool.page_in_batch(ServerId(0), &keys).expect("batch in");
+    let got = pool.page_in_wave(&reads_of([0, 99, 5])).expect("gather");
     assert_eq!(got[0], Some(Page::deterministic(0)));
     assert_eq!(got[1], None, "unknown key is a miss, not an error");
     assert_eq!(got[2], Some(Page::deterministic(5)));
 }
 
 #[test]
-fn out_of_order_batch_replies_are_rematched_by_seq() {
+fn out_of_order_replies_without_a_window_are_refused_by_key() {
+    // A transport that is no windowed connection has only order to match
+    // replies by. A plain reply names its key, so a burst answered out of
+    // order is a protocol error, not pages handed to the wrong reads.
     let (fakes, mut pool) = batch_pool(1);
-    pool.set_batch_max_pages(4);
-    preload(&mut pool, 10);
+    preload(&mut pool, 4);
     fakes[0].script().reverse_replies = true;
-    // 10 pages over a 4-page frame cap: three frames, and the fake
-    // answers the pipelined burst in reverse order.
-    let keys: Vec<StoreKey> = (0..10).map(StoreKey).collect();
-    let got = pool.page_in_batch(ServerId(0), &keys).expect("batch in");
-    for (i, page) in got.into_iter().enumerate() {
-        assert_eq!(
-            page,
-            Some(Page::deterministic(i as u64)),
-            "page {i} matched to the right reply despite reordering"
-        );
-    }
-    assert!(
-        fakes[0].pipelined() >= 1,
-        "multi-frame batches went down the pipelined path"
-    );
-}
-
-#[test]
-fn duplicate_batch_seq_is_a_protocol_error() {
-    // A server echoing the same seq twice is lying about which request
-    // it answered; the earlier reply must not be silently overwritten.
-    let (fakes, mut pool) = batch_pool(1);
-    pool.set_batch_max_pages(4);
-    preload(&mut pool, 10);
-    fakes[0].script().duplicate_seq = true;
-    let keys: Vec<StoreKey> = (0..10).map(StoreKey).collect();
     let err = pool
-        .page_in_batch(ServerId(0), &keys)
-        .expect_err("duplicated reply seq must fail the read");
+        .page_in_wave(&reads_of(0..4))
+        .expect_err("reordered burst");
     assert!(
-        matches!(&err, RmpError::Protocol(m) if m.contains("duplicate")),
+        matches!(&err, RmpError::Protocol(m) if m.contains("read of key0 with key3")),
         "got {err:?}"
     );
 }
 
 #[test]
 fn one_bad_page_fails_the_batch_with_a_typed_error() {
-    // A refused item maps to the same typed error the single-page path
-    // produces for a whole-call refusal.
-    let (fakes, mut pool) = batch_pool(1);
-    preload(&mut pool, 4);
-    fakes[0].script().refuse_key = Some((StoreKey(1), rmp_types::ErrorCode::OutOfMemory));
-    let keys: Vec<StoreKey> = (0..4).map(StoreKey).collect();
-    let err = pool
-        .page_in_batch(ServerId(0), &keys)
-        .expect_err("refused item");
-    assert!(matches!(err, RmpError::NoSpace(ServerId(0))), "got {err:?}");
-
-    // Wire corruption of a single item maps to CorruptPage against that
+    // Wire corruption of a single page maps to CorruptPage against that
     // key, exactly like the single-page frame verification.
     let (fakes, mut pool) = batch_pool(1);
     pool.set_verify_checksums(true);
     preload(&mut pool, 4);
     fakes[0].script().flip_key = Some(StoreKey(2));
-    let keys: Vec<StoreKey> = (0..4).map(StoreKey).collect();
     let err = pool
-        .page_in_batch(ServerId(0), &keys)
-        .expect_err("corrupt item");
+        .page_in_wave(&reads_of(0..4))
+        .expect_err("corrupt page");
     assert!(
         matches!(
             err,
@@ -213,6 +166,9 @@ fn one_bad_page_fails_the_batch_with_a_typed_error() {
         ),
         "got {err:?}"
     );
+    // The read behind the bad one was still collected: every page that
+    // crossed the wire is counted, the bad one included.
+    assert_eq!(pool.wire_transfers(), 4 + 4);
 }
 
 #[test]
@@ -229,16 +185,14 @@ fn batching_collapses_frame_counts() {
         "one frame per single-page call"
     );
 
-    let (batched, mut pool) = batch_pool(1);
-    pool.set_batch_max_pages(8);
+    let (gathered, mut pool) = batch_pool(1);
     preload(&mut pool, 16);
-    let stored = batched[0].frames();
-    let keys: Vec<StoreKey> = (0..16).map(StoreKey).collect();
-    pool.page_in_batch(ServerId(0), &keys).expect("batch in");
+    let stored = gathered[0].frames();
+    pool.page_in_wave(&reads_of(0..16)).expect("gather");
     assert_eq!(
-        batched[0].frames() - stored,
-        2,
-        "16 pages at 8 per frame need exactly two frames"
+        (gathered[0].frames() - stored, gathered[0].pipelined()),
+        (16, 1),
+        "16 reads of one holder are one submission of 16 frames"
     );
     // Wire-transfer accounting counts *pages*, not frames, so the two
     // paths agree on how much data moved.
@@ -291,7 +245,7 @@ fn prefetched_pages_are_invalidated_by_writes_and_frees() {
             .expect("pageout");
     }
     // Scan, overwriting each page two ahead of the read cursor: whether
-    // its old copy sits in the cache or in a batch that is still out, the
+    // its old copy sits in the cache or in a read-ahead that is still out, the
     // read must return the new contents, never the stale prefetched copy.
     for i in 0..20u64 {
         let expected = if i < 2 { i } else { 1000 + i };
@@ -358,6 +312,6 @@ fn disabled_prefetch_window_never_prefetches() {
     assert_eq!(
         fakes.iter().map(|f| f.frames()).sum::<u64>(),
         40 + 2,
-        "no batch frames without a prefetcher: one frame per operation, and the two allocations"
+        "no read-ahead frames without a prefetcher: one frame per operation, and the two allocations"
     );
 }

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::transport::ServerTransport;
 use rmp_core::{ChaosServer, Pager, PagerBuilder, ServerPool};
-use rmp_proto::{BatchItem, LoadHint, Message};
+use rmp_proto::{LoadHint, Message};
 use rmp_types::{
     ErrorCode, Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey,
 };
@@ -132,20 +132,10 @@ impl ServerTransport for FakeTransport {
             (Fault::Amnesia, Message::PageInReply { id, .. }) => {
                 reply = Message::PageInMiss { id: *id };
             }
-            (Fault::Amnesia, Message::BatchReply { items, .. }) => {
-                items.iter_mut().for_each(|item| *item = BatchItem::Miss);
-            }
             (
                 Fault::BitFlipStore | Fault::BitFlipWire,
                 Message::PageInReply { checksum, page, .. },
             ) => *checksum = flip(fault, page, *checksum),
-            (Fault::BitFlipStore | Fault::BitFlipWire, Message::BatchReply { items, .. }) => {
-                for item in items {
-                    if let BatchItem::Page { checksum, page } = item {
-                        *checksum = flip(fault, page, *checksum);
-                    }
-                }
-            }
             _ => {}
         }
         Ok(reply)

@@ -457,6 +457,70 @@ fn mirroring_gathers_a_chunk_of_lost_pages_at_once() {
 }
 
 #[test]
+fn a_stripe_migration_gathers_a_chunk_of_leaving_units_at_once() {
+    let config = PagerConfig::new(Policy::NoReliability).with_batch_max_pages(4);
+    let (wire, servers, mut pager) = wave_pager(config, 3);
+    for i in 0..18u64 {
+        let (done, _) = in_waves(&wire, &[], || {
+            pager.page_out(PageId(i), &Page::deterministic(i))
+        });
+        done.expect("a lone copy is one call");
+    }
+    assert_eq!(servers[0].stored_pages(), 6);
+    wire.calls();
+    // Six pages leave server 0 in chunks of four: one gather a chunk,
+    // every read a plain frame; each page then finds its new holder by
+    // the walk and frees its old unit, calls of their own.
+    let (moved, waves) = in_waves(&wire, &[4, 2], || pager.migrate_from(ServerId(0)));
+    assert_eq!(moved.expect("migration"), 6);
+    assert_eq!(shape(&waves[0]), (vec![0], vec![Opcode::PageIn; 4]));
+    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageIn; 2]));
+    let calls = wire.calls();
+    assert!(calls.iter().all(|c| c.1 != Opcode::PageIn), "{calls:?}");
+    assert_eq!(servers[0].stored_pages(), 0);
+    reads_back(&wire, &mut pager, 18);
+}
+
+#[test]
+fn the_parity_log_clean_up_gathers_a_chunk_of_survivors_at_once() {
+    let config = PagerConfig::new(Policy::ParityLogging)
+        .with_servers(3)
+        .with_batch_max_pages(4);
+    let (wire, _servers, mut pager) = wave_pager(config, 4);
+    // Seven groups of one page that stays and two that the next group
+    // rewrites: when the seventh seals, the first six are a third active.
+    for group in 0..7u64 {
+        for (at, id) in [group, 100, 101].into_iter().enumerate() {
+            let widths: &[usize] = if at == 2 { &[2] } else { &[] };
+            let (done, _) = in_waves(&wire, widths, || {
+                pager.page_out(PageId(id), &Page::deterministic(id + group))
+            });
+            done.expect("pageout");
+        }
+    }
+    wire.calls();
+    // Server 0 is out of memory: the clean-up re-logs the six survivors,
+    // all on server 0, in chunks of four. A chunk is one gather, every
+    // read a plain frame; a re-log stores by calls and seals by a wave
+    // of the parity page and the frees of the three groups it emptied.
+    // Fresh load reports follow, and the store is offered again.
+    wire.state().refuse_store.push(ServerId(0));
+    let (done, waves) = in_waves(&wire, &[4, 13, 2, 13, 4], || {
+        pager.page_out(PageId(200), &Page::deterministic(200))
+    });
+    done.expect("the clean-up made room");
+    assert_eq!(pager.stats().gc_passes, 1);
+    assert_eq!(shape(&waves[0]), (vec![0], vec![Opcode::PageIn; 4]));
+    assert_eq!(shape(&waves[2]), (vec![0], vec![Opcode::PageIn; 2]));
+    let calls = wire.calls();
+    assert!(calls.iter().all(|c| c.1 == Opcode::PageOut), "{calls:?}");
+    for group in 0..6u64 {
+        let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(group)));
+        assert_eq!(read.expect("read"), Page::deterministic(2 * group));
+    }
+}
+
+#[test]
 fn a_refused_leg_is_replaced_alone() {
     // Six servers for a five-unit stripe: one spare.
     let (wire, servers, mut pager) = wave_pager(ec_config(), 6);

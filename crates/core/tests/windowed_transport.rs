@@ -274,10 +274,10 @@ fn a_window_of_one_is_a_window_not_another_transport() {
     let fetched =
         (pool.finish_page_in_unretried(ahead)).expect("a window of one is still a window");
     assert_eq!(fetched, Some(Page::deterministic(3)));
-    // Four two-page frames in one burst stall on the window, which they
-    // would not on any granted window of four or more.
-    pool.set_batch_max_pages(2);
-    let fetched = pool.page_in_batch(ServerId(0), &keys).expect("batch in");
+    // Eight reads in one burst stall on the window, which they would not
+    // on any granted window of eight or more.
+    let reads: Vec<(ServerId, StoreKey)> = keys.iter().map(|&key| (ServerId(0), key)).collect();
+    let fetched = pool.page_in_wave(&reads).expect("gather");
     for (key, page) in keys.iter().zip(fetched) {
         assert_eq!(page, Some(Page::deterministic(key.0)));
     }
@@ -613,7 +613,7 @@ impl ServerTransport for ScriptedWindow {
 
 #[test]
 fn window_stall_counter_survives_midcall_reconnect() {
-    // Regression: `call_many`'s retry path rebuilds the transport via
+    // Regression: the ladder's retry path rebuilds the transport via
     // reconnect(), restarting its cumulative WindowStats at zero, but the
     // pool kept the old per-server stall baseline — so every stall the
     // fresh connection accumulated below the old total was silently

@@ -25,6 +25,6 @@ pub mod message;
 pub mod transport;
 pub mod wire;
 
-pub use message::{BatchItem, LoadHint, Message, MAX_STATS_JSON};
+pub use message::{LoadHint, Message, MAX_STATS_JSON};
 pub use transport::{FrameAccumulator, Framed};
-pub use wire::{FrameHeader, Opcode, MAGIC, MAX_BATCH_PAGES, MAX_PAYLOAD, VERSION};
+pub use wire::{FrameHeader, Opcode, MAGIC, MAX_PAYLOAD, VERSION};

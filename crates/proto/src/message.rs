@@ -3,7 +3,7 @@
 use bytes::{Buf, BufMut, Bytes};
 use rmp_types::{ErrorCode, Page, Result, RmpError, StoreKey, PAGE_SIZE};
 
-use crate::wire::{FrameHeader, Opcode, HEADER_LEN, MAX_BATCH_PAGES};
+use crate::wire::{FrameHeader, Opcode, HEADER_LEN};
 
 /// Server load condition piggy-backed on acknowledgements.
 ///
@@ -38,39 +38,6 @@ impl LoadHint {
             2 => LoadHint::StopSending,
             other => return Err(RmpError::Protocol(format!("bad load hint {other}"))),
         })
-    }
-}
-
-/// Per-item outcome inside a [`Message::BatchReply`].
-///
-/// A batch frame succeeds or fails as a unit at the transport layer, but
-/// each page inside it has its own result: a batched read can hit pages
-/// the server never held. Item-level outcomes ride here instead of
-/// aborting the frame.
-#[derive(Clone, PartialEq, Debug)]
-pub enum BatchItem {
-    /// The read for this slot found the page.
-    Page {
-        /// FNV checksum of `page` over the stored bytes.
-        checksum: u64,
-        /// Page contents.
-        page: Page,
-    },
-    /// The read for this slot found nothing.
-    Miss,
-    /// The operation for this slot failed with a typed reason.
-    Err(ErrorCode),
-}
-
-impl BatchItem {
-    /// Wire tag of the outcome; 0 is reserved (it was the write
-    /// acknowledgement) and rejected on decode.
-    fn tag(&self) -> u8 {
-        match self {
-            BatchItem::Page { .. } => 1,
-            BatchItem::Miss => 2,
-            BatchItem::Err(_) => 3,
-        }
     }
 }
 
@@ -221,25 +188,6 @@ pub enum Message {
         /// The JSON snapshot text.
         json: String,
     },
-    /// Fetch up to [`MAX_BATCH_PAGES`] pages in one frame; the server
-    /// answers with one [`Message::BatchReply`] echoing `seq`.
-    PageInBatch {
-        /// Client-chosen tag echoed by the reply, so a client keeping
-        /// several batch frames outstanding on one connection can match
-        /// replies arriving out of order.
-        seq: u32,
-        /// Page identifiers to fetch.
-        ids: Vec<StoreKey>,
-    },
-    /// Per-item results for a batch request, in request order.
-    BatchReply {
-        /// Tag echoed from the request.
-        seq: u32,
-        /// Current load condition (the advisory channel).
-        hint: LoadHint,
-        /// One outcome per requested item, in order.
-        items: Vec<BatchItem>,
-    },
     /// Opens a windowed session: the client advertises how many
     /// seq-tagged frames it wants outstanding at once. Sent first on a
     /// fresh connection, before any [`Message::Windowed`] traffic.
@@ -297,8 +245,6 @@ impl Message {
             Message::XorAck { .. } => Opcode::XorAck,
             Message::GetStats => Opcode::GetStats,
             Message::StatsReply { .. } => Opcode::StatsReply,
-            Message::PageInBatch { .. } => Opcode::PageInBatch,
-            Message::BatchReply { .. } => Opcode::BatchReply,
             Message::Hello { .. } => Opcode::Hello,
             Message::HelloReply { .. } => Opcode::HelloReply,
             Message::Windowed { .. } => Opcode::Windowed,
@@ -306,7 +252,7 @@ impl Message {
     }
 
     /// Whether this request moves page data (pageouts, pageins, frees,
-    /// parity updates, batches) as opposed to control chatter (load
+    /// parity updates) as opposed to control chatter (load
     /// probes, allocations, stats, listings).
     ///
     /// The pool's failure detector only lets a Suspect server earn trust
@@ -324,15 +270,13 @@ impl Message {
                 | Message::Free { .. }
                 | Message::PageOutDelta { .. }
                 | Message::XorInto { .. }
-                | Message::PageInBatch { .. }
         )
     }
 
-    /// Flips one bit of the first page payload this message carries
-    /// (reply corruption hook for fault injection): the page of a
-    /// [`Message::PageInReply`], the delta of a
-    /// [`Message::PageOutDeltaReply`], or the first page item inside a
-    /// [`Message::BatchReply`]. The frame checksum fields are left
+    /// Flips one bit of the page payload this message carries (reply
+    /// corruption hook for fault injection): the page of a
+    /// [`Message::PageInReply`] or the delta of a
+    /// [`Message::PageOutDeltaReply`]. The frame checksum fields are left
     /// untouched, so the receiver's end-to-end verification sees exactly
     /// what on-wire corruption looks like. Returns `false` when the
     /// message carries no page payload.
@@ -350,15 +294,6 @@ impl Message {
             Message::PageOutDeltaReply { delta, .. } => {
                 flip(delta);
                 true
-            }
-            Message::BatchReply { items, .. } => {
-                for item in items.iter_mut() {
-                    if let BatchItem::Page { page, .. } = item {
-                        flip(page);
-                        return true;
-                    }
-                }
-                false
             }
             Message::Windowed { inner, .. } => inner.flip_payload_bit(byte, bit),
             _ => false,
@@ -382,13 +317,10 @@ impl Message {
                 | Message::PageOutDelta { .. }
                 | Message::PageOutDeltaReply { .. }
                 | Message::XorInto { .. } => 17 + PAGE_SIZE,
-                Message::ListPagesReply { ids, .. } | Message::PageInBatch { ids, .. } => {
-                    6 + ids.len() * 8
-                }
+                Message::ListPagesReply { ids, .. } => 5 + ids.len() * 8,
                 Message::Error { message: text, .. } | Message::StatsReply { json: text } => {
                     5 + text.len()
                 }
-                Message::BatchReply { items, .. } => 7 + items.len() * (9 + PAGE_SIZE),
                 Message::Windowed { inner, .. } => 4 + inner.frame_len_hint(),
                 _ => 24,
             }
@@ -477,29 +409,6 @@ impl Message {
                 out.put_u32_le(bytes.len() as u32);
                 out.put_slice(bytes);
             }
-            Message::PageInBatch { seq, ids } => {
-                out.put_u32_le(*seq);
-                out.put_u16_le(ids.len() as u16);
-                for id in ids {
-                    out.put_u64_le(id.0);
-                }
-            }
-            Message::BatchReply { seq, hint, items } => {
-                out.put_u32_le(*seq);
-                out.put_u8(hint.to_u8());
-                out.put_u16_le(items.len() as u16);
-                for item in items {
-                    out.put_u8(item.tag());
-                    match item {
-                        BatchItem::Miss => {}
-                        BatchItem::Page { checksum, page } => {
-                            out.put_u64_le(*checksum);
-                            out.put_slice(page.as_ref());
-                        }
-                        BatchItem::Err(code) => out.put_u8(code.to_u8()),
-                    }
-                }
-            }
             Message::Hello { window } | Message::HelloReply { window } => {
                 out.put_u32_le(*window);
             }
@@ -553,15 +462,6 @@ impl Message {
                 .map_err(|_| RmpError::Protocol(format!("{what} not UTF-8")))?;
             buf.advance(len);
             Ok(text)
-        }
-        fn batch_count(raw: u16) -> Result<usize> {
-            let count = raw as usize;
-            if count > MAX_BATCH_PAGES {
-                return Err(RmpError::Protocol(format!(
-                    "batch of {count} pages exceeds maximum {MAX_BATCH_PAGES}"
-                )));
-            }
-            Ok(count)
         }
         let mut buf = payload;
         let msg = match opcode {
@@ -706,46 +606,6 @@ impl Message {
                 let len = buf.get_u32_le() as usize;
                 let json = get_text(&mut buf, len, "stats json")?;
                 Message::StatsReply { json }
-            }
-            Opcode::PageInBatch => {
-                need(buf, 6, "PageInBatch")?;
-                let seq = buf.get_u32_le();
-                let count = batch_count(buf.get_u16_le())?;
-                need(buf, count * 8, "PageInBatch ids")?;
-                let mut ids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ids.push(StoreKey(buf.get_u64_le()));
-                }
-                Message::PageInBatch { seq, ids }
-            }
-            Opcode::BatchReply => {
-                need(buf, 7, "BatchReply")?;
-                let seq = buf.get_u32_le();
-                let hint = LoadHint::from_u8(buf.get_u8())?;
-                let count = batch_count(buf.get_u16_le())?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    need(buf, 1, "BatchReply item")?;
-                    items.push(match buf.get_u8() {
-                        1 => {
-                            need(buf, 8, "BatchReply page item")?;
-                            let checksum = buf.get_u64_le();
-                            BatchItem::Page {
-                                checksum,
-                                page: get_page(&mut buf)?,
-                            }
-                        }
-                        2 => BatchItem::Miss,
-                        3 => {
-                            need(buf, 1, "BatchReply error item")?;
-                            BatchItem::Err(ErrorCode::from_u8(buf.get_u8()))
-                        }
-                        other => {
-                            return Err(RmpError::Protocol(format!("bad batch item tag {other}")))
-                        }
-                    });
-                }
-                Message::BatchReply { seq, hint, items }
             }
             Opcode::Hello => {
                 need(buf, 4, "Hello")?;
@@ -919,27 +779,6 @@ mod tests {
         round_trip(Message::StatsReply {
             json: String::new(),
         });
-        round_trip(Message::PageInBatch {
-            seq: 99,
-            ids: vec![StoreKey(4), StoreKey(5), StoreKey(6)],
-        });
-        round_trip(Message::BatchReply {
-            seq: 7,
-            hint: LoadHint::Pressure,
-            items: vec![
-                BatchItem::Page {
-                    checksum: Page::deterministic(3).checksum(),
-                    page: Page::deterministic(3),
-                },
-                BatchItem::Miss,
-                BatchItem::Err(ErrorCode::OutOfMemory),
-            ],
-        });
-        round_trip(Message::BatchReply {
-            seq: u32::MAX,
-            hint: LoadHint::Ok,
-            items: Vec::new(),
-        });
         round_trip(Message::Hello { window: 32 });
         round_trip(Message::HelloReply { window: 16 });
         round_trip(Message::Windowed {
@@ -956,28 +795,28 @@ mod tests {
     }
 
     #[test]
-    fn windowed_full_batch_fits_one_frame() {
-        use crate::wire::{MAX_BATCH_PAGES, MAX_PAYLOAD};
-        // The envelope must be able to carry the largest inner frame (a
-        // full batch reply) without tripping the payload cap.
-        let msg = Message::Windowed {
-            seq: 3,
-            inner: Box::new(Message::BatchReply {
-                seq: 3,
-                hint: LoadHint::Ok,
-                items: (0..MAX_BATCH_PAGES as u64)
-                    .map(|i| BatchItem::Page {
-                        checksum: Page::deterministic(i).checksum(),
-                        page: Page::deterministic(i),
-                    })
-                    .collect(),
-            }),
+    fn windowed_page_frames_fit_one_frame() {
+        // The largest data frames left: the delta reply, and a page with
+        // its key and checksum, which is the largest. Both pass the
+        // header's payload check inside an envelope.
+        let (page, seq) = (Page::deterministic(3), u32::MAX);
+        let delta = Message::PageOutDeltaReply {
+            id: StoreKey(u64::MAX),
+            delta: page.clone(),
+            hint: LoadHint::StopSending,
         };
-        let bytes = msg.encode();
-        assert!(bytes.len() - HEADER_LEN <= MAX_PAYLOAD);
-        let mut buf = bytes.clone();
-        let hdr = FrameHeader::decode(&mut buf).expect("header");
-        assert_eq!(Message::decode(hdr.opcode, buf).expect("payload"), msg);
+        let read = Message::PageInReply {
+            id: StoreKey(u64::MAX),
+            checksum: page.checksum(),
+            page,
+        };
+        for inner in [delta, read] {
+            let inner = Box::new(inner);
+            let bytes = Message::Windowed { seq, inner }.encode();
+            assert!(bytes.len() <= HEADER_LEN + 4 + HEADER_LEN + 16 + PAGE_SIZE);
+            let hdr = FrameHeader::decode(&mut bytes.clone()).expect("header");
+            assert_eq!(hdr.len as usize, bytes.len() - HEADER_LEN);
+        }
     }
 
     #[test]
@@ -1015,62 +854,6 @@ mod tests {
             inner: Box::new(Message::PageIn { id: StoreKey(1) }),
         };
         let bytes = envelope.encode();
-        let mut buf = bytes.clone();
-        let hdr = FrameHeader::decode(&mut buf).expect("header");
-        let truncated = buf.slice(..buf.len() - 1);
-        assert!(Message::decode(hdr.opcode, truncated).is_err());
-    }
-
-    #[test]
-    fn full_batch_fits_one_frame() {
-        use crate::wire::{MAX_BATCH_PAGES, MAX_PAYLOAD};
-        let reply = Message::BatchReply {
-            seq: 1,
-            hint: LoadHint::Ok,
-            items: (0..MAX_BATCH_PAGES as u64)
-                .map(|i| BatchItem::Page {
-                    checksum: Page::deterministic(i).checksum(),
-                    page: Page::deterministic(i),
-                })
-                .collect(),
-        };
-        let bytes = reply.encode();
-        assert!(bytes.len() - HEADER_LEN <= MAX_PAYLOAD);
-        let mut buf = bytes.clone();
-        let hdr = FrameHeader::decode(&mut buf).expect("header");
-        assert_eq!(Message::decode(hdr.opcode, buf).expect("payload"), reply);
-    }
-
-    #[test]
-    fn oversized_batch_count_rejected() {
-        use crate::wire::MAX_BATCH_PAGES;
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(1);
-        payload.put_u16_le(MAX_BATCH_PAGES as u16 + 1);
-        assert!(Message::decode(Opcode::PageInBatch, payload.freeze()).is_err());
-    }
-
-    #[test]
-    fn bad_batch_item_tag_rejected() {
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(1);
-        payload.put_u8(0); // hint
-        payload.put_u16_le(1);
-        payload.put_u8(9); // invalid item tag
-        assert!(Message::decode(Opcode::BatchReply, payload.freeze()).is_err());
-    }
-
-    #[test]
-    fn truncated_batch_entry_rejected() {
-        let msg = Message::BatchReply {
-            seq: 3,
-            hint: LoadHint::Ok,
-            items: vec![BatchItem::Page {
-                checksum: Page::zeroed().checksum(),
-                page: Page::zeroed(),
-            }],
-        };
-        let bytes = msg.encode();
         let mut buf = bytes.clone();
         let hdr = FrameHeader::decode(&mut buf).expect("header");
         let truncated = buf.slice(..buf.len() - 1);

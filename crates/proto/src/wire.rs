@@ -1,7 +1,7 @@
 //! Frame header layout and opcodes.
 
 use bytes::{Buf, BufMut};
-use rmp_types::{Result, RmpError, PAGE_SIZE};
+use rmp_types::{Result, RmpError};
 
 /// Magic bytes opening every frame (`"RM"`).
 pub const MAGIC: u16 = 0x524D;
@@ -17,19 +17,15 @@ pub const VERSION: u8 = 3;
 /// Size of the encoded frame header in bytes.
 pub const HEADER_LEN: usize = 8;
 
-/// Most pages one batch frame may carry.
-///
-/// Bounds [`MAX_PAYLOAD`] so a corrupt length field still cannot trigger
-/// an unbounded allocation, and bounds the per-frame decode work a
-/// malicious peer can demand.
-pub const MAX_BATCH_PAGES: usize = 64;
-
-/// Upper bound on a frame payload: a full batch of pages plus per-entry
-/// bookkeeping (key + checksum + item tag) and frame-level fields.
-///
-/// Anything larger is rejected at decode time so a corrupt length field
-/// cannot trigger an unbounded allocation.
-pub const MAX_PAYLOAD: usize = MAX_BATCH_PAGES * (PAGE_SIZE + 24) + 64;
+/// Upper bound on a frame payload, checked when a header is decoded so
+/// that a corrupt or hostile length field cannot trigger an unbounded
+/// allocation. What needs the room is a `StatsReply` — a server's whole
+/// metrics snapshot as JSON, up to [`crate::MAX_STATS_JSON`], which is
+/// this minus the length prefix; the largest data frame, a `Windowed`
+/// page with its key and checksum, is a page and 36 bytes. A sender
+/// sizes its frames by it and a receiver refuses by it, so the value is
+/// part of [`VERSION`] and does not move without it.
+pub const MAX_PAYLOAD: usize = 525_888;
 
 /// Operation codes of the RMP protocol.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -82,13 +78,10 @@ pub enum Opcode {
     GetStats = 21,
     /// Server returns a JSON metrics snapshot (schema `rmp-metrics-v1`).
     StatsReply = 22,
-    // 23 is reserved and must not be reassigned: a peer built before its
-    // removal may still send it. It decodes to a typed `Protocol` error
-    // like any unknown opcode.
-    /// Client requests up to [`MAX_BATCH_PAGES`] pages in one frame.
-    PageInBatch = 24,
-    /// Server answers a batch request with per-item results.
-    BatchReply = 25,
+    // 23, 24 and 25 are reserved and must not be reassigned: a peer built
+    // before their removal (the batch frames: `PageOutBatch`, then
+    // `PageInBatch` / `BatchReply`) may still send them. They decode to a
+    // typed `Protocol` error like any unknown opcode.
     /// Client opens a windowed session, advertising the request window
     /// it wants (sent first on a fresh connection).
     Hello = 26,
@@ -131,8 +124,6 @@ impl Opcode {
             20 => Opcode::XorAck,
             21 => Opcode::GetStats,
             22 => Opcode::StatsReply,
-            24 => Opcode::PageInBatch,
-            25 => Opcode::BatchReply,
             26 => Opcode::Hello,
             27 => Opcode::HelloReply,
             28 => Opcode::Windowed,
@@ -194,6 +185,7 @@ impl FrameHeader {
 mod tests {
     use super::*;
     use bytes::BytesMut;
+    use rmp_types::PAGE_SIZE;
 
     #[test]
     fn header_round_trip() {
@@ -253,11 +245,14 @@ mod tests {
 
     #[test]
     fn all_opcodes_round_trip() {
-        for code in (1..=28u8).filter(|&c| c != 23) {
+        let reserved = 23..=25u8;
+        for code in (1..=28u8).filter(|c| !reserved.contains(c)) {
             let op = Opcode::from_u8(code).expect("valid opcode");
             assert_eq!(op as u8, code);
         }
-        assert!(Opcode::from_u8(23).is_err(), "reserved");
+        for code in reserved {
+            assert!(Opcode::from_u8(code).is_err(), "{code} is reserved");
+        }
         assert!(Opcode::from_u8(29).is_err());
     }
 }

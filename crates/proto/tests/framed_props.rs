@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 use proptest::prelude::*;
-use rmp_proto::{BatchItem, FrameAccumulator, FrameHeader, Framed, LoadHint, Message};
+use rmp_proto::{FrameAccumulator, FrameHeader, Framed, Message};
 use rmp_types::{ErrorCode, Page, StoreKey};
 
 /// A duplex in-memory stream that never moves more than `read_chunk` /
@@ -96,8 +96,8 @@ fn message_for(seed: u64) -> Message {
 }
 
 /// A message per seed for the accumulator's stream: control frames, the
-/// two page-carrying frames of a fault, a batch reply, and each of those
-/// inside a windowed envelope.
+/// two page-carrying frames of a fault, a stats reply a few pages long,
+/// and each of those inside a windowed envelope.
 fn stream_message(seed: u64) -> Message {
     let page = Page::deterministic(seed);
     let bare = match seed % 5 {
@@ -112,17 +112,8 @@ fn stream_message(seed: u64) -> Message {
             checksum: page.checksum(),
             page,
         },
-        3 => Message::BatchReply {
-            seq: seed as u32,
-            hint: LoadHint::Pressure,
-            items: vec![
-                BatchItem::Page {
-                    checksum: page.checksum(),
-                    page,
-                },
-                BatchItem::Miss,
-                BatchItem::Err(ErrorCode::OutOfMemory),
-            ],
+        3 => Message::StatsReply {
+            json: "x".repeat((seed % 20_000) as usize),
         },
         _ => Message::LoadQuery,
     };

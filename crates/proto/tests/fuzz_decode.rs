@@ -128,19 +128,22 @@ proptest! {
     }
 }
 
-/// Opcode 23 is reserved (see `wire.rs`): a well-formed frame bearing it
-/// is a typed protocol error, not a panic and not a message.
+/// Opcodes 23, 24 and 25 are reserved (see `wire.rs`): a well-formed
+/// frame bearing one is a typed protocol error, not a panic and not a
+/// message.
 #[test]
 fn reserved_opcode_23_is_a_protocol_error() {
     use bytes::BufMut;
-    let mut frame = bytes::BytesMut::new();
-    frame.put_u16_le(rmp_proto::MAGIC);
-    frame.put_u8(rmp_proto::VERSION);
-    frame.put_u8(23);
-    frame.put_u32_le(0);
-    let err = FrameHeader::decode(&mut frame.freeze()).expect_err("reserved opcode");
-    assert!(
-        matches!(err, rmp_types::RmpError::Protocol(_)),
-        "got {err:?}"
-    );
+    for reserved in [23, 24, 25] {
+        let mut frame = bytes::BytesMut::new();
+        frame.put_u16_le(rmp_proto::MAGIC);
+        frame.put_u8(rmp_proto::VERSION);
+        frame.put_u8(reserved);
+        frame.put_u32_le(0);
+        let err = FrameHeader::decode(&mut frame.freeze()).expect_err("reserved opcode");
+        assert!(
+            matches!(err, rmp_types::RmpError::Protocol(_)),
+            "opcode {reserved}: got {err:?}"
+        );
+    }
 }

@@ -286,7 +286,7 @@ const REPLY_FLUSH_FRAMES: usize = 8;
 ///   reply per seq, in whatever order the server produces them. Enveloped
 ///   control frames are answered first: legal because the reply carries
 ///   the seq, and it keeps a cheap `LoadQuery` or `GetStats` from queueing
-///   behind a 64-page batch.
+///   behind a burst of page reads.
 /// * Everything else — enveloped data frames and bare frames — is served
 ///   in arrival order, so same-key data operations never reorder and a
 ///   bare pipelined client (`rmpstat`, crash injection), which has nothing
@@ -403,9 +403,6 @@ fn serve_one(shared: &Shared, scope: SessionScope, msg: Message) -> SessionActio
             shared.metrics.pageouts.inc();
         }
         Message::PageIn { .. } => shared.metrics.pageins.inc(),
-        Message::PageInBatch { ids, .. } => {
-            shared.metrics.pageins.add(ids.len() as u64);
-        }
         _ => {}
     }
     let reply = handle_message(shared, scope, msg);
@@ -566,27 +563,6 @@ fn handle_message(shared: &Shared, scope: SessionScope, msg: Message) -> Session
                 json
             };
             SessionAction::Reply(Message::StatsReply { json })
-        }
-        Message::PageInBatch { seq, ids } => {
-            // References under the lock, sums over them outside it.
-            let stored: Vec<Option<rmp_types::Page>> = {
-                let store = shared.store.lock();
-                ids.iter().map(|&id| store.get(scope.scope(id))).collect()
-            };
-            let items = (stored.into_iter())
-                .map(|page| match page {
-                    Some(page) => rmp_proto::BatchItem::Page {
-                        checksum: page.checksum(),
-                        page,
-                    },
-                    None => rmp_proto::BatchItem::Miss,
-                })
-                .collect();
-            SessionAction::Reply(Message::BatchReply {
-                seq,
-                hint: shared.hint(),
-                items,
-            })
         }
         Message::InjectCrash => SessionAction::Crash,
         Message::Shutdown => SessionAction::Close,
@@ -1076,37 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_pagein_round_trip() {
-        use rmp_proto::BatchItem;
-        let server = small_server();
-        let mut c = connect(&server);
-        for i in 0..3u64 {
-            c.call(&page_out(StoreKey(i), Page::deterministic(i)))
-                .expect("store");
-        }
-        let Message::BatchReply { seq, items, .. } = c
-            .call(&Message::PageInBatch {
-                seq: 42,
-                ids: vec![StoreKey(1), StoreKey(99), StoreKey(2)],
-            })
-            .expect("batch in")
-        else {
-            panic!("expected BatchReply");
-        };
-        assert_eq!(seq, 42);
-        match &items[0] {
-            BatchItem::Page { checksum, page } => {
-                assert_eq!(*page, Page::deterministic(1));
-                assert_eq!(*checksum, page.checksum());
-            }
-            other => panic!("expected page, got {other:?}"),
-        }
-        assert_eq!(items[1], BatchItem::Miss, "absent key is a per-item miss");
-        assert!(matches!(items[2], BatchItem::Page { .. }));
-        server.shutdown();
-    }
-
-    #[test]
     fn pipelined_batches_answer_in_order() {
         let server = MemoryServer::spawn(ServerConfig {
             capacity_pages: 64,
@@ -1115,27 +1060,28 @@ mod tests {
         })
         .expect("spawn");
         let mut c = connect(&server);
-        for key in 0..16u64 {
+        for key in (0..16u64).filter(|&key| key != 9) {
             c.call(&page_out(StoreKey(key), Page::deterministic(key)))
                 .expect("store");
         }
         // Write several bare frames before reading any reply: a pipelined
         // client without seq envelopes matches replies by order alone.
-        for frame in 0..4u32 {
-            c.send(&Message::PageInBatch {
-                seq: frame,
-                ids: (0..4u64)
-                    .map(|i| StoreKey(u64::from(frame) * 4 + i))
-                    .collect(),
-            })
-            .expect("send");
+        for key in 0..16u64 {
+            c.send(&Message::PageIn { id: StoreKey(key) })
+                .expect("send");
         }
-        for frame in 0..4u32 {
-            let Message::BatchReply { seq, items, .. } = c.recv().expect("recv") else {
-                panic!("expected BatchReply");
-            };
-            assert_eq!(seq, frame, "replies echo their request's seq in order");
-            assert_eq!(items.len(), 4);
+        for key in 0..16u64 {
+            match c.recv().expect("recv") {
+                Message::PageInReply { id, checksum, page } if key != 9 => {
+                    assert_eq!(id, StoreKey(key), "replies come in request order");
+                    assert_eq!(page, Page::deterministic(key));
+                    assert_eq!(checksum, page.checksum());
+                }
+                Message::PageInMiss { id } if key == 9 => {
+                    assert_eq!(id, StoreKey(9), "an absent key is a miss in its place");
+                }
+                other => panic!("key {key}: unexpected {other:?}"),
+            }
         }
         server.shutdown();
     }

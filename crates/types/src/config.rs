@@ -203,11 +203,12 @@ pub struct PagerConfig {
     /// and after every reconstruction. Disable only for measurement runs
     /// that want the raw transfer path.
     pub verify_checksums: bool,
-    /// Most pages one batch frame carries on the pipelined batch paths
-    /// (group seals, recovery steps, prefetch fetches). Larger requests
-    /// are split into multiple frames kept outstanding on the same
-    /// connection. Clamped to the wire-protocol batch cap; `1` degrades
-    /// every batch to single-page frames.
+    /// Pages per chunk of a rebuild, a migration or the parity log's
+    /// clean-up: what is read in one gather — one plain read a page, all
+    /// on the wire at once — and, for a rebuild, stored in one wave,
+    /// before the next chunk is touched. It bounds what the client holds
+    /// of such work at a time, not a frame: every frame carries one page.
+    /// Clamped to 1..=64; `1` makes every chunk a lone read.
     pub batch_max_pages: usize,
     /// Stride-prefetch lookahead: the *cap* on how many predicted pages a
     /// refill fetches ahead of the faulting one, not its size — a run
@@ -303,7 +304,7 @@ impl PagerConfig {
         self
     }
 
-    /// Sets the per-frame page cap of the pipelined batch paths.
+    /// Sets the chunk size of rebuild, migration and log clean-up.
     pub fn with_batch_max_pages(mut self, pages: usize) -> Self {
         self.batch_max_pages = pages;
         self
@@ -397,7 +398,7 @@ impl PagerConfig {
         }
         if self.batch_max_pages == 0 {
             return Err(RmpError::Config(
-                "batch size must be at least one page".into(),
+                "chunk size must be at least one page".into(),
             ));
         }
         if self.shard_count == 0 || !self.shard_count.is_power_of_two() {
