@@ -9,6 +9,11 @@
 //! runs), then pages rebuilt, page transfers, and wall time for the full
 //! recovery — alongside the policy's steady-state overheads.
 //!
+//! The first degraded read is timed alone too (`first_degraded_read_us`):
+//! it is the read that finds the crash, and it is asserted to take less
+//! than the retry ladder's first backoff — a read that can be served
+//! around a failing holder does not wait for the verdict on it.
+//!
 //! The rebuild is then costed twice more per policy: `rebuild_us_per_page`
 //! is the wall time above over the pages rebuilt, and
 //! `round_trips_per_rebuilt_page` is [`bench::rebuild_round_trips`] — the
@@ -29,7 +34,7 @@ use std::time::Instant;
 use rmp::LocalCluster;
 use rmp_blockdev::PagingDevice;
 use rmp_types::metrics::Histogram;
-use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId};
+use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId};
 
 /// The most link round trips a rebuilt page may cost under `policy` over
 /// [`bench::rebuild_round_trips`]' geometry (48 pages, groups of three,
@@ -54,11 +59,12 @@ fn main() {
         .unwrap_or(1500);
     println!("Crash recovery cost per reliability policy ({pages} pages resident)\n");
     println!(
-        "{:<15} {:>9} {:>10} {:>10} {:>10} {:>10} {:>12} {:>9} {:>9} {:>10}",
+        "{:<15} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>9} {:>9} {:>10}",
         "policy",
         "xfers/out",
         "mem ovhd",
         "deg xfers",
+        "1st deg us",
         "rebuilt",
         "rec xfers",
         "rec time",
@@ -73,13 +79,17 @@ fn main() {
         Policy::BasicParity,
         Policy::Mirroring,
         Policy::WriteThrough,
+        Policy::ErasureCoded,
     ] {
+        // Erasure coding stripes (2, 1) splits — `servers` is its `k` —
+        // and needs a fourth server to re-home a lost split on.
         let servers = match policy {
             Policy::BasicParity | Policy::ParityLogging => 4,
             _ => 2,
         };
         let pool_size = match policy {
             Policy::BasicParity | Policy::ParityLogging => servers + 1,
+            Policy::ErasureCoded => servers + 2,
             _ => servers,
         };
         let cluster = LocalCluster::spawn(pool_size, 16384).expect("cluster");
@@ -108,17 +118,22 @@ fn main() {
         // Same fixed-bucket histogram the pager exports at runtime, so
         // this bench and `rmpstat` share one latency schema.
         let degraded_latency = Histogram::default();
+        let mut first_degraded_us = 0.0;
         if policy.survives_single_crash() {
             for i in 0..pages {
                 let before = pager.stats().degraded_reads;
                 let wire = pager.pool().wire_transfers();
                 let t = Instant::now();
                 let page = pager.page_in(PageId(i)).expect("degraded read");
+                let took = t.elapsed();
                 assert_eq!(page, Page::deterministic(i), "{policy}: degraded content");
                 if pager.stats().degraded_reads > before {
+                    if degraded == 0 {
+                        first_degraded_us = took.as_secs_f64() * 1e6;
+                    }
                     degraded += 1;
                     degraded_transfers += pager.pool().wire_transfers() - wire;
-                    degraded_latency.record(t.elapsed());
+                    degraded_latency.record(took);
                     if degraded >= 32 {
                         break;
                     }
@@ -132,6 +147,14 @@ fn main() {
         };
         let degraded_snapshot = degraded_latency.snapshot();
         let deg_ms_per_read = degraded_snapshot.mean_us() / 1e3;
+        let first_backoff = RetryPolicy::default().base_backoff;
+        if policy.survives_single_crash() {
+            assert!(
+                first_degraded_us < first_backoff.as_secs_f64() * 1e6,
+                "{policy}: the first degraded read took {first_degraded_us:.0} us, \
+                 at least the ladder's first backoff ({first_backoff:?})"
+            );
+        }
         if policy == Policy::BasicParity {
             cluster.handles()[victim].restart();
             pager
@@ -154,11 +177,12 @@ fn main() {
                 let us_per_page = rebuild_us / report.total_rebuilt().max(1) as f64;
                 let trips = bench::rebuild_round_trips(policy).expect("rebuild round trips");
                 println!(
-                    "{:<15} {:>9.2} {:>9.2}x {:>10.2} {:>10} {:>10} {:>9.1} ms {:>9.1} {:>9.2} {:>10}",
+                    "{:<15} {:>9.2} {:>9.2}x {:>10.2} {:>10.0} {:>10} {:>10} {:>9.1} ms {:>9.1} {:>9.2} {:>10}",
                     policy.label(),
                     overhead,
                     policy.memory_overhead(servers, 0.10),
                     deg_per_read,
+                    first_degraded_us,
                     report.total_rebuilt(),
                     report.transfers,
                     rebuild_us / 1000.0,
@@ -178,6 +202,7 @@ fn main() {
                      \"memory_overhead\": {:.4}, \"degraded_reads\": {}, \
                      \"degraded_transfers_per_read\": {:.4}, \
                      \"degraded_ms_per_read\": {:.4}, \
+                     \"first_degraded_read_us\": {:.1}, \
                      \"degraded_latency_us\": {}, \"pages_rebuilt\": {}, \
                      \"recovery_transfers\": {}, \"recovery_ms\": {:.3}, \
                      \"rebuild_us_per_page\": {:.3}, \
@@ -189,6 +214,7 @@ fn main() {
                     degraded,
                     deg_per_read,
                     deg_ms_per_read,
+                    first_degraded_us,
                     degraded_snapshot.to_json(),
                     report.total_rebuilt(),
                     report.transfers,
@@ -199,10 +225,11 @@ fn main() {
             }
             Err(e) => {
                 println!(
-                    "{:<15} {:>9.2} {:>9.2}x {:>10} {:>10} {:>10} {:>12} {:>9} {:>9} {:>10}",
+                    "{:<15} {:>9.2} {:>9.2}x {:>10} {:>10} {:>10} {:>10} {:>12} {:>9} {:>9} {:>10}",
                     policy.label(),
                     overhead,
                     policy.memory_overhead(servers, 0.10),
+                    "-",
                     "-",
                     "-",
                     "-",

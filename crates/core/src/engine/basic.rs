@@ -4,7 +4,7 @@ use rmp_parity::xor::xor_reduce;
 use rmp_parity::BasicParityMap;
 use rmp_types::{Page, PageId, Result, RmpError, ServerId, StoreKey};
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use crate::engine::{rebuild_step, Ctx, Engine, Reading, Unit};
 use crate::recovery::RecoveryStep;
@@ -21,7 +21,7 @@ use crate::recovery::RecoveryStep;
 /// moves on to parity logging.
 ///
 /// What is this engine's alone is the layout and the server-side delta
-/// protocol; reading a stripe's pieces, the dead-holder check and the
+/// protocol; reading a stripe's pieces, the holder check and the
 /// recovery stepping are the shared [`Ctx`] and [`rebuild_step`].
 pub struct BasicParity {
     map: BasicParityMap,
@@ -93,9 +93,14 @@ impl Engine for BasicParity {
             Ok(reply) => reply,
             Err(e) => {
                 // Undo the reservation or the grant leaks on every
-                // failed first-time store.
+                // failed first-time store — and the assignment, or the
+                // stripe names a member its server may never have stored,
+                // and every rebuild that gathers it stops on the miss. A
+                // store that did land is a stray the parity never covered:
+                // its key is never assigned again.
                 if is_new {
                     ctx.pool.return_frame(slot.server);
+                    self.map.free(id);
                 }
                 return Err(e);
             }
@@ -208,16 +213,22 @@ impl Engine for BasicParity {
                 })
                 .collect()
         } else {
+            // Only what the server lost: a member it still holds — it was
+            // declared dead without losing its memory — is the page, and a
+            // rebuild would overwrite it with whatever a write the parity
+            // never heard of (one whose delta failed) left in its stripe.
+            let held: HashSet<StoreKey> = ctx.pool.list_keys(server)?.into_iter().collect();
             let lost = self.map.recovery_plan(server)?.into_iter();
-            lost.map(|mut plan| {
-                plan.fetch.push(plan.parity);
-                StripeRebuild {
-                    key: plan.lost.key,
-                    pieces: plan.fetch,
-                    parity: false,
-                }
-            })
-            .collect()
+            lost.filter(|plan| !held.contains(&plan.lost.key))
+                .map(|mut plan| {
+                    plan.fetch.push(plan.parity);
+                    StripeRebuild {
+                        key: plan.lost.key,
+                        pieces: plan.fetch,
+                        parity: false,
+                    }
+                })
+                .collect()
         };
         Ok(self.rebuild.len() as u64)
     }

@@ -15,16 +15,16 @@ pub mod diskonly;
 pub mod paritylog;
 pub mod stripe;
 
-use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use std::time::Instant;
 
 use rmp_blockdev::PagingDevice;
 use rmp_cluster::Condition;
 use rmp_types::metrics::{Counter, EventKind, MetricsRegistry};
 use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, StoreKey, TransferStats};
 
-use crate::pool::{Flight, ServerPool, StoreWave, Wave};
+use crate::pool::{Flight, ServerPool, StoreWave};
 use crate::recovery::RecoveryStep;
 
 /// One stored unit of a page — a whole copy, a split or a parity frame:
@@ -198,23 +198,46 @@ pub struct EngineMetrics {
 pub enum Begun<T, W> {
     /// Nothing on the wire: served or refused before it, or run whole.
     Done(Result<T>),
-    /// One frame: the read of a unit that holds the whole page, the
-    /// rewrite of a lone copy in its frame.
+    /// One frame, collected through the retry ladder: the read of a unit
+    /// that holds the whole page and has no redundancy, the rewrite of a
+    /// lone copy in its frame.
     One(Flight),
-    /// One wave: the gather of a page's data units, the rewrite of every
-    /// copy in its frame.
+    /// One frame of a read that can be served around its holder: it gets
+    /// one attempt, and its failure is the caller's cue to do so.
+    Around(Flight),
+    /// Frames to several servers: a flight to each data unit of a page,
+    /// each collected like [`Begun::Around`]; the rewrite of every copy in
+    /// its frame, a wave.
     Many(W),
 }
 
 /// A demand read between [`Engine::begin_page_in`] and
 /// [`Engine::complete_page_in`].
-pub type Reading = Begun<Page, Wave>;
+pub type Reading = Begun<Page, Vec<Flight>>;
 
 /// A pageout between [`Engine::begin_page_out`] and
 /// [`Engine::complete_page_out`].
 pub type Writing = Begun<(), StoreWave>;
 
-impl<T, W: Borrow<Wave>> Begun<T, W> {
+/// Frames an operation has on the wire, to several servers.
+pub trait Owed {
+    /// Waits for their replies, taking none.
+    fn park(&self);
+}
+
+impl Owed for StoreWave {
+    fn park(&self) {
+        StoreWave::park(self);
+    }
+}
+
+impl Owed for Vec<Flight> {
+    fn park(&self) {
+        self.iter().for_each(Flight::park);
+    }
+}
+
+impl<T, W: Owed> Begun<T, W> {
     /// Whether replies are owed: whether there is anything to park on.
     pub fn on_wire(&self) -> bool {
         !matches!(self, Begun::Done(_))
@@ -225,8 +248,8 @@ impl<T, W: Borrow<Wave>> Begun<T, W> {
     pub fn park(&self) {
         match self {
             Begun::Done(_) => {}
-            Begun::One(flight) => flight.park(),
-            Begun::Many(wave) => wave.borrow().park(),
+            Begun::One(flight) | Begun::Around(flight) => flight.park(),
+            Begun::Many(owed) => owed.park(),
         }
     }
 }
@@ -351,17 +374,18 @@ impl Ctx<'_> {
             .is_some_and(|st| !matches!(st.condition, Condition::Dead | Condition::StopSending))
     }
 
-    /// The dead-holder check of every demand read that has a degraded
-    /// path to fall back on: a holder the view already knows to be dead
-    /// is reported *before* dialling it, so only the read that discovers
-    /// a crash pays the pool's retry, backoff and redial budget; every
-    /// later one goes straight to the redundancy.
+    /// The holder check of every demand read that has a degraded path to
+    /// fall back on: a holder the view holds dead, or one backing off
+    /// whose next rung is not due yet, is reported *before* dialling it —
+    /// the read goes straight to the redundancy, and waits for no verdict
+    /// on the holder. Reads no clock for a holder on no rung.
     ///
     /// # Errors
     ///
-    /// [`RmpError::ServerCrashed`] naming the dead holder.
-    pub fn holder_alive(&self, server: ServerId) -> Result<()> {
-        if self.alive(server) {
+    /// [`RmpError::ServerCrashed`] naming the holder.
+    pub fn holder_ready(&self, server: ServerId) -> Result<()> {
+        let backing_off = (self.pool.backoff(server)).is_some_and(|due| Instant::now() < due);
+        if self.alive(server) && !backing_off {
             Ok(())
         } else {
             Err(RmpError::ServerCrashed(server))
@@ -369,40 +393,59 @@ impl Ctx<'_> {
     }
 
     /// Demand-reads a unit that holds a whole page, with one plain keyed
-    /// read (no wave, no allocation beyond the page). `redundant`
-    /// says the policy can serve the page some other way, which turns the
-    /// dead-holder check on; without redundancy, dialling a holder held
-    /// to be dead is the only way the page — and the holder, should it be
-    /// back — is ever found again.
+    /// read (no wave, no allocation beyond the page). `redundant` says the
+    /// policy can serve the page some other way: the holder check is on,
+    /// and the read gets one attempt — a holder whose rung is due is
+    /// dialled as that rung. Without redundancy the read walks the retry
+    /// ladder, and dials a holder held to be dead: that is the only way
+    /// the page — and the holder, should it be back — is ever found again.
     ///
     /// # Errors
     ///
-    /// As [`Ctx::holder_alive`] and [`ServerPool::page_in`].
+    /// As [`Ctx::holder_ready`], `ServerPool::missed` and
+    /// [`ServerPool::page_in`].
     pub fn read_unit(&mut self, unit: Unit, redundant: bool) -> Result<Page> {
         let reading = self.begin_read(unit, redundant);
         self.finish_read(reading)
     }
 
     /// The first half of [`Ctx::read_unit`]: the read is on the wire,
-    /// unless the dead-holder check refused it.
+    /// unless the holder check refused it.
     pub fn begin_read(&mut self, (server, key): Unit, redundant: bool) -> Reading {
-        match redundant.then(|| self.holder_alive(server)) {
-            Some(Err(dead)) => Reading::Done(Err(dead)),
-            _ => Reading::One(self.pool.begin_page_in(server, key)),
+        if !redundant {
+            return Reading::One(self.pool.begin_page_in(server, key));
+        }
+        match self.holder_ready(server) {
+            Ok(()) => Reading::Around(self.pool.begin_page_in(server, key)),
+            Err(refused) => Reading::Done(Err(refused)),
         }
     }
 
     /// The second half of [`Ctx::read_unit`]; a read that never took
     /// the wire passes through.
     pub fn finish_read(&mut self, reading: Reading) -> Result<Page> {
-        match reading {
-            Reading::Done(done) => done,
-            Reading::One(flight) => {
-                let page = self.pool.finish_page_in(flight)?;
-                self.stats.net_fetches += 1;
-                Ok(page)
-            }
-            Reading::Many(_) => Err(RmpError::Unsupported("a gather is not one unit")),
+        let page = match reading {
+            Reading::Done(done) => return done,
+            Reading::One(flight) => self.pool.finish_page_in(flight)?,
+            Reading::Around(flight) => self.read_once(flight)?,
+            Reading::Many(_) => return Err(RmpError::Unsupported("a gather is not one unit")),
+        };
+        self.stats.net_fetches += 1;
+        Ok(page)
+    }
+
+    /// Collects a read that can be served around its holder, after its one
+    /// attempt. A failure puts the holder on its rung and names it.
+    ///
+    /// # Errors
+    ///
+    /// As `ServerPool::missed`; [`RmpError::PageNotFound`] on a miss.
+    pub(crate) fn read_once(&mut self, flight: Flight) -> Result<Page> {
+        let (server, key) = flight.unit();
+        match self.pool.finish_page_in_unretried(flight) {
+            Ok(Some(page)) => Ok(page),
+            Ok(None) => Err(RmpError::PageNotFound(PageId(key.0))),
+            Err(e) => Err(self.pool.missed(server, e)),
         }
     }
 
@@ -431,13 +474,6 @@ impl Ctx<'_> {
             },
             _ => self.pool.page_in_wave(reads),
         };
-        self.fetched(pages, reads)
-    }
-
-    /// Collects a gather of `reads` begun with
-    /// [`ServerPool::begin_page_in_wave`], as [`Ctx::gather`] would.
-    pub fn finish_fetch(&mut self, wave: Wave, reads: &[Unit]) -> Result<Vec<Page>> {
-        let pages = self.pool.finish_page_in_wave(wave, reads);
         self.fetched(pages, reads)
     }
 

@@ -23,7 +23,7 @@ const GC_ACTIVE_FRACTION: f64 = 0.5;
 ///
 /// What is this engine's alone is the log: the client-side buffer, the
 /// group table with its inactive marking, and garbage collection.
-/// Reading a group's pieces, the dead-holder check, the current-version
+/// Reading a group's pieces, the holder check, the current-version
 /// table and the recovery stepping are the shared [`Ctx`], [`Table`] and
 /// [`rebuild_step`].
 pub struct ParityLogging {

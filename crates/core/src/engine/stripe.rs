@@ -489,6 +489,7 @@ impl Engine for Stripe {
             Writing::Done(done) => return done.and_then(|()| self.rehome(ctx, id, page)),
             Writing::One(flight) => (Some(ctx.pool.finish_page_out(flight).map(drop)), Vec::new()),
             Writing::Many(wave) => (None, ctx.pool.finish_stores(wave)),
+            Writing::Around(_) => return Err(RmpError::Unsupported("a write has no way around")),
         };
         let units = (self.table.units_mut(id)).ok_or(RmpError::PageNotFound(id))?;
         (units.iter_mut().filter(|u| **u != VACANT))
@@ -505,11 +506,16 @@ impl Engine for Stripe {
             return Reading::Done(ctx.disk_read(id));
         }
         if self.k > 1 {
+            // A coded stripe always has redundancy: each data unit's read
+            // is checked and collected as a whole page's would be.
             let data = &units[..self.k];
-            return match data.iter().try_for_each(|u| ctx.holder_alive(u.0)) {
-                Ok(()) => Reading::Many(ctx.pool.begin_page_in_wave(data)),
-                Err(dead) => Reading::Done(Err(dead)),
-            };
+            if let Err(refused) = data.iter().try_for_each(|u| ctx.holder_ready(u.0)) {
+                return Reading::Done(Err(refused));
+            }
+            let flights = data
+                .iter()
+                .map(|&(server, key)| ctx.pool.begin_page_in(server, key));
+            return Reading::Many(flights.collect());
         }
         ctx.begin_read(units[0], self.r > 0 || self.disk_leg)
     }
@@ -520,19 +526,39 @@ impl Engine for Stripe {
         id: PageId,
         reading: Reading,
     ) -> Result<Page> {
-        if let Reading::Many(wave) = reading {
-            let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
+        if let Reading::Many(flights) = reading {
+            // Every reply is read — those after a failed one too — so that
+            // each page that crossed the wire is counted and each failed
+            // holder takes its rung; the first failure is the read's.
             let len = PAGE_SIZE / self.k;
             let mut page = Page::zeroed();
-            for (i, frame) in (ctx.finish_fetch(wave, &units[..self.k])?.iter()).enumerate() {
-                page.as_mut()[i * len..(i + 1) * len].copy_from_slice(&frame.as_ref()[..len]);
+            let mut failed = None;
+            for (i, flight) in flights.into_iter().enumerate() {
+                match ctx.read_once(flight) {
+                    Ok(frame) => page.as_mut()[i * len..(i + 1) * len]
+                        .copy_from_slice(&frame.as_ref()[..len]),
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
+                }
             }
-            return Ok(page);
+            return match failed {
+                Some(e) => Err(e),
+                None => {
+                    ctx.stats.net_fetches += self.k as u64;
+                    Ok(page)
+                }
+            };
         }
         match ctx.finish_read(reading) {
             // Write-through: a holder that restarted empty is a plain
-            // cache miss; drop the stale unit, the disk has the page.
-            Err(RmpError::PageNotFound(_)) if self.disk_leg => {
+            // cache miss; drop the stale unit, the disk has the page. (A
+            // page with no unit — unknown, or on the disk already — has
+            // nothing to drop, and an unknown one must not be recorded.)
+            Err(RmpError::PageNotFound(_))
+                if self.disk_leg
+                    && (self.table.units(id)).is_some_and(|units| !units.is_empty()) =>
+            {
                 self.table.set_disk(id);
                 ctx.disk_read(id)
             }

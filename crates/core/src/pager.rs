@@ -839,7 +839,8 @@ impl Pager {
     /// one fetch rather than issuing a duplicate).
     ///
     /// One that failed is simply dropped — prefetching is speculative,
-    /// and the demand path refetches with full retry if the page matters.
+    /// and the demand path refetches the page: around the server, or
+    /// down the retry ladder.
     fn harvest_prefetches(&mut self, need: Option<PageId>) {
         let mut i = 0;
         while i < self.pending_prefetch.len() {
@@ -889,9 +890,10 @@ impl Pager {
             let Some((server, key)) = self.engine.prefetch_location(pid) else {
                 continue;
             };
-            // Nor is a copy on a server the view already holds dead: the
-            // demand path reads around it without dialling it again.
-            if !self.pool.view().is_alive(server) {
+            // Nor is a copy on a server the view already holds dead, or
+            // one backing off: the demand path reads around it without
+            // dialling it, and only a demand read climbs the retry ladder.
+            if !self.pool.view().is_alive(server) || self.pool.backoff(server).is_some() {
                 continue;
             }
             // Prefetching is optional work on the demand path: a read
@@ -1039,7 +1041,7 @@ impl Pager {
     /// pager: everything up to the wait — the read-ahead cache (a fault
     /// that meets its page in a read-ahead still on the wire waits for
     /// that one fetch here, rather than send a second), the hedge around
-    /// a gray primary, the engine's lookup and dead-holder check, the
+    /// a gray primary, the engine's lookup and holder check, the
     /// submit.
     pub(crate) fn begin_page_in(&mut self, id: PageId) -> PageInFlight {
         let started = Instant::now();
@@ -1166,9 +1168,13 @@ impl Pager {
                 RmpError::ServerCrashed(dead) | RmpError::Timeout(dead)
                     if self.config.policy.survives_single_crash() =>
                 {
-                    // Serve the request first: read around the crash and
-                    // leave the full rebuild to the maintenance driver.
-                    self.note_crash(dead);
+                    // Serve the request first: read around the holder. The
+                    // verdict alone queues its rebuild, for the maintenance
+                    // driver: a holder that only missed an attempt is
+                    // backing off, and may well answer its next rung.
+                    if !self.pool.view().is_alive(dead) {
+                        self.note_crash(dead);
+                    }
                     match self.degraded_read(id, dead) {
                         Ok(page) => return Ok(page),
                         // Another server died under the degraded read;

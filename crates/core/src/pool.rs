@@ -106,6 +106,28 @@ struct Peer {
     /// `detector_suspicion{srvN}`: the detector score in milli-units
     /// (score × 1000, gauges are integral).
     suspicion: Option<Arc<Gauge>>,
+    /// Where this server stands on the retry ladder: `None` while its
+    /// last attempt was answered, so a healthy server's path reads no
+    /// clock for it.
+    rung: Option<Rung>,
+}
+
+/// Where a server stands on the retry ladder between two attempts: set by
+/// a failed attempt, cleared by an answer, a forgiveness or a verdict (see
+/// [`ServerPool::ladder`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Rung {
+    /// Attempts failed in a row.
+    failed: u32,
+    /// When the next attempt may go out: the jittered backoff after the
+    /// last failure.
+    due: Instant,
+    /// Whether a deadline miss or an overload refusal was among the
+    /// failures: the verdict is then a timeout.
+    timed_out: bool,
+    /// What the last failure was, for the `retry` trace of the next
+    /// attempt.
+    why: &'static str,
 }
 
 impl Peer {
@@ -119,13 +141,14 @@ impl Peer {
             latency: None,
             health: Health::default(),
             suspicion: None,
+            rung: None,
         }
     }
 
     /// The one reset: drops what was learnt over the connection so far
-    /// and, given a `health`, replaces the detector's record with it (a
-    /// clean slate on forgiveness, [`Health::dead`] on death; a mid-call
-    /// redial keeps the record, the miss behind it being the news).
+    /// and, given a `health`, replaces the detector's record and the rung
+    /// with it (a clean slate on forgiveness, [`Health::dead`] on death; a
+    /// mid-call redial keeps both, the miss behind it being the news).
     /// Grants never survive: a redialled or restarted server has lost
     /// them and a dead one's are worthless. The stall baseline restarts
     /// only together with the transport's own counters — on a
@@ -140,6 +163,7 @@ impl Peer {
         }
         if let Some(health) = health {
             self.health = health;
+            self.rung = None;
         }
     }
 
@@ -177,8 +201,9 @@ struct Burst {
     /// This burst's frames, as positions in the wave's grouped order.
     at: Range<usize>,
     submitted: Instant,
-    /// The handle on the burst's replies, or why it never left.
-    pending: Result<PendingReplies>,
+    /// The handle on the burst's replies, or why it never left; `None`
+    /// while the server backs off: the burst leaves when collected.
+    pending: Option<Result<PendingReplies>>,
 }
 
 /// Requests on the wire to several servers at once: a
@@ -204,7 +229,7 @@ impl Wave {
     /// taking none: the collecting half then does not wait, so a caller
     /// that parks first can hold no lock meanwhile.
     pub fn park(&self) {
-        for pending in self.bursts.iter().flat_map(|b| &b.pending) {
+        for pending in self.bursts.iter().flat_map(|b| b.pending.iter().flatten()) {
             pending.park(self.read_deadline);
         }
     }
@@ -221,22 +246,31 @@ pub struct Flight {
     submitted: Instant,
     /// The read deadline, counted from the submit.
     deadline: Instant,
-    /// The handle on the reply, or why the frame never left.
-    pending: Result<PendingReplies>,
+    /// The handle on the reply, or why the frame never left; `None` while
+    /// the server backs off: the frame leaves when collected.
+    pending: Option<Result<PendingReplies>>,
 }
 
 impl Flight {
     /// As [`Wave::park`]; a frame that never left is not waited for.
     pub fn park(&self) {
-        if let Ok(pending) = &self.pending {
+        if let Some(Ok(pending)) = &self.pending {
             pending.park(self.deadline);
         }
     }
 
     /// Whether collecting it will not block: the reply is in, or the
-    /// frame never left.
+    /// frame never left and will not.
     pub fn is_ready(&self) -> bool {
-        (self.pending.as_ref()).map_or(true, PendingReplies::is_ready)
+        match &self.pending {
+            Some(pending) => pending.as_ref().map_or(true, PendingReplies::is_ready),
+            None => false,
+        }
+    }
+
+    /// The server and key it reads or writes.
+    pub(crate) fn unit(&self) -> (ServerId, StoreKey) {
+        (self.server, self.key)
     }
 }
 
@@ -249,9 +283,10 @@ pub struct StoreWave {
     takers: Vec<ServerId>,
 }
 
-impl std::borrow::Borrow<Wave> for StoreWave {
-    fn borrow(&self) -> &Wave {
-        &self.wave
+impl StoreWave {
+    /// As [`Wave::park`].
+    pub fn park(&self) {
+        self.wave.park();
     }
 }
 
@@ -271,15 +306,18 @@ fn hint_condition(hint: LoadHint) -> Condition {
 /// Connections to every registered server plus the client's live load view.
 ///
 /// All wire traffic of the pager funnels through here, making it the
-/// single retry/backoff/reconnect point of the paging path: transient
-/// failures (timeouts, dropped connections) trigger an automatic
-/// reconnect and bounded retry with exponential backoff, with the server
-/// marked [`Condition::Suspect`] in the meantime; only when every
-/// attempt is exhausted is the server declared dead and the error
-/// surfaced as [`RmpError::Timeout`] or [`RmpError::ServerCrashed`].
-/// Service times of all attempts — including failed ones — feed the
-/// adaptive-policy estimate, so a degraded cluster looks slow, not
-/// idle.
+/// single retry/backoff/reconnect point of the paging path: a transient
+/// failure (timeout, dropped connection, overload refusal) puts the
+/// server on the next rung of a bounded ladder — marked
+/// [`Condition::Suspect`], its next attempt due after an exponentially
+/// growing backoff, on a redialled connection if the old one broke — and
+/// only when the rungs run out is the server declared dead and the error
+/// surfaced as [`RmpError::Timeout`] or [`RmpError::ServerCrashed`]. The
+/// rung is the server's, not a call's: a caller with no other way sleeps
+/// until it is due, one that can read around the server does so at once
+/// (see `ServerPool::ladder`). Service times of all attempts —
+/// including failed ones — feed the adaptive-policy estimate, so a
+/// degraded cluster looks slow, not idle.
 pub struct ServerPool {
     peers: BTreeMap<ServerId, Peer>,
     view: ClusterView,
@@ -321,6 +359,9 @@ pub struct ServerPool {
     /// several pools over one cluster to pass the verdict on (see
     /// [`ServerPool::obituaries`]).
     obituaries: Vec<ServerId>,
+    /// Servers that took a rung of the retry ladder since last asked, for
+    /// the same front-end to pass on (see [`ServerPool::backoffs`]).
+    backoffs: Vec<ServerId>,
     /// Observability hooks; `None` (the default) records nothing.
     metrics: Option<PoolMetrics>,
 }
@@ -348,6 +389,7 @@ impl ServerPool {
             verify_checksums: true,
             batch_max_pages: 16,
             obituaries: Vec::new(),
+            backoffs: Vec::new(),
             metrics: None,
         }
     }
@@ -524,6 +566,43 @@ impl ServerPool {
     /// whoever passes a verdict on checks it against the view first.
     pub fn obituaries(&mut self) -> &mut Vec<ServerId> {
         &mut self.obituaries
+    }
+
+    /// The servers that took a rung of the retry ladder since somebody
+    /// last took this list, as [`ServerPool::obituaries`] lists verdicts:
+    /// a front-end over several pools passes each one's [`Rung`] on, so
+    /// that a server one pool found failing is read around by all at once
+    /// and not dialled — or, silent, waited for — by each. A server that
+    /// has left its rung since is still listed: whoever passes it on
+    /// checks.
+    pub(crate) fn backoffs(&mut self) -> &mut Vec<ServerId> {
+        &mut self.backoffs
+    }
+
+    /// The rung `id` is on, if any.
+    pub(crate) fn rung(&self, id: ServerId) -> Option<Rung> {
+        self.peers.get(&id)?.rung
+    }
+
+    /// Puts `id` on `rung` — another pool's, over its own connection to
+    /// the same server — unless this pool has it on that rung or a later
+    /// one, or holds it dead: reads here then go around it until the rung
+    /// is due, and the ladder here goes on from there.
+    pub(crate) fn adopt_rung(&mut self, id: ServerId, rung: Rung) {
+        if let Some(peer) = self.peers.get_mut(&id).filter(|_| self.view.is_alive(id)) {
+            if peer.rung.is_none_or(|mine| mine.failed < rung.failed) {
+                peer.rung = Some(rung);
+            }
+        }
+    }
+
+    /// When `id`'s next attempt is due, if it is backing off: an attempt
+    /// failed and took a rung of the retry ladder, and nothing has
+    /// answered since. A read that can be served some other way goes
+    /// around it until then, and read-ahead leaves it alone; the ladder
+    /// sleeps until then. Reads no clock.
+    pub fn backoff(&self, id: ServerId) -> Option<Instant> {
+        Some(self.peers.get(&id)?.rung?.due)
     }
 
     /// Registered server ids, ascending.
@@ -721,7 +800,8 @@ impl ServerPool {
     /// toward re-promoting a Suspect server: one that answers `GetStats`
     /// promptly has proven nothing about its paging path. Persistent
     /// slowness can also suspect a server on a successful call — the
-    /// gray-failure case a binary heuristic misses.
+    /// gray-failure case a binary heuristic misses. Any reply takes the
+    /// server off the retry ladder.
     fn sample(&mut self, id: ServerId, elapsed: Duration, outcome: Outcome) {
         let Some(peer) = self.peers.get_mut(&id) else {
             return;
@@ -729,6 +809,7 @@ impl ServerPool {
         let latency_us = elapsed.as_secs_f64() * 1_000_000.0;
         let verdict = match outcome {
             Outcome::Reply { data_path } => {
+                peer.rung = None;
                 self.detector
                     .on_reply(&mut peer.health, latency_us, data_path)
             }
@@ -749,11 +830,11 @@ impl ServerPool {
 
     /// The single failure-handling point of the paging path.
     ///
-    /// Sends `msg` to `id` and, on transient failure (timeout or dropped
-    /// connection), marks the server suspect, sleeps an exponentially
-    /// growing jittered backoff, reconnects, and retries — up to the
-    /// configured attempt budget. Only exhausting the budget declares the
-    /// server dead. Typed server errors are mapped here, centrally:
+    /// Sends `msg` to `id` through [`ServerPool::ladder`]: a transient
+    /// failure (timeout, dropped connection, overload refusal) marks the
+    /// server suspect, and the call waits out the backoff, redials a broken
+    /// connection and tries again — until the rungs run out and the server
+    /// is declared dead. Typed server errors are mapped here, centrally:
     /// out-of-memory becomes [`RmpError::NoSpace`], shutting-down becomes
     /// [`RmpError::ServerCrashed`] (with the server marked dead).
     fn call(&mut self, id: ServerId, msg: &Message) -> Result<Message> {
@@ -769,14 +850,16 @@ impl ServerPool {
         self.ladder(id, msg, None, deadline)
     }
 
-    /// The retry ladder every exchange ends in: attempt, and on a
-    /// transient failure sample the miss, back off, redial and attempt
-    /// again, until the attempts or `deadline` run out and the server is
-    /// declared dead. `ran` is the first attempt when the caller already
-    /// made it — a leg of a wave that came back failed, with how long it
-    /// took: the ladder then starts at what follows a failed attempt, so a
-    /// call and a scattered leg share every rung. An attempt is one
-    /// blocking call of `request`.
+    /// The retry ladder, for a caller that has no other way: attempt, and
+    /// on a transient failure take the server's next rung, sleep until it
+    /// is due and attempt again, until the rungs or `deadline` run out and
+    /// the server is declared dead. The rung is the server's, kept on its
+    /// [`Peer`] between calls: a call finds the server where the last
+    /// failure left it — a read that went around it, say — and goes on
+    /// from there, so a walk has `max_attempts` attempts however many
+    /// callers share it. `ran` is the first attempt when the caller already
+    /// made it — a leg of a wave or a flight that came back failed, with
+    /// how long it took. An attempt is one blocking call of `request`.
     fn ladder(
         &mut self,
         id: ServerId,
@@ -785,13 +868,14 @@ impl ServerPool {
         deadline: Instant,
     ) -> Result<Message> {
         let data_path = request.is_data_op();
-        let max_attempts = self.transport_cfg.retry.max_attempts.max(1);
-        let mut saw_timeout = false;
-        for attempt in 0..max_attempts {
-            self.last_attempts = attempt + 1;
+        let mut made = 0;
+        loop {
+            made += 1;
+            self.last_attempts = made;
             let (err, elapsed) = match ran.take() {
                 Some(failed) => failed,
                 None => {
+                    self.climb(id, deadline);
                     let transport = &mut self
                         .peers
                         .get_mut(&id)
@@ -811,99 +895,173 @@ impl ServerPool {
                     }
                 }
             };
-            match err {
-                // The server answered: the transport is healthy, the
-                // request was simply refused. Map the typed codes.
-                RmpError::Remote {
-                    code: ErrorCode::OutOfMemory,
-                    ..
-                } => return Err(RmpError::NoSpace(id)),
-                RmpError::Remote {
-                    code: ErrorCode::ShuttingDown,
-                    ..
-                } => {
-                    // Retrying a draining server only delays the failover.
-                    self.declare_dead(id, "shutting_down");
-                    if let Some(m) = &self.metrics {
-                        m.call_errors.inc();
-                    }
-                    return Err(RmpError::ServerCrashed(id));
-                }
-                e if is_transient(&e) => {
-                    // Overload is a typed refusal from a live server: the
-                    // worker pool is saturated. Back off and redial like a
-                    // timeout — if the storm outlasts the attempt budget
-                    // the call fails as Timeout, steering the pager to
-                    // other servers without declaring this one crashed.
-                    saw_timeout |= e.is_timeout() || e.is_overload();
-                    // Transient until proven otherwise: the miss
-                    // deprioritizes the server while it proves itself.
-                    self.sample(id, elapsed, Outcome::Miss);
-                    if attempt + 1 >= max_attempts {
-                        break;
-                    }
-                    if Instant::now() >= deadline {
-                        // Attempts remain but the call budget is spent;
-                        // further retries would only stretch the stall the
-                        // budget exists to bound.
-                        saw_timeout = true;
-                        break;
-                    }
-                    // Give it a moment, and redial.
-                    if let Some(m) = &self.metrics {
-                        m.retries.inc();
-                        m.registry.trace(
-                            EventKind::Retry,
-                            Some(id),
-                            None,
-                            if e.is_timeout() {
-                                "timeout"
-                            } else if e.is_overload() {
-                                "overloaded"
-                            } else {
-                                "transport"
-                            },
-                        );
-                    }
-                    let backoff = self.transport_cfg.retry.backoff_for(attempt);
-                    if !backoff.is_zero() {
-                        let jittered = backoff.as_secs_f64() * self.jitter_factor();
-                        // Never sleep past the call deadline: the backoff
-                        // is clamped to whatever budget remains.
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        let sleep = Duration::from_secs_f64(jittered.max(0.0)).min(remaining);
-                        if !sleep.is_zero() {
-                            std::thread::sleep(sleep);
-                        }
-                    }
-                    if let Some(peer) = self.peers.get_mut(&id) {
-                        // Best-effort: an unsupported or failed redial
-                        // leaves the old transport (and its counters) in
-                        // place, and the next attempt decides whether the
-                        // server is back. Either way a restarted server
-                        // lost this client's grants.
-                        let redialled = peer.transport.reconnect().is_ok();
-                        peer.reset(redialled, None);
-                    }
-                }
-                e => {
-                    if let Some(m) = &self.metrics {
-                        m.call_errors.inc();
-                    }
-                    return Err(e);
-                }
+            if is_transient(&err) {
+                // Transient until proven otherwise: the miss
+                // deprioritizes the server while it proves itself.
+                self.sample(id, elapsed, Outcome::Miss);
             }
+            self.fail(id, err, Some(deadline))?;
         }
-        // Out of attempts: the failure is no longer transient.
-        self.declare_dead(id, if saw_timeout { "timeout" } else { "dead" });
+    }
+
+    /// What the failure `e` of an attempt at `id` comes to: a typed refusal
+    /// maps to its error, and any other failure that is not transient is
+    /// the caller's. A transient one takes `id`'s next rung — `Ok` while
+    /// one is left and `budget`, if given, is not spent — and when none
+    /// is, it is the verdict.
+    fn fail(&mut self, id: ServerId, e: RmpError, budget: Option<Instant>) -> Result<()> {
+        let failed = match e {
+            // The server answered: the transport is healthy, the request
+            // was simply refused.
+            RmpError::Remote {
+                code: ErrorCode::OutOfMemory,
+                ..
+            } => {
+                if let Some(peer) = self.peers.get_mut(&id) {
+                    peer.rung = None;
+                }
+                return Err(RmpError::NoSpace(id));
+            }
+            RmpError::Remote {
+                code: ErrorCode::ShuttingDown,
+                ..
+            } => {
+                // Retrying a draining server only delays the failover.
+                self.declare_dead(id, "shutting_down");
+                RmpError::ServerCrashed(id)
+            }
+            e if is_transient(&e) => match self.take_rung(id, &e, budget) {
+                None => return Ok(()),
+                Some(verdict) => verdict,
+            },
+            e => e,
+        };
         if let Some(m) = &self.metrics {
             m.call_errors.inc();
         }
-        Err(if saw_timeout {
-            RmpError::Timeout(id)
+        Err(failed)
+    }
+
+    /// Puts `id` on its next rung after the transient failure `e`, due a
+    /// jittered backoff from now; or, when the rungs or `budget` have run
+    /// out, declares it dead and returns the verdict.
+    fn take_rung(
+        &mut self,
+        id: ServerId,
+        e: &RmpError,
+        budget: Option<Instant>,
+    ) -> Option<RmpError> {
+        let last = self.rung(id);
+        let failed = last.map_or(0, |rung| rung.failed) + 1;
+        // Overload is a typed refusal from a live server: the worker pool
+        // is saturated. It backs off like a timeout — and if the storm
+        // outlasts the rungs, the verdict is a timeout, steering the pager
+        // to other servers without calling this one crashed.
+        let timed_out =
+            last.is_some_and(|rung| rung.timed_out) || e.is_timeout() || e.is_overload();
+        // Rungs remain but the call budget is spent: further attempts
+        // would only stretch the stall the budget exists to bound.
+        let spent = budget.is_some_and(|budget| Instant::now() >= budget);
+        if failed >= self.transport_cfg.retry.max_attempts.max(1) || spent {
+            let timed_out = timed_out || spent;
+            if let Some(peer) = self.peers.get_mut(&id) {
+                peer.rung = None;
+            }
+            self.declare_dead(id, if timed_out { "timeout" } else { "dead" });
+            return Some(match timed_out {
+                true => RmpError::Timeout(id),
+                false => RmpError::ServerCrashed(id),
+            });
+        }
+        let mut backoff = self.transport_cfg.retry.backoff_for(failed - 1);
+        if !backoff.is_zero() {
+            backoff =
+                Duration::from_secs_f64((backoff.as_secs_f64() * self.jitter_factor()).max(0.0));
+        }
+        let why = if e.is_timeout() {
+            "timeout"
+        } else if e.is_overload() {
+            "overloaded"
         } else {
-            RmpError::ServerCrashed(id)
-        })
+            "transport"
+        };
+        let due = Instant::now() + backoff;
+        if let Some(peer) = self.peers.get_mut(&id) {
+            peer.rung = Some(Rung {
+                failed,
+                due,
+                timed_out,
+                why,
+            });
+        }
+        if !self.backoffs.contains(&id) {
+            self.backoffs.push(id);
+        }
+        None
+    }
+
+    /// Readies `id` for the attempt of the rung it is on, if any: sleeps
+    /// until the rung is due — `deadline` at the latest — redials a broken
+    /// connection, and counts and traces the attempt as a retry. A server
+    /// on no rung is not waited for.
+    fn climb(&mut self, id: ServerId, deadline: Instant) {
+        let Some(rung) = self.rung(id) else {
+            return;
+        };
+        let wait = rung
+            .due
+            .min(deadline)
+            .saturating_duration_since(Instant::now());
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
+        }
+        let Some(peer) = self.peers.get_mut(&id) else {
+            return;
+        };
+        // Best-effort: a connection that is still up is kept — the
+        // server's session on it holds every page stored through it — and
+        // an unsupported or failed redial leaves the old transport (and
+        // its counters) in place; the attempt decides whether the server
+        // is back. Either way a restarted server lost this client's grants.
+        let redialled = peer.transport.reconnect().is_ok();
+        peer.reset(redialled, None);
+        if let Some(m) = &self.metrics {
+            m.retries.inc();
+            m.registry.trace(EventKind::Retry, Some(id), None, rung.why);
+        }
+    }
+
+    /// Whether an attempt at `id` may go out now: yes unless it is backing
+    /// off and its next rung is not due — a rung that is due is climbed.
+    /// An attempt held back leaves when it is collected, from the ladder's
+    /// wait. Reads no clock for a server on no rung.
+    fn ready(&mut self, id: ServerId) -> bool {
+        let Some(due) = self.backoff(id) else {
+            return true;
+        };
+        if Instant::now() < due {
+            return false;
+        }
+        self.climb(id, due);
+        true
+    }
+
+    /// What a demand read that has somewhere else to go reports when its
+    /// one attempt at `id`, collected with
+    /// [`ServerPool::finish_page_in_unretried`], failed with `e`. A
+    /// transient failure takes `id`'s next rung and names the server as
+    /// crashed or timed out, for the caller to read around it; the last
+    /// rung's is the verdict. Anything else maps as in the ladder.
+    pub(crate) fn missed(&mut self, id: ServerId, e: RmpError) -> RmpError {
+        if !is_transient(&e) {
+            return e;
+        }
+        let timed_out = e.is_timeout() || e.is_overload();
+        match self.fail(id, e, None) {
+            Err(e) => e,
+            Ok(()) if timed_out => RmpError::Timeout(id),
+            Ok(()) => RmpError::ServerCrashed(id),
+        }
     }
 
     /// Puts `msgs` on `id`'s window as one burst, waiting for nothing.
@@ -915,8 +1073,9 @@ impl ServerPool {
         }
     }
 
-    /// The first half of a call: submits `request` and returns. What the
-    /// caller does before [`ServerPool::settle`] — let go of a lock, say —
+    /// The first half of a call: submits `request` — unless `id` is
+    /// backing off ([`ServerPool::ready`]) — and returns. What the caller
+    /// does before [`ServerPool::settle`] — let go of a lock, say —
     /// overlaps the wire.
     fn begin_call(&mut self, id: ServerId, key: StoreKey, request: Message) -> Flight {
         if let Some(m) = &self.metrics {
@@ -924,7 +1083,7 @@ impl ServerPool {
         }
         let submitted = Instant::now();
         Flight {
-            pending: self.submit_to(id, std::slice::from_ref(&request)),
+            pending: (self.ready(id)).then(|| self.submit_to(id, std::slice::from_ref(&request))),
             server: id,
             key,
             request,
@@ -937,10 +1096,19 @@ impl ServerPool {
     /// submit-to-arrival time — never with how long the caller took to
     /// come back for it: a wait for a lock is not a slow server, nor spent
     /// call budget. Returns that time and the request too: a failure is
-    /// not yet sampled, what a miss costs being the caller's to say.
-    fn land(&mut self, flight: Flight) -> (Result<Message>, Duration, Message) {
+    /// not yet sampled, what a miss costs being the caller's to say. A
+    /// frame held back while its server backed off leaves now, once the
+    /// rung is due.
+    fn land(&mut self, mut flight: Flight) -> (Result<Message>, Duration, Message) {
         let id = flight.server;
-        let (reply, arrived) = match flight.pending {
+        let pending = flight.pending.take().unwrap_or_else(|| {
+            let budget = Instant::now() + self.transport_cfg.effective_call_budget();
+            self.climb(id, budget);
+            flight.submitted = Instant::now();
+            flight.deadline = flight.submitted + self.transport_cfg.read_timeout;
+            self.submit_to(id, std::slice::from_ref(&flight.request))
+        });
+        let (reply, arrived) = match pending {
             Ok(mut pending) => (pending.next_by(flight.deadline)).expect("one frame, one reply"),
             Err(refused) => (Err(refused), flight.submitted),
         };
@@ -955,8 +1123,8 @@ impl ServerPool {
         (reply, elapsed, flight.request)
     }
 
-    /// The second half of a call: a failed flight goes to the ladder at
-    /// its second rung, as in [`ServerPool::finish_scatter`].
+    /// The second half of a call: a failed flight goes on down the
+    /// ladder, as in [`ServerPool::finish_scatter`].
     fn settle(&mut self, flight: Flight) -> Result<Message> {
         let id = flight.server;
         let (reply, elapsed, request) = self.land(flight);
@@ -968,8 +1136,9 @@ impl ServerPool {
     }
 
     /// The first half of [`ServerPool::scatter`]: groups the legs by server
-    /// and submits every server's burst, waiting for nothing. What the
-    /// caller does before [`ServerPool::finish_scatter`] overlaps the wire.
+    /// and submits every server's burst — but that of a server backing
+    /// off ([`ServerPool::ready`]) — waiting for nothing. What the caller
+    /// does before [`ServerPool::finish_scatter`] overlaps the wire.
     fn begin_scatter(&mut self, mut legs: Vec<(ServerId, Message)>) -> Wave {
         let mut order: Vec<usize> = (0..legs.len()).collect();
         // Waves are a handful of legs: ranking each by a scan costs less
@@ -997,7 +1166,7 @@ impl ServerPool {
                 m.calls.inc();
             }
             let submitted = Instant::now();
-            let pending = self.submit_to(server, &msgs[at..end]);
+            let pending = (self.ready(server)).then(|| self.submit_to(server, &msgs[at..end]));
             bursts.push(Burst {
                 server,
                 at: at..end,
@@ -1017,7 +1186,9 @@ impl ServerPool {
 
     /// The second half of [`ServerPool::scatter`]: collects each leg's
     /// reply against the wave's one deadline, samples each burst, and
-    /// walks the ladder for the legs that came back failed.
+    /// walks the ladder for the legs that came back failed. A burst held
+    /// back while its server backed off leaves now, once the rung is due,
+    /// with a read deadline of its own.
     fn finish_scatter(&mut self, wave: Wave) -> Vec<Result<Message>> {
         let Wave {
             order,
@@ -1030,10 +1201,17 @@ impl ServerPool {
         let mut out: Vec<Result<Message>> = (order.iter())
             .map(|_| Err(RmpError::Unsupported("leg left uncollected")))
             .collect();
-        for burst in bursts {
+        for mut burst in bursts {
             let id = burst.server;
+            let mut read_deadline = read_deadline;
+            let pending = burst.pending.take().unwrap_or_else(|| {
+                self.climb(id, budget);
+                burst.submitted = Instant::now();
+                read_deadline = burst.submitted + self.transport_cfg.read_timeout;
+                self.submit_to(id, &msgs[burst.at.clone()])
+            });
             let mut arrived = burst.submitted;
-            match burst.pending {
+            match pending {
                 Ok(mut pending) => {
                     for at in burst.at.clone() {
                         let (reply, when) = pending.next_by(read_deadline).unwrap_or_else(|| {
@@ -1097,7 +1275,8 @@ impl ServerPool {
     /// `n`. A burst is sampled with its own submit-to-last-reply time, so
     /// a fast server collected after a slow one is not charged the wait.
     /// A leg that came back failed enters the retry ladder every single
-    /// call ends in, at its second attempt: typed refusals map as there, a transient failure is backed off, redialled and retried
+    /// call ends in, on the rung its failure took: typed refusals map as
+    /// there, a transient failure is backed off, redialled and retried
     /// within the wave's one call budget, and only the ladder declares a
     /// server dead. Legs share no fate: the replies the other servers
     /// gave are kept.
@@ -1319,17 +1498,17 @@ impl ServerPool {
             .ok_or(RmpError::PageNotFound(rmp_types::PageId(key.0)))
     }
 
-    /// Collects a read nobody waits for — a read-ahead begun with
-    /// [`ServerPool::begin_page_in`], polled with [`Flight::is_ready`];
-    /// a miss is `None`.
+    /// Collects a read begun with [`ServerPool::begin_page_in`] after its
+    /// one attempt — a read-ahead, polled with [`Flight::is_ready`], or a
+    /// demand read that can be served around its holder; a miss is `None`.
     ///
     /// # Errors
     ///
     /// Transport and protocol failures surface directly — no retry, no
-    /// redial, no death sentence: a speculative fetch that fails is simply
-    /// dropped, and the miss is sampled like any attempt's, so sustained
-    /// trouble shows up where it matters. The demand path exercises the
-    /// full retry machinery if the server really is in trouble.
+    /// redial, no rung: the miss is sampled like any attempt's, so
+    /// sustained trouble shows up where it matters, and a speculative
+    /// fetch that fails is simply dropped. A demand read hands its failure
+    /// on to `ServerPool::missed`, which puts the holder on its rung.
     pub fn finish_page_in_unretried(&mut self, flight: Flight) -> Result<Option<Page>> {
         let (id, key) = (flight.server, flight.key);
         let (reply, elapsed, _) = self.land(flight);

@@ -967,6 +967,13 @@ impl ServerTransport for WindowedTransport {
     }
 
     fn reconnect(&mut self) -> Result<()> {
+        // A connection the reactor still holds up is kept: the server keys
+        // what it stores by session, and a new session holds none of it. A
+        // frame that timed out or was refused was abandoned by its seq,
+        // and a late reply to it is dropped when it comes.
+        if self.shared.lock().dead.is_none() {
+            return Err(RmpError::Unsupported("the connection is up"));
+        }
         self.teardown();
         self.establish()
     }

@@ -70,17 +70,22 @@
 //! # One verdict
 //!
 //! Every shard dials every server, so every shard could walk the whole
-//! retry ladder to learn of the same crash. Instead the shard that
-//! declares a server dead leaves an obituary in its pool
-//! ([`ServerPool::obituaries`]), and `page_in`, `page_out` and `free`,
-//! when a turn ends with one there, pass it on: holding no shard lock,
-//! the caller takes each sibling's lock in turn, lets its flights land
-//! (the planners' rule) and has it hold the server dead and queue its
-//! rebuild, as if it had found out for itself. A sibling's first read of
-//! a lost page then goes straight to the policy's redundancy.
-//! [`ShardedPager::reconnect`] forgives on every shard alike; verdicts
-//! and pardons are passed under one mutex, so a verdict reached before a
-//! pardon is never delivered after it.
+//! retry ladder to learn of the same crash. Instead a shard's pool leaves
+//! news of what it found: an obituary for a server it declared dead
+//! ([`ServerPool::obituaries`]), and the rung of one it has backing off
+//! after a failed attempt. `page_in`, `page_out` and `free`, when a turn
+//! ends with news, pass it on: holding no shard lock, the caller takes
+//! each shard's lock in turn and tells it, as if it had found out for
+//! itself. Told of a death, a shard first lets its flights land (the
+//! planners' rule), then holds the server dead and queues its rebuild —
+//! the shard that reached the verdict too, whichever operation did;
+//! told of a rung, a sibling goes on from that rung — reads go around
+//! the server until it is due, neither dialling it nor, were it silent,
+//! waiting out a read deadline for it. A maintenance pass, which holds
+//! every shard, passes each shard's news on before the next shard's
+//! pass. [`ShardedPager::reconnect`] forgives on every shard alike;
+//! verdicts and pardons are passed under one mutex, so a verdict reached
+//! before a pardon is never delivered after it.
 //!
 //! # Lock order
 //!
@@ -137,7 +142,7 @@ use rmp_cluster::Registry;
 use rmp_types::{Page, PageId, PagerConfig, Result, RmpError, ServerId, TransferStats};
 
 use crate::pager::Pager;
-use crate::pool::ServerPool;
+use crate::pool::{Rung, ServerPool};
 use crate::prefetch::Planner;
 use crate::recovery::RecoveryReport;
 
@@ -550,10 +555,10 @@ impl ShardedPager {
         done
     }
 
-    /// Ends `turn` and, if its shard's pool declared a server dead under
-    /// it, passes the verdict on.
+    /// Ends `turn` and, if its shard's pool has news, passes it on.
     fn end_turn(&self, mut turn: Turn<'_>) {
-        let news = !turn.pager().pool_mut().obituaries().is_empty();
+        let pool = turn.pager().pool_mut();
+        let news = !pool.obituaries().is_empty() || !pool.backoffs().is_empty();
         let from = turn.shard;
         drop(turn);
         if news {
@@ -561,35 +566,26 @@ impl ShardedPager {
         }
     }
 
-    /// One verdict for all: tells every other shard of the servers
-    /// `from`'s pool has declared dead — it walked the retry ladder for
-    /// them, and a sibling's connection to the same machine would only
-    /// walk it again to learn the same — so each sibling's next read of a
-    /// lost page goes straight to the policy's redundancy. A sibling is
-    /// told as a planner would be heard: under its lock alone, once its
-    /// flights have landed. The caller holds no shard lock.
+    /// One verdict for all: tells every shard what `from`'s pool has
+    /// found — a connection to the same machine would only find it again —
+    /// so each sibling's next read of a lost page goes straight to the
+    /// policy's redundancy, and each shard, `from` too, queues the rebuild
+    /// of a server declared dead, whatever operation reached the verdict.
+    /// Told of a death, a shard is told as a planner would be heard: under
+    /// its lock alone, once its flights have landed. The caller holds no
+    /// shard lock.
     fn pass_verdicts(&self, from: &Shard) {
         let _no_pardon_meanwhile = self.verdicts.lock().unwrap_or_else(PoisonError::into_inner);
-        let dead = {
-            let mut guard = from.lock();
-            let pool = guard.0.pool_mut();
-            let mut dead = std::mem::take(pool.obituaries());
-            // Forgiven or re-promoted since: no longer this shard's view.
-            dead.retain(|&server| !pool.view().is_alive(server));
-            dead
-        };
-        if dead.is_empty() {
+        let news = News::of(&mut from.lock().0);
+        if news.dead.is_empty() && news.backing_off.is_empty() {
             return;
         }
-        for sibling in self.shards.iter().filter(|s| !std::ptr::eq(*s, from)) {
-            let mut guard = sibling.quiet(sibling.lock());
-            for &server in &dead {
-                guard.0.pool_mut().declare_dead(server, "sibling");
-                guard.0.note_crash(server);
-            }
-            // What it was just told is no news of its own to pass back.
-            let theirs = guard.0.pool_mut().obituaries();
-            theirs.retain(|server| !dead.contains(server));
+        for shard in &self.shards {
+            let mut guard = match news.dead.is_empty() {
+                true => shard.lock(),
+                false => shard.quiet(shard.lock()),
+            };
+            news.tell(&mut guard.0);
         }
     }
 
@@ -657,19 +653,26 @@ impl ShardedPager {
     }
 
     /// Quiesces all shards and runs one maintenance pass on each
-    /// (advisory service plus a budgeted recovery step). Returns the
-    /// summed `(pages_migrated, pages_rebuilt)`.
+    /// (advisory service plus a budgeted recovery step), passing each
+    /// shard's news on before the next one's pass: a server one shard's
+    /// load probe found dead is not probed again by the others. Returns
+    /// the summed `(pages_migrated, pages_rebuilt)`.
     ///
     /// # Errors
     ///
     /// The first shard failure aborts the pass.
     pub fn periodic_maintenance(&self) -> Result<(u64, u64)> {
+        let _no_pardon_meanwhile = self.verdicts.lock().unwrap_or_else(PoisonError::into_inner);
         let mut guards = self.quiesce();
         let (mut migrated, mut rebuilt) = (0, 0);
-        for guard in guards.iter_mut() {
-            let (m, r) = guard.0.periodic_maintenance()?;
+        for shard in 0..guards.len() {
+            let (m, r) = guards[shard].0.periodic_maintenance()?;
             migrated += m;
             rebuilt += r;
+            let news = News::of(&mut guards[shard].0);
+            for (_, sibling) in (guards.iter_mut().enumerate()).filter(|&(s, _)| s != shard) {
+                news.tell(&mut sibling.0);
+            }
         }
         Ok((migrated, rebuilt))
     }
@@ -728,6 +731,43 @@ impl ShardedPager {
     /// once its flights have landed.
     fn quiesce(&self) -> Vec<ShardGuard<'_>> {
         self.shards.iter().map(|s| s.quiet(s.lock())).collect()
+    }
+}
+
+/// What one shard's pool found that its siblings have not: the servers
+/// it declared dead, and those it has backing off, with their rungs.
+struct News {
+    dead: Vec<ServerId>,
+    backing_off: Vec<(ServerId, Rung)>,
+}
+
+impl News {
+    /// Takes the news `pager`'s pool has left since it was last taken.
+    fn of(pager: &mut Pager) -> News {
+        let pool = pager.pool_mut();
+        let mut dead = std::mem::take(pool.obituaries());
+        // Forgiven or re-promoted since: no longer this shard's view.
+        dead.retain(|&server| !pool.view().is_alive(server));
+        let backing_off = std::mem::take(pool.backoffs());
+        let backing_off = (backing_off.into_iter())
+            .filter_map(|server| Some((server, pool.rung(server)?)))
+            .collect();
+        News { dead, backing_off }
+    }
+
+    /// Tells `pager` — its flights landed if any server died — as if it
+    /// had found out for itself.
+    fn tell(&self, pager: &mut Pager) {
+        for &server in &self.dead {
+            pager.pool_mut().declare_dead(server, "sibling");
+            pager.note_crash(server);
+        }
+        for &(server, rung) in &self.backing_off {
+            pager.pool_mut().adopt_rung(server, rung);
+        }
+        // What it was just told is no news of its own to pass back.
+        let theirs = pager.pool_mut().obituaries();
+        theirs.retain(|server| !self.dead.contains(server));
     }
 }
 

@@ -47,15 +47,18 @@ pub trait ServerTransport: Send {
         msgs.iter().map(|m| self.call(m)).collect()
     }
 
-    /// Drops and re-establishes the underlying connection, used by the
-    /// pool's retry loop after a transient failure. Transports without a
+    /// Re-establishes the underlying connection if it broke, used by the
+    /// pool's retry ladder before an attempt after a failed one. A
+    /// connection that is still up is kept — with the server's session on
+    /// it, which holds every page stored through it. Transports without a
     /// reconnect story (in-process fakes that never lose a connection)
     /// keep the default.
     ///
     /// # Errors
     ///
-    /// [`RmpError::Unsupported`] by default; implementations propagate
-    /// redial failures.
+    /// [`RmpError::Unsupported`] when nothing was redialled: by default,
+    /// and for a connection that is up; implementations propagate redial
+    /// failures.
     fn reconnect(&mut self) -> Result<()> {
         Err(RmpError::Unsupported("transport cannot reconnect"))
     }

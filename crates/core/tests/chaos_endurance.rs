@@ -89,13 +89,18 @@ fn endurance_schedules_hold_invariants_across_policies() {
 /// the group it had announced was registered ("pg0 unreadable after
 /// heal"). 609656: a seal whose parity page timed out left a registered
 /// group naming a key no server held, and the recovery that needed it
-/// stuck on "no longer holds key".
+/// stuck on "no longer holds key". 120568 (basic parity): a read that went
+/// around a holder which had only missed an attempt queued its rebuild,
+/// and pages rebuilt in place over live ones failed their checksum after
+/// heal.
 #[test]
 fn schedules_that_once_failed_stay_fixed() {
     for seed in [128_487, 609_656] {
         let outcome = run_schedule(Policy::ParityLogging, seed);
         assert!(outcome.passed(), "{:?}", outcome.violations);
     }
+    let outcome = run_schedule(Policy::BasicParity, 120_568);
+    assert!(outcome.passed(), "{:?}", outcome.violations);
 }
 
 // --- crash during quiesce (flush / recover_from_crash) ---------------------
@@ -510,7 +515,8 @@ fn gray_primary_is_hedged_not_buried() {
 
 /// Same seed, same plan, same op sequence → identical fault traces and
 /// identical final pager state. Wall-clock-sensitive machinery (slowness
-/// accrual, hedging) is disabled so the run is a pure function of the
+/// accrual, hedging, and backoff — a read goes around a server until its
+/// next rung is due) is disabled so the run is a pure function of the
 /// seed; the remaining faults (drops, lost replies, overloads,
 /// corruption, burst reordering) all have timing-independent effects.
 #[test]
@@ -535,7 +541,9 @@ fn identical_seeds_replay_identical_histories() {
             )
             .with_rule(FaultRule::new(FaultAction::ReorderBurst).with_probability(0.2));
         let cluster = ChaosCluster::new(2, plan);
-        let tcfg = fast_transport();
+        let mut tcfg = fast_transport();
+        tcfg.retry.base_backoff = Duration::ZERO;
+        tcfg.retry.max_backoff = Duration::ZERO;
         let config = PagerConfig::new(Policy::Mirroring)
             .with_servers(2)
             .with_shard_count(2)

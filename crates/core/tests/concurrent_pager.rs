@@ -3,7 +3,7 @@
 //! crash injected while the traffic is in flight.
 
 use rmp_cluster::{Registry, ServerInfo};
-use rmp_core::ShardedPager;
+use rmp_core::{Pager, ShardedPager};
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId};
 
@@ -202,12 +202,16 @@ fn crash_during_concurrent_traffic_keeps_pages_readable() {
 #[test]
 fn one_shard_pays_for_a_crash_and_every_shard_knows() {
     // Basic parity, data servers 0 and 1 and parity server 2, four
-    // shards: page `s` is shard `s`'s first, so it lies on server 0.
+    // shards: page `s` is shard `s`'s first, so it lies on server 0. The
+    // backoff is long enough that every read below comes before a rung is
+    // due; only the pageout waits for one.
     const SHARDS: u64 = 4;
     const PAGES: u64 = 32;
     let retry = RetryPolicy {
         max_attempts: 3,
-        ..fast_retry()
+        base_backoff: Duration::from_millis(100),
+        max_backoff: Duration::from_millis(100),
+        jitter: 0.0,
     };
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(2)
@@ -219,6 +223,14 @@ fn one_shard_pays_for_a_crash_and_every_shard_knows() {
         (pager.page_out(PageId(i), &Page::deterministic(i))).expect("pageout");
     }
     let victim = ServerId(0);
+    // Every attempt at the victim, failed ones included.
+    let dials = |p: &mut Pager| {
+        let latency = p.metrics().histogram("pool_call_latency_us{srv0}");
+        latency.snapshot().count
+    };
+    let before: Vec<u64> = (0..SHARDS)
+        .map(|s| pager.with_shard(s as usize, dials))
+        .collect();
     handles[0].crash();
     let seen = |shard: u64| {
         pager.with_shard(shard as usize, |p| {
@@ -228,30 +240,42 @@ fn one_shard_pays_for_a_crash_and_every_shard_knows() {
                 counter("pool_retries_total"),
                 counter("pool_call_errors_total"),
             );
-            (dead, p.recovery_backlog(), retries, failed)
+            let dialled = dials(p) - before[shard as usize];
+            (dead, p.recovery_backlog(), retries, failed, dialled)
         })
     };
-    // Shard 0 reads a lost page: it walks the retry ladder, declares the
-    // server dead and reads around it.
+    // Shard 0 reads a lost page: its one attempt fails, and it reads
+    // around the server at once — backing off, not dead, nothing queued.
     assert_eq!(
         pager.page_in(PageId(0)).expect("read"),
         Page::deterministic(0)
     );
-    assert_eq!(seen(0), (true, 1, 2, 1), "one ladder: two retries");
-    // Its siblings were told: each holds the server dead and the rebuild
-    // queued before it has sent it a frame, and its own first read of a
-    // lost page goes straight to the stripe's other pieces.
+    assert_eq!(seen(0), (false, 0, 0, 0, 1), "one dial, no retry");
+    // Its siblings were told: each has the server backing off before it
+    // has sent it a frame, and its own first read of a lost page goes
+    // straight to the stripe's other pieces.
     for shard in 1..SHARDS {
-        assert_eq!(seen(shard), (true, 1, 0, 0), "shard {shard} was told");
+        let told = pager.with_shard(shard as usize, |p| p.pool().backoff(victim));
+        assert!(told.is_some(), "shard {shard} was told");
         let read = pager.page_in(PageId(shard)).expect("degraded read");
         assert_eq!(read, Page::deterministic(shard));
         assert_eq!(
             seen(shard),
-            (true, 1, 0, 0),
+            (false, 0, 0, 0, 0),
             "shard {shard} dialled nothing"
         );
     }
     assert_eq!(pager.stats().degraded_reads, SHARDS);
+    // A rewrite of a lost page has no way around the server: shard 0's
+    // walks the rest of the ladder to the verdict. Basic parity rebuilds
+    // in place, so the pageout fails — and every shard, told of the death,
+    // queues the rebuild.
+    let rewrite = pager.page_out(PageId(0), &Page::deterministic(0));
+    assert!(rewrite.is_err(), "{rewrite:?}");
+    assert_eq!(seen(0), (true, 1, 2, 1, 3), "one ladder: two retries");
+    for shard in 1..SHARDS {
+        assert_eq!(seen(shard), (true, 1, 0, 0, 0), "shard {shard} was told");
+    }
     for i in 0..PAGES {
         let read = pager.page_in(PageId(i)).expect("every page reads back");
         assert_eq!(read, Page::deterministic(i), "pg{i}");
@@ -280,6 +304,39 @@ fn one_shard_pays_for_a_crash_and_every_shard_knows() {
         degraded,
         "no read is degraded any more"
     );
+}
+
+#[test]
+fn one_maintenance_pass_walks_the_ladder_once() {
+    // Each shard's load probe would walk the retry ladder for the same
+    // dead server; the pass hands the first shard's verdict to the second
+    // before the second probes.
+    let retry = RetryPolicy {
+        max_attempts: 3,
+        ..fast_retry()
+    };
+    let config = PagerConfig::new(Policy::Mirroring)
+        .with_servers(3)
+        .with_shard_count(2)
+        .with_retry(retry);
+    let (handles, pager) = sharded_cluster(3, 4096, config);
+    for i in 0..16 {
+        (pager.page_out(PageId(i), &Page::deterministic(i))).expect("pageout");
+    }
+    handles[2].crash();
+    pager.periodic_maintenance().expect("maintenance");
+    let of_shard = |shard, name| pager.with_shard(shard, |p| p.metrics().counter(name).get());
+    let retries: u64 = (0..2).map(|s| of_shard(s, "pool_retries_total")).sum();
+    assert_eq!(retries, 2, "one walk: max_attempts - 1 retries");
+    for shard in 0..2 {
+        let dead = pager.with_shard(shard, |p| !p.pool().view().is_alive(ServerId(2)));
+        assert!(dead, "shard {shard} holds the server dead");
+    }
+    assert_eq!(of_shard(1, "pool_deaths_total"), 1, "told, not found");
+    for i in 0..16 {
+        let read = pager.page_in(PageId(i)).expect("read");
+        assert_eq!(read, Page::deterministic(i), "pg{i}");
+    }
 }
 
 #[test]

@@ -352,18 +352,20 @@ fn mirroring_permanent_death_recovers_from_mirror() {
             .expect("pageout");
     }
     flaky[0].kill();
-    // Reads must survive: the retry budget drains, server 0 is declared
-    // dead, and the surviving mirror serves every page.
+    // Reads must survive: the surviving mirror serves every page, the
+    // first miss sending them around server 0 at once.
     for i in 0..12u64 {
         assert_eq!(
             pager.page_in(PageId(i)).expect("mirror survives"),
             Page::deterministic(i)
         );
     }
+    // A load probe has no way around it: the retry budget drains, and
+    // server 0 is declared dead.
+    pager.pool_mut().refresh_loads();
     assert!(!pager.pool().view().is_alive(ServerId(0)));
     // The existing recovery machinery restores two-copy redundancy on the
     // survivors.
-    pager.pool_mut().refresh_loads();
     pager.recover_from_crash(ServerId(0)).expect("re-mirror");
 }
 
@@ -383,6 +385,9 @@ fn parity_logging_permanent_death_recovers_via_parity() {
             Page::deterministic(i)
         );
     }
+    // The reads went around server 0; a load probe walks what is left of
+    // the retry ladder to the verdict.
+    pager.pool_mut().refresh_loads();
     assert!(!pager.pool().view().is_alive(ServerId(0)));
 }
 

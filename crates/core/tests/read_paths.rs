@@ -1,8 +1,8 @@
 //! Every path an operation can take through the pager — hedged, degraded,
 //! prefetch hit, recover-and-retry — counts it exactly once, a demand
-//! read never dials a holder it already knows to be dead, and the
-//! read-ahead ledger balances after every operation: what was issued is
-//! a hit, useless, or still held for a fault to come.
+//! read never dials a holder it already knows to be dead or backing off,
+//! and the read-ahead ledger balances after every operation: what was
+//! issued is a hit, useless, or still held for a fault to come.
 //!
 //! All of it runs on the in-process chaos cluster: faults are scripted,
 //! nothing waits on a timer to line events up.
@@ -114,7 +114,8 @@ fn degraded_pageins_are_counted_once() {
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 24);
     cluster.server(0).crash();
-    // One read discovers the crash, the rest start from a dead primary.
+    // One read discovers the crash, the rest go around a primary that is
+    // backing off — or, once its rungs have run out, dead.
     let served = read(&mut pager, 0..24);
     assert_eq!(served, 24);
     assert!(pager.stats().degraded_reads > 1);
@@ -293,8 +294,10 @@ fn a_known_dead_holder_is_not_dialled_again() {
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 12);
     cluster.server(0).crash();
-    // This read discovers the crash and pays the pool's retry budget.
+    // This read discovers the crash and goes around it; a load probe has
+    // no way around, and pays the rest of the pool's retry budget.
     assert_eq!(read(&mut pager, [0]), 1);
+    pager.pool_mut().refresh_loads();
     assert!(!pager.pool().view().is_alive(ServerId(0)));
     // From here on every call that reaches server 0's transport leaves
     // an event behind.

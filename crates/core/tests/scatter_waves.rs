@@ -341,7 +341,11 @@ fn basic_parity_rebuilds_a_chunk_in_two_waves() {
     assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 4]));
     assert_eq!(shape(&waves[2]), (vec![1, 2], vec![Opcode::PageIn; 4]));
     assert_eq!(shape(&waves[3]), (vec![0], vec![Opcode::PageOut; 2]));
-    assert_eq!(wire.calls(), [], "and nothing outside them");
+    assert_eq!(
+        wire.calls(),
+        [(ServerId(0), Opcode::ListPages)],
+        "and nothing outside them but asking the server what it lost"
+    );
     assert_eq!(servers[0].stored_pages(), 6);
     // The synchronous drain is booked like a maintenance tick's.
     assert_eq!(pager.stats().recovery_steps, 1);
@@ -387,7 +391,11 @@ fn a_store_refused_in_mid_rebuild_keeps_the_rest_queued_and_leaks_no_grant() {
     // What the pool spent of its grants is what the server stores.
     let spent = granted - pager.pool().granted_frames(ServerId(0));
     assert_eq!(spent as usize, servers[0].stored_pages());
-    assert_eq!(wire.calls(), [], "no allocation, no call outside the waves");
+    assert_eq!(
+        wire.calls(),
+        [(ServerId(0), Opcode::ListPages)],
+        "no allocation; outside the waves, only asking what the server lost"
+    );
     reads_back(&wire, &mut pager, 12);
 }
 
@@ -416,12 +424,13 @@ fn a_holder_lost_in_mid_rebuild_stops_it_where_it_is() {
     );
     assert_eq!(servers[0].stored_pages(), 4);
     // It was the connection, not the machine: once it is back the
-    // rebuild, planned afresh, finishes, and every page is intact.
+    // rebuild, planned afresh, rebuilds the two pages server 0 still
+    // lacks — a gather of their four pieces and a wave of two stores —
+    // and every page is intact.
     wire.state().dead.clear();
     pager.pool_mut().absolve(ServerId(1));
-    let widths = [8, 4, 4, 2];
-    let (report, _) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
-    assert_eq!(report.expect("rebuild").pages_rebuilt, 6);
+    let (report, _) = in_waves(&wire, &[4, 2], || pager.recover_from_crash(ServerId(0)));
+    assert_eq!(report.expect("rebuild").pages_rebuilt, 2);
     assert_eq!(servers[0].stored_pages(), 6);
     reads_back(&wire, &mut pager, 12);
 }

@@ -190,23 +190,44 @@ fn a_flight_lost_with_its_server_lands_on_the_degraded_path() {
     // The primary dies with the read on the wire.
     wire.state().dying.push(primary);
     wire.release_wave(1);
-    // The ladder finds it down, declares it dead, and the read completes
-    // from the other copy — one blocking call, nothing on the window.
+    // The read's one attempt failed: it completes from the other copy at
+    // once — one blocking call, nothing on the window — and waits for no
+    // verdict on the primary.
     assert_eq!(joined(reader).expect("pagein"), Page::deterministic(6));
     assert!(wire.state().flying.is_empty());
     let stats = pager.stats();
     assert_eq!((stats.pageins, stats.degraded_reads), (1, 1));
     assert_eq!(stats.checksum_failures, 0);
-    // The rebuild is queued once on the shard that lost the flight — and
-    // once on its sibling, which was told of the death and dialled
-    // nothing to learn it.
     let seen = |p: &mut Pager| {
         let counter = |name| p.metrics().counter(name).get();
         let (deaths, retries) = (counter("pool_deaths_total"), counter("pool_retries_total"));
-        (p.recovery_backlog(), deaths, retries > 0)
+        (p.recovery_backlog(), deaths, retries)
     };
-    assert_eq!(pager.with_shard(0, seen), (1, 1, true));
-    assert_eq!(pager.with_shard(1, seen), (1, 1, false));
+    // The primary is backing off on both shards — the sibling was told —
+    // and nothing is queued on a miss.
+    for shard in 0..2 {
+        assert_eq!(pager.with_shard(shard, seen), (0, 0, 0), "shard {shard}");
+        let backoff = pager.with_shard(shard, |p| p.pool().backoff(primary));
+        assert!(
+            backoff.is_some(),
+            "shard {shard} knows the primary backs off"
+        );
+    }
+    // A rewrite has no way around the primary: its store walks the rest of
+    // the ladder to the verdict, and the copy is re-homed. The rebuild is
+    // then queued once on the shard that reached the verdict — and once on
+    // its sibling, which was told of the death and dialled nothing to
+    // learn it.
+    let rewrite = spawn(&pager, |p| p.page_out(PageId(6), &Page::deterministic(6)));
+    wire.release_wave(1);
+    joined(rewrite).expect("the copy is re-homed");
+    assert_eq!(pager.with_shard(0, seen), (1, 1, 2));
+    assert_eq!(pager.with_shard(1, seen), (1, 1, 0));
+    let reader = spawn(&pager, |p| p.page_in(PageId(6)));
+    assert_eq!(
+        pumped(&wire, &reader).expect("pagein"),
+        Page::deterministic(6)
+    );
 }
 
 #[test]

@@ -44,6 +44,8 @@ pub struct WireState {
     pub dead: Vec<ServerId>,
     /// Redials attempted, per dead server.
     pub redials: Vec<ServerId>,
+    /// Calls and submissions a dead server refused: the dials it got.
+    pub refused: Vec<ServerId>,
 }
 
 /// The wire all transports of one pool share.
@@ -143,6 +145,7 @@ impl ServerTransport for WaveTransport {
     fn call(&mut self, msg: &Message) -> Result<Message> {
         let mut st = self.wire.state();
         if st.dead.contains(&self.id) {
+            st.refused.push(self.id);
             return Err(refused("down"));
         }
         st.calls.push((self.id, msg.opcode()));
@@ -168,6 +171,7 @@ impl ServerTransport for WaveTransport {
     fn submit(&mut self, msgs: &[Message]) -> Option<Result<PendingReplies>> {
         let mut st = self.wire.state();
         if st.dead.contains(&self.id) {
+            st.refused.push(self.id);
             return Some(Err(refused("down")));
         }
         let replies = msgs.iter().map(|m| self.serve(&mut st, m)).collect();

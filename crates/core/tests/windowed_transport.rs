@@ -555,13 +555,15 @@ fn wrapped_seq_skips_slots_still_in_flight() {
 }
 
 /// A transport whose window-stall counter is scripted: `call` fails with
-/// one timeout when told to, and `reconnect` starts a "fresh connection"
-/// whose cumulative [`rmp_core::reactor::WindowStats`] restart from zero
-/// — exactly as the real windowed reactor's counters do.
+/// one broken connection when told to, and `reconnect` — of a broken
+/// connection only, as the real windowed reactor's — starts a "fresh
+/// connection" whose cumulative [`rmp_core::reactor::WindowStats`]
+/// restart from zero, exactly as the reactor's counters do.
 struct ScriptedWindowState {
     stalls: u64,
     stalls_after_reconnect: u64,
     fail_next: bool,
+    broken: bool,
 }
 
 struct ScriptedWindow(std::sync::Arc<std::sync::Mutex<ScriptedWindowState>>);
@@ -571,9 +573,10 @@ impl ServerTransport for ScriptedWindow {
         let mut st = self.0.lock().expect("state");
         if st.fail_next {
             st.fail_next = false;
+            st.broken = true;
             return Err(RmpError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "scripted timeout",
+                std::io::ErrorKind::ConnectionReset,
+                "scripted reset",
             )));
         }
         match msg {
@@ -598,6 +601,9 @@ impl ServerTransport for ScriptedWindow {
 
     fn reconnect(&mut self) -> Result<()> {
         let mut st = self.0.lock().expect("state");
+        if !std::mem::take(&mut st.broken) {
+            return Err(RmpError::Unsupported("the connection is up"));
+        }
         st.stalls = st.stalls_after_reconnect;
         Ok(())
     }
@@ -635,6 +641,7 @@ fn window_stall_counter_survives_midcall_reconnect() {
         stalls: 5,
         stalls_after_reconnect: 3,
         fail_next: false,
+        broken: false,
     }));
     pool.add_transport(
         ServerId(0),
@@ -649,7 +656,7 @@ fn window_stall_counter_survives_midcall_reconnect() {
     pool.page_in(ServerId(0), StoreKey(1)).expect("read");
     assert_eq!(stalls_total.get(), 5);
 
-    // The next call times out once; the retry redials (the fresh
+    // The next call breaks the connection; the retry redials (the fresh
     // connection restarts at zero and then stalls 3 more times) and
     // succeeds.
     state.lock().expect("state").fail_next = true;
@@ -661,6 +668,94 @@ fn window_stall_counter_survives_midcall_reconnect() {
         "stalls on the post-reconnect connection must not be swallowed \
          by the stale baseline"
     );
+}
+
+#[test]
+fn a_read_that_timed_out_is_retried_in_its_own_session() {
+    // Regression: the ladder redialled after every transient failure, and
+    // a redial is a new server session — its own key namespace — so the
+    // retry of a read that only timed out asked a session that never
+    // stored the page, and got "not found". A timeout now retries on the
+    // same connection; the late reply is dropped by its seq.
+    let server = spawn_server(64);
+    let cfg = TransportConfig {
+        read_timeout: Duration::from_millis(60),
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(500),
+            jitter: 0.0,
+        },
+        ..TransportConfig::default()
+    };
+    let mut pool =
+        ServerPool::connect_with(&single_server_registry(&server), cfg).expect("connect");
+    let key = StoreKey(1);
+    pool.page_out(ServerId(0), key, &Page::deterministic(1))
+        .expect("store");
+    // Every request stalls past the read deadline until the stall clears,
+    // while the ladder still has rungs left.
+    server.set_stall(Duration::from_millis(100));
+    let read = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(80));
+            server.set_stall(Duration::ZERO);
+        });
+        pool.page_in(ServerId(0), key)
+    });
+    assert_eq!(
+        read.expect("the retry finds the page"),
+        Page::deterministic(1)
+    );
+    assert!(pool.view().is_alive(ServerId(0)));
+    server.shutdown();
+}
+
+#[test]
+fn pool_reconnect_wipes_the_rung() {
+    let servers = [spawn_server(64), spawn_server(64)];
+    let mut registry = Registry::new();
+    for (i, server) in servers.iter().enumerate() {
+        registry
+            .add(ServerInfo {
+                id: ServerId(i as u32),
+                addr: server.addr().to_string(),
+                link_cost: 1.0,
+            })
+            .expect("register");
+    }
+    // A backoff no read below outlasts: the miss leaves a rung, and no
+    // later read climbs it.
+    let retry = RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::from_secs(1),
+        max_backoff: Duration::from_secs(1),
+        jitter: 0.0,
+    };
+    let config = PagerConfig::new(Policy::Mirroring)
+        .with_prefetch_window(0)
+        .with_hedge_suspicion_threshold(f64::INFINITY)
+        .with_retry(retry);
+    let pool = ServerPool::connect(&registry).expect("connect");
+    let mut pager = Pager::builder(config).pool(pool).build().expect("pager");
+    for i in 0..4u64 {
+        (pager.page_out(PageId(i), &Page::deterministic(i))).expect("pageout");
+    }
+    servers[0].crash();
+    for i in 0..4u64 {
+        let read = pager.page_in(PageId(i)).expect("the mirror serves it");
+        assert_eq!(read, Page::deterministic(i));
+    }
+    let victim = ServerId(0);
+    assert!(pager.pool().backoff(victim).is_some(), "a read missed");
+    servers[0].restart();
+    pager.pool_mut().reconnect(victim).expect("redial");
+    assert_eq!(pager.pool().backoff(victim), None);
+    let status = pager.pool().view().status(victim).expect("registered");
+    assert_eq!(status.condition, rmp_cluster::Condition::Healthy);
+    for server in servers {
+        server.shutdown();
+    }
 }
 
 /// A server that shakes hands and then never answers: it swallows every

@@ -137,10 +137,13 @@ pub fn probe_policy(policy: Policy, pages: usize) -> Result<PolicyProbe> {
     if policy.survives_single_crash() && policy != Policy::DiskOnly {
         cluster.handles()[0].crash();
         // Warm-up read so the pool discovers the crash before the
-        // baseline is taken: engines that gather several splits per
-        // read waste the partial batch issued against the dead server,
-        // which would otherwise pollute the steady-state degraded cost.
+        // baseline is taken, and a load probe to walk the rest of the
+        // retry ladder to the verdict: engines that gather several splits
+        // per read waste the partial batch issued against the server
+        // whenever its next rung is due, which would otherwise pollute
+        // the steady-state degraded cost.
         pager.page_in(PageId(0))?;
+        pager.pool_mut().refresh_loads();
         let baseline = pager.stats();
         let wire_before = pager.pool().wire_transfers();
         for i in 0..pages {

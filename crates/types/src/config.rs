@@ -9,12 +9,20 @@ use crate::policy::Policy;
 /// Bounded-retry policy applied by the server pool before a server is
 /// declared dead.
 ///
-/// Attempt `n` (zero-based, after the first failure) sleeps
-/// `min(base_backoff * 2^n, max_backoff)` scaled by a random factor in
-/// `[1 - jitter, 1 + jitter]`, then reconnects and retries. With the
-/// defaults (3 attempts, 10 ms base, 500 ms cap, 20 % jitter) a
-/// transient stall costs at most ~40 ms of backoff before the pager
-/// falls back to crash recovery.
+/// The `n`-th failure in a row (zero-based) puts the server on a rung of
+/// the retry ladder: its next attempt is due `min(base_backoff * 2^n,
+/// max_backoff)`, scaled by a random factor in `[1 - jitter, 1 +
+/// jitter]`, later, on a redialled connection if the old one broke.
+/// The rung is the server's, not a call's, and only a caller with no
+/// other way pays the backoff — a pageout, a free, a control call, a
+/// rebuild, a read without redundancy sleeps until the rung is due. A
+/// read the policy can serve some other way makes one attempt and reads
+/// around a failing server at once, and around one backing off until
+/// its rung is due. The failure of the last of `max_attempts` attempts
+/// is the verdict: the server is dead. With the defaults (3 attempts,
+/// 10 ms base, 500 ms cap, 20 % jitter) a server that stays down costs a
+/// caller that waits ~30 ms of backoff, and a read that goes around it
+/// none.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per logical call, including the first

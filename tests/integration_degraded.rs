@@ -46,6 +46,20 @@ fn degraded_read_is_o1_and_defers_the_rebuild() {
         "one degraded read fetches one parity group (S-1 members plus \
          parity), not the {lost} lost pages; measured {cost} transfers"
     );
+    // The read waited for no verdict: one missed attempt put the server on
+    // the retry ladder, and nothing is queued on a miss.
+    assert!(pager.pool().view().is_alive(ServerId(1)));
+    assert_eq!(pager.recovery_backlog(), 0);
+    // A load probe has no way around the server: it walks the rest of the
+    // ladder to the verdict, and the next read of a lost page queues the
+    // rebuild.
+    assert_eq!(pager.pool_mut().refresh_loads(), vec![ServerId(1)]);
+    for i in 0..200u64 {
+        assert_eq!(
+            pager.page_in(PageId(i)).expect("read"),
+            Page::deterministic(i)
+        );
+    }
     assert!(
         pager.recovery_backlog() > 0,
         "the full rebuild was deferred, not run inline with the pagein"
