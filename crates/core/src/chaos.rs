@@ -659,6 +659,11 @@ impl ServerTransport for ChaosTransport {
     }
 
     fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
+        // A lone frame is faulted as a call is: burst-shape faults need a
+        // burst to act on.
+        if let [lone] = msgs {
+            return Ok(vec![self.call(lone)?]);
+        }
         let Some(first) = msgs.first() else {
             return Ok(Vec::new());
         };

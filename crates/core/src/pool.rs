@@ -749,11 +749,15 @@ impl ServerPool {
         1.0 - jitter + 2.0 * jitter * unit
     }
 
-    /// Folds the elapsed time of one attempt against `id` — a call, or a
-    /// wave's burst — into the service-time estimate and the latency
-    /// histograms. Failed and timed-out attempts count too: a flaky
-    /// cluster must look *slow* to the adaptive policy, not invisible.
-    fn record_attempt(&mut self, id: ServerId, elapsed: Duration) {
+    /// Books one attempt against `id` — a flight, or a wave's burst — that
+    /// took `elapsed`: folds it into the service-time estimate and the
+    /// latency histograms, mirrors the window counters, and, when it was
+    /// answered (`answered` says whether it carried page data), takes the
+    /// health sample. Failed and timed-out attempts count too: a flaky
+    /// cluster must look *slow* to the adaptive policy, not invisible. A
+    /// failed one's miss is sampled by the caller, which knows what it
+    /// costs.
+    fn book(&mut self, id: ServerId, elapsed: Duration, answered: Option<bool>) {
         ewma(&mut self.service_ms, elapsed.as_secs_f64() * 1000.0);
         if let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) {
             m.call_latency.record(elapsed);
@@ -763,6 +767,10 @@ impl ServerPool {
                         .histogram(&format!("pool_call_latency_us{{{id}}}"))
                 })
                 .record(elapsed);
+        }
+        self.publish_window_stats(id);
+        if let Some(data_path) = answered {
+            self.sample(id, elapsed, Outcome::Reply { data_path });
         }
     }
 
@@ -828,79 +836,63 @@ impl ServerPool {
         peer.publish_suspicion(id, self.metrics.as_ref());
     }
 
-    /// The single failure-handling point of the paging path.
+    /// The single failure-handling point of the paging path: a flight
+    /// begun and settled.
     ///
-    /// Sends `msg` to `id` through [`ServerPool::ladder`]: a transient
-    /// failure (timeout, dropped connection, overload refusal) marks the
-    /// server suspect, and the call waits out the backoff, redials a broken
-    /// connection and tries again — until the rungs run out and the server
-    /// is declared dead. Typed server errors are mapped here, centrally:
-    /// out-of-memory becomes [`RmpError::NoSpace`], shutting-down becomes
-    /// [`RmpError::ServerCrashed`] (with the server marked dead).
-    fn call(&mut self, id: ServerId, msg: &Message) -> Result<Message> {
-        if let Some(m) = &self.metrics {
-            m.calls.inc();
-        }
-        // The whole call — every attempt, backoff, and redial — runs
-        // against one budget resolved *now*, at entry. (An earlier version
-        // re-derived the deadline from `Instant::now()` on each attempt,
-        // so each retry inherited a fresh budget and a slow-failing server
-        // could hold a caller far past the intended bound.)
-        let deadline = Instant::now() + self.transport_cfg.effective_call_budget();
-        self.ladder(id, msg, None, deadline)
+    /// Sends `request` to `id`. Through [`ServerPool::ladder`], a
+    /// transient failure (timeout, dropped connection, overload refusal)
+    /// marks the server suspect, and the call waits out the backoff,
+    /// redials a broken connection and tries again — until the rungs run
+    /// out and the server is declared dead. Typed server errors are mapped
+    /// there, centrally: out-of-memory becomes [`RmpError::NoSpace`],
+    /// shutting-down becomes [`RmpError::ServerCrashed`] (with the server
+    /// marked dead).
+    fn call(&mut self, id: ServerId, request: Message) -> Result<Message> {
+        // The flight never leaves this call, so it names no key.
+        let flight = self.begin_call(id, StoreKey(0), request);
+        self.settle(flight)
     }
 
-    /// The retry ladder, for a caller that has no other way: attempt, and
-    /// on a transient failure take the server's next rung, sleep until it
-    /// is due and attempt again, until the rungs or `deadline` run out and
-    /// the server is declared dead. The rung is the server's, kept on its
-    /// [`Peer`] between calls: a call finds the server where the last
-    /// failure left it — a read that went around it, say — and goes on
-    /// from there, so a walk has `max_attempts` attempts however many
-    /// callers share it. `ran` is the first attempt when the caller already
-    /// made it — a leg of a wave or a flight that came back failed, with
-    /// how long it took. An attempt is one blocking call of `request`.
+    /// When the retry budget of a call begun at `begun` runs out. The whole
+    /// call — every attempt, backoff, and redial — runs against that one
+    /// instant: no retry starts on a fresh budget.
+    fn budget_end(&self, begun: Instant) -> Instant {
+        begun + self.transport_cfg.effective_call_budget()
+    }
+
+    /// The retry ladder, for a caller that has no other way: `landed` is
+    /// how the attempt of `flight` came back. On a transient failure the
+    /// server takes its next rung and the flight, held, leaves again once
+    /// the rung is due, until the rungs or `by` run out and the server is
+    /// declared dead. The rung is the server's, kept on its [`Peer`]
+    /// between calls: a call finds the server where the last failure left
+    /// it — a read that went around it, say — and goes on from there, so a
+    /// walk has `max_attempts` attempts however many callers share it. The
+    /// request moves from rung to rung; it is never copied.
     fn ladder(
         &mut self,
-        id: ServerId,
-        request: &Message,
-        mut ran: Option<(RmpError, Duration)>,
-        deadline: Instant,
+        mut flight: Flight,
+        landed: (Result<Message>, Duration),
+        by: Instant,
     ) -> Result<Message> {
-        let data_path = request.is_data_op();
-        let mut made = 0;
+        let id = flight.server;
+        let (mut reply, mut elapsed) = landed;
+        let mut made = 1;
         loop {
-            made += 1;
             self.last_attempts = made;
-            let (err, elapsed) = match ran.take() {
-                Some(failed) => failed,
-                None => {
-                    self.climb(id, deadline);
-                    let transport = &mut self
-                        .peers
-                        .get_mut(&id)
-                        .ok_or_else(|| RmpError::Config(format!("unknown server {id}")))?
-                        .transport;
-                    let start = Instant::now();
-                    let outcome = transport.call(request);
-                    let elapsed = start.elapsed();
-                    self.record_attempt(id, elapsed);
-                    self.publish_window_stats(id);
-                    match outcome {
-                        Ok(replied) => {
-                            self.sample(id, elapsed, Outcome::Reply { data_path });
-                            return Ok(replied);
-                        }
-                        Err(e) => (e, elapsed),
-                    }
-                }
+            let failed = match reply {
+                Ok(reply) => return Ok(reply),
+                Err(failed) => failed,
             };
-            if is_transient(&err) {
+            if is_transient(&failed) {
                 // Transient until proven otherwise: the miss
                 // deprioritizes the server while it proves itself.
                 self.sample(id, elapsed, Outcome::Miss);
             }
-            self.fail(id, err, Some(deadline))?;
+            self.fail(id, failed, Some(by))?;
+            flight.pending = None;
+            made += 1;
+            (reply, elapsed) = self.land(&mut flight, by);
         }
     }
 
@@ -953,8 +945,8 @@ impl ServerPool {
     ) -> Option<RmpError> {
         let last = self.rung(id);
         let failed = last.map_or(0, |rung| rung.failed) + 1;
-        // Overload is a typed refusal from a live server: the worker pool
-        // is saturated. It backs off like a timeout — and if the storm
+        // Overload is a typed refusal from a live server: every session
+        // is taken. It backs off like a timeout — and if the storm
         // outlasts the rungs, the verdict is a timeout, steering the pager
         // to other servers without calling this one crashed.
         let timed_out =
@@ -1092,18 +1084,17 @@ impl ServerPool {
         }
     }
 
-    /// Collects a flight's reply and samples it with its own
+    /// Collects a flight's reply and books it with its own
     /// submit-to-arrival time — never with how long the caller took to
-    /// come back for it: a wait for a lock is not a slow server, nor spent
-    /// call budget. Returns that time and the request too: a failure is
-    /// not yet sampled, what a miss costs being the caller's to say. A
-    /// frame held back while its server backed off leaves now, once the
-    /// rung is due.
-    fn land(&mut self, mut flight: Flight) -> (Result<Message>, Duration, Message) {
+    /// come back for it: a wait for a lock is not a slow server. Returns
+    /// that time too: a failure is not yet sampled, what a miss costs
+    /// being the caller's to say. A frame held back — its server backing
+    /// off when it began, or a later rung of the ladder — leaves now, once
+    /// the rung is due (`by` at the latest).
+    fn land(&mut self, flight: &mut Flight, by: Instant) -> (Result<Message>, Duration) {
         let id = flight.server;
         let pending = flight.pending.take().unwrap_or_else(|| {
-            let budget = Instant::now() + self.transport_cfg.effective_call_budget();
-            self.climb(id, budget);
+            self.climb(id, by);
             flight.submitted = Instant::now();
             flight.deadline = flight.submitted + self.transport_cfg.read_timeout;
             self.submit_to(id, std::slice::from_ref(&flight.request))
@@ -1113,26 +1104,17 @@ impl ServerPool {
             Err(refused) => (Err(refused), flight.submitted),
         };
         let elapsed = (arrived.min(flight.deadline)).saturating_duration_since(flight.submitted);
-        self.record_attempt(id, elapsed);
-        self.publish_window_stats(id);
-        if reply.is_ok() {
-            self.last_attempts = 1;
-            let data_path = flight.request.is_data_op();
-            self.sample(id, elapsed, Outcome::Reply { data_path });
-        }
-        (reply, elapsed, flight.request)
+        let answered = reply.is_ok().then(|| flight.request.is_data_op());
+        self.book(id, elapsed, answered);
+        (reply, elapsed)
     }
 
     /// The second half of a call: a failed flight goes on down the
-    /// ladder, as in [`ServerPool::finish_scatter`].
-    fn settle(&mut self, flight: Flight) -> Result<Message> {
-        let id = flight.server;
-        let (reply, elapsed, request) = self.land(flight);
-        reply.or_else(|failed| {
-            let left = (self.transport_cfg.effective_call_budget()).saturating_sub(elapsed);
-            let (ran, by) = (Some((failed, elapsed)), Instant::now() + left);
-            self.ladder(id, &request, ran, by)
-        })
+    /// ladder, within the budget counted from when it began.
+    fn settle(&mut self, mut flight: Flight) -> Result<Message> {
+        let by = self.budget_end(flight.submitted);
+        let landed = self.land(&mut flight, by);
+        self.ladder(flight, landed, by)
     }
 
     /// The first half of [`ServerPool::scatter`]: groups the legs by server
@@ -1192,12 +1174,12 @@ impl ServerPool {
     fn finish_scatter(&mut self, wave: Wave) -> Vec<Result<Message>> {
         let Wave {
             order,
-            msgs,
+            mut msgs,
             bursts,
             started,
             read_deadline,
         } = wave;
-        let budget = started + self.transport_cfg.effective_call_budget();
+        let budget = self.budget_end(started);
         let mut out: Vec<Result<Message>> = (order.iter())
             .map(|_| Err(RmpError::Unsupported("leg left uncollected")))
             .collect();
@@ -1233,11 +1215,10 @@ impl ServerPool {
                 }
             }
             let elapsed = arrived - burst.submitted;
-            self.record_attempt(id, elapsed);
-            if !(burst.at.clone()).any(|at| matches!(&out[order[at]], Err(e) if is_transient(e))) {
-                let data_path = msgs[burst.at.clone()].iter().any(Message::is_data_op);
-                self.sample(id, elapsed, Outcome::Reply { data_path });
-            }
+            let lost =
+                (burst.at.clone()).any(|at| matches!(&out[order[at]], Err(e) if is_transient(e)));
+            let data_path = msgs[burst.at.clone()].iter().any(Message::is_data_op);
+            self.book(id, elapsed, (!lost).then_some(data_path));
             // One walk down the ladder per burst: it backs off and redials
             // for the first lost leg; the rest find the connection fresh —
             // or the server declared dead, and do not dial it again.
@@ -1247,7 +1228,7 @@ impl ServerPool {
                     continue;
                 };
                 let failed = std::mem::replace(e, RmpError::ServerCrashed(id));
-                let request = &msgs[at];
+                let request = std::mem::replace(&mut msgs[at], Message::LoadQuery);
                 out[order[at]] = if walked && is_transient(&failed) {
                     match self.view.is_alive(id) {
                         true => self.call(id, request),
@@ -1255,11 +1236,17 @@ impl ServerPool {
                     }
                 } else {
                     walked |= is_transient(&failed);
-                    let ran = Some((failed, elapsed));
-                    self.ladder(id, request, ran, budget)
+                    let flight = Flight {
+                        server: id,
+                        key: StoreKey(0),
+                        request,
+                        submitted: burst.submitted,
+                        deadline: read_deadline,
+                        pending: None,
+                    };
+                    self.ladder(flight, (Err(failed), elapsed), budget)
                 };
             }
-            self.publish_window_stats(id);
         }
         out
     }
@@ -1318,7 +1305,7 @@ impl ServerPool {
                 return Ok(());
             }
         }
-        match self.call(id, &Message::Alloc { pages: ALLOC_CHUNK })? {
+        match self.call(id, Message::Alloc { pages: ALLOC_CHUNK })? {
             Message::AllocReply { granted, hint } => {
                 self.apply_hint(id, hint);
                 if granted == 0 {
@@ -1421,7 +1408,7 @@ impl ServerPool {
     /// [`RmpError::ServerCrashed`] on connection failure;
     /// [`RmpError::NoSpace`] when the server is out of memory.
     pub fn page_out(&mut self, id: ServerId, key: StoreKey, page: &Page) -> Result<LoadHint> {
-        let reply = self.call(id, &Self::store_request(key, page))?;
+        let reply = self.call(id, Self::store_request(key, page))?;
         self.stored(id, reply)
     }
 
@@ -1480,7 +1467,7 @@ impl ServerPool {
     /// bytes fail their checksum (wire-level corruption — the server
     /// stays alive in the view).
     pub fn page_in(&mut self, id: ServerId, key: StoreKey) -> Result<Page> {
-        let reply = self.call(id, &Message::PageIn { id: key })?;
+        let reply = self.call(id, Message::PageIn { id: key })?;
         self.fetched(id, key, reply)?
             .ok_or(RmpError::PageNotFound(rmp_types::PageId(key.0)))
     }
@@ -1509,9 +1496,10 @@ impl ServerPool {
     /// sustained trouble shows up where it matters, and a speculative
     /// fetch that fails is simply dropped. A demand read hands its failure
     /// on to `ServerPool::missed`, which puts the holder on its rung.
-    pub fn finish_page_in_unretried(&mut self, flight: Flight) -> Result<Option<Page>> {
-        let (id, key) = (flight.server, flight.key);
-        let (reply, elapsed, _) = self.land(flight);
+    pub fn finish_page_in_unretried(&mut self, mut flight: Flight) -> Result<Option<Page>> {
+        let (id, key, by) = (flight.server, flight.key, self.budget_end(flight.submitted));
+        let (reply, elapsed) = self.land(&mut flight, by);
+        self.last_attempts = 1;
         if reply.is_err() {
             self.sample(id, elapsed, Outcome::Miss);
         }
@@ -1572,7 +1560,7 @@ impl ServerPool {
     ///
     /// [`RmpError::ServerCrashed`] on connection failure.
     pub fn free(&mut self, id: ServerId, key: StoreKey) -> Result<()> {
-        Self::freed(self.call(id, &Message::Free { id: key })?)
+        Self::freed(self.call(id, Message::Free { id: key })?)
     }
 
     /// Basic-parity pageout: stores the page and returns `old XOR new`.
@@ -1591,7 +1579,7 @@ impl ServerPool {
             checksum: page.checksum(),
             page: page.clone(),
         };
-        match self.call(id, &request)? {
+        match self.call(id, request)? {
             Message::PageOutDeltaReply { delta, hint, .. } => {
                 self.note_wire_transfer();
                 self.apply_hint(id, hint);
@@ -1611,7 +1599,7 @@ impl ServerPool {
             id: key,
             page: delta.clone(),
         };
-        match self.call(id, &request)? {
+        match self.call(id, request)? {
             Message::XorAck { .. } => {
                 self.note_wire_transfer();
                 Ok(())
@@ -1627,7 +1615,7 @@ impl ServerPool {
     ///
     /// [`RmpError::ServerCrashed`] on connection failure.
     pub fn query_load(&mut self, id: ServerId) -> Result<(u64, u64, u16, LoadHint)> {
-        let reply = self.call(id, &Message::LoadQuery)?;
+        let reply = self.call(id, Message::LoadQuery)?;
         self.load_reported(id, reply)
     }
 
@@ -1680,7 +1668,7 @@ impl ServerPool {
         let mut keys = Vec::new();
         let mut start = StoreKey(0);
         loop {
-            match self.call(id, &Message::ListPages { start, limit: 512 })? {
+            match self.call(id, Message::ListPages { start, limit: 512 })? {
                 Message::ListPagesReply { ids, more } => {
                     if let Some(&last) = ids.last() {
                         start = last.next();
@@ -1701,8 +1689,9 @@ impl ServerPool {
     ///
     /// Propagates send failures (an already-dead server).
     pub fn inject_crash(&mut self, id: ServerId) -> Result<()> {
-        if let Some(peer) = self.peers.get_mut(&id) {
-            peer.transport.send_only(&Message::InjectCrash)?;
+        if self.peers.contains_key(&id) {
+            // No reply will come: the handle is dropped, abandoning it.
+            drop(self.submit_to(id, &[Message::InjectCrash])?);
         }
         self.declare_dead(id, "injected");
         Ok(())
@@ -1716,7 +1705,7 @@ impl ServerPool {
     /// [`RmpError::ServerCrashed`] on connection failure, or
     /// [`RmpError::Protocol`] when the server predates the frame.
     pub fn get_stats(&mut self, id: ServerId) -> Result<String> {
-        match self.call(id, &Message::GetStats)? {
+        match self.call(id, Message::GetStats)? {
             Message::StatsReply { json } => Ok(json),
             other => Err(unexpected_reply("GetStats", &other)),
         }

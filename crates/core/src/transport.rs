@@ -9,7 +9,10 @@ use rmp_types::{Result, RmpError, TransportConfig};
 ///
 /// Production uses [`crate::reactor::WindowedTransport`] (a TCP socket, as
 /// in the paper, carrying a request window); tests plug in in-process
-/// fakes, which need only `call` and `send_only`.
+/// fakes, which need only `call` and `send_only`. The pool calls only
+/// [`ServerTransport::submit`], [`ServerTransport::reconnect`] and
+/// [`ServerTransport::window_stats`]; the other methods serve the
+/// provided `submit`.
 pub trait ServerTransport: Send {
     /// Sends `msg` and returns the server's reply.
     ///
@@ -20,8 +23,7 @@ pub trait ServerTransport: Send {
     /// surface as [`rmp_types::RmpError::Remote`].
     fn call(&mut self, msg: &Message) -> Result<Message>;
 
-    /// Sends `msg` without waiting for a reply (used for crash injection,
-    /// where no reply will come).
+    /// Sends `msg` without waiting for a reply.
     ///
     /// # Errors
     ///
@@ -31,9 +33,9 @@ pub trait ServerTransport: Send {
     /// Sends every message in `msgs` before reading any reply, keeping
     /// all frames outstanding on the connection at once, then returns the
     /// replies in request order: `n` frames cost one round trip plus
-    /// `n - 1` serialized sends instead of `n` full round trips. The pool
-    /// calls [`ServerTransport::submit`] only; this is what a transport
-    /// without a request window answers it with.
+    /// `n - 1` serialized sends instead of `n` full round trips: what a
+    /// transport without a request window answers
+    /// [`ServerTransport::submit`] with.
     ///
     /// The default degrades to a serial request/response loop so fakes
     /// and single-frame transports stay correct without changes.

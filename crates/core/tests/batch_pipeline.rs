@@ -187,10 +187,13 @@ fn batching_collapses_frame_counts() {
 
     let (gathered, mut pool) = batch_pool(1);
     preload(&mut pool, 16);
-    let stored = gathered[0].frames();
+    let (stored, bursts) = (gathered[0].frames(), gathered[0].pipelined());
     pool.page_in_wave(&reads_of(0..16)).expect("gather");
     assert_eq!(
-        (gathered[0].frames() - stored, gathered[0].pipelined()),
+        (
+            gathered[0].frames() - stored,
+            gathered[0].pipelined() - bursts
+        ),
         (16, 1),
         "16 reads of one holder are one submission of 16 frames"
     );
@@ -302,12 +305,12 @@ fn disabled_prefetch_window_never_prefetches() {
         0,
         "prefetch_window = 0 disables the prefetcher"
     );
-    // Each demand read is a submission of its own one frame — on these
+    // Every operation is a submission of its own one frame — on these
     // fakes a `call_pipelined` of one — and nothing else was submitted.
     assert_eq!(
         fakes.iter().map(|f| f.pipelined()).sum::<u64>(),
-        20,
-        "one submission per demand read"
+        40 + 2,
+        "one submission per operation and allocation"
     );
     assert_eq!(
         fakes.iter().map(|f| f.frames()).sum::<u64>(),

@@ -15,8 +15,9 @@ use std::time::{Duration, Instant};
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::transport::ServerTransport;
-use rmp_core::{ChaosServer, Pager, ServerPool, WindowedTransport};
-use rmp_proto::Message;
+use rmp_core::{ChaosServer, Pager, PendingReplies, ServerPool, WindowedTransport};
+use rmp_proto::{Message, Opcode};
+use rmp_types::metrics::MetricsRegistry;
 use rmp_types::{
     ErrorCode, Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId,
     StoreKey, TransportConfig,
@@ -670,4 +671,87 @@ fn silent_server_cannot_block_the_paging_path() {
     );
     drop(pool);
     guard.join().expect("listener thread");
+}
+
+// --- the pool's one way onto the wire ---------------------------------------
+
+/// Frames still to fail, and the opcode of every frame submitted.
+type SubmitLog = Arc<Mutex<(u32, Vec<Opcode>)>>;
+
+/// A transport that can only submit: any other way onto the wire panics.
+struct SubmitOnly {
+    server: ChaosServer,
+    log: SubmitLog,
+}
+
+impl ServerTransport for SubmitOnly {
+    fn call(&mut self, _msg: &Message) -> Result<Message> {
+        panic!("the pool called `call`")
+    }
+
+    fn call_pipelined(&mut self, _msgs: &[Message]) -> Result<Vec<Message>> {
+        panic!("the pool called `call_pipelined`")
+    }
+
+    fn send_only(&mut self, _msg: &Message) -> Result<()> {
+        panic!("the pool called `send_only`")
+    }
+
+    fn submit(&mut self, msgs: &[Message]) -> Option<Result<PendingReplies>> {
+        let mut log = self.log.lock().expect("log lock");
+        log.1.extend(msgs.iter().map(Message::opcode));
+        let outcome = if log.0 > 0 {
+            log.0 -= 1;
+            Err(io_err(std::io::ErrorKind::TimedOut, "scripted miss"))
+        } else {
+            Ok(msgs.iter().map(|m| self.server.serve(0, m)).collect())
+        };
+        let (pending, completion) = PendingReplies::deferred(msgs.len(), Duration::from_secs(1));
+        completion.complete(outcome);
+        Some(Ok(pending))
+    }
+}
+
+#[test]
+fn every_call_is_a_submission() {
+    let log = SubmitLog::default();
+    let mut pool = ServerPool::with_transport_config(test_transport_config());
+    let metrics = Arc::new(MetricsRegistry::new());
+    pool.set_metrics(Arc::clone(&metrics));
+    let server = ChaosServer::new();
+    let transport = SubmitOnly {
+        server,
+        log: Arc::clone(&log),
+    };
+    let id = ServerId(0);
+    pool.add_transport(id, Box::new(transport), 1.0);
+
+    pool.page_out(id, StoreKey(1), &Page::deterministic(1))
+        .expect("pageout");
+    let page = pool.page_in(id, StoreKey(1)).expect("pagein");
+    assert_eq!(page, Page::deterministic(1));
+    pool.free(id, StoreKey(1)).expect("free");
+    pool.query_load(id).expect("load query");
+    // Two attempts fail: the pageout climbs two rungs and lands on the
+    // third, the same request resubmitted each time.
+    log.lock().expect("log lock").0 = 2;
+    pool.page_out(id, StoreKey(2), &Page::deterministic(2))
+        .expect("pageout on the third attempt");
+    assert_eq!(pool.last_call_attempts(), 3);
+    assert_eq!(metrics.counter("pool_retries_total").get(), 2);
+    pool.inject_crash(id).expect("crash injection");
+    assert!(!pool.view().is_alive(id));
+    use Opcode::*;
+    let sent = log.lock().expect("log lock").1.clone();
+    let expected = [
+        PageOut,
+        PageIn,
+        Free,
+        LoadQuery,
+        PageOut,
+        PageOut,
+        PageOut,
+        InjectCrash,
+    ];
+    assert_eq!(sent, expected);
 }

@@ -128,14 +128,11 @@ fn prefetch_hits_are_counted_once() {
     let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 64);
-    // Reordering is a fault of bursts only, and harmless to a burst of
-    // one frame: it fires on whatever arrives through `call_pipelined` —
-    // where a transport without a window completes a `submit`, so on
-    // read-ahead's and on the demand reads' flights — and on nothing the
-    // pool sends through `call`.
+    // A delay of nothing changes nothing and fires on every submission:
+    // the plan's trace is a log of what went to the wire.
     cluster
         .plan()
-        .inject(FaultRule::new(FaultAction::ReorderBurst));
+        .inject(FaultRule::new(FaultAction::Delay(Duration::ZERO)));
     cluster.plan().arm();
     let served = read(&mut pager, 0..64);
     assert_eq!(served, 64);

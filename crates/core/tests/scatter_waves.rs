@@ -91,10 +91,10 @@ fn mirroring_writes_both_copies_in_one_wave() {
 fn write_through_overlaps_its_remote_leg() {
     let config = PagerConfig::new(Policy::WriteThrough);
     let (wire, _servers, mut pager) = wave_pager(config, 2);
-    let (done, _) = in_waves(&wire, &[], || {
+    let (done, _) = in_waves(&wire, &[1], || {
         pager.page_out(PageId(3), &Page::deterministic(3))
     });
-    done.expect("first write places by the walk");
+    done.expect("first write places by the walk, one frame");
     // The rewrite's remote frame is submitted, not called: the disk write
     // runs while the test thread still holds the reply back.
     let (done, waves) = in_waves(&wire, &[1], || {
@@ -110,14 +110,15 @@ fn plog_pager() -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
     wave_pager(PagerConfig::new(Policy::ParityLogging).with_servers(3), 4)
 }
 
-/// Pages 0 and 1 go out as `fill` and `fill + 1`: pending members, one
-/// call each and no wave.
+/// Pages 0 and 1 go out as `fill` and `fill + 1`: pending members, their
+/// data frame each and nothing else.
 fn two_pending(wire: &Wire, pager: &mut Pager, fill: u64) {
     for i in 0..2u64 {
-        let (done, _) = in_waves(wire, &[], || {
+        let (done, waves) = in_waves(wire, &[1], || {
             pager.page_out(PageId(i), &Page::deterministic(fill + i))
         });
-        done.expect("a pending member is one call");
+        done.expect("a pending member is one frame");
+        assert_eq!(shape(&waves[0]).1, vec![Opcode::PageOut]);
     }
 }
 
@@ -155,11 +156,9 @@ fn parity_logging_seal_is_one_wave() {
             Opcode::Free
         ]
     );
-    let data_calls = wire.calls();
-    assert_eq!(
-        data_calls.iter().map(|c| c.1).collect::<Vec<_>>(),
-        vec![Opcode::PageOut; 2],
-        "only a pending member's data frame is a call of its own"
+    assert!(
+        wire.calls().is_empty(),
+        "the first group's grants serve the second"
     );
     let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
     assert_eq!(stored, 4, "three current versions and one parity page");
@@ -169,22 +168,18 @@ fn parity_logging_seal_is_one_wave() {
 fn a_data_frame_the_sealing_wave_did_not_land_is_re_homed_and_its_group_follows() {
     let (wire, servers, mut pager) = plog_pager();
     two_pending(&wire, &mut pager, 0);
-    wire.calls();
     // Server 2 refuses the sealing wave's data frame; the parity page
     // lands. Servers 0 and 1 hold the group's other members, so after a
     // fresh look at the loads (a wave of its own) the frame is offered to
-    // server 2 again, by a plain call and under a new key.
+    // server 2 again, alone and under a new key.
     wire.state().refuse_store.push(ServerId(2));
-    let (done, waves) = in_waves(&wire, &[2, 4], || {
+    let (done, waves) = in_waves(&wire, &[2, 4, 1], || {
         pager.page_out(PageId(2), &Page::deterministic(2))
     });
     done.expect("the second offer is taken");
     assert_eq!(shape(&waves[0]), (vec![2, 3], vec![Opcode::PageOut; 2]));
     assert_eq!(shape(&waves[1]).1, vec![Opcode::LoadQuery; 4]);
-    let stores: Vec<_> = (wire.calls().into_iter())
-        .filter(|(_, op)| *op == Opcode::PageOut)
-        .collect();
-    assert_eq!(stores, [(ServerId(2), Opcode::PageOut)]);
+    assert_eq!(shape(&waves[2]), (vec![2], vec![Opcode::PageOut]));
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
     assert_eq!(stored, [1, 1, 1, 1]);
     let pool = pager.pool();
@@ -209,16 +204,19 @@ fn a_parity_server_dying_under_the_sealing_wave_leaves_the_members_pending() {
     two_pending(&wire, &mut pager, 0);
     // The data frame lands, the parity server dies with its burst. The
     // seal is undone, so recovery finds three pending pages: it gathers
-    // them at once, re-logs them — stores first, the seal after, its
-    // parity page on the spare — and the pageout runs again.
+    // them at once, re-logs them a frame at a time — stores and the frees
+    // of the units they replace first, the seal after, its parity page on
+    // the spare — and the pageout runs again.
     wire.state().dying.push(ServerId(4));
-    let (done, waves) = in_waves(&wire, &[2, 3, 1], || {
+    let widths = [&[2, 3][..], &[1; 8]].concat();
+    let (done, waves) = in_waves(&wire, &widths, || {
         pager.page_out(PageId(2), &Page::deterministic(2))
     });
     done.expect("recovered and retried");
     assert_eq!(shape(&waves[0]), (vec![2, 4], vec![Opcode::PageOut; 2]));
     assert_eq!(shape(&waves[1]).1, vec![Opcode::PageIn; 3]);
-    assert_eq!(shape(&waves[2]), (vec![3], vec![Opcode::PageOut]));
+    let seal = (vec![3], vec![Opcode::PageOut]);
+    assert_eq!(shape(&waves[7]), seal, "{waves:?}");
     servers[4].crash();
     for i in 0..3u64 {
         let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(i)));
@@ -233,16 +231,15 @@ fn a_taker_that_refuses_beside_the_free_of_its_own_old_unit_is_asked_again() {
         pager.page_out(PageId(1), &Page::deterministic(1))
     });
     done.expect("first write");
-    wire.calls();
     let grants = pager.pool().granted_frames(ServerId(2));
     // Server 2 is full until the free in its burst has made room: it
     // refuses the new unit, and takes it on the second offer — no other
     // server could, each holds a unit of this stripe.
     wire.state().refuse_store.push(ServerId(2));
     let page = Page::deterministic(2);
-    let (done, _) = in_waves(&wire, &[10], || pager.page_out(PageId(1), &page));
+    let (done, waves) = in_waves(&wire, &[10, 1], || pager.page_out(PageId(1), &page));
     done.expect("rewrite");
-    assert_eq!(wire.calls(), [(ServerId(2), Opcode::PageOut)]);
+    assert_eq!(shape(&waves[1]), (vec![2], vec![Opcode::PageOut]));
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
     assert_eq!(stored, [1; 5], "exactly k + r units of the page");
     assert_eq!(pager.pool().granted_frames(ServerId(2)), grants - 1);
@@ -254,7 +251,7 @@ fn a_taker_that_refuses_beside_the_free_of_its_own_old_unit_is_asked_again() {
 fn parity_logging_degraded_read_and_group_rebuild_gather_at_once() {
     let (wire, _servers, mut pager) = plog_pager();
     for i in 0..3u64 {
-        let widths: &[usize] = if i == 2 { &[2] } else { &[] };
+        let widths: &[usize] = if i == 2 { &[2] } else { &[1] };
         let (done, _) = in_waves(&wire, widths, || {
             pager.page_out(PageId(i), &Page::deterministic(i))
         });
@@ -267,12 +264,13 @@ fn parity_logging_degraded_read_and_group_rebuild_gather_at_once() {
     assert_eq!(read.expect("degraded read"), Page::deterministic(0));
     assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
     // The rebuild fetches the same three pieces at once, then re-logs the
-    // group's members — a re-log stores first and seals after, for it
-    // holds the only copy of an acked version: with two data servers
-    // left, two pageouts to a group, each seal a wave of its parity page
-    // — the second with the old group's surviving storage (two members
-    // and the parity page).
-    let (report, waves) = in_waves(&wire, &[3, 1, 4], || pager.recover_from_crash(ServerId(0)));
+    // group's members — a re-log stores first, a frame a member, and
+    // seals after, for it holds the only copy of an acked version: with
+    // two data servers left, two pageouts to a group, each seal a wave of
+    // its parity page — the second with the frees of the old group's
+    // surviving storage (two members and the parity page).
+    let widths = [3, 1, 1, 1, 1, 4];
+    let (report, waves) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
     assert_eq!(report.expect("recovery").pages_rebuilt, 1);
     assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 3]);
     for i in 0..3u64 {
@@ -450,14 +448,14 @@ fn mirroring_gathers_a_chunk_of_lost_pages_at_once() {
     servers[0].crash();
     wire.state().dead.push(ServerId(0));
     pager.note_crash(ServerId(0));
-    wire.calls();
     // Chunks of four: one gather a chunk, every read a plain frame; each
-    // page then finds its new holder by the walk, a call of its own.
-    let (report, waves) = in_waves(&wire, &[4, 2], || pager.recover_from_crash(ServerId(0)));
+    // page then finds its new holder by the walk, a frame of its own.
+    let widths = [4, 1, 1, 1, 1, 2, 1, 1];
+    let (report, waves) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
     assert_eq!(report.expect("rebuild").pages_rebuilt, 6);
     assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 4]);
-    assert_eq!(shape(&waves[1]).1, vec![Opcode::PageIn; 2]);
-    let stores = wire.calls().into_iter().filter(|c| c.1 == Opcode::PageOut);
+    assert_eq!(shape(&waves[5]).1, vec![Opcode::PageIn; 2]);
+    let stores = waves.iter().filter(|w| shape(w).1 == [Opcode::PageOut]);
     assert_eq!(stores.count(), 6);
     for i in 0..8u64 {
         let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(i)));
@@ -470,22 +468,24 @@ fn a_stripe_migration_gathers_a_chunk_of_leaving_units_at_once() {
     let config = PagerConfig::new(Policy::NoReliability).with_batch_max_pages(4);
     let (wire, servers, mut pager) = wave_pager(config, 3);
     for i in 0..18u64 {
-        let (done, _) = in_waves(&wire, &[], || {
+        let (done, _) = in_waves(&wire, &[1], || {
             pager.page_out(PageId(i), &Page::deterministic(i))
         });
-        done.expect("a lone copy is one call");
+        done.expect("a lone copy is one frame");
     }
     assert_eq!(servers[0].stored_pages(), 6);
-    wire.calls();
     // Six pages leave server 0 in chunks of four: one gather a chunk,
     // every read a plain frame; each page then finds its new holder by
-    // the walk and frees its old unit, calls of their own.
-    let (moved, waves) = in_waves(&wire, &[4, 2], || pager.migrate_from(ServerId(0)));
+    // the walk and frees its old unit, a frame each.
+    let widths = [&[4][..], &[1; 8], &[2], &[1; 4]].concat();
+    let (moved, waves) = in_waves(&wire, &widths, || pager.migrate_from(ServerId(0)));
     assert_eq!(moved.expect("migration"), 6);
     assert_eq!(shape(&waves[0]), (vec![0], vec![Opcode::PageIn; 4]));
-    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageIn; 2]));
-    let calls = wire.calls();
-    assert!(calls.iter().all(|c| c.1 != Opcode::PageIn), "{calls:?}");
+    assert_eq!(shape(&waves[9]), (vec![0], vec![Opcode::PageIn; 2]));
+    for moved in waves[1..9].chunks(2).chain(waves[10..].chunks(2)) {
+        assert_eq!(shape(&moved[0]).1, [Opcode::PageOut], "{waves:?}");
+        assert_eq!(shape(&moved[1]), (vec![0], vec![Opcode::Free]));
+    }
     assert_eq!(servers[0].stored_pages(), 0);
     reads_back(&wire, &mut pager, 18);
 }
@@ -500,29 +500,30 @@ fn the_parity_log_clean_up_gathers_a_chunk_of_survivors_at_once() {
     // rewrites: when the seventh seals, the first six are a third active.
     for group in 0..7u64 {
         for (at, id) in [group, 100, 101].into_iter().enumerate() {
-            let widths: &[usize] = if at == 2 { &[2] } else { &[] };
+            let widths: &[usize] = if at == 2 { &[2] } else { &[1] };
             let (done, _) = in_waves(&wire, widths, || {
                 pager.page_out(PageId(id), &Page::deterministic(id + group))
             });
             done.expect("pageout");
         }
     }
-    wire.calls();
-    // Server 0 is out of memory: the clean-up re-logs the six survivors,
-    // all on server 0, in chunks of four. A chunk is one gather, every
-    // read a plain frame; a re-log stores by calls and seals by a wave
-    // of the parity page and the frees of the three groups it emptied.
-    // Fresh load reports follow, and the store is offered again.
+    // Server 0 is out of memory: it refuses the store, and the clean-up
+    // re-logs the six survivors, all on server 0, in chunks of four. A
+    // chunk is one gather, every read a plain frame; a re-log stores a
+    // frame a page and seals by a wave of the parity page and the frees
+    // of the three groups it emptied. Fresh load reports follow, and the
+    // store is offered again.
     wire.state().refuse_store.push(ServerId(0));
-    let (done, waves) = in_waves(&wire, &[4, 13, 2, 13, 4], || {
+    let widths = [1, 4, 1, 1, 1, 13, 1, 2, 1, 1, 13, 4, 1];
+    let (done, waves) = in_waves(&wire, &widths, || {
         pager.page_out(PageId(200), &Page::deterministic(200))
     });
     done.expect("the clean-up made room");
     assert_eq!(pager.stats().gc_passes, 1);
-    assert_eq!(shape(&waves[0]), (vec![0], vec![Opcode::PageIn; 4]));
-    assert_eq!(shape(&waves[2]), (vec![0], vec![Opcode::PageIn; 2]));
-    let calls = wire.calls();
-    assert!(calls.iter().all(|c| c.1 == Opcode::PageOut), "{calls:?}");
+    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageIn; 4]));
+    assert_eq!(shape(&waves[7]), (vec![0], vec![Opcode::PageIn; 2]));
+    let mut alone = waves.iter().filter(|w| w.len() == 1 && w[0].1.len() == 1);
+    assert!(alone.all(|w| w[0].1 == [Opcode::PageOut]), "{waves:?}");
     for group in 0..6u64 {
         let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(group)));
         assert_eq!(read.expect("read"), Page::deterministic(2 * group));
@@ -535,16 +536,13 @@ fn a_refused_leg_is_replaced_alone() {
     let (wire, servers, mut pager) = wave_pager(ec_config(), 6);
     wire.state().refuse_store.push(ServerId(2));
     let page = Page::deterministic(9);
-    let (done, _) = in_waves(&wire, &[5], || pager.page_out(PageId(9), &page));
+    let (done, waves) = in_waves(&wire, &[5, 1], || pager.page_out(PageId(9), &page));
     done.expect("the refused unit finds the spare");
     // The four units that landed stayed where they were; the fifth went,
-    // by one call of the walk, to the one server holding none.
+    // by one frame of the walk, to the one server holding none.
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
     assert_eq!(stored, [1, 1, 0, 1, 1, 1]);
-    let walk: Vec<_> = (wire.calls().into_iter())
-        .filter(|(_, op)| *op == Opcode::PageOut)
-        .collect();
-    assert_eq!(walk, [(ServerId(5), Opcode::PageOut)]);
+    assert_eq!(shape(&waves[1]), (vec![5], vec![Opcode::PageOut]));
     // The grant reserved on the refusing server went back to the pool.
     let pool = pager.pool();
     assert_eq!(
@@ -564,7 +562,7 @@ fn a_leg_whose_server_dies_walks_the_ladder_once() {
     // Server 1 takes its frame and dies before answering.
     wire.state().dying.push(ServerId(1));
     let page = Page::deterministic(4);
-    let (done, _) = in_waves(&wire, &[5], || pager.page_out(PageId(4), &page));
+    let (done, waves) = in_waves(&wire, &[5, 1], || pager.page_out(PageId(4), &page));
     done.expect("the lost unit finds the spare");
     servers[1].crash();
 
@@ -576,13 +574,10 @@ fn a_leg_whose_server_dies_walks_the_ladder_once() {
     assert_eq!(metrics.counter("pool_deaths_total").get(), 1);
     assert!(!pager.pool().view().is_alive(ServerId(1)));
     // The four replies that did come were kept — no frame was sent twice
-    // — and the lost unit went to the spare by one call of the walk.
+    // — and the lost unit went to the spare by one frame of the walk.
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
     assert_eq!(stored, [1, 0, 1, 1, 1, 1]);
-    let stores: Vec<_> = (wire.calls().into_iter())
-        .filter(|(_, op)| *op == Opcode::PageOut)
-        .collect();
-    assert_eq!(stores, [(ServerId(5), Opcode::PageOut)]);
+    assert_eq!(shape(&waves[1]), (vec![5], vec![Opcode::PageOut]));
     for id in [0, 2, 3, 4, 5] {
         let suspicion = pager.pool().suspicion(ServerId(id));
         assert_eq!(suspicion, 0.0, "srv{id} shared none of the dead leg's fate");

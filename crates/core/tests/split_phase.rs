@@ -89,7 +89,10 @@ fn until_waiting(pager: &ShardedPager, waiting: u64) {
 fn two_faults_on_one_shard_share_the_wire() {
     let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
     for id in [0, 2] {
-        (pager.page_out(PageId(id), &Page::deterministic(id))).expect("first placement");
+        let placed = spawn(&pager, move |p| {
+            p.page_out(PageId(id), &Page::deterministic(id))
+        });
+        pumped(&wire, &placed).expect("first placement");
     }
     let readers = [0, 2].map(|id| spawn(&pager, move |p| p.page_in(PageId(id))));
     // Both reads are out before either is answered: the second caller did
@@ -107,7 +110,8 @@ fn two_faults_on_one_shard_share_the_wire() {
 #[test]
 fn a_read_waits_for_the_rewrite_of_its_page_to_land() {
     let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
-    pager.page_out(PageId(4), &Page::filled(1)).expect("write");
+    let placed = spawn(&pager, |p| p.page_out(PageId(4), &Page::filled(1)));
+    pumped(&wire, &placed).expect("write");
     let writer = spawn(&pager, |p| p.page_out(PageId(4), &Page::filled(2)));
     // The server has the new bytes; the client has not heard so yet.
     let ack = held_back(&wire);
@@ -130,7 +134,10 @@ fn planners_wait_for_the_flight_to_land() {
     let config = PagerConfig::new(Policy::ParityLogging).with_servers(3);
     let (wire, _servers, pager) = wave_sharded(config, 4);
     for id in [0, 2] {
-        (pager.page_out(PageId(id), &Page::deterministic(id))).expect("a pending member");
+        let placed = spawn(&pager, move |p| {
+            p.page_out(PageId(id), &Page::deterministic(id))
+        });
+        pumped(&wire, &placed).expect("a pending member");
     }
     wire.calls();
     let reader = spawn(&pager, |p| p.page_in(PageId(0)));
@@ -190,9 +197,9 @@ fn a_flight_lost_with_its_server_lands_on_the_degraded_path() {
     // The primary dies with the read on the wire.
     wire.state().dying.push(primary);
     wire.release_wave(1);
-    // The read's one attempt failed: it completes from the other copy at
-    // once — one blocking call, nothing on the window — and waits for no
-    // verdict on the primary.
+    // The read's one attempt failed: it goes to the other copy at once —
+    // one frame — and waits for no verdict on the primary.
+    wire.release_wave(1);
     assert_eq!(joined(reader).expect("pagein"), Page::deterministic(6));
     assert!(wire.state().flying.is_empty());
     let stats = pager.stats();
@@ -214,11 +221,12 @@ fn a_flight_lost_with_its_server_lands_on_the_degraded_path() {
         );
     }
     // A rewrite has no way around the primary: its store walks the rest of
-    // the ladder to the verdict, and the copy is re-homed. The rebuild is
-    // then queued once on the shard that reached the verdict — and once on
-    // its sibling, which was told of the death and dialled nothing to
-    // learn it.
+    // the ladder to the verdict, and the copy is re-homed, a frame of its
+    // own. The rebuild is then queued once on the shard that reached the
+    // verdict — and once on its sibling, which was told of the death and
+    // dialled nothing to learn it.
     let rewrite = spawn(&pager, |p| p.page_out(PageId(6), &Page::deterministic(6)));
+    wire.release_wave(1);
     wire.release_wave(1);
     joined(rewrite).expect("the copy is re-homed");
     assert_eq!(pager.with_shard(0, seen), (1, 1, 2));

@@ -32,8 +32,8 @@ pub struct Flight {
 #[derive(Default)]
 pub struct WireState {
     pub flying: Vec<Flight>,
-    /// Opcodes of blocking single calls since the last wave, for tests
-    /// that check what went *outside* a wave.
+    /// Opcodes of the frames answered as calls since last asked (see
+    /// [`a_call`]), for tests that check what went *outside* a wave.
     pub calls: Vec<(ServerId, Opcode)>,
     /// Servers whose next `PageOut` is refused as out of memory.
     pub refuse_store: Vec<ServerId>,
@@ -141,22 +141,28 @@ impl WaveTransport {
     }
 }
 
+/// Whether `msgs` is a frame no wave carries — an allocation, a listing,
+/// a stats query, basic parity's delta or its fold, which the pool only
+/// ever sends alone and waits for at once: such a frame is answered as it
+/// is submitted, and logged as a call.
+fn a_call(msgs: &[Message]) -> bool {
+    matches!(
+        msgs,
+        [Message::Alloc { .. }
+            | Message::ListPages { .. }
+            | Message::GetStats
+            | Message::PageOutDelta { .. }
+            | Message::XorInto { .. }]
+    )
+}
+
 impl ServerTransport for WaveTransport {
-    fn call(&mut self, msg: &Message) -> Result<Message> {
-        let mut st = self.wire.state();
-        if st.dead.contains(&self.id) {
-            st.refused.push(self.id);
-            return Err(refused("down"));
-        }
-        st.calls.push((self.id, msg.opcode()));
-        match self.serve(&mut st, msg) {
-            Message::Error { code, message } => Err(RmpError::Remote { code, message }),
-            reply => Ok(reply),
-        }
+    fn call(&mut self, _msg: &Message) -> Result<Message> {
+        unreachable!("the pool only submits")
     }
 
     fn send_only(&mut self, _msg: &Message) -> Result<()> {
-        Ok(())
+        unreachable!("the pool only submits")
     }
 
     fn reconnect(&mut self) -> Result<()> {
@@ -176,12 +182,17 @@ impl ServerTransport for WaveTransport {
         }
         let replies = msgs.iter().map(|m| self.serve(&mut st, m)).collect();
         let (pending, completion) = PendingReplies::deferred(msgs.len(), STUCK);
-        st.flying.push(Flight {
-            server: self.id,
-            completion,
-            replies,
-        });
-        self.wire.changed.notify_all();
+        if a_call(msgs) {
+            st.calls.push((self.id, msgs[0].opcode()));
+            completion.complete(Ok(replies));
+        } else {
+            st.flying.push(Flight {
+                server: self.id,
+                completion,
+                replies,
+            });
+            self.wire.changed.notify_all();
+        }
         Some(Ok(pending))
     }
 }

@@ -334,8 +334,8 @@ fn a_refused_prefetch_submission_is_a_sampled_miss_not_a_retry() {
 }
 
 /// A transport where every call burns `delay` and then fails as a
-/// timeout — the pathological slow-failing server of the call-budget
-/// regression.
+/// timeout, whatever its deadlines say — the pathological slow-failing
+/// server of the call-budget regression.
 struct SlowFailTransport {
     delay: Duration,
 }
@@ -360,25 +360,30 @@ impl ServerTransport for SlowFailTransport {
 
 #[test]
 fn call_budget_bounds_the_whole_retry_loop() {
-    // Generous attempts and backoffs, tiny budget: without the entry-time
-    // deadline each attempt would inherit a fresh budget and the call
-    // would run ~10 x (50ms + 100ms) = 1.5s. The budget must cut it off.
+    // Ten attempts at 10 ms dial, write and read deadlines and 10 ms
+    // backoffs derive a budget of 10 x 30 + 9 x 10 = 390 ms; every attempt
+    // here overruns its deadlines at 150 ms. Fixed at entry, the budget
+    // ends the call after three attempts (~470 ms); re-derived for each
+    // attempt, it would never bite: 10 x 150 + 9 x 10 = 1.59 s.
+    let deadline = Duration::from_millis(10);
     let cfg = TransportConfig {
-        read_timeout: Duration::from_millis(50),
+        connect_timeout: deadline,
+        read_timeout: deadline,
+        write_timeout: deadline,
         retry: RetryPolicy {
             max_attempts: 10,
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_millis(100),
+            base_backoff: deadline,
+            max_backoff: deadline,
             jitter: 0.0,
         },
-        call_budget: Some(Duration::from_millis(150)),
         ..TransportConfig::default()
     };
+    assert_eq!(cfg.effective_call_budget(), Duration::from_millis(390));
     let mut pool = ServerPool::with_transport_config(cfg);
     pool.add_transport(
         ServerId(0),
         Box::new(SlowFailTransport {
-            delay: Duration::from_millis(50),
+            delay: Duration::from_millis(150),
         }),
         1.0,
     );
@@ -391,11 +396,9 @@ fn call_budget_bounds_the_whole_retry_loop() {
         matches!(err, RmpError::Timeout(ServerId(0))),
         "budget expiry surfaces as the typed timeout: {err:?}"
     );
-    // One attempt (50ms) + clamped backoff (<= 100ms remaining) + one
-    // more attempt (50ms) at most ~250ms; give scheduling slack but stay
-    // far under the unbudgeted 1.5s.
+    // Scheduling slack, but far under the unbudgeted 1.59 s.
     assert!(
-        elapsed < Duration::from_millis(700),
+        elapsed < Duration::from_millis(1000),
         "call returned in ~budget time, took {elapsed:?}"
     );
     assert!(

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! rmpserverd [--port P] [--capacity-mb MB] [--overflow FRACTION]
-//!            [--worker-min N] [--worker-max N] [--window-cap N]
+//!            [--max-sessions N] [--window-cap N]
 //! ```
 //!
 //! It prints its registry line (`<id> <host:port> <link-cost>`) on
@@ -24,8 +24,7 @@ struct Args {
     capacity_mb: f64,
     overflow: f64,
     id: u32,
-    worker_min: usize,
-    worker_max: usize,
+    max_sessions: usize,
     window_cap: usize,
 }
 
@@ -36,8 +35,7 @@ fn parse_args() -> Result<Args, String> {
         capacity_mb: 32.0,
         overflow: 0.10,
         id: 0,
-        worker_min: defaults.worker_min,
-        worker_max: defaults.worker_max,
+        max_sessions: defaults.max_sessions,
         window_cap: defaults.window_cap,
     };
     let mut it = std::env::args().skip(1);
@@ -60,15 +58,10 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--overflow: {e}"))?
             }
             "--id" => args.id = value("--id")?.parse().map_err(|e| format!("--id: {e}"))?,
-            "--worker-min" => {
-                args.worker_min = value("--worker-min")?
+            "--max-sessions" => {
+                args.max_sessions = value("--max-sessions")?
                     .parse()
-                    .map_err(|e| format!("--worker-min: {e}"))?
-            }
-            "--worker-max" => {
-                args.worker_max = value("--worker-max")?
-                    .parse()
-                    .map_err(|e| format!("--worker-max: {e}"))?
+                    .map_err(|e| format!("--max-sessions: {e}"))?
             }
             "--window-cap" => {
                 args.window_cap = value("--window-cap")?
@@ -78,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: rmpserverd [--id N] [--port P] [--capacity-mb MB] [--overflow F] \
-                     [--worker-min N] [--worker-max N] [--window-cap N]"
+                     [--max-sessions N] [--window-cap N]"
                 );
                 std::process::exit(0);
             }
@@ -113,8 +106,7 @@ fn main() {
         capacity_pages,
         overflow_fraction: args.overflow,
         simulated_cpu_permille: 0,
-        worker_min: args.worker_min,
-        worker_max: args.worker_max,
+        max_sessions: args.max_sessions,
         window_cap: args.window_cap,
     }) {
         Ok(h) => h,

@@ -10,9 +10,9 @@
 //! server."
 //!
 //! Our [`MemoryServer`] is exactly that: a TCP listener that serves each
-//! client session on a bounded, auto-scaling worker pool (the paper's
-//! "new instance of the server" per client, without unbounded OS
-//! threads), stores opaque pages under [`rmp_types::StoreKey`]s,
+//! client session on a thread of its own (the paper's "new instance of
+//! the server" per client), up to a cap past which a connection is
+//! refused at once, stores opaque pages under [`rmp_types::StoreKey`]s,
 //! grants and denies swap-space allocations, reports host load, and
 //! piggy-backs load advisories on every acknowledgement. It also supports
 //! the experiments' fault injection: a server can be *crashed* (all state
@@ -22,7 +22,6 @@
 
 pub mod server;
 pub mod store;
-mod workers;
 
 pub use server::{MemoryServer, ServerConfig, ServerHandle};
 pub use store::PageStore;

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -13,7 +13,6 @@ use rmp_types::metrics::{Counter, Histogram, MetricsRegistry};
 use rmp_types::{ErrorCode, Result, RmpError};
 
 use crate::store::PageStore;
-use crate::workers::WorkerPool;
 
 /// Configuration of one remote memory server.
 #[derive(Clone, Copy, Debug)]
@@ -26,14 +25,10 @@ pub struct ServerConfig {
     /// busy-workstation experiments (Section 4.5) to model a server that
     /// is editing files or running a `while(1)` loop.
     pub simulated_cpu_permille: u16,
-    /// Session worker threads kept alive even when idle (clamped to ≥ 1).
-    pub worker_min: usize,
-    /// Ceiling on session worker threads — and, because a worker owns
-    /// its session for the session's lifetime, on concurrently served
-    /// connections. The accept backlog holds up to `2 × worker_max`
-    /// further connections; beyond that the server refuses with a typed
-    /// `Overloaded` error instead of spawning unbounded threads.
-    pub worker_max: usize,
+    /// Most sessions served at once (at least one). Each session is a
+    /// thread for as long as its client stays connected; a connection
+    /// past the cap is refused at once with a typed `Overloaded` error.
+    pub max_sessions: usize,
     /// Per-session cap on the request window granted to windowed
     /// (`Hello`-handshaking) clients: a client asking for more in-flight
     /// frames than this is granted exactly this many. Bounds the memory
@@ -47,8 +42,7 @@ impl Default for ServerConfig {
             capacity_pages: 4096,
             overflow_fraction: 0.10,
             simulated_cpu_permille: 0,
-            worker_min: 2,
-            worker_max: 64,
+            max_sessions: 64,
             window_cap: 64,
         }
     }
@@ -94,8 +88,10 @@ struct Shared {
     /// pruned when its session thread exits (an append-only list would
     /// leak one fd per client that ever connected).
     sessions: Mutex<HashMap<u64, TcpStream>>,
-    /// Bounded session workers; see [`crate::workers`].
-    workers: WorkerPool,
+    /// Session threads alive, each holding a [`Seat`]. Not the size of
+    /// `sessions`: `crash_now` drains that map before the threads behind
+    /// it have exited.
+    session_threads: AtomicUsize,
     /// Deterministic gray-failure injection: every request stalls this
     /// many nanoseconds before service. Models a degraded host (thrashing
     /// disk, saturated NIC) that answers correctly but slowly — the
@@ -151,6 +147,26 @@ impl Shared {
     }
 }
 
+/// One of `max_sessions`, held by a session thread for its lifetime and
+/// given back when dropped: when the thread ends, or when the acceptor
+/// could not start it.
+struct Seat(Arc<Shared>);
+
+impl Seat {
+    /// A seat, unless every one is taken.
+    fn claim(shared: &Arc<Shared>) -> Option<Seat> {
+        let taken = shared.session_threads.fetch_add(1, Ordering::SeqCst);
+        let seat = Seat(Arc::clone(shared));
+        (taken < shared.config.max_sessions.max(1)).then_some(seat)
+    }
+}
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        self.0.session_threads.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// The user-level remote memory server (Section 3.2).
 ///
 /// # Examples
@@ -182,7 +198,7 @@ impl MemoryServer {
             crashed: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
             sessions: Mutex::new(HashMap::new()),
-            workers: WorkerPool::new(config.worker_min, config.worker_max),
+            session_threads: AtomicUsize::new(0),
             stall_nanos: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             served_requests: AtomicU64::new(0),
@@ -216,6 +232,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             }
             continue;
         }
+        // A session holds its thread until the client hangs up, so past
+        // the cap nothing would answer: refuse at once, typed, and the
+        // client backs off instead of waiting on a silent socket.
+        let Some(seat) = Seat::claim(&shared) else {
+            overloaded(&shared, stream, "every session is taken");
+            continue;
+        };
         let sid = shared.next_session.fetch_add(1, Ordering::SeqCst) & (u64::MAX >> SESSION_SHIFT);
         // Track the session *before* it can serve anything: a session
         // `crash_now` cannot sever would let a client keep talking to a
@@ -234,23 +257,27 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         };
         shared.sessions.lock().insert(sid, clone);
         let session_shared = Arc::clone(&shared);
-        let job = Box::new(move || session_loop(stream, session_shared, sid));
-        if shared.workers.submit(job).is_err() {
-            // Workers and backlog are saturated: degrade with a typed
-            // refusal so the client backs off instead of hanging on an
-            // unanswered socket. Dropping the job closed its stream; the
-            // tracked clone is the same socket, still open for the
-            // refusal frame.
-            shared.metrics.refused_connections.inc();
+        let spawned = std::thread::Builder::new()
+            .name("rmp-session".into())
+            .spawn(move || {
+                let _seat = seat;
+                session_loop(stream, session_shared, sid);
+            });
+        if spawned.is_err() {
+            // The thread never started: its closure, seat and stream went
+            // with it. The tracked clone is the same socket, still open
+            // for the refusal frame.
             if let Some(stream) = shared.sessions.lock().remove(&sid) {
-                refuse(
-                    stream,
-                    ErrorCode::Overloaded,
-                    "session workers and backlog are full",
-                );
+                overloaded(&shared, stream, "cannot start a session thread");
             }
         }
     }
+}
+
+/// Refuses a connection the server has no session for, counting it.
+fn overloaded(shared: &Shared, stream: TcpStream, message: &str) {
+    shared.metrics.refused_connections.inc();
+    refuse(stream, ErrorCode::Overloaded, message);
 }
 
 /// Pushes a typed error frame at the client and drops the connection.
@@ -593,12 +620,6 @@ fn stats_json(shared: &Shared) -> String {
         .gauge("server_active_sessions")
         .set(shared.sessions.lock().len() as u64);
     registry
-        .gauge("server_worker_threads")
-        .set(shared.workers.threads() as u64);
-    registry
-        .gauge("server_queue_depth")
-        .set(shared.workers.queue_depth() as u64);
-    registry
         .gauge("server_cpu_permille")
         .set(u64::from(busy_permille(shared)));
     format!(
@@ -619,10 +640,33 @@ fn busy_permille(shared: &Shared) -> u16 {
 fn crash_now(shared: &Shared) {
     shared.crashed.store(true, Ordering::SeqCst);
     shared.store.lock().clear();
+    give_back_freed_memory();
     for (_, s) in shared.sessions.lock().drain() {
         let _ = s.shutdown(std::net::Shutdown::Both);
     }
 }
+
+/// Returns the memory a crash freed to the operating system, as a crashed
+/// workstation's would be. The lost pages were allocated by session
+/// threads that the crash ends; glibc keeps at most eight allocator arenas
+/// a core and deals them out to new threads in turn, so the restarted
+/// server's sessions store their pages in other arenas, and the lost ones
+/// would otherwise stay resident as holes between the pages of sessions
+/// that share those arenas — a heap that grows with every crash.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn give_back_freed_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::ffi::c_int;
+    }
+    // SAFETY: `malloc_trim` takes no pointer and may run at any time; it
+    // only hands free pages of the heap back to the kernel.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn give_back_freed_memory() {}
 
 /// Handle to a running [`MemoryServer`]; dropping it shuts the server down.
 pub struct ServerHandle {
@@ -692,19 +736,15 @@ impl ServerHandle {
         self.shared.sessions.lock().len()
     }
 
-    /// Session worker threads currently alive; between the configured
-    /// `worker_min` and `worker_max`, scaling with queue pressure.
+    /// Session threads alive: at most `max_sessions`. Unlike
+    /// [`ServerHandle::active_sessions`], a crash does not zero it; its
+    /// threads leave as they notice.
     pub fn worker_threads(&self) -> usize {
-        self.shared.workers.threads()
+        self.shared.session_threads.load(Ordering::SeqCst)
     }
 
-    /// Accepted connections waiting in the backlog for a free worker.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.workers.queue_depth()
-    }
-
-    /// Connections refused with a typed `Overloaded` error because the
-    /// worker pool and backlog were saturated.
+    /// Connections refused with a typed `Overloaded` error because every
+    /// session was taken or no session thread could be started.
     pub fn refused_connections(&self) -> u64 {
         self.shared.metrics.refused_connections.get()
     }
@@ -728,9 +768,7 @@ impl ServerHandle {
 
     fn shutdown_in_place(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Queued-but-unserved connections are dropped here; live ones
-        // are severed below, after which their workers wind down.
-        self.shared.workers.shutdown();
+        // Severed sessions end their threads.
         for (_, s) in self.shared.sessions.lock().drain() {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
@@ -1183,92 +1221,103 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn connection_storm_degrades_with_typed_refusals() {
-        // One worker, backlog of two: the fourth concurrent connection
-        // must be refused with a typed Overloaded error, not left
-        // hanging or given an unbounded thread.
-        let server = MemoryServer::spawn(ServerConfig {
+    fn one_session_server() -> ServerHandle {
+        MemoryServer::spawn(ServerConfig {
             capacity_pages: 64,
             overflow_fraction: 0.0,
-            worker_min: 1,
-            worker_max: 1,
+            max_sessions: 1,
             ..ServerConfig::default()
         })
-        .expect("spawn");
+        .expect("spawn")
+    }
+
+    /// What a connection the server never served hears first, as the
+    /// error a call would surface.
+    fn first_word(stream: TcpStream) -> Result<Message> {
+        match Framed::new(stream).recv()? {
+            Message::Error { code, message } => Err(RmpError::Remote { code, message }),
+            other => Ok(other),
+        }
+    }
+
+    #[test]
+    fn a_connection_past_max_sessions_is_refused_at_once() {
+        let server = one_session_server();
         let mut busy = connect(&server);
-        busy.call(&Message::LoadQuery)
-            .expect("first session served");
-        // The lone worker now owns `busy` for its lifetime; these two
-        // fill the backlog (they connect but nobody answers yet).
-        let _queued: Vec<_> = (0..2).map(|_| connect(&server)).collect();
-        assert!(
-            poll_until(5, || server.queue_depth() == 2),
-            "backlog filled, depth {}",
-            server.queue_depth()
-        );
-        let mut refused = connect(&server);
-        let err = refused
-            .call(&Message::LoadQuery)
-            .expect_err("saturated server must refuse");
+        busy.call(&Message::LoadQuery).expect("the one session");
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        let patience = std::time::Duration::from_secs(1);
+        stream.set_read_timeout(Some(patience)).expect("timeout");
+        let start = Instant::now();
+        let heard = first_word(stream);
         assert!(
             matches!(
-                &err,
-                RmpError::Remote {
+                heard,
+                Err(RmpError::Remote {
                     code: ErrorCode::Overloaded,
                     ..
-                }
+                })
             ),
-            "expected a typed Overloaded refusal, got {err:?}"
+            "expected a typed Overloaded refusal, got {heard:?}"
         );
-        assert!(server.refused_connections() >= 1);
-        assert_eq!(server.worker_threads(), 1, "the ceiling held");
+        assert!(start.elapsed() < patience / 2, "took {:?}", start.elapsed());
+        assert_eq!(server.refused_connections(), 1);
         server.shutdown();
     }
 
     #[test]
-    fn worker_pool_scales_with_concurrent_sessions() {
-        let server = MemoryServer::spawn(ServerConfig {
-            capacity_pages: 64,
-            overflow_fraction: 0.0,
-            worker_min: 1,
-            worker_max: 4,
-            ..ServerConfig::default()
-        })
-        .expect("spawn");
-        assert_eq!(server.worker_threads(), 1, "starts at the floor");
-        // Four live sessions need four workers: each call only completes
-        // once a worker owns that session.
-        let mut clients: Vec<_> = (0..4).map(|_| connect(&server)).collect();
-        for (i, c) in clients.iter_mut().enumerate() {
-            c.call(&Message::LoadQuery)
-                .unwrap_or_else(|e| panic!("session {i} served: {e}"));
+    fn connection_storm_degrades_with_typed_refusals() {
+        // One session: every connection beside it is refused with a typed
+        // Overloaded error — none waits, none gets a thread.
+        let server = one_session_server();
+        let mut busy = connect(&server);
+        busy.call(&Message::LoadQuery)
+            .expect("first session served");
+        let storm: Vec<_> = (0..4)
+            .map(|_| TcpStream::connect(server.addr()).expect("connect"))
+            .collect();
+        for (i, stream) in storm.into_iter().enumerate() {
+            let err = first_word(stream).expect_err("saturated server must refuse");
+            assert!(
+                matches!(
+                    &err,
+                    RmpError::Remote {
+                        code: ErrorCode::Overloaded,
+                        ..
+                    }
+                ),
+                "connection {i}: expected a typed Overloaded refusal, got {err:?}"
+            );
         }
-        assert_eq!(server.worker_threads(), 4, "queue pressure grew the pool");
-        // Hanging up lets workers above the floor linger out and exit.
-        drop(clients);
+        assert_eq!(server.refused_connections(), 4);
+        assert_eq!(server.worker_threads(), 1, "the ceiling held");
+        // The seat comes back when its session ends.
+        drop(busy);
         assert!(
-            poll_until(5, || server.worker_threads() == 1),
-            "idle workers shrink back to the floor, still {}",
-            server.worker_threads()
+            poll_until(5, || server.worker_threads() == 0),
+            "the session thread ended"
         );
+        connect(&server)
+            .call(&Message::LoadQuery)
+            .expect("the freed seat serves");
         server.shutdown();
     }
 
     #[test]
     fn stats_report_worker_gauges() {
-        let server = small_server();
+        let server = one_session_server();
         let mut c = connect(&server);
         c.call(&Message::LoadQuery).expect("query");
+        let refused = TcpStream::connect(server.addr()).expect("connect");
+        first_word(refused).expect_err("refused");
         let Message::StatsReply { json } = c.call(&Message::GetStats).expect("stats") else {
             panic!("expected StatsReply");
         };
-        for name in [
-            "server_worker_threads",
-            "server_queue_depth",
-            "server_refused_connections_total",
+        for gauge in [
+            "\"server_active_sessions\": 1",
+            "\"server_refused_connections_total\": 1",
         ] {
-            assert!(json.contains(name), "missing {name} in {json}");
+            assert!(json.contains(gauge), "missing {gauge} in {json}");
         }
         server.shutdown();
     }

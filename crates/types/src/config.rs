@@ -91,12 +91,6 @@ pub struct TransportConfig {
     /// server may grant less (its per-session cap). `1` is a window of
     /// one on the same transport; `0` is rejected by validation.
     pub window_max_inflight: usize,
-    /// Total wall-clock budget for one logical pool call, spanning every
-    /// retry attempt, backoff sleep, and reconnect dial. `None` derives a
-    /// cap from the per-attempt deadlines and the retry policy, so a
-    /// logical call can never run unbounded even when each attempt
-    /// re-arms fresh socket timeouts.
-    pub call_budget: Option<Duration>,
 }
 
 impl Default for TransportConfig {
@@ -107,7 +101,6 @@ impl Default for TransportConfig {
             write_timeout: Duration::from_millis(2000),
             retry: RetryPolicy::default(),
             window_max_inflight: 32,
-            call_budget: None,
         }
     }
 }
@@ -143,22 +136,17 @@ impl TransportConfig {
         if self.window_max_inflight == 0 {
             return Err(RmpError::Config("request window must be at least 1".into()));
         }
-        if self.call_budget.is_some_and(|b| b.is_zero()) {
-            return Err(RmpError::Config("call budget must be positive".into()));
-        }
         Ok(())
     }
 
     /// The wall-clock budget one logical pool call may consume across
-    /// all retry attempts: the explicit [`TransportConfig::call_budget`]
-    /// when set, otherwise the worst case the per-attempt knobs already
-    /// imply — every attempt exhausting its write and read deadlines,
-    /// every reconnect its dial deadline, plus maximally-jittered
-    /// backoff sleeps between attempts.
+    /// all retry attempts, fixed when the call starts: the worst case the
+    /// per-attempt knobs imply — every attempt exhausting its write and
+    /// read deadlines, every reconnect its dial deadline, plus
+    /// maximally-jittered backoff sleeps between attempts. A call can
+    /// never run unbounded, even when each attempt re-arms fresh socket
+    /// timeouts.
     pub fn effective_call_budget(&self) -> Duration {
-        if let Some(budget) = self.call_budget {
-            return budget;
-        }
         let attempts = self.retry.max_attempts.max(1);
         let per_attempt = self.write_timeout + self.read_timeout + self.connect_timeout;
         let mut total = per_attempt * attempts;
@@ -352,13 +340,6 @@ impl PagerConfig {
     /// (`1` is a window of one frame at a time, not another transport).
     pub fn with_window_max_inflight(mut self, window: usize) -> Self {
         self.transport.window_max_inflight = window;
-        self
-    }
-
-    /// Sets an explicit total wall-clock budget per logical pool call,
-    /// spanning retries, backoff, and reconnects.
-    pub fn with_call_budget(mut self, budget: Duration) -> Self {
-        self.transport.call_budget = Some(budget);
         self
     }
 
@@ -660,29 +641,6 @@ mod tests {
             .with_window_max_inflight(0)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn call_budget_knob() {
-        let cfg = PagerConfig::default();
-        assert_eq!(cfg.transport.call_budget, None);
-        assert!(PagerConfig::default()
-            .with_call_budget(Duration::from_millis(500))
-            .validate()
-            .is_ok());
-        assert!(PagerConfig::default()
-            .with_call_budget(Duration::ZERO)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
-    fn explicit_call_budget_wins() {
-        let cfg = PagerConfig::default().with_call_budget(Duration::from_millis(123));
-        assert_eq!(
-            cfg.transport.effective_call_budget(),
-            Duration::from_millis(123)
-        );
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub enum ErrorCode {
     /// intact (the framing CRC passed) but the page bytes do not match
     /// the checksum stamped by the writer.
     Corrupt,
-    /// The server's session worker pool and backlog are saturated; the
-    /// connection was refused. Transient by construction — the client
+    /// Every session the server may run is taken; the connection was
+    /// refused. Transient by construction — the client
     /// should back off and retry rather than declare the server dead.
     Overloaded,
 }
@@ -186,8 +186,8 @@ impl RmpError {
         }
     }
 
-    /// Returns `true` when a server refused the connection because its
-    /// worker pool and backlog are full. The server is alive; back off
+    /// Returns `true` when a server refused the connection because every
+    /// session it may run is taken. The server is alive; back off
     /// and retry instead of starting crash recovery.
     pub fn is_overload(&self) -> bool {
         matches!(

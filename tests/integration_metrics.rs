@@ -217,3 +217,85 @@ fn get_stats_round_trips_through_the_pool() {
     let stored: usize = cluster.handles().iter().map(|h| h.stored_pages()).sum();
     assert_eq!(stored, 12);
 }
+
+/// The prefixes of the metric families this repository exports.
+const METRIC_PREFIXES: [&str; 6] = [
+    "server_",
+    "pool_",
+    "pager_",
+    "engine_",
+    "detector_",
+    "recovery_",
+];
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The metric names `source` registers or reads: the literal first
+/// argument of a `counter(`, `gauge(` or `histogram(` call — directly or
+/// through `format!` — up to any `{` of a label. A name ending in `_` is
+/// a family completed at run time.
+fn metric_literals(source: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    for call in ["counter(", "gauge(", "histogram("] {
+        for (at, _) in source.match_indices(call) {
+            let arg = source[at + call.len()..].trim_start();
+            let arg = arg.strip_prefix("&format!(").unwrap_or(arg);
+            let Some(literal) = arg.strip_prefix('"') else {
+                continue;
+            };
+            let name_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+            let name = &literal[..literal.find(|c| !name_char(c)).unwrap_or(literal.len())];
+            if METRIC_PREFIXES
+                .iter()
+                .any(|prefix| name.starts_with(prefix))
+            {
+                names.push(name);
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_metric_in_the_code_is_catalogued() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let catalogue = std::fs::read_to_string(root.join("OBSERVABILITY.md")).expect("catalogue");
+    // Names are catalogued as code spans, labels (`{srvN}`) and all.
+    let catalogued: Vec<&str> = (catalogue.split('`').skip(1).step_by(2))
+        .map(|span| span.split('{').next().unwrap_or(span))
+        .collect();
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates") {
+        let src = krate.expect("crate").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let mut missing = Vec::new();
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("source");
+        for name in metric_literals(&source) {
+            let known = match name.ends_with('_') {
+                true => catalogued.iter().any(|c| c.starts_with(name)),
+                false => catalogued.contains(&name),
+            };
+            if !known {
+                missing.push(format!("{name} ({})", file.display()));
+            }
+        }
+    }
+    assert!(
+        !files.is_empty() && missing.is_empty(),
+        "metrics OBSERVABILITY.md does not list: {missing:#?}"
+    );
+}
