@@ -7,8 +7,15 @@
 //! prefetching along that stride hides most of the remaining latency,
 //! and that the window should be sized by how the last one did.
 //! [`StrideDetector`] is that detector, [`Planner`] the vote plus the
-//! adaptive depth, and [`PrefetchCache`] the small bounded cache a pager
-//! serves prefetched pages from.
+//! adaptive depth and a successor table, and [`PrefetchCache`] the small
+//! bounded cache a pager serves prefetched pages from.
+//!
+//! The vote rightly ignores one jump, but a jump that repeats — a sweep
+//! wrapping back to where it started, ten times before it moves on — is
+//! a miss each time. So the planner also keeps a table of 64 rows,
+//! indexed by page, of the page that followed each fault; once the same
+//! page has followed twice running, a fault there plans it too, after
+//! the stride's pages, and one wrong guess unconfirms it.
 //!
 //! The *decision* to read ahead is taken once per fault stream, the
 //! *copies* are kept where the pages live: a lone `Pager` owns one
@@ -40,6 +47,17 @@
 //!     depths.extend(plan.map(|p| p.pages(PageId(i)).count()));
 //! }
 //! assert_eq!(depths, [1, 2, 4, 8]);
+//!
+//! // A sweep of 1..=8 that keeps wrapping: once the jump 8 → 1 has been
+//! // seen twice, page 8 plans page 1 after its stride pages.
+//! let mut planner = Planner::new(8);
+//! let mut wrap = None;
+//! for _ in 0..3 {
+//!     for i in 1..=8 {
+//!         wrap = planner.plan(PageId(i), true, |_next| true).and_then(|p| p.then);
+//!     }
+//! }
+//! assert_eq!(wrap, Some(PageId(1)));
 //!
 //! // The cache hands each prefetched page out exactly once.
 //! let mut cache = PrefetchCache::new(4);
@@ -125,23 +143,32 @@ impl StrideDetector {
     }
 }
 
-/// What a [`Planner`] asks for: the next `depth` pages along `stride`.
+/// Entries in the successor table. Direct-mapped by page: a set of
+/// repeating jumps larger than this evicts itself and plans nothing.
+const SUCCESSORS: usize = 64;
+
+/// What a [`Planner`] asks for: the next `depth` pages along `stride`,
+/// then the page that has followed the fault twice running.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Plan {
-    /// The majority stride, in pages; never zero.
+    /// The majority stride, in pages.
     pub stride: i64,
-    /// Pages to fetch ahead; at least one.
+    /// Pages to fetch along `stride`; zero when the plan is only `then`.
     pub depth: usize,
+    /// The fault's confirmed successor, unless it is one stride on.
+    pub then: Option<PageId>,
 }
 
 impl Plan {
-    /// The planned pages, nearest first, counted from the fault at
-    /// `from`; cut short where the page space ends.
+    /// The planned pages, nearest along the stride first and the
+    /// successor last, counted from the fault at `from`; the stride is
+    /// cut short where the page space ends.
     pub fn pages(self, from: PageId) -> impl Iterator<Item = PageId> + Clone {
-        (1..=self.depth as i64).map_while(move |step| {
+        let along = (1..=self.depth as i64).map_while(move |step| {
             let next = (from.0 as i64).checked_add(self.stride.checked_mul(step)?)?;
             (next >= 0).then_some(PageId(next as u64))
-        })
+        });
+        along.chain(self.then)
     }
 }
 
@@ -151,11 +178,19 @@ impl Plan {
 /// one page until it has paid off and a long run reaches the cap in
 /// four refills.
 ///
+/// Next to the vote, a successor table plans a jump the vote rightly
+/// ignores, once that jump has repeated: a sweep's wrap, say.
+///
 /// Pure: it is told whether the runway is gone, and neither holds pages
 /// nor touches a wire.
 #[derive(Debug)]
 pub struct Planner {
     votes: StrideDetector,
+    /// Rows of `(page, the fault that followed it last time, whether it
+    /// did the time before too)`, at `page % SUCCESSORS`.
+    successors: [Option<(PageId, PageId, bool)>; SUCCESSORS],
+    /// The confirmed successor of the last fault, planned or covered.
+    jump: Option<PageId>,
     /// [`rmp_types::PagerConfig::prefetch_window`]: the deepest plan;
     /// zero plans nothing.
     cap: usize,
@@ -168,16 +203,19 @@ impl Planner {
     pub fn new(cap: usize) -> Self {
         Planner {
             votes: StrideDetector::new(),
+            successors: [None; SUCCESSORS],
+            jump: None,
             cap,
             depth: 0,
         }
     }
 
     /// Feeds one served demand fault — whether read-ahead served it is
-    /// `hit` — and plans the refill, if there is a stride and
-    /// `runway_gone` says the page one stride on is neither cached nor on
-    /// its way. While it is, topping up one page per fault would pay a
-    /// submission per pagein for nothing.
+    /// `hit` — and plans the fault's confirmed successor, if it has one,
+    /// and the refill, if there is a stride and `runway_gone` says the
+    /// page one stride on is neither cached nor on its way. While it is,
+    /// topping up one page per fault would pay a submission per pagein
+    /// for nothing.
     pub fn plan(
         &mut self,
         id: PageId,
@@ -187,23 +225,55 @@ impl Planner {
         if self.cap == 0 {
             return None;
         }
-        if !hit {
+        if let Some(last) = self.votes.last.filter(|&last| last != id) {
+            self.learn(last, id);
+        }
+        // Landing on the successor just planned starts a new sweep, as a
+        // miss does: a window doubled on the old one would reach into
+        // pages the VM still holds dirty. So a loop the table has learnt
+        // reads one page ahead.
+        if !hit || self.jump == Some(id) {
             self.depth = 0;
         }
-        let stride = self.votes.observe(id)?;
-        let ahead = Plan { stride, depth: 1 };
-        if !runway_gone(ahead.pages(id).next()?) {
-            return None;
-        }
-        self.depth = (self.depth * 2).clamp(1, self.cap);
-        let depth = self.depth;
-        Some(Plan { stride, depth })
+        let vote = self.votes.observe(id);
+        let ahead = vote.and_then(|stride| id.0.checked_add_signed(stride).map(PageId));
+        self.jump = self.successor(id);
+        let depth = if ahead.is_some_and(runway_gone) {
+            self.depth = (self.depth * 2).clamp(1, self.cap);
+            self.depth
+        } else {
+            0
+        };
+        // One stride on, the stride plans the page or has it already.
+        let then = self.jump.filter(|&then| Some(then) != ahead);
+        let plan = Plan {
+            stride: vote.unwrap_or(0),
+            depth,
+            then,
+        };
+        (depth > 0 || then.is_some()).then_some(plan)
     }
 
-    /// Forgets the trace and the run (placement changed wholesale, as
-    /// after a crash recovery).
+    /// Records that `next` followed `page`: confirmed if it did last time
+    /// too, otherwise a fresh guess in place of whatever the row held.
+    fn learn(&mut self, page: PageId, next: PageId) {
+        let row = &mut self.successors[page.0 as usize % SUCCESSORS];
+        let confirmed = row.is_some_and(|(at, then, _)| (at, then) == (page, next));
+        *row = Some((page, next, confirmed));
+    }
+
+    /// The confirmed successor of `page`, if its row holds one.
+    fn successor(&self, page: PageId) -> Option<PageId> {
+        let (at, next, confirmed) = self.successors[page.0 as usize % SUCCESSORS]?;
+        (at == page && confirmed).then_some(next)
+    }
+
+    /// Forgets the trace, the run and the successors (placement changed
+    /// wholesale, as after a crash recovery).
     pub fn reset(&mut self) {
         self.votes.reset();
+        self.successors = [None; SUCCESSORS];
+        self.jump = None;
         self.depth = 0;
     }
 }
@@ -423,11 +493,93 @@ mod tests {
         }
     }
 
+    /// Feeds `trace` as read-ahead hits with the runway gone; the
+    /// successor each fault planned.
+    fn thens(planner: &mut Planner, trace: impl IntoIterator<Item = u64>) -> Vec<Option<PageId>> {
+        let plans = trace
+            .into_iter()
+            .map(|id| planner.plan(PageId(id), true, |_| true));
+        plans.map(|plan| plan.and_then(|p| p.then)).collect()
+    }
+
+    #[test]
+    fn a_repeated_wrap_is_planned_once_seen_twice() {
+        let mut planner = Planner::new(8);
+        assert_eq!(thens(&mut planner, 1..=8), [None; 8]);
+        assert_eq!(thens(&mut planner, 1..=8), [None; 8], "the wrap seen once");
+        // Along the sweep the successor is one stride on: the stride has it.
+        let mut third = vec![None; 7];
+        third.push(Some(PageId(1)));
+        assert_eq!(thens(&mut planner, 1..=8), third);
+    }
+
+    #[test]
+    fn a_single_jump_plans_nothing_and_one_wrong_guess_unconfirms() {
+        let mut planner = Planner::new(8);
+        let trace = (1..=8).chain(20..=28).chain(1..=8);
+        assert!(thens(&mut planner, trace).iter().all(Option::is_none));
+        let mut planner = Planner::new(8);
+        let learnt = thens(&mut planner, (1..=8).cycle().take(24));
+        assert_eq!(learnt[23], Some(PageId(1)));
+        // The wrap lands on 5 once: back on 1, it must be seen twice again.
+        let trace = (5..=8).chain(1..=8);
+        assert!(thens(&mut planner, trace).iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn a_hit_on_the_planned_successor_restarts_depth_at_one() {
+        let mut planner = Planner::new(8);
+        let trace = (1..=8).cycle().take(32);
+        let plans = trace.map(|id| planner.plan(PageId(id), true, |_| true));
+        let depths: Vec<usize> = plans.map(|plan| plan.map_or(0, |p| p.depth)).collect();
+        assert_eq!(depths[..8], [0, 0, 1, 2, 4, 8, 8, 8]);
+        // Once learnt, every fault of the loop lands on the successor just
+        // planned, the wrap to 1 too: each starts a sweep at one page.
+        assert_eq!(depths[24..], [1; 8]);
+    }
+
+    #[test]
+    fn reset_forgets_the_successors() {
+        let mut planner = Planner::new(8);
+        thens(&mut planner, (1..=8).cycle().take(24));
+        planner.reset();
+        assert_eq!(thens(&mut planner, 1..=8), [None; 8]);
+    }
+
+    #[test]
+    fn a_uniform_trace_seldom_plans_a_successor() {
+        let mut planner = Planner::new(8);
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut planned = 0;
+        for _ in 0..100_000 {
+            // xorshift64
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let plan = planner.plan(PageId(x % 4096), false, |_| true);
+            planned += usize::from(plan.is_some_and(|p| p.then.is_some()));
+        }
+        assert!(
+            planned < 100,
+            "{planned} of 100,000 faults planned a successor"
+        );
+    }
+
     #[test]
     fn a_plan_stops_where_the_page_space_ends() {
-        let pages = |stride, depth| Plan { stride, depth }.pages(PageId(5)).collect::<Vec<_>>();
-        assert_eq!(pages(-2, 4), [PageId(3), PageId(1)]);
-        assert_eq!(pages(3, 2), [PageId(8), PageId(11)]);
+        let pages = |stride, depth, then| {
+            let plan = Plan {
+                stride,
+                depth,
+                then,
+            };
+            plan.pages(PageId(5)).map(|p| p.0).collect::<Vec<_>>()
+        };
+        assert_eq!(pages(-2, 4, None), [3, 1]);
+        assert_eq!(pages(3, 2, None), [8, 11]);
+        // The successor comes after the stride's pages.
+        assert_eq!(pages(3, 2, Some(PageId(1))), [8, 11, 1]);
+        assert_eq!(pages(0, 0, Some(PageId(1))), [1], "successor only");
     }
 
     #[test]

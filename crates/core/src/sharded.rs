@@ -25,18 +25,21 @@
 //! nothing a stride vote can use. So the *decision* to read ahead is
 //! taken here, once, over the whole fault stream: one [`Planner`] behind
 //! a small lock of its own hears every served fault and answers nothing,
-//! or a stride and a depth. The *copies* stay with the shards: once the fault's turn has ended,
-//! the shard of the next page along the stride says whether the runway
-//! is gone, and if so each shard is handed the planned pages it holds
+//! or a stride and a depth, then the page that has followed this one
+//! twice running — a sweep's wrap, say — if the stride does not reach
+//! it. The *copies* stay with the shards: once the fault's turn has
+//! ended, the shard of the next page along the stride says whether the
+//! runway is gone, and each shard is handed the planned pages it holds
 //! (`Pager::read_ahead`) — fetched, cached, verified and voided by
 //! writes under that shard's lock, like any other copy. Three rules:
 //! **speculation never waits** — a shard is only `try_lock`ed for it and
 //! a busy one skipped, and a planned page with an operation under way is
 //! left out (a pageout that begins later voids the copy on the wire);
-//! **the window adapts** — one page after a miss, doubled each time a hit
-//! finds the runway gone, up to [`PagerConfig::prefetch_window`]; **one
-//! page, one plain read** — a keyed `PageIn` frame of its own on the
-//! request window, which allocates nothing but the page.
+//! **the window adapts** — one page after a miss or on a planned
+//! successor, doubled each time a hit finds the runway gone, up to
+//! [`PagerConfig::prefetch_window`]; **one page, one plain read** — a
+//! keyed `PageIn` frame of its own on the request window, which
+//! allocates nothing but the page.
 //!
 //! # Begin, park, complete
 //!

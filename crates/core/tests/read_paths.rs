@@ -435,11 +435,18 @@ fn replay_gauss<D: PagingDevice>(
         pageins: 0,
     };
     trace.solve(dev);
-    let (issued_before, hits_before, ..) = counters(dev);
+    let (issued_before, hits_before, useless_before, _) = counters(dev);
     let pageins = trace.solve(dev);
     let (issued, hits, useless, held) = counters(dev);
     assert_eq!(issued, hits + useless + held, "the ledger balances");
     let (issued, hits) = (issued - issued_before, hits - hits_before);
+    // At most one read-ahead in twenty may go unread: each costs a
+    // transfer and saves nothing.
+    let useless = useless - useless_before;
+    assert!(
+        20 * useless <= issued,
+        "{useless} of {issued} read-aheads useless"
+    );
     [pageins, hits, pageins - hits + issued]
 }
 
@@ -470,17 +477,20 @@ fn read_ahead_on_the_gauss_trace_is_the_same_however_many_shards() {
     println!("[pageins, read-ahead hits, pages fetched] a solve: {runs:?}");
     let [pageins, hits, fetched] = runs[0];
     assert_eq!(pageins, 395, "the trace is gauss_plog_lan's");
-    // What is left are the sweep starts: the jump from page 8 back to the
-    // pivot row's successor is no stride. Per-shard votes got 178 with
-    // two shards and 3 with four.
+    // The stride vote alone got 300: it ignores the jump from page 8 back
+    // to the pivot row's successor, which the successor table plans once
+    // it has repeated. Per-shard votes got 178 with two shards and 3 with
+    // four.
     assert!(
-        hits >= 290,
+        hits >= 350,
         "{hits} of {pageins} pageins rode on read-ahead"
     );
     // A window that is always eight fetches 465: it asks for pages the
-    // VM still holds dirty and writes a fault later.
+    // VM still holds dirty and writes a fault later. So does one that
+    // keeps doubling across a planned wrap (57 useless a solve), and a
+    // successor planned before it repeats fetches 408.
     assert!(
-        fetched <= 420,
+        fetched <= 405,
         "{fetched} pages fetched for {pageins} pageins"
     );
     assert!(runs.iter().all(|run| *run == runs[0]), "{runs:?}");

@@ -9,9 +9,9 @@
 const CEILINGS: [(&str, usize); 5] = [
     ("ROADMAP.md", 24 * 1024),
     ("DESIGN.md", 83_010),
-    ("ARCHITECTURE.md", 20_851),
-    ("README.md", 23_058),
-    ("OBSERVABILITY.md", 22_523),
+    ("ARCHITECTURE.md", 20_840),
+    ("README.md", 23_051),
+    ("OBSERVABILITY.md", 22_509),
 ];
 
 /// Bytes one CHANGES.md entry may take.
