@@ -1,21 +1,26 @@
-//! The windowed transport: one reactor thread per connection.
+//! The windowed transport: a request window on one connection, read by
+//! whoever waits on it.
 //!
 //! A request/response socket parks the calling thread for every in-flight
 //! request, so a single client thread can never keep more than one frame
-//! on the wire. Every pool connection is instead an event-driven reactor:
-//! requests are wrapped in seq-tagged
-//! [`Message::Windowed`] envelopes, the submitting thread encodes a burst
-//! into the transport's one reusable buffer, reserves window slots under
-//! the shared lock and writes the burst itself (one `write`, outside the
-//! lock), and a per-connection driver thread
-//! does nothing but read: it blocks in `read(2)` so the kernel wakes it
-//! the instant reply bytes arrive, decodes the burst, and matches each
-//! reply — which may arrive out of order — back to its per-call
-//! completion slot by seq. Submission is decoupled from completion, so
-//! demand pageins, prefetch batches, recovery fetches, and pageouts all
-//! overlap on one connection while `Pager`'s synchronous API stays
-//! untouched: a caller that wants its reply simply blocks on the slot's
-//! condition variable (the waker handoff; see `DESIGN.md` §10).
+//! on the wire. Every pool connection instead carries a window: requests
+//! are wrapped in seq-tagged [`Message::Windowed`] envelopes, the
+//! submitting thread encodes a burst into the transport's one reusable
+//! buffer, reserves window slots under the shared lock and writes the
+//! burst itself (one `write`, outside the lock), and each reply — which
+//! may arrive out of order — is matched back to its per-call completion
+//! slot by seq. Submission is decoupled from completion, so demand
+//! pageins, prefetch batches, recovery fetches, and pageouts all overlap
+//! on one connection while `Pager`'s synchronous API stays untouched.
+//!
+//! No thread exists to read the socket. A caller that has to wait for a
+//! reply takes the connection's read side if nobody holds it (it leads),
+//! blocks in `read(2)`, and completes every reply a read brings, its own
+//! and other callers'. A caller that finds the read side taken follows:
+//! it sleeps on its slot until the leader completes it or leaves, and a
+//! leaving leader wakes every sleeper so one of them takes over. A lone
+//! caller therefore reads its own reply, with no thread between the
+//! kernel and the fault (leader/follower; see `DESIGN.md` §10).
 //!
 //! The window itself is negotiated at connect time: the client sends
 //! [`Message::Hello`] asking for [`rmp_types::TransportConfig::window_max_inflight`]
@@ -24,10 +29,11 @@
 //! [`WindowStats::stalls`]) until a completion frees a slot, bounding both
 //! client memory and server queue depth.
 //!
-//! Lock order: `Shared::inner` before any `Slot::state`. The driver and
-//! submitters take `inner` first; waiters take their slot's lock alone,
-//! and re-acquire `inner` (after releasing the slot) only to abandon a
-//! timed-out seq.
+//! Lock order: `Shared::reader` before `Shared::inner` before any
+//! `Slot::state`. A leader completes replies under `inner` while it holds
+//! `reader`; submitters take `inner` alone; a follower takes its slot's
+//! lock alone and releases it before it tries `reader`, or `inner` to
+//! abandon a timed-out seq.
 //!
 //! # Examples
 //!
@@ -50,11 +56,10 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rmp_proto::wire::HEADER_LEN;
@@ -63,11 +68,10 @@ use rmp_types::{ErrorCode, Result, RmpError, TransportConfig};
 
 use crate::transport::ServerTransport;
 
-/// The driver's `SO_RCVTIMEO`: its blocking read returns within this
-/// interval even with no data, so it can recheck the shutdown flag. Data
-/// arrival wakes it immediately — the tick only bounds teardown latency,
-/// never completion latency.
-const DRIVER_TICK: Duration = Duration::from_millis(100);
+/// The longest a leader's blocking read waits before it rechecks its
+/// slot: the socket's `SO_RCVTIMEO`, set again only when a deadline
+/// closer than this shortens it. Data arrival wakes the reader at once.
+const READ_TICK: Duration = Duration::from_millis(100);
 
 /// Cumulative counters of one windowed connection, snapshotted by
 /// [`WindowedTransport::stats`]. Counters reset when the connection is
@@ -87,8 +91,9 @@ pub struct WindowStats {
     /// Replies whose seq no longer had a waiter (abandoned after a
     /// deadline); dropped on the floor.
     pub late_replies: u64,
-    /// Times the driver thread woke from its blocking read (reply bytes
-    /// arrived, or an idle tick to recheck shutdown).
+    /// Reads of the connection by its waiters: a leader's blocking reads
+    /// (reply bytes arrived, or a tick passed) and the polls of
+    /// [`PendingReplies::is_ready`].
     pub wakeups: u64,
 }
 
@@ -114,9 +119,9 @@ impl Dead {
 }
 
 /// One frame's completion slot: the waker handed from the submitting
-/// thread to the driver. The result is stamped with its arrival time, so
-/// a waiter that collects it late — it was waiting on another server's
-/// reply — still learns how long *this* server took.
+/// thread to whichever waiter reads its reply. The result is stamped with
+/// its arrival time, so a waiter that collects it late — it was waiting
+/// on another server's reply — still learns how long *this* server took.
 ///
 /// A slot is written through the clone in [`Inner::pending`] and through
 /// nothing else, and that clone is gone once the frame is answered,
@@ -125,28 +130,29 @@ impl Dead {
 /// its handle is dropped.
 #[derive(Default)]
 struct Slot {
-    state: Mutex<Option<(Result<Message>, Instant)>>,
+    state: Mutex<Option<Arrived>>,
     cv: Condvar,
 }
 
-impl Slot {
-    fn complete(&self, result: Result<Message>) {
-        *self.state.lock().expect("slot lock") = Some((result, Instant::now()));
-        self.cv.notify_all();
-    }
+type Arrived = (Result<Message>, Instant);
 
-    /// Blocks until the slot holds its result or `deadline` passes.
-    fn settled(&self, deadline: Instant) -> MutexGuard<'_, Option<(Result<Message>, Instant)>> {
-        let mut state = self.state.lock().expect("slot lock");
-        while state.is_none() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            state = self.cv.wait_timeout(state, left).expect("slot lock").0;
-        }
-        state
+impl Slot {
+    fn is_done(&self) -> bool {
+        self.state.lock().expect("slot lock").is_some()
     }
+}
+
+/// The connection's read side, held by whichever waiter reads it.
+struct Reader {
+    stream: TcpStream,
+    /// Reads land in the accumulator's own buffer, sized to take a full
+    /// 32-frame burst of page replies (the server writes each burst's
+    /// replies as one block) in one read.
+    acc: FrameAccumulator,
+    /// The frames of one read; emptied by every read, reused by the next.
+    burst: Vec<(Option<u32>, Message)>,
+    /// The socket's `SO_RCVTIMEO` as last set.
+    timeout: Duration,
 }
 
 struct Inner {
@@ -155,7 +161,6 @@ struct Inner {
     inflight: usize,
     next_seq: u32,
     window: usize,
-    shutdown: bool,
     dead: Option<Dead>,
     stalls: u64,
     submitted: u64,
@@ -168,17 +173,26 @@ struct Shared {
     /// Wakes submitters stalled on a full window.
     space_cv: Condvar,
     wakeups: AtomicU64,
+    /// `None` with no socket behind the handles: their waiters only sleep.
+    reader: Option<Mutex<Reader>>,
+    /// Set while a waiter holds `reader`. A waiter tests it only after it
+    /// has counted itself in `sleepers`, so a leader that clears it and
+    /// then finds no sleeper has nobody to wake.
+    reading: AtomicBool,
+    /// Threads about to sleep, or asleep, on a slot or on `space_cv`.
+    /// Each counts itself before it tests what it waits for, so whoever
+    /// changes that and then reads zero may skip the futex wake-up.
+    sleepers: AtomicUsize,
 }
 
 impl Shared {
-    fn new(window: usize) -> Self {
+    fn new(window: usize, reader: Option<Reader>) -> Self {
         Shared {
             inner: Mutex::new(Inner {
                 pending: HashMap::new(),
                 inflight: 0,
                 next_seq: 0,
                 window,
-                shutdown: false,
                 dead: None,
                 stalls: 0,
                 submitted: 0,
@@ -187,6 +201,9 @@ impl Shared {
             }),
             space_cv: Condvar::new(),
             wakeups: AtomicU64::new(0),
+            reader: reader.map(Mutex::new),
+            reading: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
         }
     }
 
@@ -194,28 +211,255 @@ impl Shared {
         self.inner.lock().expect("reactor lock")
     }
 
+    /// Wakes whoever sleeps on `cv`, if anybody might.
+    fn wake(&self, cv: &Condvar) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            cv.notify_all();
+        }
+    }
+
+    fn complete(&self, slot: &Slot, result: Result<Message>) {
+        *slot.state.lock().expect("slot lock") = Some((result, Instant::now()));
+        self.wake(&slot.cv);
+    }
+
+    /// Blocks until `slot` holds its result or `deadline` passes, reading
+    /// the connection itself whenever nobody else is.
+    fn settle<'s>(&self, slot: &'s Slot, deadline: Instant) -> MutexGuard<'s, Option<Arrived>> {
+        loop {
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            let mut state = slot.state.lock().expect("slot lock");
+            while state.is_none() && (self.reader.is_none() || self.reading.load(Ordering::SeqCst))
+            {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                state = slot.cv.wait_timeout(state, left).expect("slot lock").0;
+            }
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            if state.is_some() || Instant::now() >= deadline {
+                return state;
+            }
+            drop(state);
+            self.lead(Some(deadline), || slot.is_done());
+        }
+    }
+
+    /// Lets go of `inner`, held with the window full, once a completion
+    /// may have freed a slot: reads the connection itself when nobody
+    /// does, since nothing else would drain the window.
+    fn await_space(&self, inner: MutexGuard<'_, Inner>, deadline: Instant) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.reading.load(Ordering::SeqCst) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            drop(self.space_cv.wait_timeout(inner, left));
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            return;
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(inner);
+        self.lead(Some(deadline), || {
+            let inner = self.lock();
+            inner.inflight < inner.window || inner.dead.is_some()
+        });
+    }
+
+    /// Takes the read side if nobody holds it and reads until `done` —
+    /// until `deadline`, or, with none, once without blocking. Leaving,
+    /// it clears `reading` first and then wakes every sleeper, so one
+    /// whose reply has not come takes over.
+    fn lead(&self, deadline: Option<Instant>, done: impl Fn() -> bool) {
+        let Some(Ok(mut reader)) = self.reader.as_ref().map(Mutex::try_lock) else {
+            // A leader is arriving or leaving: let it run first.
+            if deadline.is_some() {
+                std::thread::yield_now();
+            }
+            return;
+        };
+        self.reading.store(true, Ordering::SeqCst);
+        while !done() && self.read_once(&mut reader, deadline) {}
+        self.reading.store(false, Ordering::SeqCst);
+        drop(reader);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let inner = self.lock();
+            for slot in inner.pending.values() {
+                let _state = slot.state.lock().expect("slot lock");
+                slot.cv.notify_all();
+            }
+            self.space_cv.notify_all();
+        }
+    }
+
+    /// One read of the socket, blocking until `deadline` (a
+    /// [`READ_TICK`] at most) or, with none, not at all. The frames it
+    /// completes are decoded before `inner` is taken — deserializing a
+    /// page reply copies its 8 KiB out of the read buffer, and submitters
+    /// need the lock meanwhile. `false` once the deadline has passed, the
+    /// connection is dead, or the read was a poll.
+    fn read_once(&self, reader: &mut Reader, deadline: Option<Instant>) -> bool {
+        let (stream, acc) = (&reader.stream, &mut reader.acc);
+        let read = match deadline {
+            Some(deadline) => {
+                let left = READ_TICK.min(deadline.saturating_duration_since(Instant::now()));
+                if left.is_zero() {
+                    return false;
+                }
+                if left != reader.timeout && stream.set_read_timeout(Some(left)).is_ok() {
+                    reader.timeout = left;
+                }
+                acc.fill_from(&mut &*stream)
+            }
+            None => acc.fill_from(&mut DontWait(stream)),
+        };
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        let mut fatal = match read {
+            Ok(0) => Some(Dead::Io(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection".into(),
+            )),
+            Ok(_) => None,
+            // A tick (EAGAIN on Linux, TimedOut elsewhere), or a poll
+            // that found nothing: no data yet.
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                return deadline.is_some();
+            }
+            Err(e) => Some(Dead::Io(e.kind(), e.to_string())),
+        };
+        loop {
+            match acc.next_enveloped() {
+                Ok(Some(frame)) => reader.burst.push(frame),
+                Ok(None) => break,
+                Err(e) => {
+                    fatal = Some(Dead::Io(io::ErrorKind::InvalidData, e.to_string()));
+                    break;
+                }
+            }
+        }
+        let mut inner = self.lock();
+        for frame in reader.burst.drain(..) {
+            self.complete_frame(&mut inner, frame);
+        }
+        if let Some(reason) = fatal {
+            self.mark_dead(&mut inner, reason);
+        }
+        inner.dead.is_none() && deadline.is_some()
+    }
+
     /// Blocks until `slot` — the one registered under `seq` — holds its
     /// result or `deadline` passes, in which case the seq is abandoned:
     /// its window slot frees now and the reply, if it ever comes, is
     /// dropped as late.
-    fn wait_slot(&self, seq: u32, slot: &Slot, deadline: Instant) -> (Result<Message>, Instant) {
+    fn wait_slot(&self, seq: u32, slot: &Slot, deadline: Instant) -> Arrived {
         loop {
-            if let Some(arrived) = slot.settled(deadline).take() {
+            if let Some(arrived) = self.settle(slot, deadline).take() {
                 return arrived;
             }
             let mut inner = self.lock();
             if inner.pending.remove(&seq).is_some() {
                 inner.inflight -= 1;
-                self.space_cv.notify_all();
+                self.wake(&self.space_cv);
                 let timed_out = RmpError::Io(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "windowed call timed out",
                 ));
                 return (Err(timed_out), Instant::now());
             }
-            // The driver completed this seq between our timeout and the
+            // A reader completed this seq between our timeout and the
             // abandon attempt; the result is there now.
         }
+    }
+
+    /// Fails every pending slot and refuses future submissions.
+    /// Idempotent.
+    fn mark_dead(&self, inner: &mut Inner, reason: Dead) {
+        if inner.dead.is_some() {
+            return;
+        }
+        for (_, slot) in inner.pending.drain() {
+            self.complete(&slot, Err(reason.to_error()));
+        }
+        inner.inflight = 0;
+        inner.dead = Some(reason);
+        self.wake(&self.space_cv);
+    }
+
+    /// Marks the connection dead after a failed write, and shuts its read
+    /// side down so a waiter blocked reading it wakes at once.
+    fn write_failed(&self, inner: &mut Inner, stream: &TcpStream, e: &io::Error) {
+        self.mark_dead(inner, Dead::Io(e.kind(), e.to_string()));
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+
+    /// Routes one inbound frame: enveloped replies complete their seq's
+    /// slot; a bare `Error` (e.g. an accept-time overload refusal)
+    /// concerns the whole connection and fails everything.
+    fn complete_frame(&self, inner: &mut Inner, frame: (Option<u32>, Message)) {
+        match frame {
+            (Some(seq), reply) => match inner.pending.remove(&seq) {
+                Some(slot) => {
+                    inner.inflight -= 1;
+                    inner.completed += 1;
+                    self.complete(&slot, Ok(reply));
+                    // Hysteresis: wake stalled submitters only once half
+                    // the window has drained, so each wakeup injects half
+                    // a window of frames in one write. Waking on every
+                    // completion costs a condvar-and-scheduler round trip
+                    // per frame — the submitter trickles in one frame per
+                    // reply and the pipeline collapses to lockstep.
+                    // Liveness: every in-flight frame completes (or is
+                    // abandoned/failed, which notifies unconditionally),
+                    // and a leader that leaves wakes every sleeper, so
+                    // `inflight` always reaches the threshold.
+                    if inner.inflight * 2 <= inner.window {
+                        self.wake(&self.space_cv);
+                    }
+                }
+                None => inner.late_replies += 1,
+            },
+            (None, Message::Error { code, message }) => {
+                self.mark_dead(inner, Dead::Remote(code, message));
+            }
+            (None, other) => {
+                let opcode = other.opcode();
+                let bare = format!("bare {opcode:?} frame on a windowed session");
+                self.mark_dead(inner, Dead::Io(io::ErrorKind::InvalidData, bare));
+            }
+        }
+    }
+}
+
+/// A read that never blocks: `recv(2)` with `MSG_DONTWAIT`. Setting
+/// `O_NONBLOCK` instead would reach the submitter's writes too — it lives
+/// on the file description the two halves share — and a short
+/// `SO_RCVTIMEO` is no poll: the kernel rounds it up to a jiffy.
+struct DontWait<'a>(&'a TcpStream);
+
+#[cfg(target_os = "linux")]
+impl Read for DontWait<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        use std::ffi::{c_int, c_void};
+        use std::os::fd::AsRawFd;
+        const MSG_DONTWAIT: c_int = 0x40;
+        extern "C" {
+            fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+        }
+        let fd = self.0.as_raw_fd();
+        // SAFETY: `buf` is valid for writes of `buf.len()` bytes for the
+        // whole call, and the descriptor stays open while `self.0` is
+        // borrowed.
+        let n = unsafe { recv(fd, buf.as_mut_ptr().cast(), buf.len(), MSG_DONTWAIT) };
+        usize::try_from(n).map_err(|_| io::Error::last_os_error())
+    }
+}
+
+/// Elsewhere a poll finds nothing; the replies wait for a caller to block.
+#[cfg(not(target_os = "linux"))]
+impl Read for DontWait<'_> {
+    fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+        Err(io::ErrorKind::WouldBlock.into())
     }
 }
 
@@ -236,25 +480,12 @@ pub(crate) fn lost_with_its_burst() -> RmpError {
     ))
 }
 
-/// Fails every pending slot and refuses future submissions. Idempotent.
-fn mark_dead(inner: &mut Inner, reason: Dead, space_cv: &Condvar) {
-    if inner.dead.is_some() {
-        return;
-    }
-    for (_, slot) in inner.pending.drain() {
-        slot.complete(Err(reason.to_error()));
-    }
-    inner.inflight = 0;
-    inner.dead = Some(reason);
-    space_cv.notify_all();
-}
-
 /// Writes a burst of encoded frames to the blocking socket — one
 /// `write(2)` unless the send buffer takes it in pieces.
 ///
 /// Called by the submitting thread only, never while holding
 /// [`Shared::inner`]: a blocking write that stalled on a full send buffer
-/// while holding the lock would wedge the driver (which needs the lock to
+/// while holding the lock would wedge the reader (which needs the lock to
 /// complete replies) and deadlock the connection. The socket's
 /// `SO_SNDTIMEO` bounds the stall; hitting it surfaces as `TimedOut`.
 fn write_burst(mut stream: &TcpStream, mut frames: &[u8]) -> io::Result<()> {
@@ -300,125 +531,10 @@ fn flush<'a>(
         None => Ok(()),
     };
     let mut inner = shared.lock();
-    if let Err(e) = result {
-        mark_dead(
-            &mut inner,
-            Dead::Io(e.kind(), e.to_string()),
-            &shared.space_cv,
-        );
+    if let (Err(e), Some(stream)) = (result, stream) {
+        shared.write_failed(&mut inner, stream, &e);
     }
     inner
-}
-
-/// Routes one inbound frame: enveloped replies complete their seq's slot;
-/// a bare `Error` (e.g. an accept-time overload refusal) concerns the
-/// whole connection and fails everything.
-fn complete_frame(inner: &mut Inner, frame: (Option<u32>, Message), space_cv: &Condvar) {
-    match frame {
-        (Some(seq), reply) => match inner.pending.remove(&seq) {
-            Some(slot) => {
-                inner.inflight -= 1;
-                inner.completed += 1;
-                slot.complete(Ok(reply));
-                // Hysteresis: wake stalled submitters only once half the
-                // window has drained, so each wakeup injects half a
-                // window of frames in one write. Waking on
-                // every completion costs a condvar-and-scheduler round
-                // trip per frame — the submitter trickles in one frame
-                // per reply and the pipeline collapses to lockstep.
-                // Liveness: every in-flight frame completes (or is
-                // abandoned/failed, which notifies unconditionally), so
-                // `inflight` always reaches the threshold.
-                if inner.inflight * 2 <= inner.window {
-                    space_cv.notify_all();
-                }
-            }
-            None => inner.late_replies += 1,
-        },
-        (None, Message::Error { code, message }) => {
-            mark_dead(inner, Dead::Remote(code, message), space_cv);
-        }
-        (None, other) => {
-            mark_dead(
-                inner,
-                Dead::Io(
-                    io::ErrorKind::InvalidData,
-                    format!("bare {:?} frame on a windowed session", other.opcode()),
-                ),
-                space_cv,
-            );
-        }
-    }
-}
-
-/// The per-connection driver: a dedicated blocking reader. It parks
-/// inside `read(2)` — the kernel wakes it the moment reply bytes arrive,
-/// so completion latency is scheduling-bound, not poll-interval-bound —
-/// decodes each burst, and completes slots. The socket's `SO_RCVTIMEO`
-/// ([`DRIVER_TICK`]) bounds how long a fully idle driver goes between
-/// shutdown-flag checks. Exits when the connection dies or the transport
-/// shuts down (teardown also shuts the socket down, turning a parked
-/// read into an immediate EOF).
-fn drive(stream: TcpStream, shared: Arc<Shared>) {
-    // Reads land in the accumulator's own buffer, sized to take a full
-    // 32-frame burst of page replies (the server writes each burst's
-    // replies as one block) in one read.
-    let mut acc = FrameAccumulator::new();
-    // The frames of one read; emptied by every turn, reused by the next.
-    let mut burst: Vec<(Option<u32>, Message)> = Vec::new();
-    loop {
-        let mut fatal: Option<Dead> = None;
-        match acc.fill_from(&mut &stream) {
-            Ok(0) => {
-                fatal = Some(Dead::Io(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection".into(),
-                ));
-            }
-            Ok(_) => {}
-            // An SO_RCVTIMEO tick (EAGAIN on Linux, TimedOut elsewhere):
-            // no data yet; fall through to the shutdown check below.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) => fatal = Some(Dead::Io(e.kind(), e.to_string())),
-        }
-        shared.wakeups.fetch_add(1, Ordering::Relaxed);
-
-        // Decode the burst before taking the lock — deserializing a page
-        // reply copies its 8 KiB out of the read buffer, and submitters
-        // need the lock to refill the window while we work through a
-        // burst.
-        loop {
-            match acc.next_enveloped() {
-                Ok(Some(frame)) => burst.push(frame),
-                Ok(None) => break,
-                Err(e) => {
-                    fatal = Some(Dead::Io(io::ErrorKind::InvalidData, e.to_string()));
-                    break;
-                }
-            }
-        }
-
-        let mut inner = shared.lock();
-        for frame in burst.drain(..) {
-            complete_frame(&mut inner, frame, &shared.space_cv);
-        }
-        if let Some(reason) = fatal {
-            mark_dead(&mut inner, reason, &shared.space_cv);
-        }
-        if inner.dead.is_some() {
-            return;
-        }
-        if inner.shutdown {
-            mark_dead(
-                &mut inner,
-                Dead::Io(io::ErrorKind::ConnectionReset, "transport shut down".into()),
-                &shared.space_cv,
-            );
-            return;
-        }
-    }
 }
 
 /// Replies still owed for a batch of submitted frames.
@@ -491,7 +607,7 @@ impl Completion {
             let result = results.next().unwrap_or_else(|| Err(lost_with_its_burst()));
             if let Some(slot) = inner.pending.remove(&seq) {
                 inner.inflight -= 1;
-                slot.complete(result);
+                self.shared.complete(&slot, result);
             }
         }
     }
@@ -499,14 +615,11 @@ impl Completion {
 
 impl Drop for Completion {
     fn drop(&mut self) {
-        mark_dead(
-            &mut self.shared.lock(),
-            Dead::Io(
-                io::ErrorKind::ConnectionAborted,
-                "completion dropped".into(),
-            ),
-            &self.shared.space_cv,
+        let dropped = Dead::Io(
+            io::ErrorKind::ConnectionAborted,
+            "completion dropped".into(),
         );
+        self.shared.mark_dead(&mut self.shared.lock(), dropped);
     }
 }
 
@@ -517,7 +630,7 @@ impl PendingReplies {
     /// test double) and still want their callers to overlap bursts.
     /// `read_timeout` is what [`PendingReplies::wait_all`] allows.
     pub fn deferred(frames: usize, read_timeout: Duration) -> (PendingReplies, Completion) {
-        let shared = Arc::new(Shared::new(frames));
+        let shared = Arc::new(Shared::new(frames, None));
         let slots: Vec<(u32, Arc<Slot>)> = (0..frames as u32)
             .map(|seq| (seq, Arc::new(Slot::default())))
             .collect();
@@ -551,10 +664,14 @@ impl PendingReplies {
     }
 
     /// Whether every reply has already arrived: `wait_all` will not block.
+    /// Never blocks itself: when replies are owed and nobody reads the
+    /// connection, it reads once, taking only what the socket already has.
     pub fn is_ready(&self) -> bool {
-        self.slots[self.taken..]
-            .iter()
-            .all(|(_, slot)| slot.state.lock().expect("slot lock").is_some())
+        let settled = || self.slots[self.taken..].iter().all(|(_, s)| s.is_done());
+        settled() || {
+            self.shared.lead(None, settled);
+            settled()
+        }
     }
 
     /// Blocks until every submitted frame has its reply, returning them
@@ -582,7 +699,7 @@ impl PendingReplies {
     /// without blocking.
     pub(crate) fn park(&self, deadline: Instant) {
         for (_, slot) in &self.slots[self.taken..] {
-            if slot.settled(deadline).is_none() {
+            if self.shared.settle(slot, deadline).is_none() {
                 return;
             }
         }
@@ -618,7 +735,7 @@ impl Drop for PendingReplies {
             }
         }
         if freed {
-            self.shared.space_cv.notify_all();
+            self.shared.wake(&self.shared.space_cv);
         }
     }
 }
@@ -632,7 +749,6 @@ pub struct WindowedTransport {
     config: TransportConfig,
     shared: Arc<Shared>,
     stream: Option<TcpStream>,
-    driver: Option<JoinHandle<()>>,
     granted: usize,
     /// The burst being submitted, envelopes and all: encoded here before
     /// the lock is taken, given its seqs under it, written from here
@@ -663,8 +779,7 @@ impl WindowedTransport {
         WindowedTransport::connect_with(addr, &TransportConfig::default())
     }
 
-    /// Dials `addr`, performs the `Hello` handshake on the socket, then
-    /// starts the driver thread.
+    /// Dials `addr` and performs the `Hello` handshake on the socket.
     ///
     /// Only dial failures error out. A failed *handshake* (the server
     /// refused with a typed `Error`, timed out, or spoke garbage) yields
@@ -680,9 +795,8 @@ impl WindowedTransport {
         let mut transport = WindowedTransport {
             addr: addr.to_string(),
             config: config.clone(),
-            shared: Arc::new(Shared::new(1)),
+            shared: Arc::new(Shared::new(1, None)),
             stream: None,
-            driver: None,
             granted: 1,
             wbuf: Vec::new(),
             slots: Vec::new(),
@@ -702,11 +816,10 @@ impl WindowedTransport {
     }
 
     fn install_dead(&mut self, reason: Dead) {
-        let shared = Shared::new(1);
+        let shared = Shared::new(1, None);
         shared.lock().dead = Some(reason);
         self.shared = Arc::new(shared);
         self.stream = None;
-        self.driver = None;
         self.granted = 1;
     }
 
@@ -721,20 +834,19 @@ impl WindowedTransport {
             Ok(Message::HelloReply { window }) => {
                 let granted = (window.max(1) as usize).min(requested as usize);
                 let stream = framed.into_inner();
-                // The socket stays blocking: the driver parks in read(2)
-                // with SO_RCVTIMEO as its shutdown-check tick, and the
-                // submitter's writes are bounded by SO_SNDTIMEO (already
-                // set to the write timeout by `dial`).
-                stream.set_read_timeout(Some(DRIVER_TICK))?;
-                let driver_stream = stream.try_clone()?;
-                let shared = Arc::new(Shared::new(granted));
-                let driver_shared = Arc::clone(&shared);
-                let driver = std::thread::Builder::new()
-                    .name(format!("rmp-reactor-{}", self.addr))
-                    .spawn(move || drive(driver_stream, driver_shared))?;
-                self.shared = shared;
+                // The socket stays blocking: a leader parks in read(2)
+                // for at most SO_RCVTIMEO, and the submitter's writes are
+                // bounded by SO_SNDTIMEO (set to the write timeout by
+                // `dial`).
+                stream.set_read_timeout(Some(READ_TICK))?;
+                let reader = Reader {
+                    stream: stream.try_clone()?,
+                    acc: FrameAccumulator::new(),
+                    burst: Vec::new(),
+                    timeout: READ_TICK,
+                };
+                self.shared = Arc::new(Shared::new(granted, Some(reader)));
                 self.stream = Some(stream);
-                self.driver = Some(driver);
                 self.granted = granted;
                 return Ok(());
             }
@@ -753,22 +865,12 @@ impl WindowedTransport {
     }
 
     fn teardown(&mut self) {
-        {
-            let mut inner = self.shared.lock();
-            inner.shutdown = true;
-            mark_dead(
-                &mut inner,
-                Dead::Io(io::ErrorKind::ConnectionReset, "transport torn down".into()),
-                &self.shared.space_cv,
-            );
-        }
-        // Shutting the socket down turns the driver's parked read into an
-        // immediate EOF, so the join below never waits a full tick.
+        let torn = Dead::Io(io::ErrorKind::ConnectionReset, "transport torn down".into());
+        self.shared.mark_dead(&mut self.shared.lock(), torn);
+        // Shutting the socket down turns a leader's parked read into an
+        // immediate end of stream.
         if let Some(stream) = self.stream.take() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(driver) = self.driver.take() {
-            let _ = driver.join();
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 
@@ -825,7 +927,7 @@ impl WindowedTransport {
     fn put_on_window(&mut self, msgs: &[Message], slots: &mut [(u32, Arc<Slot>)]) -> Result<()> {
         let write_deadline = Instant::now() + self.config.write_timeout;
         // Encode before taking the lock: a page-carrying frame costs an
-        // 8 KiB copy, and the driver needs the lock to complete replies
+        // 8 KiB copy, and a reader needs the lock to complete replies
         // — encoding under it would stall completions for the whole
         // batch. Only the seq (four bytes of the envelope, zero for now)
         // is filled in under the lock.
@@ -849,9 +951,9 @@ impl WindowedTransport {
                     counted_stall = true;
                 }
                 // The window is full: flush what this batch has queued
-                // so the server can drain it, then sleep until a
-                // completion frees a slot. The flush drops the lock for
-                // the write, so re-test everything afterwards.
+                // so the server can drain it, then wait — reading, if
+                // nobody else is — until a completion frees a slot. Both
+                // drop the lock, so re-test everything afterwards.
                 if written < at {
                     inner = flush(shared, stream, inner, &self.wbuf[written..at]);
                     written = at;
@@ -867,11 +969,8 @@ impl WindowedTransport {
                         "request window stalled past the write deadline",
                     )));
                 }
-                let (guard, _) = shared
-                    .space_cv
-                    .wait_timeout(inner, write_deadline - now)
-                    .expect("reactor lock");
-                inner = guard;
+                shared.await_space(inner, write_deadline);
+                inner = shared.lock();
                 if let Some(dead) = &inner.dead {
                     return Err(dead.to_error());
                 }
@@ -958,9 +1057,8 @@ impl ServerTransport for WindowedTransport {
         self.wbuf.clear();
         msg.encode_into(&mut self.wbuf);
         if let Err(e) = write_burst(stream, &self.wbuf) {
-            let mut inner = self.shared.lock();
-            let dead = Dead::Io(e.kind(), e.to_string());
-            mark_dead(&mut inner, dead, &self.shared.space_cv);
+            self.shared
+                .write_failed(&mut self.shared.lock(), stream, &e);
             return Err(RmpError::Io(e));
         }
         Ok(())

@@ -2,8 +2,8 @@
 //!
 //! A no-reliability pagein or rewrite over a real `MemoryServer` is one
 //! frame each way; this test counts every allocation every thread makes
-//! while a thousand of each run — client, reactor driver and server
-//! session together — and holds the per-op figure to a budget. The pager
+//! while a thousand of each run — the client, which reads its own
+//! replies, and the server session together — and holds the per-op figure to a budget. The pager
 //! is a one-shard `ShardedPager`, so the budget covers the whole split
 //! path: begin under the shard lock, park without it, complete — a
 //! flight allocates nothing. Counts

@@ -349,6 +349,8 @@ fn eight_threads_meet_on_two_shards() {
     let config = PagerConfig::new(Policy::Mirroring)
         .with_servers(3)
         .with_shard_count(2)
+        // This is about flights sharing a shard's connections, not the hedge.
+        .with_hedge_suspicion_threshold(f64::INFINITY)
         .with_retry(fast_retry());
     let (_handles, pager) = sharded_cluster(3, 4096, config);
 

@@ -1,13 +1,15 @@
 //! Integration tests of the windowed (reactor) transport: out-of-order
-//! completion, deadline expiry, reconnect, the pool's call budget, and
-//! the pager running end to end over a windowed pool.
+//! completion, deadline expiry, reconnect, who reads the connection (a
+//! poll, a stalled submitter, a leader handing off to a follower), the
+//! pool's call budget, and the pager running end to end over a windowed
+//! pool.
 
 use std::time::{Duration, Instant};
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_cluster::{Registry, ServerInfo};
 use rmp_core::{Pager, ServerPool, ServerTransport, WindowedTransport};
-use rmp_proto::Message;
+use rmp_proto::{Framed, Message};
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
 use rmp_types::{
     Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId, StoreKey,
@@ -47,9 +49,9 @@ fn handshake_negotiates_window() {
 fn batch_larger_than_window_drains_through_the_stall_path() {
     // A 64-frame batch at window=1 forces submit() to stall on window
     // space 63 times. Regression: each stall iteration must flush the
-    // frame it just enqueued and wake the driver — an earlier version
-    // slept without doing either, so an idle driver parked ~100ms per
-    // frame and the batch blew the 2s write deadline.
+    // frame it just enqueued and read its reply — an earlier version
+    // slept without flushing, so an idle reader parked ~100ms per frame
+    // and the batch blew the 2s write deadline.
     let server = spawn_server(256);
     let cfg = TransportConfig {
         window_max_inflight: 1,
@@ -72,7 +74,7 @@ fn batch_larger_than_window_drains_through_the_stall_path() {
     assert!(
         elapsed < Duration::from_millis(1500),
         "64 frames through a window of 1 took {elapsed:?}; the stall \
-         path must flush and wake the driver each iteration"
+         path must flush and read each iteration"
     );
     let stats = t.stats();
     assert_eq!(stats.submitted, 64);
@@ -300,8 +302,8 @@ fn a_refused_prefetch_submission_is_a_sampled_miss_not_a_retry() {
             .expect("store");
     }
     server.crash();
-    // The reactor notices the severed socket on its own thread; until it
-    // has, a submission is still accepted and its handle fails instead.
+    // The connection learns of the severed socket when a waiter reads it;
+    // until then, a submission is still accepted and its handle fails.
     let deadline = Instant::now() + Duration::from_secs(5);
     // A refused one is ready at once: collecting it waits for nothing.
     let err = loop {
@@ -491,7 +493,7 @@ fn wrapped_seq_skips_slots_still_in_flight() {
     // old request's reply then completed the new slot with the wrong
     // payload. A scripted peer stages the collision deterministically by
     // withholding the first reply until both requests are on the wire.
-    use rmp_proto::{Framed, LoadHint};
+    use rmp_proto::LoadHint;
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
@@ -761,26 +763,42 @@ fn pool_reconnect_wipes_the_rung() {
     }
 }
 
-/// A server that shakes hands and then never answers: it swallows every
-/// request and holds the socket open until the client hangs up.
-fn silent_after_hello() -> (String, std::thread::JoinHandle<()>) {
-    use std::io::Read;
+type Peer = Framed<std::net::TcpStream>;
 
+/// A scripted server: it shakes hands granting `window`, then `then` has
+/// the socket.
+fn peer_after_hello(
+    window: u32,
+    then: impl FnOnce(Peer) + Send + 'static,
+) -> (String, std::thread::JoinHandle<()>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let peer = std::thread::spawn(move || {
         let (stream, _) = listener.accept().expect("accept");
-        let mut framed = rmp_proto::Framed::new(stream);
+        let mut framed = Framed::new(stream);
         let hello = framed.recv().expect("hello");
         assert!(matches!(hello, Message::Hello { .. }), "got {hello:?}");
         framed
-            .send(&Message::HelloReply { window: 8 })
+            .send(&Message::HelloReply { window })
             .expect("hello reply");
-        let mut stream = framed.into_inner();
-        let mut sink = [0u8; 4096];
-        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+        then(framed);
     });
     (addr, peer)
+}
+
+/// Reads and drops everything until the client hangs up.
+fn swallow(framed: Peer) {
+    use std::io::Read;
+
+    let mut stream = framed.into_inner();
+    let mut sink = [0u8; 4096];
+    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+}
+
+/// A server that shakes hands and then never answers: it swallows every
+/// request and holds the socket open until the client hangs up.
+fn silent_after_hello() -> (String, std::thread::JoinHandle<()>) {
+    peer_after_hello(8, swallow)
 }
 
 #[test]
@@ -832,4 +850,245 @@ fn a_gather_over_silent_servers_waits_one_read_deadline() {
     for peer in peers {
         peer.join().expect("peer");
     }
+}
+
+/// Polls `pending` until its replies are in, failing after five seconds.
+fn poll_until_ready(pending: &rmp_core::reactor::PendingReplies) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !pending.is_ready() {
+        assert!(Instant::now() < deadline, "the replies never came");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_reply_nobody_waits_for_is_collected_by_polling() {
+    // The read-ahead harvest only ever asks `is_ready`: with no thread
+    // reading the connection, the poll itself has to read.
+    let server = spawn_server(64);
+    let mut t =
+        WindowedTransport::connect_with(&server.addr().to_string(), &TransportConfig::default())
+            .expect("connect");
+    let pending = WindowedTransport::submit(&mut t, &[Message::LoadQuery]).expect("submit");
+    poll_until_ready(&pending);
+    assert_eq!(t.stats().completed, 1, "the poll completed the frame");
+    let replies = pending.wait_all().expect("reply");
+    assert!(matches!(replies[0], Message::LoadReport { .. }));
+    server.shutdown();
+}
+
+#[test]
+fn a_poll_of_an_idle_connection_does_not_wait() {
+    // A poll must not block: a read with a tiny SO_RCVTIMEO would, for a
+    // jiffy (4-10 ms) every time. The fastest of twenty polls discounts
+    // a busy machine's preemptions, not a poll that blocks.
+    let (addr, peer) = silent_after_hello();
+    let mut t =
+        WindowedTransport::connect_with(&addr, &TransportConfig::default()).expect("connect");
+    let pending = WindowedTransport::submit(&mut t, &[Message::LoadQuery]).expect("submit");
+    let fastest = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            assert!(!pending.is_ready(), "a silent server answers nothing");
+            start.elapsed()
+        })
+        .min()
+        .expect("twenty polls");
+    assert!(
+        fastest < Duration::from_millis(1),
+        "a poll took {fastest:?}"
+    );
+    drop(pending);
+    drop(t);
+    peer.join().expect("peer");
+}
+
+#[test]
+fn polling_beside_a_writer_never_kills_the_connection() {
+    // The poll reads without blocking by a flag on the one call, not on
+    // the socket: O_NONBLOCK would reach the submitter's writes through
+    // the file description they share, and a page burst that finds the
+    // send buffer full would fail as `WouldBlock` and kill the
+    // connection. A window of 1024 pages outgrows the socket buffers and
+    // a peer that takes one frame at a time, a little slowly, keeps them
+    // full, so the writes do wait.
+    let (addr, peer) = peer_after_hello(1024, |mut framed| {
+        while let Ok(Message::Windowed { seq, inner }) = framed.recv() {
+            let Message::PageOut { id, .. } = *inner else {
+                panic!("expected a store, got {inner:?}");
+            };
+            std::thread::sleep(Duration::from_micros(10));
+            let hint = rmp_proto::LoadHint::Ok;
+            let inner = Box::new(Message::PageOutAck { id, hint });
+            framed.send(&Message::Windowed { seq, inner }).expect("ack");
+        }
+    });
+    let cfg = TransportConfig {
+        window_max_inflight: 1024,
+        ..TransportConfig::default()
+    };
+    let mut t = WindowedTransport::connect_with(&addr, &cfg).expect("connect");
+    let (bursts, polled) = std::sync::mpsc::channel::<rmp_core::reactor::PendingReplies>();
+    let poller = std::thread::spawn(move || {
+        for pending in polled {
+            poll_until_ready(&pending);
+            let replies = pending.wait_all().expect("burst acked");
+            assert!(replies
+                .iter()
+                .all(|r| matches!(r, Message::PageOutAck { .. })));
+        }
+    });
+    let page = Page::deterministic(7);
+    let burst: Vec<Message> = (0..32).map(|i| page_out(StoreKey(i), &page)).collect();
+    for round in 0..200 {
+        let pending = WindowedTransport::submit(&mut t, &burst)
+            .unwrap_or_else(|e| panic!("burst {round} refused: {e}"));
+        bursts.send(pending).expect("poller alive");
+    }
+    drop(bursts);
+    poller.join().expect("poller");
+    let stats = t.stats();
+    assert_eq!((stats.completed, stats.inflight), (200 * 32, 0));
+    drop(t);
+    peer.join().expect("peer");
+}
+
+#[test]
+fn two_callers_parked_on_one_connection_both_get_their_replies() {
+    // One of the two reads (leads), the other sleeps on its slot
+    // (follows). Answered in either order: the leader completes the
+    // follower's reply, or leaves with its own and hands the read side
+    // over.
+    for order in [[0, 1], [1, 0]] {
+        let (addr, peer) = peer_after_hello(8, move |mut framed| {
+            let mut asked = Vec::new();
+            for _ in 0..2 {
+                let Message::Windowed { seq, inner } = framed.recv().expect("request") else {
+                    panic!("expected windowed frame");
+                };
+                let Message::PageIn { id } = *inner else {
+                    panic!("expected a read, got {inner:?}");
+                };
+                asked.push((seq, id));
+            }
+            // Both callers are parked by now.
+            std::thread::sleep(Duration::from_millis(50));
+            for i in order {
+                let (seq, id) = asked[i];
+                let inner = Box::new(Message::PageInMiss { id });
+                framed
+                    .send(&Message::Windowed { seq, inner })
+                    .expect("reply");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            swallow(framed);
+        });
+        let mut t =
+            WindowedTransport::connect_with(&addr, &TransportConfig::default()).expect("connect");
+        let callers: Vec<_> = (0..2u64)
+            .map(|i| {
+                let read = Message::PageIn { id: StoreKey(i) };
+                let pending = WindowedTransport::submit(&mut t, &[read]).expect("submit");
+                std::thread::spawn(move || (i, pending.wait_all()))
+            })
+            .collect();
+        for caller in callers {
+            let (i, replies) = caller.join().expect("caller");
+            let replies = replies.unwrap_or_else(|e| panic!("order {order:?} caller {i}: {e}"));
+            assert!(
+                matches!(replies[0], Message::PageInMiss { id } if id == StoreKey(i)),
+                "order {order:?}: caller {i} got {:?}",
+                replies[0]
+            );
+        }
+        drop(t);
+        peer.join().expect("peer");
+    }
+}
+
+#[test]
+fn a_stalled_submitter_reads_the_window_free() {
+    // Window of one, a frame outstanding, nobody parked on it: nothing
+    // but the stalled submitter itself can read the reply that frees the
+    // window.
+    let server = spawn_server(64);
+    let cfg = TransportConfig {
+        window_max_inflight: 1,
+        ..TransportConfig::default()
+    };
+    let mut t = WindowedTransport::connect_with(&server.addr().to_string(), &cfg).expect("connect");
+    let first = WindowedTransport::submit(&mut t, &[Message::LoadQuery]).expect("first");
+    let second = WindowedTransport::submit(&mut t, &[Message::GetStats]).expect("second");
+    assert!(
+        first.is_ready(),
+        "the stalled submitter completed the first"
+    );
+    assert_eq!(t.stats().stalls, 1);
+    let first = first.wait_all().expect("first reply");
+    assert!(matches!(first[0], Message::LoadReport { .. }));
+    let second = second.wait_all().expect("second reply");
+    assert!(matches!(second[0], Message::StatsReply { .. }));
+    server.shutdown();
+}
+
+/// Parks a caller reading a connection to a server that never answers,
+/// runs `cut` once it is blocked, and returns how long after `cut`
+/// finished the caller gave up. A blocked read otherwise ends only at its
+/// 100 ms tick, which falls about 90 ms after `cut` here.
+fn reader_released_by(
+    cfg: &TransportConfig,
+    cut: impl FnOnce(WindowedTransport) -> Option<WindowedTransport>,
+) -> Duration {
+    let (quiet, deaf) = std::sync::mpsc::channel::<()>();
+    let (addr, peer) = peer_after_hello(4096, move |framed| {
+        let _ = deaf.recv();
+        drop(framed);
+    });
+    let mut t = WindowedTransport::connect_with(&addr, cfg).expect("connect");
+    let pending = WindowedTransport::submit(&mut t, &[Message::LoadQuery]).expect("submit");
+    let caller = std::thread::spawn(move || {
+        let failed = pending.wait_all().expect_err("no reply comes");
+        (failed, Instant::now())
+    });
+    std::thread::sleep(Duration::from_millis(5));
+    let kept = cut(t);
+    let cut_at = Instant::now();
+    let (failed, gave_up) = caller.join().expect("caller");
+    assert!(failed.is_server_failure(), "got {failed:?}");
+    drop(kept);
+    drop(quiet);
+    peer.join().expect("peer");
+    gave_up.saturating_duration_since(cut_at)
+}
+
+#[test]
+fn a_blocked_reader_wakes_when_the_connection_is_cut() {
+    let cfg = TransportConfig {
+        read_timeout: Duration::from_secs(10),
+        write_timeout: Duration::from_millis(10),
+        window_max_inflight: 4096,
+        ..TransportConfig::default()
+    };
+    // Dropped: teardown shuts the socket down.
+    let after_drop = reader_released_by(&cfg, |t| {
+        drop(t);
+        None
+    });
+    assert!(after_drop < Duration::from_millis(40), "{after_drop:?}");
+    // A write failed: 32 MiB of pages fill the socket buffers of a peer
+    // that reads nothing, the write deadline passes, and the submitter
+    // shuts the read side down as it marks the connection dead.
+    let after_failed_write = reader_released_by(&cfg, |mut t| {
+        let page = Page::deterministic(1);
+        let burst: Vec<Message> = (0..4096).map(|i| page_out(StoreKey(i), &page)).collect();
+        let Err(err) = WindowedTransport::submit(&mut t, &burst) else {
+            panic!("the peer reads nothing, yet 32 MiB went out");
+        };
+        assert!(err.is_timeout(), "got {err:?}");
+        Some(t)
+    });
+    assert!(
+        after_failed_write < Duration::from_millis(40),
+        "{after_failed_write:?}"
+    );
 }
