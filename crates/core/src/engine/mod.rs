@@ -22,7 +22,9 @@ use std::time::Instant;
 use rmp_blockdev::PagingDevice;
 use rmp_cluster::Condition;
 use rmp_types::metrics::{Counter, EventKind, MetricsRegistry};
-use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, StoreKey, TransferStats};
+use rmp_types::{
+    Page, PageId, Policy, Result, RmpError, ServerId, StoreKey, TransferStats, PAGE_SIZE,
+};
 
 use crate::pool::{Flight, ServerPool, StoreWave};
 use crate::recovery::RecoveryStep;
@@ -173,6 +175,22 @@ pub fn rebuild_step<W>(
     }
     step.remaining = queue.len() as u64;
     Ok(step)
+}
+
+/// `page`, read off `unit`, if it is `len` bytes long: a reply of any other
+/// length — a unit where a page was stored, or the reverse — is a typed
+/// error here, not a slice-length panic where it is copied or XORed.
+///
+/// # Errors
+///
+/// [`RmpError::Protocol`] naming the unit and both lengths.
+pub(crate) fn sized(page: Page, (server, key): Unit, len: usize) -> Result<Page> {
+    match page.as_ref().len() {
+        n if n == len => Ok(page),
+        n => Err(RmpError::Protocol(format!(
+            "{server} answered the read of {key} with {n} bytes, not {len}"
+        ))),
+    }
 }
 
 /// Whether a store failed the way that sends its frame on to the next
@@ -456,15 +474,24 @@ impl Ctx<'_> {
     /// in request order.
     ///
     /// Callers read from placement maps they own, so every key is
-    /// expected to exist; a miss is a protocol-level surprise, not a
-    /// normal outcome.
+    /// expected to exist, and to hold a whole page; a miss, or a reply of
+    /// another length, is a protocol-level surprise, not a normal outcome.
     ///
     /// # Errors
     ///
     /// As [`ServerPool::page_in`] and [`ServerPool::page_in_wave`];
     /// [`RmpError::Protocol`] when a server no longer holds a requested
-    /// key.
+    /// key or answers with no whole page.
     pub fn gather(&mut self, reads: &[Unit]) -> Result<Vec<Page>> {
+        self.gather_units(reads, PAGE_SIZE)
+    }
+
+    /// [`Ctx::gather`] of units `len` bytes long: a stripe's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctx::gather`], a reply that is not `len` bytes long included.
+    pub fn gather_units(&mut self, reads: &[Unit], len: usize) -> Result<Vec<Page>> {
         let pages = match *reads {
             [] => return Ok(Vec::new()),
             [(server, key)] => match self.pool.page_in(server, key) {
@@ -474,16 +501,22 @@ impl Ctx<'_> {
             },
             _ => self.pool.page_in_wave(reads),
         };
-        self.fetched(pages, reads)
+        self.fetched(pages, reads, len)
     }
 
-    /// Counts what a fetch of `reads` brought; a miss is an error.
-    fn fetched(&mut self, pages: Result<Vec<Option<Page>>>, reads: &[Unit]) -> Result<Vec<Page>> {
+    /// Counts what a fetch of `reads` brought; a miss, or a page that is
+    /// not `len` bytes long, is an error.
+    fn fetched(
+        &mut self,
+        pages: Result<Vec<Option<Page>>>,
+        reads: &[Unit],
+        len: usize,
+    ) -> Result<Vec<Page>> {
         let missing = |(server, key): Unit| {
             RmpError::Protocol(format!("server {server} no longer holds key {key}"))
         };
         let pages = (pages?.into_iter().zip(reads))
-            .map(|(page, &read)| page.ok_or_else(|| missing(read)))
+            .map(|(page, &read)| sized(page.ok_or_else(|| missing(read))?, read, len))
             .collect::<Result<Vec<Page>>>()?;
         self.stats.net_fetches += reads.len() as u64;
         Ok(pages)

@@ -13,9 +13,9 @@
 //! | WriteThrough   | (1, 0) | the page         | the local disk (its *leg*) |
 //! | ErasureCoded   | (k, r) | `PAGE_SIZE / k`  | `r` Reed–Solomon units    |
 //!
-//! Units travel and rest inside ordinary page frames (the wire and the
-//! servers know nothing about sub-page objects); a unit's payload
-//! occupies its frame's prefix. When the cluster cannot hold a full
+//! A unit travels and rests at its real size, a [`Page`] of `PAGE_SIZE /
+//! k` bytes ([`Page::unit`]): a `(4, 1)` stripe stores 1.25 pages a page.
+//! It still takes one frame grant. When the cluster cannot hold a full
 //! placement the whole page goes to the local disk instead.
 //!
 //! Two things follow from `k` alone. With `k == 1` every unit *is* the
@@ -34,7 +34,9 @@ use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, PAGE_SIZE};
 
 use std::collections::VecDeque;
 
-use crate::engine::{gave_way, rebuild_step, Ctx, Engine, Reading, Table, Unit, Writing, VACANT};
+use crate::engine::{
+    gave_way, rebuild_step, sized, Ctx, Engine, Reading, Table, Unit, Writing, VACANT,
+};
 use crate::recovery::RecoveryStep;
 
 /// The frame of each unit of one page: the page itself where units are
@@ -71,11 +73,10 @@ fn settle_copy(ctx: &mut Ctx<'_>, unit: &mut Unit, outcome: Result<()>) -> Resul
     Ok(())
 }
 
-/// Pads a unit payload out to a page frame.
-fn frame_of(payload: &[u8]) -> Page {
-    let mut frame = Page::zeroed();
-    frame.as_mut()[..payload.len()].copy_from_slice(payload);
-    frame
+/// The unit of a stripe payload: every geometry [`Stripe::new`] accepts
+/// cuts a page into lengths [`Page::unit`] takes.
+fn unit_of(payload: &[u8]) -> Page {
+    Page::unit(payload).expect("a stripe unit divides the page into checksum blocks")
 }
 
 /// The stripe engine. See the module docs for the geometry table.
@@ -137,7 +138,12 @@ impl Stripe {
             .encode(&data)
             .map_err(|e| RmpError::Unrecoverable(e.to_string()))?;
         ctx.count("engine_ec_encodes_total");
-        Ok(data.iter().chain(&parity).map(|u| frame_of(u)).collect())
+        Ok(data.iter().chain(&parity).map(|u| unit_of(u)).collect())
+    }
+
+    /// Bytes in each unit of a page.
+    fn unit_len(&self) -> usize {
+        PAGE_SIZE / self.k
     }
 
     /// Re-homes every unit of a row whose holder `lost` names, each onto
@@ -323,9 +329,10 @@ impl Stripe {
         Ok(chosen)
     }
 
-    /// Rebuilds page `id` from the frames `fetched` off its `chosen`
-    /// units. Returns the page and, for a coded stripe, all `k + r` unit
-    /// payloads for callers that re-place lost units afterwards.
+    /// Rebuilds page `id` from the units `fetched` off its `chosen`
+    /// positions — [`Ctx::gather_units`] checked their length. Returns the
+    /// page and, for a coded stripe, all `k + r` unit payloads for callers
+    /// that re-place lost units afterwards.
     fn decode(
         &self,
         ctx: &mut Ctx<'_>,
@@ -336,10 +343,9 @@ impl Stripe {
         let Some(code) = &self.code else {
             return Ok((fetched[0].clone(), Vec::new()));
         };
-        let len = PAGE_SIZE / self.k;
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.k + self.r];
-        for (&i, frame) in chosen.iter().zip(fetched) {
-            shards[i] = Some(frame.as_ref()[..len].to_vec());
+        for (&i, unit) in chosen.iter().zip(fetched) {
+            shards[i] = Some(unit.as_ref().to_vec());
         }
         if shards[..self.k].iter().any(Option::is_none) {
             ctx.count("engine_ec_reconstructs_total");
@@ -373,7 +379,7 @@ impl Stripe {
         }
         let chosen = self.survivors(ctx, id, avoid)?;
         let reads: Vec<Unit> = chosen.iter().map(|&i| units[i]).collect();
-        let fetched = ctx.gather(&reads)?;
+        let fetched = ctx.gather_units(&reads, self.unit_len())?;
         self.decode(ctx, id, &chosen, &fetched)
     }
 
@@ -396,7 +402,7 @@ impl Stripe {
         if !self.disk_leg {
             step.transfers += self.k as u64;
         }
-        let frames = Frames(&page, shards.iter().map(|s| frame_of(s)).collect());
+        let frames = Frames(&page, shards.iter().map(|s| unit_of(s)).collect());
         match self.place_lost(ctx, Some(id), &frames, &lost, Some(crashed), false, &[])? {
             Some((placed, parity)) => {
                 step.transfers += placed;
@@ -443,7 +449,7 @@ impl Stripe {
             reads.extend(chosen.iter().flatten().map(|&i| units[i]));
             sources.push(chosen);
         }
-        let fetched = ctx.gather(&reads)?;
+        let fetched = ctx.gather_units(&reads, self.unit_len())?;
         let mut fetched = fetched.as_slice();
         for chosen in sources {
             let id = claimed[0];
@@ -530,13 +536,13 @@ impl Engine for Stripe {
             // Every reply is read — those after a failed one too — so that
             // each page that crossed the wire is counted and each failed
             // holder takes its rung; the first failure is the read's.
-            let len = PAGE_SIZE / self.k;
+            let len = self.unit_len();
             let mut page = Page::zeroed();
             let mut failed = None;
             for (i, flight) in flights.into_iter().enumerate() {
-                match ctx.read_once(flight) {
-                    Ok(frame) => page.as_mut()[i * len..(i + 1) * len]
-                        .copy_from_slice(&frame.as_ref()[..len]),
+                let unit = flight.unit();
+                match ctx.read_once(flight).and_then(|got| sized(got, unit, len)) {
+                    Ok(got) => page.as_mut()[i * len..][..len].copy_from_slice(got.as_ref()),
                     Err(e) => {
                         failed.get_or_insert(e);
                     }
@@ -652,7 +658,7 @@ impl Engine for Stripe {
             let fetched = if self.disk_leg {
                 chunk.iter().map(|&id| ctx.disk_read(id)).collect()
             } else {
-                ctx.gather(&old)
+                ctx.gather_units(&old, self.unit_len())
             }?;
             for ((&id, old), frame) in chunk.iter().zip(old).zip(&fetched) {
                 let frames = Frames(frame, Vec::new());

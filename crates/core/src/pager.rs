@@ -760,7 +760,14 @@ impl Pager {
 
     /// Compares `page` against the checksum recorded when it was written.
     /// `None` means clean (or verification is off / the page predates it).
+    /// A page that is not whole — a unit where a server should have held a
+    /// page — is refused first, verification on or off: no caller is ever
+    /// handed one.
     fn check_sum(&mut self, id: PageId, page: &Page) -> Option<RmpError> {
+        if !page.is_whole() {
+            let len = page.as_ref().len();
+            return Some(RmpError::Protocol(format!("{id} read back as {len} bytes")));
+        }
         if !self.config.verify_checksums {
             return None;
         }
@@ -931,6 +938,12 @@ impl Pager {
         // pool size bounds how many recover-and-retry rounds make sense;
         // a rebuild that cannot finish fails the pageout outright.
         let (retries, writing) = match self.drain_recovery_queue() {
+            // Units are the stripe engine's to cut; a caller pages whole
+            // pages out, as it is handed whole pages back.
+            Ok(()) if !page.is_whole() => (
+                0,
+                Writing::Done(Err(RmpError::Unsupported("a pageout takes a whole page"))),
+            ),
             Ok(()) => (
                 self.pool.server_count().max(1),
                 self.with_engine(|e, ctx| e.begin_page_out(ctx, id, page)),

@@ -4,7 +4,7 @@ use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_cluster::{Registry, ServerInfo};
 use rmp_core::{Pager, ServerPool};
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
-use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId};
+use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId, PAGE_SIZE};
 
 /// Spawns `n` servers with `capacity` frames each and returns handles plus
 /// a connected pool.
@@ -486,6 +486,45 @@ fn erasure_coded_transfer_overhead_counts_split_frames() {
         "got {}",
         s.outbound_transfers_per_pageout()
     );
+}
+
+/// Bytes the servers of `handles` hold between them.
+fn stored_bytes(handles: &[ServerHandle]) -> usize {
+    handles.iter().map(ServerHandle::stored_bytes).sum()
+}
+
+#[test]
+fn erasure_coded_stores_one_and_a_quarter_pages_a_page() {
+    const N: u64 = 64;
+    let (handles, mut coded) = ec_pager(5, 4, 1);
+    fill(&mut coded, N);
+    // Five units of PAGE_SIZE / 4 bytes each: 1 + r/k pages a page.
+    let closed_form = N as usize * 5 * PAGE_SIZE / 4;
+    assert_eq!(stored_bytes(&handles), closed_form);
+    assert_eq!(
+        handles
+            .iter()
+            .map(ServerHandle::stored_pages)
+            .sum::<usize>(),
+        5 * N as usize
+    );
+    // A rewrite places a fresh stripe and frees the old one in its wave.
+    for i in 0..N {
+        coded
+            .page_out(PageId(i), &Page::deterministic(N + i))
+            .expect("rewrite");
+    }
+    assert_eq!(stored_bytes(&handles), closed_form);
+    for i in 0..N {
+        assert_eq!(
+            coded.page_in(PageId(i)).expect("read"),
+            Page::deterministic(N + i)
+        );
+    }
+
+    let (handles, mut mirrored) = pager(Policy::Mirroring, 2, 4096);
+    fill(&mut mirrored, N);
+    assert_eq!(stored_bytes(&handles), 2 * N as usize * PAGE_SIZE);
 }
 
 #[test]

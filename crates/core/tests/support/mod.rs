@@ -13,7 +13,9 @@ use rmp_core::{
     ChaosServer, Completion, Pager, PendingReplies, ServerPool, ServerTransport, ShardedPager,
 };
 use rmp_proto::{Message, Opcode};
-use rmp_types::{ErrorCode, PagerConfig, Result, RetryPolicy, RmpError, ServerId, TransportConfig};
+use rmp_types::{
+    ErrorCode, Page, PagerConfig, Result, RetryPolicy, RmpError, ServerId, TransportConfig,
+};
 
 /// How long the test thread waits for a wave to assemble before it
 /// declares the operation stuck. Only ever reached by a failing test.
@@ -37,6 +39,10 @@ pub struct WireState {
     pub calls: Vec<(ServerId, Opcode)>,
     /// Servers whose next `PageOut` is refused as out of memory.
     pub refuse_store: Vec<ServerId>,
+    /// Servers that answer every read with a page of the given length —
+    /// a unit where a page was stored, or the reverse — under a checksum
+    /// that matches it.
+    pub bent_reads: Vec<(ServerId, usize)>,
     /// Servers that die with their next burst on the wire: it was served
     /// but is never answered.
     pub dying: Vec<ServerId>,
@@ -137,7 +143,20 @@ impl WaveTransport {
                 message: "scripted refusal".into(),
             };
         }
-        self.server.serve(0, msg)
+        let reply = self.server.serve(0, msg);
+        let bent = st.bent_reads.iter().find(|&&(s, _)| s == self.id);
+        match (reply, bent) {
+            (Message::PageInReply { id, .. }, Some(&(_, len))) => {
+                let page =
+                    Page::unit(&Page::deterministic(id.0).as_ref()[..len]).expect("a length");
+                Message::PageInReply {
+                    id,
+                    checksum: page.checksum(),
+                    page,
+                }
+            }
+            (reply, _) => reply,
+        }
     }
 }
 

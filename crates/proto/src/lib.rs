@@ -3,10 +3,11 @@
 //! The paper's client and servers speak over TCP sockets (Section 3.1); we
 //! define a compact, hand-rolled binary protocol: each message is a framed
 //! header (`magic`, `version`, `opcode`, payload length) followed by a
-//! fixed-layout little-endian payload. Page payloads are exactly
-//! [`rmp_types::PAGE_SIZE`] bytes, so a pageout frame is one header plus the
-//! raw page — no per-byte encoding overhead, matching the paper's emphasis
-//! on minimal protocol-processing time.
+//! fixed-layout little-endian payload. A page payload is the raw page —
+//! [`rmp_types::PAGE_SIZE`] bytes, or for a `PageOut` / `PageInReply` an
+//! erasure-coded stripe's `PAGE_SIZE / k` byte unit — so a pageout frame is
+//! one header plus the bytes it stores: no per-byte encoding overhead,
+//! matching the paper's emphasis on minimal protocol-processing time.
 //!
 //! Server load advisories — the paper's "note advising the client to send
 //! no more pages" — piggy-back on every acknowledgement as a [`LoadHint`],

@@ -65,7 +65,7 @@ pub enum Message {
         /// FNV checksum of `page`, stamped by the writer and carried
         /// end-to-end so either side can detect payload corruption.
         checksum: u64,
-        /// Page contents.
+        /// Page contents: a whole page, or an erasure-coded stripe's unit.
         page: Page,
     },
     /// Pageout acknowledged.
@@ -88,7 +88,7 @@ pub enum Message {
         /// stored bytes; lets the client detect both wire and
         /// store-level corruption.
         checksum: u64,
-        /// Page contents.
+        /// Page contents, at the length they were stored.
         page: Page,
     },
     /// The server holds no page under the requested id.
@@ -312,11 +312,11 @@ impl Message {
     fn frame_len_hint(&self) -> usize {
         HEADER_LEN
             + match self {
-                Message::PageOut { .. }
-                | Message::PageInReply { .. }
-                | Message::PageOutDelta { .. }
-                | Message::PageOutDeltaReply { .. }
-                | Message::XorInto { .. } => 17 + PAGE_SIZE,
+                Message::PageOut { page, .. }
+                | Message::PageInReply { page, .. }
+                | Message::PageOutDelta { page, .. }
+                | Message::PageOutDeltaReply { delta: page, .. }
+                | Message::XorInto { page, .. } => 17 + page.as_ref().len(),
                 Message::ListPagesReply { ids, .. } => 5 + ids.len() * 8,
                 Message::Error { message: text, .. } | Message::StatsReply { json: text } => {
                     5 + text.len()
@@ -445,6 +445,11 @@ impl Message {
     /// the one decoder. Nothing is copied but what the message keeps — a
     /// page goes from `payload` into its [`Page`] in one pass.
     ///
+    /// A `PageOut` or `PageInReply` carries a whole page or a stripe unit:
+    /// its page is whatever the frame holds after the key and the checksum,
+    /// as long as that is a length [`Page::unit`] takes. The delta and XOR
+    /// frames carry whole pages only.
+    ///
     /// # Errors
     ///
     /// Returns [`RmpError::Protocol`] on truncated or malformed payloads.
@@ -455,6 +460,16 @@ impl Message {
             })?;
             buf.advance(PAGE_SIZE);
             Ok(page)
+        }
+        fn get_unit(buf: &mut &[u8]) -> Result<Page> {
+            let unit = Page::unit(buf).ok_or_else(|| {
+                RmpError::Protocol(format!(
+                    "a {}-byte payload is neither a page nor a unit of one",
+                    buf.len()
+                ))
+            })?;
+            *buf = &[];
+            Ok(unit)
         }
         fn get_text(buf: &mut &[u8], len: usize, what: &str) -> Result<String> {
             need(buf, len, what)?;
@@ -485,7 +500,7 @@ impl Message {
                 Message::PageOut {
                     id,
                     checksum,
-                    page: get_page(&mut buf)?,
+                    page: get_unit(&mut buf)?,
                 }
             }
             Opcode::PageOutAck => {
@@ -508,7 +523,7 @@ impl Message {
                 Message::PageInReply {
                     id,
                     checksum,
-                    page: get_page(&mut buf)?,
+                    page: get_unit(&mut buf)?,
                 }
             }
             Opcode::PageInMiss => {
@@ -942,6 +957,82 @@ mod tests {
                 assert_eq!(message, "hi");
             }
             other => panic!("unexpected message {other:?}"),
+        }
+    }
+
+    /// The payload of a `PageOut` / `PageInReply` whose page bytes are
+    /// `len` bytes of a page's prefix.
+    fn page_payload(len: usize) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.put_u64_le(7);
+        payload.put_u64_le(0);
+        payload.put_slice(&[0x3C; PAGE_SIZE + 64][..len]);
+        payload
+    }
+
+    #[test]
+    fn pageouts_and_replies_carry_units_at_their_length() {
+        let page = Page::deterministic(29);
+        // Every length a stripe of k + r <= 32 cuts a page into, 512 bytes
+        // at k = 16, and the smaller ones `Page::unit` takes too.
+        for len in (0..=8).map(|shift| PAGE_SIZE >> shift) {
+            let unit = Page::unit(&page.as_ref()[..len]).expect("unit");
+            let (id, checksum) = (StoreKey(len as u64), unit.checksum());
+            let out = Message::PageOut {
+                id,
+                checksum,
+                page: unit.clone(),
+            };
+            assert_eq!(out.encode().len(), HEADER_LEN + 16 + len);
+            assert_eq!(out.frame_len_hint(), HEADER_LEN + 17 + len);
+            round_trip(out);
+            round_trip(Message::PageInReply {
+                id,
+                checksum,
+                page: unit,
+            });
+        }
+        for op in [Opcode::PageOut, Opcode::PageInReply] {
+            for len in [0, 48, 4_000, PAGE_SIZE + 32] {
+                let refused = Message::decode_from(op, &page_payload(len));
+                assert!(
+                    matches!(refused, Err(RmpError::Protocol(_))),
+                    "{op:?} took a {len}-byte page: {refused:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn delta_and_xor_frames_still_take_whole_pages_only() {
+        let unit = Page::unit(&[5u8; 2048]).expect("unit");
+        let frames = [
+            Message::PageOutDelta {
+                id: StoreKey(1),
+                checksum: unit.checksum(),
+                page: unit.clone(),
+            },
+            Message::PageOutDeltaReply {
+                id: StoreKey(1),
+                delta: unit.clone(),
+                hint: LoadHint::Ok,
+            },
+            Message::XorInto {
+                id: StoreKey(1),
+                page: unit,
+            },
+        ];
+        for frame in frames {
+            let mut bytes = frame.encode();
+            let hdr = FrameHeader::decode(&mut bytes).expect("header");
+            assert!(
+                matches!(
+                    Message::decode(hdr.opcode, bytes),
+                    Err(RmpError::Protocol(_))
+                ),
+                "{:?} carried a unit",
+                hdr.opcode
+            );
         }
     }
 

@@ -11,8 +11,10 @@ pub const MAGIC: u16 = 0x524D;
 /// version 3 changed the function behind it ([`rmp_types::Page::checksum`]
 /// became four interleaved lanes), which both ends must agree on — a
 /// version-2 peer's sums would fail every check, so it is refused at the
-/// first header instead.
-pub const VERSION: u8 = 3;
+/// first header instead. Version 4 lets a `PageOut` or `PageInReply`
+/// carry a stripe unit of `PAGE_SIZE / k` bytes in place of a whole page,
+/// which a version-3 peer rejects as truncated.
+pub const VERSION: u8 = 4;
 
 /// Size of the encoded frame header in bytes.
 pub const HEADER_LEN: usize = 8;

@@ -8,7 +8,7 @@ use std::io::{self, Read, Write};
 
 use proptest::prelude::*;
 use rmp_proto::{FrameAccumulator, FrameHeader, Framed, Message};
-use rmp_types::{ErrorCode, Page, StoreKey};
+use rmp_types::{ErrorCode, Page, StoreKey, PAGE_SIZE};
 
 /// A duplex in-memory stream that never moves more than `read_chunk` /
 /// `write_chunk` bytes per call and injects an `Interrupted` error every
@@ -69,10 +69,21 @@ impl Write for Trickle {
     }
 }
 
+/// The page a frame of `seed` carries: a whole page, or a stripe unit of
+/// one of the lengths a `(k, r)` stripe cuts it into (512 to 4,096 bytes).
+fn page_or_unit(seed: u64) -> Page {
+    let page = Page::deterministic(seed);
+    match (seed / 7) % 5 {
+        0 => page,
+        split => Page::unit(&page.as_ref()[..PAGE_SIZE >> split]).expect("a legal unit"),
+    }
+}
+
 /// A representative message per seed, covering fixed-size frames, page
-/// payloads, and the typed-error frame with its length-prefixed text.
+/// and unit payloads, and the typed-error frame with its length-prefixed
+/// text.
 fn message_for(seed: u64) -> Message {
-    match seed % 6 {
+    match seed % 7 {
         0 => Message::PageIn { id: StoreKey(seed) },
         1 => Message::PageOut {
             id: StoreKey(seed),
@@ -91,15 +102,23 @@ fn message_for(seed: u64) -> Message {
             id: StoreKey(seed),
             page: Page::deterministic(!seed),
         },
+        5 => {
+            let unit = page_or_unit(seed);
+            Message::PageInReply {
+                id: StoreKey(seed),
+                checksum: unit.checksum(),
+                page: unit,
+            }
+        }
         _ => Message::LoadQuery,
     }
 }
 
 /// A message per seed for the accumulator's stream: control frames, the
-/// two page-carrying frames of a fault, a stats reply a few pages long,
-/// and each of those inside a windowed envelope.
+/// two page-carrying frames of a fault — a whole page or a unit — a stats
+/// reply a few pages long, and each of those inside a windowed envelope.
 fn stream_message(seed: u64) -> Message {
-    let page = Page::deterministic(seed);
+    let page = page_or_unit(seed);
     let bare = match seed % 5 {
         0 => Message::PageIn { id: StoreKey(seed) },
         1 => Message::PageOut {

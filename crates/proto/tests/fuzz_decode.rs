@@ -1,10 +1,10 @@
 //! Decoder robustness: arbitrary bytes must never panic, and valid
 //! frames must round trip regardless of how the stream is chunked.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use proptest::prelude::*;
 use rmp_proto::{FrameAccumulator, FrameHeader, Framed, Message, Opcode};
-use rmp_types::{Page, StoreKey};
+use rmp_types::{Page, StoreKey, PAGE_SIZE};
 
 /// Runs `data` through both entry points of the decoder — the
 /// whole-frame wrapper over an owned payload, cut short where `data` is,
@@ -61,6 +61,44 @@ proptest! {
         let at = corrupt_at.index(bytes.len());
         bytes[at] ^= xor;
         decode_both_ways(&bytes);
+    }
+
+    /// A page frame whose payload is a unit, a page or neither, under a
+    /// valid header: it decodes exactly when `Page::unit` takes the bytes
+    /// after the key and the checksum, and fails cleanly otherwise — cut
+    /// short or corrupted anywhere, it never panics.
+    #[test]
+    fn page_frames_of_any_length_decode_or_fail_cleanly(
+        pick in any::<u64>(),
+        seed in any::<u64>(),
+        corrupt_at in any::<prop::sample::Index>(),
+        xor in 1u8..=255,
+    ) {
+        let shift = (pick / 4) % 9;
+        let len = match pick % 4 {
+            0 => PAGE_SIZE >> shift,
+            1 => (PAGE_SIZE >> shift) + 32,
+            2 => (PAGE_SIZE >> shift) - 16,
+            _ => (pick / 64) as usize % (PAGE_SIZE + 64),
+        };
+        let op = if seed.is_multiple_of(2) { Opcode::PageOut } else { Opcode::PageInReply };
+        let page = Page::deterministic(seed);
+        let bytes: Vec<u8> = page.as_ref().iter().cycle().take(len).copied().collect();
+        let mut frame = Vec::new();
+        frame.put_u16_le(rmp_proto::MAGIC);
+        frame.put_u8(rmp_proto::VERSION);
+        frame.put_u8(op as u8);
+        frame.put_u32_le((16 + len) as u32);
+        frame.put_u64_le(seed);
+        frame.put_u64_le(page.checksum());
+        frame.put_slice(&bytes);
+        decode_both_ways(&frame);
+        let decoded = Message::decode_from(op, &frame[rmp_proto::wire::HEADER_LEN..]);
+        prop_assert_eq!(decoded.is_ok(), Page::unit(&bytes).is_some());
+        decode_both_ways(&frame[..corrupt_at.index(frame.len())]);
+        let at = corrupt_at.index(frame.len());
+        frame[at] ^= xor;
+        decode_both_ways(&frame);
     }
 
     /// A pipelined stream of valid frames decodes identically however the
@@ -133,7 +171,6 @@ proptest! {
 /// message.
 #[test]
 fn reserved_opcode_23_is_a_protocol_error() {
-    use bytes::BufMut;
     for reserved in [23, 24, 25] {
         let mut frame = bytes::BytesMut::new();
         frame.put_u16_le(rmp_proto::MAGIC);

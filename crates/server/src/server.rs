@@ -724,6 +724,12 @@ impl ServerHandle {
         self.shared.store.lock().stored()
     }
 
+    /// Bytes of the pages currently stored (all clients), an
+    /// erasure-coded unit at its `PAGE_SIZE / k`.
+    pub fn stored_bytes(&self) -> usize {
+        self.shared.store.lock().stored_bytes()
+    }
+
     /// Requests served since start.
     pub fn served_requests(&self) -> u64 {
         self.shared.served_requests.load(Ordering::Relaxed)

@@ -7,7 +7,8 @@ use rmp_types::{Page, StoreKey};
 /// In-memory page store of one remote memory server.
 ///
 /// Pages are opaque: the store does not know whether a key holds a data
-/// page, an inactive old version, or a parity page. Capacity is counted in
+/// page, an inactive old version, a parity page or an erasure-coded
+/// stripe's unit, which it keeps at its own length. Capacity is counted in
 /// page frames; the server grants allocations against the *base* capacity
 /// and lets stored pages run up to `base * (1 + overflow)` — the extra
 /// overflow memory parity logging needs because "many versions of a given
@@ -15,6 +16,8 @@ use rmp_types::{Page, StoreKey};
 #[derive(Debug)]
 pub struct PageStore {
     pages: BTreeMap<StoreKey, Page>,
+    /// Bytes of every page stored, units at their length.
+    bytes: usize,
     /// Frames the server may promise to clients.
     base_capacity: usize,
     /// Fraction of extra frames kept for parity-logging overflow.
@@ -31,6 +34,7 @@ impl PageStore {
     pub fn new(base_capacity: usize, overflow_fraction: f64) -> Self {
         PageStore {
             pages: BTreeMap::new(),
+            bytes: 0,
             base_capacity,
             overflow_fraction,
             granted: 0,
@@ -54,6 +58,12 @@ impl PageStore {
     /// Pages currently stored.
     pub fn stored(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Bytes of the pages stored: an erasure-coded unit counts its
+    /// `PAGE_SIZE / k`, every other page its `PAGE_SIZE`.
+    pub fn stored_bytes(&self) -> usize {
+        self.bytes
     }
 
     /// Frames promised so far.
@@ -108,6 +118,7 @@ impl PageStore {
         if self.pages.len() >= self.hard_capacity() {
             return false;
         }
+        self.bytes += delta.as_ref().len();
         self.pages.insert(key, delta.clone());
         true
     }
@@ -119,7 +130,10 @@ impl PageStore {
         if !self.pages.contains_key(&key) && self.pages.len() >= self.hard_capacity() {
             return None;
         }
-        Some(self.pages.insert(key, page))
+        self.bytes += page.as_ref().len();
+        let old = self.pages.insert(key, page);
+        self.bytes -= old.as_ref().map_or(0, |old| old.as_ref().len());
+        Some(old)
     }
 
     /// Replaces the page under `key` and returns `old XOR new` (equals the
@@ -133,7 +147,8 @@ impl PageStore {
     /// Removes the page under `key`, returning the grant its frame
     /// consumed to the allocatable pool. Absent keys are fine.
     pub fn remove(&mut self, key: StoreKey) -> bool {
-        if self.pages.remove(&key).is_some() {
+        if let Some(page) = self.pages.remove(&key) {
+            self.bytes -= page.as_ref().len();
             self.ungrant(1);
             true
         } else {
@@ -144,6 +159,7 @@ impl PageStore {
     /// Drops every page (crash injection).
     pub fn clear(&mut self) {
         self.pages.clear();
+        self.bytes = 0;
         self.granted = 0;
     }
 
@@ -263,6 +279,23 @@ mod tests {
         expect.xor_with(&new);
         assert_eq!(d1, expect);
         assert_eq!(s.get(StoreKey(0)).expect("present"), new);
+    }
+
+    #[test]
+    fn stored_bytes_count_units_at_their_length() {
+        let mut s = PageStore::new(8, 0.0);
+        let unit = Page::unit(&[3u8; 2048]).expect("unit");
+        assert!(s.insert(StoreKey(0), Page::zeroed()));
+        assert!(s.insert(StoreKey(1), unit.clone()));
+        assert!(s.xor_into(StoreKey(2), &Page::filled(1)));
+        assert_eq!(s.stored_bytes(), 2 * 8192 + 2048);
+        // An overwrite counts the new length, not both.
+        assert!(s.insert(StoreKey(0), unit));
+        assert_eq!(s.stored_bytes(), 8192 + 2 * 2048);
+        assert!(s.remove(StoreKey(2)));
+        assert_eq!(s.stored_bytes(), 2 * 2048);
+        s.clear();
+        assert_eq!(s.stored_bytes(), 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Fixed-size memory pages.
+//! Memory pages and the stripe units cut from them.
 //!
 //! The paper's pager moves 8 KB DEC OSF/1 pages; every transfer, parity
 //! computation and store operation in this workspace operates on [`Page`]
-//! values of exactly [`PAGE_SIZE`] bytes.
+//! values, each a whole page of [`PAGE_SIZE`] bytes or a unit: one of the
+//! `PAGE_SIZE / k` byte pieces an erasure-coded stripe cuts a page into.
 
 use std::fmt;
 use std::sync::Arc;
@@ -18,11 +19,14 @@ const CHECKSUM_BLOCK: usize = 32;
 // divide into them would leave its tail unsummed.
 const _: () = assert!(PAGE_SIZE.is_multiple_of(CHECKSUM_BLOCK));
 
-/// A heap-allocated page of exactly [`PAGE_SIZE`] bytes.
+/// A heap-allocated whole page of [`PAGE_SIZE`] bytes, or a unit of one.
 ///
 /// `Page` is the unit of every pager operation: pageouts ship a `Page` to a
 /// remote memory server, pageins retrieve one, and the parity policies XOR
-/// pages together to build redundancy.
+/// pages together to build redundancy. An erasure-coded stripe stores each
+/// of its `PAGE_SIZE / k` byte units as a `Page` of that length
+/// ([`Page::unit`]), so a unit travels, is checksummed and rests at its
+/// real size. Everything but the stripe engine sees whole pages only.
 ///
 /// The buffer is reference-counted and copied on write: `clone` shares it,
 /// and the first mutation of a shared page ([`AsMut::as_mut`],
@@ -47,7 +51,7 @@ const _: () = assert!(PAGE_SIZE.is_multiple_of(CHECKSUM_BLOCK));
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    buf: Arc<[u8; PAGE_SIZE]>,
+    buf: Arc<[u8]>,
 }
 
 impl Page {
@@ -58,26 +62,41 @@ impl Page {
 
     /// Returns a page with every byte set to `byte`.
     pub fn filled(byte: u8) -> Self {
-        Page {
-            buf: Arc::new([byte; PAGE_SIZE]),
-        }
+        // One allocation: the sized array is built in place and unsized.
+        let buf: Arc<[u8]> = Arc::new([byte; PAGE_SIZE]);
+        Page { buf }
     }
 
     /// Builds a page from a full-size slice, in one pass over it.
     ///
     /// Returns `None` when `bytes` is not exactly [`PAGE_SIZE`] long.
     pub fn from_slice(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return None;
-        }
-        // `Arc<[u8]>: From<&[u8]>` allocates and copies once; the
-        // conversion to the sized array only checks the length.
-        let buf = Arc::<[u8]>::from(bytes).try_into().ok()?;
-        Some(Page { buf })
+        (bytes.len() == PAGE_SIZE).then(|| Page {
+            buf: Arc::from(bytes),
+        })
+    }
+
+    /// Builds a stripe unit from `bytes`, in one pass over them — a whole
+    /// page when they are [`PAGE_SIZE`] long.
+    ///
+    /// Returns `None` unless the length divides [`PAGE_SIZE`] and is a
+    /// whole number of 32-byte checksum blocks, so that every byte of a
+    /// unit is summed: 32 to 8,192 bytes, in powers of two.
+    pub fn unit(bytes: &[u8]) -> Option<Self> {
+        let len = bytes.len();
+        let legal = len > 0 && PAGE_SIZE.is_multiple_of(len) && len.is_multiple_of(CHECKSUM_BLOCK);
+        legal.then(|| Page {
+            buf: Arc::from(bytes),
+        })
+    }
+
+    /// Whether this is a whole page, not a unit of one.
+    pub fn is_whole(&self) -> bool {
+        self.buf.len() == PAGE_SIZE
     }
 
     /// The page's bytes for writing, unshared first if need be.
-    fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+    fn bytes_mut(&mut self) -> &mut [u8] {
         Arc::make_mut(&mut self.buf)
     }
 
@@ -105,7 +124,17 @@ impl Page {
     /// reliability policies: a parity page is the XOR of all pages in its
     /// parity group, and a lost page is reconstructed by XORing the
     /// survivors with the parity.
+    ///
+    /// # Panics
+    ///
+    /// When the two are not of one length: a page and a unit, or units of
+    /// two geometries.
     pub fn xor_with(&mut self, other: &Page) {
+        assert_eq!(
+            self.buf.len(),
+            other.buf.len(),
+            "XOR of pages of unequal length"
+        );
         // Process 8 bytes at a time; the optimizer vectorizes this loop.
         let dst = self.bytes_mut();
         for (dst, src) in dst.chunks_exact_mut(8).zip(other.buf.chunks_exact(8)) {
@@ -124,15 +153,18 @@ impl Page {
 
     /// Resets every byte of the page to zero.
     pub fn clear(&mut self) {
+        let whole = self.is_whole();
         match Arc::get_mut(&mut self.buf) {
             Some(bytes) => bytes.fill(0),
             // Shared: a fresh zero page is one pass, unsharing first two.
-            None => *self = Page::zeroed(),
+            None if whole => *self = Page::zeroed(),
+            None => self.buf = vec![0; self.buf.len()].into(),
         }
     }
 
     /// Returns a 64-bit checksum of the page contents: four interleaved
-    /// FNV-1a lanes over little-endian 64-bit words, folded into one.
+    /// FNV-1a lanes over little-endian 64-bit words, folded into one. A
+    /// unit is summed over the bytes it has.
     ///
     /// Word `4i + l` of the page goes into lane `l` (`h = (h ^ word) *
     /// prime`, each lane from a seed of its own), and the four lane values
@@ -199,7 +231,8 @@ impl fmt::Debug for Page {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "Page {{ checksum: {:#018x}, zero: {} }}",
+            "Page {{ len: {}, checksum: {:#018x}, zero: {} }}",
+            self.buf.len(),
             self.checksum(),
             self.is_zero()
         )
@@ -221,6 +254,38 @@ mod tests {
         assert!(Page::from_slice(&[0u8; PAGE_SIZE]).is_some());
         assert!(Page::from_slice(&[0u8; PAGE_SIZE - 1]).is_none());
         assert!(Page::from_slice(&[0u8; PAGE_SIZE + 1]).is_none());
+    }
+
+    #[test]
+    fn a_unit_divides_the_page_into_whole_checksum_blocks() {
+        let page = Page::deterministic(4);
+        for len in (0..=8).map(|shift| PAGE_SIZE >> shift) {
+            let unit = Page::unit(&page.as_ref()[..len]).expect("a legal length");
+            assert_eq!(unit.as_ref(), &page.as_ref()[..len]);
+            assert_eq!(unit.is_whole(), len == PAGE_SIZE);
+        }
+        assert_eq!(Page::unit(page.as_ref()), Some(page.clone()));
+        for len in [0, 16, 48, 4_000, PAGE_SIZE - 32, PAGE_SIZE + 32] {
+            let bytes = vec![7u8; len];
+            assert!(Page::unit(&bytes).is_none(), "{len} bytes made a unit");
+        }
+        // A unit sums what it has: its last block counts, and it is not
+        // the whole page's prefix sum by accident.
+        let mut unit = Page::unit(&page.as_ref()[..2048]).expect("unit");
+        let clean = unit.checksum();
+        assert_ne!(clean, page.checksum());
+        unit.as_mut()[2047] ^= 1;
+        assert_ne!(unit.checksum(), clean);
+        let mut shared = unit.clone();
+        shared.clear();
+        assert!(shared.is_zero() && shared.as_ref().len() == 2048 && !unit.is_zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal length")]
+    fn a_unit_does_not_xor_into_a_page() {
+        let unit = Page::unit(&[1u8; 2048]).expect("unit");
+        Page::zeroed().xor_with(&unit);
     }
 
     #[test]
