@@ -13,8 +13,6 @@
 //! * [`ModeledDisk`] — a wrapper that charges every request to a virtual
 //!   clock using a seek/rotation/transfer model of the DEC RZ55, so
 //!   functional runs can report 1996-scale disk time without sleeping.
-//! * [`WriteBehind`] — asynchronous pageout queueing in front of any
-//!   device, mirroring the OSF/1 paging daemon's non-blocking writes.
 //!
 //! The remote memory pager in `rmp-core` implements the same trait, which
 //! is what lets the virtual-memory layer in `rmp-vm` swap transparently
@@ -25,10 +23,8 @@ pub mod filedisk;
 pub mod modeled;
 pub mod ramdisk;
 pub mod traits;
-pub mod writebehind;
 
 pub use filedisk::FileDisk;
 pub use modeled::{DiskModel, ModeledDisk};
 pub use ramdisk::RamDisk;
 pub use traits::PagingDevice;
-pub use writebehind::WriteBehind;

@@ -12,10 +12,17 @@ use rmp_types::{Page, PageId, Result, TransferStats};
 pub trait PagingDevice: Send {
     /// Stores `page` under `id`, overwriting any previous contents.
     ///
+    /// A device may return before the write is done — the OSF/1 kernel
+    /// never waited for its paging daemon's — so long as a `page_in(id)`
+    /// meanwhile returns these bytes. A failure it meets after returning
+    /// is reported once, by the next operation on `id` or the next
+    /// `flush`, whichever comes first; an operation that reports one does
+    /// nothing else. `flush` returns once every write is done.
+    ///
     /// # Errors
     ///
     /// Propagates backend failures (I/O errors, exhausted swap space,
-    /// crashed servers).
+    /// crashed servers), this write's or an earlier one's of `id`.
     fn page_out(&mut self, id: PageId, page: &Page) -> Result<()>;
 
     /// Retrieves the page stored under `id`.
@@ -37,11 +44,13 @@ pub trait PagingDevice: Send {
     /// Returns `true` when a page is currently stored under `id`.
     fn contains(&self, id: PageId) -> bool;
 
-    /// Flushes buffered state (e.g. seals a partial parity group).
+    /// Flushes buffered state (e.g. seals a partial parity group) once
+    /// every write has completed.
     ///
     /// # Errors
     ///
-    /// Propagates backend failures.
+    /// Propagates backend failures, and a failure of a completed write
+    /// that no operation on its page has reported yet.
     fn flush(&mut self) -> Result<()> {
         Ok(())
     }

@@ -845,13 +845,26 @@ fn endurance_transport_config() -> TransportConfig {
     }
 }
 
+/// Flushes `pager`: every page still `landing` was acknowledged if the
+/// flush reports no failure, and is ambiguous if it does — the failure may
+/// be any one of theirs, and a shard's own stops the flush before the
+/// later shards' are reported.
+fn flush_landed(pager: &ShardedPager, landing: &mut HashSet<u64>, ambiguous: &mut HashSet<u64>) {
+    match pager.flush() {
+        Ok(()) => landing.clear(),
+        Err(_) => ambiguous.extend(landing.drain()),
+    }
+}
+
 /// Runs one randomized seeded fault schedule against a two-shard
 /// [`ShardedPager`] under `policy` and checks the durability invariants:
 ///
-/// 1. **No acked page is lost or corrupted** — every successfully written
-///    page that was never ambiguously overwritten reads back bit-exact
-///    after the cluster heals (NoReliability is excused from *loss* — but
-///    never corruption — when a crash fired).
+/// 1. **No acked page is lost or corrupted** — every page whose
+///    `page_out` returned `Ok`, and whose landing reported no error on the
+///    page's next operation or the next `flush`, reads back bit-exact
+///    after the cluster heals, unless it was ambiguously overwritten since
+///    (NoReliability is excused from *loss* — but never corruption — when
+///    a crash fired).
 /// 2. **Only typed errors surface** — faults become `RmpError`s, never
 ///    panics or garbage data.
 /// 3. **Recovery converges** — after healing, the recovery backlog
@@ -901,6 +914,10 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
     // *acknowledged* as good).
     let mut model: HashMap<u64, u64> = HashMap::new();
     let mut ambiguous: HashSet<u64> = HashSet::new();
+    // Ids whose last `page_out` returned `Ok` and may still be landing:
+    // an error of the id's next operation, or of the next flush, may be
+    // that landing's, and then the write is ambiguous too.
+    let mut landing: HashSet<u64> = HashSet::new();
 
     // Phase 1: fixture state, faults disarmed — every write must land.
     for i in 0..64u64 {
@@ -923,26 +940,35 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
                 Ok(()) => {
                     model.insert(id, fill);
                     ambiguous.remove(&id);
+                    landing.insert(id);
                 }
                 Err(_) => {
                     // The write may or may not have reached any replica.
                     ambiguous.insert(id);
+                    landing.remove(&id);
                 }
             }
         } else if roll < 80 {
             let id = rng.gen_range(0u64..96);
             // Mid-chaos read errors are legal (a replica may be down
             // and recovery hasn't run); the post-heal sweep is strict.
-            if let Ok(page) = pager.page_in(PageId(id)) {
-                if let Some(&fill) = model.get(&id) {
-                    if !ambiguous.contains(&id) && page != Page::deterministic(fill) {
-                        outcome.violations.push(format!(
-                            "seed {seed} {policy:?}: mid-chaos read of pg{id} \
-                             returned wrong bytes"
-                        ));
+            match pager.page_in(PageId(id)) {
+                Ok(page) => {
+                    if let Some(&fill) = model.get(&id) {
+                        if !ambiguous.contains(&id) && page != Page::deterministic(fill) {
+                            outcome.violations.push(format!(
+                                "seed {seed} {policy:?}: mid-chaos read of pg{id} \
+                                 returned wrong bytes"
+                            ));
+                        }
                     }
                 }
+                Err(_) if landing.contains(&id) => {
+                    ambiguous.insert(id);
+                }
+                Err(_) => {}
             }
+            landing.remove(&id);
         } else if roll < 90 {
             let id = rng.gen_range(0u64..96);
             match pager.free(PageId(id)) {
@@ -954,8 +980,9 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
                     ambiguous.insert(id);
                 }
             }
+            landing.remove(&id);
         } else if roll < 95 {
-            let _ = pager.flush();
+            flush_landed(&pager, &mut landing, &mut ambiguous);
         } else {
             let _ = pager.periodic_maintenance();
         }
@@ -1009,6 +1036,8 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
             pager.recovery_backlog()
         ));
     }
+    // Everything has landed; a landing that failed unreported says so.
+    flush_landed(&pager, &mut landing, &mut ambiguous);
 
     // Phase 4: strict verification of every unambiguous acked page.
     for (&id, &fill) in &model {

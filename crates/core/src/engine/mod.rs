@@ -272,6 +272,37 @@ impl<T, W: Owed> Begun<T, W> {
     }
 }
 
+impl Writing {
+    /// Whether every frame is on the request window (see
+    /// [`Flight::left`]): the replies will come whoever waits for them.
+    pub fn left(&self) -> bool {
+        match self {
+            Begun::One(flight) => flight.left(),
+            Begun::Many(wave) => wave.left(),
+            _ => false,
+        }
+    }
+
+    /// Whether collecting it will not block.
+    pub fn is_ready(&self) -> bool {
+        match self {
+            Begun::One(flight) | Begun::Around(flight) => flight.is_ready(),
+            Begun::Many(wave) => wave.is_ready(),
+            Begun::Done(_) => true,
+        }
+    }
+
+    /// The checksum its frames carry — each the whole page, where a
+    /// pageout is on the wire at all.
+    pub fn stamp(&self) -> Option<u64> {
+        match self {
+            Begun::One(flight) | Begun::Around(flight) => flight.stamp(),
+            Begun::Many(wave) => wave.stamp(),
+            Begun::Done(_) => None,
+        }
+    }
+}
+
 /// Per-call context handed to engines: the connection pool, the optional
 /// local disk, shared statistics, and routing preferences.
 pub struct Ctx<'a> {

@@ -176,6 +176,13 @@ pub(crate) struct PageOutFlight {
     pub(crate) writing: Writing,
 }
 
+impl PageOutFlight {
+    /// The page it writes.
+    pub(crate) fn id(&self) -> PageId {
+        self.op.id
+    }
+}
+
 /// What a pageout knows from its begin to its books.
 pub(crate) struct PageOut {
     id: PageId,
@@ -184,6 +191,9 @@ pub(crate) struct PageOut {
     before: Option<ServerId>,
     /// Recover-and-retry rounds left.
     retries: usize,
+    /// The page's checksum, where its frames carried one: the writer's
+    /// checksum costs no second pass over the page.
+    sum: Option<u64>,
 }
 
 /// The Remote Memory Pager client (Section 3.1).
@@ -955,6 +965,7 @@ impl Pager {
             started,
             before,
             retries,
+            sum: writing.stamp(),
         };
         PageOutFlight { op, writing }
     }
@@ -998,16 +1009,17 @@ impl Pager {
     }
 
     /// Records the outcome of a pageout: the writer's checksum, the
-    /// counters, the latency from its begin, and the trace.
+    /// counters, the latency from its begin to its landing, and the trace.
     fn book_page_out(&mut self, out: &PageOut, page: &Page, done: Result<()>) -> Result<()> {
         let mut server = out.before;
         if self.config.verify_checksums {
+            let sum = out.sum.unwrap_or_else(|| page.checksum());
             match done {
                 Ok(()) => {
-                    self.page_sums.insert(out.id, page.checksum());
+                    self.page_sums.insert(out.id, sum);
                     self.unacked_sums.remove(&out.id);
                 }
-                Err(_) => (self.unacked_sums.entry(out.id).or_default()).push(page.checksum()),
+                Err(_) => (self.unacked_sums.entry(out.id).or_default()).push(sum),
             }
         }
         if done.is_ok() {

@@ -262,15 +262,39 @@ impl Flight {
     /// Whether collecting it will not block: the reply is in, or the
     /// frame never left and will not.
     pub fn is_ready(&self) -> bool {
-        match &self.pending {
-            Some(pending) => pending.as_ref().map_or(true, PendingReplies::is_ready),
-            None => false,
-        }
+        ready(&self.pending)
+    }
+
+    /// Whether the frame is on the request window: neither refused nor
+    /// held back for a server backing off.
+    pub fn left(&self) -> bool {
+        matches!(self.pending, Some(Ok(_)))
+    }
+
+    /// The checksum a store carries, computed as its frame was built.
+    pub fn stamp(&self) -> Option<u64> {
+        stamp(&self.request)
     }
 
     /// The server and key it reads or writes.
     pub(crate) fn unit(&self) -> (ServerId, StoreKey) {
         (self.server, self.key)
+    }
+}
+
+/// Whether collecting `pending` will not block.
+fn ready(pending: &Option<Result<PendingReplies>>) -> bool {
+    match pending {
+        Some(pending) => pending.as_ref().map_or(true, PendingReplies::is_ready),
+        None => false,
+    }
+}
+
+/// The checksum `request` carries, if it is a store.
+fn stamp(request: &Message) -> Option<u64> {
+    match request {
+        Message::PageOut { checksum, .. } => Some(*checksum),
+        _ => None,
     }
 }
 
@@ -287,6 +311,21 @@ impl StoreWave {
     /// As [`Wave::park`].
     pub fn park(&self) {
         self.wave.park();
+    }
+
+    /// As [`Flight::left`], for every burst.
+    pub fn left(&self) -> bool {
+        (self.wave.bursts.iter()).all(|b| matches!(b.pending, Some(Ok(_))))
+    }
+
+    /// As [`Flight::is_ready`], for every burst.
+    pub fn is_ready(&self) -> bool {
+        self.wave.bursts.iter().all(|b| ready(&b.pending))
+    }
+
+    /// As [`Flight::stamp`], for the first store.
+    pub fn stamp(&self) -> Option<u64> {
+        self.wave.msgs.iter().find_map(stamp)
     }
 }
 

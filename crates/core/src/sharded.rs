@@ -52,8 +52,21 @@
 //! its link delay instead of queueing for it. An operation with nothing
 //! on the wire (a read-ahead hit, a disk read, the operations DESIGN.md
 //! §11 lists as kept whole) runs begin and complete under one
-//! acquisition. `free`, `contains` and the accessors never leave the
-//! lock.
+//! acquisition. `contains` and the accessors never leave the lock, nor
+//! does `free` but to land its page's pageout.
+//!
+//! A split-phase pageout — the stripe engine's rewrite of a page of
+//! whole-page copies — does not even park: once all its frames are on
+//! the request window, `page_out` returns `Ok` and the shard keeps the
+//! flight and the caller's page (an `Arc` clone) as a *landing*, as the
+//! OSF/1 kernel never waited for a pageout. Whichever turn next enters
+//! the shard completes, under the lock, each landing whose replies are
+//! in — oldest first, running the pageout again with the kept page if a
+//! server failed under it. A failure that survives that is reported
+//! once: by the page's next operation, or by the next `flush`. Landings
+//! hold the reply slots of their frames — a shard keeps no more than a
+//! request window's worth — and allocate nothing; dropping the pager
+//! gives them up unanswered.
 //!
 //! Two rules stand in for "the lock is held":
 //!
@@ -61,14 +74,17 @@
 //!   a begin and the end of its complete; `page_in`, `page_out` and
 //!   `free` of a page in that set wait for it to leave. So no read is
 //!   verified against a newer write's checksum, and two rewrites of one
-//!   page commit in the order they went out.
+//!   page commit in the order they went out. A landing page's next
+//!   operation parks on the landing's replies, holding no lock, and
+//!   completes it first.
 //! - **Planners wait for the wire to empty.** Whatever plans against the
 //!   placement table as a whole — `flush`, `recover_from_crash`,
 //!   `periodic_maintenance`, `reconnect`, and within one shard the
 //!   queued rebuild a pageout or free drains first and the recovery a
-//!   pageout runs when a server fails under it — first lets every
-//!   flight of the shard land, and no new operation begins while a
-//!   planner waits.
+//!   pageout runs when a server fails under it — first completes every
+//!   landing and lets every flight of the shard land, and no new
+//!   operation begins while a planner waits. `stats` completes every
+//!   landing too, so its counts are exact.
 //!
 //! # One verdict
 //!
@@ -144,7 +160,7 @@ use rmp_blockdev::PagingDevice;
 use rmp_cluster::Registry;
 use rmp_types::{Page, PageId, PagerConfig, Result, RmpError, ServerId, TransferStats};
 
-use crate::pager::Pager;
+use crate::pager::{PageOutFlight, Pager};
 use crate::pool::{Rung, ServerPool};
 use crate::prefetch::Planner;
 use crate::recovery::RecoveryReport;
@@ -208,8 +224,14 @@ impl ShardedPagerBuilder {
         let mut built = Vec::with_capacity(shards);
         for pool in pools {
             let disk = disks.remove(0);
+            // Room for as many landings as `Shard::enter` lets wait.
+            let landings = Vec::with_capacity(config.transport.window_max_inflight);
+            let flights = Flights {
+                landings,
+                ..Flights::default()
+            };
             built.push(Shard {
-                state: Mutex::new((Pager::new(config.clone(), pool, disk)?, Flights::default())),
+                state: Mutex::new((Pager::new(config.clone(), pool, disk)?, flights)),
                 landed: Condvar::new(),
             });
         }
@@ -226,9 +248,11 @@ impl ShardedPagerBuilder {
 #[derive(Default)]
 struct Flights {
     /// Pages with an operation under way, from before its begin to the
-    /// end of its complete.
+    /// end of its complete. A landing page is not, until an operation
+    /// takes its landing back.
     busy: Vec<PageId>,
-    /// Operations parked: begun, and not yet back under the lock.
+    /// Operations parked and pageouts landing: begun, and not yet back
+    /// under the lock.
     on_wire: usize,
     /// Planners waiting for `on_wire` to reach zero; while there is one,
     /// no operation begins.
@@ -236,6 +260,26 @@ struct Flights {
     /// Threads blocked on [`Shard::landed`], so that a landing nobody
     /// waits for costs no wake-up call.
     waiting: usize,
+    /// Pageouts whose callers have returned, oldest first.
+    landings: Vec<Landing>,
+    /// What landings failed with, each kept for its page's next operation
+    /// or the next flush, whichever asks first.
+    failed: Vec<(PageId, RmpError)>,
+}
+
+impl Flights {
+    /// Where `id`'s landing is, if it has one.
+    fn landing(&self, id: PageId) -> Option<usize> {
+        self.landings.iter().position(|l| l.out.id() == id)
+    }
+}
+
+/// A pageout whose caller has returned with its frames on the wire: the
+/// flight, and the caller's page — an `Arc` clone, not a copy — to
+/// complete it with, and to run it again if a server failed under it.
+struct Landing {
+    out: PageOutFlight,
+    page: Page,
 }
 
 type ShardGuard<'a> = MutexGuard<'a, (Pager, Flights)>;
@@ -289,33 +333,97 @@ impl Shard {
     }
 
     /// Locks the shard for an operation on `id`, once no other operation
-    /// on `id` is under way and no planner is waiting.
-    fn enter(&self, id: PageId) -> Turn<'_> {
-        let mut guard = self.wait_while(self.lock(), |f| f.planners > 0 || f.busy.contains(&id));
-        guard.1.busy.push(id);
-        Turn {
-            shard: self,
-            id,
-            guard: Some(guard),
+    /// on `id` is under way and no planner is waiting. Every pageout whose
+    /// replies are in lands first, oldest first — and, whatever the wait,
+    /// `id`'s own, and the oldest while a window's worth are landing: a
+    /// landing holds its frames' reply slots, and the operation's frames
+    /// must find theirs among the connection's.
+    ///
+    /// # Errors
+    ///
+    /// What `id`'s last landing failed with, if nobody has been told:
+    /// the operation then does not run.
+    fn enter(&self, id: PageId) -> Result<Turn<'_>> {
+        loop {
+            let mut guard =
+                self.wait_while(self.lock(), |f| f.planners > 0 || f.busy.contains(&id));
+            let (pager, flights) = &mut *guard;
+            let window = pager.config().transport.window_max_inflight;
+            let due = |l: &Landing| flights.landings.len() >= window || l.out.writing.is_ready();
+            let oldest = || flights.landings.first().filter(|l| due(l)).map(|_| 0);
+            if let Some(at) = flights.landing(id).or_else(oldest) {
+                self.land(guard, at);
+                continue;
+            }
+            if let Some(at) = flights.failed.iter().position(|f| f.0 == id) {
+                return Err(flights.failed.swap_remove(at).1);
+            }
+            return Ok(self.turn(guard, id));
         }
     }
 
     /// As [`Shard::enter`], for an operation that changes placements:
     /// the pager drains its queued rebuilds first, and a rebuild plans —
     /// so if any is queued, the wire is emptied for it.
-    fn enter_to_write(&self, id: PageId) -> Turn<'_> {
-        let mut turn = self.enter(id);
+    fn enter_to_write(&self, id: PageId) -> Result<Turn<'_>> {
+        let mut turn = self.enter(id)?;
         if turn.pager().recovery_backlog() > 0 {
             turn.quiet();
         }
-        turn
+        Ok(turn)
+    }
+
+    /// `id`'s turn, under `guard`.
+    fn turn<'a>(&'a self, mut guard: ShardGuard<'a>, id: PageId) -> Turn<'a> {
+        guard.1.busy.push(id);
+        Turn {
+            shard: self,
+            id,
+            guard: Some(guard),
+            parked: false,
+        }
+    }
+
+    /// Takes landing `at` back, as a turn of its page.
+    fn claim<'a>(&'a self, mut guard: ShardGuard<'a>, at: usize) -> (Turn<'a>, Landing) {
+        let landing = guard.1.landings.remove(at);
+        guard.1.on_wire -= 1;
+        (self.turn(guard, landing.out.id()), landing)
+    }
+
+    /// Lands landing `at`: waits for its replies holding no lock, if they
+    /// are not in — a wait for a flight like any other — and completes
+    /// it. A failure is kept for the page's next operation, or the next
+    /// flush.
+    fn land(&self, guard: ShardGuard<'_>, at: usize) {
+        let (mut turn, Landing { out, page }) = self.claim(guard, at);
+        if !out.writing.is_ready() {
+            turn.pager().note_flight_wait();
+            turn.parked(|| out.writing.park());
+        }
+        if let Err(e) = turn.complete_page_out(out, &page) {
+            let id = turn.id;
+            turn.flights().failed.push((id, e));
+        }
+    }
+
+    /// Returns holding the lock, once every pageout landing has landed.
+    fn land_all<'a>(&'a self, mut guard: ShardGuard<'a>) -> ShardGuard<'a> {
+        while !guard.1.landings.is_empty() {
+            self.land(guard, 0);
+            guard = self.lock();
+        }
+        guard
     }
 
     /// Returns once nothing of this shard is on the wire, holding the
-    /// lock — so nothing takes off until the caller lets go. Nothing
-    /// between the two counts can unwind: the waits recover a poisoned
-    /// lock.
-    fn quiet<'a>(&self, mut guard: ShardGuard<'a>) -> ShardGuard<'a> {
+    /// lock — so nothing takes off until the caller lets go. Landings are
+    /// landed first, while operations still begin: a turn that leaves one
+    /// begins before the planner counts itself, so none is left once it
+    /// has. Nothing between the two counts can unwind: the waits recover
+    /// a poisoned lock.
+    fn quiet<'a>(&'a self, guard: ShardGuard<'a>) -> ShardGuard<'a> {
+        let mut guard = self.land_all(guard);
         guard.1.planners += 1;
         guard = self.wait_while(guard, |f| f.on_wire > 0);
         guard.1.planners -= 1;
@@ -331,8 +439,10 @@ impl Shard {
 struct Turn<'a> {
     shard: &'a Shard,
     id: PageId,
-    /// `None` exactly while parked, and then counted in `on_wire`.
+    /// `None` while parked or quieting.
     guard: Option<ShardGuard<'a>>,
+    /// Whether it is parked, and so counted in `on_wire`.
+    parked: bool,
 }
 
 impl Turn<'_> {
@@ -340,19 +450,20 @@ impl Turn<'_> {
         &mut self.guard.as_mut().expect("not parked").0
     }
 
+    fn flights(&mut self) -> &mut Flights {
+        &mut self.guard.as_mut().expect("not parked").1
+    }
+
     /// Runs `park` with the lock released.
     fn parked(&mut self, park: impl FnOnce()) {
         let mut guard = self.guard.take().expect("not parked");
         guard.1.on_wire += 1;
+        self.parked = true;
         drop(guard);
         park();
-        self.land();
-    }
-
-    /// Takes the lock again, off the wire.
-    fn land(&mut self) {
         let mut guard = self.shard.lock();
         guard.1.on_wire -= 1;
+        self.parked = false;
         self.shard.announce(&guard);
         self.guard = Some(guard);
     }
@@ -362,17 +473,36 @@ impl Turn<'_> {
         let guard = self.guard.take().expect("not parked");
         self.guard = Some(self.shard.quiet(guard));
     }
+
+    /// Completes the pageout `out` of `page`, back under the lock: when a
+    /// server failed under it, lets the wire empty and runs it again.
+    fn complete_page_out(&mut self, out: PageOutFlight, page: &Page) -> Result<()> {
+        match self.pager().complete_page_out(out, page) {
+            ControlFlow::Break(done) => done,
+            ControlFlow::Continue(failed) => {
+                self.quiet();
+                self.pager().retry_page_out(failed, page)
+            }
+        }
+    }
+
+    /// Leaves the pageout `out` of `page` landing: its caller may return.
+    fn leave(&mut self, out: PageOutFlight, page: &Page) {
+        let flights = self.flights();
+        let page = page.clone();
+        flights.landings.push(Landing { out, page });
+        flights.on_wire += 1;
+    }
 }
 
 impl Drop for Turn<'_> {
     fn drop(&mut self) {
-        if self.guard.is_none() {
-            self.land();
+        let guard = (self.guard).get_or_insert_with(|| self.shard.lock());
+        if std::mem::take(&mut self.parked) {
+            guard.1.on_wire -= 1;
         }
-        if let Some(guard) = &mut self.guard {
-            guard.1.busy.retain(|&busy| busy != self.id);
-            self.shard.announce(guard);
-        }
+        guard.1.busy.retain(|&busy| busy != self.id);
+        self.shard.announce(guard);
     }
 }
 
@@ -478,23 +608,26 @@ impl ShardedPager {
     }
 
     /// Stores `page` under `id`, locking only `id`'s shard, and that not
-    /// while the frames are on the wire.
+    /// while the frames are on the wire. A split-phase pageout returns
+    /// once its frames are on the request window, and lands later (see
+    /// the [module docs](self#begin-park-complete)).
     ///
     /// # Errors
     ///
-    /// As [`Pager::page_out`](PagingDevice::page_out).
+    /// As [`Pager::page_out`](PagingDevice::page_out); or what the last
+    /// pageout of `id` failed with as it landed, and then `page` is not
+    /// written.
     pub fn page_out(&self, id: PageId, page: &Page) -> Result<()> {
-        let mut turn = self.shard(id).enter_to_write(id);
+        let mut turn = self.shard(id).enter_to_write(id)?;
         let out = turn.pager().begin_page_out(id, page);
-        if out.writing.on_wire() {
-            turn.parked(|| out.writing.park());
-        }
-        let done = match turn.pager().complete_page_out(out, page) {
-            ControlFlow::Break(done) => done,
-            ControlFlow::Continue(failed) => {
-                turn.quiet();
-                turn.pager().retry_page_out(failed, page)
+        let done = if out.writing.left() {
+            turn.leave(out, page);
+            Ok(())
+        } else {
+            if out.writing.on_wire() {
+                turn.parked(|| out.writing.park());
             }
+            turn.complete_page_out(out, page)
         };
         self.end_turn(turn);
         done
@@ -505,9 +638,10 @@ impl ShardedPager {
     ///
     /// # Errors
     ///
-    /// As [`Pager::page_in`](PagingDevice::page_in).
+    /// As [`Pager::page_in`](PagingDevice::page_in); or what the last
+    /// pageout of `id` failed with as it landed.
     pub fn page_in(&self, id: PageId) -> Result<Page> {
-        let mut turn = self.shard(id).enter(id);
+        let mut turn = self.shard(id).enter(id)?;
         let flight = turn.pager().begin_page_in(id);
         if flight.reading.on_wire() {
             turn.parked(|| flight.reading.park());
@@ -524,7 +658,7 @@ impl ShardedPager {
     /// Tells the planner of the served fault on `id` and, if it plans a
     /// refill, hands each shard the planned pages it holds. Waits for no
     /// shard: one that is locked is skipped, and so is a page with an
-    /// operation under way.
+    /// operation under way or a pageout landing.
     fn read_ahead(&self, id: PageId, hit: bool) {
         let runway_gone = |next: PageId| {
             let ahead = self.shard(next).try_lock();
@@ -542,7 +676,8 @@ impl ShardedPager {
                 continue;
             };
             let (pager, flights) = &mut *guard;
-            pager.read_ahead(held.filter(|p| !flights.busy.contains(p)));
+            let idle = |&p: &PageId| !flights.busy.contains(&p) && flights.landing(p).is_none();
+            pager.read_ahead(held.filter(idle));
         }
     }
 
@@ -550,9 +685,10 @@ impl ShardedPager {
     ///
     /// # Errors
     ///
-    /// As [`Pager::free`](PagingDevice::free).
+    /// As [`Pager::free`](PagingDevice::free); or what the last pageout of
+    /// `id` failed with as it landed, and then `id` is not freed.
     pub fn free(&self, id: PageId) -> Result<()> {
-        let mut turn = self.shard(id).enter_to_write(id);
+        let mut turn = self.shard(id).enter_to_write(id)?;
         let done = turn.pager().free(id);
         self.end_turn(turn);
         done
@@ -597,25 +733,32 @@ impl ShardedPager {
         self.shard(id).lock().0.contains(id)
     }
 
-    /// Quiesces all shards and flushes each (seals partial parity
-    /// groups).
+    /// Quiesces all shards — every pageout lands — and flushes each
+    /// (seals partial parity groups).
     ///
     /// # Errors
     ///
-    /// The first shard failure; earlier shards stay flushed.
+    /// The first shard failure; earlier shards stay flushed. Else the
+    /// first failure of a landed pageout its page's operations have not
+    /// reported, and no later flush reports it again.
     pub fn flush(&self) -> Result<()> {
         let mut guards = self.quiesce();
+        let mut landed = Ok(());
         for guard in guards.iter_mut() {
+            for (_, e) in guard.1.failed.drain(..) {
+                landed = landed.and(Err(e));
+            }
             guard.0.flush()?;
         }
-        Ok(())
+        landed
     }
 
-    /// Cumulative transfer statistics summed over every shard.
+    /// Cumulative transfer statistics summed over every shard, once every
+    /// pageout has landed.
     pub fn stats(&self) -> TransferStats {
         let mut total = TransferStats::default();
         for shard in &self.shards {
-            total += shard.lock().0.stats();
+            total += shard.land_all(shard.lock()).0.stats();
         }
         total
     }
@@ -827,10 +970,11 @@ mod tests {
             .build()
             .expect("one shard");
         let shard = &pager.shards[0];
-        let on_the_wire = || shard.enter(PageId(7)).parked(|| panic!("parked"));
+        let enter = || shard.enter(PageId(7)).expect("no landing failed");
+        let on_the_wire = || enter().parked(|| panic!("parked"));
         assert!(catch_unwind(AssertUnwindSafe(on_the_wire)).is_err());
         let under_the_lock = || {
-            let _turn = shard.enter(PageId(7));
+            let _turn = enter();
             panic!("holding the lock");
         };
         assert!(catch_unwind(AssertUnwindSafe(under_the_lock)).is_err());
@@ -838,7 +982,47 @@ mod tests {
         assert!(guard.1.busy.is_empty() && guard.1.on_wire == 0);
         // Neither a planner nor the page's next operation hangs.
         drop(shard.quiet(guard));
-        drop(shard.enter(PageId(7)));
+        drop(enter());
+    }
+
+    #[test]
+    fn a_panic_mid_landing_leaves_no_page_busy() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let config = PagerConfig::new(Policy::NoReliability).with_shard_count(1);
+        let cluster = ChaosCluster::new(2, FaultPlan::seeded(1));
+        let pager = (ShardedPager::builder(config).pools(vec![cluster.pool(&Default::default())]))
+            .build()
+            .expect("one shard");
+        let shard = &pager.shards[0];
+        let land = |id: u64, page: u8| {
+            pager
+                .page_out(PageId(id), &Page::filled(page))
+                .expect("out");
+            shard.claim(shard.lock(), 0)
+        };
+        for id in [3, 5] {
+            pager
+                .page_out(PageId(id), &Page::filled(1))
+                .expect("placed");
+        }
+        // Waiting for its replies, and holding the lock to complete it.
+        let parked = || land(3, 2).0.parked(|| panic!("parked on a landing"));
+        assert!(catch_unwind(AssertUnwindSafe(parked)).is_err());
+        let completing = || {
+            let _landing = land(5, 2);
+            panic!("completing a landing");
+        };
+        assert!(catch_unwind(AssertUnwindSafe(completing)).is_err());
+        let guard = shard.lock();
+        assert!(guard.1.busy.is_empty() && guard.1.landings.is_empty());
+        assert_eq!(guard.1.on_wire, 0);
+        drop(shard.quiet(guard));
+        // Lost with the panic, the rewrites are forgotten; the pages are
+        // not stuck.
+        for id in [3, 5] {
+            pager.page_out(PageId(id), &Page::filled(4)).expect("out");
+            assert_eq!(pager.page_in(PageId(id)).expect("in"), Page::filled(4));
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! while a thousand of each run — the client, which reads its own
 //! replies, and the server session together — and holds the per-op figure to a budget. The pager
 //! is a one-shard `ShardedPager`, so the budget covers the whole split
-//! path: begin under the shard lock, park without it, complete — a
-//! flight allocates nothing. Counts
+//! path: begin under the shard lock, park without it — or, for a rewrite,
+//! land in a later turn — complete; a flight allocates nothing. Counts
 //! repeat exactly from run to run, so there is no timing in it: a change
 //! that puts a page-sized buffer or a per-call `Vec` back on the data
 //! path fails here, by the number it added.
@@ -28,7 +28,7 @@ use rmp_cluster::{Registry, ServerInfo};
 use rmp_core::{ShardedPager, WindowedTransport};
 use rmp_proto::Message;
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
-use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId};
+use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId, StoreKey};
 
 struct Counting;
 
@@ -165,15 +165,40 @@ fn a_fault_stays_within_its_allocation_budget() {
     assert!(allocs < 2.0, "a pagein made {allocs} allocations");
     assert!(kib <= 9.0, "a pagein allocated {kib} KiB");
 
+    // A rewrite returns with its frame on the wire and lands in a later
+    // turn, so rewrites back to back keep up to a window of frames in
+    // flight: the connection's reply slots for that many are made here,
+    // uncounted, by a window of reads (of keys no page has) at once. The
+    // last rewrite is landed inside the count, so every landing — and its
+    // server's store — is counted.
+    pager.with_shard(0, |p| {
+        let window = p.config().transport.window_max_inflight as u64;
+        let keys = (0..window).map(|k| StoreKey((1 << 40) + k));
+        let reads: Vec<_> = keys
+            .map(|k| p.pool_mut().begin_page_in(ServerId(0), k))
+            .collect();
+        for read in reads {
+            assert!(p
+                .pool_mut()
+                .finish_page_in_unretried(read)
+                .expect("a miss")
+                .is_none());
+        }
+    });
     let (allocs, kib) = per_op(OPS, |i| {
         let id = scattered(i);
         pager
             .page_out(PageId(id), &pages[((id + 1) % PAGES) as usize])
             .expect("rewrite");
+        if i + 1 == OPS {
+            assert_eq!(pager.stats().pageouts, 2 * PAGES + OPS);
+        }
     });
-    // Measured: 1.000 allocations and 8.02 KiB — the page the server keeps.
+    // Measured: 1.000 to 1.003 allocations and 8.02 KiB — the page the
+    // server keeps, as when each caller waited for its ack. One more
+    // allocation per hundred rewrites fails.
     println!("rewrite: {allocs:.3} allocations, {kib:.3} KiB per op");
-    assert!(allocs < 2.0, "a rewrite made {allocs} allocations");
+    assert!(allocs < 1.01, "a rewrite made {allocs} allocations");
     assert!(kib <= 9.0, "a rewrite allocated {kib} KiB");
 
     drop(pager);

@@ -7,6 +7,11 @@
 //! a flight says so before it blocks — never by a sleep; the one sleep
 //! here *is* the stimulus (a lock held for a known time).
 //!
+//! A rewrite returns with its frames on the wire and *lands* later: the
+//! tests after the first pin what lands it — the page's next read or
+//! rewrite, the next turn once its replies are in, `stats`, a planner —
+//! and that its failure is reported once.
+//!
 //! Read-ahead is decided at the front door and issued into whichever
 //! shard holds the page; the last three tests pin that it waits for
 //! nothing on the way — not for a sibling shard's lock, not for a page
@@ -20,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rmp_core::{Pager, RecoveryReport, ShardedPager};
-use rmp_types::{Page, PageId, PagerConfig, Policy, Result, ServerId};
+use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId};
 
 use support::*;
 
@@ -85,15 +90,20 @@ fn until_waiting(pager: &ShardedPager, waiting: u64) {
     }
 }
 
+/// Places each of `ids` on shard 0, answering its waves as they come.
+fn placed(wire: &Wire, pager: &Arc<ShardedPager>, ids: &[u64]) {
+    for &id in ids {
+        let placed = spawn(pager, move |p| {
+            p.page_out(PageId(id), &Page::deterministic(id))
+        });
+        pumped(wire, &placed).expect("first placement");
+    }
+}
+
 #[test]
 fn two_faults_on_one_shard_share_the_wire() {
     let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
-    for id in [0, 2] {
-        let placed = spawn(&pager, move |p| {
-            p.page_out(PageId(id), &Page::deterministic(id))
-        });
-        pumped(&wire, &placed).expect("first placement");
-    }
+    placed(&wire, &pager, &[0, 2]);
     let readers = [0, 2].map(|id| spawn(&pager, move |p| p.page_in(PageId(id))));
     // Both reads are out before either is answered: the second caller did
     // not sleep out the first one's round trip behind the shard lock.
@@ -110,22 +120,139 @@ fn two_faults_on_one_shard_share_the_wire() {
 #[test]
 fn a_read_waits_for_the_rewrite_of_its_page_to_land() {
     let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
-    let placed = spawn(&pager, |p| p.page_out(PageId(4), &Page::filled(1)));
-    pumped(&wire, &placed).expect("write");
-    let writer = spawn(&pager, |p| p.page_out(PageId(4), &Page::filled(2)));
-    // The server has the new bytes; the client has not heard so yet.
+    placed(&wire, &pager, &[4]);
+    // The rewrite returns with its frame on the wire: the server has the
+    // new bytes, the client has not heard so yet.
+    pager
+        .page_out(PageId(4), &Page::filled(2))
+        .expect("rewrite");
     let ack = held_back(&wire);
     let reader = spawn(&pager, |p| p.page_in(PageId(4)));
     until_waiting(&pager, 1);
     assert!(wire.state().flying.is_empty(), "the read went out early");
     answer(ack);
-    joined(writer).expect("rewrite");
     // Only now does the read leave — to be checked against the checksum
     // the rewrite committed, not the one it replaced.
     answer(held_back(&wire));
     assert_eq!(joined(reader).expect("pagein"), Page::filled(2));
     let stats = pager.stats();
+    assert_eq!((stats.pageouts, stats.pageins), (2, 1));
     assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
+#[test]
+fn a_second_rewrite_of_a_landing_page_lands_the_first_and_commits_in_order() {
+    let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
+    placed(&wire, &pager, &[4]);
+    pager
+        .page_out(PageId(4), &Page::filled(2))
+        .expect("rewrite");
+    let first = held_back(&wire);
+    // The second rewrite waits for the first to land before it begins.
+    let second = spawn(&pager, |p| p.page_out(PageId(4), &Page::filled(3)));
+    until_waiting(&pager, 1);
+    assert!(wire.state().flying.is_empty(), "the second went out early");
+    answer(first);
+    joined(second).expect("second rewrite");
+    answer(held_back(&wire));
+    let reader = spawn(&pager, |p| p.page_in(PageId(4)));
+    answer(held_back(&wire));
+    assert_eq!(joined(reader).expect("pagein"), Page::filled(3));
+    let stats = pager.stats();
+    assert_eq!((stats.pageouts, stats.checksum_failures), (3, 0));
+}
+
+#[test]
+fn a_landing_lost_with_its_server_is_rehomed_by_the_next_turn() {
+    let (wire, servers, pager) = wave_sharded(PagerConfig::new(Policy::Mirroring), 3);
+    placed(&wire, &pager, &[6]);
+    let holds = |s: &usize| servers[*s].stored_pages() > 0;
+    let (gone, spare) = (
+        (0..3).find(holds).expect("a copy"),
+        (0..3).find(|s| !holds(s)),
+    );
+    let (gone, spare) = (ServerId(gone as u32), spare.expect("a server with no copy"));
+    // Both copies' frames are on the wire when the rewrite returns; one
+    // holder dies with its frame unanswered.
+    pager
+        .page_out(PageId(6), &Page::filled(7))
+        .expect("rewrite");
+    wire.state().dying.push(gone);
+    wire.release_wave(2);
+    // The next turn lands it: the store on the dead holder walks the
+    // ladder to the verdict, and the copy is re-homed, a frame of its own.
+    let reader = spawn(&pager, |p| p.page_in(PageId(6)));
+    assert_eq!(pumped(&wire, &reader).expect("pagein"), Page::filled(7));
+    assert_eq!(
+        servers[spare].stored_pages(),
+        1,
+        "the copy was not re-homed"
+    );
+    for shard in 0..2 {
+        let dead = pager.with_shard(shard, |p| !p.pool().view().is_alive(gone));
+        assert!(dead, "shard {shard} does not hold {gone} dead");
+    }
+    let stats = pager.stats();
+    assert_eq!((stats.pageouts, stats.checksum_failures), (2, 0));
+}
+
+#[test]
+fn a_landing_that_finds_no_taker_reports_its_error_once() {
+    let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
+    placed(&wire, &pager, &[0, 2]);
+    // Every server refuses every store, and there is no disk.
+    wire.state().refuse_store = [0, 1].repeat(4).into_iter().map(ServerId).collect();
+    for id in [0, 2] {
+        pager
+            .page_out(PageId(id), &Page::filled(1))
+            .expect("rewrite");
+    }
+    std::mem::take(&mut wire.wait_for(2).flying)
+        .into_iter()
+        .for_each(answer);
+    // Both land in the next turn; the page read hears of its own.
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    let read = pumped(&wire, &reader);
+    assert!(matches!(read, Err(RmpError::ClusterFull)), "got {read:?}");
+    wire.state().refuse_store.clear();
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    let again = pumped(&wire, &reader);
+    assert!(!matches!(again, Err(RmpError::ClusterFull)), "told twice");
+    // The flush hears of the other, once.
+    assert!(matches!(pager.flush(), Err(RmpError::ClusterFull)));
+    pager.flush().expect("nothing left to report");
+    assert_eq!(pager.stats().pageouts, 2);
+}
+
+#[test]
+fn stats_and_recovery_land_every_pageout_and_pageouts_is_exact() {
+    let (wire, servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 3);
+    placed(&wire, &pager, &[0, 2]);
+    let idle = servers.iter().position(|s| s.stored_pages() == 0);
+    let idle = ServerId(idle.expect("a server holds no page") as u32);
+    for id in [0, 2] {
+        pager
+            .page_out(PageId(id), &Page::filled(1))
+            .expect("rewrite");
+    }
+    let stats = spawn(&pager, |p| p.stats());
+    until_waiting(&pager, 1);
+    std::mem::take(&mut wire.wait_for(2).flying)
+        .into_iter()
+        .for_each(answer);
+    assert_eq!(joined(stats).pageouts, 4);
+    pager
+        .page_out(PageId(0), &Page::filled(2))
+        .expect("rewrite");
+    let waits = flight_waits(&pager);
+    let recovery = spawn(&pager, move |p| p.recover_from_crash(idle));
+    until_waiting(&pager, waits + 1);
+    let planned = pager.with_shard(0, |p| !p.pool().view().is_alive(idle));
+    assert!(!planned, "the recovery planned early");
+    answer(held_back(&wire));
+    let reports = pumped(&wire, &recovery).expect("recovery");
+    assert_eq!(reports[0].pages_rebuilt, 0);
+    assert_eq!(pager.stats().pageouts, 5);
 }
 
 #[test]

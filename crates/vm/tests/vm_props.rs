@@ -96,21 +96,3 @@ proptest! {
         prop_assert_eq!(vm.device().stats().pageouts, s.pageouts);
     }
 }
-
-#[test]
-fn write_behind_device_works_under_a_real_access_pattern() {
-    use rmp_blockdev::WriteBehind;
-    let device = WriteBehind::new(RamDisk::unbounded(), 128);
-    let mut vm = PagedMemory::new(device, VmConfig::with_frames(4));
-    // A write-heavy pattern: fill 64 pages through 4 frames, so evictions
-    // stream through the asynchronous pageout queue.
-    for i in 0..64u64 {
-        vm.write(PageId(i), |p| p.as_mut()[0] = i as u8).unwrap();
-    }
-    for i in 0..64u64 {
-        let v = vm.read(PageId(i), |p| p.as_ref()[0]).unwrap();
-        assert_eq!(v, i as u8);
-    }
-    vm.sync().unwrap();
-    assert_eq!(vm.device().pending(), 0, "sync drained the queue");
-}

@@ -225,6 +225,40 @@ proptest! {
     }
 }
 
+/// A paged memory's evictions write behind: over a sharded pager each
+/// rewrite returns with its frames on the wire and lands later, a fault
+/// reads back what it wrote all the same, and `sync` leaves no pageout in
+/// flight.
+#[test]
+fn write_behind_device_works_under_a_real_access_pattern() {
+    let cluster = LocalCluster::spawn(2, 1024).expect("cluster");
+    let config = PagerConfig::new(Policy::Mirroring).with_shard_count(2);
+    let pager = rmp::core::ShardedPager::connect(config, cluster.registry()).expect("pager");
+    let mut vm = PagedMemory::new(pager, VmConfig::with_frames(4));
+    // A write-heavy pattern: fill 64 pages through 4 frames, then again —
+    // every eviction of the second pass a rewrite that writes behind.
+    for pass in 0..2u8 {
+        for i in 0..64u64 {
+            vm.write(PageId(i), |p| p.as_mut()[0] = i as u8 + pass)
+                .unwrap();
+        }
+    }
+    for i in 0..64u64 {
+        let v = vm.read(PageId(i), |p| p.as_ref()[0]).unwrap();
+        assert_eq!(v, i as u8 + 1);
+    }
+    vm.sync().unwrap();
+    let booked = |shard| {
+        let pageouts = |p: &mut Pager| p.metrics().counter("pager_pageouts_total").get();
+        vm.device().with_shard(shard, pageouts)
+    };
+    assert_eq!(
+        booked(0) + booked(1),
+        vm.stats().pageouts,
+        "sync left a pageout in flight"
+    );
+}
+
 /// GroupId must be exposed for the invariant test to name groups.
 #[allow(dead_code)]
 fn _uses_group_id(_: GroupId) {}
