@@ -1,5 +1,5 @@
 //! Chaos endurance bench: randomized seeded fault schedules plus the
-//! gray-server hedging bound, written as `BENCH_chaos.json` for CI.
+//! gray-server bound, written as `BENCH_chaos.json` for CI.
 //!
 //! Phase A replays `CHAOS_SCHEDULES` randomized fault schedules (drops,
 //! delays, duplicated and reordered replies, bit-flips, blackholed
@@ -10,8 +10,9 @@
 //! its printed seed.
 //!
 //! Phase B turns one mirror gray — every data call answered correctly
-//! but ~10× late — and asserts the hedged read path keeps p99 within 3×
-//! the fault-free p99 while the slow server is *not* declared dead: the
+//! but ~10× late — warms up until its suspicion looks gray, and asserts
+//! that reads go around it as degraded reads, keeping p99 within 3× the
+//! fault-free p99, while the slow server is *not* declared dead: the
 //! gray server neither holds the tail hostage nor gets evicted.
 //!
 //! The binary self-asserts (exits nonzero on any violation), so CI can
@@ -21,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use rmp_blockdev::PagingDevice;
 use rmp_core::chaos::{run_schedule, ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
+use rmp_core::detector::GRAY_SUSPICION;
 use rmp_core::Pager;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
 
@@ -104,15 +106,14 @@ fn main() {
     }
     println!("\nschedules: {passed}/{total} passed");
 
-    // --- Phase B: gray-server hedging bound --------------------------
+    // --- Phase B: gray-server bound ----------------------------------
     const ROUNDS: u64 = 8;
     const WORKING_SET: u64 = 32;
     let cluster = ChaosCluster::new(2, FaultPlan::seeded(0x9e37));
     let tcfg = fast_transport();
     let config = PagerConfig::new(Policy::Mirroring)
         .with_servers(2)
-        .with_transport(tcfg.clone())
-        .with_hedge_suspicion_threshold(2.0);
+        .with_transport(tcfg.clone());
     let mut pager = Pager::builder(config)
         .pool(cluster.pool(&tcfg))
         .build()
@@ -140,12 +141,16 @@ fn main() {
             .on_ops(OpFilter::DataOps),
     );
     cluster.plan().arm();
-    // Unmeasured rounds let suspicion accrue past the hedge threshold.
-    for _ in 0..2 {
-        for i in 0..WORKING_SET {
-            pager.page_in(PageId(i)).expect("warm gray read");
-        }
+    // Unmeasured reads let suspicion accrue until the server looks gray.
+    let mut warm = 0;
+    while pager.pool().suspicion(ServerId(0)) < GRAY_SUSPICION {
+        assert!(warm < 4 * WORKING_SET, "the slow mirror never turned gray");
+        pager
+            .page_in(PageId(warm % WORKING_SET))
+            .expect("warm gray read");
+        warm += 1;
     }
+    let degraded_before = pager.stats().degraded_reads;
     let mut gray: Vec<f64> = Vec::new();
     for _ in 0..ROUNDS {
         for i in 0..WORKING_SET {
@@ -156,7 +161,7 @@ fn main() {
         }
     }
     let gray_p99 = p99_us(&mut gray);
-    let (hedged, hedge_wins) = pager.pool().hedge_stats();
+    let degraded = pager.stats().degraded_reads - degraded_before;
     let slow_alive = pager.pool().view().is_alive(ServerId(0));
     let suspicion = pager.pool().suspicion(ServerId(0));
     // In-process calls finish in single-digit microseconds, where 3× is
@@ -165,12 +170,12 @@ fn main() {
     let bound_us = 3.0 * baseline_p99.max(150.0);
     let within_bound = gray_p99 <= bound_us;
     println!(
-        "\nGray-server hedging (one mirror +{}ms on every data call):",
+        "\nGray server (one mirror +{}ms on every data call):",
         gray_delay.as_millis()
     );
     println!("  fault-free p99: {baseline_p99:>8.1} us");
     println!("  gray p99:       {gray_p99:>8.1} us  (bound {bound_us:.1} us)");
-    println!("  hedged pageins: {hedged} ({hedge_wins} hedge wins)");
+    println!("  degraded reads: {degraded} (after {warm} warm-up reads)");
     println!(
         "  slow server:    {} (suspicion {suspicion:.2})",
         if slow_alive { "alive" } else { "DEAD" }
@@ -178,12 +183,12 @@ fn main() {
 
     // --- JSON + self-assertions --------------------------------------
     let json = format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"schema\": \"rmp-chaos-bench-v1\",\n  \
+        "{{\n  \"bench\": \"chaos\",\n  \"schema\": \"rmp-chaos-bench-v2\",\n  \
          \"schedules_per_policy\": {per_policy},\n  \"schedules_total\": {total},\n  \
          \"schedules_passed\": {passed},\n  \"schedules\": [\n{}\n  ],\n  \
-         \"hedge\": {{\"baseline_p99_us\": {baseline_p99:.3}, \"gray_p99_us\": {gray_p99:.3}, \
+         \"gray\": {{\"baseline_p99_us\": {baseline_p99:.3}, \"gray_p99_us\": {gray_p99:.3}, \
          \"gray_delay_us\": {}, \"bound_us\": {bound_us:.3}, \"within_bound\": {within_bound}, \
-         \"hedged_pageins\": {hedged}, \"hedge_wins\": {hedge_wins}, \
+         \"degraded_reads\": {degraded}, \
          \"slow_server_alive\": {slow_alive}, \"slow_server_suspicion\": {suspicion:.3}}}\n}}\n",
         schedule_rows.join(",\n"),
         gray_delay.as_micros(),
@@ -196,10 +201,10 @@ fn main() {
         passed, total,
         "every chaos schedule must pass; failing seeds printed above"
     );
-    assert!(hedged > 0, "the gray mirror must trigger hedged pageins");
+    assert!(degraded > 0, "reads must go around the gray mirror");
     assert!(
         within_bound,
-        "hedged p99 {gray_p99:.1}us exceeds 3x fault-free bound {bound_us:.1}us"
+        "gray p99 {gray_p99:.1}us exceeds 3x fault-free bound {bound_us:.1}us"
     );
     assert!(
         slow_alive,

@@ -37,11 +37,11 @@
 //! budget is exhausted — because death is a decision about abandoning
 //! in-flight work, not about statistics.
 //!
-//! The score also drives **hedged pageins** (`Pager::maybe_hedged_read`):
-//! above `hedge_suspicion_threshold` the pager may race a redundant
-//! policy's degraded path instead of queueing behind a gray primary,
-//! using [`Health::expected_latency_us`] (an EWMA over *every* attempt,
-//! slow and failed ones included) to predict what waiting would cost.
+//! The score also decides which servers look **gray**
+//! (`ServerPool::looks_gray`): at [`GRAY_SUSPICION`], with
+//! [`Health::expected_latency_us`] (an EWMA over *every* attempt) above
+//! the best other server's tail. A demand read goes around a gray holder
+//! as around a dead one. An infinite slow floor turns it all off.
 //!
 //! The detector holds the rules and their one tunable; each server's
 //! state is a [`Health`] value the pool keeps inline in its per-server
@@ -79,6 +79,11 @@ pub const SUSPECT_ENTER: f64 = 2.0;
 /// gate is [`CLEAN_DATA_CALLS`]); the gap to [`SUSPECT_ENTER`] is the
 /// hysteresis band.
 pub const SUSPECT_EXIT: f64 = 0.5;
+
+/// Suspicion score at which a live server that is also expected to
+/// answer slowly looks gray: a demand read goes around it. Above
+/// [`SUSPECT_ENTER`], so one miss alone makes no server gray.
+pub const GRAY_SUSPICION: f64 = 3.0;
 
 /// Consecutive clean data-path replies required before a Suspect server
 /// is trusted again.
@@ -249,6 +254,12 @@ impl FailureDetector {
     /// are the one nondeterministic input the detector consumes.
     pub fn set_slow_floor_us(&mut self, floor: f64) {
         self.slow_floor_us = floor;
+    }
+
+    /// Whether latency counts at all: `false` once the slow floor is
+    /// infinite, and then no server looks gray either.
+    pub(crate) fn scores_latency(&self) -> bool {
+        self.slow_floor_us.is_finite()
     }
 
     /// Feeds one successful reply: `latency_us` spent, `data_path` when

@@ -11,16 +11,16 @@ use rmp_proto::{LoadHint, Message};
 use rmp_types::metrics::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
 use rmp_types::{ErrorCode, Page, Result, RmpError, ServerId, StoreKey, TransportConfig};
 
-use crate::detector::{ewma, FailureDetector, Health, Verdict, SLOW_MULT};
+use crate::detector::{ewma, FailureDetector, Health, Verdict, GRAY_SUSPICION, SLOW_MULT};
 use crate::reactor::{lost_with_its_burst, PendingReplies, WindowedTransport};
 use crate::transport::ServerTransport;
 
 /// Floor on the expected-latency gate of [`ServerPool::looks_gray`], µs.
-/// Even a maximally suspect primary is not worth hedging around when it
+/// Even a maximally suspect holder is not worth reading around when it
 /// is expected to answer in under half a millisecond — the degraded path
 /// costs at least one transfer itself (and in-memory test transports
-/// would otherwise hedge on microsecond noise).
-const HEDGE_MIN_EXPECTED_US: f64 = 500.0;
+/// would otherwise look gray on microsecond noise).
+const GRAY_MIN_EXPECTED_US: f64 = 500.0;
 
 /// Frames requested per allocation round-trip; the client consumes the
 /// grant locally so most pageouts need no extra allocation message.
@@ -48,8 +48,6 @@ struct PoolMetrics {
     deaths: Arc<Counter>,
     reconnects: Arc<Counter>,
     wire_transfers: Arc<Counter>,
-    hedged_pageins: Arc<Counter>,
-    hedge_wins: Arc<Counter>,
     /// Sum of in-flight windowed frames across all connections, each as
     /// of the pool's last exchange with it.
     window_depth: Arc<Gauge>,
@@ -70,8 +68,6 @@ impl PoolMetrics {
             deaths: registry.counter("pool_deaths_total"),
             reconnects: registry.counter("pool_reconnects_total"),
             wire_transfers: registry.counter("pool_wire_transfers_total"),
-            hedged_pageins: registry.counter("pool_hedged_pageins_total"),
-            hedge_wins: registry.counter("pool_hedge_wins_total"),
             window_depth: registry.gauge("pool_window_depth"),
             window_stalls: registry.counter("pool_window_stalls_total"),
             call_latency: registry.histogram("pool_call_latency_us"),
@@ -370,18 +366,14 @@ pub struct ServerPool {
     transport_cfg: TransportConfig,
     /// The accrual rules applied to each peer's [`Health`]: suspicion fed
     /// by reply latencies and deadline misses (see [`crate::detector`]).
-    /// Drives Suspect entry/exit with hysteresis and the hedged-pagein
-    /// decision.
+    /// Drives Suspect entry/exit with hysteresis and which servers look
+    /// gray.
     detector: FailureDetector,
     /// Attempts consumed by the most recent call (1 = first try clean).
     /// Callers with non-idempotent wire operations (basic parity's
     /// XOR delta path) use this to detect that a retry may have applied
     /// their operation twice.
     last_attempts: u32,
-    /// Hedged pageins decided on this pool, and how many the degraded
-    /// path won (mirrored into metrics when attached).
-    hedged_pageins: u64,
-    hedge_wins: u64,
     /// xorshift64* state for backoff jitter; deterministic seed keeps
     /// tests reproducible.
     jitter_state: u64,
@@ -422,8 +414,6 @@ impl ServerPool {
             transport_cfg,
             detector: FailureDetector::new(),
             last_attempts: 0,
-            hedged_pageins: 0,
-            hedge_wins: 0,
             jitter_state: 0x2545_F491_4F6C_DD1D,
             verify_checksums: true,
             batch_max_pages: 16,
@@ -685,25 +675,21 @@ impl ServerPool {
 
     /// Current detector suspicion score of `id` — 0 for a server that has
     /// never misbehaved, [`crate::detector::SUSPICION_CAP`] for one
-    /// declared dead. The pager compares this against
-    /// `hedge_suspicion_threshold` before hedging a pagein.
+    /// declared dead. At [`GRAY_SUSPICION`] a slow server looks gray.
     pub fn suspicion(&self, id: ServerId) -> f64 {
         self.peers.get(&id).map_or(0.0, |p| p.health.suspicion())
     }
 
     /// Whether `id` currently looks *gray*: suspicion at or above
-    /// `suspicion_threshold` (the pager's `hedge_suspicion_threshold`;
-    /// infinite disables) with an expected reply slower than a healthy
-    /// replica's tail. The shared gate of every latency-motivated bypass
-    /// — hedged pageins and prefetch issuance — so no optional work queues
-    /// behind a predicted-slow server while it is still (correctly)
-    /// considered alive.
-    pub fn looks_gray(&self, id: ServerId, suspicion_threshold: f64) -> bool {
+    /// [`GRAY_SUSPICION`] and an expected reply at or above
+    /// [`ServerPool::gray_bar_us`]; never while the detector's slow floor
+    /// is infinite. A demand read goes around such a server, and
+    /// read-ahead leaves it alone, while it is still considered alive.
+    pub fn looks_gray(&self, id: ServerId) -> bool {
         self.peers.get(&id).is_some_and(|peer| {
-            suspicion_threshold.is_finite()
-                && peer.health.suspicion() >= suspicion_threshold
-                && peer.health.expected_latency_us()
-                    >= self.hedge_delay_us(id).max(HEDGE_MIN_EXPECTED_US)
+            self.detector.scores_latency()
+                && peer.health.suspicion() >= GRAY_SUSPICION
+                && peer.health.expected_latency_us() >= self.gray_bar_us(id)
         })
     }
 
@@ -716,64 +702,30 @@ impl ServerPool {
     }
 
     /// Sets the detector's slow-reply floor (µs); `f64::INFINITY`
-    /// disables slowness accrual — the determinism tests use this because
-    /// wall-clock latency is the one nondeterministic detector input.
+    /// disables slowness accrual and with it every gray verdict — the
+    /// determinism tests use this because wall-clock latency is the one
+    /// nondeterministic detector input.
     pub fn set_detector_slow_floor_us(&mut self, floor: f64) {
         self.detector.set_slow_floor_us(floor);
     }
 
-    /// The dynamic hedge delay, µs: the best (lowest) tail-latency
-    /// estimate among live servers other than `exclude` — the p99 of the
-    /// server's call histogram when metrics are attached, else
-    /// [`SLOW_MULT`]× its fast baseline. A pagein whose
-    /// primary is expected to take longer than this is cheaper to serve
-    /// through the degraded path. Returns 0 when no other server has been
-    /// sampled yet (callers treat that as "no basis to hedge").
-    fn hedge_delay_us(&self, exclude: ServerId) -> f64 {
-        let mut best = f64::INFINITY;
-        for (&id, peer) in self.peers.iter() {
-            if id == exclude || !self.view.is_alive(id) {
-                continue;
-            }
-            let p99 = peer
-                .latency
-                .as_ref()
-                .map(|h| h.snapshot().p99_us())
-                .filter(|&p| p > 0.0);
-            let est = p99.unwrap_or_else(|| SLOW_MULT * peer.health.baseline_us());
-            if est > 0.0 {
-                best = best.min(est);
-            }
-        }
-        if best.is_finite() {
-            best
-        } else {
-            0.0
-        }
-    }
-
-    /// Counts one hedged pagein (the decision to race the degraded path).
-    pub fn note_hedged_pagein(&mut self, primary: ServerId) {
-        self.hedged_pageins += 1;
-        if let Some(m) = &self.metrics {
-            m.hedged_pageins.inc();
-            m.registry
-                .trace(EventKind::Hedge, Some(primary), None, "raced");
-        }
-    }
-
-    /// Counts one hedge that produced the page (the race was won by the
-    /// degraded path — the primary never had to answer).
-    pub fn note_hedge_win(&mut self) {
-        self.hedge_wins += 1;
-        if let Some(m) = &self.metrics {
-            m.hedge_wins.inc();
-        }
-    }
-
-    /// `(hedged pageins, hedge wins)` recorded on this pool.
-    pub fn hedge_stats(&self) -> (u64, u64) {
-        (self.hedged_pageins, self.hedge_wins)
+    /// What `id`'s expected reply must reach to look gray, µs: the best
+    /// (lowest) tail among the other live servers that have been sampled —
+    /// the p99 of a server's call histogram, else [`SLOW_MULT`]× its fast
+    /// baseline — and no less than [`GRAY_MIN_EXPECTED_US`]. A read whose
+    /// holder is expected to take longer is cheaper to serve around it.
+    fn gray_bar_us(&self, id: ServerId) -> f64 {
+        let others =
+            (self.peers.iter()).filter(|&(&other, _)| other != id && self.view.is_alive(other));
+        let tails = others.map(|(_, peer)| {
+            let p99 = (peer.latency.as_ref()).map(|h| h.snapshot().p99_us());
+            p99.filter(|&p| p > 0.0)
+                .unwrap_or(SLOW_MULT * peer.health.baseline_us())
+        });
+        let best = tails
+            .filter(|&tail| tail > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        (if best.is_finite() { best } else { 0.0 }).max(GRAY_MIN_EXPECTED_US)
     }
 
     /// Next jitter factor in `[1 - jitter, 1 + jitter]` (xorshift64*).

@@ -850,14 +850,6 @@ impl ShardedPager {
             .fold(0.0, f64::max)
     }
 
-    /// Summed `(hedged pageins, hedge wins)` across every shard's pool.
-    pub fn hedge_stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, w), s| {
-            let (sh, sw) = s.lock().0.pool().hedge_stats();
-            (h + sh, w + sw)
-        })
-    }
-
     /// Per-shard metrics snapshots wrapped in one JSON document.
     pub fn metrics_snapshot_json(&self) -> String {
         let shards: Vec<String> = self

@@ -16,6 +16,7 @@ use rmp_cluster::Condition;
 use rmp_core::chaos::{
     run_schedule, ChaosCluster, FaultAction, FaultEvent, FaultPlan, FaultRule, OpFilter,
 };
+use rmp_core::detector::GRAY_SUSPICION;
 use rmp_core::{Pager, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
@@ -446,19 +447,19 @@ fn stats_replies_do_not_promote_a_suspect_server() {
     );
 }
 
-// --- hedged reads on a gray primary ----------------------------------------
+// --- reads around a gray primary -------------------------------------------
 
-/// A slow-dripping (gray) primary must get hedged around — reads race
-/// the mirror copy — while the server is *not* declared dead: gray is
-/// neither healthy nor crashed.
+/// A slow-dripping (gray) primary must get read around — reads take the
+/// mirror copy, as degraded reads — while the server is *not* declared
+/// dead: gray is neither healthy nor crashed.
 #[test]
-fn gray_primary_is_hedged_not_buried() {
+fn gray_primary_is_read_around_not_buried() {
     let cluster = ChaosCluster::new(2, FaultPlan::seeded(31));
     let tcfg = fast_transport();
     let config = PagerConfig::new(Policy::Mirroring)
         .with_servers(2)
-        .with_transport(tcfg.clone())
-        .with_hedge_suspicion_threshold(2.0);
+        .with_prefetch_window(0)
+        .with_transport(tcfg.clone());
     let mut pager = Pager::builder(config)
         .pool(cluster.pool(&tcfg))
         .build()
@@ -481,7 +482,15 @@ fn gray_primary_is_hedged_not_buried() {
             .on_ops(OpFilter::DataOps),
     );
     cluster.plan().arm();
-    for round in 0..6 {
+    // Unmeasured reads until sustained slowness makes it look gray.
+    let mut warm = 0u64;
+    while pager.pool().suspicion(ServerId(0)) < GRAY_SUSPICION {
+        assert!(warm < 128, "the slow primary never looked gray");
+        pager.page_in(PageId(warm % 32)).expect("warm gray read");
+        warm += 1;
+    }
+    let before = pager.stats();
+    for round in 0..4 {
         for i in 0..32u64 {
             assert_eq!(
                 pager.page_in(PageId(i)).expect("gray reads still answer"),
@@ -490,12 +499,13 @@ fn gray_primary_is_hedged_not_buried() {
             );
         }
     }
-    let (hedged, wins) = pager.pool().hedge_stats();
-    assert!(
-        hedged > 0,
-        "a gray primary above the suspicion threshold must trigger hedges"
+    let after = pager.stats();
+    assert_eq!(after.pageins - before.pageins, 4 * 32);
+    assert_eq!(
+        after.degraded_reads - before.degraded_reads,
+        4 * 32,
+        "every read went around the gray primary, as a degraded read"
     );
-    assert!(wins <= hedged, "hedge accounting is monotone");
     assert!(
         pager.pool().view().is_alive(ServerId(0)),
         "a slow server is gray, not dead"
@@ -506,7 +516,7 @@ fn gray_primary_is_hedged_not_buried() {
         "slowness must not trigger crash recovery"
     );
     assert!(
-        pager.pool().suspicion(ServerId(0)) >= 2.0,
+        pager.pool().suspicion(ServerId(0)) >= GRAY_SUSPICION,
         "sustained slowness accrues suspicion"
     );
 }
@@ -515,9 +525,9 @@ fn gray_primary_is_hedged_not_buried() {
 
 /// Same seed, same plan, same op sequence → identical fault traces and
 /// identical final pager state. Wall-clock-sensitive machinery (slowness
-/// accrual, hedging, and backoff — a read goes around a server until its
-/// next rung is due) is disabled so the run is a pure function of the
-/// seed; the remaining faults (drops, lost replies, overloads,
+/// accrual, and with it every gray verdict; backoff — a read goes around
+/// a server until its next rung is due) is disabled so the run is a pure
+/// function of the seed; the remaining faults (drops, lost replies, overloads,
 /// corruption, burst reordering) all have timing-independent effects.
 #[test]
 fn identical_seeds_replay_identical_histories() {
@@ -547,8 +557,7 @@ fn identical_seeds_replay_identical_histories() {
         let config = PagerConfig::new(Policy::Mirroring)
             .with_servers(2)
             .with_shard_count(2)
-            .with_transport(tcfg.clone())
-            .with_hedge_suspicion_threshold(f64::INFINITY);
+            .with_transport(tcfg.clone());
         let pager = ShardedPager::builder(config)
             .pools((0..2).map(|_| cluster.pool(&tcfg)).collect())
             .disks(

@@ -52,7 +52,6 @@ fn config(policy: Policy) -> PagerConfig {
     };
     config
         .with_prefetch_window(0)
-        .with_hedge_suspicion_threshold(f64::INFINITY)
         .with_transport(TransportConfig {
             retry: RetryPolicy {
                 max_attempts: 2,

@@ -61,18 +61,15 @@ fn answered<R: Send + 'static>(
 fn a_read_goes_around_its_holder_and_a_pageout_takes_the_rungs_it_left() {
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(2)
-        .with_prefetch_window(0)
-        .with_hedge_suspicion_threshold(f64::INFINITY);
+        .with_prefetch_window(0);
     let ([wire, odd], _servers, pager) = wave_shards(config, 3);
-    // Every read below comes long before a rung is due; latency is the
-    // test thread's to decide, so only a miss may raise suspicion.
+    // Every read below comes long before a rung is due.
     for shard in 0..2 {
         pager.with_shard(shard, |p| {
             let mut transport = p.pool().transport_config().clone();
             transport.retry.base_backoff = Duration::from_millis(200);
             transport.retry.max_backoff = Duration::from_millis(200);
             p.pool_mut().set_transport_config(transport);
-            p.pool_mut().set_detector_slow_floor_us(f64::INFINITY);
         });
     }
     for id in 0..4 {

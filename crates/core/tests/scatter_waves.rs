@@ -400,7 +400,6 @@ fn a_store_refused_in_mid_rebuild_keeps_the_rest_queued_and_leaks_no_grant() {
 #[test]
 fn a_holder_lost_in_mid_rebuild_stops_it_where_it_is() {
     let (wire, servers, mut pager) = bparity_rebooted();
-    pager.pool_mut().set_detector_slow_floor_us(f64::INFINITY);
     // Server 1 — a member of every stripe — dies under the second
     // chunk's gather. The first chunk is rebuilt; the stripes of the
     // second have lost two pieces, which basic parity cannot mend.
@@ -556,9 +555,6 @@ fn a_refused_leg_is_replaced_alone() {
 #[test]
 fn a_leg_whose_server_dies_walks_the_ladder_once() {
     let (wire, servers, mut pager) = wave_pager(ec_config(), 6);
-    // Latency is the test thread's to decide here, so only a miss may
-    // raise suspicion.
-    pager.pool_mut().set_detector_slow_floor_us(f64::INFINITY);
     // Server 1 takes its frame and dies before answering.
     wire.state().dying.push(ServerId(1));
     let page = Page::deterministic(4);

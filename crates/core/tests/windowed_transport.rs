@@ -739,7 +739,6 @@ fn pool_reconnect_wipes_the_rung() {
     };
     let config = PagerConfig::new(Policy::Mirroring)
         .with_prefetch_window(0)
-        .with_hedge_suspicion_threshold(f64::INFINITY)
         .with_retry(retry);
     let pool = ServerPool::connect(&registry).expect("connect");
     let mut pager = Pager::builder(config).pool(pool).build().expect("pager");

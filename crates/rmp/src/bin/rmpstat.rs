@@ -124,12 +124,9 @@ fn render_table(probes: &[PolicyProbe]) -> String {
             .map(|(id, s)| format!("srv{id} {s:.2}"))
             .collect();
         out.push_str(&format!(
-            "{:<16} {}  hedged {}->{} won ({:.0}%)\n",
+            "{:<16} {}\n",
             p.policy.label(),
-            suspicion.join("  "),
-            p.hedged_pageins,
-            p.hedge_wins,
-            p.hedge_win_rate * 100.0,
+            suspicion.join("  ")
         ));
     }
     out

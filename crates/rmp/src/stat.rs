@@ -64,14 +64,6 @@ pub struct PolicyProbe {
     pub prefetch_useless: u64,
     /// Fraction of all pageins served from the prefetch cache.
     pub prefetch_hit_rate: f64,
-    /// Pageins routed through the hedged degraded path because the
-    /// primary looked gray (`pool_hedged_pageins_total`).
-    pub hedged_pageins: u64,
-    /// Hedged pageins the degraded path actually served
-    /// (`pool_hedge_wins_total`).
-    pub hedge_wins: u64,
-    /// Fraction of hedged pageins won by the hedge.
-    pub hedge_win_rate: f64,
     /// Accrual-detector suspicion per server at probe end, ordered by
     /// server id. The crashed server reports the pinned cap; survivors
     /// report their (near-zero) steady-state score.
@@ -175,12 +167,6 @@ pub fn probe_policy(policy: Policy, pages: usize) -> Result<PolicyProbe> {
     } else {
         0.0
     };
-    let (hedged_pageins, hedge_wins) = pager.pool().hedge_stats();
-    let hedge_win_rate = if hedged_pageins > 0 {
-        hedge_wins as f64 / hedged_pageins as f64
-    } else {
-        0.0
-    };
     let mut server_suspicion: Vec<(u32, f64)> = pager
         .pool()
         .server_ids()
@@ -209,9 +195,6 @@ pub fn probe_policy(policy: Policy, pages: usize) -> Result<PolicyProbe> {
         prefetch_hits,
         prefetch_useless,
         prefetch_hit_rate,
-        hedged_pageins,
-        hedge_wins,
-        hedge_win_rate,
         server_suspicion,
         round_trips: None,
     })
@@ -264,8 +247,7 @@ pub fn probe_to_json(p: &PolicyProbe) -> String {
             "\"round_trips_per_pageout\": {}, \"round_trips_per_pagein\": {}, ",
             "\"prefetch\": {{\"issued\": {}, \"hits\": {}, \"useless\": {}, ",
             "\"hit_rate\": {:.4}}}, ",
-            "\"detector\": {{\"hedged_pageins\": {}, \"hedge_wins\": {}, ",
-            "\"hedge_win_rate\": {:.4}, \"suspicion\": {{{}}}}}, ",
+            "\"detector\": {{\"suspicion\": {{{}}}}}, ",
             "\"pageout_latency_us\": {}, \"pagein_latency_us\": {}}}"
         ),
         p.policy.label(),
@@ -282,9 +264,6 @@ pub fn probe_to_json(p: &PolicyProbe) -> String {
         p.prefetch_hits,
         p.prefetch_useless,
         p.prefetch_hit_rate,
-        p.hedged_pageins,
-        p.hedge_wins,
-        p.hedge_win_rate,
         suspicion.join(", "),
         p.pageout_latency.to_json(),
         p.pagein_latency.to_json(),
@@ -358,13 +337,11 @@ mod tests {
             "the probe crashes srv0, which must carry pinned suspicion: {:?}",
             probe.server_suspicion
         );
-        assert!(probe.hedge_wins <= probe.hedged_pageins);
         let json = probe_to_json(&probe);
         assert!(
-            json.contains("\"detector\": {\"hedged_pageins\": "),
+            json.contains("\"detector\": {\"suspicion\": {\"srv0\": "),
             "{json}"
         );
-        assert!(json.contains("\"suspicion\": {\"srv0\": "), "{json}");
     }
 
     #[test]

@@ -220,13 +220,6 @@ pub struct PagerConfig {
     /// (shard selection masks the low bits of the `PageId`). Ignored by
     /// the single-threaded `Pager`.
     pub shard_count: usize,
-    /// Suspicion score above which a pagein whose primary server looks
-    /// *gray* (slow but not dead) is hedged: when a redundant policy can
-    /// also serve the read through its degraded path, the pager races
-    /// that path instead of queueing behind the slow primary. The score
-    /// is the failure detector's accrual value (one deadline miss ≈ 2.0,
-    /// decays on clean replies); `f64::INFINITY` disables hedging.
-    pub hedge_suspicion_threshold: f64,
     /// Data splits per page under the erasure-coded policy (`k`): each
     /// page is cut into `k` equal splits of `PAGE_SIZE / k` bytes, so `k`
     /// must divide the page size. A degraded read costs `k` split
@@ -257,7 +250,6 @@ impl PagerConfig {
             batch_max_pages: 16,
             prefetch_window: 8,
             shard_count: 8,
-            hedge_suspicion_threshold: 3.0,
             ec_data_splits: 2,
             ec_parity_splits: 1,
         }
@@ -317,13 +309,6 @@ impl PagerConfig {
     /// `1` degrades to a single-lock pager).
     pub fn with_shard_count(mut self, shards: usize) -> Self {
         self.shard_count = shards;
-        self
-    }
-
-    /// Sets the suspicion score above which pageins from a gray primary
-    /// are hedged through the degraded path (`f64::INFINITY` disables).
-    pub fn with_hedge_suspicion_threshold(mut self, score: f64) -> Self {
-        self.hedge_suspicion_threshold = score;
         self
     }
 
@@ -394,12 +379,6 @@ impl PagerConfig {
             return Err(RmpError::Config(format!(
                 "shard count {} must be a power of two",
                 self.shard_count
-            )));
-        }
-        if self.hedge_suspicion_threshold.is_nan() || self.hedge_suspicion_threshold <= 0.0 {
-            return Err(RmpError::Config(format!(
-                "hedge suspicion threshold {} must be positive (INFINITY disables)",
-                self.hedge_suspicion_threshold
             )));
         }
         if let Some(ms) = self.adaptive_threshold_ms {
@@ -522,32 +501,6 @@ mod tests {
                 "{bad} shards must be rejected (not a power of two)"
             );
         }
-    }
-
-    #[test]
-    fn hedge_threshold_knob() {
-        let cfg = PagerConfig::default();
-        assert!((cfg.hedge_suspicion_threshold - 3.0).abs() < 1e-12);
-        assert!(PagerConfig::default()
-            .with_hedge_suspicion_threshold(f64::INFINITY)
-            .validate()
-            .is_ok());
-        assert!(PagerConfig::default()
-            .with_hedge_suspicion_threshold(0.5)
-            .validate()
-            .is_ok());
-        assert!(PagerConfig::default()
-            .with_hedge_suspicion_threshold(0.0)
-            .validate()
-            .is_err());
-        assert!(PagerConfig::default()
-            .with_hedge_suspicion_threshold(-1.0)
-            .validate()
-            .is_err());
-        assert!(PagerConfig::default()
-            .with_hedge_suspicion_threshold(f64::NAN)
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -318,7 +318,7 @@ pub enum EventKind {
     PageIn,
     /// One wire call attempt failed transiently and was retried.
     Retry,
-    /// A pagein was served from redundancy while its holder was down.
+    /// A pagein was served from redundancy, around its holder.
     DegradedRead,
     /// One bounded step of an incremental rebuild ran.
     RecoveryStep,
@@ -332,9 +332,6 @@ pub enum EventKind {
     Gc,
     /// A page failed its end-to-end checksum.
     ChecksumFailure,
-    /// A pagein was hedged: the primary looked gray (high suspicion,
-    /// slow expected reply) and the degraded path was raced instead.
-    Hedge,
 }
 
 impl EventKind {
@@ -351,7 +348,6 @@ impl EventKind {
             EventKind::Migration => "migration",
             EventKind::Gc => "gc",
             EventKind::ChecksumFailure => "checksum_failure",
-            EventKind::Hedge => "hedge",
         }
     }
 }

@@ -8,10 +8,10 @@
 /// Bytes each document may take.
 const CEILINGS: [(&str, usize); 5] = [
     ("ROADMAP.md", 24 * 1024),
-    ("DESIGN.md", 82_884),
-    ("ARCHITECTURE.md", 20_838),
-    ("README.md", 23_034),
-    ("OBSERVABILITY.md", 22_457),
+    ("DESIGN.md", 82_731),
+    ("ARCHITECTURE.md", 20_688),
+    ("README.md", 22_849),
+    ("OBSERVABILITY.md", 22_132),
 ];
 
 /// Bytes one CHANGES.md entry may take.
