@@ -32,10 +32,12 @@ fn a_unit_answered_with_a_page_fails_typed() {
     assert!(matches!(read, Err(RmpError::Protocol(_))), "{read:?}");
 
     // The degraded read: a data holder is down, and the parity unit that
-    // stands in for its unit comes back a whole page long.
+    // stands in for its unit comes back a whole page long. The holder is
+    // not yet held dead, so the read walks its ladder to the verdict, and
+    // then goes around it again.
     wire.state().bent_reads = vec![(parity, PAGE_SIZE)];
     wire.state().dead.push(ServerId(data[0]));
-    let (read, _) = in_waves(&wire, &[3, 4], || pager.page_in(PageId(1)));
+    let (read, _) = in_waves(&wire, &[3, 4, 3, 4], || pager.page_in(PageId(1)));
     assert!(matches!(read, Err(RmpError::Protocol(_))), "{read:?}");
     assert_eq!(pager.stats().degraded_reads, 0);
 
