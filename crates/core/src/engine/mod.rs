@@ -43,8 +43,8 @@ pub const VACANT: Unit = (ServerId(u32::MAX), StoreKey(u64::MAX));
 /// Units sit in one flat arena, `width` to a row, so recording a
 /// placement allocates nothing of its own. Row 0 is the *staging* row: a
 /// fresh placement is assembled there and only then recorded with
-/// [`Table::commit`], so the units a page already has stay readable —
-/// and releasable — until their replacement is complete.
+/// [`Table::commit`], so a page gets a row — or leaves the disk — only
+/// once its placement is complete.
 #[derive(Debug)]
 pub struct Table {
     width: usize,
@@ -224,7 +224,7 @@ pub enum Begun<T, W> {
     /// one attempt, and its failure is the caller's cue to do so.
     Around(Flight),
     /// Frames to several servers: a flight to each data unit of a page,
-    /// each collected like [`Begun::Around`]; the rewrite of every copy in
+    /// each collected like [`Begun::Around`]; the rewrite of every unit in
     /// its frame, a wave.
     Many(W),
 }
@@ -292,8 +292,8 @@ impl Writing {
         }
     }
 
-    /// The checksum its frames carry — each the whole page, where a
-    /// pageout is on the wire at all.
+    /// The checksum of the page, where its frames carry it whole — a
+    /// coded stripe's units carry their own.
     pub fn stamp(&self) -> Option<u64> {
         match self {
             Begun::One(flight) | Begun::Around(flight) => flight.stamp(),
@@ -772,8 +772,8 @@ impl Ctx<'_> {
     /// frame once more before the walk moves on.
     ///
     /// Returns the unit of each frame, `None` where no server took it —
-    /// all `None`, and nothing released, when the adaptive switch routes
-    /// new pages to the disk; the caller falls back to it.
+    /// all `None`, with only `frees` released, when the adaptive switch
+    /// routes new pages to the disk; the caller falls back to it.
     ///
     /// # Errors
     ///
@@ -788,7 +788,7 @@ impl Ctx<'_> {
     ) -> Result<Vec<Option<Unit>>> {
         let mut placed = vec![None; wanted.len()];
         if self.prefer_disk {
-            return Ok(placed);
+            return self.release(frees).map(|()| placed);
         }
         let outcome = self.place_into(&mut placed, wanted, exclude, frees);
         if outcome.is_err() {

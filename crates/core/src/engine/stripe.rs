@@ -18,18 +18,20 @@
 //! It still takes one frame grant. When the cluster cannot hold a full
 //! placement the whole page goes to the local disk instead.
 //!
-//! Two things follow from `k` alone. With `k == 1` every unit *is* the
-//! page: a rewrite overwrites each copy in its own frame (a stale copy is
-//! still a whole page), reads and prefetches are plain keyed reads, and
-//! new pages take the round-robin cursor so they spread over the cluster
-//! instead of piling onto the one most promising server. With `k > 1` a
-//! half-overwritten stripe would decode to garbage, so a rewrite places a
-//! fresh stripe under fresh keys — in the wave that releases the old one,
-//! so a rewrite is one round trip, and one that *fails* may already have
-//! released the previous version, as an in-place overwrite always could.
+//! A rewrite of a held page, whatever `k`, overwrites its units in
+//! place: the page is encoded once and each unit's frame goes to the
+//! `(server, key)` the row already names, one wave of `k + r` frames with
+//! no grant and no free. A unit whose store did not ack — refused, lost,
+//! or failed any other way — leaves the row at once and is re-homed from
+//! the page, its old holder's copy freed in the same wave: the row never
+//! names a stale unit beside new ones, so no stripe decodes to garbage.
+//!
+//! With `k == 1` every unit *is* the page: reads and prefetches are plain
+//! keyed reads, and new pages take the round-robin cursor so they spread
+//! over the cluster instead of piling onto the one most promising server.
 //! A stripe already spans `k + r` servers and follows promise order alone.
 
-use rmp_parity::rs::{join_splits, split_page, RsCode};
+use rmp_parity::rs::{join_splits, RsCode};
 use rmp_types::{Page, PageId, Policy, Result, RmpError, ServerId, PAGE_SIZE};
 
 use std::collections::VecDeque;
@@ -62,15 +64,16 @@ fn lost_with(crashed: ServerId) -> impl Fn(&Ctx<'_>, ServerId) -> bool {
     move |ctx, server| server == crashed || !ctx.alive(server)
 }
 
-/// Books the outcome of rewriting one copy in place: a transfer, or a
-/// copy to re-home when its holder refused or is gone.
-fn settle_copy(ctx: &mut Ctx<'_>, unit: &mut Unit, outcome: Result<()>) -> Result<()> {
-    match outcome {
-        Ok(()) => ctx.stats.net_data_transfers += 1,
-        Err(e) if gave_way(&e) => *unit = VACANT,
-        Err(e) => return Err(e),
+/// Counts the store of unit `i` of a `k`-data-unit row as a transfer, and
+/// returns whether it was parity: copies of the page are data; only a
+/// coded stripe has parity.
+fn count_store(ctx: &mut Ctx<'_>, k: usize, i: usize) -> bool {
+    let parity = k > 1 && i >= k;
+    match parity {
+        true => ctx.stats.net_parity_transfers += 1,
+        false => ctx.stats.net_data_transfers += 1,
     }
-    Ok(())
+    parity
 }
 
 /// The unit of a stripe payload: every geometry [`Stripe::new`] accepts
@@ -133,12 +136,14 @@ impl Stripe {
         let Some(code) = &self.code else {
             return Ok(Vec::new());
         };
-        let data = split_page(page, self.k);
+        let mut units: Vec<Page> = Vec::with_capacity(self.k + self.r);
+        units.extend(page.as_ref().chunks(self.unit_len()).map(unit_of));
         let parity = code
-            .encode(&data)
+            .encode(&units)
             .map_err(|e| RmpError::Unrecoverable(e.to_string()))?;
         ctx.count("engine_ec_encodes_total");
-        Ok(data.iter().chain(&parity).map(|u| unit_of(u)).collect())
+        units.extend(parity.iter().map(|u| unit_of(u)));
+        Ok(units)
     }
 
     /// Bytes in each unit of a page.
@@ -194,29 +199,22 @@ impl Stripe {
             let Some(taker) = *taker else { continue };
             units[i] = taker;
             placed += 1;
-            // Copies of the page are data; only a coded stripe has parity.
-            if self.k > 1 && i >= self.k {
-                ctx.stats.net_parity_transfers += 1;
-                parity = true;
-            } else {
-                ctx.stats.net_data_transfers += 1;
-            }
+            parity |= count_store(ctx, self.k, i);
         }
         Ok((placed == slots.len() as u64).then_some((placed, parity)))
     }
 
-    /// Assembles a full placement of `frames` in the staging row, in a
-    /// wave that also releases `frees`. `false` when the cluster cannot
-    /// hold one; a partial placement is released either way.
+    /// Assembles a full placement of `frames` in the staging row, in one
+    /// wave. `false` when the cluster cannot hold one; a partial
+    /// placement is released either way.
     fn place_fresh(
         &mut self,
         ctx: &mut Ctx<'_>,
         frames: &Frames<'_>,
         spread: bool,
-        frees: &[Unit],
     ) -> Result<bool> {
         self.table.staged().fill(VACANT);
-        match self.place_lost(ctx, None, frames, &vacant, None, spread, frees) {
+        match self.place_lost(ctx, None, frames, &vacant, None, spread, &[]) {
             Ok(Some(_)) => Ok(true),
             outcome => {
                 ctx.release(self.table.staged())?;
@@ -242,24 +240,18 @@ impl Stripe {
         Ok(())
     }
 
-    /// Places `page` afresh, on every unit of a new row, in the wave that
-    /// releases the row it replaces.
+    /// Places `page` on every unit of a new row: a first placement, or a
+    /// page the disk holds. While the adaptive switch routes pageouts to
+    /// the disk nothing is placed, and the page — a held one too — is
+    /// parked.
     fn place_page(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
         if self.disk_leg {
             // The disk copy is unconditional — that is the "write through".
             ctx.disk_write(id, page)?;
         }
         let frames = Frames(page, self.encode(ctx, page)?);
-        let old = self.table.units(id).unwrap_or_default().to_vec();
-        let placed = self.place_fresh(ctx, &frames, self.k == 1, &old);
+        let placed = self.place_fresh(ctx, &frames, self.k == 1);
         if !matches!(placed, Ok(true)) {
-            if !ctx.has_disk() && !old.is_empty() {
-                // The wave may already have released the row it was to
-                // replace: the page is forgotten, not left naming units
-                // that are gone.
-                ctx.release(&old)?;
-                self.table.remove(id);
-            }
             return self.park(ctx, id, page).and(placed.map(drop));
         }
         if !self.disk_leg && self.table.units(id).is_some_and(<[Unit]>::is_empty) {
@@ -269,17 +261,24 @@ impl Stripe {
         Ok(())
     }
 
-    /// Starts the rewrite of a page of whole-page units, each copy in its
-    /// own frame and all copies in one wave — with a write-through's disk
-    /// write under way while the frames are in flight.
+    /// Starts the rewrite of a held page in place: the page is encoded
+    /// once and each unit's frame goes to the unit the row names, all in
+    /// one wave — no grant, no `Alloc`, no `Free` — with a
+    /// write-through's disk write under way while the frames are in
+    /// flight. A unit on a dead holder leaves the row, for the completion
+    /// to re-home.
     fn begin_overwrite(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
+        let frames = match self.encode(ctx, page) {
+            Ok(frames) => Frames(page, frames),
+            Err(e) => return Writing::Done(Err(e)),
+        };
         let units = self.table.units_mut(id).expect("caller checked");
         for unit in units.iter_mut().filter(|u| !ctx.alive(u.0)) {
             *unit = VACANT;
         }
-        let live = || units.iter().filter(|u| **u != VACANT);
+        let live = || units.iter().enumerate().filter(|(_, u)| **u != VACANT);
         let writing = match *units {
-            // No copy left to rewrite: what remains is to re-home.
+            // No unit left to rewrite: what remains is to re-home.
             _ if live().next().is_none() => Writing::Done(Ok(())),
             // A lone copy and no disk leg to overlap: the wave is one
             // frame, and its flight allocates nothing.
@@ -287,7 +286,7 @@ impl Stripe {
                 Writing::One(ctx.pool.begin_page_out(server, key, page))
             }
             _ => {
-                let stores: Vec<(Unit, &Page)> = live().map(|&u| (u, page)).collect();
+                let stores: Vec<(Unit, &Page)> = live().map(|(i, &u)| (u, frames.get(i))).collect();
                 Writing::Many(ctx.pool.begin_stores(&stores, &[]))
             }
         };
@@ -297,14 +296,23 @@ impl Stripe {
         }
     }
 
-    /// Places the copies of `id` that have no holder, if any; when the
-    /// cluster cannot take them the page goes to the disk.
-    fn rehome(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+    /// Places the units of `id` that have no holder, if any, from `page`
+    /// encoded anew, in the wave that frees `dropped` — units it had
+    /// whose holders may still keep their old bytes; when the cluster
+    /// cannot take them the page goes to the disk.
+    fn rehome(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        page: &Page,
+        dropped: &[Unit],
+    ) -> Result<()> {
         if !(self.table.units(id)).is_some_and(|units| units.contains(&VACANT)) {
             return Ok(());
         }
-        let frames = Frames(page, Vec::new());
-        match self.place_lost(ctx, Some(id), &frames, &vacant, None, true, &[])? {
+        let frames = Frames(page, self.encode(ctx, page)?);
+        let spread = self.k == 1;
+        match self.place_lost(ctx, Some(id), &frames, &vacant, None, spread, dropped)? {
             Some(_) => Ok(()),
             None => self.park(ctx, id, page),
         }
@@ -472,12 +480,12 @@ impl Engine for Stripe {
 
     fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
         let held = self.table.units(id);
-        if self.k == 1 && !ctx.prefer_disk && held.is_some_and(|units| !units.is_empty()) {
+        if !ctx.prefer_disk && held.is_some_and(|units| !units.is_empty()) {
             return self.begin_overwrite(ctx, id, page);
         }
-        // A first placement — and a coded stripe's rewrite, which is one —
-        // runs whole: its takers, grants and cursor are chosen against
-        // the view as it stands, and its walk depends on each reply.
+        // A first placement runs whole: its takers, grants and cursor are
+        // chosen against the view as it stands, and its walk depends on
+        // each reply.
         Writing::Done(self.place_page(ctx, id, page))
     }
 
@@ -488,20 +496,34 @@ impl Engine for Stripe {
         page: &Page,
         writing: Writing,
     ) -> Result<()> {
-        // What `begin_overwrite` left on the wire: each live copy's
-        // outcome, in the row's order. A copy whose holder refused or is
-        // gone is re-homed.
+        // What `begin_overwrite` left on the wire: each live unit's
+        // outcome, in the row's order. Every leg is settled; a unit whose
+        // store did not ack leaves the row and is re-homed, and the first
+        // failure that is no give-way is the pageout's.
         let (one, many) = match writing {
-            Writing::Done(done) => return done.and_then(|()| self.rehome(ctx, id, page)),
+            Writing::Done(done) => return done.and_then(|()| self.rehome(ctx, id, page, &[])),
             Writing::One(flight) => (Some(ctx.pool.finish_page_out(flight).map(drop)), Vec::new()),
             Writing::Many(wave) => (None, ctx.pool.finish_stores(wave)),
             Writing::Around(_) => return Err(RmpError::Unsupported("a write has no way around")),
         };
         let units = (self.table.units_mut(id)).ok_or(RmpError::PageNotFound(id))?;
-        (units.iter_mut().filter(|u| **u != VACANT))
-            .zip(one.into_iter().chain(many))
-            .try_for_each(|(unit, outcome)| settle_copy(ctx, unit, outcome))?;
-        self.rehome(ctx, id, page)
+        let (mut dropped, mut failed) = (Vec::new(), None);
+        let live = units.iter_mut().enumerate().filter(|(_, u)| **u != VACANT);
+        for ((i, unit), outcome) in live.zip(one.into_iter().chain(many)) {
+            match outcome {
+                Ok(()) => {
+                    count_store(ctx, self.k, i);
+                }
+                Err(e) => {
+                    dropped.push(std::mem::replace(unit, VACANT));
+                    if !gave_way(&e) {
+                        failed.get_or_insert(e);
+                    }
+                }
+            }
+        }
+        let rehomed = self.rehome(ctx, id, page, &dropped);
+        failed.map_or(rehomed, Err)
     }
 
     fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
@@ -686,7 +708,7 @@ impl Engine for Stripe {
             }
             let page = ctx.disk_read(id)?;
             let frames = Frames(&page, self.encode(ctx, &page)?);
-            if !self.place_fresh(ctx, &frames, false, &[])? {
+            if !self.place_fresh(ctx, &frames, false)? {
                 break;
             }
             if !self.disk_leg {

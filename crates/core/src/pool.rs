@@ -267,7 +267,9 @@ impl Flight {
         matches!(self.pending, Some(Ok(_)))
     }
 
-    /// The checksum a store carries, computed as its frame was built.
+    /// The checksum a store of a whole page carries, computed as its
+    /// frame was built; `None` for a stripe unit's, which is not the
+    /// page's.
     pub fn stamp(&self) -> Option<u64> {
         stamp(&self.request)
     }
@@ -286,10 +288,10 @@ fn ready(pending: &Option<Result<PendingReplies>>) -> bool {
     }
 }
 
-/// The checksum `request` carries, if it is a store.
+/// The checksum `request` carries, if it is the store of a whole page.
 fn stamp(request: &Message) -> Option<u64> {
     match request {
-        Message::PageOut { checksum, .. } => Some(*checksum),
+        Message::PageOut { checksum, page, .. } if page.is_whole() => Some(*checksum),
         _ => None,
     }
 }
@@ -321,7 +323,7 @@ impl StoreWave {
 
     /// As [`Flight::stamp`], for the first store.
     pub fn stamp(&self) -> Option<u64> {
-        self.wave.msgs.iter().find_map(stamp)
+        self.wave.msgs.first().and_then(stamp)
     }
 }
 
@@ -681,10 +683,11 @@ impl ServerPool {
     }
 
     /// Whether `id` currently looks *gray*: suspicion at or above
-    /// [`GRAY_SUSPICION`] and an expected reply at or above
-    /// [`ServerPool::gray_bar_us`]; never while the detector's slow floor
-    /// is infinite. A demand read goes around such a server, and
-    /// read-ahead leaves it alone, while it is still considered alive.
+    /// [`GRAY_SUSPICION`] and an expected reply at or above the best tail
+    /// among the other live servers (`gray_bar_us`); never while the
+    /// detector's slow floor is infinite. A demand read goes around such
+    /// a server, and read-ahead leaves it alone, while it is still
+    /// considered alive.
     pub fn looks_gray(&self, id: ServerId) -> bool {
         self.peers.get(&id).is_some_and(|peer| {
             self.detector.scores_latency()

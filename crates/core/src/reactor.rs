@@ -553,7 +553,7 @@ pub struct PendingReplies {
 
 /// The seq and slot of each frame of a handle. A lone frame — a fault —
 /// and a pair — a store and the free of the unit it supersedes, a
-/// server's whole share of a sealing wave or a coded rewrite — keep
+/// server's whole share of a sealing wave or a re-home — keep
 /// theirs inline, so their handles allocate nothing.
 enum Slots {
     One([(u32, Arc<Slot>); 1]),

@@ -508,7 +508,7 @@ fn erasure_coded_stores_one_and_a_quarter_pages_a_page() {
             .sum::<usize>(),
         5 * N as usize
     );
-    // A rewrite places a fresh stripe and frees the old one in its wave.
+    // A rewrite overwrites each unit in place: nothing is left beside it.
     for i in 0..N {
         coded
             .page_out(PageId(i), &Page::deterministic(N + i))

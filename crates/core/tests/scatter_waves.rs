@@ -40,31 +40,33 @@ fn erasure_coded_write_rewrite_and_read_are_waves() {
         (vec![0, 1, 2, 3, 4], vec![Opcode::PageOut; 5])
     );
 
-    // Rewrite: the fresh stripe (under fresh keys — a half-overwritten
-    // stripe would decode to garbage) and the old one's frees in one
-    // wave, each server's burst its new unit and its old one.
-    let page = Page::deterministic(2);
-    let (done, waves) = in_waves(&wire, &[10], || pager.page_out(PageId(1), &page));
-    done.expect("rewrite");
-    assert!(
-        (waves[0].iter()).all(|(_, ops)| *ops == [Opcode::PageOut, Opcode::Free]),
-        "{:?}",
-        waves[0]
-    );
-    assert_eq!(shape(&waves[0]).0, vec![0, 1, 2, 3, 4]);
-    let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
-    assert_eq!(stored, 5, "the frees were awaited inside the rewrite");
-
-    // Pagein: the four data units gathered at once.
-    let (read, waves) = in_waves(&wire, &[4], || pager.page_in(PageId(1)));
-    assert_eq!(read.expect("pagein"), page);
-    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 4]);
-    // Outside the waves: one allocation per server, nothing else.
+    // Outside the first write's wave: one allocation per server.
     let calls = wire.calls();
     assert!(
         calls.iter().all(|(_, op)| *op == Opcode::Alloc),
         "{calls:?}"
     );
+
+    // Rewrite: each unit overwritten under the key its row names, one
+    // frame a server and no free.
+    let page = Page::deterministic(2);
+    let (done, waves) = in_waves(&wire, &[5], || pager.page_out(PageId(1), &page));
+    done.expect("rewrite");
+    assert!(
+        (waves[0].iter()).all(|(_, ops)| *ops == [Opcode::PageOut]),
+        "{:?}",
+        waves[0]
+    );
+    assert_eq!(shape(&waves[0]).0, vec![0, 1, 2, 3, 4]);
+    let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
+    assert_eq!(stored, 5, "each unit overwritten, none left beside it");
+
+    // Pagein: the four data units gathered at once.
+    let (read, waves) = in_waves(&wire, &[4], || pager.page_in(PageId(1)));
+    assert_eq!(read.expect("pagein"), page);
+    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 4]);
+    // The rewrite reserved no frame: nothing went outside the waves.
+    assert_eq!(wire.calls(), []);
 }
 
 #[test]
@@ -225,26 +227,75 @@ fn a_parity_server_dying_under_the_sealing_wave_leaves_the_members_pending() {
 }
 
 #[test]
-fn a_taker_that_refuses_beside_the_free_of_its_own_old_unit_is_asked_again() {
+fn a_refused_leg_of_a_coded_rewrite_is_re_homed_alone() {
     let (wire, servers, mut pager) = wave_pager(ec_config(), 5);
     let (done, _) = in_waves(&wire, &[5], || {
         pager.page_out(PageId(1), &Page::deterministic(1))
     });
     done.expect("first write");
     let grants = pager.pool().granted_frames(ServerId(2));
-    // Server 2 is full until the free in its burst has made room: it
-    // refuses the new unit, and takes it on the second offer — no other
-    // server could, each holds a unit of this stripe.
-    wire.state().refuse_store.push(ServerId(2));
+    // Server 2 refuses its unit of the rewrite and keeps the old one: the
+    // row drops it, and the re-home — to server 2 again, as every other
+    // server holds a unit of this stripe — frees it in the same burst.
+    // Server 2 is full until that free has made room: it refuses the
+    // re-homed unit too, and takes it on the second offer.
+    wire.state().refuse_store.extend([ServerId(2); 2]);
     let page = Page::deterministic(2);
-    let (done, waves) = in_waves(&wire, &[10, 1], || pager.page_out(PageId(1), &page));
+    let (done, waves) = in_waves(&wire, &[5, 2, 1], || pager.page_out(PageId(1), &page));
     done.expect("rewrite");
-    assert_eq!(shape(&waves[1]), (vec![2], vec![Opcode::PageOut]));
+    assert_eq!(
+        shape(&waves[1]),
+        (vec![2], vec![Opcode::PageOut, Opcode::Free])
+    );
+    assert_eq!(shape(&waves[2]), (vec![2], vec![Opcode::PageOut]));
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
     assert_eq!(stored, [1; 5], "exactly k + r units of the page");
     assert_eq!(pager.pool().granted_frames(ServerId(2)), grants - 1);
     let (read, _) = in_waves(&wire, &[4], || pager.page_in(PageId(1)));
     assert_eq!(read.expect("pagein"), page);
+}
+
+/// A rewrite leg refused by a live holder leaves that holder its old
+/// copy. The row drops the unit, and the wave that re-homes it frees the
+/// old copy: the servers keep exactly the units the row names — for
+/// whole-page copies and for a coded stripe with a spare server alike.
+#[test]
+fn a_rewrite_leg_refused_by_a_live_holder_leaves_no_stray_copy() {
+    let cases = [
+        (PagerConfig::new(Policy::Mirroring), 3, 2),
+        (ec_config(), 6, 5),
+    ];
+    for (config, n, width) in cases {
+        let (wire, servers, mut pager) = wave_pager(config, n);
+        let (done, waves) = in_waves(&wire, &[width], || {
+            pager.page_out(PageId(7), &Page::deterministic(7))
+        });
+        done.expect("first write");
+        let holders = shape(&waves[0]).0;
+        let refusing = ServerId(holders[0]);
+        wire.state().refuse_store.push(refusing);
+        let page = Page::deterministic(8);
+        let (done, waves) = in_waves(&wire, &[width, 2], || pager.page_out(PageId(7), &page));
+        done.expect("rewrite");
+
+        let rehomed = waves[1]
+            .iter()
+            .find(|(_, ops)| ops.contains(&Opcode::PageOut));
+        let taker = rehomed.expect("a re-home store").0;
+        let freed = waves[1].iter().find(|(_, ops)| ops.contains(&Opcode::Free));
+        assert_eq!(freed.expect("a free").0, refusing, "{:?}", waves[1]);
+        // The row: every holder but the one that refused, and the taker.
+        let mut named = vec![0; n];
+        for &s in holders.iter().skip(1) {
+            named[s as usize] += 1;
+        }
+        named[taker.0 as usize] += 1;
+        let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+        assert_eq!(stored, named, "{n} servers");
+        let widths: &[usize] = if width == 2 { &[1] } else { &[4] };
+        let (read, _) = in_waves(&wire, widths, || pager.page_in(PageId(7)));
+        assert_eq!(read.expect("pagein"), page);
+    }
 }
 
 #[test]

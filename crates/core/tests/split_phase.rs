@@ -10,7 +10,8 @@
 //! A rewrite returns with its frames on the wire and *lands* later: the
 //! tests after the first pin what lands it — the page's next read or
 //! rewrite, the next turn once its replies are in, `stats`, a planner —
-//! and that its failure is reported once.
+//! and that its failure is reported once; for a page of copies and for
+//! a coded stripe alike.
 //!
 //! Read-ahead is decided at the front door and issued into whichever
 //! shard holds the page; the last three tests pin that it waits for
@@ -253,6 +254,70 @@ fn stats_and_recovery_land_every_pageout_and_pageouts_is_exact() {
     let reports = pumped(&wire, &recovery).expect("recovery");
     assert_eq!(reports[0].pages_rebuilt, 0);
     assert_eq!(pager.stats().pageouts, 5);
+}
+
+fn ec_config() -> PagerConfig {
+    PagerConfig::new(Policy::ErasureCoded).with_ec_splits(4, 1)
+}
+
+#[test]
+fn a_coded_rewrite_returns_with_its_frames_on_the_wire_and_a_read_lands_it_first() {
+    let (wire, servers, pager) = wave_sharded(ec_config(), 5);
+    placed(&wire, &pager, &[4]);
+    // The rewrite returns with a frame to each unit's holder on the wire,
+    // none of them answered.
+    pager
+        .page_out(PageId(4), &Page::filled(2))
+        .expect("rewrite");
+    let acks = std::mem::take(&mut wire.wait_for(5).flying);
+    let mut holders: Vec<u32> = acks.iter().map(|f| f.server.0).collect();
+    holders.sort_unstable();
+    assert_eq!(holders, [0, 1, 2, 3, 4], "one frame a server");
+    // The read of the page waits for the rewrite to land, and sends
+    // nothing meanwhile.
+    let reader = spawn(&pager, |p| p.page_in(PageId(4)));
+    until_waiting(&pager, 1);
+    assert!(wire.state().flying.is_empty(), "the read went out early");
+    acks.into_iter().for_each(answer);
+    std::mem::take(&mut wire.wait_for(4).flying)
+        .into_iter()
+        .for_each(answer);
+    assert_eq!(joined(reader).expect("pagein"), Page::filled(2));
+    let stored: Vec<usize> = servers.iter().map(|s| s.stored_pages()).collect();
+    assert_eq!(stored, [1; 5], "each unit overwritten in place");
+    let stats = pager.stats();
+    assert_eq!((stats.pageouts, stats.pageins), (2, 1));
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
+#[test]
+fn a_coded_landing_whose_holder_died_re_homes_that_unit_from_the_kept_page() {
+    // Six servers for two five-unit stripes: some hold a unit of each.
+    let (wire, servers, pager) = wave_sharded(ec_config(), 6);
+    placed(&wire, &pager, &[0, 2]);
+    let gone = (servers.iter()).position(|s| s.stored_pages() == 2);
+    let gone = ServerId(gone.expect("a server holds a unit of both") as u32);
+    for id in [0, 2] {
+        pager
+            .page_out(PageId(id), &Page::filled(id as u8 + 1))
+            .expect("rewrite");
+    }
+    // Both rewrites are on the wire; the shared holder dies under them.
+    wire.state().dying.push(gone);
+    wire.release_wave(10);
+    // The next turn lands both: each store on the dead holder walks the
+    // ladder to the verdict, and its unit is re-homed from the kept page
+    // onto the one live server outside its stripe.
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    assert_eq!(pumped(&wire, &reader).expect("pagein"), Page::filled(1));
+    let reader = spawn(&pager, |p| p.page_in(PageId(2)));
+    assert_eq!(pumped(&wire, &reader).expect("pagein"), Page::filled(3));
+    let live = (servers.iter().enumerate()).filter(|&(s, _)| s != gone.0 as usize);
+    let stored: Vec<usize> = live.map(|(_, s)| s.stored_pages()).collect();
+    assert_eq!(stored.iter().sum::<usize>(), 10, "{stored:?}");
+    assert!(stored.iter().all(|&n| n <= 2), "{stored:?}");
+    let stats = pager.stats();
+    assert_eq!((stats.pageouts, stats.checksum_failures), (4, 0));
 }
 
 #[test]

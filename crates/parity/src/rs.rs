@@ -270,12 +270,14 @@ impl RsCode {
         self.k + self.r
     }
 
-    /// Encodes `k` equal-length data splits into `r` parity splits.
+    /// Encodes `k` equal-length data splits into `r` parity splits. The
+    /// splits may be any byte slices — a page's own chunks, or units
+    /// already cut from it — so no copy is made to feed the codec.
     ///
     /// # Errors
     ///
     /// [`RsError::BadShards`] when the split count or lengths disagree.
-    pub fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RsError> {
+    pub fn encode<D: AsRef<[u8]>>(&self, data: &[D]) -> Result<Vec<Vec<u8>>, RsError> {
         if data.len() != self.k {
             return Err(RsError::BadShards(format!(
                 "expected {} data splits, got {}",
@@ -283,15 +285,15 @@ impl RsCode {
                 data.len()
             )));
         }
-        let len = data[0].len();
-        if data.iter().any(|d| d.len() != len) {
+        let len = data[0].as_ref().len();
+        if data.iter().any(|d| d.as_ref().len() != len) {
             return Err(RsError::BadShards("data splits differ in length".into()));
         }
         let mut parity = vec![vec![0u8; len]; self.r];
         for (row, out) in parity.iter_mut().enumerate() {
             let coefs = &self.matrix[self.k + row];
             for (j, d) in data.iter().enumerate() {
-                mul_add(out, d, coefs[j]);
+                mul_add(out, d.as_ref(), coefs[j]);
             }
         }
         Ok(parity)
@@ -518,6 +520,15 @@ mod tests {
                 needed: 4
             })
         );
+    }
+
+    #[test]
+    fn encode_takes_chunks_of_a_page_as_it_takes_split_copies() {
+        let code = RsCode::new(4, 2).expect("code");
+        let page = Page::deterministic(17);
+        let chunks: Vec<&[u8]> = page.as_ref().chunks(PAGE_SIZE / 4).collect();
+        let copies = split_page(&page, 4);
+        assert_eq!(code.encode(&chunks), code.encode(&copies));
     }
 
     #[test]

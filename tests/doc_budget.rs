@@ -8,9 +8,9 @@
 /// Bytes each document may take.
 const CEILINGS: [(&str, usize); 5] = [
     ("ROADMAP.md", 24 * 1024),
-    ("DESIGN.md", 82_731),
-    ("ARCHITECTURE.md", 20_688),
-    ("README.md", 22_849),
+    ("DESIGN.md", 82_673),
+    ("ARCHITECTURE.md", 20_636),
+    ("README.md", 22_836),
     ("OBSERVABILITY.md", 22_132),
 ];
 
