@@ -43,8 +43,8 @@ pub const VACANT: Unit = (ServerId(u32::MAX), StoreKey(u64::MAX));
 /// Units sit in one flat arena, `width` to a row, so recording a
 /// placement allocates nothing of its own. Row 0 is the *staging* row: a
 /// fresh placement is assembled there and only then recorded with
-/// [`Table::commit`], so a page gets a row — or leaves the disk — only
-/// once its placement is complete.
+/// [`Table::commit`], so a page gets a row only once every unit has a
+/// taker.
 #[derive(Debug)]
 pub struct Table {
     width: usize,
@@ -734,6 +734,37 @@ impl Ctx<'_> {
         Ok(None)
     }
 
+    /// Reserves a taker for each frame of a placement, one frame per
+    /// entry of `preferred`: its own server if it has one and that takes
+    /// it, else by promise order, and every server tried joins `exclude` —
+    /// so the frames of one call land on distinct servers, exactly the
+    /// servers the serial walk would reach first on a healthy cluster.
+    /// `None` where no server is left.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServerPool::reserve_frame`], for a failure other than denial,
+    /// crash and timeout; every grant reserved by then goes back.
+    pub(crate) fn reserve_takers(
+        &mut self,
+        preferred: impl IntoIterator<Item = Option<ServerId>>,
+        exclude: &mut Vec<ServerId>,
+    ) -> Result<Vec<Option<Unit>>> {
+        let mut takers = Vec::new();
+        for preferred in preferred {
+            match self.reserve_taker(preferred, exclude) {
+                Ok(taker) => takers.push(taker),
+                Err(e) => {
+                    for &(server, _) in takers.iter().flatten() {
+                        self.pool.return_frame(server);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(takers)
+    }
+
     /// The serial walk: offers `frame` to one taker after another until
     /// one stores it.
     fn walk(
@@ -810,19 +841,10 @@ impl Ctx<'_> {
             placed[0] = self.walk(frame, *preferred, exclude)?;
             return Ok(());
         }
-        let mut takers = Vec::with_capacity(wanted.len());
-        for (slot, &(frame, preferred)) in wanted.iter().enumerate() {
-            match self.reserve_taker(preferred, exclude) {
-                Ok(Some(taker)) => takers.push((slot, (taker, frame))),
-                Ok(None) => {}
-                Err(e) => {
-                    for (_, ((server, _), _)) in takers {
-                        self.pool.return_frame(server);
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        let reserved = self.reserve_takers(wanted.iter().map(|w| w.1), exclude)?;
+        let takers: Vec<(usize, (Unit, &Page))> = (reserved.into_iter().zip(wanted).enumerate())
+            .filter_map(|(slot, (taker, &(frame, _)))| Some((slot, (taker?, frame))))
+            .collect();
         let stores: Vec<(Unit, &Page)> = takers.iter().map(|&(_, store)| store).collect();
         let (outcomes, freed) = self.ship(&stores, frees, None);
         let mut fatal = freed.err();

@@ -18,13 +18,17 @@
 //! It still takes one frame grant. When the cluster cannot hold a full
 //! placement the whole page goes to the local disk instead.
 //!
-//! A rewrite of a held page, whatever `k`, overwrites its units in
-//! place: the page is encoded once and each unit's frame goes to the
-//! `(server, key)` the row already names, one wave of `k + r` frames with
-//! no grant and no free. A unit whose store did not ack — refused, lost,
-//! or failed any other way — leaves the row at once and is re-homed from
-//! the page, its old holder's copy freed in the same wave: the row never
-//! names a stale unit beside new ones, so no stripe decodes to garbage.
+//! Every pageout, whatever `k`, is one wave to a row: the page is encoded
+//! once and each unit's frame goes to the `(server, key)` the row names,
+//! `k + r` frames with no free. A rewrite of a held page overwrites its
+//! units in place, with no grant. A first placement stages a new row
+//! first — a taker and a grant for each unit, chosen and recorded under
+//! the caller's lock — so its wave can land behind the caller like a
+//! rewrite's. A unit whose store did not ack — refused, lost, or failed
+//! any other way — leaves the row at once and is re-homed from the page:
+//! a rewrite's old holder has its copy freed in the same wave; a new
+//! row's gets its grant back and is not asked again. The row never names
+//! a stale unit beside new ones, so no stripe decodes to garbage.
 //!
 //! With `k == 1` every unit *is* the page: reads and prefetches are plain
 //! keyed reads, and new pages take the round-robin cursor so they spread
@@ -55,6 +59,14 @@ impl Frames<'_> {
 /// Names the units of a row that are not placed yet.
 fn vacant(_: &Ctx<'_>, server: ServerId) -> bool {
     server == VACANT.0
+}
+
+/// The server the round-robin `cursor` names next among `live`, which
+/// it then passes; none when `live` is empty.
+fn next_of(cursor: &mut usize, live: &[ServerId]) -> Option<ServerId> {
+    let server = live.get(*cursor % live.len().max(1))?;
+    *cursor += 1;
+    Some(*server)
 }
 
 /// Names the units lost with `crashed` — which may have rejoined, alive
@@ -96,6 +108,10 @@ pub struct Stripe {
     disk_leg: bool,
     table: Table,
     cursor: usize,
+    /// Pages whose new row [`Stripe::stage`] recorded and whose wave is
+    /// not completed yet, each with whether the disk holds a copy to free
+    /// once it is.
+    fresh: Vec<(PageId, bool)>,
     /// Pages awaiting the rebuild of their lost units after a crash.
     rebuild: VecDeque<PageId>,
 }
@@ -126,6 +142,7 @@ impl Stripe {
             disk_leg: policy == Policy::WriteThrough,
             table: Table::new(k + r),
             cursor: 0,
+            fresh: Vec::new(),
             rebuild: VecDeque::new(),
         })
     }
@@ -151,29 +168,25 @@ impl Stripe {
         PAGE_SIZE / self.k
     }
 
-    /// Re-homes every unit of a row whose holder `lost` names, each onto
-    /// a server that holds none of the row's other units (nor is
+    /// Re-homes every unit of `id`'s row whose holder `lost` names, each
+    /// onto a server that holds none of the row's other units (nor is in
     /// `avoid`), all in one wave with `frees`, and counts the transfers.
-    /// The row is `id`'s, or the staging row. Returns the units placed and
-    /// whether a parity unit was among them, or `None` when a unit found
-    /// no taker — the units that did stay recorded.
+    /// Returns the units placed and whether a parity unit was among them,
+    /// or `None` when a unit found no taker — the units that did stay
+    /// recorded.
     #[allow(clippy::too_many_arguments)]
     fn place_lost(
         &mut self,
         ctx: &mut Ctx<'_>,
-        id: Option<PageId>,
+        id: PageId,
         frames: &Frames<'_>,
         lost: &dyn Fn(&Ctx<'_>, ServerId) -> bool,
-        avoid: Option<ServerId>,
+        avoid: &[ServerId],
         spread: bool,
         frees: &[Unit],
     ) -> Result<Option<(u64, bool)>> {
-        let units = match id {
-            Some(id) => self.table.units_mut(id).expect("caller holds the row"),
-            None => self.table.staged(),
-        };
-        let mut exclude: Vec<ServerId> = avoid
-            .into_iter()
+        let units = self.table.units_mut(id).expect("caller holds the row");
+        let mut exclude: Vec<ServerId> = (avoid.iter().copied())
             .chain(units.iter().map(|u| u.0).filter(|&s| !lost(ctx, s)))
             .collect();
         let live = if spread {
@@ -185,13 +198,7 @@ impl Stripe {
             .filter(|&i| lost(ctx, units[i].0))
             .collect();
         let wanted: Vec<(&Page, Option<ServerId>)> = (slots.iter())
-            .map(|&i| {
-                let preferred = (!live.is_empty()).then(|| {
-                    self.cursor += 1;
-                    live[(self.cursor - 1) % live.len()]
-                });
-                (frames.get(i), preferred)
-            })
+            .map(|&i| (frames.get(i), next_of(&mut self.cursor, &live)))
             .collect();
         let takers = ctx.place(&wanted, &mut exclude, frees)?;
         let (mut placed, mut parity) = (0, false);
@@ -204,23 +211,35 @@ impl Stripe {
         Ok((placed == slots.len() as u64).then_some((placed, parity)))
     }
 
-    /// Assembles a full placement of `frames` in the staging row, in one
-    /// wave. `false` when the cluster cannot hold one; a partial
-    /// placement is released either way.
-    fn place_fresh(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        frames: &Frames<'_>,
-        spread: bool,
-    ) -> Result<bool> {
-        self.table.staged().fill(VACANT);
-        match self.place_lost(ctx, None, frames, &vacant, None, spread, &[]) {
-            Ok(Some(_)) => Ok(true),
-            outcome => {
-                ctx.release(self.table.staged())?;
-                outcome.map(|_| false)
+    /// Gives `id` a new row: reserves a taker for each of its units —
+    /// with `spread`, the round-robin cursor's server first, else promise
+    /// order; distinct servers either way, the choices [`Ctx::place`]
+    /// makes — and records them, for the wave of [`Self::begin_wave`] to
+    /// store into and its completion to settle. `false`, every grant given
+    /// back and the page left as it was, when some unit found no taker.
+    fn stage(&mut self, ctx: &mut Ctx<'_>, id: PageId, spread: bool) -> Result<bool> {
+        let live = if spread {
+            ctx.pool.view().live_servers()
+        } else {
+            Vec::new()
+        };
+        let cursor = &mut self.cursor;
+        let preferred = (0..self.k + self.r).map(|_| next_of(cursor, &live));
+        let takers = ctx.reserve_takers(preferred, &mut Vec::new())?;
+        if takers.contains(&None) {
+            for &(server, _) in takers.iter().flatten() {
+                ctx.pool.return_frame(server);
             }
+            return Ok(false);
         }
+        // A page the disk holds — and only it, here — has a row already.
+        let from_disk = !self.disk_leg && self.table.units(id).is_some();
+        for (unit, taker) in self.table.staged().iter_mut().zip(takers) {
+            *unit = taker.expect("every unit has a taker");
+        }
+        self.table.commit(id);
+        self.fresh.push((id, from_disk));
+        Ok(true)
     }
 
     /// Moves the whole page to the local disk, releasing the units it
@@ -240,44 +259,31 @@ impl Stripe {
         Ok(())
     }
 
-    /// Places `page` on every unit of a new row: a first placement, or a
-    /// page the disk holds. While the adaptive switch routes pageouts to
-    /// the disk nothing is placed, and the page — a held one too — is
-    /// parked.
-    fn place_page(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+    /// Parks a page that gets no placement — while the adaptive switch
+    /// routes pageouts to the disk, or when a new row finds no taker for
+    /// some unit. A write-through page's disk leg is written first, as on
+    /// every pageout: that is the "write through".
+    fn fall_back(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
         if self.disk_leg {
-            // The disk copy is unconditional — that is the "write through".
             ctx.disk_write(id, page)?;
         }
-        let frames = Frames(page, self.encode(ctx, page)?);
-        let placed = self.place_fresh(ctx, &frames, self.k == 1);
-        if !matches!(placed, Ok(true)) {
-            return self.park(ctx, id, page).and(placed.map(drop));
-        }
-        if !self.disk_leg && self.table.units(id).is_some_and(<[Unit]>::is_empty) {
-            ctx.disk_free(id)?;
-        }
-        self.table.commit(id);
-        Ok(())
+        self.park(ctx, id, page)
     }
 
-    /// Starts the rewrite of a held page in place: the page is encoded
-    /// once and each unit's frame goes to the unit the row names, all in
-    /// one wave — no grant, no `Alloc`, no `Free` — with a
-    /// write-through's disk write under way while the frames are in
-    /// flight. A unit on a dead holder leaves the row, for the completion
-    /// to re-home.
-    fn begin_overwrite(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
-        let frames = match self.encode(ctx, page) {
-            Ok(frames) => Frames(page, frames),
-            Err(e) => return Writing::Done(Err(e)),
-        };
+    /// Starts the wave that stores `frames` into the units `id`'s row
+    /// names — a held page's, overwritten in place, or those a first
+    /// placement or a promotion just staged: each unit's frame goes to its
+    /// `(server, key)`, all in one wave with no `Alloc` and no `Free`. A
+    /// unit on a dead holder leaves the row, for the completion to
+    /// re-home.
+    fn begin_wave(&mut self, ctx: &mut Ctx<'_>, id: PageId, frames: &Frames<'_>) -> Writing {
+        let page = frames.0;
         let units = self.table.units_mut(id).expect("caller checked");
         for unit in units.iter_mut().filter(|u| !ctx.alive(u.0)) {
             *unit = VACANT;
         }
         let live = || units.iter().enumerate().filter(|(_, u)| **u != VACANT);
-        let writing = match *units {
+        match *units {
             // No unit left to rewrite: what remains is to re-home.
             _ if live().next().is_none() => Writing::Done(Ok(())),
             // A lone copy and no disk leg to overlap: the wave is one
@@ -289,17 +295,32 @@ impl Stripe {
                 let stores: Vec<(Unit, &Page)> = live().map(|(i, &u)| (u, frames.get(i))).collect();
                 Writing::Many(ctx.pool.begin_stores(&stores, &[]))
             }
-        };
-        match self.disk_leg.then(|| ctx.disk_write(id, page)) {
-            Some(Err(e)) => Writing::Done(Err(e)),
-            _ => writing,
         }
     }
 
     /// Places the units of `id` that have no holder, if any, from `page`
-    /// encoded anew, in the wave that frees `dropped` — units it had
-    /// whose holders may still keep their old bytes; when the cluster
-    /// cannot take them the page goes to the disk.
+    /// encoded anew — never on a server of `avoid` — in the wave that
+    /// frees `dropped`. Whether every unit has a holder now.
+    fn fill(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        page: &Page,
+        avoid: &[ServerId],
+        spread: bool,
+        dropped: &[Unit],
+    ) -> Result<bool> {
+        if !(self.table.units(id)).is_some_and(|units| units.contains(&VACANT)) {
+            return Ok(true);
+        }
+        let frames = Frames(page, self.encode(ctx, page)?);
+        let placed = self.place_lost(ctx, id, &frames, &vacant, avoid, spread, dropped)?;
+        Ok(placed.is_some())
+    }
+
+    /// [`Self::fill`] for a held page, in the wave that frees `dropped`
+    /// — units it had whose holders may still keep their old bytes; when
+    /// the cluster cannot take them the page goes to the disk.
     fn rehome(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -307,15 +328,26 @@ impl Stripe {
         page: &Page,
         dropped: &[Unit],
     ) -> Result<()> {
-        if !(self.table.units(id)).is_some_and(|units| units.contains(&VACANT)) {
-            return Ok(());
+        match self.fill(ctx, id, page, &[], self.k == 1, dropped)? {
+            true => Ok(()),
+            false => self.park(ctx, id, page),
         }
-        let frames = Frames(page, self.encode(ctx, page)?);
-        let spread = self.k == 1;
-        match self.place_lost(ctx, Some(id), &frames, &vacant, None, spread, dropped)? {
-            Some(_) => Ok(()),
-            None => self.park(ctx, id, page),
+    }
+
+    /// Gives up on a row a first placement could not complete: the page
+    /// goes to the disk or, with none, the units it has are released and
+    /// the page is forgotten.
+    ///
+    /// # Errors
+    ///
+    /// [`RmpError::ClusterFull`] without a disk.
+    fn abandon(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+        if ctx.has_disk() {
+            return self.park(ctx, id, page);
         }
+        let released = (self.table.units(id)).map_or(Ok(()), |units| ctx.release(units));
+        self.table.remove(id);
+        released.and(Err(RmpError::ClusterFull))
     }
 
     /// The units a rebuild of `id` reads, as positions in its row: any
@@ -411,7 +443,7 @@ impl Stripe {
             step.transfers += self.k as u64;
         }
         let frames = Frames(&page, shards.iter().map(|s| unit_of(s)).collect());
-        match self.place_lost(ctx, Some(id), &frames, &lost, Some(crashed), false, &[])? {
+        match self.place_lost(ctx, id, &frames, &lost, &[crashed], false, &[])? {
             Some((placed, parity)) => {
                 step.transfers += placed;
                 step.parity_rebuilt += u64::from(parity);
@@ -479,14 +511,33 @@ impl Engine for Stripe {
     }
 
     fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
-        let held = self.table.units(id);
-        if !ctx.prefer_disk && held.is_some_and(|units| !units.is_empty()) {
-            return self.begin_overwrite(ctx, id, page);
+        if ctx.prefer_disk {
+            // The adaptive switch routes pageouts to the disk: nothing is
+            // placed, and the page — a held one too — is parked.
+            return Writing::Done(self.fall_back(ctx, id, page));
         }
-        // A first placement runs whole: its takers, grants and cursor are
-        // chosen against the view as it stands, and its walk depends on
-        // each reply.
-        Writing::Done(self.place_page(ctx, id, page))
+        let frames = match self.encode(ctx, page) {
+            Ok(units) => Frames(page, units),
+            Err(e) => return Writing::Done(Err(e)),
+        };
+        if self.table.units(id).is_none_or(<[Unit]>::is_empty) {
+            match self.stage(ctx, id, self.k == 1) {
+                Ok(true) => {}
+                staged => {
+                    return Writing::Done(self.fall_back(ctx, id, page).and(staged.map(drop)))
+                }
+            }
+        }
+        let writing = self.begin_wave(ctx, id, &frames);
+        // A write-through's disk write is under way while the frames are in
+        // flight. Should it fail, the wave is completed before the error
+        // is returned, so the row names no unit whose store did not ack.
+        match self.disk_leg.then(|| ctx.disk_write(id, page)) {
+            Some(Err(e)) => {
+                Writing::Done(self.complete_page_out(ctx, id, page, writing).and(Err(e)))
+            }
+            _ => writing,
+        }
     }
 
     fn complete_page_out(
@@ -496,10 +547,12 @@ impl Engine for Stripe {
         page: &Page,
         writing: Writing,
     ) -> Result<()> {
-        // What `begin_overwrite` left on the wire: each live unit's
-        // outcome, in the row's order. Every leg is settled; a unit whose
-        // store did not ack leaves the row and is re-homed, and the first
-        // failure that is no give-way is the pageout's.
+        let fresh =
+            (self.fresh.iter().position(|f| f.0 == id)).map(|at| self.fresh.swap_remove(at).1);
+        // What `begin_wave` left on the wire: each live unit's outcome, in
+        // the row's order. Every leg is settled; a unit whose store did
+        // not ack leaves the row and is re-homed, and the first failure
+        // that is no give-way is the pageout's.
         let (one, many) = match writing {
             Writing::Done(done) => return done.and_then(|()| self.rehome(ctx, id, page, &[])),
             Writing::One(flight) => (Some(ctx.pool.finish_page_out(flight).map(drop)), Vec::new()),
@@ -522,8 +575,27 @@ impl Engine for Stripe {
                 }
             }
         }
-        let rehomed = self.rehome(ctx, id, page, &dropped);
-        failed.map_or(rehomed, Err)
+        let Some(from_disk) = fresh else {
+            let rehomed = self.rehome(ctx, id, page, &dropped);
+            return failed.map_or(rehomed, Err);
+        };
+        // A new row: a failed leg gives its grant back, and its taker is
+        // not asked again — the walk goes on by promise order, as it would
+        // have from the taker that refused.
+        let refused: Vec<ServerId> = dropped.iter().map(|u| u.0).collect();
+        for &server in &refused {
+            ctx.pool.return_frame(server);
+        }
+        let filled = match failed {
+            Some(e) => Err(e),
+            None => self.fill(ctx, id, page, &refused, false, &[]),
+        };
+        match filled {
+            // The row is recorded, so the disk copy can go.
+            Ok(true) if from_disk => ctx.disk_free(id),
+            Ok(true) => Ok(()),
+            filled => self.abandon(ctx, id, page).and(filled.map(drop)),
+        }
     }
 
     fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
@@ -684,7 +756,7 @@ impl Engine for Stripe {
             }?;
             for ((&id, old), frame) in chunk.iter().zip(old).zip(&fetched) {
                 let frames = Frames(frame, Vec::new());
-                match self.place_lost(ctx, Some(id), &frames, &leaving, Some(server), false, &[])? {
+                match self.place_lost(ctx, id, &frames, &leaving, &[server], false, &[])? {
                     Some(_) => ctx.release(&[old])?,
                     // Nowhere to move the unit without doubling up. A
                     // whole page can still go to the disk; a split stays
@@ -708,13 +780,15 @@ impl Engine for Stripe {
             }
             let page = ctx.disk_read(id)?;
             let frames = Frames(&page, self.encode(ctx, &page)?);
-            if !self.place_fresh(ctx, &frames, false)? {
+            if !self.stage(ctx, id, false)? {
                 break;
             }
-            if !self.disk_leg {
-                ctx.disk_free(id)?;
+            let writing = self.begin_wave(ctx, id, &frames);
+            self.complete_page_out(ctx, id, &page, writing)?;
+            if self.table.units(id).is_some_and(<[Unit]>::is_empty) {
+                // Parked again: the cluster took fewer units than it promised.
+                break;
             }
-            self.table.commit(id);
             promoted += 1;
         }
         Ok(promoted)

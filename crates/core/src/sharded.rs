@@ -55,18 +55,20 @@
 //! acquisition. `contains` and the accessors never leave the lock, nor
 //! does `free` but to land its page's pageout.
 //!
-//! A split-phase pageout — the stripe engine's rewrite of a page of
-//! whole-page copies — does not even park: once all its frames are on
-//! the request window, `page_out` returns `Ok` and the shard keeps the
-//! flight and the caller's page (an `Arc` clone) as a *landing*, as the
-//! OSF/1 kernel never waited for a pageout. Whichever turn next enters
-//! the shard completes, under the lock, each landing whose replies are
-//! in — oldest first, running the pageout again with the kept page if a
+//! A split-phase pageout — the stripe engine's wave, a rewrite or a
+//! first placement, whatever `k` — does not even park: once all its
+//! frames are on the request window, `page_out` returns `Ok` and the
+//! shard keeps the flight and the caller's page (an `Arc` clone) as a
+//! *landing*, as the OSF/1 kernel never waited for a pageout. Whichever
+//! turn next enters the shard completes, under the lock, each landing
+//! whose replies are in — oldest first, re-homing from the kept page a
+//! unit whose store did not ack, and running the pageout again if a
 //! server failed under it. A failure that survives that is reported
 //! once: by the page's next operation, or by the next `flush`. Landings
-//! hold the reply slots of their frames — a shard keeps no more than a
-//! request window's worth — and allocate nothing; dropping the pager
-//! gives them up unanswered.
+//! hold their pages and the reply slots of their frames — a shard keeps
+//! no more than a chunk's worth ([`PagerConfig::batch_max_pages`], within
+//! a request window) — and allocate nothing; dropping the pager gives
+//! them up unanswered.
 //!
 //! Two rules stand in for "the lock is held":
 //!
@@ -224,14 +226,14 @@ impl ShardedPagerBuilder {
         let mut built = Vec::with_capacity(shards);
         for pool in pools {
             let disk = disks.remove(0);
+            let pager = Pager::new(config.clone(), pool, disk)?;
             // Room for as many landings as `Shard::enter` lets wait.
-            let landings = Vec::with_capacity(config.transport.window_max_inflight);
             let flights = Flights {
-                landings,
+                landings: Vec::with_capacity(landing_room(&pager)),
                 ..Flights::default()
             };
             built.push(Shard {
-                state: Mutex::new((Pager::new(config.clone(), pool, disk)?, flights)),
+                state: Mutex::new((pager, flights)),
                 landed: Condvar::new(),
             });
         }
@@ -280,6 +282,16 @@ impl Flights {
 struct Landing {
     out: PageOutFlight,
     page: Page,
+}
+
+/// The most pageouts a shard keeps landing. Each holds its page and
+/// the reply slots of its frames, which the next operation's frames must
+/// find among the connection's: a chunk's worth
+/// ([`PagerConfig::batch_max_pages`], what the client holds of any work
+/// in flight at a time), and never more than a request window's.
+fn landing_room(pager: &Pager) -> usize {
+    let window = pager.config().transport.window_max_inflight;
+    pager.pool().batch_max_pages().min(window)
 }
 
 type ShardGuard<'a> = MutexGuard<'a, (Pager, Flights)>;
@@ -335,9 +347,7 @@ impl Shard {
     /// Locks the shard for an operation on `id`, once no other operation
     /// on `id` is under way and no planner is waiting. Every pageout whose
     /// replies are in lands first, oldest first — and, whatever the wait,
-    /// `id`'s own, and the oldest while a window's worth are landing: a
-    /// landing holds its frames' reply slots, and the operation's frames
-    /// must find theirs among the connection's.
+    /// `id`'s own, and the oldest while [`landing_room`] are landing.
     ///
     /// # Errors
     ///
@@ -348,8 +358,8 @@ impl Shard {
             let mut guard =
                 self.wait_while(self.lock(), |f| f.planners > 0 || f.busy.contains(&id));
             let (pager, flights) = &mut *guard;
-            let window = pager.config().transport.window_max_inflight;
-            let due = |l: &Landing| flights.landings.len() >= window || l.out.writing.is_ready();
+            let full = flights.landings.len() >= landing_room(pager);
+            let due = |l: &Landing| full || l.out.writing.is_ready();
             let oldest = || flights.landings.first().filter(|l| due(l)).map(|_| 0);
             if let Some(at) = flights.landing(id).or_else(oldest) {
                 self.land(guard, at);

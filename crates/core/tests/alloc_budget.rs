@@ -11,6 +11,8 @@
 //! that puts a page-sized buffer or a per-call `Vec` back on the data
 //! path fails here, by the number it added.
 //!
+//! A first placement is held to its count the same way, landing too.
+//!
 //! The same test then holds the waves of ISSUE 21 to their counts: a warm
 //! two-frame burst against two one-frame submits, a sealing parity-log
 //! pageout, an erasure-coded (4, 1) rewrite. And read-ahead to its: a
@@ -166,9 +168,10 @@ fn a_fault_stays_within_its_allocation_budget() {
     assert!(kib <= 9.0, "a pagein allocated {kib} KiB");
 
     // A rewrite returns with its frame on the wire and lands in a later
-    // turn, so rewrites back to back keep up to a window of frames in
-    // flight: the connection's reply slots for that many are made here,
-    // uncounted, by a window of reads (of keys no page has) at once. The
+    // turn, so rewrites back to back keep up to a chunk of frames in
+    // flight (`batch_max_pages`, within a window): the connection's reply
+    // slots for that many are made here, uncounted, by a window of reads
+    // (of keys no page has) at once. The
     // last rewrite is landed inside the count, so every landing — and its
     // server's store — is counted.
     pager.with_shard(0, |p| {
@@ -200,6 +203,26 @@ fn a_fault_stays_within_its_allocation_budget() {
     println!("rewrite: {allocs:.3} allocations, {kib:.3} KiB per op");
     assert!(allocs < 1.01, "a rewrite made {allocs} allocations");
     assert!(kib <= 9.0, "a rewrite allocated {kib} KiB");
+
+    // A first placement lands behind its caller like a rewrite; what it
+    // adds is the page's entries — its row, its checksum, the server's
+    // key — and an `Alloc` of 64 frame grants every 64 pages.
+    let (allocs, kib) = per_op(OPS, |i| {
+        let id = PAGES + i;
+        pager
+            .page_out(PageId(id), &pages[(id % PAGES) as usize])
+            .expect("first placement");
+        if i + 1 == OPS {
+            assert_eq!(pager.stats().pageouts, 2 * PAGES + 2 * OPS);
+        }
+    });
+    // Measured: 4.180 allocations and 8.41 KiB — the page the server
+    // keeps, the placement's three short lists (the live servers the
+    // cursor walks, the servers tried, the takers) and the tables'
+    // growth. One allocation more per op fails.
+    println!("first placement: {allocs:.3} allocations, {kib:.3} KiB per op");
+    assert!(allocs < 5.18, "a first placement made {allocs} allocations");
+    assert!(kib <= 9.0, "a first placement allocated {kib} KiB");
 
     drop(pager);
     servers.into_iter().for_each(ServerHandle::shutdown);

@@ -323,6 +323,9 @@ fn one_maintenance_pass_walks_the_ladder_once() {
     for i in 0..16 {
         (pager.page_out(PageId(i), &Page::deterministic(i))).expect("pageout");
     }
+    // The placements land first: one still on the wire at the crash
+    // would walk a ladder of its own as it landed.
+    pager.flush().expect("every placement landed");
     handles[2].crash();
     pager.periodic_maintenance().expect("maintenance");
     let of_shard = |shard, name| pager.with_shard(shard, |p| p.metrics().counter(name).get());

@@ -316,6 +316,73 @@ fn rebalance_promotes_disk_pages_when_space_frees() {
     }
 }
 
+/// A local disk that refuses to free anything.
+struct StuckFree(RamDisk);
+
+impl PagingDevice for StuckFree {
+    fn page_out(&mut self, id: PageId, page: &Page) -> rmp_types::Result<()> {
+        self.0.page_out(id, page)
+    }
+
+    fn page_in(&mut self, id: PageId) -> rmp_types::Result<Page> {
+        self.0.page_in(id)
+    }
+
+    fn free(&mut self, _id: PageId) -> rmp_types::Result<()> {
+        Err(RmpError::Io(std::io::Error::other(
+            "the disk refuses frees",
+        )))
+    }
+
+    fn contains(&self, id: PageId) -> bool {
+        self.0.contains(id)
+    }
+
+    fn stats(&self) -> rmp_types::TransferStats {
+        self.0.stats()
+    }
+}
+
+#[test]
+fn a_page_promoted_off_the_disk_stays_recorded_when_the_disk_cannot_free_it() {
+    let (handles, pool) = cluster(2, 64);
+    let mut pager = Pager::builder(PagerConfig::new(Policy::NoReliability).with_servers(2))
+        .pool(pool)
+        .disk(Box::new(StuckFree(RamDisk::unbounded())))
+        .build()
+        .expect("build pager");
+    // While no server is held alive, pages 0 and 1 go to the disk.
+    for server in [ServerId(0), ServerId(1)] {
+        pager.pool_mut().view_mut().mark_dead(server);
+    }
+    fill(&mut pager, 2);
+    for server in [ServerId(0), ServerId(1)] {
+        pager.pool_mut().absolve(server);
+    }
+    // Page 0 is written anew, and page 1 promoted: each is placed, and
+    // then the disk refuses to free its old copy.
+    assert!(pager.page_out(PageId(0), &Page::filled(7)).is_err());
+    assert!(pager.rebalance().is_err());
+    let stored = || {
+        handles
+            .iter()
+            .map(ServerHandle::stored_pages)
+            .sum::<usize>()
+    };
+    assert_eq!(stored(), 2);
+    // The placements were recorded all the same: the pages read back from
+    // the servers, and freeing them leaves nothing stored.
+    assert_eq!(pager.page_in(PageId(0)).expect("page 0"), Page::filled(7));
+    assert_eq!(
+        pager.page_in(PageId(1)).expect("page 1"),
+        Page::deterministic(1)
+    );
+    for id in [PageId(0), PageId(1)] {
+        pager.free(id).expect("free");
+    }
+    assert_eq!(stored(), 0, "a unit no row names stayed stored");
+}
+
 #[test]
 fn migrate_from_empties_a_loaded_server() {
     let (handles, mut pager) = pager(Policy::NoReliability, 3, 4096);

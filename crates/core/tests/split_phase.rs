@@ -7,11 +7,12 @@
 //! a flight says so before it blocks — never by a sleep; the one sleep
 //! here *is* the stimulus (a lock held for a known time).
 //!
-//! A rewrite returns with its frames on the wire and *lands* later: the
-//! tests after the first pin what lands it — the page's next read or
-//! rewrite, the next turn once its replies are in, `stats`, a planner —
-//! and that its failure is reported once; for a page of copies and for
-//! a coded stripe alike.
+//! A pageout — a rewrite or a first placement — returns with its frames
+//! on the wire and *lands* later: the tests after the first pin what
+//! lands it — the page's next read or rewrite, the next turn once its
+//! replies are in, `stats`, a planner — that a unit whose store failed is
+//! re-homed from the kept page, and that a failure is reported once; for
+//! a page of copies and for a coded stripe alike.
 //!
 //! Read-ahead is decided at the front door and issued into whichever
 //! shard holds the page; the last three tests pin that it waits for
@@ -91,13 +92,16 @@ fn until_waiting(pager: &ShardedPager, waiting: u64) {
     }
 }
 
-/// Places each of `ids` on shard 0, answering its waves as they come.
+/// Places each of `ids` on shard 0 and answers its frames: the placement
+/// returns with them on the wire, and the next turn lands it.
 fn placed(wire: &Wire, pager: &Arc<ShardedPager>, ids: &[u64]) {
     for &id in ids {
-        let placed = spawn(pager, move |p| {
-            p.page_out(PageId(id), &Page::deterministic(id))
-        });
-        pumped(wire, &placed).expect("first placement");
+        pager
+            .page_out(PageId(id), &Page::deterministic(id))
+            .expect("first placement");
+        std::mem::take(&mut wire.state().flying)
+            .into_iter()
+            .for_each(answer);
     }
 }
 
@@ -320,6 +324,108 @@ fn a_coded_landing_whose_holder_died_re_homes_that_unit_from_the_kept_page() {
     assert_eq!((stats.pageouts, stats.checksum_failures), (4, 0));
 }
 
+/// The geometries a first placement is pinned for: copies of the page
+/// (`k = 1`) and a coded stripe, each with the frames of its wave and
+/// the reads of its demand read.
+fn first_placements() -> [(PagerConfig, usize, usize); 2] {
+    [
+        (PagerConfig::new(Policy::Mirroring), 2, 1),
+        (ec_config(), 5, 4),
+    ]
+}
+
+#[test]
+fn a_first_placement_returns_with_its_frames_on_the_wire_and_a_read_lands_it_first() {
+    for (config, width, reads) in first_placements() {
+        let (wire, servers, pager) = wave_sharded(config, width);
+        // The placement returns with a frame to each taker on the wire,
+        // none of them answered.
+        pager
+            .page_out(PageId(4), &Page::filled(2))
+            .expect("first placement");
+        let acks = std::mem::take(&mut wire.wait_for(width).flying);
+        let stored: Vec<usize> = servers.iter().map(|s| s.stored_pages()).collect();
+        assert_eq!(stored, vec![1; width], "one unit a server");
+        // The read of the page waits for the placement to land, and sends
+        // nothing meanwhile.
+        let reader = spawn(&pager, |p| p.page_in(PageId(4)));
+        until_waiting(&pager, 1);
+        assert!(wire.state().flying.is_empty(), "the read went out early");
+        acks.into_iter().for_each(answer);
+        std::mem::take(&mut wire.wait_for(reads).flying)
+            .into_iter()
+            .for_each(answer);
+        assert_eq!(joined(reader).expect("pagein"), Page::filled(2));
+        let stats = pager.stats();
+        assert_eq!((stats.pageouts, stats.pageins), (1, 1));
+        assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+    }
+}
+
+#[test]
+fn a_first_placement_whose_taker_died_re_homes_that_unit_from_the_kept_page() {
+    for (config, width, _) in first_placements() {
+        // One server more than the stripe is wide: a spare.
+        let (wire, servers, pager) = wave_sharded(config, width + 1);
+        pager
+            .page_out(PageId(4), &Page::filled(5))
+            .expect("first placement");
+        // A taker dies with its frame unanswered.
+        let gone = wire.wait_for(width).flying[0].server;
+        wire.state().dying.push(gone);
+        wire.release_wave(width);
+        // The read lands the placement first: the store on the dead taker
+        // walks the ladder to the verdict, and its unit goes to the spare.
+        let reader = spawn(&pager, |p| p.page_in(PageId(4)));
+        assert_eq!(pumped(&wire, &reader).expect("pagein"), Page::filled(5));
+        let live = (servers.iter().enumerate()).filter(|&(s, _)| s != gone.0 as usize);
+        let stored: Vec<usize> = live.map(|(_, s)| s.stored_pages()).collect();
+        assert_eq!(stored, vec![1; width], "the unit was not re-homed");
+        assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(gone)));
+        let stats = pager.stats();
+        assert_eq!((stats.pageouts, stats.checksum_failures), (1, 0));
+    }
+}
+
+#[test]
+fn a_first_placement_that_finds_no_taker_is_reported_once_and_leaves_nothing() {
+    for (config, width, _) in first_placements() {
+        // No spare and no disk: a unit refused has nowhere to go.
+        let (wire, servers, pager) = wave_sharded(config, width);
+        let (refuser, taker) = (ServerId(1), ServerId(0));
+        let grants = |server| pager.with_shard(0, |p| p.pool().granted_frames(server));
+        let unknown = |id| {
+            let reader = spawn(&pager, move |p| p.page_in(PageId(id)));
+            matches!(pumped(&wire, &reader), Err(RmpError::PageNotFound(_)))
+        };
+        for id in [0, 2] {
+            wire.state().refuse_store.push(refuser);
+            pager
+                .page_out(PageId(id), &Page::filled(1))
+                .expect("first placement");
+            wire.release_wave(width);
+            // The next operation on the page lands it: the units that were
+            // stored are released, and the page's own error is reported
+            // to it — or, for the second page, to the flush.
+            let reported = match id {
+                0 => pumped(&wire, &spawn(&pager, |p| p.page_in(PageId(0)))).map(drop),
+                _ => pumped(&wire, &spawn(&pager, |p| p.flush())),
+            };
+            assert!(
+                matches!(reported, Err(RmpError::ClusterFull)),
+                "got {reported:?}"
+            );
+            assert!(unknown(id), "page {id} outlived its failed placement");
+            pager.flush().expect("told twice");
+            let stored: Vec<usize> = servers.iter().map(|s| s.stored_pages()).collect();
+            assert_eq!(stored, vec![0; width], "page {id} left a unit stored");
+        }
+        // The refused grants went back; the others were used and freed.
+        assert_eq!(grants(refuser), grants(taker) + 2);
+        assert_eq!(pager.stats().pageouts, 0);
+    }
+}
+
 #[test]
 fn planners_wait_for_the_flight_to_land() {
     // Parity logging: a flush seals the pending group, in a wave.
@@ -495,18 +601,17 @@ fn fault(pager: &Arc<ShardedPager>, wire: &Wire, id: u64) {
 
 #[test]
 fn read_ahead_does_not_wait_for_a_sibling_shard() {
-    let (wires, pager) = two_faults_into_a_run(Policy::Mirroring, 9);
-    // A first placement is whole under its shard's lock: both copies of
+    let (wires, pager) = two_faults_into_a_run(Policy::Mirroring, 10);
+    // A free is whole under its shard's lock: the frees of both copies of
     // page 9 are on shard 1's wire, and shard 1 is locked until they land.
-    let page = Page::deterministic(9);
-    let writer = spawn(&pager, move |p| p.page_out(PageId(9), &page));
+    let freer = spawn(&pager, |p| p.free(PageId(9)));
     drop(wires[1].wait_for(2));
     // The fault on page 2 plans page 3, finds its shard taken, and
     // returns with its page all the same.
     fault(&pager, &wires[0], 2);
     drop(wires[1].wait_for(2));
     wires[1].release_wave(2);
-    joined(writer).expect("placement");
+    joined(freer).expect("free");
     assert_eq!(
         read_ahead(&pager, "issued"),
         [0, 0],

@@ -204,7 +204,9 @@ pub struct PagerConfig {
     /// on the wire at once — and, for a rebuild, stored in one wave,
     /// before the next chunk is touched. It bounds what the client holds
     /// of such work at a time, not a frame: every frame carries one page.
-    /// Clamped to 1..=64; `1` makes every chunk a lone read.
+    /// It is also the most pageouts a `ShardedPager` shard keeps landing
+    /// behind their callers (within a request window). Clamped to 1..=64;
+    /// `1` makes every chunk a lone read.
     pub batch_max_pages: usize,
     /// Stride-prefetch lookahead: the *cap* on how many predicted pages a
     /// refill fetches ahead of the faulting one, not its size — a run
