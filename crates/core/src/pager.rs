@@ -224,7 +224,8 @@ pub struct Pager {
     pending_recovery: VecDeque<ServerId>,
     /// The rebuild currently in flight, if any.
     active_plan: Option<RecoveryPlan>,
-    /// Decides what [`PagingDevice::page_in`] reads ahead; a front-end
+    /// Decides what [`PagingDevice::page_in`] reads ahead and what
+    /// [`PagingDevice::page_out`] reads behind; a front-end
     /// over several pagers decides for them all with a planner of its
     /// own (see [`crate::sharded`]) and calls [`Pager::read_ahead`].
     planner: Planner,
@@ -889,7 +890,9 @@ impl Pager {
     /// window alongside demand traffic — and harvested when ready.
     /// Whoever planned `pages` leaves out those with an operation under
     /// way. Failures are swallowed — a wrong guess must never fail, or
-    /// wait for, the demand fault that triggered it.
+    /// wait for, the demand fault that triggered it. A read-behind — a
+    /// looping page read back once its pageout is acknowledged — comes
+    /// through here too, one page long.
     pub(crate) fn read_ahead(&mut self, pages: impl Iterator<Item = PageId>) {
         // Pull in whatever read-ahead has landed since the last fault.
         self.harvest_prefetches(None);
@@ -1215,10 +1218,16 @@ impl PagingDevice for Pager {
     fn page_out(&mut self, id: PageId, page: &Page) -> Result<()> {
         let out = self.begin_page_out(id, page);
         out.writing.park();
-        match self.complete_page_out(out, page) {
+        let done = match self.complete_page_out(out, page) {
             ControlFlow::Break(done) => done,
             ControlFlow::Continue(failed) => self.retry_page_out(failed, page),
+        };
+        // A page the fault stream loops through is read back behind its
+        // acknowledged write, for the next lap to find.
+        if done.is_ok() && self.planner.loops(id) {
+            self.read_ahead(std::iter::once(id));
         }
+        done
     }
 
     fn page_in(&mut self, id: PageId) -> Result<Page> {

@@ -17,6 +17,15 @@
 //! page has followed twice running, a fault there plans it too, after
 //! the stride's pages, and one wrong guess unconfirms it.
 //!
+//! The same table says which pages the stream loops through
+//! ([`Planner::loops`]): a page with a confirmed successor will be
+//! faulted again on the next lap. A sweep restarts its window at one
+//! page, so the page it starts on would miss; instead, once such a
+//! page's pageout is acknowledged, its read follows its write on the
+//! same connection — *read-behind*, a plain read-ahead of one page — and
+//! the next lap finds it cached. A random stream confirms nothing, so
+//! nothing is read behind there.
+//!
 //! The *decision* to read ahead is taken once per fault stream, the
 //! *copies* are kept where the pages live: a lone `Pager` owns one
 //! planner, a `ShardedPager` one for all its shards, and either tells it
@@ -266,6 +275,13 @@ impl Planner {
     fn successor(&self, page: PageId) -> Option<PageId> {
         let (at, next, confirmed) = self.successors[page.0 as usize % SUCCESSORS]?;
         (at == page && confirmed).then_some(next)
+    }
+
+    /// Whether `page` sits in a loop the fault stream has repeated: it
+    /// has a confirmed successor, so the next lap will fault it again.
+    /// A pageout of such a page is read back behind its write.
+    pub fn loops(&self, page: PageId) -> bool {
+        self.cap > 0 && self.successor(page).is_some()
     }
 
     /// Forgets the trace, the run and the successors (placement changed
@@ -549,20 +565,61 @@ mod tests {
     #[test]
     fn a_uniform_trace_seldom_plans_a_successor() {
         let mut planner = Planner::new(8);
-        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
         let mut planned = 0;
-        for _ in 0..100_000 {
-            // xorshift64
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let plan = planner.plan(PageId(x % 4096), false, |_| true);
+        for id in uniform(0x9e37_79b9_7f4a_7c15, 4096).take(100_000) {
+            let plan = planner.plan(PageId(id), false, |_| true);
             planned += usize::from(plan.is_some_and(|p| p.then.is_some()));
         }
         assert!(
             planned < 100,
             "{planned} of 100,000 faults planned a successor"
         );
+    }
+
+    /// xorshift64 from `seed`: a uniform stream of pages below `pages`.
+    fn uniform(seed: u64, pages: u64) -> impl Iterator<Item = u64> {
+        let mut x = seed;
+        std::iter::repeat_with(move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % pages
+        })
+    }
+
+    /// Feeds `trace` as misses; the pages below 8,192 the planner then
+    /// says loop.
+    fn looping(planner: &mut Planner, trace: impl IntoIterator<Item = u64>) -> Vec<u64> {
+        for id in trace {
+            planner.plan(PageId(id), false, |_| true);
+        }
+        (0..8192).filter(|&id| planner.loops(PageId(id))).collect()
+    }
+
+    #[test]
+    fn a_sweep_loops_once_it_has_repeated() {
+        let mut planner = Planner::new(8);
+        assert_eq!(looping(&mut planner, 1..=8), [], "one lap");
+        // Two laps confirm every step along the sweep; the wrap 8 → 1,
+        // seen once, is confirmed by the third lap's first fault.
+        assert_eq!(looping(&mut planner, 1..=8), [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(looping(&mut planner, [1]), [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(!Planner::new(0).loops(PageId(1)), "no window, no loop");
+    }
+
+    #[test]
+    fn a_uniform_stream_loops_nowhere() {
+        let mut planner = Planner::new(8);
+        let trace: Vec<u64> = uniform(0x9e37_79b9_7f4a_7c15, 4096).take(20_000).collect();
+        assert_eq!(looping(&mut planner, trace), []);
+    }
+
+    #[test]
+    fn two_interleaved_random_streams_loop_nowhere() {
+        let mut planner = Planner::new(8);
+        let (a, b) = (uniform(7, 4096), uniform(11, 4096).map(|p| p + 4096));
+        let trace: Vec<u64> = a.zip(b).flat_map(|(a, b)| [a, b]).take(20_000).collect();
+        assert_eq!(looping(&mut planner, trace), []);
     }
 
     #[test]

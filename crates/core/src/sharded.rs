@@ -41,6 +41,18 @@
 //! keyed `PageIn` frame of its own on the request window, which
 //! allocates nothing but the page.
 //!
+//! The same table says which pages the stream loops through, and a
+//! pageout of one is **read behind**: `page_out` asks the planner —
+//! holding no shard lock, and only if nobody holds the planner — whether
+//! the page has a confirmed successor; if so, once the write is acked,
+//! the shard reads the page back through `Pager::read_ahead`, for the
+//! next lap's fault to find cached. After a whole pageout that is at
+//! once; a landing records the answer and reads as it lands — unless
+//! the page's own next operation lands it, which reads or rewrites the
+//! page anyway. The read follows an acknowledged write, so it never
+//! comes from a store that may still fail and is checked against the
+//! checksum that write committed.
+//!
 //! # Begin, park, complete
 //!
 //! No shard lock is held across the wire. `page_in` and `page_out` are
@@ -282,6 +294,9 @@ impl Flights {
 struct Landing {
     out: PageOutFlight,
     page: Page,
+    /// Whether the page is read back once it has landed (read-behind),
+    /// as the front door decided when it left.
+    behind: bool,
 }
 
 /// The most pageouts a shard keeps landing. Each holds its page and
@@ -361,7 +376,11 @@ impl Shard {
             let full = flights.landings.len() >= landing_room(pager);
             let due = |l: &Landing| full || l.out.writing.is_ready();
             let oldest = || flights.landings.first().filter(|l| due(l)).map(|_| 0);
-            if let Some(at) = flights.landing(id).or_else(oldest) {
+            let own = flights.landing(id);
+            if let Some(at) = own.or_else(oldest) {
+                // `id`'s own operation is about to read or rewrite it:
+                // nothing to read behind.
+                flights.landings[at].behind &= own.is_none();
                 self.land(guard, at);
                 continue;
             }
@@ -403,17 +422,21 @@ impl Shard {
 
     /// Lands landing `at`: waits for its replies holding no lock, if they
     /// are not in — a wait for a flight like any other — and completes
-    /// it. A failure is kept for the page's next operation, or the next
-    /// flush.
+    /// it, reading the page behind it if it was left so. A failure is
+    /// kept for the page's next operation, or the next flush.
     fn land(&self, guard: ShardGuard<'_>, at: usize) {
-        let (mut turn, Landing { out, page }) = self.claim(guard, at);
+        let (mut turn, Landing { out, page, behind }) = self.claim(guard, at);
         if !out.writing.is_ready() {
             turn.pager().note_flight_wait();
             turn.parked(|| out.writing.park());
         }
-        if let Err(e) = turn.complete_page_out(out, &page) {
-            let id = turn.id;
-            turn.flights().failed.push((id, e));
+        match turn.complete_page_out(out, &page) {
+            Ok(()) if behind => turn.read_behind(),
+            Ok(()) => {}
+            Err(e) => {
+                let id = turn.id;
+                turn.flights().failed.push((id, e));
+            }
         }
     }
 
@@ -497,11 +520,18 @@ impl Turn<'_> {
     }
 
     /// Leaves the pageout `out` of `page` landing: its caller may return.
-    fn leave(&mut self, out: PageOutFlight, page: &Page) {
+    fn leave(&mut self, out: PageOutFlight, page: &Page, behind: bool) {
         let flights = self.flights();
         let page = page.clone();
-        flights.landings.push(Landing { out, page });
+        flights.landings.push(Landing { out, page, behind });
         flights.on_wire += 1;
+    }
+
+    /// Reads the page back behind its acknowledged pageout: a read-ahead
+    /// of one page, under the page's own turn.
+    fn read_behind(&mut self) {
+        let id = self.id;
+        self.pager().read_ahead(std::iter::once(id));
     }
 }
 
@@ -628,16 +658,21 @@ impl ShardedPager {
     /// pageout of `id` failed with as it landed, and then `page` is not
     /// written.
     pub fn page_out(&self, id: PageId, page: &Page) -> Result<()> {
+        let behind = self.loops(id);
         let mut turn = self.shard(id).enter_to_write(id)?;
         let out = turn.pager().begin_page_out(id, page);
         let done = if out.writing.left() {
-            turn.leave(out, page);
+            turn.leave(out, page, behind);
             Ok(())
         } else {
             if out.writing.on_wire() {
                 turn.parked(|| out.writing.park());
             }
-            turn.complete_page_out(out, page)
+            let done = turn.complete_page_out(out, page);
+            if behind && done.is_ok() {
+                turn.read_behind();
+            }
+            done
         };
         self.end_turn(turn);
         done
@@ -688,6 +723,18 @@ impl ShardedPager {
             let (pager, flights) = &mut *guard;
             let idle = |&p: &PageId| !flights.busy.contains(&p) && flights.landing(p).is_none();
             pager.read_ahead(held.filter(idle));
+        }
+    }
+
+    /// Whether `id` sits in a loop the fault stream has repeated, so that
+    /// its pageout is read behind (see the [module docs](self#read-ahead)).
+    /// Asked holding no shard lock, and of a planner nobody holds:
+    /// speculation never waits.
+    fn loops(&self, id: PageId) -> bool {
+        match self.planner.try_lock() {
+            Ok(planner) => planner.loops(id),
+            Err(TryLockError::Poisoned(planner)) => planner.into_inner().loops(id),
+            Err(TryLockError::WouldBlock) => false,
         }
     }
 
@@ -1058,6 +1105,78 @@ mod tests {
         pager.with_shard(0, |p| p.pool_mut().absolve(gone));
         pager.page_in(PageId(1)).expect("in");
         assert!(!dead_on(0) && dead_on(1));
+    }
+
+    #[test]
+    fn a_read_behind_leaves_a_dead_backing_off_or_gray_holder_alone() {
+        use crate::chaos::{FaultAction, FaultRule, OpFilter};
+        use std::time::Duration;
+        let config = PagerConfig::new(Policy::Mirroring).with_shard_count(1);
+        let cluster = ChaosCluster::new(2, FaultPlan::seeded(1));
+        let pager = (ShardedPager::builder(config).pools(vec![cluster.pool(&Default::default())]))
+            .build()
+            .expect("one shard");
+        let id = PageId(0);
+        pager.page_out(id, &Page::filled(1)).expect("placed");
+        let read = || assert_eq!(pager.page_in(id).expect("in"), Page::filled(1));
+        read();
+        // What `id`'s read-behind moved `pager_prefetch_{issued,
+        // skipped_gray}_total` by.
+        let shard = &pager.shards[0];
+        let behind = || {
+            let mut turn = shard.enter(id).expect("no landing failed");
+            let counts = |turn: &mut Turn<'_>| {
+                let metrics = turn.pager().metrics();
+                let names = [
+                    "pager_prefetch_issued_total",
+                    "pager_prefetch_skipped_gray_total",
+                ];
+                names.map(|name| metrics.counter(name).get())
+            };
+            let before = counts(&mut turn);
+            turn.read_behind();
+            let after = counts(&mut turn);
+            [after[0] - before[0], after[1] - before[1]]
+        };
+        assert_eq!(behind(), [1, 0], "a healthy holder is read");
+        read();
+        // The holder's read is lost once: it backs off, and the read goes
+        // around it.
+        cluster.plan().inject(
+            FaultRule::new(FaultAction::Drop)
+                .on_ops(OpFilter::Op(rmp_proto::Opcode::PageIn))
+                .times(1),
+        );
+        cluster.plan().arm();
+        read();
+        let backing_off = |p: &mut Pager| {
+            (0..2)
+                .map(ServerId)
+                .find(|&s| p.pool().backoff(s).is_some())
+        };
+        let holder = pager
+            .with_shard(0, backing_off)
+            .expect("the holder backs off");
+        assert_eq!(behind(), [0, 0], "a backing-off holder was read");
+        pager.with_shard(0, |p| p.pool_mut().declare_dead(holder, "test"));
+        assert_eq!(behind(), [0, 0], "a dead holder was read");
+        pager.with_shard(0, |p| p.pool_mut().absolve(holder));
+        // Fast replies set the holder's baseline; then every one is late.
+        (0..3).for_each(|_| read());
+        cluster.plan().inject(
+            FaultRule::new(FaultAction::Delay(Duration::from_millis(20)))
+                .on_server(holder)
+                .on_ops(OpFilter::DataOps),
+        );
+        let gray = |p: &mut Pager| p.pool().looks_gray(holder);
+        for _ in 0..20 {
+            if pager.with_shard(0, gray) {
+                break;
+            }
+            read();
+        }
+        assert!(pager.with_shard(0, gray), "the holder never looked gray");
+        assert_eq!(behind(), [0, 1], "a gray holder was read");
     }
 
     #[test]

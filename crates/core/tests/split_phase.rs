@@ -15,10 +15,11 @@
 //! a page of copies and for a coded stripe alike.
 //!
 //! Read-ahead is decided at the front door and issued into whichever
-//! shard holds the page; the last three tests pin that it waits for
+//! shard holds the page; the last four tests pin that it waits for
 //! nothing on the way — not for a sibling shard's lock, not for a page
-//! with an operation under way — and that a write still voids a copy it
-//! overtakes.
+//! with an operation under way — that a write still voids a copy it
+//! overtakes, and that a looping page is read behind its landing only
+//! once the store has acked.
 
 mod support;
 
@@ -27,6 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rmp_core::{Pager, RecoveryReport, ShardedPager};
+use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId};
 
 use support::*;
@@ -672,6 +674,65 @@ fn a_pageout_voids_the_read_ahead_it_overtakes_on_another_shard() {
     answer(held_back(&wires[1]));
     assert_eq!(joined(reader).expect("pagein"), Page::filled(7));
     assert_eq!(read_ahead(&pager, "hits"), [0, 0]);
+    let stats = pager.stats();
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
+#[test]
+fn a_landing_reads_its_looping_page_behind_only_once_the_write_has_acked() {
+    let (wires, _servers, pager) = wave_shards(PagerConfig::new(Policy::NoReliability), 2);
+    let wire = &wires[0];
+    placed(wire, &pager, &[0, 2]);
+    // Faults 0, 2, 0, 2: page 0 is followed by page 2 twice running, so
+    // it loops. Nothing is read ahead: no stride, and 2's successor is
+    // not confirmed yet.
+    for id in [0, 2, 0, 2] {
+        fault(&pager, wire, id);
+    }
+    assert_eq!(read_ahead(&pager, "issued"), [0, 0]);
+    // The rewrite returns with its store on the wire, and nothing else.
+    pager
+        .page_out(PageId(0), &Page::filled(5))
+        .expect("rewrite");
+    let ack = held_back(wire);
+    assert_eq!(reply_to(&ack.replies[0]), Opcode::PageOut);
+    let stats = spawn(&pager, |p| p.stats());
+    until_waiting(&pager, 1);
+    assert!(
+        wire.state().flying.is_empty(),
+        "the read went out before the write's reply"
+    );
+    // Once the store has acked the landing lands, and the page's read
+    // follows its write.
+    answer(ack);
+    let behind = held_back(wire);
+    assert_eq!(reply_to(&behind.replies[0]), Opcode::PageIn);
+    assert_eq!(read_ahead(&pager, "issued"), [1, 0]);
+    joined(stats);
+    answer(behind);
+    // The next lap's fault finds it cached, verified against the
+    // checksum the write committed.
+    assert_eq!(pager.page_in(PageId(0)).expect("a hit"), Page::filled(5));
+    assert_eq!(read_ahead(&pager, "hits"), [1, 0]);
+    // It planned 2, its successor: answer that read too.
+    std::mem::take(&mut wire.state().flying)
+        .into_iter()
+        .for_each(answer);
+    // A landing its own page's next operation lands is not read behind:
+    // that operation reads or rewrites the page anyway.
+    let issued = read_ahead(&pager, "issued");
+    pager
+        .page_out(PageId(0), &Page::filled(6))
+        .expect("rewrite");
+    let ack = held_back(wire);
+    let waits = flight_waits(&pager);
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    until_waiting(&pager, waits + 1);
+    answer(ack);
+    let demand = held_back(wire);
+    assert_eq!(read_ahead(&pager, "issued"), issued, "read behind");
+    answer(demand);
+    assert_eq!(joined(reader).expect("pagein"), Page::filled(6));
     let stats = pager.stats();
     assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
 }
