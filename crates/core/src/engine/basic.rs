@@ -217,7 +217,9 @@ impl Engine for BasicParity {
             // declared dead without losing its memory — is the page, and a
             // rebuild would overwrite it with whatever a write the parity
             // never heard of (one whose delta failed) left in its stripe.
-            let held: HashSet<StoreKey> = ctx.pool.list_keys(server)?.into_iter().collect();
+            // The rebuild's grants ride the listing.
+            let held: HashSet<StoreKey> =
+                ctx.pool.list_keys_granting(server)?.into_iter().collect();
             let lost = self.map.recovery_plan(server)?.into_iter();
             lost.filter(|plan| !held.contains(&plan.lost.key))
                 .map(|mut plan| {

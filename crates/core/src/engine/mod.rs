@@ -283,6 +283,15 @@ impl Writing {
         }
     }
 
+    /// Sends its frames if their connections hold them.
+    pub(crate) fn push(&self) {
+        match self {
+            Begun::One(flight) | Begun::Around(flight) => flight.push(),
+            Begun::Many(wave) => wave.push(),
+            Begun::Done(_) => {}
+        }
+    }
+
     /// Whether collecting it will not block.
     pub fn is_ready(&self) -> bool {
         match self {

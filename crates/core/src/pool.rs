@@ -196,10 +196,28 @@ struct Burst {
     server: ServerId,
     /// This burst's frames, as positions in the wave's grouped order.
     at: Range<usize>,
-    submitted: Instant,
+    /// When it was submitted, and once it has been written, when it was:
+    /// the instant its read deadline and its latency count from.
+    sent: Instant,
     /// The handle on the burst's replies, or why it never left; `None`
     /// while the server backs off: the burst leaves when collected.
     pending: Option<Result<PendingReplies>>,
+}
+
+impl Burst {
+    /// Sends the burst if its connection holds it, and notes when it left.
+    fn depart(&mut self) {
+        self.sent = depart(&self.pending, self.sent);
+    }
+}
+
+/// Sends `pending` if its connection holds it, and returns when it left:
+/// when it was `submitted`, or the write that sent it, if later.
+fn depart(pending: &Option<Result<PendingReplies>>, submitted: Instant) -> Instant {
+    match pending {
+        Some(Ok(pending)) => pending.push().map_or(submitted, |at| at.max(submitted)),
+        _ => submitted,
+    }
 }
 
 /// Requests on the wire to several servers at once: a
@@ -214,19 +232,29 @@ pub struct Wave {
     /// The requests, in `order`.
     msgs: Vec<Message>,
     bursts: Vec<Burst>,
-    /// Taken before the first submit: the one read deadline and the one
-    /// retry budget of the whole wave count from here.
-    started: Instant,
-    read_deadline: Instant,
+    /// The read timeout: each burst's deadline is this long after it left.
+    timeout: Duration,
 }
 
 impl Wave {
+    /// Sends every burst its connection holds.
+    pub(crate) fn push(&self) {
+        for burst in &self.bursts {
+            depart(&burst.pending, burst.sent);
+        }
+    }
+
     /// Blocks until every reply is in or the read deadline passes,
     /// taking none: the collecting half then does not wait, so a caller
-    /// that parks first can hold no lock meanwhile.
+    /// that parks first can hold no lock meanwhile. Every burst leaves
+    /// before the first wait: one still held would wait out the replies
+    /// of those before it.
     pub fn park(&self) {
-        for pending in self.bursts.iter().flat_map(|b| b.pending.iter().flatten()) {
-            pending.park(self.read_deadline);
+        self.push();
+        for burst in &self.bursts {
+            if let Some(Ok(pending)) = &burst.pending {
+                pending.park(depart(&burst.pending, burst.sent) + self.timeout);
+            }
         }
     }
 }
@@ -239,9 +267,10 @@ pub struct Flight {
     server: ServerId,
     key: StoreKey,
     request: Message,
-    submitted: Instant,
-    /// The read deadline, counted from the submit.
-    deadline: Instant,
+    /// As [`Burst`]'s.
+    sent: Instant,
+    /// The read timeout, counted from `sent`.
+    timeout: Duration,
     /// The handle on the reply, or why the frame never left; `None` while
     /// the server backs off: the frame leaves when collected.
     pending: Option<Result<PendingReplies>>,
@@ -251,8 +280,18 @@ impl Flight {
     /// As [`Wave::park`]; a frame that never left is not waited for.
     pub fn park(&self) {
         if let Some(Ok(pending)) = &self.pending {
-            pending.park(self.deadline);
+            pending.park(depart(&self.pending, self.sent) + self.timeout);
         }
+    }
+
+    /// As [`Wave::push`].
+    pub(crate) fn push(&self) {
+        depart(&self.pending, self.sent);
+    }
+
+    /// As [`Burst::depart`].
+    fn depart(&mut self) {
+        self.sent = depart(&self.pending, self.sent);
     }
 
     /// Whether collecting it will not block: the reply is in, or the
@@ -309,6 +348,11 @@ impl StoreWave {
     /// As [`Wave::park`].
     pub fn park(&self) {
         self.wave.park();
+    }
+
+    /// As [`Wave::push`].
+    pub(crate) fn push(&self) {
+        self.wave.push();
     }
 
     /// As [`Flight::left`], for every burst.
@@ -1067,46 +1111,50 @@ impl ServerPool {
         if let Some(m) = &self.metrics {
             m.calls.inc();
         }
-        let submitted = Instant::now();
+        let sent = Instant::now();
         Flight {
             pending: (self.ready(id)).then(|| self.submit_to(id, std::slice::from_ref(&request))),
             server: id,
             key,
             request,
-            submitted,
-            deadline: submitted + self.transport_cfg.read_timeout,
+            sent,
+            timeout: self.transport_cfg.read_timeout,
         }
     }
 
     /// Collects a flight's reply and books it with its own
-    /// submit-to-arrival time — never with how long the caller took to
-    /// come back for it: a wait for a lock is not a slow server. Returns
-    /// that time too: a failure is not yet sampled, what a miss costs
-    /// being the caller's to say. A frame held back — its server backing
-    /// off when it began, or a later rung of the ladder — leaves now, once
-    /// the rung is due (`by` at the latest).
+    /// departure-to-arrival time — never with how long the caller took to
+    /// come back for it, nor with how long its connection held it: a wait
+    /// for a lock is not a slow server. Returns that time too: a failure
+    /// is not yet sampled, what a miss costs being the caller's to say. A
+    /// frame held back — its server backing off when it began, or a later
+    /// rung of the ladder — leaves now, once the rung is due (`by` at the
+    /// latest).
     fn land(&mut self, flight: &mut Flight, by: Instant) -> (Result<Message>, Duration) {
         let id = flight.server;
-        let pending = flight.pending.take().unwrap_or_else(|| {
+        if flight.pending.is_none() {
             self.climb(id, by);
-            flight.submitted = Instant::now();
-            flight.deadline = flight.submitted + self.transport_cfg.read_timeout;
-            self.submit_to(id, std::slice::from_ref(&flight.request))
-        });
-        let (reply, arrived) = match pending {
-            Ok(mut pending) => (pending.next_by(flight.deadline)).expect("one frame, one reply"),
-            Err(refused) => (Err(refused), flight.submitted),
+            flight.sent = Instant::now();
+            flight.pending = Some(self.submit_to(id, std::slice::from_ref(&flight.request)));
+        }
+        flight.depart();
+        let deadline = flight.sent + flight.timeout;
+        let (reply, arrived) = match flight.pending.take().expect("submitted") {
+            Ok(mut pending) => (pending.next_by(deadline)).expect("one frame, one reply"),
+            Err(refused) => (Err(refused), flight.sent),
         };
-        let elapsed = (arrived.min(flight.deadline)).saturating_duration_since(flight.submitted);
+        let elapsed = (arrived.min(deadline)).saturating_duration_since(flight.sent);
         let answered = reply.is_ok().then(|| flight.request.is_data_op());
         self.book(id, elapsed, answered);
         (reply, elapsed)
     }
 
     /// The second half of a call: a failed flight goes on down the
-    /// ladder, within the budget counted from when it began.
+    /// ladder, within the budget counted from when it began — or, if its
+    /// connection held it, from when it left.
     fn settle(&mut self, mut flight: Flight) -> Result<Message> {
-        let by = self.budget_end(flight.submitted);
+        flight.depart();
+        let by = self.budget_end(flight.sent);
         let landed = self.land(&mut flight, by);
         self.ladder(flight, landed, by)
     }
@@ -1128,7 +1176,6 @@ impl ServerPool {
             m.scatters.inc();
             m.scatter_legs.add(legs.len() as u64);
         }
-        let started = Instant::now();
         let mut bursts: Vec<Burst> = Vec::new();
         let mut at = 0;
         while at < order.len() {
@@ -1141,12 +1188,12 @@ impl ServerPool {
             if let Some(m) = &self.metrics {
                 m.calls.inc();
             }
-            let submitted = Instant::now();
+            let sent = Instant::now();
             let pending = (self.ready(server)).then(|| self.submit_to(server, &msgs[at..end]));
             bursts.push(Burst {
                 server,
                 at: at..end,
-                submitted,
+                sent,
                 pending,
             });
             at = end;
@@ -1155,39 +1202,41 @@ impl ServerPool {
             order,
             msgs,
             bursts,
-            started,
-            read_deadline: started + self.transport_cfg.read_timeout,
+            timeout: self.transport_cfg.read_timeout,
         }
     }
 
-    /// The second half of [`ServerPool::scatter`]: collects each leg's
-    /// reply against the wave's one deadline, samples each burst, and
-    /// walks the ladder for the legs that came back failed. A burst held
-    /// back while its server backed off leaves now, once the rung is due,
-    /// with a read deadline of its own.
+    /// The second half of [`ServerPool::scatter`]: sends every burst its
+    /// connection holds, then collects each leg's reply against its
+    /// burst's read deadline — the wave's one deadline, bursts leaving
+    /// together — samples each burst, and walks the ladder for the legs
+    /// that came back failed. A burst held back while its server backed
+    /// off leaves now, once the rung is due, with a read deadline of its
+    /// own.
     fn finish_scatter(&mut self, wave: Wave) -> Vec<Result<Message>> {
         let Wave {
             order,
             mut msgs,
-            bursts,
-            started,
-            read_deadline,
+            mut bursts,
+            timeout,
         } = wave;
-        let budget = self.budget_end(started);
+        bursts.iter_mut().for_each(Burst::depart);
+        let begun = bursts.iter().map(|b| b.sent).min();
+        let budget = self.budget_end(begun.unwrap_or_else(Instant::now));
         let mut out: Vec<Result<Message>> = (order.iter())
             .map(|_| Err(RmpError::Unsupported("leg left uncollected")))
             .collect();
         for mut burst in bursts {
             let id = burst.server;
-            let mut read_deadline = read_deadline;
-            let pending = burst.pending.take().unwrap_or_else(|| {
+            if burst.pending.is_none() {
                 self.climb(id, budget);
-                burst.submitted = Instant::now();
-                read_deadline = burst.submitted + self.transport_cfg.read_timeout;
-                self.submit_to(id, &msgs[burst.at.clone()])
-            });
-            let mut arrived = burst.submitted;
-            match pending {
+                burst.sent = Instant::now();
+                burst.pending = Some(self.submit_to(id, &msgs[burst.at.clone()]));
+                burst.depart();
+            }
+            let read_deadline = burst.sent + timeout;
+            let mut arrived = burst.sent;
+            match burst.pending.take().expect("submitted") {
                 Ok(mut pending) => {
                     for at in burst.at.clone() {
                         let (reply, when) = pending.next_by(read_deadline).unwrap_or_else(|| {
@@ -1208,7 +1257,7 @@ impl ServerPool {
                     }
                 }
             }
-            let elapsed = arrived - burst.submitted;
+            let elapsed = arrived.saturating_duration_since(burst.sent);
             let lost =
                 (burst.at.clone()).any(|at| matches!(&out[order[at]], Err(e) if is_transient(e)));
             let data_path = msgs[burst.at.clone()].iter().any(Message::is_data_op);
@@ -1234,8 +1283,8 @@ impl ServerPool {
                         server: id,
                         key: StoreKey(0),
                         request,
-                        submitted: burst.submitted,
-                        deadline: read_deadline,
+                        sent: burst.sent,
+                        timeout,
                         pending: None,
                     };
                     self.ladder(flight, (Err(failed), elapsed), budget)
@@ -1299,7 +1348,18 @@ impl ServerPool {
                 return Ok(());
             }
         }
-        match self.call(id, Message::Alloc { pages: ALLOC_CHUNK })? {
+        let reply = self.call(id, Message::Alloc { pages: ALLOC_CHUNK })?;
+        self.granted(id, reply)?;
+        if let Some(peer) = self.peers.get_mut(&id) {
+            peer.grants -= 1;
+        }
+        Ok(())
+    }
+
+    /// Books the reply to an allocation on `id`: its frames join the
+    /// grants, or a denial marks the server stop-sending.
+    fn granted(&mut self, id: ServerId, reply: Message) -> Result<()> {
+        match reply {
             Message::AllocReply { granted, hint } => {
                 self.apply_hint(id, hint);
                 if granted == 0 {
@@ -1309,7 +1369,7 @@ impl ServerPool {
                     return Err(RmpError::NoSpace(id));
                 }
                 if let Some(peer) = self.peers.get_mut(&id) {
-                    peer.grants = granted - 1;
+                    peer.grants += granted;
                 }
                 Ok(())
             }
@@ -1491,7 +1551,7 @@ impl ServerPool {
     /// fetch that fails is simply dropped. A demand read hands its failure
     /// on to `ServerPool::missed`, which puts the holder on its rung.
     pub fn finish_page_in_unretried(&mut self, mut flight: Flight) -> Result<Option<Page>> {
-        let (id, key, by) = (flight.server, flight.key, self.budget_end(flight.submitted));
+        let (id, key, by) = (flight.server, flight.key, self.budget_end(flight.sent));
         let (reply, elapsed) = self.land(&mut flight, by);
         self.last_attempts = 1;
         if reply.is_err() {
@@ -1659,10 +1719,39 @@ impl ServerPool {
     ///
     /// [`RmpError::ServerCrashed`] on connection failure.
     pub fn list_keys(&mut self, id: ServerId) -> Result<Vec<StoreKey>> {
+        self.listing(id, false)
+    }
+
+    /// As [`ServerPool::list_keys`], for a server about to be written:
+    /// when the pool holds no grant on it, an allocation rides the first
+    /// page of the listing, so the stores that follow — a rebuild onto a
+    /// rebooted server — wait for no round trip of their own to get their
+    /// frames. A denied allocation is left for the first store to meet.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServerPool::list_keys`].
+    pub(crate) fn list_keys_granting(&mut self, id: ServerId) -> Result<Vec<StoreKey>> {
+        self.listing(id, self.granted_frames(id) == 0)
+    }
+
+    fn listing(&mut self, id: ServerId, mut grant: bool) -> Result<Vec<StoreKey>> {
         let mut keys = Vec::new();
         let mut start = StoreKey(0);
         loop {
-            match self.call(id, Message::ListPages { start, limit: 512 })? {
+            let list = Message::ListPages { start, limit: 512 };
+            let listed = if std::mem::take(&mut grant) {
+                let alloc = Message::Alloc { pages: ALLOC_CHUNK };
+                let mut replies = self.scatter(vec![(id, list), (id, alloc)]).into_iter();
+                let listed = replies.next().expect("a reply per leg");
+                if let Some(Ok(reply)) = replies.next() {
+                    let _ = self.granted(id, reply);
+                }
+                listed?
+            } else {
+                self.call(id, list)?
+            };
+            match listed {
                 Message::ListPagesReply { ids, more } => {
                     if let Some(&last) = ids.last() {
                         start = last.next();

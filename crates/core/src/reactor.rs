@@ -5,13 +5,23 @@
 //! request, so a single client thread can never keep more than one frame
 //! on the wire. Every pool connection instead carries a window: requests
 //! are wrapped in seq-tagged [`Message::Windowed`] envelopes, the
-//! submitting thread encodes a burst into the transport's one reusable
+//! submitting thread encodes a burst into the connection's one reusable
 //! buffer, reserves window slots under the shared lock and writes the
 //! burst itself (one `write`, outside the lock), and each reply — which
 //! may arrive out of order — is matched back to its per-call completion
 //! slot by seq. Submission is decoupled from completion, so demand
 //! pageins, prefetch batches, recovery fetches, and pageouts all overlap
 //! on one connection while `Pager`'s synchronous API stays untouched.
+//!
+//! A burst of only stores and frees — a split-phase pageout nobody waits
+//! for yet — gets its seqs and slots but is *held*: its bytes stay in the
+//! buffer, and leave, in submission order, in one write with the next
+//! burst that is not all stores and frees; before any caller blocks on
+//! the connection (a wait on a reply, a window-full stall), sends a bare
+//! frame or tears it down; or once [`HOLD_MAX`] bytes would be held. A
+//! pageout then costs no `write` and no server wake-up of its own. A
+//! poll sends nothing, and a frame's read deadline counts from the write
+//! that sent it.
 //!
 //! No thread exists to read the socket. A caller that has to wait for a
 //! reply takes the connection's read side if nobody holds it (it leads),
@@ -29,11 +39,14 @@
 //! [`WindowStats::stalls`]) until a completion frees a slot, bounding both
 //! client memory and server queue depth.
 //!
-//! Lock order: `Shared::reader` before `Shared::inner` before any
-//! `Slot::state`. A leader completes replies under `inner` while it holds
-//! `reader`; submitters take `inner` alone; a follower takes its slot's
-//! lock alone and releases it before it tries `reader`, or `inner` to
-//! abandon a timed-out seq.
+//! Lock order: `Shared::writer` before `Shared::reader` before
+//! `Shared::inner` before any slot lock. Every socket write goes through
+//! `writer` — a submitter's, and a waiter's sending what is held before
+//! it waits — and it is never taken under another lock. A leader
+//! completes replies under `inner` while it holds `reader`; a submitter
+//! takes `inner` under `writer`, and lets go of it to write; a follower
+//! takes its slot's lock alone and releases it before it tries `reader`,
+//! or `inner` to abandon a timed-out seq.
 //!
 //! # Examples
 //!
@@ -72,6 +85,12 @@ use crate::transport::ServerTransport;
 /// slot: the socket's `SO_RCVTIMEO`, set again only when a deadline
 /// closer than this shortens it. Data arrival wakes the reader at once.
 const READ_TICK: Duration = Duration::from_millis(100);
+
+/// The most bytes of stores and frees a connection holds back for the
+/// next write: about four whole pages. A read that takes held stores
+/// along is answered after the server has stored them; held without
+/// bound, a random read mix's pageins and set-up slowed by 4-10 %.
+pub const HOLD_MAX: usize = 32 * 1024;
 
 /// Cumulative counters of one windowed connection, snapshotted by
 /// [`WindowedTransport::stats`]. Counters reset when the connection is
@@ -128,10 +147,14 @@ impl Dead {
 /// abandoned or failed with its connection — which is what lets
 /// [`WindowedTransport::spare_slot`] hand a slot out again as soon as
 /// its handle is dropped.
+///
+/// A slot also records when its frame's bytes were written: a frame the
+/// connection holds back has not left, and its read deadline does not run.
 #[derive(Default)]
 struct Slot {
     state: Mutex<Option<Arrived>>,
     cv: Condvar,
+    sent: Mutex<Option<Instant>>,
 }
 
 type Arrived = (Result<Message>, Instant);
@@ -139,6 +162,15 @@ type Arrived = (Result<Message>, Instant);
 impl Slot {
     fn is_done(&self) -> bool {
         self.state.lock().expect("slot lock").is_some()
+    }
+
+    /// When the frame's bytes were written; `None` while they are held.
+    fn sent(&self) -> Option<Instant> {
+        *self.sent.lock().expect("slot lock")
+    }
+
+    fn set_sent(&self, at: Option<Instant>) {
+        *self.sent.lock().expect("slot lock") = at;
     }
 }
 
@@ -155,6 +187,20 @@ struct Reader {
     timeout: Duration,
 }
 
+/// The connection's write side: every write of the socket goes through
+/// it, a submitter's and a waiter's alike.
+struct Writer {
+    /// `None` with no socket behind the handles.
+    stream: Option<TcpStream>,
+    /// Frames with their seqs that have not been written: the stores and
+    /// frees the connection holds back, then, while a submitter holds the
+    /// writer, the burst it is putting on the window. One buffer for the
+    /// connection's life, so a submission allocates nothing for its frames.
+    wbuf: Vec<u8>,
+    /// The slots of the frames in `wbuf` that have their seqs, in order.
+    leaving: Vec<Arc<Slot>>,
+}
+
 struct Inner {
     /// In-flight seqs to their completion slots.
     pending: HashMap<u32, Arc<Slot>>,
@@ -169,6 +215,9 @@ struct Inner {
 }
 
 struct Shared {
+    /// Taken before `reader` and `inner`, never under either or a slot's
+    /// lock.
+    writer: Mutex<Writer>,
     inner: Mutex<Inner>,
     /// Wakes submitters stalled on a full window.
     space_cv: Condvar,
@@ -186,8 +235,13 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(window: usize, reader: Option<Reader>) -> Self {
+    fn new(window: usize, reader: Option<Reader>, stream: Option<TcpStream>) -> Self {
         Shared {
+            writer: Mutex::new(Writer {
+                stream,
+                wbuf: Vec::new(),
+                leaving: Vec::new(),
+            }),
             inner: Mutex::new(Inner {
                 pending: HashMap::new(),
                 inflight: 0,
@@ -211,6 +265,47 @@ impl Shared {
         self.inner.lock().expect("reactor lock")
     }
 
+    fn writer(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().expect("writer lock")
+    }
+
+    /// Whether `slot`'s frame is held: on the window, and written to no
+    /// socket yet. A handle with no socket behind it holds nothing.
+    fn holds(&self, slot: &Slot) -> bool {
+        self.reader.is_some() && slot.sent().is_none()
+    }
+
+    /// Writes whatever `w` holds.
+    fn send_all(&self, w: &mut Writer) -> Result<()> {
+        let sent = self.write_out(w, 0, w.wbuf.len());
+        w.wbuf.clear();
+        sent
+    }
+
+    /// Writes `w.wbuf[from..to]` — the frames of every slot in
+    /// `w.leaving` — and stamps those slots as gone. A dead connection
+    /// writes nothing, and a failed write kills it; either is the error.
+    fn write_out(&self, w: &mut Writer, from: usize, to: usize) -> Result<()> {
+        if from == to {
+            return Ok(());
+        }
+        let now = Instant::now();
+        for slot in w.leaving.drain(..) {
+            slot.set_sent(Some(now));
+        }
+        if let Some(dead) = &self.lock().dead {
+            return Err(dead.to_error());
+        }
+        let Some(stream) = &w.stream else {
+            return Ok(());
+        };
+        write_burst(stream, &w.wbuf[from..to]).map_err(|e| {
+            let mut inner = self.lock();
+            self.write_failed(&mut inner, stream, &e);
+            RmpError::Io(e)
+        })
+    }
+
     /// Wakes whoever sleeps on `cv`, if anybody might.
     fn wake(&self, cv: &Condvar) {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
@@ -226,6 +321,11 @@ impl Shared {
     /// Blocks until `slot` holds its result or `deadline` passes, reading
     /// the connection itself whenever nobody else is.
     fn settle<'s>(&self, slot: &'s Slot, deadline: Instant) -> MutexGuard<'s, Option<Arrived>> {
+        if self.holds(slot) {
+            // Its frame is held: it leaves before anybody waits for it.
+            // A failure is in the slot by now.
+            let _ = self.send_all(&mut self.writer());
+        }
         loop {
             self.sleepers.fetch_add(1, Ordering::SeqCst);
             let mut state = slot.state.lock().expect("slot lock");
@@ -483,7 +583,7 @@ pub(crate) fn lost_with_its_burst() -> RmpError {
 /// Writes a burst of encoded frames to the blocking socket — one
 /// `write(2)` unless the send buffer takes it in pieces.
 ///
-/// Called by the submitting thread only, never while holding
+/// Called under [`Shared::writer`] only, never while holding
 /// [`Shared::inner`]: a blocking write that stalled on a full send buffer
 /// while holding the lock would wedge the reader (which needs the lock to
 /// complete replies) and deadlock the connection. The socket's
@@ -511,30 +611,6 @@ fn write_burst(mut stream: &TcpStream, mut frames: &[u8]) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Releases the lock, writes `frames` to the socket, and re-acquires the
-/// lock; a write failure kills the connection (the caller observes
-/// `inner.dead`). See [`write_burst`] for why the write must not happen
-/// under the lock.
-fn flush<'a>(
-    shared: &'a Shared,
-    stream: Option<&TcpStream>,
-    inner: MutexGuard<'a, Inner>,
-    frames: &[u8],
-) -> MutexGuard<'a, Inner> {
-    drop(inner);
-    let result = match stream {
-        Some(stream) => write_burst(stream, frames),
-        // No stream means the handshake failed and `dead` is already
-        // installed; the caller's dead-check surfaces it.
-        None => Ok(()),
-    };
-    let mut inner = shared.lock();
-    if let (Err(e), Some(stream)) = (result, stream) {
-        shared.write_failed(&mut inner, stream, &e);
-    }
-    inner
 }
 
 /// Replies still owed for a batch of submitted frames.
@@ -630,7 +706,7 @@ impl PendingReplies {
     /// test double) and still want their callers to overlap bursts.
     /// `read_timeout` is what [`PendingReplies::wait_all`] allows.
     pub fn deferred(frames: usize, read_timeout: Duration) -> (PendingReplies, Completion) {
-        let shared = Arc::new(Shared::new(frames, None));
+        let shared = Arc::new(Shared::new(frames, None, None));
         let slots: Vec<(u32, Arc<Slot>)> = (0..frames as u32)
             .map(|seq| (seq, Arc::new(Slot::default())))
             .collect();
@@ -665,13 +741,30 @@ impl PendingReplies {
 
     /// Whether every reply has already arrived: `wait_all` will not block.
     /// Never blocks itself: when replies are owed and nobody reads the
-    /// connection, it reads once, taking only what the socket already has.
+    /// connection, it reads once, taking only what the socket already has
+    /// — unless a frame owed is still held, which no read can answer. A
+    /// poll sends nothing.
     pub fn is_ready(&self) -> bool {
-        let settled = || self.slots[self.taken..].iter().all(|(_, s)| s.is_done());
-        settled() || {
-            self.shared.lead(None, settled);
-            settled()
+        let owed = &self.slots[self.taken..];
+        let settled = || owed.iter().all(|(_, s)| s.is_done());
+        if settled() || owed.iter().any(|(_, s)| self.shared.holds(s)) {
+            return settled();
         }
+        self.shared.lead(None, settled);
+        settled()
+    }
+
+    /// Sends what the connection holds if a frame owed here is among it,
+    /// and returns when the first frame owed was written — `None` with no
+    /// connection behind the handle. Every frame owed has left once this
+    /// returns.
+    pub(crate) fn push(&self) -> Option<Instant> {
+        let owed = &self.slots[self.taken..];
+        if owed.iter().any(|(_, s)| self.shared.holds(s)) {
+            // A failure is in the slots by now.
+            let _ = self.shared.send_all(&mut self.shared.writer());
+        }
+        owed.first().and_then(|(_, slot)| slot.sent())
     }
 
     /// Blocks until every submitted frame has its reply, returning them
@@ -748,13 +841,7 @@ pub struct WindowedTransport {
     addr: String,
     config: TransportConfig,
     shared: Arc<Shared>,
-    stream: Option<TcpStream>,
     granted: usize,
-    /// The burst being submitted, envelopes and all: encoded here before
-    /// the lock is taken, given its seqs under it, written from here
-    /// after. One buffer for the connection's life, so a submission
-    /// allocates nothing for its frames.
-    wbuf: Vec<u8>,
     /// The slots of submissions, at most a window of them, handed out
     /// again and again (see [`WindowedTransport::spare_slot`]).
     slots: Vec<Arc<Slot>>,
@@ -795,10 +882,8 @@ impl WindowedTransport {
         let mut transport = WindowedTransport {
             addr: addr.to_string(),
             config: config.clone(),
-            shared: Arc::new(Shared::new(1, None)),
-            stream: None,
+            shared: Arc::new(Shared::new(1, None, None)),
             granted: 1,
-            wbuf: Vec::new(),
             slots: Vec::new(),
         };
         transport.establish()?;
@@ -816,10 +901,9 @@ impl WindowedTransport {
     }
 
     fn install_dead(&mut self, reason: Dead) {
-        let shared = Shared::new(1, None);
+        let shared = Shared::new(1, None, None);
         shared.lock().dead = Some(reason);
         self.shared = Arc::new(shared);
-        self.stream = None;
         self.granted = 1;
     }
 
@@ -845,8 +929,7 @@ impl WindowedTransport {
                     burst: Vec::new(),
                     timeout: READ_TICK,
                 };
-                self.shared = Arc::new(Shared::new(granted, Some(reader)));
-                self.stream = Some(stream);
+                self.shared = Arc::new(Shared::new(granted, Some(reader), Some(stream)));
                 self.granted = granted;
                 return Ok(());
             }
@@ -865,11 +948,15 @@ impl WindowedTransport {
     }
 
     fn teardown(&mut self) {
+        // What the connection holds leaves first: its callers have
+        // returned, and a store that left is a store made.
+        let mut w = self.shared.writer();
+        let _ = self.shared.send_all(&mut w);
         let torn = Dead::Io(io::ErrorKind::ConnectionReset, "transport torn down".into());
         self.shared.mark_dead(&mut self.shared.lock(), torn);
         // Shutting the socket down turns a leader's parked read into an
         // immediate end of stream.
-        if let Some(stream) = self.stream.take() {
+        if let Some(stream) = w.stream.take() {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -903,13 +990,15 @@ impl WindowedTransport {
     /// A slot for one frame of a submission that allocates nothing once
     /// the pool is warm: one of the transport's own that nobody else holds
     /// — its last frame was answered, abandoned or failed, so no clone is
-    /// left in `pending`, and the handle that waited on it is gone. Only
-    /// this method clones a pooled slot, so a count of one stays one — and
-    /// a burst that draws several gets a different one each time.
+    /// left in `pending`, its bytes have left, and the handle that waited
+    /// on it is gone. Only this method clones a pooled slot, so a count
+    /// of one stays one — and a burst that draws several gets a different
+    /// one each time.
     fn spare_slot(&mut self) -> Arc<Slot> {
         if let Some(slot) = self.slots.iter().find(|s| Arc::strong_count(s) == 1) {
             // A handle dropped uncollected leaves its reply behind.
             *slot.state.lock().expect("slot lock") = None;
+            slot.set_sent(None);
             return Arc::clone(slot);
         }
         let slot = Arc::new(Slot::default());
@@ -919,91 +1008,107 @@ impl WindowedTransport {
         slot
     }
 
-    /// The one way onto the wire: encodes `msgs` as windowed frames into
-    /// the transport's buffer, registers `slots[i].1` to be completed by
-    /// the reply to `msgs[i]` under a fresh seq (left in `slots[i].0`),
-    /// and writes the burst — one `write`, unless the window fills midway
-    /// and what is queued has to leave for it to drain.
+    /// The one way onto the window: encodes `msgs` as windowed frames into
+    /// the connection's write buffer, behind what it holds, registers
+    /// `slots[i].1` to be completed by the reply to `msgs[i]` under a
+    /// fresh seq (left in `slots[i].0`), and writes the lot — one
+    /// `write`, unless the window fills midway and what is queued has to
+    /// leave for it to drain. A burst of stores and frees nobody waits
+    /// for yet is held instead, up to [`HOLD_MAX`]: it leaves with the
+    /// next burst that is not, or when somebody waits on the connection.
     fn put_on_window(&mut self, msgs: &[Message], slots: &mut [(u32, Arc<Slot>)]) -> Result<()> {
         let write_deadline = Instant::now() + self.config.write_timeout;
+        let shared = &*self.shared;
+        let mut writer = shared.writer();
+        let w = &mut *writer;
         // Encode before taking the lock: a page-carrying frame costs an
         // 8 KiB copy, and a reader needs the lock to complete replies
         // — encoding under it would stall completions for the whole
         // batch. Only the seq (four bytes of the envelope, zero for now)
         // is filled in under the lock.
-        self.wbuf.clear();
-        (self.wbuf).reserve(msgs.iter().map(Message::windowed_len_hint).sum());
+        let start = w.wbuf.len();
+        (w.wbuf).reserve(msgs.iter().map(Message::windowed_len_hint).sum());
         for msg in msgs {
-            Message::encode_windowed_into(0, msg, &mut self.wbuf);
+            Message::encode_windowed_into(0, msg, &mut w.wbuf);
         }
-        let (shared, stream) = (&*self.shared, self.stream.as_ref());
-        // `wbuf[written..at]` is queued: given its seqs, not yet written.
-        let (mut written, mut at) = (0, 0);
-        let mut inner = shared.lock();
-        for (seq_out, slot) in slots.iter_mut() {
-            if let Some(dead) = &inner.dead {
-                return Err(dead.to_error());
-            }
-            let mut counted_stall = false;
-            while inner.inflight >= inner.window {
-                if !counted_stall {
-                    inner.stalls += 1;
-                    counted_stall = true;
-                }
-                // The window is full: flush what this batch has queued
-                // so the server can drain it, then wait — reading, if
-                // nobody else is — until a completion frees a slot. Both
-                // drop the lock, so re-test everything afterwards.
-                if written < at {
-                    inner = flush(shared, stream, inner, &self.wbuf[written..at]);
-                    written = at;
-                    if let Some(dead) = &inner.dead {
-                        return Err(dead.to_error());
-                    }
-                    continue;
-                }
-                let now = Instant::now();
-                if now >= write_deadline {
-                    return Err(RmpError::Io(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "request window stalled past the write deadline",
-                    )));
-                }
-                shared.await_space(inner, write_deadline);
-                inner = shared.lock();
+        // `wbuf[..written]` has left; `wbuf[written..at]` has its seqs.
+        let (mut written, mut at) = (0, start);
+        let placed = 'place: {
+            let mut inner = shared.lock();
+            for (seq_out, slot) in slots.iter_mut() {
                 if let Some(dead) = &inner.dead {
-                    return Err(dead.to_error());
+                    break 'place Err(dead.to_error());
                 }
+                let mut counted_stall = false;
+                while inner.inflight >= inner.window {
+                    if !counted_stall {
+                        inner.stalls += 1;
+                        counted_stall = true;
+                    }
+                    // The window is full: send what is queued so the
+                    // server can drain it, then wait — reading, if
+                    // nobody else is — until a completion frees a slot.
+                    // Both drop the lock, so re-test everything
+                    // afterwards.
+                    if written < at {
+                        drop(inner);
+                        if let Err(e) = shared.write_out(w, written, at) {
+                            break 'place Err(e);
+                        }
+                        written = at;
+                        inner = shared.lock();
+                        continue;
+                    }
+                    if Instant::now() >= write_deadline {
+                        break 'place Err(RmpError::Io(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "request window stalled past the write deadline",
+                        )));
+                    }
+                    shared.await_space(inner, write_deadline);
+                    inner = shared.lock();
+                    if let Some(dead) = &inner.dead {
+                        break 'place Err(dead.to_error());
+                    }
+                }
+                // Skip sequence numbers still occupied by an in-flight
+                // (possibly abandoned) request: after the u32 counter
+                // wraps, reusing a live seq would overwrite its pending
+                // slot and let the *old* request's reply complete the new
+                // slot with the wrong payload. Terminates because
+                // `pending` never holds more than `window` entries.
+                let mut seq = inner.next_seq;
+                while inner.pending.contains_key(&seq) {
+                    seq = seq.wrapping_add(1);
+                }
+                inner.next_seq = seq.wrapping_add(1);
+                inner.pending.insert(seq, Arc::clone(slot));
+                inner.inflight += 1;
+                inner.submitted += 1;
+                *seq_out = seq;
+                w.leaving.push(Arc::clone(slot));
+                // An envelope is its header, then the seq, then the inner
+                // frame; the header's length field says where the next
+                // starts.
+                let frame = &mut w.wbuf[at..];
+                let len = u32::from_le_bytes(frame[4..HEADER_LEN].try_into().expect("four bytes"));
+                frame[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&seq.to_le_bytes());
+                at += HEADER_LEN + len as usize;
             }
-            // Skip sequence numbers still occupied by an in-flight
-            // (possibly abandoned) request: after the u32 counter wraps,
-            // reusing a live seq would overwrite its pending slot and
-            // let the *old* request's reply complete the new slot with
-            // the wrong payload. Terminates because `pending` never
-            // holds more than `window` entries.
-            let mut seq = inner.next_seq;
-            while inner.pending.contains_key(&seq) {
-                seq = seq.wrapping_add(1);
-            }
-            inner.next_seq = seq.wrapping_add(1);
-            inner.pending.insert(seq, Arc::clone(slot));
-            inner.inflight += 1;
-            inner.submitted += 1;
-            *seq_out = seq;
-            // An envelope is its header, then the seq, then the inner
-            // frame; the header's length field says where the next starts.
-            let frame = &mut self.wbuf[at..];
-            let len = u32::from_le_bytes(frame[4..HEADER_LEN].try_into().expect("four bytes"));
-            frame[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&seq.to_le_bytes());
-            at += HEADER_LEN + len as usize;
+            Ok(())
+        };
+        // Frames that found no seq never leave.
+        w.wbuf.truncate(at);
+        let hold = placed.is_ok()
+            && written == 0
+            && at < HOLD_MAX
+            && (msgs.iter()).all(|m| matches!(m, Message::PageOut { .. } | Message::Free { .. }));
+        if hold {
+            return Ok(());
         }
-        if written < at {
-            inner = flush(shared, stream, inner, &self.wbuf[written..at]);
-            if let Some(dead) = &inner.dead {
-                return Err(dead.to_error());
-            }
-        }
-        Ok(())
+        let sent = shared.write_out(w, written, at);
+        w.wbuf.clear();
+        placed.and(sent)
     }
 
     /// Pins the next sequence number, so tests can stage a wrap-around
@@ -1044,24 +1149,17 @@ impl ServerTransport for WindowedTransport {
 
     fn send_only(&mut self, msg: &Message) -> Result<()> {
         // Bare frame, no envelope: used for crash injection, where no
-        // reply will come and no window slot should be held.
-        {
-            let inner = self.shared.lock();
-            if let Some(dead) = &inner.dead {
-                return Err(dead.to_error());
-            }
+        // reply will come and no window slot should be held. It leaves
+        // behind what the connection holds, in one write.
+        let mut w = self.shared.writer();
+        if w.stream.is_none() {
+            return Err(match &self.shared.lock().dead {
+                Some(dead) => dead.to_error(),
+                None => RmpError::Protocol("no stream on a live transport".into()),
+            });
         }
-        let Some(stream) = &self.stream else {
-            return Err(RmpError::Protocol("no stream on a live transport".into()));
-        };
-        self.wbuf.clear();
-        msg.encode_into(&mut self.wbuf);
-        if let Err(e) = write_burst(stream, &self.wbuf) {
-            self.shared
-                .write_failed(&mut self.shared.lock(), stream, &e);
-            return Err(RmpError::Io(e));
-        }
-        Ok(())
+        msg.encode_into(&mut w.wbuf);
+        self.shared.send_all(&mut w)
     }
 
     fn reconnect(&mut self) -> Result<()> {

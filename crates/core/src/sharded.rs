@@ -520,7 +520,12 @@ impl Turn<'_> {
     }
 
     /// Leaves the pageout `out` of `page` landing: its caller may return.
+    /// One to be read behind leaves the connection at once: its read waits
+    /// for it to land.
     fn leave(&mut self, out: PageOutFlight, page: &Page, behind: bool) {
+        if behind {
+            out.writing.push();
+        }
         let flights = self.flights();
         let page = page.clone();
         flights.landings.push(Landing { out, page, behind });

@@ -494,3 +494,100 @@ fn two_sweeps_share_one_vote_and_read_back_every_byte() {
         "the read-ahead ledger balances under concurrency"
     );
 }
+
+/// Requests served across `handles`, once they have gone quiet: the sum,
+/// unchanged over 30 ms.
+fn served_settled(handles: &[ServerHandle]) -> Vec<u64> {
+    let served = || -> Vec<u64> { handles.iter().map(ServerHandle::served_requests).collect() };
+    loop {
+        let before = served();
+        std::thread::sleep(Duration::from_millis(30));
+        if served() == before {
+            return before;
+        }
+    }
+}
+
+/// A one-shard pager with no redundancy over two servers, page 0 placed
+/// on one of them with its store held on the connection — the pageout
+/// has returned and nothing has waited on the connection since — and
+/// that server's index.
+fn held_placement(read_timeout: Duration) -> (Vec<ServerHandle>, Arc<ShardedPager>, usize) {
+    let mut config = PagerConfig::new(Policy::NoReliability)
+        .with_servers(2)
+        .with_retry(fast_retry());
+    config.transport.read_timeout = read_timeout;
+    let (handles, pager) = sharded_cluster(2, 64, config);
+    let before = served_settled(&handles);
+    pager
+        .page_out(PageId(0), &Page::deterministic(0))
+        .expect("placement");
+    // The placement's grant was a call; its store is held.
+    let after = served_settled(&handles);
+    let taker = (0..2)
+        .find(|&i| after[i] > before[i])
+        .expect("one server granted the frame");
+    assert_eq!(after[taker], before[taker] + 1, "the store was sent");
+    (handles, pager, taker)
+}
+
+#[test]
+fn a_landing_held_past_the_read_timeout_is_not_late() {
+    let read_timeout = Duration::from_millis(50);
+    let (handles, pager, taker) = held_placement(read_timeout);
+    std::thread::sleep(3 * read_timeout);
+    assert_eq!(
+        handles[taker].stored_pages(),
+        0,
+        "the store left before anybody waited for it"
+    );
+    // The read lands the placement first: its store leaves now, and its
+    // deadline and its latency count from then.
+    assert_eq!(
+        pager.page_in(PageId(0)).expect("pagein"),
+        Page::deterministic(0)
+    );
+    let id = ServerId(taker as u32);
+    pager.with_shard(0, |p| {
+        let metrics = p.metrics();
+        assert_eq!(metrics.counter("pool_retries_total").get(), 0, "a retry");
+        assert_eq!(metrics.counter("pool_call_errors_total").get(), 0);
+        let slowest = metrics.histogram("pool_call_latency_us").snapshot().max_us;
+        assert!(
+            slowest < read_timeout.as_micros() as u64,
+            "the hold was booked as latency: {slowest} us"
+        );
+        let status = p.pool().view().status(id).expect("registered");
+        assert_eq!(status.condition, rmp_cluster::Condition::Healthy);
+        assert!(p.pool().backoff(id).is_none());
+    });
+}
+
+#[test]
+fn a_connection_killed_with_held_frames_fails_them_and_their_landing_re_homes() {
+    let (handles, pager, taker) = held_placement(Duration::from_secs(2));
+    handles[taker].crash();
+    // The read lands the placement: its held store dies with the
+    // connection, like a lost burst, and is re-homed from the kept page.
+    assert_eq!(
+        pager.page_in(PageId(0)).expect("pagein"),
+        Page::deterministic(0)
+    );
+    assert_eq!(handles[1 - taker].stored_pages(), 1, "not re-homed");
+    pager.flush().expect("nothing failed");
+}
+
+#[test]
+fn a_dropped_pager_sends_what_it_holds() {
+    let (handles, pager, taker) = held_placement(Duration::from_secs(2));
+    assert_eq!(handles[taker].stored_pages(), 0);
+    drop(Arc::into_inner(pager).expect("the only handle"));
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while handles[taker].stored_pages() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the held store never left"
+        );
+        std::thread::yield_now();
+    }
+}

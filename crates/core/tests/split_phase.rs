@@ -736,3 +736,67 @@ fn a_landing_reads_its_looping_page_behind_only_once_the_write_has_acked() {
     let stats = pager.stats();
     assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
 }
+
+#[test]
+fn a_landing_read_behind_leaves_its_connection_before_page_out_returns() {
+    // Over a real server, where a store nobody waits for is held on the
+    // connection until the next read or wait: a landing to be read behind
+    // is sent at once, or its read would wait for the landing cap.
+    let server =
+        rmp_server::MemoryServer::spawn(rmp_server::ServerConfig::default()).expect("spawn server");
+    let mut registry = rmp_cluster::Registry::new();
+    registry
+        .add(rmp_cluster::ServerInfo {
+            id: ServerId(0),
+            addr: server.addr().to_string(),
+            link_cost: 1.0,
+        })
+        .expect("register");
+    let config = PagerConfig::new(Policy::NoReliability)
+        .with_servers(1)
+        .with_shard_count(2);
+    let pager = ShardedPager::connect(config, &registry).expect("connect");
+    for id in [0, 2, 4] {
+        pager
+            .page_out(PageId(id), &Page::deterministic(id))
+            .expect("placement");
+    }
+    // Faults 0, 2, 0, 2: page 0 loops; page 4 does not.
+    for id in [0, 2, 0, 2] {
+        assert_eq!(
+            pager.page_in(PageId(id)).expect("in"),
+            Page::deterministic(id)
+        );
+    }
+    let settled = || loop {
+        let served = server.served_requests();
+        std::thread::sleep(Duration::from_millis(30));
+        if server.served_requests() == served {
+            return served;
+        }
+    };
+    let before = settled();
+    pager
+        .page_out(PageId(4), &Page::filled(4))
+        .expect("rewrite");
+    assert_eq!(settled(), before, "a rewrite nobody waits for was sent");
+    pager
+        .page_out(PageId(0), &Page::filled(5))
+        .expect("rewrite");
+    // Nothing touches the pager from here on: what is served now was
+    // sent before the rewrite returned — and it took the held one along.
+    let stuck = Instant::now() + STUCK;
+    while server.served_requests() < before + 2 {
+        assert!(
+            Instant::now() < stuck,
+            "the store to be read behind is held"
+        );
+        std::thread::yield_now();
+    }
+    // The next turn lands it and reads the page behind it.
+    assert_eq!(pager.page_in(PageId(4)).expect("in"), Page::filled(4));
+    assert_eq!(pager.page_in(PageId(0)).expect("in"), Page::filled(5));
+    let hits = |p: &mut Pager| p.metrics().counter("pager_prefetch_hits_total").get();
+    assert_eq!(pager.with_shard(0, hits), 1, "page 0 was not read behind");
+    server.shutdown();
+}

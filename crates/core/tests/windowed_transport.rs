@@ -1091,3 +1091,126 @@ fn a_blocked_reader_wakes_when_the_connection_is_cut() {
         "{after_failed_write:?}"
     );
 }
+
+/// What `server` has served once it has gone quiet: its count, unchanged
+/// over 30 ms.
+fn served_settled(server: &ServerHandle) -> u64 {
+    loop {
+        let served = server.served_requests();
+        std::thread::sleep(Duration::from_millis(30));
+        if server.served_requests() == served {
+            return served;
+        }
+    }
+}
+
+/// Yields until `server` has served `count` requests, failing after five
+/// seconds.
+fn until_served(server: &ServerHandle, count: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.served_requests() < count {
+        assert!(Instant::now() < deadline, "the held frames never left");
+        std::thread::yield_now();
+    }
+    assert_eq!(server.served_requests(), count, "more was served than sent");
+}
+
+#[test]
+fn a_held_store_waits_for_a_read_a_waiter_or_the_cap() {
+    let server = spawn_server(64);
+    let mut t =
+        WindowedTransport::connect_with(&server.addr().to_string(), &TransportConfig::default())
+            .expect("connect");
+    let base = served_settled(&server);
+    let page = Page::deterministic(1);
+    let submit = |t: &mut WindowedTransport, msg: Message| {
+        WindowedTransport::submit(t, &[msg]).expect("submit")
+    };
+
+    // A store nobody waits for stays on the window, unsent; a poll of it
+    // sends nothing.
+    let store = submit(&mut t, page_out(StoreKey(1), &page));
+    assert!(!store.is_ready(), "a held store looked answered");
+    assert_eq!(served_settled(&server), base, "a held store was served");
+    // A read takes it along, ahead of itself: the read finds the page.
+    match t.call(&Message::PageIn { id: StoreKey(1) }) {
+        Ok(Message::PageInReply { page: read, .. }) => assert_eq!(read, page),
+        other => panic!("got {other:?}"),
+    }
+    until_served(&server, base + 2);
+    assert!(matches!(
+        store.wait_all().expect("ack")[..],
+        [Message::PageOutAck { .. }]
+    ));
+
+    // A waiter sends a held free.
+    let free = submit(&mut t, Message::Free { id: StoreKey(1) });
+    assert_eq!(served_settled(&server), base + 2, "a held free was served");
+    assert!(matches!(
+        free.wait_all().expect("ack")[..],
+        [Message::FreeAck { .. }]
+    ));
+    until_served(&server, base + 3);
+
+    // The cap: whole pages are held until the next would make it.
+    let fit = rmp_core::reactor::HOLD_MAX / rmp_types::PAGE_SIZE;
+    let mut stores: Vec<_> = (0..fit - 1)
+        .map(|k| submit(&mut t, page_out(StoreKey(10 + k as u64), &page)))
+        .collect();
+    assert_eq!(served_settled(&server), base + 3, "held stores were served");
+    stores.push(submit(&mut t, page_out(StoreKey(99), &page)));
+    until_served(&server, base + 3 + fit as u64);
+    for store in stores {
+        store.wait_all().expect("ack");
+    }
+    assert_eq!(server.stored_pages(), fit);
+    drop(t);
+    server.shutdown();
+}
+
+#[test]
+fn held_stores_leave_in_the_write_of_the_burst_that_takes_them_along() {
+    use std::io::Read;
+
+    let (frames, read) = std::sync::mpsc::channel();
+    let (addr, peer) = peer_after_hello(8, move |framed| {
+        // One read of the socket, and the frames it brought.
+        let mut stream = framed.into_inner();
+        let mut bytes = vec![0u8; 1 << 20];
+        let n = stream.read(&mut bytes).expect("one read");
+        let mut acc = rmp_proto::FrameAccumulator::new();
+        acc.extend(&bytes[..n]);
+        let mut got = Vec::new();
+        while let Some(frame) = acc.next_enveloped().expect("whole frames") {
+            got.push(frame);
+        }
+        frames.send(got).expect("test thread");
+        swallow(Framed::new(stream));
+    });
+    let mut t =
+        WindowedTransport::connect_with(&addr, &TransportConfig::default()).expect("connect");
+    let page = Page::deterministic(2);
+    let first = WindowedTransport::submit(&mut t, &[page_out(StoreKey(1), &page)]).expect("a");
+    let second =
+        (WindowedTransport::submit(&mut t, &[Message::Free { id: StoreKey(7) }])).expect("b");
+    std::thread::sleep(Duration::from_millis(20));
+    let query = WindowedTransport::submit(&mut t, &[Message::LoadQuery]).expect("c");
+    let got = read
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the peer read nothing");
+    let ops: Vec<_> = got.iter().map(|(_, m)| m.opcode()).collect();
+    assert_eq!(
+        ops,
+        [
+            rmp_proto::Opcode::PageOut,
+            rmp_proto::Opcode::Free,
+            rmp_proto::Opcode::LoadQuery
+        ],
+        "the held frames did not lead the burst that took them along, in one write"
+    );
+    let seqs: Vec<_> = got.iter().map(|(seq, _)| seq.expect("enveloped")).collect();
+    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");
+    drop((first, second, query));
+    drop(t);
+    peer.join().expect("peer");
+}
