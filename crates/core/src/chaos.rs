@@ -963,12 +963,14 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
                         }
                     }
                 }
-                Err(_) if landing.contains(&id) => {
+                Err(_) if landing.remove(&id) => {
                     ambiguous.insert(id);
                 }
                 Err(_) => {}
             }
-            landing.remove(&id);
+            // A read served from the page a landing keeps leaves the
+            // landing to report to a later operation: `id` stays in
+            // `landing` until an error or a flush settles it.
         } else if roll < 90 {
             let id = rng.gen_range(0u64..96);
             match pager.free(PageId(id)) {

@@ -203,6 +203,15 @@ pub(crate) fn gave_way(e: &RmpError) -> bool {
     )
 }
 
+/// What the frees of a wave came to: best-effort, as in [`Ctx::release`] —
+/// a holder that crashed or timed out took its unit with it.
+pub(crate) fn freed(outcomes: impl IntoIterator<Item = Result<()>>) -> Result<()> {
+    outcomes.into_iter().try_fold((), |(), freed| match freed {
+        Ok(()) | Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => Ok(()),
+        Err(e) => Err(e),
+    })
+}
+
 /// The engines' handles into the shared metrics registry: the registry
 /// for traces, and their counters, each resolved by name the first time
 /// it is bumped and kept — so counting takes no registry lock, and a
@@ -701,14 +710,9 @@ impl Ctx<'_> {
             return (Vec::new(), rest);
         }
         let wave = self.pool.begin_stores(stores, &frees);
-        let mut rest = through.map_or(Ok(()), |(id, page)| self.disk_write(id, page));
+        let rest = through.map_or(Ok(()), |(id, page)| self.disk_write(id, page));
         let mut outcomes = self.pool.finish_stores(wave);
-        for freed in outcomes.drain(stores.len()..) {
-            match freed {
-                Ok(()) | Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => {}
-                Err(e) => rest = rest.and(Err(e)),
-            }
-        }
+        let rest = rest.and(freed(outcomes.drain(stores.len()..)));
         (outcomes, rest)
     }
 

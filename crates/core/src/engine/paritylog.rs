@@ -8,7 +8,7 @@ use rmp_parity::{GroupMember, GroupTable, ParityBuffer, SealedGroup};
 use rmp_types::metrics::EventKind;
 use rmp_types::{GroupId, Page, PageId, Policy, Result, RmpError, ServerId};
 
-use crate::engine::{rebuild_step, Ctx, Engine, Reading, Table, Unit};
+use crate::engine::{freed, gave_way, rebuild_step, Ctx, Engine, Reading, Table, Unit, Writing};
 use crate::recovery::RecoveryStep;
 
 /// Active-fraction threshold below which garbage collection compacts a
@@ -20,6 +20,16 @@ const GC_ACTIVE_FRACTION: f64 = 0.5;
 /// servers; every `S` pages the buffer goes to the parity server, costing
 /// `1 + 1/S` transfers per pageout. Old versions stay on their servers
 /// (inside the overflow memory) until their whole group goes inactive.
+///
+/// A pageout is an *append*, split like a stripe's wave: its begin does
+/// all the bookkeeping under the caller's lock — the data server, the
+/// key, the grant, the absorb and, if that seals the group, the
+/// registration and the parity page — then submits the data frame, or
+/// the sealing wave of data frame, parity page and frees; its complete
+/// commits the unit. No append waits for another's landing, and a leg
+/// that did not ack is re-homed from the kept page, never unsealed:
+/// parity covers contents, not places. Re-logs — GC, recovery,
+/// migration, promotion — run whole, and GC leaves a landing page alone.
 ///
 /// What is this engine's alone is the log: the client-side buffer, the
 /// group table with its inactive marking, and garbage collection.
@@ -37,9 +47,30 @@ pub struct ParityLogging {
     /// Pages freed while still pending in the buffer; dropped from the
     /// group table right after their group seals.
     freed_pending: HashSet<PageId>,
+    /// Appends begun and not completed: each page is a member of the
+    /// pending group or of a sealed one already, while `table` still names
+    /// its version before.
+    landing: Vec<Append>,
     cursor: usize,
     gc_in_progress: bool,
     rebuild: VecDeque<PlWork>,
+}
+
+/// An append between [`Engine::begin_page_out`] and
+/// [`Engine::complete_page_out`]: the page, the unit its data frame went
+/// to and, if its absorb sealed the group, what went with it.
+struct Append {
+    id: PageId,
+    unit: Unit,
+    seal: Option<Seal>,
+}
+
+/// What a sealing append registered and shipped beside its data frame.
+struct Seal {
+    group: GroupId,
+    /// The parity page and its unit, kept to ship it again should that
+    /// leg not ack.
+    parity: (Unit, Page),
 }
 
 /// One planned rebuild item of the parity log.
@@ -52,16 +83,6 @@ enum PlWork {
     /// Recompute the sealed group's parity page onto the replacement
     /// parity server.
     ParityGroup(GroupId),
-}
-
-/// What a sealing wave left behind, its data frame's own outcome apart.
-struct Sealing {
-    /// The group, the slot of the member whose frame rode the wave (the
-    /// last) and the parity page as stored; `None` when the parity page
-    /// found no server: the seal is undone and the member pending.
-    group: Option<(GroupId, usize, Page)>,
-    /// Of the parity page, the frees and the pages dropped while pending.
-    rest: Result<()>,
 }
 
 impl ParityLogging {
@@ -100,6 +121,7 @@ impl ParityLogging {
             groups: GroupTable::new(),
             table: Table::new(1),
             freed_pending: HashSet::new(),
+            landing: Vec::new(),
             cursor: 0,
             gc_in_progress: false,
             rebuild: VecDeque::new(),
@@ -113,6 +135,10 @@ impl ParityLogging {
 
     fn is_pending(&self, id: PageId) -> bool {
         self.buffer.members().iter().any(|m| m.page_id == id)
+    }
+
+    fn is_landing(&self, id: PageId) -> bool {
+        self.landing.iter().any(|a| a.id == id)
     }
 
     /// The next data server in round-robin order that is alive and
@@ -129,49 +155,34 @@ impl ParityLogging {
         None
     }
 
-    /// Registers a sealed group and ships its parity page — and `riding`,
-    /// the frame of the member whose absorb sealed it — in one wave with
+    /// Registers a sealed group and ships its parity page in one wave with
     /// the frees of every group the registration left fully inactive.
-    /// Returns the riding frame's outcome (its grant given back if it
-    /// failed) and the rest of the wave's.
     ///
     /// Keys are minted here, so the group is registered — and its frees
     /// known — *before* anything ships. If the parity page then finds no
     /// server the seal is undone: the members, whose own pageouts were
     /// acked, are pending again under the client-side accumulator, and
     /// the next pageout or flush seals them anew.
-    fn commit_group(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        sealed: SealedGroup,
-        riding: Option<(Unit, &Page)>,
-    ) -> (Result<()>, Sealing) {
+    fn commit_group(&mut self, ctx: &mut Ctx<'_>, sealed: SealedGroup) -> Result<()> {
         let parity = (self.parity_server, ctx.pool.fresh_key());
         let members: Vec<PageId> = sealed.members.iter().map(|m| m.page_id).collect();
         let (group, reclaimed) = self.groups.register(sealed.members, parity.0, parity.1);
         let frees = Self::storage_of(ctx, reclaimed);
-        // A parity server that grants no frame still leaves the data frame
-        // and the frees to send.
+        // A parity server that grants no frame still leaves the frees to
+        // send.
         let reserved = ctx.pool.reserve_frame(parity.0);
-        let parity_store = (parity, &sealed.parity);
-        let both = [riding.unwrap_or(parity_store), parity_store];
-        let stores = &both[usize::from(riding.is_none())..1 + usize::from(reserved.is_ok())];
+        let store = [(parity, &sealed.parity)];
+        let stores = &store[..usize::from(reserved.is_ok())];
         let (stored, freed) = ctx.ship(stores, &frees, None);
-        let mut stored = stored.into_iter();
-        let data = riding.map_or(Ok(()), |((server, _), _)| {
-            let data = stored.next().expect("one outcome per store");
-            data.inspect_err(|_| ctx.pool.return_frame(server))
-        });
         let shipped = reserved.and_then(|()| {
-            let shipped = stored.next().expect("one outcome per store");
+            let shipped = stored.into_iter().next().expect("one outcome per store");
             shipped.inspect_err(|_| ctx.pool.return_frame(parity.0))
         });
         if let Err(e) = shipped {
             let members = self.groups.unregister(group);
             let parity = sealed.parity;
             self.buffer.unseal(SealedGroup { parity, members });
-            let rest = Err(e);
-            return (data, Sealing { group: None, rest });
+            return Err(e);
         }
         ctx.stats.net_parity_transfers += 1;
         ctx.count("engine_groups_sealed_total");
@@ -184,32 +195,36 @@ impl ParityLogging {
                 dropped = dropped.and(Self::release_reclaimed(ctx, reclaimed));
             }
         }
-        let group = Some((group, members.len() - 1, sealed.parity));
-        let rest = freed.and(dropped);
-        (data, Sealing { group, rest })
+        freed.and(dropped)
     }
 
-    /// Takes `page`, its last member, back out of `group` — sealed around
-    /// it by a wave whose data frame no server would then hold: the group
-    /// stops naming it and `parity`, the page that wave stored, is stored
-    /// again without it (an overwrite: a retry cannot fold it out twice).
+    /// Takes `page`, the member at `slot`, back out of `group` — sealed
+    /// around it ahead of a data frame no server would then hold: the
+    /// group stops naming it and its parity page — `parity` as stored, or
+    /// read back — is stored again without it (an overwrite: a retry
+    /// cannot fold it out twice). A parity page on a dead server is left
+    /// to the rebuild, which recomputes it from the members left.
     fn cancel_member(
         &mut self,
         ctx: &mut Ctx<'_>,
         page: &Page,
-        group: GroupId,
-        mut parity: Page,
+        (group, slot): (GroupId, usize),
+        parity: Option<Page>,
     ) -> Result<()> {
-        match (self.groups.retract_last(group), self.groups.group(group)) {
+        match (self.groups.retract(group, slot), self.groups.group(group)) {
             // It was the group's only active member: the parity page goes.
             (Some(emptied), _) => Self::release_reclaimed(ctx, Some(emptied)),
-            (None, Some(state)) => {
+            (None, Some(state)) if ctx.alive(state.parity_server) => {
+                let unit = (state.parity_server, state.parity_key);
+                let mut parity = match parity {
+                    Some(parity) => parity,
+                    None => ctx.gather(&[unit])?.remove(0),
+                };
                 parity.xor_with(page);
-                let (server, key) = (state.parity_server, state.parity_key);
-                let stored = ctx.pool.page_out(server, key, &parity);
+                let stored = ctx.pool.page_out(unit.0, unit.1, &parity);
                 stored.map(|_hint| ctx.stats.net_parity_transfers += 1)
             }
-            (None, None) => Ok(()),
+            _ => Ok(()),
         }
     }
 
@@ -239,7 +254,7 @@ impl ParityLogging {
     /// Seals the partial group, if any.
     fn seal_pending(&mut self, ctx: &mut Ctx<'_>) -> Result<()> {
         match self.buffer.flush() {
-            Some(sealed) => self.commit_group(ctx, sealed, None).1.rest,
+            Some(sealed) => self.commit_group(ctx, sealed),
             None => Ok(()),
         }
     }
@@ -261,17 +276,19 @@ impl ParityLogging {
     fn collect_garbage_inner(&mut self, ctx: &mut Ctx<'_>) -> Result<u64> {
         let plan = self.groups.gc_plan(GC_ACTIVE_FRACTION);
         let mut relogged = 0;
-        // Skip members superseded since the plan was taken, then fetch
-        // the rest a chunk at a time, one gather each, so client memory
-        // stays bounded. Re-logging one member never invalidates
-        // another's current version, so chunked prefetching is safe.
+        // Skip members superseded since the plan was taken — and those of
+        // a page whose append is landing: its newer version is logged
+        // already — then fetch the rest a chunk at a time, one gather
+        // each, so client memory stays bounded. Re-logging one member
+        // never invalidates another's current version, so chunked
+        // prefetching is safe.
         let mut relog = plan.relog;
-        relog.retain(|member| self.is_current(member));
+        relog.retain(|m| self.is_current(m) && !self.is_landing(m.page_id));
         for chunk in relog.chunks(ctx.pool.batch_max_pages().max(1)) {
             let reads: Vec<Unit> = chunk.iter().map(|m| (m.server, m.key)).collect();
             let pages = ctx.gather(&reads)?;
             for (member, page) in chunk.iter().zip(pages) {
-                self.page_out_inner(ctx, member.page_id, &page, &[], false)?;
+                self.page_out_inner(ctx, member.page_id, &page, &[])?;
                 relogged += 1;
             }
         }
@@ -286,20 +303,18 @@ impl ParityLogging {
         Ok(relogged)
     }
 
-    /// Logs `page` as the new version of `id`, off the servers in
-    /// `exclude`. `merged` lets a pageout that seals the pending group
-    /// leave in the sealing wave, which registers the group before the
-    /// frame has landed — so one that then fails has already superseded
-    /// the version before it. The caller's own pageout may (the chaos
-    /// model's `ambiguous`); a re-log — GC, recovery, migration, promotion
-    /// — holds the only copy of an *acked* version: store first, seal after.
+    /// Logs `page` as the new version of `id`, whole, off the servers in
+    /// `exclude`: stored first, absorbed after — sealing the group, if
+    /// that fills it, in a wave of its own. A re-log — GC, recovery,
+    /// migration, promotion — holds the only copy of an *acked* version;
+    /// an append that cannot begin split ([`Self::begin_append`]) runs
+    /// this too.
     fn page_out_inner(
         &mut self,
         ctx: &mut Ctx<'_>,
         id: PageId,
         page: &Page,
         exclude: &[ServerId],
-        merged: bool,
     ) -> Result<()> {
         if ctx.prefer_disk {
             return self.log_to_disk(ctx, id, page);
@@ -308,27 +323,11 @@ impl ParityLogging {
         if self.buffer.pending() >= self.seal_width(ctx) {
             self.seal_pending(ctx)?;
         }
-        let mut sealing = None;
-        let offered = self.offer(ctx, (id, page), exclude, merged, &mut sealing);
-        if let Ok(Some(unit)) = offered {
-            return self.log_remote(ctx, id, page, unit, sealing);
+        match self.offer(ctx, page, exclude)? {
+            Some(unit) => self.log_remote(ctx, id, page, unit),
+            None if ctx.has_disk() => self.log_to_disk(ctx, id, page),
+            None => Err(RmpError::ClusterFull),
         }
-        let park = |this: &mut Self, ctx: &mut Ctx<'_>| match ctx.has_disk() {
-            true => this.log_to_disk(ctx, id, page),
-            false => Err(RmpError::ClusterFull),
-        };
-        let Some(Sealing {
-            group: Some((group, _, parity)),
-            rest,
-        }) = sealing
-        else {
-            return offered.and_then(|_| park(self, ctx));
-        };
-        // No server holds the frame of a page its group names already:
-        // the group has to stop, and the disk takes the page if there is
-        // one — whatever else went wrong on the way here.
-        let cancelled = rest.and(self.cancel_member(ctx, page, group, parity));
-        cancelled.and(park(self, ctx))
     }
 
     /// How many pending pages seal the group: the configured group size,
@@ -355,19 +354,12 @@ impl ParityLogging {
 
     /// Finds a data server for `page` — round-robin, collecting garbage
     /// when one is full and refreshing the load view once before giving
-    /// up — and stores it there; `None` when no server took it. A `merged`
-    /// pageout whose absorb seals the pending group is the sealing wave
-    /// itself ([`Self::commit_group`] with the frame riding). `sealing`
-    /// then holds the rest of that wave's outcome: the page is a member
-    /// of a sealed group wherever its frame ends up, and a frame the wave
-    /// did not land is offered on as a plain store.
+    /// up — and stores it there; `None` when no server took it.
     fn offer(
         &mut self,
         ctx: &mut Ctx<'_>,
-        (id, page): (PageId, &Page),
+        page: &Page,
         exclude: &[ServerId],
-        merged: bool,
-        sealing: &mut Option<Sealing>,
     ) -> Result<Option<Unit>> {
         let mut tried: Vec<ServerId> = exclude.to_vec();
         // Keep every member of the pending group on a distinct server —
@@ -376,33 +368,11 @@ impl ParityLogging {
         let base_tried = tried.clone();
         let mut refreshed = false;
         while let Some(server) = self.next_server(ctx, &tried) {
-            let unit = (server, ctx.pool.fresh_key());
-            let seals = self.buffer.pending() + 1 >= self.seal_width(ctx);
-            let stored = if merged && sealing.is_none() && seals {
-                ctx.pool.reserve_frame(server).and_then(|()| {
-                    let sealed = self.absorb(ctx, id, unit, page).expect("it seals");
-                    let (stored, wave) = self.commit_group(ctx, sealed, Some((unit, page)));
-                    if stored.is_err() && matches!(self.table.units(id), Some([_])) {
-                        // The registration superseded the version the
-                        // table names, and the wave may have released it.
-                        self.table.remove(id);
-                    }
-                    match (&stored, &wave.group) {
-                        // Neither frame landed and the seal is undone:
-                        // with the page taken back out, the pageout is
-                        // where it started.
-                        (Err(_), None) => drop(self.buffer.retract_last(page)),
-                        _ => *sealing = Some(wave),
-                    }
-                    stored
-                })
-            } else {
-                ctx.reserve_and_page_out(server, unit.1, page).map(drop)
-            };
-            match stored {
-                Ok(()) => {
+            let key = ctx.pool.fresh_key();
+            match ctx.reserve_and_page_out(server, key, page) {
+                Ok(_hint) => {
                     ctx.stats.net_data_transfers += 1;
-                    return Ok(Some(unit));
+                    return Ok(Some((server, key)));
                 }
                 Err(RmpError::NoSpace(_)) => {
                     // Try to make room before writing this server off.
@@ -415,9 +385,6 @@ impl ParityLogging {
                     tried.push(server);
                 }
                 Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => tried.push(server),
-                // A page its group already names has to land somewhere:
-                // whatever this server's reason, the next one is asked.
-                Err(_) if sealing.is_some() => tried.push(server),
                 Err(e) => return Err(e),
             }
             if self.next_server(ctx, &tried).is_none() && !refreshed {
@@ -432,37 +399,244 @@ impl ParityLogging {
         Ok(None)
     }
 
-    /// Records the version of `id` just stored as `unit`: as the member
-    /// of the group `sealing` registered — which names the unit the wave
-    /// offered, not necessarily the one that took the frame — or, with no
-    /// seal, absorbed into the pending group.
-    fn log_remote(
+    /// Records the version of `id` just stored as `unit`, absorbed into
+    /// the pending group — sealing it, if that fills it.
+    fn log_remote(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page, unit: Unit) -> Result<()> {
+        let sealed = match self.absorb(ctx, id, unit, page) {
+            Some(full) => self.commit_group(ctx, full),
+            None => Ok(()),
+        };
+        self.commit(ctx, id, unit)?;
+        sealed
+    }
+
+    /// Starts the append of `page` as the new version of `id`, all its
+    /// bookkeeping done before anything is sent: picks the data server
+    /// round-robin off the pending group's servers, mints the key, takes
+    /// the grant and absorbs the page — and if that seals the group,
+    /// registers it, mints the parity key and collects the frees. Then
+    /// submits the data frame, or the sealing wave: data frame, parity
+    /// page and frees. `None`, nothing done, when the append runs whole:
+    /// the adaptive switch routes pageouts to the disk, a failed seal put
+    /// a full group back, or a grant is not to be had at once.
+    fn begin_append(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Option<Writing> {
+        if ctx.prefer_disk || self.buffer.pending() >= self.seal_width(ctx) {
+            return None;
+        }
+        let taken: Vec<ServerId> = self.buffer.members().iter().map(|m| m.server).collect();
+        let server = self.next_server(ctx, &taken)?;
+        let unit = (server, ctx.pool.fresh_key());
+        ctx.pool.reserve_frame(server).ok()?;
+        let seals = self.buffer.pending() + 1 >= self.seal_width(ctx);
+        if seals && ctx.pool.reserve_frame(self.parity_server).is_err() {
+            ctx.pool.return_frame(server);
+            return None;
+        }
+        let Some(sealed) = self.absorb(ctx, id, unit, page) else {
+            self.landing.push(Append {
+                id,
+                unit,
+                seal: None,
+            });
+            return Some(Writing::One(ctx.pool.begin_page_out(server, unit.1, page)));
+        };
+        let parity = (self.parity_server, ctx.pool.fresh_key());
+        let members: Vec<PageId> = sealed.members.iter().map(|m| m.page_id).collect();
+        let (group, reclaimed) = self.groups.register(sealed.members, parity.0, parity.1);
+        let mut frees = Self::storage_of(ctx, reclaimed);
+        // Pages freed while pending are dropped now that their group is
+        // registered.
+        for member in members {
+            if self.freed_pending.remove(&member) {
+                frees.extend(Self::storage_of(ctx, self.groups.drop_page(member)));
+            }
+        }
+        frees.retain(|&(server, _)| ctx.alive(server));
+        let wave = ctx
+            .pool
+            .begin_stores(&[(unit, page), (parity, &sealed.parity)], &frees);
+        let seal = Some(Seal {
+            group,
+            parity: (parity, sealed.parity),
+        });
+        self.landing.push(Append { id, unit, seal });
+        Some(Writing::Many(wave))
+    }
+
+    /// Where the member `unit` of `id` sits: `None` in the pending group,
+    /// else its sealed group and slot; and the servers of the group's
+    /// other members.
+    fn member_of(&self, id: PageId, unit: Unit) -> (Option<(GroupId, usize)>, Vec<ServerId>) {
+        let others = |members: &[GroupMember], slot: Option<usize>| {
+            let others = members
+                .iter()
+                .enumerate()
+                .filter(|&(at, m)| Some(at) != slot && (slot.is_some() || m.key != unit.1));
+            others.map(|(_, m)| m.server).collect()
+        };
+        match self.groups.location_of(id).filter(|l| l.key == unit.1) {
+            Some(l) => {
+                let members = &self
+                    .groups
+                    .group(l.group)
+                    .expect("it locates the page")
+                    .members;
+                (Some((l.group, l.slot)), others(members, Some(l.slot)))
+            }
+            None => (None, others(self.buffer.members(), None)),
+        }
+    }
+
+    /// Records `unit`, stored, as the version of `id`.
+    fn commit(&mut self, ctx: &mut Ctx<'_>, id: PageId, unit: Unit) -> Result<()> {
+        let was_on_disk = self.table.units(id).is_some_and(<[Unit]>::is_empty);
+        self.table.staged()[0] = unit;
+        self.table.commit(id);
+        match was_on_disk {
+            true => ctx.disk_free(id),
+            false => Ok(()),
+        }
+    }
+
+    /// Lands `page` — the version of `id` whose data frame to `lost`
+    /// failed with `e` — from the kept page, as an append would have
+    /// landed it: a refusal for memory first collects garbage. A pending
+    /// member leaves the accumulator and is logged again, whole; a sealed
+    /// one is re-homed in its group ([`Self::rehome_member`]), or failing
+    /// that leaves it ([`Self::abandon`]).
+    fn land_again(
         &mut self,
         ctx: &mut Ctx<'_>,
         id: PageId,
         page: &Page,
-        unit: Unit,
-        sealing: Option<Sealing>,
+        lost: Unit,
+        e: &RmpError,
+        seal: &mut Option<Seal>,
     ) -> Result<()> {
-        let sealed = match sealing {
-            Some(Sealing { group, rest }) => {
-                let moved = group.map_or(Ok(()), |(group, slot, _)| {
-                    (self.groups).relocate_member(group, slot, unit.0, unit.1)
-                });
-                moved.and(rest)
-            }
-            None => match self.absorb(ctx, id, unit, page) {
-                Some(full) => self.commit_group(ctx, full, None).1.rest,
-                None => Ok(()),
-            },
-        };
-        let was_on_disk = self.table.units(id).is_some_and(<[Unit]>::is_empty);
-        self.table.staged()[0] = unit;
-        self.table.commit(id);
-        if was_on_disk {
-            ctx.disk_free(id)?;
+        ctx.pool.return_frame(lost.0);
+        let pending = self.member_of(id, lost).0.is_none();
+        if pending {
+            self.buffer.retract(lost.1, page);
         }
-        sealed
+        if matches!(e, RmpError::NoSpace(_)) && self.collect_garbage(ctx)? > 0 {
+            ctx.pool.refresh_loads();
+        }
+        if pending {
+            return self.page_out_inner(ctx, id, page, &[]);
+        }
+        match self.rehome_member(ctx, id, page, lost) {
+            Some(unit) => self.commit(ctx, id, unit),
+            None => self.abandon(ctx, id, page, lost, seal),
+        }
+    }
+
+    /// Stores `page` again — the version of `id` whose frame to `lost` did
+    /// not ack, a member of a sealed group — on a live data server that
+    /// holds no other member of the group, `lost`'s own only after a fresh
+    /// look at the loads, and records the move: parity covers contents,
+    /// not places. `None` when no server takes it.
+    fn rehome_member(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        page: &Page,
+        lost: Unit,
+    ) -> Option<Unit> {
+        let (Some((group, slot)), others) = self.member_of(id, lost) else {
+            return None;
+        };
+        let mut tried = [&others[..], &[lost.0]].concat();
+        let mut refreshed = false;
+        loop {
+            let Some(server) = self.next_server(ctx, &tried) else {
+                if std::mem::replace(&mut refreshed, true) {
+                    return None;
+                }
+                ctx.pool.refresh_loads();
+                tried.clone_from(&others);
+                continue;
+            };
+            let key = ctx.pool.fresh_key();
+            if ctx.reserve_and_page_out(server, key, page).is_err() {
+                tried.push(server);
+                continue;
+            }
+            ctx.stats.net_data_transfers += 1;
+            let moved = self.groups.relocate_member(group, slot, server, key);
+            return moved.is_ok().then_some((server, key));
+        }
+    }
+
+    /// Settles the parity leg of a sealing append: one that did not ack
+    /// is shipped again from the parity page the landing keeps — to the
+    /// parity server, or failing that to any live server holding no
+    /// member of the group.
+    ///
+    /// # Errors
+    ///
+    /// [`RmpError::ServerCrashed`] naming a parity server that died: the
+    /// recovery the pageout's retry runs rebuilds the group's parity page.
+    /// The leg's own failure when no server took the page.
+    fn land_parity(&mut self, ctx: &mut Ctx<'_>, seal: Seal, stored: Result<()>) -> Result<()> {
+        let Seal {
+            group,
+            parity: ((holder, _), parity),
+        } = seal;
+        let Err(e) = stored else {
+            ctx.stats.net_parity_transfers += 1;
+            ctx.count("engine_groups_sealed_total");
+            return Ok(());
+        };
+        ctx.pool.return_frame(holder);
+        let Some(state) = self.groups.group(group) else {
+            return Ok(());
+        };
+        if !ctx.alive(holder) {
+            return Err(RmpError::ServerCrashed(holder));
+        }
+        let mut exclude: Vec<ServerId> = state.members.iter().map(|m| m.server).collect();
+        let Some((server, key)) = ctx.walk(&parity, Some(holder), &mut exclude)? else {
+            return Err(e);
+        };
+        ctx.stats.net_parity_transfers += 1;
+        ctx.count("engine_groups_sealed_total");
+        self.groups.relocate_parity(group, server, key)
+    }
+
+    /// Gives up on a sealed member no server would take: it leaves its
+    /// group, whose parity page stops covering `page`, and the page goes
+    /// to the disk or, with none, the pageout fails. The version its seal
+    /// superseded is not brought back.
+    fn abandon(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        page: &Page,
+        lost: Unit,
+        seal: &mut Option<Seal>,
+    ) -> Result<()> {
+        let cancelled = match self.member_of(id, lost).0 {
+            None => Ok(()),
+            Some(at) => {
+                if (self.table.units(id)).is_some_and(|units| !units.is_empty()) {
+                    self.table.remove(id);
+                }
+                // The parity page this append is still to settle stops
+                // covering the page too; the one it stored is overwritten.
+                let own = seal.as_mut().filter(|seal| seal.group == at.0);
+                let stored = own.map(|seal| {
+                    let stored = seal.parity.1.clone();
+                    seal.parity.1.xor_with(page);
+                    stored
+                });
+                self.cancel_member(ctx, page, at, stored)
+            }
+        };
+        let parked = match ctx.has_disk() {
+            true => self.log_to_disk(ctx, id, page),
+            false => Err(RmpError::ClusterFull),
+        };
+        cancelled.and(parked)
     }
 
     /// Writes `id` to the local disk. The page drops out of the parity
@@ -490,7 +664,7 @@ impl ParityLogging {
         step: &mut RecoveryStep,
     ) -> Result<()> {
         if self.is_current(m) && !self.freed_pending.contains(&m.page_id) {
-            self.page_out_inner(ctx, m.page_id, page, &[crashed], false)?;
+            self.page_out_inner(ctx, m.page_id, page, &[crashed])?;
             step.transfers += 1;
         }
         Ok(())
@@ -668,8 +842,56 @@ impl ParityLogging {
 
 impl Engine for ParityLogging {
     fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+        let writing = self.begin_page_out(ctx, id, page);
+        self.complete_page_out(ctx, id, page, writing)
+    }
+
+    fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
         self.freed_pending.remove(&id);
-        self.page_out_inner(ctx, id, page, &[], true)
+        match self.begin_append(ctx, id, page) {
+            Some(writing) => writing,
+            None => Writing::Done(self.page_out_inner(ctx, id, page, &[])),
+        }
+    }
+
+    fn complete_page_out(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: PageId,
+        page: &Page,
+        writing: Writing,
+    ) -> Result<()> {
+        let Some(at) = self.landing.iter().position(|a| a.id == id) else {
+            return match writing {
+                Writing::Done(done) => done,
+                _ => Err(RmpError::Unsupported("no append of this page is landing")),
+            };
+        };
+        let Append { unit, mut seal, .. } = self.landing.swap_remove(at);
+        let (data, parity, frees) = match writing {
+            Writing::One(flight) => (ctx.pool.finish_page_out(flight).map(drop), None, Ok(())),
+            Writing::Many(wave) => {
+                let mut outcomes = ctx.pool.finish_stores(wave).into_iter();
+                let data = outcomes.next().expect("one outcome per store");
+                (data, outcomes.next(), freed(outcomes))
+            }
+            _ => return Err(RmpError::Unsupported("an append is a frame or a wave")),
+        };
+        let (kept, failed) = match data {
+            Ok(()) => {
+                ctx.stats.net_data_transfers += 1;
+                (self.commit(ctx, id, unit), None)
+            }
+            Err(e) => {
+                let kept = self.land_again(ctx, id, page, unit, &e, &mut seal);
+                (kept, (!gave_way(&e)).then_some(e))
+            }
+        };
+        let sealed = match (seal, parity) {
+            (Some(seal), Some(stored)) => self.land_parity(ctx, seal, stored),
+            _ => Ok(()),
+        };
+        sealed.and(kept).and(frees).and(failed.map_or(Ok(()), Err))
     }
 
     fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
@@ -699,7 +921,7 @@ impl Engine for ParityLogging {
     }
 
     fn contains(&self, id: PageId) -> bool {
-        self.table.units(id).is_some()
+        self.table.units(id).is_some() || self.is_landing(id)
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_>) -> Result<()> {
@@ -810,7 +1032,7 @@ impl Engine for ParityLogging {
             let reads: Vec<Unit> = work.iter().map(|&(_, unit)| unit).collect();
             let fetched = ctx.gather(&reads)?;
             for ((id, _), page) in work.into_iter().zip(fetched) {
-                self.page_out_inner(ctx, id, &page, &[server], false)?;
+                self.page_out_inner(ctx, id, &page, &[server])?;
                 ctx.stats.migrations += 1;
                 moved += 1;
             }
@@ -830,7 +1052,7 @@ impl Engine for ParityLogging {
                 break;
             }
             let page = ctx.disk_read(id)?;
-            self.page_out_inner(ctx, id, &page, &[], false)?;
+            self.page_out_inner(ctx, id, &page, &[])?;
             if self.table.units(id).is_some_and(|units| !units.is_empty()) {
                 promoted += 1;
             }

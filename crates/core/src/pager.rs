@@ -76,6 +76,7 @@ struct PagerMetrics {
     prefetch_useless: Arc<Counter>,
     prefetch_skipped_gray: Arc<Counter>,
     flight_waits: Arc<Counter>,
+    landing_hits: Arc<Counter>,
     pageout_latency: Arc<Histogram>,
     pagein_latency: Arc<Histogram>,
     degraded_latency: Arc<Histogram>,
@@ -100,6 +101,7 @@ impl PagerMetrics {
             prefetch_useless: registry.counter("pager_prefetch_useless_total"),
             prefetch_skipped_gray: registry.counter("pager_prefetch_skipped_gray_total"),
             flight_waits: registry.counter("pager_flight_waits_total"),
+            landing_hits: registry.counter("pager_landing_hits_total"),
             pageout_latency: registry.histogram("pager_pageout_latency_us"),
             pagein_latency: registry.histogram("pager_pagein_latency_us"),
             degraded_latency: registry.histogram("pager_degraded_read_latency_us"),
@@ -1103,6 +1105,28 @@ impl Pager {
                 None => self.with_engine(|e, ctx| e.begin_page_in(ctx, id)),
             },
         }
+    }
+
+    /// Serves a pagein of `id` from `kept`, the page its pageout still
+    /// landing keeps: no frame is sent, and it counts as a pagein, not a
+    /// fetch. The page is checked against the checksum that pageout will
+    /// commit — `stamp`, where its frames carry the page's. `None` when it
+    /// fails the check: the caller lands the pageout and reads the wire.
+    pub(crate) fn read_kept(
+        &mut self,
+        id: PageId,
+        kept: &Page,
+        stamp: Option<u64>,
+    ) -> Option<Page> {
+        let started = Instant::now();
+        if self.config.verify_checksums && stamp.is_some_and(|sum| sum != kept.checksum()) {
+            return None;
+        }
+        self.metrics.landing_hits.inc();
+        self.stats.pageins += 1;
+        let at = self.engine.primary_location(id).map(|(s, _)| s);
+        self.book(EventKind::PageIn, started, at, Ok(kept.clone()))
+            .ok()
     }
 
     /// The second half of a pagein: collects the read and does what

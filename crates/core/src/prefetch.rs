@@ -196,8 +196,9 @@ impl Plan {
 pub struct Planner {
     votes: StrideDetector,
     /// Rows of `(page, the fault that followed it last time, whether it
-    /// did the time before too)`, at `page % SUCCESSORS`.
-    successors: [Option<(PageId, PageId, bool)>; SUCCESSORS],
+    /// did the time before too, whether any successor of it has been
+    /// confirmed since the row was its)`, at `page % SUCCESSORS`.
+    successors: [Option<(PageId, PageId, bool, bool)>; SUCCESSORS],
     /// The confirmed successor of the last fault, planned or covered.
     jump: Option<PageId>,
     /// [`rmp_types::PagerConfig::prefetch_window`]: the deepest plan;
@@ -267,14 +268,22 @@ impl Planner {
     /// too, otherwise a fresh guess in place of whatever the row held.
     fn learn(&mut self, page: PageId, next: PageId) {
         let row = &mut self.successors[page.0 as usize % SUCCESSORS];
-        let confirmed = row.is_some_and(|(at, then, _)| (at, then) == (page, next));
-        *row = Some((page, next, confirmed));
+        let confirmed = row.is_some_and(|(at, then, ..)| (at, then) == (page, next));
+        let looped = confirmed || row.is_some_and(|(at, .., looped)| at == page && looped);
+        *row = Some((page, next, confirmed, looped));
     }
 
     /// The confirmed successor of `page`, if its row holds one.
     fn successor(&self, page: PageId) -> Option<PageId> {
-        let (at, next, confirmed) = self.successors[page.0 as usize % SUCCESSORS]?;
+        let (at, next, confirmed, _) = self.successors[page.0 as usize % SUCCESSORS]?;
         (at == page && confirmed).then_some(next)
+    }
+
+    /// Whether `page` has looped since the table last took its row in:
+    /// some successor of it repeated, if not the last one.
+    pub fn recurs(&self, page: PageId) -> bool {
+        let row = self.successors[page.0 as usize % SUCCESSORS];
+        self.cap > 0 && row.is_some_and(|(at, .., looped)| at == page && looped)
     }
 
     /// Whether `page` sits in a loop the fault stream has repeated: it
@@ -607,11 +616,32 @@ mod tests {
         assert!(!Planner::new(0).loops(PageId(1)), "no window, no loop");
     }
 
+    /// The pages below 8,192 the planner says recur.
+    fn recurring(planner: &Planner) -> Vec<u64> {
+        (0..8192).filter(|&id| planner.recurs(PageId(id))).collect()
+    }
+
+    #[test]
+    fn a_page_that_looped_recurs_until_another_takes_its_row() {
+        let mut planner = Planner::new(8);
+        looping(&mut planner, [1, 2, 1, 2, 1]);
+        assert!(planner.loops(PageId(1)) && planner.recurs(PageId(1)));
+        // Followed by 3 now, it has no confirmed successor, and still
+        // recurs: it has looped.
+        looping(&mut planner, [3]);
+        assert!(!planner.loops(PageId(1)) && planner.recurs(PageId(1)));
+        // A page of the same row is followed by another: 1 is forgotten.
+        looping(&mut planner, [1 + SUCCESSORS as u64, 5]);
+        assert_eq!(recurring(&planner), [2]);
+        assert!(!Planner::new(0).recurs(PageId(2)), "no window, no loop");
+    }
+
     #[test]
     fn a_uniform_stream_loops_nowhere() {
         let mut planner = Planner::new(8);
         let trace: Vec<u64> = uniform(0x9e37_79b9_7f4a_7c15, 4096).take(20_000).collect();
         assert_eq!(looping(&mut planner, trace), []);
+        assert_eq!(recurring(&planner), []);
     }
 
     #[test]
@@ -620,6 +650,7 @@ mod tests {
         let (a, b) = (uniform(7, 4096), uniform(11, 4096).map(|p| p + 4096));
         let trace: Vec<u64> = a.zip(b).flat_map(|(a, b)| [a, b]).take(20_000).collect();
         assert_eq!(looping(&mut planner, trace), []);
+        assert_eq!(recurring(&planner), []);
     }
 
     #[test]

@@ -51,7 +51,9 @@
 //! the page's own next operation lands it, which reads or rewrites the
 //! page anyway. The read follows an acknowledged write, so it never
 //! comes from a store that may still fail and is checked against the
-//! checksum that write committed.
+//! checksum that write committed. The planner also says whether the page
+//! *recurs* — some successor of it has repeated, if not the last — and
+//! then its landing keeps the page for its next fault (below).
 //!
 //! # Begin, park, complete
 //!
@@ -68,15 +70,24 @@
 //! does `free` but to land its page's pageout.
 //!
 //! A split-phase pageout — the stripe engine's wave, a rewrite or a
-//! first placement, whatever `k` — does not even park: once all its
-//! frames are on the request window, `page_out` returns `Ok` and the
-//! shard keeps the flight and the caller's page (an `Arc` clone) as a
-//! *landing*, as the OSF/1 kernel never waited for a pageout. Whichever
-//! turn next enters the shard completes, under the lock, each landing
-//! whose replies are in — oldest first, re-homing from the kept page a
-//! unit whose store did not ack, and running the pageout again if a
-//! server failed under it. A failure that survives that is reported
-//! once: by the page's next operation, or by the next `flush`. Landings
+//! first placement, whatever `k`, and the parity log's append, sealing
+//! or not — does not even park: once all its frames are on the request
+//! window, `page_out` returns `Ok` and the shard keeps the flight and
+//! the caller's page (an `Arc` clone) as a *landing*, as the OSF/1
+//! kernel never waited for a pageout. Whichever turn next enters the
+//! shard completes, under the lock, each landing whose replies are in —
+//! oldest first, re-homing from the kept page a unit whose store did not
+//! ack, and running the pageout again if a server failed under it — and
+//! after each served fault, so does every shard nobody holds. A failure
+//! that survives that is reported once: by the page's next operation, or
+//! by the next `flush`. A landing of a page that recurs leaves at once
+//! (is never held on its connection) and is the exception: it keeps its
+//! page for the page's next fault, which is served from it — checked
+//! against the checksum the pageout commits, no frame sent — while its
+//! replies are not in; and if it outlived a later pageout of the shard,
+//! until a room's worth of them has left after it (or its page is
+//! rewritten or freed, a planner or `stats` asks, or the room is full).
+//! Landings
 //! hold their pages and the reply slots of their frames — a shard keeps
 //! no more than a chunk's worth ([`PagerConfig::batch_max_pages`], within
 //! a request window) — and allocate nothing; dropping the pager gives
@@ -90,7 +101,8 @@
 //!   verified against a newer write's checksum, and two rewrites of one
 //!   page commit in the order they went out. A landing page's next
 //!   operation parks on the landing's replies, holding no lock, and
-//!   completes it first.
+//!   completes it first — but a read of a recurring page, served from
+//!   the kept page, leaves its landing with nothing to read behind.
 //! - **Planners wait for the wire to empty.** Whatever plans against the
 //!   placement table as a whole — `flush`, `recover_from_crash`,
 //!   `periodic_maintenance`, `reconnect`, and within one shard the
@@ -297,6 +309,43 @@ struct Landing {
     /// Whether the page is read back once it has landed (read-behind),
     /// as the front door decided when it left.
     behind: bool,
+    /// Whether the page recurs, as the front door found when it left: a
+    /// read of it is served from `page` while its replies are not in.
+    recurs: bool,
+    /// Whether a later pageout of the shard left while this one was still
+    /// on the wire: then, its page recurring, the page stays kept for its
+    /// fault until [`landing_room`] pageouts in all have left after it.
+    outlived: bool,
+    /// Pageouts of the shard that have left since this one.
+    younger: usize,
+}
+
+impl Landing {
+    /// Whether it keeps a recurring page, its replies in or not: it
+    /// outlived a later pageout of the shard, and fewer than `room` have
+    /// left since it did. An older one, of a page gone for longer, lands
+    /// as any other, and is read behind.
+    fn keeps(&self, room: usize) -> bool {
+        self.recurs && self.outlived && self.younger < room
+    }
+
+    /// Whether a read of the page is served from the kept page.
+    fn kept(&self, room: usize) -> bool {
+        self.recurs && (!self.out.writing.is_ready() || self.keeps(room))
+    }
+}
+
+/// Where the oldest landing a turn lands is, if one is due: the oldest
+/// that keeps no page, once its replies are in — or with the room full,
+/// the oldest — other than `spared`, a landing a read is served from.
+fn due(landings: &[Landing], room: usize, spared: Option<usize>) -> Option<usize> {
+    let full = landings.len() >= room;
+    let mut left = (0..landings.len()).filter(|&at| Some(at) != spared);
+    let oldest = match full {
+        true => left.next(),
+        false => left.find(|&at| !landings[at].keeps(room)),
+    }?;
+    (full || landings[oldest].out.writing.is_ready()).then_some(oldest)
 }
 
 /// The most pageouts a shard keeps landing. Each holds its page and
@@ -369,15 +418,26 @@ impl Shard {
     /// What `id`'s last landing failed with, if nobody has been told:
     /// the operation then does not run.
     fn enter(&self, id: PageId) -> Result<Turn<'_>> {
+        match self.admit(id, false)? {
+            Entry::Turn(turn) => Ok(turn),
+            Entry::Kept(_) => unreachable!("only a read is served from a kept page"),
+        }
+    }
+
+    /// As [`Shard::enter`], for a read — which the landing of a page that
+    /// recurs does not make wait: the read is served from the page the
+    /// landing keeps, under the lock, and the landing stays, with nothing
+    /// to read behind, the page resident again.
+    fn admit(&self, id: PageId, read: bool) -> Result<Entry<'_>> {
         loop {
             let mut guard =
                 self.wait_while(self.lock(), |f| f.planners > 0 || f.busy.contains(&id));
             let (pager, flights) = &mut *guard;
-            let full = flights.landings.len() >= landing_room(pager);
-            let due = |l: &Landing| full || l.out.writing.is_ready();
-            let oldest = || flights.landings.first().filter(|l| due(l)).map(|_| 0);
+            let room = landing_room(pager);
             let own = flights.landing(id);
-            if let Some(at) = own.or_else(oldest) {
+            let kept = own.filter(|&at| read && flights.landings[at].kept(room));
+            let oldest = || due(&flights.landings, room, kept);
+            if let Some(at) = own.filter(|_| kept.is_none()).or_else(oldest) {
                 // `id`'s own operation is about to read or rewrite it:
                 // nothing to read behind.
                 flights.landings[at].behind &= own.is_none();
@@ -387,7 +447,18 @@ impl Shard {
             if let Some(at) = flights.failed.iter().position(|f| f.0 == id) {
                 return Err(flights.failed.swap_remove(at).1);
             }
-            return Ok(self.turn(guard, id));
+            let Some(at) = kept else {
+                return Ok(Entry::Turn(self.turn(guard, id)));
+            };
+            let landing = &mut flights.landings[at];
+            landing.behind = false;
+            let stamp = landing.out.writing.stamp();
+            if let Some(page) = pager.read_kept(id, &landing.page, stamp) {
+                return Ok(Entry::Kept(page));
+            }
+            // A kept page that fails its check is no page to serve: the
+            // read lands the pageout, and reads the wire.
+            (landing.recurs, landing.outlived) = (false, false);
         }
     }
 
@@ -425,7 +496,12 @@ impl Shard {
     /// it, reading the page behind it if it was left so. A failure is
     /// kept for the page's next operation, or the next flush.
     fn land(&self, guard: ShardGuard<'_>, at: usize) {
-        let (mut turn, Landing { out, page, behind }) = self.claim(guard, at);
+        let (
+            mut turn,
+            Landing {
+                out, page, behind, ..
+            },
+        ) = self.claim(guard, at);
         if !out.writing.is_ready() {
             turn.pager().note_flight_wait();
             turn.parked(|| out.writing.park());
@@ -436,6 +512,20 @@ impl Shard {
             Err(e) => {
                 let id = turn.id;
                 turn.flights().failed.push((id, e));
+            }
+        }
+    }
+
+    /// Lands, while nobody holds the lock, what a turn would land — so
+    /// that a shard no fault has entered since holds back neither a
+    /// read-behind nor, its page landing, a read-ahead. Speculation's
+    /// rule: nothing waits.
+    fn land_ready(&self) {
+        while let Some(guard) = self.try_lock() {
+            let (pager, flights) = &*guard;
+            match due(&flights.landings, landing_room(pager), None) {
+                Some(at) => self.land(guard, at),
+                None => return,
             }
         }
     }
@@ -463,6 +553,14 @@ impl Shard {
         self.announce(&guard);
         guard
     }
+}
+
+/// What [`Shard::admit`] lets a read of a page in to.
+enum Entry<'a> {
+    /// The page's turn.
+    Turn(Turn<'a>),
+    /// The page its landing keeps, served.
+    Kept(Page),
 }
 
 /// One operation's turn on a shard: its page's entry in the busy set,
@@ -521,14 +619,29 @@ impl Turn<'_> {
 
     /// Leaves the pageout `out` of `page` landing: its caller may return.
     /// One to be read behind leaves the connection at once: its read waits
-    /// for it to land.
-    fn leave(&mut self, out: PageOutFlight, page: &Page, behind: bool) {
-        if behind {
+    /// for it to land. So does one of a page that recurs, kept for its
+    /// next fault: it lands no later than its replies make it. The
+    /// landings it finds still on the wire have outlived a pageout.
+    fn leave(&mut self, out: PageOutFlight, page: &Page, (behind, recurs): (bool, bool)) {
+        if behind || recurs {
             out.writing.push();
         }
         let flights = self.flights();
+        for landing in &mut flights.landings {
+            landing.younger += 1;
+            if landing.recurs && !landing.outlived {
+                landing.outlived = !landing.out.writing.is_ready();
+            }
+        }
         let page = page.clone();
-        flights.landings.push(Landing { out, page, behind });
+        flights.landings.push(Landing {
+            out,
+            page,
+            behind,
+            recurs,
+            outlived: false,
+            younger: 0,
+        });
         flights.on_wire += 1;
     }
 
@@ -663,11 +776,11 @@ impl ShardedPager {
     /// pageout of `id` failed with as it landed, and then `page` is not
     /// written.
     pub fn page_out(&self, id: PageId, page: &Page) -> Result<()> {
-        let behind = self.loops(id);
+        let (behind, recurs) = self.recurrence(id);
         let mut turn = self.shard(id).enter_to_write(id)?;
         let out = turn.pager().begin_page_out(id, page);
         let done = if out.writing.left() {
-            turn.leave(out, page, behind);
+            turn.leave(out, page, (behind, recurs));
             Ok(())
         } else {
             if out.writing.on_wire() {
@@ -691,7 +804,13 @@ impl ShardedPager {
     /// As [`Pager::page_in`](PagingDevice::page_in); or what the last
     /// pageout of `id` failed with as it landed.
     pub fn page_in(&self, id: PageId) -> Result<Page> {
-        let mut turn = self.shard(id).enter(id)?;
+        let mut turn = match self.shard(id).admit(id, true)? {
+            Entry::Turn(turn) => turn,
+            Entry::Kept(page) => {
+                self.read_ahead(id, false);
+                return Ok(page);
+            }
+        };
         let flight = turn.pager().begin_page_in(id);
         if flight.reading.on_wire() {
             turn.parked(|| flight.reading.park());
@@ -705,11 +824,14 @@ impl ShardedPager {
         done
     }
 
-    /// Tells the planner of the served fault on `id` and, if it plans a
-    /// refill, hands each shard the planned pages it holds. Waits for no
-    /// shard: one that is locked is skipped, and so is a page with an
-    /// operation under way or a pageout landing.
+    /// Lands what each shard nobody holds has to land — a shard no fault
+    /// has entered since its pageouts were acked would hold their
+    /// read-behinds back — then tells the planner of the served fault on
+    /// `id` and, if it plans a refill, hands each shard the planned pages
+    /// it holds. Waits for no shard: one that is locked is skipped, and so
+    /// is a page with an operation under way or a pageout landing.
     fn read_ahead(&self, id: PageId, hit: bool) {
+        self.shards.iter().for_each(Shard::land_ready);
         let runway_gone = |next: PageId| {
             let ahead = self.shard(next).try_lock();
             ahead.is_some_and(|guard| !guard.0.prefetch_covers(next))
@@ -732,14 +854,16 @@ impl ShardedPager {
     }
 
     /// Whether `id` sits in a loop the fault stream has repeated, so that
-    /// its pageout is read behind (see the [module docs](self#read-ahead)).
-    /// Asked holding no shard lock, and of a planner nobody holds:
-    /// speculation never waits.
-    fn loops(&self, id: PageId) -> bool {
+    /// its pageout is read behind, and whether it recurs, so that its
+    /// landing keeps it for its next fault (see the [module
+    /// docs](self#read-ahead)). Asked holding no shard lock, and of a
+    /// planner nobody holds: speculation never waits.
+    fn recurrence(&self, id: PageId) -> (bool, bool) {
+        let ask = |planner: &Planner| (planner.loops(id), planner.recurs(id));
         match self.planner.try_lock() {
-            Ok(planner) => planner.loops(id),
-            Err(TryLockError::Poisoned(planner)) => planner.into_inner().loops(id),
-            Err(TryLockError::WouldBlock) => false,
+            Ok(planner) => ask(&planner),
+            Err(TryLockError::Poisoned(planner)) => ask(&planner.into_inner()),
+            Err(TryLockError::WouldBlock) => (false, false),
         }
     }
 

@@ -199,29 +199,35 @@ fn a_data_frame_the_sealing_wave_did_not_land_is_re_homed_and_its_group_follows(
 }
 
 #[test]
-fn a_parity_server_dying_under_the_sealing_wave_leaves_the_members_pending() {
+fn a_parity_server_dying_under_the_sealing_wave_has_the_parity_page_rebuilt() {
     // Data servers 0..=2, the parity page on 4, 3 spare.
     let config = PagerConfig::new(Policy::ParityLogging).with_servers(3);
     let (wire, servers, mut pager) = wave_pager(config, 5);
     two_pending(&wire, &mut pager, 0);
     // The data frame lands, the parity server dies with its burst. The
-    // seal is undone, so recovery finds three pending pages: it gathers
-    // them at once, re-logs them a frame at a time — stores and the frees
-    // of the units they replace first, the seal after, its parity page on
-    // the spare — and the pageout runs again.
+    // group stays sealed — a later append may have opened the next one by
+    // the time a landing hears of it — so recovery rebuilds its parity
+    // page: one gather of the three members, the page stored on the
+    // spare. Then the pageout runs again, a pending member's one frame.
     wire.state().dying.push(ServerId(4));
-    let widths = [&[2, 3][..], &[1; 8]].concat();
-    let (done, waves) = in_waves(&wire, &widths, || {
+    let (done, waves) = in_waves(&wire, &[2, 3, 1, 1], || {
         pager.page_out(PageId(2), &Page::deterministic(2))
     });
     done.expect("recovered and retried");
     assert_eq!(shape(&waves[0]), (vec![2, 4], vec![Opcode::PageOut; 2]));
     assert_eq!(shape(&waves[1]).1, vec![Opcode::PageIn; 3]);
-    let seal = (vec![3], vec![Opcode::PageOut]);
-    assert_eq!(shape(&waves[7]), seal, "{waves:?}");
+    assert_eq!(shape(&waves[2]), (vec![3], vec![Opcode::PageOut]));
+    assert_eq!(shape(&waves[3]).1, vec![Opcode::PageOut]);
+    // The group is whole again: server 0 may go too. Page 0 is rebuilt
+    // from the other members and the new parity page; page 2's retried
+    // version, pending on server 0, from the client's accumulator alone.
     servers[4].crash();
-    for i in 0..3u64 {
-        let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(i)));
+    pager.note_crash(ServerId(0));
+    let (read, waves) = in_waves(&wire, &[3], || pager.page_in(PageId(0)));
+    assert_eq!(read.expect("degraded read"), Page::deterministic(0));
+    assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
+    for (i, widths) in [(1u64, &[1][..]), (2, &[])] {
+        let (read, _) = in_waves(&wire, widths, || pager.page_in(PageId(i)));
         assert_eq!(read.expect("read"), Page::deterministic(i));
     }
 }

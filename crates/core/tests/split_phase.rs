@@ -27,7 +27,8 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rmp_core::{Pager, RecoveryReport, ShardedPager};
+use rmp_blockdev::PagingDevice;
+use rmp_core::{ChaosServer, Pager, RecoveryReport, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId};
 
@@ -567,6 +568,240 @@ fn a_wait_for_the_shard_lock_is_not_server_latency() {
     }
 }
 
+// --- the parity-log append ------------------------------------------------
+
+/// Parity logging over data servers 0..=2 — or 0..=3 with `width` 4 —
+/// and the last of `n` servers for parity pages.
+fn plog(width: usize, n: usize) -> (Arc<Wire>, Vec<ChaosServer>, Arc<ShardedPager>) {
+    wave_sharded(
+        PagerConfig::new(Policy::ParityLogging).with_servers(width),
+        n,
+    )
+}
+
+/// As [`pumped`], returning also the opcode of every frame answered.
+fn pumped_ops<R>(wire: &Wire, result: &Receiver<R>) -> (R, Vec<Opcode>) {
+    let mut ops = Vec::new();
+    let stuck = Instant::now() + STUCK;
+    loop {
+        for flight in std::mem::take(&mut wire.state().flying) {
+            ops.extend(flight.replies.iter().map(reply_to));
+            answer(flight);
+        }
+        if let Ok(result) = result.try_recv() {
+            return (result, ops);
+        }
+        assert!(Instant::now() < stuck, "the operation is stuck");
+        std::thread::yield_now();
+    }
+}
+
+/// Reads every one of `pages` back through each single crash of
+/// `servers` in turn: the server is held dead on both shards while the
+/// pages are read — around it, where it holds them — then pardoned.
+fn read_through_any_single_crash(
+    wire: &Wire,
+    pager: &Arc<ShardedPager>,
+    servers: &[u32],
+    pages: &[(u64, Page)],
+) {
+    for &server in servers {
+        let server = ServerId(server);
+        pager.note_crash(server);
+        for (id, page) in pages {
+            let id = *id;
+            let reader = spawn(pager, move |p| p.page_in(PageId(id)));
+            let read = pumped(wire, &reader).expect("pagein");
+            assert_eq!(&read, page, "page {id} with {server} down");
+        }
+        for shard in 0..2 {
+            pager.with_shard(shard, |p| p.pool_mut().absolve(server));
+        }
+    }
+    let stats = pager.stats();
+    assert_eq!(stats.checksum_failures, 0);
+}
+
+#[test]
+fn a_parity_log_append_returns_with_its_data_frame_and_a_seal_with_its_whole_wave() {
+    let (wire, servers, pager) = plog(3, 4);
+    // The first group: two pending members, a data frame each, then the
+    // seal: its data frame and the parity page.
+    for (id, frames) in [(0, 1), (2, 1), (4, 2)] {
+        pager
+            .page_out(PageId(id), &Page::deterministic(id))
+            .expect("append");
+        let wave = wire.release_wave(frames);
+        assert!(wave.iter().all(|(_, ops)| ops == &[Opcode::PageOut]));
+    }
+    wire.calls();
+    // Rewriting the three supersedes the whole first group. No append
+    // waits for a reply, nor for the one before it: each returns with its
+    // data frame on the wire, and the seal with its whole wave — its data
+    // frame, the parity page and the frees of the first group's three
+    // members and parity page, a burst to each of the four servers.
+    let mut acks = Vec::new();
+    for id in [0, 2] {
+        pager
+            .page_out(PageId(id), &Page::filled(id as u8 + 1))
+            .expect("append");
+        let ack = wire.wait_for(1).flying.pop().expect("its data frame");
+        assert_eq!(reply_to(&ack.replies[0]), Opcode::PageOut);
+        acks.push(ack);
+    }
+    pager
+        .page_out(PageId(4), &Page::filled(5))
+        .expect("sealing append");
+    let seal = std::mem::take(&mut wire.wait_for(6).flying);
+    let mut reached: Vec<u32> = seal.iter().map(|f| f.server.0).collect();
+    reached.sort_unstable();
+    assert_eq!(reached, [0, 1, 2, 3], "a burst a server");
+    let mut ops: Vec<Opcode> = (seal.iter())
+        .flat_map(|f| f.replies.iter().map(reply_to))
+        .collect();
+    ops.sort_by_key(|op| *op as u8);
+    let mut wave = [vec![Opcode::PageOut; 2], vec![Opcode::Free; 4]].concat();
+    wave.sort_by_key(|op| *op as u8);
+    assert_eq!(ops, wave);
+    assert!(wire.calls().is_empty(), "a frame outside the wave");
+    assert_eq!(flight_waits(&pager), 0, "an append waited");
+    acks.into_iter().chain(seal).for_each(answer);
+    for id in [0u8, 2, 4] {
+        let reader = spawn(&pager, move |p| p.page_in(PageId(u64::from(id))));
+        answer(held_back(&wire));
+        assert_eq!(joined(reader).expect("pagein"), Page::filled(id + 1));
+    }
+    let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
+    assert_eq!(stored, 4, "three current versions and one parity page");
+    let stats = pager.stats();
+    assert_eq!((stats.pageouts, stats.checksum_failures), (6, 0));
+    assert_eq!(
+        (stats.net_data_transfers, stats.net_parity_transfers),
+        (6, 2)
+    );
+}
+
+#[test]
+fn a_parity_log_landing_whose_data_server_died_is_re_homed_off_its_group() {
+    let (wire, servers, pager) = plog(3, 4);
+    // Page 0's data frame goes to one server, page 2's to another, both
+    // pending members of one group; the first server dies with page 0's
+    // frame unanswered.
+    pager.page_out(PageId(0), &Page::filled(1)).expect("append");
+    let lost = held_back(&wire);
+    pager.page_out(PageId(2), &Page::filled(2)).expect("append");
+    let ack = held_back(&wire);
+    let (gone, kept) = (lost.server, ack.server);
+    wire.state().dead.push(gone);
+    lost.completion
+        .complete(Err(refused("died with the frame")));
+    answer(ack);
+    // The next turn lands both: the store on the dead server walks the
+    // ladder to the verdict, and page 0 is stored again from the kept
+    // page — on the one live data server holding no member of its group.
+    let reader = spawn(&pager, |p| p.page_in(PageId(2)));
+    assert_eq!(pumped(&wire, &reader).expect("pagein"), Page::filled(2));
+    let spare = (0..3).map(ServerId).find(|&s| s != gone && s != kept);
+    let spare = spare.expect("a third data server");
+    assert_eq!(servers[spare.0 as usize].stored_pages(), 1, "not re-homed");
+    assert_eq!(servers[kept.0 as usize].stored_pages(), 1);
+    // Sealed, the group covers both where they are: any one crash more
+    // still reads every page back.
+    pumped(&wire, &spawn(&pager, |p| p.flush())).expect("flush");
+    let pages = [(0, Page::filled(1)), (2, Page::filled(2))];
+    read_through_any_single_crash(&wire, &pager, &[kept.0, spare.0, 3], &pages);
+}
+
+#[test]
+fn a_sealing_landing_whose_parity_leg_failed_leaves_its_group_reconstructible() {
+    // The parity server dies under the seal, or refuses its page.
+    for dies in [true, false] {
+        // Data servers 0..=2, the parity page on 4, 3 spare.
+        let (wire, _servers, pager) = plog(3, 5);
+        placed(&wire, &pager, &[0, 2]);
+        pager
+            .page_out(PageId(4), &Page::deterministic(4))
+            .expect("sealing append");
+        match dies {
+            true => wire.state().dying.push(ServerId(4)),
+            false => wire.state().refuse_store.push(ServerId(4)),
+        }
+        // The data frame lands and the parity page does not; the group
+        // stays sealed. The next turn lands it: a parity page that died
+        // with its server is rebuilt from the members by the recovery the
+        // retried pageout runs, a refused one is stored again from the
+        // kept page.
+        wire.release_wave(2);
+        let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+        assert_eq!(
+            pumped(&wire, &reader).expect("pagein"),
+            Page::deterministic(0)
+        );
+        pumped(&wire, &spawn(&pager, |p| p.flush())).expect("flush");
+        let pages: Vec<(u64, Page)> = [0, 2, 4].map(|id| (id, Page::deterministic(id))).into();
+        let live: &[u32] = if dies {
+            &[0, 1, 2, 3]
+        } else {
+            &[0, 1, 2, 3, 4]
+        };
+        read_through_any_single_crash(&wire, &pager, live, &pages);
+    }
+}
+
+#[test]
+fn garbage_collection_during_an_append_does_not_re_log_its_page() {
+    // Groups of four over data servers 0..=3, parity on 4.
+    let (wire, _servers, pager) = plog(4, 5);
+    // The first group holds pages 0, 2, 4 and 6; the second rewrites 0
+    // and 2 beside 8 and 10, leaving the first half active: a victim of
+    // the next collection, with 4 and 6 to re-log.
+    let writes = [
+        (0, 0),
+        (2, 2),
+        (4, 4),
+        (6, 6),
+        (8, 8),
+        (10, 10),
+        (0, 1),
+        (2, 3),
+    ];
+    for (id, fill) in writes {
+        let out = spawn(&pager, move |p| {
+            p.page_out(PageId(id), &Page::deterministic(fill))
+        });
+        pumped(&wire, &out).expect("append");
+    }
+    pager.stats();
+    // Page 4's append is landing, its frame held back, when the store of
+    // page 12's append is refused for memory.
+    pager.page_out(PageId(4), &Page::filled(4)).expect("append");
+    let landing = wire.wait_for(1).flying.pop().expect("its data frame");
+    let others = (0..4).map(ServerId).filter(|&s| s != landing.server);
+    wire.state().refuse_store.extend(others);
+    pager
+        .page_out(PageId(12), &Page::filled(12))
+        .expect("append");
+    drop(wire.wait_for(1));
+    wire.state().refuse_store.clear();
+    // Page 12's next read lands it: the refusal starts a collection,
+    // which re-logs page 6 — one read — and leaves page 4, whose newer
+    // version is landing, alone. Then page 12 is stored again and read.
+    let reader = spawn(&pager, |p| p.page_in(PageId(12)));
+    let (read, ops) = pumped_ops(&wire, &reader);
+    assert_eq!(read.expect("pagein"), Page::filled(12));
+    let reads = ops.iter().filter(|&&op| op == Opcode::PageIn).count();
+    assert_eq!(reads, 2, "the collection re-logged the landing page");
+    assert_eq!(pager.with_shard(0, |p| PagingDevice::stats(p).gc_passes), 1);
+    answer(landing);
+    pumped(&wire, &spawn(&pager, |p| p.flush())).expect("flush");
+    let current = [(0, 1), (2, 3), (6, 6), (8, 8), (10, 10)];
+    let mut pages: Vec<(u64, Page)> = (current.iter())
+        .map(|&(id, fill)| (id, Page::deterministic(fill)))
+        .collect();
+    pages.extend([(4, Page::filled(4)), (12, Page::filled(12))]);
+    read_through_any_single_crash(&wire, &pager, &[0, 1, 2, 3, 4], &pages);
+}
+
 // --- read-ahead across shards ----------------------------------------------
 
 /// A two-shard pager with read-ahead on, pages `0..pages` placed, and
@@ -718,22 +953,124 @@ fn a_landing_reads_its_looping_page_behind_only_once_the_write_has_acked() {
     std::mem::take(&mut wire.state().flying)
         .into_iter()
         .for_each(answer);
-    // A landing its own page's next operation lands is not read behind:
-    // that operation reads or rewrites the page anyway.
+    // A landing its own page's next fault meets is not read behind: the
+    // fault is served from the kept page, which is resident again.
     let issued = read_ahead(&pager, "issued");
     pager
         .page_out(PageId(0), &Page::filled(6))
         .expect("rewrite");
     let ack = held_back(wire);
-    let waits = flight_waits(&pager);
-    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
-    until_waiting(&pager, waits + 1);
+    assert_eq!(pager.page_in(PageId(0)).expect("pagein"), Page::filled(6));
     answer(ack);
-    let demand = held_back(wire);
-    assert_eq!(read_ahead(&pager, "issued"), issued, "read behind");
-    answer(demand);
-    assert_eq!(joined(reader).expect("pagein"), Page::filled(6));
     let stats = pager.stats();
+    assert!(wire.state().flying.is_empty(), "read behind");
+    assert_eq!(read_ahead(&pager, "issued"), issued, "read behind");
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
+/// Shard 0's `[pageins, pages fetched, landing hits]` so far, read
+/// without landing anything.
+fn served(pager: &ShardedPager) -> [u64; 3] {
+    pager.with_shard(0, |p| {
+        let stats = PagingDevice::stats(p);
+        let hits = p.metrics().counter("pager_landing_hits_total").get();
+        [stats.pageins, stats.net_fetches, hits]
+    })
+}
+
+#[test]
+fn a_read_of_a_looping_landing_page_is_served_from_the_kept_page() {
+    let (wires, _servers, pager) = wave_shards(PagerConfig::new(Policy::NoReliability), 2);
+    let wire = &wires[0];
+    placed(wire, &pager, &[0, 2]);
+    // Faults 0, 2, 0, 2: page 0 loops, its next fault to come a lap on.
+    for id in [0, 2, 0, 2] {
+        fault(&pager, wire, id);
+    }
+    // The rewrite returns with its store on the wire, unanswered.
+    pager
+        .page_out(PageId(0), &Page::filled(5))
+        .expect("rewrite");
+    let ack = held_back(wire);
+    // The fault meanwhile is served from the page the landing keeps: a
+    // pagein that sends no frame for it and waits for nothing — only the
+    // read-ahead of its successor, 2, goes out.
+    let ([pageins, fetched, hits], waits) = (served(&pager), flight_waits(&pager));
+    assert_eq!(pager.page_in(PageId(0)).expect("pagein"), Page::filled(5));
+    assert_eq!(
+        flight_waits(&pager),
+        waits,
+        "the read waited for the landing"
+    );
+    assert_eq!(served(&pager), [pageins + 1, fetched, hits + 1]);
+    let ahead = held_back(wire);
+    assert_eq!(reply_to(&ahead.replies[0]), Opcode::PageIn);
+    answer(ahead);
+    // The page is resident again: once its rewrite has landed it is not
+    // read behind, and its next fault reads the wire, checked against
+    // the checksum the rewrite committed.
+    answer(ack);
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    let demand = held_back(wire);
+    assert_eq!(read_ahead(&pager, "issued"), [1, 0], "read behind");
+    answer(demand);
+    assert_eq!(joined(reader).expect("pagein"), Page::filled(5));
+    assert_eq!(served(&pager)[2], hits + 1);
+    let stats = pager.stats();
+    assert_eq!((stats.pageouts, stats.pageins), (3, 6));
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
+#[test]
+fn a_recurring_page_outliving_a_pageout_stays_kept_for_a_room_of_pageouts() {
+    // Room for four landings a shard.
+    let config = PagerConfig::new(Policy::NoReliability).with_batch_max_pages(4);
+    let (wires, _servers, pager) = wave_shards(config, 2);
+    let wire = &wires[0];
+    placed(wire, &pager, &[0, 2, 4, 6, 8]);
+    // Faults 0, 2, 0, 2: page 0 recurs.
+    for id in [0, 2, 0, 2] {
+        fault(&pager, wire, id);
+    }
+    // Page 0's rewrite is still on the wire when page 2's leaves: it has
+    // outlived a pageout. Both are answered then.
+    // Whatever the faults read ahead is answered.
+    std::mem::take(&mut wire.state().flying)
+        .into_iter()
+        .for_each(answer);
+    pager
+        .page_out(PageId(0), &Page::filled(5))
+        .expect("rewrite");
+    let first = held_back(wire);
+    pager
+        .page_out(PageId(2), &Page::filled(6))
+        .expect("rewrite");
+    answer(held_back(wire));
+    answer(first);
+    // Its replies are in, and still its page is kept: the fault is
+    // served from it, a pagein and no fetch.
+    let [pageins, fetched, hits] = served(&pager);
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    assert_eq!(pumped(wire, &reader).expect("pagein"), Page::filled(5));
+    let [_, now_fetched, now_hits] = served(&pager);
+    assert_eq!(now_hits, hits + 1, "the fault did not find its page kept");
+    assert!(
+        now_fetched <= fetched + 1,
+        "only the read-ahead of 2 went out"
+    );
+    // With page 2's, four pageouts — a room's worth — have left after it:
+    // it lands, and the page's next fault reads the wire.
+    for id in [4, 6, 8] {
+        let out = spawn(&pager, move |p| p.page_out(PageId(id), &Page::filled(7)));
+        pumped(wire, &out).expect("rewrite");
+    }
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    let (read, ops) = pumped_ops(wire, &reader);
+    assert_eq!(read.expect("pagein"), Page::filled(5));
+    assert_eq!(served(&pager)[2], hits + 1, "a landed page was kept");
+    assert!(ops.contains(&Opcode::PageIn), "the fault sent no read");
+    let stats = pager.stats();
+    assert_eq!(stats.pageins - pageins, 2);
     assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
 }
 
@@ -761,6 +1098,8 @@ fn a_landing_read_behind_leaves_its_connection_before_page_out_returns() {
             .page_out(PageId(id), &Page::deterministic(id))
             .expect("placement");
     }
+    // Landed, so that the faults read the wire.
+    pager.stats();
     // Faults 0, 2, 0, 2: page 0 loops; page 4 does not.
     for id in [0, 2, 0, 2] {
         assert_eq!(
@@ -793,7 +1132,8 @@ fn a_landing_read_behind_leaves_its_connection_before_page_out_returns() {
         );
         std::thread::yield_now();
     }
-    // The next turn lands it and reads the page behind it.
+    // Landing it reads the page behind it.
+    pager.stats();
     assert_eq!(pager.page_in(PageId(4)).expect("in"), Page::filled(4));
     assert_eq!(pager.page_in(PageId(0)).expect("in"), Page::filled(5));
     let hits = |p: &mut Pager| p.metrics().counter("pager_prefetch_hits_total").get();

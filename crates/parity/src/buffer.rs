@@ -157,12 +157,12 @@ impl ParityBuffer {
         self.members = sealed.members;
     }
 
-    /// Takes the last pending member back out — the inverse of the
-    /// absorb that added `page`.
-    pub fn retract_last(&mut self, page: &Page) -> Option<GroupMember> {
-        let member = self.members.pop()?;
+    /// Takes the pending member stored under `key` back out — the inverse
+    /// of the absorb that added `page`.
+    pub fn retract(&mut self, key: StoreKey, page: &Page) -> Option<GroupMember> {
+        let at = self.members.iter().position(|m| m.key == key)?;
         self.acc.xor_with(page);
-        Some(member)
+        Some(self.members.remove(at))
     }
 
     fn seal(&mut self) -> SealedGroup {
@@ -238,9 +238,9 @@ mod tests {
         buf.unseal(sealed);
         assert_eq!(buf.pending(), 3);
         assert_eq!(buf.accumulated(), &xor_reduce(pages.iter()));
-        let last = buf.retract_last(&pages[2]).expect("a member");
-        assert_eq!(last.page_id, PageId(2));
-        assert_eq!(buf.accumulated(), &xor_reduce(pages[..2].iter()));
+        let middle = buf.retract(StoreKey(1001), &pages[1]).expect("a member");
+        assert_eq!(middle.page_id, PageId(1));
+        assert_eq!(buf.accumulated(), &xor_reduce([&pages[0], &pages[2]]));
         let resealed = buf.flush().expect("two pending");
         assert_eq!(resealed.members.len(), 2);
     }

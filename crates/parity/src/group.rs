@@ -261,20 +261,28 @@ impl GroupTable {
         members
     }
 
-    /// Takes the last member of `group` back out of it: the group was
+    /// Takes the member at `slot` back out of `group`: the group was
     /// registered ahead of that member's store, and no server took the
     /// frame. The group is left as if it had sealed without the member —
     /// the caller rewrites the parity page to match — and the member's
     /// page has no active version: the one this registration superseded
-    /// is not brought back.
+    /// is not brought back. The members after it move up a slot.
     ///
     /// Returns the reclaimed group if it has no active member left.
-    pub fn retract_last(&mut self, group: GroupId) -> Option<ReclaimedGroup> {
+    pub fn retract(&mut self, group: GroupId, slot: usize) -> Option<ReclaimedGroup> {
         let state = self.groups.get_mut(&group)?;
-        let member = state.members.pop()?;
+        if slot >= state.members.len() {
+            return None;
+        }
+        let member = state.members.remove(slot);
         if member.active {
             state.active -= 1;
             self.current.remove(&member.page_id);
+        }
+        for (at, moved) in state.members.iter().enumerate().skip(slot) {
+            if moved.active {
+                self.current.insert(moved.page_id, (group, at));
+            }
         }
         self.reclaim_if_drained(group)
     }
@@ -561,7 +569,7 @@ mod tests {
         register_group(&mut t, &[(3, 103, 2)], 9, 900);
         let (g2, reclaimed) = register_group(&mut t, &[(1, 201, 0), (3, 203, 1)], 9, 901);
         assert_eq!(reclaimed.len(), 1, "page 3's first version went");
-        assert!(t.retract_last(g2).is_none(), "page 1 still pins the group");
+        assert!(t.retract(g2, 1).is_none(), "page 1 still pins the group");
         // The group names one member, page 3 has no version at all, and
         // the recovery of page 1's server reads nothing of page 3's.
         assert_eq!(t.group(g2).expect("live").members.len(), 1);
@@ -569,9 +577,23 @@ mod tests {
         let (recoveries, _) = t.recovery_plan(ServerId(0)).expect("recoverable");
         assert!(recoveries[0].fetch.is_empty());
         // Retracting the last active member reclaims the group.
-        let gone = t.retract_last(g2).expect("no member left");
+        let gone = t.retract(g2, 0).expect("no member left");
         assert_eq!(gone.parity_storage, (ServerId(9), StoreKey(901)));
         assert!(gone.member_storage.is_empty());
+    }
+
+    #[test]
+    fn retracting_a_middle_member_keeps_the_later_ones_located() {
+        let mut t = GroupTable::new();
+        let (g, _) = register_group(&mut t, &[(1, 101, 0), (2, 102, 1), (3, 103, 2)], 9, 900);
+        assert!(t.retract(g, 1).is_none(), "pages 1 and 3 pin the group");
+        assert!(t.location_of(PageId(2)).is_none());
+        let moved = t.location_of(PageId(3)).expect("page 3 stays current");
+        assert_eq!((moved.slot, moved.key), (1, StoreKey(103)));
+        // A crash of page 3's server rebuilds it from page 1 alone.
+        let (recoveries, _) = t.recovery_plan(ServerId(2)).expect("recoverable");
+        assert_eq!(recoveries[0].slot, 1);
+        assert_eq!(recoveries[0].fetch, [(ServerId(0), StoreKey(101))]);
     }
 
     #[test]
