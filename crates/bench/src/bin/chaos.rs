@@ -6,8 +6,10 @@
 //! replies, overload storms, crashes) per policy through the sharded
 //! pager and asserts the endurance invariants: no acknowledged page is
 //! ever lost or corrupted, faults surface only as typed errors, and
-//! recovery converges after healing. Every schedule is replayable from
-//! its printed seed.
+//! recovery converges after healing. The schedules run on a manual
+//! clock, so each replays from its printed seed: its row's `digest` of
+//! the fault trace and of every operation's outcome is the same on every
+//! run.
 //!
 //! Phase B turns one mirror gray — every data call answered correctly
 //! but ~10× late — warms up until its suspicion looks gray, and asserts
@@ -62,8 +64,8 @@ fn main() {
     // --- Phase A: randomized schedule sweep --------------------------
     println!("Chaos endurance: {per_policy} seeded schedules per policy\n");
     println!(
-        "{:<15} {:>12} {:>6} {:>7} {:>6} {:>6} {:>8}",
-        "policy", "seed", "ops", "faults", "crash", "lost", "verdict"
+        "{:<15} {:>12} {:>6} {:>7} {:>6} {:>6} {:>8} {:>18}",
+        "policy", "seed", "ops", "faults", "crash", "lost", "verdict", "digest"
     );
     let mut schedule_rows: Vec<String> = Vec::new();
     let mut passed = 0u64;
@@ -81,7 +83,7 @@ fn main() {
                 }
             }
             println!(
-                "{:<15} {:>12} {:>6} {:>7} {:>6} {:>6} {:>8}",
+                "{:<15} {:>12} {:>6} {:>7} {:>6} {:>6} {:>8} {:#018x}",
                 policy.label(),
                 seed,
                 outcome.ops,
@@ -89,11 +91,12 @@ fn main() {
                 if outcome.crash_fired { "yes" } else { "no" },
                 outcome.lost_tolerated,
                 if outcome.passed() { "PASS" } else { "FAIL" },
+                outcome.digest,
             );
             schedule_rows.push(format!(
                 "    {{\"policy\": \"{}\", \"seed\": {seed}, \"ops\": {}, \
                  \"faults\": {}, \"crash_fired\": {}, \"lost_tolerated\": {}, \
-                 \"violations\": {}, \"passed\": {}}}",
+                 \"violations\": {}, \"passed\": {}, \"digest\": \"{:#018x}\"}}",
                 policy.label(),
                 outcome.ops,
                 outcome.faults,
@@ -101,12 +104,15 @@ fn main() {
                 outcome.lost_tolerated,
                 outcome.violations.len(),
                 outcome.passed(),
+                outcome.digest,
             ));
         }
     }
     println!("\nschedules: {passed}/{total} passed");
 
     // --- Phase B: gray-server bound ----------------------------------
+    // On the wall clock: the bound compares the reads' wall times, and a
+    // read served by the gray server spends its 3 ms there.
     const ROUNDS: u64 = 8;
     const WORKING_SET: u64 = 32;
     let cluster = ChaosCluster::new(2, FaultPlan::seeded(0x9e37));

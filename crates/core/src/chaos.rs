@@ -11,7 +11,8 @@
 //!
 //! The injectable faults cover the failure model of `DESIGN.md` §7:
 //!
-//! * [`FaultAction::Delay`] — gray server: the reply arrives, late.
+//! * [`FaultAction::Delay`] — gray server: the reply arrives, late — on
+//!   the cluster's [`Clock`]: a manual one is advanced, not slept on.
 //! * [`FaultAction::Drop`] — the request never reaches the server.
 //! * [`FaultAction::BlackholeReply`] — one-way partition: the server
 //!   *executes* the request but the reply is lost, the shape that breaks
@@ -27,11 +28,11 @@
 //!   server's memory is wiped and connections refuse until restart.
 //!
 //! [`ChaosCluster`] builds per-shard [`ServerPool`]s over a shared set of
-//! chaos servers, and [`run_schedule`] is the endurance driver used by
-//! both the `chaos_endurance` test and `bench --bin chaos`: it runs a
-//! randomized seeded schedule against a [`ShardedPager`] and checks the
-//! durability invariants (no acked page lost or corrupted, recovery
-//! converges, only typed errors surface).
+//! chaos servers, all on the cluster's clock, and [`run_schedule`] — the
+//! endurance driver of the `chaos_endurance` test and `bench --bin chaos`
+//! — runs a randomized seeded schedule against a [`ShardedPager`] on a
+//! manual clock and checks the durability invariants (no acked page lost
+//! or corrupted, recovery converges, only typed errors surface).
 //!
 //! # Examples
 //!
@@ -61,7 +62,9 @@
 //! assert_eq!(cluster.plan().events().len(), 1);
 //! ```
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -73,10 +76,11 @@ use rand::{Rng, SeedableRng};
 use rmp_blockdev::RamDisk;
 use rmp_proto::{LoadHint, Message, Opcode};
 use rmp_types::{
-    ErrorCode, Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId,
-    StoreKey, TransportConfig,
+    ErrorCode, Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey,
+    TransportConfig,
 };
 
+use crate::clock::Clock;
 use crate::sharded::ShardedPager;
 use crate::transport::ServerTransport;
 use crate::ServerPool;
@@ -86,7 +90,8 @@ use crate::ServerPool;
 /// One injectable fault.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultAction {
-    /// Serve the request after sleeping — a gray (slow) server.
+    /// Serve the request after a wait on the cluster's clock — a gray
+    /// (slow) server.
     Delay(Duration),
     /// The request is lost before the server sees it; the caller
     /// observes a deadline expiry.
@@ -588,6 +593,9 @@ pub struct ChaosTransport {
     sid: u64,
     plan: Arc<FaultPlan>,
     server: ChaosServer,
+    /// What a delay waits on: the wall clock, unless a [`ChaosCluster`]
+    /// built the transport.
+    clock: Clock,
 }
 
 impl ChaosTransport {
@@ -599,6 +607,7 @@ impl ChaosTransport {
             sid,
             plan,
             server,
+            clock: Clock::Real,
         }
     }
 
@@ -621,7 +630,7 @@ impl ChaosTransport {
             ));
         }
         match action {
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+            Some(FaultAction::Delay(d)) => self.clock.sleep(d),
             Some(FaultAction::Drop) => {
                 return Err(io_err(std::io::ErrorKind::TimedOut, "chaos: request lost"))
             }
@@ -667,59 +676,37 @@ impl ServerTransport for ChaosTransport {
         let Some(first) = msgs.first() else {
             return Ok(Vec::new());
         };
-        // One decision per burst: burst-shape faults (duplicate, reorder)
-        // act on the reply vector; everything else behaves as if decided
-        // for each request in turn.
+        // One decision per burst: burst-shape faults (duplicate, reorder,
+        // corrupt) act on the reply vector; any other hits the first
+        // frame (crash/drop/delay semantics) and the rest are served
+        // faithfully.
         let action = self.plan.decide(self.id, first, true);
-        match action {
-            Some(FaultAction::DuplicateReply) => {
-                let mut replies = Vec::with_capacity(msgs.len());
-                for m in msgs {
-                    replies.push(self.apply(m, None)?);
-                }
-                // Replace the last reply with a clone of the first (or
-                // append when the burst has a single frame): same length,
-                // duplicated identity — the client's echoed-key check
-                // must refuse it rather than mis-deliver.
-                let dup = replies[0].clone();
-                if replies.len() > 1 {
-                    *replies.last_mut().expect("non-empty") = dup;
-                } else {
-                    replies.push(dup);
-                }
-                Ok(replies)
-            }
-            Some(FaultAction::ReorderBurst) => {
-                let mut replies = Vec::with_capacity(msgs.len());
-                for m in msgs {
-                    replies.push(self.apply(m, None)?);
-                }
-                replies.reverse();
-                Ok(replies)
-            }
-            Some(FaultAction::CorruptReply { byte, bit }) => {
-                let mut replies = Vec::with_capacity(msgs.len());
-                for m in msgs {
-                    replies.push(self.apply(m, None)?);
-                }
-                for reply in replies.iter_mut() {
-                    if reply.flip_payload_bit(byte, bit) {
-                        break;
-                    }
-                }
-                Ok(replies)
-            }
-            other => {
-                // Whole-burst faults: apply the action to the first frame
-                // (crash/drop/delay semantics), serve the rest faithfully.
-                let mut replies = Vec::with_capacity(msgs.len());
-                replies.push(self.apply(first, other)?);
-                for m in &msgs[1..] {
-                    replies.push(self.apply(m, None)?);
-                }
-                Ok(replies)
-            }
+        let shaped = matches!(
+            action,
+            Some(FaultAction::DuplicateReply | FaultAction::ReorderBurst)
+                | Some(FaultAction::CorruptReply { .. })
+        );
+        let mut replies = Vec::with_capacity(msgs.len());
+        for (i, m) in msgs.iter().enumerate() {
+            replies.push(self.apply(m, action.filter(|_| i == 0 && !shaped))?);
         }
+        match action {
+            // The last reply becomes a clone of the first: same length,
+            // duplicated identity — the client's echoed-key check must
+            // refuse it rather than mis-deliver.
+            Some(FaultAction::DuplicateReply) => {
+                let dup = replies[0].clone();
+                *replies.last_mut().expect("a burst") = dup;
+            }
+            Some(FaultAction::ReorderBurst) => replies.reverse(),
+            Some(FaultAction::CorruptReply { byte, bit }) => {
+                replies
+                    .iter_mut()
+                    .any(|reply| reply.flip_payload_bit(byte, bit));
+            }
+            _ => {}
+        }
+        Ok(replies)
     }
 
     fn reconnect(&mut self) -> Result<()> {
@@ -738,20 +725,30 @@ impl ServerTransport for ChaosTransport {
 
 /// A set of [`ChaosServer`]s sharing one [`FaultPlan`], from which any
 /// number of per-shard [`ServerPool`]s can be built. All pools see the
-/// same servers (and the same crashes); each transport gets its own
-/// session namespace so shards never collide on store keys.
+/// same servers (and the same crashes) and read the same [`Clock`]; each
+/// transport gets its own session namespace so shards never collide on
+/// store keys.
 pub struct ChaosCluster {
     plan: Arc<FaultPlan>,
     servers: Vec<ChaosServer>,
+    clock: Clock,
 }
 
 impl ChaosCluster {
-    /// A cluster of `n_servers` servers under `plan`.
+    /// A cluster of `n_servers` servers under `plan`, on the wall clock.
     pub fn new(n_servers: usize, plan: FaultPlan) -> Self {
         ChaosCluster {
             plan: Arc::new(plan),
             servers: (0..n_servers).map(|_| ChaosServer::new()).collect(),
+            clock: Clock::Real,
         }
+    }
+
+    /// The cluster on `clock`: its delays wait on it, every pool it builds
+    /// reads it — on [`Clock::manual`], a run is a function of its calls.
+    pub fn on_clock(mut self, clock: Clock) -> Self {
+        self.clock = clock;
+        self
     }
 
     /// The shared plan.
@@ -764,20 +761,15 @@ impl ChaosCluster {
         &self.servers[i]
     }
 
-    /// Builds a fresh pool with one chaos transport per server.
+    /// Builds a fresh pool with one chaos transport per server, on the cluster's clock.
     pub fn pool(&self, transport_cfg: &TransportConfig) -> ServerPool {
         let mut pool = ServerPool::with_transport_config(transport_cfg.clone());
+        pool.set_clock(self.clock.clone());
         for (i, server) in self.servers.iter().enumerate() {
             let id = ServerId(i as u32);
-            pool.add_transport(
-                id,
-                Box::new(ChaosTransport::new(
-                    id,
-                    Arc::clone(&self.plan),
-                    server.clone(),
-                )),
-                1.0,
-            );
+            let mut transport = ChaosTransport::new(id, Arc::clone(&self.plan), server.clone());
+            transport.clock = self.clock.clone();
+            pool.add_transport(id, Box::new(transport), 1.0);
         }
         pool
     }
@@ -822,6 +814,9 @@ pub struct ScheduleOutcome {
     pub lost_tolerated: usize,
     /// Invariant violations; empty means the schedule passed.
     pub violations: Vec<String>,
+    /// A hash of the fault trace and of every operation's outcome: two
+    /// runs of one seed replay one history exactly when theirs agree.
+    pub digest: u64,
 }
 
 impl ScheduleOutcome {
@@ -831,18 +826,27 @@ impl ScheduleOutcome {
     }
 }
 
-/// Tight retry policy so endurance schedules spend their wall-clock on
-/// faults, not backoff sleeps.
-fn endurance_transport_config() -> TransportConfig {
-    TransportConfig {
-        retry: RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
-            jitter: 0.0,
-        },
-        ..TransportConfig::default()
-    }
+/// How one operation of a schedule came back.
+type Outcome<'e, T> = std::result::Result<T, &'e RmpError>;
+
+/// Folds the outcome of `op` on page `id` into `journal`.
+fn log(journal: &mut DefaultHasher, op: &str, id: u64, done: Outcome<impl std::fmt::Debug>) {
+    format!("{op} pg{id} {:?}", done.map_err(|e| e.to_string())).hash(journal);
+}
+
+/// Whether some shard's pool of `pager` holds grants on a server it
+/// holds dead: they died with it, and a frame placed on one would be lost.
+fn grants_on_the_dead(pager: &ShardedPager, shards: usize, servers: u32) -> Option<String> {
+    (0..shards).find_map(|shard| {
+        let holding = |p: &mut crate::Pager| {
+            let pool = p.pool();
+            (0..servers)
+                .map(ServerId)
+                .find(|&s| !pool.view().is_alive(s) && pool.granted_frames(s) > 0)
+        };
+        let server = pager.with_shard(shard, holding)?;
+        Some(format!("shard {shard} holds grants on dead {server}"))
+    })
 }
 
 /// Flushes `pager`: every page still `landing` was acknowledged if the
@@ -871,6 +875,11 @@ fn flush_landed(pager: &ShardedPager, landing: &mut HashSet<u64>, ambiguous: &mu
 ///    drains to zero within a bounded number of maintenance ticks.
 /// 4. **The read-ahead ledger balances** — on every shard, pages issued
 ///    equal hits plus useless plus those still held.
+/// 5. **No grant outlives its server** — after the chaos window and at
+///    the end, no pool holds frames granted by a server it holds dead.
+/// 6. **Every pagein counted is a page returned.**
+///
+/// On a manual clock, the run is a function of `seed` alone.
 ///
 /// The returned [`ScheduleOutcome`] lists every violation with enough
 /// context to replay from `seed`.
@@ -881,15 +890,15 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
         Policy::BasicParity | Policy::ParityLogging | Policy::ErasureCoded => 3,
         _ => 2,
     };
-    let cluster = ChaosCluster::new(n_servers, FaultPlan::random(seed, n_servers));
-    let tcfg = endurance_transport_config();
+    let cluster =
+        ChaosCluster::new(n_servers, FaultPlan::random(seed, n_servers)).on_clock(Clock::manual());
     let shards = 2usize;
     let config = PagerConfig::new(policy)
         .with_servers(2)
-        .with_shard_count(shards)
-        .with_transport(tcfg.clone());
-    let pager = ShardedPager::builder(config)
-        .pools((0..shards).map(|_| cluster.pool(&tcfg)).collect())
+        .with_shard_count(shards);
+    let pools = (0..shards).map(|_| cluster.pool(&config.transport));
+    let pager = ShardedPager::builder(config.clone())
+        .pools(pools.collect())
         .disks(
             (0..shards)
                 .map(|_| Box::new(RamDisk::unbounded()) as Box<dyn rmp_blockdev::PagingDevice>)
@@ -906,6 +915,7 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
         crash_fired: false,
         lost_tolerated: 0,
         violations: Vec::new(),
+        digest: 0,
     };
     // Model of what the pager owes us: id → fill value of the last
     // *acknowledged* write. Ids whose last write or free failed are
@@ -918,6 +928,9 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
     // an error of the id's next operation, or of the next flush, may be
     // that landing's, and then the write is ambiguous too.
     let mut landing: HashSet<u64> = HashSet::new();
+    // `page_in` calls that returned a page.
+    let mut served = 0u64;
+    let mut journal = DefaultHasher::new();
 
     // Phase 1: fixture state, faults disarmed — every write must land.
     for i in 0..64u64 {
@@ -936,7 +949,9 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
         if roll < 45 {
             let id = rng.gen_range(0u64..96);
             let fill = rng.gen_range(0u64..1 << 32);
-            match pager.page_out(PageId(id), &Page::deterministic(fill)) {
+            let done = pager.page_out(PageId(id), &Page::deterministic(fill));
+            log(&mut journal, "out", id, done.as_ref().map(|()| fill));
+            match done {
                 Ok(()) => {
                     model.insert(id, fill);
                     ambiguous.remove(&id);
@@ -952,8 +967,11 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
             let id = rng.gen_range(0u64..96);
             // Mid-chaos read errors are legal (a replica may be down
             // and recovery hasn't run); the post-heal sweep is strict.
-            match pager.page_in(PageId(id)) {
+            let done = pager.page_in(PageId(id));
+            log(&mut journal, "in", id, done.as_ref().map(Page::checksum));
+            match done {
                 Ok(page) => {
+                    served += 1;
                     if let Some(&fill) = model.get(&id) {
                         if !ambiguous.contains(&id) && page != Page::deterministic(fill) {
                             outcome.violations.push(format!(
@@ -973,7 +991,9 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
             // `landing` until an error or a flush settles it.
         } else if roll < 90 {
             let id = rng.gen_range(0u64..96);
-            match pager.free(PageId(id)) {
+            let done = pager.free(PageId(id));
+            log(&mut journal, "free", id, done.as_ref());
+            match done {
                 Ok(()) => {
                     model.remove(&id);
                     ambiguous.remove(&id);
@@ -991,6 +1011,8 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
     }
     outcome.faults = cluster.plan().events().len();
     outcome.crash_fired = cluster.plan().events().iter().any(|e| e.action == "crash");
+    let dead_grants = grants_on_the_dead(&pager, shards, n_servers as u32);
+    (outcome.violations).extend(dead_grants.map(|v| format!("seed {seed} {policy:?}: {v}")));
 
     // Phase 3: heal and converge. In-process transports have no socket
     // to redial, so each shard's pool absolves every server (detector
@@ -1007,22 +1029,15 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
             p.pool_mut().refresh_loads();
         });
     }
-    let mut crashed: Vec<ServerId> = cluster
-        .plan()
-        .events()
-        .iter()
-        .filter(|e| e.action == "crash")
-        .map(|e| e.server)
-        .collect();
-    crashed.extend(down);
+    let fired = cluster.plan().events().into_iter();
+    let fired = fired.filter(|e| e.action == "crash").map(|e| e.server);
+    let mut crashed: Vec<ServerId> = fired.chain(down).collect();
     crashed.sort_by_key(|s| s.0);
     crashed.dedup();
     for id in crashed {
-        if let Err(e) = pager.recover_from_crash(id) {
-            // NoReliability has nothing to rebuild from; anything else
-            // failing here is judged by the strict sweep below.
-            let _ = e;
-        }
+        // NoReliability has nothing to rebuild from; anything else
+        // failing here is judged by the strict sweep below.
+        let _ = pager.recover_from_crash(id);
     }
     let mut converged = false;
     for _ in 0..50 {
@@ -1042,13 +1057,17 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
     flush_landed(&pager, &mut landing, &mut ambiguous);
 
     // Phase 4: strict verification of every unambiguous acked page.
-    for (&id, &fill) in &model {
+    let mut owed: Vec<(u64, u64)> = model.into_iter().collect();
+    owed.sort_unstable();
+    for (id, fill) in owed {
+        let read = pager.page_in(PageId(id));
+        log(&mut journal, "final", id, read.as_ref().map(Page::checksum));
+        served += u64::from(read.is_ok());
         if ambiguous.contains(&id) {
             // Either outcome is legal; it just must not panic.
-            let _ = pager.page_in(PageId(id));
             continue;
         }
-        match pager.page_in(PageId(id)) {
+        match read {
             Ok(page) => {
                 if page != Page::deterministic(fill) {
                     outcome.violations.push(format!(
@@ -1084,6 +1103,16 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
             ));
         }
     }
+    let dead_grants = grants_on_the_dead(&pager, shards, n_servers as u32);
+    (outcome.violations).extend(dead_grants.map(|v| format!("seed {seed} {policy:?}: {v}")));
+    format!("{:?}", cluster.plan().events()).hash(&mut journal);
+    outcome.digest = journal.finish();
+    let pageins = pager.stats().pageins;
+    if pageins != served {
+        outcome.violations.push(format!(
+            "seed {seed} {policy:?}: {pageins} pageins counted for {served} pages returned"
+        ));
+    }
     outcome
 }
 
@@ -1091,17 +1120,18 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
 mod tests {
     use super::*;
 
-    fn quiet_pool(cluster: &ChaosCluster) -> ServerPool {
-        cluster.pool(&endurance_transport_config())
+    /// `n` servers under `plan` and a pool over them, on a manual clock:
+    /// backoffs cost no wall time.
+    fn quiet(n: usize, plan: FaultPlan) -> (ChaosCluster, ServerPool) {
+        let cluster = ChaosCluster::new(n, plan).on_clock(Clock::manual());
+        let pool = cluster.pool(&TransportConfig::default());
+        (cluster, pool)
     }
 
     #[test]
     fn disarmed_plan_serves_faithfully() {
-        let cluster = ChaosCluster::new(
-            1,
-            FaultPlan::seeded(7).with_rule(FaultRule::new(FaultAction::Drop)),
-        );
-        let mut pool = quiet_pool(&cluster);
+        let rule = FaultRule::new(FaultAction::Drop);
+        let (cluster, mut pool) = quiet(1, FaultPlan::seeded(7).with_rule(rule));
         pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
             .expect("disarmed plan injects nothing");
         assert_eq!(cluster.plan().calls(), 0, "disarmed calls are not counted");
@@ -1110,12 +1140,9 @@ mod tests {
 
     #[test]
     fn drop_rides_through_retry_and_is_traced() {
-        let cluster = ChaosCluster::new(
-            1,
-            FaultPlan::seeded(7).with_rule(FaultRule::new(FaultAction::Drop).times(1)),
-        );
+        let rule = FaultRule::new(FaultAction::Drop).times(1);
+        let (cluster, mut pool) = quiet(1, FaultPlan::seeded(7).with_rule(rule));
         cluster.plan().arm();
-        let mut pool = quiet_pool(&cluster);
         pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
             .expect("one drop is absorbed by the retry budget");
         let events = cluster.plan().events();
@@ -1126,12 +1153,9 @@ mod tests {
 
     #[test]
     fn blackhole_executes_but_times_out() {
-        let cluster = ChaosCluster::new(
-            1,
-            FaultPlan::seeded(3).with_rule(FaultRule::new(FaultAction::BlackholeReply).times(1)),
-        );
+        let rule = FaultRule::new(FaultAction::BlackholeReply).times(1);
+        let (cluster, mut pool) = quiet(1, FaultPlan::seeded(3).with_rule(rule));
         cluster.plan().arm();
-        let mut pool = quiet_pool(&cluster);
         // The first attempt stores the page server-side and loses the
         // reply; the retry overwrites idempotently and succeeds.
         pool.page_out(ServerId(0), StoreKey(9), &Page::deterministic(9))
@@ -1145,7 +1169,7 @@ mod tests {
 
     #[test]
     fn corrupt_reply_is_caught_by_checksums() {
-        let cluster = ChaosCluster::new(
+        let (cluster, mut pool) = quiet(
             1,
             FaultPlan::seeded(3).with_rule(
                 FaultRule::new(FaultAction::CorruptReply { byte: 17, bit: 3 })
@@ -1153,7 +1177,6 @@ mod tests {
                     .times(1),
             ),
         );
-        let mut pool = quiet_pool(&cluster);
         pool.page_out(ServerId(0), StoreKey(4), &Page::deterministic(4))
             .expect("store");
         cluster.plan().arm();
@@ -1172,11 +1195,8 @@ mod tests {
 
     #[test]
     fn crash_downs_server_until_restart() {
-        let cluster = ChaosCluster::new(
-            1,
-            FaultPlan::seeded(5).with_rule(FaultRule::new(FaultAction::Crash).times(1)),
-        );
-        let mut pool = quiet_pool(&cluster);
+        let rule = FaultRule::new(FaultAction::Crash).times(1);
+        let (cluster, mut pool) = quiet(1, FaultPlan::seeded(5).with_rule(rule));
         pool.page_out(ServerId(0), StoreKey(2), &Page::deterministic(2))
             .expect("store");
         cluster.plan().arm();
@@ -1195,12 +1215,9 @@ mod tests {
 
     #[test]
     fn overload_is_typed_and_transient() {
-        let cluster = ChaosCluster::new(
-            1,
-            FaultPlan::seeded(5).with_rule(FaultRule::new(FaultAction::Overload).times(1)),
-        );
+        let rule = FaultRule::new(FaultAction::Overload).times(1);
+        let (cluster, mut pool) = quiet(1, FaultPlan::seeded(5).with_rule(rule));
         cluster.plan().arm();
-        let mut pool = quiet_pool(&cluster);
         pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
             .expect("overload backs off and retries");
         assert!(
@@ -1212,7 +1229,7 @@ mod tests {
     #[test]
     fn same_seed_same_call_sequence_same_trace() {
         let trace = |seed: u64| {
-            let cluster = ChaosCluster::new(
+            let (cluster, mut pool) = quiet(
                 2,
                 FaultPlan::seeded(seed)
                     .with_rule(
@@ -1223,7 +1240,6 @@ mod tests {
                     .with_rule(FaultRule::new(FaultAction::Overload).with_probability(0.2)),
             );
             cluster.plan().arm();
-            let mut pool = quiet_pool(&cluster);
             for i in 0..40u64 {
                 let _ = pool.page_out(
                     ServerId((i % 2) as u32),
@@ -1244,9 +1260,8 @@ mod tests {
     #[test]
     fn random_plans_are_seed_deterministic() {
         let events = |seed: u64| {
-            let cluster = ChaosCluster::new(2, FaultPlan::random(seed, 2));
+            let (cluster, mut pool) = quiet(2, FaultPlan::random(seed, 2));
             cluster.plan().arm();
-            let mut pool = quiet_pool(&cluster);
             for i in 0..30u64 {
                 let _ = pool.page_out(
                     ServerId((i % 2) as u32),
@@ -1261,13 +1276,9 @@ mod tests {
 
     #[test]
     fn windowed_rule_fires_only_inside_its_window() {
-        let cluster = ChaosCluster::new(
-            1,
-            FaultPlan::seeded(1)
-                .with_rule(FaultRule::new(FaultAction::Drop).in_window(5..6).times(1)),
-        );
+        let drop = FaultRule::new(FaultAction::Drop).in_window(5..6).times(1);
+        let (cluster, mut pool) = quiet(1, FaultPlan::seeded(1).with_rule(drop));
         cluster.plan().arm();
-        let mut pool = quiet_pool(&cluster);
         for i in 0..10u64 {
             let _ = pool.page_out(ServerId(0), StoreKey(i), &Page::deterministic(i));
         }

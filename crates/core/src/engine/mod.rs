@@ -17,7 +17,6 @@ pub mod stripe;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
 
 use rmp_blockdev::PagingDevice;
 use rmp_cluster::Condition;
@@ -26,7 +25,7 @@ use rmp_types::{
     Page, PageId, Policy, Result, RmpError, ServerId, StoreKey, TransferStats, PAGE_SIZE,
 };
 
-use crate::pool::{Flight, ServerPool, StoreWave};
+use crate::pool::{Flight, Readable, ServerPool, StoreWave};
 use crate::recovery::RecoveryStep;
 
 /// One stored unit of a page — a whole copy, a split or a parity frame:
@@ -444,23 +443,18 @@ impl Ctx<'_> {
             .is_some_and(|st| !matches!(st.condition, Condition::Dead | Condition::StopSending))
     }
 
-    /// The holder check of every demand read that has a degraded path to
-    /// fall back on: a holder the view holds dead, one backing off whose
-    /// next rung is not due yet, or one that looks gray is reported
-    /// *before* dialling it — the read goes straight to the redundancy,
-    /// and waits for no verdict on the holder. Reads no clock for a holder
-    /// on no rung; refuses only a dead holder when [`Ctx::around`] is off.
+    /// The holder check of every demand read with a degraded path to fall
+    /// back on: a holder [`ServerPool::may_read`] says not to dial is
+    /// reported *before* dialling it — the read goes straight to the
+    /// redundancy. Refuses only a dead holder when [`Ctx::around`] is off.
     ///
     /// # Errors
     ///
     /// [`RmpError::ServerCrashed`] naming the holder.
     pub fn holder_ready(&self, server: ServerId) -> Result<()> {
-        let backing_off = || (self.pool.backoff(server)).is_some_and(|due| Instant::now() < due);
-        let usable = || !self.around || (!backing_off() && !self.pool.looks_gray(server));
-        if self.alive(server) && usable() {
-            Ok(())
-        } else {
-            Err(RmpError::ServerCrashed(server))
+        match (self.pool.may_read(server, false), self.around) {
+            (Readable::Yes, _) | (Readable::BackingOff | Readable::Gray, false) => Ok(()),
+            _ => Err(RmpError::ServerCrashed(server)),
         }
     }
 

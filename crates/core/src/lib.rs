@@ -30,6 +30,7 @@
 //! costs).
 
 pub mod chaos;
+pub mod clock;
 pub mod detector;
 pub mod engine;
 pub mod pager;
@@ -44,9 +45,9 @@ pub use chaos::{
     run_schedule, ChaosCluster, ChaosServer, ChaosTransport, FaultAction, FaultEvent, FaultPlan,
     FaultRule, OpFilter, ScheduleOutcome,
 };
-pub use detector::FailureDetector;
+pub use clock::Clock;
 pub use pager::{Pager, PagerBuilder};
-pub use pool::ServerPool;
+pub use pool::{Readable, ServerPool};
 pub use reactor::{Completion, PendingReplies, WindowStats, WindowedTransport};
 pub use recovery::RecoveryReport;
 pub use sharded::{ShardedPager, ShardedPagerBuilder};

@@ -13,7 +13,7 @@ use crate::engine::{
     basic::BasicParity, diskonly::DiskOnly, paritylog::ParityLogging, stripe::Stripe, Ctx, Engine,
     EngineMetrics, Reading, Unit, Writing,
 };
-use crate::pool::{Flight, ServerPool};
+use crate::pool::{Flight, Readable, ServerPool};
 use crate::prefetch::{Planner, PrefetchCache};
 use crate::recovery::{RecoveryPlan, RecoveryReport};
 
@@ -913,18 +913,14 @@ impl Pager {
             let Some((server, key)) = self.engine.prefetch_location(pid) else {
                 continue;
             };
-            // Nor is a copy on a server the view already holds dead, or
-            // one backing off: the demand path reads around it without
-            // dialling it, and only a demand read climbs the retry ladder.
-            if !self.pool.view().is_alive(server) || self.pool.backoff(server).is_some() {
-                continue;
-            }
-            // Prefetching is optional work on the demand path: a read
-            // queued at a gray server would stall the very fault it is
-            // trying to hide. Those pages fall through to demand reads,
-            // which go around a gray holder.
-            if self.pool.looks_gray(server) {
+            // Nor a copy the demand path reads around: on a server dead,
+            // on any rung (only a demand read climbs) or gray — a read
+            // queued there would stall the fault it is trying to hide.
+            let readable = self.pool.may_read(server, true);
+            if readable == Readable::Gray {
                 self.metrics.prefetch_skipped_gray.inc();
+            }
+            if readable != Readable::Yes {
                 continue;
             }
             // A refused submission is collected like any failed read: the

@@ -1,4 +1,30 @@
-//! The client's pool of server connections.
+//! The client's pool of server connections, and each server's standing.
+//!
+//! What the pool holds of a server's health is its `Standing` — Healthy,
+//! Suspect or Dead, on a rung of the retry ladder while an attempt failed
+//! and nothing has answered since — and the detector's evidence
+//! ([`Health`]). `Peer::step` makes every transition, and
+//! `ServerPool::transition` mirrors each, once, into the view, the
+//! metrics, the trace, the obituaries and the backoffs. The transitions
+//! (`H`, `S`, `D`; "suspects" and "clears" are [`Health::suspects`] and
+//! [`Health::clears`] once the event's evidence is in; an event leaves
+//! what its rows do not name as it was, and every reply leaves its rung):
+//!
+//! | event | from | to |
+//! |---|---|---|
+//! | reply | H, evidence suspects | S |
+//! | reply | S or D, evidence clears | H, clean streak restarted |
+//! | miss | H | S |
+//! | transient failure | any | the next rung |
+//! | sibling's rung | H or S, on none or an earlier one | that rung |
+//! | typed refusal | any | no rung |
+//! | forgiveness | any | H, no rung, no evidence |
+//! | verdict | H or S | D, no rung, suspicion at the cap |
+//! | verdict | D | no rung |
+//!
+//! Whatever decides a server's standing reads the pool's [`Clock`]:
+//! latencies, the §5 service-time mean, a rung's due time, the call
+//! budget and the ladder's wait.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -11,15 +37,13 @@ use rmp_proto::{LoadHint, Message};
 use rmp_types::metrics::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
 use rmp_types::{ErrorCode, Page, Result, RmpError, ServerId, StoreKey, TransportConfig};
 
-use crate::detector::{ewma, FailureDetector, Health, Verdict, GRAY_SUSPICION, SLOW_MULT};
+use crate::clock::Clock;
+use crate::detector::{ewma, Health, GRAY_SUSPICION, SLOW_MULT, SUSPICION_CAP};
 use crate::reactor::{lost_with_its_burst, PendingReplies, WindowedTransport};
 use crate::transport::ServerTransport;
 
-/// Floor on the expected-latency gate of [`ServerPool::looks_gray`], µs.
-/// Even a maximally suspect holder is not worth reading around when it
-/// is expected to answer in under half a millisecond — the degraded path
-/// costs at least one transfer itself (and in-memory test transports
-/// would otherwise look gray on microsecond noise).
+/// Floor on the expected reply of a gray server, µs: the way around
+/// costs at least one transfer itself.
 const GRAY_MIN_EXPECTED_US: f64 = 500.0;
 
 /// Frames requested per allocation round-trip; the client consumes the
@@ -76,18 +100,62 @@ impl PoolMetrics {
     }
 }
 
-/// Everything the pool keeps about one server — connection, grants and
-/// health — in one place so that no transition can reset part of it and
-/// forget the rest.
+/// Where one server stands with this pool (see the module docs' table):
+/// trusted — on a rung only when told of a sibling pool's; suspected —
+/// it answers and holds its pages, but new pages go elsewhere; or held
+/// dead — read around, on a rung while a caller with no other way walks
+/// the ladder to it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Standing {
+    Healthy(Option<Rung>),
+    Suspect(Option<Rung>),
+    Dead(Option<Rung>),
+}
+
+impl Standing {
+    fn rung(self) -> Option<Rung> {
+        match self {
+            Standing::Healthy(rung) | Standing::Suspect(rung) | Standing::Dead(rung) => rung,
+        }
+    }
+
+    /// The same standing on `rung`.
+    fn on(self, rung: Option<Rung>) -> Standing {
+        match self {
+            Standing::Healthy(_) => Standing::Healthy(rung),
+            Standing::Suspect(_) => Standing::Suspect(rung),
+            Standing::Dead(_) => Standing::Dead(rung),
+        }
+    }
+}
+
+/// What happened to a server (see the module docs' table): an answer,
+/// so many µs after leaving, with page data or not; a deadline miss or a
+/// lost connection, so many µs in coming; a transient failure — why, and
+/// whether a deadline or an overload — whose next rung is due a backoff
+/// from now; a sibling pool's rung; a typed refusal; a forgiveness; a
+/// verdict, why on the trace.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Event {
+    Reply(f64, bool),
+    Miss(f64),
+    Rung(Duration, &'static str, bool),
+    Told(Rung),
+    Refused,
+    Forgiven,
+    Verdict(&'static str),
+}
+
+/// Everything the pool keeps about one server, in one place so that no
+/// transition can reset part of it and forget the rest.
 struct Peer {
     transport: Box<dyn ServerTransport>,
     /// Where to redial; `None` for a transport handed in ready-made.
     addr: Option<String>,
     /// Frames the server granted that no pageout has consumed yet.
     grants: u32,
-    /// The transport's window stalls already mirrored into
-    /// `pool_window_stalls_total` (its counter is cumulative; the metric
-    /// only takes deltas).
+    /// The transport's (cumulative) window stalls already mirrored into
+    /// `pool_window_stalls_total`.
     stalls_seen: u64,
     /// The in-flight frames of this connection at the pool's last
     /// exchange with it: its share of `pool_window_depth`.
@@ -95,34 +163,21 @@ struct Peer {
     /// `pool_call_latency_us{srvN}`, resolved on first use so only
     /// servers that take traffic appear.
     latency: Option<Arc<Histogram>>,
-    /// The failure detector's state for this server: suspicion score,
-    /// Suspect latch and latency estimates (see [`crate::detector`]).
-    /// Written by [`ServerPool::sample`] and [`Peer::reset`] only.
+    standing: Standing,
     health: Health,
-    /// `detector_suspicion{srvN}`: the detector score in milli-units
-    /// (score × 1000, gauges are integral).
+    /// `detector_suspicion{srvN}`: the score × 1000.
     suspicion: Option<Arc<Gauge>>,
-    /// Where this server stands on the retry ladder: `None` while its
-    /// last attempt was answered, so a healthy server's path reads no
-    /// clock for it.
-    rung: Option<Rung>,
 }
 
-/// Where a server stands on the retry ladder between two attempts: set by
-/// a failed attempt, cleared by an answer, a forgiveness or a verdict (see
-/// [`ServerPool::ladder`]).
-#[derive(Clone, Copy, Debug)]
+/// A rung of the retry ladder (see [`ServerPool::ladder`]): `failed`
+/// attempts in a row, the next due at `due` — a jittered backoff after
+/// the last — and the verdict a timeout if a deadline miss or an overload
+/// was among them. `why` the last failed goes on the next one's trace.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Rung {
-    /// Attempts failed in a row.
     failed: u32,
-    /// When the next attempt may go out: the jittered backoff after the
-    /// last failure.
     due: Instant,
-    /// Whether a deadline miss or an overload refusal was among the
-    /// failures: the verdict is then a timeout.
     timed_out: bool,
-    /// What the last failure was, for the `retry` trace of the next
-    /// attempt.
     why: &'static str,
 }
 
@@ -135,52 +190,95 @@ impl Peer {
             stalls_seen: 0,
             depth_seen: 0,
             latency: None,
+            standing: Standing::Healthy(None),
             health: Health::default(),
             suspicion: None,
-            rung: None,
         }
     }
 
-    /// The one reset: drops what was learnt over the connection so far
-    /// and, given a `health`, replaces the detector's record and the rung
-    /// with it (a clean slate on forgiveness, [`Health::dead`] on death; a
-    /// mid-call redial keeps both, the miss behind it being the news).
-    /// Grants never survive: a redialled or restarted server has lost
-    /// them and a dead one's are worthless. The stall baseline restarts
-    /// only together with the transport's own counters — on a
-    /// `new_connection` — or the delta mirror in `publish_window_stats`
-    /// would swallow every stall below the old total (fresh counters,
-    /// stale baseline) or count the old total twice (old counters, zeroed
-    /// baseline).
-    fn reset(&mut self, new_connection: bool, health: Option<Health>) {
+    /// Makes the transition `event` makes at `now`; returns the standing
+    /// it left.
+    fn step(&mut self, event: Event, now: Instant) -> Standing {
+        let was = self.standing;
+        let rung = was.rung();
+        self.standing = match event {
+            Event::Reply(us, data) => {
+                self.health.on_reply(us, data);
+                self.judged(was.on(None))
+            }
+            Event::Miss(us) => {
+                self.health.on_miss(us);
+                self.judged(was)
+            }
+            Event::Rung(backoff, why, timed_out) => was.on(Some(Rung {
+                failed: rung.map_or(0, |rung| rung.failed) + 1,
+                due: now + backoff,
+                timed_out: timed_out || rung.is_some_and(|rung| rung.timed_out),
+                why,
+            })),
+            Event::Told(theirs) => match (was, rung) {
+                (Standing::Dead(_), _) => was,
+                (_, Some(mine)) if mine.failed >= theirs.failed => was,
+                _ => was.on(Some(theirs)),
+            },
+            Event::Refused => was.on(None),
+            Event::Forgiven => {
+                self.health = Health::default();
+                Standing::Healthy(None)
+            }
+            Event::Verdict(_) => {
+                if !matches!(was, Standing::Dead(_)) {
+                    // A rejoin starts from maximum distrust, and no history.
+                    self.health = Health::default();
+                    self.health.suspicion = SUSPICION_CAP;
+                }
+                Standing::Dead(None)
+            }
+        };
+        was
+    }
+
+    /// The hysteresis band: evidence that suspects a trusted server makes
+    /// it Suspect; evidence that clears a suspected or dead one trusts it
+    /// again, and its clean streak starts over.
+    fn judged(&mut self, standing: Standing) -> Standing {
+        match standing {
+            Standing::Healthy(rung) if self.health.suspects() => Standing::Suspect(rung),
+            Standing::Suspect(rung) | Standing::Dead(rung) if self.health.clears() => {
+                self.health.clean_data_streak = 0;
+                Standing::Healthy(rung)
+            }
+            standing => standing,
+        }
+    }
+
+    /// Drops what was learnt over the connection: grants never survive a
+    /// redial, a restart or a death. The stall baseline restarts only with
+    /// the transport's own counters — on a `new_connection` — or
+    /// `publish_window_stats` would swallow stalls or count them twice.
+    fn reset(&mut self, new_connection: bool) {
         self.grants = 0;
         if new_connection {
             self.stalls_seen = 0;
         }
-        if let Some(health) = health {
-            self.health = health;
-            self.rung = None;
-        }
-    }
-
-    /// Mirrors the current suspicion score into the server's
-    /// `detector_suspicion{srvN}` gauge (milli-units), when attached.
-    fn publish_suspicion(&mut self, id: ServerId, metrics: Option<&PoolMetrics>) {
-        if let Some(m) = metrics {
-            self.suspicion
-                .get_or_insert_with(|| m.registry.gauge(&format!("detector_suspicion{{{id}}}")))
-                .set((self.health.suspicion() * 1000.0) as u64);
-        }
     }
 }
 
-/// What one attempt against a server came to, as far as its health is
-/// concerned (see [`ServerPool::sample`]).
-enum Outcome {
-    /// It answered; `data_path` when the exchange carried page data.
-    Reply { data_path: bool },
-    /// Deadline miss or transport failure.
-    Miss,
+/// What [`ServerPool::may_read`] says of a holder: dial it, or not — it
+/// is dead, on a rung (for a demand read, one not due yet), or gray.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Readable {
+    Yes,
+    Dead,
+    BackingOff,
+    Gray,
+}
+
+/// Adds `id` to `list` unless it is there.
+fn note(list: &mut Vec<ServerId>, id: ServerId) {
+    if !list.contains(&id) {
+        list.push(id);
+    }
 }
 
 /// Whether `e` is the kind of failure the retry ladder exists for — a
@@ -197,7 +295,8 @@ struct Burst {
     /// This burst's frames, as positions in the wave's grouped order.
     at: Range<usize>,
     /// When it was submitted, and once it has been written, when it was:
-    /// the instant its read deadline and its latency count from.
+    /// the wall-clock instant its read deadline, its latency and the
+    /// retry budget count from.
     sent: Instant,
     /// The handle on the burst's replies, or why it never left; `None`
     /// while the server backs off: the burst leaves when collected.
@@ -386,19 +485,14 @@ fn hint_condition(hint: LoadHint) -> Condition {
 
 /// Connections to every registered server plus the client's live load view.
 ///
-/// All wire traffic of the pager funnels through here, making it the
-/// single retry/backoff/reconnect point of the paging path: a transient
-/// failure (timeout, dropped connection, overload refusal) puts the
-/// server on the next rung of a bounded ladder — marked
-/// [`Condition::Suspect`], its next attempt due after an exponentially
-/// growing backoff, on a redialled connection if the old one broke — and
-/// only when the rungs run out is the server declared dead and the error
-/// surfaced as [`RmpError::Timeout`] or [`RmpError::ServerCrashed`]. The
-/// rung is the server's, not a call's: a caller with no other way sleeps
-/// until it is due, one that can read around the server does so at once
-/// (see `ServerPool::ladder`). Service times of all attempts —
-/// including failed ones — feed the adaptive-policy estimate, so a
-/// degraded cluster looks slow, not idle.
+/// All wire traffic of the pager funnels through here, the single
+/// retry/backoff/reconnect point of the paging path: a transient failure
+/// (timeout, dropped connection, overload refusal) puts the server on the
+/// next rung of a bounded ladder — Suspect, its next attempt due after an
+/// exponentially growing backoff, on a redialled connection if the old
+/// one broke — and only when the rungs run out is it declared dead and
+/// the error surfaced as [`RmpError::Timeout`] or
+/// [`RmpError::ServerCrashed`] (see `ServerPool::ladder`).
 pub struct ServerPool {
     peers: BTreeMap<ServerId, Peer>,
     view: ClusterView,
@@ -410,34 +504,20 @@ pub struct ServerPool {
     service_ms: f64,
     /// Deadlines and retry policy applied to every call.
     transport_cfg: TransportConfig,
-    /// The accrual rules applied to each peer's [`Health`]: suspicion fed
-    /// by reply latencies and deadline misses (see [`crate::detector`]).
-    /// Drives Suspect entry/exit with hysteresis and which servers look
-    /// gray.
-    detector: FailureDetector,
+    /// What every decision about a server's standing reads as now.
+    clock: Clock,
     /// Attempts consumed by the most recent call (1 = first try clean).
-    /// Callers with non-idempotent wire operations (basic parity's
-    /// XOR delta path) use this to detect that a retry may have applied
-    /// their operation twice.
     last_attempts: u32,
     /// xorshift64* state for backoff jitter; deterministic seed keeps
     /// tests reproducible.
     jitter_state: u64,
-    /// When set, every fetched page is verified against the checksum the
-    /// server computed over its stored bytes; a mismatch surfaces as
-    /// [`RmpError::CorruptPage`] without marking the server dead (it
-    /// answered — the fault is in the data, not the transport).
+    /// Whether every fetched page is checked against the server's
+    /// checksum; a mismatch is [`RmpError::CorruptPage`], not a death.
     verify_checksums: bool,
-    /// Pages per chunk for whoever works through many pages at a time —
-    /// a rebuild, a migration, the parity log's clean-up: a chunk is one
-    /// gather.
+    /// Pages per chunk of a rebuild, a migration, a log clean-up.
     batch_max_pages: usize,
-    /// Servers declared dead and not forgiven since, for whoever runs
-    /// several pools over one cluster to pass the verdict on (see
-    /// [`ServerPool::obituaries`]).
+    /// See [`ServerPool::obituaries`] and [`ServerPool::backoffs`].
     obituaries: Vec<ServerId>,
-    /// Servers that took a rung of the retry ladder since last asked, for
-    /// the same front-end to pass on (see [`ServerPool::backoffs`]).
     backoffs: Vec<ServerId>,
     /// Observability hooks; `None` (the default) records nothing.
     metrics: Option<PoolMetrics>,
@@ -458,7 +538,7 @@ impl ServerPool {
             wire_transfers: 0,
             service_ms: 0.0,
             transport_cfg,
-            detector: FailureDetector::new(),
+            clock: Clock::Real,
             last_attempts: 0,
             jitter_state: 0x2545_F491_4F6C_DD1D,
             verify_checksums: true,
@@ -487,16 +567,14 @@ impl ServerPool {
         self.metrics.as_ref().map(|m| &m.registry)
     }
 
-    /// Enables or disables end-to-end checksum verification of fetched
-    /// pages (on by default; the pager wires this to
-    /// [`rmp_types::PagerConfig::verify_checksums`]).
+    /// Turns end-to-end checksum verification of fetched pages on (the
+    /// default) or off ([`rmp_types::PagerConfig::verify_checksums`]).
     pub fn set_verify_checksums(&mut self, enabled: bool) {
         self.verify_checksums = enabled;
     }
 
-    /// Sets the chunk size of rebuild, migration and log clean-up,
-    /// clamped to 1..=64 pages (the pager wires this to
-    /// [`rmp_types::PagerConfig::batch_max_pages`]).
+    /// Sets the chunk size of rebuild, migration and log clean-up, 1..=64
+    /// pages ([`rmp_types::PagerConfig::batch_max_pages`]).
     pub fn set_batch_max_pages(&mut self, pages: usize) {
         self.batch_max_pages = pages.clamp(1, MAX_CHUNK_PAGES);
     }
@@ -588,96 +666,137 @@ impl ServerPool {
         self.forgive(id, true);
     }
 
-    /// Forgives `id` without touching its transport: its health record is
-    /// wiped and the server is marked alive in the view. The chaos
-    /// harness uses this after disarming a fault plan over an in-process
-    /// transport, where there is no socket to redial but the server's
-    /// history (a scripted fault burst) says nothing about its future.
+    /// Forgives `id` without touching its transport — over an in-process
+    /// transport, say, with no socket to redial, whose scripted fault
+    /// burst says nothing about its future.
     pub fn absolve(&mut self, id: ServerId) {
         self.forgive(id, false);
     }
 
-    /// Wipes `id`'s slate: connection-scoped state, health record and the
-    /// view's verdict.
+    /// Wipes `id`'s slate: connection state, standing and evidence.
     fn forgive(&mut self, id: ServerId, new_connection: bool) {
         if let Some(peer) = self.peers.get_mut(&id) {
-            peer.reset(new_connection, Some(Health::default()));
-            peer.publish_suspicion(id, self.metrics.as_ref());
+            peer.reset(new_connection);
         }
-        self.view.mark_alive(id);
-        self.obituaries.retain(|&dead| dead != id);
+        self.transition(id, Event::Forgiven);
     }
 
-    /// Holds `id` dead from here on — in the view, its record (grants
-    /// dropped, suspicion pinned), the metrics and the trace ring (`why`
-    /// is the trace detail). The only way a server dies, whether the
-    /// retry ladder, a shutdown notice, crash injection or the pager
-    /// noticed. A server already held dead counts one death. Each death
-    /// leaves an obituary.
+    /// Holds `id` dead from here on — the verdict of crash injection or
+    /// of the pager; `why` is the trace detail. A server already held
+    /// dead counts one death.
     pub fn declare_dead(&mut self, id: ServerId, why: &'static str) {
-        if !self.view.is_alive(id) {
+        if self.alive(id) {
+            self.transition(id, Event::Verdict(why));
+        }
+    }
+
+    /// Moves `id` by `event` (`Peer::step`) and mirrors what changed — the
+    /// view, the metrics, the trace, the obituaries and the backoffs.
+    /// Nothing else writes any of them.
+    pub(crate) fn transition(&mut self, id: ServerId, event: Event) {
+        let now = self.clock.now();
+        let Some(peer) = self.peers.get_mut(&id) else {
             return;
+        };
+        let (was, m) = (peer.step(event, now), self.metrics.as_ref());
+        if let Some(m) = m {
+            let gauge = || m.registry.gauge(&format!("detector_suspicion{{{id}}}"));
+            let milli = (peer.health.suspicion() * 1000.0) as u64;
+            peer.suspicion.get_or_insert_with(gauge).set(milli);
         }
-        self.view.mark_dead(id);
-        if !self.obituaries.contains(&id) {
-            self.obituaries.push(id);
+        match (event, was, peer.standing) {
+            (Event::Forgiven, _, _) => {
+                self.view.mark_alive(id);
+                self.obituaries.retain(|&dead| dead != id);
+            }
+            (Event::Verdict(why), Standing::Healthy(_) | Standing::Suspect(_), _) => {
+                peer.reset(false);
+                self.view.mark_dead(id);
+                note(&mut self.obituaries, id);
+                if let Some(m) = m {
+                    m.deaths.inc();
+                    m.registry.trace(EventKind::Crash, Some(id), None, why);
+                }
+            }
+            (Event::Rung(..), _, _) => note(&mut self.backoffs, id),
+            (_, Standing::Healthy(_), Standing::Suspect(_)) => {
+                self.view.mark_suspect(id);
+                if let Some(m) = m {
+                    m.suspect_transitions.inc();
+                }
+            }
+            (_, Standing::Suspect(_) | Standing::Dead(_), Standing::Healthy(_)) => {
+                self.view.mark_alive(id);
+            }
+            _ => {}
         }
-        if let Some(peer) = self.peers.get_mut(&id) {
-            peer.reset(false, Some(Health::dead()));
-            peer.publish_suspicion(id, self.metrics.as_ref());
-        }
-        if let Some(m) = &self.metrics {
-            m.deaths.inc();
-            m.registry.trace(EventKind::Crash, Some(id), None, why);
-        }
+    }
+
+    /// Whether this pool holds `id` to be alive.
+    fn alive(&self, id: ServerId) -> bool {
+        (self.peers.get(&id)).is_some_and(|peer| !matches!(peer.standing, Standing::Dead(_)))
     }
 
     /// The servers this pool has declared dead and not forgiven since,
-    /// until somebody takes them: a front-end over several pools drains
-    /// one pool's list and tells the others, so that a crash costs the
-    /// cluster's clients one retry ladder and not one each. Nothing here
-    /// reads it; a pool on its own keeps at most one entry a server. A
-    /// server whose replies have since re-promoted it is still listed:
-    /// whoever passes a verdict on checks it against the view first.
+    /// until somebody takes them: a front-end over several pools tells the
+    /// others, so that a crash costs the cluster's clients one retry
+    /// ladder and not one each. A server re-promoted since is still
+    /// listed: whoever passes a verdict on checks the view first.
     pub fn obituaries(&mut self) -> &mut Vec<ServerId> {
         &mut self.obituaries
     }
 
     /// The servers that took a rung of the retry ladder since somebody
     /// last took this list, as [`ServerPool::obituaries`] lists verdicts:
-    /// a front-end over several pools passes each one's [`Rung`] on, so
-    /// that a server one pool found failing is read around by all at once
-    /// and not dialled — or, silent, waited for — by each. A server that
-    /// has left its rung since is still listed: whoever passes it on
-    /// checks.
+    /// passed on, a server one pool found failing is read around by all
+    /// at once, not dialled — or waited for — by each.
     pub(crate) fn backoffs(&mut self) -> &mut Vec<ServerId> {
         &mut self.backoffs
     }
 
     /// The rung `id` is on, if any.
     pub(crate) fn rung(&self, id: ServerId) -> Option<Rung> {
-        self.peers.get(&id)?.rung
+        self.peers.get(&id)?.standing.rung()
     }
 
-    /// Puts `id` on `rung` — another pool's, over its own connection to
-    /// the same server — unless this pool has it on that rung or a later
-    /// one, or holds it dead: reads here then go around it until the rung
-    /// is due, and the ladder here goes on from there.
-    pub(crate) fn adopt_rung(&mut self, id: ServerId, rung: Rung) {
-        if let Some(peer) = self.peers.get_mut(&id).filter(|_| self.view.is_alive(id)) {
-            if peer.rung.is_none_or(|mine| mine.failed < rung.failed) {
-                peer.rung = Some(rung);
-            }
-        }
-    }
-
-    /// When `id`'s next attempt is due, if it is backing off: an attempt
-    /// failed and took a rung of the retry ladder, and nothing has
-    /// answered since. A read that can be served some other way goes
-    /// around it until then, and read-ahead leaves it alone; the ladder
-    /// sleeps until then. Reads no clock.
+    /// When `id`'s next attempt is due, if it is on a rung. Reads no
+    /// clock.
     pub fn backoff(&self, id: ServerId) -> Option<Instant> {
-        Some(self.peers.get(&id)?.rung?.due)
+        Some(self.rung(id)?.due)
+    }
+
+    /// The one question every read asks before it dials `id`: dead,
+    /// backing off — on any rung for read-ahead (`ahead`), on one not due
+    /// for a demand read, which alone climbs the ladder — or gray:
+    /// [`GRAY_SUSPICION`] and an expected reply at or above half a
+    /// millisecond and the best tail among the other live servers sampled
+    /// (a call histogram's p99, else [`SLOW_MULT`]× the fast baseline).
+    /// With no such server to go to instead, none looks gray.
+    pub fn may_read(&self, id: ServerId, ahead: bool) -> Readable {
+        let Some(peer) = self.peers.get(&id) else {
+            return Readable::Dead;
+        };
+        let tail = |peer: &Peer| {
+            let p99 = (peer.latency.as_ref()).map(|h| h.snapshot().p99_us());
+            let baseline = peer.health.baseline_us().map(|us| SLOW_MULT * us);
+            p99.filter(|&p| p > 0.0).or(baseline)
+        };
+        let gray = || {
+            let others =
+                (self.peers.iter()).filter(|&(&other, _)| other != id && self.alive(other));
+            let best = || others.filter_map(|(_, other)| tail(other)).reduce(f64::min);
+            let expected = peer.health.expected_latency_us();
+            peer.health.suspicion() >= GRAY_SUSPICION
+                && best().is_some_and(|best| expected >= best.max(GRAY_MIN_EXPECTED_US))
+        };
+        match peer.standing {
+            Standing::Dead(_) => Readable::Dead,
+            standing if (standing.rung()).is_some_and(|r| ahead || self.clock.now() < r.due) => {
+                Readable::BackingOff
+            }
+            _ if gray() => Readable::Gray,
+            _ => Readable::Yes,
+        }
     }
 
     /// Registered server ids, ascending.
@@ -695,7 +814,7 @@ impl ServerPool {
         &self.view
     }
 
-    /// Mutable access to the load view.
+    /// Mutable access to the load view; liveness is the pool's, mirrored.
     pub fn view_mut(&mut self) -> &mut ClusterView {
         &mut self.view
     }
@@ -726,20 +845,6 @@ impl ServerPool {
         self.peers.get(&id).map_or(0.0, |p| p.health.suspicion())
     }
 
-    /// Whether `id` currently looks *gray*: suspicion at or above
-    /// [`GRAY_SUSPICION`] and an expected reply at or above the best tail
-    /// among the other live servers (`gray_bar_us`); never while the
-    /// detector's slow floor is infinite. A demand read goes around such
-    /// a server, and read-ahead leaves it alone, while it is still
-    /// considered alive.
-    pub fn looks_gray(&self, id: ServerId) -> bool {
-        self.peers.get(&id).is_some_and(|peer| {
-            self.detector.scores_latency()
-                && peer.health.suspicion() >= GRAY_SUSPICION
-                && peer.health.expected_latency_us() >= self.gray_bar_us(id)
-        })
-    }
-
     /// Attempts consumed by the most recent call on this pool (1 = clean
     /// first try, more = at least one retry happened). Non-idempotent
     /// callers (basic parity's XOR path) consult this to learn that their
@@ -748,31 +853,14 @@ impl ServerPool {
         self.last_attempts
     }
 
-    /// Sets the detector's slow-reply floor (µs); `f64::INFINITY`
-    /// disables slowness accrual and with it every gray verdict — the
-    /// determinism tests use this because wall-clock latency is the one
-    /// nondeterministic detector input.
-    pub fn set_detector_slow_floor_us(&mut self, floor: f64) {
-        self.detector.set_slow_floor_us(floor);
+    /// Puts every decision about a server's standing on `clock`.
+    pub fn set_clock(&mut self, clock: Clock) {
+        self.clock = clock;
     }
 
-    /// What `id`'s expected reply must reach to look gray, µs: the best
-    /// (lowest) tail among the other live servers that have been sampled —
-    /// the p99 of a server's call histogram, else [`SLOW_MULT`]× its fast
-    /// baseline — and no less than [`GRAY_MIN_EXPECTED_US`]. A read whose
-    /// holder is expected to take longer is cheaper to serve around it.
-    fn gray_bar_us(&self, id: ServerId) -> f64 {
-        let others =
-            (self.peers.iter()).filter(|&(&other, _)| other != id && self.view.is_alive(other));
-        let tails = others.map(|(_, peer)| {
-            let p99 = (peer.latency.as_ref()).map(|h| h.snapshot().p99_us());
-            p99.filter(|&p| p > 0.0)
-                .unwrap_or(SLOW_MULT * peer.health.baseline_us())
-        });
-        let best = tails
-            .filter(|&tail| tail > 0.0)
-            .fold(f64::INFINITY, f64::min);
-        (if best.is_finite() { best } else { 0.0 }).max(GRAY_MIN_EXPECTED_US)
+    /// The clock the pool's decisions read.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     /// Next jitter factor in `[1 - jitter, 1 + jitter]` (xorshift64*).
@@ -788,13 +876,11 @@ impl ServerPool {
     }
 
     /// Books one attempt against `id` — a flight, or a wave's burst — that
-    /// took `elapsed`: folds it into the service-time estimate and the
-    /// latency histograms, mirrors the window counters, and, when it was
-    /// answered (`answered` says whether it carried page data), takes the
-    /// health sample. Failed and timed-out attempts count too: a flaky
-    /// cluster must look *slow* to the adaptive policy, not invisible. A
-    /// failed one's miss is sampled by the caller, which knows what it
-    /// costs.
+    /// took `elapsed`: into the service-time estimate and the latency
+    /// histograms, failed ones too (a flaky cluster must look *slow* to the
+    /// adaptive policy, not invisible); and, when it was answered
+    /// (`answered`: whether with page data, [`Message::is_data_op`]), as a
+    /// reply. A failed one's miss is the caller's to take.
     fn book(&mut self, id: ServerId, elapsed: Duration, answered: Option<bool>) {
         ewma(&mut self.service_ms, elapsed.as_secs_f64() * 1000.0);
         if let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) {
@@ -807,18 +893,16 @@ impl ServerPool {
                 .record(elapsed);
         }
         self.publish_window_stats(id);
-        if let Some(data_path) = answered {
-            self.sample(id, elapsed, Outcome::Reply { data_path });
+        if let Some(data) = answered {
+            let us = elapsed.as_secs_f64() * 1e6;
+            self.transition(id, Event::Reply(us, data));
         }
     }
 
-    /// Mirrors the counters of `id`'s windowed transport — the one an
-    /// exchange just ran on; no other connection's reactor is disturbed
-    /// for it — into the pool metrics: `pool_window_depth` (the sum of
-    /// every connection's in-flight frames, each as of the last exchange
-    /// with it) and `pool_window_stalls_total` (stall deltas, since the
-    /// transport's counter is cumulative and the metric only grows).
-    /// A no-op when no metrics are attached or the transport has no window.
+    /// Mirrors the counters of `id`'s windowed transport, the one an
+    /// exchange just ran on, into `pool_window_depth` (every connection's
+    /// in-flight frames as of the last exchange with it) and
+    /// `pool_window_stalls_total` (deltas of the cumulative counter).
     fn publish_window_stats(&mut self, id: ServerId) {
         let (Some(m), Some(peer)) = (&self.metrics, self.peers.get_mut(&id)) else {
             return;
@@ -835,78 +919,31 @@ impl ServerPool {
             .set(self.peers.values().map(|peer| peer.depth_seen).sum());
     }
 
-    /// Takes one health sample of `id` — what an attempt that took
-    /// `elapsed` came to — and is the only code that moves a server
-    /// between Healthy and Suspect: the detector's latch, the view's
-    /// condition, `pool_suspect_transitions_total` and the suspicion gauge
-    /// change here, together. Every attempt ends up here: a call (first
-    /// try or retry), a read-ahead refused, a read-ahead collected.
-    ///
-    /// Only clean *data-path* replies ([`Message::is_data_op`]) count
-    /// toward re-promoting a Suspect server: one that answers `GetStats`
-    /// promptly has proven nothing about its paging path. Persistent
-    /// slowness can also suspect a server on a successful call — the
-    /// gray-failure case a binary heuristic misses. Any reply takes the
-    /// server off the retry ladder.
-    fn sample(&mut self, id: ServerId, elapsed: Duration, outcome: Outcome) {
-        let Some(peer) = self.peers.get_mut(&id) else {
-            return;
-        };
-        let latency_us = elapsed.as_secs_f64() * 1_000_000.0;
-        let verdict = match outcome {
-            Outcome::Reply { data_path } => {
-                peer.rung = None;
-                self.detector
-                    .on_reply(&mut peer.health, latency_us, data_path)
-            }
-            Outcome::Miss => self.detector.on_miss(&mut peer.health, latency_us),
-        };
-        match verdict {
-            Verdict::BecameSuspect => {
-                self.view.mark_suspect(id);
-                if let Some(m) = &self.metrics {
-                    m.suspect_transitions.inc();
-                }
-            }
-            Verdict::BecameHealthy => self.view.mark_alive(id),
-            Verdict::Unchanged => {}
-        }
-        peer.publish_suspicion(id, self.metrics.as_ref());
-    }
-
-    /// The single failure-handling point of the paging path: a flight
-    /// begun and settled.
-    ///
-    /// Sends `request` to `id`. Through [`ServerPool::ladder`], a
-    /// transient failure (timeout, dropped connection, overload refusal)
-    /// marks the server suspect, and the call waits out the backoff,
-    /// redials a broken connection and tries again — until the rungs run
-    /// out and the server is declared dead. Typed server errors are mapped
-    /// there, centrally: out-of-memory becomes [`RmpError::NoSpace`],
-    /// shutting-down becomes [`RmpError::ServerCrashed`] (with the server
-    /// marked dead).
+    /// A flight begun and settled: `request` to `id`, down the retry
+    /// ladder ([`ServerPool::ladder`]) on a transient failure; a typed
+    /// out-of-memory is [`RmpError::NoSpace`], shutting-down
+    /// [`RmpError::ServerCrashed`] with the server declared dead.
     fn call(&mut self, id: ServerId, request: Message) -> Result<Message> {
         // The flight never leaves this call, so it names no key.
         let flight = self.begin_call(id, StoreKey(0), request);
         self.settle(flight)
     }
 
-    /// When the retry budget of a call begun at `begun` runs out. The whole
-    /// call — every attempt, backoff, and redial — runs against that one
-    /// instant: no retry starts on a fresh budget.
-    fn budget_end(&self, begun: Instant) -> Instant {
-        begun + self.transport_cfg.effective_call_budget()
+    /// When, on the pool's clock, the retry budget of a call that left at
+    /// `sent` runs out. The whole call — every attempt, backoff, and
+    /// redial — runs against that one instant: no retry starts on a fresh
+    /// budget.
+    fn budget_end(&self, sent: Instant) -> Instant {
+        self.clock.read(sent) + self.transport_cfg.effective_call_budget()
     }
 
     /// The retry ladder, for a caller that has no other way: `landed` is
     /// how the attempt of `flight` came back. On a transient failure the
     /// server takes its next rung and the flight, held, leaves again once
-    /// the rung is due, until the rungs or `by` run out and the server is
-    /// declared dead. The rung is the server's, kept on its [`Peer`]
-    /// between calls: a call finds the server where the last failure left
-    /// it — a read that went around it, say — and goes on from there, so a
-    /// walk has `max_attempts` attempts however many callers share it. The
-    /// request moves from rung to rung; it is never copied.
+    /// it is due, until the rungs or `by` run out and the server is
+    /// declared dead. The rung is the server's: a call goes on from where
+    /// the last failure left it, so a walk has `max_attempts` attempts
+    /// however many callers share it.
     fn ladder(
         &mut self,
         mut flight: Flight,
@@ -923,9 +960,8 @@ impl ServerPool {
                 Err(failed) => failed,
             };
             if is_transient(&failed) {
-                // Transient until proven otherwise: the miss
-                // deprioritizes the server while it proves itself.
-                self.sample(id, elapsed, Outcome::Miss);
+                let us = elapsed.as_secs_f64() * 1e6;
+                self.transition(id, Event::Miss(us));
             }
             self.fail(id, failed, Some(by))?;
             flight.pending = None;
@@ -935,10 +971,8 @@ impl ServerPool {
     }
 
     /// What the failure `e` of an attempt at `id` comes to: a typed refusal
-    /// maps to its error, and any other failure that is not transient is
-    /// the caller's. A transient one takes `id`'s next rung — `Ok` while
-    /// one is left and `budget`, if given, is not spent — and when none
-    /// is, it is the verdict.
+    /// maps to its error; a transient failure takes the next rung — `Ok`
+    /// while one is left within `budget` — or is the verdict.
     fn fail(&mut self, id: ServerId, e: RmpError, budget: Option<Instant>) -> Result<()> {
         let failed = match e {
             // The server answered: the transport is healthy, the request
@@ -947,9 +981,7 @@ impl ServerPool {
                 code: ErrorCode::OutOfMemory,
                 ..
             } => {
-                if let Some(peer) = self.peers.get_mut(&id) {
-                    peer.rung = None;
-                }
+                self.transition(id, Event::Refused);
                 return Err(RmpError::NoSpace(id));
             }
             RmpError::Remote {
@@ -973,77 +1005,52 @@ impl ServerPool {
     }
 
     /// Puts `id` on its next rung after the transient failure `e`, due a
-    /// jittered backoff from now; or, when the rungs or `budget` have run
-    /// out, declares it dead and returns the verdict.
-    fn take_rung(
-        &mut self,
-        id: ServerId,
-        e: &RmpError,
-        budget: Option<Instant>,
-    ) -> Option<RmpError> {
+    /// jittered backoff from now; or, when the rungs or the budget `by`
+    /// have run out, declares it dead and returns the verdict.
+    fn take_rung(&mut self, id: ServerId, e: &RmpError, by: Option<Instant>) -> Option<RmpError> {
+        // Overload is a typed refusal from a live server: every session is
+        // taken. It backs off like a timeout, and the verdict it comes to
+        // is one, steering the pager elsewhere without calling it crashed.
+        let timed_out = e.is_timeout() || e.is_overload();
+        let why = match () {
+            _ if e.is_timeout() => "timeout",
+            _ if timed_out => "overloaded",
+            _ => "transport",
+        };
         let last = self.rung(id);
         let failed = last.map_or(0, |rung| rung.failed) + 1;
-        // Overload is a typed refusal from a live server: every session
-        // is taken. It backs off like a timeout — and if the storm
-        // outlasts the rungs, the verdict is a timeout, steering the pager
-        // to other servers without calling this one crashed.
-        let timed_out =
-            last.is_some_and(|rung| rung.timed_out) || e.is_timeout() || e.is_overload();
         // Rungs remain but the call budget is spent: further attempts
         // would only stretch the stall the budget exists to bound.
-        let spent = budget.is_some_and(|budget| Instant::now() >= budget);
-        if failed >= self.transport_cfg.retry.max_attempts.max(1) || spent {
-            let timed_out = timed_out || spent;
-            if let Some(peer) = self.peers.get_mut(&id) {
-                peer.rung = None;
+        let spent = by.is_some_and(|by| self.clock.now() >= by);
+        if failed < self.transport_cfg.retry.max_attempts.max(1) && !spent {
+            let mut backoff = self.transport_cfg.retry.backoff_for(failed - 1);
+            if !backoff.is_zero() {
+                let jittered = backoff.as_secs_f64() * self.jitter_factor();
+                backoff = Duration::from_secs_f64(jittered.max(0.0));
             }
-            self.declare_dead(id, if timed_out { "timeout" } else { "dead" });
-            return Some(match timed_out {
-                true => RmpError::Timeout(id),
-                false => RmpError::ServerCrashed(id),
-            });
+            self.transition(id, Event::Rung(backoff, why, timed_out));
+            return None;
         }
-        let mut backoff = self.transport_cfg.retry.backoff_for(failed - 1);
-        if !backoff.is_zero() {
-            backoff =
-                Duration::from_secs_f64((backoff.as_secs_f64() * self.jitter_factor()).max(0.0));
-        }
-        let why = if e.is_timeout() {
-            "timeout"
-        } else if e.is_overload() {
-            "overloaded"
-        } else {
-            "transport"
-        };
-        let due = Instant::now() + backoff;
-        if let Some(peer) = self.peers.get_mut(&id) {
-            peer.rung = Some(Rung {
-                failed,
-                due,
-                timed_out,
-                why,
-            });
-        }
-        if !self.backoffs.contains(&id) {
-            self.backoffs.push(id);
-        }
-        None
+        let timed_out = spent || timed_out || last.is_some_and(|rung| rung.timed_out);
+        let why = if timed_out { "timeout" } else { "dead" };
+        self.transition(id, Event::Verdict(why));
+        Some(match timed_out {
+            true => RmpError::Timeout(id),
+            false => RmpError::ServerCrashed(id),
+        })
     }
 
-    /// Readies `id` for the attempt of the rung it is on, if any: sleeps
-    /// until the rung is due — `deadline` at the latest — redials a broken
-    /// connection, and counts and traces the attempt as a retry. A server
-    /// on no rung is not waited for.
+    /// Readies `id` for the attempt of the rung it is on, if any: waits on
+    /// the pool's clock until the rung is due — `deadline` at the latest —
+    /// redials a broken connection, and counts and traces the attempt as a
+    /// retry.
     fn climb(&mut self, id: ServerId, deadline: Instant) {
         let Some(rung) = self.rung(id) else {
             return;
         };
-        let wait = rung
-            .due
-            .min(deadline)
-            .saturating_duration_since(Instant::now());
+        let wait = (rung.due.min(deadline)).saturating_duration_since(self.clock.now());
         if !wait.is_zero() {
-            std::thread::sleep(wait);
+            self.clock.sleep(wait);
         }
         let Some(peer) = self.peers.get_mut(&id) else {
             return;
@@ -1054,34 +1061,31 @@ impl ServerPool {
         // its counters) in place; the attempt decides whether the server
         // is back. Either way a restarted server lost this client's grants.
         let redialled = peer.transport.reconnect().is_ok();
-        peer.reset(redialled, None);
+        peer.reset(redialled);
         if let Some(m) = &self.metrics {
             m.retries.inc();
             m.registry.trace(EventKind::Retry, Some(id), None, rung.why);
         }
     }
 
-    /// Whether an attempt at `id` may go out now: yes unless it is backing
-    /// off and its next rung is not due — a rung that is due is climbed.
-    /// An attempt held back leaves when it is collected, from the ladder's
-    /// wait. Reads no clock for a server on no rung.
+    /// Whether an attempt at `id` may go out now: not while its rung is
+    /// not due — one held back leaves when collected; a due rung is
+    /// climbed.
     fn ready(&mut self, id: ServerId) -> bool {
         let Some(due) = self.backoff(id) else {
             return true;
         };
-        if Instant::now() < due {
+        if self.clock.now() < due {
             return false;
         }
         self.climb(id, due);
         true
     }
 
-    /// What a demand read that has somewhere else to go reports when its
-    /// one attempt at `id`, collected with
-    /// [`ServerPool::finish_page_in_unretried`], failed with `e`. A
-    /// transient failure takes `id`'s next rung and names the server as
-    /// crashed or timed out, for the caller to read around it; the last
-    /// rung's is the verdict. Anything else maps as in the ladder.
+    /// What a demand read with somewhere else to go reports when its one
+    /// attempt at `id` ([`ServerPool::finish_page_in_unretried`]) failed
+    /// with `e`: as the ladder maps it, a transient failure taking the
+    /// next rung and naming the server for the caller to read around.
     pub(crate) fn missed(&mut self, id: ServerId, e: RmpError) -> RmpError {
         if !is_transient(&e) {
             return e;
@@ -1122,14 +1126,11 @@ impl ServerPool {
         }
     }
 
-    /// Collects a flight's reply and books it with its own
-    /// departure-to-arrival time — never with how long the caller took to
-    /// come back for it, nor with how long its connection held it: a wait
-    /// for a lock is not a slow server. Returns that time too: a failure
-    /// is not yet sampled, what a miss costs being the caller's to say. A
-    /// frame held back — its server backing off when it began, or a later
-    /// rung of the ladder — leaves now, once the rung is due (`by` at the
-    /// latest).
+    /// Collects a flight's reply and books it with its own departure to
+    /// arrival — on the pool's clock, between the transport's stamps, so a
+    /// wait for a lock is not a slow server — and returns that time: a
+    /// miss is the caller's to take. A frame held back for a rung leaves
+    /// now, once the rung is due (`by` at the latest).
     fn land(&mut self, flight: &mut Flight, by: Instant) -> (Result<Message>, Duration) {
         let id = flight.server;
         if flight.pending.is_none() {
@@ -1143,7 +1144,7 @@ impl ServerPool {
             Ok(mut pending) => (pending.next_by(deadline)).expect("one frame, one reply"),
             Err(refused) => (Err(refused), flight.sent),
         };
-        let elapsed = (arrived.min(deadline)).saturating_duration_since(flight.sent);
+        let elapsed = self.clock.between(flight.sent, arrived.min(deadline));
         let answered = reply.is_ok().then(|| flight.request.is_data_op());
         self.book(id, elapsed, answered);
         (reply, elapsed)
@@ -1207,12 +1208,9 @@ impl ServerPool {
     }
 
     /// The second half of [`ServerPool::scatter`]: sends every burst its
-    /// connection holds, then collects each leg's reply against its
-    /// burst's read deadline — the wave's one deadline, bursts leaving
-    /// together — samples each burst, and walks the ladder for the legs
-    /// that came back failed. A burst held back while its server backed
-    /// off leaves now, once the rung is due, with a read deadline of its
-    /// own.
+    /// connection holds, collects each leg against its burst's read
+    /// deadline, books each burst, and walks the ladder for the legs that
+    /// failed. A burst held back for a rung leaves now, once it is due.
     fn finish_scatter(&mut self, wave: Wave) -> Vec<Result<Message>> {
         let Wave {
             order,
@@ -1257,7 +1255,7 @@ impl ServerPool {
                     }
                 }
             }
-            let elapsed = arrived.saturating_duration_since(burst.sent);
+            let elapsed = self.clock.between(burst.sent, arrived);
             let lost =
                 (burst.at.clone()).any(|at| matches!(&out[order[at]], Err(e) if is_transient(e)));
             let data_path = msgs[burst.at.clone()].iter().any(Message::is_data_op);
@@ -1273,7 +1271,7 @@ impl ServerPool {
                 let failed = std::mem::replace(e, RmpError::ServerCrashed(id));
                 let request = std::mem::replace(&mut msgs[at], Message::LoadQuery);
                 out[order[at]] = if walked && is_transient(&failed) {
-                    match self.view.is_alive(id) {
+                    match self.alive(id) {
                         true => self.call(id, request),
                         false => continue,
                     }
@@ -1298,18 +1296,13 @@ impl ServerPool {
     /// and returns each leg's reply in the order the legs were given — a
     /// wave costs one round trip, not one per leg.
     ///
-    /// Legs are grouped by server (servers in order of first appearance)
-    /// and each server's frames leave as one burst. Every server is then
-    /// waited for against **one** read deadline counted from the first
-    /// submit: `n` silent servers hold the caller for one deadline, not
-    /// `n`. A burst is sampled with its own submit-to-last-reply time, so
-    /// a fast server collected after a slow one is not charged the wait.
-    /// A leg that came back failed enters the retry ladder every single
-    /// call ends in, on the rung its failure took: typed refusals map as
-    /// there, a transient failure is backed off, redialled and retried
-    /// within the wave's one call budget, and only the ladder declares a
-    /// server dead. Legs share no fate: the replies the other servers
-    /// gave are kept.
+    /// Legs are grouped by server (servers in order of first appearance),
+    /// each server's frames one burst, all waited for against **one** read
+    /// deadline: `n` silent servers hold the caller for one deadline, not
+    /// `n`. A burst is booked with its own submit-to-last-reply time. A
+    /// failed leg enters the retry ladder on the rung its failure took,
+    /// within the wave's one call budget; the other legs' replies are
+    /// kept.
     pub fn scatter(&mut self, legs: Vec<(ServerId, Message)>) -> Vec<Result<Message>> {
         let wave = self.begin_scatter(legs);
         self.finish_scatter(wave)
@@ -1351,13 +1344,15 @@ impl ServerPool {
         let reply = self.call(id, Message::Alloc { pages: ALLOC_CHUNK })?;
         self.granted(id, reply)?;
         if let Some(peer) = self.peers.get_mut(&id) {
-            peer.grants -= 1;
+            peer.grants = peer.grants.saturating_sub(1);
         }
         Ok(())
     }
 
     /// Books the reply to an allocation on `id`: its frames join the
-    /// grants, or a denial marks the server stop-sending.
+    /// grants — unless the pool holds `id` dead, whose grants die with it:
+    /// a reservation then takes its one frame from the reply — or a denial
+    /// marks the server stop-sending.
     fn granted(&mut self, id: ServerId, reply: Message) -> Result<()> {
         match reply {
             Message::AllocReply { granted, hint } => {
@@ -1368,7 +1363,8 @@ impl ServerPool {
                     self.apply_hint(id, LoadHint::StopSending);
                     return Err(RmpError::NoSpace(id));
                 }
-                if let Some(peer) = self.peers.get_mut(&id) {
+                let live = self.peers.get_mut(&id);
+                if let Some(peer) = live.filter(|p| !matches!(p.standing, Standing::Dead(_))) {
                     peer.grants += granted;
                 }
                 Ok(())
@@ -1385,7 +1381,7 @@ impl ServerPool {
     pub fn return_frame(&mut self, id: ServerId) {
         // A dead server's grants died with it (they are cleared on
         // reconnect); only live servers get the frame back.
-        if self.view.is_alive(id) {
+        if self.alive(id) {
             if let Some(peer) = self.peers.get_mut(&id) {
                 peer.grants += 1;
             }
@@ -1545,35 +1541,30 @@ impl ServerPool {
     ///
     /// # Errors
     ///
-    /// Transport and protocol failures surface directly — no retry, no
-    /// redial, no rung: the miss is sampled like any attempt's, so
-    /// sustained trouble shows up where it matters, and a speculative
-    /// fetch that fails is simply dropped. A demand read hands its failure
-    /// on to `ServerPool::missed`, which puts the holder on its rung.
+    /// Transport and protocol failures surface directly, a miss taken —
+    /// no retry, no redial, no rung: a demand read hands its failure to
+    /// `ServerPool::missed`, which puts the holder on its rung.
     pub fn finish_page_in_unretried(&mut self, mut flight: Flight) -> Result<Option<Page>> {
         let (id, key, by) = (flight.server, flight.key, self.budget_end(flight.sent));
         let (reply, elapsed) = self.land(&mut flight, by);
         self.last_attempts = 1;
         if reply.is_err() {
-            self.sample(id, elapsed, Outcome::Miss);
+            let us = elapsed.as_secs_f64() * 1e6;
+            self.transition(id, Event::Miss(us));
         }
         self.fetched(id, key, reply?)
     }
 
-    /// Fetches `reads` off all their holders in one wave: one plain keyed
-    /// read each, a holder's reads leaving as one burst and every burst
-    /// on the wire before any reply is awaited, so the gather costs one
-    /// round trip however many servers it spans and however often it
-    /// names one. A holder named sixteen times answers sixteen page-sized
-    /// frames, a few to a write, each its own reply with its own arrival —
-    /// no buffer on the way grows past a few pages. Pages come back in
-    /// request order, misses as `None`.
+    /// Fetches `reads` off all their holders in one wave — a plain keyed
+    /// read each, a holder's reads one burst — so the gather costs one
+    /// round trip however many servers it spans. Each page is its own
+    /// reply, so no buffer on the way grows past a few pages. Pages come
+    /// back in request order, misses as `None`.
     ///
     /// # Errors
     ///
-    /// The failure of the first read in `reads` that failed. Every reply
-    /// is read first — those behind a failed read of the same holder too —
-    /// so each page that crossed the wire is counted. Kinds as
+    /// The first failed read's failure, once every reply is read — so each
+    /// page that crossed the wire is counted. Kinds as
     /// [`ServerPool::page_in`].
     pub fn page_in_wave(&mut self, reads: &[(ServerId, StoreKey)]) -> Result<Vec<Option<Page>>> {
         let wave = self.begin_page_in_wave(reads);
@@ -1722,11 +1713,10 @@ impl ServerPool {
         self.listing(id, false)
     }
 
-    /// As [`ServerPool::list_keys`], for a server about to be written:
-    /// when the pool holds no grant on it, an allocation rides the first
-    /// page of the listing, so the stores that follow — a rebuild onto a
-    /// rebooted server — wait for no round trip of their own to get their
-    /// frames. A denied allocation is left for the first store to meet.
+    /// As [`ServerPool::list_keys`], for a server about to be written —
+    /// a rebuild onto a rebooted one: with no grant held on it, an
+    /// allocation rides the listing's first page. A denial is left for
+    /// the first store to meet.
     ///
     /// # Errors
     ///
@@ -1798,5 +1788,122 @@ impl ServerPool {
 impl Default for ServerPool {
     fn default() -> Self {
         ServerPool::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! One test per row of the module docs' table.
+    use super::*;
+    use crate::chaos::{ChaosServer, ChaosTransport, FaultPlan};
+    use Standing::{Dead, Healthy, Suspect};
+
+    /// Where a peer standing `from` with `evidence` stands after `event`.
+    fn after(from: Standing, evidence: fn(&mut Health), event: Event) -> (Standing, Health) {
+        let plan = Arc::new(FaultPlan::seeded(0));
+        let transport = ChaosTransport::new(ServerId(0), plan, ChaosServer::new());
+        let mut peer = Peer::new(Box::new(transport), None);
+        peer.standing = from;
+        evidence(&mut peer.health);
+        peer.step(event, Instant::now());
+        (peer.standing, peer.health)
+    }
+
+    fn rung(failed: u32) -> Option<Rung> {
+        let (due, timed_out, why) = (Instant::now(), true, "timeout");
+        Some(Rung {
+            failed,
+            due,
+            timed_out,
+            why,
+        })
+    }
+
+    const CLEAN: Event = Event::Reply(0.0, true);
+    const VERDICT: Event = Event::Verdict("test");
+
+    #[test]
+    fn a_reply_that_suspects_a_trusted_server_makes_it_suspect() {
+        fn nearly(h: &mut Health) {
+            h.on_reply(0.0, true);
+            h.suspicion = 1.5;
+        }
+        let slow = Event::Reply(1e4, true);
+        assert_eq!(after(Healthy(rung(1)), nearly, slow).0, Suspect(None));
+    }
+
+    #[test]
+    fn a_reply_that_clears_a_suspect_or_dead_server_trusts_it_again() {
+        for from in [Suspect(rung(1)), Dead(None)] {
+            let (to, health) = after(from, |h| h.clean_data_streak = 2, CLEAN);
+            assert_eq!((to, health.clean_data_streak), (Healthy(None), 0));
+        }
+    }
+
+    #[test]
+    fn a_miss_suspects_a_trusted_server() {
+        let (on, miss) = (rung(1), Event::Miss(0.0));
+        assert_eq!(after(Healthy(on), |_| {}, miss).0, Suspect(on));
+    }
+
+    #[test]
+    fn a_transient_failure_puts_the_server_on_its_next_rung() {
+        let (before, backoff, why) = (Instant::now(), Duration::from_secs(1), "transport");
+        for from in [Suspect(None), Suspect(rung(1)), Dead(rung(1))] {
+            let to = after(from, |_| {}, Event::Rung(backoff, why, false)).0;
+            let next = to.rung().expect("on a rung");
+            assert_eq!(to, from.on(Some(next)));
+            let failed = from.rung().map_or(1, |r| r.failed + 1);
+            let timed_out = from.rung().is_some();
+            assert_eq!((next.failed, next.timed_out), (failed, timed_out));
+            assert!(next.why == why && next.due >= before + backoff);
+        }
+    }
+
+    #[test]
+    fn a_siblings_rung_is_taken_by_a_live_server_on_none_or_an_earlier_one() {
+        let (told, later) = (rung(2), rung(3));
+        let rows = [
+            (Healthy(None), Healthy(told)),
+            (Suspect(rung(1)), Suspect(told)),
+        ];
+        let kept = [(Healthy(later), Healthy(later)), (Dead(None), Dead(None))];
+        for (from, to) in rows.into_iter().chain(kept) {
+            assert_eq!(
+                after(from, |_| {}, Event::Told(told.expect("a rung"))).0,
+                to
+            );
+        }
+    }
+
+    #[test]
+    fn a_typed_refusal_takes_the_server_off_its_rung() {
+        for from in [Healthy(rung(1)), Dead(rung(1))] {
+            assert_eq!(after(from, |_| {}, Event::Refused).0, from.on(None));
+        }
+    }
+
+    #[test]
+    fn forgiveness_trusts_the_server_afresh() {
+        let (to, health) = after(Dead(rung(1)), |h| h.on_miss(1e3), Event::Forgiven);
+        let fresh = (health.suspicion(), health.expected_latency_us());
+        assert_eq!((to, fresh), (Healthy(None), (0.0, 0.0)));
+    }
+
+    #[test]
+    fn a_verdict_holds_a_live_server_dead_and_pins_its_suspicion() {
+        // A rejoin that keeps the record works its way back from the cap;
+        // latency history does not outlive the death.
+        for from in [Healthy(None), Suspect(rung(2))] {
+            let (to, health) = after(from, |h| h.on_miss(1e3), VERDICT);
+            let pinned = (health.suspicion(), health.expected_latency_us());
+            assert_eq!((to, pinned), (Dead(None), (SUSPICION_CAP, 0.0)));
+        }
+    }
+
+    #[test]
+    fn a_verdict_on_a_dead_server_only_takes_it_off_its_rung() {
+        let (to, health) = after(Dead(rung(2)), |h| h.on_miss(1e3), VERDICT);
+        assert_eq!((to, health.suspicion()), (Dead(None), 2.0));
     }
 }

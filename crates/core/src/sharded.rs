@@ -187,7 +187,7 @@ use rmp_cluster::Registry;
 use rmp_types::{Page, PageId, PagerConfig, Result, RmpError, ServerId, TransferStats};
 
 use crate::pager::{PageOutFlight, Pager};
-use crate::pool::{Rung, ServerPool};
+use crate::pool::{Event, Rung, ServerPool};
 use crate::prefetch::Planner;
 use crate::recovery::RecoveryReport;
 
@@ -1087,7 +1087,7 @@ impl News {
             pager.note_crash(server);
         }
         for &(server, rung) in &self.backing_off {
-            pager.pool_mut().adopt_rung(server, rung);
+            pager.pool_mut().transition(server, Event::Told(rung));
         }
         // What it was just told is no news of its own to pass back.
         let theirs = pager.pool_mut().obituaries();
@@ -1239,9 +1239,10 @@ mod tests {
     #[test]
     fn a_read_behind_leaves_a_dead_backing_off_or_gray_holder_alone() {
         use crate::chaos::{FaultAction, FaultRule, OpFilter};
+        use crate::{Clock, Readable};
         use std::time::Duration;
         let config = PagerConfig::new(Policy::Mirroring).with_shard_count(1);
-        let cluster = ChaosCluster::new(2, FaultPlan::seeded(1));
+        let cluster = ChaosCluster::new(2, FaultPlan::seeded(1)).on_clock(Clock::manual());
         let pager = (ShardedPager::builder(config).pools(vec![cluster.pool(&Default::default())]))
             .build()
             .expect("one shard");
@@ -1297,7 +1298,7 @@ mod tests {
                 .on_server(holder)
                 .on_ops(OpFilter::DataOps),
         );
-        let gray = |p: &mut Pager| p.pool().looks_gray(holder);
+        let gray = |p: &mut Pager| p.pool().may_read(holder, true) == Readable::Gray;
         for _ in 0..20 {
             if pager.with_shard(0, gray) {
                 break;

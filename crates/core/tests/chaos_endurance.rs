@@ -18,7 +18,7 @@ use rmp_core::chaos::{
     run_schedule, ChaosCluster, FaultAction, FaultEvent, FaultPlan, FaultRule, OpFilter,
 };
 use rmp_core::detector::GRAY_SUSPICION;
-use rmp_core::{Pager, ShardedPager};
+use rmp_core::{Clock, Pager, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
 
@@ -30,6 +30,12 @@ const POLICIES: [Policy; 6] = [
     Policy::ErasureCoded,
     Policy::WriteThrough,
 ];
+
+/// In-process servers under `plan`, on a manual clock: delays and
+/// backoffs advance it, and nothing here waits on the wall clock.
+fn in_process(servers: usize, plan: FaultPlan) -> ChaosCluster {
+    ChaosCluster::new(servers, plan).on_clock(Clock::manual())
+}
 
 fn fast_transport() -> TransportConfig {
     TransportConfig {
@@ -105,6 +111,17 @@ fn schedules_that_once_failed_stay_fixed() {
     assert!(outcome.passed(), "{:?}", outcome.violations);
 }
 
+/// A server the pool holds dead keeps no grants. Under parity logging a
+/// shard that declared the dedicated parity server dead still seals
+/// groups onto it; the frames an allocation it answers grants must not
+/// outlive the reservation that asked; seed 966319 once left a shard
+/// holding the rest of one.
+#[test]
+fn a_server_held_dead_keeps_no_grants() {
+    let outcome = run_schedule(Policy::ParityLogging, 966_319);
+    assert!(outcome.passed(), "{:?}", outcome.violations);
+}
+
 // --- parity-log appends landing through crashes ---------------------------
 
 /// Parity-log appends land behind their callers while a data server and
@@ -116,7 +133,7 @@ fn schedules_that_once_failed_stay_fixed() {
 #[test]
 fn parity_log_appends_landing_through_a_data_and_a_parity_crash_lose_no_acked_page() {
     // Data servers 0..=2, parity pages on 4, 3 spare.
-    let cluster = ChaosCluster::new(5, FaultPlan::seeded(37));
+    let cluster = in_process(5, FaultPlan::seeded(37));
     let tcfg = fast_transport();
     let config = PagerConfig::new(Policy::ParityLogging)
         .with_servers(3)
@@ -230,7 +247,7 @@ fn crash_during_quiesce_converges_without_deadlock() {
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
         // --- part 1: crash mid-flush ---------------------------------
-        let cluster = ChaosCluster::new(3, FaultPlan::seeded(5150));
+        let cluster = in_process(3, FaultPlan::seeded(5150));
         let tcfg = fast_transport();
         let config = PagerConfig::new(Policy::ParityLogging)
             .with_servers(2)
@@ -286,7 +303,7 @@ fn crash_during_quiesce_converges_without_deadlock() {
         }
 
         // --- part 2: crash inside recover_from_crash -----------------
-        let cluster = ChaosCluster::new(3, FaultPlan::seeded(5151));
+        let cluster = in_process(3, FaultPlan::seeded(5151));
         let config = PagerConfig::new(Policy::BasicParity)
             .with_servers(2)
             .with_shard_count(2)
@@ -354,7 +371,7 @@ fn crash_during_quiesce_converges_without_deadlock() {
 /// reconstructs every page bit-exact.
 #[test]
 fn retried_parity_updates_do_not_desync_the_stripe() {
-    let cluster = ChaosCluster::new(3, FaultPlan::seeded(77));
+    let cluster = in_process(3, FaultPlan::seeded(77));
     let tcfg = fast_transport();
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(2)
@@ -422,7 +439,7 @@ fn retried_parity_updates_do_not_desync_the_stripe() {
 /// steps where the maintenance tick does.
 #[test]
 fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
-    let cluster = ChaosCluster::new(3, FaultPlan::seeded(23));
+    let cluster = in_process(3, FaultPlan::seeded(23));
     let tcfg = fast_transport();
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(2)
@@ -503,7 +520,7 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
 /// replies earn the promotion back to Healthy.
 #[test]
 fn stats_replies_do_not_promote_a_suspect_server() {
-    let cluster = ChaosCluster::new(
+    let cluster = in_process(
         1,
         FaultPlan::seeded(9).with_rule(FaultRule::new(FaultAction::Drop).times(1)),
     );
@@ -543,7 +560,7 @@ fn stats_replies_do_not_promote_a_suspect_server() {
 /// dead: gray is neither healthy nor crashed.
 #[test]
 fn gray_primary_is_read_around_not_buried() {
-    let cluster = ChaosCluster::new(2, FaultPlan::seeded(31));
+    let cluster = in_process(2, FaultPlan::seeded(31));
     let tcfg = fast_transport();
     let config = PagerConfig::new(Policy::Mirroring)
         .with_servers(2)
@@ -562,9 +579,8 @@ fn gray_primary_is_read_around_not_buried() {
     for i in 0..32u64 {
         pager.page_in(PageId(i)).expect("warm read");
     }
-    // Server 0 turns gray: every data call is served, 20 ms late — far
-    // enough from the in-process baseline that an oversubscribed test
-    // machine cannot blur the two. No drops, no crashes.
+    // Server 0 turns gray: every data call is served 20 ms late, on the
+    // cluster's clock — which moves only then. No drops, no crashes.
     cluster.plan().inject(
         FaultRule::new(FaultAction::Delay(Duration::from_millis(20)))
             .on_server(ServerId(0))
@@ -613,11 +629,9 @@ fn gray_primary_is_read_around_not_buried() {
 // --- determinism: the replay contract --------------------------------------
 
 /// Same seed, same plan, same op sequence → identical fault traces and
-/// identical final pager state. Wall-clock-sensitive machinery (slowness
-/// accrual, and with it every gray verdict; backoff — a read goes around
-/// a server until its next rung is due) is disabled so the run is a pure
-/// function of the seed; the remaining faults (drops, lost replies, overloads,
-/// corruption, burst reordering) all have timing-independent effects.
+/// identical final pager state. The cluster and its pools run on a manual
+/// clock, so latencies, rungs and budgets — the detector's inputs — are a
+/// pure function of the seed too.
 #[test]
 fn identical_seeds_replay_identical_histories() {
     fn one_run(seed: u64) -> (Vec<FaultEvent>, Vec<String>) {
@@ -639,10 +653,8 @@ fn identical_seeds_replay_identical_histories() {
                     .with_probability(0.1),
             )
             .with_rule(FaultRule::new(FaultAction::ReorderBurst).with_probability(0.2));
-        let cluster = ChaosCluster::new(2, plan);
-        let mut tcfg = fast_transport();
-        tcfg.retry.base_backoff = Duration::ZERO;
-        tcfg.retry.max_backoff = Duration::ZERO;
+        let cluster = in_process(2, plan);
+        let tcfg = TransportConfig::default();
         let config = PagerConfig::new(Policy::Mirroring)
             .with_servers(2)
             .with_shard_count(2)
@@ -656,11 +668,6 @@ fn identical_seeds_replay_identical_histories() {
             )
             .build()
             .expect("pager");
-        for shard in 0..2 {
-            pager.with_shard(shard, |p| {
-                p.pool_mut().set_detector_slow_floor_us(f64::INFINITY)
-            });
-        }
         for i in 0..32u64 {
             pager
                 .page_out(PageId(i), &Page::deterministic(i))

@@ -3,7 +3,7 @@
 //! crash injected while the traffic is in flight.
 
 use rmp_cluster::{Registry, ServerInfo};
-use rmp_core::{Pager, ShardedPager};
+use rmp_core::{Clock, Pager, ShardedPager};
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId};
 
@@ -356,11 +356,11 @@ fn eight_threads_meet_on_two_shards() {
     let (_handles, pager) = sharded_cluster(3, 4096, config);
     // This is about flights sharing a shard's connections, not latency:
     // eight threads on a loaded machine can make a server look gray, and
-    // a read around it is a degraded read, which must stay at 0 here.
+    // a read around it is a degraded read, which must stay at 0 here. On a
+    // manual clock no reply takes any time.
+    let clock = Clock::manual();
     for shard in 0..2 {
-        pager.with_shard(shard, |p| {
-            p.pool_mut().set_detector_slow_floor_us(f64::INFINITY)
-        });
+        pager.with_shard(shard, |p| p.pool_mut().set_clock(clock.clone()));
     }
 
     const PAGES: u64 = 60;

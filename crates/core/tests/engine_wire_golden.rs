@@ -195,7 +195,7 @@ fn run(policy: Policy) -> Vec<(&'static str, Snap)> {
     if falls_back_to_disk(policy) {
         // No server is left to take a new page.
         for i in 0..SERVERS {
-            pager.pool_mut().view_mut().mark_dead(ServerId(i as u32));
+            pager.pool_mut().declare_dead(ServerId(i as u32), "test");
         }
         let mut refused = 0;
         for id in 200..204 {

@@ -296,7 +296,7 @@ fn flapping_server_keeps_data_consistent() {
         );
     }
     fakes[0].set_fault(Fault::None);
-    pager.pool_mut().view_mut().mark_alive(ServerId(0));
+    pager.pool_mut().absolve(ServerId(0));
     // Updates after the flap still round trip.
     for i in 0..30u64 {
         pager

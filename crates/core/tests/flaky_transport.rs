@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::transport::ServerTransport;
-use rmp_core::{ChaosServer, Pager, PendingReplies, ServerPool, WindowedTransport};
+use rmp_core::{ChaosServer, Clock, Pager, PendingReplies, ServerPool, WindowedTransport};
 use rmp_proto::{Message, Opcode};
 use rmp_types::metrics::MetricsRegistry;
 use rmp_types::{
@@ -294,8 +294,9 @@ fn parity_logging_disconnect_reconnects_and_reuses_server() {
 fn flaky_server_goes_suspect_then_earns_healthy_back() {
     let (flaky, mut pool) = flaky_pool(1);
     // Count replies, not microseconds: on a loaded machine a clean reply
-    // can look slow and stretch the streak this test counts.
-    pool.set_detector_slow_floor_us(f64::INFINITY);
+    // can look slow and stretch the streak this test counts. On a manual
+    // clock no reply takes any time.
+    pool.set_clock(Clock::manual());
     flaky[0].script(&[Step::TimedOut]);
     pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
         .expect("retried");
@@ -404,7 +405,7 @@ fn basic_parity_rebuilds_a_wiped_server_in_place() {
     // the lost pages onto it in place once it is back.
     flaky[0].kill();
     flaky[0].revive_empty();
-    pager.pool_mut().view_mut().mark_alive(ServerId(0));
+    pager.pool_mut().absolve(ServerId(0));
     pager.recover_from_crash(ServerId(0)).expect("rebuild");
     for i in 0..12u64 {
         assert_eq!(

@@ -269,8 +269,8 @@ fn write_through_never_loses_data() {
     handles[0].crash();
     handles[1].crash();
     // Even with every server dead the disk has everything.
-    pager.pool_mut().view_mut().mark_dead(ServerId(0));
-    pager.pool_mut().view_mut().mark_dead(ServerId(1));
+    pager.pool_mut().declare_dead(ServerId(0), "test");
+    pager.pool_mut().declare_dead(ServerId(1), "test");
     verify(&mut pager, 80);
     assert!(pager.stats().disk_reads > 0, "reads fell back to disk");
 }
@@ -353,7 +353,7 @@ fn a_page_promoted_off_the_disk_stays_recorded_when_the_disk_cannot_free_it() {
         .expect("build pager");
     // While no server is held alive, pages 0 and 1 go to the disk.
     for server in [ServerId(0), ServerId(1)] {
-        pager.pool_mut().view_mut().mark_dead(server);
+        pager.pool_mut().declare_dead(server, "test");
     }
     fill(&mut pager, 2);
     for server in [ServerId(0), ServerId(1)] {

@@ -13,9 +13,17 @@ use std::time::Duration;
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
 use rmp_core::detector::GRAY_SUSPICION;
-use rmp_core::{Pager, ShardedPager};
+use rmp_core::{Clock, Pager, Readable, ShardedPager};
 use rmp_proto::Opcode;
-use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
+use rmp_types::{
+    Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, StoreKey, TransportConfig,
+};
+
+/// In-process servers under `plan`, on a manual clock: delays and
+/// backoffs advance it, and nothing here waits on the wall clock.
+fn in_process(servers: usize, plan: FaultPlan) -> ChaosCluster {
+    ChaosCluster::new(servers, plan).on_clock(Clock::manual())
+}
 
 fn fast_transport() -> TransportConfig {
     TransportConfig {
@@ -82,8 +90,8 @@ fn read(pager: &mut Pager, ids: impl IntoIterator<Item = u64>) -> u64 {
 
 /// Writes `pages` under mirroring on two servers, reads them once to warm
 /// the latency baselines, then turns server 0 gray: every data call is
-/// served, 20 ms late — far enough from in-process latencies that an
-/// oversubscribed test machine cannot blur the two.
+/// served 20 ms late, on the cluster's manual clock — which moves only
+/// then, so in-process latencies are none at all.
 fn gray_mirrors(seed: u64, pages: u64) -> (ChaosCluster, Pager) {
     gray_cluster(2, PagerConfig::new(Policy::Mirroring), seed, pages)
 }
@@ -95,7 +103,7 @@ fn gray_cluster(
     seed: u64,
     pages: u64,
 ) -> (ChaosCluster, Pager) {
-    let cluster = ChaosCluster::new(servers, FaultPlan::seeded(seed));
+    let cluster = in_process(servers, FaultPlan::seeded(seed));
     let mut pager = pager(&cluster, config.with_prefetch_window(0));
     fill(&mut pager, pages);
     assert_eq!(read(&mut pager, 0..pages), pages);
@@ -139,8 +147,30 @@ fn reads_around_a_gray_holder_are_degraded_reads() {
 }
 
 #[test]
+fn a_lone_server_is_never_gray() {
+    // One slow server and nowhere else to go: however late it answers,
+    // reading around it is no option, and read-ahead goes on using it.
+    let cluster = in_process(1, FaultPlan::seeded(17));
+    let mut pool = cluster.pool(&fast_transport());
+    let lone = ServerId(0);
+    (pool.page_out(lone, StoreKey(1), &Page::filled(1))).expect("store");
+    cluster
+        .plan()
+        .inject(FaultRule::new(FaultAction::Delay(Duration::from_millis(
+            20,
+        ))));
+    cluster.plan().arm();
+    while pool.suspicion(lone) < GRAY_SUSPICION {
+        (pool.page_in(lone, StoreKey(1))).expect("a slow read");
+    }
+    for ahead in [false, true] {
+        assert_eq!(pool.may_read(lone, ahead), Readable::Yes);
+    }
+}
+
+#[test]
 fn a_backing_off_holder_is_read_when_the_way_around_is_gone() {
-    let cluster = ChaosCluster::new(2, FaultPlan::seeded(12));
+    let cluster = in_process(2, FaultPlan::seeded(12));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(0);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 8);
@@ -233,7 +263,7 @@ fn a_dead_holder_stays_refused_when_a_gray_one_is_read() {
 
 #[test]
 fn degraded_pageins_are_counted_once() {
-    let cluster = ChaosCluster::new(3, FaultPlan::seeded(2));
+    let cluster = in_process(3, FaultPlan::seeded(2));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(0);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 24);
@@ -248,7 +278,7 @@ fn degraded_pageins_are_counted_once() {
 
 #[test]
 fn prefetch_hits_are_counted_once() {
-    let cluster = ChaosCluster::new(2, FaultPlan::seeded(3));
+    let cluster = in_process(2, FaultPlan::seeded(3));
     let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 64);
@@ -282,7 +312,7 @@ fn prefetch_hits_are_counted_once() {
 
 #[test]
 fn every_way_a_read_ahead_is_lost_counts_it_useless() {
-    let cluster = ChaosCluster::new(2, FaultPlan::seeded(9));
+    let cluster = in_process(2, FaultPlan::seeded(9));
     let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 32);
@@ -327,7 +357,7 @@ fn every_way_a_read_ahead_is_lost_counts_it_useless() {
 
 #[test]
 fn a_rewrite_voids_the_read_behind_it_overtakes() {
-    let cluster = ChaosCluster::new(2, FaultPlan::seeded(16));
+    let cluster = in_process(2, FaultPlan::seeded(16));
     let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 2);
@@ -351,7 +381,7 @@ fn a_rewrite_voids_the_read_behind_it_overtakes() {
 
 #[test]
 fn a_recovery_counts_the_copies_it_drops_useless() {
-    let cluster = ChaosCluster::new(3, FaultPlan::seeded(10));
+    let cluster = in_process(3, FaultPlan::seeded(10));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 16);
@@ -367,7 +397,7 @@ fn a_recovery_counts_the_copies_it_drops_useless() {
 
 #[test]
 fn wire_corruption_is_counted_once_in_both_ledgers() {
-    let cluster = ChaosCluster::new(2, FaultPlan::seeded(8));
+    let cluster = in_process(2, FaultPlan::seeded(8));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(0);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 4);
@@ -394,7 +424,7 @@ fn wire_corruption_is_counted_once_in_both_ledgers() {
 #[test]
 fn a_pageout_retried_after_recovery_is_counted_once() {
     // Three data servers, the parity server (the last one) and a spare.
-    let cluster = ChaosCluster::new(5, FaultPlan::seeded(4));
+    let cluster = in_process(5, FaultPlan::seeded(4));
     let config = PagerConfig::new(Policy::ParityLogging).with_servers(3);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 6);
@@ -418,7 +448,7 @@ fn a_pageout_retried_after_recovery_is_counted_once() {
 
 #[test]
 fn a_failed_operation_is_not_counted() {
-    let cluster = ChaosCluster::new(2, FaultPlan::seeded(5));
+    let cluster = in_process(2, FaultPlan::seeded(5));
     let mut pager = pager(&cluster, PagerConfig::new(Policy::NoReliability));
     fill(&mut pager, 4);
     assert!(pager.page_in(PageId(99)).is_err());
@@ -431,7 +461,7 @@ fn a_failed_operation_is_not_counted() {
 fn a_known_dead_holder_is_not_dialled_again() {
     // Basic parity over three data servers plus parity; pages go to the
     // data servers round-robin, so 0, 3, 6 and 9 live on server 0.
-    let cluster = ChaosCluster::new(4, FaultPlan::seeded(6));
+    let cluster = in_process(4, FaultPlan::seeded(6));
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(3)
         .with_prefetch_window(0);
@@ -465,7 +495,7 @@ fn prefetch_is_not_aimed_at_a_known_dead_holder() {
     // and the pages it was primary for keep pointing at it. A fast server
     // that dies keeps its tens-of-µs latency estimate, so it never looks
     // gray: only the view says it is gone.
-    let cluster = ChaosCluster::new(2, FaultPlan::seeded(7));
+    let cluster = in_process(2, FaultPlan::seeded(7));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);
     let mut pager = pager(&cluster, config);
     fill(&mut pager, 48);
@@ -602,7 +632,7 @@ fn read_ahead_on_the_gauss_trace_is_the_same_however_many_shards() {
         .with_transport(fast_transport());
     let mut runs = Vec::new();
     for shards in [1, 2, 4] {
-        let cluster = ChaosCluster::new(4, FaultPlan::seeded(11));
+        let cluster = in_process(4, FaultPlan::seeded(11));
         let config = config.clone().with_shard_count(shards);
         let pools = (0..shards).map(|_| cluster.pool(&config.transport));
         let mut sharded = (ShardedPager::builder(config.clone()).pools(pools.collect()))
@@ -617,7 +647,7 @@ fn read_ahead_on_the_gauss_trace_is_the_same_however_many_shards() {
     }
     // A lone pager decides for itself, with a planner like the front
     // door's.
-    let cluster = ChaosCluster::new(4, FaultPlan::seeded(11));
+    let cluster = in_process(4, FaultPlan::seeded(11));
     runs.push(replay_gauss(&mut pager(&cluster, config), ledger));
     println!("[pageins, read-ahead hits, pages fetched] a solve: {runs:?}");
     let [pageins, hits, fetched] = runs[0];

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rmp_blockdev::PagingDevice;
-use rmp_core::{ChaosServer, Pager};
+use rmp_core::{ChaosServer, Clock, Pager};
 use rmp_proto::{Message, Opcode};
 use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId};
 
@@ -644,6 +644,8 @@ fn a_fast_leg_collected_behind_a_slow_one_keeps_its_own_time() {
     let (wire, _servers, mut pool) = wave_pool(3);
     let metrics = Arc::new(rmp_types::metrics::MetricsRegistry::new());
     pool.set_metrics(Arc::clone(&metrics));
+    // Times as the transport stamps them, on the wall clock.
+    pool.set_clock(Clock::Real);
     // Server 0 — the leg the gather waits on first — answers `held`
     // after the two others have.
     let held = Duration::from_millis(100);

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rmp_blockdev::PagingDevice;
-use rmp_core::{ChaosServer, Pager, RecoveryReport, ShardedPager};
+use rmp_core::{ChaosServer, Clock, Pager, RecoveryReport, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId};
 
@@ -541,9 +541,8 @@ fn a_wait_for_the_shard_lock_is_not_server_latency() {
     let config = PagerConfig::new(Policy::Mirroring);
     let (wire, _servers, pager) = wave_sharded(config, 2);
     let held = Duration::from_millis(200);
-    // A reply half as late as the lock is held would count as slow.
-    let half = held.as_secs_f64() * 1e6 / 2.0;
-    pager.with_shard(0, |p| p.pool_mut().set_detector_slow_floor_us(half));
+    // Latencies on the wall clock, as the transport stamps them.
+    pager.with_shard(0, |p| p.pool_mut().set_clock(Clock::Real));
     let page = Page::deterministic(8);
     let placed = spawn(&pager, move |p| p.page_out(PageId(8), &page));
     wire.release_wave(2);
@@ -559,13 +558,15 @@ fn a_wait_for_the_shard_lock_is_not_server_latency() {
         });
         assert_eq!(joined(reader).expect("pagein"), Page::deterministic(8));
     }
-    for server in [ServerId(0), ServerId(1)] {
-        assert_eq!(
-            pager.suspicion(server),
-            0.0,
-            "{server} was charged the wait"
-        );
-    }
+    let p99 = pager.with_shard(0, |p| {
+        let calls = p.metrics().histogram("pool_call_latency_us").snapshot();
+        assert!(calls.count >= 5, "two stores and three reads, at least");
+        calls.p99_us()
+    });
+    assert!(
+        p99 < held.as_micros() as f64,
+        "a call was charged the wait: p99 {p99} us"
+    );
 }
 
 // --- the parity-log append ------------------------------------------------

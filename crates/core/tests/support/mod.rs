@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use rmp_blockdev::RamDisk;
 use rmp_core::{
-    ChaosServer, Completion, Pager, PendingReplies, ServerPool, ServerTransport, ShardedPager,
+    ChaosServer, Clock, Completion, Pager, PendingReplies, ServerPool, ServerTransport,
+    ShardedPager,
 };
 use rmp_proto::{Message, Opcode};
 use rmp_types::{
@@ -231,10 +232,10 @@ pub fn wave_pool(n: usize) -> (Arc<Wire>, Vec<ChaosServer>, ServerPool) {
         },
         ..TransportConfig::default()
     });
-    // A reply arrives when the test thread releases it: latency is the
-    // test's to decide, so only a miss may raise suspicion (a test that
-    // wants latency scored sets a floor of its own).
-    pool.set_detector_slow_floor_us(f64::INFINITY);
+    // A reply arrives when the test thread releases it: on a manual clock
+    // it takes no time, so only a miss may raise suspicion (a test that
+    // wants latency scored puts the pool back on the wall clock).
+    pool.set_clock(Clock::manual());
     let mut servers = Vec::new();
     for i in 0..n {
         let id = ServerId(i as u32);
@@ -282,7 +283,10 @@ pub fn wave_shards(
     n: usize,
 ) -> ([Arc<Wire>; 2], Vec<ChaosServer>, Arc<ShardedPager>) {
     let (wire, servers, pool) = wave_pool(n);
-    let (odd, _, sibling) = wave_pool(n);
+    let (odd, _, mut sibling) = wave_pool(n);
+    // One clock for both shards: a rung one shard passes on is due when
+    // it is due on the other's.
+    sibling.set_clock(pool.clock().clone());
     let transport = pool.transport_config().clone();
     let config = config.with_transport(transport).with_shard_count(2);
     let pager = ShardedPager::builder(config)

@@ -321,8 +321,8 @@ fn a_refused_prefetch_submission_is_a_sampled_miss_not_a_retry() {
     // spends the retry budget nor sentences the server.
     assert_eq!(metrics.counter("pool_retries_total").get(), 0);
     assert!(pool.view().is_alive(ServerId(0)));
-    // It is a miss like any other, though, and the detector and the view
-    // hear of it together: latched in one means Suspect in the other.
+    // It is a miss like any other, though: the server turns Suspect, and
+    // the view hears of it in the same step.
     assert!(pool.suspicion(ServerId(0)) >= rmp_core::detector::SUSPECT_ENTER);
     assert_eq!(
         pool.view()
