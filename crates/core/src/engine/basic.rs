@@ -6,7 +6,7 @@ use rmp_types::{Page, PageId, Result, RmpError, ServerId, StoreKey};
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::engine::{rebuild_step, Ctx, Engine, Reading, Unit};
+use crate::engine::{rebuild_step, Ctx, Engine, Reading, Unit, Writing};
 use crate::recovery::RecoveryStep;
 
 /// Fixed-layout parity (Section 2.2, "Parity"): page `(i, j)` is bound to
@@ -76,10 +76,10 @@ impl BasicParity {
         ctx.count("engine_parity_resyncs_total");
         Ok(())
     }
-}
 
-impl Engine for BasicParity {
-    fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
+    /// Ships `page` and folds its `old XOR new` delta into the parity
+    /// page: two calls, the second needing the first's reply.
+    fn store(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
         // Overwrites reuse the page's frame; only first-time assignments
         // consume a grant (otherwise rewrites leak the server's grant
         // budget and eventually hit a spurious denial).
@@ -131,6 +131,12 @@ impl Engine for BasicParity {
             // here, so recompute it.
             _ => self.resync_parity(ctx, slot.parity_key),
         }
+    }
+}
+
+impl Engine for BasicParity {
+    fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
+        Writing::Done(self.store(ctx, id, page))
     }
 
     fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use rmp_types::{Page, PageId, Result, RmpError, ServerId};
 
-use crate::engine::{Ctx, Engine, Reading};
+use crate::engine::{Ctx, Engine, Reading, Writing};
 use crate::recovery::RecoveryStep;
 
 /// Pass-through to the local disk — the configuration the paper's figures
@@ -16,10 +16,10 @@ pub struct DiskOnly {
 }
 
 impl Engine for DiskOnly {
-    fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
-        ctx.disk_write(id, page)?;
-        self.present.insert(id);
-        Ok(())
+    fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
+        Writing::Done(ctx.disk_write(id, page).map(|()| {
+            self.present.insert(id);
+        }))
     }
 
     fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {

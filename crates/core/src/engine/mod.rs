@@ -907,21 +907,12 @@ impl Ctx<'_> {
 
 /// A reliability-policy engine.
 pub trait Engine: Send {
-    /// Services one pageout, whole.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecoverable storage failures; transient server crashes
-    /// are retried internally across servers where the policy allows.
-    fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()>;
-
     /// Starts one pageout and returns with its frames on the wire; the
     /// caller may [`Begun::park`] on them holding no lock. An engine that
     /// keeps the operation whole (DESIGN.md §11 lists which, and why)
-    /// runs it here, under the caller's lock.
-    fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
-        Writing::Done(self.page_out(ctx, id, page))
-    }
+    /// runs it here, under the caller's lock, and returns
+    /// [`Begun::Done`].
+    fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing;
 
     /// Collects what [`Engine::begin_page_out`] left on the wire and
     /// commits the pageout. Until it has, the engine's record of `id`

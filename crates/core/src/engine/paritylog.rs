@@ -8,7 +8,10 @@ use rmp_parity::{GroupMember, GroupTable, ParityBuffer, SealedGroup};
 use rmp_types::metrics::EventKind;
 use rmp_types::{GroupId, Page, PageId, Policy, Result, RmpError, ServerId};
 
-use crate::engine::{freed, gave_way, rebuild_step, Ctx, Engine, Reading, Table, Unit, Writing};
+use crate::engine::{
+    freed, gave_way, rebuild_step, Ctx, Engine, Reading, Table, Unit, Writing, VACANT,
+};
+use crate::pool::StoreWave;
 use crate::recovery::RecoveryStep;
 
 /// Active-fraction threshold below which garbage collection compacts a
@@ -21,15 +24,14 @@ const GC_ACTIVE_FRACTION: f64 = 0.5;
 /// `1 + 1/S` transfers per pageout. Old versions stay on their servers
 /// (inside the overflow memory) until their whole group goes inactive.
 ///
-/// A pageout is an *append*, split like a stripe's wave: its begin does
-/// all the bookkeeping under the caller's lock — the data server, the
-/// key, the grant, the absorb and, if that seals the group, the
-/// registration and the parity page — then submits the data frame, or
-/// the sealing wave of data frame, parity page and frees; its complete
-/// commits the unit. No append waits for another's landing, and a leg
-/// that did not ack is re-homed from the kept page, never unsealed:
-/// parity covers contents, not places. Re-logs — GC, recovery,
-/// migration, promotion — run whole, and GC leaves a landing page alone.
+/// Every write is an *append*, split like a stripe's wave: begin takes
+/// the data server and grant (`take`) and submits the data frame
+/// — a demand append absorbs its page first, and a seal it makes
+/// (`seal`) rides the same wave; complete commits the unit. A
+/// re-log (GC, recovery, migration, promotion) runs both back to back
+/// and absorbs once its frame acks. No seal is undone: a leg that did not
+/// ack is re-homed from the kept page, and a parity page no server takes
+/// is kept by the client until one does. GC leaves a landing page alone.
 ///
 /// What is this engine's alone is the log: the client-side buffer, the
 /// group table with its inactive marking, and garbage collection.
@@ -48,9 +50,13 @@ pub struct ParityLogging {
     /// group table right after their group seals.
     freed_pending: HashSet<PageId>,
     /// Appends begun and not completed: each page is a member of the
-    /// pending group or of a sealed one already, while `table` still names
-    /// its version before.
+    /// pending group or of a sealed one already — a re-log's not yet —
+    /// while `table` still names its version before.
     landing: Vec<Append>,
+    /// Parity pages no server has acked, each group naming [`VACANT`] or
+    /// the dead server it went to: what its degraded reads, rebuilds and
+    /// cancels use, and what every later seal and flush offers again.
+    kept: Vec<Seal>,
     cursor: usize,
     gc_in_progress: bool,
     rebuild: VecDeque<PlWork>,
@@ -63,14 +69,30 @@ struct Append {
     id: PageId,
     unit: Unit,
     seal: Option<Seal>,
+    /// A re-log's walk, gone on from if its frame does not ack.
+    relog: Option<Walk>,
 }
 
-/// What a sealing append registered and shipped beside its data frame.
+/// A sealed group's parity page, between its seal and the server that
+/// acks it.
 struct Seal {
     group: GroupId,
-    /// The parity page and its unit, kept to ship it again should that
-    /// leg not ack.
+    /// The parity page and the unit it was offered to.
     parity: (Unit, Page),
+    /// Whether it had a grant there; without one its wave carries none.
+    granted: bool,
+}
+
+/// One data frame's walk over the data servers ([`ParityLogging::take`]).
+#[derive(Default)]
+struct Walk {
+    /// Servers it never goes to: a re-log's old holder, a sealed member's
+    /// group-mates.
+    exclude: Vec<ServerId>,
+    /// Servers that denied or failed it since the last look at the loads.
+    tried: Vec<ServerId>,
+    collected: bool,
+    refreshed: bool,
 }
 
 /// One planned rebuild item of the parity log.
@@ -122,6 +144,7 @@ impl ParityLogging {
             table: Table::new(1),
             freed_pending: HashSet::new(),
             landing: Vec::new(),
+            kept: Vec::new(),
             cursor: 0,
             gc_in_progress: false,
             rebuild: VecDeque::new(),
@@ -141,6 +164,12 @@ impl ParityLogging {
         self.landing.iter().any(|a| a.id == id)
     }
 
+    /// The parity page of `group` the client keeps, if no server holds it.
+    fn kept_parity(&self, group: GroupId) -> Option<&Page> {
+        let seal = self.kept.iter().find(|seal| seal.group == group);
+        seal.map(|seal| &seal.parity.1)
+    }
+
     /// The next data server in round-robin order that is alive and
     /// accepting, skipping `exclude`.
     fn next_server(&mut self, ctx: &Ctx<'_>, exclude: &[ServerId]) -> Option<ServerId> {
@@ -155,71 +184,195 @@ impl ParityLogging {
         None
     }
 
-    /// Registers a sealed group and ships its parity page in one wave with
-    /// the frees of every group the registration left fully inactive.
-    ///
-    /// Keys are minted here, so the group is registered — and its frees
-    /// known — *before* anything ships. If the parity page then finds no
-    /// server the seal is undone: the members, whose own pageouts were
-    /// acked, are pending again under the client-side accumulator, and
-    /// the next pageout or flush seals them anew.
-    fn commit_group(&mut self, ctx: &mut Ctx<'_>, sealed: SealedGroup) -> Result<()> {
-        let parity = (self.parity_server, ctx.pool.fresh_key());
-        let members: Vec<PageId> = sealed.members.iter().map(|m| m.page_id).collect();
-        let (group, reclaimed) = self.groups.register(sealed.members, parity.0, parity.1);
-        let frees = Self::storage_of(ctx, reclaimed);
-        // A parity server that grants no frame still leaves the frees to
-        // send.
-        let reserved = ctx.pool.reserve_frame(parity.0);
-        let store = [(parity, &sealed.parity)];
-        let stores = &store[..usize::from(reserved.is_ok())];
-        let (stored, freed) = ctx.ship(stores, &frees, None);
-        let shipped = reserved.and_then(|()| {
-            let shipped = stored.into_iter().next().expect("one outcome per store");
-            shipped.inspect_err(|_| ctx.pool.return_frame(parity.0))
-        });
-        if let Err(e) = shipped {
-            let members = self.groups.unregister(group);
-            let parity = sealed.parity;
-            self.buffer.unseal(SealedGroup { parity, members });
-            return Err(e);
-        }
-        ctx.stats.net_parity_transfers += 1;
-        ctx.count("engine_groups_sealed_total");
-        // Pages freed while pending are dropped now that their group is
-        // sealed and registered.
-        let mut dropped = Ok(());
-        for page in &members {
-            if self.freed_pending.remove(page) {
-                let reclaimed = self.groups.drop_page(*page);
-                dropped = dropped.and(Self::release_reclaimed(ctx, reclaimed));
+    /// The one taker step of every data frame: the next server of `walk` —
+    /// round-robin off the pending group's servers (two members
+    /// co-located would break single-crash recovery), its exclusions and
+    /// the servers it tried — with a frame grant reserved and a key
+    /// minted. A denial for memory collects garbage once; with no server
+    /// left, the loads are refreshed once and the tried ones offered
+    /// again — a stale view can say "full" long after frees and GC made
+    /// room. `None` when no server takes it.
+    fn take(&mut self, ctx: &mut Ctx<'_>, walk: &mut Walk) -> Result<Option<Unit>> {
+        loop {
+            let pending = self.buffer.members().iter().map(|m| m.server);
+            let skip: Vec<ServerId> = (pending.chain(walk.exclude.iter().copied()))
+                .chain(walk.tried.iter().copied())
+                .collect();
+            let Some(server) = self.next_server(ctx, &skip) else {
+                if std::mem::replace(&mut walk.refreshed, true) {
+                    return Ok(None);
+                }
+                ctx.pool.refresh_loads();
+                walk.tried.clear();
+                continue;
+            };
+            match ctx.pool.reserve_frame(server) {
+                Ok(()) => return Ok(Some((server, ctx.pool.fresh_key()))),
+                Err(e) if !gave_way(&e) => return Err(e),
+                Err(e) => {
+                    if !(matches!(e, RmpError::NoSpace(_)) && self.collect(ctx, walk)?) {
+                        walk.tried.push(server);
+                    }
+                }
             }
         }
-        freed.and(dropped)
     }
 
-    /// Takes `page`, the member at `slot`, back out of `group` — sealed
-    /// around it ahead of a data frame no server would then hold: the
-    /// group stops naming it and its parity page — `parity` as stored, or
-    /// read back — is stored again without it (an overwrite: a retry
-    /// cannot fold it out twice). A parity page on a dead server is left
-    /// to the rebuild, which recomputes it from the members left.
+    /// Collects garbage for `walk`, once, and not inside a collection:
+    /// whether that re-logged anything, and the loads were refreshed to
+    /// show the room it made.
+    fn collect(&mut self, ctx: &mut Ctx<'_>, walk: &mut Walk) -> Result<bool> {
+        if self.gc_in_progress || std::mem::replace(&mut walk.collected, true) {
+            return Ok(false);
+        }
+        self.gc_in_progress = true;
+        let relogged = self.collect_garbage(ctx);
+        self.gc_in_progress = false;
+        if relogged? == 0 {
+            return Ok(false);
+        }
+        ctx.pool.refresh_loads();
+        Ok(true)
+    }
+
+    /// The one seal: registers `sealed` — which yields the frees of every
+    /// group it left fully inactive, and of its pages freed while pending —
+    /// mints the parity key, takes its grant and submits one wave: `data`,
+    /// the frame of the append that sealed, if one did; the parity page;
+    /// the frees. Kept parity pages are offered again first.
+    fn seal(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        sealed: SealedGroup,
+        data: Option<(Unit, &Page)>,
+    ) -> (Seal, StoreWave) {
+        self.house_kept(ctx);
+        let parity = (self.parity_server, ctx.pool.fresh_key());
+        let granted = ctx.pool.reserve_frame(parity.0).is_ok();
+        let members: Vec<PageId> = sealed.members.iter().map(|m| m.page_id).collect();
+        let (group, reclaimed) = self.groups.register(sealed.members, parity.0, parity.1);
+        let freed = (members.iter()).filter(|page| self.freed_pending.remove(page));
+        let dropped: Vec<_> = freed.filter_map(|&p| self.groups.drop_page(p)).collect();
+        let mut frees = self.storage_of(ctx, reclaimed.into_iter().chain(dropped));
+        frees.retain(|&(server, _)| ctx.alive(server));
+        // The data frame, if any, then the parity page, if it has a grant.
+        let store = (parity, &sealed.parity);
+        let legs = [data.unwrap_or(store), store];
+        let to = legs.len() - usize::from(!granted);
+        let stores = &legs[usize::from(data.is_none())..to];
+        let wave = ctx.pool.begin_stores(stores, &frees);
+        let parity = (parity, sealed.parity);
+        let seal = Seal {
+            group,
+            parity,
+            granted,
+        };
+        (seal, wave)
+    }
+
+    /// Seals `sealed` and lands its wave: the seal of a flush or a re-log.
+    fn seal_whole(&mut self, ctx: &mut Ctx<'_>, sealed: SealedGroup) -> Result<()> {
+        let (seal, wave) = self.seal(ctx, sealed, None);
+        let mut outcomes = ctx.pool.finish_stores(wave).into_iter();
+        let sealed = self.land_parity(ctx, seal, &mut outcomes);
+        sealed.and(freed(outcomes))
+    }
+
+    /// Seals the partial group, if any; with none, offers the kept parity
+    /// pages again.
+    fn seal_pending(&mut self, ctx: &mut Ctx<'_>) -> Result<()> {
+        let Some(sealed) = self.buffer.flush() else {
+            self.house_kept(ctx);
+            return Ok(());
+        };
+        self.seal_whole(ctx, sealed)
+    }
+
+    /// Settles the parity leg of a seal, the next of its wave's
+    /// `outcomes` if it had a grant: one that did not ack gives the grant
+    /// back and is offered again ([`Self::house`]) — or, its server dead,
+    /// kept until that server's rebuild recomputes it.
+    ///
+    /// # Errors
+    ///
+    /// [`RmpError::ServerCrashed`] naming a parity server that died: the
+    /// recovery the pageout's retry runs rebuilds the group's parity page.
+    fn land_parity(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        seal: Seal,
+        outcomes: &mut impl Iterator<Item = Result<()>>,
+    ) -> Result<()> {
+        let holder = seal.parity.0 .0;
+        if seal.granted {
+            if outcomes.next().expect("one outcome per store").is_ok() {
+                ctx.stats.net_parity_transfers += 1;
+                ctx.count("engine_groups_sealed_total");
+                return Ok(());
+            }
+            ctx.pool.return_frame(holder);
+        }
+        if self.groups.group(seal.group).is_some() && !ctx.alive(holder) {
+            self.kept.push(seal);
+            return Err(RmpError::ServerCrashed(holder));
+        }
+        self.house(ctx, seal);
+        Ok(())
+    }
+
+    /// Stores `seal`'s parity page on the parity server, or failing that
+    /// any live server holding no member of its group, and records where;
+    /// keeps it when no server takes it (paper §2.2 keeps a page until its
+    /// write completes). A group reclaimed meanwhile needs it no more.
+    fn house(&mut self, ctx: &mut Ctx<'_>, seal: Seal) {
+        let Some(state) = self.groups.group(seal.group) else {
+            return;
+        };
+        let mut exclude: Vec<ServerId> = state.members.iter().map(|m| m.server).collect();
+        let group = seal.group;
+        let (server, key) = match ctx.walk(&seal.parity.1, Some(self.parity_server), &mut exclude) {
+            Ok(Some(unit)) => {
+                ctx.stats.net_parity_transfers += 1;
+                ctx.count("engine_groups_sealed_total");
+                unit
+            }
+            _ => {
+                self.kept.push(seal);
+                VACANT
+            }
+        };
+        let _ = self.groups.relocate_parity(group, server, key);
+    }
+
+    /// Offers every kept parity page again ([`Self::house`]).
+    fn house_kept(&mut self, ctx: &mut Ctx<'_>) {
+        for seal in std::mem::take(&mut self.kept) {
+            self.house(ctx, seal);
+        }
+    }
+
+    /// Takes `page`, the member at `slot`, back out of `group`, sealed
+    /// around a data frame no server took: the parity page — kept, or read
+    /// back and stored again (an overwrite: a retry cannot fold it out
+    /// twice) — stops covering it. One on a dead server is the rebuild's.
     fn cancel_member(
         &mut self,
         ctx: &mut Ctx<'_>,
         page: &Page,
         (group, slot): (GroupId, usize),
-        parity: Option<Page>,
     ) -> Result<()> {
-        match (self.groups.retract(group, slot), self.groups.group(group)) {
+        if let Some(emptied) = self.groups.retract(group, slot) {
             // It was the group's only active member: the parity page goes.
-            (Some(emptied), _) => Self::release_reclaimed(ctx, Some(emptied)),
-            (None, Some(state)) if ctx.alive(state.parity_server) => {
+            return self.release_reclaimed(ctx, Some(emptied));
+        }
+        if let Some(kept) = self.kept.iter_mut().find(|seal| seal.group == group) {
+            kept.parity.1.xor_with(page);
+            return Ok(());
+        }
+        match self.groups.group(group) {
+            Some(state) if ctx.alive(state.parity_server) => {
                 let unit = (state.parity_server, state.parity_key);
-                let mut parity = match parity {
-                    Some(parity) => parity,
-                    None => ctx.gather(&[unit])?.remove(0),
-                };
+                let mut parity = ctx.gather(&[unit])?.remove(0);
                 parity.xor_with(page);
                 let stored = ctx.pool.page_out(unit.0, unit.1, &parity);
                 stored.map(|_hint| ctx.stats.net_parity_transfers += 1)
@@ -229,8 +382,10 @@ impl ParityLogging {
     }
 
     /// The storage of `reclaimed` groups — members and parity page — for
-    /// the caller to free, counting the groups.
+    /// the caller to free, counting the groups; a kept parity page goes
+    /// with its group.
     fn storage_of(
+        &mut self,
         ctx: &mut Ctx<'_>,
         reclaimed: impl IntoIterator<Item = ReclaimedGroup>,
     ) -> Vec<Unit> {
@@ -238,25 +393,19 @@ impl ParityLogging {
         for group in reclaimed {
             units.extend(group.member_storage);
             units.push(group.parity_storage);
+            self.kept.retain(|seal| seal.group != group.group);
             ctx.stats.groups_reclaimed += 1;
         }
         units
     }
 
     fn release_reclaimed(
+        &mut self,
         ctx: &mut Ctx<'_>,
         reclaimed: impl IntoIterator<Item = ReclaimedGroup>,
     ) -> Result<()> {
-        let units = Self::storage_of(ctx, reclaimed);
+        let units = self.storage_of(ctx, reclaimed);
         ctx.release(&units)
-    }
-
-    /// Seals the partial group, if any.
-    fn seal_pending(&mut self, ctx: &mut Ctx<'_>) -> Result<()> {
-        match self.buffer.flush() {
-            Some(sealed) => self.commit_group(ctx, sealed),
-            None => Ok(()),
-        }
     }
 
     /// Garbage collection: re-log the active pages of fragmented groups so
@@ -264,16 +413,6 @@ impl ParityLogging {
     /// has to perform garbage collection freeing parity sets by combining
     /// their active pages to new ones").
     fn collect_garbage(&mut self, ctx: &mut Ctx<'_>) -> Result<u64> {
-        if self.gc_in_progress {
-            return Ok(0);
-        }
-        self.gc_in_progress = true;
-        let result = self.collect_garbage_inner(ctx);
-        self.gc_in_progress = false;
-        result
-    }
-
-    fn collect_garbage_inner(&mut self, ctx: &mut Ctx<'_>) -> Result<u64> {
         let plan = self.groups.gc_plan(GC_ACTIVE_FRACTION);
         let mut relogged = 0;
         // Skip members superseded since the plan was taken — and those of
@@ -288,7 +427,7 @@ impl ParityLogging {
             let reads: Vec<Unit> = chunk.iter().map(|m| (m.server, m.key)).collect();
             let pages = ctx.gather(&reads)?;
             for (member, page) in chunk.iter().zip(pages) {
-                self.page_out_inner(ctx, member.page_id, &page, &[])?;
+                self.relog(ctx, member.page_id, &page, Walk::default())?;
                 relogged += 1;
             }
         }
@@ -301,33 +440,6 @@ impl ParityLogging {
             ctx.trace(EventKind::Gc, None, Some(Policy::ParityLogging), "relogged");
         }
         Ok(relogged)
-    }
-
-    /// Logs `page` as the new version of `id`, whole, off the servers in
-    /// `exclude`: stored first, absorbed after — sealing the group, if
-    /// that fills it, in a wave of its own. A re-log — GC, recovery,
-    /// migration, promotion — holds the only copy of an *acked* version;
-    /// an append that cannot begin split ([`Self::begin_append`]) runs
-    /// this too.
-    fn page_out_inner(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        id: PageId,
-        page: &Page,
-        exclude: &[ServerId],
-    ) -> Result<()> {
-        if ctx.prefer_disk {
-            return self.log_to_disk(ctx, id, page);
-        }
-        // A group a failed seal put back seals before it can grow.
-        if self.buffer.pending() >= self.seal_width(ctx) {
-            self.seal_pending(ctx)?;
-        }
-        match self.offer(ctx, page, exclude)? {
-            Some(unit) => self.log_remote(ctx, id, page, unit),
-            None if ctx.has_disk() => self.log_to_disk(ctx, id, page),
-            None => Err(RmpError::ClusterFull),
-        }
     }
 
     /// How many pending pages seal the group: the configured group size,
@@ -352,138 +464,61 @@ impl ParityLogging {
         full.or_else(|| seals.then(|| self.buffer.flush()).flatten())
     }
 
-    /// Finds a data server for `page` — round-robin, collecting garbage
-    /// when one is full and refreshing the load view once before giving
-    /// up — and stores it there; `None` when no server took it.
-    fn offer(
+    /// Begins the append of `page` as the new version of `id`: the disk,
+    /// if the adaptive switch prefers it; else a data server and grant
+    /// from the walk — `relog`'s, for a re-log — and the data frame on the
+    /// wire. A demand append absorbs the page first, and if that seals the
+    /// group, its frame rides the seal's wave. A group that has reached
+    /// the live width seals before it grows. No taker: the disk, or
+    /// [`RmpError::ClusterFull`].
+    fn begin_append(
         &mut self,
         ctx: &mut Ctx<'_>,
+        id: PageId,
         page: &Page,
-        exclude: &[ServerId],
-    ) -> Result<Option<Unit>> {
-        let mut tried: Vec<ServerId> = exclude.to_vec();
-        // Keep every member of the pending group on a distinct server —
-        // two members co-located would break single-crash recovery.
-        tried.extend(self.buffer.members().iter().map(|m| m.server));
-        let base_tried = tried.clone();
-        let mut refreshed = false;
-        while let Some(server) = self.next_server(ctx, &tried) {
-            let key = ctx.pool.fresh_key();
-            match ctx.reserve_and_page_out(server, key, page) {
-                Ok(_hint) => {
-                    ctx.stats.net_data_transfers += 1;
-                    return Ok(Some((server, key)));
-                }
-                Err(RmpError::NoSpace(_)) => {
-                    // Try to make room before writing this server off.
-                    if !self.gc_in_progress && self.collect_garbage(ctx)? > 0 {
-                        // GC freed server memory; take fresh load reports
-                        // so stop-sending verdicts get revisited.
-                        ctx.pool.refresh_loads();
-                        continue;
-                    }
-                    tried.push(server);
-                }
-                Err(RmpError::ServerCrashed(_) | RmpError::Timeout(_)) => tried.push(server),
-                Err(e) => return Err(e),
-            }
-            if self.next_server(ctx, &tried).is_none() && !refreshed {
-                // Every server looks full or stopped; a stale view can
-                // say that long after frees and GC made room. Refresh
-                // once before conceding to the disk.
-                refreshed = true;
-                ctx.pool.refresh_loads();
-                tried = base_tried.clone();
+        mut relog: Option<Walk>,
+    ) -> Writing {
+        if ctx.prefer_disk {
+            return Writing::Done(self.log_to_disk(ctx, id, page));
+        }
+        if self.buffer.pending() >= self.seal_width(ctx) {
+            if let Err(e) = self.seal_pending(ctx) {
+                return Writing::Done(Err(e));
             }
         }
-        Ok(None)
-    }
-
-    /// Records the version of `id` just stored as `unit`, absorbed into
-    /// the pending group — sealing it, if that fills it.
-    fn log_remote(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page, unit: Unit) -> Result<()> {
-        let sealed = match self.absorb(ctx, id, unit, page) {
-            Some(full) => self.commit_group(ctx, full),
-            None => Ok(()),
+        let mut demand = Walk::default();
+        let unit = match self.take(ctx, relog.as_mut().unwrap_or(&mut demand)) {
+            Ok(Some(unit)) => unit,
+            Ok(None) if ctx.has_disk() => return Writing::Done(self.log_to_disk(ctx, id, page)),
+            Ok(None) => return Writing::Done(Err(RmpError::ClusterFull)),
+            Err(e) => return Writing::Done(Err(e)),
         };
-        self.commit(ctx, id, unit)?;
-        sealed
-    }
-
-    /// Starts the append of `page` as the new version of `id`, all its
-    /// bookkeeping done before anything is sent: picks the data server
-    /// round-robin off the pending group's servers, mints the key, takes
-    /// the grant and absorbs the page — and if that seals the group,
-    /// registers it, mints the parity key and collects the frees. Then
-    /// submits the data frame, or the sealing wave: data frame, parity
-    /// page and frees. `None`, nothing done, when the append runs whole:
-    /// the adaptive switch routes pageouts to the disk, a failed seal put
-    /// a full group back, or a grant is not to be had at once.
-    fn begin_append(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Option<Writing> {
-        if ctx.prefer_disk || self.buffer.pending() >= self.seal_width(ctx) {
-            return None;
-        }
-        let taken: Vec<ServerId> = self.buffer.members().iter().map(|m| m.server).collect();
-        let server = self.next_server(ctx, &taken)?;
-        let unit = (server, ctx.pool.fresh_key());
-        ctx.pool.reserve_frame(server).ok()?;
-        let seals = self.buffer.pending() + 1 >= self.seal_width(ctx);
-        if seals && ctx.pool.reserve_frame(self.parity_server).is_err() {
-            ctx.pool.return_frame(server);
-            return None;
-        }
-        let Some(sealed) = self.absorb(ctx, id, unit, page) else {
-            self.landing.push(Append {
-                id,
-                unit,
-                seal: None,
-            });
-            return Some(Writing::One(ctx.pool.begin_page_out(server, unit.1, page)));
-        };
-        let parity = (self.parity_server, ctx.pool.fresh_key());
-        let members: Vec<PageId> = sealed.members.iter().map(|m| m.page_id).collect();
-        let (group, reclaimed) = self.groups.register(sealed.members, parity.0, parity.1);
-        let mut frees = Self::storage_of(ctx, reclaimed);
-        // Pages freed while pending are dropped now that their group is
-        // registered.
-        for member in members {
-            if self.freed_pending.remove(&member) {
-                frees.extend(Self::storage_of(ctx, self.groups.drop_page(member)));
+        let sealed = (relog.is_none()).then(|| self.absorb(ctx, id, unit, page));
+        let (seal, writing) = match sealed.flatten() {
+            None => (
+                None,
+                Writing::One(ctx.pool.begin_page_out(unit.0, unit.1, page)),
+            ),
+            Some(sealed) => {
+                let (seal, wave) = self.seal(ctx, sealed, Some((unit, page)));
+                (Some(seal), Writing::Many(wave))
             }
-        }
-        frees.retain(|&(server, _)| ctx.alive(server));
-        let wave = ctx
-            .pool
-            .begin_stores(&[(unit, page), (parity, &sealed.parity)], &frees);
-        let seal = Some(Seal {
-            group,
-            parity: (parity, sealed.parity),
+        };
+        self.landing.push(Append {
+            id,
+            unit,
+            seal,
+            relog,
         });
-        self.landing.push(Append { id, unit, seal });
-        Some(Writing::Many(wave))
+        writing
     }
 
-    /// Where the member `unit` of `id` sits: `None` in the pending group,
-    /// else its sealed group and slot; and the servers of the group's
-    /// other members.
-    fn member_of(&self, id: PageId, unit: Unit) -> (Option<(GroupId, usize)>, Vec<ServerId>) {
-        let others = |members: &[GroupMember], slot: Option<usize>| {
-            let others = members
-                .iter()
-                .enumerate()
-                .filter(|&(at, m)| Some(at) != slot && (slot.is_some() || m.key != unit.1));
-            others.map(|(_, m)| m.server).collect()
-        };
-        match self.groups.location_of(id).filter(|l| l.key == unit.1) {
-            Some(l) => {
-                let members = &self
-                    .groups
-                    .group(l.group)
-                    .expect("it locates the page")
-                    .members;
-                (Some((l.group, l.slot)), others(members, Some(l.slot)))
-            }
-            None => (None, others(self.buffer.members(), None)),
+    /// Logs `page` anew as the version of `id` along `walk`: a re-log,
+    /// begun and completed back to back.
+    fn relog(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page, walk: Walk) -> Result<()> {
+        match self.begin_append(ctx, id, page, Some(walk)) {
+            Writing::Done(done) => done,
+            writing => self.complete_page_out(ctx, id, page, writing),
         }
     }
 
@@ -498,12 +533,11 @@ impl ParityLogging {
         }
     }
 
-    /// Lands `page` — the version of `id` whose data frame to `lost`
-    /// failed with `e` — from the kept page, as an append would have
-    /// landed it: a refusal for memory first collects garbage. A pending
-    /// member leaves the accumulator and is logged again, whole; a sealed
-    /// one is re-homed in its group ([`Self::rehome_member`]), or failing
-    /// that leaves it ([`Self::abandon`]).
+    /// Lands `page`, the version of `id` whose frame to `lost` failed with
+    /// `e`, from the kept page, off `lost` until a fresh look at the loads;
+    /// a refusal for memory collects garbage first. A pending member leaves
+    /// the accumulator and, like a re-log's page, is logged again; a sealed
+    /// one is re-homed in its group, or failing that leaves it.
     fn land_again(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -511,127 +545,71 @@ impl ParityLogging {
         page: &Page,
         lost: Unit,
         e: &RmpError,
-        seal: &mut Option<Seal>,
+        relog: Option<Walk>,
     ) -> Result<()> {
         ctx.pool.return_frame(lost.0);
-        let pending = self.member_of(id, lost).0.is_none();
-        if pending {
+        // In a sealed group, or — pending, or a re-log's page — in none yet.
+        let at = self.groups.location_of(id).filter(|l| l.key == lost.1);
+        let sealed = at.map(|l| (l.group, l.slot));
+        if sealed.is_none() {
             self.buffer.retract(lost.1, page);
         }
-        if matches!(e, RmpError::NoSpace(_)) && self.collect_garbage(ctx)? > 0 {
-            ctx.pool.refresh_loads();
+        let mut walk = relog.unwrap_or_default();
+        if matches!(e, RmpError::NoSpace(_)) {
+            self.collect(ctx, &mut walk)?;
         }
-        if pending {
-            return self.page_out_inner(ctx, id, page, &[]);
-        }
-        match self.rehome_member(ctx, id, page, lost) {
+        walk.tried.push(lost.0);
+        let Some(at) = sealed else {
+            return self.relog(ctx, id, page, walk);
+        };
+        match self.rehome_member(ctx, page, at, walk) {
             Some(unit) => self.commit(ctx, id, unit),
-            None => self.abandon(ctx, id, page, lost, seal),
+            None => self.abandon(ctx, id, page, at),
         }
     }
 
-    /// Stores `page` again — the version of `id` whose frame to `lost` did
-    /// not ack, a member of a sealed group — on a live data server that
-    /// holds no other member of the group, `lost`'s own only after a fresh
-    /// look at the loads, and records the move: parity covers contents,
-    /// not places. `None` when no server takes it.
+    /// Stores `page` again — the member at `slot` of sealed `group`, whose
+    /// frame did not ack — wherever `walk` finds a taker off the group's
+    /// other members, and records the move: parity covers contents, not
+    /// places. `None` when no server takes it.
     fn rehome_member(
         &mut self,
         ctx: &mut Ctx<'_>,
-        id: PageId,
         page: &Page,
-        lost: Unit,
+        (group, slot): (GroupId, usize),
+        mut walk: Walk,
     ) -> Option<Unit> {
-        let (Some((group, slot)), others) = self.member_of(id, lost) else {
-            return None;
-        };
-        let mut tried = [&others[..], &[lost.0]].concat();
-        let mut refreshed = false;
-        loop {
-            let Some(server) = self.next_server(ctx, &tried) else {
-                if std::mem::replace(&mut refreshed, true) {
-                    return None;
-                }
-                ctx.pool.refresh_loads();
-                tried.clone_from(&others);
-                continue;
-            };
-            let key = ctx.pool.fresh_key();
-            if ctx.reserve_and_page_out(server, key, page).is_err() {
-                tried.push(server);
+        let members = self.groups.group(group)?.members.iter().enumerate();
+        let others = members.filter(|&(at, _)| at != slot).map(|(_, m)| m.server);
+        walk.exclude = others.collect();
+        while let Some((server, key)) = self.take(ctx, &mut walk).ok().flatten() {
+            if ctx.pool.page_out(server, key, page).is_err() {
+                ctx.pool.return_frame(server);
+                walk.tried.push(server);
                 continue;
             }
             ctx.stats.net_data_transfers += 1;
             let moved = self.groups.relocate_member(group, slot, server, key);
             return moved.is_ok().then_some((server, key));
         }
+        None
     }
 
-    /// Settles the parity leg of a sealing append: one that did not ack
-    /// is shipped again from the parity page the landing keeps — to the
-    /// parity server, or failing that to any live server holding no
-    /// member of the group.
-    ///
-    /// # Errors
-    ///
-    /// [`RmpError::ServerCrashed`] naming a parity server that died: the
-    /// recovery the pageout's retry runs rebuilds the group's parity page.
-    /// The leg's own failure when no server took the page.
-    fn land_parity(&mut self, ctx: &mut Ctx<'_>, seal: Seal, stored: Result<()>) -> Result<()> {
-        let Seal {
-            group,
-            parity: ((holder, _), parity),
-        } = seal;
-        let Err(e) = stored else {
-            ctx.stats.net_parity_transfers += 1;
-            ctx.count("engine_groups_sealed_total");
-            return Ok(());
-        };
-        ctx.pool.return_frame(holder);
-        let Some(state) = self.groups.group(group) else {
-            return Ok(());
-        };
-        if !ctx.alive(holder) {
-            return Err(RmpError::ServerCrashed(holder));
-        }
-        let mut exclude: Vec<ServerId> = state.members.iter().map(|m| m.server).collect();
-        let Some((server, key)) = ctx.walk(&parity, Some(holder), &mut exclude)? else {
-            return Err(e);
-        };
-        ctx.stats.net_parity_transfers += 1;
-        ctx.count("engine_groups_sealed_total");
-        self.groups.relocate_parity(group, server, key)
-    }
-
-    /// Gives up on a sealed member no server would take: it leaves its
-    /// group, whose parity page stops covering `page`, and the page goes
-    /// to the disk or, with none, the pageout fails. The version its seal
-    /// superseded is not brought back.
+    /// Gives up on the sealed member at `at` no server would take: it
+    /// leaves its group, whose parity page stops covering `page`, and the
+    /// page goes to the disk or, with none, the pageout fails. The version
+    /// its seal superseded is not brought back.
     fn abandon(
         &mut self,
         ctx: &mut Ctx<'_>,
         id: PageId,
         page: &Page,
-        lost: Unit,
-        seal: &mut Option<Seal>,
+        at: (GroupId, usize),
     ) -> Result<()> {
-        let cancelled = match self.member_of(id, lost).0 {
-            None => Ok(()),
-            Some(at) => {
-                if (self.table.units(id)).is_some_and(|units| !units.is_empty()) {
-                    self.table.remove(id);
-                }
-                // The parity page this append is still to settle stops
-                // covering the page too; the one it stored is overwritten.
-                let own = seal.as_mut().filter(|seal| seal.group == at.0);
-                let stored = own.map(|seal| {
-                    let stored = seal.parity.1.clone();
-                    seal.parity.1.xor_with(page);
-                    stored
-                });
-                self.cancel_member(ctx, page, at, stored)
-            }
-        };
+        if (self.table.units(id)).is_some_and(|units| !units.is_empty()) {
+            self.table.remove(id);
+        }
+        let cancelled = self.cancel_member(ctx, page, at);
         let parked = match ctx.has_disk() {
             true => self.log_to_disk(ctx, id, page),
             false => Err(RmpError::ClusterFull),
@@ -644,7 +622,8 @@ impl ParityLogging {
     fn log_to_disk(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
         ctx.disk_write(id, page)?;
         self.table.set_disk(id);
-        Self::release_reclaimed(ctx, self.groups.drop_page(id))?;
+        let reclaimed = self.groups.drop_page(id);
+        self.release_reclaimed(ctx, reclaimed)?;
         if self.is_pending(id) {
             // A pending version exists; drop it from the group table
             // right after its group seals.
@@ -655,7 +634,7 @@ impl ParityLogging {
 
     /// Re-logs `m`'s page as `page` through a fresh group, keeping it off
     /// `crashed`, if `m` still is its current version.
-    fn relog(
+    fn relog_member(
         &mut self,
         ctx: &mut Ctx<'_>,
         m: &GroupMember,
@@ -664,7 +643,9 @@ impl ParityLogging {
         step: &mut RecoveryStep,
     ) -> Result<()> {
         if self.is_current(m) && !self.freed_pending.contains(&m.page_id) {
-            self.page_out_inner(ctx, m.page_id, page, &[crashed])?;
+            let mut walk = Walk::default();
+            walk.exclude.push(crashed);
+            self.relog(ctx, m.page_id, page, walk)?;
             step.transfers += 1;
         }
         Ok(())
@@ -705,24 +686,40 @@ impl ParityLogging {
             .zip(&pieces)
             .chain(lost.iter().map(|m| (m, &rebuilt)));
         for (m, page) in contents {
-            self.relog(ctx, m, page, crashed, step)?;
+            self.relog_member(ctx, m, page, crashed, step)?;
             self.freed_pending.remove(&m.page_id);
             ctx.release(&[(m.server, m.key)])?;
         }
         Ok(())
     }
 
+    /// What solves the XOR equation of sealed group `gid` for its member
+    /// at `slot`: the other members and the parity page — unless the
+    /// client keeps that one ([`Self::parity_base`]).
+    fn pieces_without(&self, gid: GroupId, slot: usize) -> Option<Vec<Unit>> {
+        let state = self.groups.group(gid)?;
+        let others = (state.members.iter().enumerate()).filter(|(at, _)| *at != slot);
+        let mut reads: Vec<Unit> = others.map(|(_, m)| (m.server, m.key)).collect();
+        if self.kept_parity(gid).is_none() {
+            reads.push((state.parity_server, state.parity_key));
+        }
+        Some(reads)
+    }
+
+    /// What the XOR of sealed group `gid`'s pieces starts from: the parity
+    /// page the client keeps, or zeroes.
+    fn parity_base(&self, gid: GroupId) -> Page {
+        self.kept_parity(gid).cloned().unwrap_or_else(Page::zeroed)
+    }
+
     /// The slot of sealed group `gid` that was lost with `crashed`, and
-    /// what solves its XOR equation: the other members and the parity
-    /// page. `None` for a group reclaimed by an earlier item's re-logging
-    /// — it holds no current data any more — or untouched by the crash.
+    /// what solves its XOR equation. `None` for a group reclaimed by an
+    /// earlier item's re-logging — it holds no current data any more — or
+    /// untouched by the crash.
     fn lost_member(&self, gid: GroupId, crashed: ServerId) -> Option<(usize, Vec<Unit>)> {
         let state = self.groups.group(gid)?;
         let lost_slot = state.members.iter().position(|m| m.server == crashed)?;
-        let others = (state.members.iter().enumerate()).filter(|(slot, _)| *slot != lost_slot);
-        let mut reads: Vec<Unit> = others.map(|(_, m)| (m.server, m.key)).collect();
-        reads.push((state.parity_server, state.parity_key));
-        Some((lost_slot, reads))
+        Some((lost_slot, self.pieces_without(gid, lost_slot)?))
     }
 
     /// The members of sealed group `gid`, if its parity page is still on
@@ -772,7 +769,8 @@ impl ParityLogging {
             .members
             .clone();
         step.transfers += fetched.len() as u64;
-        let rebuilt = xor_reduce(fetched);
+        let mut rebuilt = self.parity_base(gid);
+        fetched.iter().for_each(|piece| rebuilt.xor_with(piece));
         step.pages_rebuilt += 1;
         // Restore full redundancy by re-logging the *current* version of
         // every active member through fresh parity groups; the damaged
@@ -785,7 +783,7 @@ impl ParityLogging {
                 false => survivors.next().expect("one piece per survivor"),
             };
             if m.active {
-                self.relog(ctx, m, page, crashed, step)?;
+                self.relog_member(ctx, m, page, crashed, step)?;
             }
         }
         Ok(())
@@ -810,6 +808,7 @@ impl ParityLogging {
         ctx.stats.net_parity_transfers += 1;
         step.transfers += members.len() as u64 + 1;
         step.parity_rebuilt += 1;
+        self.kept.retain(|seal| seal.group != gid);
         self.groups.relocate_parity(gid, self.parity_server, pkey)
     }
 
@@ -841,17 +840,9 @@ impl ParityLogging {
 }
 
 impl Engine for ParityLogging {
-    fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
-        let writing = self.begin_page_out(ctx, id, page);
-        self.complete_page_out(ctx, id, page, writing)
-    }
-
     fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
         self.freed_pending.remove(&id);
-        match self.begin_append(ctx, id, page) {
-            Some(writing) => writing,
-            None => Writing::Done(self.page_out_inner(ctx, id, page, &[])),
-        }
+        self.begin_append(ctx, id, page, None)
     }
 
     fn complete_page_out(
@@ -861,35 +852,40 @@ impl Engine for ParityLogging {
         page: &Page,
         writing: Writing,
     ) -> Result<()> {
-        let Some(at) = self.landing.iter().position(|a| a.id == id) else {
+        let Some(at) = self.landing.iter().rposition(|a| a.id == id) else {
             return match writing {
                 Writing::Done(done) => done,
                 _ => Err(RmpError::Unsupported("no append of this page is landing")),
             };
         };
-        let Append { unit, mut seal, .. } = self.landing.swap_remove(at);
-        let (data, parity, frees) = match writing {
-            Writing::One(flight) => (ctx.pool.finish_page_out(flight).map(drop), None, Ok(())),
-            Writing::Many(wave) => {
+        let Append {
+            unit, seal, relog, ..
+        } = self.landing.swap_remove(at);
+        let (data, sealed, frees) = match (writing, seal) {
+            (Writing::One(flight), None) => {
+                (ctx.pool.finish_page_out(flight).map(drop), Ok(()), Ok(()))
+            }
+            (Writing::Many(wave), Some(seal)) => {
                 let mut outcomes = ctx.pool.finish_stores(wave).into_iter();
                 let data = outcomes.next().expect("one outcome per store");
-                (data, outcomes.next(), freed(outcomes))
+                let sealed = self.land_parity(ctx, seal, &mut outcomes);
+                (data, sealed, freed(outcomes))
             }
             _ => return Err(RmpError::Unsupported("an append is a frame or a wave")),
         };
         let (kept, failed) = match data {
             Ok(()) => {
                 ctx.stats.net_data_transfers += 1;
-                (self.commit(ctx, id, unit), None)
+                let kept = self.commit(ctx, id, unit);
+                // A re-log joins the pending group only now its frame acked.
+                let full = relog.and_then(|_| self.absorb(ctx, id, unit, page));
+                let joined = full.map_or(Ok(()), |full| self.seal_whole(ctx, full));
+                (kept.and(joined), None)
             }
             Err(e) => {
-                let kept = self.land_again(ctx, id, page, unit, &e, &mut seal);
+                let kept = self.land_again(ctx, id, page, unit, &e, relog);
                 (kept, (!gave_way(&e)).then_some(e))
             }
-        };
-        let sealed = match (seal, parity) {
-            (Some(seal), Some(stored)) => self.land_parity(ctx, seal, stored),
-            _ => Ok(()),
         };
         sealed.and(kept).and(frees).and(failed.map_or(Ok(()), Err))
     }
@@ -916,7 +912,8 @@ impl Engine for ParityLogging {
             self.freed_pending.insert(id);
             Ok(())
         } else {
-            Self::release_reclaimed(ctx, self.groups.drop_page(id))
+            let reclaimed = self.groups.drop_page(id);
+            self.release_reclaimed(ctx, reclaimed)
         }
     }
 
@@ -948,15 +945,9 @@ impl Engine for ParityLogging {
             (self.buffer.accumulated().clone(), reads)
         } else {
             let loc = (self.groups.location_of(id)).ok_or(RmpError::PageNotFound(id))?;
-            let state = (self.groups.group(loc.group)).ok_or(RmpError::PageNotFound(id))?;
-            let others = state
-                .members
-                .iter()
-                .enumerate()
-                .filter(|(slot, _)| *slot != loc.slot);
-            let mut reads: Vec<Unit> = others.map(|(_, m)| (m.server, m.key)).collect();
-            reads.push((state.parity_server, state.parity_key));
-            (Page::zeroed(), reads)
+            let reads = self.pieces_without(loc.group, loc.slot);
+            let reads = reads.ok_or(RmpError::PageNotFound(id))?;
+            (self.parity_base(loc.group), reads)
         };
         let pieces = ctx.fetch_group(&reads, &format_args!("the group of {id}"))?;
         pieces.iter().for_each(|piece| page.xor_with(piece));
@@ -1032,7 +1023,9 @@ impl Engine for ParityLogging {
             let reads: Vec<Unit> = work.iter().map(|&(_, unit)| unit).collect();
             let fetched = ctx.gather(&reads)?;
             for ((id, _), page) in work.into_iter().zip(fetched) {
-                self.page_out_inner(ctx, id, &page, &[server])?;
+                let mut walk = Walk::default();
+                walk.exclude.push(server);
+                self.relog(ctx, id, &page, walk)?;
                 ctx.stats.migrations += 1;
                 moved += 1;
             }
@@ -1052,7 +1045,7 @@ impl Engine for ParityLogging {
                 break;
             }
             let page = ctx.disk_read(id)?;
-            self.page_out_inner(ctx, id, &page, &[])?;
+            self.relog(ctx, id, &page, Walk::default())?;
             if self.table.units(id).is_some_and(|units| !units.is_empty()) {
                 promoted += 1;
             }

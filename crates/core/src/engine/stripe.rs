@@ -505,11 +505,6 @@ impl Stripe {
 }
 
 impl Engine for Stripe {
-    fn page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Result<()> {
-        let writing = self.begin_page_out(ctx, id, page);
-        self.complete_page_out(ctx, id, page, writing)
-    }
-
     fn begin_page_out(&mut self, ctx: &mut Ctx<'_>, id: PageId, page: &Page) -> Writing {
         if ctx.prefer_disk {
             // The adaptive switch routes pageouts to the disk: nothing is

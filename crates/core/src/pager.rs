@@ -993,7 +993,8 @@ impl Pager {
     }
 
     /// Recovers from the failure `out` came back with and runs the
-    /// pageout again, whole, as long as attempts keep taking servers down.
+    /// pageout again — begun and completed back to back — as long as
+    /// attempts keep taking servers down.
     pub(crate) fn retry_page_out(
         &mut self,
         (mut out, failed): (PageOut, RmpError),
@@ -1005,7 +1006,10 @@ impl Pager {
                 break;
             }
             out.retries -= 1;
-            done = self.with_engine(|engine, ctx| engine.page_out(ctx, out.id, page));
+            done = self.with_engine(|engine, ctx| {
+                let writing = engine.begin_page_out(ctx, out.id, page);
+                engine.complete_page_out(ctx, out.id, page, writing)
+            });
         }
         self.book_page_out(&out, page, done)
     }

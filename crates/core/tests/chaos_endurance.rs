@@ -97,13 +97,17 @@ fn endurance_schedules_hold_invariants_across_policies() {
 /// the group it had announced was registered ("pg0 unreadable after
 /// heal"). 609656: a seal whose parity page timed out left a registered
 /// group naming a key no server held, and the recovery that needed it
-/// stuck on "no longer holds key". 120568 (basic parity): a read that went
-/// around a holder which had only missed an attempt queued its rebuild,
-/// and pages rebuilt in place over live ones failed their checksum after
-/// heal.
+/// stuck on "no longer holds key". 7250059 and 20026997: a seal whose
+/// parity page was lost with its server, held dead, left its group naming
+/// that page; the server's rebuild, which recomputes it, was dropped as
+/// unrecoverable — a second server was down at once — and a later rebuild
+/// that read the page stuck on "no longer holds key". 120568 (basic
+/// parity): a read that went around a holder which had only missed an
+/// attempt queued its rebuild, and pages rebuilt in place over live ones
+/// failed their checksum after heal.
 #[test]
 fn schedules_that_once_failed_stay_fixed() {
-    for seed in [128_487, 609_656] {
+    for seed in [128_487, 609_656, 7_250_059, 20_026_997] {
         let outcome = run_schedule(Policy::ParityLogging, seed);
         assert!(outcome.passed(), "{:?}", outcome.violations);
     }

@@ -19,7 +19,7 @@ use std::time::Duration;
 use rmp_blockdev::PagingDevice;
 use rmp_core::{ChaosServer, Clock, Pager};
 use rmp_proto::{Message, Opcode};
-use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId};
+use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId};
 
 use support::*;
 
@@ -229,6 +229,113 @@ fn a_parity_server_dying_under_the_sealing_wave_has_the_parity_page_rebuilt() {
     for (i, widths) in [(1u64, &[1][..]), (2, &[])] {
         let (read, _) = in_waves(&wire, widths, || pager.page_in(PageId(i)));
         assert_eq!(read.expect("read"), Page::deterministic(i));
+    }
+}
+
+/// Runs `op`, answering every wave it sends until it returns: for what
+/// is checked by its outcome, not by its waves.
+fn answered<R: Send>(wire: &Wire, op: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(op);
+        while !worker.is_finished() {
+            for flight in std::mem::take(&mut wire.state().flying) {
+                flight.completion.complete(Ok(flight.replies));
+            }
+            std::thread::yield_now();
+        }
+        worker.join().expect("operation thread")
+    })
+}
+
+/// Page 0 read back with server 0, its holder, down.
+fn read_around_server_0(wire: &Wire, pager: &mut Pager) {
+    let read = answered(wire, || pager.page_in(PageId(0)));
+    assert_eq!(read.expect("degraded read"), Page::deterministic(0));
+}
+
+#[test]
+fn a_sealing_append_whose_parity_page_no_server_takes_keeps_it() {
+    let (wire, _servers, mut pager) = plog_pager();
+    two_pending(&wire, &mut pager, 0);
+    // The parity server refuses the sealing wave's parity page, and the
+    // page once more when it is offered again alone; no other server
+    // holds no member of the group.
+    wire.state().refuse_store.extend([ServerId(3); 2]);
+    let (sealed, waves) = in_waves(&wire, &[2, 1], || {
+        pager.page_out(PageId(2), &Page::deterministic(2))
+    });
+    assert_eq!(shape(&waves[0]), (vec![2, 3], vec![Opcode::PageOut; 2]));
+    assert_eq!(shape(&waves[1]), (vec![3], vec![Opcode::PageOut]));
+    // The client keeps the parity page: page 0, acked before the seal, is
+    // rebuilt from the group's other members and the kept page.
+    pager.note_crash(ServerId(0));
+    read_around_server_0(&wire, &mut pager);
+    sealed.expect("the seal stands, its parity page kept");
+    // The next flush offers the kept page again, and the parity server
+    // takes it: the same read now gathers it.
+    let (flushed, waves) = in_waves(&wire, &[1], || pager.flush());
+    flushed.expect("flush");
+    assert_eq!(shape(&waves[0]), (vec![3], vec![Opcode::PageOut]));
+    let (read, waves) = in_waves(&wire, &[3], || pager.page_in(PageId(0)));
+    assert_eq!(read.expect("degraded read"), Page::deterministic(0));
+    assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
+}
+
+#[test]
+fn a_flush_whose_parity_page_no_server_takes_leaves_its_group_covered() {
+    let (wire, _servers, mut pager) = plog_pager();
+    two_pending(&wire, &mut pager, 0);
+    // The flush seals the two pending pages. Its parity page is refused
+    // by the parity server, twice, and then by server 2, the one other
+    // server holding no member of the group; whatever becomes of it,
+    // page 0 is still rebuilt without server 0 — before the next flush
+    // stores that page and after.
+    wire.state()
+        .refuse_store
+        .extend([ServerId(3), ServerId(3), ServerId(2)]);
+    let _ = answered(&wire, || pager.flush());
+    wire.state().refuse_store.clear();
+    pager.note_crash(ServerId(0));
+    read_around_server_0(&wire, &mut pager);
+    answered(&wire, || pager.flush()).expect("flush");
+    read_around_server_0(&wire, &mut pager);
+    let read = answered(&wire, || pager.page_in(PageId(1)));
+    assert_eq!(read.expect("pagein"), Page::deterministic(1));
+}
+
+#[test]
+fn a_re_log_no_server_stores_leaves_the_acked_version_current() {
+    // No disk: a page that finds no taker has nowhere else to go.
+    let (wire, _servers, pool) = wave_pool(4);
+    let config = PagerConfig::new(Policy::ParityLogging)
+        .with_servers(3)
+        .with_prefetch_window(0)
+        .with_transport(pool.transport_config().clone());
+    let mut pager = Pager::builder(config).pool(pool).build().expect("pager");
+    // Pages 0, 1 and 2 seal the first group over servers 0..=2; pages 3
+    // and 4 are pending on servers 0 and 1.
+    for (id, frames) in [(0, 1), (1, 1), (2, 2), (3, 1), (4, 1)] {
+        let (done, _) = in_waves(&wire, &[frames], || {
+            pager.page_out(PageId(id), &Page::deterministic(id))
+        });
+        done.expect("append");
+    }
+    // Page 0 leaves server 0 for the one server holding no pending
+    // member, 2, which refuses it — once, and again after a fresh look
+    // at the loads. A re-log absorbs its page only once its frame acks:
+    // the group it would have sealed stays pending, and page 0 where it
+    // was.
+    wire.state().refuse_store.extend([ServerId(2); 2]);
+    let moved = answered(&wire, || pager.migrate_from(ServerId(0)));
+    assert!(matches!(moved, Err(RmpError::ClusterFull)), "{moved:?}");
+    let (read, waves) = in_waves(&wire, &[1], || pager.page_in(PageId(0)));
+    assert_eq!(read.expect("pagein"), Page::deterministic(0));
+    assert_eq!(shape(&waves[0]), (vec![0], vec![Opcode::PageIn]));
+    // And both groups still cover their members.
+    pager.note_crash(ServerId(0));
+    for id in [0, 3] {
+        let read = answered(&wire, || pager.page_in(PageId(id)));
+        assert_eq!(read.expect("degraded read"), Page::deterministic(id));
     }
 }
 

@@ -143,20 +143,6 @@ impl ParityBuffer {
         self.members.clear();
     }
 
-    /// Takes `sealed` back as the pending group — the inverse of the seal
-    /// that produced it, for a caller whose parity page found no server:
-    /// the members are pending again, covered by the accumulator, and the
-    /// next seal ships them anew.
-    ///
-    /// # Panics
-    ///
-    /// Panics if pages have been absorbed since that seal.
-    pub fn unseal(&mut self, sealed: SealedGroup) {
-        assert!(self.members.is_empty(), "unseal into a buffer in use");
-        self.acc = sealed.parity;
-        self.members = sealed.members;
-    }
-
     /// Takes the pending member stored under `key` back out — the inverse
     /// of the absorb that added `page`.
     pub fn retract(&mut self, key: StoreKey, page: &Page) -> Option<GroupMember> {
@@ -231,18 +217,15 @@ mod tests {
     }
 
     #[test]
-    fn unseal_and_retract_invert_seal_and_absorb() {
+    fn retract_inverts_absorb() {
         let pages: Vec<Page> = (20..23).map(Page::deterministic).collect();
-        let mut buf = ParityBuffer::new(3);
-        let sealed = absorb_n(&mut buf, &pages).expect("sealed after 3");
-        buf.unseal(sealed);
-        assert_eq!(buf.pending(), 3);
-        assert_eq!(buf.accumulated(), &xor_reduce(pages.iter()));
+        let mut buf = ParityBuffer::new(4);
+        assert!(absorb_n(&mut buf, &pages).is_none());
         let middle = buf.retract(StoreKey(1001), &pages[1]).expect("a member");
         assert_eq!(middle.page_id, PageId(1));
         assert_eq!(buf.accumulated(), &xor_reduce([&pages[0], &pages[2]]));
-        let resealed = buf.flush().expect("two pending");
-        assert_eq!(resealed.members.len(), 2);
+        let sealed = buf.flush().expect("two pending");
+        assert_eq!(sealed.members.len(), 2);
     }
 
     #[test]

@@ -243,24 +243,6 @@ impl GroupTable {
         })
     }
 
-    /// Takes the registration of `group` back: its parity page found no
-    /// server. Returns the members, all active again, for the caller to
-    /// keep pending; the versions the registration superseded stay
-    /// superseded — the members returned are the current ones.
-    pub fn unregister(&mut self, group: GroupId) -> Vec<GroupMember> {
-        let Some(state) = self.groups.remove(&group) else {
-            return Vec::new();
-        };
-        let mut members = state.members;
-        for member in &mut members {
-            if member.active {
-                self.current.remove(&member.page_id);
-            }
-            member.active = true;
-        }
-        members
-    }
-
     /// Takes the member at `slot` back out of `group`: the group was
     /// registered ahead of that member's store, and no server took the
     /// frame. The group is left as if it had sealed without the member —
@@ -547,20 +529,6 @@ mod tests {
         assert_eq!(reclaimed.group, g1);
         assert!(t.location_of(PageId(1)).is_none());
         assert!(t.drop_page(PageId(1)).is_none(), "idempotent");
-    }
-
-    #[test]
-    fn unregister_returns_the_members_and_forgets_the_group() {
-        let mut t = GroupTable::new();
-        register_group(&mut t, &[(1, 101, 0)], 9, 900);
-        let (g2, reclaimed) = register_group(&mut t, &[(1, 201, 0), (1, 202, 1)], 9, 901);
-        assert_eq!(reclaimed.len(), 1);
-        let members = t.unregister(g2);
-        assert_eq!(members.len(), 2);
-        assert!(members.iter().all(|m| m.active), "ready to register again");
-        assert!(t.group(g2).is_none());
-        assert!(t.location_of(PageId(1)).is_none(), "pending, not sealed");
-        assert_eq!(t.live_groups(), 0);
     }
 
     #[test]
