@@ -878,6 +878,8 @@ fn flush_landed(pager: &ShardedPager, landing: &mut HashSet<u64>, ambiguous: &mu
 /// 5. **No grant outlives its server** — after the chaos window and at
 ///    the end, no pool holds frames granted by a server it holds dead.
 /// 6. **Every pagein counted is a page returned.**
+/// 7. **Nothing is left landing** — after the final flush, every shard's
+///    `pager_landings` gauge reads 0.
 ///
 /// On a manual clock, the run is a function of `seed` alone.
 ///
@@ -1055,6 +1057,15 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
     }
     // Everything has landed; a landing that failed unreported says so.
     flush_landed(&pager, &mut landing, &mut ambiguous);
+    for shard in 0..shards {
+        let landings = |p: &mut crate::Pager| p.metrics().gauge("pager_landings").get();
+        let left = pager.with_shard(shard, landings);
+        if left > 0 {
+            outcome.violations.push(format!(
+                "seed {seed} {policy:?}: shard {shard} holds {left} landings after the flush"
+            ));
+        }
+    }
 
     // Phase 4: strict verification of every unambiguous acked page.
     let mut owed: Vec<(u64, u64)> = model.into_iter().collect();
