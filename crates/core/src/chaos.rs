@@ -834,15 +834,17 @@ fn log(journal: &mut DefaultHasher, op: &str, id: u64, done: Outcome<impl std::f
     format!("{op} pg{id} {:?}", done.map_err(|e| e.to_string())).hash(journal);
 }
 
-/// Whether some shard's pool of `pager` holds grants on a server it
-/// holds dead: they died with it, and a frame placed on one would be lost.
+/// Whether some shard's pool of `pager` holds grants, or a refill, on a
+/// server it holds dead: they died with it, and a frame placed on one
+/// would be lost.
 fn grants_on_the_dead(pager: &ShardedPager, shards: usize, servers: u32) -> Option<String> {
     (0..shards).find_map(|shard| {
         let holding = |p: &mut crate::Pager| {
             let pool = p.pool();
+            let held = |s| pool.granted_frames(s) + pool.asked_frames(s);
             (0..servers)
                 .map(ServerId)
-                .find(|&s| !pool.view().is_alive(s) && pool.granted_frames(s) > 0)
+                .find(|&s| !pool.view().is_alive(s) && held(s) > 0)
         };
         let server = pager.with_shard(shard, holding)?;
         Some(format!("shard {shard} holds grants on dead {server}"))

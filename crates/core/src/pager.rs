@@ -75,6 +75,8 @@ struct PagerMetrics {
     prefetch_hits: Arc<Counter>,
     prefetch_useless: Arc<Counter>,
     prefetch_skipped_gray: Arc<Counter>,
+    /// Faults that met their page's read-ahead still on the wire.
+    prefetch_waits: Arc<Counter>,
     flight_waits: Arc<Counter>,
     landing_hits: Arc<Counter>,
     landings: Arc<Gauge>,
@@ -101,6 +103,7 @@ impl PagerMetrics {
             prefetch_hits: registry.counter("pager_prefetch_hits_total"),
             prefetch_useless: registry.counter("pager_prefetch_useless_total"),
             prefetch_skipped_gray: registry.counter("pager_prefetch_skipped_gray_total"),
+            prefetch_waits: registry.counter("pager_prefetch_waits_total"),
             flight_waits: registry.counter("pager_flight_waits_total"),
             landing_hits: registry.counter("pager_landing_hits_total"),
             landings: registry.gauge("pager_landings"),
@@ -625,6 +628,7 @@ impl Pager {
                 break report;
             }
         };
+        self.pool.mark_rebuilt(server);
         // Placement changed wholesale under the rebuild: drop the fault
         // trace and any read-ahead rather than predict against the old
         // layout.
@@ -882,9 +886,12 @@ impl Pager {
         while i < self.pending_prefetch.len() {
             let pending = &self.pending_prefetch[i];
             let wanted = need.is_some() && pending.page == need;
-            if !wanted && !pending.flight.is_ready() {
-                i += 1;
-                continue;
+            if !pending.flight.is_ready() {
+                if !wanted {
+                    i += 1;
+                    continue;
+                }
+                self.metrics.prefetch_waits.inc();
             }
             let PendingPrefetch { page, flight } = self.pending_prefetch.swap_remove(i);
             let fetched = self.pool.finish_page_in_unretried(flight).ok().flatten();

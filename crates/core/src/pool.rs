@@ -47,7 +47,10 @@ use crate::transport::ServerTransport;
 const GRAY_MIN_EXPECTED_US: f64 = 500.0;
 
 /// Frames requested per allocation round-trip; the client consumes the
-/// grant locally so most pageouts need no extra allocation message.
+/// grant locally so most pageouts need no extra allocation message. A
+/// server's grants held plus those asked for never exceed it: below half
+/// of it a reservation asks ahead of need for the rest
+/// ([`ServerPool::reserve_frame`]).
 const ALLOC_CHUNK: u32 = 64;
 
 /// Most pages one chunk of a rebuild, a migration or a log clean-up may
@@ -77,6 +80,10 @@ struct PoolMetrics {
     window_depth: Arc<Gauge>,
     /// Submissions that found a request window full and had to wait.
     window_stalls: Arc<Counter>,
+    /// Reservations that found no grant and waited on the wire for one,
+    /// and the allocations asked for ahead of need.
+    grant_waits: Arc<Counter>,
+    grant_refills: Arc<Counter>,
     call_latency: Arc<Histogram>,
 }
 
@@ -94,6 +101,8 @@ impl PoolMetrics {
             wire_transfers: registry.counter("pool_wire_transfers_total"),
             window_depth: registry.gauge("pool_window_depth"),
             window_stalls: registry.counter("pool_window_stalls_total"),
+            grant_waits: registry.counter("pool_grant_waits_total"),
+            grant_refills: registry.counter("pool_grant_refills_total"),
             call_latency: registry.histogram("pool_call_latency_us"),
             registry,
         }
@@ -154,6 +163,10 @@ struct Peer {
     addr: Option<String>,
     /// Frames the server granted that no pageout has consumed yet.
     grants: u32,
+    /// The `Alloc` asked ahead of need, at most one: booked by the first
+    /// reservation that finds its reply in, or waited for by one that
+    /// finds no grant left.
+    refill: Option<Flight>,
     /// The transport's (cumulative) window stalls already mirrored into
     /// `pool_window_stalls_total`.
     stalls_seen: u64,
@@ -187,6 +200,7 @@ impl Peer {
             transport,
             addr,
             grants: 0,
+            refill: None,
             stalls_seen: 0,
             depth_seen: 0,
             latency: None,
@@ -252,12 +266,14 @@ impl Peer {
         }
     }
 
-    /// Drops what was learnt over the connection: grants never survive a
-    /// redial, a restart or a death. The stall baseline restarts only with
-    /// the transport's own counters — on a `new_connection` — or
-    /// `publish_window_stats` would swallow stalls or count them twice.
+    /// Drops what was learnt over the connection: grants, and the refill
+    /// asked for, never survive a redial, a restart or a death. The stall
+    /// baseline restarts only with the transport's own counters — on a
+    /// `new_connection` — or `publish_window_stats` would swallow stalls
+    /// or count them twice.
     fn reset(&mut self, new_connection: bool) {
         self.grants = 0;
+        self.refill = None;
         if new_connection {
             self.stalls_seen = 0;
         }
@@ -516,8 +532,10 @@ pub struct ServerPool {
     verify_checksums: bool,
     /// Pages per chunk of a rebuild, a migration, a log clean-up.
     batch_max_pages: usize,
-    /// See [`ServerPool::obituaries`] and [`ServerPool::backoffs`].
+    /// See [`ServerPool::obituaries`], [`ServerPool::mark_rebuilt`] and
+    /// [`ServerPool::backoffs`].
     obituaries: Vec<ServerId>,
+    rebuilt: Vec<ServerId>,
     backoffs: Vec<ServerId>,
     /// Observability hooks; `None` (the default) records nothing.
     metrics: Option<PoolMetrics>,
@@ -544,6 +562,7 @@ impl ServerPool {
             verify_checksums: true,
             batch_max_pages: 16,
             obituaries: Vec::new(),
+            rebuilt: Vec::new(),
             backoffs: Vec::new(),
             metrics: None,
         }
@@ -708,11 +727,13 @@ impl ServerPool {
             (Event::Forgiven, _, _) => {
                 self.view.mark_alive(id);
                 self.obituaries.retain(|&dead| dead != id);
+                self.rebuilt.retain(|&dead| dead != id);
             }
             (Event::Verdict(why), Standing::Healthy(_) | Standing::Suspect(_), _) => {
                 peer.reset(false);
                 self.view.mark_dead(id);
                 note(&mut self.obituaries, id);
+                self.rebuilt.retain(|&dead| dead != id);
                 if let Some(m) = m {
                     m.deaths.inc();
                     m.registry.trace(EventKind::Crash, Some(id), None, why);
@@ -744,6 +765,23 @@ impl ServerPool {
     /// listed: whoever passes a verdict on checks the view first.
     pub fn obituaries(&mut self) -> &mut Vec<ServerId> {
         &mut self.obituaries
+    }
+
+    /// Marks the obituary of `id`, if one is untaken, as rebuilt by this
+    /// pool's pager: told of its own verdict, the pager has no rebuild
+    /// left to queue. Taken with the obituaries
+    /// ([`ServerPool::take_rebuilt`]); a forgiveness or a new verdict
+    /// strikes the mark.
+    pub(crate) fn mark_rebuilt(&mut self, id: ServerId) {
+        if self.obituaries.contains(&id) {
+            note(&mut self.rebuilt, id);
+        }
+    }
+
+    /// The servers [`ServerPool::mark_rebuilt`] marked since this was last
+    /// taken.
+    pub(crate) fn take_rebuilt(&mut self) -> Vec<ServerId> {
+        std::mem::take(&mut self.rebuilt)
     }
 
     /// The servers that took a rung of the retry ladder since somebody
@@ -1327,26 +1365,76 @@ impl ServerPool {
         }
     }
 
-    /// Ensures one granted-but-unused frame exists on `id`, allocating a
-    /// chunk when needed — the paper's "asks for a number of page frames".
+    /// Takes one granted-but-unused frame on `id` — the paper's "asks for
+    /// a number of page frames". A refill whose reply is in is booked
+    /// first. With no grant left, the reservation waits: for the refill
+    /// out, or on a call of a whole chunk, down the retry ladder either
+    /// way. With fewer than half a chunk left after it, and no refill out,
+    /// the rest of a chunk is asked for on the request window, waited for
+    /// by nobody: the refill.
     ///
     /// # Errors
     ///
     /// Returns [`RmpError::NoSpace`] when the server denies the
-    /// allocation, after marking it stop-sending in the view.
+    /// allocation waited for, after marking it stop-sending in the view.
     pub fn reserve_frame(&mut self, id: ServerId) -> Result<()> {
-        if let Some(peer) = self.peers.get_mut(&id) {
-            if peer.grants > 0 {
-                peer.grants -= 1;
-                return Ok(());
+        self.book_refill(id);
+        if self.granted_frames(id) == 0 {
+            if let Some(m) = &self.metrics {
+                m.grant_waits.inc();
             }
+            let reply = match self.peers.get_mut(&id).and_then(|peer| peer.refill.take()) {
+                Some(refill) => self.settle(refill)?,
+                None => self.call(id, Message::Alloc { pages: ALLOC_CHUNK })?,
+            };
+            self.granted(id, reply)?;
         }
-        let reply = self.call(id, Message::Alloc { pages: ALLOC_CHUNK })?;
-        self.granted(id, reply)?;
         if let Some(peer) = self.peers.get_mut(&id) {
             peer.grants = peer.grants.saturating_sub(1);
         }
+        self.refill(id);
         Ok(())
+    }
+
+    /// Books `id`'s refill if its reply is in: its frames join the grants,
+    /// or a denial marks the server stop-sending. One that failed is
+    /// dropped, to be asked for again.
+    fn book_refill(&mut self, id: ServerId) {
+        let peer = self.peers.get_mut(&id);
+        let Some(mut refill) = peer.and_then(|p| p.refill.take_if(|r| r.is_ready())) else {
+            return;
+        };
+        let by = self.budget_end(refill.sent);
+        if let (Ok(reply), _) = self.land(&mut refill, by) {
+            let _ = self.granted(id, reply);
+        }
+    }
+
+    /// Asks `id` for the rest of a chunk when fewer than half of one is
+    /// granted and no refill is out — never of a server held dead, on a
+    /// rung or told to stop sending — so that grants held plus asked make
+    /// one chunk.
+    fn refill(&mut self, id: ServerId) {
+        let Some(peer) = self.peers.get(&id) else {
+            return;
+        };
+        let askable = matches!(
+            peer.standing,
+            Standing::Healthy(None) | Standing::Suspect(None)
+        );
+        let stopped =
+            (self.view.status(id)).is_some_and(|st| st.condition == Condition::StopSending);
+        if peer.grants >= ALLOC_CHUNK / 2 || peer.refill.is_some() || !askable || stopped {
+            return;
+        }
+        let pages = ALLOC_CHUNK - peer.grants;
+        let refill = self.begin_call(id, StoreKey(0), Message::Alloc { pages });
+        if let Some(m) = &self.metrics {
+            m.grant_refills.inc();
+        }
+        if let Some(peer) = self.peers.get_mut(&id) {
+            peer.refill = Some(refill);
+        }
     }
 
     /// Books the reply to an allocation on `id`: its frames join the
@@ -1391,6 +1479,18 @@ impl ServerPool {
     /// Granted-but-unused frames held locally for `id` (test hook).
     pub fn granted_frames(&self, id: ServerId) -> u32 {
         self.peers.get(&id).map_or(0, |peer| peer.grants)
+    }
+
+    /// Frames the refill out to `id` asks for, 0 with none out (test
+    /// hook).
+    pub fn asked_frames(&self, id: ServerId) -> u32 {
+        match self.peers.get(&id).and_then(|peer| peer.refill.as_ref()) {
+            Some(Flight {
+                request: Message::Alloc { pages },
+                ..
+            }) => *pages,
+            _ => 0,
+        }
     }
 
     fn store_request(key: StoreKey, page: &Page) -> Message {
@@ -1710,38 +1810,10 @@ impl ServerPool {
     ///
     /// [`RmpError::ServerCrashed`] on connection failure.
     pub fn list_keys(&mut self, id: ServerId) -> Result<Vec<StoreKey>> {
-        self.listing(id, false)
-    }
-
-    /// As [`ServerPool::list_keys`], for a server about to be written —
-    /// a rebuild onto a rebooted one: with no grant held on it, an
-    /// allocation rides the listing's first page. A denial is left for
-    /// the first store to meet.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServerPool::list_keys`].
-    pub(crate) fn list_keys_granting(&mut self, id: ServerId) -> Result<Vec<StoreKey>> {
-        self.listing(id, self.granted_frames(id) == 0)
-    }
-
-    fn listing(&mut self, id: ServerId, mut grant: bool) -> Result<Vec<StoreKey>> {
         let mut keys = Vec::new();
         let mut start = StoreKey(0);
         loop {
-            let list = Message::ListPages { start, limit: 512 };
-            let listed = if std::mem::take(&mut grant) {
-                let alloc = Message::Alloc { pages: ALLOC_CHUNK };
-                let mut replies = self.scatter(vec![(id, list), (id, alloc)]).into_iter();
-                let listed = replies.next().expect("a reply per leg");
-                if let Some(Ok(reply)) = replies.next() {
-                    let _ = self.granted(id, reply);
-                }
-                listed?
-            } else {
-                self.call(id, list)?
-            };
-            match listed {
+            match self.call(id, Message::ListPages { start, limit: 512 })? {
                 Message::ListPagesReply { ids, more } => {
                     if let Some(&last) = ids.last() {
                         start = last.next();
@@ -1754,6 +1826,19 @@ impl ServerPool {
                 other => return Err(unexpected_reply("ListPages", &other)),
             }
         }
+    }
+
+    /// As [`ServerPool::list_keys`], for a server about to be written —
+    /// a rebuild onto a rebooted one: its refill ([`ServerPool::refill`])
+    /// leaves first, so the listing's round trip brings the grants too.
+    /// A denial is left for the first reservation to meet.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServerPool::list_keys`].
+    pub(crate) fn list_keys_granting(&mut self, id: ServerId) -> Result<Vec<StoreKey>> {
+        self.refill(id);
+        self.list_keys(id)
     }
 
     /// Injects a crash into server `id` (fault injection for experiments).

@@ -1010,7 +1010,7 @@ impl ShardedPager {
                 true => shard.lock(),
                 false => shard.quiet(shard.lock()),
             };
-            news.tell(&mut guard.0);
+            news.tell(&mut guard.0, std::ptr::eq(shard, from));
         }
     }
 
@@ -1103,7 +1103,7 @@ impl ShardedPager {
             rebuilt += r;
             let news = News::of(&mut guards[shard].0);
             for (_, sibling) in (guards.iter_mut().enumerate()).filter(|&(s, _)| s != shard) {
-                news.tell(&mut sibling.0);
+                news.tell(&mut sibling.0, false);
             }
         }
         Ok((migrated, rebuilt))
@@ -1159,9 +1159,11 @@ impl ShardedPager {
 }
 
 /// What one shard's pool found that its siblings have not: the servers
-/// it declared dead, and those it has backing off, with their rungs.
+/// it declared dead — and of those, the ones the shard has rebuilt since
+/// — and those it has backing off, with their rungs.
 struct News {
     dead: Vec<ServerId>,
+    rebuilt: Vec<ServerId>,
     backing_off: Vec<(ServerId, Rung)>,
 }
 
@@ -1176,15 +1178,23 @@ impl News {
         let backing_off = (backing_off.into_iter())
             .filter_map(|server| Some((server, pool.rung(server)?)))
             .collect();
-        News { dead, backing_off }
+        let rebuilt = pool.take_rebuilt();
+        News {
+            dead,
+            rebuilt,
+            backing_off,
+        }
     }
 
     /// Tells `pager` — its flights landed if any server died — as if it
-    /// had found out for itself.
-    fn tell(&self, pager: &mut Pager) {
+    /// had found out for itself; the shard that found it (`own`) queues
+    /// no rebuild it has run since.
+    fn tell(&self, pager: &mut Pager, own: bool) {
         for &server in &self.dead {
             pager.pool_mut().declare_dead(server, "sibling");
-            pager.note_crash(server);
+            if !(own && self.rebuilt.contains(&server)) {
+                pager.note_crash(server);
+            }
         }
         for &(server, rung) in &self.backing_off {
             pager.pool_mut().transition(server, Event::Told(rung));

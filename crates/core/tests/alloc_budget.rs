@@ -213,7 +213,8 @@ fn a_fault_stays_within_its_allocation_budget() {
 
     // A first placement lands behind its caller like a rewrite; what it
     // adds is the page's entries — its row, its checksum, the server's
-    // key — and an `Alloc` of 64 frame grants every 64 pages.
+    // key — and, every 33 or so pages, an `Alloc` for the rest of a
+    // chunk of 64 frame grants, which allocates nothing.
     let (allocs, kib) = per_op(OPS, |i| {
         let id = PAGES + i;
         pager

@@ -553,19 +553,25 @@ fn parity_refusal_on_the_sealing_pageout_keeps_the_group_covered() {
 fn a_sealing_rewrite_whose_parity_is_refused_reads_back_what_it_committed() {
     let (fakes, mut pager) = fake_pager(Policy::ParityLogging, 3, 5);
     // Every third pageout seals a group and takes one of the parity
-    // server's granted frames; rewrite until the next seal must ask for
-    // more.
+    // server's granted frames; rewrite until the next seal asks for more
+    // ahead of need (below half a chunk of 64), deny that and every later
+    // allocation, and rewrite until the grants are spent.
     let mut fill = 0;
-    let mut round = |pager: &mut Pager| -> Vec<Result<()>> {
+    let mut round = |pager: &mut Pager| {
         fill += 10;
         let rewrite = |i| pager.page_out(PageId(i), &Page::deterministic(fill + i));
-        (0..3).map(rewrite).collect()
+        (0..3).map(rewrite).collect::<Vec<Result<()>>>()
     };
-    while pager.pool().granted_frames(ServerId(4)) > 0 || pager.stats().pageouts == 0 {
+    let grants = |pager: &Pager| pager.pool().granted_frames(ServerId(4));
+    while grants(&pager) > 32 || pager.stats().pageouts == 0 {
         let acked = round(&mut pager);
         assert!(acked.iter().all(Result::is_ok), "{acked:?}");
     }
     fakes[4].set_fault(Fault::DenyAlloc);
+    while grants(&pager) > 0 {
+        let acked = round(&mut pager);
+        assert!(acked.iter().all(Result::is_ok), "{acked:?}");
+    }
     let on_spare = fakes[3].stored();
     let outcomes = round(&mut pager);
     assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rmp_blockdev::PagingDevice;
+use rmp_cluster::Condition;
 use rmp_core::{ChaosServer, Clock, Pager};
 use rmp_proto::{Message, Opcode};
 use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId};
@@ -229,6 +230,100 @@ fn a_parity_server_dying_under_the_sealing_wave_has_the_parity_page_rebuilt() {
     for (i, widths) in [(1u64, &[1][..]), (2, &[])] {
         let (read, _) = in_waves(&wire, widths, || pager.page_in(PageId(i)));
         assert_eq!(read.expect("read"), Page::deterministic(i));
+    }
+}
+
+/// Frames a server grants at a time: a reservation asks for the rest of
+/// one once fewer than half are left.
+const CHUNK: u32 = 64;
+
+fn counted(pager: &Pager, name: &str) -> u64 {
+    pager.metrics().counter(name).get()
+}
+
+#[test]
+fn a_frame_grant_is_asked_for_before_it_runs_out() {
+    let (wire, _servers, mut pager) = plog_pager();
+    // Three chunks of appends a server — a data frame on each of 0..=2 and
+    // a parity page on 3 every third — rewriting a working set, so each
+    // reclaimed group's frees give frames back on the server and the
+    // grants must be asked for again and again.
+    for i in 0..9 * u64::from(CHUNK) {
+        let page = Page::deterministic(i);
+        answered(&wire, || pager.page_out(PageId(i % 24), &page)).expect("append");
+        for server in (0..4).map(ServerId) {
+            let pool = pager.pool();
+            let held = pool.granted_frames(server) + pool.asked_frames(server);
+            assert!(held <= CHUNK, "{server}: {held} frames granted or asked");
+        }
+    }
+    // Each server's first reservation waited for its first chunk; every
+    // later one found a grant, asked for ahead of need.
+    assert_eq!(counted(&pager, "pool_grant_waits_total"), 4);
+    assert!(counted(&pager, "pool_grant_refills_total") >= 4 * 3);
+
+    // A denied refill marks its server stop-sending, and none is asked of
+    // it while it is; the grants held are still spent.
+    let stopped = |pager: &Pager, server| {
+        let status = pager.pool().view().status(server).expect("registered");
+        status.condition == Condition::StopSending
+    };
+    let server = ServerId(0);
+    wire.state().deny_alloc.push(server);
+    for _ in 0..CHUNK {
+        if stopped(&pager, server) {
+            break;
+        }
+        pager
+            .pool_mut()
+            .reserve_frame(server)
+            .expect("a grant held");
+    }
+    assert!(stopped(&pager, server), "the denial went unheard");
+    let grants = pager.pool().granted_frames(server);
+    pager
+        .pool_mut()
+        .reserve_frame(server)
+        .expect("a grant held");
+    let pool = pager.pool();
+    assert_eq!(
+        (pool.granted_frames(server), pool.asked_frames(server)),
+        (grants - 1, 0)
+    );
+
+    // A refill out when its server is held dead, or forgiven as a
+    // reconnect forgives it, grants nothing: the next reservation waits
+    // for a chunk.
+    for (server, dies) in [(ServerId(1), true), (ServerId(2), false)] {
+        let pool = pager.pool_mut();
+        while pool.asked_frames(server) == 0 {
+            pool.reserve_frame(server).expect("a grant held");
+        }
+        match dies {
+            true => pool.declare_dead(server, "test"),
+            false => pool.absolve(server),
+        }
+        assert_eq!(
+            (pool.granted_frames(server), pool.asked_frames(server)),
+            (0, 0)
+        );
+        if dies {
+            // Nor is one asked of a server held dead: a reservation takes
+            // its frame from the reply it waited for.
+            pool.reserve_frame(server).expect("a frame of the reply");
+            assert_eq!(
+                (pool.granted_frames(server), pool.asked_frames(server)),
+                (0, 0)
+            );
+            pool.absolve(server);
+        }
+        let waits = counted(&pager, "pool_grant_waits_total");
+        pager
+            .pool_mut()
+            .reserve_frame(server)
+            .expect("a fresh chunk");
+        assert_eq!(pager.pool().granted_frames(server), CHUNK - 1);
+        assert_eq!(counted(&pager, "pool_grant_waits_total"), waits + 1);
     }
 }
 

@@ -940,6 +940,10 @@ fn a_rewrite_that_does_not_take_leaves_its_pages_sealing_append_current() {
     // as for a superseded append.
     let stats = pager.stats();
     assert_eq!(stats.recovery_steps, 1, "no recovery ran");
+    // The shard that rebuilt the parity server does not queue that
+    // rebuild again when its own verdict is passed on.
+    let backlog = pager.with_shard(0, |p| p.recovery_backlog());
+    assert_eq!(backlog, 0, "the rebuild was queued again");
     assert_eq!(
         (stats.net_data_transfers, stats.net_parity_transfers),
         (4, 1)
@@ -1036,6 +1040,30 @@ fn read_ahead_leaves_out_a_page_with_an_operation_under_way() {
     assert_eq!(read_ahead(&pager, "issued"), [0, 0]);
     answer(read);
     assert_eq!(joined(reader).expect("pagein"), Page::deterministic(3));
+}
+
+#[test]
+fn a_fault_that_meets_its_read_ahead_on_the_wire_waits_for_that_fetch() {
+    let (wires, pager) = two_faults_into_a_run(Policy::NoReliability, 8);
+    // The fault on page 2 (shard 0) reads page 3 ahead on shard 1's wire.
+    fault(&pager, &wires[0], 2);
+    let ahead = held_back(&wires[1]);
+    // The fault on page 3 sends no read of its own: it says it waits —
+    // under shard 1's lock, so the count is read off its registry — and
+    // is served by the read-ahead once that is answered.
+    let registry = pager.with_shard(1, |p| Arc::clone(p.metrics()));
+    let waits = || registry.counter("pager_prefetch_waits_total").get();
+    let reader = spawn(&pager, |p| p.page_in(PageId(3)));
+    let stuck = Instant::now() + STUCK;
+    while waits() == 0 {
+        assert!(Instant::now() < stuck, "the fault did not wait");
+        std::thread::yield_now();
+    }
+    assert!(wires[1].state().flying.is_empty(), "page 3 was read twice");
+    answer(ahead);
+    assert_eq!(joined(reader).expect("pagein"), Page::deterministic(3));
+    assert_eq!(read_ahead(&pager, "hits"), [0, 1]);
+    assert_eq!(read_ahead(&pager, "waits"), [0, 1]);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use rmp_core::{
     ChaosServer, Clock, Completion, Pager, PendingReplies, ServerPool, ServerTransport,
     ShardedPager,
 };
-use rmp_proto::{Message, Opcode};
+use rmp_proto::{LoadHint, Message, Opcode};
 use rmp_types::{
     ErrorCode, Page, PagerConfig, Result, RetryPolicy, RmpError, ServerId, TransportConfig,
 };
@@ -40,6 +40,8 @@ pub struct WireState {
     pub calls: Vec<(ServerId, Opcode)>,
     /// Servers whose next `PageOut` is refused as out of memory.
     pub refuse_store: Vec<ServerId>,
+    /// Servers that deny every allocation.
+    pub deny_alloc: Vec<ServerId>,
     /// Servers that answer every read with a page of the given length —
     /// a unit where a page was stored, or the reverse — under a checksum
     /// that matches it.
@@ -144,6 +146,12 @@ impl WaveTransport {
                 message: "scripted refusal".into(),
             };
         }
+        if let Message::Alloc { .. } = msg {
+            if st.deny_alloc.contains(&self.id) {
+                let hint = LoadHint::Ok;
+                return Message::AllocReply { granted: 0, hint };
+            }
+        }
         let reply = self.server.serve(0, msg);
         let bent = st.bent_reads.iter().find(|&&(s, _)| s == self.id);
         match (reply, bent) {
@@ -163,8 +171,8 @@ impl WaveTransport {
 
 /// Whether `msgs` is a frame no wave carries — an allocation, a listing,
 /// a stats query, basic parity's delta or its fold, which the pool only
-/// ever sends alone and waits for at once: such a frame is answered as it
-/// is submitted, and logged as a call.
+/// ever sends alone: such a frame is answered as it is submitted, and
+/// logged as a call.
 fn a_call(msgs: &[Message]) -> bool {
     matches!(
         msgs,
