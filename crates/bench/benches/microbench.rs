@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks of the hot paths.
 //!
 //! One group per subsystem: XOR/parity arithmetic, the wire codec, the
-//! server page store, the VM fault path, per-policy pageout round trips
-//! on a real loopback cluster, and a CSMA/CD simulation step.
+//! server page store, the VM fault path, per-policy pageouts as their
+//! caller waits for them on a real loopback cluster, and a CSMA/CD
+//! simulation step.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
 use rmp::LocalCluster;
-use rmp_blockdev::{PagingDevice, RamDisk};
+use rmp_blockdev::RamDisk;
 use rmp_parity::xor::{reconstruct, xor_reduce};
 use rmp_parity::ParityBuffer;
 use rmp_proto::{FrameHeader, Message};
@@ -134,9 +135,8 @@ fn bench_policies(c: &mut Criterion) {
             _ => (2, 2),
         };
         let cluster = LocalCluster::spawn(pool, 1 << 16).expect("cluster");
-        let mut pager = cluster
-            .pager(PagerConfig::new(policy).with_servers(servers))
-            .expect("pager");
+        let config = PagerConfig::new(policy).with_servers(servers);
+        let pager = cluster.pager(config.with_shard_count(1)).expect("pager");
         let page = Page::deterministic(3);
         let mut i = 0u64;
         g.bench_function(policy.label(), |bench| {

@@ -7,7 +7,6 @@
 //! effects on the real system across stripe widths.
 
 use rmp::LocalCluster;
-use rmp_blockdev::PagingDevice;
 use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId};
 
 const PAGES: u64 = 800;
@@ -20,9 +19,8 @@ fn main() {
     );
     for s in [2usize, 3, 4, 6, 8] {
         let cluster = LocalCluster::spawn(s + 1, 16384).expect("cluster");
-        let mut pager = cluster
-            .pager(PagerConfig::new(Policy::ParityLogging).with_servers(s))
-            .expect("pager");
+        let config = PagerConfig::new(Policy::ParityLogging).with_servers(s);
+        let pager = cluster.pager(config.with_shard_count(1)).expect("pager");
         for i in 0..PAGES {
             pager
                 .page_out(PageId(i), &Page::deterministic(i))
@@ -38,7 +36,7 @@ fn main() {
         // Crash one data server and measure recovery.
         cluster.handles()[0].crash();
         let before = pager.stats();
-        let report = pager.recover_from_crash(ServerId(0)).expect("recovery");
+        let report = pager.recover_from_crash(ServerId(0)).expect("recovery")[0];
         let after = pager.stats();
         let rec_fetches = after.net_fetches - before.net_fetches;
         println!(

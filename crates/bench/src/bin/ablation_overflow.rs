@@ -11,7 +11,6 @@
 //! them or garbage collection compacts the fragmented groups.
 
 use rmp::LocalCluster;
-use rmp_blockdev::PagingDevice;
 use rmp_server::ServerConfig;
 use rmp_types::{Page, PageId, PagerConfig, Policy};
 
@@ -36,10 +35,9 @@ fn main() {
             ..ServerConfig::default()
         })
         .expect("cluster");
-        let mut pager = cluster
-            .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
-            .expect("pager");
-        let fetches_before_gc = |p: &rmp_core::Pager| p.stats().net_fetches;
+        let config = PagerConfig::new(Policy::ParityLogging).with_servers(4);
+        let pager = cluster.pager(config.with_shard_count(1)).expect("pager");
+        let fetches_before_gc = |p: &rmp_core::ShardedPager| p.stats().net_fetches;
         let mut gc_fetches = 0;
         for round in 0..ROUNDS {
             for i in 0..WORKING_SET {

@@ -17,9 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use bench::delay_pool;
-use rmp_blockdev::PagingDevice;
-use rmp_core::Pager;
+use bench::{delay_pool, one_shard};
 use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId, StoreKey};
 
 /// Wire serialization cost charged per frame inside a pipelined burst.
@@ -94,14 +92,10 @@ fn bench_policy(policy: Policy, pages: usize, round_trip: Duration) -> PolicyRow
     };
     let scan = |window: usize| -> (Duration, u64) {
         let pool = delay_pool(cluster_n, round_trip, PER_FRAME);
-        let mut pager = Pager::builder(
-            PagerConfig::new(policy)
-                .with_servers(data_servers)
-                .with_prefetch_window(window),
-        )
-        .pool(pool)
-        .build()
-        .expect("pager");
+        let config = PagerConfig::new(policy)
+            .with_servers(data_servers)
+            .with_prefetch_window(window);
+        let pager = one_shard(config, pool).expect("pager");
         for i in 0..pages as u64 {
             pager
                 .page_out(PageId(i), &Page::deterministic(i))
@@ -116,7 +110,9 @@ fn bench_policy(policy: Policy, pages: usize, round_trip: Duration) -> PolicyRow
             );
         }
         let elapsed = started.elapsed();
-        let hits = pager.metrics().counter("pager_prefetch_hits_total").get();
+        let hits = pager.with_shard(0, |p| {
+            p.metrics().counter("pager_prefetch_hits_total").get()
+        });
         (elapsed, hits)
     };
     let (demand_elapsed, demand_hits) = scan(0);

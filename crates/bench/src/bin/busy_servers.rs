@@ -8,7 +8,6 @@
 //! measured service CPU under a paging barrage with a competing
 //! CPU-burner thread.
 
-use rmp_blockdev::PagingDevice;
 use rmp_sim::BusyServerModel;
 use rmp_types::{Page, PageId, PagerConfig, Policy};
 
@@ -61,9 +60,8 @@ fn real_part() {
             }
         })
     };
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::NoReliability).with_servers(2))
-        .expect("pager");
+    let config = PagerConfig::new(Policy::NoReliability).with_servers(2);
+    let pager = cluster.pager(config.with_shard_count(1)).expect("pager");
     let n = 3000u64;
     let start = std::time::Instant::now();
     for i in 0..n {

@@ -22,10 +22,9 @@
 
 use std::time::{Duration, Instant};
 
-use rmp_blockdev::PagingDevice;
 use rmp_core::chaos::{run_schedule, ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
 use rmp_core::detector::GRAY_SUSPICION;
-use rmp_core::Pager;
+use rmp_core::ShardedPager;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
 
 const POLICIES: [Policy; 5] = [
@@ -119,11 +118,13 @@ fn main() {
     let tcfg = fast_transport();
     let config = PagerConfig::new(Policy::Mirroring)
         .with_servers(2)
+        .with_shard_count(1)
         .with_transport(tcfg.clone());
-    let mut pager = Pager::builder(config)
-        .pool(cluster.pool(&tcfg))
+    let pager = ShardedPager::builder(config)
+        .pools(vec![cluster.pool(&tcfg)])
         .build()
         .expect("pager");
+    let suspicion_of = |server| pager.with_shard(0, |p| p.pool().suspicion(server));
     for i in 0..WORKING_SET {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -149,7 +150,7 @@ fn main() {
     cluster.plan().arm();
     // Unmeasured reads let suspicion accrue until the server looks gray.
     let mut warm = 0;
-    while pager.pool().suspicion(ServerId(0)) < GRAY_SUSPICION {
+    while suspicion_of(ServerId(0)) < GRAY_SUSPICION {
         assert!(warm < 4 * WORKING_SET, "the slow mirror never turned gray");
         pager
             .page_in(PageId(warm % WORKING_SET))
@@ -168,8 +169,8 @@ fn main() {
     }
     let gray_p99 = p99_us(&mut gray);
     let degraded = pager.stats().degraded_reads - degraded_before;
-    let slow_alive = pager.pool().view().is_alive(ServerId(0));
-    let suspicion = pager.pool().suspicion(ServerId(0));
+    let slow_alive = pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0)));
+    let suspicion = suspicion_of(ServerId(0));
     // In-process calls finish in single-digit microseconds, where 3× is
     // inside scheduler noise; the floor keeps the bound meaningful
     // without loosening it against a real (network-scale) baseline.

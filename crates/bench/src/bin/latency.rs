@@ -7,8 +7,6 @@
 //! Schilit-Duchamp system. This harness prints the model's decomposition
 //! and measures our real implementation's software latency on loopback.
 
-use rmp_blockdev::PagingDevice;
-use rmp_core::Pager;
 use rmp_types::{Hw1996, Page, PageId, PagerConfig, Policy};
 
 fn model_table() {
@@ -50,9 +48,8 @@ fn model_table() {
 fn measured_loopback() {
     use rmp::LocalCluster;
     let cluster = LocalCluster::spawn(2, 4096).expect("cluster");
-    let mut pager: Pager = cluster
-        .pager(PagerConfig::new(Policy::NoReliability).with_servers(2))
-        .expect("pager");
+    let config = PagerConfig::new(Policy::NoReliability).with_servers(2);
+    let pager = cluster.pager(config.with_shard_count(1)).expect("pager");
     // Warm up connections and measure round trips.
     let n = 2000u64;
     for i in 0..n {

@@ -32,7 +32,6 @@
 use std::time::Instant;
 
 use rmp::LocalCluster;
-use rmp_blockdev::PagingDevice;
 use rmp_types::metrics::Histogram;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId};
 
@@ -93,9 +92,10 @@ fn main() {
             _ => servers,
         };
         let cluster = LocalCluster::spawn(pool_size, 16384).expect("cluster");
-        let mut pager = cluster
-            .pager(PagerConfig::new(policy).with_servers(servers))
-            .expect("pager");
+        // One shard: its pool's wire counters see every transfer.
+        let config = PagerConfig::new(policy).with_servers(servers);
+        let pager = cluster.pager(config.with_shard_count(1)).expect("pager");
+        let wire_transfers = || pager.with_shard(0, |p| p.pool().wire_transfers());
         for i in 0..pages {
             pager
                 .page_out(PageId(i), &Page::deterministic(i))
@@ -122,7 +122,7 @@ fn main() {
         if policy.survives_single_crash() {
             for i in 0..pages {
                 let before = pager.stats().degraded_reads;
-                let wire = pager.pool().wire_transfers();
+                let wire = wire_transfers();
                 let t = Instant::now();
                 let page = pager.page_in(PageId(i)).expect("degraded read");
                 let took = t.elapsed();
@@ -132,7 +132,7 @@ fn main() {
                         first_degraded_us = took.as_secs_f64() * 1e6;
                     }
                     degraded += 1;
-                    degraded_transfers += pager.pool().wire_transfers() - wire;
+                    degraded_transfers += wire_transfers() - wire;
                     degraded_latency.record(took);
                     if degraded >= 32 {
                         break;
@@ -157,12 +157,10 @@ fn main() {
         }
         if policy == Policy::BasicParity {
             cluster.handles()[victim].restart();
-            pager
-                .pool_mut()
-                .reconnect(ServerId(victim as u32))
-                .expect("reconnect");
+            pager.reconnect(ServerId(victim as u32)).expect("reconnect");
         }
         let outcome = pager.recover_from_crash(ServerId(victim as u32));
+        let outcome = outcome.map(|reports| reports[0]);
         match outcome {
             Ok(report) => {
                 // Verify everything afterwards.

@@ -10,9 +10,9 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rmp_blockdev::{ModeledDisk, PagingDevice, RamDisk};
+use rmp_blockdev::{ModeledDisk, RamDisk};
 use rmp_core::chaos::{ChaosCluster, ChaosTransport, FaultPlan};
-use rmp_core::{Completion, Pager, PendingReplies, ServerPool, ServerTransport};
+use rmp_core::{Completion, PendingReplies, ServerPool, ServerTransport, ShardedPager};
 use rmp_proto::Message;
 use rmp_sim::{CompletionModel, PolicyCosts, RunBreakdown};
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, ServerId, TransportConfig};
@@ -209,11 +209,26 @@ fn delay_cluster(
     (cluster, pool)
 }
 
+/// A one-shard pager over `pool`, with an unbounded RAM-backed local disk:
+/// what a harness that counts one pool's traffic pages through.
+///
+/// # Errors
+///
+/// Propagates configuration failures.
+pub fn one_shard(config: PagerConfig, pool: ServerPool) -> Result<ShardedPager> {
+    ShardedPager::builder(config.with_shard_count(1))
+        .pools(vec![pool])
+        .disks(vec![Box::new(RamDisk::unbounded())])
+        .build()
+}
+
 /// Link round trips one steady-state pageout and one pagein cost under
 /// `policy`: every page of a small set is rewritten, then read back, over
 /// a [`delay_pool`] with read-ahead off, and the elapsed time is divided
 /// by the configured round trip. A fan-out that goes server by server
 /// costs a round trip per unit; one that goes out as a wave costs one.
+/// Each pageout lands before the next begins (`stats` lands every
+/// landing), so what is timed is its whole trip, not its submit alone.
 /// Parity groups are three pages (`S = 3`), stripes four splits and one
 /// parity.
 ///
@@ -227,10 +242,7 @@ pub fn round_trips(policy: Policy) -> Result<(f64, f64)> {
         .with_servers(3)
         .with_ec_splits(4, 1)
         .with_prefetch_window(0);
-    let mut pager = Pager::builder(config)
-        .pool(delay_pool(5, ROUND_TRIP, Duration::ZERO))
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()?;
+    let pager = one_shard(config, delay_pool(5, ROUND_TRIP, Duration::ZERO))?;
     for id in 0..PAGES {
         pager.page_out(PageId(id), &Page::deterministic(id))?;
     }
@@ -240,6 +252,7 @@ pub fn round_trips(policy: Policy) -> Result<(f64, f64)> {
     let start = Instant::now();
     for id in 0..PAGES {
         pager.page_out(PageId(id), &Page::deterministic(PAGES + id))?;
+        pager.stats();
     }
     let pageout = per_op(start.elapsed());
     let start = Instant::now();
@@ -255,22 +268,30 @@ pub fn round_trips(policy: Policy) -> Result<(f64, f64)> {
 /// of `recover_from_crash` is divided by the round trip and the pages
 /// rebuilt. A rebuild that fetches and stores a page at a time costs two
 /// a page; one that gathers a chunk in a wave and ships it in another
-/// costs two a chunk. Geometry as in [`round_trips`].
+/// costs two a chunk. Geometry as in [`round_trips`]. The fastest of
+/// three rebuilds, each on a fresh cluster, is reported: scheduler delay
+/// only ever adds wall time.
 ///
 /// # Errors
 ///
 /// Propagates paging and recovery failures.
 pub fn rebuild_round_trips(policy: Policy) -> Result<f64> {
+    let mut fastest = f64::INFINITY;
+    for _ in 0..3 {
+        fastest = fastest.min(one_rebuild_round_trips(policy)?);
+    }
+    Ok(fastest)
+}
+
+/// One rebuild of [`rebuild_round_trips`].
+fn one_rebuild_round_trips(policy: Policy) -> Result<f64> {
     const ROUND_TRIP: Duration = Duration::from_millis(5);
     const PAGES: u64 = 48;
     let config = PagerConfig::new(policy)
         .with_servers(3)
         .with_prefetch_window(0);
     let (cluster, pool) = delay_cluster(5, ROUND_TRIP, Duration::ZERO);
-    let mut pager = Pager::builder(config)
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()?;
+    let pager = one_shard(config, pool)?;
     for id in 0..PAGES {
         pager.page_out(PageId(id), &Page::deterministic(id))?;
     }
@@ -279,15 +300,16 @@ pub fn rebuild_round_trips(policy: Policy) -> Result<f64> {
     cluster.server(0).crash();
     if policy == Policy::BasicParity {
         cluster.server(0).restart();
-        pager.pool_mut().absolve(lost);
+        pager.with_shard(0, |p| p.pool_mut().absolve(lost));
     }
     let start = Instant::now();
-    let report = pager.recover_from_crash(lost)?;
+    let reports = pager.recover_from_crash(lost)?;
     let trips = start.elapsed().as_secs_f64() / ROUND_TRIP.as_secs_f64();
     for id in 0..PAGES {
         assert_eq!(pager.page_in(PageId(id))?, Page::deterministic(id));
     }
-    Ok(trips / report.total_rebuilt().max(1) as f64)
+    let rebuilt: u64 = reports.iter().map(|r| r.total_rebuilt()).sum();
+    Ok(trips / rebuilt.max(1) as f64)
 }
 
 /// Frames that give the paper's memory-pressure ratio: the working set

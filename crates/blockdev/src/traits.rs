@@ -6,7 +6,7 @@ use rmp_types::{Page, PageId, Result, TransferStats};
 /// DEC OSF/1 kernel assigns to its swap block device.
 ///
 /// Implementors include the local backends in this crate and the remote
-/// memory pager itself (`rmp_core::Pager`), which is the whole point of the
+/// memory pager itself (`rmp_core::ShardedPager`), which is the whole point of the
 /// paper: the kernel "just performs ordinary paging activities using a
 /// block device" while the driver forwards requests to remote memory.
 pub trait PagingDevice: Send {

@@ -1,11 +1,12 @@
 //! The Reliable Remote Memory Pager (RMP) — the paper's contribution.
 //!
-//! [`Pager`] is the client: it implements
+//! [`ShardedPager`] is the client: it implements
 //! [`rmp_blockdev::PagingDevice`], so the virtual-memory layer (standing in
-//! for the DEC OSF/1 kernel) pages through it transparently, while the
-//! pager forwards requests to remote memory servers over the wire
-//! protocol, to the local disk, or both — under one of seven policies
-//! (the paper's six and an erasure-coded generalisation):
+//! for the DEC OSF/1 kernel) pages through it transparently, while its
+//! shards — each a [`Pager`] with its own connections — forward requests
+//! to remote memory servers over the wire protocol, to the local disk, or
+//! both — under one of seven policies (the paper's six and an
+//! erasure-coded generalisation):
 //!
 //! * **No reliability** — pages stripe over servers, one transfer per
 //!   pageout, no redundancy (a server crash loses pages).
@@ -46,7 +47,7 @@ pub use chaos::{
     FaultRule, OpFilter, ScheduleOutcome,
 };
 pub use clock::Clock;
-pub use pager::{Pager, PagerBuilder};
+pub use pager::Pager;
 pub use pool::{Readable, ServerPool};
 pub use reactor::{Completion, PendingReplies, WindowStats, WindowedTransport};
 pub use recovery::RecoveryReport;

@@ -1,4 +1,4 @@
-//! The pager: policy dispatch, crash handling, adaptive switching.
+//! A shard's pager: policy dispatch, crash handling, adaptive switching.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
@@ -14,7 +14,7 @@ use crate::engine::{
     EngineMetrics, Reading, Unit, Writing,
 };
 use crate::pool::{Flight, Readable, ServerPool};
-use crate::prefetch::{Planner, PrefetchCache};
+use crate::prefetch::PrefetchCache;
 use crate::recovery::{RecoveryPlan, RecoveryReport};
 
 /// Checks, at construction time, that a striping policy's redundancy
@@ -32,30 +32,6 @@ fn check_stripe_width(policy: Policy, needed: usize, live: usize) -> Result<()> 
         )));
     }
     Ok(())
-}
-
-/// Builder for [`Pager`].
-///
-/// # Examples
-///
-/// ```no_run
-/// use rmp_blockdev::FileDisk;
-/// use rmp_cluster::Registry;
-/// use rmp_core::{Pager, ServerPool};
-/// use rmp_types::{PagerConfig, Policy};
-///
-/// let registry = Registry::load("/etc/rmp/servers").unwrap();
-/// let pool = ServerPool::connect(&registry).unwrap();
-/// let pager = Pager::builder(PagerConfig::new(Policy::ParityLogging))
-///     .pool(pool)
-///     .disk(Box::new(FileDisk::create("/var/rmp/swapfile").unwrap()))
-///     .build()
-///     .unwrap();
-/// ```
-pub struct PagerBuilder {
-    config: PagerConfig,
-    pool: ServerPool,
-    disk: Option<Box<dyn PagingDevice>>,
 }
 
 /// Pre-resolved handles into the pager's [`MetricsRegistry`], so the
@@ -118,33 +94,6 @@ impl PagerMetrics {
     }
 }
 
-impl PagerBuilder {
-    /// Sets the server pool.
-    pub fn pool(mut self, pool: ServerPool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Sets the local-disk backend (required for disk-only, write-through
-    /// and the disk fallback).
-    pub fn disk(mut self, disk: Box<dyn PagingDevice>) -> Self {
-        self.disk = Some(disk);
-        self
-    }
-
-    /// Builds the pager.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmpError::Config`] when the configuration is internally
-    /// inconsistent or the pool does not provide the servers the policy
-    /// needs (parity policies want `servers + 1`: the stripe plus a
-    /// dedicated parity server — the highest-numbered one).
-    pub fn build(self) -> Result<Pager> {
-        Pager::new(self.config, self.pool, self.disk)
-    }
-}
-
 /// One read-ahead on the wire: the page its reply will fill — `None`
 /// once a write or free has made that copy stale while it was out, and
 /// then already counted useless — and the read to collect.
@@ -201,13 +150,12 @@ pub(crate) struct PageOut {
     sum: Option<u64>,
 }
 
-/// The Remote Memory Pager client (Section 3.1).
-///
-/// Implements [`PagingDevice`], so any [`rmp_vm::PagedMemory`] — or any
-/// other block-level consumer — can page through it without knowing
-/// whether pages land on remote workstations, the local disk, or both.
-///
-/// [`rmp_vm::PagedMemory`]: ../rmp_vm/struct.PagedMemory.html
+/// One shard of the Remote Memory Pager client (Section 3.1): a page
+/// table, checksums, engine bookkeeping, read-ahead copies and a
+/// [`ServerPool`] of its own. [`crate::ShardedPager`] drives it — begins,
+/// parks and completes its operations, and decides its read-ahead — and
+/// hands it out through [`crate::ShardedPager::with_shard`] for what
+/// needs one shard's state (its pool, metrics, migration).
 pub struct Pager {
     config: PagerConfig,
     pool: ServerPool,
@@ -231,12 +179,8 @@ pub struct Pager {
     pending_recovery: VecDeque<ServerId>,
     /// The rebuild currently in flight, if any.
     active_plan: Option<RecoveryPlan>,
-    /// Decides what [`PagingDevice::page_in`] reads ahead and what
-    /// [`PagingDevice::page_out`] reads behind; a front-end
-    /// over several pagers decides for them all with a planner of its
-    /// own (see [`crate::sharded`]) and calls [`Pager::read_ahead`].
-    planner: Planner,
-    /// Pages fetched ahead of demand, whoever planned them.
+    /// Pages fetched ahead of demand, as the front-end's planner asked
+    /// ([`Pager::read_ahead`]).
     prefetch: PrefetchCache,
     /// Read-aheads submitted and not yet collected: issued without
     /// waiting, harvested when ready (or when a demand fault needs the
@@ -253,21 +197,16 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// Starts building a pager for `config`.
-    pub fn builder(config: PagerConfig) -> PagerBuilder {
-        PagerBuilder {
-            config,
-            pool: ServerPool::new(),
-            disk: None,
-        }
-    }
-
-    /// Creates a pager.
+    /// Creates a shard's pager over `pool`, and `disk` for the policies
+    /// that page to one (disk-only, write-through, the disk fallback).
     ///
     /// # Errors
     ///
-    /// See [`PagerBuilder::build`].
-    pub fn new(
+    /// [`RmpError::Config`] when the configuration is internally
+    /// inconsistent or the pool does not provide the servers the policy
+    /// needs (parity policies want `servers + 1`: the stripe plus a
+    /// dedicated parity server — the highest-numbered one).
+    pub(crate) fn new(
         config: PagerConfig,
         pool: ServerPool,
         disk: Option<Box<dyn PagingDevice>>,
@@ -350,7 +289,6 @@ impl Pager {
         // window plus the previous one without evicting entries the
         // stream is about to consume.
         let prefetch_capacity = config.prefetch_window.saturating_mul(2);
-        let planner = Planner::new(config.prefetch_window);
         Ok(Pager {
             config,
             pool,
@@ -362,7 +300,6 @@ impl Pager {
             unacked_sums: HashMap::new(),
             pending_recovery: VecDeque::new(),
             active_plan: None,
-            planner,
             prefetch: PrefetchCache::new(prefetch_capacity),
             pending_prefetch: Vec::new(),
             prefetch_useless_reported: 0,
@@ -402,7 +339,7 @@ impl Pager {
         )
     }
 
-    /// Counts one caller of a shared pager that found a flight in its way
+    /// Counts one caller of the shard that found a flight in its way
     /// and had to wait for it to land (see [`crate::sharded`]).
     pub(crate) fn note_flight_wait(&self) {
         self.metrics.flight_waits.inc();
@@ -414,7 +351,7 @@ impl Pager {
         self.engine.appends()
     }
 
-    /// Records how many pageouts a shared pager holds landing (see
+    /// Records how many pageouts the shard holds landing (see
     /// [`crate::sharded`]).
     pub(crate) fn note_landings(&self, landings: usize) {
         self.metrics.landings.set(landings as u64);
@@ -578,7 +515,7 @@ impl Pager {
     /// an error here: the lost data cannot come back, so the plan is
     /// dropped and reads surface the loss instead of maintenance wedging
     /// on it forever.
-    pub fn recovery_tick(&mut self, page_budget: usize) -> Result<Option<RecoveryReport>> {
+    fn recovery_tick(&mut self, page_budget: usize) -> Result<Option<RecoveryReport>> {
         if self.active_plan.is_none() {
             let Some(next) = self.pending_recovery.pop_front() else {
                 return Ok(None);
@@ -629,10 +566,8 @@ impl Pager {
             }
         };
         self.pool.mark_rebuilt(server);
-        // Placement changed wholesale under the rebuild: drop the fault
-        // trace and any read-ahead rather than predict against the old
-        // layout.
-        self.planner.reset();
+        // Placement changed wholesale under the rebuild: drop any
+        // read-ahead rather than serve it against the old layout.
         self.prefetch.clear();
         // Dropping the flights abandons the fetches: their window slots
         // free immediately and late replies are discarded on arrival.
@@ -954,11 +889,11 @@ impl Pager {
 }
 
 impl Pager {
-    /// The first half of a pageout, under whatever lock guards the
-    /// pager: reads ahead no more of `id`, lets queued rebuilds finish —
-    /// a write landing in a half-rebuilt stripe would leave its parity
-    /// wrong, and plans snapshot the placement they saw at plan time —
-    /// and has the engine put the frames on the wire.
+    /// The first half of a pageout, under the shard lock: reads ahead no
+    /// more of `id`, lets queued rebuilds finish — a write landing in a
+    /// half-rebuilt stripe would leave its parity wrong, and plans
+    /// snapshot the placement they saw at plan time — and has the engine
+    /// put the frames on the wire.
     pub(crate) fn begin_page_out(&mut self, id: PageId, page: &Page) -> PageOutFlight {
         let started = Instant::now();
         // Resolve attribution before the attempt: after a failure the id
@@ -996,9 +931,8 @@ impl Pager {
     /// The second half of a pageout: collects the replies, commits and
     /// books. `Continue` hands the pageout back, with its failure, when
     /// a server failed under it and the policy can recover: recovery
-    /// plans against the whole placement table, so a caller that shares
-    /// the pager first lets every other flight land, then calls
-    /// [`Pager::retry_page_out`].
+    /// plans against the whole placement table, so the shard first lets
+    /// every other flight land, then calls [`Pager::retry_page_out`].
     pub(crate) fn complete_page_out(
         &mut self,
         out: PageOutFlight,
@@ -1105,11 +1039,11 @@ impl Pager {
         done
     }
 
-    /// The first half of a pagein, under whatever lock guards the
-    /// pager: everything up to the wait — the read-ahead cache (a fault
-    /// that meets its page in a read-ahead still on the wire waits for
-    /// that one fetch here, rather than send a second), the engine's
-    /// lookup and holder check, the submit.
+    /// The first half of a pagein, under the shard lock: everything up
+    /// to the wait — the read-ahead cache (a fault that meets its page in
+    /// a read-ahead still on the wire waits for that one fetch here,
+    /// rather than send a second), the engine's lookup and holder check,
+    /// the submit.
     pub(crate) fn begin_page_in(&mut self, id: PageId) -> PageInFlight {
         let started = Instant::now();
         let at = self.engine.primary_location(id);
@@ -1273,40 +1207,10 @@ impl Pager {
             });
         }
     }
-}
 
-impl PagingDevice for Pager {
-    fn page_out(&mut self, id: PageId, page: &Page) -> Result<()> {
-        let out = self.begin_page_out(id, page);
-        out.writing.park();
-        let done = match self.complete_page_out(out, page) {
-            ControlFlow::Break(done) => done,
-            ControlFlow::Continue(failed) => self.retry_page_out(failed, page),
-        };
-        // A page the fault stream loops through is read back behind its
-        // acknowledged write, for the next lap to find.
-        if done.is_ok() && self.planner.loops(id) {
-            self.read_ahead(std::iter::once(id));
-        }
-        done
-    }
-
-    fn page_in(&mut self, id: PageId) -> Result<Page> {
-        let flight = self.begin_page_in(id);
-        flight.reading.park();
-        let hit = flight.hit;
-        let done = self.complete_page_in(flight);
-        if done.is_ok() {
-            let (cached, pending) = (&self.prefetch, &self.pending_prefetch);
-            let gone = |next| !cached.contains(next) && !inflight(pending, next);
-            if let Some(plan) = self.planner.plan(id, hit, gone) {
-                self.read_ahead(plan.pages(id));
-            }
-        }
-        done
-    }
-
-    fn free(&mut self, id: PageId) -> Result<()> {
+    /// Releases the page stored under `id`, once queued rebuilds have
+    /// finished.
+    pub(crate) fn free(&mut self, id: PageId) -> Result<()> {
         self.drain_recovery_queue()?;
         self.invalidate_prefetched(id);
         // Drop the writer-side checksum only once the engine actually
@@ -1318,11 +1222,13 @@ impl PagingDevice for Pager {
         Ok(())
     }
 
-    fn contains(&self, id: PageId) -> bool {
+    /// Returns `true` when a page is stored under `id`.
+    pub fn contains(&self, id: PageId) -> bool {
         self.engine.contains(id)
     }
 
-    fn flush(&mut self) -> Result<()> {
+    /// Seals partial parity groups and flushes the local disk.
+    pub(crate) fn flush(&mut self) -> Result<()> {
         self.with_engine(|engine, ctx| engine.flush(ctx))?;
         if let Some(disk) = self.disk.as_mut() {
             disk.flush()?;
@@ -1330,7 +1236,10 @@ impl PagingDevice for Pager {
         Ok(())
     }
 
-    fn stats(&self) -> TransferStats {
+    /// Cumulative transfer statistics of this shard. A pageout still
+    /// landing is not in them: [`crate::ShardedPager::stats`] lands every
+    /// one first.
+    pub fn stats(&self) -> TransferStats {
         self.stats
     }
 }

@@ -27,12 +27,12 @@
 //! nothing is read behind there.
 //!
 //! The *decision* to read ahead is taken once per fault stream, the
-//! *copies* are kept where the pages live: a lone `Pager` owns one
-//! planner, a `ShardedPager` one for all its shards, and either tells it
-//! every served demand fault. The planner answers nothing or a [`Plan`];
-//! whichever pager holds a planned page fetches it with a plain keyed
-//! read into its own cache, and a later fault that lands on it is served
-//! without touching the wire.
+//! *copies* are kept where the pages live: a `ShardedPager` owns one
+//! planner for all its shards and tells it every served demand fault.
+//! The planner answers nothing or a [`Plan`]; whichever shard holds a
+//! planned page fetches it with a plain keyed read into its own cache,
+//! and a later fault that lands on it is served without touching the
+//! wire.
 //!
 //! # Examples
 //!

@@ -1,14 +1,15 @@
-//! Concurrent front-end: the page space sharded over independent pagers.
+//! The pager's front-end: the page space sharded over independent pagers.
 //!
 //! The paper's pager serves one faulting process; [`ShardedPager`] serves
-//! many application threads at once by splitting the [`PageId`] space over
-//! a fixed power-of-two number of *shards*. Each shard is a complete
-//! single-threaded [`Pager`] — its own page table, checksum map, engine
-//! bookkeeping, prefetcher, and its own [`ServerPool`] with private TCP
-//! connections to every server — behind one mutex. Threads faulting on
-//! different shards proceed in parallel end to end: they neither share a
-//! lock nor serialize on a socket; threads faulting on one shard share
-//! its lock and its sockets, and neither across a round trip (below).
+//! it, or many application threads at once, by splitting the [`PageId`]
+//! space over a fixed power-of-two number of *shards* — one included.
+//! Each shard is a single-threaded [`Pager`] — its own page table,
+//! checksum map, engine bookkeeping, read-ahead copies, and its own
+//! [`ServerPool`] with private TCP connections to every server — behind
+//! one mutex. Threads faulting on different shards proceed in parallel
+//! end to end: they neither share a lock nor serialize on a socket;
+//! threads faulting on one shard share its lock and its sockets, and
+//! neither across a round trip (below).
 //! (Server-side, each shard's connection gets a private key namespace,
 //! so shards cannot collide on store keys.)
 //!
@@ -57,12 +58,11 @@
 //!
 //! # Begin, park, complete
 //!
-//! No shard lock is held across the wire. `page_in` and `page_out` are
-//! the three steps a lone [`Pager`] runs back to back: *begin*, under the
-//! shard lock, does everything up to the wait and leaves the frames on
-//! the connection's request window; the caller then *parks* on the
-//! replies holding no lock; *complete* re-takes the lock to verify,
-//! fall back, commit and book. Two callers on one shard therefore share
+//! No shard lock is held across the wire. `page_in` and `page_out` run
+//! in three steps: *begin*, under the shard lock, does everything up to
+//! the wait and leaves the frames on the connection's request window;
+//! the caller then *parks* on the replies holding no lock; *complete*
+//! re-takes the lock to verify, fall back, commit and book. Two callers on one shard therefore share
 //! its link delay instead of queueing for it. An operation with nothing
 //! on the wire (a read-ahead hit, a disk read, the operations DESIGN.md
 //! §11 lists as kept whole) runs begin and complete under one
@@ -399,7 +399,7 @@ struct Shard {
 
 impl Shard {
     /// Locks the shard. A panic under the lock leaves the pager as
-    /// consistent as a panic in a lone `Pager` would: carry on.
+    /// consistent as any unwound call leaves it: carry on.
     fn lock(&self) -> ShardGuard<'_> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -761,9 +761,10 @@ impl Drop for Turn<'_> {
 /// A `&self` pager many threads can fault through concurrently.
 ///
 /// See the [module docs](self) for the shard map and locking rules.
-/// Implements [`PagingDevice`], so it drops into any consumer of the
-/// single-threaded [`Pager`]; wrap it in an `Arc` and clone the handle
-/// into each application thread.
+/// Implements [`PagingDevice`], so a single-threaded consumer — a
+/// [`PagedMemory`](../rmp_vm/struct.PagedMemory.html) region — pages
+/// through it unchanged; wrap it in an `Arc` and clone the handle into
+/// each application thread.
 ///
 /// # Examples
 ///
@@ -866,9 +867,9 @@ impl ShardedPager {
     ///
     /// # Errors
     ///
-    /// As [`Pager::page_out`](PagingDevice::page_out); or what the last
-    /// pageout of `id` failed with as it landed, and then `page` is not
-    /// written.
+    /// What the pageout failed with, if it did not leave landing; or what
+    /// the last pageout of `id` failed with as it landed, and then `page`
+    /// is not written.
     pub fn page_out(&self, id: PageId, page: &Page) -> Result<()> {
         let (behind, recurs) = self.recurrence(id);
         let mut turn = self.shard(id).enter_to_write(id, Op::Rewrite)?;
@@ -896,8 +897,9 @@ impl ShardedPager {
     ///
     /// # Errors
     ///
-    /// As [`Pager::page_in`](PagingDevice::page_in); or what the last
-    /// pageout of `id` failed with as it landed.
+    /// [`RmpError::PageNotFound`] for a page never written (or freed); the
+    /// policy's failure when no copy nor its redundancy serves it; or
+    /// what the last pageout of `id` failed with as it landed.
     pub fn page_in(&self, id: PageId) -> Result<Page> {
         let mut turn = match self.shard(id).admit(id, Op::Read)? {
             Entry::Turn(turn) => turn,
@@ -971,8 +973,9 @@ impl ShardedPager {
     ///
     /// # Errors
     ///
-    /// As [`Pager::free`](PagingDevice::free); or what the last pageout of
-    /// `id` failed with as it landed, and then `id` is not freed.
+    /// A queued rebuild or the engine's release failing; or what the last
+    /// pageout of `id` failed with as it landed, and then `id` is not
+    /// freed.
     pub fn free(&self, id: PageId) -> Result<()> {
         let mut turn = self.shard(id).enter_to_write(id, Op::Other)?;
         let done = turn.pager().free(id);

@@ -11,13 +11,16 @@
 //! stale). On a windowed connection replies out of order or late are
 //! matched by window seq, which `windowed_transport.rs` covers.
 
+mod support;
+
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use rmp_blockdev::PagingDevice;
 use rmp_core::transport::ServerTransport;
-use rmp_core::{ChaosServer, Pager, ServerPool};
+use rmp_core::{ChaosServer, ServerPool, ShardedPager};
 use rmp_proto::Message;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey};
+
+use support::{counted, one_shard};
 
 /// What the fake does to the traffic of the faithful server behind it,
 /// and what it counted.
@@ -204,18 +207,15 @@ fn batching_collapses_frame_counts() {
 
 // --- prefetching ------------------------------------------------------------
 
-fn prefetch_pager(n_servers: usize) -> (Vec<BatchServer>, Pager) {
+fn prefetch_pager(n_servers: usize) -> (Vec<BatchServer>, ShardedPager) {
     let (fakes, pool) = batch_pool(n_servers);
-    let pager = Pager::builder(PagerConfig::new(Policy::NoReliability).with_servers(n_servers))
-        .pool(pool)
-        .build()
-        .expect("pager");
-    (fakes, pager)
+    let config = PagerConfig::new(Policy::NoReliability).with_servers(n_servers);
+    (fakes, one_shard(config, pool, Vec::new()))
 }
 
 #[test]
 fn sequential_pageins_hit_the_prefetch_cache() {
-    let (_fakes, mut pager) = prefetch_pager(2);
+    let (_fakes, pager) = prefetch_pager(2);
     for i in 0..40u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -227,8 +227,8 @@ fn sequential_pageins_hit_the_prefetch_cache() {
             Page::deterministic(i)
         );
     }
-    let hits = pager.metrics().counter("pager_prefetch_hits_total").get();
-    let issued = pager.metrics().counter("pager_prefetch_issued_total").get();
+    let hits = counted(&pager, "pager_prefetch_hits_total");
+    let issued = counted(&pager, "pager_prefetch_issued_total");
     assert!(
         hits > 0,
         "a strictly sequential scan must hit the prefetch cache"
@@ -241,7 +241,7 @@ fn sequential_pageins_hit_the_prefetch_cache() {
 
 #[test]
 fn prefetched_pages_are_invalidated_by_writes_and_frees() {
-    let (_fakes, mut pager) = prefetch_pager(2);
+    let (_fakes, pager) = prefetch_pager(2);
     for i in 0..30u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -262,7 +262,7 @@ fn prefetched_pages_are_invalidated_by_writes_and_frees() {
             .expect("overwrite");
     }
     assert!(
-        pager.metrics().counter("pager_prefetch_hits_total").get() > 0,
+        counted(&pager, "pager_prefetch_hits_total") > 0,
         "the scan ran on read-ahead"
     );
     assert_eq!(
@@ -284,14 +284,10 @@ fn prefetched_pages_are_invalidated_by_writes_and_frees() {
 #[test]
 fn disabled_prefetch_window_never_prefetches() {
     let (fakes, pool) = batch_pool(2);
-    let mut pager = Pager::builder(
-        PagerConfig::new(Policy::NoReliability)
-            .with_servers(2)
-            .with_prefetch_window(0),
-    )
-    .pool(pool)
-    .build()
-    .expect("pager");
+    let config = PagerConfig::new(Policy::NoReliability)
+        .with_servers(2)
+        .with_prefetch_window(0);
+    let pager = one_shard(config, pool, Vec::new());
     for i in 0..20u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -301,7 +297,7 @@ fn disabled_prefetch_window_never_prefetches() {
         pager.page_in(PageId(i)).expect("read");
     }
     assert_eq!(
-        pager.metrics().counter("pager_prefetch_issued_total").get(),
+        counted(&pager, "pager_prefetch_issued_total"),
         0,
         "prefetch_window = 0 disables the prefetcher"
     );

@@ -5,6 +5,8 @@
 //! determinism contract that makes any failure replayable from its
 //! printed seed.
 
+mod support;
+
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
 use std::thread;
@@ -18,9 +20,11 @@ use rmp_core::chaos::{
     run_schedule, ChaosCluster, FaultAction, FaultEvent, FaultPlan, FaultRule, OpFilter,
 };
 use rmp_core::detector::GRAY_SUSPICION;
-use rmp_core::{Clock, Pager, ShardedPager};
+use rmp_core::{Clock, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
+
+use support::one_shard;
 
 const POLICIES: [Policy; 6] = [
     Policy::NoReliability,
@@ -380,10 +384,7 @@ fn retried_parity_updates_do_not_desync_the_stripe() {
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(2)
         .with_transport(tcfg.clone());
-    let mut pager = Pager::builder(config)
-        .pool(cluster.pool(&tcfg))
-        .build()
-        .expect("pager");
+    let pager = one_shard(config, cluster.pool(&tcfg), Vec::new());
     for i in 0..8u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -418,8 +419,10 @@ fn retried_parity_updates_do_not_desync_the_stripe() {
     for victim in [ServerId(0), ServerId(1)] {
         cluster.server(victim.0 as usize).crash();
         cluster.server(victim.0 as usize).restart();
-        pager.pool_mut().absolve(victim);
-        pager.pool_mut().refresh_loads();
+        pager.with_shard(0, |p| {
+            p.pool_mut().absolve(victim);
+            p.pool_mut().refresh_loads();
+        });
         pager
             .recover_from_crash(victim)
             .expect("parity reconstruction succeeds");
@@ -449,10 +452,7 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
         .with_servers(2)
         .with_batch_max_pages(4)
         .with_transport(tcfg.clone());
-    let mut pager = Pager::builder(config)
-        .pool(cluster.pool(&tcfg))
-        .build()
-        .expect("pager");
+    let pager = one_shard(config, cluster.pool(&tcfg), Vec::new());
     for i in 0..24u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -461,7 +461,8 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
     let victim = ServerId(0);
     cluster.server(0).crash();
     cluster.server(0).restart();
-    pager.pool_mut().absolve(victim);
+    let absolve = |server| pager.with_shard(0, |p| p.pool_mut().absolve(server));
+    absolve(victim);
     // The first chunk's store wave lands — a harmless rule spends itself
     // on it — and the second's is refused until the ladder gives the
     // rebooted server up again.
@@ -486,15 +487,19 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
     // The server is fine again, and nobody calls for the rebuild: the
     // next pageout — of a page whose frame on it is still empty — finds
     // the rebuild queued and finishes it before it writes.
-    pager.pool_mut().absolve(victim);
+    absolve(victim);
     let rewritten = |i: u64| Page::deterministic(if i == 16 { 116 } else { i });
     pager
         .page_out(PageId(16), &rewritten(16))
         .expect("a pageout drains the queued rebuild first");
     assert_eq!(pager.recovery_backlog(), 0);
     assert!(pager.stats().recovery_steps > steps, "the drain is booked");
-    let done = pager.metrics().counter("pager_recoveries_completed_total");
-    assert_eq!(done.get(), 1);
+    let done = pager.with_shard(0, |p| {
+        (p.metrics())
+            .counter("pager_recoveries_completed_total")
+            .get()
+    });
+    assert_eq!(done, 1);
     assert_eq!(
         cluster.server(0).stored_pages(),
         12,
@@ -504,7 +509,7 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
     // wrong now, and losing the other data server would show it.
     cluster.server(1).crash();
     cluster.server(1).restart();
-    pager.pool_mut().absolve(ServerId(1));
+    absolve(ServerId(1));
     pager
         .recover_from_crash(ServerId(1))
         .expect("second rebuild");
@@ -570,10 +575,7 @@ fn gray_primary_is_read_around_not_buried() {
         .with_servers(2)
         .with_prefetch_window(0)
         .with_transport(tcfg.clone());
-    let mut pager = Pager::builder(config)
-        .pool(cluster.pool(&tcfg))
-        .build()
-        .expect("pager");
+    let pager = one_shard(config, cluster.pool(&tcfg), Vec::new());
     for i in 0..32u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -592,8 +594,9 @@ fn gray_primary_is_read_around_not_buried() {
     );
     cluster.plan().arm();
     // Unmeasured reads until sustained slowness makes it look gray.
+    let suspicion = || pager.with_shard(0, |p| p.pool().suspicion(ServerId(0)));
     let mut warm = 0u64;
-    while pager.pool().suspicion(ServerId(0)) < GRAY_SUSPICION {
+    while suspicion() < GRAY_SUSPICION {
         assert!(warm < 128, "the slow primary never looked gray");
         pager.page_in(PageId(warm % 32)).expect("warm gray read");
         warm += 1;
@@ -616,7 +619,7 @@ fn gray_primary_is_read_around_not_buried() {
         "every read went around the gray primary, as a degraded read"
     );
     assert!(
-        pager.pool().view().is_alive(ServerId(0)),
+        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
         "a slow server is gray, not dead"
     );
     assert_eq!(
@@ -625,7 +628,7 @@ fn gray_primary_is_read_around_not_buried() {
         "slowness must not trigger crash recovery"
     );
     assert!(
-        pager.pool().suspicion(ServerId(0)) >= GRAY_SUSPICION,
+        suspicion() >= GRAY_SUSPICION,
         "sustained slowness accrues suspicion"
     );
 }

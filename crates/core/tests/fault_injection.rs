@@ -6,15 +6,19 @@
 //! garbage, or flap between dead and alive — failure shapes a real
 //! cluster produces and the wire tests cannot stage deterministically.
 
+mod support;
+
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::transport::ServerTransport;
-use rmp_core::{ChaosServer, Pager, PagerBuilder, ServerPool};
+use rmp_core::{ChaosServer, ServerPool, ShardedPager};
 use rmp_proto::{LoadHint, Message};
 use rmp_types::{
     ErrorCode, Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey,
 };
+
+use support::{landed, one_shard};
 
 /// Scripted failure modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -146,15 +150,18 @@ impl ServerTransport for FakeTransport {
     }
 }
 
-/// Builds a pager over `n` fake servers, returning the handles.
-fn fake_pager(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, Pager) {
-    let (fakes, builder) = fake_builder(policy, servers, n);
-    let disk = Box::new(RamDisk::unbounded());
-    (fakes, builder.disk(disk).build().expect("pager"))
+/// Builds a one-shard pager over `n` fake servers, returning the handles.
+fn fake_pager(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, ShardedPager) {
+    fake_pager_on(policy, servers, n, vec![Box::new(RamDisk::unbounded())])
 }
 
-/// [`fake_pager`] short of its disk, which a test may leave out.
-fn fake_builder(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, PagerBuilder) {
+/// [`fake_pager`] with `disks`: its one shard's disk, or none.
+fn fake_pager_on(
+    policy: Policy,
+    servers: usize,
+    n: usize,
+    disks: Vec<Box<dyn PagingDevice>>,
+) -> (Vec<FakeServer>, ShardedPager) {
     let mut pool = ServerPool::new();
     let mut fakes = Vec::new();
     for i in 0..n {
@@ -166,13 +173,13 @@ fn fake_builder(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, P
         );
         fakes.push(fake);
     }
-    let builder = Pager::builder(PagerConfig::new(policy).with_servers(servers)).pool(pool);
-    (fakes, builder)
+    let config = PagerConfig::new(policy).with_servers(servers);
+    (fakes, one_shard(config, pool, disks))
 }
 
 #[test]
 fn fake_cluster_round_trips() {
-    let (fakes, mut pager) = fake_pager(Policy::ParityLogging, 4, 5);
+    let (fakes, pager) = fake_pager(Policy::ParityLogging, 4, 5);
     for i in 0..40u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -191,7 +198,7 @@ fn fake_cluster_round_trips() {
 
 #[test]
 fn mid_run_death_is_recovered_transparently() {
-    let (fakes, mut pager) = fake_pager(Policy::ParityLogging, 4, 5);
+    let (fakes, pager) = fake_pager(Policy::ParityLogging, 4, 5);
     for i in 0..40u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -211,7 +218,7 @@ fn mid_run_death_is_recovered_transparently() {
 
 #[test]
 fn allocation_denial_is_not_fatal() {
-    let (fakes, mut pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
     fakes[0].set_fault(Fault::DenyAlloc);
     for i in 0..30u64 {
         pager
@@ -230,7 +237,7 @@ fn allocation_denial_is_not_fatal() {
 
 #[test]
 fn all_servers_denying_falls_back_to_disk() {
-    let (fakes, mut pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
     for f in &fakes {
         f.set_fault(Fault::DenyAlloc);
     }
@@ -250,7 +257,7 @@ fn all_servers_denying_falls_back_to_disk() {
 
 #[test]
 fn amnesia_surfaces_as_page_not_found() {
-    let (fakes, mut pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
     pager
         .page_out(PageId(1), &Page::deterministic(1))
         .expect("pageout");
@@ -265,7 +272,7 @@ fn amnesia_surfaces_as_page_not_found() {
 
 #[test]
 fn garbage_replies_surface_as_protocol_errors() {
-    let (fakes, mut pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
     pager
         .page_out(PageId(1), &Page::deterministic(1))
         .expect("pageout");
@@ -278,7 +285,7 @@ fn garbage_replies_surface_as_protocol_errors() {
 
 #[test]
 fn flapping_server_keeps_data_consistent() {
-    let (fakes, mut pager) = fake_pager(Policy::Mirroring, 2, 3);
+    let (fakes, pager) = fake_pager(Policy::Mirroring, 2, 3);
     for i in 0..30u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -296,7 +303,7 @@ fn flapping_server_keeps_data_consistent() {
         );
     }
     fakes[0].set_fault(Fault::None);
-    pager.pool_mut().absolve(ServerId(0));
+    pager.with_shard(0, |p| p.pool_mut().absolve(ServerId(0)));
     // Updates after the flap still round trip.
     for i in 0..30u64 {
         pager
@@ -313,7 +320,7 @@ fn flapping_server_keeps_data_consistent() {
 
 #[test]
 fn advisories_trigger_automatic_migration() {
-    let (fakes, mut pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
     for i in 0..20u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -323,8 +330,11 @@ fn advisories_trigger_automatic_migration() {
     assert!(on_zero > 0);
     // Server 0 comes under native memory pressure.
     fakes[0].set_fault(Fault::DenyAlloc);
-    pager.pool_mut().refresh_loads();
-    let moved = pager.service_advisories().expect("migration");
+    let moved = pager.with_shard(0, |p| {
+        p.pool_mut().refresh_loads();
+        p.service_advisories()
+    });
+    let moved = moved.expect("migration");
     assert_eq!(moved as usize, on_zero);
     assert_eq!(fakes[0].stored(), 0, "server 0 drained");
     for i in 0..20u64 {
@@ -340,7 +350,7 @@ fn advisories_trigger_automatic_migration() {
 /// policies must detect the flip (at either layer) and heal the read from
 /// redundancy, never serve wrong content.
 fn assert_bit_flip_healed(policy: Policy, servers: usize, n: usize, fault: Fault) {
-    let (fakes, mut pager) = fake_pager(policy, servers, n);
+    let (fakes, pager) = fake_pager(policy, servers, n);
     for i in 0..24u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -365,18 +375,18 @@ fn assert_bit_flip_healed(policy: Policy, servers: usize, n: usize, fault: Fault
         "{policy:?}/{fault:?}: corrupted copies were served from redundancy"
     );
     assert!(
-        pager.pool().view().is_alive(ServerId(0)),
+        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
         "{policy:?}/{fault:?}: a corrupt page is a data fault, not a crash"
     );
     // The scan was sequential, so corrupt copies were read ahead too: one
     // the pool refused on the wire, or the writer's checksum at the
     // fault, is useless — not gone from the books.
-    let count = |name| pager.metrics().counter(name).get();
+    let count = |name| pager.with_shard(0, |p| p.metrics().counter(name).get());
     assert_eq!(
         count("pager_prefetch_issued_total"),
         count("pager_prefetch_hits_total")
             + count("pager_prefetch_useless_total")
-            + pager.read_ahead_held() as u64,
+            + pager.with_shard(0, |p| p.read_ahead_held()) as u64,
         "{policy:?}/{fault:?}: the read-ahead ledger balances"
     );
 }
@@ -435,7 +445,7 @@ fn write_through_heals_wire_level_bit_flips() {
 
 #[test]
 fn unreplicated_bit_flip_surfaces_as_corrupt_page() {
-    let (fakes, mut pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
     for i in 0..16u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -465,7 +475,7 @@ fn unreplicated_bit_flip_surfaces_as_corrupt_page() {
 
 #[test]
 fn dead_server_calls_stop_quickly() {
-    let (fakes, mut pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
     for i in 0..10u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -489,12 +499,11 @@ fn dead_server_calls_stop_quickly() {
 
 /// Parity logging over data servers 0..=2 with the parity page on 4 and
 /// 3 spare; the pageout of page 2 seals the first group.
-fn pager_about_to_seal(parity_fault: Fault) -> (Vec<FakeServer>, Pager) {
-    let (fakes, mut pager) = fake_pager(Policy::ParityLogging, 3, 5);
+fn pager_about_to_seal(parity_fault: Fault) -> (Vec<FakeServer>, ShardedPager) {
+    let (fakes, pager) = fake_pager(Policy::ParityLogging, 3, 5);
     fakes[4].set_fault(parity_fault);
     for i in 0..2u64 {
-        pager
-            .page_out(PageId(i), &Page::deterministic(i))
+        landed(&pager, PageId(i), &Page::deterministic(i))
             .expect("a pending member needs no parity server");
     }
     (fakes, pager)
@@ -502,13 +511,13 @@ fn pager_about_to_seal(parity_fault: Fault) -> (Vec<FakeServer>, Pager) {
 
 /// Server 0 — holder of page 0, the first member of the group whose seal
 /// failed — dies with its memory; every page must still read back.
-fn assert_sealed_members_survive_a_data_crash(fakes: &[FakeServer], pager: &mut Pager) {
+fn assert_sealed_members_survive_a_data_crash(fakes: &[FakeServer], pager: &ShardedPager) {
     assert_pages_survive_a_data_crash(fakes, pager, &[0, 1, 2]);
 }
 
 /// Server 0 dies with its memory; page `i` must still read back as
 /// `Page::deterministic(fills[i])`.
-fn assert_pages_survive_a_data_crash(fakes: &[FakeServer], pager: &mut Pager, fills: &[u64]) {
+fn assert_pages_survive_a_data_crash(fakes: &[FakeServer], pager: &ShardedPager, fills: &[u64]) {
     fakes[0].set_fault(Fault::Dead);
     fakes[0].wipe();
     for (i, &fill) in fills.iter().enumerate() {
@@ -523,57 +532,54 @@ fn assert_pages_survive_a_data_crash(fakes: &[FakeServer], pager: &mut Pager, fi
 
 #[test]
 fn parity_crash_on_the_sealing_pageout_keeps_the_group_covered() {
-    let (fakes, mut pager) = pager_about_to_seal(Fault::Dead);
+    let (fakes, pager) = pager_about_to_seal(Fault::Dead);
     // The parity page finds its server dead; the pager recovers that
     // server — which has to rebuild the parity of the group being sealed
     // — and retries the pageout.
-    pager
-        .page_out(PageId(2), &Page::deterministic(2))
-        .expect("recovered and retried");
-    assert_sealed_members_survive_a_data_crash(&fakes, &mut pager);
+    landed(&pager, PageId(2), &Page::deterministic(2)).expect("recovered and retried");
+    assert_sealed_members_survive_a_data_crash(&fakes, &pager);
 }
 
 #[test]
 fn parity_refusal_on_the_sealing_pageout_keeps_the_group_covered() {
-    let (fakes, mut pager) = pager_about_to_seal(Fault::DenyAlloc);
+    let (fakes, pager) = pager_about_to_seal(Fault::DenyAlloc);
     // The parity server takes no frame; a seal is never undone: its
     // parity page goes to the one live server holding no member, 3.
-    pager
-        .page_out(PageId(2), &Page::deterministic(2))
-        .expect("the spare takes the parity page");
+    landed(&pager, PageId(2), &Page::deterministic(2)).expect("the spare takes the parity page");
     assert_eq!((fakes[3].stored(), fakes[4].stored()), (1, 0));
     // Moving the parity off the refusing server leaves the group as it is.
     pager
         .recover_from_crash(ServerId(4))
         .expect("parity moved elsewhere");
-    assert_sealed_members_survive_a_data_crash(&fakes, &mut pager);
+    assert_sealed_members_survive_a_data_crash(&fakes, &pager);
 }
 
 #[test]
 fn a_sealing_rewrite_whose_parity_is_refused_reads_back_what_it_committed() {
-    let (fakes, mut pager) = fake_pager(Policy::ParityLogging, 3, 5);
+    let (fakes, pager) = fake_pager(Policy::ParityLogging, 3, 5);
     // Every third pageout seals a group and takes one of the parity
     // server's granted frames; rewrite until the next seal asks for more
     // ahead of need (below half a chunk of 64), deny that and every later
     // allocation, and rewrite until the grants are spent.
     let mut fill = 0;
-    let mut round = |pager: &mut Pager| {
+    let mut round = |pager: &ShardedPager| {
         fill += 10;
-        let rewrite = |i| pager.page_out(PageId(i), &Page::deterministic(fill + i));
+        let rewrite = |i| landed(pager, PageId(i), &Page::deterministic(fill + i));
         (0..3).map(rewrite).collect::<Vec<Result<()>>>()
     };
-    let grants = |pager: &Pager| pager.pool().granted_frames(ServerId(4));
+    let grants =
+        |pager: &ShardedPager| pager.with_shard(0, |p| p.pool().granted_frames(ServerId(4)));
     while grants(&pager) > 32 || pager.stats().pageouts == 0 {
-        let acked = round(&mut pager);
+        let acked = round(&pager);
         assert!(acked.iter().all(Result::is_ok), "{acked:?}");
     }
     fakes[4].set_fault(Fault::DenyAlloc);
     while grants(&pager) > 0 {
-        let acked = round(&mut pager);
+        let acked = round(&pager);
         assert!(acked.iter().all(Result::is_ok), "{acked:?}");
     }
     let on_spare = fakes[3].stored();
-    let outcomes = round(&mut pager);
+    let outcomes = round(&pager);
     assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
     assert_eq!(fakes[3].stored(), on_spare + 1, "the parity page went to 3");
     // The parity server took no frame for the seal, which is not undone:
@@ -590,48 +596,47 @@ fn a_sealing_rewrite_whose_parity_is_refused_reads_back_what_it_committed() {
     pager
         .recover_from_crash(ServerId(4))
         .expect("parity moved off the refusing server");
-    assert_pages_survive_a_data_crash(&fakes, &mut pager, &current);
+    assert_pages_survive_a_data_crash(&fakes, &pager, &current);
 }
 
 #[test]
 fn a_sealing_pageout_no_server_takes_leaves_the_group_without_it() {
-    let (fakes, mut pager) = pager_about_to_seal(Fault::None);
+    let (fakes, pager) = pager_about_to_seal(Fault::None);
     // Servers 0 and 1 hold the group's other members, so the frame server
     // 2 refuses has nowhere to go but the disk — after the wave that
     // carried it has stored a parity page that includes it.
     fakes[2].set_fault(Fault::RefuseStore);
-    pager
-        .page_out(PageId(2), &Page::deterministic(2))
-        .expect("the disk takes the page");
+    landed(&pager, PageId(2), &Page::deterministic(2)).expect("the disk takes the page");
     assert_eq!(pager.stats().disk_writes, 1);
     assert_eq!((fakes[2].stored(), fakes[4].stored()), (0, 1));
     // Server 2 granted its first chunk of frames to this pageout, and
     // every refused store gave its frame back.
-    let chunk = pager.pool().granted_frames(ServerId(0)) + 1;
-    assert_eq!(pager.pool().granted_frames(ServerId(2)), chunk);
+    let granted = |server| pager.with_shard(0, |p| p.pool().granted_frames(server));
+    let chunk = granted(ServerId(0)) + 1;
+    assert_eq!(granted(ServerId(2)), chunk);
     // The parity page was stored again without page 2: page 0 is rebuilt
     // from page 1 and it alone.
-    assert_sealed_members_survive_a_data_crash(&fakes, &mut pager);
+    assert_sealed_members_survive_a_data_crash(&fakes, &pager);
 }
 
 #[test]
 fn a_sealing_pageout_with_nowhere_to_go_fails_typed_and_spares_the_group() {
-    let (fakes, builder) = fake_builder(Policy::ParityLogging, 3, 5);
-    let mut pager = builder.build().expect("pager without a disk");
+    let (fakes, pager) = fake_pager_on(Policy::ParityLogging, 3, 5, Vec::new());
     for i in 0..2u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pending");
     }
     fakes[2].set_fault(Fault::RefuseStore);
-    let err = pager
-        .page_out(PageId(2), &Page::deterministic(2))
-        .expect_err("no server and no disk");
+    // The pageout returns with its frames on the wire; its landing
+    // reports the failure, to the page's next operation.
+    (pager.page_out(PageId(2), &Page::deterministic(2))).expect("on the wire");
+    let err = pager.page_in(PageId(2)).expect_err("no server and no disk");
     assert!(matches!(err, RmpError::ClusterFull), "got {err}");
     let err = pager.page_in(PageId(2)).expect_err("never stored");
     assert!(
         matches!(err, RmpError::PageNotFound(PageId(2))),
         "got {err}"
     );
-    assert_pages_survive_a_data_crash(&fakes, &mut pager, &[0, 1]);
+    assert_pages_survive_a_data_crash(&fakes, &pager, &[0, 1]);
 }

@@ -9,19 +9,23 @@
 //! not Dead), permanent death falls through to the existing crash
 //! recovery, and no call path can block without a deadline.
 
+mod support;
+
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use rmp_blockdev::{PagingDevice, RamDisk};
+use rmp_blockdev::RamDisk;
 use rmp_core::transport::ServerTransport;
-use rmp_core::{ChaosServer, Clock, Pager, PendingReplies, ServerPool, WindowedTransport};
+use rmp_core::{ChaosServer, Clock, PendingReplies, ServerPool, ShardedPager, WindowedTransport};
 use rmp_proto::{Message, Opcode};
 use rmp_types::metrics::MetricsRegistry;
 use rmp_types::{
     ErrorCode, Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId,
     StoreKey, TransportConfig,
 };
+
+use support::one_shard;
 
 /// One scripted call outcome; an exhausted script answers honestly.
 #[derive(Clone, Copy, Debug)]
@@ -171,24 +175,19 @@ fn flaky_pool(n: usize) -> (Vec<FlakyServer>, ServerPool) {
     (servers, pool)
 }
 
-fn flaky_pager(policy: Policy, servers: usize, n: usize) -> (Vec<FlakyServer>, Pager) {
+fn flaky_pager(policy: Policy, servers: usize, n: usize) -> (Vec<FlakyServer>, ShardedPager) {
     let (flaky, pool) = flaky_pool(n);
-    let pager = Pager::builder(
-        PagerConfig::new(policy)
-            .with_servers(servers)
-            .with_transport(test_transport_config()),
-    )
-    .pool(pool)
-    .disk(Box::new(RamDisk::unbounded()))
-    .build()
-    .expect("pager");
+    let config = PagerConfig::new(policy)
+        .with_servers(servers)
+        .with_transport(test_transport_config());
+    let pager = one_shard(config, pool, vec![Box::new(RamDisk::unbounded())]);
     (flaky, pager)
 }
 
 // --- timeout → retry with backoff, per policy ------------------------------
 
 fn assert_timeout_retried(policy: Policy, servers: usize, transports: usize) {
-    let (flaky, mut pager) = flaky_pager(policy, servers, transports);
+    let (flaky, pager) = flaky_pager(policy, servers, transports);
     // Two deadline expiries, then the server answers: the pool must ride
     // through both within one logical call and sleep its backoff between
     // attempts (5 ms then 10 ms with jitter off).
@@ -217,14 +216,14 @@ fn assert_timeout_retried(policy: Policy, servers: usize, transports: usize) {
         );
     }
     assert!(
-        pager.pool().view().is_alive(ServerId(0)),
+        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
         "{policy:?}: a server that recovered within the retry budget is not dead"
     );
     assert_eq!(
-        pager
+        pager.with_shard(0, |p| p
             .metrics()
             .counter("pool_suspect_transitions_total")
-            .get(),
+            .get()),
         1,
         "{policy:?}: two misses in a row are one Healthy→Suspect transition"
     );
@@ -248,7 +247,7 @@ fn parity_logging_timeout_retries_with_backoff() {
 // --- transient disconnect → reconnect + reuse (Suspect, not Dead) ----------
 
 fn assert_disconnect_reconnected(policy: Policy, servers: usize, transports: usize) {
-    let (flaky, mut pager) = flaky_pager(policy, servers, transports);
+    let (flaky, pager) = flaky_pager(policy, servers, transports);
     flaky[0].script(&[Step::Disconnect]);
     for i in 0..8u64 {
         pager
@@ -261,7 +260,7 @@ fn assert_disconnect_reconnected(policy: Policy, servers: usize, transports: usi
         "{policy:?}: the dropped connection was redialed"
     );
     assert!(
-        pager.pool().view().is_alive(ServerId(0)),
+        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
         "{policy:?}: one dropped connection must not kill the server"
     );
     for i in 0..8u64 {
@@ -347,7 +346,7 @@ fn suspect_servers_are_deprioritized_for_new_pages() {
 
 #[test]
 fn mirroring_permanent_death_recovers_from_mirror() {
-    let (flaky, mut pager) = flaky_pager(Policy::Mirroring, 2, 3);
+    let (flaky, pager) = flaky_pager(Policy::Mirroring, 2, 3);
     for i in 0..12u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -364,8 +363,8 @@ fn mirroring_permanent_death_recovers_from_mirror() {
     }
     // A load probe has no way around it: the retry budget drains, and
     // server 0 is declared dead.
-    pager.pool_mut().refresh_loads();
-    assert!(!pager.pool().view().is_alive(ServerId(0)));
+    pager.with_shard(0, |p| p.pool_mut().refresh_loads());
+    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
     // The existing recovery machinery restores two-copy redundancy on the
     // survivors.
     pager.recover_from_crash(ServerId(0)).expect("re-mirror");
@@ -373,7 +372,7 @@ fn mirroring_permanent_death_recovers_from_mirror() {
 
 #[test]
 fn parity_logging_permanent_death_recovers_via_parity() {
-    let (flaky, mut pager) = flaky_pager(Policy::ParityLogging, 2, 3);
+    let (flaky, pager) = flaky_pager(Policy::ParityLogging, 2, 3);
     for i in 0..12u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -389,13 +388,13 @@ fn parity_logging_permanent_death_recovers_via_parity() {
     }
     // The reads went around server 0; a load probe walks what is left of
     // the retry ladder to the verdict.
-    pager.pool_mut().refresh_loads();
-    assert!(!pager.pool().view().is_alive(ServerId(0)));
+    pager.with_shard(0, |p| p.pool_mut().refresh_loads());
+    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
 }
 
 #[test]
 fn basic_parity_rebuilds_a_wiped_server_in_place() {
-    let (flaky, mut pager) = flaky_pager(Policy::BasicParity, 2, 3);
+    let (flaky, pager) = flaky_pager(Policy::BasicParity, 2, 3);
     for i in 0..12u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -405,7 +404,7 @@ fn basic_parity_rebuilds_a_wiped_server_in_place() {
     // the lost pages onto it in place once it is back.
     flaky[0].kill();
     flaky[0].revive_empty();
-    pager.pool_mut().absolve(ServerId(0));
+    pager.with_shard(0, |p| p.pool_mut().absolve(ServerId(0)));
     pager.recover_from_crash(ServerId(0)).expect("rebuild");
     for i in 0..12u64 {
         assert_eq!(
@@ -496,8 +495,8 @@ fn engine_fallback_does_not_leak_grants() {
     // Server 0 accepts the Alloc but refuses every store; the engine must
     // return the frame before falling back, so 0's local grant count is
     // intact when the server recovers.
-    let (flaky, mut pager) = flaky_pager(Policy::NoReliability, 2, 2);
-    pager.pool_mut().refresh_loads();
+    let (flaky, pager) = flaky_pager(Policy::NoReliability, 2, 2);
+    pager.with_shard(0, |p| p.pool_mut().refresh_loads());
     flaky[0].script(&[
         Step::Serve,                          // Alloc succeeds...
         Step::Refuse(ErrorCode::OutOfMemory), // ...every store is refused.
@@ -513,7 +512,7 @@ fn engine_fallback_does_not_leak_grants() {
     // the refused store must have put it back — any leak shows up as a
     // count below the full chunk.
     assert_eq!(
-        pager.pool().granted_frames(ServerId(0)),
+        pager.with_shard(0, |p| p.pool().granted_frames(ServerId(0))),
         64,
         "refused stores returned their frames instead of leaking the grant"
     );
@@ -524,19 +523,14 @@ fn engine_fallback_does_not_leak_grants() {
 #[test]
 fn degraded_pool_flips_prefers_disk() {
     let (flaky, pool) = flaky_pool(2);
-    let mut pager = Pager::builder(
-        PagerConfig::new(Policy::NoReliability)
-            .with_servers(2)
-            .with_adaptive_threshold_ms(5.0)
-            .with_transport(TransportConfig {
-                retry: RetryPolicy::no_retry(),
-                ..TransportConfig::default()
-            }),
-    )
-    .pool(pool)
-    .disk(Box::new(RamDisk::unbounded()))
-    .build()
-    .expect("pager");
+    let config = PagerConfig::new(Policy::NoReliability)
+        .with_servers(2)
+        .with_adaptive_threshold_ms(5.0)
+        .with_transport(TransportConfig {
+            retry: RetryPolicy::no_retry(),
+            ..TransportConfig::default()
+        });
+    let pager = one_shard(config, pool, vec![Box::new(RamDisk::unbounded())]);
     // Every call burns 15 ms of deadline before failing — the service-time
     // statistics must see that elapsed time even though the calls failed,
     // otherwise a hung cluster looks *fast* (failures returned "instantly")
@@ -550,9 +544,9 @@ fn degraded_pool_flips_prefers_disk() {
             .expect("disk fallback absorbs the failures");
     }
     assert!(
-        pager.prefers_disk(),
+        pager.with_shard(0, |p| p.prefers_disk()),
         "avg service time {} ms over threshold 5 ms must flip the disk switch",
-        pager.pool().avg_service_ms()
+        pager.with_shard(0, |p| p.pool().avg_service_ms())
     );
     for i in 0..6u64 {
         assert_eq!(
@@ -572,25 +566,27 @@ fn failed_operations_record_latency_in_histograms() {
     // too, or a degrading cluster reports *better* latencies as more of
     // its traffic shifts to the (unrecorded) error path.
     let (flaky, pool) = flaky_pool(1);
-    let mut pager = Pager::builder(
-        PagerConfig::new(Policy::NoReliability)
-            .with_servers(1)
-            .with_transport(test_transport_config()),
-    )
-    .pool(pool)
-    .build()
-    .expect("pager");
+    let config = PagerConfig::new(Policy::NoReliability)
+        .with_servers(1)
+        .with_transport(test_transport_config());
+    let pager = one_shard(config, pool, Vec::new());
     pager
         .page_out(PageId(1), &Page::deterministic(1))
         .expect("healthy pageout");
-    let out_latency = pager.metrics().histogram("pager_pageout_latency_us");
-    let in_latency = pager.metrics().histogram("pager_pagein_latency_us");
+    // A pageout is booked as it lands (`stats` lands every landing).
+    pager.stats();
+    let histogram = |name| pager.with_shard(0, |p| p.metrics().histogram(name));
+    let out_latency = histogram("pager_pageout_latency_us");
+    let in_latency = histogram("pager_pagein_latency_us");
     assert_eq!(out_latency.count(), 1);
 
     flaky[0].kill();
+    // The pageout returns with its frame on the wire; its landing fails,
+    // and reports it to the next flush.
     pager
         .page_out(PageId(2), &Page::deterministic(2))
-        .expect_err("dead server, no fallback");
+        .expect("on the wire");
+    pager.flush().expect_err("dead server, no fallback");
     pager.page_in(PageId(1)).expect_err("dead server");
     assert_eq!(
         out_latency.count(),

@@ -1,10 +1,14 @@
 //! End-to-end tests of the pager against real TCP memory servers.
 
+mod support;
+
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_cluster::{Registry, ServerInfo};
-use rmp_core::{Pager, ServerPool};
+use rmp_core::{ServerPool, ShardedPager};
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
 use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId, PAGE_SIZE};
+
+use support::one_shard;
 
 /// Spawns `n` servers with `capacity` frames each and returns handles plus
 /// a connected pool.
@@ -31,7 +35,11 @@ fn cluster(n: usize, capacity: usize) -> (Vec<ServerHandle>, ServerPool) {
     (handles, pool)
 }
 
-fn pager(policy: Policy, servers: usize, handles_capacity: usize) -> (Vec<ServerHandle>, Pager) {
+fn pager(
+    policy: Policy,
+    servers: usize,
+    handles_capacity: usize,
+) -> (Vec<ServerHandle>, ShardedPager) {
     let pool_size = match policy {
         // Parity needs the dedicated parity server; erasure coding needs
         // k + 1 distinct servers for its default r = 1 stripe.
@@ -43,23 +51,24 @@ fn pager(policy: Policy, servers: usize, handles_capacity: usize) -> (Vec<Server
         Policy::ErasureCoded => PagerConfig::new(policy).with_ec_splits(servers, 1),
         _ => PagerConfig::new(policy).with_servers(servers),
     };
-    let pager = Pager::builder(config)
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("build pager");
-    (handles, pager)
+    (
+        handles,
+        one_shard(config, pool, vec![Box::new(RamDisk::unbounded())]),
+    )
 }
 
-fn fill(pager: &mut Pager, count: u64) {
+/// Pages out `count` pages and lands them (`stats` lands every landing),
+/// so the servers hold what the test counts.
+fn fill(pager: &ShardedPager, count: u64) {
     for i in 0..count {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .unwrap_or_else(|e| panic!("pageout {i}: {e}"));
     }
+    pager.stats();
 }
 
-fn verify(pager: &mut Pager, count: u64) {
+fn verify(pager: &ShardedPager, count: u64) {
     for i in 0..count {
         let page = pager
             .page_in(PageId(i))
@@ -75,8 +84,8 @@ fn every_policy_round_trips_pages() {
             Policy::BasicParity | Policy::ParityLogging => 4,
             _ => 2,
         };
-        let (_handles, mut pager) = pager(policy, servers, 4096);
-        fill(&mut pager, 50);
+        let (_handles, pager) = pager(policy, servers, 4096);
+        fill(&pager, 50);
         // Overwrite some pages with new contents.
         for i in 0..10u64 {
             pager
@@ -104,8 +113,8 @@ fn every_policy_round_trips_pages() {
 
 #[test]
 fn parity_logging_transfer_overhead_is_one_plus_one_over_s() {
-    let (_handles, mut pager) = pager(Policy::ParityLogging, 4, 4096);
-    fill(&mut pager, 400);
+    let (_handles, pager) = pager(Policy::ParityLogging, 4, 4096);
+    fill(&pager, 400);
     pager.flush().expect("flush");
     let s = pager.stats();
     let overhead = s.outbound_transfers_per_pageout();
@@ -117,168 +126,169 @@ fn parity_logging_transfer_overhead_is_one_plus_one_over_s() {
 
 #[test]
 fn mirroring_transfer_overhead_is_two() {
-    let (_handles, mut pager) = pager(Policy::Mirroring, 2, 4096);
-    fill(&mut pager, 100);
+    let (_handles, pager) = pager(Policy::Mirroring, 2, 4096);
+    fill(&pager, 100);
     let s = pager.stats();
     assert!((s.outbound_transfers_per_pageout() - 2.0).abs() < 1e-9);
 }
 
 #[test]
 fn basic_parity_transfer_overhead_is_two() {
-    let (_handles, mut pager) = pager(Policy::BasicParity, 4, 4096);
-    fill(&mut pager, 100);
+    let (_handles, pager) = pager(Policy::BasicParity, 4, 4096);
+    fill(&pager, 100);
     let s = pager.stats();
     assert!((s.outbound_transfers_per_pageout() - 2.0).abs() < 1e-9);
 }
 
 #[test]
 fn parity_logging_survives_data_server_crash() {
-    let (handles, mut pager) = pager(Policy::ParityLogging, 4, 4096);
-    fill(&mut pager, 200);
+    let (handles, pager) = pager(Policy::ParityLogging, 4, 4096);
+    fill(&pager, 200);
     pager.flush().expect("flush");
     // Kill a data server (id 1 = handles[1]).
     handles[1].crash();
     let report = pager
         .recover_from_crash(ServerId(1))
-        .expect("recovery succeeds");
+        .expect("recovery succeeds")[0];
     assert!(report.pages_rebuilt > 0, "server 1 held pages");
-    verify(&mut pager, 200);
+    verify(&pager, 200);
 }
 
 #[test]
 fn parity_logging_survives_crash_with_pending_group() {
-    let (handles, mut pager) = pager(Policy::ParityLogging, 4, 4096);
+    let (handles, pager) = pager(Policy::ParityLogging, 4, 4096);
     // 4k+2 pageouts leaves 2 pages pending in the buffer.
-    fill(&mut pager, 42);
+    fill(&pager, 42);
     handles[0].crash();
     let _ = pager
         .recover_from_crash(ServerId(0))
         .expect("pending pages recoverable from client buffer");
-    verify(&mut pager, 42);
+    verify(&pager, 42);
 }
 
 #[test]
 fn parity_logging_survives_parity_server_crash() {
-    let (handles, mut pager) = pager(Policy::ParityLogging, 4, 4096);
-    fill(&mut pager, 100);
+    let (handles, pager) = pager(Policy::ParityLogging, 4, 4096);
+    fill(&pager, 100);
     pager.flush().expect("flush");
     // The parity server is the highest-id pool member: handles[4].
     handles[4].crash();
     let report = pager
         .recover_from_crash(ServerId(4))
-        .expect("parity rebuilt");
+        .expect("parity rebuilt")[0];
     assert!(report.parity_rebuilt > 0);
     assert_eq!(report.pages_rebuilt, 0, "no data pages lost");
-    verify(&mut pager, 100);
+    verify(&pager, 100);
     // Reliability is restored: crash another server and recover again.
     handles[2].crash();
     pager
         .recover_from_crash(ServerId(2))
         .expect("second crash still recoverable");
-    verify(&mut pager, 100);
+    verify(&pager, 100);
 }
 
 #[test]
 fn parity_logging_auto_recovers_on_pagein() {
-    let (handles, mut pager) = pager(Policy::ParityLogging, 4, 4096);
-    fill(&mut pager, 100);
+    let (handles, pager) = pager(Policy::ParityLogging, 4, 4096);
+    fill(&pager, 100);
     pager.flush().expect("flush");
     handles[2].crash();
     // No explicit recovery: the pager detects the dead server during the
     // pagein, reconstructs, and retries — the application never notices.
-    verify(&mut pager, 100);
+    verify(&pager, 100);
 }
 
 #[test]
 fn mirroring_survives_crash_and_remirrors() {
-    let (handles, mut pager) = pager(Policy::Mirroring, 3, 4096);
-    fill(&mut pager, 120);
+    let (handles, pager) = pager(Policy::Mirroring, 3, 4096);
+    fill(&pager, 120);
     handles[0].crash();
-    let report = pager.recover_from_crash(ServerId(0)).expect("recovery");
+    let report = pager.recover_from_crash(ServerId(0)).expect("recovery")[0];
     assert!(report.pages_rebuilt > 0);
-    verify(&mut pager, 120);
+    verify(&pager, 120);
     // A second, different crash is survivable because re-mirroring
     // restored two live copies of everything.
     handles[1].crash();
     pager.recover_from_crash(ServerId(1)).expect("second crash");
-    verify(&mut pager, 120);
+    verify(&pager, 120);
 }
 
 #[test]
 fn a_reported_crash_is_a_death_like_any_other() {
-    let (handles, mut pager) = pager(Policy::Mirroring, 3, 4096);
-    fill(&mut pager, 30);
+    let (handles, pager) = pager(Policy::Mirroring, 3, 4096);
+    fill(&pager, 30);
     let victim = ServerId(0);
-    assert!(pager.pool().granted_frames(victim) > 0, "an unused grant");
+    let granted = || pager.with_shard(0, |p| p.pool().granted_frames(victim));
+    assert!(granted() > 0, "an unused grant");
     handles[0].crash();
     // The pool has not touched the server since and still holds it
     // healthy; the pager is told of the crash from outside.
     pager.note_crash(victim);
-    assert!(!pager.pool().view().is_alive(victim));
+    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(victim)));
     assert_eq!(
-        pager.pool().granted_frames(victim),
+        granted(),
         0,
         "grants die with the server, whoever noticed the death"
     );
     assert_eq!(
-        pager.pool().suspicion(victim),
+        pager.with_shard(0, |p| p.pool().suspicion(victim)),
         rmp_core::detector::SUSPICION_CAP
     );
-    let deaths = pager.metrics().counter("pool_deaths_total");
+    let deaths = pager.with_shard(0, |p| p.metrics().counter("pool_deaths_total"));
     assert_eq!(deaths.get(), 1);
     pager.note_crash(victim);
     assert_eq!(deaths.get(), 1, "an already-dead server dies once");
-    verify(&mut pager, 30);
+    verify(&pager, 30);
 }
 
 #[test]
 fn basic_parity_rebuilds_in_place_after_restart() {
-    let (handles, mut pager) = pager(Policy::BasicParity, 4, 4096);
-    fill(&mut pager, 100);
+    let (handles, pager) = pager(Policy::BasicParity, 4, 4096);
+    fill(&pager, 100);
     handles[2].crash();
     // In-place rebuild requires the workstation to rejoin first.
     assert!(pager.recover_from_crash(ServerId(2)).is_err());
     handles[2].restart();
-    pager.pool_mut().reconnect(ServerId(2)).expect("reconnect");
-    let report = pager.recover_from_crash(ServerId(2)).expect("rebuild");
+    pager.reconnect(ServerId(2)).expect("reconnect");
+    let report = pager.recover_from_crash(ServerId(2)).expect("rebuild")[0];
     assert!(report.pages_rebuilt > 0);
-    verify(&mut pager, 100);
+    verify(&pager, 100);
 }
 
 #[test]
 fn basic_parity_rebuilds_parity_server() {
-    let (handles, mut pager) = pager(Policy::BasicParity, 4, 4096);
-    fill(&mut pager, 60);
+    let (handles, pager) = pager(Policy::BasicParity, 4, 4096);
+    fill(&pager, 60);
     handles[4].crash();
     handles[4].restart();
-    pager.pool_mut().reconnect(ServerId(4)).expect("reconnect");
-    let report = pager.recover_from_crash(ServerId(4)).expect("rebuild");
+    pager.reconnect(ServerId(4)).expect("reconnect");
+    let report = pager.recover_from_crash(ServerId(4)).expect("rebuild")[0];
     assert!(report.parity_rebuilt > 0);
     // Now crash a data server: parity must again protect everything.
     handles[1].crash();
     handles[1].restart();
-    pager.pool_mut().reconnect(ServerId(1)).expect("reconnect");
+    pager.reconnect(ServerId(1)).expect("reconnect");
     pager.recover_from_crash(ServerId(1)).expect("data rebuild");
-    verify(&mut pager, 60);
+    verify(&pager, 60);
 }
 
 #[test]
 fn write_through_never_loses_data() {
-    let (handles, mut pager) = pager(Policy::WriteThrough, 2, 4096);
-    fill(&mut pager, 80);
+    let (handles, pager) = pager(Policy::WriteThrough, 2, 4096);
+    fill(&pager, 80);
     handles[0].crash();
     handles[1].crash();
     // Even with every server dead the disk has everything.
-    pager.pool_mut().declare_dead(ServerId(0), "test");
-    pager.pool_mut().declare_dead(ServerId(1), "test");
-    verify(&mut pager, 80);
+    pager.with_shard(0, |p| p.pool_mut().declare_dead(ServerId(0), "test"));
+    pager.with_shard(0, |p| p.pool_mut().declare_dead(ServerId(1), "test"));
+    verify(&pager, 80);
     assert!(pager.stats().disk_reads > 0, "reads fell back to disk");
 }
 
 #[test]
 fn no_reliability_loses_pages_on_crash() {
-    let (handles, mut pager) = pager(Policy::NoReliability, 2, 4096);
-    fill(&mut pager, 50);
+    let (handles, pager) = pager(Policy::NoReliability, 2, 4096);
+    fill(&pager, 50);
     handles[0].crash();
     let err = pager
         .recover_from_crash(ServerId(0))
@@ -289,24 +299,24 @@ fn no_reliability_loses_pages_on_crash() {
 #[test]
 fn allocation_denial_falls_back_to_disk() {
     // Tiny servers: 16 frames each; 100 pages cannot fit remotely.
-    let (_handles, mut pager) = pager(Policy::NoReliability, 2, 16);
-    fill(&mut pager, 100);
-    verify(&mut pager, 100);
+    let (_handles, pager) = pager(Policy::NoReliability, 2, 16);
+    fill(&pager, 100);
+    verify(&pager, 100);
     let s = pager.stats();
     assert!(s.disk_writes > 0, "overflow went to the local disk");
 }
 
 #[test]
 fn rebalance_promotes_disk_pages_when_space_frees() {
-    let (_handles, mut pager) = pager(Policy::NoReliability, 2, 40);
-    fill(&mut pager, 100);
+    let (_handles, pager) = pager(Policy::NoReliability, 2, 40);
+    fill(&pager, 100);
     let before = pager.stats().disk_writes;
     assert!(before > 0, "some pages spilled to disk");
     // Free most remote pages to open space, then rebalance.
     for i in 0..60u64 {
         pager.free(PageId(i)).expect("free");
     }
-    let promoted = pager.rebalance().expect("rebalance");
+    let promoted = pager.with_shard(0, |p| p.rebalance()).expect("rebalance");
     assert!(promoted > 0, "disk pages promoted back to remote memory");
     for i in 60..100u64 {
         assert_eq!(
@@ -346,23 +356,27 @@ impl PagingDevice for StuckFree {
 #[test]
 fn a_page_promoted_off_the_disk_stays_recorded_when_the_disk_cannot_free_it() {
     let (handles, pool) = cluster(2, 64);
-    let mut pager = Pager::builder(PagerConfig::new(Policy::NoReliability).with_servers(2))
-        .pool(pool)
-        .disk(Box::new(StuckFree(RamDisk::unbounded())))
-        .build()
-        .expect("build pager");
+    let config = PagerConfig::new(Policy::NoReliability).with_servers(2);
+    let pager = one_shard(
+        config,
+        pool,
+        vec![Box::new(StuckFree(RamDisk::unbounded()))],
+    );
     // While no server is held alive, pages 0 and 1 go to the disk.
     for server in [ServerId(0), ServerId(1)] {
-        pager.pool_mut().declare_dead(server, "test");
+        pager.with_shard(0, |p| p.pool_mut().declare_dead(server, "test"));
     }
-    fill(&mut pager, 2);
+    fill(&pager, 2);
     for server in [ServerId(0), ServerId(1)] {
-        pager.pool_mut().absolve(server);
+        pager.with_shard(0, |p| p.pool_mut().absolve(server));
     }
     // Page 0 is written anew, and page 1 promoted: each is placed, and
-    // then the disk refuses to free its old copy.
-    assert!(pager.page_out(PageId(0), &Page::filled(7)).is_err());
-    assert!(pager.rebalance().is_err());
+    // then the disk refuses to free its old copy. The pageout returns with
+    // its frame on the wire; its landing reports the refusal, to the next
+    // flush.
+    (pager.page_out(PageId(0), &Page::filled(7))).expect("on the wire");
+    assert!(pager.flush().is_err());
+    assert!(pager.with_shard(0, |p| p.rebalance()).is_err());
     let stored = || {
         handles
             .iter()
@@ -385,25 +399,29 @@ fn a_page_promoted_off_the_disk_stays_recorded_when_the_disk_cannot_free_it() {
 
 #[test]
 fn migrate_from_empties_a_loaded_server() {
-    let (handles, mut pager) = pager(Policy::NoReliability, 3, 4096);
-    fill(&mut pager, 90);
+    let (handles, pager) = pager(Policy::NoReliability, 3, 4096);
+    fill(&pager, 90);
     let loaded: usize = handles[0].stored_pages();
     assert!(loaded > 0);
-    let moved = pager.migrate_from(ServerId(0)).expect("migration");
+    let moved = pager
+        .with_shard(0, |p| p.migrate_from(ServerId(0)))
+        .expect("migration");
     assert_eq!(moved as usize, loaded);
     assert_eq!(handles[0].stored_pages(), 0, "server 0 emptied");
-    verify(&mut pager, 90);
+    verify(&pager, 90);
     assert_eq!(pager.stats().migrations, moved);
 }
 
 #[test]
 fn parity_logging_migration_relogs_pages() {
-    let (handles, mut pager) = pager(Policy::ParityLogging, 4, 4096);
-    fill(&mut pager, 80);
+    let (handles, pager) = pager(Policy::ParityLogging, 4, 4096);
+    fill(&pager, 80);
     pager.flush().expect("flush");
-    let moved = pager.migrate_from(ServerId(0)).expect("migration");
+    let moved = pager
+        .with_shard(0, |p| p.migrate_from(ServerId(0)))
+        .expect("migration");
     assert!(moved > 0);
-    verify(&mut pager, 80);
+    verify(&pager, 80);
     // Old versions drain as groups go inactive; the stale copies on
     // server 0 disappear once every group containing them is reclaimed.
     let _ = handles; // Keep servers alive to the end.
@@ -411,18 +429,18 @@ fn parity_logging_migration_relogs_pages() {
 
 #[test]
 fn basic_parity_cannot_migrate() {
-    let (_handles, mut pager) = pager(Policy::BasicParity, 4, 4096);
-    fill(&mut pager, 10);
+    let (_handles, pager) = pager(Policy::BasicParity, 4, 4096);
+    fill(&pager, 10);
     assert!(matches!(
-        pager.migrate_from(ServerId(0)),
+        pager.with_shard(0, |p| p.migrate_from(ServerId(0))),
         Err(RmpError::Unsupported(_))
     ));
 }
 
 #[test]
 fn free_releases_remote_storage() {
-    let (handles, mut pager) = pager(Policy::NoReliability, 2, 4096);
-    fill(&mut pager, 40);
+    let (handles, pager) = pager(Policy::NoReliability, 2, 4096);
+    fill(&pager, 40);
     let stored: usize = handles.iter().map(|h| h.stored_pages()).sum();
     assert_eq!(stored, 40);
     for i in 0..40u64 {
@@ -438,13 +456,13 @@ fn free_releases_remote_storage() {
 
 #[test]
 fn parity_logging_reclaims_fully_inactive_groups() {
-    let (handles, mut pager) = pager(Policy::ParityLogging, 4, 4096);
+    let (handles, pager) = pager(Policy::ParityLogging, 4, 4096);
     // Two full rounds over the same pages: the first round's groups all
     // go inactive when the second round reregisters every page.
-    fill(&mut pager, 64);
+    fill(&pager, 64);
     pager.flush().expect("flush");
     let after_first: usize = handles.iter().map(|h| h.stored_pages()).sum();
-    fill(&mut pager, 64);
+    fill(&pager, 64);
     pager.flush().expect("flush");
     let s = pager.stats();
     assert!(
@@ -458,13 +476,13 @@ fn parity_logging_reclaims_fully_inactive_groups() {
         after_second <= after_first + 8,
         "storage bounded: {after_second} vs {after_first}"
     );
-    verify(&mut pager, 64);
+    verify(&pager, 64);
 }
 
 #[test]
 fn parity_logging_gc_compacts_under_memory_pressure() {
     // Small servers force the log to hit the capacity wall and GC.
-    let (_handles, mut pager) = pager(Policy::ParityLogging, 4, 64);
+    let (_handles, pager) = pager(Policy::ParityLogging, 4, 64);
     // Rewrite a small working set many times: versions accumulate until
     // GC reclaims inactive groups.
     for round in 0..20u64 {
@@ -493,22 +511,19 @@ fn adaptive_switch_prefers_disk_under_slow_network() {
         // Loopback service times are microseconds; an absurdly low
         // threshold forces the switch immediately.
         .with_adaptive_threshold_ms(1e-9);
-    let mut pager = Pager::builder(config)
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("build");
-    fill(&mut pager, 20);
-    assert!(pager.prefers_disk(), "switch engaged");
+    let pager = one_shard(config, pool, vec![Box::new(RamDisk::unbounded())]);
+    fill(&pager, 20);
+    assert!(pager.with_shard(0, |p| p.prefers_disk()), "switch engaged");
     assert!(pager.stats().disk_writes > 0);
-    verify(&mut pager, 20);
+    verify(&pager, 20);
 }
 
 #[test]
 fn pager_requires_enough_servers() {
     let (_handles, pool) = cluster(2, 128);
-    let result = Pager::builder(PagerConfig::new(Policy::ParityLogging).with_servers(4))
-        .pool(pool)
+    let config = PagerConfig::new(Policy::ParityLogging).with_servers(4);
+    let result = ShardedPager::builder(config.with_shard_count(1))
+        .pools(vec![pool])
         .build();
     match result {
         Err(RmpError::Config(_)) => {}
@@ -519,9 +534,9 @@ fn pager_requires_enough_servers() {
 
 #[test]
 fn stats_track_both_directions() {
-    let (_handles, mut pager) = pager(Policy::NoReliability, 2, 4096);
-    fill(&mut pager, 30);
-    verify(&mut pager, 30);
+    let (_handles, pager) = pager(Policy::NoReliability, 2, 4096);
+    fill(&pager, 30);
+    verify(&pager, 30);
     let s = pager.stats();
     assert_eq!(s.net_data_transfers, 30);
     assert_eq!(s.net_fetches, 30);
@@ -531,21 +546,19 @@ fn stats_track_both_directions() {
 /// Builds an erasure-coded pager over `n` servers with a `k` + `r`
 /// stripe (bypasses the generic helper, which pins the stripe width to
 /// the cluster size).
-fn ec_pager(n: usize, k: usize, r: usize) -> (Vec<ServerHandle>, Pager) {
+fn ec_pager(n: usize, k: usize, r: usize) -> (Vec<ServerHandle>, ShardedPager) {
     let (handles, pool) = cluster(n, 4096);
     let config = PagerConfig::new(Policy::ErasureCoded).with_ec_splits(k, r);
-    let pager = Pager::builder(config)
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("build pager");
-    (handles, pager)
+    (
+        handles,
+        one_shard(config, pool, vec![Box::new(RamDisk::unbounded())]),
+    )
 }
 
 #[test]
 fn erasure_coded_transfer_overhead_counts_split_frames() {
-    let (_handles, mut pager) = ec_pager(3, 2, 1);
-    fill(&mut pager, 100);
+    let (_handles, pager) = ec_pager(3, 2, 1);
+    fill(&pager, 100);
     let s = pager.stats();
     // k + r = 3 split-sized frames leave the client per pageout.
     assert!(
@@ -563,8 +576,8 @@ fn stored_bytes(handles: &[ServerHandle]) -> usize {
 #[test]
 fn erasure_coded_stores_one_and_a_quarter_pages_a_page() {
     const N: u64 = 64;
-    let (handles, mut coded) = ec_pager(5, 4, 1);
-    fill(&mut coded, N);
+    let (handles, coded) = ec_pager(5, 4, 1);
+    fill(&coded, N);
     // Five units of PAGE_SIZE / 4 bytes each: 1 + r/k pages a page.
     let closed_form = N as usize * 5 * PAGE_SIZE / 4;
     assert_eq!(stored_bytes(&handles), closed_form);
@@ -581,6 +594,8 @@ fn erasure_coded_stores_one_and_a_quarter_pages_a_page() {
             .page_out(PageId(i), &Page::deterministic(N + i))
             .expect("rewrite");
     }
+    // Every rewrite lands before the servers are counted.
+    coded.stats();
     assert_eq!(stored_bytes(&handles), closed_form);
     for i in 0..N {
         assert_eq!(
@@ -589,8 +604,8 @@ fn erasure_coded_stores_one_and_a_quarter_pages_a_page() {
         );
     }
 
-    let (handles, mut mirrored) = pager(Policy::Mirroring, 2, 4096);
-    fill(&mut mirrored, N);
+    let (handles, mirrored) = pager(Policy::Mirroring, 2, 4096);
+    fill(&mirrored, N);
     assert_eq!(stored_bytes(&handles), 2 * N as usize * PAGE_SIZE);
 }
 
@@ -601,38 +616,38 @@ fn erasure_coded_survives_any_single_server_crash() {
     // one parity split covers that. A doubled-up placement would make
     // some victim unrecoverable.
     for victim in 0..3usize {
-        let (handles, mut pager) = ec_pager(3, 2, 1);
-        fill(&mut pager, 60);
+        let (handles, pager) = ec_pager(3, 2, 1);
+        fill(&pager, 60);
         assert!(
             handles[victim].stored_pages() > 0,
             "srv{victim} holds splits, so the crash actually loses data"
         );
         handles[victim].crash();
-        verify(&mut pager, 60);
+        verify(&pager, 60);
     }
 }
 
 #[test]
 fn erasure_coded_rebuilds_lost_splits_onto_a_spare() {
-    let (handles, mut pager) = ec_pager(4, 2, 1);
-    fill(&mut pager, 120);
+    let (handles, pager) = ec_pager(4, 2, 1);
+    fill(&pager, 120);
     handles[0].crash();
-    let report = pager.recover_from_crash(ServerId(0)).expect("recovery");
+    let report = pager.recover_from_crash(ServerId(0)).expect("recovery")[0];
     assert!(report.pages_rebuilt > 0, "server 0 held splits");
-    verify(&mut pager, 120);
+    verify(&pager, 120);
     // Redundancy was restored onto the spare: a second, different crash
     // is survivable too.
     handles[1].crash();
     pager.recover_from_crash(ServerId(1)).expect("second crash");
-    verify(&mut pager, 120);
+    verify(&pager, 120);
 }
 
 #[test]
 fn erasure_coded_wide_stripe_survives_r_crashes() {
-    let (handles, mut pager) = ec_pager(6, 4, 2);
-    fill(&mut pager, 40);
+    let (handles, pager) = ec_pager(6, 4, 2);
+    fill(&pager, 40);
     // r = 2 parity splits tolerate two lost servers at once.
     handles[0].crash();
     handles[3].crash();
-    verify(&mut pager, 40);
+    verify(&pager, 40);
 }

@@ -8,16 +8,20 @@
 //! All of it runs on the in-process chaos cluster: faults are scripted,
 //! nothing waits on a timer to line events up.
 
+mod support;
+
 use std::time::Duration;
 
 use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
 use rmp_core::detector::GRAY_SUSPICION;
-use rmp_core::{Clock, Pager, Readable, ShardedPager};
+use rmp_core::{Clock, Readable, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{
     Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, StoreKey, TransportConfig,
 };
+
+use support::{counted, one_shard};
 
 /// In-process servers under `plan`, on a manual clock: delays and
 /// backoffs advance it, and nothing here waits on the wall clock.
@@ -37,16 +41,14 @@ fn fast_transport() -> TransportConfig {
     }
 }
 
-fn pager(cluster: &ChaosCluster, config: PagerConfig) -> Pager {
+/// A one-shard pager over `cluster`, with a RAM disk.
+fn pager(cluster: &ChaosCluster, config: PagerConfig) -> ShardedPager {
     let config = config.with_transport(fast_transport());
-    Pager::builder(config.clone())
-        .pool(cluster.pool(&config.transport))
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("pager")
+    let pool = cluster.pool(&config.transport);
+    one_shard(config, pool, vec![Box::new(RamDisk::unbounded())])
 }
 
-fn fill(pager: &mut Pager, pages: u64) {
+fn fill(pager: &ShardedPager, pages: u64) {
     for i in 0..pages {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -55,18 +57,28 @@ fn fill(pager: &mut Pager, pages: u64) {
     }
 }
 
-/// `pager_prefetch_{issued, hits, useless}_total`, and the copies held.
-fn ledger(pager: &Pager) -> (u64, u64, u64, u64) {
-    let count = |name| pager.metrics().counter(name).get();
-    (
-        count("pager_prefetch_issued_total"),
-        count("pager_prefetch_hits_total"),
-        count("pager_prefetch_useless_total"),
-        pager.read_ahead_held() as u64,
-    )
+/// `pager_prefetch_{issued, hits, useless}_total`, and the copies held,
+/// summed over the shards.
+fn ledger(pager: &ShardedPager) -> (u64, u64, u64, u64) {
+    let of_shard = |s| {
+        pager.with_shard(s, |p| {
+            let count = |name| p.metrics().counter(name).get();
+            (
+                count("pager_prefetch_issued_total"),
+                count("pager_prefetch_hits_total"),
+                count("pager_prefetch_useless_total"),
+                p.read_ahead_held() as u64,
+            )
+        })
+    };
+    (0..pager.shard_count())
+        .map(of_shard)
+        .fold((0, 0, 0, 0), |sum, l| {
+            (sum.0 + l.0, sum.1 + l.1, sum.2 + l.2, sum.3 + l.3)
+        })
 }
 
-fn assert_ledger_balances(pager: &Pager) {
+fn assert_ledger_balances(pager: &ShardedPager) {
     let (issued, hits, useless, held) = ledger(pager);
     assert_eq!(
         issued,
@@ -76,7 +88,7 @@ fn assert_ledger_balances(pager: &Pager) {
 }
 
 /// Reads `ids`, checking contents; returns how many reads succeeded.
-fn read(pager: &mut Pager, ids: impl IntoIterator<Item = u64>) -> u64 {
+fn read(pager: &ShardedPager, ids: impl IntoIterator<Item = u64>) -> u64 {
     let mut served = 0;
     for i in ids {
         if let Ok(page) = pager.page_in(PageId(i)) {
@@ -92,7 +104,7 @@ fn read(pager: &mut Pager, ids: impl IntoIterator<Item = u64>) -> u64 {
 /// the latency baselines, then turns server 0 gray: every data call is
 /// served 20 ms late, on the cluster's manual clock — which moves only
 /// then, so in-process latencies are none at all.
-fn gray_mirrors(seed: u64, pages: u64) -> (ChaosCluster, Pager) {
+fn gray_mirrors(seed: u64, pages: u64) -> (ChaosCluster, ShardedPager) {
     gray_cluster(2, PagerConfig::new(Policy::Mirroring), seed, pages)
 }
 
@@ -102,11 +114,11 @@ fn gray_cluster(
     config: PagerConfig,
     seed: u64,
     pages: u64,
-) -> (ChaosCluster, Pager) {
+) -> (ChaosCluster, ShardedPager) {
     let cluster = in_process(servers, FaultPlan::seeded(seed));
-    let mut pager = pager(&cluster, config.with_prefetch_window(0));
-    fill(&mut pager, pages);
-    assert_eq!(read(&mut pager, 0..pages), pages);
+    let pager = pager(&cluster, config.with_prefetch_window(0));
+    fill(&pager, pages);
+    assert_eq!(read(&pager, 0..pages), pages);
     cluster.plan().inject(
         FaultRule::new(FaultAction::Delay(Duration::from_millis(20)))
             .on_server(ServerId(0))
@@ -118,9 +130,9 @@ fn gray_cluster(
 
 /// Reads round and round `0..pages` until server 0 looks gray enough to
 /// be read around; returns how many reads that took.
-fn read_until_gray(pager: &mut Pager, pages: u64) -> u64 {
+fn read_until_gray(pager: &ShardedPager, pages: u64) -> u64 {
     let mut reads = 0;
-    while pager.pool().suspicion(ServerId(0)) < GRAY_SUSPICION {
+    while pager.with_shard(0, |p| p.pool().suspicion(ServerId(0))) < GRAY_SUSPICION {
         assert!(reads < 4 * pages, "server 0 never looked gray");
         assert_eq!(read(pager, [reads % pages]), 1);
         reads += 1;
@@ -130,10 +142,10 @@ fn read_until_gray(pager: &mut Pager, pages: u64) -> u64 {
 
 #[test]
 fn reads_around_a_gray_holder_are_degraded_reads() {
-    let (_cluster, mut pager) = gray_mirrors(1, 32);
-    read_until_gray(&mut pager, 32);
+    let (_cluster, pager) = gray_mirrors(1, 32);
+    read_until_gray(&pager, 32);
     let before = pager.stats();
-    assert_eq!(read(&mut pager, 0..32), 32);
+    assert_eq!(read(&pager, 0..32), 32);
     let after = pager.stats();
     assert_eq!(after.pageins - before.pageins, 32, "each read is a pagein");
     assert_eq!(
@@ -141,9 +153,12 @@ fn reads_around_a_gray_holder_are_degraded_reads() {
         32,
         "and a degraded read: each went around the gray holder"
     );
-    assert!(pager.pool().view().is_alive(ServerId(0)), "gray, not dead");
+    assert!(
+        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
+        "gray, not dead"
+    );
     assert_eq!(pager.recovery_backlog(), 0, "nothing to rebuild");
-    assert!(pager.pool().suspicion(ServerId(0)) >= GRAY_SUSPICION);
+    assert!(pager.with_shard(0, |p| p.pool().suspicion(ServerId(0))) >= GRAY_SUSPICION);
 }
 
 #[test]
@@ -172,9 +187,9 @@ fn a_lone_server_is_never_gray() {
 fn a_backing_off_holder_is_read_when_the_way_around_is_gone() {
     let cluster = in_process(2, FaultPlan::seeded(12));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(0);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 8);
-    pager.pool_mut().declare_dead(ServerId(1), "test");
+    let pager = pager(&cluster, config);
+    fill(&pager, 8);
+    pager.with_shard(0, |p| p.pool_mut().declare_dead(ServerId(1), "test"));
     // The first read of server 0 is lost: server 0 backs off, and the
     // mirror that could serve around it is dead.
     cluster.plan().inject(
@@ -193,29 +208,29 @@ fn a_backing_off_holder_is_read_when_the_way_around_is_gone() {
     }
     assert_eq!(cluster.plan().events().len(), 1, "the drop fired");
     assert!(
-        pager.metrics().counter("pool_retries_total").get() >= 1,
+        counted(&pager, "pool_retries_total") >= 1,
         "the read climbed server 0's rung"
     );
-    assert!(pager.pool().view().is_alive(ServerId(0)));
+    assert!(pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
 }
 
 #[test]
 fn a_gray_holder_is_read_when_the_way_around_is_gone() {
-    let (_cluster, mut pager) = gray_mirrors(13, 8);
-    pager.pool_mut().declare_dead(ServerId(1), "test");
+    let (_cluster, pager) = gray_mirrors(13, 8);
+    pager.with_shard(0, |p| p.pool_mut().declare_dead(ServerId(1), "test"));
     // Once server 0 looks gray its reads go around it, find the mirror
     // dead, and read it after all.
-    let warm = read_until_gray(&mut pager, 8);
-    assert_eq!(read(&mut pager, (0..16).map(|i| i % 8)), 16);
+    let warm = read_until_gray(&pager, 8);
+    assert_eq!(read(&pager, (0..16).map(|i| i % 8)), 16);
     assert_eq!(pager.stats().pageins, 8 + warm + 16);
     assert_eq!(pager.stats().degraded_reads, 0);
-    assert!(pager.pool().suspicion(ServerId(0)) >= GRAY_SUSPICION);
+    assert!(pager.with_shard(0, |p| p.pool().suspicion(ServerId(0))) >= GRAY_SUSPICION);
 }
 
 #[test]
 fn a_gray_holder_is_read_when_the_way_around_is_corrupt() {
-    let (cluster, mut pager) = gray_mirrors(14, 8);
-    read_until_gray(&mut pager, 8);
+    let (cluster, pager) = gray_mirrors(14, 8);
+    read_until_gray(&pager, 8);
     // Every copy the mirror sends back now arrives with a flipped bit:
     // each read around the gray primary fails its checksum, and the
     // primary, alive and holding good bytes, serves it after all.
@@ -236,26 +251,26 @@ fn a_gray_holder_is_read_when_the_way_around_is_corrupt() {
         .count() as u64;
     assert!(flips >= 1, "the mirror was read around the gray holder");
     assert_eq!(pager.stats().checksum_failures, flips);
-    assert!(pager.pool().view().is_alive(ServerId(0)));
+    assert!(pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
 }
 
 #[test]
 fn a_dead_holder_stays_refused_when_a_gray_one_is_read() {
     let config = PagerConfig::new(Policy::ErasureCoded).with_ec_splits(2, 1);
-    let (cluster, mut pager) = gray_cluster(3, config, 15, 8);
-    read_until_gray(&mut pager, 8);
+    let (cluster, pager) = gray_cluster(3, config, 15, 8);
+    read_until_gray(&pager, 8);
     cluster.server(1).crash();
-    pager.pool_mut().declare_dead(ServerId(1), "test");
+    pager.with_shard(0, |p| p.pool_mut().declare_dead(ServerId(1), "test"));
     // A stripe with its data on gray 0 and dead 1 cannot be read around
     // 0: the gray holder is read after all, and dead 1 is read around
     // from 0 and the parity — never dialled, so no rung is climbed.
-    let retries = pager.metrics().counter("pool_retries_total").get();
+    let retries = counted(&pager, "pool_retries_total");
     for i in 0..8 {
         let page = pager.page_in(PageId(i));
         assert_eq!(page.expect("served"), Page::deterministic(i));
     }
     assert_eq!(
-        pager.metrics().counter("pool_retries_total").get(),
+        counted(&pager, "pool_retries_total"),
         retries,
         "no read climbed the dead holder's ladder"
     );
@@ -265,12 +280,12 @@ fn a_dead_holder_stays_refused_when_a_gray_one_is_read() {
 fn degraded_pageins_are_counted_once() {
     let cluster = in_process(3, FaultPlan::seeded(2));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(0);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 24);
+    let pager = pager(&cluster, config);
+    fill(&pager, 24);
     cluster.server(0).crash();
     // One read discovers the crash, the rest go around a primary that is
     // backing off — or, once its rungs have run out, dead.
-    let served = read(&mut pager, 0..24);
+    let served = read(&pager, 0..24);
     assert_eq!(served, 24);
     assert!(pager.stats().degraded_reads > 1);
     assert_eq!(pager.stats().pageins, served);
@@ -280,17 +295,17 @@ fn degraded_pageins_are_counted_once() {
 fn prefetch_hits_are_counted_once() {
     let cluster = in_process(2, FaultPlan::seeded(3));
     let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 64);
+    let pager = pager(&cluster, config);
+    fill(&pager, 64);
     // A delay of nothing changes nothing and fires on every submission:
     // the plan's trace is a log of what went to the wire.
     cluster
         .plan()
         .inject(FaultRule::new(FaultAction::Delay(Duration::ZERO)));
     cluster.plan().arm();
-    let served = read(&mut pager, 0..64);
+    let served = read(&pager, 0..64);
     assert_eq!(served, 64);
-    let hits = pager.metrics().counter("pager_prefetch_hits_total").get();
+    let hits = counted(&pager, "pager_prefetch_hits_total");
     assert!(hits > 0, "a sequential scan hits the prefetch cache");
     assert_eq!(pager.stats().pageins, served);
     let events = cluster.plan().events();
@@ -314,39 +329,39 @@ fn prefetch_hits_are_counted_once() {
 fn every_way_a_read_ahead_is_lost_counts_it_useless() {
     let cluster = in_process(2, FaultPlan::seeded(9));
     let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 32);
+    let pager = pager(&cluster, config);
+    fill(&pager, 32);
     // 0, 1, 2 start a run: page 3 is read ahead, and overtaken by a write
     // before any fault collects it.
-    assert_eq!(read(&mut pager, 0..3), 3);
+    assert_eq!(read(&pager, 0..3), 3);
     assert_eq!(ledger(&pager), (1, 0, 0, 1));
     (pager.page_out(PageId(3), &Page::deterministic(3))).expect("overwrite");
     assert_eq!(ledger(&pager), (1, 0, 1, 0), "voided on the wire");
     // 3 misses and restarts the run with page 4; 4 hits and plans 5 and
     // 6 — and the read of 5 is lost on the wire.
-    assert_eq!(read(&mut pager, 3..4), 1);
+    assert_eq!(read(&pager, 3..4), 1);
     cluster.plan().inject(
         FaultRule::new(FaultAction::Drop)
             .on_ops(OpFilter::Op(Opcode::PageIn))
             .times(1),
     );
     cluster.plan().arm();
-    assert_eq!(read(&mut pager, 4..5), 1);
+    assert_eq!(read(&pager, 4..5), 1);
     assert_eq!(cluster.plan().events().len(), 1, "the drop fired");
     assert_eq!(
         ledger(&pager),
         (4, 1, 1, 2),
         "a lost read is held until collected"
     );
-    let retries = pager.metrics().counter("pool_retries_total").get();
-    assert_eq!(read(&mut pager, 5..7), 2);
+    let retries = counted(&pager, "pool_retries_total");
+    assert_eq!(read(&pager, 5..7), 2);
     assert_eq!(
         ledger(&pager),
         (5, 2, 2, 1),
         "5 failed, 6 hit and planned 7"
     );
     assert_eq!(
-        pager.metrics().counter("pool_retries_total").get(),
+        counted(&pager, "pool_retries_total"),
         retries,
         "a speculative fetch spent the retry budget"
     );
@@ -359,19 +374,22 @@ fn every_way_a_read_ahead_is_lost_counts_it_useless() {
 fn a_rewrite_voids_the_read_behind_it_overtakes() {
     let cluster = in_process(2, FaultPlan::seeded(16));
     let config = PagerConfig::new(Policy::NoReliability).with_prefetch_window(8);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 2);
+    let pager = pager(&cluster, config);
+    fill(&pager, 2);
     // Faults 0, 1, 0, 1: page 0 is followed by page 1 twice running, so
     // it loops; nothing is read ahead.
-    assert_eq!(read(&mut pager, [0, 1, 0, 1]), 4);
+    assert_eq!(read(&pager, [0, 1, 0, 1]), 4);
     assert_eq!(ledger(&pager), (0, 0, 0, 0));
-    // Its acknowledged pageout reads it back behind the write.
+    // Its acknowledged pageout reads it back behind the write, as it
+    // lands (`stats` lands every landing).
     let (first, second) = (Page::deterministic(100), Page::deterministic(101));
     pager.page_out(PageId(0), &first).expect("rewrite");
+    pager.stats();
     assert_eq!(ledger(&pager), (1, 0, 0, 1));
     // Rewritten before any fault takes it: that copy is void, and the
     // new write is read behind in its place.
     pager.page_out(PageId(0), &second).expect("rewrite");
+    pager.stats();
     assert_eq!(ledger(&pager), (2, 0, 1, 1));
     assert_eq!(pager.page_in(PageId(0)).expect("a hit"), second);
     assert_eq!(ledger(&pager).1, 1, "the fault took the fresh copy");
@@ -383,24 +401,24 @@ fn a_rewrite_voids_the_read_behind_it_overtakes() {
 fn a_recovery_counts_the_copies_it_drops_useless() {
     let cluster = in_process(3, FaultPlan::seeded(10));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 16);
-    assert_eq!(read(&mut pager, 0..5), 5);
+    let pager = pager(&cluster, config);
+    fill(&pager, 16);
+    assert_eq!(read(&pager, 0..5), 5);
     let (_, _, useless, held) = ledger(&pager);
     assert!(held > 0, "a run is under way");
     cluster.server(1).crash();
     pager.recover_from_crash(ServerId(1)).expect("rebuilt");
     assert_eq!(ledger(&pager).2, useless + held);
     assert_ledger_balances(&pager);
-    assert_eq!(read(&mut pager, 5..16), 11);
+    assert_eq!(read(&pager, 5..16), 11);
 }
 
 #[test]
 fn wire_corruption_is_counted_once_in_both_ledgers() {
     let cluster = in_process(2, FaultPlan::seeded(8));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(0);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 4);
+    let pager = pager(&cluster, config);
+    fill(&pager, 4);
     cluster.plan().inject(
         FaultRule::new(FaultAction::CorruptReply { byte: 100, bit: 3 })
             .on_ops(OpFilter::Op(Opcode::PageIn))
@@ -408,14 +426,11 @@ fn wire_corruption_is_counted_once_in_both_ledgers() {
     );
     cluster.plan().arm();
     // The pool catches the flipped bit on the wire; the mirror serves it.
-    assert_eq!(read(&mut pager, 0..4), 4);
+    assert_eq!(read(&pager, 0..4), 4);
     assert_eq!(cluster.plan().events().len(), 1, "the flip fired");
     assert_eq!(pager.stats().checksum_failures, 1);
     assert_eq!(
-        pager
-            .metrics()
-            .counter("pager_checksum_failures_total")
-            .get(),
+        counted(&pager, "pager_checksum_failures_total"),
         pager.stats().checksum_failures,
         "the registry and the transfer stats tell one story"
     );
@@ -426,8 +441,8 @@ fn a_pageout_retried_after_recovery_is_counted_once() {
     // Three data servers, the parity server (the last one) and a spare.
     let cluster = in_process(5, FaultPlan::seeded(4));
     let config = PagerConfig::new(Policy::ParityLogging).with_servers(3);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 6);
+    let pager = pager(&cluster, config);
+    fill(&pager, 6);
     // The parity server dies. The pageout that seals the next group finds
     // out, the pager recovers onto the spare and runs the pageout again.
     cluster.server(4).crash();
@@ -438,21 +453,21 @@ fn a_pageout_retried_after_recovery_is_counted_once() {
         }
     }
     assert!(
-        !pager.pool().view().is_alive(ServerId(4)),
+        !pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(4))),
         "a pageout ran into the dead parity server"
     );
     assert_eq!(written, 12, "recover-and-retry served every pageout");
     assert_eq!(pager.stats().pageouts, written);
-    assert_eq!(read(&mut pager, 0..12), 12);
+    assert_eq!(read(&pager, 0..12), 12);
 }
 
 #[test]
 fn a_failed_operation_is_not_counted() {
     let cluster = in_process(2, FaultPlan::seeded(5));
-    let mut pager = pager(&cluster, PagerConfig::new(Policy::NoReliability));
-    fill(&mut pager, 4);
+    let pager = pager(&cluster, PagerConfig::new(Policy::NoReliability));
+    fill(&pager, 4);
     assert!(pager.page_in(PageId(99)).is_err());
-    assert_eq!(read(&mut pager, 0..4), 4);
+    assert_eq!(read(&pager, 0..4), 4);
     assert_eq!(pager.stats().pageins, 4);
     assert_eq!(pager.stats().pageouts, 4);
 }
@@ -465,14 +480,14 @@ fn a_known_dead_holder_is_not_dialled_again() {
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(3)
         .with_prefetch_window(0);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 12);
+    let pager = pager(&cluster, config);
+    fill(&pager, 12);
     cluster.server(0).crash();
     // This read discovers the crash and goes around it; a load probe has
     // no way around, and pays the rest of the pool's retry budget.
-    assert_eq!(read(&mut pager, [0]), 1);
-    pager.pool_mut().refresh_loads();
-    assert!(!pager.pool().view().is_alive(ServerId(0)));
+    assert_eq!(read(&pager, [0]), 1);
+    pager.with_shard(0, |p| p.pool_mut().refresh_loads());
+    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
     // From here on every call that reaches server 0's transport leaves
     // an event behind.
     cluster
@@ -480,7 +495,7 @@ fn a_known_dead_holder_is_not_dialled_again() {
         .inject(FaultRule::new(FaultAction::Drop).on_server(ServerId(0)));
     cluster.plan().arm();
     let degraded = pager.stats().degraded_reads;
-    assert_eq!(read(&mut pager, [3, 6, 9]), 3);
+    assert_eq!(read(&pager, [3, 6, 9]), 3);
     assert_eq!(pager.stats().degraded_reads, degraded + 3);
     assert_eq!(
         cluster.plan().events(),
@@ -497,26 +512,29 @@ fn prefetch_is_not_aimed_at_a_known_dead_holder() {
     // gray: only the view says it is gone.
     let cluster = in_process(2, FaultPlan::seeded(7));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);
-    let mut pager = pager(&cluster, config);
-    fill(&mut pager, 48);
+    let pager = pager(&cluster, config);
+    fill(&pager, 48);
     cluster.server(0).crash();
     // A load probe notices the crash and pays the pool's retry budget.
-    assert_eq!(pager.pool_mut().refresh_loads(), vec![ServerId(0)]);
-    let retries = pager.metrics().counter("pool_retries_total").get();
+    assert_eq!(
+        pager.with_shard(0, |p| p.pool_mut().refresh_loads()),
+        vec![ServerId(0)]
+    );
+    let retries = counted(&pager, "pool_retries_total");
     // From here on every call that reaches server 0's transport leaves
     // an event behind.
     cluster
         .plan()
         .inject(FaultRule::new(FaultAction::Drop).on_server(ServerId(0)));
     cluster.plan().arm();
-    assert_eq!(read(&mut pager, 0..48), 48);
+    assert_eq!(read(&pager, 0..48), 48);
     assert_eq!(
         cluster.plan().events(),
         Vec::new(),
         "read-ahead dialled server 0 although the view holds it dead"
     );
     assert_eq!(
-        pager.metrics().counter("pool_retries_total").get(),
+        counted(&pager, "pool_retries_total"),
         retries,
         "a speculative fetch spent the retry budget"
     );
@@ -594,27 +612,31 @@ impl GaussTrace {
     }
 }
 
-/// Replays two solves through `dev` — the first has no copy on the
+/// Replays two solves through `pager` — the first has no copy on the
 /// device to fault in until it evicts one, every later one is like the
 /// second — and returns the second's pageins, those served without a
 /// demand read (read-ahead hits and faults served from the page a landing
-/// keeps) and pages fetched (demand reads and read-ahead), `counters`
-/// being the device's `(issued, hits, useless, held)` and its landing
-/// hits.
-fn replay_gauss<D: PagingDevice>(
-    dev: &mut D,
-    counters: impl Fn(&D) -> ((u64, u64, u64, u64), u64),
-) -> [u64; 3] {
+/// keeps) and pages fetched (demand reads and read-ahead).
+fn replay_gauss(pager: &mut ShardedPager) -> [u64; 3] {
+    // The read-ahead ledger and the landing hits, over every shard.
+    let counters = |pager: &ShardedPager| {
+        let kept =
+            |s| pager.with_shard(s, |p| p.metrics().counter("pager_landing_hits_total").get());
+        (
+            ledger(pager),
+            (0..pager.shard_count()).map(kept).sum::<u64>(),
+        )
+    };
     let mut trace = GaussTrace {
         frames: Vec::new(),
         tick: 0,
         stored: [None; 9],
         pageins: 0,
     };
-    trace.solve(dev);
-    let ((issued_before, hits_before, useless_before, _), kept_before) = counters(dev);
-    let pageins = trace.solve(dev);
-    let ((issued, hits, useless, held), kept) = counters(dev);
+    trace.solve(pager);
+    let ((issued_before, hits_before, useless_before, _), kept_before) = counters(pager);
+    let pageins = trace.solve(pager);
+    let ((issued, hits, useless, held), kept) = counters(pager);
     assert_eq!(issued, hits + useless + held, "the ledger balances");
     let (issued, hits, kept) = (
         issued - issued_before,
@@ -632,12 +654,6 @@ fn replay_gauss<D: PagingDevice>(
     [pageins, served, pageins - served + issued]
 }
 
-/// `pager`'s read-ahead ledger and its landing hits.
-fn ledger_and_kept(pager: &Pager) -> ((u64, u64, u64, u64), u64) {
-    let kept = pager.metrics().counter("pager_landing_hits_total").get();
-    (ledger(pager), kept)
-}
-
 #[test]
 fn read_ahead_on_the_gauss_trace_is_the_same_however_many_shards() {
     let config = PagerConfig::new(Policy::ParityLogging)
@@ -651,33 +667,19 @@ fn read_ahead_on_the_gauss_trace_is_the_same_however_many_shards() {
         let mut sharded = (ShardedPager::builder(config.clone()).pools(pools.collect()))
             .build()
             .expect("sharded pager");
-        runs.push(replay_gauss(&mut sharded, |sharded| {
-            let of_shard = |s| sharded.with_shard(s, |p| ledger_and_kept(p));
-            (0..shards)
-                .map(of_shard)
-                .fold(((0, 0, 0, 0), 0), |(sum, k), (l, kept)| {
-                    let sum = (sum.0 + l.0, sum.1 + l.1, sum.2 + l.2, sum.3 + l.3);
-                    (sum, k + kept)
-                })
-        }));
+        runs.push(replay_gauss(&mut sharded));
     }
-    // A lone pager decides for itself, with a planner like the front
-    // door's, and keeps no landing: every fault it does not read ahead
-    // is a demand read.
-    let cluster = in_process(4, FaultPlan::seeded(11));
-    let lone = replay_gauss(&mut pager(&cluster, config), ledger_and_kept);
-    println!(
-        "[pageins, served without a demand read, pages fetched] a solve: {runs:?}, lone {lone:?}"
-    );
-    for [pageins, served, fetched] in runs.iter().copied().chain([lone]) {
+    println!("[pageins, served without a demand read, pages fetched] a solve: {runs:?}");
+    for [pageins, served, fetched] in runs.iter().copied() {
         assert_eq!(pageins, 395, "the trace is gauss_plog_lan's");
         // The stride vote alone got 300: it ignores the jump from page 8
         // back to the pivot row's successor, which the successor table
         // plans once it has repeated (357). Per-shard votes got 178 with
         // two shards and 3 with four. A sweep's first fault misses
         // without read-behind, the looping page read back once its
-        // pageout is acknowledged (373); a shared pager serves the fault
-        // on a recurring page from the page its landing keeps.
+        // pageout is acknowledged (373, when every pageout waited for its
+        // ack); the fault on a recurring page is served from the page
+        // its landing keeps.
         assert!(
             served >= 370,
             "{served} of {pageins} pageins served without a demand read"

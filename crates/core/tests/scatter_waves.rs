@@ -16,9 +16,8 @@ mod support;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rmp_blockdev::PagingDevice;
 use rmp_cluster::Condition;
-use rmp_core::{ChaosServer, Clock, Pager};
+use rmp_core::{ChaosServer, Clock, ServerPool, ShardedPager};
 use rmp_proto::{Message, Opcode};
 use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId};
 
@@ -30,11 +29,11 @@ fn ec_config() -> PagerConfig {
 
 #[test]
 fn erasure_coded_write_rewrite_and_read_are_waves() {
-    let (wire, servers, mut pager) = wave_pager(ec_config(), 5);
+    let (wire, servers, pager) = wave_pager(ec_config(), 5);
     let page = Page::deterministic(1);
 
     // First write: the five units leave together.
-    let (done, waves) = in_waves(&wire, &[5], || pager.page_out(PageId(1), &page));
+    let (done, waves) = in_waves(&wire, &[5], || landed(&pager, PageId(1), &page));
     done.expect("first write");
     assert_eq!(
         shape(&waves[0]),
@@ -51,7 +50,7 @@ fn erasure_coded_write_rewrite_and_read_are_waves() {
     // Rewrite: each unit overwritten under the key its row names, one
     // frame a server and no free.
     let page = Page::deterministic(2);
-    let (done, waves) = in_waves(&wire, &[5], || pager.page_out(PageId(1), &page));
+    let (done, waves) = in_waves(&wire, &[5], || landed(&pager, PageId(1), &page));
     done.expect("rewrite");
     assert!(
         (waves[0].iter()).all(|(_, ops)| *ops == [Opcode::PageOut]),
@@ -72,13 +71,13 @@ fn erasure_coded_write_rewrite_and_read_are_waves() {
 
 #[test]
 fn mirroring_writes_both_copies_in_one_wave() {
-    let (wire, _servers, mut pager) = wave_pager(PagerConfig::new(Policy::Mirroring), 3);
+    let (wire, _servers, pager) = wave_pager(PagerConfig::new(Policy::Mirroring), 3);
     let (done, _) = in_waves(&wire, &[2], || {
-        pager.page_out(PageId(7), &Page::deterministic(7))
+        landed(&pager, PageId(7), &Page::deterministic(7))
     });
     done.expect("first write");
     let (done, waves) = in_waves(&wire, &[2], || {
-        pager.page_out(PageId(7), &Page::deterministic(8))
+        landed(&pager, PageId(7), &Page::deterministic(8))
     });
     done.expect("overwrite");
     assert_eq!(shape(&waves[0]).1, vec![Opcode::PageOut; 2]);
@@ -93,15 +92,15 @@ fn mirroring_writes_both_copies_in_one_wave() {
 #[test]
 fn write_through_overlaps_its_remote_leg() {
     let config = PagerConfig::new(Policy::WriteThrough);
-    let (wire, _servers, mut pager) = wave_pager(config, 2);
+    let (wire, _servers, pager) = wave_pager(config, 2);
     let (done, _) = in_waves(&wire, &[1], || {
-        pager.page_out(PageId(3), &Page::deterministic(3))
+        landed(&pager, PageId(3), &Page::deterministic(3))
     });
     done.expect("first write places by the walk, one frame");
     // The rewrite's remote frame is submitted, not called: the disk write
     // runs while the test thread still holds the reply back.
     let (done, waves) = in_waves(&wire, &[1], || {
-        pager.page_out(PageId(3), &Page::deterministic(4))
+        landed(&pager, PageId(3), &Page::deterministic(4))
     });
     done.expect("rewrite");
     assert_eq!(shape(&waves[0]).1, vec![Opcode::PageOut]);
@@ -109,16 +108,16 @@ fn write_through_overlaps_its_remote_leg() {
 }
 
 /// Parity logging over data servers 0..=2 and parity server 3.
-fn plog_pager() -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
+fn plog_pager() -> (Arc<Wire>, Vec<ChaosServer>, ShardedPager) {
     wave_pager(PagerConfig::new(Policy::ParityLogging).with_servers(3), 4)
 }
 
 /// Pages 0 and 1 go out as `fill` and `fill + 1`: pending members, their
 /// data frame each and nothing else.
-fn two_pending(wire: &Wire, pager: &mut Pager, fill: u64) {
+fn two_pending(wire: &Wire, pager: &ShardedPager, fill: u64) {
     for i in 0..2u64 {
         let (done, waves) = in_waves(wire, &[1], || {
-            pager.page_out(PageId(i), &Page::deterministic(fill + i))
+            landed(pager, PageId(i), &Page::deterministic(fill + i))
         });
         done.expect("a pending member is one frame");
         assert_eq!(shape(&waves[0]).1, vec![Opcode::PageOut]);
@@ -127,12 +126,12 @@ fn two_pending(wire: &Wire, pager: &mut Pager, fill: u64) {
 
 #[test]
 fn parity_logging_seal_is_one_wave() {
-    let (wire, servers, mut pager) = plog_pager();
+    let (wire, servers, pager) = plog_pager();
     // The first group seals with nothing to reclaim: its third pageout is
     // one wave, the data frame and the parity page.
-    two_pending(&wire, &mut pager, 0);
+    two_pending(&wire, &pager, 0);
     let (done, waves) = in_waves(&wire, &[2], || {
-        pager.page_out(PageId(2), &Page::deterministic(2))
+        landed(&pager, PageId(2), &Page::deterministic(2))
     });
     done.expect("first seal");
     assert_eq!(shape(&waves[0]), (vec![2, 3], vec![Opcode::PageOut; 2]));
@@ -141,9 +140,9 @@ fn parity_logging_seal_is_one_wave() {
     // second seal ships its data frame, its parity page and the S + 1
     // frees in one wave.
     wire.calls();
-    two_pending(&wire, &mut pager, 10);
+    two_pending(&wire, &pager, 10);
     let (done, waves) = in_waves(&wire, &[6], || {
-        pager.page_out(PageId(2), &Page::deterministic(12))
+        landed(&pager, PageId(2), &Page::deterministic(12))
     });
     done.expect("second seal");
     let (reached, ops) = shape(&waves[0]);
@@ -169,15 +168,15 @@ fn parity_logging_seal_is_one_wave() {
 
 #[test]
 fn a_data_frame_the_sealing_wave_did_not_land_is_re_homed_and_its_group_follows() {
-    let (wire, servers, mut pager) = plog_pager();
-    two_pending(&wire, &mut pager, 0);
+    let (wire, servers, pager) = plog_pager();
+    two_pending(&wire, &pager, 0);
     // Server 2 refuses the sealing wave's data frame; the parity page
     // lands. Servers 0 and 1 hold the group's other members, so after a
     // fresh look at the loads (a wave of its own) the frame is offered to
     // server 2 again, alone and under a new key.
     wire.state().refuse_store.push(ServerId(2));
     let (done, waves) = in_waves(&wire, &[2, 4, 1], || {
-        pager.page_out(PageId(2), &Page::deterministic(2))
+        landed(&pager, PageId(2), &Page::deterministic(2))
     });
     done.expect("the second offer is taken");
     assert_eq!(shape(&waves[0]), (vec![2, 3], vec![Opcode::PageOut; 2]));
@@ -185,10 +184,9 @@ fn a_data_frame_the_sealing_wave_did_not_land_is_re_homed_and_its_group_follows(
     assert_eq!(shape(&waves[2]), (vec![2], vec![Opcode::PageOut]));
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
     assert_eq!(stored, [1, 1, 1, 1]);
-    let pool = pager.pool();
     assert_eq!(
-        pool.granted_frames(ServerId(2)),
-        pool.granted_frames(ServerId(0)),
+        granted(&pager, ServerId(2)),
+        granted(&pager, ServerId(0)),
         "the refused frame's grant went back before the second offer took one"
     );
     // The group names the unit that took the frame, not the one the wave
@@ -203,8 +201,8 @@ fn a_data_frame_the_sealing_wave_did_not_land_is_re_homed_and_its_group_follows(
 fn a_parity_server_dying_under_the_sealing_wave_has_the_parity_page_rebuilt() {
     // Data servers 0..=2, the parity page on 4, 3 spare.
     let config = PagerConfig::new(Policy::ParityLogging).with_servers(3);
-    let (wire, servers, mut pager) = wave_pager(config, 5);
-    two_pending(&wire, &mut pager, 0);
+    let (wire, servers, pager) = wave_pager(config, 5);
+    two_pending(&wire, &pager, 0);
     // The data frame lands, the parity server dies with its burst. The
     // group stays sealed — a later append may have opened the next one by
     // the time a landing hears of it — so recovery rebuilds its parity
@@ -212,7 +210,7 @@ fn a_parity_server_dying_under_the_sealing_wave_has_the_parity_page_rebuilt() {
     // spare. Then the pageout runs again, a pending member's one frame.
     wire.state().dying.push(ServerId(4));
     let (done, waves) = in_waves(&wire, &[2, 3, 1, 1], || {
-        pager.page_out(PageId(2), &Page::deterministic(2))
+        landed(&pager, PageId(2), &Page::deterministic(2))
     });
     done.expect("recovered and retried");
     assert_eq!(shape(&waves[0]), (vec![2, 4], vec![Opcode::PageOut; 2]));
@@ -237,23 +235,20 @@ fn a_parity_server_dying_under_the_sealing_wave_has_the_parity_page_rebuilt() {
 /// one once fewer than half are left.
 const CHUNK: u32 = 64;
 
-fn counted(pager: &Pager, name: &str) -> u64 {
-    pager.metrics().counter(name).get()
-}
-
 #[test]
 fn a_frame_grant_is_asked_for_before_it_runs_out() {
-    let (wire, _servers, mut pager) = plog_pager();
+    let (wire, _servers, pager) = plog_pager();
     // Three chunks of appends a server — a data frame on each of 0..=2 and
     // a parity page on 3 every third — rewriting a working set, so each
     // reclaimed group's frees give frames back on the server and the
     // grants must be asked for again and again.
     for i in 0..9 * u64::from(CHUNK) {
         let page = Page::deterministic(i);
-        answered(&wire, || pager.page_out(PageId(i % 24), &page)).expect("append");
+        answered(&wire, || landed(&pager, PageId(i % 24), &page)).expect("append");
         for server in (0..4).map(ServerId) {
-            let pool = pager.pool();
-            let held = pool.granted_frames(server) + pool.asked_frames(server);
+            let held = pager.with_shard(0, |p| {
+                p.pool().granted_frames(server) + p.pool().asked_frames(server)
+            });
             assert!(held <= CHUNK, "{server}: {held} frames granted or asked");
         }
     }
@@ -262,69 +257,74 @@ fn a_frame_grant_is_asked_for_before_it_runs_out() {
     assert_eq!(counted(&pager, "pool_grant_waits_total"), 4);
     assert!(counted(&pager, "pool_grant_refills_total") >= 4 * 3);
 
-    // A denied refill marks its server stop-sending, and none is asked of
-    // it while it is; the grants held are still spent.
-    let stopped = |pager: &Pager, server| {
-        let status = pager.pool().view().status(server).expect("registered");
-        status.condition == Condition::StopSending
+    // The rest asks the pool alone, with nothing landing.
+    let grant_waits = |pool: &ServerPool| {
+        let metrics = pool.metrics().expect("the pager's registry");
+        metrics.counter("pool_grant_waits_total").get()
     };
-    let server = ServerId(0);
-    wire.state().deny_alloc.push(server);
-    for _ in 0..CHUNK {
-        if stopped(&pager, server) {
-            break;
+    pager.with_shard(0, |p| {
+        let pool = p.pool_mut();
+        // A denied refill marks its server stop-sending, and none is asked
+        // of it while it is; the grants held are still spent.
+        let stopped = |pool: &ServerPool, server| {
+            let status = pool.view().status(server).expect("registered");
+            status.condition == Condition::StopSending
+        };
+        let server = ServerId(0);
+        wire.state().deny_alloc.push(server);
+        for _ in 0..CHUNK {
+            if stopped(pool, server) {
+                break;
+            }
+            pool.reserve_frame(server).expect("a grant held");
         }
-        pager
-            .pool_mut()
-            .reserve_frame(server)
-            .expect("a grant held");
-    }
-    assert!(stopped(&pager, server), "the denial went unheard");
-    let grants = pager.pool().granted_frames(server);
-    pager
-        .pool_mut()
-        .reserve_frame(server)
-        .expect("a grant held");
-    let pool = pager.pool();
-    assert_eq!(
-        (pool.granted_frames(server), pool.asked_frames(server)),
-        (grants - 1, 0)
-    );
+        assert!(stopped(pool, server), "the denial went unheard");
+        let grants = pool.granted_frames(server);
+        pool.reserve_frame(server).expect("a grant held");
+        assert_eq!(
+            (pool.granted_frames(server), pool.asked_frames(server)),
+            (grants - 1, 0)
+        );
+    });
 
     // A refill out when its server is held dead, or forgiven as a
     // reconnect forgives it, grants nothing: the next reservation waits
     // for a chunk.
     for (server, dies) in [(ServerId(1), true), (ServerId(2), false)] {
-        let pool = pager.pool_mut();
-        while pool.asked_frames(server) == 0 {
-            pool.reserve_frame(server).expect("a grant held");
-        }
-        match dies {
-            true => pool.declare_dead(server, "test"),
-            false => pool.absolve(server),
-        }
-        assert_eq!(
-            (pool.granted_frames(server), pool.asked_frames(server)),
-            (0, 0)
-        );
-        if dies {
-            // Nor is one asked of a server held dead: a reservation takes
-            // its frame from the reply it waited for.
-            pool.reserve_frame(server).expect("a frame of the reply");
+        pager.with_shard(0, |p| {
+            let pool = p.pool_mut();
+            while pool.asked_frames(server) == 0 {
+                pool.reserve_frame(server).expect("a grant held");
+            }
+            match dies {
+                true => pool.declare_dead(server, "test"),
+                false => pool.absolve(server),
+            }
             assert_eq!(
                 (pool.granted_frames(server), pool.asked_frames(server)),
                 (0, 0)
             );
-            pool.absolve(server);
-        }
-        let waits = counted(&pager, "pool_grant_waits_total");
-        pager
-            .pool_mut()
-            .reserve_frame(server)
-            .expect("a fresh chunk");
-        assert_eq!(pager.pool().granted_frames(server), CHUNK - 1);
-        assert_eq!(counted(&pager, "pool_grant_waits_total"), waits + 1);
+            if dies {
+                // Nor is one asked of a server held dead: a reservation takes
+                // its frame from the reply it waited for.
+                pool.reserve_frame(server).expect("a frame of the reply");
+                assert_eq!(
+                    (pool.granted_frames(server), pool.asked_frames(server)),
+                    (0, 0)
+                );
+                pool.absolve(server);
+            }
+            let waits = grant_waits(pool);
+            pool.reserve_frame(server).expect("a fresh chunk");
+            assert_eq!(pool.granted_frames(server), CHUNK - 1);
+            assert_eq!(grant_waits(pool), waits + 1);
+        });
     }
+}
+
+/// Frames shard 0's pool holds granted on `server`.
+fn granted(pager: &ShardedPager, server: ServerId) -> u32 {
+    pager.with_shard(0, |p| p.pool().granted_frames(server))
 }
 
 /// Runs `op`, answering every wave it sends until it returns: for what
@@ -343,28 +343,28 @@ fn answered<R: Send>(wire: &Wire, op: impl FnOnce() -> R + Send) -> R {
 }
 
 /// Page 0 read back with server 0, its holder, down.
-fn read_around_server_0(wire: &Wire, pager: &mut Pager) {
+fn read_around_server_0(wire: &Wire, pager: &ShardedPager) {
     let read = answered(wire, || pager.page_in(PageId(0)));
     assert_eq!(read.expect("degraded read"), Page::deterministic(0));
 }
 
 #[test]
 fn a_sealing_append_whose_parity_page_no_server_takes_keeps_it() {
-    let (wire, _servers, mut pager) = plog_pager();
-    two_pending(&wire, &mut pager, 0);
+    let (wire, _servers, pager) = plog_pager();
+    two_pending(&wire, &pager, 0);
     // The parity server refuses the sealing wave's parity page, and the
     // page once more when it is offered again alone; no other server
     // holds no member of the group.
     wire.state().refuse_store.extend([ServerId(3); 2]);
     let (sealed, waves) = in_waves(&wire, &[2, 1], || {
-        pager.page_out(PageId(2), &Page::deterministic(2))
+        landed(&pager, PageId(2), &Page::deterministic(2))
     });
     assert_eq!(shape(&waves[0]), (vec![2, 3], vec![Opcode::PageOut; 2]));
     assert_eq!(shape(&waves[1]), (vec![3], vec![Opcode::PageOut]));
     // The client keeps the parity page: page 0, acked before the seal, is
     // rebuilt from the group's other members and the kept page.
     pager.note_crash(ServerId(0));
-    read_around_server_0(&wire, &mut pager);
+    read_around_server_0(&wire, &pager);
     sealed.expect("the seal stands, its parity page kept");
     // The next flush offers the kept page again, and the parity server
     // takes it: the same read now gathers it.
@@ -378,8 +378,8 @@ fn a_sealing_append_whose_parity_page_no_server_takes_keeps_it() {
 
 #[test]
 fn a_flush_whose_parity_page_no_server_takes_leaves_its_group_covered() {
-    let (wire, _servers, mut pager) = plog_pager();
-    two_pending(&wire, &mut pager, 0);
+    let (wire, _servers, pager) = plog_pager();
+    two_pending(&wire, &pager, 0);
     // The flush seals the two pending pages. Its parity page is refused
     // by the parity server, twice, and then by server 2, the one other
     // server holding no member of the group; whatever becomes of it,
@@ -391,9 +391,9 @@ fn a_flush_whose_parity_page_no_server_takes_leaves_its_group_covered() {
     let _ = answered(&wire, || pager.flush());
     wire.state().refuse_store.clear();
     pager.note_crash(ServerId(0));
-    read_around_server_0(&wire, &mut pager);
+    read_around_server_0(&wire, &pager);
     answered(&wire, || pager.flush()).expect("flush");
-    read_around_server_0(&wire, &mut pager);
+    read_around_server_0(&wire, &pager);
     let read = answered(&wire, || pager.page_in(PageId(1)));
     assert_eq!(read.expect("pagein"), Page::deterministic(1));
 }
@@ -406,12 +406,15 @@ fn a_re_log_no_server_stores_leaves_the_acked_version_current() {
         .with_servers(3)
         .with_prefetch_window(0)
         .with_transport(pool.transport_config().clone());
-    let mut pager = Pager::builder(config).pool(pool).build().expect("pager");
+    let pager = ShardedPager::builder(config.with_shard_count(1))
+        .pools(vec![pool])
+        .build()
+        .expect("pager");
     // Pages 0, 1 and 2 seal the first group over servers 0..=2; pages 3
     // and 4 are pending on servers 0 and 1.
     for (id, frames) in [(0, 1), (1, 1), (2, 2), (3, 1), (4, 1)] {
         let (done, _) = in_waves(&wire, &[frames], || {
-            pager.page_out(PageId(id), &Page::deterministic(id))
+            landed(&pager, PageId(id), &Page::deterministic(id))
         });
         done.expect("append");
     }
@@ -421,7 +424,9 @@ fn a_re_log_no_server_stores_leaves_the_acked_version_current() {
     // the group it would have sealed stays pending, and page 0 where it
     // was.
     wire.state().refuse_store.extend([ServerId(2); 2]);
-    let moved = answered(&wire, || pager.migrate_from(ServerId(0)));
+    let moved = answered(&wire, || {
+        pager.with_shard(0, |p| p.migrate_from(ServerId(0)))
+    });
     assert!(matches!(moved, Err(RmpError::ClusterFull)), "{moved:?}");
     let (read, waves) = in_waves(&wire, &[1], || pager.page_in(PageId(0)));
     assert_eq!(read.expect("pagein"), Page::deterministic(0));
@@ -436,12 +441,12 @@ fn a_re_log_no_server_stores_leaves_the_acked_version_current() {
 
 #[test]
 fn a_refused_leg_of_a_coded_rewrite_is_re_homed_alone() {
-    let (wire, servers, mut pager) = wave_pager(ec_config(), 5);
+    let (wire, servers, pager) = wave_pager(ec_config(), 5);
     let (done, _) = in_waves(&wire, &[5], || {
-        pager.page_out(PageId(1), &Page::deterministic(1))
+        landed(&pager, PageId(1), &Page::deterministic(1))
     });
     done.expect("first write");
-    let grants = pager.pool().granted_frames(ServerId(2));
+    let grants = granted(&pager, ServerId(2));
     // Server 2 refuses its unit of the rewrite and keeps the old one: the
     // row drops it, and the re-home — to server 2 again, as every other
     // server holds a unit of this stripe — frees it in the same burst.
@@ -449,7 +454,7 @@ fn a_refused_leg_of_a_coded_rewrite_is_re_homed_alone() {
     // re-homed unit too, and takes it on the second offer.
     wire.state().refuse_store.extend([ServerId(2); 2]);
     let page = Page::deterministic(2);
-    let (done, waves) = in_waves(&wire, &[5, 2, 1], || pager.page_out(PageId(1), &page));
+    let (done, waves) = in_waves(&wire, &[5, 2, 1], || landed(&pager, PageId(1), &page));
     done.expect("rewrite");
     assert_eq!(
         shape(&waves[1]),
@@ -458,7 +463,7 @@ fn a_refused_leg_of_a_coded_rewrite_is_re_homed_alone() {
     assert_eq!(shape(&waves[2]), (vec![2], vec![Opcode::PageOut]));
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
     assert_eq!(stored, [1; 5], "exactly k + r units of the page");
-    assert_eq!(pager.pool().granted_frames(ServerId(2)), grants - 1);
+    assert_eq!(granted(&pager, ServerId(2)), grants - 1);
     let (read, _) = in_waves(&wire, &[4], || pager.page_in(PageId(1)));
     assert_eq!(read.expect("pagein"), page);
 }
@@ -474,16 +479,16 @@ fn a_rewrite_leg_refused_by_a_live_holder_leaves_no_stray_copy() {
         (ec_config(), 6, 5),
     ];
     for (config, n, width) in cases {
-        let (wire, servers, mut pager) = wave_pager(config, n);
+        let (wire, servers, pager) = wave_pager(config, n);
         let (done, waves) = in_waves(&wire, &[width], || {
-            pager.page_out(PageId(7), &Page::deterministic(7))
+            landed(&pager, PageId(7), &Page::deterministic(7))
         });
         done.expect("first write");
         let holders = shape(&waves[0]).0;
         let refusing = ServerId(holders[0]);
         wire.state().refuse_store.push(refusing);
         let page = Page::deterministic(8);
-        let (done, waves) = in_waves(&wire, &[width, 2], || pager.page_out(PageId(7), &page));
+        let (done, waves) = in_waves(&wire, &[width, 2], || landed(&pager, PageId(7), &page));
         done.expect("rewrite");
 
         let rehomed = waves[1]
@@ -508,11 +513,11 @@ fn a_rewrite_leg_refused_by_a_live_holder_leaves_no_stray_copy() {
 
 #[test]
 fn parity_logging_degraded_read_and_group_rebuild_gather_at_once() {
-    let (wire, _servers, mut pager) = plog_pager();
+    let (wire, _servers, pager) = plog_pager();
     for i in 0..3u64 {
         let widths: &[usize] = if i == 2 { &[2] } else { &[1] };
         let (done, _) = in_waves(&wire, widths, || {
-            pager.page_out(PageId(i), &Page::deterministic(i))
+            landed(&pager, PageId(i), &Page::deterministic(i))
         });
         done.expect("pageout");
     }
@@ -530,7 +535,7 @@ fn parity_logging_degraded_read_and_group_rebuild_gather_at_once() {
     // surviving storage (two members and the parity page).
     let widths = [3, 1, 1, 1, 1, 4];
     let (report, waves) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
-    assert_eq!(report.expect("recovery").pages_rebuilt, 1);
+    assert_eq!(report.expect("recovery")[0].pages_rebuilt, 1);
     assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 3]);
     for i in 0..3u64 {
         let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(i)));
@@ -541,16 +546,16 @@ fn parity_logging_degraded_read_and_group_rebuild_gather_at_once() {
 #[test]
 fn basic_parity_degraded_read_gathers_the_stripe_at_once() {
     let config = PagerConfig::new(Policy::BasicParity).with_servers(3);
-    let (wire, _servers, mut pager) = wave_pager(config, 4);
+    let (wire, _servers, pager) = wave_pager(config, 4);
     for i in 0..3u64 {
         let (done, _) = in_waves(&wire, &[], || {
-            pager.page_out(PageId(i), &Page::deterministic(i))
+            landed(&pager, PageId(i), &Page::deterministic(i))
         });
         done.expect("a delta and its fold are two calls");
     }
     // Page 0 sits on server 0. Basic parity rebuilds in place, so the
     // pager leaves the view to the test.
-    pager.pool_mut().declare_dead(ServerId(0), "test");
+    pager.with_shard(0, |p| p.pool_mut().declare_dead(ServerId(0), "test"));
     let (read, waves) = in_waves(&wire, &[3], || pager.page_in(PageId(0)));
     assert_eq!(read.expect("degraded read"), Page::deterministic(0));
     assert_eq!(shape(&waves[0]), (vec![1, 2, 3], vec![Opcode::PageIn; 3]));
@@ -559,14 +564,14 @@ fn basic_parity_degraded_read_gathers_the_stripe_at_once() {
 /// Basic parity over data servers 0 and 1 and parity server 2, rebuilt
 /// in chunks of four: twelve pages, six to a data server, and server 0
 /// back from a reboot with nothing.
-fn bparity_rebooted() -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
+fn bparity_rebooted() -> (Arc<Wire>, Vec<ChaosServer>, ShardedPager) {
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(2)
         .with_batch_max_pages(4);
-    let (wire, servers, mut pager) = wave_pager(config, 3);
+    let (wire, servers, pager) = wave_pager(config, 3);
     for i in 0..12u64 {
         let (done, _) = in_waves(&wire, &[], || {
-            pager.page_out(PageId(i), &Page::deterministic(i))
+            landed(&pager, PageId(i), &Page::deterministic(i))
         });
         done.expect("a delta and its fold are two calls");
     }
@@ -576,7 +581,7 @@ fn bparity_rebooted() -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
     (wire, servers, pager)
 }
 
-fn reads_back(wire: &Wire, pager: &mut Pager, pages: u64) {
+fn reads_back(wire: &Wire, pager: &ShardedPager, pages: u64) {
     for i in 0..pages {
         let (read, _) = in_waves(wire, &[1], || pager.page_in(PageId(i)));
         assert_eq!(read.expect("read"), Page::deterministic(i), "pg{i}");
@@ -585,14 +590,14 @@ fn reads_back(wire: &Wire, pager: &mut Pager, pages: u64) {
 
 #[test]
 fn basic_parity_rebuilds_a_chunk_in_two_waves() {
-    let (wire, servers, mut pager) = bparity_rebooted();
+    let (wire, servers, pager) = bparity_rebooted();
     // Six lost pages, chunks of four: a gather of every piece of the
     // chunk's stripes (a surviving member and the parity page each) and
     // a wave of its stores — four round trips, where a page at a time is
     // twelve.
     let widths = [8, 4, 4, 2];
     let (report, waves) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
-    let report = report.expect("rebuild");
+    let report = report.expect("rebuild")[0];
     assert_eq!((report.pages_rebuilt, report.transfers), (6, 18));
     assert_eq!(shape(&waves[0]), (vec![1, 2], vec![Opcode::PageIn; 8]));
     assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 4]));
@@ -606,15 +611,14 @@ fn basic_parity_rebuilds_a_chunk_in_two_waves() {
     assert_eq!(servers[0].stored_pages(), 6);
     // The synchronous drain is booked like a maintenance tick's.
     assert_eq!(pager.stats().recovery_steps, 1);
-    let done = pager.metrics().counter("pager_recoveries_completed_total");
-    assert_eq!(done.get(), 1);
-    reads_back(&wire, &mut pager, 12);
+    assert_eq!(counted(&pager, "pager_recoveries_completed_total"), 1);
+    reads_back(&wire, &pager, 12);
 }
 
 #[test]
 fn a_store_refused_in_mid_rebuild_keeps_the_rest_queued_and_leaks_no_grant() {
-    let (wire, servers, mut pager) = bparity_rebooted();
-    let granted = pager.pool().granted_frames(ServerId(0));
+    let (wire, servers, pager) = bparity_rebooted();
+    let before = granted(&pager, ServerId(0));
     // The first chunk lands; of the second chunk's two stores the first
     // is refused and the second is taken.
     let stopped = std::thread::scope(|scope| {
@@ -637,28 +641,28 @@ fn a_store_refused_in_mid_rebuild_keeps_the_rest_queued_and_leaks_no_grant() {
     // again, into the frame it has.
     assert_eq!(pager.recovery_backlog(), 1);
     assert_eq!(servers[0].stored_pages(), 5);
-    assert_eq!(pager.pool().granted_frames(ServerId(0)), granted - 4);
+    assert_eq!(granted(&pager, ServerId(0)), before - 4);
     // Running it again rebuilds those two and nothing else. (The report
     // is the plan's, over both goes, but a step that fails reports
     // nothing of what it had rebuilt by then.)
     let (report, waves) = in_waves(&wire, &[4, 2], || pager.recover_from_crash(ServerId(0)));
-    assert_eq!(report.expect("the rest").pages_rebuilt, 2);
+    assert_eq!(report.expect("the rest")[0].pages_rebuilt, 2);
     assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 2]));
     assert_eq!(pager.recovery_backlog(), 0);
     // What the pool spent of its grants is what the server stores.
-    let spent = granted - pager.pool().granted_frames(ServerId(0));
+    let spent = before - granted(&pager, ServerId(0));
     assert_eq!(spent as usize, servers[0].stored_pages());
     assert_eq!(
         wire.calls(),
         [(ServerId(0), Opcode::ListPages)],
         "no allocation; outside the waves, only asking what the server lost"
     );
-    reads_back(&wire, &mut pager, 12);
+    reads_back(&wire, &pager, 12);
 }
 
 #[test]
 fn a_holder_lost_in_mid_rebuild_stops_it_where_it_is() {
-    let (wire, servers, mut pager) = bparity_rebooted();
+    let (wire, servers, pager) = bparity_rebooted();
     // Server 1 — a member of every stripe — dies under the second
     // chunk's gather. The first chunk is rebuilt; the stripes of the
     // second have lost two pieces, which basic parity cannot mend.
@@ -684,20 +688,20 @@ fn a_holder_lost_in_mid_rebuild_stops_it_where_it_is() {
     // lacks — a gather of their four pieces and a wave of two stores —
     // and every page is intact.
     wire.state().dead.clear();
-    pager.pool_mut().absolve(ServerId(1));
+    pager.with_shard(0, |p| p.pool_mut().absolve(ServerId(1)));
     let (report, _) = in_waves(&wire, &[4, 2], || pager.recover_from_crash(ServerId(0)));
-    assert_eq!(report.expect("rebuild").pages_rebuilt, 2);
+    assert_eq!(report.expect("rebuild")[0].pages_rebuilt, 2);
     assert_eq!(servers[0].stored_pages(), 6);
-    reads_back(&wire, &mut pager, 12);
+    reads_back(&wire, &pager, 12);
 }
 
 #[test]
 fn mirroring_gathers_a_chunk_of_lost_pages_at_once() {
     let config = PagerConfig::new(Policy::Mirroring).with_batch_max_pages(4);
-    let (wire, servers, mut pager) = wave_pager(config, 3);
+    let (wire, servers, pager) = wave_pager(config, 3);
     for i in 0..8u64 {
         let (done, _) = in_waves(&wire, &[2], || {
-            pager.page_out(PageId(i), &Page::deterministic(i))
+            landed(&pager, PageId(i), &Page::deterministic(i))
         });
         done.expect("both copies in one wave");
     }
@@ -710,7 +714,7 @@ fn mirroring_gathers_a_chunk_of_lost_pages_at_once() {
     // page then finds its new holder by the walk, a frame of its own.
     let widths = [4, 1, 1, 1, 1, 2, 1, 1];
     let (report, waves) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
-    assert_eq!(report.expect("rebuild").pages_rebuilt, 6);
+    assert_eq!(report.expect("rebuild")[0].pages_rebuilt, 6);
     assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 4]);
     assert_eq!(shape(&waves[5]).1, vec![Opcode::PageIn; 2]);
     let stores = waves.iter().filter(|w| shape(w).1 == [Opcode::PageOut]);
@@ -724,10 +728,10 @@ fn mirroring_gathers_a_chunk_of_lost_pages_at_once() {
 #[test]
 fn a_stripe_migration_gathers_a_chunk_of_leaving_units_at_once() {
     let config = PagerConfig::new(Policy::NoReliability).with_batch_max_pages(4);
-    let (wire, servers, mut pager) = wave_pager(config, 3);
+    let (wire, servers, pager) = wave_pager(config, 3);
     for i in 0..18u64 {
         let (done, _) = in_waves(&wire, &[1], || {
-            pager.page_out(PageId(i), &Page::deterministic(i))
+            landed(&pager, PageId(i), &Page::deterministic(i))
         });
         done.expect("a lone copy is one frame");
     }
@@ -736,7 +740,9 @@ fn a_stripe_migration_gathers_a_chunk_of_leaving_units_at_once() {
     // every read a plain frame; each page then finds its new holder by
     // the walk and frees its old unit, a frame each.
     let widths = [&[4][..], &[1; 8], &[2], &[1; 4]].concat();
-    let (moved, waves) = in_waves(&wire, &widths, || pager.migrate_from(ServerId(0)));
+    let (moved, waves) = in_waves(&wire, &widths, || {
+        pager.with_shard(0, |p| p.migrate_from(ServerId(0)))
+    });
     assert_eq!(moved.expect("migration"), 6);
     assert_eq!(shape(&waves[0]), (vec![0], vec![Opcode::PageIn; 4]));
     assert_eq!(shape(&waves[9]), (vec![0], vec![Opcode::PageIn; 2]));
@@ -745,7 +751,7 @@ fn a_stripe_migration_gathers_a_chunk_of_leaving_units_at_once() {
         assert_eq!(shape(&moved[1]), (vec![0], vec![Opcode::Free]));
     }
     assert_eq!(servers[0].stored_pages(), 0);
-    reads_back(&wire, &mut pager, 18);
+    reads_back(&wire, &pager, 18);
 }
 
 #[test]
@@ -753,14 +759,14 @@ fn the_parity_log_clean_up_gathers_a_chunk_of_survivors_at_once() {
     let config = PagerConfig::new(Policy::ParityLogging)
         .with_servers(3)
         .with_batch_max_pages(4);
-    let (wire, _servers, mut pager) = wave_pager(config, 4);
+    let (wire, _servers, pager) = wave_pager(config, 4);
     // Seven groups of one page that stays and two that the next group
     // rewrites: when the seventh seals, the first six are a third active.
     for group in 0..7u64 {
         for (at, id) in [group, 100, 101].into_iter().enumerate() {
             let widths: &[usize] = if at == 2 { &[2] } else { &[1] };
             let (done, _) = in_waves(&wire, widths, || {
-                pager.page_out(PageId(id), &Page::deterministic(id + group))
+                landed(&pager, PageId(id), &Page::deterministic(id + group))
             });
             done.expect("pageout");
         }
@@ -774,7 +780,7 @@ fn the_parity_log_clean_up_gathers_a_chunk_of_survivors_at_once() {
     wire.state().refuse_store.push(ServerId(0));
     let widths = [1, 4, 1, 1, 1, 13, 1, 2, 1, 1, 13, 4, 1];
     let (done, waves) = in_waves(&wire, &widths, || {
-        pager.page_out(PageId(200), &Page::deterministic(200))
+        landed(&pager, PageId(200), &Page::deterministic(200))
     });
     done.expect("the clean-up made room");
     assert_eq!(pager.stats().gc_passes, 1);
@@ -791,10 +797,10 @@ fn the_parity_log_clean_up_gathers_a_chunk_of_survivors_at_once() {
 #[test]
 fn a_refused_leg_is_replaced_alone() {
     // Six servers for a five-unit stripe: one spare.
-    let (wire, servers, mut pager) = wave_pager(ec_config(), 6);
+    let (wire, servers, pager) = wave_pager(ec_config(), 6);
     wire.state().refuse_store.push(ServerId(2));
     let page = Page::deterministic(9);
-    let (done, waves) = in_waves(&wire, &[5, 1], || pager.page_out(PageId(9), &page));
+    let (done, waves) = in_waves(&wire, &[5, 1], || landed(&pager, PageId(9), &page));
     done.expect("the refused unit finds the spare");
     // The four units that landed stayed where they were; the fifth went,
     // by one frame of the walk, to the one server holding none.
@@ -802,10 +808,9 @@ fn a_refused_leg_is_replaced_alone() {
     assert_eq!(stored, [1, 1, 0, 1, 1, 1]);
     assert_eq!(shape(&waves[1]), (vec![5], vec![Opcode::PageOut]));
     // The grant reserved on the refusing server went back to the pool.
-    let pool = pager.pool();
     assert_eq!(
-        pool.granted_frames(ServerId(2)),
-        pool.granted_frames(ServerId(0)) + 1
+        granted(&pager, ServerId(2)),
+        granted(&pager, ServerId(0)) + 1
     );
     let (read, _) = in_waves(&wire, &[4], || pager.page_in(PageId(9)));
     assert_eq!(read.expect("pagein"), page);
@@ -813,28 +818,27 @@ fn a_refused_leg_is_replaced_alone() {
 
 #[test]
 fn a_leg_whose_server_dies_walks_the_ladder_once() {
-    let (wire, servers, mut pager) = wave_pager(ec_config(), 6);
+    let (wire, servers, pager) = wave_pager(ec_config(), 6);
     // Server 1 takes its frame and dies before answering.
     wire.state().dying.push(ServerId(1));
     let page = Page::deterministic(4);
-    let (done, waves) = in_waves(&wire, &[5, 1], || pager.page_out(PageId(4), &page));
+    let (done, waves) = in_waves(&wire, &[5, 1], || landed(&pager, PageId(4), &page));
     done.expect("the lost unit finds the spare");
     servers[1].crash();
 
     // The ladder ran once, for that leg alone: two redials and two more
     // attempts use up the three-attempt budget, then the server is dead.
     assert_eq!(wire.state().redials, [ServerId(1), ServerId(1)]);
-    let metrics = pager.metrics();
-    assert_eq!(metrics.counter("pool_retries_total").get(), 2);
-    assert_eq!(metrics.counter("pool_deaths_total").get(), 1);
-    assert!(!pager.pool().view().is_alive(ServerId(1)));
+    assert_eq!(counted(&pager, "pool_retries_total"), 2);
+    assert_eq!(counted(&pager, "pool_deaths_total"), 1);
+    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(1))));
     // The four replies that did come were kept — no frame was sent twice
     // — and the lost unit went to the spare by one frame of the walk.
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
     assert_eq!(stored, [1, 0, 1, 1, 1, 1]);
     assert_eq!(shape(&waves[1]), (vec![5], vec![Opcode::PageOut]));
     for id in [0, 2, 3, 4, 5] {
-        let suspicion = pager.pool().suspicion(ServerId(id));
+        let suspicion = pager.with_shard(0, |p| p.pool().suspicion(ServerId(id)));
         assert_eq!(suspicion, 0.0, "srv{id} shared none of the dead leg's fate");
     }
     let (read, _) = in_waves(&wire, &[4], || pager.page_in(PageId(4)));

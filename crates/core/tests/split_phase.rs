@@ -27,7 +27,6 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rmp_blockdev::PagingDevice;
 use rmp_core::{ChaosServer, Clock, Pager, RecoveryReport, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId};
@@ -792,7 +791,7 @@ fn garbage_collection_during_an_append_does_not_re_log_its_page() {
     assert_eq!(read.expect("pagein"), Page::filled(12));
     let reads = ops.iter().filter(|&&op| op == Opcode::PageIn).count();
     assert_eq!(reads, 2, "the collection re-logged the landing page");
-    assert_eq!(pager.with_shard(0, |p| PagingDevice::stats(p).gc_passes), 1);
+    assert_eq!(pager.with_shard(0, |p| p.stats().gc_passes), 1);
     answer(landing);
     pumped(&wire, &spawn(&pager, |p| p.flush())).expect("flush");
     let current = [(0, 1), (2, 3), (6, 6), (8, 8), (10, 10)];
@@ -1152,7 +1151,7 @@ fn a_landing_reads_its_looping_page_behind_only_once_the_write_has_acked() {
 /// without landing anything.
 fn served(pager: &ShardedPager) -> [u64; 3] {
     pager.with_shard(0, |p| {
-        let stats = PagingDevice::stats(p);
+        let stats = p.stats();
         let hits = p.metrics().counter("pager_landing_hits_total").get();
         [stats.pageins, stats.net_fetches, hits]
     })

@@ -2,20 +2,21 @@
 //! talks to transports whose submissions complete only when the test
 //! says so ([`PendingReplies::deferred`]), so a test can hold a reply
 //! back, see what else reaches the wire meanwhile, and answer in any
-//! order — no assertion compares a duration against a threshold.
+//! order — no assertion compares a duration against a threshold. Also
+//! what every suite pages through: a one-shard pager ([`one_shard`]),
+//! and a pageout that lands before it returns ([`landed`]).
 #![allow(dead_code)]
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use rmp_blockdev::RamDisk;
+use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_core::{
-    ChaosServer, Clock, Completion, Pager, PendingReplies, ServerPool, ServerTransport,
-    ShardedPager,
+    ChaosServer, Clock, Completion, PendingReplies, ServerPool, ServerTransport, ShardedPager,
 };
 use rmp_proto::{LoadHint, Message, Opcode};
 use rmp_types::{
-    ErrorCode, Page, PagerConfig, Result, RetryPolicy, RmpError, ServerId, TransportConfig,
+    ErrorCode, Page, PageId, PagerConfig, Result, RetryPolicy, RmpError, ServerId, TransportConfig,
 };
 
 /// How long the test thread waits for a wave to assemble before it
@@ -259,17 +260,47 @@ pub fn wave_pool(n: usize) -> (Arc<Wire>, Vec<ChaosServer>, ServerPool) {
     (wire, servers, pool)
 }
 
-pub fn wave_pager(config: PagerConfig, n: usize) -> (Arc<Wire>, Vec<ChaosServer>, Pager) {
+/// A one-shard pager over `pool`, paging to `disks`: its shard's disk,
+/// or none.
+pub fn one_shard(
+    config: PagerConfig,
+    pool: ServerPool,
+    disks: Vec<Box<dyn PagingDevice>>,
+) -> ShardedPager {
+    ShardedPager::builder(config.with_shard_count(1))
+        .pools(vec![pool])
+        .disks(disks)
+        .build()
+        .expect("pager")
+}
+
+/// A one-shard pager over `n` scripted servers, with a RAM disk.
+pub fn wave_pager(config: PagerConfig, n: usize) -> (Arc<Wire>, Vec<ChaosServer>, ShardedPager) {
     let (wire, servers, pool) = wave_pool(n);
     let transport = pool.transport_config().clone();
     // No read-ahead: its submissions are not part of any operation.
     let config = config.with_prefetch_window(0).with_transport(transport);
-    let pager = Pager::builder(config)
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("pager");
-    (wire, servers, pager)
+    let disk: Box<dyn PagingDevice> = Box::new(RamDisk::unbounded());
+    (wire, servers, one_shard(config, pool, vec![disk]))
+}
+
+/// What shard 0's `name` counter reads.
+pub fn counted(pager: &ShardedPager, name: &str) -> u64 {
+    pager.with_shard(0, |p| p.metrics().counter(name).get())
+}
+
+/// Pages `page` out under `id` and lands it before returning (`stats`
+/// lands every landing): each wave the pageout costs — its completion's,
+/// a re-home or a rerun, included — is sent within the call, as for a
+/// caller that waits for its ack. Panics if the landing failed: a test
+/// that expects a failure reads it where a landing reports it.
+pub fn landed(pager: &ShardedPager, id: PageId, page: &Page) -> Result<()> {
+    let failed = || counted(pager, "pager_pageout_errors_total");
+    let before = failed();
+    pager.page_out(id, page)?;
+    pager.stats();
+    assert_eq!(failed(), before, "the pageout of {id} failed as it landed");
+    Ok(())
 }
 
 /// A two-shard pager, each shard over `n` scripted servers and a wire of

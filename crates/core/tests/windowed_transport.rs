@@ -4,17 +4,21 @@
 //! pool's call budget, and the pager running end to end over a windowed
 //! pool.
 
+mod support;
+
 use std::time::{Duration, Instant};
 
-use rmp_blockdev::{PagingDevice, RamDisk};
+use rmp_blockdev::RamDisk;
 use rmp_cluster::{Registry, ServerInfo};
-use rmp_core::{Pager, ServerPool, ServerTransport, WindowedTransport};
+use rmp_core::{ServerPool, ServerTransport, WindowedTransport};
 use rmp_proto::{Framed, Message};
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
 use rmp_types::{
     Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId, StoreKey,
     TransportConfig,
 };
+
+use support::one_shard;
 
 fn spawn_server(capacity: usize) -> ServerHandle {
     MemoryServer::spawn(ServerConfig {
@@ -426,11 +430,7 @@ fn pager_pages_through_a_windowed_pool() {
     }
     let pool = ServerPool::connect(&registry).expect("connect");
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);
-    let mut pager = Pager::builder(config)
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("build pager");
+    let pager = one_shard(config, pool, vec![Box::new(RamDisk::unbounded())]);
     for i in 0..120u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -445,9 +445,10 @@ fn pager_pages_through_a_windowed_pool() {
             "page {i} contents"
         );
     }
-    let hits = pager.metrics().counter("pager_prefetch_hits_total").get();
+    let counted = |name| pager.with_shard(0, |p| p.metrics().counter(name).get());
+    let hits = counted("pager_prefetch_hits_total");
     assert!(hits > 0, "sequential sweep produced prefetch hits");
-    let issued = pager.metrics().counter("pager_prefetch_issued_total").get();
+    let issued = counted("pager_prefetch_issued_total");
     assert!(issued > 0, "prefetch batches were issued");
     for h in handles {
         h.shutdown();
@@ -741,21 +742,25 @@ fn pool_reconnect_wipes_the_rung() {
         .with_prefetch_window(0)
         .with_retry(retry);
     let pool = ServerPool::connect(&registry).expect("connect");
-    let mut pager = Pager::builder(config).pool(pool).build().expect("pager");
+    let pager = one_shard(config, pool, Vec::new());
     for i in 0..4u64 {
         (pager.page_out(PageId(i), &Page::deterministic(i))).expect("pageout");
     }
+    // Every pageout is acked before the crash: `flush` returns once each
+    // has landed.
+    pager.flush().expect("flush");
     servers[0].crash();
     for i in 0..4u64 {
         let read = pager.page_in(PageId(i)).expect("the mirror serves it");
         assert_eq!(read, Page::deterministic(i));
     }
     let victim = ServerId(0);
-    assert!(pager.pool().backoff(victim).is_some(), "a read missed");
+    let backoff = || pager.with_shard(0, |p| p.pool().backoff(victim));
+    assert!(backoff().is_some(), "a read missed");
     servers[0].restart();
-    pager.pool_mut().reconnect(victim).expect("redial");
-    assert_eq!(pager.pool().backoff(victim), None);
-    let status = pager.pool().view().status(victim).expect("registered");
+    pager.reconnect(victim).expect("redial");
+    assert_eq!(backoff(), None);
+    let status = pager.with_shard(0, |p| *p.pool().view().status(victim).expect("registered"));
     assert_eq!(status.condition, rmp_cluster::Condition::Healthy);
     for server in servers {
         server.shutdown();

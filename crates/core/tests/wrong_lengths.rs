@@ -8,7 +8,6 @@
 
 mod support;
 
-use rmp_blockdev::PagingDevice;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId, PAGE_SIZE};
 
 use support::*;
@@ -16,9 +15,9 @@ use support::*;
 #[test]
 fn a_unit_answered_with_a_page_fails_typed() {
     let config = PagerConfig::new(Policy::ErasureCoded).with_ec_splits(4, 1);
-    let (wire, _servers, mut pager) = wave_pager(config, 5);
+    let (wire, _servers, pager) = wave_pager(config, 5);
     let page = Page::deterministic(1);
-    let (done, _) = in_waves(&wire, &[5], || pager.page_out(PageId(1), &page));
+    let (done, _) = in_waves(&wire, &[5], || landed(&pager, PageId(1), &page));
     done.expect("pageout");
     // A clean read reaches the four data holders; the fifth has parity.
     let (read, waves) = in_waves(&wire, &[4], || pager.page_in(PageId(1)));
@@ -54,9 +53,9 @@ fn a_page_answered_with_a_unit_fails_typed_checksums_on_or_off() {
         let config = PagerConfig::new(Policy::NoReliability)
             .with_servers(1)
             .with_verify_checksums(verify);
-        let (wire, _servers, mut pager) = wave_pager(config, 1);
+        let (wire, _servers, pager) = wave_pager(config, 1);
         let page = Page::deterministic(2);
-        let (done, _) = in_waves(&wire, &[1], || pager.page_out(PageId(2), &page));
+        let (done, _) = in_waves(&wire, &[1], || landed(&pager, PageId(2), &page));
         done.expect("pageout");
         wire.state().bent_reads = vec![(ServerId(0), PAGE_SIZE / 4)];
         let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(2)));
@@ -72,9 +71,9 @@ fn a_page_answered_with_a_unit_fails_typed_checksums_on_or_off() {
 
 #[test]
 fn a_pageout_takes_a_whole_page() {
-    let (wire, _servers, mut pager) = wave_pager(PagerConfig::new(Policy::NoReliability), 2);
+    let (wire, _servers, pager) = wave_pager(PagerConfig::new(Policy::NoReliability), 2);
     let unit = Page::unit(&[9; PAGE_SIZE / 4]).expect("unit");
-    let (done, _) = in_waves(&wire, &[], || pager.page_out(PageId(3), &unit));
+    let (done, _) = in_waves(&wire, &[], || landed(&pager, PageId(3), &unit));
     assert!(matches!(done, Err(RmpError::Unsupported(_))), "{done:?}");
     assert!(wire.calls().is_empty(), "nothing went on the wire");
 }

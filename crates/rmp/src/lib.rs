@@ -29,7 +29,7 @@
 //! // Spin up three remote memory servers on loopback.
 //! let cluster = LocalCluster::spawn(3, 4096).unwrap();
 //! // Page through them with the paper's parity-logging policy.
-//! let mut pager = cluster
+//! let pager = cluster
 //!     .pager(PagerConfig::new(Policy::ParityLogging).with_servers(2))
 //!     .unwrap();
 //! pager.page_out(PageId(7), &Page::filled(42)).unwrap();
@@ -58,7 +58,7 @@ pub use local::LocalCluster;
 pub mod prelude {
     pub use crate::local::LocalCluster;
     pub use rmp_blockdev::{FileDisk, ModeledDisk, PagingDevice, RamDisk};
-    pub use rmp_core::{Pager, RecoveryReport, ServerPool};
+    pub use rmp_core::{RecoveryReport, ServerPool, ShardedPager};
     pub use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, PAGE_SIZE};
     pub use rmp_vm::{PagedArray, PagedMemory, Replacement, VmConfig};
     pub use rmp_workloads::Workload;

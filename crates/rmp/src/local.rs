@@ -1,8 +1,8 @@
 //! Convenience wrapper: a loopback cluster in one process.
 
-use rmp_blockdev::RamDisk;
+use rmp_blockdev::{PagingDevice, RamDisk};
 use rmp_cluster::{Registry, ServerInfo};
-use rmp_core::{Pager, ServerPool};
+use rmp_core::{ServerPool, ShardedPager};
 use rmp_server::{MemoryServer, ServerConfig, ServerHandle};
 use rmp_types::{PagerConfig, Result, ServerId};
 
@@ -69,16 +69,22 @@ impl LocalCluster {
         ServerPool::connect(&self.registry)
     }
 
-    /// Builds a pager over this cluster with an unbounded RAM-backed local
-    /// disk as fallback.
+    /// Builds a pager over this cluster, `config.shard_count` shards each
+    /// dialling every server (as [`ShardedPager::connect`] does) and each
+    /// with an unbounded RAM-backed local disk as fallback.
     ///
     /// # Errors
     ///
     /// Propagates connection and configuration failures.
-    pub fn pager(&self, config: PagerConfig) -> Result<Pager> {
-        Pager::builder(config)
-            .pool(self.pool()?)
-            .disk(Box::new(RamDisk::unbounded()))
+    pub fn pager(&self, config: PagerConfig) -> Result<ShardedPager> {
+        let shards = 0..config.shard_count;
+        let pools = (shards.clone())
+            .map(|_| ServerPool::connect_with(&self.registry, config.transport.clone()))
+            .collect::<Result<_>>()?;
+        let disks = shards.map(|_| Box::new(RamDisk::unbounded()) as Box<dyn PagingDevice>);
+        ShardedPager::builder(config)
+            .pools(pools)
+            .disks(disks.collect())
             .build()
     }
 
@@ -96,14 +102,13 @@ impl LocalCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmp_blockdev::PagingDevice;
     use rmp_types::{Page, PageId, Policy};
 
     #[test]
     fn spawn_and_page() {
         let cluster = LocalCluster::spawn(2, 64).expect("spawn");
         assert_eq!(cluster.len(), 2);
-        let mut pager = cluster
+        let pager = cluster
             .pager(PagerConfig::new(Policy::NoReliability))
             .expect("pager");
         pager.page_out(PageId(0), &Page::filled(9)).expect("out");

@@ -16,7 +16,8 @@
 //! println!("{}", probe_to_json(&probe));
 //! ```
 
-use rmp_blockdev::PagingDevice;
+use std::sync::Arc;
+
 use rmp_types::metrics::HistogramSnapshot;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result};
 
@@ -111,7 +112,8 @@ pub fn probe_policy(policy: Policy, pages: usize) -> Result<PolicyProbe> {
         Policy::ErasureCoded => PagerConfig::new(policy).with_ec_splits(s, 1),
         _ => PagerConfig::new(policy),
     };
-    let mut pager = cluster.pager(config)?;
+    // One shard: one pool's wire counters and one registry see it all.
+    let pager = cluster.pager(config.with_shard_count(1))?;
     for i in 0..pages {
         pager.page_out(PageId(i as u64), &Page::deterministic(i as u64))?;
     }
@@ -135,15 +137,15 @@ pub fn probe_policy(policy: Policy, pages: usize) -> Result<PolicyProbe> {
         // whenever its next rung is due, which would otherwise pollute
         // the steady-state degraded cost.
         pager.page_in(PageId(0))?;
-        pager.pool_mut().refresh_loads();
+        pager.with_shard(0, |p| p.pool_mut().refresh_loads());
         let baseline = pager.stats();
-        let wire_before = pager.pool().wire_transfers();
+        let wire_before = pager.with_shard(0, |p| p.pool().wire_transfers());
         for i in 0..pages {
             pager.page_in(PageId(i as u64))?;
         }
         let after = pager.stats();
         degraded_reads = after.degraded_reads - baseline.degraded_reads;
-        let wire_delta = pager.pool().wire_transfers() - wire_before;
+        let wire_delta = pager.with_shard(0, |p| p.pool().wire_transfers()) - wire_before;
         let healthy_reads = pages as u64 - degraded_reads;
         // Healthy pageins cost one wire fetch — except erasure coding,
         // whose demand path always gathers the `k` data splits.
@@ -157,7 +159,7 @@ pub fn probe_policy(policy: Policy, pages: usize) -> Result<PolicyProbe> {
         }
     }
 
-    let metrics = pager.metrics();
+    let metrics = pager.with_shard(0, |p| Arc::clone(p.metrics()));
     let total_pageins = pager.stats().pageins;
     let prefetch_issued = metrics.counter("pager_prefetch_issued_total").get();
     let prefetch_hits = metrics.counter("pager_prefetch_hits_total").get();
@@ -167,12 +169,11 @@ pub fn probe_policy(policy: Policy, pages: usize) -> Result<PolicyProbe> {
     } else {
         0.0
     };
-    let mut server_suspicion: Vec<(u32, f64)> = pager
-        .pool()
-        .server_ids()
-        .into_iter()
-        .map(|id| (id.0, pager.pool().suspicion(id)))
-        .collect();
+    let mut server_suspicion: Vec<(u32, f64)> = pager.with_shard(0, |p| {
+        let pool = p.pool();
+        let ids = pool.server_ids().into_iter();
+        ids.map(|id| (id.0, pool.suspicion(id))).collect()
+    });
     server_suspicion.sort_unstable_by_key(|&(id, _)| id);
     Ok(PolicyProbe {
         policy,

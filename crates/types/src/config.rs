@@ -214,13 +214,13 @@ pub struct PagerConfig {
     /// the runway gone, up to this many. Also the most read-aheads a
     /// pager keeps on the wire. `0` disables prefetching entirely.
     pub prefetch_window: usize,
-    /// Number of independent shards the concurrent front-end
+    /// Number of independent shards the pager's front-end
     /// (`ShardedPager`) splits the page space into. Each shard owns its
     /// page table, checksum map, engine bookkeeping, and server
     /// connections, guarded by one lock, so up to `shard_count`
     /// application threads can page in parallel. Must be a power of two
-    /// (shard selection masks the low bits of the `PageId`). Ignored by
-    /// the single-threaded `Pager`.
+    /// (shard selection masks the low bits of the `PageId`); one shard
+    /// is one pool, as the paper's single client has.
     pub shard_count: usize,
     /// Data splits per page under the erasure-coded policy (`k`): each
     /// page is cut into `k` equal splits of `PAGE_SIZE / k` bytes, so `k`

@@ -21,7 +21,7 @@ fn main() -> Result<()> {
     // 2. Build the pager with the paper's headline policy: parity logging
     //    over 4 data servers + 1 parity server, 10 % overflow memory.
     let config = PagerConfig::new(Policy::ParityLogging).with_servers(4);
-    let mut pager = cluster.pager(config)?;
+    let pager = cluster.pager(config)?;
 
     // 3. Page out a working set bigger than local memory and read a few
     //    pages back.
@@ -48,13 +48,14 @@ fn main() -> Result<()> {
     );
     cluster.handles()[2].crash();
 
-    // 5. Recovery: the pager XORs each damaged parity group back
-    //    together and re-homes the lost pages on the survivors.
-    let report = pager.recover_from_crash(ServerId(2))?;
-    println!(
-        "  rebuilt {} pages with {} transfers in {:?}",
-        report.pages_rebuilt, report.transfers, report.elapsed
-    );
+    // 5. Recovery: each of the pager's shards XORs its damaged parity
+    //    groups back together and re-homes the lost pages on the
+    //    survivors.
+    let reports = pager.recover_from_crash(ServerId(2))?;
+    let rebuilt: u64 = reports.iter().map(|r| r.pages_rebuilt).sum();
+    let transfers: u64 = reports.iter().map(|r| r.transfers).sum();
+    let elapsed: std::time::Duration = reports.iter().map(|r| r.elapsed).sum();
+    println!("  rebuilt {rebuilt} pages with {transfers} transfers in {elapsed:?}");
 
     // 6. Every page is intact.
     for i in 0..1000u64 {

@@ -13,9 +13,14 @@ use rmp::types::RmpError;
 #[test]
 fn degraded_read_is_o1_and_defers_the_rebuild() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::ParityLogging)
+                .with_servers(4)
+                .with_shard_count(1),
+        )
         .expect("pager");
+    let wire_transfers = || pager.with_shard(0, |p| p.pool().wire_transfers());
     for i in 0..200u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -29,14 +34,14 @@ fn degraded_read_is_o1_and_defers_the_rebuild() {
     // served by reconstructing just its parity group.
     let mut cost_of_degraded = None;
     for i in 0..200u64 {
-        let wire_before = pager.pool().wire_transfers();
+        let wire_before = wire_transfers();
         let degraded_before = pager.stats().degraded_reads;
         let page = pager
             .page_in(PageId(i))
             .expect("every read survives the crash");
         assert_eq!(page, Page::deterministic(i));
         if pager.stats().degraded_reads > degraded_before {
-            cost_of_degraded = Some(pager.pool().wire_transfers() - wire_before);
+            cost_of_degraded = Some(wire_transfers() - wire_before);
             break;
         }
     }
@@ -48,12 +53,13 @@ fn degraded_read_is_o1_and_defers_the_rebuild() {
     );
     // The read waited for no verdict: one missed attempt put the server on
     // the retry ladder, and nothing is queued on a miss.
-    assert!(pager.pool().view().is_alive(ServerId(1)));
+    assert!(pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(1))));
     assert_eq!(pager.recovery_backlog(), 0);
     // A load probe has no way around the server: it walks the rest of the
     // ladder to the verdict, and the next read of a lost page queues the
     // rebuild.
-    assert_eq!(pager.pool_mut().refresh_loads(), vec![ServerId(1)]);
+    let probed = pager.with_shard(0, |p| p.pool_mut().refresh_loads());
+    assert_eq!(probed, vec![ServerId(1)]);
     for i in 0..200u64 {
         assert_eq!(
             pager.page_in(PageId(i)).expect("read"),
@@ -65,10 +71,10 @@ fn degraded_read_is_o1_and_defers_the_rebuild() {
         "the full rebuild was deferred, not run inline with the pagein"
     );
     // Draining the deferred rebuild restores full redundancy.
-    let report = pager
+    let reports = pager
         .recover_from_crash(ServerId(1))
         .expect("deferred rebuild drains");
-    assert!(report.pages_rebuilt > 0);
+    assert!(reports[0].pages_rebuilt > 0);
     assert_eq!(pager.recovery_backlog(), 0);
     for i in 0..200u64 {
         assert_eq!(
@@ -81,11 +87,12 @@ fn degraded_read_is_o1_and_defers_the_rebuild() {
 #[test]
 fn maintenance_rebuilds_in_budgeted_steps() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
-    let mut pager = cluster
+    let pager = cluster
         .pager(
             PagerConfig::new(Policy::ParityLogging)
                 .with_servers(4)
-                .with_recovery_page_budget(8),
+                .with_recovery_page_budget(8)
+                .with_shard_count(1),
         )
         .expect("pager");
     for i in 0..160u64 {
@@ -124,22 +131,25 @@ fn maintenance_rebuilds_in_budgeted_steps() {
 #[test]
 fn restarted_server_rejoins_and_takes_new_pages() {
     let cluster = LocalCluster::spawn(3, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::Mirroring))
+    let pager = cluster
+        .pager(PagerConfig::new(Policy::Mirroring).with_shard_count(1))
         .expect("pager");
     for i in 0..60u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
+    // Every pageout is acked before the crash: `flush` returns once each
+    // has landed.
+    pager.flush().expect("flush");
     cluster.handles()[0].crash();
     pager
         .recover_from_crash(ServerId(0))
         .expect("re-mirror on the survivors");
     // The workstation reboots empty and rejoins the pool.
     cluster.handles()[0].restart();
-    pager.pool_mut().reconnect(ServerId(0)).expect("rejoin");
-    pager.pool_mut().refresh_loads();
+    pager.reconnect(ServerId(0)).expect("rejoin");
+    pager.with_shard(0, |p| p.pool_mut().refresh_loads());
     assert_eq!(cluster.handles()[0].stored_pages(), 0);
     for i in 100..160u64 {
         pager
@@ -163,11 +173,12 @@ fn restarted_server_rejoins_and_takes_new_pages() {
 /// [`RmpError::Unrecoverable`] — never a wrong-content page.
 fn double_fault_mid_recovery(policy: Policy, n: usize, servers: usize) {
     let cluster = LocalCluster::spawn(n, 16 * 4096).expect("cluster");
-    let mut pager = cluster
+    let pager = cluster
         .pager(
             PagerConfig::new(policy)
                 .with_servers(servers)
-                .with_recovery_page_budget(8),
+                .with_recovery_page_budget(8)
+                .with_shard_count(1),
         )
         .expect("pager");
     for i in 0..160u64 {

@@ -14,8 +14,12 @@ const OPS: usize = 2_500;
 #[test]
 fn parity_logging_survives_a_chaotic_week() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::ParityLogging)
+                .with_servers(4)
+                .with_shard_count(1),
+        )
         .expect("pager");
     let mut rng = StdRng::seed_from_u64(0x19960122);
     let mut reference: std::collections::HashMap<PageId, u64> = std::collections::HashMap::new();
@@ -72,7 +76,6 @@ fn parity_logging_survives_a_chaotic_week() {
                 if let Some(victim) = crashed.take() {
                     cluster.handles()[victim as usize].restart();
                     pager
-                        .pool_mut()
                         .reconnect(ServerId(victim))
                         .unwrap_or_else(|e| panic!("step {step}: rejoin srv{victim}: {e}"));
                 }
@@ -105,8 +108,12 @@ fn parity_logging_survives_a_chaotic_week() {
 #[test]
 fn mirroring_survives_the_same_chaos() {
     let cluster = LocalCluster::spawn(3, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::Mirroring).with_servers(3))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::Mirroring)
+                .with_servers(3)
+                .with_shard_count(1),
+        )
         .expect("pager");
     let mut rng = StdRng::seed_from_u64(0xD15C);
     let mut reference: std::collections::HashMap<PageId, u64> = std::collections::HashMap::new();
@@ -144,7 +151,6 @@ fn mirroring_survives_the_same_chaos() {
                 if let Some(victim) = crashed.take() {
                     cluster.handles()[victim as usize].restart();
                     pager
-                        .pool_mut()
                         .reconnect(ServerId(victim))
                         .unwrap_or_else(|e| panic!("step {step}: {e}"));
                 }

@@ -7,7 +7,7 @@
 
 use rmp::blockdev::RamDisk;
 use rmp::cluster::{Registry, ServerInfo};
-use rmp::core::{Pager, ServerPool};
+use rmp::core::ServerPool;
 use rmp::prelude::*;
 use rmp::server::{MemoryServer, ServerConfig, ServerHandle};
 
@@ -35,22 +35,32 @@ fn weighted_cluster(costs: &[f64]) -> (Vec<ServerHandle>, ServerPool) {
     (handles, pool)
 }
 
+/// A one-shard pager over `pool`, with a RAM disk to fall back on.
+fn one_shard(config: PagerConfig, pool: ServerPool) -> ShardedPager {
+    ShardedPager::builder(config.with_shard_count(1))
+        .pools(vec![pool])
+        .disks(vec![Box::new(RamDisk::unbounded())])
+        .build()
+        .expect("pager")
+}
+
 #[test]
 fn cheap_links_attract_more_pages() {
     // Server 0 is local (cost 1), server 1 sits across a slow WAN hop
     // (cost 20): with equal free memory, placement should prefer srv0.
     let (handles, pool) = weighted_cluster(&[1.0, 20.0]);
-    let mut pager = Pager::builder(PagerConfig::new(Policy::NoReliability).with_servers(2))
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("pager");
-    pager.pool_mut().refresh_loads();
+    let pager = one_shard(
+        PagerConfig::new(Policy::NoReliability).with_servers(2),
+        pool,
+    );
+    pager.with_shard(0, |p| p.pool_mut().refresh_loads());
     for i in 0..200u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
+    // Every pageout lands before the servers are counted.
+    pager.flush().expect("flush");
     let near = handles[0].stored_pages();
     let far = handles[1].stored_pages();
     // The no-reliability engine round-robins over *live* servers for
@@ -62,9 +72,9 @@ fn cheap_links_attract_more_pages() {
         "near {near} pages vs far {far}: expensive link must not dominate"
     );
     // And the selection primitive itself is cost-aware.
-    let view = pager.pool().view();
+    let promising = pager.with_shard(0, |p| p.pool().view().most_promising(&[]));
     assert_eq!(
-        view.most_promising(&[]),
+        promising,
         Some(ServerId(0)),
         "equal memory, cheaper link wins"
     );
@@ -100,16 +110,16 @@ fn far_server_still_used_when_near_is_full() {
         handles.push(handle);
     }
     let pool = ServerPool::connect(&registry).expect("connect");
-    let mut pager = Pager::builder(PagerConfig::new(Policy::NoReliability).with_servers(2))
-        .pool(pool)
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("pager");
+    let pager = one_shard(
+        PagerConfig::new(Policy::NoReliability).with_servers(2),
+        pool,
+    );
     for i in 0..100u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
+    pager.flush().expect("flush");
     assert!(handles[0].stored_pages() <= 8);
     assert!(
         handles[1].stored_pages() >= 80,
@@ -130,13 +140,13 @@ fn adaptive_switch_recovers_when_network_improves() {
     let config = PagerConfig::new(Policy::NoReliability)
         .with_servers(2)
         .with_adaptive_threshold_ms(1e-9); // Loopback instantly "too slow".
-    let mut pager = cluster.pager(config).expect("pager");
+    let pager = cluster.pager(config.with_shard_count(1)).expect("pager");
     for i in 0..20u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
-    assert!(pager.prefers_disk(), "threshold trips");
+    assert!(pager.with_shard(0, |p| p.prefers_disk()), "threshold trips");
     // All pages readable wherever they landed.
     for i in 0..20u64 {
         assert_eq!(
@@ -160,25 +170,23 @@ fn adaptive_switch_follows_a_long_healthy_pool_both_ways() {
         .with_servers(2)
         .with_prefetch_window(0)
         .with_adaptive_threshold_ms(5.0);
-    let mut pager = Pager::builder(config.clone())
-        .pool(cluster.pool(&config.transport))
-        .disk(Box::new(RamDisk::unbounded()))
-        .build()
-        .expect("pager");
-    let write = |pager: &mut Pager, id: u64| {
+    let pager = one_shard(config.clone(), cluster.pool(&config.transport));
+    let write = |id: u64| {
         pager
             .page_out(PageId(id), &Page::deterministic(id))
             .expect("pageout");
     };
+    let prefers_disk = || pager.with_shard(0, |p| p.prefers_disk());
+    let avg_service_ms = || pager.with_shard(0, |p| p.pool().avg_service_ms());
     // A long healthy history: well over a thousand calls at in-process
     // speed. An all-time mean would now take thousands of slow calls to
     // move; the switch has to follow the network as it is.
     for round in 0..40u64 {
         for i in 0..16 {
-            write(&mut pager, i);
+            write(i);
             pager.page_in(PageId(i)).expect("read");
         }
-        assert!(!pager.prefers_disk(), "round {round}: the network is fast");
+        assert!(!prefers_disk(), "round {round}: the network is fast");
     }
     // Congestion: every data call now takes 15 ms. The switch is
     // re-evaluated on pageouts, so sixteen slow reads, then one write.
@@ -189,11 +197,11 @@ fn adaptive_switch_follows_a_long_healthy_pool_both_ways() {
     for i in 0..16 {
         pager.page_in(PageId(i)).expect("slow read");
     }
-    write(&mut pager, 0);
+    write(0);
     assert!(
-        pager.prefers_disk(),
+        prefers_disk(),
         "sixteen 15 ms attempts put the estimate ({} ms) over the 5 ms threshold",
-        pager.pool().avg_service_ms()
+        avg_service_ms()
     );
     // The congestion clears; reads of the pages still in remote memory are
     // fast again and pull the estimate back under half the threshold.
@@ -203,10 +211,10 @@ fn adaptive_switch_follows_a_long_healthy_pool_both_ways() {
             pager.page_in(PageId(i)).expect("fast read");
         }
     }
-    write(&mut pager, 1);
+    write(1);
     assert!(
-        !pager.prefers_disk(),
+        !prefers_disk(),
         "fast replies pull the estimate ({} ms) back down",
-        pager.pool().avg_service_ms()
+        avg_service_ms()
     );
 }

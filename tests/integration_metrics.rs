@@ -9,6 +9,8 @@
 //! 1, S, and 0 transfers for mirror/parity/write-through); and a server
 //! answers `GetStats` with its own `rmp-server-v1` document.
 
+use std::sync::Arc;
+
 use rmp::prelude::*;
 use rmp::stat::{probe_policy, probes_to_json};
 use rmp::types::metrics::EventKind;
@@ -16,8 +18,8 @@ use rmp::types::metrics::EventKind;
 #[test]
 fn pageouts_and_pageins_leave_counters_latency_and_events() {
     let cluster = LocalCluster::spawn(3, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::NoReliability))
+    let pager = cluster
+        .pager(PagerConfig::new(Policy::NoReliability).with_shard_count(1))
         .expect("pager");
     for i in 0..40u64 {
         pager
@@ -30,7 +32,7 @@ fn pageouts_and_pageins_leave_counters_latency_and_events() {
             Page::deterministic(i)
         );
     }
-    let metrics = pager.metrics();
+    let metrics = pager.with_shard(0, |p| Arc::clone(p.metrics()));
     assert_eq!(metrics.counter("pager_pageouts_total").get(), 40);
     assert_eq!(metrics.counter("pager_pageins_total").get(), 40);
     assert_eq!(metrics.histogram("pager_pageout_latency_us").count(), 40);
@@ -64,14 +66,16 @@ fn pageouts_and_pageins_leave_counters_latency_and_events() {
 #[test]
 fn snapshot_json_carries_schema_stats_and_metric_names() {
     let cluster = LocalCluster::spawn(2, 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::Mirroring))
+    let pager = cluster
+        .pager(PagerConfig::new(Policy::Mirroring).with_shard_count(1))
         .expect("pager");
     for i in 0..10u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
+    // Every pageout lands, and is booked, before the snapshot.
+    pager.flush().expect("flush");
     let json = pager.metrics_snapshot_json();
     for needle in [
         "\"schema\": \"rmp-pager-v1\"",
@@ -152,14 +156,17 @@ fn probe_document_covers_every_policy() {
 #[test]
 fn crash_and_degraded_read_leave_trace_events() {
     let cluster = LocalCluster::spawn(2, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::Mirroring))
+    let pager = cluster
+        .pager(PagerConfig::new(Policy::Mirroring).with_shard_count(1))
         .expect("pager");
     for i in 0..30u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
+    // Every pageout is acked before the crash: `flush` returns once each
+    // has landed.
+    pager.flush().expect("flush");
     cluster.handles()[0].crash();
     for i in 0..30u64 {
         assert_eq!(
@@ -169,8 +176,11 @@ fn crash_and_degraded_read_leave_trace_events() {
     }
     // The reads went around the server; a load probe has no way around
     // it, and walks what is left of the retry ladder to the verdict.
-    pager.pool_mut().refresh_loads();
-    let (events, _) = pager.metrics().events();
+    let metrics = pager.with_shard(0, |p| {
+        p.pool_mut().refresh_loads();
+        Arc::clone(p.metrics())
+    });
+    let (events, _) = metrics.events();
     assert!(
         events.iter().any(|e| e.kind == EventKind::Crash),
         "the pool traces the death"
@@ -187,7 +197,7 @@ fn crash_and_degraded_read_leave_trace_events() {
         "degraded events carry outcome and policy"
     );
     assert!(
-        pager.metrics().counter("pager_degraded_reads_total").get() > 0,
+        metrics.counter("pager_degraded_reads_total").get() > 0,
         "and the counter agrees"
     );
 }
@@ -195,15 +205,18 @@ fn crash_and_degraded_read_leave_trace_events() {
 #[test]
 fn get_stats_round_trips_through_the_pool() {
     let cluster = LocalCluster::spawn(2, 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::NoReliability))
+    let pager = cluster
+        .pager(PagerConfig::new(Policy::NoReliability).with_shard_count(1))
         .expect("pager");
     for i in 0..12u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
-    let json = pager.pool_mut().get_stats(ServerId(0)).expect("get stats");
+    // Every pageout lands before the servers are asked what they hold.
+    pager.flush().expect("flush");
+    let json = pager.with_shard(0, |p| p.pool_mut().get_stats(ServerId(0)));
+    let json = json.expect("get stats");
     for needle in [
         "\"schema\": \"rmp-server-v1\"",
         "server_requests_total",

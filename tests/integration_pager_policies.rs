@@ -15,7 +15,7 @@ fn run_workload<W: Workload>(w: &W, policy: Policy, servers: usize, frames: usiz
         Policy::ErasureCoded => PagerConfig::new(policy).with_ec_splits(servers, 1),
         _ => PagerConfig::new(policy).with_servers(servers),
     };
-    let pager = cluster.pager(config).expect("pager");
+    let pager = cluster.pager(config.with_shard_count(1)).expect("pager");
     let mut vm = PagedMemory::new(pager, VmConfig::with_frames(frames));
     let report = w.run(&mut vm).unwrap_or_else(|e| panic!("{policy}: {e}"));
     assert!(report.verified, "{policy}: output verified");
@@ -57,7 +57,11 @@ fn mvec_is_correct_under_basic_parity() {
 fn parity_logging_overhead_holds_under_a_real_workload() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
     let pager = cluster
-        .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+        .pager(
+            PagerConfig::new(Policy::ParityLogging)
+                .with_servers(4)
+                .with_shard_count(1),
+        )
         .expect("pager");
     let mut vm = PagedMemory::new(pager, VmConfig::with_frames(4));
     let report = Gauss::new(96).run(&mut vm).expect("runs");
@@ -94,7 +98,11 @@ fn workload_results_identical_across_policies() {
         };
         let cluster = LocalCluster::spawn(pool_size, 16 * 4096).expect("cluster");
         let pager = cluster
-            .pager(PagerConfig::new(policy).with_servers(servers))
+            .pager(
+                PagerConfig::new(policy)
+                    .with_servers(servers)
+                    .with_shard_count(1),
+            )
             .expect("pager");
         let mut vm = PagedMemory::new(pager, VmConfig::with_frames(4));
         let report = Gauss::new(64).run(&mut vm).expect("runs");

@@ -191,8 +191,8 @@ proptest! {
     #[test]
     fn pager_matches_reference_model(ops in prop::collection::vec((0u8..3, 0u64..24, any::<u64>()), 1..40)) {
         let cluster = LocalCluster::spawn(5, 4096).unwrap();
-        let mut pager = cluster
-            .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+        let pager = cluster
+            .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4).with_shard_count(1))
             .unwrap();
         let mut reference: std::collections::HashMap<PageId, Page> =
             std::collections::HashMap::new();
@@ -249,7 +249,7 @@ fn write_behind_device_works_under_a_real_access_pattern() {
     }
     vm.sync().unwrap();
     let booked = |shard| {
-        let pageouts = |p: &mut Pager| p.metrics().counter("pager_pageouts_total").get();
+        let pageouts = |p: &mut rmp::core::Pager| p.metrics().counter("pager_pageouts_total").get();
         vm.device().with_shard(shard, pageouts)
     };
     assert_eq!(

@@ -7,7 +7,11 @@ use rmp::workloads::{Qsort, Workload};
 fn workload_survives_mid_run_crash() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
     let pager = cluster
-        .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+        .pager(
+            PagerConfig::new(Policy::ParityLogging)
+                .with_servers(4)
+                .with_shard_count(1),
+        )
         .expect("pager");
     let mut vm = PagedMemory::new(pager, VmConfig::with_frames(6));
     // Warm up: get pages onto the servers.
@@ -32,8 +36,12 @@ fn workload_survives_mid_run_crash() {
 #[test]
 fn sequential_crashes_of_every_data_server_are_survivable() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::ParityLogging)
+                .with_servers(4)
+                .with_shard_count(1),
+        )
         .expect("pager");
     for i in 0..400u64 {
         pager
@@ -62,8 +70,12 @@ fn sequential_crashes_of_every_data_server_are_survivable() {
 #[test]
 fn recovery_cost_scales_with_pages_lost() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::ParityLogging)
+                .with_servers(4)
+                .with_shard_count(1),
+        )
         .expect("pager");
     for i in 0..200u64 {
         pager
@@ -73,7 +85,7 @@ fn recovery_cost_scales_with_pages_lost() {
     pager.flush().expect("flush");
     let lost = cluster.handles()[3].stored_pages() as u64;
     cluster.handles()[3].crash();
-    let report = pager.recover_from_crash(ServerId(3)).expect("recovery");
+    let report = pager.recover_from_crash(ServerId(3)).expect("recovery")[0];
     assert_eq!(report.pages_rebuilt, lost);
     // Each rebuilt page costs S-1 member fetches + 1 parity fetch + 1
     // store = S+1 transfers with S=4 (degraded co-location allowed).
@@ -94,8 +106,12 @@ fn mirroring_and_parity_agree_after_recovery() {
             3
         };
         let cluster = LocalCluster::spawn(n, 16 * 4096).expect("cluster");
-        let mut pager = cluster
-            .pager(PagerConfig::new(policy).with_servers(servers))
+        let pager = cluster
+            .pager(
+                PagerConfig::new(policy)
+                    .with_servers(servers)
+                    .with_shard_count(1),
+            )
             .expect("pager");
         for i in 0..150u64 {
             pager
@@ -118,8 +134,12 @@ fn mirroring_and_parity_agree_after_recovery() {
 #[test]
 fn overwrites_after_recovery_stay_consistent() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::ParityLogging)
+                .with_servers(4)
+                .with_shard_count(1),
+        )
         .expect("pager");
     for i in 0..100u64 {
         pager

@@ -58,8 +58,12 @@ fn many_concurrent_clients_share_one_server() {
 #[test]
 fn native_load_triggers_stop_sending_and_migration() {
     let cluster = LocalCluster::spawn(3, 256).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::NoReliability).with_servers(3))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::NoReliability)
+                .with_servers(3)
+                .with_shard_count(1),
+        )
         .expect("pager");
     for i in 0..120u64 {
         pager
@@ -68,9 +72,15 @@ fn native_load_triggers_stop_sending_and_migration() {
     }
     // Native memory demand arrives on server 0: it reclaims its frames.
     cluster.handles()[0].set_native_usage(256);
-    pager.pool_mut().refresh_loads();
+    // `stats` lands every pageout: the migration plans against the whole
+    // placement table, with nothing on the wire.
+    pager.stats();
     // The paper's reaction: migrate the pages away.
-    let migrated = pager.migrate_from(ServerId(0)).expect("migration");
+    let migrated = pager.with_shard(0, |p| {
+        p.pool_mut().refresh_loads();
+        p.migrate_from(ServerId(0))
+    });
+    let migrated = migrated.expect("migration");
     assert!(migrated > 0);
     assert_eq!(cluster.handles()[0].stored_pages(), 0);
     for i in 0..120u64 {
@@ -124,21 +134,28 @@ fn busy_server_cpu_stays_low_under_paging_load() {
 #[test]
 fn crashed_then_restarted_server_rejoins_cluster() {
     let cluster = LocalCluster::spawn(2, 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::Mirroring).with_servers(2))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::Mirroring)
+                .with_servers(2)
+                .with_shard_count(1),
+        )
         .expect("pager");
     for i in 0..50u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
+    // Every pageout is acked before the crash: `flush` returns once each
+    // has landed.
+    pager.flush().expect("flush");
     cluster.handles()[1].crash();
     // With only one live server plus disk fallback, recovery re-mirrors
     // onto the disk.
     pager.recover_from_crash(ServerId(1)).expect("recovery");
     // The workstation reboots and rejoins empty.
     cluster.handles()[1].restart();
-    pager.pool_mut().reconnect(ServerId(1)).expect("reconnect");
+    pager.reconnect(ServerId(1)).expect("reconnect");
     // New pageouts can use it again.
     for i in 50..100u64 {
         pager
@@ -179,8 +196,12 @@ fn server_inventory_matches_client_accounting() {
     // the total keys on all servers must equal the client's accounting:
     // stored versions + parity pages (every group) with nothing leaked.
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::ParityLogging)
+                .with_servers(4)
+                .with_shard_count(1),
+        )
         .expect("pager");
     for round in 0..3u64 {
         for i in 0..40u64 {
@@ -192,11 +213,8 @@ fn server_inventory_matches_client_accounting() {
     pager.flush().expect("flush");
     let mut total_keys = 0usize;
     for id in 0..5u32 {
-        total_keys += pager
-            .pool_mut()
-            .list_keys(ServerId(id))
-            .expect("list")
-            .len();
+        let keys = pager.with_shard(0, |p| p.pool_mut().list_keys(ServerId(id)));
+        total_keys += keys.expect("list").len();
     }
     // Reclaimed groups freed their storage: the servers hold at most the
     // versions of the live groups plus their parity pages, and at least
@@ -254,7 +272,11 @@ fn two_pagers_share_a_cluster_concurrently() {
     let spawn_client = |cluster: std::sync::Arc<LocalCluster>, which: usize| {
         std::thread::spawn(move || {
             let pager = cluster
-                .pager(PagerConfig::new(Policy::ParityLogging).with_servers(4))
+                .pager(
+                    PagerConfig::new(Policy::ParityLogging)
+                        .with_servers(4)
+                        .with_shard_count(1),
+                )
                 .expect("pager");
             let mut vm = PagedMemory::new(pager, VmConfig::with_frames(5));
             let verified = if which == 0 {
@@ -274,8 +296,12 @@ fn two_pagers_share_a_cluster_concurrently() {
 #[test]
 fn periodic_maintenance_heals_the_placement() {
     let cluster = LocalCluster::spawn(3, 256).expect("cluster");
-    let mut pager = cluster
-        .pager(PagerConfig::new(Policy::NoReliability).with_servers(3))
+    let pager = cluster
+        .pager(
+            PagerConfig::new(Policy::NoReliability)
+                .with_servers(3)
+                .with_shard_count(1),
+        )
         .expect("pager");
     for i in 0..120u64 {
         pager
