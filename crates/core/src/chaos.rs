@@ -882,6 +882,9 @@ fn flush_landed(pager: &ShardedPager, landing: &mut HashSet<u64>, ambiguous: &mu
 /// 6. **Every pagein counted is a page returned.**
 /// 7. **Nothing is left landing** — after the final flush, every shard's
 ///    `pager_landings` gauge reads 0.
+/// 8. **The registry and the stats agree** — at the end, each of
+///    `pager_{pageouts,pageins,degraded_reads,checksum_failures}_total`,
+///    summed over shards, equals its [`TransferStats`](rmp_types::TransferStats) field.
 ///
 /// On a manual clock, the run is a function of `seed` alone.
 ///
@@ -1120,11 +1123,29 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
     (outcome.violations).extend(dead_grants.map(|v| format!("seed {seed} {policy:?}: {v}")));
     format!("{:?}", cluster.plan().events()).hash(&mut journal);
     outcome.digest = journal.finish();
-    let pageins = pager.stats().pageins;
-    if pageins != served {
+    let stats = pager.stats();
+    if stats.pageins != served {
         outcome.violations.push(format!(
-            "seed {seed} {policy:?}: {pageins} pageins counted for {served} pages returned"
+            "seed {seed} {policy:?}: {} pageins counted for {served} pages returned",
+            stats.pageins
         ));
+    }
+    let ledgers = [
+        ("pageouts", stats.pageouts),
+        ("pageins", stats.pageins),
+        ("degraded_reads", stats.degraded_reads),
+        ("checksum_failures", stats.checksum_failures),
+    ];
+    for (what, booked) in ledgers {
+        let name = format!("pager_{what}_total");
+        let counted: u64 = (0..shards)
+            .map(|shard| pager.with_shard(shard, |p| p.metrics().counter(&name).get()))
+            .sum();
+        if counted != booked {
+            outcome.violations.push(format!(
+                "seed {seed} {policy:?}: {name} reads {counted}, the stats {booked}"
+            ));
+        }
     }
     outcome
 }

@@ -247,8 +247,7 @@ impl Engine for BasicParity {
         server: ServerId,
         page_budget: usize,
     ) -> Result<RecoveryStep> {
-        let chunk = ctx.pool.batch_max_pages();
-        rebuild_step(&mut self.rebuild, page_budget, chunk, |claimed, step| {
+        rebuild_step(&mut self.rebuild, page_budget, |claimed, step| {
             while let Some(head) = claimed.front() {
                 // One gather for the chunk: every piece of every stripe.
                 let stripes: Vec<&[Unit]> = claimed.iter().map(|w| &w.pieces[..]).collect();

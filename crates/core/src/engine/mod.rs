@@ -25,7 +25,7 @@ use rmp_types::{
     Page, PageId, Policy, Result, RmpError, ServerId, StoreKey, TransferStats, PAGE_SIZE,
 };
 
-use crate::pool::{Flight, Readable, ServerPool, StoreWave};
+use crate::pool::{Flight, Readable, ServerPool, StoreWave, CHUNK_PAGES};
 use crate::recovery::RecoveryStep;
 
 /// One stored unit of a page — a whole copy, a split or a parity frame:
@@ -142,10 +142,10 @@ impl Table {
 /// planned for a crash — the one claim / requeue loop behind every
 /// [`Engine::recovery_step`].
 ///
-/// Up to `budget` items are claimed, `chunk` at a time, and each chunk is
-/// handed to `rebuild` — which can then gather what the whole chunk needs
-/// in one wave, and ship what it rebuilt in one more, instead of a round
-/// trip or two per item. `rebuild` pops each item off the front once it
+/// Up to `budget` items are claimed, [`CHUNK_PAGES`] at a time, and each
+/// chunk is handed to `rebuild` — which can then gather what the whole
+/// chunk needs in one wave, and ship what it rebuilt in one more, instead
+/// of a round trip or two per item. `rebuild` pops each item off the front once it
 /// is done with it: its store acked, or no work left in it. Whatever it
 /// leaves behind — the item it failed on and everything after it — goes
 /// back to the head of the queue in order, so the retry after a replan
@@ -158,13 +158,12 @@ impl Table {
 pub fn rebuild_step<W>(
     queue: &mut VecDeque<W>,
     budget: usize,
-    chunk: usize,
     mut rebuild: impl FnMut(&mut VecDeque<W>, &mut RecoveryStep) -> Result<()>,
 ) -> Result<RecoveryStep> {
     let mut step = RecoveryStep::default();
     let mut left = budget.min(queue.len());
     while left > 0 {
-        let mut claimed: VecDeque<W> = queue.drain(..left.min(chunk.max(1))).collect();
+        let mut claimed: VecDeque<W> = queue.drain(..left.min(CHUNK_PAGES)).collect();
         left -= claimed.len();
         let outcome = rebuild(&mut claimed, &mut step);
         while let Some(work) = claimed.pop_back() {
@@ -1107,30 +1106,32 @@ mod tests {
 
     #[test]
     fn a_step_claims_its_budget_a_chunk_at_a_time() {
-        let mut queue: VecDeque<u32> = (0..10).collect();
+        assert_eq!(CHUNK_PAGES, 16, "the chunks below are sized to it");
+        let mut queue: VecDeque<u32> = (0..40).collect();
         let mut chunks = Vec::new();
-        let step = rebuild_step(&mut queue, 7, 3, stop_at(99, &mut chunks)).expect("step");
-        assert_eq!(chunks, [vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
-        assert_eq!((step.pages_rebuilt, step.remaining), (7, 3));
-        assert_eq!(queue, [7, 8, 9]);
+        let step = rebuild_step(&mut queue, 35, stop_at(99, &mut chunks)).expect("step");
+        let claimed: [Vec<u32>; 3] = [(0..16).collect(), (16..32).collect(), (32..35).collect()];
+        assert_eq!(chunks, claimed);
+        assert_eq!((step.pages_rebuilt, step.remaining), (35, 5));
+        assert_eq!(queue, [35, 36, 37, 38, 39]);
         // A budget below the chunk is the chunk; no budget claims nothing.
         let mut chunks = Vec::new();
-        let step = rebuild_step(&mut queue, 2, 16, stop_at(99, &mut chunks)).expect("step");
-        assert_eq!((chunks, step.remaining), (vec![vec![7, 8]], 1));
-        let step = rebuild_step(&mut queue, usize::MAX, 16, stop_at(99, &mut Vec::new()));
+        let step = rebuild_step(&mut queue, 2, stop_at(99, &mut chunks)).expect("step");
+        assert_eq!((chunks, step.remaining), (vec![vec![35, 36]], 3));
+        let step = rebuild_step(&mut queue, usize::MAX, stop_at(99, &mut Vec::new()));
         assert_eq!(step.expect("step").remaining, 0);
     }
 
     #[test]
     fn a_failure_leaves_the_failed_item_and_all_after_it_at_the_head_in_order() {
-        let mut queue: VecDeque<u32> = (0..10).collect();
+        let mut queue: VecDeque<u32> = (0..40).collect();
         let mut chunks = Vec::new();
-        let failed = rebuild_step(&mut queue, 8, 3, stop_at(4, &mut chunks));
+        let failed = rebuild_step(&mut queue, 40, stop_at(20, &mut chunks));
         assert!(matches!(failed, Err(RmpError::NoSpace(_))));
-        // The second chunk stopped at 4: 3 left the queue, 4 and 5 are
-        // back in front of what was never claimed, and no third chunk
-        // was.
-        assert_eq!(chunks, [vec![0, 1, 2], vec![3, 4, 5]]);
-        assert_eq!(queue, [4, 5, 6, 7, 8, 9]);
+        // The second chunk stopped at 20: 16 to 19 left the queue, 20 to
+        // 31 are back in front of what was never claimed, and no third
+        // chunk was.
+        assert_eq!(chunks, [(0..16).collect(), (16..32).collect::<Vec<_>>()]);
+        assert_eq!(queue, (20..40).collect::<Vec<_>>());
     }
 }

@@ -11,7 +11,7 @@ use rmp_types::{GroupId, Page, PageId, Policy, Result, RmpError, ServerId};
 use crate::engine::{
     freed, gave_way, rebuild_step, Ctx, Engine, Reading, Table, Unit, Writing, VACANT,
 };
-use crate::pool::StoreWave;
+use crate::pool::{StoreWave, CHUNK_PAGES};
 use crate::recovery::RecoveryStep;
 
 /// Active-fraction threshold below which garbage collection compacts a
@@ -426,7 +426,7 @@ impl ParityLogging {
         // prefetching is safe.
         let mut relog = plan.relog;
         relog.retain(|m| self.is_current(m) && !self.is_landing(m.page_id));
-        for chunk in relog.chunks(ctx.pool.batch_max_pages().max(1)) {
+        for chunk in relog.chunks(CHUNK_PAGES) {
             let reads: Vec<Unit> = chunk.iter().map(|m| (m.server, m.key)).collect();
             let pages = ctx.gather(&reads)?;
             for (member, page) in chunk.iter().zip(pages) {
@@ -1058,8 +1058,7 @@ impl Engine for ParityLogging {
         page_budget: usize,
     ) -> Result<RecoveryStep> {
         let mut rebuild = std::mem::take(&mut self.rebuild);
-        let chunk = ctx.pool.batch_max_pages();
-        let step = rebuild_step(&mut rebuild, page_budget, chunk, |claimed, step| {
+        let step = rebuild_step(&mut rebuild, page_budget, |claimed, step| {
             self.rebuild_chunk(ctx, claimed, server, step)
         });
         self.rebuild = rebuild;
@@ -1078,7 +1077,7 @@ impl Engine for ParityLogging {
         // per page.
         let mut moved = 0;
         let pages = self.table.pages_on(server);
-        for chunk in pages.chunks(ctx.pool.batch_max_pages().max(1)) {
+        for chunk in pages.chunks(CHUNK_PAGES) {
             // Skip pages an earlier re-log (or the GC it triggered)
             // already moved.
             let work: Vec<(PageId, Unit)> = chunk

@@ -43,6 +43,7 @@ use std::collections::VecDeque;
 use crate::engine::{
     gave_way, rebuild_step, sized, Ctx, Engine, Reading, Table, Unit, Writing, VACANT,
 };
+use crate::pool::CHUNK_PAGES;
 use crate::recovery::RecoveryStep;
 
 /// The frame of each unit of one page: the page itself where units are
@@ -724,8 +725,7 @@ impl Engine for Stripe {
         page_budget: usize,
     ) -> Result<RecoveryStep> {
         let mut rebuild = std::mem::take(&mut self.rebuild);
-        let chunk = ctx.pool.batch_max_pages();
-        let step = rebuild_step(&mut rebuild, page_budget, chunk, |claimed, step| {
+        let step = rebuild_step(&mut rebuild, page_budget, |claimed, step| {
             self.rebuild_chunk(ctx, claimed, server, step)
         });
         self.rebuild = rebuild;
@@ -738,7 +738,7 @@ impl Engine for Stripe {
         let ids = self.table.pages_on(server);
         // One burst of reads per chunk fetches every leaving unit off
         // the loaded server (write-through reads its disk instead).
-        for chunk in ids.chunks(ctx.pool.batch_max_pages().max(1)) {
+        for chunk in ids.chunks(CHUNK_PAGES) {
             let old: Vec<Unit> = chunk
                 .iter()
                 .filter_map(|&id| self.table.units(id)?.iter().find(|u| u.0 == server))

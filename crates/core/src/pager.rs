@@ -17,6 +17,12 @@ use crate::pool::{Flight, Readable, ServerPool};
 use crate::prefetch::PrefetchCache;
 use crate::recovery::{RecoveryPlan, RecoveryReport};
 
+/// Most pages one [`Pager::periodic_maintenance`] tick rebuilds: a
+/// pending crash recovery advances by at most this many, so maintenance
+/// pauses stay bounded while a crashed server's pages are re-protected
+/// in the background.
+const RECOVERY_STEP_PAGES: usize = 64;
+
 /// Checks, at construction time, that a striping policy's redundancy
 /// group fits the cluster: `needed` *live* servers must exist for every
 /// stripe member to land on a distinct machine. Rejecting here turns
@@ -186,9 +192,6 @@ pub struct Pager {
     /// waiting, harvested when ready (or when a demand fault needs the
     /// page).
     pending_prefetch: Vec<PendingPrefetch>,
-    /// Useless-prefetch count already forwarded to the metrics counter
-    /// (the cache tracks a running total; counters only add).
-    prefetch_useless_reported: u64,
     /// Observability: latency histograms, counters, and the trace-event
     /// ring — shared with the pool and exposed via [`Pager::metrics`].
     metrics: PagerMetrics,
@@ -216,8 +219,6 @@ impl Pager {
         // The pager's transport knobs are authoritative: whatever deadlines
         // and retry policy the config carries govern every pool call.
         pool.set_transport_config(config.transport.clone());
-        pool.set_verify_checksums(config.verify_checksums);
-        pool.set_batch_max_pages(config.batch_max_pages);
         // One registry serves the whole client stack: the pool records its
         // call latencies and failure transitions into the same ring and
         // tables the pager uses, so a single snapshot tells the story.
@@ -302,7 +303,6 @@ impl Pager {
             active_plan: None,
             prefetch: PrefetchCache::new(prefetch_capacity),
             pending_prefetch: Vec::new(),
-            prefetch_useless_reported: 0,
             engine_metrics: EngineMetrics {
                 registry: Arc::clone(&registry),
                 counters: Vec::new(),
@@ -568,12 +568,11 @@ impl Pager {
         self.pool.mark_rebuilt(server);
         // Placement changed wholesale under the rebuild: drop any
         // read-ahead rather than serve it against the old layout.
-        self.prefetch.clear();
         // Dropping the flights abandons the fetches: their window slots
         // free immediately and late replies are discarded on arrival.
         let abandoned = self.pending_prefetch.drain(..).filter(|p| p.page.is_some());
-        self.metrics.prefetch_useless.add(abandoned.count() as u64);
-        self.sync_useless();
+        let dropped = self.prefetch.clear() + abandoned.count() as u64;
+        self.metrics.prefetch_useless.add(dropped);
         Ok(report)
     }
 
@@ -596,7 +595,7 @@ impl Pager {
     ///
     /// This is also the incremental-recovery driver: servers that stopped
     /// answering load probes are marked dead and queued for rebuild, and
-    /// one budgeted recovery step ([`PagerConfig::recovery_page_budget`]
+    /// one budgeted recovery step (at most [`RECOVERY_STEP_PAGES`], 64
     /// pages) runs per call.
     ///
     /// # Errors
@@ -608,7 +607,7 @@ impl Pager {
         for server in self.pool.refresh_loads() {
             self.note_crash(server);
         }
-        self.recovery_tick(self.config.recovery_page_budget)?;
+        self.recovery_tick(RECOVERY_STEP_PAGES)?;
         let migrated = self.service_advisories()?;
         let promoted = self.with_engine(|engine, ctx| engine.rebalance(ctx))?;
         self.metrics.maintenance_latency.record(started.elapsed());
@@ -727,17 +726,13 @@ impl Pager {
     }
 
     /// Compares `page` against the checksum recorded when it was written.
-    /// `None` means clean (or verification is off / the page predates it).
-    /// A page that is not whole — a unit where a server should have held a
-    /// page — is refused first, verification on or off: no caller is ever
-    /// handed one.
+    /// `None` means clean (or the page has no acked write to check
+    /// against). A page that is not whole — a unit where a server should
+    /// have held a page — is refused first: no caller is ever handed one.
     fn check_sum(&mut self, id: PageId, page: &Page) -> Option<RmpError> {
         if !page.is_whole() {
             let len = page.as_ref().len();
             return Some(RmpError::Protocol(format!("{id} read back as {len} bytes")));
-        }
-        if !self.config.verify_checksums {
-            return None;
         }
         let expect = *self.page_sums.get(&id)?;
         let sum = page.checksum();
@@ -775,23 +770,12 @@ impl Pager {
     /// still on the wire: a fresher copy is being written (or the page
     /// freed), so both are stale from here on.
     fn invalidate_prefetched(&mut self, id: PageId) {
-        self.prefetch.invalidate(id);
+        let mut dropped = self.prefetch.invalidate(id);
         for overtaken in (self.pending_prefetch.iter_mut()).filter(|p| p.page == Some(id)) {
             overtaken.page = None;
-            self.metrics.prefetch_useless.inc();
+            dropped += 1;
         }
-        self.sync_useless();
-    }
-
-    /// Forwards newly-useless prefetch drops from the cache's running
-    /// total into the monotonic counter.
-    fn sync_useless(&mut self) {
-        let total = self.prefetch.useless();
-        let delta = total - self.prefetch_useless_reported;
-        if delta > 0 {
-            self.metrics.prefetch_useless.add(delta);
-            self.prefetch_useless_reported = total;
-        }
+        self.metrics.prefetch_useless.add(dropped);
     }
 
     /// Read-ahead copies held for a fault to come: cached, or on the wire
@@ -834,13 +818,13 @@ impl Pager {
             // stay honest about transfer counts even when the fetch ran
             // ahead of demand, or was overtaken by a write.
             self.stats.net_fetches += u64::from(fetched.is_some());
-            match (page, fetched) {
+            let dropped = match (page, fetched) {
                 (Some(pid), Some(fetched)) => self.prefetch.insert(pid, fetched),
-                (Some(_), None) => self.metrics.prefetch_useless.inc(),
-                (None, _) => {}
-            }
+                (Some(_), None) => 1,
+                (None, _) => 0,
+            };
+            self.metrics.prefetch_useless.add(dropped);
         }
-        self.sync_useless();
     }
 
     /// Fetches ahead of demand those of `pages` that are worth it, each
@@ -989,15 +973,13 @@ impl Pager {
     /// counters, the latency from its begin to its landing, and the trace.
     fn book_page_out(&mut self, out: &PageOut, page: &Page, done: Result<()>) -> Result<()> {
         let mut server = out.before;
-        if self.config.verify_checksums {
-            let sum = out.sum.unwrap_or_else(|| page.checksum());
-            match done {
-                Ok(()) => {
-                    self.page_sums.insert(out.id, sum);
-                    self.unacked_sums.remove(&out.id);
-                }
-                Err(_) => (self.unacked_sums.entry(out.id).or_default()).push(sum),
+        let sum = out.sum.unwrap_or_else(|| page.checksum());
+        match done {
+            Ok(()) => {
+                self.page_sums.insert(out.id, sum);
+                self.unacked_sums.remove(&out.id);
             }
+            Err(_) => (self.unacked_sums.entry(out.id).or_default()).push(sum),
         }
         if done.is_ok() {
             // A successful pageout may have *created* the placement;
@@ -1090,7 +1072,7 @@ impl Pager {
         stamp: Option<u64>,
     ) -> Option<Page> {
         let started = Instant::now();
-        if self.config.verify_checksums && stamp.is_some_and(|sum| sum != kept.checksum()) {
+        if stamp.is_some_and(|sum| sum != kept.checksum()) {
             return None;
         }
         self.metrics.landing_hits.inc();

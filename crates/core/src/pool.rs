@@ -53,11 +53,13 @@ const GRAY_MIN_EXPECTED_US: f64 = 500.0;
 /// ([`ServerPool::reserve_frame`]).
 const ALLOC_CHUNK: u32 = 64;
 
-/// Most pages one chunk of a rebuild, a migration or a log clean-up may
-/// be ([`ServerPool::set_batch_max_pages`]): a chunk's reads of one
-/// holder leave as one burst, and no server grants a window wider than
-/// this by default, so a wider burst would only queue behind itself.
-const MAX_CHUNK_PAGES: usize = 64;
+/// Pages per chunk of a rebuild, a migration or the parity log's
+/// clean-up: what is read in one gather — one plain read a page, all on
+/// the wire at once, a burst per holder — and, for a rebuild, stored in
+/// one wave, before the next chunk is touched. It bounds what the client
+/// holds of such work at a time, and is the most pageouts a shard keeps
+/// landing behind their callers (within a request window).
+pub const CHUNK_PAGES: usize = 16;
 
 /// Pre-resolved metric handles for the pool's hot call path: registered
 /// once in [`ServerPool::set_metrics`], recorded lock-free thereafter.
@@ -527,11 +529,6 @@ pub struct ServerPool {
     /// xorshift64* state for backoff jitter; deterministic seed keeps
     /// tests reproducible.
     jitter_state: u64,
-    /// Whether every fetched page is checked against the server's
-    /// checksum; a mismatch is [`RmpError::CorruptPage`], not a death.
-    verify_checksums: bool,
-    /// Pages per chunk of a rebuild, a migration, a log clean-up.
-    batch_max_pages: usize,
     /// See [`ServerPool::obituaries`], [`ServerPool::mark_rebuilt`] and
     /// [`ServerPool::backoffs`].
     obituaries: Vec<ServerId>,
@@ -559,8 +556,6 @@ impl ServerPool {
             clock: Clock::Real,
             last_attempts: 0,
             jitter_state: 0x2545_F491_4F6C_DD1D,
-            verify_checksums: true,
-            batch_max_pages: 16,
             obituaries: Vec::new(),
             rebuilt: Vec::new(),
             backoffs: Vec::new(),
@@ -584,23 +579,6 @@ impl ServerPool {
     /// The attached metrics registry, if any.
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
         self.metrics.as_ref().map(|m| &m.registry)
-    }
-
-    /// Turns end-to-end checksum verification of fetched pages on (the
-    /// default) or off ([`rmp_types::PagerConfig::verify_checksums`]).
-    pub fn set_verify_checksums(&mut self, enabled: bool) {
-        self.verify_checksums = enabled;
-    }
-
-    /// Sets the chunk size of rebuild, migration and log clean-up, 1..=64
-    /// pages ([`rmp_types::PagerConfig::batch_max_pages`]).
-    pub fn set_batch_max_pages(&mut self, pages: usize) {
-        self.batch_max_pages = pages.clamp(1, MAX_CHUNK_PAGES);
-    }
-
-    /// The chunk size currently in force.
-    pub fn batch_max_pages(&self) -> usize {
-        self.batch_max_pages
     }
 
     /// Connects to every server in the registry over TCP with default
@@ -1528,7 +1506,7 @@ impl ServerPool {
                 page,
             } => {
                 self.note_wire_transfer();
-                if self.verify_checksums && page.checksum() != checksum {
+                if page.checksum() != checksum {
                     return Err(RmpError::CorruptPage { server: id, key });
                 }
                 (echoed, Some(page))

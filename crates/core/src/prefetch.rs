@@ -309,9 +309,9 @@ impl Planner {
 /// first demand fault that hits them — a prefetched page is served at
 /// most once, so staleness cannot outlive one use. Writes and frees
 /// invalidate their entry immediately. When full, inserting evicts the
-/// oldest entry; evicted-unused and invalidated-unused entries count as
-/// *useless* prefetches so the hit-rate metrics expose a misbehaving
-/// predictor instead of hiding it.
+/// oldest entry. Each call that drops entries unread returns how many:
+/// those are *useless* prefetches, which the caller counts so the
+/// hit-rate metrics expose a misbehaving predictor instead of hiding it.
 #[derive(Debug)]
 pub struct PrefetchCache {
     /// Insertion order, oldest first.
@@ -320,8 +320,6 @@ pub struct PrefetchCache {
     /// `order` stay cheap.
     pages: std::collections::HashMap<PageId, Page>,
     capacity: usize,
-    /// Prefetched entries dropped without ever serving a hit.
-    useless: u64,
 }
 
 impl PrefetchCache {
@@ -331,7 +329,6 @@ impl PrefetchCache {
             order: VecDeque::new(),
             pages: std::collections::HashMap::new(),
             capacity,
-            useless: 0,
         }
     }
 
@@ -351,22 +348,24 @@ impl PrefetchCache {
     }
 
     /// Inserts a prefetched page, evicting the oldest entry when full.
-    /// Re-inserting an id refreshes its contents in place.
-    pub fn insert(&mut self, id: PageId, page: Page) {
+    /// Re-inserting an id refreshes its contents in place. Returns the
+    /// pages dropped unread: those evicted, the copy refreshed, or `page`
+    /// itself when the cache holds nothing.
+    pub fn insert(&mut self, id: PageId, page: Page) -> u64 {
         if self.capacity == 0 {
-            return;
+            return 1;
         }
         if self.pages.insert(id, page).is_some() {
-            return; // Already queued; contents refreshed.
+            return 1; // Already queued; contents refreshed.
         }
         self.order.push_back(id);
+        let mut dropped = 0;
         while self.pages.len() > self.capacity {
             if let Some(old) = self.order.pop_front() {
-                if self.pages.remove(&old).is_some() {
-                    self.useless += 1;
-                }
+                dropped += u64::from(self.pages.remove(&old).is_some());
             }
         }
+        dropped
     }
 
     /// Consumes the cached page for `id`, if present. Each prefetched
@@ -377,27 +376,23 @@ impl PrefetchCache {
         Some(page)
     }
 
-    /// Drops the entry for `id`, counting it useless if present — called
-    /// on every `page_out` and `free`, where the cached copy would
-    /// otherwise go stale.
-    pub fn invalidate(&mut self, id: PageId) {
-        if self.pages.remove(&id).is_some() {
+    /// Drops the entry for `id` — called on every `page_out` and `free`,
+    /// where the cached copy would otherwise go stale. Returns the pages
+    /// dropped unread: 1 if it was cached, else 0.
+    pub fn invalidate(&mut self, id: PageId) -> u64 {
+        let cached = self.pages.remove(&id).is_some();
+        if cached {
             self.order.retain(|&k| k != id);
-            self.useless += 1;
         }
+        u64::from(cached)
     }
 
-    /// Drops everything, counting remaining entries useless.
-    pub fn clear(&mut self) {
-        self.useless += self.pages.len() as u64;
+    /// Drops everything. Returns the pages dropped unread.
+    pub fn clear(&mut self) -> u64 {
+        let dropped = self.pages.len() as u64;
         self.pages.clear();
         self.order.clear();
-    }
-
-    /// Prefetched pages dropped (evicted, invalidated, or cleared)
-    /// without serving a hit.
-    pub fn useless(&self) -> u64 {
-        self.useless
+        dropped
     }
 }
 
@@ -673,40 +668,41 @@ mod tests {
     #[test]
     fn cache_serves_each_entry_once() {
         let mut cache = PrefetchCache::new(4);
-        cache.insert(PageId(1), Page::deterministic(1));
+        assert_eq!(cache.insert(PageId(1), Page::deterministic(1)), 0);
         assert!(cache.contains(PageId(1)));
         assert_eq!(cache.take(PageId(1)), Some(Page::deterministic(1)));
         assert_eq!(cache.take(PageId(1)), None, "consumed on first hit");
-        assert_eq!(cache.useless(), 0);
+        assert_eq!(cache.clear(), 0, "a page served is not useless");
     }
 
     #[test]
     fn cache_evicts_oldest_and_counts_useless() {
         let mut cache = PrefetchCache::new(2);
-        cache.insert(PageId(1), Page::deterministic(1));
-        cache.insert(PageId(2), Page::deterministic(2));
-        cache.insert(PageId(3), Page::deterministic(3));
+        assert_eq!(cache.insert(PageId(1), Page::deterministic(1)), 0);
+        assert_eq!(cache.insert(PageId(2), Page::deterministic(2)), 0);
+        let evicted = cache.insert(PageId(3), Page::deterministic(3));
         assert!(!cache.contains(PageId(1)), "oldest evicted");
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.useless(), 1, "evicted-unused counts useless");
+        assert_eq!(evicted, 1, "evicted-unused counts useless");
+        let refreshed = cache.insert(PageId(3), Page::deterministic(4));
+        assert_eq!(refreshed, 1, "a copy refreshed unread counts useless");
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn invalidation_counts_useless() {
         let mut cache = PrefetchCache::new(4);
         cache.insert(PageId(1), Page::deterministic(1));
-        cache.invalidate(PageId(1));
+        assert_eq!(cache.invalidate(PageId(1)), 1);
         assert!(!cache.contains(PageId(1)));
-        assert_eq!(cache.useless(), 1);
         // Invalidating an absent id is a no-op.
-        cache.invalidate(PageId(99));
-        assert_eq!(cache.useless(), 1);
+        assert_eq!(cache.invalidate(PageId(99)), 0);
     }
 
     #[test]
     fn zero_capacity_cache_stays_empty() {
         let mut cache = PrefetchCache::new(0);
-        cache.insert(PageId(1), Page::deterministic(1));
+        assert_eq!(cache.insert(PageId(1), Page::deterministic(1)), 1);
         assert!(cache.is_empty());
         assert_eq!(cache.take(PageId(1)), None);
     }
@@ -716,8 +712,7 @@ mod tests {
         let mut cache = PrefetchCache::new(4);
         cache.insert(PageId(1), Page::deterministic(1));
         cache.insert(PageId(2), Page::deterministic(2));
-        cache.clear();
+        assert_eq!(cache.clear(), 2);
         assert!(cache.is_empty());
-        assert_eq!(cache.useless(), 2);
     }
 }

@@ -90,9 +90,9 @@
 //! pageout commits, no frame sent — and lands nothing, its own landing
 //! included, which it leaves with nothing to read behind. Landings
 //! hold their pages and the reply slots of their frames — a shard keeps
-//! no more than a chunk's worth ([`PagerConfig::batch_max_pages`], within
-//! a request window) — and allocate nothing; dropping the pager gives
-//! them up unanswered.
+//! no more than a chunk's worth ([`CHUNK_PAGES`], 16, within a request
+//! window) — and allocate nothing; dropping the pager gives them up
+//! unanswered.
 //!
 //! Two rules stand in for "the lock is held":
 //!
@@ -197,7 +197,7 @@ use rmp_cluster::Registry;
 use rmp_types::{Page, PageId, PagerConfig, Result, RmpError, ServerId, TransferStats};
 
 use crate::pager::{PageOutFlight, Pager};
-use crate::pool::{Event, Rung, ServerPool};
+use crate::pool::{Event, Rung, ServerPool, CHUNK_PAGES};
 use crate::prefetch::Planner;
 use crate::recovery::RecoveryReport;
 
@@ -377,12 +377,11 @@ fn due(flights: &Flights, room: Room) -> Option<usize> {
 
 /// The most pageouts a shard keeps landing. Each holds its page and
 /// the reply slots of its frames, which the next operation's frames must
-/// find among the connection's: a chunk's worth
-/// ([`PagerConfig::batch_max_pages`], what the client holds of any work
-/// in flight at a time), and never more than a request window's.
+/// find among the connection's: a chunk's worth ([`CHUNK_PAGES`], what
+/// the client holds of any work in flight at a time), and never more
+/// than a request window's.
 fn landing_room(pager: &Pager) -> usize {
-    let window = pager.config().transport.window_max_inflight;
-    pager.pool().batch_max_pages().min(window)
+    CHUNK_PAGES.min(pager.config().transport.window_max_inflight)
 }
 
 type ShardGuard<'a> = MutexGuard<'a, (Pager, Flights)>;

@@ -191,7 +191,7 @@ fn a_fault_stays_within_its_allocation_budget() {
 
     // A rewrite returns with its frame on the wire and lands in a later
     // turn, so rewrites back to back keep up to a chunk of frames in
-    // flight (`batch_max_pages`, within a window). The last rewrite is
+    // flight (`CHUNK_PAGES`, within a window). The last rewrite is
     // landed inside the count, so every landing — and its server's store
     // — is counted.
     fill_window(&pager);

@@ -153,7 +153,6 @@ fn one_bad_page_fails_the_batch_with_a_typed_error() {
     // Wire corruption of a single page maps to CorruptPage against that
     // key, exactly like the single-page frame verification.
     let (fakes, mut pool) = batch_pool(1);
-    pool.set_verify_checksums(true);
     preload(&mut pool, 4);
     fakes[0].script().flip_key = Some(StoreKey(2));
     let err = pool
@@ -279,6 +278,11 @@ fn prefetched_pages_are_invalidated_by_writes_and_frees() {
         ),
         "a freed page cannot be served from the prefetch cache"
     );
+    // Every copy a write or free dropped, cached or on the wire, is
+    // counted useless: the read-ahead ledger balances.
+    let held = pager.with_shard(0, |p| p.read_ahead_held()) as u64;
+    let count = |what| counted(&pager, &format!("pager_prefetch_{what}_total"));
+    assert_eq!(count("issued"), count("hits") + count("useless") + held);
 }
 
 #[test]

@@ -20,6 +20,7 @@ use rmp_core::chaos::{
     run_schedule, ChaosCluster, FaultAction, FaultEvent, FaultPlan, FaultRule, OpFilter,
 };
 use rmp_core::detector::GRAY_SUSPICION;
+use rmp_core::pool::CHUNK_PAGES;
 use rmp_core::{Clock, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
@@ -450,10 +451,11 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
     let tcfg = fast_transport();
     let config = PagerConfig::new(Policy::BasicParity)
         .with_servers(2)
-        .with_batch_max_pages(4)
         .with_transport(tcfg.clone());
     let pager = one_shard(config, cluster.pool(&tcfg), Vec::new());
-    for i in 0..24u64 {
+    // Three chunks' worth of pages on each data server.
+    let pages = 6 * CHUNK_PAGES as u64;
+    for i in 0..pages {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("fixture writes");
@@ -481,16 +483,20 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
     let failed = pager.recover_from_crash(victim);
     cluster.plan().disarm();
     assert!(failed.is_err(), "the refused chunk fails the drain");
-    assert_eq!(cluster.server(0).stored_pages(), 4, "one chunk got through");
+    assert_eq!(
+        cluster.server(0).stored_pages(),
+        CHUNK_PAGES,
+        "one chunk got through"
+    );
     assert_eq!(pager.recovery_backlog(), 1, "and the rebuild stays queued");
     let steps = pager.stats().recovery_steps;
     // The server is fine again, and nobody calls for the rebuild: the
     // next pageout — of a page whose frame on it is still empty — finds
     // the rebuild queued and finishes it before it writes.
     absolve(victim);
-    let rewritten = |i: u64| Page::deterministic(if i == 16 { 116 } else { i });
+    let rewritten = |i: u64| Page::deterministic(if i == 64 { 164 } else { i });
     pager
-        .page_out(PageId(16), &rewritten(16))
+        .page_out(PageId(64), &rewritten(64))
         .expect("a pageout drains the queued rebuild first");
     assert_eq!(pager.recovery_backlog(), 0);
     assert!(pager.stats().recovery_steps > steps, "the drain is booked");
@@ -502,7 +508,7 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
     assert_eq!(done, 1);
     assert_eq!(
         cluster.server(0).stored_pages(),
-        12,
+        3 * CHUNK_PAGES,
         "every lost page is back"
     );
     // Had the write gone into the half-rebuilt stripe, its parity would be
@@ -513,7 +519,7 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
     pager
         .recover_from_crash(ServerId(1))
         .expect("second rebuild");
-    for i in 0..24u64 {
+    for i in 0..pages {
         assert_eq!(
             pager.page_in(PageId(i)).expect("readable"),
             rewritten(i),

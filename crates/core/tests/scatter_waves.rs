@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rmp_cluster::Condition;
+use rmp_core::pool::CHUNK_PAGES;
 use rmp_core::{ChaosServer, Clock, ServerPool, ShardedPager};
 use rmp_proto::{Message, Opcode};
 use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId};
@@ -562,14 +563,13 @@ fn basic_parity_degraded_read_gathers_the_stripe_at_once() {
 }
 
 /// Basic parity over data servers 0 and 1 and parity server 2, rebuilt
-/// in chunks of four: twelve pages, six to a data server, and server 0
+/// in chunks of sixteen: 48 pages, 24 to a data server, and server 0
 /// back from a reboot with nothing.
 fn bparity_rebooted() -> (Arc<Wire>, Vec<ChaosServer>, ShardedPager) {
-    let config = PagerConfig::new(Policy::BasicParity)
-        .with_servers(2)
-        .with_batch_max_pages(4);
+    assert_eq!(CHUNK_PAGES, 16, "the waves below are sized to it");
+    let config = PagerConfig::new(Policy::BasicParity).with_servers(2);
     let (wire, servers, pager) = wave_pager(config, 3);
-    for i in 0..12u64 {
+    for i in 0..48u64 {
         let (done, _) = in_waves(&wire, &[], || {
             landed(&pager, PageId(i), &Page::deterministic(i))
         });
@@ -591,43 +591,56 @@ fn reads_back(wire: &Wire, pager: &ShardedPager, pages: u64) {
 #[test]
 fn basic_parity_rebuilds_a_chunk_in_two_waves() {
     let (wire, servers, pager) = bparity_rebooted();
-    // Six lost pages, chunks of four: a gather of every piece of the
+    // 24 lost pages, chunks of sixteen: a gather of every piece of the
     // chunk's stripes (a surviving member and the parity page each) and
     // a wave of its stores — four round trips, where a page at a time is
-    // twelve.
-    let widths = [8, 4, 4, 2];
+    // 48.
+    let widths = [32, 16, 16, 8];
     let (report, waves) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
     let report = report.expect("rebuild")[0];
-    assert_eq!((report.pages_rebuilt, report.transfers), (6, 18));
-    assert_eq!(shape(&waves[0]), (vec![1, 2], vec![Opcode::PageIn; 8]));
-    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 4]));
-    assert_eq!(shape(&waves[2]), (vec![1, 2], vec![Opcode::PageIn; 4]));
-    assert_eq!(shape(&waves[3]), (vec![0], vec![Opcode::PageOut; 2]));
+    assert_eq!((report.pages_rebuilt, report.transfers), (24, 72));
+    assert_eq!(shape(&waves[0]), (vec![1, 2], vec![Opcode::PageIn; 32]));
+    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 16]));
+    assert_eq!(shape(&waves[2]), (vec![1, 2], vec![Opcode::PageIn; 16]));
+    assert_eq!(shape(&waves[3]), (vec![0], vec![Opcode::PageOut; 8]));
+    // Outside them: asking the server what it lost, and a refill once the
+    // first chunk has spent its grants below half.
     assert_eq!(
         wire.calls(),
-        [(ServerId(0), Opcode::ListPages)],
-        "and nothing outside them but asking the server what it lost"
+        [
+            (ServerId(0), Opcode::ListPages),
+            (ServerId(0), Opcode::Alloc)
+        ]
     );
-    assert_eq!(servers[0].stored_pages(), 6);
+    assert_eq!(servers[0].stored_pages(), 24);
     // The synchronous drain is booked like a maintenance tick's.
     assert_eq!(pager.stats().recovery_steps, 1);
     assert_eq!(counted(&pager, "pager_recoveries_completed_total"), 1);
-    reads_back(&wire, &pager, 12);
+    reads_back(&wire, &pager, 48);
 }
 
 #[test]
 fn a_store_refused_in_mid_rebuild_keeps_the_rest_queued_and_leaks_no_grant() {
     let (wire, servers, pager) = bparity_rebooted();
     let before = granted(&pager, ServerId(0));
-    // The first chunk lands; of the second chunk's two stores the first
-    // is refused and the second is taken.
+    wire.state().granted.clear();
+    // Frames server 0 granted since `before` was read.
+    let refilled = || -> u32 {
+        let st = wire.state();
+        (st.granted.iter())
+            .filter(|(s, _)| *s == ServerId(0))
+            .map(|(_, n)| n)
+            .sum()
+    };
+    // The first chunk lands; of the second chunk's eight stores the
+    // first is refused and the rest are taken.
     let stopped = std::thread::scope(|scope| {
         let rebuild = scope.spawn(|| pager.recover_from_crash(ServerId(0)));
-        wire.release_wave(8);
+        wire.release_wave(32);
         // The first chunk's stores are served when they are submitted:
         // from here on the next one is the second chunk's first.
-        wire.wait_for(4).refuse_store.push(ServerId(0));
-        for width in [4, 4, 2] {
+        wire.wait_for(16).refuse_store.push(ServerId(0));
+        for width in [16, 16, 8] {
             wire.release_wave(width);
         }
         rebuild.join().expect("operation thread")
@@ -636,28 +649,33 @@ fn a_store_refused_in_mid_rebuild_keeps_the_rest_queued_and_leaks_no_grant() {
         matches!(stopped, Err(rmp_types::RmpError::NoSpace(ServerId(0)))),
         "{stopped:?}"
     );
-    // The refused page and the one behind it are still queued, in that
-    // order, and hold no grant: the one that landed will be shipped
-    // again, into the frame it has.
+    // The refused page and the seven behind it are still queued, in that
+    // order, and hold no grant: those that landed will be shipped again,
+    // into the frames they have.
     assert_eq!(pager.recovery_backlog(), 1);
-    assert_eq!(servers[0].stored_pages(), 5);
-    assert_eq!(granted(&pager, ServerId(0)), before - 4);
-    // Running it again rebuilds those two and nothing else. (The report
-    // is the plan's, over both goes, but a step that fails reports
-    // nothing of what it had rebuilt by then.)
-    let (report, waves) = in_waves(&wire, &[4, 2], || pager.recover_from_crash(ServerId(0)));
-    assert_eq!(report.expect("the rest")[0].pages_rebuilt, 2);
-    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 2]));
+    assert_eq!(servers[0].stored_pages(), 23);
+    assert_eq!(granted(&pager, ServerId(0)), before + refilled() - 16);
+    // Running it again rebuilds those eight and nothing else. (The
+    // report is the plan's, over both goes, but a step that fails
+    // reports nothing of what it had rebuilt by then.)
+    let (report, waves) = in_waves(&wire, &[16, 8], || pager.recover_from_crash(ServerId(0)));
+    assert_eq!(report.expect("the rest")[0].pages_rebuilt, 8);
+    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageOut; 8]));
     assert_eq!(pager.recovery_backlog(), 0);
     // What the pool spent of its grants is what the server stores.
-    let spent = before - granted(&pager, ServerId(0));
+    let spent = before + refilled() - granted(&pager, ServerId(0));
     assert_eq!(spent as usize, servers[0].stored_pages());
+    // Outside the waves: asking what the server lost, and one refill —
+    // the first chunk spent its grants below half — and no allocation
+    // for what is shipped again.
     assert_eq!(
         wire.calls(),
-        [(ServerId(0), Opcode::ListPages)],
-        "no allocation; outside the waves, only asking what the server lost"
+        [
+            (ServerId(0), Opcode::ListPages),
+            (ServerId(0), Opcode::Alloc)
+        ]
     );
-    reads_back(&wire, &pager, 12);
+    reads_back(&wire, &pager, 48);
 }
 
 #[test]
@@ -668,10 +686,10 @@ fn a_holder_lost_in_mid_rebuild_stops_it_where_it_is() {
     // second have lost two pieces, which basic parity cannot mend.
     let stopped = std::thread::scope(|scope| {
         let rebuild = scope.spawn(|| pager.recover_from_crash(ServerId(0)));
-        wire.release_wave(8);
-        wire.release_wave(4);
+        wire.release_wave(32);
+        wire.release_wave(16);
         wire.state().dying.push(ServerId(1));
-        wire.release_wave(4);
+        wire.release_wave(16);
         rebuild.join().expect("operation thread")
     });
     assert!(
@@ -682,44 +700,43 @@ fn a_holder_lost_in_mid_rebuild_stops_it_where_it_is() {
         wire.state().flying.is_empty(),
         "no store wave for the chunk"
     );
-    assert_eq!(servers[0].stored_pages(), 4);
+    assert_eq!(servers[0].stored_pages(), 16);
     // It was the connection, not the machine: once it is back the
-    // rebuild, planned afresh, rebuilds the two pages server 0 still
-    // lacks — a gather of their four pieces and a wave of two stores —
-    // and every page is intact.
+    // rebuild, planned afresh, rebuilds the eight pages server 0 still
+    // lacks — a gather of their sixteen pieces and a wave of eight
+    // stores — and every page is intact.
     wire.state().dead.clear();
     pager.with_shard(0, |p| p.pool_mut().absolve(ServerId(1)));
-    let (report, _) = in_waves(&wire, &[4, 2], || pager.recover_from_crash(ServerId(0)));
-    assert_eq!(report.expect("rebuild")[0].pages_rebuilt, 2);
-    assert_eq!(servers[0].stored_pages(), 6);
-    reads_back(&wire, &pager, 12);
+    let (report, _) = in_waves(&wire, &[16, 8], || pager.recover_from_crash(ServerId(0)));
+    assert_eq!(report.expect("rebuild")[0].pages_rebuilt, 8);
+    assert_eq!(servers[0].stored_pages(), 24);
+    reads_back(&wire, &pager, 48);
 }
 
 #[test]
 fn mirroring_gathers_a_chunk_of_lost_pages_at_once() {
-    let config = PagerConfig::new(Policy::Mirroring).with_batch_max_pages(4);
-    let (wire, servers, pager) = wave_pager(config, 3);
-    for i in 0..8u64 {
+    let (wire, servers, pager) = wave_pager(PagerConfig::new(Policy::Mirroring), 3);
+    for i in 0..36u64 {
         let (done, _) = in_waves(&wire, &[2], || {
             landed(&pager, PageId(i), &Page::deterministic(i))
         });
         done.expect("both copies in one wave");
     }
     // Copies go round the cluster in pairs — (0, 1), (2, 0), (1, 2), … —
-    // so six of the eight pages have one on server 0.
+    // so 24 of the 36 pages have one on server 0.
     servers[0].crash();
     wire.state().dead.push(ServerId(0));
     pager.note_crash(ServerId(0));
-    // Chunks of four: one gather a chunk, every read a plain frame; each
-    // page then finds its new holder by the walk, a frame of its own.
-    let widths = [4, 1, 1, 1, 1, 2, 1, 1];
+    // Chunks of sixteen: one gather a chunk, every read a plain frame;
+    // each page then finds its new holder by the walk, a frame of its own.
+    let widths = [&[16][..], &[1; 16], &[8], &[1; 8]].concat();
     let (report, waves) = in_waves(&wire, &widths, || pager.recover_from_crash(ServerId(0)));
-    assert_eq!(report.expect("rebuild")[0].pages_rebuilt, 6);
-    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 4]);
-    assert_eq!(shape(&waves[5]).1, vec![Opcode::PageIn; 2]);
+    assert_eq!(report.expect("rebuild")[0].pages_rebuilt, 24);
+    assert_eq!(shape(&waves[0]).1, vec![Opcode::PageIn; 16]);
+    assert_eq!(shape(&waves[17]).1, vec![Opcode::PageIn; 8]);
     let stores = waves.iter().filter(|w| shape(w).1 == [Opcode::PageOut]);
-    assert_eq!(stores.count(), 6);
-    for i in 0..8u64 {
+    assert_eq!(stores.count(), 24);
+    for i in 0..36u64 {
         let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(i)));
         assert_eq!(read.expect("read"), Page::deterministic(i), "pg{i}");
     }
@@ -727,42 +744,40 @@ fn mirroring_gathers_a_chunk_of_lost_pages_at_once() {
 
 #[test]
 fn a_stripe_migration_gathers_a_chunk_of_leaving_units_at_once() {
-    let config = PagerConfig::new(Policy::NoReliability).with_batch_max_pages(4);
+    let config = PagerConfig::new(Policy::NoReliability);
     let (wire, servers, pager) = wave_pager(config, 3);
-    for i in 0..18u64 {
+    for i in 0..72u64 {
         let (done, _) = in_waves(&wire, &[1], || {
             landed(&pager, PageId(i), &Page::deterministic(i))
         });
         done.expect("a lone copy is one frame");
     }
-    assert_eq!(servers[0].stored_pages(), 6);
-    // Six pages leave server 0 in chunks of four: one gather a chunk,
+    assert_eq!(servers[0].stored_pages(), 24);
+    // 24 pages leave server 0 in chunks of sixteen: one gather a chunk,
     // every read a plain frame; each page then finds its new holder by
     // the walk and frees its old unit, a frame each.
-    let widths = [&[4][..], &[1; 8], &[2], &[1; 4]].concat();
+    let widths = [&[16][..], &[1; 32], &[8], &[1; 16]].concat();
     let (moved, waves) = in_waves(&wire, &widths, || {
         pager.with_shard(0, |p| p.migrate_from(ServerId(0)))
     });
-    assert_eq!(moved.expect("migration"), 6);
-    assert_eq!(shape(&waves[0]), (vec![0], vec![Opcode::PageIn; 4]));
-    assert_eq!(shape(&waves[9]), (vec![0], vec![Opcode::PageIn; 2]));
-    for moved in waves[1..9].chunks(2).chain(waves[10..].chunks(2)) {
+    assert_eq!(moved.expect("migration"), 24);
+    assert_eq!(shape(&waves[0]), (vec![0], vec![Opcode::PageIn; 16]));
+    assert_eq!(shape(&waves[33]), (vec![0], vec![Opcode::PageIn; 8]));
+    for moved in waves[1..33].chunks(2).chain(waves[34..].chunks(2)) {
         assert_eq!(shape(&moved[0]).1, [Opcode::PageOut], "{waves:?}");
         assert_eq!(shape(&moved[1]), (vec![0], vec![Opcode::Free]));
     }
     assert_eq!(servers[0].stored_pages(), 0);
-    reads_back(&wire, &pager, 18);
+    reads_back(&wire, &pager, 72);
 }
 
 #[test]
 fn the_parity_log_clean_up_gathers_a_chunk_of_survivors_at_once() {
-    let config = PagerConfig::new(Policy::ParityLogging)
-        .with_servers(3)
-        .with_batch_max_pages(4);
+    let config = PagerConfig::new(Policy::ParityLogging).with_servers(3);
     let (wire, _servers, pager) = wave_pager(config, 4);
-    // Seven groups of one page that stays and two that the next group
-    // rewrites: when the seventh seals, the first six are a third active.
-    for group in 0..7u64 {
+    // 25 groups of one page that stays and two that the next group
+    // rewrites: when the last seals, the first 24 are a third active.
+    for group in 0..25u64 {
         for (at, id) in [group, 100, 101].into_iter().enumerate() {
             let widths: &[usize] = if at == 2 { &[2] } else { &[1] };
             let (done, _) = in_waves(&wire, widths, || {
@@ -772,23 +787,32 @@ fn the_parity_log_clean_up_gathers_a_chunk_of_survivors_at_once() {
         }
     }
     // Server 0 is out of memory: it refuses the store, and the clean-up
-    // re-logs the six survivors, all on server 0, in chunks of four. A
+    // re-logs the 24 survivors, all on server 0, in chunks of sixteen. A
     // chunk is one gather, every read a plain frame; a re-log stores a
     // frame a page and seals by a wave of the parity page and the frees
     // of the three groups it emptied. Fresh load reports follow, and the
     // store is offered again.
+    assert_eq!(CHUNK_PAGES, 16, "the waves below are sized to it");
     wire.state().refuse_store.push(ServerId(0));
-    let widths = [1, 4, 1, 1, 1, 13, 1, 2, 1, 1, 13, 4, 1];
+    let sealed = [1, 1, 1, 13];
+    let widths = [
+        &[1, 16][..],
+        &sealed.repeat(5),
+        &[1, 8, 1, 1, 13],
+        &sealed.repeat(2),
+        &[4, 1],
+    ]
+    .concat();
     let (done, waves) = in_waves(&wire, &widths, || {
         landed(&pager, PageId(200), &Page::deterministic(200))
     });
     done.expect("the clean-up made room");
     assert_eq!(pager.stats().gc_passes, 1);
-    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageIn; 4]));
-    assert_eq!(shape(&waves[7]), (vec![0], vec![Opcode::PageIn; 2]));
+    assert_eq!(shape(&waves[1]), (vec![0], vec![Opcode::PageIn; 16]));
+    assert_eq!(shape(&waves[23]), (vec![0], vec![Opcode::PageIn; 8]));
     let mut alone = waves.iter().filter(|w| w.len() == 1 && w[0].1.len() == 1);
     assert!(alone.all(|w| w[0].1 == [Opcode::PageOut]), "{waves:?}");
-    for group in 0..6u64 {
+    for group in 0..24u64 {
         let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(group)));
         assert_eq!(read.expect("read"), Page::deterministic(2 * group));
     }

@@ -27,6 +27,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rmp_core::pool::CHUNK_PAGES;
 use rmp_core::{ChaosServer, Clock, Pager, RecoveryReport, ShardedPager};
 use rmp_proto::Opcode;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId};
@@ -1210,11 +1211,13 @@ fn a_read_of_a_looping_landing_page_is_served_from_the_kept_page() {
 
 #[test]
 fn a_recurring_page_outliving_a_pageout_stays_kept_for_a_room_of_pageouts() {
-    // Room for four landings a shard.
-    let config = PagerConfig::new(Policy::NoReliability).with_batch_max_pages(4);
+    // Room for a chunk's worth of landings a shard; shard 0 holds the
+    // even pages.
+    let config = PagerConfig::new(Policy::NoReliability);
     let (wires, _servers, pager) = wave_shards(config, 2);
     let wire = &wires[0];
-    placed(wire, &pager, &[0, 2, 4, 6, 8]);
+    let pages: Vec<u64> = (0..=CHUNK_PAGES as u64).map(|i| 2 * i).collect();
+    placed(wire, &pager, &pages);
     // Faults 0, 2, 0, 2: page 0 recurs.
     for id in [0, 2, 0, 2] {
         fault(&pager, wire, id);
@@ -1245,17 +1248,17 @@ fn a_recurring_page_outliving_a_pageout_stays_kept_for_a_room_of_pageouts() {
         served(&pager)[1] <= fetched + 1,
         "only the read-ahead of 2 went out"
     );
-    // Three more pageouts leave after it: fewer than a room's worth, and
-    // the page is kept still.
+    // Fifteen more pageouts leave after it: fewer than a room's worth,
+    // and the page is kept still.
     let out = |id: u64| {
         let out = spawn(&pager, move |p| p.page_out(PageId(id), &Page::filled(7)));
         pumped(wire, &out).expect("rewrite");
     };
-    [2, 4, 6].into_iter().for_each(out);
+    pages[1..CHUNK_PAGES].iter().copied().for_each(out);
     kept_read(hits + 2);
-    // With the fourth, a room's worth have left after it: it lands, and
-    // the page's next fault reads the wire.
-    out(8);
+    // With the sixteenth, a room's worth have left after it: it lands,
+    // and the page's next fault reads the wire.
+    out(pages[CHUNK_PAGES]);
     let reader = spawn(&pager, |p| p.page_in(PageId(0)));
     let (read, ops) = pumped_ops(wire, &reader);
     assert_eq!(read.expect("pagein"), Page::filled(5));

@@ -39,6 +39,8 @@ pub struct WireState {
     /// Opcodes of the frames answered as calls since last asked (see
     /// [`a_call`]), for tests that check what went *outside* a wave.
     pub calls: Vec<(ServerId, Opcode)>,
+    /// Frames each allocation a server answered granted, in order.
+    pub granted: Vec<(ServerId, u32)>,
     /// Servers whose next `PageOut` is refused as out of memory.
     pub refuse_store: Vec<ServerId>,
     /// Servers that deny every allocation.
@@ -154,6 +156,9 @@ impl WaveTransport {
             }
         }
         let reply = self.server.serve(0, msg);
+        if let Message::AllocReply { granted, .. } = reply {
+            st.granted.push((self.id, granted));
+        }
         let bent = st.bent_reads.iter().find(|&&(s, _)| s == self.id);
         match (reply, bent) {
             (Message::PageInReply { id, .. }, Some(&(_, len))) => {

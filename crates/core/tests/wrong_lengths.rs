@@ -2,7 +2,7 @@
 //! and never a page handed back: an erasure-coded unit's key answered with
 //! a whole page — on the demand read, and on the degraded read around a
 //! holder that is down — and a whole page's key answered with a unit,
-//! with checksums verified and without. Over the scripted wire of
+//! checked before any checksum is. Over the scripted wire of
 //! `support`, whose `bent_reads` answer a server's reads at a length of
 //! the test's choosing, under a checksum that matches.
 
@@ -48,25 +48,18 @@ fn a_unit_answered_with_a_page_fails_typed() {
 }
 
 #[test]
-fn a_page_answered_with_a_unit_fails_typed_checksums_on_or_off() {
-    for verify in [true, false] {
-        let config = PagerConfig::new(Policy::NoReliability)
-            .with_servers(1)
-            .with_verify_checksums(verify);
-        let (wire, _servers, pager) = wave_pager(config, 1);
-        let page = Page::deterministic(2);
-        let (done, _) = in_waves(&wire, &[1], || landed(&pager, PageId(2), &page));
-        done.expect("pageout");
-        wire.state().bent_reads = vec![(ServerId(0), PAGE_SIZE / 4)];
-        let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(2)));
-        assert!(
-            matches!(read, Err(RmpError::Protocol(_))),
-            "verify {verify}: {read:?}"
-        );
-        wire.state().bent_reads.clear();
-        let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(2)));
-        assert_eq!(read.expect("answered whole"), page, "verify {verify}");
-    }
+fn a_page_answered_with_a_unit_fails_typed() {
+    let config = PagerConfig::new(Policy::NoReliability).with_servers(1);
+    let (wire, _servers, pager) = wave_pager(config, 1);
+    let page = Page::deterministic(2);
+    let (done, _) = in_waves(&wire, &[1], || landed(&pager, PageId(2), &page));
+    done.expect("pageout");
+    wire.state().bent_reads = vec![(ServerId(0), PAGE_SIZE / 4)];
+    let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(2)));
+    assert!(matches!(read, Err(RmpError::Protocol(_))), "{read:?}");
+    wire.state().bent_reads.clear();
+    let (read, _) = in_waves(&wire, &[1], || pager.page_in(PageId(2)));
+    assert_eq!(read.expect("answered whole"), page);
 }
 
 #[test]

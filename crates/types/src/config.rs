@@ -189,25 +189,6 @@ pub struct PagerConfig {
     pub adaptive_threshold_ms: Option<f64>,
     /// Socket deadlines and retry/backoff behaviour of the paging path.
     pub transport: TransportConfig,
-    /// Maximum pages rebuilt per incremental recovery step. Each call to
-    /// `periodic_maintenance` advances any pending crash recovery by at
-    /// most this many pages, keeping maintenance pauses bounded while a
-    /// crashed server's contents are re-protected in the background.
-    pub recovery_page_budget: usize,
-    /// Whether page payloads are checksummed end-to-end: stamped on
-    /// every pageout, carried on the wire, and verified on every pagein
-    /// and after every reconstruction. Disable only for measurement runs
-    /// that want the raw transfer path.
-    pub verify_checksums: bool,
-    /// Pages per chunk of a rebuild, a migration or the parity log's
-    /// clean-up: what is read in one gather — one plain read a page, all
-    /// on the wire at once — and, for a rebuild, stored in one wave,
-    /// before the next chunk is touched. It bounds what the client holds
-    /// of such work at a time, not a frame: every frame carries one page.
-    /// It is also the most pageouts a `ShardedPager` shard keeps landing
-    /// behind their callers (within a request window). Clamped to 1..=64;
-    /// `1` makes every chunk a lone read.
-    pub batch_max_pages: usize,
     /// Stride-prefetch lookahead: the *cap* on how many predicted pages a
     /// refill fetches ahead of the faulting one, not its size — a run
     /// starts with one page and doubles each time a read-ahead hit finds
@@ -247,9 +228,6 @@ impl PagerConfig {
             servers,
             adaptive_threshold_ms: None,
             transport: TransportConfig::default(),
-            recovery_page_budget: 64,
-            verify_checksums: true,
-            batch_max_pages: 16,
             prefetch_window: 8,
             shard_count: 8,
             ec_data_splits: 2,
@@ -279,24 +257,6 @@ impl PagerConfig {
     /// Replaces just the retry policy, keeping the default deadlines.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.transport.retry = retry;
-        self
-    }
-
-    /// Sets the per-step page budget of incremental crash recovery.
-    pub fn with_recovery_page_budget(mut self, pages: usize) -> Self {
-        self.recovery_page_budget = pages;
-        self
-    }
-
-    /// Enables or disables end-to-end page checksums.
-    pub fn with_verify_checksums(mut self, enabled: bool) -> Self {
-        self.verify_checksums = enabled;
-        self
-    }
-
-    /// Sets the chunk size of rebuild, migration and log clean-up.
-    pub fn with_batch_max_pages(mut self, pages: usize) -> Self {
-        self.batch_max_pages = pages;
         self
     }
 
@@ -366,16 +326,6 @@ impl PagerConfig {
                     k + r
                 )));
             }
-        }
-        if self.recovery_page_budget == 0 {
-            return Err(RmpError::Config(
-                "recovery page budget must be positive".into(),
-            ));
-        }
-        if self.batch_max_pages == 0 {
-            return Err(RmpError::Config(
-                "chunk size must be at least one page".into(),
-            ));
         }
         if self.shard_count == 0 || !self.shard_count.is_power_of_two() {
             return Err(RmpError::Config(format!(
@@ -450,35 +400,12 @@ mod tests {
     }
 
     #[test]
-    fn recovery_and_integrity_knobs() {
+    fn prefetch_knob() {
         let cfg = PagerConfig::default();
-        assert_eq!(cfg.recovery_page_budget, 64);
-        assert!(cfg.verify_checksums);
-        let cfg = cfg
-            .with_recovery_page_budget(8)
-            .with_verify_checksums(false);
-        assert_eq!(cfg.recovery_page_budget, 8);
-        assert!(!cfg.verify_checksums);
-        assert!(cfg.validate().is_ok());
-        assert!(PagerConfig::default()
-            .with_recovery_page_budget(0)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
-    fn batching_and_prefetch_knobs() {
-        let cfg = PagerConfig::default();
-        assert_eq!(cfg.batch_max_pages, 16);
         assert_eq!(cfg.prefetch_window, 8);
-        let cfg = cfg.with_batch_max_pages(4).with_prefetch_window(0);
-        assert_eq!(cfg.batch_max_pages, 4);
+        let cfg = cfg.with_prefetch_window(0);
         assert_eq!(cfg.prefetch_window, 0, "zero window disables prefetch");
         assert!(cfg.validate().is_ok());
-        assert!(PagerConfig::default()
-            .with_batch_max_pages(0)
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct TransferStats {
     /// down, instead of waiting for a full rebuild.
     pub degraded_reads: u64,
     /// Bounded recovery steps executed by the incremental recovery
-    /// driver (each step rebuilds at most `recovery_page_budget` pages).
+    /// driver (a maintenance tick's step rebuilds at most 64 pages).
     pub recovery_steps: u64,
     /// Page payloads that failed their end-to-end checksum.
     pub checksum_failures: u64,

@@ -8,10 +8,10 @@
 /// Bytes each document may take.
 const CEILINGS: [(&str, usize); 5] = [
     ("ROADMAP.md", 24 * 1024),
-    ("DESIGN.md", 81_529),
-    ("ARCHITECTURE.md", 20_390),
-    ("README.md", 22_805),
-    ("OBSERVABILITY.md", 22_044),
+    ("DESIGN.md", 81_448),
+    ("ARCHITECTURE.md", 20_377),
+    ("README.md", 22_356),
+    ("OBSERVABILITY.md", 22_039),
 ];
 
 /// Bytes one CHANGES.md entry may take.

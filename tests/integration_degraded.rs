@@ -10,6 +10,10 @@
 use rmp::prelude::*;
 use rmp::types::RmpError;
 
+/// Pages the budgeted-recovery tests write: enough that a crashed
+/// server's share outlasts three 64-page maintenance steps.
+const BUDGETED_PAGES: u64 = 1280;
+
 #[test]
 fn degraded_read_is_o1_and_defers_the_rebuild() {
     let cluster = LocalCluster::spawn(5, 16 * 4096).expect("cluster");
@@ -91,11 +95,10 @@ fn maintenance_rebuilds_in_budgeted_steps() {
         .pager(
             PagerConfig::new(Policy::ParityLogging)
                 .with_servers(4)
-                .with_recovery_page_budget(8)
                 .with_shard_count(1),
         )
         .expect("pager");
-    for i in 0..160u64 {
+    for i in 0..BUDGETED_PAGES {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
@@ -103,7 +106,7 @@ fn maintenance_rebuilds_in_budgeted_steps() {
     pager.flush().expect("flush");
     cluster.handles()[3].crash();
     // The maintenance timer notices the crash via the load probes and
-    // works the rebuild off eight pages at a time.
+    // works the rebuild off 64 pages at a time.
     let mut rounds = 0u32;
     loop {
         pager.periodic_maintenance().expect("maintenance");
@@ -115,10 +118,10 @@ fn maintenance_rebuilds_in_budgeted_steps() {
     }
     assert!(
         rounds > 2,
-        "an 8-page budget spreads the rebuild over many timer ticks, got {rounds}"
+        "a 64-page budget spreads the rebuild over many timer ticks, got {rounds}"
     );
     assert!(pager.stats().recovery_steps > 2);
-    for i in 0..160u64 {
+    for i in 0..BUDGETED_PAGES {
         assert_eq!(
             pager
                 .page_in(PageId(i))
@@ -177,11 +180,10 @@ fn double_fault_mid_recovery(policy: Policy, n: usize, servers: usize) {
         .pager(
             PagerConfig::new(policy)
                 .with_servers(servers)
-                .with_recovery_page_budget(8)
                 .with_shard_count(1),
         )
         .expect("pager");
-    for i in 0..160u64 {
+    for i in 0..BUDGETED_PAGES {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
@@ -208,7 +210,7 @@ fn double_fault_mid_recovery(policy: Policy, n: usize, servers: usize) {
     // Safety over availability: reads return the exact bytes written or a
     // typed error — never garbage.
     let (mut ok, mut errors) = (0u64, 0u64);
-    for i in 0..160u64 {
+    for i in 0..BUDGETED_PAGES {
         match pager.page_in(PageId(i)) {
             Ok(page) => {
                 assert_eq!(
