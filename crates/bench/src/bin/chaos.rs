@@ -169,7 +169,7 @@ fn main() {
     }
     let gray_p99 = p99_us(&mut gray);
     let degraded = pager.stats().degraded_reads - degraded_before;
-    let slow_alive = pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0)));
+    let slow_alive = pager.with_shard(0, |p| p.pool().alive(ServerId(0)));
     let suspicion = suspicion_of(ServerId(0));
     // In-process calls finish in single-digit microseconds, where 3× is
     // inside scheduler noise; the floor keeps the bound meaningful

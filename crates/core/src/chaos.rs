@@ -440,6 +440,10 @@ struct ChaosState {
     pages: HashMap<(u64, StoreKey), Page>,
     crashed: bool,
     next_session: u64,
+    /// What the server says of its memory: the free frames of its
+    /// `LoadReport`, and the hint every reply that has one carries.
+    free_pages: u64,
+    hint: LoadHint,
 }
 
 /// Handle to one in-process chaos server; cloning shares the state, so a
@@ -464,6 +468,8 @@ impl ChaosServer {
             pages: HashMap::new(),
             crashed: false,
             next_session: 0,
+            free_pages: 1 << 20,
+            hint: LoadHint::Ok,
         })))
     }
 
@@ -490,6 +496,16 @@ impl ChaosServer {
         self.0.lock().crashed
     }
 
+    /// Sets what the server says of its memory from its next reply on:
+    /// `free_pages` in a `LoadReport`, `hint` in every reply that has one
+    /// (a native load taking its memory, §2.1). It still grants what it
+    /// is asked for.
+    pub fn set_load(&self, free_pages: u64, hint: LoadHint) {
+        let mut st = self.0.lock();
+        st.free_pages = free_pages;
+        st.hint = hint;
+    }
+
     /// Total pages stored across all sessions.
     pub fn stored_pages(&self) -> usize {
         self.0.lock().pages.len()
@@ -505,14 +521,11 @@ impl ChaosServer {
         match msg.clone() {
             Message::Alloc { pages } => Message::AllocReply {
                 granted: pages,
-                hint: LoadHint::Ok,
+                hint: st.hint,
             },
             Message::PageOut { id, page, .. } => {
                 st.pages.insert((sid, id), page);
-                Message::PageOutAck {
-                    id,
-                    hint: LoadHint::Ok,
-                }
+                Message::PageOutAck { id, hint: st.hint }
             }
             Message::PageIn { id } => match st.pages.get(&(sid, id)) {
                 Some(p) => Message::PageInReply {
@@ -527,10 +540,10 @@ impl ChaosServer {
                 Message::FreeAck { id }
             }
             Message::LoadQuery => Message::LoadReport {
-                free_pages: 1 << 20,
+                free_pages: st.free_pages,
                 stored_pages: st.pages.len() as u64,
                 cpu_permille: 0,
-                hint: LoadHint::Ok,
+                hint: st.hint,
             },
             Message::ListPages { start, limit } => {
                 let mut ids: Vec<StoreKey> = st
@@ -557,7 +570,7 @@ impl ChaosServer {
                 Message::PageOutDeltaReply {
                     id,
                     delta,
-                    hint: LoadHint::Ok,
+                    hint: st.hint,
                 }
             }
             Message::XorInto { id, page } => {
@@ -844,7 +857,7 @@ fn grants_on_the_dead(pager: &ShardedPager, shards: usize, servers: u32) -> Opti
             let held = |s| pool.granted_frames(s) + pool.asked_frames(s);
             (0..servers)
                 .map(ServerId)
-                .find(|&s| !pool.view().is_alive(s) && held(s) > 0)
+                .find(|&s| !pool.alive(s) && held(s) > 0)
         };
         let server = pager.with_shard(shard, holding)?;
         Some(format!("shard {shard} holds grants on dead {server}"))
@@ -1032,7 +1045,7 @@ pub fn run_schedule(policy: Policy, seed: u64) -> ScheduleOutcome {
                 p.pool_mut().absolve(ServerId(s as u32));
             }
             // Re-learn capacities: replacement-copy placement consults
-            // the view's free-page counts, which crash handling zeroed.
+            // each server's last reported free pages.
             p.pool_mut().refresh_loads();
         });
     }
@@ -1254,10 +1267,7 @@ mod tests {
         cluster.plan().arm();
         pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
             .expect("overload backs off and retries");
-        assert!(
-            pool.view().is_alive(ServerId(0)),
-            "overload must not kill the server"
-        );
+        assert!(pool.alive(ServerId(0)), "overload must not kill the server");
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl Engine for BasicParity {
 
     fn degraded_read(&mut self, ctx: &mut Ctx<'_>, id: PageId, dead: ServerId) -> Result<Page> {
         let slot = self.map.location(id).ok_or(RmpError::PageNotFound(id))?;
-        if slot.server != dead && ctx.alive(slot.server) {
+        if slot.server != dead && ctx.pool.alive(slot.server) {
             // The page's own server survived the crash; read it directly.
             return ctx.read_unit((slot.server, slot.key), true);
         }
@@ -202,7 +202,7 @@ impl Engine for BasicParity {
     }
 
     fn plan_recovery(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {
-        if !ctx.alive(server) {
+        if !ctx.pool.alive(server) {
             return Err(RmpError::Unrecoverable(format!(
                 "basic parity rebuilds in place: reconnect {server} (rebooted) first"
             )));

@@ -19,7 +19,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use rmp_blockdev::PagingDevice;
-use rmp_cluster::Condition;
 use rmp_types::metrics::{Counter, EventKind, MetricsRegistry};
 use rmp_types::{
     Page, PageId, Policy, Result, RmpError, ServerId, StoreKey, TransferStats, PAGE_SIZE,
@@ -33,7 +32,7 @@ use crate::recovery::RecoveryStep;
 pub type Unit = (ServerId, StoreKey);
 
 /// The unit of a [`Table`] row that has not been placed yet. No server
-/// bears this id, so the view reports its holder as not alive.
+/// bears this id, so the pool reports its holder as not alive.
 pub const VACANT: Unit = (ServerId(u32::MAX), StoreKey(u64::MAX));
 
 /// The placement table: `PageId → {width units on distinct servers |
@@ -328,7 +327,7 @@ impl Writing {
 /// Per-call context handed to engines: the connection pool, the optional
 /// local disk, shared statistics, and routing preferences.
 pub struct Ctx<'a> {
-    /// Server connections and load view.
+    /// Server connections, standing and load.
     pub pool: &'a mut ServerPool,
     /// Local disk backend, when configured.
     pub disk: Option<&'a mut Box<dyn PagingDevice>>,
@@ -434,18 +433,6 @@ impl Ctx<'_> {
     /// Returns `true` when a local disk is configured.
     pub fn has_disk(&self) -> bool {
         self.disk.is_some()
-    }
-
-    /// Returns `true` when the view holds `server` to be alive.
-    pub fn alive(&self, server: ServerId) -> bool {
-        self.pool.view().is_alive(server)
-    }
-
-    /// Returns `true` when `server` is alive and has not asked the client
-    /// to stop sending it new pages.
-    pub fn accepting(&self, server: ServerId) -> bool {
-        (self.pool.view().status(server))
-            .is_some_and(|st| !matches!(st.condition, Condition::Dead | Condition::StopSending))
     }
 
     /// The holder check of every demand read with a degraded path to fall
@@ -596,7 +583,7 @@ impl Ctx<'_> {
         pieces: &[Unit],
         group: &dyn std::fmt::Display,
     ) -> Result<Vec<Page>> {
-        if let Some(&(dead, _)) = pieces.iter().find(|&&(s, _)| !self.alive(s)) {
+        if let Some(&(dead, _)) = pieces.iter().find(|&&(s, _)| !self.pool.alive(s)) {
             return Err(RmpError::Unrecoverable(format!(
                 "{group} lost a second piece with {dead}"
             )));
@@ -619,7 +606,7 @@ impl Ctx<'_> {
         groups: &[G],
         first: &dyn std::fmt::Display,
     ) -> Result<Vec<Vec<Page>>> {
-        let whole = |group: &&G| group.as_ref().iter().all(|&(s, _)| self.alive(s));
+        let whole = |group: &&G| group.as_ref().iter().all(|&(s, _)| self.pool.alive(s));
         let served = groups.len().min(1) + groups.iter().skip(1).take_while(whole).count();
         let groups = groups[..served].iter().map(G::as_ref);
         let pieces: Vec<Unit> = groups.clone().flatten().copied().collect();
@@ -674,7 +661,7 @@ impl Ctx<'_> {
         }
         let outcomes = match stores[..reserved] {
             [((server, key), page)] => vec![self.pool.page_out(server, key, page).map(drop)],
-            ref reserved => self.ship(reserved, &[], None).0,
+            ref reserved => self.ship(reserved, &[]).0,
         };
         let landed = outcomes.iter().take_while(|stored| stored.is_ok()).count();
         for &((server, _), _) in &stores[landed..reserved] {
@@ -686,33 +673,28 @@ impl Ctx<'_> {
 
     /// One wave: ships every page in `stores` to its unit and releases
     /// every unit in `frees`, all frames on the wire before any reply is
-    /// awaited; `through` — a write-through's disk leg — is written while
-    /// they are in flight. The frees are awaited like the stores, so a
+    /// awaited. The frees are awaited like the stores, so a
     /// caller that returns has nothing left ageing on the wire to be
     /// counted as stored; riding the same wave they cost no round trip of
     /// their own.
     ///
     /// Returns each store's outcome for the caller to weigh, and what
-    /// became of the rest: the frees are best-effort as in
-    /// [`Ctx::release`], the disk write as [`Ctx::disk_write`].
+    /// became of the frees: best-effort, as in [`Ctx::release`].
     pub fn ship(
         &mut self,
         stores: &[(Unit, &Page)],
         frees: &[Unit],
-        through: Option<(PageId, &Page)>,
     ) -> (Vec<Result<()>>, Result<()>) {
         let frees: Vec<Unit> = (frees.iter().copied())
-            .filter(|&(server, _)| self.alive(server))
+            .filter(|&(server, _)| self.pool.alive(server))
             .collect();
         if stores.is_empty() && frees.is_empty() {
-            let rest = through.map_or(Ok(()), |(id, page)| self.disk_write(id, page));
-            return (Vec::new(), rest);
+            return (Vec::new(), Ok(()));
         }
         let wave = self.pool.begin_stores(stores, &frees);
-        let rest = through.map_or(Ok(()), |(id, page)| self.disk_write(id, page));
         let mut outcomes = self.pool.finish_stores(wave);
-        let rest = rest.and(freed(outcomes.drain(stores.len()..)));
-        (outcomes, rest)
+        let freed = freed(outcomes.drain(stores.len()..));
+        (outcomes, freed)
     }
 
     /// The server the next frame should be offered to: `preferred` (if
@@ -720,8 +702,8 @@ impl Ctx<'_> {
     /// promising server outside `exclude`.
     fn candidate(&self, preferred: Option<ServerId>, exclude: &[ServerId]) -> Option<ServerId> {
         preferred
-            .filter(|s| !exclude.contains(s) && self.accepting(*s))
-            .or_else(|| self.pool.view().most_promising(exclude))
+            .filter(|s| !exclude.contains(s) && self.pool.accepting(*s))
+            .or_else(|| self.pool.most_promising(exclude))
     }
 
     /// Finds a taker for one frame — the Section 2.1 dynamics: start from
@@ -739,7 +721,7 @@ impl Ctx<'_> {
             exclude.push(server);
             match self.pool.reserve_frame(server) {
                 Ok(()) => return Ok(Some((server, self.pool.fresh_key()))),
-                Err(e) if gave_way(&e) => candidate = self.pool.view().most_promising(exclude),
+                Err(e) if gave_way(&e) => candidate = self.pool.most_promising(exclude),
                 Err(e) => return Err(e),
             }
         }
@@ -858,7 +840,7 @@ impl Ctx<'_> {
             .filter_map(|(slot, (taker, &(frame, _)))| Some((slot, (taker?, frame))))
             .collect();
         let stores: Vec<(Unit, &Page)> = takers.iter().map(|&(_, store)| store).collect();
-        let (outcomes, freed) = self.ship(&stores, frees, None);
+        let (outcomes, freed) = self.ship(&stores, frees);
         let mut fatal = freed.err();
         let mut refused = Vec::new();
         for ((slot, (taker, _)), outcome) in takers.into_iter().zip(outcomes) {
@@ -898,7 +880,7 @@ impl Ctx<'_> {
     /// Propagates storage failures other than crash and timeout.
     pub fn release(&mut self, units: &[Unit]) -> Result<()> {
         if let [(server, key)] = *units {
-            if !self.alive(server) {
+            if !self.pool.alive(server) {
                 return Ok(());
             }
             return match self.pool.free(server, key) {
@@ -906,7 +888,7 @@ impl Ctx<'_> {
                 Err(e) => Err(e),
             };
         }
-        self.ship(&[], units, None).1
+        self.ship(&[], units).1
     }
 }
 

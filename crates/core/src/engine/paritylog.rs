@@ -180,7 +180,7 @@ impl ParityLogging {
         for _ in 0..n {
             let s = self.data_servers[self.cursor % n];
             self.cursor += 1;
-            if !exclude.contains(&s) && ctx.accepting(s) {
+            if !exclude.contains(&s) && ctx.pool.accepting(s) {
                 return Some(s);
             }
         }
@@ -257,7 +257,7 @@ impl ParityLogging {
         let freed = (members.iter()).filter(|page| self.freed_pending.remove(page));
         let dropped: Vec<_> = freed.filter_map(|&p| self.groups.drop_page(p)).collect();
         let mut frees = self.storage_of(ctx, reclaimed.into_iter().chain(dropped));
-        frees.retain(|&(server, _)| ctx.alive(server));
+        frees.retain(|&(server, _)| ctx.pool.alive(server));
         // The data frame, if any, then the parity page, if it has a grant.
         let store = (parity, &sealed.parity);
         let legs = [data.unwrap_or(store), store];
@@ -315,7 +315,7 @@ impl ParityLogging {
             }
             ctx.pool.return_frame(holder);
         }
-        if self.groups.group(seal.group).is_some() && !ctx.alive(holder) {
+        if self.groups.group(seal.group).is_some() && !ctx.pool.alive(holder) {
             self.kept.push(seal);
             return Err(RmpError::ServerCrashed(holder));
         }
@@ -373,7 +373,7 @@ impl ParityLogging {
             return Ok(());
         }
         match self.groups.group(group) {
-            Some(state) if ctx.alive(state.parity_server) => {
+            Some(state) if ctx.pool.alive(state.parity_server) => {
                 let unit = (state.parity_server, state.parity_key);
                 let mut parity = ctx.gather(&[unit])?.remove(0);
                 parity.xor_with(page);
@@ -449,7 +449,11 @@ impl ParityLogging {
     /// or — the buffer could never fill with fewer live servers, and the
     /// log has to make progress on a degraded cluster — the stripe width.
     fn seal_width(&self, ctx: &Ctx<'_>) -> usize {
-        let live = self.data_servers.iter().filter(|s| ctx.alive(**s)).count();
+        let live = self
+            .data_servers
+            .iter()
+            .filter(|s| ctx.pool.alive(**s))
+            .count();
         live.clamp(1, self.buffer.group_size())
     }
 
@@ -811,7 +815,7 @@ impl ParityLogging {
     fn orphaned_members(&self, ctx: &Ctx<'_>, gid: GroupId) -> Option<Vec<Unit>> {
         let state = self.groups.group(gid)?;
         let members = state.members.iter().map(|m| (m.server, m.key));
-        (!ctx.alive(state.parity_server)).then(|| members.collect())
+        (!ctx.pool.alive(state.parity_server)).then(|| members.collect())
     }
 
     /// What `work` gathers before it can run; nothing for an item with
@@ -999,7 +1003,7 @@ impl Engine for ParityLogging {
             Some(_) => return ctx.disk_read(id),
             None => return Err(RmpError::PageNotFound(id)),
         };
-        if unit.0 != dead && ctx.alive(unit.0) {
+        if unit.0 != dead && ctx.pool.alive(unit.0) {
             // The page's own server survived the crash; read it directly.
             return ctx.read_unit(unit, true);
         }
@@ -1037,12 +1041,10 @@ impl Engine for ParityLogging {
             // recomputed step by step.
             // One that holds no members if there is one: parity beside a
             // member loses both to one crash.
-            let view = ctx.pool.view();
             let mut taken = self.data_servers.clone();
             taken.push(server);
-            self.parity_server = view
-                .most_promising(&taken)
-                .or_else(|| view.most_promising(&[server]))
+            self.parity_server = (ctx.pool.most_promising(&taken))
+                .or_else(|| ctx.pool.most_promising(&[server]))
                 .ok_or_else(|| RmpError::Unrecoverable("no live server to host parity".into()))?;
         }
         let groups = recoveries.iter().map(|plan| PlWork::Group(plan.group));
@@ -1108,7 +1110,7 @@ impl Engine for ParityLogging {
     fn rebalance(&mut self, ctx: &mut Ctx<'_>) -> Result<u64> {
         let mut promoted = 0;
         for id in self.table.on_disk() {
-            if ctx.pool.view().server_with_capacity(1, &[]).is_none() {
+            if ctx.pool.server_with_capacity(1, &[]).is_none() {
                 break;
             }
             let page = ctx.disk_read(id)?;

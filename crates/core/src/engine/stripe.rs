@@ -74,7 +74,7 @@ fn next_of(cursor: &mut usize, live: &[ServerId]) -> Option<ServerId> {
 /// but empty, by now — or with *any* dead server, so that a second crash
 /// leaves no half-healed page behind.
 fn lost_with(crashed: ServerId) -> impl Fn(&Ctx<'_>, ServerId) -> bool {
-    move |ctx, server| server == crashed || !ctx.alive(server)
+    move |ctx, server| server == crashed || !ctx.pool.alive(server)
 }
 
 /// Counts the store of unit `i` of a `k`-data-unit row as a transfer, and
@@ -191,7 +191,7 @@ impl Stripe {
             .chain(units.iter().map(|u| u.0).filter(|&s| !lost(ctx, s)))
             .collect();
         let live = if spread {
-            ctx.pool.view().live_servers()
+            ctx.pool.live_servers()
         } else {
             Vec::new()
         };
@@ -220,7 +220,7 @@ impl Stripe {
     /// back and the page left as it was, when some unit found no taker.
     fn stage(&mut self, ctx: &mut Ctx<'_>, id: PageId, spread: bool) -> Result<bool> {
         let live = if spread {
-            ctx.pool.view().live_servers()
+            ctx.pool.live_servers()
         } else {
             Vec::new()
         };
@@ -280,7 +280,7 @@ impl Stripe {
     fn begin_wave(&mut self, ctx: &mut Ctx<'_>, id: PageId, frames: &Frames<'_>) -> Writing {
         let page = frames.0;
         let units = self.table.units_mut(id).expect("caller checked");
-        for unit in units.iter_mut().filter(|u| !ctx.alive(u.0)) {
+        for unit in units.iter_mut().filter(|u| !ctx.pool.alive(u.0)) {
             *unit = VACANT;
         }
         let live = || units.iter().enumerate().filter(|(_, u)| **u != VACANT);
@@ -357,7 +357,7 @@ impl Stripe {
     fn survivors(&self, ctx: &Ctx<'_>, id: PageId, avoid: ServerId) -> Result<Vec<usize>> {
         let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
         let chosen: Vec<usize> = (0..units.len())
-            .filter(|&i| units[i].0 != avoid && ctx.alive(units[i].0))
+            .filter(|&i| units[i].0 != avoid && ctx.pool.alive(units[i].0))
             .take(self.k)
             .collect();
         if chosen.len() < self.k {
@@ -458,7 +458,7 @@ impl Stripe {
 
     /// Rebuilds a chunk of claimed pages: one gather for what all of
     /// them read, then page by page — decode, re-home the lost units (a
-    /// wave a page: its takers depend on the view as the page before left
+    /// wave a page: its takers depend on the pool as the page before left
     /// it), done. A page whose survivors cannot be named stops the chunk
     /// *at* it: the pages before it are rebuilt first.
     fn rebuild_chunk(
@@ -770,7 +770,7 @@ impl Engine for Stripe {
     fn rebalance(&mut self, ctx: &mut Ctx<'_>) -> Result<u64> {
         let mut promoted = 0;
         for id in self.table.on_disk() {
-            if ctx.pool.view().server_with_capacity(1, &[]).is_none() {
+            if ctx.pool.server_with_capacity(1, &[]).is_none() {
                 break;
             }
             let page = ctx.disk_read(id)?;

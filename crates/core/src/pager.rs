@@ -228,13 +228,7 @@ impl Pager {
         // Stripe members are drawn from the live servers only: a pool
         // seeded with dead connections must fail construction, not the
         // first pageout.
-        let live: Vec<ServerId> = {
-            let alive = pool.view().live_servers();
-            ids.iter()
-                .copied()
-                .filter(|id| alive.contains(id))
-                .collect()
-        };
+        let live = pool.live_servers();
         let engine: Box<dyn Engine> = match config.policy {
             Policy::NoReliability => {
                 if ids.len() < config.servers {
@@ -402,7 +396,7 @@ impl Pager {
         &self.config
     }
 
-    /// The connection pool (load view, service times, wire counters).
+    /// The connection pool (standing and load, service times, wire counters).
     pub fn pool(&self) -> &ServerPool {
         &self.pool
     }
@@ -628,18 +622,8 @@ impl Pager {
     ///
     /// Propagates storage failures from the migration itself.
     pub fn service_advisories(&mut self) -> Result<u64> {
-        use rmp_cluster::Condition;
-        let stopped: Vec<ServerId> = self
-            .pool
-            .view()
-            .all_servers()
-            .into_iter()
-            .filter(|&id| {
-                self.pool
-                    .view()
-                    .status(id)
-                    .is_some_and(|st| st.condition == Condition::StopSending)
-            })
+        let stopped: Vec<ServerId> = (self.pool.live_servers().into_iter())
+            .filter(|&id| !self.pool.accepting(id))
             .collect();
         let mut moved = 0;
         for server in stopped {
@@ -1138,7 +1122,7 @@ impl Pager {
                     // verdict alone queues its rebuild, for the maintenance
                     // driver: a holder that only missed an attempt is
                     // backing off, and may well answer its next rung.
-                    if !self.pool.view().is_alive(dead) {
+                    if !self.pool.alive(dead) {
                         self.note_crash(dead);
                     }
                     let e = match self.degraded_read(id, dead) {
@@ -1149,7 +1133,7 @@ impl Pager {
                     // holder is the way left, read through its ladder — going
                     // around it only ever trades latency. A dead one is
                     // routed around again when another server failed.
-                    let alive = self.pool.view().is_alive(dead);
+                    let alive = self.pool.alive(dead);
                     let way_left =
                         alive || matches!(e, RmpError::ServerCrashed(_) | RmpError::Timeout(_));
                     if retries == 0 || !way_left {

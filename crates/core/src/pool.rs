@@ -4,8 +4,8 @@
 //! Suspect or Dead, on a rung of the retry ladder while an attempt failed
 //! and nothing has answered since — and the detector's evidence
 //! ([`Health`]). `Peer::step` makes every transition, and
-//! `ServerPool::transition` mirrors each, once, into the view, the
-//! metrics, the trace, the obituaries and the backoffs. The transitions
+//! `ServerPool::transition` books each, once, into the metrics, the
+//! trace, the obituaries and the backoffs. The transitions
 //! (`H`, `S`, `D`; "suspects" and "clears" are [`Health::suspects`] and
 //! [`Health::clears`] once the event's evidence is in; an event leaves
 //! what its rows do not name as it was, and every reply leaves its rung):
@@ -32,7 +32,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rmp_cluster::{ClusterView, Condition, Registry};
+use rmp_cluster::Registry;
 use rmp_proto::{LoadHint, Message};
 use rmp_types::metrics::{Counter, EventKind, Gauge, Histogram, MetricsRegistry};
 use rmp_types::{ErrorCode, Page, Result, RmpError, ServerId, StoreKey, TransportConfig};
@@ -182,6 +182,13 @@ struct Peer {
     health: Health,
     /// `detector_suspicion{srvN}`: the score × 1000.
     suspicion: Option<Arc<Gauge>>,
+    /// What the server last said of its memory: the free frames of its
+    /// last `LoadReport` (0 until the first), and the hint of its last
+    /// reply that carried one. Neither moves its standing.
+    free_pages: u64,
+    hint: LoadHint,
+    /// The registry's relative cost of the link to it (§5).
+    link_cost: f64,
 }
 
 /// A rung of the retry ladder (see [`ServerPool::ladder`]): `failed`
@@ -197,7 +204,7 @@ pub(crate) struct Rung {
 }
 
 impl Peer {
-    fn new(transport: Box<dyn ServerTransport>, addr: Option<String>) -> Self {
+    fn new(transport: Box<dyn ServerTransport>, addr: Option<String>, link_cost: f64) -> Self {
         Peer {
             transport,
             addr,
@@ -209,7 +216,28 @@ impl Peer {
             standing: Standing::Healthy(None),
             health: Health::default(),
             suspicion: None,
+            free_pages: 0,
+            hint: LoadHint::Ok,
+            link_cost,
         }
+    }
+
+    /// Where the server ranks for new pages, best first: trusted and
+    /// unloaded, trusted under pressure, suspected; `None` — never —
+    /// when held dead or asked to stop sending.
+    fn rank(&self) -> Option<u8> {
+        match (self.standing, self.hint) {
+            (Standing::Dead(_), _) | (_, LoadHint::StopSending) => None,
+            (Standing::Healthy(_), LoadHint::Ok) => Some(0),
+            (Standing::Healthy(_), LoadHint::Pressure) => Some(1),
+            (Standing::Suspect(_), _) => Some(2),
+        }
+    }
+
+    /// Free memory per unit of link cost: the promise of a server within
+    /// its rank.
+    fn promise(&self) -> f64 {
+        self.free_pages as f64 / self.link_cost.max(1e-9)
     }
 
     /// Makes the transition `event` makes at `now`; returns the standing
@@ -240,6 +268,7 @@ impl Peer {
             Event::Refused => was.on(None),
             Event::Forgiven => {
                 self.health = Health::default();
+                self.hint = LoadHint::Ok;
                 Standing::Healthy(None)
             }
             Event::Verdict(_) => {
@@ -493,15 +522,8 @@ fn unexpected_reply(to: &str, reply: &Message) -> RmpError {
     RmpError::Protocol(format!("unexpected reply to {to}: {:?}", reply.opcode()))
 }
 
-fn hint_condition(hint: LoadHint) -> Condition {
-    match hint {
-        LoadHint::Ok => Condition::Healthy,
-        LoadHint::Pressure => Condition::Pressure,
-        LoadHint::StopSending => Condition::StopSending,
-    }
-}
-
-/// Connections to every registered server plus the client's live load view.
+/// Connections to every registered server, and what the client knows of
+/// each: its standing and its load.
 ///
 /// All wire traffic of the pager funnels through here, the single
 /// retry/backoff/reconnect point of the paging path: a transient failure
@@ -513,7 +535,6 @@ fn hint_condition(hint: LoadHint) -> Condition {
 /// [`RmpError::ServerCrashed`] (see `ServerPool::ladder`).
 pub struct ServerPool {
     peers: BTreeMap<ServerId, Peer>,
-    view: ClusterView,
     next_key: u64,
     /// Total page-sized transfers (in either direction), for reports.
     wire_transfers: u64,
@@ -548,7 +569,6 @@ impl ServerPool {
     pub fn with_transport_config(transport_cfg: TransportConfig) -> Self {
         ServerPool {
             peers: BTreeMap::new(),
-            view: ClusterView::new(),
             next_key: 1,
             wire_transfers: 0,
             service_ms: 0.0,
@@ -601,9 +621,8 @@ impl ServerPool {
         let mut pool = ServerPool::with_transport_config(transport_cfg);
         for info in registry.iter() {
             let transport = WindowedTransport::connect_with(&info.addr, &pool.transport_cfg)?;
-            let peer = Peer::new(Box::new(transport), Some(info.addr.clone()));
+            let peer = Peer::new(Box::new(transport), Some(info.addr.clone()), info.link_cost);
             pool.peers.insert(info.id, peer);
-            pool.view.register(info.id, info.link_cost);
         }
         Ok(pool)
     }
@@ -626,8 +645,7 @@ impl ServerPool {
         transport: Box<dyn ServerTransport>,
         link_cost: f64,
     ) {
-        self.peers.insert(id, Peer::new(transport, None));
-        self.view.register(id, link_cost);
+        self.peers.insert(id, Peer::new(transport, None, link_cost));
     }
 
     /// Re-establishes the TCP connection to a restarted server and marks
@@ -657,7 +675,7 @@ impl ServerPool {
         match self.peers.entry(id) {
             Entry::Occupied(mut peer) => peer.get_mut().transport = transport,
             Entry::Vacant(slot) => {
-                slot.insert(Peer::new(transport, None));
+                slot.insert(Peer::new(transport, None, 1.0));
             }
         }
         self.forgive(id, true);
@@ -670,7 +688,8 @@ impl ServerPool {
         self.forgive(id, false);
     }
 
-    /// Wipes `id`'s slate: connection state, standing and evidence.
+    /// Wipes `id`'s slate: connection state, standing, evidence and the
+    /// load hint.
     fn forgive(&mut self, id: ServerId, new_connection: bool) {
         if let Some(peer) = self.peers.get_mut(&id) {
             peer.reset(new_connection);
@@ -687,9 +706,9 @@ impl ServerPool {
         }
     }
 
-    /// Moves `id` by `event` (`Peer::step`) and mirrors what changed — the
-    /// view, the metrics, the trace, the obituaries and the backoffs.
-    /// Nothing else writes any of them.
+    /// Moves `id` by `event` (`Peer::step`) and books what changed — the
+    /// metrics, the trace, the obituaries and the backoffs. Nothing else
+    /// writes any of them.
     pub(crate) fn transition(&mut self, id: ServerId, event: Event) {
         let now = self.clock.now();
         let Some(peer) = self.peers.get_mut(&id) else {
@@ -703,13 +722,11 @@ impl ServerPool {
         }
         match (event, was, peer.standing) {
             (Event::Forgiven, _, _) => {
-                self.view.mark_alive(id);
                 self.obituaries.retain(|&dead| dead != id);
                 self.rebuilt.retain(|&dead| dead != id);
             }
             (Event::Verdict(why), Standing::Healthy(_) | Standing::Suspect(_), _) => {
                 peer.reset(false);
-                self.view.mark_dead(id);
                 note(&mut self.obituaries, id);
                 self.rebuilt.retain(|&dead| dead != id);
                 if let Some(m) = m {
@@ -719,28 +736,97 @@ impl ServerPool {
             }
             (Event::Rung(..), _, _) => note(&mut self.backoffs, id),
             (_, Standing::Healthy(_), Standing::Suspect(_)) => {
-                self.view.mark_suspect(id);
                 if let Some(m) = m {
                     m.suspect_transitions.inc();
                 }
-            }
-            (_, Standing::Suspect(_) | Standing::Dead(_), Standing::Healthy(_)) => {
-                self.view.mark_alive(id);
             }
             _ => {}
         }
     }
 
-    /// Whether this pool holds `id` to be alive.
-    fn alive(&self, id: ServerId) -> bool {
+    /// Whether this pool holds `id` to be alive: registered and not held
+    /// dead. A suspected server, or one that asked the client to stop
+    /// sending, still serves the pages it holds.
+    pub fn alive(&self, id: ServerId) -> bool {
         (self.peers.get(&id)).is_some_and(|peer| !matches!(peer.standing, Standing::Dead(_)))
+    }
+
+    /// Whether `id` is alive and has not asked the client to stop sending
+    /// it new pages.
+    pub fn accepting(&self, id: ServerId) -> bool {
+        self.alive(id) && self.peers[&id].hint != LoadHint::StopSending
+    }
+
+    /// Whether this pool suspects `id`: it answers and holds its pages,
+    /// but new pages go elsewhere while it proves itself.
+    pub fn suspected(&self, id: ServerId) -> bool {
+        (self.peers.get(&id)).is_some_and(|peer| matches!(peer.standing, Standing::Suspect(_)))
+    }
+
+    /// The live servers, ascending.
+    pub fn live_servers(&self) -> Vec<ServerId> {
+        (self.server_ids().into_iter())
+            .filter(|&id| self.alive(id))
+            .collect()
+    }
+
+    /// The *most promising server* of §2.1 outside `exclude`: of the best
+    /// rank — trusted and unloaded, then trusted under pressure, then
+    /// suspected; never one held dead or asked to stop sending — the one
+    /// with the most free memory per unit of link cost, the lower id on
+    /// a tie.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rmp_core::chaos::{ChaosCluster, FaultPlan};
+    /// use rmp_proto::LoadHint;
+    /// use rmp_types::{ServerId, TransportConfig};
+    ///
+    /// let cluster = ChaosCluster::new(2, FaultPlan::seeded(0));
+    /// let mut pool = cluster.pool(&TransportConfig::default());
+    /// for (i, free) in [100, 900].into_iter().enumerate() {
+    ///     cluster.server(i).set_load(free, LoadHint::Ok);
+    ///     pool.query_load(ServerId(i as u32)).unwrap();
+    /// }
+    /// assert_eq!(pool.most_promising(&[]), Some(ServerId(1)));
+    /// pool.declare_dead(ServerId(1), "crashed");
+    /// assert_eq!(pool.most_promising(&[]), Some(ServerId(0)));
+    /// ```
+    pub fn most_promising(&self, exclude: &[ServerId]) -> Option<ServerId> {
+        (self.peers.iter())
+            .filter(|(id, _)| !exclude.contains(id))
+            .filter_map(|(&id, peer)| Some((peer.rank()?, peer.promise(), id)))
+            .min_by(|a, b| {
+                let promise = b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal);
+                a.0.cmp(&b.0).then(promise).then(a.2.cmp(&b.2))
+            })
+            .map(|(_, _, id)| id)
+    }
+
+    /// The migration target search of §2.1 ("the client will try to find
+    /// another server having enough free memory"): of the trusted,
+    /// unloaded servers outside `exclude` with at least `needed_pages`
+    /// free, the one with the most, the lower id on a tie.
+    pub fn server_with_capacity(
+        &self,
+        needed_pages: u64,
+        exclude: &[ServerId],
+    ) -> Option<ServerId> {
+        (self.peers.iter())
+            .filter(|(id, peer)| {
+                peer.rank() == Some(0) && peer.free_pages >= needed_pages && !exclude.contains(id)
+            })
+            .max_by_key(|(&id, peer)| (peer.free_pages, std::cmp::Reverse(id)))
+            .map(|(&id, _)| id)
     }
 
     /// The servers this pool has declared dead and not forgiven since,
     /// until somebody takes them: a front-end over several pools tells the
     /// others, so that a crash costs the cluster's clients one retry
     /// ladder and not one each. A server re-promoted since is still
-    /// listed: whoever passes a verdict on checks the view first.
+    /// listed: whoever passes a verdict on checks [`ServerPool::alive`]
+    /// first.
     pub fn obituaries(&mut self) -> &mut Vec<ServerId> {
         &mut self.obituaries
     }
@@ -823,16 +909,6 @@ impl ServerPool {
     /// How many servers are registered.
     pub fn server_count(&self) -> usize {
         self.peers.len()
-    }
-
-    /// The live load view.
-    pub fn view(&self) -> &ClusterView {
-        &self.view
-    }
-
-    /// Mutable access to the load view; liveness is the pool's, mirrored.
-    pub fn view_mut(&mut self) -> &mut ClusterView {
-        &mut self.view
     }
 
     /// Allocates a fresh storage key, unique within this client.
@@ -1333,13 +1409,11 @@ impl ServerPool {
         }
     }
 
+    /// Keeps the load hint `id`'s reply carried; its standing is not
+    /// the server's to say.
     fn apply_hint(&mut self, id: ServerId, hint: LoadHint) {
-        let cond = hint_condition(hint);
-        if let Some(st) = self.view.status(id) {
-            if st.condition != Condition::Dead {
-                let (free, stored, cpu) = (st.free_pages, st.stored_pages, st.cpu_permille);
-                self.view.update_load(id, free, stored, cpu, cond);
-            }
+        if let Some(peer) = self.peers.get_mut(&id) {
+            peer.hint = hint;
         }
     }
 
@@ -1354,7 +1428,7 @@ impl ServerPool {
     /// # Errors
     ///
     /// Returns [`RmpError::NoSpace`] when the server denies the
-    /// allocation waited for, after marking it stop-sending in the view.
+    /// allocation waited for, after marking it stop-sending.
     pub fn reserve_frame(&mut self, id: ServerId) -> Result<()> {
         self.book_refill(id);
         if self.granted_frames(id) == 0 {
@@ -1400,8 +1474,7 @@ impl ServerPool {
             peer.standing,
             Standing::Healthy(None) | Standing::Suspect(None)
         );
-        let stopped =
-            (self.view.status(id)).is_some_and(|st| st.condition == Condition::StopSending);
+        let stopped = peer.hint == LoadHint::StopSending;
         if peer.grants >= ALLOC_CHUNK / 2 || peer.refill.is_some() || !askable || stopped {
             return;
         }
@@ -1593,7 +1666,7 @@ impl ServerPool {
     /// [`RmpError::PageNotFound`] on a miss, [`RmpError::ServerCrashed`]
     /// on connection failure, [`RmpError::CorruptPage`] when the page
     /// bytes fail their checksum (wire-level corruption — the server
-    /// stays alive in the view).
+    /// stays alive).
     pub fn page_in(&mut self, id: ServerId, key: StoreKey) -> Result<Page> {
         let reply = self.call(id, Message::PageIn { id: key })?;
         self.fetched(id, key, reply)?
@@ -1731,7 +1804,8 @@ impl ServerPool {
         }
     }
 
-    /// Queries a server's load report, updating the view — the paper's
+    /// Queries a server's load report, keeping its free frames and hint —
+    /// the paper's
     /// periodic memory-load check.
     ///
     /// # Errors
@@ -1742,7 +1816,7 @@ impl ServerPool {
         self.load_reported(id, reply)
     }
 
-    /// Reads the reply to a `LoadQuery` into the view.
+    /// Reads the reply to a `LoadQuery` into `id`'s peer.
     fn load_reported(&mut self, id: ServerId, reply: Message) -> Result<(u64, u64, u16, LoadHint)> {
         match reply {
             Message::LoadReport {
@@ -1751,32 +1825,28 @@ impl ServerPool {
                 cpu_permille,
                 hint,
             } => {
-                self.view.update_load(
-                    id,
-                    free_pages,
-                    stored_pages,
-                    cpu_permille,
-                    hint_condition(hint),
-                );
+                if let Some(peer) = self.peers.get_mut(&id) {
+                    peer.free_pages = free_pages;
+                }
+                self.apply_hint(id, hint);
                 Ok((free_pages, stored_pages, cpu_permille, hint))
             }
             other => Err(unexpected_reply("LoadQuery", &other)),
         }
     }
 
-    /// Refreshes the load view of every live server with one wave of
+    /// Refreshes the load of every live server with one wave of
     /// load queries; dead servers are skipped, newly unreachable ones get
     /// marked dead. Returns the servers that died during this refresh, in
     /// id order, so the caller can enqueue their recovery proactively
     /// instead of waiting for a pagein to trip over them.
     pub fn refresh_loads(&mut self) -> Vec<ServerId> {
-        let mut live = self.server_ids();
-        live.retain(|&id| self.view.is_alive(id));
+        let mut live = self.live_servers();
         let queries = live.iter().map(|&id| (id, Message::LoadQuery)).collect();
         for (&id, reply) in live.iter().zip(self.scatter(queries)) {
             let _ = reply.and_then(|reply| self.load_reported(id, reply));
         }
-        live.retain(|&id| !self.view.is_alive(id));
+        live.retain(|&id| !self.alive(id));
         live
     }
 
@@ -1856,7 +1926,8 @@ impl Default for ServerPool {
 
 #[cfg(test)]
 mod tests {
-    //! One test per row of the module docs' table.
+    //! One test per row of the module docs' table, then the ranking of
+    //! servers for new pages.
     use super::*;
     use crate::chaos::{ChaosServer, ChaosTransport, FaultPlan};
     use Standing::{Dead, Healthy, Suspect};
@@ -1865,7 +1936,7 @@ mod tests {
     fn after(from: Standing, evidence: fn(&mut Health), event: Event) -> (Standing, Health) {
         let plan = Arc::new(FaultPlan::seeded(0));
         let transport = ChaosTransport::new(ServerId(0), plan, ChaosServer::new());
-        let mut peer = Peer::new(Box::new(transport), None);
+        let mut peer = Peer::new(Box::new(transport), None, 1.0);
         peer.standing = from;
         evidence(&mut peer.health);
         peer.step(event, Instant::now());
@@ -1968,5 +2039,159 @@ mod tests {
     fn a_verdict_on_a_dead_server_only_takes_it_off_its_rung() {
         let (to, health) = after(Dead(rung(2)), |h| h.on_miss(1e3), VERDICT);
         assert_eq!((to, health.suspicion()), (Dead(None), 2.0));
+    }
+
+    /// A pool over in-process servers, server `i` at link cost `loads[i].2`
+    /// having reported `loads[i].0` pages free and hint `loads[i].1`.
+    fn ranked(loads: &[(u64, LoadHint, f64)]) -> (Vec<ChaosServer>, ServerPool) {
+        let (plan, mut pool) = (Arc::new(FaultPlan::seeded(0)), ServerPool::new());
+        let mut servers = Vec::new();
+        for (i, &(free, hint, cost)) in loads.iter().enumerate() {
+            let (id, server) = (ServerId(i as u32), ChaosServer::new());
+            let transport = ChaosTransport::new(id, Arc::clone(&plan), server.clone());
+            pool.add_transport(id, Box::new(transport), cost);
+            say(&mut pool, &server, id, free, hint);
+            servers.push(server);
+        }
+        (servers, pool)
+    }
+
+    /// `server`, `id` in `pool`, reports `free` pages free and `hint`.
+    fn say(pool: &mut ServerPool, server: &ChaosServer, id: ServerId, free: u64, hint: LoadHint) {
+        server.set_load(free, hint);
+        pool.query_load(id).expect("an in-process server answers");
+    }
+
+    /// Three servers at link cost 1, reporting `free[i]` pages and `hint[i]`.
+    fn three(free: [u64; 3], hint: [LoadHint; 3]) -> (Vec<ChaosServer>, ServerPool) {
+        ranked(&[
+            (free[0], hint[0], 1.0),
+            (free[1], hint[1], 1.0),
+            (free[2], hint[2], 1.0),
+        ])
+    }
+
+    const S: [ServerId; 3] = [ServerId(0), ServerId(1), ServerId(2)];
+    const OK: [LoadHint; 3] = [LoadHint::Ok; 3];
+    const MISS: Event = Event::Miss(1e3);
+
+    #[test]
+    fn most_promising_prefers_most_free_memory() {
+        let (_, pool) = three([100, 500, 200], OK);
+        assert_eq!(pool.most_promising(&[]), Some(S[1]));
+        assert_eq!(pool.most_promising(&[S[1]]), Some(S[2]));
+    }
+
+    #[test]
+    fn link_cost_discounts_distant_servers() {
+        // 100 / 1 beats 500 / 10.
+        let (_, pool) = ranked(&[(100, LoadHint::Ok, 1.0), (500, LoadHint::Ok, 10.0)]);
+        assert_eq!(pool.most_promising(&[]), Some(S[0]));
+    }
+
+    #[test]
+    fn pressure_servers_are_last_resort() {
+        let hints = [LoadHint::Pressure, LoadHint::Ok, LoadHint::StopSending];
+        let (_, mut pool) = three([50, 10, 900], hints);
+        assert_eq!(pool.most_promising(&[]), Some(S[1]), "trusted beats bigger");
+        pool.declare_dead(S[1], "test");
+        assert_eq!(
+            pool.most_promising(&[]),
+            Some(S[0]),
+            "pressure, with nothing else"
+        );
+    }
+
+    #[test]
+    fn dead_servers_never_selected() {
+        let (_, mut pool) = three([100; 3], OK);
+        for id in S {
+            pool.declare_dead(id, "test");
+        }
+        assert_eq!(pool.most_promising(&[]), None);
+        assert!(pool.live_servers().is_empty());
+    }
+
+    #[test]
+    fn dead_state_is_sticky_against_updates() {
+        let (servers, mut pool) = three([100; 3], OK);
+        pool.declare_dead(S[0], "test");
+        say(&mut pool, &servers[0], S[0], 100, LoadHint::Ok);
+        assert!(!pool.alive(S[0]), "a load report cannot resurrect");
+        pool.absolve(S[0]);
+        assert!(pool.alive(S[0]));
+    }
+
+    #[test]
+    fn ties_break_deterministically_to_lower_id() {
+        let (_, pool) = three([100; 3], OK);
+        assert_eq!(pool.most_promising(&[]), Some(S[0]));
+    }
+
+    #[test]
+    fn capacity_search_respects_threshold() {
+        let (_, mut pool) = three(
+            [10, 50, 100],
+            [LoadHint::Ok, LoadHint::Ok, LoadHint::Pressure],
+        );
+        assert_eq!(pool.server_with_capacity(40, &[]), Some(S[1]));
+        assert_eq!(
+            pool.server_with_capacity(60, &[]),
+            None,
+            "pressured excluded"
+        );
+        assert_eq!(pool.server_with_capacity(40, &[S[1]]), None);
+        pool.transition(S[1], MISS);
+        assert_eq!(pool.server_with_capacity(40, &[]), None, "suspect excluded");
+    }
+
+    #[test]
+    fn suspect_servers_rank_after_pressure() {
+        let hints = [LoadHint::Ok, LoadHint::Pressure, LoadHint::Ok];
+        let (servers, mut pool) = three([900, 500, 999], hints);
+        pool.transition(S[2], MISS);
+        assert_eq!(
+            pool.most_promising(&[]),
+            Some(S[0]),
+            "trusted beats bigger suspect"
+        );
+        pool.transition(S[0], MISS);
+        assert_eq!(
+            pool.most_promising(&[]),
+            Some(S[1]),
+            "pressure beats suspect"
+        );
+        say(&mut pool, &servers[1], S[1], 0, LoadHint::StopSending);
+        assert_eq!(
+            pool.most_promising(&[]),
+            Some(S[2]),
+            "suspect is the last resort"
+        );
+    }
+
+    #[test]
+    fn suspect_is_alive_and_not_cleared_by_load_reports() {
+        let (servers, mut pool) = three([100; 3], OK);
+        pool.transition(S[0], MISS);
+        assert!(pool.alive(S[0]) && pool.live_servers().contains(&S[0]));
+        // Neither an optimistic report nor a stop-sending one clears
+        // suspicion, and the stop-sending one is believed at once.
+        say(&mut pool, &servers[0], S[0], 100, LoadHint::Ok);
+        say(&mut pool, &servers[0], S[0], 100, LoadHint::StopSending);
+        assert!(pool.suspected(S[0]) && !pool.accepting(S[0]));
+        say(&mut pool, &servers[0], S[0], 100, LoadHint::Ok);
+        assert!(pool.suspected(S[0]) && pool.accepting(S[0]));
+        // A rejoin trusts it afresh, and forgets its hint.
+        pool.apply_hint(S[0], LoadHint::StopSending);
+        pool.absolve(S[0]);
+        assert!(!pool.suspected(S[0]) && pool.accepting(S[0]));
+    }
+
+    #[test]
+    fn suspicion_cannot_resurrect_the_dead() {
+        let (_, mut pool) = three([100; 3], OK);
+        pool.declare_dead(S[0], "test");
+        pool.transition(S[0], MISS);
+        assert!(!pool.alive(S[0]) && !pool.suspected(S[0]));
     }
 }

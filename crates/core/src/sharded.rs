@@ -1175,7 +1175,7 @@ impl News {
         let pool = pager.pool_mut();
         let mut dead = std::mem::take(pool.obituaries());
         // Forgiven or re-promoted since: no longer this shard's view.
-        dead.retain(|&server| !pool.view().is_alive(server));
+        dead.retain(|&server| !pool.alive(server));
         let backing_off = std::mem::take(pool.backoffs());
         let backing_off = (backing_off.into_iter())
             .filter_map(|server| Some((server, pool.rung(server)?)))
@@ -1331,7 +1331,7 @@ mod tests {
             pager.page_out(id, &Page::deterministic(id.0)).expect("out");
         }
         let gone = ServerId(2);
-        let dead_on = |shard| pager.with_shard(shard, |p| !p.pool().view().is_alive(gone));
+        let dead_on = |shard| pager.with_shard(shard, |p| !p.pool().alive(gone));
         // Declared dead and pardoned before a turn has ended: no news.
         pager.with_shard(0, |p| {
             p.pool_mut().declare_dead(gone, "test");

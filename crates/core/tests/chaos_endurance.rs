@@ -15,7 +15,6 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmp_blockdev::{PagingDevice, RamDisk};
-use rmp_cluster::Condition;
 use rmp_core::chaos::{
     run_schedule, ChaosCluster, FaultAction, FaultEvent, FaultPlan, FaultRule, OpFilter,
 };
@@ -227,8 +226,8 @@ fn absolve_all(pager: &ShardedPager, shards: usize, servers: u32) {
             for s in 0..servers {
                 p.pool_mut().absolve(ServerId(s));
             }
-            // Replacement-copy placement consults the view's free-page
-            // counts, which crash handling zeroed.
+            // Replacement-copy placement consults each server's last
+            // reported free pages.
             p.pool_mut().refresh_loads();
         });
     }
@@ -544,26 +543,23 @@ fn stats_replies_do_not_promote_a_suspect_server() {
     let sid = ServerId(0);
     pool.page_out(sid, rmp_types::StoreKey(1), &Page::deterministic(1))
         .expect("rides through the one drop");
-    let condition = |p: &rmp_core::ServerPool| p.view().status(sid).expect("known").condition;
-    assert_eq!(condition(&pool), Condition::Suspect, "one miss suspects");
+    assert!(pool.suspected(sid), "one miss suspects");
     // A storm of clean *control* replies: suspicion decays but the
     // data-path streak stays frozen — no promotion.
     for _ in 0..6 {
         pool.get_stats(sid).expect("stats answer");
         pool.query_load(sid).expect("load answer");
     }
-    assert_eq!(
-        condition(&pool),
-        Condition::Suspect,
+    assert!(
+        pool.suspected(sid),
         "control-path replies must not re-promote a suspect server"
     );
     // Clean data-path replies do.
     for _ in 0..3 {
         pool.page_in(sid, rmp_types::StoreKey(1)).expect("read");
     }
-    assert_eq!(
-        condition(&pool),
-        Condition::Healthy,
+    assert!(
+        pool.alive(sid) && !pool.suspected(sid),
         "three clean data replies earn the server back"
     );
 }
@@ -625,7 +621,7 @@ fn gray_primary_is_read_around_not_buried() {
         "every read went around the gray primary, as a degraded read"
     );
     assert!(
-        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
+        pager.with_shard(0, |p| p.pool().alive(ServerId(0))),
         "a slow server is gray, not dead"
     );
     assert_eq!(

@@ -243,7 +243,7 @@ fn one_shard_pays_for_a_crash_and_every_shard_knows() {
     let seen = |shard: u64| {
         pager.with_shard(shard as usize, |p| {
             let counter = |name| p.metrics().counter(name).get();
-            let dead = !p.pool().view().is_alive(victim);
+            let dead = !p.pool().alive(victim);
             let (retries, failed) = (
                 counter("pool_retries_total"),
                 counter("pool_call_errors_total"),
@@ -340,7 +340,7 @@ fn one_maintenance_pass_walks_the_ladder_once() {
     let retries: u64 = (0..2).map(|s| of_shard(s, "pool_retries_total")).sum();
     assert_eq!(retries, 2, "one walk: max_attempts - 1 retries");
     for shard in 0..2 {
-        let dead = pager.with_shard(shard, |p| !p.pool().view().is_alive(ServerId(2)));
+        let dead = pager.with_shard(shard, |p| !p.pool().alive(ServerId(2)));
         assert!(dead, "shard {shard} holds the server dead");
     }
     assert_eq!(of_shard(1, "pool_deaths_total"), 1, "told, not found");
@@ -565,8 +565,7 @@ fn a_landing_held_past_the_read_timeout_is_not_late() {
             slowest < read_timeout.as_micros() as u64,
             "the hold was booked as latency: {slowest} us"
         );
-        let status = p.pool().view().status(id).expect("registered");
-        assert_eq!(status.condition, rmp_cluster::Condition::Healthy);
+        assert!(p.pool().alive(id) && !p.pool().suspected(id));
         assert!(p.pool().backoff(id).is_none());
     });
 }

@@ -17,9 +17,9 @@ mod support;
 use std::time::Duration;
 
 use rmp_blockdev::RamDisk;
-use rmp_cluster::Condition;
 use rmp_core::chaos::{ChaosCluster, FaultPlan};
 use rmp_core::ShardedPager;
+use rmp_proto::LoadHint;
 use rmp_types::{
     Page, PageId, PagerConfig, Policy, RetryPolicy, RmpError, ServerId, TransferStats,
     TransportConfig,
@@ -104,17 +104,12 @@ fn read_all(pager: &ShardedPager, policy: Policy, phase: &str) -> u64 {
     failed
 }
 
-fn set_condition(pager: &ShardedPager, server: ServerId, condition: Condition) {
-    pager.with_shard(0, |p| {
-        let st = *p.pool().view().status(server).expect("registered");
-        p.pool_mut().view_mut().update_load(
-            server,
-            st.free_pages,
-            st.stored_pages,
-            st.cpu_permille,
-            condition,
-        );
-    });
+/// `server` says `hint` of its memory, and the pager's load probe hears
+/// it: a `LoadQuery`, which carries no page.
+fn say(cluster: &ChaosCluster, pager: &ShardedPager, server: ServerId, hint: LoadHint) {
+    cluster.server(server.0 as usize).set_load(1 << 20, hint);
+    let heard = pager.with_shard(0, |p| p.pool_mut().query_load(server));
+    assert_eq!(heard.expect("load report").3, hint);
 }
 
 /// Whether the disk-fallback and promotion phases are pinned for
@@ -191,13 +186,13 @@ fn run(policy: Policy) -> Vec<(&'static str, Snap)> {
 
     // The snapshot landed every pageout: the migration and the
     // promotion below plan with nothing on the wire.
-    set_condition(&pager, LOADED, Condition::StopSending);
+    say(&cluster, &pager, LOADED, LoadHint::StopSending);
     let moved = match pager.with_shard(0, |p| p.migrate_from(LOADED)) {
         Ok(moved) => moved,
         Err(RmpError::Unsupported(_)) => NONE,
         Err(e) => panic!("{policy}: migration failed with {e}"),
     };
-    set_condition(&pager, LOADED, Condition::Healthy);
+    say(&cluster, &pager, LOADED, LoadHint::Ok);
     snaps.push(("migration", snap(&cluster, &pager, moved)));
 
     if falls_back_to_disk(policy) {

@@ -375,7 +375,7 @@ fn assert_bit_flip_healed(policy: Policy, servers: usize, n: usize, fault: Fault
         "{policy:?}/{fault:?}: corrupted copies were served from redundancy"
     );
     assert!(
-        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
+        pager.with_shard(0, |p| p.pool().alive(ServerId(0))),
         "{policy:?}/{fault:?}: a corrupt page is a data fault, not a crash"
     );
     // The scan was sequential, so corrupt copies were read ahead too: one

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use rmp_blockdev::RamDisk;
 use rmp_core::transport::ServerTransport;
 use rmp_core::{ChaosServer, Clock, PendingReplies, ServerPool, ShardedPager, WindowedTransport};
-use rmp_proto::{Message, Opcode};
+use rmp_proto::{LoadHint, Message, Opcode};
 use rmp_types::metrics::MetricsRegistry;
 use rmp_types::{
     ErrorCode, Page, PageId, PagerConfig, Policy, Result, RetryPolicy, RmpError, ServerId,
@@ -216,7 +216,7 @@ fn assert_timeout_retried(policy: Policy, servers: usize, transports: usize) {
         );
     }
     assert!(
-        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
+        pager.with_shard(0, |p| p.pool().alive(ServerId(0))),
         "{policy:?}: a server that recovered within the retry budget is not dead"
     );
     assert_eq!(
@@ -260,7 +260,7 @@ fn assert_disconnect_reconnected(policy: Policy, servers: usize, transports: usi
         "{policy:?}: the dropped connection was redialed"
     );
     assert!(
-        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
+        pager.with_shard(0, |p| p.pool().alive(ServerId(0))),
         "{policy:?}: one dropped connection must not kill the server"
     );
     for i in 0..8u64 {
@@ -299,18 +299,16 @@ fn flaky_server_goes_suspect_then_earns_healthy_back() {
     flaky[0].script(&[Step::TimedOut]);
     pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
         .expect("retried");
-    assert_eq!(
-        pool.view().status(ServerId(0)).unwrap().condition,
-        rmp_cluster::Condition::Suspect,
+    assert!(
+        pool.suspected(ServerId(0)),
         "transient failure leaves the server suspect"
     );
     // The clean call that finished the retried pageout counts as streak 1;
     // two more clean calls restore trust.
     pool.page_in(ServerId(0), StoreKey(1)).expect("clean");
     pool.page_in(ServerId(0), StoreKey(1)).expect("clean");
-    assert_eq!(
-        pool.view().status(ServerId(0)).unwrap().condition,
-        rmp_cluster::Condition::Healthy,
+    assert!(
+        pool.alive(ServerId(0)) && !pool.suspected(ServerId(0)),
         "three consecutive clean calls promote suspect back to healthy"
     );
 }
@@ -320,26 +318,65 @@ fn suspect_servers_are_deprioritized_for_new_pages() {
     let (flaky, mut pool) = flaky_pool(2);
     // Give server 0 the better load report, then make it suspect: the
     // placement ranking must still prefer the healthy server.
+    flaky[0].server.set_load(1 << 21, LoadHint::Ok);
     pool.refresh_loads();
-    pool.view_mut()
-        .update_load(ServerId(0), 1 << 21, 0, 0, rmp_cluster::Condition::Healthy);
-    assert_eq!(pool.view().most_promising(&[]), Some(ServerId(0)));
+    assert_eq!(pool.most_promising(&[]), Some(ServerId(0)));
     flaky[0].script(&[Step::TimedOut]);
     pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
         .expect("retried");
+    assert!(pool.suspected(ServerId(0)));
     assert_eq!(
-        pool.view().status(ServerId(0)).unwrap().condition,
-        rmp_cluster::Condition::Suspect
-    );
-    assert_eq!(
-        pool.view().most_promising(&[]),
+        pool.most_promising(&[]),
         Some(ServerId(1)),
         "a suspect server loses placement priority to any healthy one"
     );
     assert!(
-        pool.view().live_servers().contains(&ServerId(0)),
+        pool.live_servers().contains(&ServerId(0)),
         "suspect is deprioritized, not abandoned: its pages stay reachable"
     );
+}
+
+/// What a server says of its memory is kept apart from what the pool
+/// makes of how it answers: a load report neither clears suspicion nor
+/// outlives a rejoin, and a server that asks the client to stop sending
+/// still serves the pages it holds.
+#[test]
+fn load_reports_do_not_launder_a_suspect() {
+    let (flaky, mut pool) = flaky_pool(2);
+    flaky[0].server.set_load(1 << 21, LoadHint::Ok);
+    pool.refresh_loads();
+    pool.page_out(ServerId(1), StoreKey(2), &Page::deterministic(2))
+        .expect("stored");
+    flaky[0].script(&[Step::TimedOut]);
+    pool.page_out(ServerId(0), StoreKey(1), &Page::deterministic(1))
+        .expect("retried");
+    for hint in [LoadHint::StopSending, LoadHint::Ok] {
+        flaky[0].server.set_load(1 << 21, hint);
+        pool.query_load(ServerId(0)).expect("load answer");
+        assert!(pool.suspected(ServerId(0)), "{hint:?} cleared suspicion");
+        assert_eq!(pool.most_promising(&[]), Some(ServerId(1)), "{hint:?}");
+    }
+
+    // Stop sending: no new pages, but the old ones are still read.
+    flaky[1].server.set_load(1 << 20, LoadHint::StopSending);
+    pool.query_load(ServerId(1)).expect("load answer");
+    assert!(!pool.accepting(ServerId(1)) && pool.alive(ServerId(1)));
+    assert_eq!(
+        pool.most_promising(&[]),
+        Some(ServerId(0)),
+        "the suspect is left"
+    );
+    let read = pool.page_in(ServerId(1), StoreKey(2)).expect("still read");
+    assert_eq!(read, Page::deterministic(2));
+
+    // A rejoin is asked afresh; a dead server never ranks.
+    pool.absolve(ServerId(1));
+    assert!(pool.accepting(ServerId(1)));
+    assert_eq!(pool.most_promising(&[]), Some(ServerId(1)));
+    pool.declare_dead(ServerId(1), "test");
+    assert_eq!(pool.most_promising(&[]), Some(ServerId(0)));
+    pool.declare_dead(ServerId(0), "test");
+    assert_eq!(pool.most_promising(&[]), None);
 }
 
 // --- permanent death → existing crash recovery ------------------------------
@@ -364,7 +401,7 @@ fn mirroring_permanent_death_recovers_from_mirror() {
     // A load probe has no way around it: the retry budget drains, and
     // server 0 is declared dead.
     pager.with_shard(0, |p| p.pool_mut().refresh_loads());
-    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
+    assert!(!pager.with_shard(0, |p| p.pool().alive(ServerId(0))));
     // The existing recovery machinery restores two-copy redundancy on the
     // survivors.
     pager.recover_from_crash(ServerId(0)).expect("re-mirror");
@@ -389,7 +426,7 @@ fn parity_logging_permanent_death_recovers_via_parity() {
     // The reads went around server 0; a load probe walks what is left of
     // the retry ladder to the verdict.
     pager.with_shard(0, |p| p.pool_mut().refresh_loads());
-    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
+    assert!(!pager.with_shard(0, |p| p.pool().alive(ServerId(0))));
 }
 
 #[test]
@@ -433,7 +470,7 @@ fn typed_out_of_memory_maps_to_no_space_without_retry() {
         "a typed refusal is an answer, not a transport failure: no retry"
     );
     assert!(
-        pool.view().is_alive(ServerId(0)),
+        pool.alive(ServerId(0)),
         "an out-of-memory server still serves its stored pages"
     );
 }
@@ -447,7 +484,7 @@ fn typed_shutting_down_declares_the_server_dead_without_retry() {
         .expect_err("draining");
     assert!(matches!(err, RmpError::ServerCrashed(ServerId(0))));
     assert_eq!(flaky[0].calls(), 1, "no point retrying a draining server");
-    assert!(!pool.view().is_alive(ServerId(0)));
+    assert!(!pool.alive(ServerId(0)));
 }
 
 #[test]
@@ -462,7 +499,7 @@ fn exhausted_timeouts_surface_as_typed_timeout_and_death() {
         "timeouts surface as Timeout, not a generic crash: {err:?}"
     );
     assert_eq!(flaky[0].calls(), 3, "the full retry budget was spent");
-    assert!(!pool.view().is_alive(ServerId(0)));
+    assert!(!pool.alive(ServerId(0)));
 }
 
 // --- grant accounting (the reserve/pageout leak) ----------------------------
@@ -737,7 +774,7 @@ fn every_call_is_a_submission() {
     assert_eq!(pool.last_call_attempts(), 3);
     assert_eq!(metrics.counter("pool_retries_total").get(), 2);
     pool.inject_crash(id).expect("crash injection");
-    assert!(!pool.view().is_alive(id));
+    assert!(!pool.alive(id));
     use Opcode::*;
     let sent = log.lock().expect("log lock").1.clone();
     let expected = [

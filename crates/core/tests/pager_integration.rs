@@ -224,7 +224,7 @@ fn a_reported_crash_is_a_death_like_any_other() {
     // The pool has not touched the server since and still holds it
     // healthy; the pager is told of the crash from outside.
     pager.note_crash(victim);
-    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(victim)));
+    assert!(!pager.with_shard(0, |p| p.pool().alive(victim)));
     assert_eq!(
         granted(),
         0,

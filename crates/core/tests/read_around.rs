@@ -17,7 +17,6 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rmp_cluster::Condition;
 use rmp_core::{Pager, ShardedPager};
 use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId};
 
@@ -25,15 +24,19 @@ use support::*;
 
 const HOLDER: ServerId = ServerId(0);
 
-/// What shard `shard` makes of the holder: its condition, its rung's due
+/// What shard `shard` makes of the holder: its standing, its rung's due
 /// time if it has one, its queued rebuilds, and the retries and Suspect
 /// transitions its pool counted.
-fn seen(pager: &ShardedPager, shard: usize) -> (Condition, bool, usize, u64, u64) {
+fn seen(pager: &ShardedPager, shard: usize) -> (&'static str, bool, usize, u64, u64) {
     pager.with_shard(shard, |p: &mut Pager| {
         let counter = |name| p.metrics().counter(name).get();
-        let status = p.pool().view().status(HOLDER).expect("registered");
+        let pool = p.pool();
         (
-            status.condition,
+            match (pool.alive(HOLDER), pool.suspected(HOLDER)) {
+                (false, _) => "dead",
+                (true, true) => "suspect",
+                (true, false) => "healthy",
+            },
             p.pool().backoff(HOLDER).is_some(),
             p.recovery_backlog(),
             counter("pool_retries_total"),
@@ -88,15 +91,15 @@ fn a_read_goes_around_its_holder_and_a_pageout_takes_the_rungs_it_left() {
     assert_eq!(wire.state().refused, [HOLDER], "one dial");
     assert!(wire.state().redials.is_empty());
     // The holder is Suspect, on its first rung: not dead, nothing queued.
-    assert_eq!(seen(&pager, 0), (Condition::Suspect, true, 0, 0, 1));
+    assert_eq!(seen(&pager, 0), ("suspect", true, 0, 0, 1));
 
     // Shard 1 was told of the rung: its own read of a page on the holder
     // goes around it without dialling it.
-    assert_eq!(seen(&pager, 1), (Condition::Healthy, true, 0, 0, 0));
+    assert_eq!(seen(&pager, 1), ("healthy", true, 0, 0, 0));
     let read = answered(&odd, 2, &pager, |p| p.page_in(PageId(1)));
     assert_eq!(read.expect("degraded read"), Page::deterministic(1));
     assert!(odd.state().refused.is_empty(), "shard 1 dialled the holder");
-    assert_eq!(seen(&pager, 1), (Condition::Healthy, true, 0, 0, 0));
+    assert_eq!(seen(&pager, 1), ("healthy", true, 0, 0, 0));
     assert_eq!(pager.stats().degraded_reads, 2);
 
     // A rewrite has no way around the holder. It waits for the second
@@ -107,7 +110,7 @@ fn a_read_goes_around_its_holder_and_a_pageout_takes_the_rungs_it_left() {
     assert!(rewrite.is_err(), "{rewrite:?}");
     assert_eq!(wire.state().refused, [HOLDER; 3], "rung 1 was the read's");
     assert_eq!(wire.state().redials, [HOLDER; 2]);
-    assert_eq!(seen(&pager, 0), (Condition::Dead, false, 1, 2, 1));
-    assert_eq!(seen(&pager, 1), (Condition::Dead, false, 1, 0, 0));
+    assert_eq!(seen(&pager, 0), ("dead", false, 1, 2, 1));
+    assert_eq!(seen(&pager, 1), ("dead", false, 1, 0, 0));
     assert!(odd.state().refused.is_empty(), "shard 1 dialled the holder");
 }

@@ -154,7 +154,7 @@ fn reads_around_a_gray_holder_are_degraded_reads() {
         "and a degraded read: each went around the gray holder"
     );
     assert!(
-        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))),
+        pager.with_shard(0, |p| p.pool().alive(ServerId(0))),
         "gray, not dead"
     );
     assert_eq!(pager.recovery_backlog(), 0, "nothing to rebuild");
@@ -211,7 +211,7 @@ fn a_backing_off_holder_is_read_when_the_way_around_is_gone() {
         counted(&pager, "pool_retries_total") >= 1,
         "the read climbed server 0's rung"
     );
-    assert!(pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
+    assert!(pager.with_shard(0, |p| p.pool().alive(ServerId(0))));
 }
 
 #[test]
@@ -251,7 +251,7 @@ fn a_gray_holder_is_read_when_the_way_around_is_corrupt() {
         .count() as u64;
     assert!(flips >= 1, "the mirror was read around the gray holder");
     assert_eq!(pager.stats().checksum_failures, flips);
-    assert!(pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
+    assert!(pager.with_shard(0, |p| p.pool().alive(ServerId(0))));
 }
 
 #[test]
@@ -453,7 +453,7 @@ fn a_pageout_retried_after_recovery_is_counted_once() {
         }
     }
     assert!(
-        !pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(4))),
+        !pager.with_shard(0, |p| p.pool().alive(ServerId(4))),
         "a pageout ran into the dead parity server"
     );
     assert_eq!(written, 12, "recover-and-retry served every pageout");
@@ -487,7 +487,7 @@ fn a_known_dead_holder_is_not_dialled_again() {
     // no way around, and pays the rest of the pool's retry budget.
     assert_eq!(read(&pager, [0]), 1);
     pager.with_shard(0, |p| p.pool_mut().refresh_loads());
-    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(0))));
+    assert!(!pager.with_shard(0, |p| p.pool().alive(ServerId(0))));
     // From here on every call that reaches server 0's transport leaves
     // an event behind.
     cluster
@@ -500,7 +500,7 @@ fn a_known_dead_holder_is_not_dialled_again() {
     assert_eq!(
         cluster.plan().events(),
         Vec::new(),
-        "server 0 was dialled although the view holds it dead"
+        "server 0 was dialled although the pool holds it dead"
     );
 }
 
@@ -509,7 +509,7 @@ fn prefetch_is_not_aimed_at_a_known_dead_holder() {
     // Two mirrors, so nothing can be re-replicated away from the dead one
     // and the pages it was primary for keep pointing at it. A fast server
     // that dies keeps its tens-of-µs latency estimate, so it never looks
-    // gray: only the view says it is gone.
+    // gray: only the pool says it is gone.
     let cluster = in_process(2, FaultPlan::seeded(7));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);
     let pager = pager(&cluster, config);
@@ -531,7 +531,7 @@ fn prefetch_is_not_aimed_at_a_known_dead_holder() {
     assert_eq!(
         cluster.plan().events(),
         Vec::new(),
-        "read-ahead dialled server 0 although the view holds it dead"
+        "read-ahead dialled server 0 although the pool holds it dead"
     );
     assert_eq!(
         counted(&pager, "pool_retries_total"),

@@ -16,7 +16,6 @@ mod support;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rmp_cluster::Condition;
 use rmp_core::pool::CHUNK_PAGES;
 use rmp_core::{ChaosServer, Clock, ServerPool, ShardedPager};
 use rmp_proto::{Message, Opcode};
@@ -267,10 +266,7 @@ fn a_frame_grant_is_asked_for_before_it_runs_out() {
         let pool = p.pool_mut();
         // A denied refill marks its server stop-sending, and none is asked
         // of it while it is; the grants held are still spent.
-        let stopped = |pool: &ServerPool, server| {
-            let status = pool.view().status(server).expect("registered");
-            status.condition == Condition::StopSending
-        };
+        let stopped = |pool: &ServerPool, server| !pool.accepting(server);
         let server = ServerId(0);
         wire.state().deny_alloc.push(server);
         for _ in 0..CHUNK {
@@ -555,7 +551,7 @@ fn basic_parity_degraded_read_gathers_the_stripe_at_once() {
         done.expect("a delta and its fold are two calls");
     }
     // Page 0 sits on server 0. Basic parity rebuilds in place, so the
-    // pager leaves the view to the test.
+    // pager leaves the verdict to the test.
     pager.with_shard(0, |p| p.pool_mut().declare_dead(ServerId(0), "test"));
     let (read, waves) = in_waves(&wire, &[3], || pager.page_in(PageId(0)));
     assert_eq!(read.expect("degraded read"), Page::deterministic(0));
@@ -855,7 +851,7 @@ fn a_leg_whose_server_dies_walks_the_ladder_once() {
     assert_eq!(wire.state().redials, [ServerId(1), ServerId(1)]);
     assert_eq!(counted(&pager, "pool_retries_total"), 2);
     assert_eq!(counted(&pager, "pool_deaths_total"), 1);
-    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(1))));
+    assert!(!pager.with_shard(0, |p| p.pool().alive(ServerId(1))));
     // The four replies that did come were kept — no frame was sent twice
     // — and the lost unit went to the spare by one frame of the walk.
     let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();

@@ -197,7 +197,7 @@ fn a_landing_lost_with_its_server_is_rehomed_by_the_next_turn() {
         "the copy was not re-homed"
     );
     for shard in 0..2 {
-        let dead = pager.with_shard(shard, |p| !p.pool().view().is_alive(gone));
+        let dead = pager.with_shard(shard, |p| !p.pool().alive(gone));
         assert!(dead, "shard {shard} does not hold {gone} dead");
     }
     let stats = pager.stats();
@@ -255,7 +255,7 @@ fn stats_and_recovery_land_every_pageout_and_pageouts_is_exact() {
     let waits = flight_waits(&pager);
     let recovery = spawn(&pager, move |p| p.recover_from_crash(idle));
     until_waiting(&pager, waits + 1);
-    let planned = pager.with_shard(0, |p| !p.pool().view().is_alive(idle));
+    let planned = pager.with_shard(0, |p| !p.pool().alive(idle));
     assert!(!planned, "the recovery planned early");
     answer(held_back(&wire));
     let reports = pumped(&wire, &recovery).expect("recovery");
@@ -384,7 +384,7 @@ fn a_first_placement_whose_taker_died_re_homes_that_unit_from_the_kept_page() {
         let live = (servers.iter().enumerate()).filter(|&(s, _)| s != gone.0 as usize);
         let stored: Vec<usize> = live.map(|(_, s)| s.stored_pages()).collect();
         assert_eq!(stored, vec![1; width], "the unit was not re-homed");
-        assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(gone)));
+        assert!(!pager.with_shard(0, |p| p.pool().alive(gone)));
         let stats = pager.stats();
         assert_eq!((stats.pageouts, stats.checksum_failures), (1, 0));
     }
@@ -451,7 +451,7 @@ fn planners_wait_for_the_flight_to_land() {
     assert!(wire.state().flying.is_empty(), "the flush sealed early");
     assert!(wire.calls().is_empty(), "a planner called early");
     assert!(
-        pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(2))),
+        pager.with_shard(0, |p| p.pool().alive(ServerId(2))),
         "the recovery planned early"
     );
     answer(read);
@@ -462,7 +462,7 @@ fn planners_wait_for_the_flight_to_land() {
     pumped(&wire, &flush).expect("flush");
     let reports: Result<Vec<RecoveryReport>> = pumped(&wire, &recovery);
     assert_eq!(reports.expect("recovery")[0].pages_rebuilt, 0);
-    assert!(!pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(2))));
+    assert!(!pager.with_shard(0, |p| p.pool().alive(ServerId(2))));
     let sealed = |p: &mut Pager| p.metrics().counter("engine_groups_sealed_total").get();
     assert!(pager.with_shard(0, sealed) >= 1);
     for id in [0, 2] {

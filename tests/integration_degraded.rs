@@ -57,7 +57,7 @@ fn degraded_read_is_o1_and_defers_the_rebuild() {
     );
     // The read waited for no verdict: one missed attempt put the server on
     // the retry ladder, and nothing is queued on a miss.
-    assert!(pager.with_shard(0, |p| p.pool().view().is_alive(ServerId(1))));
+    assert!(pager.with_shard(0, |p| p.pool().alive(ServerId(1))));
     assert_eq!(pager.recovery_backlog(), 0);
     // A load probe has no way around the server: it walks the rest of the
     // ladder to the verdict, and the next read of a lost page queues the

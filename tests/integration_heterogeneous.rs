@@ -72,7 +72,7 @@ fn cheap_links_attract_more_pages() {
         "near {near} pages vs far {far}: expensive link must not dominate"
     );
     // And the selection primitive itself is cost-aware.
-    let promising = pager.with_shard(0, |p| p.pool().view().most_promising(&[]));
+    let promising = pager.with_shard(0, |p| p.pool().most_promising(&[]));
     assert_eq!(
         promising,
         Some(ServerId(0)),
