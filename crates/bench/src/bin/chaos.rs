@@ -22,7 +22,7 @@
 
 use std::time::{Duration, Instant};
 
-use rmp_core::chaos::{run_schedule, ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
+use rmp_chaos::{run_schedule, ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
 use rmp_core::detector::GRAY_SUSPICION;
 use rmp_core::ShardedPager;
 use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};

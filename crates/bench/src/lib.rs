@@ -11,7 +11,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rmp_blockdev::{ModeledDisk, RamDisk};
-use rmp_core::chaos::{ChaosCluster, ChaosTransport, FaultPlan};
+use rmp_chaos::{ChaosCluster, ChaosTransport, FaultPlan};
 use rmp_core::{Completion, PendingReplies, ServerPool, ServerTransport, ShardedPager};
 use rmp_proto::Message;
 use rmp_sim::{CompletionModel, PolicyCosts, RunBreakdown};

@@ -30,7 +30,6 @@
 //! future work (adaptive network-load switching, heterogeneous link
 //! costs).
 
-pub mod chaos;
 pub mod clock;
 pub mod detector;
 pub mod engine;
@@ -42,10 +41,6 @@ pub mod recovery;
 pub mod sharded;
 pub mod transport;
 
-pub use chaos::{
-    run_schedule, ChaosCluster, ChaosServer, ChaosTransport, FaultAction, FaultEvent, FaultPlan,
-    FaultRule, OpFilter, ScheduleOutcome,
-};
 pub use clock::Clock;
 pub use pager::Pager;
 pub use pool::{Readable, ServerPool};

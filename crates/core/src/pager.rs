@@ -589,7 +589,7 @@ impl Pager {
     ///
     /// This is also the incremental-recovery driver: servers that stopped
     /// answering load probes are marked dead and queued for rebuild, and
-    /// one budgeted recovery step (at most [`RECOVERY_STEP_PAGES`], 64
+    /// one budgeted recovery step (at most `RECOVERY_STEP_PAGES`, 64
     /// pages) runs per call.
     ///
     /// # Errors

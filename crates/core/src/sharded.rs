@@ -1238,7 +1238,8 @@ impl PagingDevice for ShardedPager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosCluster, FaultPlan};
+    use crate::transport::in_process;
+    use crate::Clock;
     use rmp_types::Policy;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -1255,8 +1256,8 @@ mod tests {
     fn a_panic_in_mid_turn_gives_the_page_and_the_wire_back() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let config = PagerConfig::new(Policy::NoReliability).with_shard_count(1);
-        let cluster = ChaosCluster::new(2, FaultPlan::seeded(1));
-        let pager = (ShardedPager::builder(config).pools(vec![cluster.pool(&Default::default())]))
+        let pool = in_process::pool(2, Clock::Real).1;
+        let pager = (ShardedPager::builder(config).pools(vec![pool]))
             .build()
             .expect("one shard");
         let shard = &pager.shards[0];
@@ -1283,8 +1284,8 @@ mod tests {
     fn a_panic_mid_landing_leaves_no_page_busy() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let config = PagerConfig::new(Policy::NoReliability).with_shard_count(1);
-        let cluster = ChaosCluster::new(2, FaultPlan::seeded(1));
-        let pager = (ShardedPager::builder(config).pools(vec![cluster.pool(&Default::default())]))
+        let pool = in_process::pool(2, Clock::Real).1;
+        let pager = (ShardedPager::builder(config).pools(vec![pool]))
             .build()
             .expect("one shard");
         let shard = &pager.shards[0];
@@ -1322,8 +1323,7 @@ mod tests {
     #[test]
     fn a_verdict_is_passed_on_once_and_a_pardon_withdraws_it() {
         let config = PagerConfig::new(Policy::Mirroring).with_shard_count(2);
-        let cluster = ChaosCluster::new(3, FaultPlan::seeded(1));
-        let pools = (0..2).map(|_| cluster.pool(&Default::default()));
+        let pools = (0..2).map(|_| in_process::pool(3, Clock::Real).1);
         let pager = (ShardedPager::builder(config).pools(pools.collect()))
             .build()
             .expect("two shards");
@@ -1354,12 +1354,11 @@ mod tests {
 
     #[test]
     fn a_read_behind_leaves_a_dead_backing_off_or_gray_holder_alone() {
-        use crate::chaos::{FaultAction, FaultRule, OpFilter};
-        use crate::{Clock, Readable};
+        use crate::Readable;
         use std::time::Duration;
         let config = PagerConfig::new(Policy::Mirroring).with_shard_count(1);
-        let cluster = ChaosCluster::new(2, FaultPlan::seeded(1)).on_clock(Clock::manual());
-        let pager = (ShardedPager::builder(config).pools(vec![cluster.pool(&Default::default())]))
+        let (bend, pool) = in_process::pool(2, Clock::manual());
+        let pager = (ShardedPager::builder(config).pools(vec![pool]))
             .build()
             .expect("one shard");
         let id = PageId(0);
@@ -1388,12 +1387,7 @@ mod tests {
         read();
         // The holder's read is lost once: it backs off, and the read goes
         // around it.
-        cluster.plan().inject(
-            FaultRule::new(FaultAction::Drop)
-                .on_ops(OpFilter::Op(rmp_proto::Opcode::PageIn))
-                .times(1),
-        );
-        cluster.plan().arm();
+        bend.lock().expect("bend lock").lose_pageins = 1;
         read();
         let backing_off = |p: &mut Pager| {
             (0..2)
@@ -1409,11 +1403,7 @@ mod tests {
         pager.with_shard(0, |p| p.pool_mut().absolve(holder));
         // Fast replies set the holder's baseline; then every one is late.
         (0..3).for_each(|_| read());
-        cluster.plan().inject(
-            FaultRule::new(FaultAction::Delay(Duration::from_millis(20)))
-                .on_server(holder)
-                .on_ops(OpFilter::DataOps),
-        );
+        bend.lock().expect("bend lock").late = Some((holder, Duration::from_millis(20)));
         let gray = |p: &mut Pager| p.pool().may_read(holder, true) == Readable::Gray;
         for _ in 0..20 {
             if pager.with_shard(0, gray) {

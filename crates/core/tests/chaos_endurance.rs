@@ -15,14 +15,16 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rmp_blockdev::{PagingDevice, RamDisk};
-use rmp_core::chaos::{
+use rmp_chaos::{
     run_schedule, ChaosCluster, FaultAction, FaultEvent, FaultPlan, FaultRule, OpFilter,
 };
 use rmp_core::detector::GRAY_SUSPICION;
 use rmp_core::pool::CHUNK_PAGES;
 use rmp_core::{Clock, ShardedPager};
 use rmp_proto::Opcode;
-use rmp_types::{Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig};
+use rmp_types::{
+    ErrorCode, Page, PageId, PagerConfig, Policy, RetryPolicy, ServerId, TransportConfig,
+};
 
 use support::one_shard;
 
@@ -477,7 +479,7 @@ fn a_rebuild_stopped_by_a_passing_fault_stays_queued() {
         .inject(stores(FaultAction::Delay(Duration::ZERO)).times(1));
     cluster
         .plan()
-        .inject(stores(FaultAction::Overload).times(3));
+        .inject(stores(FaultAction::Refuse(ErrorCode::Overloaded)).times(3));
     cluster.plan().arm();
     let failed = pager.recover_from_crash(victim);
     cluster.plan().disarm();
@@ -655,7 +657,9 @@ fn identical_seeds_replay_identical_histories() {
                     .on_ops(OpFilter::DataOps)
                     .with_probability(0.08),
             )
-            .with_rule(FaultRule::new(FaultAction::Overload).with_probability(0.08))
+            .with_rule(
+                FaultRule::new(FaultAction::Refuse(ErrorCode::Overloaded)).with_probability(0.08),
+            )
             .with_rule(
                 FaultRule::new(FaultAction::CorruptReply { byte: 11, bit: 2 })
                     .on_ops(OpFilter::Op(Opcode::PageIn))

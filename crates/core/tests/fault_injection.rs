@@ -1,38 +1,34 @@
-//! Byzantine and partial-failure tests against an in-memory fake server.
+//! Byzantine and partial-failure tests against in-process servers.
 //!
 //! The TCP integration tests exercise clean crashes; this suite drives
-//! the pager against a programmable fake transport that can deny
-//! allocations, die mid-call, "forget" pages, answer with protocol
-//! garbage, or flap between dead and alive — failure shapes a real
-//! cluster produces and the wire tests cannot stage deterministically.
+//! the pager against in-process servers that can deny allocations, die
+//! mid-call, "forget" pages, answer with protocol garbage, or flap
+//! between dead and alive — failure shapes a real cluster produces and
+//! the wire tests cannot stage deterministically.
 
 mod support;
 
-use std::sync::{Arc, Mutex, MutexGuard};
-
 use rmp_blockdev::{PagingDevice, RamDisk};
-use rmp_core::transport::ServerTransport;
-use rmp_core::{ChaosServer, ServerPool, ShardedPager};
-use rmp_proto::{LoadHint, Message};
-use rmp_types::{
-    ErrorCode, Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId, StoreKey,
-};
+use rmp_chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
+use rmp_core::ShardedPager;
+use rmp_proto::Opcode;
+use rmp_server::ServerConfig;
+use rmp_types::{ErrorCode, Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId};
 
 use support::{landed, one_shard};
 
 /// Scripted failure modes.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Fault {
     /// Healthy operation.
-    #[default]
     None,
-    /// Connection failures on every call (a crashed workstation).
+    /// Connection failures on every call, memory kept (a partition).
     Dead,
-    /// Deny all allocation requests (out of memory).
+    /// Deny all allocation requests: the host's own load took the memory.
     DenyAlloc,
-    /// Grant frames, then refuse every store as out of memory.
+    /// Refuse every store as out of memory.
     RefuseStore,
-    /// Answer every pagein with a miss (lost its store).
+    /// Lose every page stored (a restart the client did not see).
     Amnesia,
     /// Reply with a nonsensical message (protocol violation).
     Garbage,
@@ -46,140 +42,60 @@ enum Fault {
     BitFlipWire,
 }
 
-/// The failure mode in force and the calls seen so far.
-#[derive(Default)]
-struct FakeScript {
-    fault: Fault,
-    calls: u64,
-}
-
-/// Handle the test keeps on one fake: a faithful server and the script
-/// the transport in front of it plays.
-#[derive(Clone, Default)]
-struct FakeServer {
-    server: ChaosServer,
-    script: Arc<Mutex<FakeScript>>,
-}
-
-impl FakeServer {
-    fn script(&self) -> MutexGuard<'_, FakeScript> {
-        self.script.lock().expect("script lock")
-    }
-
-    fn set_fault(&self, fault: Fault) {
-        self.script().fault = fault;
-    }
-
-    fn stored(&self) -> usize {
-        self.server.stored_pages()
-    }
-
-    fn calls(&self) -> u64 {
-        self.script().calls
-    }
-
-    fn wipe(&self) {
-        self.server.crash();
-        self.server.restart();
-    }
-}
-
-/// Flips one bit of `page` as `fault` prescribes and returns the checksum
-/// the reply should carry: recomputed for corruption at rest, the stored
-/// page's own for corruption on the wire.
-fn flip(fault: Fault, page: &mut Page, checksum: u64) -> u64 {
-    page.as_mut()[0] ^= 0x01;
-    if fault == Fault::BitFlipStore {
-        page.checksum()
-    } else {
-        checksum
-    }
-}
-
-/// The fake transport: serves the protocol through the shared server and
-/// bends the replies to the scripted fault.
-struct FakeTransport(FakeServer);
-
-impl ServerTransport for FakeTransport {
-    fn call(&mut self, msg: &Message) -> Result<Message> {
-        let mut script = self.0.script();
-        script.calls += 1;
-        let fault = script.fault;
-        match fault {
-            Fault::Dead => {
-                return Err(RmpError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionReset,
-                    "fake crash",
-                )))
-            }
-            Fault::Garbage => return Ok(Message::FreeAck { id: StoreKey(0) }),
-            _ => {}
+/// Makes server `i` of `cluster` misbehave as `fault` says, from now on.
+fn set_fault(cluster: &ChaosCluster, i: usize, fault: Fault) {
+    let inject = |action, ops| {
+        let rule = FaultRule::new(action).on_server(ServerId(i as u32));
+        cluster.plan().inject(rule.on_ops(ops));
+        cluster.plan().arm();
+    };
+    let (any, stores, reads) = (
+        OpFilter::Any,
+        OpFilter::Op(Opcode::PageOut),
+        OpFilter::Op(Opcode::PageIn),
+    );
+    let server = cluster.server(i);
+    match fault {
+        Fault::None => {}
+        Fault::Dead => inject(FaultAction::Disconnect, any),
+        Fault::DenyAlloc => server.set_native_usage(ServerConfig::default().capacity_pages),
+        Fault::RefuseStore => inject(FaultAction::Refuse(ErrorCode::OutOfMemory), stores),
+        Fault::Amnesia => {
+            server.crash();
+            server.restart();
         }
-        if let (Fault::RefuseStore, Message::PageOut { id, .. }) = (fault, msg) {
-            return Err(RmpError::Remote {
-                code: ErrorCode::OutOfMemory,
-                message: format!("out of memory storing {id}"),
-            });
-        }
-        let mut reply = self.0.server.serve(0, msg);
-        match (fault, &mut reply) {
-            (Fault::DenyAlloc, Message::AllocReply { granted, .. }) => *granted = 0,
-            (
-                Fault::DenyAlloc,
-                Message::LoadReport {
-                    free_pages, hint, ..
-                },
-            ) => {
-                *free_pages = 0;
-                *hint = LoadHint::StopSending;
-            }
-            (Fault::Amnesia, Message::PageInReply { id, .. }) => {
-                reply = Message::PageInMiss { id: *id };
-            }
-            (
-                Fault::BitFlipStore | Fault::BitFlipWire,
-                Message::PageInReply { checksum, page, .. },
-            ) => *checksum = flip(fault, page, *checksum),
-            _ => {}
-        }
-        Ok(reply)
-    }
-
-    fn send_only(&mut self, _msg: &Message) -> Result<()> {
-        Ok(())
+        Fault::Garbage => inject(FaultAction::WrongReply, any),
+        Fault::BitFlipStore => inject(FaultAction::CorruptStored { byte: 0, bit: 0 }, reads),
+        Fault::BitFlipWire => inject(FaultAction::CorruptReply { byte: 0, bit: 0 }, reads),
     }
 }
 
-/// Builds a one-shard pager over `n` fake servers, returning the handles.
-fn fake_pager(policy: Policy, servers: usize, n: usize) -> (Vec<FakeServer>, ShardedPager) {
-    fake_pager_on(policy, servers, n, vec![Box::new(RamDisk::unbounded())])
+/// Builds a one-shard pager over `n` in-process servers.
+fn cluster_pager(policy: Policy, servers: usize, n: usize) -> (ChaosCluster, ShardedPager) {
+    cluster_pager_on(policy, servers, n, vec![Box::new(RamDisk::unbounded())])
 }
 
-/// [`fake_pager`] with `disks`: its one shard's disk, or none.
-fn fake_pager_on(
+/// [`cluster_pager`] with `disks`: its one shard's disk, or none.
+fn cluster_pager_on(
     policy: Policy,
     servers: usize,
     n: usize,
     disks: Vec<Box<dyn PagingDevice>>,
-) -> (Vec<FakeServer>, ShardedPager) {
-    let mut pool = ServerPool::new();
-    let mut fakes = Vec::new();
-    for i in 0..n {
-        let fake = FakeServer::default();
-        pool.add_transport(
-            ServerId(i as u32),
-            Box::new(FakeTransport(fake.clone())),
-            1.0,
-        );
-        fakes.push(fake);
-    }
+) -> (ChaosCluster, ShardedPager) {
+    let cluster = ChaosCluster::new(n, FaultPlan::seeded(0));
     let config = PagerConfig::new(policy).with_servers(servers);
-    (fakes, one_shard(config, pool, disks))
+    let pool = cluster.pool(&config.transport);
+    (cluster, one_shard(config, pool, disks))
+}
+
+/// Pages server `i` of `cluster` holds.
+fn stored(cluster: &ChaosCluster, i: usize) -> usize {
+    cluster.server(i).stored_pages()
 }
 
 #[test]
 fn fake_cluster_round_trips() {
-    let (fakes, pager) = fake_pager(Policy::ParityLogging, 4, 5);
+    let (cluster, pager) = cluster_pager(Policy::ParityLogging, 4, 5);
     for i in 0..40u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -192,13 +108,13 @@ fn fake_cluster_round_trips() {
             Page::deterministic(i)
         );
     }
-    let stored: usize = fakes.iter().map(|f| f.stored()).sum();
+    let stored: usize = (0..5).map(|i| stored(&cluster, i)).sum();
     assert!(stored >= 40, "pages plus parity stored: {stored}");
 }
 
 #[test]
 fn mid_run_death_is_recovered_transparently() {
-    let (fakes, pager) = fake_pager(Policy::ParityLogging, 4, 5);
+    let (cluster, pager) = cluster_pager(Policy::ParityLogging, 4, 5);
     for i in 0..40u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -206,8 +122,7 @@ fn mid_run_death_is_recovered_transparently() {
     }
     pager.flush().expect("flush");
     // Server 1 dies *and loses its memory* (fault + wipe).
-    fakes[1].set_fault(Fault::Dead);
-    fakes[1].wipe();
+    cluster.server(1).crash();
     for i in 0..40u64 {
         assert_eq!(
             pager.page_in(PageId(i)).expect("auto-recovered read"),
@@ -218,8 +133,8 @@ fn mid_run_death_is_recovered_transparently() {
 
 #[test]
 fn allocation_denial_is_not_fatal() {
-    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
-    fakes[0].set_fault(Fault::DenyAlloc);
+    let (cluster, pager) = cluster_pager(Policy::NoReliability, 2, 2);
+    set_fault(&cluster, 0, Fault::DenyAlloc);
     for i in 0..30u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -231,15 +146,15 @@ fn allocation_denial_is_not_fatal() {
             Page::deterministic(i)
         );
     }
-    assert_eq!(fakes[0].stored(), 0, "denying server got nothing");
-    assert!(fakes[1].stored() > 0);
+    assert_eq!(stored(&cluster, 0), 0, "denying server got nothing");
+    assert!(stored(&cluster, 1) > 0);
 }
 
 #[test]
 fn all_servers_denying_falls_back_to_disk() {
-    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
-    for f in &fakes {
-        f.set_fault(Fault::DenyAlloc);
+    let (cluster, pager) = cluster_pager(Policy::NoReliability, 2, 2);
+    for i in 0..2 {
+        set_fault(&cluster, i, Fault::DenyAlloc);
     }
     for i in 0..10u64 {
         pager
@@ -257,12 +172,12 @@ fn all_servers_denying_falls_back_to_disk() {
 
 #[test]
 fn amnesia_surfaces_as_page_not_found() {
-    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (cluster, pager) = cluster_pager(Policy::NoReliability, 2, 2);
     pager
         .page_out(PageId(1), &Page::deterministic(1))
         .expect("pageout");
-    for f in &fakes {
-        f.set_fault(Fault::Amnesia);
+    for i in 0..2 {
+        set_fault(&cluster, i, Fault::Amnesia);
     }
     let err = pager
         .page_in(PageId(1))
@@ -272,12 +187,12 @@ fn amnesia_surfaces_as_page_not_found() {
 
 #[test]
 fn garbage_replies_surface_as_protocol_errors() {
-    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (cluster, pager) = cluster_pager(Policy::NoReliability, 2, 2);
     pager
         .page_out(PageId(1), &Page::deterministic(1))
         .expect("pageout");
-    for f in &fakes {
-        f.set_fault(Fault::Garbage);
+    for i in 0..2 {
+        set_fault(&cluster, i, Fault::Garbage);
     }
     let err = pager.page_in(PageId(1)).expect_err("garbage reply");
     assert!(matches!(err, RmpError::Protocol(_)), "got {err}");
@@ -285,7 +200,7 @@ fn garbage_replies_surface_as_protocol_errors() {
 
 #[test]
 fn flapping_server_keeps_data_consistent() {
-    let (fakes, pager) = fake_pager(Policy::Mirroring, 2, 3);
+    let (cluster, pager) = cluster_pager(Policy::Mirroring, 2, 3);
     for i in 0..30u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
@@ -293,7 +208,7 @@ fn flapping_server_keeps_data_consistent() {
     }
     // Server 0 flaps: dead during reads, then back (without losing state
     // — a network partition, not a crash).
-    fakes[0].set_fault(Fault::Dead);
+    set_fault(&cluster, 0, Fault::Dead);
     for i in 0..30u64 {
         assert_eq!(
             pager
@@ -302,7 +217,7 @@ fn flapping_server_keeps_data_consistent() {
             Page::deterministic(i)
         );
     }
-    fakes[0].set_fault(Fault::None);
+    cluster.plan().disarm();
     pager.with_shard(0, |p| p.pool_mut().absolve(ServerId(0)));
     // Updates after the flap still round trip.
     for i in 0..30u64 {
@@ -320,23 +235,23 @@ fn flapping_server_keeps_data_consistent() {
 
 #[test]
 fn advisories_trigger_automatic_migration() {
-    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (cluster, pager) = cluster_pager(Policy::NoReliability, 2, 2);
     for i in 0..20u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
-    let on_zero = fakes[0].stored();
+    let on_zero = stored(&cluster, 0);
     assert!(on_zero > 0);
     // Server 0 comes under native memory pressure.
-    fakes[0].set_fault(Fault::DenyAlloc);
+    set_fault(&cluster, 0, Fault::DenyAlloc);
     let moved = pager.with_shard(0, |p| {
         p.pool_mut().refresh_loads();
         p.service_advisories()
     });
     let moved = moved.expect("migration");
     assert_eq!(moved as usize, on_zero);
-    assert_eq!(fakes[0].stored(), 0, "server 0 drained");
+    assert_eq!(stored(&cluster, 0), 0, "server 0 drained");
     for i in 0..20u64 {
         assert_eq!(
             pager.page_in(PageId(i)).expect("read"),
@@ -350,14 +265,14 @@ fn advisories_trigger_automatic_migration() {
 /// policies must detect the flip (at either layer) and heal the read from
 /// redundancy, never serve wrong content.
 fn assert_bit_flip_healed(policy: Policy, servers: usize, n: usize, fault: Fault) {
-    let (fakes, pager) = fake_pager(policy, servers, n);
+    let (cluster, pager) = cluster_pager(policy, servers, n);
     for i in 0..24u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
     pager.flush().expect("flush");
-    fakes[0].set_fault(fault);
+    set_fault(&cluster, 0, fault);
     for i in 0..24u64 {
         assert_eq!(
             pager.page_in(PageId(i)).expect("healed from redundancy"),
@@ -445,14 +360,14 @@ fn write_through_heals_wire_level_bit_flips() {
 
 #[test]
 fn unreplicated_bit_flip_surfaces_as_corrupt_page() {
-    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (cluster, pager) = cluster_pager(Policy::NoReliability, 2, 2);
     for i in 0..16u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
-    for f in &fakes {
-        f.set_fault(Fault::BitFlipStore);
+    for i in 0..2 {
+        set_fault(&cluster, i, Fault::BitFlipStore);
     }
     let mut corrupt = 0u64;
     for i in 0..16u64 {
@@ -475,51 +390,56 @@ fn unreplicated_bit_flip_surfaces_as_corrupt_page() {
 
 #[test]
 fn dead_server_calls_stop_quickly() {
-    let (fakes, pager) = fake_pager(Policy::NoReliability, 2, 2);
+    let (cluster, pager) = cluster_pager(Policy::NoReliability, 2, 2);
     for i in 0..10u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pageout");
     }
-    fakes[0].set_fault(Fault::Dead);
+    set_fault(&cluster, 0, Fault::Dead);
     // One failing call marks the server dead; subsequent traffic must not
     // hammer it.
     let _ = pager.page_in(PageId(0));
-    let calls_after_death = fakes[0].calls();
+    // Every call server 0 gets fails, and is a fault event.
+    let calls = || {
+        (cluster.plan().events().iter())
+            .filter(|e| e.server == ServerId(0))
+            .count()
+    };
+    let calls_after_death = calls();
     for i in 0..10u64 {
         let _ = pager.page_out(PageId(100 + i), &Page::deterministic(i));
     }
     assert!(
-        fakes[0].calls() <= calls_after_death + 1,
+        calls() <= calls_after_death + 1,
         "dead server left alone: {} vs {}",
-        fakes[0].calls(),
+        calls(),
         calls_after_death
     );
 }
 
 /// Parity logging over data servers 0..=2 with the parity page on 4 and
 /// 3 spare; the pageout of page 2 seals the first group.
-fn pager_about_to_seal(parity_fault: Fault) -> (Vec<FakeServer>, ShardedPager) {
-    let (fakes, pager) = fake_pager(Policy::ParityLogging, 3, 5);
-    fakes[4].set_fault(parity_fault);
+fn pager_about_to_seal(parity_fault: Fault) -> (ChaosCluster, ShardedPager) {
+    let (cluster, pager) = cluster_pager(Policy::ParityLogging, 3, 5);
+    set_fault(&cluster, 4, parity_fault);
     for i in 0..2u64 {
         landed(&pager, PageId(i), &Page::deterministic(i))
             .expect("a pending member needs no parity server");
     }
-    (fakes, pager)
+    (cluster, pager)
 }
 
 /// Server 0 — holder of page 0, the first member of the group whose seal
 /// failed — dies with its memory; every page must still read back.
-fn assert_sealed_members_survive_a_data_crash(fakes: &[FakeServer], pager: &ShardedPager) {
-    assert_pages_survive_a_data_crash(fakes, pager, &[0, 1, 2]);
+fn assert_sealed_members_survive_a_data_crash(cluster: &ChaosCluster, pager: &ShardedPager) {
+    assert_pages_survive_a_data_crash(cluster, pager, &[0, 1, 2]);
 }
 
 /// Server 0 dies with its memory; page `i` must still read back as
 /// `Page::deterministic(fills[i])`.
-fn assert_pages_survive_a_data_crash(fakes: &[FakeServer], pager: &ShardedPager, fills: &[u64]) {
-    fakes[0].set_fault(Fault::Dead);
-    fakes[0].wipe();
+fn assert_pages_survive_a_data_crash(cluster: &ChaosCluster, pager: &ShardedPager, fills: &[u64]) {
+    cluster.server(0).crash();
     for (i, &fill) in fills.iter().enumerate() {
         assert_eq!(
             pager
@@ -532,31 +452,31 @@ fn assert_pages_survive_a_data_crash(fakes: &[FakeServer], pager: &ShardedPager,
 
 #[test]
 fn parity_crash_on_the_sealing_pageout_keeps_the_group_covered() {
-    let (fakes, pager) = pager_about_to_seal(Fault::Dead);
+    let (cluster, pager) = pager_about_to_seal(Fault::Dead);
     // The parity page finds its server dead; the pager recovers that
     // server — which has to rebuild the parity of the group being sealed
     // — and retries the pageout.
     landed(&pager, PageId(2), &Page::deterministic(2)).expect("recovered and retried");
-    assert_sealed_members_survive_a_data_crash(&fakes, &pager);
+    assert_sealed_members_survive_a_data_crash(&cluster, &pager);
 }
 
 #[test]
 fn parity_refusal_on_the_sealing_pageout_keeps_the_group_covered() {
-    let (fakes, pager) = pager_about_to_seal(Fault::DenyAlloc);
+    let (cluster, pager) = pager_about_to_seal(Fault::DenyAlloc);
     // The parity server takes no frame; a seal is never undone: its
     // parity page goes to the one live server holding no member, 3.
     landed(&pager, PageId(2), &Page::deterministic(2)).expect("the spare takes the parity page");
-    assert_eq!((fakes[3].stored(), fakes[4].stored()), (1, 0));
+    assert_eq!((stored(&cluster, 3), stored(&cluster, 4)), (1, 0));
     // Moving the parity off the refusing server leaves the group as it is.
     pager
         .recover_from_crash(ServerId(4))
         .expect("parity moved elsewhere");
-    assert_sealed_members_survive_a_data_crash(&fakes, &pager);
+    assert_sealed_members_survive_a_data_crash(&cluster, &pager);
 }
 
 #[test]
 fn a_sealing_rewrite_whose_parity_is_refused_reads_back_what_it_committed() {
-    let (fakes, pager) = fake_pager(Policy::ParityLogging, 3, 5);
+    let (cluster, pager) = cluster_pager(Policy::ParityLogging, 3, 5);
     // Every third pageout seals a group and takes one of the parity
     // server's granted frames; rewrite until the next seal asks for more
     // ahead of need (below half a chunk of 64), deny that and every later
@@ -573,15 +493,25 @@ fn a_sealing_rewrite_whose_parity_is_refused_reads_back_what_it_committed() {
         let acked = round(&pager);
         assert!(acked.iter().all(Result::is_ok), "{acked:?}");
     }
-    fakes[4].set_fault(Fault::DenyAlloc);
+    // Server 4 refuses every allocation from now on, out of memory; what
+    // it granted still takes a page.
+    let alloc = FaultRule::new(FaultAction::Refuse(ErrorCode::OutOfMemory)).on_server(ServerId(4));
+    cluster
+        .plan()
+        .inject(alloc.on_ops(OpFilter::Op(Opcode::Alloc)));
+    cluster.plan().arm();
     while grants(&pager) > 0 {
         let acked = round(&pager);
         assert!(acked.iter().all(Result::is_ok), "{acked:?}");
     }
-    let on_spare = fakes[3].stored();
+    let on_spare = stored(&cluster, 3);
     let outcomes = round(&pager);
     assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
-    assert_eq!(fakes[3].stored(), on_spare + 1, "the parity page went to 3");
+    assert_eq!(
+        stored(&cluster, 3),
+        on_spare + 1,
+        "the parity page went to 3"
+    );
     // The parity server took no frame for the seal, which is not undone:
     // each page reads back as the bytes its pageout committed — verified
     // against the sum it took, not flagged against the one acked before.
@@ -596,19 +526,19 @@ fn a_sealing_rewrite_whose_parity_is_refused_reads_back_what_it_committed() {
     pager
         .recover_from_crash(ServerId(4))
         .expect("parity moved off the refusing server");
-    assert_pages_survive_a_data_crash(&fakes, &pager, &current);
+    assert_pages_survive_a_data_crash(&cluster, &pager, &current);
 }
 
 #[test]
 fn a_sealing_pageout_no_server_takes_leaves_the_group_without_it() {
-    let (fakes, pager) = pager_about_to_seal(Fault::None);
+    let (cluster, pager) = pager_about_to_seal(Fault::None);
     // Servers 0 and 1 hold the group's other members, so the frame server
     // 2 refuses has nowhere to go but the disk — after the wave that
     // carried it has stored a parity page that includes it.
-    fakes[2].set_fault(Fault::RefuseStore);
+    set_fault(&cluster, 2, Fault::RefuseStore);
     landed(&pager, PageId(2), &Page::deterministic(2)).expect("the disk takes the page");
     assert_eq!(pager.stats().disk_writes, 1);
-    assert_eq!((fakes[2].stored(), fakes[4].stored()), (0, 1));
+    assert_eq!((stored(&cluster, 2), stored(&cluster, 4)), (0, 1));
     // Server 2 granted its first chunk of frames to this pageout, and
     // every refused store gave its frame back.
     let granted = |server| pager.with_shard(0, |p| p.pool().granted_frames(server));
@@ -616,18 +546,18 @@ fn a_sealing_pageout_no_server_takes_leaves_the_group_without_it() {
     assert_eq!(granted(ServerId(2)), chunk);
     // The parity page was stored again without page 2: page 0 is rebuilt
     // from page 1 and it alone.
-    assert_sealed_members_survive_a_data_crash(&fakes, &pager);
+    assert_sealed_members_survive_a_data_crash(&cluster, &pager);
 }
 
 #[test]
 fn a_sealing_pageout_with_nowhere_to_go_fails_typed_and_spares_the_group() {
-    let (fakes, pager) = fake_pager_on(Policy::ParityLogging, 3, 5, Vec::new());
+    let (cluster, pager) = cluster_pager_on(Policy::ParityLogging, 3, 5, Vec::new());
     for i in 0..2u64 {
         pager
             .page_out(PageId(i), &Page::deterministic(i))
             .expect("pending");
     }
-    fakes[2].set_fault(Fault::RefuseStore);
+    set_fault(&cluster, 2, Fault::RefuseStore);
     // The pageout returns with its frames on the wire; its landing
     // reports the failure, to the page's next operation.
     (pager.page_out(PageId(2), &Page::deterministic(2))).expect("on the wire");
@@ -638,5 +568,5 @@ fn a_sealing_pageout_with_nowhere_to_go_fails_typed_and_spares_the_group() {
         matches!(err, RmpError::PageNotFound(PageId(2))),
         "got {err}"
     );
-    assert_pages_survive_a_data_crash(&fakes, &pager, &[0, 1]);
+    assert_pages_survive_a_data_crash(&cluster, &pager, &[0, 1]);
 }

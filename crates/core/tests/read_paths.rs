@@ -13,7 +13,7 @@ mod support;
 use std::time::Duration;
 
 use rmp_blockdev::{PagingDevice, RamDisk};
-use rmp_core::chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
+use rmp_chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
 use rmp_core::detector::GRAY_SUSPICION;
 use rmp_core::{Clock, Readable, ShardedPager};
 use rmp_proto::Opcode;

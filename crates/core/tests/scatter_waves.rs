@@ -17,8 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rmp_core::pool::CHUNK_PAGES;
-use rmp_core::{ChaosServer, Clock, ServerPool, ShardedPager};
+use rmp_core::{Clock, ServerPool, ShardedPager};
 use rmp_proto::{Message, Opcode};
+use rmp_server::{InProcessServer, ServerConfig};
 use rmp_types::{Page, PageId, PagerConfig, Policy, RmpError, ServerId};
 
 use support::*;
@@ -58,7 +59,7 @@ fn erasure_coded_write_rewrite_and_read_are_waves() {
         waves[0]
     );
     assert_eq!(shape(&waves[0]).0, vec![0, 1, 2, 3, 4]);
-    let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
+    let stored: usize = servers.iter().map(InProcessServer::stored_pages).sum();
     assert_eq!(stored, 5, "each unit overwritten, none left beside it");
 
     // Pagein: the four data units gathered at once.
@@ -108,7 +109,7 @@ fn write_through_overlaps_its_remote_leg() {
 }
 
 /// Parity logging over data servers 0..=2 and parity server 3.
-fn plog_pager() -> (Arc<Wire>, Vec<ChaosServer>, ShardedPager) {
+fn plog_pager() -> (Arc<Wire>, Vec<InProcessServer>, ShardedPager) {
     wave_pager(PagerConfig::new(Policy::ParityLogging).with_servers(3), 4)
 }
 
@@ -162,7 +163,7 @@ fn parity_logging_seal_is_one_wave() {
         wire.calls().is_empty(),
         "the first group's grants serve the second"
     );
-    let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
+    let stored: usize = servers.iter().map(InProcessServer::stored_pages).sum();
     assert_eq!(stored, 4, "three current versions and one parity page");
 }
 
@@ -182,7 +183,7 @@ fn a_data_frame_the_sealing_wave_did_not_land_is_re_homed_and_its_group_follows(
     assert_eq!(shape(&waves[0]), (vec![2, 3], vec![Opcode::PageOut; 2]));
     assert_eq!(shape(&waves[1]).1, vec![Opcode::LoadQuery; 4]);
     assert_eq!(shape(&waves[2]), (vec![2], vec![Opcode::PageOut]));
-    let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+    let stored: Vec<usize> = servers.iter().map(InProcessServer::stored_pages).collect();
     assert_eq!(stored, [1, 1, 1, 1]);
     assert_eq!(
         granted(&pager, ServerId(2)),
@@ -237,7 +238,7 @@ const CHUNK: u32 = 64;
 
 #[test]
 fn a_frame_grant_is_asked_for_before_it_runs_out() {
-    let (wire, _servers, pager) = plog_pager();
+    let (wire, servers, pager) = plog_pager();
     // Three chunks of appends a server — a data frame on each of 0..=2 and
     // a parity page on 3 every third — rewriting a working set, so each
     // reclaimed group's frees give frames back on the server and the
@@ -265,10 +266,11 @@ fn a_frame_grant_is_asked_for_before_it_runs_out() {
     pager.with_shard(0, |p| {
         let pool = p.pool_mut();
         // A denied refill marks its server stop-sending, and none is asked
-        // of it while it is; the grants held are still spent.
+        // of it while it is; the grants held are still spent. The host's
+        // own load takes the server's memory.
         let stopped = |pool: &ServerPool, server| !pool.accepting(server);
         let server = ServerId(0);
-        wire.state().deny_alloc.push(server);
+        servers[0].set_native_usage(ServerConfig::default().capacity_pages);
         for _ in 0..CHUNK {
             if stopped(pool, server) {
                 break;
@@ -458,7 +460,7 @@ fn a_refused_leg_of_a_coded_rewrite_is_re_homed_alone() {
         (vec![2], vec![Opcode::PageOut, Opcode::Free])
     );
     assert_eq!(shape(&waves[2]), (vec![2], vec![Opcode::PageOut]));
-    let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+    let stored: Vec<usize> = servers.iter().map(InProcessServer::stored_pages).collect();
     assert_eq!(stored, [1; 5], "exactly k + r units of the page");
     assert_eq!(granted(&pager, ServerId(2)), grants - 1);
     let (read, _) = in_waves(&wire, &[4], || pager.page_in(PageId(1)));
@@ -500,7 +502,7 @@ fn a_rewrite_leg_refused_by_a_live_holder_leaves_no_stray_copy() {
             named[s as usize] += 1;
         }
         named[taker.0 as usize] += 1;
-        let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+        let stored: Vec<usize> = servers.iter().map(InProcessServer::stored_pages).collect();
         assert_eq!(stored, named, "{n} servers");
         let widths: &[usize] = if width == 2 { &[1] } else { &[4] };
         let (read, _) = in_waves(&wire, widths, || pager.page_in(PageId(7)));
@@ -561,7 +563,7 @@ fn basic_parity_degraded_read_gathers_the_stripe_at_once() {
 /// Basic parity over data servers 0 and 1 and parity server 2, rebuilt
 /// in chunks of sixteen: 48 pages, 24 to a data server, and server 0
 /// back from a reboot with nothing.
-fn bparity_rebooted() -> (Arc<Wire>, Vec<ChaosServer>, ShardedPager) {
+fn bparity_rebooted() -> (Arc<Wire>, Vec<InProcessServer>, ShardedPager) {
     assert_eq!(CHUNK_PAGES, 16, "the waves below are sized to it");
     let config = PagerConfig::new(Policy::BasicParity).with_servers(2);
     let (wire, servers, pager) = wave_pager(config, 3);
@@ -824,7 +826,7 @@ fn a_refused_leg_is_replaced_alone() {
     done.expect("the refused unit finds the spare");
     // The four units that landed stayed where they were; the fifth went,
     // by one frame of the walk, to the one server holding none.
-    let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+    let stored: Vec<usize> = servers.iter().map(InProcessServer::stored_pages).collect();
     assert_eq!(stored, [1, 1, 0, 1, 1, 1]);
     assert_eq!(shape(&waves[1]), (vec![5], vec![Opcode::PageOut]));
     // The grant reserved on the refusing server went back to the pool.
@@ -854,7 +856,7 @@ fn a_leg_whose_server_dies_walks_the_ladder_once() {
     assert!(!pager.with_shard(0, |p| p.pool().alive(ServerId(1))));
     // The four replies that did come were kept — no frame was sent twice
     // — and the lost unit went to the spare by one frame of the walk.
-    let stored: Vec<usize> = servers.iter().map(ChaosServer::stored_pages).collect();
+    let stored: Vec<usize> = servers.iter().map(InProcessServer::stored_pages).collect();
     assert_eq!(stored, [1, 0, 1, 1, 1, 1]);
     assert_eq!(shape(&waves[1]), (vec![5], vec![Opcode::PageOut]));
     for id in [0, 2, 3, 4, 5] {

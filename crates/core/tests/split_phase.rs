@@ -28,8 +28,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rmp_core::pool::CHUNK_PAGES;
-use rmp_core::{ChaosServer, Clock, Pager, RecoveryReport, ShardedPager};
+use rmp_core::{Clock, Pager, RecoveryReport, ShardedPager};
 use rmp_proto::Opcode;
+use rmp_server::InProcessServer;
 use rmp_types::{Page, PageId, PagerConfig, Policy, Result, RmpError, ServerId};
 
 use support::*;
@@ -573,7 +574,7 @@ fn a_wait_for_the_shard_lock_is_not_server_latency() {
 
 /// Parity logging over data servers 0..=2 — or 0..=3 with `width` 4 —
 /// and the last of `n` servers for parity pages.
-fn plog(width: usize, n: usize) -> (Arc<Wire>, Vec<ChaosServer>, Arc<ShardedPager>) {
+fn plog(width: usize, n: usize) -> (Arc<Wire>, Vec<InProcessServer>, Arc<ShardedPager>) {
     wave_sharded(
         PagerConfig::new(Policy::ParityLogging).with_servers(width),
         n,
@@ -672,7 +673,7 @@ fn a_parity_log_append_returns_with_its_data_frame_and_a_seal_with_its_whole_wav
         answer(held_back(&wire));
         assert_eq!(joined(reader).expect("pagein"), Page::filled(id + 1));
     }
-    let stored: usize = servers.iter().map(ChaosServer::stored_pages).sum();
+    let stored: usize = servers.iter().map(InProcessServer::stored_pages).sum();
     assert_eq!(stored, 4, "three current versions and one parity page");
     let stats = pager.stats();
     assert_eq!((stats.pageouts, stats.checksum_failures), (6, 0));

@@ -9,6 +9,7 @@ mod support;
 use std::time::{Duration, Instant};
 
 use rmp_blockdev::RamDisk;
+use rmp_chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule};
 use rmp_cluster::{Registry, ServerInfo};
 use rmp_core::{ServerPool, ServerTransport, WindowedTransport};
 use rmp_proto::{Framed, Message};
@@ -332,31 +333,6 @@ fn a_refused_prefetch_submission_is_a_sampled_miss_not_a_retry() {
     server.shutdown();
 }
 
-/// A transport where every call burns `delay` and then fails as a
-/// timeout, whatever its deadlines say — the pathological slow-failing
-/// server of the call-budget regression.
-struct SlowFailTransport {
-    delay: Duration,
-}
-
-impl ServerTransport for SlowFailTransport {
-    fn call(&mut self, _msg: &Message) -> Result<Message> {
-        std::thread::sleep(self.delay);
-        Err(RmpError::Io(std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            "slow fail",
-        )))
-    }
-
-    fn send_only(&mut self, _msg: &Message) -> Result<()> {
-        Ok(())
-    }
-
-    fn reconnect(&mut self) -> Result<()> {
-        Ok(())
-    }
-}
-
 #[test]
 fn call_budget_bounds_the_whole_retry_loop() {
     // Ten attempts at 10 ms dial, write and read deadlines and 10 ms
@@ -378,14 +354,13 @@ fn call_budget_bounds_the_whole_retry_loop() {
         ..TransportConfig::default()
     };
     assert_eq!(cfg.effective_call_budget(), Duration::from_millis(390));
-    let mut pool = ServerPool::with_transport_config(cfg);
-    pool.add_transport(
-        ServerId(0),
-        Box::new(SlowFailTransport {
-            delay: Duration::from_millis(150),
-        }),
-        1.0,
-    );
+    // Every reply comes 150 ms late, past the read deadline: a timeout,
+    // and one that took all of it, whatever the deadline says — the
+    // pathological slow-failing server.
+    let late = FaultRule::new(FaultAction::Delay(Duration::from_millis(150)));
+    let cluster = ChaosCluster::new(1, FaultPlan::seeded(0).with_rule(late));
+    cluster.plan().arm();
+    let mut pool = cluster.pool(&cfg);
     let start = Instant::now();
     let err = pool
         .page_in(ServerId(0), StoreKey(1))

@@ -19,9 +19,13 @@
 //! dropped, all connections severed) either programmatically or by a
 //! protocol message, which is how the recovery benchmarks kill
 //! workstations.
+//!
+//! [`MemoryServer::in_process`] is the same server without a socket: its
+//! sessions answer through the request handler a connection's session
+//! runs, so an in-process test cluster and a real one answer alike.
 
 pub mod server;
 pub mod store;
 
-pub use server::{MemoryServer, ServerConfig, ServerHandle};
+pub use server::{InProcessServer, InProcessSession, MemoryServer, ServerConfig, ServerHandle};
 pub use store::PageStore;

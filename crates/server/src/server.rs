@@ -135,6 +135,32 @@ impl SessionScope {
 }
 
 impl Shared {
+    fn new(config: ServerConfig) -> Arc<Self> {
+        Arc::new(Shared {
+            store: Mutex::new(PageStore::new(
+                config.capacity_pages,
+                config.overflow_fraction,
+            )),
+            config,
+            crashed: AtomicBool::new(false),
+            shutting_down: AtomicBool::new(false),
+            sessions: Mutex::new(HashMap::new()),
+            session_threads: AtomicUsize::new(0),
+            stall_nanos: AtomicU64::new(0),
+            busy_nanos: AtomicU64::new(0),
+            served_requests: AtomicU64::new(0),
+            next_session: AtomicU64::new(0),
+            started: Instant::now(),
+            metrics: ServerMetrics::new(),
+        })
+    }
+
+    /// A fresh session's key namespace.
+    fn open_session(&self) -> SessionScope {
+        let sid = self.next_session.fetch_add(1, Ordering::SeqCst) & (u64::MAX >> SESSION_SHIFT);
+        SessionScope { sid }
+    }
+
     fn hint(&self) -> LoadHint {
         let store = self.store.lock();
         if store.grantable() == 0 && store.free_fraction() < 0.05 {
@@ -189,23 +215,7 @@ impl MemoryServer {
     pub fn spawn(config: ServerConfig) -> Result<ServerHandle> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            store: Mutex::new(PageStore::new(
-                config.capacity_pages,
-                config.overflow_fraction,
-            )),
-            config,
-            crashed: AtomicBool::new(false),
-            shutting_down: AtomicBool::new(false),
-            sessions: Mutex::new(HashMap::new()),
-            session_threads: AtomicUsize::new(0),
-            stall_nanos: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
-            served_requests: AtomicU64::new(0),
-            next_session: AtomicU64::new(0),
-            started: Instant::now(),
-            metrics: ServerMetrics::new(),
-        });
+        let shared = Shared::new(config);
         let accept_shared = Arc::clone(&shared);
         let listener_thread = std::thread::Builder::new()
             .name(format!("rmp-server-{}", addr.port()))
@@ -216,6 +226,97 @@ impl MemoryServer {
             shared,
             listener_thread: Some(listener_thread),
         })
+    }
+
+    /// A server with no socket, for callers in the same process: each
+    /// [`InProcessServer::session`] is served by the request handler a
+    /// socket session runs, over the same store, grants and checksum
+    /// checks.
+    pub fn in_process(config: ServerConfig) -> InProcessServer {
+        InProcessServer(Shared::new(config))
+    }
+}
+
+/// A [`MemoryServer`] without a listener. Cloning shares the server: a
+/// crash seen through one clone, or one session, is a crash for all.
+#[derive(Clone)]
+pub struct InProcessServer(Arc<Shared>);
+
+impl InProcessServer {
+    /// Opens a session: a key namespace of its own, as a connection gets.
+    pub fn session(&self) -> InProcessSession {
+        InProcessSession {
+            shared: Arc::clone(&self.0),
+            scope: self.0.open_session(),
+        }
+    }
+
+    /// Injects a workstation crash: every stored page is lost, and every
+    /// session is refused until [`InProcessServer::restart`].
+    pub fn crash(&self) {
+        crash_now(&self.0);
+    }
+
+    /// Returns `true` when the server has crashed.
+    pub fn is_crashed(&self) -> bool {
+        self.0.crashed.load(Ordering::SeqCst)
+    }
+
+    /// Brings a crashed server back, empty since its crash; a server that
+    /// is up is left as it is.
+    pub fn restart(&self) {
+        self.0.crashed.store(false, Ordering::SeqCst);
+    }
+
+    /// Simulates native memory demand on the host, shrinking what the
+    /// server can promise to clients.
+    pub fn set_native_usage(&self, pages: usize) {
+        self.0.store.lock().set_native_usage(pages);
+    }
+
+    /// Pages currently stored (all sessions).
+    pub fn stored_pages(&self) -> usize {
+        self.0.store.lock().stored()
+    }
+
+    /// Requests served since start (all sessions).
+    pub fn served_requests(&self) -> u64 {
+        self.0.served_requests.load(Ordering::Relaxed)
+    }
+}
+
+/// One session of an [`InProcessServer`]. It keeps its namespace across a
+/// crash and restart; the pages in it are gone.
+pub struct InProcessSession {
+    shared: Arc<Shared>,
+    scope: SessionScope,
+}
+
+impl InProcessSession {
+    /// Serves one request as a socket session would, and returns its
+    /// reply — a typed `Error` reply included.
+    ///
+    /// # Errors
+    ///
+    /// An I/O error where a connection would fail: `ConnectionRefused`
+    /// while the server is down, `ConnectionReset` for the request that
+    /// crashed it (`InjectCrash`), `ConnectionAborted` for one that ended
+    /// the session (`Shutdown`).
+    pub fn serve(&self, msg: Message) -> Result<Message> {
+        let refused = |kind, why| Err(RmpError::Io(std::io::Error::new(kind, why)));
+        if self.shared.crashed.load(Ordering::SeqCst) {
+            return refused(std::io::ErrorKind::ConnectionRefused, "server is down");
+        }
+        match serve_one(&self.shared, self.scope, msg) {
+            SessionAction::Reply(reply) => Ok(reply),
+            SessionAction::Crash => {
+                crash_now(&self.shared);
+                refused(std::io::ErrorKind::ConnectionReset, "server crashed")
+            }
+            SessionAction::Close => {
+                refused(std::io::ErrorKind::ConnectionAborted, "session closed")
+            }
+        }
     }
 }
 
@@ -239,7 +340,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             overloaded(&shared, stream, "every session is taken");
             continue;
         };
-        let sid = shared.next_session.fetch_add(1, Ordering::SeqCst) & (u64::MAX >> SESSION_SHIFT);
+        let sid = shared.open_session().sid;
         // Track the session *before* it can serve anything: a session
         // `crash_now` cannot sever would let a client keep talking to a
         // "crashed" server. If the tracking clone cannot be made, refuse

@@ -6,33 +6,31 @@
 //! network's service time exceeds a threshold).
 
 use rmp::blockdev::RamDisk;
-use rmp::cluster::{Registry, ServerInfo};
-use rmp::core::ServerPool;
+use rmp::core::{Clock, ServerPool};
 use rmp::prelude::*;
-use rmp::server::{MemoryServer, ServerConfig, ServerHandle};
+use rmp::server::ServerConfig;
+use rmp::types::TransportConfig;
+use rmp_chaos::{ChaosCluster, FaultPlan};
 
-/// Spawns servers with the given link costs and returns handles + pool.
-fn weighted_cluster(costs: &[f64]) -> (Vec<ServerHandle>, ServerPool) {
-    let mut handles = Vec::new();
-    let mut registry = Registry::new();
-    for (i, &cost) in costs.iter().enumerate() {
-        let handle = MemoryServer::spawn(ServerConfig {
-            capacity_pages: 8192,
-            overflow_fraction: 0.10,
-            ..ServerConfig::default()
-        })
-        .expect("spawn");
-        registry
-            .add(ServerInfo {
-                id: ServerId(i as u32),
-                addr: handle.addr().to_string(),
-                link_cost: cost,
-            })
-            .expect("register");
-        handles.push(handle);
-    }
-    let pool = ServerPool::connect(&registry).expect("connect");
-    (handles, pool)
+/// In-process servers of the given `(capacity_pages, overflow_fraction,
+/// link_cost)`, and a pool over them. The pool runs on a manual clock: a
+/// reply takes no time, so no server turns suspect by answering late, and
+/// placement follows memory and link cost alone.
+fn weighted_cluster(servers: &[(usize, f64, f64)]) -> (ChaosCluster, ServerPool) {
+    let servers = servers
+        .iter()
+        .map(|&(capacity_pages, overflow_fraction, cost)| {
+            let config = ServerConfig {
+                capacity_pages,
+                overflow_fraction,
+                ..ServerConfig::default()
+            };
+            (config, cost)
+        });
+    let cluster = ChaosCluster::with_servers(servers.collect(), FaultPlan::seeded(0))
+        .on_clock(Clock::manual());
+    let pool = cluster.pool(&TransportConfig::default());
+    (cluster, pool)
 }
 
 /// A one-shard pager over `pool`, with a RAM disk to fall back on.
@@ -48,7 +46,7 @@ fn one_shard(config: PagerConfig, pool: ServerPool) -> ShardedPager {
 fn cheap_links_attract_more_pages() {
     // Server 0 is local (cost 1), server 1 sits across a slow WAN hop
     // (cost 20): with equal free memory, placement should prefer srv0.
-    let (handles, pool) = weighted_cluster(&[1.0, 20.0]);
+    let (cluster, pool) = weighted_cluster(&[(8192, 0.10, 1.0), (8192, 0.10, 20.0)]);
     let pager = one_shard(
         PagerConfig::new(Policy::NoReliability).with_servers(2),
         pool,
@@ -61,8 +59,8 @@ fn cheap_links_attract_more_pages() {
     }
     // Every pageout lands before the servers are counted.
     pager.flush().expect("flush");
-    let near = handles[0].stored_pages();
-    let far = handles[1].stored_pages();
+    let near = cluster.server(0).stored_pages();
+    let far = cluster.server(1).stored_pages();
     // The no-reliability engine round-robins over *live* servers for
     // spread, but fresh placements that consult most_promising (including
     // every fallback decision) weigh the link cost; the cheap server must
@@ -91,25 +89,7 @@ fn far_server_still_used_when_near_is_full() {
     // Near server with almost no memory, far server with plenty: the
     // memory hierarchy gains a level (local mem, near remote, far remote,
     // disk), exactly the Section 5 discussion.
-    let mut handles = Vec::new();
-    let mut registry = Registry::new();
-    for (i, (capacity, cost)) in [(8usize, 1.0f64), (8192, 10.0)].iter().enumerate() {
-        let handle = MemoryServer::spawn(ServerConfig {
-            capacity_pages: *capacity,
-            overflow_fraction: 0.0,
-            ..ServerConfig::default()
-        })
-        .expect("spawn");
-        registry
-            .add(ServerInfo {
-                id: ServerId(i as u32),
-                addr: handle.addr().to_string(),
-                link_cost: *cost,
-            })
-            .expect("register");
-        handles.push(handle);
-    }
-    let pool = ServerPool::connect(&registry).expect("connect");
+    let (cluster, pool) = weighted_cluster(&[(8, 0.0, 1.0), (8192, 0.0, 10.0)]);
     let pager = one_shard(
         PagerConfig::new(Policy::NoReliability).with_servers(2),
         pool,
@@ -120,11 +100,12 @@ fn far_server_still_used_when_near_is_full() {
             .expect("pageout");
     }
     pager.flush().expect("flush");
-    assert!(handles[0].stored_pages() <= 8);
+    let stored = |i| cluster.server(i).stored_pages();
+    assert!(stored(0) <= 8);
     assert!(
-        handles[1].stored_pages() >= 80,
+        stored(1) >= 80,
         "overflow went over the expensive link rather than to disk: {}",
-        handles[1].stored_pages()
+        stored(1)
     );
     for i in 0..100u64 {
         assert_eq!(
@@ -162,7 +143,7 @@ fn adaptive_switch_recovers_when_network_improves() {
 
 #[test]
 fn adaptive_switch_follows_a_long_healthy_pool_both_ways() {
-    use rmp::core::chaos::{ChaosCluster, FaultAction, FaultPlan, FaultRule, OpFilter};
+    use rmp_chaos::{FaultAction, FaultRule, OpFilter};
     use std::time::Duration;
 
     let cluster = ChaosCluster::new(2, FaultPlan::seeded(16));
