@@ -273,7 +273,7 @@ pub struct FaultEvent {
     pub index: u64,
     /// Server the faulted call addressed.
     pub server: ServerId,
-    /// Opcode of the faulted request (first request, for bursts).
+    /// Opcode of the faulted request: of a burst, the frame it hit.
     pub opcode: Opcode,
     /// [`FaultAction::name`] of the injected fault.
     pub action: &'static str,
@@ -416,9 +416,16 @@ impl FaultPlan {
         plan
     }
 
-    /// Decides the fault (if any) for one call. Consumes randomness only
-    /// while armed, and identically for identical call sequences.
-    fn decide(&self, server: ServerId, msg: &Message, burst: bool) -> Option<FaultAction> {
+    /// Decides the fault (if any) for one call or burst, and the filter of
+    /// the rule that fired: a rule matches if any frame of `msgs` matches
+    /// its filter. Consumes randomness only while armed, and identically
+    /// for identical call sequences.
+    fn decide(
+        &self,
+        server: ServerId,
+        msgs: &[Message],
+        burst: bool,
+    ) -> Option<(FaultAction, OpFilter)> {
         if !self.is_armed() {
             return None;
         }
@@ -428,13 +435,15 @@ impl FaultPlan {
         let inner = &mut *inner;
         for rule in inner.rules.iter_mut() {
             if rule.server.is_some_and(|s| s != server)
-                || !rule.filter.matches(msg)
                 || !rule.action.applicable(burst)
                 || rule.window.as_ref().is_some_and(|w| !w.contains(&index))
                 || rule.remaining == Some(0)
             {
                 continue;
             }
+            let Some(hit) = msgs.iter().position(|m| rule.filter.matches(m)) else {
+                continue;
+            };
             if !inner.rng.gen_bool(rule.probability.clamp(0.0, 1.0)) {
                 continue;
             }
@@ -444,10 +453,10 @@ impl FaultPlan {
             inner.events.push(FaultEvent {
                 index,
                 server,
-                opcode: msg.opcode(),
+                opcode: msgs[hit].opcode(),
                 action: rule.action.name(),
             });
-            return Some(rule.action);
+            return Some((rule.action, rule.filter));
         }
         None
     }
@@ -580,8 +589,9 @@ impl ChaosTransport {
 
 impl ServerTransport for ChaosTransport {
     fn call(&mut self, msg: &Message) -> Result<Message> {
-        let action = self.plan.decide(self.id, msg, false);
-        self.apply(msg, action).and_then(typed)
+        let fault = self.plan.decide(self.id, std::slice::from_ref(msg), false);
+        self.apply(msg, fault.map(|(action, _)| action))
+            .and_then(typed)
     }
 
     fn send_only(&mut self, msg: &Message) -> Result<()> {
@@ -593,42 +603,46 @@ impl ServerTransport for ChaosTransport {
     fn call_pipelined(&mut self, msgs: &[Message]) -> Result<Vec<Message>> {
         // A lone frame is faulted as a call is: burst-shape faults need a
         // burst to act on.
-        if let [lone] = msgs {
-            return Ok(vec![self.call(lone)?]);
+        match msgs {
+            [] => return Ok(Vec::new()),
+            [lone] => return Ok(vec![self.call(lone)?]),
+            _ => {}
         }
-        let Some(first) = msgs.first() else {
-            return Ok(Vec::new());
+        // One decision per burst, which any of its frames can match:
+        // burst-shape faults (duplicate, reorder) act on the reply vector,
+        // a corruption on the first reply with a page of the frames the
+        // rule matches, and any other hits the first of them (crash, drop,
+        // delay semantics) — the rest are served faithfully.
+        let Some((action, filter)) = self.plan.decide(self.id, msgs, true) else {
+            return msgs.iter().map(|m| self.apply(m, None)).collect();
         };
-        // One decision per burst: burst-shape faults (duplicate, reorder,
-        // corrupt) act on the reply vector; any other hits the first
-        // frame (crash/drop/delay semantics) and the rest are served
-        // faithfully.
-        let action = self.plan.decide(self.id, first, true);
+        let hit = msgs.iter().position(|m| filter.matches(m));
         let shaped = matches!(
             action,
-            Some(FaultAction::DuplicateReply | FaultAction::ReorderBurst)
-                | Some(FaultAction::CorruptReply { .. } | FaultAction::CorruptStored { .. })
+            FaultAction::DuplicateReply
+                | FaultAction::ReorderBurst
+                | FaultAction::CorruptReply { .. }
+                | FaultAction::CorruptStored { .. }
         );
         let mut replies = Vec::with_capacity(msgs.len());
         for (i, m) in msgs.iter().enumerate() {
-            replies.push(self.apply(m, action.filter(|_| i == 0 && !shaped))?);
+            replies.push(self.apply(m, Some(action).filter(|_| hit == Some(i) && !shaped))?);
         }
+        let mut matched = (msgs.iter().zip(&mut replies)).filter(|(m, _)| filter.matches(m));
         match action {
             // The last reply becomes a clone of the first: same length,
             // duplicated identity — the client's echoed-key check must
             // refuse it rather than mis-deliver.
-            Some(FaultAction::DuplicateReply) => {
+            FaultAction::DuplicateReply => {
                 let dup = replies[0].clone();
                 *replies.last_mut().expect("a burst") = dup;
             }
-            Some(FaultAction::ReorderBurst) => replies.reverse(),
-            Some(FaultAction::CorruptReply { byte, bit }) => {
-                replies
-                    .iter_mut()
-                    .any(|reply| reply.flip_payload_bit(byte, bit));
+            FaultAction::ReorderBurst => replies.reverse(),
+            FaultAction::CorruptReply { byte, bit } => {
+                matched.any(|(_, reply)| reply.flip_payload_bit(byte, bit));
             }
-            Some(FaultAction::CorruptStored { byte, bit }) => {
-                replies.iter_mut().any(|reply| rot(reply, byte, bit));
+            FaultAction::CorruptStored { byte, bit } => {
+                matched.any(|(_, reply)| rot(reply, byte, bit));
             }
             _ => {}
         }
@@ -1246,6 +1260,76 @@ mod chaos {
                 cluster.plan().events()
             };
             assert_eq!(events(11), events(11));
+        }
+
+        /// A transport onto server 0 of a one-server cluster under
+        /// `rule`, holding pages 1 and 3; the plan armed.
+        fn holding_two(rule: FaultRule) -> (ChaosCluster, ChaosTransport) {
+            let cluster = ChaosCluster::new(1, FaultPlan::seeded(1).with_rule(rule));
+            let plan = Arc::clone(cluster.plan());
+            let mut transport = ChaosTransport::new(ServerId(0), plan, cluster.server(0).clone());
+            transport
+                .call_pipelined(&[store(1), store(3)])
+                .expect("stores");
+            cluster.plan().arm();
+            (cluster, transport)
+        }
+
+        fn store(id: u64) -> Message {
+            let page = Page::deterministic(id);
+            Message::PageOut {
+                id: StoreKey(id),
+                checksum: page.checksum(),
+                page,
+            }
+        }
+
+        fn read(id: u64) -> Message {
+            Message::PageIn { id: StoreKey(id) }
+        }
+
+        #[test]
+        fn a_rule_matches_a_burst_by_any_frame_and_hits_that_frame() {
+            let refuse = FaultRule::new(FaultAction::Refuse(ErrorCode::OutOfMemory))
+                .on_ops(OpFilter::Op(Opcode::PageOut))
+                .times(1);
+            let (cluster, mut transport) = holding_two(refuse);
+            // The read is served; the store riding second is the frame the
+            // rule refuses, unexecuted.
+            let err = transport
+                .call_pipelined(&[read(1), store(2)])
+                .expect_err("the store was refused");
+            assert!(
+                matches!(
+                    err,
+                    RmpError::Remote {
+                        code: ErrorCode::OutOfMemory,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            let events = cluster.plan().events();
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].opcode, Opcode::PageOut);
+            assert_eq!(cluster.server(0).stored_pages(), 2, "the refused store ran");
+        }
+
+        #[test]
+        fn a_corruption_flips_the_reply_of_the_frame_it_matched() {
+            let flip = FaultRule::new(FaultAction::CorruptReply { byte: 5, bit: 1 })
+                .on_ops(OpFilter::Op(Opcode::PageIn))
+                .times(1);
+            let (_cluster, mut transport) = holding_two(flip);
+            let replies = transport
+                .call_pipelined(&[store(2), read(1), read(3)])
+                .expect("served");
+            let page = |reply: &Message| match reply {
+                Message::PageInReply { page, .. } => page.clone(),
+                other => panic!("{other:?}"),
+            };
+            assert_ne!(page(&replies[1]), Page::deterministic(1), "not flipped");
+            assert_eq!(page(&replies[2]), Page::deterministic(3), "the wrong frame");
         }
 
         #[test]

@@ -60,6 +60,8 @@ struct PagerMetrics {
     /// Faults that met their page's read-ahead still on the wire.
     prefetch_waits: Arc<Counter>,
     flight_waits: Arc<Counter>,
+    /// Callers that landed a landing still on the wire to make room.
+    room_waits: Arc<Counter>,
     landing_hits: Arc<Counter>,
     landings: Arc<Gauge>,
     pageout_latency: Arc<Histogram>,
@@ -87,6 +89,7 @@ impl PagerMetrics {
             prefetch_skipped_gray: registry.counter("pager_prefetch_skipped_gray_total"),
             prefetch_waits: registry.counter("pager_prefetch_waits_total"),
             flight_waits: registry.counter("pager_flight_waits_total"),
+            room_waits: registry.counter("pager_landing_room_waits_total"),
             landing_hits: registry.counter("pager_landing_hits_total"),
             landings: registry.gauge("pager_landings"),
             pageout_latency: registry.histogram("pager_pageout_latency_us"),
@@ -337,6 +340,13 @@ impl Pager {
     /// and had to wait for it to land (see [`crate::sharded`]).
     pub(crate) fn note_flight_wait(&self) {
         self.metrics.flight_waits.inc();
+    }
+
+    /// Counts one caller of the shard that found its room for landings
+    /// full and lands the oldest, its replies still out (see
+    /// [`crate::sharded`]).
+    pub(crate) fn note_room_wait(&self) {
+        self.metrics.room_waits.inc();
     }
 
     /// Whether a later pageout of a page may begin while one is landing

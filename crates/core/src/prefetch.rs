@@ -26,6 +26,14 @@
 //! the next lap finds it cached. A random stream confirms nothing, so
 //! nothing is read behind there.
 //!
+//! A sweep can still restart on a miss — its first page was dropped
+//! clean, or written back long ago — and a refill planned once the miss
+//! is served leaves a round trip behind it: Leap counts a prefetch only
+//! when it arrives before its fault. So a miss on a page the stream has
+//! looped through ([`Planner::recurs`]), a sweep it has learnt, is told
+//! to the planner before it waits for its demand read, and its refill
+//! rides beside that read.
+//!
 //! The *decision* to read ahead is taken once per fault stream, the
 //! *copies* are kept where the pages live: a `ShardedPager` owns one
 //! planner for all its shards and tells it every served demand fault.

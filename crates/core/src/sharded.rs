@@ -42,6 +42,15 @@
 //! keyed `PageIn` frame of its own on the request window, which
 //! allocates nothing but the page.
 //!
+//! **Read-ahead leads a sweep.** A fault is told to the planner once it
+//! is served — but for a miss on a page the stream has looped through
+//! ([`Planner::recurs`]): a sweep the stream has learnt is restarting,
+//! as a solve's verify and the next solve's init do, and its next
+//! faults come as fast as the application can touch pages. That miss is
+//! told while it parks on its demand read, so its refill leaves beside
+//! the read, not a round trip behind it. Any other miss — a random one
+//! after a scan has trained the stride, say — is planned once served.
+//!
 //! The same table says which pages the stream loops through, and a
 //! pageout of one is **read behind**: `page_out` asks the planner —
 //! holding no shard lock, and only if nobody holds the planner — whether
@@ -89,10 +98,14 @@
 //! meanwhile is served from it — checked against the checksum the
 //! pageout commits, no frame sent — and lands nothing, its own landing
 //! included, which it leaves with nothing to read behind. Landings
-//! hold their pages and the reply slots of their frames — a shard keeps
-//! no more than a chunk's worth ([`CHUNK_PAGES`], 16, within a request
-//! window) — and allocate nothing; dropping the pager gives them up
-//! unanswered.
+//! hold their pages and the reply slots of their frames, and allocate
+//! nothing; dropping the pager gives them up unanswered. A shard's
+//! *room* for them is what they hold: a request window's worth
+//! ([`TransportConfig::window_max_inflight`](rmp_types::TransportConfig::window_max_inflight)),
+//! the slots a connection keeps for a window. Only a full room lands a
+//! landing whose replies are still out, and its caller waits for them
+//! (`pager_landing_room_waits_total`). How long a recurring page is kept
+//! does not hang on the room: [`CHUNK_PAGES`] (16) pageouts.
 //!
 //! Two rules stand in for "the lock is held":
 //!
@@ -198,7 +211,7 @@ use rmp_types::{Page, PageId, PagerConfig, Result, RmpError, ServerId, TransferS
 
 use crate::pager::{PageOutFlight, Pager};
 use crate::pool::{Event, Rung, ServerPool, CHUNK_PAGES};
-use crate::prefetch::Planner;
+use crate::prefetch::{Plan, Planner};
 use crate::recovery::RecoveryReport;
 
 /// Builder for [`ShardedPager`]; supply one pre-dialed [`ServerPool`] per
@@ -341,10 +354,10 @@ struct Landing {
     left: usize,
 }
 
-/// A shard's room for landings: it holds [`landing_room`] of them, and
-/// keeps a page for as many pageouts of the whole pager — how long does
-/// not hang on how many shards share the stream — `now` of which have
-/// left so far.
+/// A shard's room for landings: it holds [`landing_room`] of them, and a
+/// landing keeps its page for [`CHUNK_PAGES`] pageouts of the whole
+/// pager — how long does not hang on how many shards share the stream,
+/// nor on the room — `now` of which have left so far.
 #[derive(Clone, Copy)]
 struct Room {
     size: usize,
@@ -355,16 +368,16 @@ impl Room {
     /// Whether `landing` keeps its page: a read of it is served from
     /// there, its replies in or not.
     fn keeps(self, landing: &Landing) -> bool {
-        landing.recurs && self.now - landing.left < self.size
+        landing.recurs && self.now - landing.left < CHUNK_PAGES
     }
 }
 
-/// Where the oldest landing a turn lands is, if one is due: the oldest
-/// that keeps no page, once its replies are in — or with the room full,
-/// the oldest — of those whose page no turn holds. Landings are in the
-/// order they left, and only a page's newest keeps it, so the one found
-/// is its page's oldest.
-fn due(flights: &Flights, room: Room) -> Option<usize> {
+/// Where the oldest landing a turn lands is, if one is due, and whether
+/// its replies are in: the oldest that keeps no page, once its replies
+/// are in — or with the room full, the oldest, in or not — of those
+/// whose page no turn holds. Landings are in the order they left, and
+/// only a page's newest keeps it, so the one found is its page's oldest.
+fn due(flights: &Flights, room: Room) -> Option<(usize, bool)> {
     let landings = &flights.landings;
     let full = landings.len() >= room.size;
     let mut left = (0..landings.len()).filter(|&at| !flights.held(&landings[at]));
@@ -372,16 +385,18 @@ fn due(flights: &Flights, room: Room) -> Option<usize> {
         true => left.next(),
         false => left.find(|&at| !room.keeps(&landings[at])),
     }?;
-    (full || landings[oldest].out.writing.is_ready()).then_some(oldest)
+    let ready = landings[oldest].out.writing.is_ready();
+    (full || ready).then_some((oldest, ready))
 }
 
-/// The most pageouts a shard keeps landing. Each holds its page and
-/// the reply slots of its frames, which the next operation's frames must
-/// find among the connection's: a chunk's worth ([`CHUNK_PAGES`], what
-/// the client holds of any work in flight at a time), and never more
-/// than a request window's.
+/// The most pageouts a shard keeps landing: a request window's. Each
+/// holds its page and the reply slots of its frames, which are what the
+/// room protects — the next operation's frames must find room on the
+/// connection's window, and slots among the ones it keeps for a window,
+/// or allocate. Only a full room makes a caller land a landing whose
+/// replies are still out.
 fn landing_room(pager: &Pager) -> usize {
-    CHUNK_PAGES.min(pager.config().transport.window_max_inflight)
+    pager.config().transport.window_max_inflight
 }
 
 type ShardGuard<'a> = MutexGuard<'a, (Pager, Flights)>;
@@ -429,6 +444,17 @@ impl Shard {
             guard.1.waiting -= 1;
         }
         guard
+    }
+
+    /// Where the landing due on the shard `pager` is, if one is: see
+    /// [`due`]. One still on the wire is due only for a full room, and its
+    /// lander waits for it: counted in `pager_landing_room_waits_total`.
+    fn due(&self, pager: &Pager, flights: &Flights) -> Option<usize> {
+        let (at, ready) = due(flights, self.room(pager))?;
+        if !ready {
+            pager.note_room_wait();
+        }
+        Some(at)
     }
 
     /// The room of the shard `pager` is.
@@ -482,7 +508,7 @@ impl Shard {
             // A read served from a kept page lands nothing: the next
             // operation on the wire does.
             let own = flights.landing(id).filter(|_| !rides);
-            let lands = || own.or_else(|| due(flights, room));
+            let lands = || own.or_else(|| self.due(pager, flights));
             if let Some(at) = kept.is_none().then(lands).flatten() {
                 // `id`'s own operation is about to read, rewrite or free
                 // it: nothing to read behind.
@@ -550,7 +576,7 @@ impl Shard {
     fn land_ready(&self) {
         while let Some(guard) = self.try_lock() {
             let (pager, flights) = &*guard;
-            match due(flights, self.room(pager)) {
+            match self.due(pager, flights) {
                 Some(at) => self.land(guard, at),
                 None => return,
             }
@@ -908,38 +934,67 @@ impl ShardedPager {
             }
         };
         let flight = turn.pager().begin_page_in(id);
+        let mut led = false;
         if flight.reading.on_wire() {
-            turn.parked(|| flight.reading.park());
+            turn.parked(|| {
+                led = self.lead_read_ahead(id);
+                flight.reading.park();
+            });
         }
         let hit = flight.hit;
         let done = turn.pager().complete_page_in(flight);
         self.end_turn(turn);
         if done.is_ok() {
-            self.read_ahead(id, hit);
+            // Whatever each shard nobody holds has to land: a shard no
+            // fault has entered since its pageouts were acked would hold
+            // their read-behinds back.
+            self.shards.iter().for_each(Shard::land_ready);
+            if !led {
+                self.plan_read_ahead(id, hit);
+            }
         }
         done
     }
 
-    /// Lands what each shard nobody holds has to land — a shard no fault
-    /// has entered since its pageouts were acked would hold their
-    /// read-behinds back — then plans the read-ahead.
-    fn read_ahead(&self, id: PageId, hit: bool) {
-        self.shards.iter().for_each(Shard::land_ready);
-        self.plan_read_ahead(id, hit);
+    /// Tells the planner of the served fault on `id` and hands out what
+    /// it plans.
+    fn plan_read_ahead(&self, id: PageId, hit: bool) {
+        let plan = self.planner().plan(id, hit, |next| self.runway_gone(next));
+        self.hand_out(id, plan);
     }
 
-    /// Tells the planner of the served fault on `id` and, if it plans a
-    /// refill, hands each shard the planned pages it holds. Waits for no
-    /// shard: one that is locked is skipped, and so is a page with an
-    /// operation under way or a pageout landing.
-    fn plan_read_ahead(&self, id: PageId, hit: bool) {
-        let runway_gone = |next: PageId| {
-            let ahead = self.shard(next).try_lock();
-            ahead.is_some_and(|guard| !guard.0.prefetch_covers(next))
-        };
-        let mut planner = self.planner.lock().unwrap_or_else(PoisonError::into_inner);
-        let plan = planner.plan(id, hit, runway_gone);
+    /// Read-ahead leads a sweep: a miss on `id` about to wait for its
+    /// demand read, if `id` recurs — it restarts a sweep the stream has
+    /// learnt — is told to the planner now, and the plan handed out, so
+    /// that the refill rides beside the demand read, not a round trip
+    /// behind it. Whether it was; any other miss is planned once served.
+    fn lead_read_ahead(&self, id: PageId) -> bool {
+        let mut planner = self.planner();
+        if !planner.recurs(id) {
+            return false;
+        }
+        let plan = planner.plan(id, false, |next| self.runway_gone(next));
         drop(planner);
+        self.hand_out(id, plan);
+        true
+    }
+
+    fn planner(&self) -> MutexGuard<'_, Planner> {
+        self.planner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether the shard holding `next` has neither a copy of it nor one
+    /// on its way; a shard that is locked says no.
+    fn runway_gone(&self, next: PageId) -> bool {
+        let ahead = self.shard(next).try_lock();
+        ahead.is_some_and(|guard| !guard.0.prefetch_covers(next))
+    }
+
+    /// Hands each shard the pages of `plan`, counted from the fault on
+    /// `id`, that it holds. Waits for no shard: one that is locked is
+    /// skipped, and so is a page with an operation under way or a
+    /// pageout landing.
+    fn hand_out(&self, id: PageId, plan: Option<Plan>) {
         let Some(plan) = plan else {
             return;
         };
@@ -1078,7 +1133,7 @@ impl ShardedPager {
     /// their rebuilt state.
     pub fn recover_from_crash(&self, server: ServerId) -> Result<Vec<RecoveryReport>> {
         let mut guards = self.quiesce();
-        (self.planner.lock().unwrap_or_else(PoisonError::into_inner)).reset();
+        self.planner().reset();
         let mut reports = Vec::with_capacity(guards.len());
         for guard in guards.iter_mut() {
             reports.push(guard.0.recover_from_crash(server)?);

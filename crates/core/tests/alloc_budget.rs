@@ -190,8 +190,8 @@ fn a_fault_stays_within_its_allocation_budget() {
     assert!(kib <= 9.0, "a pagein allocated {kib} KiB");
 
     // A rewrite returns with its frame on the wire and lands in a later
-    // turn, so rewrites back to back keep up to a chunk of frames in
-    // flight (`CHUNK_PAGES`, within a window). The last rewrite is
+    // turn, so rewrites back to back keep up to a request window of
+    // frames in flight, a shard's room for landings. The last rewrite is
     // landed inside the count, so every landing — and its server's store
     // — is counted.
     fill_window(&pager);

@@ -1149,6 +1149,53 @@ fn a_landing_reads_its_looping_page_behind_only_once_the_write_has_acked() {
     assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
 }
 
+#[test]
+fn a_miss_that_restarts_a_learnt_sweep_sends_its_read_ahead_beside_its_demand_read() {
+    let (wires, _servers, pager) = wave_shards(PagerConfig::new(Policy::NoReliability), 2);
+    let wire = &wires[0];
+    placed(wire, &pager, &[0, 2, 4]);
+    // A first lap of the sweep 0, 2, 4: each fault a miss, its demand
+    // read alone on the wire.
+    for id in [0, 2, 4] {
+        fault(&pager, wire, id);
+    }
+    // The second lap's first fault misses too, and page 0 has not
+    // looped yet: its read-ahead of 2 follows its demand read.
+    fault(&pager, wire, 0);
+    answer(held_back(wire));
+    assert_eq!(
+        pager.page_in(PageId(2)).expect("a hit"),
+        Page::deterministic(2)
+    );
+    answer(held_back(wire));
+    assert_eq!(
+        pager.page_in(PageId(4)).expect("a hit"),
+        Page::deterministic(4)
+    );
+    assert_eq!(read_ahead(&pager, "hits"), [2, 0]);
+    // Page 0 has been followed by 2 twice running: it recurs. The third
+    // lap's miss on it restarts a sweep the stream has learnt, and the
+    // read-ahead of 2 goes out while the demand read is still out.
+    let reader = spawn(&pager, |p| p.page_in(PageId(0)));
+    let both = std::mem::take(&mut wire.wait_for(2).flying);
+    let ops: Vec<Opcode> = (both.iter())
+        .flat_map(|f| f.replies.iter().map(reply_to))
+        .collect();
+    assert_eq!(ops, [Opcode::PageIn, Opcode::PageIn]);
+    both.into_iter().for_each(answer);
+    assert_eq!(joined(reader).expect("pagein"), Page::deterministic(0));
+    assert_eq!(
+        pager.page_in(PageId(2)).expect("a hit"),
+        Page::deterministic(2)
+    );
+    assert_eq!(read_ahead(&pager, "hits"), [3, 0]);
+    std::mem::take(&mut wire.state().flying)
+        .into_iter()
+        .for_each(answer);
+    let stats = pager.stats();
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
 /// Shard 0's `[pageins, pages fetched, landing hits]` so far, read
 /// without landing anything.
 fn served(pager: &ShardedPager) -> [u64; 3] {
@@ -1267,6 +1314,61 @@ fn a_recurring_page_outliving_a_pageout_stays_kept_for_a_room_of_pageouts() {
     assert!(ops.contains(&Opcode::PageIn), "the fault sent no read");
     let stats = pager.stats();
     assert_eq!(stats.pageins - pageins, 3);
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
+/// Places pages `0, 2, …` — `count` of them, all on shard 0 — lands
+/// them, and rewrites them all on a thread of their own, none answered.
+fn rewrites_unanswered(wire: &Wire, pager: &Arc<ShardedPager>, count: u64) -> Receiver<Result<()>> {
+    let pages: Vec<u64> = (0..count).map(|i| 2 * i).collect();
+    placed(wire, pager, &pages);
+    pager.stats();
+    spawn(pager, move |p| {
+        (pages.iter()).try_for_each(|&id| p.page_out(PageId(id), &Page::filled(7)))
+    })
+}
+
+#[test]
+fn a_shard_holding_more_than_a_chunk_of_landings_parks_no_caller_while_the_window_has_room() {
+    let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
+    let waits = flight_waits(&pager);
+    let count = CHUNK_PAGES as u64 + 1;
+    let rewrites = rewrites_unanswered(&wire, &pager, count);
+    // Every rewrite returns with its store on the wire: none of them
+    // waits for an older one to land while the request window has room.
+    let stuck = Instant::now() + STUCK;
+    let done = loop {
+        if let Ok(done) = rewrites.try_recv() {
+            break done;
+        }
+        assert_eq!(flight_waits(&pager), waits, "a caller parked on a landing");
+        assert!(Instant::now() < stuck, "the rewrites are stuck");
+        std::thread::yield_now();
+    };
+    done.expect("rewrites");
+    assert_eq!(
+        wire.state().flying.len(),
+        count as usize,
+        "a store was answered"
+    );
+    assert_eq!(counted(&pager, "pager_landing_room_waits_total"), 0);
+    let (stats, _) = pumped_ops(&wire, &spawn(&pager, |p| p.stats()));
+    assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
+}
+
+#[test]
+fn a_full_room_lands_its_oldest_and_counts_the_wait() {
+    let (wire, _servers, pager) = wave_sharded(PagerConfig::new(Policy::NoReliability), 2);
+    let room = pager.with_shard(0, |p| p.config().transport.window_max_inflight);
+    let waits = flight_waits(&pager);
+    // A request window's worth of landings fill the room: the next
+    // rewrite lands the oldest, its store still unanswered, and waits.
+    let rewrites = rewrites_unanswered(&wire, &pager, room as u64 + 1);
+    until_waiting(&pager, waits + 1);
+    assert_eq!(counted(&pager, "pager_landing_room_waits_total"), 1);
+    pumped(&wire, &rewrites).expect("rewrites");
+    assert_eq!(counted(&pager, "pager_landing_room_waits_total"), 1);
+    let (stats, _) = pumped_ops(&wire, &spawn(&pager, |p| p.stats()));
     assert_eq!((stats.checksum_failures, stats.degraded_reads), (0, 0));
 }
 

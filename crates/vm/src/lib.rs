@@ -11,6 +11,15 @@
 //! [`PagedMemory`] generate exactly the pagein/pageout mix the paper's
 //! kernel generated.
 //!
+//! An access to a resident page is the application's own time, not the
+//! pager's, and an out-of-core solve makes hundreds of them per fault
+//! (GAUSS n = 96: ≈ 600,000 accesses, ≈ 400 pageins). So, as a TLB sits
+//! in front of a page table, [`PagedMemory`] looks its last two
+//! translations up before it hashes into its page table; an entry leaves
+//! with its page, on eviction and on discard, and the fault statistics,
+//! replacement stamps and device request stream are those of the page
+//! table alone.
+//!
 //! [`array::PagedArray`] offers a typed out-of-core array view used by the
 //! workload programs (GAUSS, QSORT, FFT, MVEC, FILTER).
 

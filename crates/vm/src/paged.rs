@@ -58,6 +58,10 @@ pub struct PagedMemory<D> {
     device: D,
     frames: Vec<Page>,
     frame_of: HashMap<PageId, usize>,
+    /// The last two translations taken from `frame_of`, the later first:
+    /// an access to a resident page looks here before it hashes. An entry
+    /// leaves with its page, on evict and on discard.
+    recent: [Option<(PageId, usize)>; 2],
     page_of: Vec<Option<PageId>>,
     dirty: Vec<bool>,
     free_frames: Vec<usize>,
@@ -81,6 +85,7 @@ impl<D: PagingDevice> PagedMemory<D> {
             device,
             frames: (0..n).map(|_| Page::zeroed()).collect(),
             frame_of: HashMap::new(),
+            recent: [None; 2],
             page_of: vec![None; n],
             dirty: vec![false; n],
             free_frames: (0..n).rev().collect(),
@@ -119,7 +124,7 @@ impl<D: PagingDevice> PagedMemory<D> {
 
     /// Ensures `id` is resident, returning its frame index.
     fn fault_in(&mut self, id: PageId) -> Result<usize> {
-        if let Some(&frame) = self.frame_of.get(&id) {
+        if let Some(frame) = self.translate(id) {
             self.stats.hits += 1;
             return Ok(frame);
         }
@@ -135,10 +140,35 @@ impl<D: PagingDevice> PagedMemory<D> {
             self.stats.zero_fills += 1;
         }
         self.frame_of.insert(id, frame);
+        self.recent = [Some((id, frame)), self.recent[0]];
         self.page_of[frame] = Some(id);
         self.dirty[frame] = false;
         self.replacement.on_load(frame);
         Ok(frame)
+    }
+
+    /// The frame of `id` if it is resident: from the recent translations,
+    /// else from the page table, and then kept in place of the older one.
+    fn translate(&mut self, id: PageId) -> Option<usize> {
+        for &(page, frame) in self.recent.iter().flatten() {
+            if page == id {
+                return Some(frame);
+            }
+        }
+        let frame = *self.frame_of.get(&id)?;
+        self.recent = [Some((id, frame)), self.recent[0]];
+        Some(frame)
+    }
+
+    /// Removes `id` from the page table and the recent translations,
+    /// returning the frame it held.
+    fn unmap(&mut self, id: PageId) -> Option<usize> {
+        for entry in &mut self.recent {
+            if entry.is_some_and(|(page, _)| page == id) {
+                *entry = None;
+            }
+        }
+        self.frame_of.remove(&id)
     }
 
     /// Evicts one frame, writing it back if dirty, and returns it.
@@ -152,7 +182,7 @@ impl<D: PagingDevice> PagedMemory<D> {
         } else {
             self.stats.clean_evictions += 1;
         }
-        self.frame_of.remove(&victim);
+        self.unmap(victim);
         self.page_of[frame] = None;
         Ok(frame)
     }
@@ -183,7 +213,7 @@ impl<D: PagingDevice> PagedMemory<D> {
     ///
     /// Propagates device failures.
     pub fn discard(&mut self, id: PageId) -> Result<()> {
-        if let Some(frame) = self.frame_of.remove(&id) {
+        if let Some(frame) = self.unmap(id) {
             self.page_of[frame] = None;
             self.dirty[frame] = false;
             self.free_frames.push(frame);
@@ -310,6 +340,30 @@ mod tests {
         // Re-reading after discard is a fresh zero page.
         let v = m.read(PageId(0), |p| p.as_ref()[0]).expect("read");
         assert_eq!(v, 0);
+    }
+
+    #[test]
+    fn an_evicted_page_leaves_no_translation_behind() {
+        let mut m = vm(1);
+        m.write(PageId(0), |p| p.as_mut()[0] = 10).expect("write");
+        // Page 1 takes page 0's frame: a translation of 0 left behind
+        // would read 1's bytes there, with no fault.
+        m.write(PageId(1), |p| p.as_mut()[0] = 11).expect("write");
+        let v = m.read(PageId(0), |p| p.as_ref()[0]).expect("read");
+        assert_eq!(v, 10);
+        assert_eq!(m.stats().pageins, 1, "page 0 was not faulted back in");
+    }
+
+    #[test]
+    fn a_discarded_page_leaves_no_translation_behind() {
+        let mut m = vm(2);
+        m.write(PageId(0), |p| p.as_mut()[0] = 1).expect("write");
+        m.discard(PageId(0)).expect("discard");
+        // Page 1 takes the frame page 0 gave up.
+        m.write(PageId(1), |p| p.as_mut()[0] = 7).expect("write");
+        let v = m.read(PageId(0), |p| p.as_ref()[0]).expect("read");
+        assert_eq!(v, 0, "a discarded page reads as a fresh zero page");
+        assert_eq!(m.stats().zero_fills, 3);
     }
 
     #[test]
