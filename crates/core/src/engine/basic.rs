@@ -1,7 +1,7 @@
 //! The basic PARITY policy: RAID-style fixed parity groups.
 
 use rmp_parity::xor::xor_reduce;
-use rmp_parity::BasicParityMap;
+use rmp_parity::{basic::BasicSlot, BasicParityMap};
 use rmp_types::{Page, PageId, Result, RmpError, ServerId, StoreKey};
 
 use std::collections::{HashSet, VecDeque};
@@ -85,11 +85,12 @@ impl BasicParity {
         // budget and eventually hit a spurious denial).
         let is_new = self.map.location(id).is_none();
         let slot = self.map.assign(id);
+        let (server, key) = slot.unit;
         // Step 1: ship the page; the server answers with old XOR new.
         if is_new {
-            ctx.pool.reserve_frame(slot.server)?;
+            ctx.pool.reserve_frame(server)?;
         }
-        let (delta, _hint) = match ctx.pool.page_out_delta(slot.server, slot.key, page) {
+        let (delta, retried) = match ctx.pool.page_out_delta(server, key, page) {
             Ok(reply) => reply,
             Err(e) => {
                 // Undo the reservation or the grant leaks on every
@@ -99,14 +100,14 @@ impl BasicParity {
                 // store that did land is a stray the parity never covered:
                 // its key is never assigned again.
                 if is_new {
-                    ctx.pool.return_frame(slot.server);
+                    ctx.pool.return_frame(server);
                     self.map.free(id);
                 }
                 return Err(e);
             }
         };
         ctx.stats.net_data_transfers += 1;
-        if ctx.pool.last_call_attempts() > 1 {
+        if retried {
             // The delta call was retried: an earlier attempt may already
             // have stored the page, making the echoed delta zero (old ==
             // new) while the real old→new change never reached the
@@ -121,7 +122,7 @@ impl BasicParity {
             .pool
             .xor_into(self.map.parity_server(), slot.parity_key, &delta)
         {
-            Ok(()) if ctx.pool.last_call_attempts() == 1 => {
+            Ok(false) => {
                 ctx.stats.net_parity_transfers += 1;
                 Ok(())
             }
@@ -132,6 +133,17 @@ impl BasicParity {
             _ => self.resync_parity(ctx, slot.parity_key),
         }
     }
+
+    /// Rebuilds page `id`, whose slot is `slot`, from the rest of its
+    /// stripe and the parity page — only the requested page; the full
+    /// column rebuild runs separately.
+    fn reconstruct(&self, ctx: &mut Ctx<'_>, id: PageId, slot: BasicSlot) -> Result<Page> {
+        let mut pieces = self.map.stripe_members(slot.slot, Some(slot.unit.0));
+        pieces.push((self.map.parity_server(), slot.parity_key));
+        let page = xor_reduce(&ctx.fetch_group(&pieces, &format_args!("stripe of {id}"))?);
+        ctx.count("engine_parity_reconstructions_total");
+        Ok(page)
+    }
 }
 
 impl Engine for BasicParity {
@@ -139,17 +151,24 @@ impl Engine for BasicParity {
         Writing::Done(self.store(ctx, id, page))
     }
 
-    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
-        match self.map.location(id) {
-            Some(slot) => ctx.begin_read((slot.server, slot.key), true),
-            None => Reading::Done(Err(RmpError::PageNotFound(id))),
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId, avoid: Option<ServerId>) -> Reading {
+        let Some(&slot) = self.map.location(id) else {
+            return Reading::Done(Err(RmpError::PageNotFound(id)));
+        };
+        let server = slot.unit.0;
+        match avoid {
+            Some(dead) if server == dead || !ctx.pool.alive(server) => {
+                Reading::Done(self.reconstruct(ctx, id, slot))
+            }
+            _ => ctx.begin_read(slot.unit, true),
         }
     }
 
     fn free(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<()> {
-        let Some(slot) = self.map.location(id) else {
+        let Some(&slot) = self.map.location(id) else {
             return Ok(());
         };
+        let ((server, key), parity_key) = (slot.unit, slot.parity_key);
         // Fetch the dying page's content for the parity cancel while it
         // still exists, but release it *before* touching the parity: the
         // old order (cancel, then free) could fail after the cancel and
@@ -158,47 +177,29 @@ impl Engine for BasicParity {
         // the failure states consistent: either the page survives with
         // its parity intact, or it is gone and the parity gets repaired
         // below.
-        let old = ctx.pool.page_in(slot.server, slot.key)?;
+        let old = ctx.pool.page_in(server, key)?;
         ctx.stats.net_fetches += 1;
-        ctx.pool.free(slot.server, slot.key)?;
+        ctx.pool.free(server, key)?;
         self.map.free(id);
-        let clean_cancel = matches!(
-            ctx.pool
-                .xor_into(self.map.parity_server(), slot.parity_key, &old),
-            Ok(())
-        ) && ctx.pool.last_call_attempts() == 1;
-        if clean_cancel {
+        let cancel = ctx
+            .pool
+            .xor_into(self.map.parity_server(), parity_key, &old);
+        if let Ok(false) = cancel {
             ctx.stats.net_parity_transfers += 1;
             return Ok(());
         }
         // Retried or failed cancel: the parity may hold the delta zero,
         // one, or two times. Rebuild it from the members that remain
         // (the map no longer lists the freed page).
-        self.resync_parity(ctx, slot.parity_key)
+        self.resync_parity(ctx, parity_key)
     }
 
     fn contains(&self, id: PageId) -> bool {
         self.map.location(id).is_some()
     }
 
-    fn degraded_read(&mut self, ctx: &mut Ctx<'_>, id: PageId, dead: ServerId) -> Result<Page> {
-        let slot = self.map.location(id).ok_or(RmpError::PageNotFound(id))?;
-        if slot.server != dead && ctx.pool.alive(slot.server) {
-            // The page's own server survived the crash; read it directly.
-            return ctx.read_unit((slot.server, slot.key), true);
-        }
-        // Reconstruct only the requested page from its stripe — the full
-        // column rebuild runs separately.
-        let mut pieces = self.map.stripe_members(slot.slot, Some(slot.server));
-        pieces.push((self.map.parity_server(), slot.parity_key));
-        let page = xor_reduce(&ctx.fetch_group(&pieces, &format_args!("stripe of {id}"))?);
-        ctx.count("engine_parity_reconstructions_total");
-        Ok(page)
-    }
-
-    fn primary_location(&self, id: PageId) -> Option<Unit> {
-        let slot = self.map.location(id)?;
-        Some((slot.server, slot.key))
+    fn read_units(&self, id: PageId) -> Option<&[Unit]> {
+        Some(std::slice::from_ref(&self.map.location(id)?.unit))
     }
 
     fn plan_recovery(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {
@@ -227,11 +228,11 @@ impl Engine for BasicParity {
             let held: HashSet<StoreKey> =
                 ctx.pool.list_keys_granting(server)?.into_iter().collect();
             let lost = self.map.recovery_plan(server)?.into_iter();
-            lost.filter(|plan| !held.contains(&plan.lost.key))
+            lost.filter(|plan| !held.contains(&plan.lost.unit.1))
                 .map(|mut plan| {
                     plan.fetch.push(plan.parity);
                     StripeRebuild {
-                        key: plan.lost.key,
+                        key: plan.lost.unit.1,
                         pieces: plan.fetch,
                         parity: false,
                     }

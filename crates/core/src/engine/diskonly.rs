@@ -22,7 +22,8 @@ impl Engine for DiskOnly {
         }))
     }
 
-    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
+    /// The disk is the only copy: reading around a server reads it too.
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId, _: Option<ServerId>) -> Reading {
         Reading::Done(match self.present.contains(&id) {
             true => ctx.disk_read(id),
             false => Err(RmpError::PageNotFound(id)),

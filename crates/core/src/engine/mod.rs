@@ -223,8 +223,9 @@ pub enum Begun<T, W> {
     /// Nothing on the wire: served or refused before it, or run whole.
     Done(Result<T>),
     /// One frame, collected through the retry ladder: the read of a unit
-    /// that holds the whole page and has no redundancy, the rewrite of a
-    /// lone copy in its frame.
+    /// that holds the whole page with no other way to it — no redundancy,
+    /// or a mirror's copy read around the other — the rewrite of a lone
+    /// copy in its frame.
     One(Flight),
     /// One frame of a read that can be served around its holder: it gets
     /// one attempt, and its failure is the caller's cue to do so.
@@ -235,7 +236,7 @@ pub enum Begun<T, W> {
     Many(W),
 }
 
-/// A demand read between [`Engine::begin_page_in`] and
+/// A read between [`Engine::begin_page_in`] and
 /// [`Engine::complete_page_in`].
 pub type Reading = Begun<Page, Vec<Flight>>;
 
@@ -450,27 +451,16 @@ impl Ctx<'_> {
         }
     }
 
-    /// Demand-reads a unit that holds a whole page, with one plain keyed
-    /// read (no wave, no allocation beyond the page). `redundant` says the
-    /// policy can serve the page some other way: the holder check is on,
-    /// and the read gets one attempt — a holder whose rung is due is
+    /// Puts the read of a unit that holds a whole page on the wire, with
+    /// one plain keyed read (no wave, no allocation beyond the page) —
+    /// unless the holder check refused it. `redundant` says the policy can
+    /// serve the page some other way: the holder check is on, and the read
+    /// gets one attempt ([`Begun::Around`]) — a holder whose rung is due is
     /// dialled as that rung; with [`Ctx::around`] off, a live holder is
     /// read through its whole ladder. Without redundancy the read walks
-    /// the retry ladder, and dials a holder held to be dead: that is the
-    /// only way the page — and the holder, should it be back — is ever
-    /// found again.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ctx::holder_ready`], `ServerPool::missed` and
-    /// [`ServerPool::page_in`].
-    pub fn read_unit(&mut self, unit: Unit, redundant: bool) -> Result<Page> {
-        let reading = self.begin_read(unit, redundant);
-        self.finish_read(reading)
-    }
-
-    /// The first half of [`Ctx::read_unit`]: the read is on the wire,
-    /// unless the holder check refused it.
+    /// the retry ladder ([`Begun::One`]), and dials a holder held to be
+    /// dead: that is the only way the page — and the holder, should it be
+    /// back — is ever found again.
     pub fn begin_read(&mut self, (server, key): Unit, redundant: bool) -> Reading {
         if !redundant {
             return Reading::One(self.pool.begin_page_in(server, key));
@@ -481,8 +471,13 @@ impl Ctx<'_> {
         }
     }
 
-    /// The second half of [`Ctx::read_unit`]; a read that never took
+    /// Collects a read [`Ctx::begin_read`] started; a read that never took
     /// the wire passes through.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctx::holder_ready`], `ServerPool::missed` and
+    /// [`ServerPool::finish_page_in`].
     pub fn finish_read(&mut self, reading: Reading) -> Result<Page> {
         let page = match reading {
             Reading::Done(done) => return done,
@@ -917,19 +912,6 @@ pub trait Engine: Send {
         }
     }
 
-    /// Services one pagein: [`Engine::begin_page_in`] and
-    /// [`Engine::complete_page_in`] back to back.
-    ///
-    /// # Errors
-    ///
-    /// [`RmpError::PageNotFound`] for unknown pages;
-    /// [`RmpError::ServerCrashed`] when the holding server died (the pager
-    /// then runs recovery and retries).
-    fn page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
-        let reading = self.begin_page_in(ctx, id);
-        self.complete_page_in(ctx, id, reading)
-    }
-
     /// Whether a pageout writes its page under keys of its own that no
     /// later pageout of the page overwrites — the parity log appends —
     /// so that a rewrite may begin while it is still landing, and its
@@ -938,9 +920,23 @@ pub trait Engine: Send {
         false
     }
 
-    /// Looks `id` up and puts its demand read on the wire; the caller may
-    /// [`Begun::park`] on it holding no lock.
-    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading;
+    /// Looks `id` up and puts its read on the wire; the caller may
+    /// [`Begun::park`] on it holding no lock. `avoid` names a server to
+    /// read around — crashed, failing or holding a corrupt copy: `None` is
+    /// the demand read; `Some` the read of the units that survive it.
+    /// There, a page whose own holder is live and not `avoid`, or a
+    /// mirror's other copy, is read as a demand read is; a reconstruction
+    /// from a stripe, a group or the disk runs whole, to [`Begun::Done`],
+    /// and leaves the placement untouched — the rebuild runs separately,
+    /// through [`Engine::plan_recovery`] / [`Engine::recovery_step`].
+    ///
+    /// Its failures, when collected: [`RmpError::PageNotFound`] for an
+    /// unknown page; [`RmpError::ServerCrashed`] when the holder died (the
+    /// pager then reads around it); for `Some`,
+    /// [`RmpError::Unsupported`] when the policy keeps no redundancy and
+    /// [`RmpError::Unrecoverable`] when what would rebuild the page is gone
+    /// too.
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId, avoid: Option<ServerId>) -> Reading;
 
     /// Collects the read [`Engine::begin_page_in`] started.
     fn complete_page_in(
@@ -972,49 +968,15 @@ pub trait Engine: Send {
         Ok(())
     }
 
-    /// Serves a pagein for `id` from redundancy, without the crashed (or
-    /// corrupt) server `dead`: mirroring reads the surviving copy, the
-    /// parity policies reconstruct *only the requested page* from its
-    /// parity group, write-through reads the local disk. Placement maps
-    /// are left untouched — the full rebuild runs separately through
-    /// [`Engine::plan_recovery`] / [`Engine::recovery_step`].
-    ///
-    /// # Errors
-    ///
-    /// [`RmpError::Unsupported`] when the policy keeps no redundancy;
-    /// [`RmpError::Unrecoverable`] when the redundancy needed for this
-    /// page is itself gone.
-    fn degraded_read(&mut self, _ctx: &mut Ctx<'_>, _id: PageId, _dead: ServerId) -> Result<Page> {
-        Err(RmpError::Unsupported("policy keeps no redundancy"))
-    }
-
-    /// Where the engine reads `id` from first (the primary copy), for
-    /// routing around a corrupt copy. `None` when the page is unknown or
-    /// lives only on the local disk.
-    fn primary_location(&self, _id: PageId) -> Option<Unit> {
+    /// The units a demand read of `id` joins — a whole-page unit first,
+    /// or a stripe's data units; empty for a page on the local disk, `None`
+    /// for an unknown one. The pager derives from it the unit a trace or a
+    /// corrupt copy names (the first), the fault domains of a page that
+    /// fails the writer's checksum (their servers: the checksum covers the
+    /// whole page and cannot name the bad unit), and read-ahead (a lone
+    /// unit: no single key of a stripe yields the page).
+    fn read_units(&self, _id: PageId) -> Option<&[Unit]> {
         None
-    }
-
-    /// Servers whose stored bytes contribute to a demand read of `id` —
-    /// the candidate fault domains when the assembled page fails the
-    /// writer's checksum and the corrupt copy must be located by
-    /// exclusion. Defaults to the primary copy's holder; striped engines
-    /// list every contributing server, since the checksum covers the
-    /// whole page and cannot name the bad fragment.
-    fn fault_domains(&self, id: PageId) -> Vec<ServerId> {
-        self.primary_location(id)
-            .map(|(s, _)| s)
-            .into_iter()
-            .collect()
-    }
-
-    /// Where a *whole-page* copy of `id` can be fetched ahead of demand
-    /// with a plain keyed read, for the stride prefetcher. Defaults to
-    /// the primary copy; engines whose placement unit is smaller than a
-    /// page (erasure coding) return `None` — no single key yields the
-    /// page, so read-ahead must go through the demand path.
-    fn prefetch_location(&self, id: PageId) -> Option<Unit> {
-        self.primary_location(id)
     }
 
     /// Plans incremental recovery from the crash of `server`: enumerates

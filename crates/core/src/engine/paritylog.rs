@@ -792,6 +792,26 @@ impl ParityLogging {
         Some(reads)
     }
 
+    /// Rebuilds page `id` alone from its group, in one gather: a pending
+    /// (unsealed) page is the client-side accumulator XOR the other
+    /// pending members; a sealed page solves its group's XOR equation from
+    /// the other members and the parity page.
+    fn reconstruct(&self, ctx: &mut Ctx<'_>, id: PageId) -> Result<Page> {
+        let (mut page, reads) = if self.is_pending(id) {
+            let others = self.buffer.members().iter().filter(|m| m.page_id != id);
+            let reads: Vec<Unit> = others.map(|m| (m.server, m.key)).collect();
+            (self.buffer.accumulated().clone(), reads)
+        } else {
+            let loc = (self.groups.location_of(id)).ok_or(RmpError::PageNotFound(id))?;
+            let reads = self.pieces_without(loc.group, loc.slot);
+            let reads = reads.ok_or(RmpError::PageNotFound(id))?;
+            (self.parity_base(loc.group), reads)
+        };
+        let pieces = ctx.fetch_group(&reads, &format_args!("the group of {id}"))?;
+        pieces.iter().for_each(|piece| page.xor_with(piece));
+        Ok(page)
+    }
+
     /// What the XOR of sealed group `gid`'s pieces starts from: the parity
     /// page the client keeps, or zeroes.
     fn parity_base(&self, gid: GroupId) -> Page {
@@ -962,11 +982,17 @@ impl Engine for ParityLogging {
         self.complete_append(ctx, append, page, writing)
     }
 
-    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
-        match self.table.units(id) {
-            Some(&[unit]) => ctx.begin_read(unit, true),
-            Some(_) => Reading::Done(ctx.disk_read(id)),
-            None => Reading::Done(Err(RmpError::PageNotFound(id))),
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId, avoid: Option<ServerId>) -> Reading {
+        let unit = match self.table.units(id) {
+            Some(&[unit]) => unit,
+            Some(_) => return Reading::Done(ctx.disk_read(id)),
+            None => return Reading::Done(Err(RmpError::PageNotFound(id))),
+        };
+        match avoid {
+            Some(dead) if unit.0 == dead || !ctx.pool.alive(unit.0) => {
+                Reading::Done(self.reconstruct(ctx, id))
+            }
+            _ => ctx.begin_read(unit, true),
         }
     }
 
@@ -997,37 +1023,8 @@ impl Engine for ParityLogging {
         self.seal_pending(ctx)
     }
 
-    fn degraded_read(&mut self, ctx: &mut Ctx<'_>, id: PageId, dead: ServerId) -> Result<Page> {
-        let unit = match self.table.units(id) {
-            Some(&[unit]) => unit,
-            Some(_) => return ctx.disk_read(id),
-            None => return Err(RmpError::PageNotFound(id)),
-        };
-        if unit.0 != dead && ctx.pool.alive(unit.0) {
-            // The page's own server survived the crash; read it directly.
-            return ctx.read_unit(unit, true);
-        }
-        // A pending (unsealed) page is the client-side accumulator XOR
-        // the other pending members; a sealed page solves its group's XOR
-        // equation from the other members and the parity page. Either
-        // way the pieces come in one gather, nothing else.
-        let (mut page, reads) = if self.is_pending(id) {
-            let others = self.buffer.members().iter().filter(|m| m.page_id != id);
-            let reads: Vec<Unit> = others.map(|m| (m.server, m.key)).collect();
-            (self.buffer.accumulated().clone(), reads)
-        } else {
-            let loc = (self.groups.location_of(id)).ok_or(RmpError::PageNotFound(id))?;
-            let reads = self.pieces_without(loc.group, loc.slot);
-            let reads = reads.ok_or(RmpError::PageNotFound(id))?;
-            (self.parity_base(loc.group), reads)
-        };
-        let pieces = ctx.fetch_group(&reads, &format_args!("the group of {id}"))?;
-        pieces.iter().for_each(|piece| page.xor_with(piece));
-        Ok(page)
-    }
-
-    fn primary_location(&self, id: PageId) -> Option<Unit> {
-        self.table.units(id)?.first().copied()
+    fn read_units(&self, id: PageId) -> Option<&[Unit]> {
+        self.table.units(id)
     }
 
     fn plan_recovery(&mut self, ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {

@@ -407,21 +407,16 @@ impl Stripe {
 
     /// Rebuilds page `id` from any `k` of its units, never reading
     /// `avoid` or a dead server: [`Self::survivors`], one gather,
-    /// [`Self::decode`].
-    fn reconstruct(
-        &self,
-        ctx: &mut Ctx<'_>,
-        id: PageId,
-        avoid: ServerId,
-    ) -> Result<(Page, Vec<Vec<u8>>)> {
+    /// [`Self::decode`] — or reads it off the disk, where that holds it.
+    fn reconstruct(&self, ctx: &mut Ctx<'_>, id: PageId, avoid: ServerId) -> Result<Page> {
         let units = self.table.units(id).ok_or(RmpError::PageNotFound(id))?;
         if self.on_disk(id) {
-            return Ok((ctx.disk_read(id)?, Vec::new()));
+            return ctx.disk_read(id);
         }
         let chosen = self.survivors(ctx, id, avoid)?;
         let reads: Vec<Unit> = chosen.iter().map(|&i| units[i]).collect();
         let fetched = ctx.gather_units(&reads, self.unit_len())?;
-        self.decode(ctx, id, &chosen, &fetched)
+        Ok(self.decode(ctx, id, &chosen, &fetched)?.0)
     }
 
     /// Rebuilds the units of `id` lost with `crashed` ([`lost_with`])
@@ -594,12 +589,25 @@ impl Engine for Stripe {
         }
     }
 
-    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId) -> Reading {
+    fn begin_page_in(&mut self, ctx: &mut Ctx<'_>, id: PageId, avoid: Option<ServerId>) -> Reading {
+        if avoid.is_some() && self.r == 0 && !self.disk_leg {
+            return Reading::Done(Err(RmpError::Unsupported("policy keeps no redundancy")));
+        }
         let Some(units) = self.table.units(id) else {
             return Reading::Done(Err(RmpError::PageNotFound(id)));
         };
         if units.is_empty() {
             return Reading::Done(ctx.disk_read(id));
+        }
+        if let Some(dead) = avoid {
+            // A mirror's other copy is the last way to the page: it is
+            // read down its ladder, as a page with no redundancy is. Any
+            // other way around is a reconstruction.
+            let copy = units.iter().find(|u| u.0 != dead && ctx.pool.alive(u.0));
+            return match copy {
+                Some(&copy) if self.k == 1 && !self.disk_leg => ctx.begin_read(copy, false),
+                _ => Reading::Done(self.reconstruct(ctx, id, dead)),
+            };
         }
         if self.k > 1 {
             // A coded stripe always has redundancy: each data unit's read
@@ -646,13 +654,17 @@ impl Engine for Stripe {
                 }
             };
         }
+        let remote = reading.on_wire();
         match ctx.finish_read(reading) {
             // Write-through: a holder that restarted empty is a plain
             // cache miss; drop the stale unit, the disk has the page. (A
             // page with no unit — unknown, or on the disk already — has
-            // nothing to drop, and an unknown one must not be recorded.)
+            // nothing to drop, and an unknown one must not be recorded; a
+            // miss that never took the wire, a read around off the disk, is
+            // no holder's.)
             Err(RmpError::PageNotFound(_))
                 if self.disk_leg
+                    && remote
                     && (self.table.units(id)).is_some_and(|units| !units.is_empty()) =>
             {
                 self.table.set_disk(id);
@@ -678,29 +690,12 @@ impl Engine for Stripe {
         self.table.units(id).is_some()
     }
 
-    fn degraded_read(&mut self, ctx: &mut Ctx<'_>, id: PageId, dead: ServerId) -> Result<Page> {
-        if self.r == 0 && !self.disk_leg {
-            return Err(RmpError::Unsupported("policy keeps no redundancy"));
-        }
-        Ok(self.reconstruct(ctx, id, dead)?.0)
-    }
-
-    fn primary_location(&self, id: PageId) -> Option<Unit> {
-        self.table.units(id)?.first().copied()
-    }
-
-    fn fault_domains(&self, id: PageId) -> Vec<ServerId> {
-        // A demand read joins only the data units, so when the joined
-        // page fails the writer's checksum the bad bytes sit under one
-        // of their holders.
-        let units = self.table.units(id).unwrap_or_default();
-        units.iter().take(self.k).map(|u| u.0).collect()
-    }
-
-    fn prefetch_location(&self, id: PageId) -> Option<Unit> {
-        // A keyed read of a sub-page unit returns one split frame, which
-        // must never enter the whole-page prefetch cache.
-        self.primary_location(id).filter(|_| self.k == 1)
+    fn read_units(&self, id: PageId) -> Option<&[Unit]> {
+        // A demand read joins only the data units: when the joined page
+        // fails the writer's checksum the bad bytes sit under one of their
+        // holders.
+        let units = self.table.units(id)?;
+        Some(&units[..self.k.min(units.len())])
     }
 
     fn plan_recovery(&mut self, _ctx: &mut Ctx<'_>, server: ServerId) -> Result<u64> {

@@ -680,12 +680,30 @@ impl Pager {
         }
     }
 
+    /// Reads `id` whole, begun and collected back to back: around the
+    /// server `avoid` names, if any, and with [`Ctx::around`] set to
+    /// `around`. Every read after a fault's first goes through here — the
+    /// demand retry, the re-read after a miss at a moved unit, the read
+    /// around a failed holder or a corrupt copy.
+    fn read(&mut self, id: PageId, avoid: Option<ServerId>, around: bool) -> Result<Page> {
+        self.with_engine(|engine, ctx| {
+            ctx.around = around;
+            let reading = engine.begin_page_in(ctx, id, avoid);
+            engine.complete_page_in(ctx, id, reading)
+        })
+    }
+
+    /// The first unit a demand read of `id` joins: whom a trace names,
+    /// and a corrupt copy.
+    fn first_unit(&self, id: PageId) -> Option<Unit> {
+        self.engine.read_units(id)?.first().copied()
+    }
+
     /// Serves `id` from the policy's redundancy without touching `dead`,
     /// verifying the reconstruction against the writer's checksum.
-    fn degraded_read(&mut self, id: PageId, dead: ServerId) -> Result<Page> {
+    fn read_around(&mut self, id: PageId, dead: ServerId) -> Result<Page> {
         let started = Instant::now();
-        let result = self.with_engine(|engine, ctx| engine.degraded_read(ctx, id, dead));
-        let page = match result {
+        let page = match self.read(id, Some(dead), true) {
             Ok(page) => page,
             Err(e) => {
                 if matches!(e, RmpError::CorruptPage { .. }) {
@@ -733,7 +751,7 @@ impl Pager {
         if sum == expect || (self.unacked_sums.get(&id)).is_some_and(|s| s.contains(&sum)) {
             return None;
         }
-        let err = match self.engine.primary_location(id) {
+        let err = match self.first_unit(id) {
             Some((server, key)) => RmpError::CorruptPage { server, key },
             None => RmpError::Corrupt(id),
         };
@@ -841,10 +859,10 @@ impl Pager {
             if self.prefetch_covers(pid) {
                 continue;
             }
-            // Only pages with a whole-page copy in remote memory are
+            // Only pages a lone unit in remote memory holds whole are
             // worth fetching ahead: disk-backed, unknown, and sub-page
             // (erasure-coded) placements fall through to the demand path.
-            let Some((server, key)) = self.engine.prefetch_location(pid) else {
+            let Some(&[(server, key)]) = self.engine.read_units(pid) else {
                 continue;
             };
             // Nor a copy the demand path reads around: on a server dead,
@@ -877,7 +895,7 @@ impl Pager {
         // Resolve attribution before the attempt: after a failure the id
         // may map to a different (or no) placement, and the trace should
         // blame the server the operation actually ran against.
-        let before = self.engine.primary_location(id).map(|(s, _)| s);
+        let before = self.first_unit(id).map(|(s, _)| s);
         self.invalidate_prefetched(id);
         self.update_adaptive();
         // Each failed attempt can take down at most one server, so the
@@ -978,7 +996,7 @@ impl Pager {
         if done.is_ok() {
             // A successful pageout may have *created* the placement;
             // the post-call location is the one that took the page.
-            server = self.engine.primary_location(out.id).map(|(s, _)| s);
+            server = self.first_unit(out.id).map(|(s, _)| s);
             self.stats.pageouts += 1;
         }
         self.book(EventKind::PageOut, out.started, server, done)
@@ -1022,7 +1040,7 @@ impl Pager {
     /// the submit.
     pub(crate) fn begin_page_in(&mut self, id: PageId) -> PageInFlight {
         let started = Instant::now();
-        let at = self.engine.primary_location(id);
+        let at = self.first_unit(id);
         let mut served = None;
         if self.config.prefetch_window > 0 {
             if inflight(&self.pending_prefetch, id) {
@@ -1049,7 +1067,7 @@ impl Pager {
             hit: served.is_some(),
             reading: match served {
                 Some(page) => Reading::Done(Ok(page)),
-                None => self.with_engine(|e, ctx| e.begin_page_in(ctx, id)),
+                None => self.with_engine(|e, ctx| e.begin_page_in(ctx, id, None)),
             },
         }
     }
@@ -1071,7 +1089,7 @@ impl Pager {
         }
         self.metrics.landing_hits.inc();
         self.stats.pageins += 1;
-        let at = self.engine.primary_location(id).map(|(s, _)| s);
+        let at = self.first_unit(id).map(|(s, _)| s);
         self.book(EventKind::PageIn, started, at, Ok(kept.clone()))
             .ok()
     }
@@ -1087,10 +1105,8 @@ impl Pager {
                 // A miss at a unit the page has left since (a whole
                 // operation re-logged it while the read was out) says
                 // nothing about the page: read it where it is now.
-                if matches!(first, Err(RmpError::PageNotFound(_)))
-                    && self.engine.primary_location(id) != at
-                {
-                    first = self.with_engine(|engine, ctx| engine.page_in(ctx, id));
+                if matches!(first, Err(RmpError::PageNotFound(_))) && self.first_unit(id) != at {
+                    first = self.read(id, None, true);
                 }
                 self.demand_page_in(id, first)
             }
@@ -1135,7 +1151,7 @@ impl Pager {
                     if !self.pool.alive(dead) {
                         self.note_crash(dead);
                     }
-                    let e = match self.degraded_read(id, dead) {
+                    let e = match self.read_around(id, dead) {
                         Ok(page) => return Ok(page),
                         Err(e) => e,
                     };
@@ -1159,12 +1175,12 @@ impl Pager {
                 // fragment's holder — search every contributing server
                 // until one exclusion yields a verified reconstruction.
                 RmpError::CorruptPage { server, .. } => {
-                    let mut candidates = self.engine.fault_domains(id);
-                    candidates.retain(|&s| s != server);
-                    candidates.insert(0, server);
+                    let units = self.engine.read_units(id).unwrap_or_default();
+                    let others = units.iter().map(|u| u.0).filter(|&s| s != server);
+                    let candidates: Vec<ServerId> = std::iter::once(server).chain(others).collect();
                     let mut last = err;
                     for suspect in candidates {
-                        match self.degraded_read(id, suspect) {
+                        match self.read_around(id, suspect) {
                             Ok(page) => return Ok(page),
                             Err(RmpError::Unsupported(_)) => return Err(last),
                             Err(e @ (RmpError::CorruptPage { .. } | RmpError::Corrupt(_))) => {
@@ -1177,10 +1193,7 @@ impl Pager {
                 }
                 e => return Err(e),
             };
-            attempt = self.with_engine(|engine, ctx| {
-                ctx.around = around;
-                engine.page_in(ctx, id)
-            });
+            attempt = self.read(id, None, around);
         }
     }
 

@@ -545,8 +545,6 @@ pub struct ServerPool {
     transport_cfg: TransportConfig,
     /// What every decision about a server's standing reads as now.
     clock: Clock,
-    /// Attempts consumed by the most recent call (1 = first try clean).
-    last_attempts: u32,
     /// xorshift64* state for backoff jitter; deterministic seed keeps
     /// tests reproducible.
     jitter_state: u64,
@@ -574,7 +572,6 @@ impl ServerPool {
             service_ms: 0.0,
             transport_cfg,
             clock: Clock::Real,
-            last_attempts: 0,
             jitter_state: 0x2545_F491_4F6C_DD1D,
             obituaries: Vec::new(),
             rebuilt: Vec::new(),
@@ -937,14 +934,6 @@ impl ServerPool {
         self.peers.get(&id).map_or(0.0, |p| p.health.suspicion())
     }
 
-    /// Attempts consumed by the most recent call on this pool (1 = clean
-    /// first try, more = at least one retry happened). Non-idempotent
-    /// callers (basic parity's XOR path) consult this to learn that their
-    /// last operation may have been applied more than once server-side.
-    pub fn last_call_attempts(&self) -> u32 {
-        self.last_attempts
-    }
-
     /// Puts every decision about a server's standing on `clock`.
     pub fn set_clock(&mut self, clock: Clock) {
         self.clock = clock;
@@ -1016,6 +1005,13 @@ impl ServerPool {
     /// out-of-memory is [`RmpError::NoSpace`], shutting-down
     /// [`RmpError::ServerCrashed`] with the server declared dead.
     fn call(&mut self, id: ServerId, request: Message) -> Result<Message> {
+        self.call_retried(id, request).map(|(reply, _)| reply)
+    }
+
+    /// [`ServerPool::call`], and whether the request went out more than
+    /// once: a non-idempotent one (basic parity's delta and fold) may then
+    /// have been applied more than once.
+    fn call_retried(&mut self, id: ServerId, request: Message) -> Result<(Message, bool)> {
         // The flight never leaves this call, so it names no key.
         let flight = self.begin_call(id, StoreKey(0), request);
         self.settle(flight)
@@ -1041,14 +1037,13 @@ impl ServerPool {
         mut flight: Flight,
         landed: (Result<Message>, Duration),
         by: Instant,
-    ) -> Result<Message> {
+    ) -> Result<(Message, bool)> {
         let id = flight.server;
         let (mut reply, mut elapsed) = landed;
-        let mut made = 1;
+        let mut retried = false;
         loop {
-            self.last_attempts = made;
             let failed = match reply {
-                Ok(reply) => return Ok(reply),
+                Ok(reply) => return Ok((reply, retried)),
                 Err(failed) => failed,
             };
             if is_transient(&failed) {
@@ -1057,7 +1052,7 @@ impl ServerPool {
             }
             self.fail(id, failed, Some(by))?;
             flight.pending = None;
-            made += 1;
+            retried = true;
             (reply, elapsed) = self.land(&mut flight, by);
         }
     }
@@ -1244,8 +1239,9 @@ impl ServerPool {
 
     /// The second half of a call: a failed flight goes on down the
     /// ladder, within the budget counted from when it began — or, if its
-    /// connection held it, from when it left.
-    fn settle(&mut self, mut flight: Flight) -> Result<Message> {
+    /// connection held it, from when it left. The reply, and whether the
+    /// request had to go out again.
+    fn settle(&mut self, mut flight: Flight) -> Result<(Message, bool)> {
         flight.depart();
         let by = self.budget_end(flight.sent);
         let landed = self.land(&mut flight, by);
@@ -1377,7 +1373,7 @@ impl ServerPool {
                         timeout,
                         pending: None,
                     };
-                    self.ladder(flight, (Err(failed), elapsed), budget)
+                    (self.ladder(flight, (Err(failed), elapsed), budget)).map(|(reply, _)| reply)
                 };
             }
         }
@@ -1436,7 +1432,7 @@ impl ServerPool {
                 m.grant_waits.inc();
             }
             let reply = match self.peers.get_mut(&id).and_then(|peer| peer.refill.take()) {
-                Some(refill) => self.settle(refill)?,
+                Some(refill) => self.settle(refill)?.0,
                 None => self.call(id, Message::Alloc { pages: ALLOC_CHUNK })?,
             };
             self.granted(id, reply)?;
@@ -1622,7 +1618,7 @@ impl ServerPool {
     /// The second half of [`ServerPool::page_out`].
     pub fn finish_page_out(&mut self, flight: Flight) -> Result<LoadHint> {
         let id = flight.server;
-        let reply = self.settle(flight)?;
+        let (reply, _) = self.settle(flight)?;
         self.stored(id, reply)
     }
 
@@ -1681,7 +1677,7 @@ impl ServerPool {
     /// The second half of [`ServerPool::page_in`].
     pub fn finish_page_in(&mut self, flight: Flight) -> Result<Page> {
         let (id, key) = (flight.server, flight.key);
-        let reply = self.settle(flight)?;
+        let (reply, _) = self.settle(flight)?;
         self.fetched(id, key, reply)?
             .ok_or(RmpError::PageNotFound(rmp_types::PageId(key.0)))
     }
@@ -1698,7 +1694,6 @@ impl ServerPool {
     pub fn finish_page_in_unretried(&mut self, mut flight: Flight) -> Result<Option<Page>> {
         let (id, key, by) = (flight.server, flight.key, self.budget_end(flight.sent));
         let (reply, elapsed) = self.land(&mut flight, by);
-        self.last_attempts = 1;
         if reply.is_err() {
             let us = elapsed.as_secs_f64() * 1e6;
             self.transition(id, Event::Miss(us));
@@ -1759,7 +1754,9 @@ impl ServerPool {
         Self::freed(self.call(id, Message::Free { id: key })?)
     }
 
-    /// Basic-parity pageout: stores the page and returns `old XOR new`.
+    /// Basic-parity pageout: stores the page and returns `old XOR new`,
+    /// and whether the store was retried — an earlier attempt may have
+    /// stored the page already, and the delta then echoes none of it.
     ///
     /// # Errors
     ///
@@ -1769,38 +1766,40 @@ impl ServerPool {
         id: ServerId,
         key: StoreKey,
         page: &Page,
-    ) -> Result<(Page, LoadHint)> {
+    ) -> Result<(Page, bool)> {
         let request = Message::PageOutDelta {
             id: key,
             checksum: page.checksum(),
             page: page.clone(),
         };
-        match self.call(id, request)? {
-            Message::PageOutDeltaReply { delta, hint, .. } => {
+        match self.call_retried(id, request)? {
+            (Message::PageOutDeltaReply { delta, hint, .. }, retried) => {
                 self.note_wire_transfer();
                 self.apply_hint(id, hint);
-                Ok((delta, hint))
+                Ok((delta, retried))
             }
-            other => Err(unexpected_reply("PageOutDelta", &other)),
+            (other, _) => Err(unexpected_reply("PageOutDelta", &other)),
         }
     }
 
     /// XORs `delta` into the page under `key` on `id` (parity update).
+    /// Whether it was retried: the delta may then be folded in twice,
+    /// which cancels it.
     ///
     /// # Errors
     ///
     /// As [`ServerPool::page_out`].
-    pub fn xor_into(&mut self, id: ServerId, key: StoreKey, delta: &Page) -> Result<()> {
+    pub fn xor_into(&mut self, id: ServerId, key: StoreKey, delta: &Page) -> Result<bool> {
         let request = Message::XorInto {
             id: key,
             page: delta.clone(),
         };
-        match self.call(id, request)? {
-            Message::XorAck { .. } => {
+        match self.call_retried(id, request)? {
+            (Message::XorAck { .. }, retried) => {
                 self.note_wire_transfer();
-                Ok(())
+                Ok(retried)
             }
-            other => Err(unexpected_reply("XorInto", &other)),
+            (other, _) => Err(unexpected_reply("XorInto", &other)),
         }
     }
 

@@ -398,6 +398,23 @@ fn a_rewrite_voids_the_read_behind_it_overtakes() {
 }
 
 #[test]
+fn only_a_page_held_whole_by_one_unit_is_read_ahead() {
+    // One sequential scan, read back whole under both geometries: a
+    // mirror's copy is one unit holding the page, fetched ahead; a coded
+    // stripe's read joins two units, and no single key yields the page.
+    let scan = |config: PagerConfig| {
+        let pager = pager(&in_process(3, FaultPlan::seeded(12)), config);
+        fill(&pager, 32);
+        assert_eq!(read(&pager, 0..32), 32, "every page reads back");
+        counted(&pager, "pager_prefetch_issued_total")
+    };
+    let coded = PagerConfig::new(Policy::ErasureCoded).with_ec_splits(2, 1);
+    assert_eq!(scan(coded.with_prefetch_window(8)), 0);
+    let mirrored = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);
+    assert!(scan(mirrored) > 0, "a sequential scan reads ahead");
+}
+
+#[test]
 fn a_recovery_counts_the_copies_it_drops_useless() {
     let cluster = in_process(3, FaultPlan::seeded(10));
     let config = PagerConfig::new(Policy::Mirroring).with_prefetch_window(8);

@@ -14,10 +14,9 @@ use rmp_types::{PageId, Result, RmpError, ServerId, StoreKey};
 /// The fixed location a logical page is bound to under basic parity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BasicSlot {
-    /// Data server holding the page.
-    pub server: ServerId,
-    /// Storage key on the data server (the stripe slot index).
-    pub key: StoreKey,
+    /// Data server holding the page, and its storage key there (the
+    /// stripe slot index).
+    pub unit: (ServerId, StoreKey),
     /// Storage key of the group's parity page on the parity server.
     pub parity_key: StoreKey,
     /// Stripe slot (`j`) identifying the parity group.
@@ -94,11 +93,6 @@ impl BasicParityMap {
         })
     }
 
-    /// Number of data servers (`S`).
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     /// The parity server.
     pub fn parity_server(&self) -> ServerId {
         self.parity_server
@@ -117,8 +111,7 @@ impl BasicParityMap {
         let j = self.next_slot[idx];
         self.next_slot[idx] += 1;
         let slot = BasicSlot {
-            server: self.servers[idx],
-            key: StoreKey(j),
+            unit: (self.servers[idx], StoreKey(j)),
             parity_key: StoreKey(j),
             slot: j,
         };
@@ -132,8 +125,8 @@ impl BasicParityMap {
     }
 
     /// Returns the page's slot without assigning.
-    pub fn location(&self, page_id: PageId) -> Option<BasicSlot> {
-        self.assignments.get(&page_id).copied()
+    pub fn location(&self, page_id: PageId) -> Option<&BasicSlot> {
+        self.assignments.get(&page_id)
     }
 
     /// Releases a page's slot.
@@ -146,7 +139,7 @@ impl BasicParityMap {
         let idx = self
             .servers
             .iter()
-            .position(|&s| s == slot.server)
+            .position(|&s| s == slot.unit.0)
             .expect("assigned slot references known server");
         if let Some(row) = self.occupancy.get_mut(&slot.slot) {
             row[idx] = None;
@@ -222,49 +215,6 @@ impl BasicParityMap {
         plans.sort_by_key(|(k, _)| *k);
         plans
     }
-
-    /// Rebinds a recovered page to a new data server (after its original
-    /// server crashed and the page was reconstructed elsewhere).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RmpError::Config`] when `new_server` is not a data server
-    /// of this map.
-    pub fn rebind(&mut self, page_id: PageId, new_server: ServerId) -> Result<BasicSlot> {
-        let new_idx = self
-            .servers
-            .iter()
-            .position(|&s| s == new_server)
-            .ok_or_else(|| RmpError::Config(format!("{new_server} is not a data server")))?;
-        let old = self
-            .assignments
-            .get(&page_id)
-            .copied()
-            .ok_or(RmpError::PageNotFound(page_id))?;
-        let old_idx = self
-            .servers
-            .iter()
-            .position(|&s| s == old.server)
-            .expect("assigned slot references known server");
-        let row = self
-            .occupancy
-            .get_mut(&old.slot)
-            .expect("assigned slot has occupancy row");
-        if row[new_idx].is_some() {
-            return Err(RmpError::Config(format!(
-                "slot {} on {new_server} already occupied",
-                old.slot
-            )));
-        }
-        row[old_idx] = None;
-        row[new_idx] = Some(page_id);
-        let slot = BasicSlot {
-            server: new_server,
-            ..old
-        };
-        self.assignments.insert(page_id, slot);
-        Ok(slot)
-    }
 }
 
 #[cfg(test)]
@@ -289,10 +239,10 @@ mod tests {
         let b = m.assign(PageId(1));
         let c = m.assign(PageId(2));
         let d = m.assign(PageId(3));
-        assert_eq!(a.server, ServerId(0));
-        assert_eq!(b.server, ServerId(1));
-        assert_eq!(c.server, ServerId(2));
-        assert_eq!(d.server, ServerId(0));
+        assert_eq!(a.unit.0, ServerId(0));
+        assert_eq!(b.unit.0, ServerId(1));
+        assert_eq!(c.unit.0, ServerId(2));
+        assert_eq!(d.unit.0, ServerId(0));
         // Same stripe slot for the first wave, next slot for the wrap.
         assert_eq!(a.slot, 0);
         assert_eq!(b.slot, 0);
@@ -318,7 +268,7 @@ mod tests {
         let plans = m.recovery_plan(ServerId(1)).expect("recoverable");
         assert_eq!(plans.len(), 2, "pages 1 and 4 lived on srv1");
         for plan in &plans {
-            assert_eq!(plan.lost.server, ServerId(1));
+            assert_eq!(plan.lost.unit.0, ServerId(1));
             assert_eq!(plan.fetch.len(), 2, "two surviving members per stripe");
             assert_eq!(plan.parity.0, ServerId(9));
             assert_eq!(plan.parity.1, plan.lost.parity_key);
@@ -386,23 +336,9 @@ mod tests {
         m.assign(PageId(0));
         m.assign(PageId(1));
         let slot = m.free(PageId(0)).expect("assigned");
-        assert_eq!(slot.server, ServerId(0));
+        assert_eq!(slot.unit.0, ServerId(0));
         assert!(m.free(PageId(0)).is_none(), "idempotent");
         let plans = m.recovery_plan(ServerId(0)).expect("ok");
         assert!(plans.is_empty(), "freed page no longer recovered");
-    }
-
-    #[test]
-    fn rebind_moves_page_between_servers() {
-        let mut m = map3();
-        m.assign(PageId(0)); // srv0 slot0
-        m.assign(PageId(1)); // srv1 slot0
-        let moved = m.rebind(PageId(0), ServerId(2)).expect("rebinds");
-        assert_eq!(moved.server, ServerId(2));
-        assert_eq!(moved.slot, 0);
-        // Slot 0 on server 1 is taken; rebinding page 0 onto it must fail.
-        assert!(m.rebind(PageId(0), ServerId(1)).is_err());
-        // Rebinding to a non-data server fails.
-        assert!(m.rebind(PageId(0), ServerId(9)).is_err());
     }
 }
