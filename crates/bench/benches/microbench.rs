@@ -16,7 +16,7 @@ use rmp_proto::{FrameHeader, Message};
 use rmp_server::PageStore;
 use rmp_sim::{CsmaCd, EthernetConfig};
 use rmp_types::{Page, PageId, PagerConfig, Policy, ServerId, StoreKey, PAGE_SIZE};
-use rmp_vm::{PagedMemory, VmConfig};
+use rmp_vm::{PagedArray, PagedMemory, VmConfig};
 
 fn bench_parity(c: &mut Criterion) {
     let mut g = c.benchmark_group("parity");
@@ -103,10 +103,25 @@ fn bench_store(c: &mut Criterion) {
 
 fn bench_vm(c: &mut Criterion) {
     let mut g = c.benchmark_group("vm");
+    // A resident access is nanoseconds: twenty iterations would time the
+    // clock read.
+    g.sample_size(200_000);
     g.bench_function("resident_hit", |bench| {
         let mut vm = PagedMemory::new(RamDisk::unbounded(), VmConfig::with_frames(8));
         vm.write(PageId(0), |p| p.as_mut()[0] = 1).expect("warm");
         bench.iter(|| vm.read(PageId(0), |p| p.as_ref()[0]).expect("hit"))
+    });
+    // GAUSS's inner step: a load and a store of one `f64` in place.
+    g.bench_function("resident_update", |bench| {
+        let mut vm = PagedMemory::new(RamDisk::unbounded(), VmConfig::with_frames(8));
+        let row = PagedArray::<f64>::new(0, PagedArray::<f64>::PER_PAGE);
+        row.set(&mut vm, 0, 1.0).expect("warm");
+        let mut j = 0;
+        bench.iter(|| {
+            j = (j + 1) % row.len();
+            row.update(&mut vm, j, |v| v - 0.5 * black_box(2.0))
+                .expect("hit")
+        })
     });
     g.bench_function("fault_evict_cycle", |bench| {
         let mut vm = PagedMemory::new(RamDisk::unbounded(), VmConfig::with_frames(2));

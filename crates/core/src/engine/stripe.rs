@@ -439,15 +439,23 @@ impl Stripe {
             step.transfers += self.k as u64;
         }
         let frames = Frames(&page, shards.iter().map(|s| unit_of(s)).collect());
-        match self.place_lost(ctx, id, &frames, &lost, &[crashed], false, &[])? {
+        // A page counts once: as parity when the unit lost was its parity,
+        // else as data.
+        let parity = match self.place_lost(ctx, id, &frames, &lost, &[crashed], false, &[])? {
             Some((placed, parity)) => {
                 step.transfers += placed;
-                step.parity_rebuilt += u64::from(parity);
+                parity
             }
             // No server can take a unit without doubling up.
-            None => self.park(ctx, id, &page)?,
+            None => {
+                self.park(ctx, id, &page)?;
+                false
+            }
+        };
+        match parity {
+            true => step.parity_rebuilt += 1,
+            false => step.pages_rebuilt += 1,
         }
-        step.pages_rebuilt += 1;
         Ok(())
     }
 

@@ -643,6 +643,32 @@ fn erasure_coded_rebuilds_lost_splits_onto_a_spare() {
 }
 
 #[test]
+fn erasure_coded_recovery_counts_each_lost_unit_once() {
+    // Every page has one unit on each of three of the four servers, one
+    // of them parity, so each victim below held parity units for some
+    // pages and data units for others: a page counts once, as data or as
+    // parity, never as both.
+    let mut parity = 0;
+    for victim in 0..4usize {
+        let (handles, pager) = ec_pager(4, 2, 1);
+        fill(&pager, 60);
+        let held = handles[victim].stored_pages() as u64;
+        handles[victim].crash();
+        let report = pager
+            .recover_from_crash(ServerId(victim as u32))
+            .expect("recovery")[0];
+        assert_eq!(
+            report.total_rebuilt(),
+            held,
+            "srv{victim} held a unit of {held} pages: {report:?}"
+        );
+        parity += report.parity_rebuilt;
+        verify(&pager, 60);
+    }
+    assert!(parity > 0, "some victim held parity units");
+}
+
+#[test]
 fn erasure_coded_wide_stripe_survives_r_crashes() {
     let (handles, pager) = ec_pager(6, 4, 2);
     fill(&pager, 40);

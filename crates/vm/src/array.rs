@@ -25,10 +25,12 @@ macro_rules! impl_element {
         impl Element for $t {
             const SIZE: usize = $n;
 
+            #[inline]
             fn store(self, buf: &mut [u8]) {
                 buf.copy_from_slice(&self.to_le_bytes());
             }
 
+            #[inline]
             fn load(buf: &[u8]) -> Self {
                 <$t>::from_le_bytes(buf.try_into().expect("element size"))
             }

@@ -13,12 +13,16 @@
 //!
 //! An access to a resident page is the application's own time, not the
 //! pager's, and an out-of-core solve makes hundreds of them per fault
-//! (GAUSS n = 96: ≈ 600,000 accesses, ≈ 400 pageins). So, as a TLB sits
-//! in front of a page table, [`PagedMemory`] looks its last two
-//! translations up before it hashes into its page table; an entry leaves
-//! with its page, on eviction and on discard, and the fault statistics,
-//! replacement stamps and device request stream are those of the page
-//! table alone.
+//! (GAUSS n = 96: ≈ 600,000 accesses, ≈ 400 pageins). So a resident
+//! frame is plain owned memory, as physical memory is under the kernel:
+//! an access loads or stores its bytes in place, and bytes become a
+//! [`rmp_types::Page`] only at fault-in (the device's page is copied into
+//! the frame) and at write-back (a dirty eviction or `sync` hands the
+//! device a copy). And, as a TLB sits in front of a page table,
+//! [`PagedMemory`] looks its last two translations up inline before it
+//! hashes into its page table out of line; an entry leaves with its page,
+//! on eviction and on discard, and the fault statistics, replacement
+//! stamps and device request stream are those of the page table alone.
 //!
 //! [`array::PagedArray`] offers a typed out-of-core array view used by the
 //! workload programs (GAUSS, QSORT, FFT, MVEC, FILTER).

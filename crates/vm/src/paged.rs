@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 
 use rmp_blockdev::PagingDevice;
-use rmp_types::{Page, PageId, Result};
+use rmp_types::{Page, PageId, Result, PAGE_SIZE};
 
 use crate::policy::{Replacement, ReplacementState};
 use crate::stats::FaultStats;
@@ -37,6 +37,14 @@ impl VmConfig {
 /// calls on the device, reproducing the kernel-to-pager request stream of
 /// the paper's testbed.
 ///
+/// A frame is the workstation's own `PAGE_SIZE` bytes, as physical
+/// memory is under the kernel: an access to a resident page reads or
+/// stores them in place, with no [`Page`] and no reference count between.
+/// Bytes become a [`Page`] only on their way through the device: a fault
+/// copies the device's page into its frame, and a dirty eviction or
+/// [`sync`](Self::sync) hands the device a copy of the frame, a snapshot
+/// that later stores to the still-resident frame leave alone.
+///
 /// # Examples
 ///
 /// ```
@@ -56,7 +64,7 @@ impl VmConfig {
 /// ```
 pub struct PagedMemory<D> {
     device: D,
-    frames: Vec<Page>,
+    frames: Vec<[u8; PAGE_SIZE]>,
     frame_of: HashMap<PageId, usize>,
     /// The last two translations taken from `frame_of`, the later first:
     /// an access to a resident page looks here before it hashes. An entry
@@ -83,7 +91,7 @@ impl<D: PagingDevice> PagedMemory<D> {
         let n = config.resident_frames;
         PagedMemory {
             device,
-            frames: (0..n).map(|_| Page::zeroed()).collect(),
+            frames: vec![[0; PAGE_SIZE]; n],
             frame_of: HashMap::new(),
             recent: [None; 2],
             page_of: vec![None; n],
@@ -95,26 +103,28 @@ impl<D: PagingDevice> PagedMemory<D> {
         }
     }
 
-    /// Reads page `id` through `f`.
+    /// Reads page `id` through `f`, which is handed its frame in place.
     ///
     /// A never-written page reads as zeros (demand-zero fill).
     ///
     /// # Errors
     ///
     /// Propagates device failures from faults and evictions.
-    pub fn read<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
+    #[inline]
+    pub fn read<R>(&mut self, id: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
         let frame = self.fault_in(id)?;
         self.stats.accesses += 1;
         self.replacement.on_access(frame);
         Ok(f(&self.frames[frame]))
     }
 
-    /// Mutates page `id` through `f`, marking it dirty.
+    /// Mutates page `id` in place through `f`, marking it dirty.
     ///
     /// # Errors
     ///
     /// Propagates device failures from faults and evictions.
-    pub fn write<R>(&mut self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
+    #[inline]
+    pub fn write<R>(&mut self, id: PageId, f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> Result<R> {
         let frame = self.fault_in(id)?;
         self.stats.accesses += 1;
         self.replacement.on_access(frame);
@@ -122,21 +132,51 @@ impl<D: PagingDevice> PagedMemory<D> {
         Ok(f(&mut self.frames[frame]))
     }
 
-    /// Ensures `id` is resident, returning its frame index.
+    /// Ensures `id` is resident, returning its frame index: a hit in the
+    /// recent translations here, anything else out of line.
+    #[inline]
     fn fault_in(&mut self, id: PageId) -> Result<usize> {
-        if let Some(frame) = self.translate(id) {
-            self.stats.hits += 1;
-            return Ok(frame);
+        for &(page, frame) in self.recent.iter().flatten() {
+            if page == id {
+                self.stats.hits += 1;
+                return Ok(frame);
+            }
         }
+        self.look_up(id)
+    }
+
+    /// The frame of `id` from the page table, kept in place of the older
+    /// recent translation, else a fault.
+    #[inline(never)]
+    fn look_up(&mut self, id: PageId) -> Result<usize> {
+        match self.frame_of.get(&id) {
+            Some(&frame) => {
+                self.recent = [Some((id, frame)), self.recent[0]];
+                self.stats.hits += 1;
+                Ok(frame)
+            }
+            None => self.fault(id),
+        }
+    }
+
+    /// Makes non-resident `id` resident: a free frame, or an evicted one,
+    /// filled with the device's copy of `id`, or with zeros.
+    #[cold]
+    #[inline(never)]
+    fn fault(&mut self, id: PageId) -> Result<usize> {
         let frame = match self.free_frames.pop() {
             Some(f) => f,
             None => self.evict()?,
         };
         if self.on_device.contains(&id) {
-            self.frames[frame] = self.device.page_in(id)?;
+            let page = self.device.page_in(id).inspect_err(|_| {
+                // The frame was emptied for `id`: it stays free.
+                self.free_frames.push(frame);
+            })?;
+            self.frames[frame].copy_from_slice(page.as_ref());
             self.stats.pageins += 1;
         } else {
-            self.frames[frame].clear();
+            self.frames[frame].fill(0);
             self.stats.zero_fills += 1;
         }
         self.frame_of.insert(id, frame);
@@ -145,19 +185,6 @@ impl<D: PagingDevice> PagedMemory<D> {
         self.dirty[frame] = false;
         self.replacement.on_load(frame);
         Ok(frame)
-    }
-
-    /// The frame of `id` if it is resident: from the recent translations,
-    /// else from the page table, and then kept in place of the older one.
-    fn translate(&mut self, id: PageId) -> Option<usize> {
-        for &(page, frame) in self.recent.iter().flatten() {
-            if page == id {
-                return Some(frame);
-            }
-        }
-        let frame = *self.frame_of.get(&id)?;
-        self.recent = [Some((id, frame)), self.recent[0]];
-        Some(frame)
     }
 
     /// Removes `id` from the page table and the recent translations,
@@ -176,7 +203,7 @@ impl<D: PagingDevice> PagedMemory<D> {
         let frame = self.replacement.choose_victim();
         let victim = self.page_of[frame].expect("occupied frame");
         if self.dirty[frame] {
-            self.device.page_out(victim, &self.frames[frame])?;
+            self.device.page_out(victim, &self.snapshot(frame))?;
             self.on_device.insert(victim);
             self.stats.pageouts += 1;
         } else {
@@ -185,6 +212,11 @@ impl<D: PagingDevice> PagedMemory<D> {
         self.unmap(victim);
         self.page_of[frame] = None;
         Ok(frame)
+    }
+
+    /// The bytes of `frame` as a page of their own for the device.
+    fn snapshot(&self, frame: usize) -> Page {
+        Page::from_slice(&self.frames[frame]).expect("a frame is a whole page")
     }
 
     /// Writes every dirty resident page to the device (orderly shutdown or
@@ -197,7 +229,7 @@ impl<D: PagingDevice> PagedMemory<D> {
         for frame in 0..self.frames.len() {
             if self.dirty[frame] {
                 let id = self.page_of[frame].expect("dirty frame is occupied");
-                self.device.page_out(id, &self.frames[frame])?;
+                self.device.page_out(id, &self.snapshot(frame))?;
                 self.on_device.insert(id);
                 self.dirty[frame] = false;
                 self.stats.pageouts += 1;
@@ -364,6 +396,59 @@ mod tests {
         let v = m.read(PageId(0), |p| p.as_ref()[0]).expect("read");
         assert_eq!(v, 0, "a discarded page reads as a fresh zero page");
         assert_eq!(m.stats().zero_fills, 3);
+    }
+
+    /// A RAM disk whose next `page_in` fails when `fail_next` is set.
+    struct Flaky {
+        disk: RamDisk,
+        fail_next: bool,
+    }
+
+    impl PagingDevice for Flaky {
+        fn page_out(&mut self, id: PageId, page: &Page) -> Result<()> {
+            self.disk.page_out(id, page)
+        }
+
+        fn page_in(&mut self, id: PageId) -> Result<Page> {
+            match std::mem::take(&mut self.fail_next) {
+                true => Err(rmp_types::RmpError::PageNotFound(id)),
+                false => self.disk.page_in(id),
+            }
+        }
+
+        fn free(&mut self, id: PageId) -> Result<()> {
+            self.disk.free(id)
+        }
+
+        fn contains(&self, id: PageId) -> bool {
+            self.disk.contains(id)
+        }
+
+        fn stats(&self) -> rmp_types::TransferStats {
+            self.disk.stats()
+        }
+    }
+
+    #[test]
+    fn a_failed_fault_leaves_its_frame_free() {
+        let disk = Flaky {
+            disk: RamDisk::unbounded(),
+            fail_next: false,
+        };
+        let mut m = PagedMemory::new(disk, VmConfig::with_frames(2));
+        for id in 0..3 {
+            m.write(PageId(id), |p| p.as_mut()[0] = id as u8 + 1)
+                .expect("write");
+        }
+        m.device_mut().fail_next = true;
+        assert!(m.read(PageId(0), |_| ()).is_err());
+        assert_eq!(m.resident(), 1, "the evicted page went to the device");
+        // The frame the failed fault emptied is taken before any
+        // eviction, which would find it holding no page.
+        for id in 0..3 {
+            let v = m.read(PageId(id), |p| p.as_ref()[0]).expect("read");
+            assert_eq!(v, id as u8 + 1, "page {id}");
+        }
     }
 
     #[test]

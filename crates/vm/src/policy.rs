@@ -39,6 +39,7 @@ impl ReplacementState {
     }
 
     /// Records that `frame` was accessed (hit).
+    #[inline]
     pub(crate) fn on_access(&mut self, frame: usize) {
         self.tick += 1;
         match self.policy {
